@@ -191,29 +191,18 @@ class SelfAttention(Module):
 
         ``q_rot`` is ``[1, s_q, n_heads, head_dim]`` with RoPE already
         applied; ``k_cache``/``v_cache`` are ``[1, T, n_kv_heads,
-        head_dim]`` — the paged-KV gather, keys post-RoPE.  Two modes:
-
-        * **prefill** (``s_q == T``): the square causal mask applies,
-          exactly as :meth:`attend`;
-        * **decode** (``s_q == 1 < T``): the single query sits at the
-          last position and legitimately sees every cached key, so the
-          causal mask must be *off* — ``np.triu(..., k=1)`` on a
-          ``[1, T]`` score row would wrongly mask all but the first key.
-
-        Chunked prefill (``1 < s_q < T``) is not supported.
+        head_dim]`` — the paged-KV gather, keys post-RoPE.  The queries
+        are the *last* ``s_q`` of the ``T`` cached positions, which is
+        exactly the bottom-right-aligned causal mask of
+        :func:`~repro.tensor.ops.scaled_dot_product_attention`: prefill
+        (``s_q == T``) gets the square mask of :meth:`attend`, decode
+        (``s_q == 1``) sees every cached key, and chunked prefill
+        (``1 < s_q < T``) sees its own prefix.
         """
-        s_q = q_rot.shape[1]
-        t_kv = k_cache.shape[1]
-        if s_q != t_kv and s_q != 1:
-            raise ValueError(
-                f"decode_attend needs s_q == T (prefill) or s_q == 1 "
-                f"(decode); got s_q={s_q}, T={t_kv}"
-            )
         qh = q_rot.transpose(0, 2, 1, 3)
         kh = k_cache.transpose(0, 2, 1, 3)
         vh = v_cache.transpose(0, 2, 1, 3)
-        out = ops.scaled_dot_product_attention(qh, kh, vh,
-                                               causal=s_q == t_kv)
+        out = ops.scaled_dot_product_attention(qh, kh, vh, causal=True)
         return out.transpose(0, 2, 1, 3)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ Reference (single-rank) implementation of the paper's MoE FFN:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .layers import Linear, Module, init_linear
 from .routing import DispatchPlan, RoutingResult, build_dispatch_plan
 
 __all__ = ["TopKRouter", "Expert", "MoELayer", "MoEOutput",
-           "grouped_expert_forward"]
+           "grouped_expert_blocks", "grouped_expert_forward"]
 
 
 @dataclass
@@ -78,6 +78,18 @@ class TopKRouter(Module):
         ``gate_weights`` is the differentiable ``[T, k]`` combine-weight
         tensor (renormalized over the selected experts).
         """
+        routing, weights, probs = self._route(x_flat)
+        aux = self._aux_loss(probs, routing.expert_index, routing.kept)
+        return routing, weights, aux
+
+    def route(self, x_flat: Tensor) -> Tuple[RoutingResult, Tensor]:
+        """:meth:`__call__` without the balance loss — for callers that
+        have no use for it (inference; EP's A2A mode, whose aux loss is
+        built once over the global batch)."""
+        return self._route(x_flat)[:2]
+
+    def _route(self, x_flat: Tensor) -> Tuple[RoutingResult, Tensor,
+                                              Tensor]:
         t = x_flat.shape[0]
         logits = self.gate(x_flat)
         probs = ops.softmax(logits, axis=-1)
@@ -90,10 +102,9 @@ class TopKRouter(Module):
         weights = selected / (denom + 1e-20)
 
         kept = self._capacity_mask(idx, t)
-        aux = self._aux_loss(probs, idx, kept)
         routing = RoutingResult(
             expert_index=idx, gate_weight=weights.data.copy(), kept=kept)
-        return routing, weights, aux
+        return routing, weights, probs
 
     def _capacity_mask(self, idx: np.ndarray, t: int) -> np.ndarray:
         """Token-drop mask: first-come-first-served per expert."""
@@ -180,6 +191,29 @@ class Expert(Module):
         return fc2_in @ fc2
 
 
+def grouped_expert_blocks(experts: Sequence[Expert], rows: Tensor,
+                          row_blocks: Sequence[Tuple[int, int, int]]
+                          ) -> Tensor:
+    """GroupedGEMM over ``(local expert, start, end)`` row blocks that
+    tile ``rows`` in order.
+
+    One fused :func:`~repro.tensor.ops.grouped_swiglu` node — unless a
+    :class:`~repro.precision.policy.PrecisionPolicy` is active or an
+    expert rematerializes its activation, whose casts / checkpoint
+    segment live in :meth:`Expert.__call__`; then each block runs
+    through its expert and the pieces are concatenated.
+    """
+    from ..precision.policy import current_policy
+    if current_policy() is None and not any(x.remat for x in experts):
+        return ops.grouped_swiglu(
+            rows, [(x.fc1, x.fc3, x.fc2) for x in experts], row_blocks)
+    pieces = [experts[e](rows[a:b]) for e, a, b in row_blocks if b > a]
+    if not pieces:
+        return Tensor(np.zeros((0, experts[0].fc2.shape[1]),
+                               dtype=rows.dtype))
+    return ops.concat(pieces, axis=0)
+
+
 def grouped_expert_forward(experts: List[Expert], ffn_in: Tensor,
                            plan: DispatchPlan,
                            expert_offset: int = 0) -> Tensor:
@@ -189,7 +223,7 @@ def grouped_expert_forward(experts: List[Expert], ffn_in: Tensor,
     ``expert_offset`` maps plan expert ids onto the local ``experts``
     list (non-zero on EP ranks holding a slice of the expert set).
     """
-    pieces = []
+    blocks = []
     for expert_id, start, end in plan.expert_slices():
         local = expert_id - expert_offset
         if not 0 <= local < len(experts):
@@ -197,11 +231,8 @@ def grouped_expert_forward(experts: List[Expert], ffn_in: Tensor,
                 f"plan references expert {expert_id}, but this rank holds "
                 f"[{expert_offset}, {expert_offset + len(experts)})"
             )
-        pieces.append(experts[local](ffn_in[start:end]))
-    if not pieces:
-        return Tensor(np.zeros((0, experts[0].fc2.shape[1]),
-                               dtype=ffn_in.dtype))
-    return ops.concat(pieces, axis=0)
+        blocks.append((local, start, end))
+    return grouped_expert_blocks(experts, ffn_in, blocks)
 
 
 class MoELayer(Module):

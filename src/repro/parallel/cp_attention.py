@@ -179,16 +179,6 @@ def _attention_with_positions(q: Tensor, k: Tensor, v: Tensor,
     qh = q.transpose(0, 2, 1, 3)
     kh = k.transpose(0, 2, 1, 3)
     vh = v.transpose(0, 2, 1, 3)
-    n_q = qh.shape[1]
-    n_kv = kh.shape[1]
-    m = n_q // n_kv
-    if m > 1:
-        from ..tensor.ops import _repeat_heads
-        kh = _repeat_heads(kh, m)
-        vh = _repeat_heads(vh, m)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     mask = k_pos[None, :] > q_pos[:, None]
-    scores = ops.masked_fill(scores, mask[None, None], -1e30)
-    weights = ops.softmax(scores, axis=-1)
-    return (weights @ vh).transpose(0, 2, 1, 3)
+    return ops.scaled_dot_product_attention(
+        qh, kh, vh, mask=mask).transpose(0, 2, 1, 3)

@@ -29,7 +29,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..comm.group import ProcessGroup
-from ..model.moe import MoELayer, grouped_expert_forward
+from ..model.moe import (MoELayer, grouped_expert_blocks,
+                         grouped_expert_forward)
 from ..model.routing import RoutingResult, build_dispatch_plan
 from ..tensor import Tensor, ops
 from .dist_ops import (
@@ -112,8 +113,7 @@ class EPFFNEngine:
 
     def op_route(self, flat: Tensor):
         """``router`` (A2A mode): replicated gate over local tokens."""
-        routing, weights, _ = self.moe.router(flat)
-        return routing, weights
+        return self.moe.router.route(flat)
 
     def op_scatter_a2a(self, flat: Tensor, routing: RoutingResult):
         """``scatter`` (A2A mode): sort kept (token, slot) pairs by
@@ -559,14 +559,8 @@ def _split_slice(splits: Sequence[int], j: int) -> slice:
 def _grouped_forward_by_counts(experts, rows: Tensor,
                                counts: np.ndarray) -> Tensor:
     """GroupedGEMM over contiguous per-expert row blocks given counts."""
-    pieces = []
-    offset = 0
-    for local_id, count in enumerate(counts):
-        if count == 0:
-            continue
-        pieces.append(experts[local_id](rows[offset:offset + count]))
-        offset += count
-    if not pieces:
-        return Tensor(np.zeros((0, experts[0].fc2.shape[1]),
-                               dtype=rows.dtype))
-    return ops.concat(pieces, axis=0)
+    ends = np.cumsum(counts).tolist()
+    return grouped_expert_blocks(
+        experts, rows,
+        [(e, end - int(count), end)
+         for e, (count, end) in enumerate(zip(counts, ends))])

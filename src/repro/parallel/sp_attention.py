@@ -151,10 +151,9 @@ class SPAttentionEngine:
 
     def vec_attention(self, qkv_full):
         """``attention`` for all ranks: batched causal SDPA."""
-        from ..runtime.vectorized import \
-            vec_scaled_dot_product_attention
+        from ..tensor import ops
         q_full, k_full, v_full = qkv_full
-        out = vec_scaled_dot_product_attention(
+        out = ops.scaled_dot_product_attention(
             q_full.transpose(0, 1, 3, 2, 4),
             k_full.transpose(0, 1, 3, 2, 4),
             v_full.transpose(0, 1, 3, 2, 4),

@@ -156,13 +156,10 @@ class TPAttentionEngine:
 
     def vec_attention(self, qkv) -> Tensor:
         """Batched causal SDPA on the head shards."""
-        from ..runtime.vectorized import (
-            vec_scaled_dot_product_attention,
-        )
         q, k, v = qkv
         n, b, s = q.shape[0], q.shape[1], q.shape[2]
         q_width = q.shape[3] * q.shape[4]
-        out = vec_scaled_dot_product_attention(
+        out = ops.scaled_dot_product_attention(
             q.transpose(0, 1, 3, 2, 4), k.transpose(0, 1, 3, 2, 4),
             v.transpose(0, 1, 3, 2, 4), causal=True)
         return out.transpose(0, 1, 3, 2, 4).reshape(n, b, s, q_width)

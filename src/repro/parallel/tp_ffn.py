@@ -80,16 +80,10 @@ class TPFFNEngine:
 
     def op_experts(self, ffn_in: Tensor, plan, r: int) -> Tensor:
         """``fc1``–``fc2``: thin GEMM shards over every routed token."""
-        pieces = []
-        for expert_id, start, end in plan.expert_slices():
-            shard = self.shards[r][expert_id]
-            x = ffn_in[start:end]
-            gate_in = x @ shard["fc1"]
-            lin_in = x @ shard["fc3"]
-            pieces.append((gate_in.silu() * lin_in) @ shard["fc2"])
-        return (ops.concat(pieces, axis=0) if pieces else
-                Tensor(np.zeros((0, ffn_in.shape[-1]),
-                                dtype=ffn_in.dtype)))
+        return ops.grouped_swiglu(
+            ffn_in,
+            [(s["fc1"], s["fc3"], s["fc2"]) for s in self.shards[r]],
+            plan.expert_slices())
 
     def op_gather(self, fc2_partial: Tensor, plan, weights: Tensor,
                   t_total: int) -> Tensor:

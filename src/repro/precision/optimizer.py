@@ -27,18 +27,31 @@ __all__ = ["AdamW", "MultiPrecisionAdamW", "clip_grad_norm"]
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm.  Gradients are scaled in place when the
+    array is this parameter's own (writeable, not a view); an array two
+    parameters share is scaled once.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            sq = p.grad.astype(np.float64)
+            np.square(sq, out=sq)
+            total += float(np.sum(sq))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
+        scaled = {}
         for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+            g = p.grad
+            if g is None:
+                continue
+            if id(g) in scaled:
+                p.grad = scaled[id(g)]
+            elif g.flags.writeable and g.flags.owndata:
+                g *= scale
+                scaled[id(g)] = g
+            else:
+                p.grad = scaled[id(g)] = g * scale
     return norm
 
 
@@ -57,8 +70,15 @@ class AdamW:
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
 
-    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
-        """Apply one update from ``p.grad`` (or explicit ``grads``)."""
+    def _updates(self, grads: Optional[Sequence[np.ndarray]]):
+        """Advance the step count and both moments; yield
+        ``(i, param, update)`` for every parameter with a gradient.
+
+        ``update = (m / bc1) / (sqrt(v / bc2) + eps)`` is the same
+        sequence of float64 operations as the textbook expression, run
+        with ``out=``: the moments are updated in their own buffers and
+        the yielded array is scratch the caller may overwrite.
+        """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -67,15 +87,30 @@ class AdamW:
             g = grads[i] if grads is not None else p.grad
             if g is None:
                 continue
-            g = g.astype(np.float64)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2)
-                                          + self.eps)
+            g = g.astype(np.float64)  # a private copy: reused below
+            m, v = self.m[i], self.v[i]
+            scratch = np.multiply(g, 1 - self.beta1)
+            m *= self.beta1
+            m += scratch
+            np.multiply(g, 1 - self.beta2, out=scratch)
+            scratch *= g
+            v *= self.beta2
+            v += scratch
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            np.divide(m, bc1, out=g)
+            g /= scratch
+            yield i, p, g
+
+    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
+        """Apply one update from ``p.grad`` (or explicit ``grads``)."""
+        for _, p, update in self._updates(grads):
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = (p.data.astype(np.float64)
-                      - self.lr * update).astype(p.data.dtype)
+                update += self.weight_decay * p.data
+            update *= self.lr
+            np.subtract(p.data, update, out=update)
+            p.data = update.astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
@@ -109,25 +144,14 @@ class MultiPrecisionAdamW(AdamW):
 
     def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
         """Update the FP32 master copy, then round into model params."""
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = grads[i] if grads is not None else p.grad
-            if g is None:
-                continue
-            g = g.astype(np.float64)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2)
-                                          + self.eps)
+        for i, p, update in self._updates(grads):
+            main = self.main_params[i]
             if self.weight_decay:
-                update = update + self.weight_decay * self.main_params[i]
-            self.main_params[i] -= self.lr * update
+                update += self.weight_decay * main
+            update *= self.lr
+            main -= update
             p.data = round_to_format(
-                self.main_params[i], self.model_format
-            ).astype(p.data.dtype)
+                main, self.model_format).astype(p.data.dtype)
 
     def model_param_nbytes(self) -> float:
         """Wire/storage bytes of the low-precision model copy."""

@@ -17,7 +17,9 @@ to the sequential sweep:
   sees the identical, fully-folded upstream gradient, so it produces
   identical outputs;
 * dtype coercion and unbroadcasting are applied per contribution before
-  folding, as in the sequential code.
+  folding, as in the sequential code, and the fold itself is the shared
+  :func:`~repro.tensor.tensor._fold_grads` (first addition allocates,
+  the rest accumulate in place into that sweep-owned buffer).
 
 Fault-plan interaction: :class:`~repro.ft.faults.FaultPlan` counts
 collective calls globally, and the backward hooks of
@@ -38,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tensor.tensor import Tensor, _unbroadcast
+from ..tensor.tensor import Tensor, _as_grad_of, _fold_grads
 
 __all__ = ["backward", "parallel_backward"]
 
@@ -143,8 +145,7 @@ def parallel_backward(root: Tensor, grad: Optional[np.ndarray] = None, *,
             if g is None or not inp.requires_grad:
                 out.append((inp, i, None))
                 continue
-            g = _unbroadcast(np.asarray(g, dtype=inp.data.dtype), inp.shape)
-            out.append((inp, i, g))
+            out.append((inp, i, _as_grad_of(g, inp)))
         return out
 
     def worker() -> None:
@@ -164,9 +165,7 @@ def parallel_backward(root: Tensor, grad: Optional[np.ndarray] = None, *,
                     g_out: Optional[np.ndarray] = None
                 else:
                     entries.sort(key=lambda e: e[0])
-                    g_out = entries[0][1]
-                    for _, g in entries[1:]:
-                        g_out = g_out + g
+                    g_out = _fold_grads([g for _, g in entries])
                 try:
                     produced = process(t, g_out)
                 except BaseException as exc:  # noqa: BLE001

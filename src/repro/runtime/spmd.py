@@ -42,6 +42,7 @@ import threading
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..comm.rendezvous import Rendezvous, SpmdAbort
+from ..tensor.tensor import is_grad_enabled, set_grad_enabled
 
 __all__ = [
     "EXECUTION_MODES",
@@ -243,9 +244,11 @@ class SpmdExecutor:
         err_lock = threading.Lock()
         tracer = self._tracer_of(group)
         parent = tracer.current() if tracer is not None else None
+        grad_mode = is_grad_enabled()
 
         def worker(idx: int) -> None:
             _TLS.rank = int(group.ranks[idx])
+            set_grad_enabled(grad_mode)
             if tracer is not None:
                 tracer.inherit_parent(parent)
             try:
@@ -291,8 +294,10 @@ class SpmdExecutor:
         errors: List[Any] = []
         err_lock = threading.Lock()
         parent = tracer.current() if tracer is not None else None
+        grad_mode = is_grad_enabled()
 
         def worker(idx: int) -> None:
+            set_grad_enabled(grad_mode)
             if tracer is not None:
                 tracer.inherit_parent(parent)
             try:

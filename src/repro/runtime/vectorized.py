@@ -56,7 +56,7 @@ import numpy as np
 from ..tensor import Tensor
 from ..tensor import ops as tops
 from ..tensor.ops import _rope_cache
-from ..tensor.tensor import _unbroadcast
+from ..tensor.tensor import _fold_grads, _unbroadcast
 
 __all__ = [
     "VecCtx",
@@ -69,7 +69,6 @@ __all__ = [
     "vec_reduce_scatter",
     "vec_rmsnorm",
     "vec_rope",
-    "vec_scaled_dot_product_attention",
     "vec_shard_matmul",
 ]
 
@@ -171,11 +170,8 @@ def _rank_sum(parts: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     increasing-rank order.  Replaying exactly that sequence keeps the
     single vectorized node bitwise-identical to the per-rank chain.
     """
-    total = _unbroadcast(np.asarray(parts[0], dtype=dtype), shape)
-    for r in range(1, parts.shape[0]):
-        total = total + _unbroadcast(np.asarray(parts[r], dtype=dtype),
-                                     shape)
-    return total
+    return _fold_grads([_unbroadcast(np.asarray(part, dtype=dtype), shape)
+                        for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -265,44 +261,6 @@ def vec_rope(t: Tensor, base: float,
         return (np.concatenate([gx1, gx2], axis=-1),)
 
     return Tensor.from_op(out, [t], backward, "vec_rope")
-
-
-def _vec_repeat_heads(t: Tensor, m: int) -> Tensor:
-    """GQA head repetition on ``[n, b, heads, s, d]``."""
-    n, b, h, s, d = t.shape
-    out = np.repeat(t.data, m, axis=2)
-
-    def backward(g):
-        return (g.reshape(n, b, h, m, s, d).sum(axis=3),)
-
-    return Tensor.from_op(out, [t], backward, "vec_repeat_heads")
-
-
-def vec_scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                     causal: bool = True) -> Tensor:
-    """Causal GQA attention on ``[n, b, heads, s, head_dim]`` — the
-    rank-stacked mirror of
-    :func:`repro.tensor.ops.scaled_dot_product_attention`, built from
-    the same tape ops so every backward formula matches slice-for-slice.
-    """
-    _, _, hq, sq, dq = q.shape
-    hk = k.shape[2]
-    if hq % hk != 0:
-        raise ValueError(
-            f"query heads {hq} not a multiple of kv heads {hk}"
-        )
-    m = hq // hk
-    if m > 1:
-        k = _vec_repeat_heads(k, m)
-        v = _vec_repeat_heads(v, m)
-    scale = 1.0 / np.sqrt(dq)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if causal:
-        sk = k.shape[3]
-        mask = np.triu(np.ones((sq, sk), dtype=bool), k=1)
-        scores = tops.masked_fill(scores, mask[None, None, None], -1e30)
-    weights = tops.softmax(scores, axis=-1)
-    return weights @ v
 
 
 def vec_shard_matmul(x: Tensor, weights: Sequence[Tensor]) -> Tensor:

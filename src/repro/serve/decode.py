@@ -222,7 +222,7 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
         (x,) = vals
         moe = state.block.moe
         x_flat = x.reshape(-1, attn_cfg.hidden_size)
-        routing, weights, _aux = moe.router(x_flat)
+        routing, weights = moe.router.route(x_flat)
         plan = build_dispatch_plan(routing, moe.n_experts)
         ffn_in = ops.take_rows(x_flat, plan.token_of_row)
         return {

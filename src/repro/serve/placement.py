@@ -14,7 +14,7 @@ auditor, which stays balanced.
 
 Bitwise contract: every GEMM is per-(request, expert) on the same
 contiguous rows the reference :class:`~repro.model.moe.MoELayer` would
-use, and the combine applies the identical ``np.add.at`` scatter — so a
+use, and the combine applies the identical row scatter-add — so a
 request's MoE output is bitwise independent of which other requests
 share the iteration.  That independence is what lets the continuous
 batcher match the unbatched sequential golden bit-for-bit.
@@ -29,7 +29,7 @@ import numpy as np
 from ..comm import World
 from ..core.config import ServeConfig
 from ..parallel.dist_ops import dist_all_to_all_uneven
-from ..tensor import Tensor
+from ..tensor import Tensor, scatter_add_rows
 
 __all__ = ["DisaggregatedPlacement", "DISPATCH_TAG", "COMBINE_TAG"]
 
@@ -174,7 +174,7 @@ class DisaggregatedPlacement:
         # (expert-rank-major, request-minor); a request's plan-order
         # rows are the j-ascending concatenation of its segments, which
         # is exactly expert-ascending order.  Then the reference
-        # combine: gate-scale after FC2, np.add.at scatter per token.
+        # combine: gate-scale after FC2, scatter-add per token.
         outputs: List[List[np.ndarray]] = []
         for i in range(a):
             buf = combined[i].data
@@ -217,8 +217,8 @@ class DisaggregatedPlacement:
                 w_rows = item["weights"][plan.token_of_row,
                                          plan.slot_of_row]
                 scaled = fc2_out * w_rows.reshape(-1, 1)
-                out = np.zeros((item["t"], hidden), dtype=dtype)
-                np.add.at(out, plan.token_of_row, scaled)
-                rank_out.append(out)
+                rank_out.append(scatter_add_rows(
+                    np.zeros((item["t"], hidden), dtype=dtype),
+                    plan.token_of_row, scaled))
             outputs.append(rank_out)
         return outputs

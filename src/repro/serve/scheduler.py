@@ -31,7 +31,7 @@ from ..comm import World
 from ..core.config import ServeConfig
 from ..ft import RankCrash
 from ..runtime.dag_executor import DagExecutor
-from ..tensor import ops
+from ..tensor import no_grad, ops
 from .arrivals import Request, VirtualClock, latency_summary
 from .decode import (ActiveRequest, DecodeState, build_decode_bindings,
                      decode_program)
@@ -123,9 +123,14 @@ class ServeEngine:
 
     def _threaded_map(self, fn, xs: Sequence[Any]) -> List[Any]:
         """One task per attention rank; workers do pure per-request
-        numpy compute and never touch the tracer's span stacks."""
+        numpy compute (tape-free, like the iteration that fans them
+        out) and never touch the tracer's span stacks."""
         assert self._pool_exec is not None
-        return list(self._pool_exec.map(fn, xs))
+
+        def tape_free(x):
+            with no_grad():
+                return fn(x)
+        return list(self._pool_exec.map(tape_free, xs))
 
     # -- admission / eviction -------------------------------------------
 
@@ -209,24 +214,26 @@ class ServeEngine:
                 + c.decode_token_cost * decode_requests)
 
     def _forward(self) -> None:
-        """One mixed prefill+decode iteration over the active batch."""
+        """One mixed prefill+decode iteration over the active batch —
+        inference, so no op records a tape node."""
         model = self.model
-        hidden = [
-            [ops.embedding(model.embedding, item.cur_ids[None, :])
-             for item in rank]
-            for rank in self.state.batch
-        ]
-        for layer in range(model.config.n_layers):
-            self.state.layer = layer
-            result = self._executor.run({"hidden": hidden},
-                                        tracer=self.tracer,
-                                        retain=("ffn_residual",))
-            hidden = result.env["ffn_residual"]
-        for rank_hidden, rank_batch in zip(hidden, self.state.batch):
-            for h, item in zip(rank_hidden, rank_batch):
-                logits = model.lm_head(model.final_norm(h))
-                row = np.ascontiguousarray(logits.data[0, -1])
-                item.commit(int(np.argmax(row)), row)
+        with no_grad():
+            hidden = [
+                [ops.embedding(model.embedding, item.cur_ids[None, :])
+                 for item in rank]
+                for rank in self.state.batch
+            ]
+            for layer in range(model.config.n_layers):
+                self.state.layer = layer
+                result = self._executor.run({"hidden": hidden},
+                                            tracer=self.tracer,
+                                            retain=("ffn_residual",))
+                hidden = result.env["ffn_residual"]
+            for rank_hidden, rank_batch in zip(hidden, self.state.batch):
+                for h, item in zip(rank_hidden, rank_batch):
+                    logits = model.lm_head(model.final_norm(h))
+                    row = np.ascontiguousarray(logits.data[0, -1])
+                    item.commit(int(np.argmax(row)), row)
 
     def _requeue_all(self, waiting: Deque[Request]) -> None:
         """Crash recovery: reset every in-flight request and put it

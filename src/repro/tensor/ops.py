@@ -32,6 +32,8 @@ __all__ = [
     "masked_fill",
     "rope_rotate",
     "scaled_dot_product_attention",
+    "grouped_swiglu",
+    "scatter_add_rows",
     "precision_cast",
     "dropout",
 ]
@@ -140,15 +142,61 @@ def rmsnorm(t: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     return Tensor.from_op(out, [t, weight], backward, "rmsnorm")
 
 
+#: Above this many rows aimed at one target, the level-by-level sweep
+#: of :func:`scatter_add_rows` degenerates into many tiny fancy-index
+#: passes and ``np.add.at`` wins (Zipf-heavy embedding gradients).
+_SCATTER_MAX_LEVELS = 8
+
+
+def scatter_add_rows(out: np.ndarray, index: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """``np.add.at(out, index, rows)`` along axis 0, bit for bit, faster.
+
+    ``np.add.at`` adds ``rows[i]`` into ``out[index[i]]`` for
+    ``i = 0, 1, ...``; what fixes every output bit is only the order in
+    which the rows aimed at one target arrive.  A stable sort by target
+    numbers each row with its *occurrence level* (0 for the first row
+    of a target, 1 for the second, ...); within one level all targets
+    are distinct, so ``out[idx] += rows`` is exact there, and sweeping
+    the levels in ascending order replays the per-target addition
+    order.  Falls back to ``np.add.at`` when one target collects more
+    than ``_SCATTER_MAX_LEVELS`` rows (or for negative indices, whose
+    aliasing the sort cannot see).  Returns ``out``.
+    """
+    if index.ndim != 1:  # e.g. [batch, seq] token ids
+        index = index.reshape(-1)
+        rows = rows.reshape((index.shape[0],) + out.shape[1:])
+    n = index.shape[0]
+    if n == 0:
+        return out
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_index[1:], sorted_index[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=n)
+    levels = int(counts.max())
+    if levels > _SCATTER_MAX_LEVELS or sorted_index[0] < 0:
+        np.add.at(out, index, rows)
+        return out
+    if levels == 1:
+        out[index] += rows
+        return out
+    level_of = np.arange(n) - np.repeat(starts, counts)
+    for level in range(levels):
+        sel = order[level_of == level]
+        out[index[sel]] += rows[sel]
+    return out
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``weight[ids]`` with sparse-gradient accumulation."""
     ids = np.asarray(ids)
     out = weight.data[ids]
 
     def backward(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
-        return (gw,)
+        return (scatter_add_rows(np.zeros_like(weight.data), ids, g),)
 
     return Tensor.from_op(out, [weight], backward, "embedding")
 
@@ -197,9 +245,7 @@ def take_rows(t: Tensor, index: np.ndarray) -> Tensor:
     out = t.data[index]
 
     def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, index, g)
-        return (full,)
+        return (scatter_add_rows(np.zeros_like(t.data), index, g),)
 
     return Tensor.from_op(out, [t], backward, "take_rows")
 
@@ -211,8 +257,8 @@ def put_rows(t: Tensor, index: np.ndarray, out_rows: int) -> Tensor:
     accumulate).  This is the *scatter* counterpart of :func:`take_rows`.
     """
     index = np.asarray(index)
-    out = np.zeros((out_rows,) + t.shape[1:], dtype=t.dtype)
-    np.add.at(out, index, t.data)
+    out = scatter_add_rows(
+        np.zeros((out_rows,) + t.shape[1:], dtype=t.dtype), index, t.data)
 
     def backward(g):
         return (g[index],)
@@ -223,8 +269,7 @@ def put_rows(t: Tensor, index: np.ndarray, out_rows: int) -> Tensor:
 def index_add_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
     """``base`` with ``rows`` accumulated at ``index`` along axis 0."""
     index = np.asarray(index)
-    out = base.data.copy()
-    np.add.at(out, index, rows.data)
+    out = scatter_add_rows(base.data.copy(), index, rows.data)
 
     def backward(g):
         return g, g[index]
@@ -318,42 +363,173 @@ def rope_rotate(t: Tensor, base: float = 10000.0,
     return Tensor.from_op(out, [t], backward, "rope")
 
 
-def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor, causal: bool = True
-) -> Tensor:
-    """Multi-head attention core on ``[batch, heads, seq, head_dim]``.
+@functools.lru_cache(maxsize=64)
+def _causal_mask(s_q: int, s_k: int) -> np.ndarray:
+    """Read-only ``[s_q, s_k]`` mask, True where a query may *not* look.
 
-    Supports grouped-query attention: if ``k``/``v`` have fewer heads than
-    ``q`` (by an integer factor ``m``), they are shared across groups of
-    ``m`` query heads — the GQA pattern the paper's SP-communication
-    formula (Eq. 2) exploits.
+    Bottom-right aligned: the last query row sees every key, so the
+    same mask serves full-sequence training (``s_q == s_k``), one-token
+    decode over a KV cache (``s_q == 1``: nothing masked) and chunked
+    prefill (``1 < s_q < s_k``).
     """
-    bq, hq, sq, dq = q.shape
-    bk, hk, sk, dk = k.shape
+    mask = np.triu(np.ones((s_q, s_k), dtype=bool), k=1 + s_k - s_q)
+    mask.setflags(write=False)
+    return mask
+
+
+def scaled_dot_product_attention(
+    q: Tensor, k: Tensor, v: Tensor, causal: bool = True,
+    mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Multi-head attention core on ``[..., heads, seq, head_dim]``.
+
+    One fused tape node (the FlashAttention slot of Fig. 20): scale,
+    mask, max-shift, ``exp`` and normalisation all run in place on a
+    single ``[..., s_q, s_k]`` buffer, which is also the only
+    activation the backward keeps.  Axes are counted from the end, so
+    the per-rank 4-D layout and the vectorized backend's 5-D
+    rank-stacked layout run the same code, slice-for-slice identical.
+
+    Supports grouped-query attention: if ``k``/``v`` have fewer heads
+    than ``q`` (by an integer factor ``m``), they are shared across
+    groups of ``m`` query heads — the GQA pattern the paper's
+    SP-communication formula (Eq. 2) exploits.
+
+    ``mask`` (boolean ``[s_q, s_k]``, True = hidden) overrides the
+    ``causal`` default for callers whose positions are not ``0..s-1``
+    (context parallelism's zigzag layout).
+
+    Backward, with ``P`` the saved probabilities and ``G`` the output
+    gradient: ``dV = Pᵀ G``, ``dP = G Vᵀ``,
+    ``dS = scale · P ∘ (dP - rowsum(dP ∘ P))`` (zero under the mask),
+    ``dQ = dS K``, ``dK = (Qᵀ dS)ᵀ``; GQA sums ``dK``/``dV`` over each
+    group of ``m`` query heads.
+    """
+    hq, sq, dq = q.shape[-3:]
+    hk, sk = k.shape[-3:-1]
     if hq % hk != 0:
         raise ValueError(f"query heads {hq} not a multiple of kv heads {hk}")
     m = hq // hk
-    if m > 1:
-        k = _repeat_heads(k, m)
-        v = _repeat_heads(v, m)
-    scale = 1.0 / np.sqrt(dq)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if causal:
-        mask = np.triu(np.ones((sq, sk), dtype=bool), k=1)
-        scores = masked_fill(scores, mask[None, None], -1e30)
-    weights = softmax(scores, axis=-1)
-    return weights @ v
+    if mask is None and causal and sq > 1:
+        mask = _causal_mask(sq, sk)
+    qd = q.data
+    # GQA: materialise the shared heads once, so the GEMMs below see
+    # the same operand layout for every group size.
+    kd = np.repeat(k.data, m, axis=-3) if m > 1 else k.data
+    vd = np.repeat(v.data, m, axis=-3) if m > 1 else v.data
 
+    probs = qd @ kd.swapaxes(-1, -2)
+    scale = np.asarray(1.0 / np.sqrt(dq), dtype=probs.dtype)
+    probs *= scale
+    if mask is not None:
+        np.copyto(probs, np.asarray(-1e30, dtype=probs.dtype), where=mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = probs @ vd
 
-def _repeat_heads(t: Tensor, m: int) -> Tensor:
-    """Repeat each KV head ``m`` times along the head axis (GQA)."""
-    b, h, s, d = t.shape
-    out = np.repeat(t.data, m, axis=1)
+    def ungroup(g_rep: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """Gradient of the GQA repeat, accumulated in ``like``'s dtype
+        (mixed-precision inputs: RoPE hands float64 q/k to a float32
+        v)."""
+        g_rep = g_rep.astype(like.dtype, copy=False)
+        if m == 1:
+            return g_rep
+        lead, (s, d) = g_rep.shape[:-3], g_rep.shape[-2:]
+        return g_rep.reshape(lead + (hk, m, s, d)).sum(axis=-3)
 
     def backward(g):
-        return (g.reshape(b, h, m, s, d).sum(axis=2),)
+        gv = (ungroup(probs.swapaxes(-1, -2) @ g, vd)
+              if v.requires_grad else None)
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        ds = (g @ vd.swapaxes(-1, -2)).astype(probs.dtype, copy=False)
+        dot = (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= dot
+        ds *= probs
+        if mask is not None:
+            np.copyto(ds, np.asarray(0.0, dtype=ds.dtype), where=mask)
+        ds *= scale
+        gq = ds @ kd if q.requires_grad else None
+        gk = (ungroup((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), kd)
+              if k.requires_grad else None)
+        return gq, gk, gv
 
-    return Tensor.from_op(out, [t], backward, "repeat_heads")
+    return Tensor.from_op(out, [q, k, v], backward, "sdpa")
+
+
+def grouped_swiglu(rows: Tensor,
+                   experts: Sequence[Tuple[Tensor, Tensor, Tensor]],
+                   row_blocks: Sequence[Tuple[int, int, int]]) -> Tensor:
+    """GroupedGEMM SwiGLU FFN as one tape node (Fig. 20 ``fc1``–``fc2``).
+
+    ``experts[e]`` is that expert's ``(fc1, fc3, fc2)`` weight triple
+    and each ``(e, start, end)`` of ``row_blocks`` sends the contiguous
+    block ``rows[start:end]`` through it:
+    ``fc2_e(silu(x fc1_e) * (x fc3_e))``.  The per-block GEMMs write
+    straight into shared ``[n_rows, ·]`` buffers and the SwiGLU
+    element-wise work runs once over all rows; empty blocks are
+    skipped and rows outside every block stay zero.
+
+    Backward, per block with ``G`` the output gradient:
+    ``dH = G fc2ᵀ``, ``dfc2 = Hᵀ G``; over all rows
+    ``dlin = dH ∘ act``, ``dgate = dH ∘ lin ∘ silu'(gate)``; per block
+    ``dX = dgate fc1ᵀ + dlin fc3ᵀ``, ``dfc1 = Xᵀ dgate``,
+    ``dfc3 = Xᵀ dlin`` — each weight gradient goes to its own leaf.
+    """
+    x = rows.data
+    n = x.shape[0]
+    blocks = [(e, a, b) for e, a, b in row_blocks if b > a]
+    fc1_0, _, fc2_0 = experts[0]  # every expert has the same shapes
+    dtype = np.result_type(x.dtype, fc1_0.dtype)
+    out = np.zeros((n, fc2_0.shape[1]), dtype=dtype)
+    if not blocks:
+        return Tensor(out)
+    ffn = fc1_0.shape[1]
+    gate = np.zeros((n, ffn), dtype=dtype)
+    lin = np.zeros((n, ffn), dtype=dtype)
+    for e, a, b in blocks:
+        fc1, fc3, _ = experts[e]
+        np.matmul(x[a:b], fc1.data, out=gate[a:b])
+        np.matmul(x[a:b], fc3.data, out=lin[a:b])
+    sig = np.negative(gate)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    act = gate * sig
+    hidden = act * lin
+    for e, a, b in blocks:
+        np.matmul(hidden[a:b], experts[e][2].data, out=out[a:b])
+    weights = [w for e, _, _ in blocks for w in experts[e]]
+
+    def backward(g):
+        d_hidden = np.zeros_like(hidden)
+        for e, a, b in blocks:
+            np.matmul(g[a:b], experts[e][2].data.T, out=d_hidden[a:b])
+        d_lin = d_hidden * act
+        d_gate = d_hidden
+        d_gate *= lin
+        slope = 1 - sig  # silu'(gate) = sig * (1 + gate * (1 - sig))
+        slope *= gate
+        slope += 1
+        slope *= sig
+        d_gate *= slope
+        gx = np.zeros_like(x, dtype=dtype) if rows.requires_grad else None
+        gw: List[Optional[np.ndarray]] = []
+        for e, a, b in blocks:
+            fc1, fc3, fc2 = experts[e]
+            xt = x[a:b].T
+            gw.append(xt @ d_gate[a:b] if fc1.requires_grad else None)
+            gw.append(xt @ d_lin[a:b] if fc3.requires_grad else None)
+            gw.append(hidden[a:b].T @ g[a:b] if fc2.requires_grad
+                      else None)
+            if gx is not None:
+                np.matmul(d_gate[a:b], fc1.data.T, out=gx[a:b])
+                gx[a:b] += d_lin[a:b] @ fc3.data.T
+        return (gx, *gw)
+
+    return Tensor.from_op(out, [rows] + weights, backward,
+                          "grouped_swiglu")
 
 
 def precision_cast(t: Tensor, round_fn, grad_round_fn=None) -> Tensor:

@@ -14,33 +14,50 @@ arithmetic, and the topological-sort backward pass.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled",
+           "set_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
-_GRAD_ENABLED = [True]
+class _GradMode(threading.local):
+    """Per-thread recording switch.  Rank threads enter and leave
+    ``no_grad`` independently (every checkpointed segment does), so a
+    process-wide flag would be restored in the wrong order."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling tape recording (for eval / optimizers)."""
+    """Context manager disabling tape recording on the calling thread
+    (for eval / inference / optimizers)."""
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def is_grad_enabled() -> bool:
-    """True when operations record tape nodes."""
-    return _GRAD_ENABLED[0]
+    """True when operations on this thread record tape nodes."""
+    return _GRAD_MODE.enabled
+
+
+def set_grad_enabled(enabled: bool) -> None:
+    """Set this thread's recording switch — how a worker thread adopts
+    the mode of the thread that spawned it."""
+    _GRAD_MODE.enabled = bool(enabled)
 
 
 class Node:
@@ -57,6 +74,39 @@ class Node:
         self.inputs = tuple(inputs)
         self.backward_fn = backward_fn
         self.op_name = op_name
+
+
+def _is_basic_index(index) -> bool:
+    """True for slice/int/Ellipsis/None indices (no target repeats)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(i is None or i is Ellipsis
+               or isinstance(i, (slice, int, np.integer)) for i in items)
+
+
+def _as_grad_of(g, inp: "Tensor") -> np.ndarray:
+    """``g`` as an ndarray with ``inp``'s dtype and shape; returned
+    untouched in the common case that it already is one."""
+    data = inp.data
+    if (type(g) is np.ndarray and g.dtype == data.dtype
+            and g.shape == data.shape):
+        return g
+    return _unbroadcast(np.asarray(g, dtype=data.dtype), data.shape)
+
+
+def _fold_grads(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-associated sum of gradient contributions.
+
+    The first addition allocates a buffer the sweep owns; every later
+    contribution accumulates into it in place — the operand order (and
+    hence every bit) of ``((p0 + p1) + p2) + ...``.
+    """
+    total = parts[0]
+    if len(parts) > 1:
+        total = total + parts[1]
+        in_place = type(total) is np.ndarray
+        for g in parts[2:]:
+            total = np.add(total, g, out=total) if in_place else total + g
+    return total
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -169,6 +219,9 @@ class Tensor:
 
         order = self._topological_order()
         grads = {id(self): grad}
+        # Tensors whose ``grads`` entry is a buffer this sweep allocated
+        # (by a first ``a + b``): safe to accumulate into in place.
+        owned = set()
         for t in order:
             g_out = grads.pop(id(t), None)
             if g_out is None or t.node is None:
@@ -184,12 +237,17 @@ class Tensor:
             for inp, g in zip(t.node.inputs, in_grads):
                 if g is None or not inp.requires_grad:
                     continue
-                g = _unbroadcast(np.asarray(g, dtype=inp.data.dtype),
-                                 inp.shape)
-                if id(inp) in grads:
-                    grads[id(inp)] = grads[id(inp)] + g
+                g = _as_grad_of(g, inp)
+                key = id(inp)
+                prev = grads.get(key)
+                if prev is None:
+                    grads[key] = g
+                elif key in owned:
+                    np.add(prev, g, out=prev)
                 else:
-                    grads[id(inp)] = g
+                    grads[key] = total = prev + g
+                    if type(total) is np.ndarray:
+                        owned.add(key)
 
     def _topological_order(self) -> List["Tensor"]:
         """Tensors reachable from self, in reverse-topological order."""
@@ -247,9 +305,11 @@ class Tensor:
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
+        need_a, need_b = self.requires_grad, other.requires_grad
         return Tensor.from_op(
             a * b, [self, other],
-            lambda g: (g * b, g * a),
+            lambda g: (g * b if need_a else None,
+                       g * a if need_b else None),
             "mul",
         )
 
@@ -258,9 +318,11 @@ class Tensor:
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
+        need_a, need_b = self.requires_grad, other.requires_grad
         return Tensor.from_op(
             a / b, [self, other],
-            lambda g: (g / b, -g * a / (b * b)),
+            lambda g: (g / b if need_a else None,
+                       -g * a / (b * b) if need_b else None),
             "div",
         )
 
@@ -281,18 +343,26 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
+        need_a, need_b = self.requires_grad, other.requires_grad
         out = a @ b
 
         def backward(g):
+            ga = gb = None
             if b.ndim == 1:
-                ga = np.outer(g, b) if a.ndim > 1 else g * b
-                gb = a.T @ g if a.ndim > 1 else a * g
+                if need_a:
+                    ga = np.outer(g, b) if a.ndim > 1 else g * b
+                if need_b:
+                    gb = a.T @ g if a.ndim > 1 else a * g
             elif a.ndim == 1:
-                ga = g @ b.swapaxes(-1, -2)
-                gb = np.outer(a, g)
+                if need_a:
+                    ga = g @ b.swapaxes(-1, -2)
+                if need_b:
+                    gb = np.outer(a, g)
             else:
-                ga = g @ b.swapaxes(-1, -2)
-                gb = a.swapaxes(-1, -2) @ g
+                if need_a:
+                    ga = g @ b.swapaxes(-1, -2)
+                if need_b:
+                    gb = a.swapaxes(-1, -2) @ g
             return ga, gb
 
         return Tensor.from_op(out, [self, other], backward, "matmul")
@@ -361,9 +431,14 @@ class Tensor:
         out = self.data[index]
         shape = self.shape
 
+        basic = _is_basic_index(index)
+
         def backward(g):
             full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, index, g)
+            if basic:  # no repeated targets: a plain assignment
+                full[index] = g
+            else:
+                np.add.at(full, index, g)
             return (full,)
 
         return Tensor.from_op(out, [self], backward, "getitem")

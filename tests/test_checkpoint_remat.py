@@ -96,8 +96,13 @@ class TestMemoryEfficientAttention:
                                    atol=1e-12)
 
     def test_scores_not_retained(self, rng):
-        """The s×s probability matrix must not live on the tape."""
-        s = 32
+        """The s×s probability matrix must not live on the tape.
+
+        The fused SDPA node retains exactly one s×s buffer (the
+        composed chain it replaced kept four), so the sequence must be
+        long enough for that one buffer to dominate the linear terms.
+        """
+        s = 64
         x = rng.standard_normal((1, s, 16))
         sizes = {}
         for eff in (False, True):
