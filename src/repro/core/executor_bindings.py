@@ -352,7 +352,7 @@ def _tp_attention_bindings(engine: Any,
                  lambda ctx: eng.vec_qkv(ctx.stacked("attn_ag"))),
         with_vec(per_rank("rope", ("qkv_proj",),
                           lambda r, get: eng.op_rope(get("qkv_proj"))),
-                 lambda ctx: eng.vec_rope(ctx.stacked("qkv_proj"))),
+                 lambda ctx: eng.op_rope(ctx.stacked("qkv_proj"))),
         with_vec(per_rank("attention", ("rope",),
                           lambda r, get: eng.op_attention(get("rope"))),
                  lambda ctx: eng.vec_attention(ctx.stacked("rope"))),

@@ -242,7 +242,7 @@ def audit_comm_volumes(
     n: int,
     m: int = 1,
     k: int = 1,
-    elem_bytes: float = 8.0,
+    elem_bytes: float,
     passes: int = 1,
     tolerance: float = 0.01,
     a2a_tolerance: float = 0.30,
@@ -256,7 +256,11 @@ def audit_comm_volumes(
             whose attrs carry ``tag`` and ``bytes``.
         b, s, h, n, m, k: Table 1 symbols — micro-batch, sequence,
             hidden size, model-parallel degree, GQA ratio, top-k.
-        elem_bytes: Wire bytes per element the engines recorded with.
+        elem_bytes: Wire bytes per element — the itemsize of the
+            model's parameters (``model.embedding.data.itemsize``), not
+            a width read back from the run being audited: a payload
+            that some op widened on its way to a collective must show
+            up as a byte excess here.
         passes: Forward passes audited (layers × steps).
         tolerance: Relative tolerance for the exact ring identities.
         a2a_tolerance: Looser tolerance for the Eq. 3 routing

@@ -141,12 +141,12 @@ class SPAttentionEngine:
 
     def vec_rope(self, qkv, local_s: int):
         """``rope`` for all ranks: each rank's global positions."""
-        from ..runtime.vectorized import vec_rope
+        from ..tensor import ops
         q, k, v = qkv
-        positions = [np.arange(r * local_s, (r + 1) * local_s)
-                     for r in range(self.group.size)]
-        return (vec_rope(q, self.attn.rope_base, positions),
-                vec_rope(k, self.attn.rope_base, positions),
+        n = self.group.size
+        positions = np.arange(n * local_s).reshape(n, local_s)
+        return (ops.rope_rotate(q, self.attn.rope_base, positions),
+                ops.rope_rotate(k, self.attn.rope_base, positions),
                 v)
 
     def vec_attention(self, qkv_full):

@@ -99,7 +99,8 @@ class TPAttentionEngine:
         return q, k, v
 
     def op_rope(self, qkv):
-        """``rope``: full-sequence rotation (positions implicit)."""
+        """``rope``: full-sequence rotation (positions implicit, so the
+        rank-stacked vectorized input takes this same call)."""
         q, k, v = qkv
         return (ops.rope_rotate(q, self.attn.rope_base),
                 ops.rope_rotate(k, self.attn.rope_base), v)
@@ -143,16 +144,6 @@ class TPAttentionEngine:
         v = qkv[:, :, :, q_width + kv_width:].reshape(
             n, b, s, kv_local, hd)
         return q, k, v
-
-    def vec_rope(self, qkv):
-        """Batched ``rope``: all ranks see the full sequence, so one
-        shared position table broadcast over the rank axis."""
-        from ..runtime.vectorized import vec_rope
-        q, k, v = qkv
-        n, s = q.shape[0], q.shape[2]
-        positions = [np.arange(s)] * n
-        return (vec_rope(q, self.attn.rope_base, positions),
-                vec_rope(k, self.attn.rope_base, positions), v)
 
     def vec_attention(self, qkv) -> Tensor:
         """Batched causal SDPA on the head shards."""

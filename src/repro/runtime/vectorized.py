@@ -55,7 +55,6 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import ops as tops
-from ..tensor.ops import _rope_cache
 from ..tensor.tensor import _fold_grads, _unbroadcast
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "vec_linear",
     "vec_reduce_scatter",
     "vec_rmsnorm",
-    "vec_rope",
     "vec_shard_matmul",
 ]
 
@@ -235,32 +233,6 @@ def vec_rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         return gx, gw
 
     return Tensor.from_op(out, [x, weight], backward, "vec_rmsnorm")
-
-
-def vec_rope(t: Tensor, base: float,
-             positions: Sequence[np.ndarray]) -> Tensor:
-    """Rotary embedding on ``[n, b, s_local, heads, head_dim]`` with one
-    absolute-position table per rank (SP shards see global positions)."""
-    n, _, s, _, hd = t.shape
-    if hd % 2 != 0:
-        raise ValueError(f"head_dim must be even for RoPE, got {hd}")
-    half = hd // 2
-    tables = [_rope_cache(s, hd, base, p) for p in positions]
-    cos = np.stack([c for c, _ in tables])[:, None, :, None, :]
-    sin = np.stack([sn for _, sn in tables])[:, None, :, None, :]
-    x1 = t.data[..., :half]
-    x2 = t.data[..., half:]
-    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos],
-                         axis=-1)
-
-    def backward(g):
-        g1 = g[..., :half]
-        g2 = g[..., half:]
-        gx1 = g1 * cos + g2 * sin
-        gx2 = -g1 * sin + g2 * cos
-        return (np.concatenate([gx1, gx2], axis=-1),)
-
-    return Tensor.from_op(out, [t], backward, "vec_rope")
 
 
 def vec_shard_matmul(x: Tensor, weights: Sequence[Tensor]) -> Tensor:

@@ -186,14 +186,7 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
         attn = state.block.attn
         s = item.cur_len
         q, k, v = attn.split_qkv(qkv_t, 1, s)
-        # Prefill from position 0 takes the positions=None path — the
-        # exact code the reference model runs, so prefill logits are
-        # bitwise-equal to a whole-sequence forward of the prompt.
-        if item.pos == 0:
-            positions = None
-        else:
-            positions = np.arange(item.pos, item.pos + s,
-                                  dtype=np.float64)
+        positions = np.arange(item.pos, item.pos + s)
         q_rot = ops.rope_rotate(q, attn.rope_base, positions)
         k_rot = ops.rope_rotate(k, attn.rope_base, positions)
         item.cache.put(state.layer, k_rot.data[0], v.data[0], item.pos)

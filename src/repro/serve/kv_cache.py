@@ -161,7 +161,19 @@ class PagedKVCache:
 
     def put(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray,
             start: int) -> None:
-        """Write ``[s, n_kv_heads, head_dim]`` K/V rows at ``start``."""
+        """Write ``[s, n_kv_heads, head_dim]`` K/V rows at ``start``.
+
+        The rows must already be in the pool's dtype: an assignment
+        would cast them silently, and attention would then run on
+        cached keys of another width than the queries it is given.
+        """
+        dtype = self.pool.k.dtype
+        if k_rows.dtype != dtype or v_rows.dtype != dtype:
+            raise TypeError(
+                f"k_rows dtype {k_rows.dtype} / v_rows dtype "
+                f"{v_rows.dtype} do not match the KV pool dtype "
+                f"{dtype}; build the pool with the model's dtype"
+            )
         count = k_rows.shape[0]
         if start + count > self.capacity:
             raise OutOfKVBlocks(

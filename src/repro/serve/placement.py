@@ -81,7 +81,9 @@ class DisaggregatedPlacement:
         pe = self.experts_per_rank
         n = self.bridge.size
         hidden = moe.hidden_size
-        dtype = np.float64
+        # Empty send/return buffers must not widen the rows they are
+        # concatenated with across the bridge.
+        dtype = moe.experts[0].fc1.dtype
 
         # --- dispatch: reorder each attention rank's routed rows by
         # destination expert rank.  Plan rows are already sorted by

@@ -95,7 +95,7 @@ class ServeEngine:
             head_dim=attn.head_dim,
             n_blocks=config.kv_blocks,
             block_size=config.kv_block_size,
-            dtype=np.float64,
+            dtype=attn.qkv_proj.weight.dtype,
         )
         self.state = DecodeState(model=model, placement=self.placement)
         self.state.batch = [[] for _ in self.placement.attn_ranks]

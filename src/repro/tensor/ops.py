@@ -302,53 +302,62 @@ def dropout(t: Tensor, p: float, rng: np.random.Generator,
     return Tensor.from_op(t.data * mask, [t], backward, "dropout")
 
 
-@functools.lru_cache(maxsize=64)
-def _rope_tables(seq_len: int, head_dim: int, base: float
+@functools.lru_cache(maxsize=256)
+def _rope_tables(pos_bytes: bytes, pos_shape: Tuple[int, ...],
+                 head_dim: int, base: float, dtype: np.dtype
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Memoized cos/sin tables for the default ``0..seq_len-1`` positions.
-
-    Every layer and step re-derives identical tables, so this is a hot
-    allocation in deep models.  The cached arrays are marked read-only —
-    callers broadcast against them but must never write.  Thread-safe
-    (``lru_cache`` takes its own lock).
-    """
     half = head_dim // 2
     inv_freq = base ** (-np.arange(0, half, dtype=np.float64) / half)
-    positions = np.arange(seq_len, dtype=np.float64)
-    angles = np.outer(positions, inv_freq)  # [s, half]
-    cos, sin = np.cos(angles), np.sin(angles)
+    positions = np.frombuffer(pos_bytes, dtype=np.float64)
+    angles = positions.reshape(pos_shape)[..., None] * inv_freq
+    cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
     cos.setflags(write=False)
     sin.setflags(write=False)
     return cos, sin
 
 
-def _rope_cache(seq_len: int, head_dim: int, base: float,
-                positions: Optional[np.ndarray]) -> Tuple[np.ndarray,
-                                                          np.ndarray]:
-    if positions is None:
-        # The common full-sequence case hits the memo table.
-        return _rope_tables(int(seq_len), int(head_dim), float(base))
-    half = head_dim // 2
-    inv_freq = base ** (-np.arange(0, half, dtype=np.float64) / half)
-    angles = np.outer(positions, inv_freq)  # [s, half]
-    return np.cos(angles), np.sin(angles)
+def rope_tables(positions: np.ndarray, head_dim: int, base: float,
+                dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Memoised cos/sin tables, ``positions.shape + (head_dim // 2,)``.
+
+    The angles are derived in float64 and cast **once** to ``dtype``
+    (the operand's), so rotating never widens the activation stream
+    (docs/INTERNALS.md §17).  Every layer and step asks for the same
+    few position sets — ``0..s-1``, one SP shard's global positions,
+    all shards' stacked ``[n, s_local]`` — so each is computed once per
+    ``(positions, head_dim, base, dtype)``.  The cached arrays are
+    read-only: callers broadcast against them but must never write.
+    Thread-safe (``lru_cache`` takes its own lock).
+    """
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    return _rope_tables(pos.tobytes(), pos.shape, int(head_dim),
+                        float(base), np.dtype(dtype))
 
 
 def rope_rotate(t: Tensor, base: float = 10000.0,
                 positions: Optional[np.ndarray] = None) -> Tensor:
-    """Rotary position embedding over the last axis.
+    """Rotary position embedding over the last axis, in ``t``'s dtype.
 
-    ``t`` is ``[batch, seq, heads, head_dim]``; pairs ``(x_i, x_{i+half})``
-    are rotated by position-dependent angles.  ``positions`` overrides the
-    default ``0..seq-1`` (needed when the sequence is SP-sharded).
+    ``t`` is ``[..., seq, heads, head_dim]``; pairs ``(x_i, x_{i+half})``
+    are rotated by position-dependent angles.  ``positions`` overrides
+    the default ``0..seq-1`` (needed when the sequence is SP-sharded);
+    its last axis is the sequence and any leading axes line up with
+    ``t``'s leading axes, so the vectorized backend passes one
+    ``[n_ranks, s_local]`` array for a rank-stacked
+    ``[n_ranks, batch, s_local, heads, head_dim]`` input and runs the
+    per-rank arithmetic slice for slice.
     """
-    b, s, nh, hd = t.shape
+    s, _, hd = t.shape[-3:]
     if hd % 2 != 0:
         raise ValueError(f"head_dim must be even for RoPE, got {hd}")
-    cos, sin = _rope_cache(s, hd, base, positions)
-    cos = cos[None, :, None, :]
-    sin = sin[None, :, None, :]
+    if positions is None:
+        positions = np.arange(s)
     half = hd // 2
+    cos, sin = rope_tables(positions, hd, base, t.dtype)
+    # [lead..., s, half] -> [lead..., 1..., s, 1, half] against t.
+    lead = cos.shape[:-2]
+    shape = lead + (1,) * (t.ndim - 3 - len(lead)) + (s, 1, half)
+    cos, sin = cos.reshape(shape), sin.reshape(shape)
     x1 = t.data[..., :half]
     x2 = t.data[..., half:]
     out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -389,6 +398,8 @@ def scaled_dot_product_attention(
     activation the backward keeps.  Axes are counted from the end, so
     the per-rank 4-D layout and the vectorized backend's 5-D
     rank-stacked layout run the same code, slice-for-slice identical.
+    ``q``, ``k`` and ``v`` share one dtype (docs/INTERNALS.md §17);
+    the score buffer, the output and all three gradients are in it.
 
     Supports grouped-query attention: if ``k``/``v`` have fewer heads
     than ``q`` (by an integer factor ``m``), they are shared across
@@ -428,22 +439,19 @@ def scaled_dot_product_attention(
     probs /= probs.sum(axis=-1, keepdims=True)
     out = probs @ vd
 
-    def ungroup(g_rep: np.ndarray, like: np.ndarray) -> np.ndarray:
-        """Gradient of the GQA repeat, accumulated in ``like``'s dtype
-        (mixed-precision inputs: RoPE hands float64 q/k to a float32
-        v)."""
-        g_rep = g_rep.astype(like.dtype, copy=False)
+    def ungroup(g_rep: np.ndarray) -> np.ndarray:
+        """Gradient of the GQA repeat: sum each group of ``m`` heads."""
         if m == 1:
             return g_rep
         lead, (s, d) = g_rep.shape[:-3], g_rep.shape[-2:]
         return g_rep.reshape(lead + (hk, m, s, d)).sum(axis=-3)
 
     def backward(g):
-        gv = (ungroup(probs.swapaxes(-1, -2) @ g, vd)
+        gv = (ungroup(probs.swapaxes(-1, -2) @ g)
               if v.requires_grad else None)
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        ds = (g @ vd.swapaxes(-1, -2)).astype(probs.dtype, copy=False)
+        ds = g @ vd.swapaxes(-1, -2)
         dot = (ds * probs).sum(axis=-1, keepdims=True)
         ds -= dot
         ds *= probs
@@ -451,7 +459,7 @@ def scaled_dot_product_attention(
             np.copyto(ds, np.asarray(0.0, dtype=ds.dtype), where=mask)
         ds *= scale
         gq = ds @ kd if q.requires_grad else None
-        gk = (ungroup((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), kd)
+        gk = (ungroup((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
               if k.requires_grad else None)
         return gq, gk, gv
 

@@ -59,6 +59,10 @@ class VerifyCase:
     dropout: float = 0.0
     steps: int = 2
     seed: int = 0
+    #: Model (parameter and activation-stream) dtype: "float64" keeps
+    #: the near-machine-precision golden bands; "float32" is the
+    #: production default of :class:`~repro.model.MoETransformer`.
+    dtype: str = "float64"
     #: Cluster resize schedule: ``((step, new_ranks), ...)`` — at each
     #: listed step the injected :class:`~repro.ft.faults.ResizeEvent`
     #: re-forms the world at ``new_ranks`` before the step trains.
@@ -130,6 +134,8 @@ class VerifyCase:
                 )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"unknown dtype {self.dtype!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got "
                              f"{self.dropout}")
@@ -188,6 +194,8 @@ class VerifyCase:
             parts.append(self.backend)
         if self.tile_tokens is not None:
             parts.append(f"tt{self.tile_tokens}")
+        if self.dtype != "float64":
+            parts.append(self.dtype.replace("float", "f"))
         for step, new_ranks in self.resize:
             parts.append(f"rz{step}x{new_ranks}")
         if self.dropout > 0.0:
@@ -293,7 +301,9 @@ def plan_conformance_cases(attention: str = "sp", ffn: str = "ep",
 
 def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
     """The seeded CI grid: execution × EP dispatch × precision, plus a
-    tiled (§4.2 tile-granular) DAG leg per execution × dispatch."""
+    tiled (§4.2 tile-granular) DAG leg per execution × dispatch, plus
+    float32-model legs (the production default dtype) over both EP
+    dispatches and one vectorized tiled case."""
 
     def cases() -> Iterator[VerifyCase]:
         for execution in SMOKE_EXECUTIONS:
@@ -309,6 +319,12 @@ def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
                     backend="dag", tile_tokens=SMOKE_TILE_TOKENS,
                     seed=seed,
                 )
+        for dispatch in SMOKE_DISPATCHES:
+            yield VerifyCase(ep_dispatch=dispatch, dtype="float32",
+                             seed=seed)
+        yield VerifyCase(execution="vectorized", backend="dag",
+                         tile_tokens=SMOKE_TILE_TOKENS, dtype="float32",
+                         seed=seed)
 
     return list(cases())
 
@@ -345,8 +361,12 @@ class ServeCase:
     #: (None = fault-free run).
     crash_at_call: Optional[int] = None
     seed: int = 0
+    #: Model dtype; the KV pool follows it.
+    dtype: str = "float64"
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"unknown dtype {self.dtype!r}")
         if self.attention_ranks < 1 or self.expert_ranks < 1:
             raise ValueError(
                 "attention_ranks and expert_ranks must be >= 1"
@@ -401,6 +421,8 @@ class ServeCase:
         ]
         if self.crash_at_call is not None:
             parts.append(f"cr{self.crash_at_call}")
+        if self.dtype != "float64":
+            parts.append(self.dtype.replace("float", "f"))
         if self.seed != 0:
             parts.append(f"sd{self.seed}")
         return "-".join(parts)
@@ -442,8 +464,9 @@ class ServeCase:
 
 def serve_matrix(seed: int = 0) -> List[ServeCase]:
     """The serving conformance grid: both execution modes over both
-    arrival processes, a wider-GQA leg, a tight-KV eviction leg, and a
-    mid-stream rank-crash leg per execution mode."""
+    arrival processes, a wider-GQA leg, a tight-KV eviction leg, a
+    mid-stream rank-crash leg per execution mode, and a float32-model
+    leg (KV pool and cached post-RoPE keys in the model's dtype)."""
 
     def cases() -> Iterator[ServeCase]:
         for execution in ("sequential", "threaded"):
@@ -455,6 +478,7 @@ def serve_matrix(seed: int = 0) -> List[ServeCase]:
             yield ServeCase(execution=execution, crash_at_call=5,
                             seed=seed)
         yield ServeCase(kv_blocks=5, max_batch_size=4, seed=seed)
+        yield ServeCase(dtype="float32", seed=seed)
 
     return list(cases())
 

@@ -13,15 +13,17 @@ three trainings from identical seeds —
 3. the **sequential twin** (threaded cases only): the identical plan
    under the sequential rank loop, for the bitwise-identity contract —
 
-then evaluates every registered invariant and folds the outcomes into
-a :class:`CaseResult`.  :func:`run_matrix` maps this over a case list
-and renders the conformance matrix `repro verify` prints.
+plus one untrained **dtype probe** forward whose autograd tape the
+``dtype_stable`` invariant inspects — then evaluates every registered
+invariant and folds the outcomes into a :class:`CaseResult`.
+:func:`run_matrix` maps this over a case list and renders the
+conformance matrix `repro verify` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +124,10 @@ class RunArtifacts:
     #: §4.2) from tiled DAG runs — checked by ``tile_conformance``.
     #: Empty for untiled/engine-backend runs.
     executed_tiles: List[List[str]] = field(default_factory=list)
+    #: ``(op_name, dtype)`` of every tape node of one forward of the
+    #: case's plan, inputs before consumers (see :func:`_tape_dtypes`)
+    #: — checked by ``dtype_stable``.
+    tape_dtypes: List[Tuple[str, str]] = field(default_factory=list)
     golden: Optional[GoldenArtifacts] = None
     twin: Optional["RunArtifacts"] = None
     #: The legacy-backend twin of a DAG-backend case run.
@@ -211,20 +217,51 @@ def _snapshot_params(model) -> Dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
 
 
+def _make_trainer(case: VerifyCase) -> MegaScaleTrainer:
+    """The case's model (seeded, in the case's dtype) under its plan."""
+    model = MoETransformer(case.model_config(), seed=case.seed,
+                           dtype=np.dtype(case.dtype))
+    return MegaScaleTrainer(
+        model, World(case.ranks, case.ranks), case.parallel_config(),
+        case.train_config(),
+        optimizer=AdamW(model.parameters(), lr=_LEARNING_RATE),
+    )
+
+
+def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
+    """``(op_name, dtype)`` of every tape node of one forward of the
+    case's plan, inputs before consumers.
+
+    Every op output — per-rank or rank-stacked, DAG-executed or
+    engine-chained, collective payloads included (the ``dist_*`` /
+    ``vec_*`` collectives are tape nodes) — is a tape node of the
+    loss, so walking the tape sees the whole activation stream.  The
+    walk starts at the LM loss; of the router aux-loss chain only the
+    tensors with a token axis (``ndim >= 2``) are added, because its
+    per-expert statistics and scalars are accumulated in float64 by
+    design (docs/INTERNALS.md §17).
+
+    Runs on a trainer of its own, so the case run's ledger and fault
+    plan never see the extra forward.
+    """
+    trainer = _make_trainer(case)
+    _, lm, aux = trainer.loss(_batches(case)[0])
+    stream = lm._topological_order()[::-1]
+    seen = {id(t) for t in stream}
+    stream += [t for t in aux._topological_order()[::-1]
+               if id(t) not in seen and t.ndim >= 2]
+    return [(t.node.op_name, t.dtype.name)
+            for t in stream if t.node is not None]
+
+
 def _run_parallel(case: VerifyCase,
                   world_setup: Optional[Callable[[World], None]] = None
                   ) -> RunArtifacts:
     """Run the case's parallel plan and capture artifacts."""
-    model = MoETransformer(case.model_config(), seed=case.seed,
-                           dtype=np.float64)
-    world = World(case.ranks, case.ranks)
+    trainer = _make_trainer(case)
+    model, world = trainer.model, trainer.world
     if world_setup is not None:
         world_setup(world)
-    train = case.train_config()
-    trainer = MegaScaleTrainer(
-        model, world, case.parallel_config(), train,
-        optimizer=AdamW(model.parameters(), lr=_LEARNING_RATE),
-    )
     losses: List[float] = []
     lm_losses: List[float] = []
     aux_losses: List[float] = []
@@ -289,7 +326,7 @@ def _run_parallel(case: VerifyCase,
 def _run_golden(case: VerifyCase) -> GoldenArtifacts:
     """The single-rank reference: same seeds, same optimizer schedule."""
     model = MoETransformer(case.model_config(), seed=case.seed,
-                           dtype=np.float64)
+                           dtype=np.dtype(case.dtype))
     optimizer = AdamW(model.parameters(), lr=_LEARNING_RATE)
     losses: List[float] = []
     first_grads: Dict[str, np.ndarray] = {}
@@ -336,14 +373,8 @@ def _run_elastic(case: VerifyCase) -> ElasticArtifacts:
         ))
 
     def factory(layout: ParallelLayout):
-        sized = case.replace(ranks=layout.world_size, resize=())
-        model = MoETransformer(case.model_config(), seed=case.seed,
-                               dtype=np.float64)
-        return MegaScaleTrainer(
-            model, World(sized.ranks, sized.ranks),
-            sized.parallel_config(), sized.train_config(),
-            optimizer=AdamW(model.parameters(), lr=_LEARNING_RATE),
-        )
+        return _make_trainer(
+            case.replace(ranks=layout.world_size, resize=()))
 
     tmpdir = tempfile.mkdtemp(prefix="repro-elastic-")
     try:
@@ -378,6 +409,7 @@ def run_case(case: VerifyCase,
     than silently reproduced on both sides of the diff.
     """
     artifacts = _run_parallel(case, world_setup)
+    artifacts.tape_dtypes = _tape_dtypes(case)
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)
     if case.execution == "threaded":
@@ -433,7 +465,7 @@ def run_serve_case(case) -> CaseResult:
     from .invariants import registered_serve_invariants
 
     model = MoETransformer(case.model_config(), seed=case.seed,
-                           dtype=np.float64)
+                           dtype=np.dtype(case.dtype))
     serve_config = case.serve_config()
     world = World(serve_config.world_size)
     if case.crash_at_call is not None:

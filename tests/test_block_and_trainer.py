@@ -147,6 +147,29 @@ class TestMegaScaleTrainer:
         assert result.loss == pytest.approx(
             result.lm_loss + 0.01 * result.aux_loss)
 
+    def test_float32_step_moves_four_bytes_per_element(self, tiny_config,
+                                                        rng):
+        """The default float32 model puts float32 on the wire: one
+        sp+ep ``ag_rs`` step books exactly the Eq. 2 / Eq. 4 element
+        counts (forward plus the dual backward collectives) x 4 B."""
+        from repro.core.analysis import (sp_attention_comm_volume,
+                                         tp_ffn_comm_volume)
+        n, b, s = 4, 2, tiny_config.seq_len
+        h, m = tiny_config.hidden_size, tiny_config.gqa_ratio
+        model = MoETransformer(tiny_config, seed=0)
+        world = World(n, n)
+        trainer = MegaScaleTrainer(
+            model, world, ParallelConfig.megascale(n, ep_dispatch="ag_rs"),
+            TrainConfig(global_batch_size=b, micro_batch_size=b,
+                        seq_len=s, aux_loss_coeff=0.01))
+        trainer.train_step(rng.integers(0, 64, (b, s + 1)))
+        elements_per_pass = (
+            sp_attention_comm_volume(b, s, h, n, m) * n / 2.0
+            + tp_ffn_comm_volume(b, s, h, n) * n)
+        assert model.embedding.data.itemsize == 4
+        assert world.ledger.total_bytes() == (
+            2 * tiny_config.n_layers * elements_per_pass * 4)
+
     def test_training_reduces_loss(self, tiny_config):
         corpus = MarkovCorpus(vocab_size=64, seed=1)
         trainer = self.make(tiny_config, 4)

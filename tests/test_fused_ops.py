@@ -101,19 +101,22 @@ class TestFusedSDPA:
             assert g.dtype == w.dtype
             assert rel_err(g, w) <= 1e-6
 
-    def test_mixed_precision_inputs_match_chain(self, rng):
-        """RoPE hands float64 q/k to a float32 v; each gradient is
-        accumulated in its own operand's dtype, like the chain did."""
-        arrays = qkv_arrays(rng, np.float64, 2, 12, 12)
-        arrays[2] = arrays[2].astype(np.float32)
-        g_out = rng.standard_normal((2, 4, 12, 8))
-        mask = causal_mask(12, 12)
-        want = run_sdpa(lambda q, k, v: chain_sdpa(q, k, v, mask),
-                        arrays, g_out)
-        got = run_sdpa(ops.scaled_dot_product_attention, arrays, g_out)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_float32_inputs_keep_a_float32_score_buffer(self, rng, m):
+        """The one saved ``[.., s_q, s_k]`` activation is in the
+        operands' dtype — a float64 q/k would double it and every
+        collective after it."""
+        tensors = [Tensor(a, requires_grad=True).transpose(0, 2, 1, 3)
+                   for a in qkv_arrays(rng, np.float32, m, 12, 12)]
+        out = ops.scaled_dot_product_attention(*tensors)
+        fn = out.node.backward_fn
+        saved = dict(zip(fn.__code__.co_freevars,
+                         (c.cell_contents for c in fn.__closure__)))
+        assert saved["probs"].shape == (2, 4, 12, 12)
+        assert saved["probs"].dtype == np.float32
+        assert out.dtype == np.float32
+        grads = fn(np.ones_like(out.data))
+        assert all(g.dtype == np.float32 for g in grads)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("s_q,s_k", [(6, 6), (1, 6), (3, 6)])

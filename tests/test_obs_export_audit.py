@@ -26,6 +26,7 @@ from repro.parallel.tp_attention import TPAttentionEngine
 from repro.tensor import Tensor
 
 B, S, H, FH, E, K, N, M = 2, 16, 32, 48, 8, 2, 4, 2
+EB = 8.0  # every engine below is built with dtype=np.float64
 
 
 class FakeClock:
@@ -126,7 +127,7 @@ class TestAudit:
     def test_sp_attention_exact(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         entry = report.entry("sp_attention")
         assert report.ok
         assert entry.rel_error < 1e-9
@@ -136,7 +137,7 @@ class TestAudit:
     def test_tp_attention_exact(self):
         world = run_engine("tp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         entry = report.entry("tp_attention")
         assert report.ok
         assert entry.rel_error < 1e-9
@@ -146,14 +147,14 @@ class TestAudit:
     def test_ep_ag_rs_exact(self):
         world = run_engine("ep_ffn", mode="ag_rs")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         assert report.ok
         assert report.entry("ep_ffn_ag_rs").rel_error < 1e-9
 
     def test_ep_a2a_within_expectation_and_bound(self):
         world = run_engine("ep_ffn", mode="a2a")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         entry = report.entry("ep_ffn_a2a")
         assert not entry.exact
         assert entry.within_bound
@@ -166,7 +167,7 @@ class TestAudit:
         for agg in world.ledger.cumulative.values():
             agg["total_bytes"] *= 1.5
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         assert not report.ok
         assert [e.mechanism for e in report.failed()] == ["sp_attention"]
 
@@ -188,7 +189,8 @@ class TestAudit:
 
         bounded, unbounded = run(2), run(None)
         assert bounded.ledger.dropped > 0  # rotation actually happened
-        kwargs = dict(b=B, s=S, h=H, n=N, m=M, k=K, passes=passes)
+        kwargs = dict(b=B, s=S, h=H, n=N, m=M, k=K, elem_bytes=EB,
+                      passes=passes)
         rb = audit_comm_volumes(bounded.ledger, **kwargs)
         ru = audit_comm_volumes(unbounded.ledger, **kwargs)
         assert rb.ok and ru.ok
@@ -201,10 +203,10 @@ class TestAudit:
         tracer = Tracer(clock=FakeClock())
         world = run_engine("sp_attn", tracer=tracer)
         from_ledger = audit_comm_volumes(world.ledger, b=B, s=S, h=H,
-                                         n=N, m=M, k=K)
+                                         n=N, m=M, k=K, elem_bytes=EB)
         from_spans = audit_comm_volumes(
             tracer.closed_spans(cat="comm"), b=B, s=S, h=H, n=N, m=M,
-            k=K)
+            k=K, elem_bytes=EB)
         assert from_spans.ok
         assert from_spans.entry("sp_attention").measured_bytes == \
             from_ledger.entry("sp_attention").measured_bytes
@@ -212,22 +214,24 @@ class TestAudit:
     def test_only_active_mechanisms_reported(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         assert {e.mechanism for e in report.entries} == {"sp_attention"}
 
     def test_empty_source_not_ok(self):
-        report = audit_comm_volumes([], b=B, s=S, h=H, n=N, m=M, k=K)
+        report = audit_comm_volumes([], b=B, s=S, h=H, n=N, m=M, k=K,
+                                    elem_bytes=EB)
         assert not report.ok
         assert report.entries == []
 
     def test_bad_passes(self):
         with pytest.raises(ValueError):
-            audit_comm_volumes([], b=B, s=S, h=H, n=N, passes=0)
+            audit_comm_volumes([], b=B, s=S, h=H, n=N, elem_bytes=EB,
+                               passes=0)
 
     def test_render(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K)
+                                    m=M, k=K, elem_bytes=EB)
         text = report.render()
         assert "sp_attention" in text and "Eq. 2" in text and "yes" in text
 

@@ -218,6 +218,58 @@ class TestRoPE:
         with pytest.raises(ValueError, match="even"):
             ops.rope_rotate(Tensor(np.zeros((1, 2, 2, 5))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("positions", [None, np.arange(4, 10)])
+    def test_preserves_operand_dtype(self, rng, dtype, positions):
+        """The tables are cast to the operand's dtype, so neither the
+        output nor the gradient leaves it (docs/INTERNALS.md §17)."""
+        x = Tensor(rng.standard_normal((2, 6, 2, 8)).astype(dtype),
+                   requires_grad=True)
+        out = ops.rope_rotate(x, positions=positions)
+        out.backward(np.ones_like(out.data))
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        if positions is None:
+            positions = np.arange(6)
+        cos, sin = ops.rope_tables(positions, 8, 10000.0, dtype)
+        assert cos.dtype == sin.dtype == dtype
+        cos64, sin64 = ops.rope_tables(positions, 8, 10000.0, np.float64)
+        np.testing.assert_allclose(cos, cos64, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(sin, sin64, rtol=0, atol=1e-6)
+
+    def test_rank_stacked_matches_per_rank(self, rng):
+        """One ``[n, s_local]`` position array on a rank-stacked 5-D
+        input is slice-for-slice the per-rank call — the vectorized
+        backend's rope is this same kernel."""
+        n, s_local = 3, 4
+        x = rng.standard_normal((n, 2, s_local, 2, 8)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        positions = np.arange(n * s_local).reshape(n, s_local)
+        stacked = Tensor(x, requires_grad=True)
+        out = ops.rope_rotate(stacked, positions=positions)
+        out.backward(g)
+        for r in range(n):
+            shard = Tensor(x[r], requires_grad=True)
+            want = ops.rope_rotate(shard, positions=positions[r])
+            want.backward(g[r])
+            np.testing.assert_array_equal(out.data[r], want.data)
+            np.testing.assert_array_equal(stacked.grad[r], shard.grad)
+
+    def test_explicit_position_tables_memoised(self, rng):
+        """SP-sharded positions hit the memo table: the second call
+        derives nothing and hands back the same read-only arrays."""
+        positions = np.arange(32, 48)
+        x = Tensor(rng.standard_normal((1, 16, 2, 8)).astype(np.float32))
+        ops.rope_rotate(x, positions=positions)
+        first = ops.rope_tables(positions, 8, 10000.0, np.float32)
+        misses = ops._rope_tables.cache_info().misses
+        ops.rope_rotate(x, positions=np.arange(32, 48))
+        again = ops.rope_tables(np.arange(32, 48), 8, 10000.0,
+                                np.float32)
+        assert ops._rope_tables.cache_info().misses == misses
+        for a, b in zip(first, again):
+            assert a is b
+            assert not a.flags.writeable
+
 
 class TestAttention:
     def test_causal_ignores_future(self, rng):

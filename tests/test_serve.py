@@ -46,10 +46,10 @@ from repro.verify.invariants import (
 )
 
 
-def tiny_model(gqa_ratio=2, n_layers=2, seed=0):
+def tiny_model(gqa_ratio=2, n_layers=2, seed=0, dtype=np.float64):
     config = ModelConfig("serve-test", n_layers, 32, 8, gqa_ratio, 48,
                          8, 2, vocab_size=64, seq_len=64)
-    return MoETransformer(config, seed=seed, dtype=np.float64)
+    return MoETransformer(config, seed=seed, dtype=dtype)
 
 
 def serve_config(**kw):
@@ -150,6 +150,23 @@ class TestKVPool:
             cache.put(0, np.zeros((5, 2, 3)), np.zeros((5, 2, 3)), 0)
         cache.release()
 
+    def test_put_rejects_rows_of_another_dtype(self):
+        # An assignment would cast silently and attention would then
+        # mix widths; the error names the knob (the pool's dtype).
+        pool = KVPool(1, 2, 3, n_blocks=2, block_size=4,
+                      dtype=np.float32)
+        cache = PagedKVCache(pool)
+        cache.ensure_capacity(2)
+        rows32 = np.zeros((2, 2, 3), dtype=np.float32)
+        with pytest.raises(TypeError, match="k_rows dtype float64.*"
+                                            "pool dtype float32"):
+            cache.put(0, rows32.astype(np.float64), rows32, 0)
+        with pytest.raises(TypeError, match="v_rows dtype float64.*"
+                                            "pool dtype float32"):
+            cache.put(0, rows32, rows32.astype(np.float64), 0)
+        cache.put(0, rows32, rows32, 0)
+        cache.release()
+
     def test_release_is_idempotent_and_resets(self):
         pool = KVPool(1, 2, 3, n_blocks=4, block_size=4)
         cache = PagedKVCache(pool)
@@ -232,6 +249,19 @@ class TestGoldenBitwise:
         config = serve_config()
         requests = poisson_trace(6, rate=0.5, vocab=64, seed=1)
         result, _, _ = run_engine(model, config, requests)
+        assert_bitwise(result, golden_decode(model, config, requests))
+
+    def test_float32_model_stays_float32_and_matches_golden(self):
+        """The KV pool follows the model's dtype and post-RoPE keys,
+        the bridge payloads and the logits all stay in it; batched
+        decode is still bitwise-equal to the golden."""
+        model = tiny_model(dtype=np.float32)
+        config = serve_config()
+        requests = poisson_trace(6, rate=0.5, vocab=64, seed=1)
+        result, engine, _ = run_engine(model, config, requests)
+        assert engine.pool.k.dtype == engine.pool.v.dtype == np.float32
+        for got in result.results.values():
+            assert all(row.dtype == np.float32 for row in got.logits)
         assert_bitwise(result, golden_decode(model, config, requests))
 
     def test_ragged_lengths_and_simultaneous_admission(self):

@@ -55,6 +55,7 @@ class TestVerifyCase:
         dict(execution="mpi"),
         dict(dropout=1.0),
         dict(steps=0),
+        dict(dtype="float16"),
     ])
     def test_validation_rejects(self, changes):
         with pytest.raises(ValueError):
@@ -79,17 +80,26 @@ class TestVerifyCase:
             VerifyCase(ep_dispatch="ag_rs").case_id,
             VerifyCase(seed=9).case_id,
             VerifyCase(dropout=0.1).case_id,
+            VerifyCase(dtype="float32").case_id,
         }
-        assert len(ids) == 6
+        assert len(ids) == 7
 
     def test_smoke_matrix_covers_grid(self):
-        cases = smoke_matrix()
+        matrix = smoke_matrix()
+        assert len({c.case_id for c in matrix}) == len(matrix) == 21
+        # The production default dtype has conformance legs of its own:
+        # both EP dispatches and one vectorized tiled case.
+        f32 = [c for c in matrix if c.dtype == "float32"]
+        assert {(c.ep_dispatch, c.execution, c.tile_tokens is not None)
+                for c in f32} == {("a2a", "sequential", False),
+                                  ("ag_rs", "sequential", False),
+                                  ("a2a", "vectorized", True)}
+        cases = [c for c in matrix if c.dtype == "float64"]
         assert len(cases) == 18
         assert {c.execution for c in cases} == {"sequential", "threaded",
                                                 "vectorized"}
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
-        assert len({c.case_id for c in cases}) == 18
         # Vectorized execution only exists in the DAG executor.
         assert all(c.backend == "dag" for c in cases
                    if c.execution == "vectorized")
@@ -109,13 +119,21 @@ class TestRegistry:
         for expected in ("finiteness", "golden_loss", "golden_grads",
                          "golden_params", "threaded_bitwise",
                          "token_conservation", "router_mass",
-                         "comm_audit"):
+                         "comm_audit", "dtype_stable"):
             assert expected in names
 
     def test_fp8_bands_looser_than_fp32(self):
         for kind in ("loss", "grads", "params"):
             assert (tolerance_for_precision("fp8", kind).rtol
                     > tolerance_for_precision("fp32", kind).rtol)
+
+    def test_float32_models_get_a_rounding_floor(self):
+        for kind in ("loss", "grads"):
+            assert (tolerance_for_precision("fp32", kind, "float32").rtol
+                    > tolerance_for_precision("fp32", kind).rtol)
+        # ... which never tightens a band that is already looser.
+        assert (tolerance_for_precision("fp8", "loss", "float32")
+                == tolerance_for_precision("fp8", "loss"))
 
     def test_unknown_band_raises(self):
         with pytest.raises(KeyError):
@@ -231,6 +249,62 @@ class TestInjectedViolations:
         shrink(small_case(execution="threaded", layers=2, steps=2),
                fails, max_evals=3)
         assert len(calls) <= 3
+
+
+class TestDtypeContract:
+    """One compute dtype from embedding to loss (INTERNALS §17)."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(ep_dispatch="a2a"),
+        dict(ep_dispatch="ag_rs"),
+        dict(execution="vectorized", backend="dag", tile_tokens=1),
+        dict(attention="tp", ffn="tp"),
+    ])
+    def test_float32_plans_conform(self, kw):
+        result = run_case(small_case(dtype="float32", **kw))
+        assert result.ok, [f.detail for f in result.failures()]
+        assert result.outcome("dtype_stable").status == "pass"
+        assert result.outcome("golden_grads").status == "pass"
+        # Adam turns rounding-level gradient noise into +-lr steps.
+        assert result.outcome("golden_params").status == "skip"
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(execution="vectorized", backend="dag"),
+    ])
+    def test_float64_rope_tables_are_caught(self, monkeypatch, kw):
+        """The parent commit's RoPE multiplied by float64 tables: the
+        stream leaves float32 at ``rope`` and every collective after it
+        moves twice the Eq. 1-4 bytes."""
+        from repro.tensor import ops
+        tables = ops.rope_tables
+        monkeypatch.setattr(
+            ops, "rope_tables",
+            lambda positions, head_dim, base, dtype:
+                tables(positions, head_dim, base, np.float64))
+        result = run_case(small_case(dtype="float32", ranks=2,
+                                     experts=4, top_k=2, seq=8, **kw))
+        stable = result.outcome("dtype_stable")
+        assert stable.status == "fail"
+        assert stable.detail.startswith("op 'rope' is the first of")
+        assert "float64" in stable.detail
+        audit = result.outcome("comm_audit")
+        assert audit.status == "fail" and "sp_attention" in audit.detail
+        # The float64 legs cannot see it: the cast is a no-op there.
+        assert run_case(small_case(**kw)).ok
+
+    def test_flags_widened_grads_and_params(self):
+        case = small_case(dtype="float32")
+        art = _run_parallel(case)
+        art.tape_dtypes = [("rope", "float32")]
+        assert inv._check_dtype_stable(art) == []
+        name = next(iter(art.params))
+        art.params[name] = art.params[name].astype(np.float64)
+        art.final_grads[name] = art.final_grads[name].astype(np.float64)
+        problems = inv._check_dtype_stable(art)
+        assert len(problems) == 2 and all(name in p for p in problems)
+        art.tape_dtypes = []
+        assert "no tape" in inv._check_dtype_stable(art)[0]
 
 
 class TestInvariantChecks:
