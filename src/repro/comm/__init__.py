@@ -8,6 +8,7 @@ from .collectives import (
     all_to_all_uneven,
     broadcast,
     gather,
+    rank_ordered_sum,
     reduce_scatter,
     scatter,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "all_to_all_uneven",
     "broadcast",
     "gather",
+    "rank_ordered_sum",
     "reduce_scatter",
     "scatter",
     "LinkSpec",

@@ -46,7 +46,7 @@ identical on both paths** — bytes model the wire, not the allocator.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "broadcast",
     "gather",
     "scatter",
+    "rank_ordered_sum",
 ]
 
 
@@ -69,6 +70,26 @@ def _elem_bytes(arrays: Sequence[np.ndarray],
     if elem_bytes is not None:
         return float(elem_bytes)
     return float(arrays[0].itemsize)
+
+
+def rank_ordered_sum(tensors: Iterable[np.ndarray]) -> np.ndarray:
+    """Float64 sum of per-rank arrays, folded in ascending rank order.
+
+    The one cross-rank accumulator (the paper's higher-precision local
+    reduction, §5): rank 0's array is widened once into the result and
+    every later rank is added into it in place, each element widened
+    as it is read — no stacked float64 copy per rank.  ``tensors``
+    yields equal-shape arrays in rank order (a list, a generator, or
+    one rank-stacked array); the result is a fresh float64 array.
+    Bit-identical to ``np.sum`` of the stacked float64 copies over the
+    rank axis, which is this left fold, except where that sum reduces
+    8+ single-element arrays (numpy then sums pairwise).
+    """
+    ranks = iter(tensors)
+    acc = np.asarray(next(ranks)).astype(np.float64)
+    for t in ranks:
+        acc += t
+    return acc
 
 
 def all_gather(
@@ -162,17 +183,14 @@ def reduce_scatter(
         for j in range(n):
             with tile_span(group, tile_label, j, n):
                 slicer[axis] = slice(j * width, (j + 1) * width)
-                pieces.append(np.sum(
-                    [np.asarray(t, dtype=np.float64)[tuple(slicer)]
-                     for t in tensors], axis=0))
+                pieces.append(rank_ordered_sum(
+                    [np.asarray(t)[tuple(slicer)] for t in tensors]))
                 group.record("reduce_scatter",
                              [shard_elems * eb * (n - 1) if k == j else 0.0
                               for k in range(n)],
                              tag, tile=(j, n))
     else:
-        total = np.sum([np.asarray(t, dtype=np.float64) for t in tensors],
-                       axis=0)
-        pieces = np.split(total, n, axis=axis)
+        pieces = np.split(rank_ordered_sum(tensors), n, axis=axis)
         group.record("reduce_scatter", [shard_elems * eb * (n - 1)] * n, tag)
     if group.world.fault_plan is None:
         # Zero-copy: np.split pieces are views of the reduced tensor.
@@ -194,7 +212,7 @@ def all_reduce(
     group.pre_collective("all_reduce", tag)
     n = group.size
     first = np.asarray(tensors[0])
-    total = np.sum([np.asarray(t, dtype=np.float64) for t in tensors], axis=0)
+    total = rank_ordered_sum(tensors)
     eb = _elem_bytes(tensors, elem_bytes)
     # Ring all-reduce = reduce-scatter + all-gather on 1/n shards.
     group.record("all_reduce", [2.0 * first.size / n * eb * (n - 1)] * n, tag)

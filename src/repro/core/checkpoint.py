@@ -103,10 +103,7 @@ def save_checkpoint(path: str, model: Module, config: ModelConfig,
     for name, param in model.named_parameters():
         payload[f"param/{name}"] = param.data
     if optimizer is not None:
-        payload["opt/step_count"] = np.asarray(optimizer.step_count)
-        for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
-            payload[f"opt/m/{i}"] = m
-            payload[f"opt/v/{i}"] = v
+        payload.update(optimizer.state_dict())
 
     atomic_write(path, lambda handle: np.savez(handle, **payload))
 
@@ -147,8 +144,5 @@ def load_checkpoint(path: str, model: Module, config: ModelConfig,
                 raise CheckpointError(
                     "checkpoint has no optimizer state"
                 )
-            optimizer.step_count = int(data["opt/step_count"])
-            for i in range(len(optimizer.m)):
-                optimizer.m[i] = data[f"opt/m/{i}"].copy()
-                optimizer.v[i] = data[f"opt/v/{i}"].copy()
+            optimizer.load_state_dict(data)
         return int(meta["step"])

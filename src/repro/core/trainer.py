@@ -352,11 +352,7 @@ class MegaScaleTrainer:
         """
         state = {f"model/{k}": v
                  for k, v in self.model.state_dict().items()}
-        state["opt/step_count"] = np.asarray(self.optimizer.step_count)
-        for i, (m, v) in enumerate(zip(self.optimizer.m,
-                                       self.optimizer.v)):
-            state[f"opt/m/{i}"] = m.copy()
-            state[f"opt/v/{i}"] = v.copy()
+        state.update(self.optimizer.state_dict())
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
@@ -370,10 +366,7 @@ class MegaScaleTrainer:
                            if k.startswith("model/")}
             self.model.load_state_dict(model_state)
             if "opt/step_count" in state:
-                self.optimizer.step_count = int(state["opt/step_count"])
-                for i in range(len(self.optimizer.m)):
-                    self.optimizer.m[i] = state[f"opt/m/{i}"].copy()
-                    self.optimizer.v[i] = state[f"opt/v/{i}"].copy()
+                self.optimizer.load_state_dict(state)
         else:
             self.model.load_state_dict(state)
         for engine in self.engines:

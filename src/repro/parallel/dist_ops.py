@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..comm.collectives import rank_ordered_sum
 from ..comm.group import ProcessGroup, tile_span
 from ..tensor import Tensor
 
@@ -173,17 +174,15 @@ def dist_reduce_scatter(
         for j in range(n):
             with tile_span(group, tile_label, j, n):
                 slicer[axis] = slice(j * width, (j + 1) * width)
-                pieces.append(np.sum(
-                    [t.data[tuple(slicer)].astype(np.float64)
-                     for t in tensors], axis=0))
+                pieces.append(rank_ordered_sum(
+                    [t.data[tuple(slicer)] for t in tensors]))
                 group.record(
                     "reduce_scatter",
                     _one_hot(n, j, shard_elems * eb * (n - 1)),
                     tag, tile=(j, n))
     else:
-        total = np.sum([t.data.astype(np.float64) for t in tensors],
-                       axis=0)
-        pieces = np.split(total, n, axis=axis)
+        pieces = np.split(rank_ordered_sum([t.data for t in tensors]),
+                          n, axis=axis)
         group.record("reduce_scatter",
                      [shard_elems * eb * (n - 1)] * n, tag)
     outs = []
@@ -462,7 +461,7 @@ def dist_all_reduce(
     n = group.size
     eb = _eb(tensors, elem_bytes)
     first = tensors[0].data
-    total = np.sum([t.data.astype(np.float64) for t in tensors], axis=0)
+    total = rank_ordered_sum([t.data for t in tensors])
     group.pre_collective("all_reduce", tag)
     group.record("all_reduce",
                  [2.0 * first.size / n * eb * (n - 1)] * n, tag)

@@ -20,6 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..comm.collectives import rank_ordered_sum
 from ..comm.group import ProcessGroup
 from ..precision.formats import FP8_E4M3, FloatFormat
 from ..precision.quantize import (
@@ -93,7 +94,7 @@ def dist_reduce_scatter_fp8(
     width = first.shape[0] // n
     outs = []
     for j in range(n):
-        total = np.sum([quantized[i][j] for i in range(n)], axis=0)
+        total = rank_ordered_sum([quantized[i][j] for i in range(n)])
 
         def backward(g, j=j):
             # Gradient of the sum w.r.t. every input's chunk j; the

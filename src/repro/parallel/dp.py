@@ -86,8 +86,7 @@ class DataParallelTrainer:
             loss.backward()
             losses.append(loss.item())
             per_rank_grads.append([
-                (p.grad.astype(np.float64) if p.grad is not None
-                 else np.zeros(p.shape, dtype=np.float64))
+                (p.grad if p.grad is not None else np.zeros_like(p.data))
                 for p in self.params
             ])
 
@@ -97,7 +96,7 @@ class DataParallelTrainer:
                 self.group, [per_rank_grads[r][i] for r in range(n)],
                 method=self.sync_method, average=True,
             )
-            p.grad = synced[0].astype(np.float64)
+            p.grad = synced[0]
         sync_bytes = self.group.world.ledger.total_bytes() - ledger_before
 
         norm = clip_grad_norm(self.params, self.grad_clip)

@@ -3,13 +3,20 @@
 MegaScale-MoE "employ[s] ZeRO optimizations to eliminate redundant
 optimizer states across DP groups".  This module implements stage 1
 *numerically*: the flattened parameter space is split into per-rank
-shards; each DP rank keeps Adam moments and the FP32 master copy for its
-shard only, updates it after a reduce-scatter of gradients, and the
-updated shards are all-gathered back into the full parameter set.
+shards; each DP rank keeps Adam moments and the master copy for its
+shard only — in the parameters' dtype, FP32 for the default model, the
+12 B/param :func:`zero_memory_model` charges — updates it after a
+reduce-scatter of gradients, and the updated shards are all-gathered
+back into the full parameter set.
 
-The result is bit-identical to a full (unsharded) AdamW step — asserted
-by the tests — while optimizer memory drops by ``1/dp`` and gradient
-communication becomes RS+AG instead of all-reduce (same ring volume).
+The update is :func:`repro.precision.optimizer.adam_update_`, the
+kernel every optimizer calls, run over the slices of each shard whose
+parameters received a gradient: a parameter no rank has a gradient for
+(an idle expert) sits the step out, exactly as under ``AdamW``.  The
+result is bit-identical to a full (unsharded) AdamW step on the
+averaged gradients — asserted by the tests — while optimizer memory
+drops by ``1/dp`` and gradient communication becomes RS+AG instead of
+all-reduce (same ring volume).
 
 Stages 2 and 3 are provided as memory/communication models
 (:func:`zero_memory_model`), matching the paper's usage (stage 1 in
@@ -24,6 +31,7 @@ import numpy as np
 
 from ..comm.collectives import all_gather, reduce_scatter
 from ..comm.group import ProcessGroup
+from ..precision.optimizer import adam_update_
 from ..tensor import Tensor
 
 __all__ = ["Zero1AdamW", "zero_memory_model"]
@@ -50,7 +58,12 @@ class Zero1AdamW:
         self.weight_decay = weight_decay
         self.step_count = 0
 
-        self.numel = sum(p.size for p in self.params)
+        #: State dtype of the flat space: the parameters' dtype.
+        self.dtype = np.result_type(*(p.data.dtype for p in self.params))
+        #: ``offsets[i]:offsets[i + 1]`` is parameter ``i`` in the flat
+        #: space.
+        self.offsets = np.cumsum([0] + [p.size for p in self.params])
+        self.numel = int(self.offsets[-1])
         n = group.size
         self.padded = -(-self.numel // n) * n
         self.shard_size = self.padded // n
@@ -58,28 +71,28 @@ class Zero1AdamW:
         # the flattened parameter space.
         flat = self._flatten([p.data for p in self.params])
         self.master_shards = [
-            flat[r * self.shard_size:(r + 1) * self.shard_size]
-            .astype(np.float64).copy()
+            flat[r * self.shard_size:(r + 1) * self.shard_size].copy()
             for r in range(n)
         ]
-        self.m_shards = [np.zeros(self.shard_size) for _ in range(n)]
-        self.v_shards = [np.zeros(self.shard_size) for _ in range(n)]
+        self.m_shards = [np.zeros(self.shard_size, dtype=self.dtype)
+                         for _ in range(n)]
+        self.v_shards = [np.zeros(self.shard_size, dtype=self.dtype)
+                         for _ in range(n)]
+        self._scratch: Dict[np.dtype, np.ndarray] = {}
 
-    def _flatten(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1)
-                               for a in arrays])
-        pad = self.padded - flat.size
-        if pad:
-            flat = np.concatenate([flat, np.zeros(pad)])
+    def _flatten(self, arrays: Sequence[Optional[np.ndarray]]
+                 ) -> np.ndarray:
+        """The padded flat vector of one array per parameter (``None``
+        reads as zeros)."""
+        flat = np.zeros(self.padded, dtype=self.dtype)
+        for a, lo, hi in zip(arrays, self.offsets, self.offsets[1:]):
+            if a is not None:
+                flat[lo:hi] = np.asarray(a).reshape(-1)
         return flat
 
     def _unflatten(self, flat: np.ndarray) -> List[np.ndarray]:
-        out = []
-        offset = 0
-        for p in self.params:
-            out.append(flat[offset:offset + p.size].reshape(p.shape))
-            offset += p.size
-        return out
+        return [flat[lo:hi].reshape(p.shape) for p, lo, hi
+                in zip(self.params, self.offsets, self.offsets[1:])]
 
     def step(self, per_rank_grads: Optional[Sequence[Sequence[np.ndarray]]]
              = None) -> None:
@@ -87,53 +100,55 @@ class Zero1AdamW:
 
         Args:
             per_rank_grads: ``[rank][param]`` gradient arrays from each
-                DP rank's backward (pre-reduction).  When omitted, the
-                parameters' ``.grad`` is treated as every rank's
-                gradient (already-synchronized case).
+                DP rank's backward (pre-reduction); an entry may be
+                ``None`` where that rank's backward left no gradient.
+                When omitted, the parameters' ``.grad`` is treated as
+                every rank's gradient (already-synchronized case).
+
+        A parameter with no gradient on any rank is not updated and its
+        moments do not decay.
         """
         n = self.group.size
         if per_rank_grads is None:
-            grads = [p.grad if p.grad is not None
-                     else np.zeros(p.shape) for p in self.params]
-            rank_flats = [self._flatten(grads) for _ in range(n)]
-            scale = 1.0 / n  # the sum below re-multiplies by n
-        else:
-            if len(per_rank_grads) != n:
-                raise ValueError(
-                    f"expected {n} gradient sets, got "
-                    f"{len(per_rank_grads)}"
-                )
-            rank_flats = [self._flatten(g) for g in per_rank_grads]
-            scale = 1.0 / n  # DP averages gradients
+            per_rank_grads = [[p.grad for p in self.params]] * n
+        elif len(per_rank_grads) != n:
+            raise ValueError(
+                f"expected {n} gradient sets, got {len(per_rank_grads)}"
+            )
+        has_grad = [any(g[i] is not None for g in per_rank_grads)
+                    for i in range(len(self.params))]
+        rank_flats = [self._flatten(g) for g in per_rank_grads]
 
         # Reduce-scatter: rank r receives the summed shard r.
         grad_shards = reduce_scatter(self.group, rank_flats,
                                      elem_bytes=4.0, tag="zero1:rs")
 
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        new_shards = []
         for r in range(n):
-            g = grad_shards[r] * scale
-            self.m_shards[r] = (self.beta1 * self.m_shards[r]
-                                + (1 - self.beta1) * g)
-            self.v_shards[r] = (self.beta2 * self.v_shards[r]
-                                + (1 - self.beta2) * g * g)
-            update = (self.m_shards[r] / bc1) \
-                / (np.sqrt(self.v_shards[r] / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * self.master_shards[r]
-            self.master_shards[r] = self.master_shards[r] \
-                - self.lr * update
-            new_shards.append(self.master_shards[r])
+            g = grad_shards[r] * (1.0 / n)  # DP averages gradients
+            base = r * self.shard_size
+            # The slice of every parameter with a gradient that falls
+            # in this shard (the padded tail belongs to no parameter).
+            for got, lo, hi in zip(has_grad, self.offsets,
+                                   self.offsets[1:]):
+                lo = max(lo - base, 0)
+                hi = min(hi - base, self.shard_size)
+                if got and lo < hi:
+                    adam_update_(
+                        self.master_shards[r][lo:hi], g[lo:hi],
+                        self.m_shards[r][lo:hi], self.v_shards[r][lo:hi],
+                        self._scratch, step=self.step_count, lr=self.lr,
+                        beta1=self.beta1, beta2=self.beta2, eps=self.eps,
+                        weight_decay=self.weight_decay)
 
         # All-gather the updated shards into the full parameter set.
-        fulls = all_gather(self.group, new_shards, elem_bytes=4.0,
+        fulls = all_gather(self.group, self.master_shards, elem_bytes=4.0,
                            tag="zero1:ag")
-        for p, updated in zip(self.params,
-                              self._unflatten(fulls[0][:self.numel])):
+        self._write_params(fulls[0])
+
+    def _write_params(self, flat: np.ndarray) -> None:
+        """Copy the flat master vector into the live parameters."""
+        for p, updated in zip(self.params, self._unflatten(flat)):
             p.data = updated.astype(p.data.dtype)
 
     def zero_grad(self) -> None:
@@ -182,8 +197,9 @@ class Zero1AdamW:
         for name, shards in (("master_shards", state["master"]),
                              ("m_shards", state["m"]),
                              ("v_shards", state["v"])):
-            loaded = [np.asarray(s, dtype=np.float64).copy()
-                      for s in shards]
+            # One cast to the state dtype (a float64-era state loads
+            # into a float32 model as float32).
+            loaded = [np.array(s, dtype=self.dtype) for s in shards]
             if any(s.shape != (self.shard_size,) for s in loaded):
                 raise ValueError(
                     f"{name} shard shapes do not match shard_size "
@@ -191,14 +207,12 @@ class Zero1AdamW:
                 )
             setattr(self, name, loaded)
         # Propagate the restored master copy into the live parameters.
-        flat = np.concatenate(self.master_shards)
-        for p, updated in zip(self.params,
-                              self._unflatten(flat[:self.numel])):
-            p.data = updated.astype(p.data.dtype)
+        self._write_params(np.concatenate(self.master_shards))
 
-    def state_nbytes_per_rank(self) -> float:
+    def state_nbytes_per_rank(self) -> int:
         """Master + moments bytes held by one rank (the ZeRO saving)."""
-        return 3 * self.shard_size * 8.0
+        return (self.master_shards[0].nbytes + self.m_shards[0].nbytes
+                + self.v_shards[0].nbytes)
 
 
 def zero_memory_model(param_count: float, dp_size: int,

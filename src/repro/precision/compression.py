@@ -27,7 +27,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..comm.collectives import all_gather, all_to_all, reduce_scatter
+from ..comm.collectives import (
+    all_gather,
+    all_to_all,
+    rank_ordered_sum,
+    reduce_scatter,
+)
 from ..comm.group import ProcessGroup
 from .formats import FP8_E4M3, FloatFormat, round_bf16
 from .quantize import (
@@ -65,7 +70,7 @@ def sync_gradients(
 
     Args:
         group: The data-parallel process group.
-        grads: One FP32/FP64 gradient array per rank (same shape).
+        grads: One gradient array per rank (same shape and dtype).
         method: ``"fp32_rs"`` — exact FP32 reduce-scatter + all-gather
             (the baseline of Fig. 17); ``"bf16_a2a"`` — MegaScale's
             compression: one BF16 cast, all-to-all, FP32 local sum;
@@ -74,15 +79,18 @@ def sync_gradients(
         average: Divide by the group size (DP averages gradients).
 
     Returns:
-        Per-rank synchronized gradients with the input shape.
+        Per-rank synchronized gradients with the input shape and dtype
+        (only the cross-rank accumulation widens, docs/INTERNALS.md
+        §17).
     """
     if method not in GRAD_SYNC_METHODS:
         raise ValueError(
             f"unknown method {method!r}; choose from {GRAD_SYNC_METHODS}"
         )
     n = group.size
-    shape = np.asarray(grads[0]).shape
-    flats = [_pad_to(np.asarray(g, dtype=np.float64).reshape(-1), n)
+    first = np.asarray(grads[0])
+    shape, dtype = first.shape, first.dtype
+    flats = [_pad_to(np.asarray(g, dtype=dtype).reshape(-1), n)
              for g in grads]
     numel = int(np.prod(shape))
 
@@ -93,17 +101,17 @@ def sync_gradients(
                            tag="dp_sync:fp32_ag")
     elif method == "bf16_a2a":
         # One-time BF16 cast of the accumulated gradient...
-        casted = [round_bf16(f).astype(np.float64) for f in flats]
+        casted = [round_bf16(f) for f in flats]
         chunk_lists = [np.split(c, n) for c in casted]
         # ...all-to-all exchange of the shards (2 bytes each)...
         received = all_to_all(group, chunk_lists, elem_bytes=2.0,
                               tag="dp_sync:bf16_a2a")
         # ...and FP32 local aggregation: no repeated BF16 accumulation.
-        shards = [np.sum([c.astype(np.float64) for c in chunks], axis=0)
-                  for chunks in received]
+        shards = [rank_ordered_sum(chunks) for chunks in received]
         # Parameter/gradient shard redistribution in BF16 as well.
         fulls = all_gather(
-            group, [round_bf16(s).astype(np.float64) for s in shards],
+            group,
+            [round_bf16(s).astype(dtype, copy=False) for s in shards],
             elem_bytes=2.0, tag="dp_sync:bf16_ag")
     else:  # bf16_ring_rs — rounds the partial sum at every ring hop.
         shards = []
@@ -120,7 +128,8 @@ def sync_gradients(
                      [flats[0].size / n * 2.0 * (n - 1)] * n,
                      "dp_sync:bf16_ring_rs")
         fulls = all_gather(
-            group, [round_bf16(s).astype(np.float64) for s in shards],
+            group,
+            [round_bf16(s).astype(dtype, copy=False) for s in shards],
             elem_bytes=2.0, tag="dp_sync:bf16_ag")
 
     scale = 1.0 / n if average else 1.0
@@ -157,13 +166,11 @@ def fp8_compressed_reduce_scatter(
                           elem_bytes=fmt.bytes_per_element, tag=tag)
     outs = []
     for j, payloads in enumerate(received):
-        total = None
-        for i, payload in enumerate(payloads):
-            q = quant_meta[i][j]
-            q = type(q)(payload, q.scales, q.fmt, q.scheme, q.group_size)
-            val = dequantize(q).astype(np.float64)
-            total = val if total is None else total + val
-        outs.append(total)
+        metas = [quant_meta[i][j] for i in range(n)]
+        outs.append(rank_ordered_sum(
+            dequantize(type(q)(payload, q.scales, q.fmt, q.scheme,
+                               q.group_size))
+            for q, payload in zip(metas, payloads)))
     return outs
 
 

@@ -1,6 +1,13 @@
 """Optimizers: AdamW and the multi-precision variant of §7.
 
-``AdamW`` keeps FP32 states and is the reference optimizer.
+Every optimizer in the repo (``AdamW``, ``MultiPrecisionAdamW`` here,
+``Zero1AdamW`` in :mod:`repro.parallel.zero`) is a caller of one
+in-place kernel, :func:`adam_update_`, and keeps its state — both
+moments, and the main copy where there is one — **in the parameter's
+dtype**: FP32 for the default float32 model, as in §7 ("main parameters
+in FP32") and the 12 B/param of :func:`~repro.parallel.zero
+.zero_memory_model`; float64 for the float64 conformance models.
+Nothing in the update phase widens (docs/INTERNALS.md §17).
 
 ``MultiPrecisionAdamW`` implements the paper's FP8-training optimizer
 ("we use a multi-precision optimizer to store model parameters directly
@@ -14,14 +21,85 @@ overhead of BF16-stored implementations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..tensor import Tensor
 from .formats import FloatFormat, round_to_format
 
-__all__ = ["AdamW", "MultiPrecisionAdamW", "clip_grad_norm"]
+__all__ = ["AdamW", "MultiPrecisionAdamW", "adam_update_", "clip_grad_norm"]
+
+#: Elements per kernel pass: the slices of param / grad / m / v plus the
+#: two scratch blocks (6 x 256 KB in float32) stay cache-resident
+#: across the kernel's ~15 elementwise passes.
+_CHUNK = 1 << 16
+
+
+def adam_update_(param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                 v: np.ndarray, scratch: Dict[np.dtype, np.ndarray], *,
+                 step: int, lr: float, beta1: float, beta2: float,
+                 eps: float, weight_decay: float) -> None:
+    """One AdamW update of a flat parameter segment, in place.
+
+    ``param``, ``m`` and ``v`` are 1-D writeable arrays of one dtype —
+    the state dtype — and every operation runs in it: the textbook
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        param -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd param)
+
+    evaluated operation for operation with ``out=``, over chunks of at
+    most ``_CHUNK`` elements.  ``grad`` is cast to the state dtype as
+    it is read and is never written.  ``scratch`` maps a dtype to the
+    caller's two preallocated ``_CHUNK`` blocks (created on first use).
+    Callers decide *which* segments move: one without a gradient is
+    simply not passed, so its moments do not decay.
+    """
+    dtype = param.dtype
+    if m.dtype != dtype or v.dtype != dtype:
+        raise TypeError(
+            f"Adam moments are {m.dtype}/{v.dtype} for a {dtype} "
+            f"parameter; optimizer state lives in the parameter's dtype "
+            f"(restore checkpoints through load_state_dict, which casts "
+            f"once)"
+        )
+    blocks = scratch.get(dtype)
+    if blocks is None:
+        blocks = scratch[dtype] = np.empty((2, _CHUNK), dtype=dtype)
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for lo in range(0, param.size, _CHUNK):
+        hi = min(lo + _CHUNK, param.size)
+        pc, gc, mc, vc = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
+        t, update = blocks[0, :hi - lo], blocks[1, :hi - lo]
+        if gc.dtype != dtype:
+            np.copyto(update, gc)
+            gc = update  # consumed before the update is formed below
+        np.multiply(gc, 1 - beta1, out=t)
+        mc *= beta1
+        mc += t
+        np.multiply(gc, 1 - beta2, out=t)
+        t *= gc
+        vc *= beta2
+        vc += t
+        np.divide(vc, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(mc, bc1, out=update)
+        update /= t
+        if weight_decay:
+            np.multiply(pc, weight_decay, out=t)
+            update += t
+        update *= lr
+        pc -= update
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
@@ -56,7 +134,11 @@ def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a parameter list."""
+    """Decoupled-weight-decay Adam over a parameter list.
+
+    ``m[i]`` / ``v[i]`` have the shape and dtype of parameter ``i``,
+    and ``step`` updates ``p.data`` in place.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
                  betas: tuple = (0.9, 0.95), eps: float = 1e-8,
@@ -67,65 +149,71 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
-        self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch: Dict[np.dtype, np.ndarray] = {}
 
-    def _updates(self, grads: Optional[Sequence[np.ndarray]]):
-        """Advance the step count and both moments; yield
-        ``(i, param, update)`` for every parameter with a gradient.
-
-        ``update = (m / bc1) / (sqrt(v / bc2) + eps)`` is the same
-        sequence of float64 operations as the textbook expression, run
-        with ``out=``: the moments are updated in their own buffers and
-        the yielded array is scratch the caller may overwrite.
-        """
+    def _begin_step(self, grads: Optional[Sequence[np.ndarray]]
+                    ) -> Iterator[Tuple[int, Tensor, np.ndarray]]:
+        """Advance the step count; yield ``(i, param, grad)`` for every
+        parameter with a gradient (the others sit the step out)."""
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
         for i, p in enumerate(self.params):
             g = grads[i] if grads is not None else p.grad
-            if g is None:
-                continue
-            g = g.astype(np.float64)  # a private copy: reused below
-            m, v = self.m[i], self.v[i]
-            scratch = np.multiply(g, 1 - self.beta1)
-            m *= self.beta1
-            m += scratch
-            np.multiply(g, 1 - self.beta2, out=scratch)
-            scratch *= g
-            v *= self.beta2
-            v += scratch
-            np.divide(v, bc2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            np.divide(m, bc1, out=g)
-            g /= scratch
-            yield i, p, g
+            if g is not None:
+                yield i, p, g
+
+    def _adam(self, i: int, target: np.ndarray, grad: np.ndarray) -> None:
+        """Run the kernel on parameter ``i``'s state and ``target``."""
+        adam_update_(
+            target.reshape(-1), np.asarray(grad).reshape(-1),
+            self.m[i].reshape(-1), self.v[i].reshape(-1), self._scratch,
+            step=self.step_count, lr=self.lr, beta1=self.beta1,
+            beta2=self.beta2, eps=self.eps,
+            weight_decay=self.weight_decay)
 
     def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
         """Apply one update from ``p.grad`` (or explicit ``grads``)."""
-        for _, p, update in self._updates(grads):
-            if self.weight_decay:
-                update += self.weight_decay * p.data
-            update *= self.lr
-            np.subtract(p.data, update, out=update)
-            p.data = update.astype(p.data.dtype, copy=False)
+        for i, p, g in self._begin_step(grads):
+            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+                p.data = np.array(p.data, order="C")
+            self._adam(i, p.data, g)
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
         for p in self.params:
             p.zero_grad()
 
-    def state_nbytes(self) -> float:
-        """Bytes held by the optimizer states (m, v in FP64 here)."""
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Copies of the step count and both moments, keyed
+        ``opt/step_count``, ``opt/m/<i>``, ``opt/v/<i>`` so they merge
+        into a trainer state or a checkpoint payload."""
+        state = {"opt/step_count": np.asarray(self.step_count)}
+        for i, (m, v) in enumerate(zip(self.m, self.v)):
+            state[f"opt/m/{i}"] = m.copy()
+            state[f"opt/v/{i}"] = v.copy()
+        return state
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore what :meth:`state_dict` saved (other keys are
+        ignored).  Each moment is copied and cast once to its
+        parameter's dtype, so a checkpoint written when the moments
+        were float64 loads into a float32 model as float32."""
+        self.step_count = int(state["opt/step_count"])
+        for i, p in enumerate(self.params):
+            self.m[i] = np.array(state[f"opt/m/{i}"], dtype=p.data.dtype)
+            self.v[i] = np.array(state[f"opt/v/{i}"], dtype=p.data.dtype)
+
+    def state_nbytes(self) -> int:
+        """Bytes held by the optimizer states (both moments)."""
         return sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
 
 
 class MultiPrecisionAdamW(AdamW):
     """AdamW with FP32 main params and low-precision model params.
 
-    After every step the updated FP32 main copy is rounded into the
+    After every step the updated main copy (FP32 for a float32 model:
+    it has the parameter's dtype, like the moments) is rounded into the
     ``model_format`` and written back into the Tensors the model computes
     with.  ``p.data`` therefore always holds format-representable values,
     emulating parameters *stored* in FP8/BF16.
@@ -135,23 +223,26 @@ class MultiPrecisionAdamW(AdamW):
                  model_format: FloatFormat, **kwargs):
         super().__init__(params, **kwargs)
         self.model_format = model_format
-        # FP32 main copy, seeded from the (already-rounded) model params.
+        # Main copy, seeded from the (already-rounded) model params.
         self.main_params: List[np.ndarray] = [
-            p.data.astype(np.float64).copy() for p in self.params
+            np.array(p.data, order="C") for p in self.params
         ]
         for p, main in zip(self.params, self.main_params):
             p.data = round_to_format(main, model_format).astype(p.data.dtype)
 
     def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
-        """Update the FP32 master copy, then round into model params."""
-        for i, p, update in self._updates(grads):
+        """Update the main copy, then round into model params."""
+        for i, p, g in self._begin_step(grads):
             main = self.main_params[i]
-            if self.weight_decay:
-                update += self.weight_decay * main
-            update *= self.lr
-            main -= update
+            self._adam(i, main, g)
             p.data = round_to_format(
                 main, self.model_format).astype(p.data.dtype)
+
+    def state_nbytes(self) -> int:
+        """Bytes of the main copy plus both moments (12 B/param in
+        FP32, :func:`~repro.parallel.zero.zero_memory_model`)."""
+        return super().state_nbytes() + sum(
+            main.nbytes for main in self.main_params)
 
     def model_param_nbytes(self) -> float:
         """Wire/storage bytes of the low-precision model copy."""

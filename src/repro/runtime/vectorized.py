@@ -423,8 +423,8 @@ def vec_reduce_scatter(x: Tensor, axis: int, group: Any,
                        tile_label: str = "") -> Tensor:
     """Reduce-scatter over the rank axis of a stacked Tensor.
 
-    Forward is the *same* float64 ``np.sum`` over the rank axis the
-    per-rank path computes (``np.sum`` of a shard list stacks first),
+    Forward is the *same* rank-ordered float64 accumulation the
+    per-rank path computes (``rank_ordered_sum`` walks the rank axis),
     split back into per-rank slices.  Backward places each output grad
     at its slice of a zero full-shape array and folds in
     ascending-rank order — including the engine's ``+0.0`` additions,
@@ -432,8 +432,10 @@ def vec_reduce_scatter(x: Tensor, axis: int, group: Any,
 
     With ``tiled=True`` the forward record is split per destination
     rank (one-hot, tile ``(j, n)``) while the reduction stays the one
-    fused ``np.sum`` — mirroring the chunked per-rank path's ledger.
+    whole-tensor accumulation — mirroring the chunked per-rank path's
+    ledger.
     """
+    from ..comm.collectives import rank_ordered_sum
     from ..comm.group import tile_span
     from ..parallel.dist_ops import _one_hot
     n = int(group.size)
@@ -446,7 +448,7 @@ def vec_reduce_scatter(x: Tensor, axis: int, group: Any,
     eb = (float(elem_bytes) if elem_bytes is not None
           else float(data.itemsize))
     shard_elems = data[0].size // n
-    total = np.sum(data.astype(np.float64), axis=0)
+    total = rank_ordered_sum(data)
     group.pre_collective("reduce_scatter", tag)
     if tiled and n >= 2:
         for j in range(n):

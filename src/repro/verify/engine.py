@@ -14,8 +14,10 @@ three trainings from identical seeds —
    under the sequential rank loop, for the bitwise-identity contract —
 
 plus one untrained **dtype probe** forward whose autograd tape the
-``dtype_stable`` invariant inspects — then evaluates every registered
-invariant and folds the outcomes into a :class:`CaseResult`.
+``dtype_stable`` invariant inspects and one two-rank **DP leg** whose
+synchronized gradients and optimizer state it inspects — then
+evaluates every registered invariant and folds the outcomes into a
+:class:`CaseResult`.
 :func:`run_matrix` maps this over a case list and renders the
 conformance matrix `repro verify` prints.
 """
@@ -128,6 +130,12 @@ class RunArtifacts:
     #: case's plan, inputs before consumers (see :func:`_tape_dtypes`)
     #: — checked by ``dtype_stable``.
     tape_dtypes: List[Tuple[str, str]] = field(default_factory=list)
+    #: dtype name of every update-phase array: the case run's optimizer
+    #: state after the last step (``opt.m/<i>``, ``opt.v/<i>``) and the
+    #: DP leg's synchronized gradients and optimizer state
+    #: (``dp.grad/<name>``, ``dp.opt.m/<i>``, ...; see
+    #: :func:`_dp_leg_dtypes`) — checked by ``dtype_stable``.
+    update_dtypes: Dict[str, str] = field(default_factory=dict)
     golden: Optional[GoldenArtifacts] = None
     twin: Optional["RunArtifacts"] = None
     #: The legacy-backend twin of a DAG-backend case run.
@@ -254,6 +262,38 @@ def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
             for t in stream if t.node is not None]
 
 
+def _optimizer_dtypes(optimizer: AdamW, prefix: str) -> Dict[str, str]:
+    return {f"{prefix}.{kind}/{i}": state.dtype.name
+            for kind, states in (("m", optimizer.m), ("v", optimizer.v))
+            for i, state in enumerate(states)}
+
+
+def _dp_leg_dtypes(case: VerifyCase) -> Dict[str, str]:
+    """dtype names of what one data-parallel step leaves behind.
+
+    Two DP ranks train the case's single-rank model on one row each of
+    the first batch with the paper's BF16 all-to-all gradient sync
+    (§5): the gradients every rank *receives* and the moments AdamW
+    then holds must be in the model's dtype — only the cross-rank
+    accumulator widens (docs/INTERNALS.md §17).
+    """
+    from ..parallel.dp import DataParallelTrainer
+    model = MoETransformer(case.model_config(), seed=case.seed,
+                           dtype=np.dtype(case.dtype))
+    optimizer = AdamW(model.parameters(), lr=_LEARNING_RATE)
+    trainer = DataParallelTrainer(
+        model, World(2, 2).full_group(), optimizer,
+        lambda m, batch: m.language_model_loss(batch,
+                                               aux_coeff=_AUX_COEFF),
+        sync_method="bf16_a2a", grad_clip=_GRAD_CLIP)
+    batch = _batches(case)[0]
+    trainer.train_step([batch[:1], batch[-1:]])
+    dtypes = {f"dp.grad/{name}": p.grad.dtype.name
+              for name, p in model.named_parameters()}
+    dtypes.update(_optimizer_dtypes(optimizer, "dp.opt"))
+    return dtypes
+
+
 def _run_parallel(case: VerifyCase,
                   world_setup: Optional[Callable[[World], None]] = None
                   ) -> RunArtifacts:
@@ -320,6 +360,7 @@ def _run_parallel(case: VerifyCase,
         telemetry_missing=telemetry_missing,
         executed_ops=executed_ops,
         executed_tiles=executed_tiles,
+        update_dtypes=_optimizer_dtypes(trainer.optimizer, "opt"),
     )
 
 
@@ -410,6 +451,7 @@ def run_case(case: VerifyCase,
     """
     artifacts = _run_parallel(case, world_setup)
     artifacts.tape_dtypes = _tape_dtypes(case)
+    artifacts.update_dtypes.update(_dp_leg_dtypes(case))
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)
     if case.execution == "threaded":

@@ -503,9 +503,11 @@ def _check_comm_audit(art: "RunArtifacts") -> List[str]:
 
 
 def _check_dtype_stable(art: "RunArtifacts") -> List[str]:
-    """One compute dtype from embedding to loss (docs/INTERNALS.md
-    §17): every tape node of a forward, every gradient and every
-    updated parameter is in the model's dtype."""
+    """One compute dtype from embedding to loss and through the
+    update (docs/INTERNALS.md §17): every tape node of a forward,
+    every gradient, every updated parameter, every optimizer-state
+    array and every gradient a DP rank receives is in the model's
+    dtype."""
     want = art.case.dtype
     if not art.tape_dtypes:
         return ["no tape recorded for the dtype probe"]
@@ -528,6 +530,20 @@ def _check_dtype_stable(art: "RunArtifacts") -> List[str]:
                 f"{len(wrong)} {kind}s not {want} after the last step "
                 f"(first: {wrong[0]} is "
                 f"{arrays[wrong[0]].dtype.name})"
+            )
+    for leg, what in (("opt.", "optimizer state of the case run"),
+                      ("dp.", "DP leg")):
+        dtypes = {key: dtype for key, dtype in art.update_dtypes.items()
+                  if key.startswith(leg)}
+        wrong = sorted(key for key, dtype in dtypes.items()
+                       if dtype != want)
+        if not dtypes:
+            violations.append(f"no {what} recorded for the dtype probe")
+        elif wrong:
+            violations.append(
+                f"{len(wrong)} of {len(dtypes)} update-phase arrays "
+                f"({what}) not {want} (first: {wrong[0]} is "
+                f"{dtypes[wrong[0]]})"
             )
     return violations
 
@@ -815,8 +831,9 @@ def default_registry() -> List[Invariant]:
             name="dtype_stable",
             description="every tape node of a forward (op outputs and "
                         "collective payloads; the aux-loss statistics "
-                        "excepted), every gradient and every parameter "
-                        "is in the model's dtype",
+                        "excepted), every gradient, every parameter, "
+                        "every optimizer moment and every DP-synced "
+                        "gradient is in the model's dtype",
             applies=lambda case: True,
             check=_check_dtype_stable,
         ),

@@ -138,6 +138,59 @@ class TestMegaScaleTrainer:
         assert fresh.eval_loss(ids) == pytest.approx(
             trainer.eval_loss(ids))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_dict_replays_a_window_bit_for_bit(self, tiny_config,
+                                                     rng, dtype):
+        """The benchmark's ``timed_windows`` restores the state saved
+        after warm-up and requires the replayed losses to repeat
+        exactly; the state keeps the model's dtype both ways."""
+        model = MoETransformer(tiny_config, seed=0, dtype=dtype)
+        trainer = MegaScaleTrainer(
+            model, World(4, 4), ParallelConfig.megascale(4),
+            TrainConfig(global_batch_size=2, micro_batch_size=2,
+                        seq_len=tiny_config.seq_len, learning_rate=1e-2))
+        batches = [rng.integers(0, 64, (2, 17)) for _ in range(4)]
+        trainer.train_step(batches[0])
+        saved = trainer.state_dict()
+        assert all(v.dtype == dtype for k, v in saved.items()
+                   if k != "opt/step_count")
+        frozen = {k: v.copy() for k, v in saved.items()}
+        first = [trainer.train_step(b).loss for b in batches[1:]]
+        # the in-place updates did not reach into the saved copy
+        for k, v in saved.items():
+            np.testing.assert_array_equal(v, frozen[k])
+        trainer.load_state_dict(saved)
+        assert all(m.dtype == v.dtype == dtype for m, v in
+                   zip(trainer.optimizer.m, trainer.optimizer.v))
+        assert [trainer.train_step(b).loss for b in batches[1:]] == first
+        # and a second restore from the same dict still works
+        trainer.load_state_dict(saved)
+        assert trainer.train_step(batches[1]).loss == first[0]
+
+    def test_float64_era_checkpoint_is_cast_once(self, tiny_config, rng):
+        """Moments saved as float64 (every checkpoint before the update
+        phase moved to the parameter dtype) load into a float32 model
+        as float32 and stay float32 through the next steps."""
+        def make():
+            model = MoETransformer(tiny_config, seed=0)
+            return MegaScaleTrainer(
+                model, World(4, 4), ParallelConfig.megascale(4),
+                TrainConfig(global_batch_size=2, micro_batch_size=2,
+                            seq_len=tiny_config.seq_len))
+        trainer, twin = make(), make()
+        ids = rng.integers(0, 64, (2, 17))
+        trainer.train_step(ids)
+        state = trainer.state_dict()
+        legacy = {k: (v.astype(np.float64) if k.startswith("opt/m")
+                      or k.startswith("opt/v") else v)
+                  for k, v in state.items()}
+        twin.load_state_dict(legacy)
+        for m, v, p in zip(twin.optimizer.m, twin.optimizer.v,
+                           twin.model.parameters()):
+            assert m.dtype == v.dtype == p.data.dtype == np.float32
+        assert twin.train_step(ids).loss == trainer.train_step(ids).loss
+        assert all(m.dtype == np.float32 for m in twin.optimizer.m)
+
     def test_step_result_telemetry(self, tiny_config, rng):
         trainer = self.make(tiny_config, 4)
         ids = rng.integers(0, 64, (2, 17))

@@ -13,9 +13,13 @@ from repro.comm import (
     all_to_all_uneven,
     broadcast,
     gather,
+    rank_ordered_sum,
     reduce_scatter,
     scatter,
 )
+from repro.parallel.dist_ops import dist_all_reduce, dist_reduce_scatter
+from repro.runtime.vectorized import vec_reduce_scatter
+from repro.tensor import Tensor
 
 
 def make_shards(rng, n, shape):
@@ -107,6 +111,78 @@ class TestReduceScatter:
         reduce_scatter(g, make_shards(rng, 4, (8, 3)))
         rec = world4.ledger.records[-1]
         assert rec.send_bytes_per_rank == [6 * 8 * 3] * 4
+
+
+def stacked_sum(tensors):
+    """What every cross-rank reduction was spelled as before the
+    shared accumulator: stack float64 copies, ``np.sum`` the rank
+    axis."""
+    return np.sum(np.stack(tensors).astype(np.float64), axis=0)
+
+
+class TestRankOrderedSum:
+    """The one cross-rank accumulator is the stacked float64 sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), rows=st.integers(1, 5),
+           cols=st.integers(2, 6), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           tiled=st.booleans())
+    def test_bitwise_equal_to_stacked_sum(self, n, rows, cols, seed,
+                                          dtype, tiled):
+        rng = np.random.default_rng(seed)
+        # magnitudes spread over 12 decades so the fold order matters
+        tensors = [(rng.standard_normal((n * rows, cols))
+                    * 10.0 ** rng.integers(-6, 6, (n * rows, cols))
+                    ).astype(dtype) for _ in range(n)]
+        want = stacked_sum(tensors)
+        got = rank_ordered_sum(tensors)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            rank_ordered_sum(np.stack(tensors)), want)
+
+        def group():
+            return World(n, ranks_per_node=n).full_group()
+
+        pieces = np.split(want.astype(dtype), n)
+        outs = [
+            reduce_scatter(group(), tensors, tiled=tiled),
+            [o.data for o in dist_reduce_scatter(
+                group(), [Tensor(t) for t in tensors], tiled=tiled)],
+            vec_reduce_scatter(Tensor(np.stack(tensors)), 0, group(),
+                               tiled=tiled).data,
+        ]
+        for out in outs:
+            for j in range(n):
+                assert out[j].dtype == dtype
+                np.testing.assert_array_equal(out[j], pieces[j])
+        for out in (all_reduce(group(), tensors)[0],
+                    dist_all_reduce(group(), [Tensor(t) for t in tensors]
+                                    )[0].data):
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, want.astype(dtype))
+
+    def test_result_is_a_fresh_array_and_inputs_are_untouched(self, rng):
+        tensors = make_shards(rng, 3, (4, 2))
+        before = [t.copy() for t in tensors]
+        got = rank_ordered_sum(tensors)
+        assert not any(np.shares_memory(got, t) for t in tensors)
+        for t, b in zip(tensors, before):
+            np.testing.assert_array_equal(t, b)
+        assert rank_ordered_sum(iter(tensors[:1])) is not tensors[0]
+
+    def test_single_element_payloads_fold_left_to_right(self):
+        """``np.sum`` switches to pairwise summation when the reduced
+        axis is the only one with extent (8+ ranks reducing a scalar),
+        so there the stacked sum was *not* rank-ordered; the
+        accumulator is, everywhere."""
+        values = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0]
+        want = 0.0
+        for value in values:
+            want += value
+        got = rank_ordered_sum([np.array([x]) for x in values])
+        assert got[0] == want
 
 
 class TestAllReduce:

@@ -8,6 +8,7 @@ from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
 from repro.parallel.dp import DataParallelTrainer, zero1_memory_model
 from repro.precision.compression import (
+    GRAD_SYNC_METHODS,
     InPlaceCastBuffer,
     fp8_compressed_all_gather,
     fp8_compressed_reduce_scatter,
@@ -87,6 +88,28 @@ class TestSyncGradients:
         grads = [rng.standard_normal((4,)) for _ in range(4)]
         outs = sync_gradients(g, grads, method="fp32_rs", average=False)
         np.testing.assert_allclose(outs[0], np.sum(grads, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("method", GRAD_SYNC_METHODS)
+    def test_gradients_come_back_in_their_dtype(self, rng, world4,
+                                                 method, dtype):
+        """Only the cross-rank accumulator widens: a float32 model
+        receives float32 gradients, at unchanged wire bytes."""
+        g = world4.full_group()
+        grads = [rng.standard_normal((7, 3)).astype(dtype)
+                 for _ in range(4)]
+        world4.ledger.clear()
+        outs = sync_gradients(g, grads, method=method)
+        narrow = world4.ledger.total_bytes()
+        assert all(o.dtype == dtype and o.shape == (7, 3) for o in outs)
+        world4.ledger.clear()
+        wide = sync_gradients(g, [x.astype(np.float64) for x in grads],
+                              method=method)
+        assert world4.ledger.total_bytes() == narrow
+        # the same reduction, rounded once to the gradient dtype
+        np.testing.assert_allclose(outs[0], wide[0], rtol=1e-6, atol=1e-7)
+        if method == "bf16_a2a":
+            np.testing.assert_array_equal(outs[0], wide[0].astype(dtype))
 
     def test_unknown_method(self, rng, world4):
         with pytest.raises(ValueError, match="unknown method"):
@@ -209,6 +232,23 @@ class TestDataParallelTrainer:
         diff = np.abs(np.array(losses["fp32_rs"])
                       - np.array(losses["bf16_a2a"]))
         assert diff.max() < 5e-3
+
+    @pytest.mark.parametrize("method", GRAD_SYNC_METHODS)
+    def test_float32_model_stays_float32_through_the_update(
+            self, tiny_config, rng, method):
+        """``train_step`` used to cast every synced gradient to float64
+        and hand it to float64 moments."""
+        model = MoETransformer(tiny_config, seed=0)  # default: float32
+        opt = AdamW(model.parameters(), lr=1e-2)
+        trainer = DataParallelTrainer(
+            model, World(2, 2).full_group(), opt,
+            lambda m, b: m.language_model_loss(b, aux_coeff=0.01),
+            sync_method=method, grad_clip=1.0)
+        batches = [rng.integers(0, 64, (1, 17)) for _ in range(2)]
+        assert np.isfinite(trainer.train_step(batches).mean_loss)
+        for p, m, v in zip(trainer.params, opt.m, opt.v):
+            assert p.data.dtype == p.grad.dtype == np.float32
+            assert m.dtype == v.dtype == np.float32
 
     def test_batch_count_validation(self, tiny_config):
         world = World(2, 2)

@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import ModelConfig, ServeConfig
 from repro.model import MoETransformer
 from repro.model.moe import Expert, grouped_expert_blocks
+from repro.precision import optimizer as optimizer_mod
 from repro.precision.formats import BF16
 from repro.precision.optimizer import (
     AdamW,
@@ -447,30 +448,32 @@ class TestBackwardDrivers:
 # ---------------------------------------------------------------------------
 
 def textbook_adamw_step(p, g, m, v, t, lr, b1, b2, eps, wd):
-    """The expressions ``AdamW.step`` was written as before it went in
-    place; returns the new ``(param, m, v)``."""
-    g = g.astype(np.float64)
+    """The expressions ``AdamW.step`` was written as before it became
+    one in-place kernel, evaluated in the dtype of ``p`` — the state
+    dtype; returns the new ``(param, m, v)``."""
+    g = g.astype(p.dtype)
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
     update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     if wd:
         update = update + wd * p
-    return (p.astype(np.float64) - lr * update).astype(p.dtype), m, v
+    return p - lr * update, m, v
 
 
 class TestInPlaceOptimizer:
     @pytest.mark.parametrize("wd", [0.0, 0.1])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adamw_state_bitwise_equal_to_textbook(self, rng, wd, dtype):
-        shapes = [(5, 3), (7,), (2, 2, 2)]
+        # one parameter spans three kernel chunks, the last one partial
+        shapes = [(5, 3), (7,), (2, 2, 2), (2 * optimizer_mod._CHUNK + 9,)]
         params = [Tensor(rng.standard_normal(s).astype(dtype),
                          requires_grad=True) for s in shapes]
         opt = AdamW(params, lr=1e-2, weight_decay=wd)
-        ref = [(p.data.copy(), np.zeros(s), np.zeros(s))
+        ref = [(p.data.copy(), np.zeros(s, dtype), np.zeros(s, dtype))
                for p, s in zip(params, shapes)]
         for t in range(1, 6):
             for i, p in enumerate(params):
-                # the last parameter sits one step out
+                # the third parameter sits one step out
                 p.grad = (None if i == 2 and t == 3 else
                           rng.standard_normal(p.shape).astype(dtype))
             grads = [p.grad for p in params]
@@ -481,7 +484,8 @@ class TestInPlaceOptimizer:
                         *ref[i][:1], g, *ref[i][1:], t, 1e-2, 0.9, 0.95,
                         1e-8, wd)
             for p, m, v, (rp, rm, rv) in zip(params, opt.m, opt.v, ref):
-                assert p.data.dtype == dtype
+                assert p.data.dtype == m.dtype == v.dtype == dtype
+                assert rp.dtype == rm.dtype == rv.dtype == dtype
                 np.testing.assert_array_equal(p.data, rp)
                 np.testing.assert_array_equal(m, rm)
                 np.testing.assert_array_equal(v, rv)
@@ -493,19 +497,56 @@ class TestInPlaceOptimizer:
         AdamW([p]).step()
         np.testing.assert_array_equal(p.grad, before)
 
-    def test_multi_precision_main_params_bitwise(self, rng):
-        p = Tensor(rng.standard_normal((4, 4)).astype(np.float32),
+    def test_gradient_is_cast_to_the_state_dtype_once(self, rng):
+        """A float64 gradient handed to a float32 parameter is rounded
+        to float32 on the way in; nothing else about the update sees
+        its width, and no float64 state appears."""
+        data = rng.standard_normal(9).astype(np.float32)
+        wide = rng.standard_normal(9)
+        a, b = Tensor(data.copy()), Tensor(data.copy())
+        opt_a, opt_b = AdamW([a], lr=1e-2), AdamW([b], lr=1e-2)
+        opt_a.step([wide])
+        opt_b.step([wide.astype(np.float32)])
+        np.testing.assert_array_equal(a.data, b.data)
+        assert a.data.dtype == opt_a.m[0].dtype == np.float32
+
+    def test_read_only_and_strided_parameters_are_adopted(self, rng):
+        base = rng.standard_normal((4, 6))
+        strided = Tensor(base.T)                       # not C-contiguous
+        frozen = Tensor(np.broadcast_to(base[0], (4, 6)))  # read-only
+        twin_s, twin_f = Tensor(base.T.copy()), Tensor(frozen.data.copy())
+        g = rng.standard_normal((6, 4)), rng.standard_normal((4, 6))
+        AdamW([strided, frozen], lr=1e-2).step(list(g))
+        AdamW([twin_s, twin_f], lr=1e-2).step(list(g))
+        np.testing.assert_array_equal(strided.data, twin_s.data)
+        np.testing.assert_array_equal(frozen.data, twin_f.data)
+
+    def test_foreign_state_dtype_is_a_typed_error(self, rng):
+        p = Tensor(rng.standard_normal(4).astype(np.float32))
+        opt = AdamW([p])
+        opt.m[0] = opt.m[0].astype(np.float64)   # not via load_state_dict
+        with pytest.raises(TypeError, match="load_state_dict"):
+            opt.step([np.ones(4, dtype=np.float32)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_multi_precision_main_params_bitwise(self, rng, dtype):
+        p = Tensor(rng.standard_normal((4, 4)).astype(dtype),
                    requires_grad=True)
         opt = MultiPrecisionAdamW([p], BF16, lr=1e-2, weight_decay=0.05)
-        main, m, v = opt.main_params[0].copy(), np.zeros((4, 4)), \
-            np.zeros((4, 4))
+        main = opt.main_params[0].copy()
+        m, v = np.zeros((4, 4), dtype), np.zeros((4, 4), dtype)
         for t in range(1, 6):
-            p.grad = rng.standard_normal((4, 4)).astype(np.float32)
+            p.grad = rng.standard_normal((4, 4)).astype(dtype)
             opt.step()
             main, m, v = textbook_adamw_step(
                 main, p.grad, m, v, t, 1e-2, 0.9, 0.95, 1e-8, 0.05)
+            assert opt.main_params[0].dtype == opt.m[0].dtype == dtype
+            assert p.data.dtype == dtype
             np.testing.assert_array_equal(opt.main_params[0], main)
             np.testing.assert_array_equal(opt.m[0], m)
+            np.testing.assert_array_equal(opt.v[0], v)
+        # FP32 main copy + both moments: the 12 B/param ZeRO charges
+        assert opt.state_nbytes() == 3 * p.size * np.dtype(dtype).itemsize
 
     def test_clip_grad_norm_bitwise_and_alias_safe(self, rng):
         grads = [rng.standard_normal(s).astype(np.float32) * 10

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.comm import World
+from repro.comm import World, rank_ordered_sum
 from repro.core import MODEL_ZOO, ModelConfig, ParallelConfig
 from repro.core.autoschedule import AutoScheduler
 from repro.core.checkpoint import (
@@ -141,12 +141,102 @@ class TestZero1AdamW:
         zero.step()
         np.testing.assert_allclose(p_zero.data, p_full.data, atol=1e-12)
 
-    def test_state_bytes_sharded(self, rng):
-        params = [Tensor(rng.standard_normal(64), requires_grad=True)]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("presynced", [False, True])
+    def test_idle_experts_sit_the_step_out_like_adamw(self, rng, dtype,
+                                                      presynced):
+        """Skewed routing leaves experts without a gradient (36 of 61
+        tensors at the sixth step of the Zipf workload).  AdamW skips them;
+        ZeRO-1 used to feed them zeros, which decays their moments and
+        moves them.  Sharded and full updates are bit-identical, with
+        parameters straddling shard boundaries and the padded tail."""
+        n = 4
+        shapes = [(6, 4), (5,), (3, 3, 2), (7,), (3, 5)]
+        full_params = [Tensor(rng.standard_normal(s).astype(dtype),
+                              requires_grad=True) for s in shapes]
+        zero_params = [Tensor(p.data.copy(), requires_grad=True)
+                       for p in full_params]
+        full = AdamW(full_params, lr=1e-2, weight_decay=0.1)
+        zero = Zero1AdamW(zero_params, World(n, n).full_group(), lr=1e-2,
+                          weight_decay=0.1)
+        assert zero.padded > zero.numel  # the tail is padding
+        # step -> parameters no rank has a gradient for
+        idle = {1: {1, 3}, 2: {0}, 3: set(), 4: {2, 3, 4}}
+        for step in range(1, 5):
+            def grad(i, rank):
+                if i in idle[step]:
+                    return None
+                if i == 4 and rank == 1 and not presynced:
+                    return None  # one rank's backward skipped it
+                return rng.standard_normal(shapes[i]).astype(dtype)
+
+            if presynced:
+                for i, p in enumerate(zero_params):
+                    p.grad = grad(i, 0)
+                per_rank = [[p.grad for p in zero_params]] * n
+                zero.step()
+            else:
+                per_rank = [[grad(i, r) for i in range(len(shapes))]
+                            for r in range(n)]
+                zero.step(per_rank_grads=per_rank)
+            before = [p.data.copy() for p in full_params]
+            full.step(grads=[
+                None if i in idle[step] else
+                rank_ordered_sum(
+                    [np.zeros(s, dtype) if g[i] is None else g[i]
+                     for g in per_rank]).astype(dtype) * (1.0 / n)
+                for i, s in enumerate(shapes)])
+            for i in idle[step]:
+                np.testing.assert_array_equal(full_params[i].data,
+                                              before[i])
+            for a, b in zip(full_params, zero_params):
+                assert b.data.dtype == dtype
+                np.testing.assert_array_equal(b.data, a.data)
+            for shards, states in ((zero.m_shards, full.m),
+                                   (zero.v_shards, full.v)):
+                flat = np.concatenate(shards)
+                assert flat.dtype == dtype
+                np.testing.assert_array_equal(
+                    flat[:zero.numel],
+                    np.concatenate([x.reshape(-1) for x in states]))
+                assert not flat[zero.numel:].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_bytes_sharded(self, rng, dtype):
+        params = [Tensor(rng.standard_normal(62).astype(dtype),
+                         requires_grad=True)]
         world = World(4, 4)
         zero = Zero1AdamW(params, world.full_group())
-        # Each rank holds master+m+v for 1/4 of the (padded) params.
-        assert zero.state_nbytes_per_rank() == 3 * 16 * 8.0
+        # Each rank holds master+m+v for 1/4 of the (padded) params,
+        # in the parameters' dtype: real bytes, not a priced constant.
+        itemsize = np.dtype(dtype).itemsize
+        assert zero.state_nbytes_per_rank() == 3 * 16 * itemsize
+        assert all(s.dtype == dtype for s in zero.master_shards
+                   + zero.m_shards + zero.v_shards)
+        if dtype == np.float32:
+            # ... which for the default model is the 12 B/param
+            # (FP32 master + two FP32 moments) the memory model charges.
+            model = zero_memory_model(zero.padded, 4, stage=1)
+            assert zero.state_nbytes_per_rank() == model["optimizer"]
+            assert AdamW(params).state_nbytes() == 8 * 62
+
+    def test_float64_era_shard_state_is_cast_once(self, rng):
+        params = [Tensor(rng.standard_normal(10).astype(np.float32),
+                         requires_grad=True)]
+        zero = Zero1AdamW(params, World(2, 2).full_group())
+        params[0].grad = rng.standard_normal(10).astype(np.float32)
+        zero.step()
+        state = zero.shard_state_dict()
+        wide = dict(state, **{k: [s.astype(np.float64) for s in state[k]]
+                              for k in ("master", "m", "v")})
+        zero.load_shard_state_dict(wide)
+        for name in ("master", "m", "v"):
+            for got, want in zip(getattr(zero, f"{name}_shards"),
+                                 state[name]):
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, want)
+        zero.step()  # the kernel would reject float64 moments
+        assert params[0].data.dtype == np.float32
 
     def test_comm_pattern_recorded(self, rng):
         params = [Tensor(rng.standard_normal(16), requires_grad=True)]

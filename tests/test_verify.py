@@ -21,7 +21,11 @@ from repro.verify import (
     tolerance_for_precision,
 )
 from repro.verify import invariants as inv
-from repro.verify.engine import _run_golden, _run_parallel
+from repro.verify.engine import (
+    _dp_leg_dtypes,
+    _run_golden,
+    _run_parallel,
+)
 from repro.verify.fuzz import (
     _shrink_candidates,
     corrupting_world_setup,
@@ -293,11 +297,34 @@ class TestDtypeContract:
         # The float64 legs cannot see it: the cast is a no-op there.
         assert run_case(small_case(**kw)).ok
 
+    def test_float64_dp_gradients_are_caught(self, monkeypatch):
+        """The parent commit's DP sync handed back float64 gradients
+        whatever it was given (its float64 moments are the tampered
+        artifact below; the kernel itself now rejects them)."""
+        from repro.parallel import dp
+        sync = dp.sync_gradients
+        monkeypatch.setattr(
+            dp, "sync_gradients",
+            lambda *a, **kw: [g.astype(np.float64)
+                              for g in sync(*a, **kw)])
+        kw = dict(ranks=2, experts=4, top_k=2, seq=8)
+        stable = run_case(small_case(dtype="float32", **kw)
+                          ).outcome("dtype_stable")
+        assert stable.status == "fail"
+        assert "(DP leg) not float32 (first: dp.grad/" in stable.detail
+        # The float64 legs cannot see it: the cast is a no-op there.
+        assert run_case(small_case(**kw)).ok
+
     def test_flags_widened_grads_and_params(self):
         case = small_case(dtype="float32")
         art = _run_parallel(case)
         art.tape_dtypes = [("rope", "float32")]
+        assert "no DP leg" in inv._check_dtype_stable(art)[0]
+        art.update_dtypes.update(_dp_leg_dtypes(case))
         assert inv._check_dtype_stable(art) == []
+        art.update_dtypes["opt.v/3"] = "float64"
+        assert "opt.v/3 is float64" in inv._check_dtype_stable(art)[0]
+        art.update_dtypes["opt.v/3"] = "float32"
         name = next(iter(art.params))
         art.params[name] = art.params[name].astype(np.float64)
         art.final_grads[name] = art.final_grads[name].astype(np.float64)
