@@ -514,8 +514,7 @@ def cmd_serve_demo(args) -> int:
     model = MoETransformer(config, seed=0, dtype=np.float64)
     serve = ServeConfig(attention_ranks=2, expert_ranks=2,
                         kv_block_size=4, kv_blocks=args.kv_blocks,
-                        max_batch_size=args.batch,
-                        execution=args.execution)
+                        max_batch_size=args.batch)
     if args.trace == "poisson":
         requests = poisson_trace(n, rate=0.5, vocab=64, seed=args.seed)
     else:
@@ -537,7 +536,7 @@ def cmd_serve_demo(args) -> int:
 
     print(f"served {len(result.results)} requests in "
           f"{result.n_iterations} iterations "
-          f"(batch <= {serve.max_batch_size}, {args.execution}, "
+          f"(batch <= {serve.max_batch_size}, "
           f"{len(engine.placement.attn_ranks)} attn + "
           f"{len(engine.placement.expert_ranks)} expert ranks)")
     print(f"{'req':>4s} {'arrive':>7s} {'finish':>7s} {'lat':>6s} "
@@ -724,9 +723,6 @@ def main(argv=None) -> int:
     serve.add_argument("--kv-blocks", type=int, default=64,
                        help="paged KV pool size (small values force "
                             "mid-stream evictions)")
-    serve.add_argument("--execution", default="sequential",
-                       choices=["sequential", "threaded"],
-                       help="attention-rank fan-out mode")
     serve.add_argument("--crash-at", type=int, default=None,
                        metavar="CALL",
                        help="inject a rank crash at the Nth collective "

@@ -37,7 +37,7 @@ overhead.  ``all_gather`` / ``all_reduce`` then return the *same*
 array object to every rank, ``reduce_scatter`` / ``all_to_all`` return
 slice views, and ``all_to_all_uneven`` assembles each destination into
 one preallocated buffer.  Consumers must treat delivered buffers as
-read-only (all engine code does — see ``docs/INTERNALS.md`` §8).  With
+read-only (all engine code does — see ``docs/INTERNALS.md`` §2).  With
 a plan attached the private-copy path is kept, because
 ``FaultPlan.corrupt`` bit-flips one delivered buffer in place and each
 rank must observe its own payload.  **Ledger byte accounting is

@@ -138,7 +138,7 @@ class CommLedger:
     #: must read these, never the bounded :attr:`records` list.
     cumulative: Dict[Tuple[str, str], Dict[str, float]] = field(
         default_factory=dict, repr=False)
-    #: Guards record/rotation when SPMD rank threads record concurrently
+    #: Guards record/rotation when caller threads record concurrently
     #: (reads snapshot ``records`` under the GIL and stay lock-free).
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)

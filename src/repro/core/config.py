@@ -329,11 +329,9 @@ class TrainConfig:
     #: Token-drop capacity factor; 0 disables dropping (§3.2).
     capacity_factor: float = 0.0
     #: Rank-execution engine: "sequential" (classic per-rank loops),
-    #: "threaded" (one thread per rank with rendezvous collectives —
-    #: bitwise-identical results), "vectorized" (all ranks stacked on a
-    #: leading axis, one batched kernel per op — bitwise-identical,
-    #: requires the "dag" backend), or None to defer to the
-    #: ``REPRO_EXECUTION`` environment variable.
+    #: "vectorized" (all ranks stacked on a leading axis, one batched
+    #: kernel per op — bitwise-identical, requires the "dag" backend),
+    #: or None to defer to the ``REPRO_EXECUTION`` environment variable.
     execution: Optional[str] = None
     #: Numeric backend: "engine" (classic per-engine call chains),
     #: "dag" (the schedule-ordered DAG executor — bitwise-identical
@@ -343,7 +341,7 @@ class TrainConfig:
     #: Attention-output dropout probability (0 disables).  Randomness
     #: comes from per-rank child streams spawned off ``dropout_seed``
     #: (:class:`~repro.runtime.rng.RankRngPool`), so sequential and
-    #: threaded execution stay bitwise-identical with dropout on.
+    #: vectorized execution stay bitwise-identical with dropout on.
     dropout: float = 0.0
     #: Seed for the per-rank dropout streams.
     dropout_seed: int = 1234
@@ -360,11 +358,10 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.global_batch_size < 1 or self.micro_batch_size < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.execution not in (None, "sequential", "threaded",
-                                  "vectorized"):
+        if self.execution not in (None, "sequential", "vectorized"):
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; expected "
-                "None, 'sequential', 'threaded', or 'vectorized'"
+                "None, 'sequential', or 'vectorized'"
             )
         if self.backend not in (None, "engine", "dag"):
             raise ValueError(
@@ -414,10 +411,6 @@ class ServeConfig:
     kv_blocks: int = 128
     #: Maximum concurrently active (admitted) requests.
     max_batch_size: int = 4
-    #: "sequential" runs attention work on the scheduler thread;
-    #: "threaded" fans per-rank attention work out to a worker pool
-    #: (bitwise-identical results — the batch axis is scheduling-only).
-    execution: str = "sequential"
     #: Virtual-clock cost of one scheduler iteration (fixed part).
     iteration_cost: float = 1.0
     #: Additional virtual-clock cost per prefill token.
@@ -449,11 +442,6 @@ class ServeConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got "
                 f"{self.max_batch_size}"
-            )
-        if self.execution not in ("sequential", "threaded"):
-            raise ValueError(
-                f"unknown serve execution {self.execution!r}; expected "
-                "'sequential' or 'threaded'"
             )
         if self.max_new_tokens < 1:
             raise ValueError(

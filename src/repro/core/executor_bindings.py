@@ -11,10 +11,6 @@ one engine method computes together, e.g. the grouped-GEMM chain
 * ``seq`` — the whole-world callable used by the sequential backend:
   it sees every rank's activations and issues the classic ``dist_*``
   collectives;
-* ``rank`` — the per-rank callable used by the thread-per-rank backend:
-  it sees one rank's activations and a
-  :class:`~repro.runtime.spmd.RankComm` whose collectives rendezvous
-  with the peer threads;
 * ``vec`` (optional) — the all-ranks-at-once callable used by the
   vectorized backend (:mod:`repro.runtime.vectorized`): it sees every
   rank's activations stacked on a leading rank axis and runs one
@@ -22,10 +18,10 @@ one engine method computes together, e.g. the grouped-GEMM chain
   Bindings without a ``vec`` handler fall back to ``seq`` inside the
   same vectorized run.
 
-The ``seq``/``rank`` flavors call the *same* per-op engine methods
-(``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …), so
-the autograd tape they build is structurally identical to the legacy
-engine path — which is why ``repro verify`` can demand bitwise equality
+The ``seq`` flavor calls the *same* per-op engine methods
+(``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …) as
+the legacy engine path, so the autograd tape it builds is structurally
+identical — which is why ``repro verify`` can demand bitwise equality
 between the two.  The ``vec`` flavor builds a *different* (batched)
 tape whose per-rank slices and gradient-accumulation order are
 nonetheless bitwise-identical to the per-rank tapes — the
@@ -56,7 +52,6 @@ __all__ = [
     "OpBinding",
     "build_layer_bindings",
     "expand_task",
-    "forward_binding",
     "layer_program",
     "per_rank",
     "unit_map",
@@ -92,20 +87,6 @@ class _SeqCtx:
         self.env = env
 
 
-class _RankCtx:
-    """One rank's view for the thread-per-rank backend."""
-
-    __slots__ = ("comm", "env")
-
-    def __init__(self, comm: Any, env: Dict[str, Any]):
-        self.comm = comm
-        #: anchor name -> this rank's value.
-        self.env = env
-
-    def get(self, name: str) -> Any:
-        return self.env[name]
-
-
 @dataclass(frozen=True)
 class OpBinding:
     """Numeric handler for one forward-graph op (or covers group).
@@ -121,7 +102,6 @@ class OpBinding:
             consumes.  Must all be produced earlier in any valid
             topological execution order — the executor checks this.
         seq: Whole-world handler; returns the per-rank value list.
-        rank: Per-rank handler; returns this rank's value.
         vec: Optional rank-stacked handler for the vectorized backend;
             returns the stacked value (or a tuple of stacked values).
             ``None`` means the vectorized executor falls back to
@@ -132,7 +112,6 @@ class OpBinding:
     covers: Tuple[str, ...]
     reads: Tuple[str, ...]
     seq: Callable[[_SeqCtx], List[Any]]
-    rank: Callable[[_RankCtx], Any]
     vec: Optional[Callable[[Any], Any]] = None
 
 
@@ -142,36 +121,14 @@ def with_vec(binding: OpBinding,
     return replace(binding, vec=fn)
 
 
-def forward_binding(op: str, reads: Sequence[str],
-                    fn: Callable[[_SeqCtx], List[Any]],
-                    covers: Optional[Sequence[str]] = None) -> OpBinding:
-    """A sequential-only binding for forward-only (serving) programs.
-
-    Inference decode graphs run through the DAG executor's sequential
-    path exclusively — there is no per-rank-thread flavor (the serve
-    scheduler owns its own worker pool for the batch axis), so the
-    ``rank`` handler raises if a threaded-SPMD run ever reaches it.
-    """
-    covers_t = tuple(covers) if covers is not None else (op,)
-
-    def no_rank(ctx: _RankCtx) -> Any:
-        raise NotImplementedError(
-            f"binding {op!r} is forward-only; it has no per-rank-thread "
-            "handler"
-        )
-
-    return OpBinding(op, covers_t, tuple(reads), fn, no_rank)
-
-
 def per_rank(op: str, reads: Sequence[str],
              fn: Callable[[int, Callable[[str], Any]], Any],
              covers: Optional[Sequence[str]] = None) -> OpBinding:
-    """Lift one per-rank function into both backend flavors.
+    """Lift one per-rank function into a ``seq`` handler.
 
     ``fn(r, get)`` computes rank ``r``'s value from ``get(name)`` — the
-    rank's slice of an earlier anchor's value.  The sequential backend
-    loops ranks in order; the threaded backend calls it once per rank
-    thread.  Only valid for ops with no communication.
+    rank's slice of an earlier anchor's value; the handler loops ranks
+    in order.  Only valid for ops with no communication.
     """
     covers_t = tuple(covers) if covers is not None else (op,)
 
@@ -183,10 +140,7 @@ def per_rank(op: str, reads: Sequence[str],
             out.append(fn(r, get))
         return out
 
-    def rank(ctx: _RankCtx) -> Any:
-        return fn(ctx.comm.index, ctx.get)
-
-    return OpBinding(op, covers_t, tuple(reads), seq, rank)
+    return OpBinding(op, covers_t, tuple(reads), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +181,9 @@ def _sp_attention_bindings(engine: Any, seq_len: int,
                                    tile_label="qkv_a2a")
         return list(zip(q_full, k_full, v_full))
 
-    def rank_qkv_a2a(ctx: _RankCtx) -> Any:
-        q, k, v = ctx.get("rope")
-        comm = ctx.comm
-        q_full = comm.all_to_all(q, split_axis=2, concat_axis=1,
-                                 elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                 tiles=t_qkv, tile_axis=1,
-                                 tile_label="qkv_a2a")
-        k_full = comm.all_to_all(k, split_axis=2, concat_axis=1,
-                                 elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                 tiles=t_qkv, tile_axis=1,
-                                 tile_label="qkv_a2a")
-        v_full = comm.all_to_all(v, split_axis=2, concat_axis=1,
-                                 elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                 tiles=t_qkv, tile_axis=1,
-                                 tile_label="qkv_a2a")
-        return q_full, k_full, v_full
-
     def seq_attn_a2a(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_all_to_all(
             group, ctx.env["attention"], split_axis=1, concat_axis=2,
-            elem_bytes=eb, tag="sp_attn:attn_a2a",
-            tiles=t_attn, tile_axis=1, tile_label="attn_a2a")
-
-    def rank_attn_a2a(ctx: _RankCtx) -> Any:
-        return ctx.comm.all_to_all(
-            ctx.get("attention"), split_axis=1, concat_axis=2,
             elem_bytes=eb, tag="sp_attn:attn_a2a",
             tiles=t_attn, tile_axis=1, tile_label="attn_a2a")
 
@@ -285,13 +216,13 @@ def _sp_attention_bindings(engine: Any, seq_len: int,
                  lambda ctx: eng.vec_rope(ctx.stacked("qkv_proj"),
                                           local_s)),
         OpBinding("qkv_a2a", ("qkv_a2a",), ("rope",),
-                  seq_qkv_a2a, rank_qkv_a2a, vec=vec_qkv_a2a),
+                  seq_qkv_a2a, vec_qkv_a2a),
         with_vec(per_rank("attention", ("qkv_a2a",),
                           lambda r, get: eng.op_attention(
                               get("qkv_a2a"))),
                  lambda ctx: eng.vec_attention(ctx.stacked("qkv_a2a"))),
         OpBinding("attn_a2a", ("attn_a2a",), ("attention",),
-                  seq_attn_a2a, rank_attn_a2a, vec=vec_attn_a2a),
+                  seq_attn_a2a, vec_attn_a2a),
         with_vec(per_rank("out_proj", ("attn_a2a",),
                           lambda r, get: eng.op_out_proj(
                               get("attn_a2a"), r)),
@@ -314,22 +245,10 @@ def _tp_attention_bindings(engine: Any,
             group, ctx.env["ln1"], axis=1, elem_bytes=eb,
             tag="tp_attn:ag", tiled=ag_tiled, tile_label="attn_ag")
 
-    def rank_ag(ctx: _RankCtx) -> Any:
-        return ctx.comm.all_gather(ctx.get("ln1"), axis=1,
-                                   elem_bytes=eb, tag="tp_attn:ag",
-                                   tiled=ag_tiled,
-                                   tile_label="attn_ag")
-
     def seq_rs(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_reduce_scatter(
             group, ctx.env["out_proj"], axis=1, elem_bytes=eb,
             tag="tp_attn:rs", tiled=rs_tiled, tile_label="attn_rs")
-
-    def rank_rs(ctx: _RankCtx) -> Any:
-        return ctx.comm.reduce_scatter(ctx.get("out_proj"), axis=1,
-                                       elem_bytes=eb, tag="tp_attn:rs",
-                                       tiled=rs_tiled,
-                                       tile_label="attn_rs")
 
     def vec_ag(ctx: Any) -> Any:
         from ..runtime.vectorized import vec_all_gather
@@ -345,8 +264,7 @@ def _tp_attention_bindings(engine: Any,
                                   tile_label="attn_rs")
 
     return [
-        with_vec(OpBinding("attn_ag", ("attn_ag",), ("ln1",),
-                           seq_ag, rank_ag), vec_ag),
+        OpBinding("attn_ag", ("attn_ag",), ("ln1",), seq_ag, vec_ag),
         with_vec(per_rank("qkv_proj", ("attn_ag",),
                           lambda r, get: eng.op_qkv(get("attn_ag"), r)),
                  lambda ctx: eng.vec_qkv(ctx.stacked("attn_ag"))),
@@ -360,8 +278,8 @@ def _tp_attention_bindings(engine: Any,
                           lambda r, get: eng.op_out_proj(
                               get("attention"), r)),
                  lambda ctx: eng.vec_out_proj(ctx.stacked("attention"))),
-        with_vec(OpBinding("attn_rs", ("attn_rs",), ("out_proj",),
-                           seq_rs, rank_rs), vec_rs),
+        OpBinding("attn_rs", ("attn_rs",), ("out_proj",), seq_rs,
+                  vec_rs),
     ]
 
 
@@ -391,28 +309,9 @@ def _ep_a2a_bindings(engine: Any,
                 for flat, routing, weights
                 in zip(flats, routings, weight_ts)]
 
-    def rank_router(ctx: _RankCtx) -> Any:
-        flat = ffn._flatten([ctx.get("ln2")])[0]
-        routing, weights = ffn.op_route(flat)
-        aux = ctx.comm.exchange(
-            ("ep_ffn", "aux"), (flat, routing),
-            lambda slots: ffn._global_aux_loss(
-                [s[0] for s in slots], [s[1] for s in slots]))
-        return flat, routing, weights, aux
-
     def seq_scatter(ctx: _SeqCtx) -> List[Any]:
         return [ffn.op_scatter_a2a(flat, routing)
                 for flat, routing, _, _ in ctx.env["router"]]
-
-    def rank_scatter(ctx: _RankCtx) -> Any:
-        flat, routing, _, _ = ctx.get("router")
-        rows, meta, splits = ffn.op_scatter_a2a(flat, routing)
-        # Peers' metadata — the sequential backend reads it straight
-        # out of the whole-world scatter values.
-        shared = ctx.comm.gossip("ep_ffn:meta", (meta, splits))
-        metas = [s[0] for s in shared]
-        all_splits = [s[1] for s in shared]
-        return rows, meta, splits, metas, all_splits
 
     def seq_dispatch(ctx: _SeqCtx) -> List[Any]:
         send_rows = [v[0] for v in ctx.env["scatter"]]
@@ -423,12 +322,6 @@ def _ep_a2a_bindings(engine: Any,
             tag="ep_ffn:dispatch_a2a", tiled=dispatch_tiled,
             tile_label="dispatch_a2a")
 
-    def rank_dispatch(ctx: _RankCtx) -> Any:
-        rows, _, splits = ctx.get("scatter")[:3]
-        return ctx.comm.all_to_all_uneven(
-            rows, splits, elem_bytes=eb, tag="ep_ffn:dispatch_a2a",
-            tiled=dispatch_tiled, tile_label="dispatch_a2a")
-
     def seq_experts(ctx: _SeqCtx) -> List[Any]:
         metas = [v[1] for v in ctx.env["scatter"]]
         all_splits = [v[2] for v in ctx.env["scatter"]]
@@ -438,25 +331,12 @@ def _ep_a2a_bindings(engine: Any,
             for j in range(n)
         ]
 
-    def rank_experts(ctx: _RankCtx) -> Any:
-        metas, all_splits = ctx.get("scatter")[3:5]
-        return ffn.op_experts_a2a(ctx.get("dispatch_a2a"), metas,
-                                  all_splits, ctx.comm.index)
-
     def seq_combine(ctx: _SeqCtx) -> List[Any]:
         all_splits = [v[2] for v in ctx.env["scatter"]]
         back_splits = [[all_splits[i][j] for i in range(n)]
                        for j in range(n)]
         return _dist_ops().dist_all_to_all_uneven(
             group, ctx.env["fc1"], back_splits, elem_bytes=eb,
-            tag="ep_ffn:combine_a2a")
-
-    def rank_combine(ctx: _RankCtx) -> Any:
-        all_splits = ctx.get("scatter")[4]
-        j = ctx.comm.index
-        back_splits = [all_splits[i][j] for i in range(n)]
-        return ctx.comm.all_to_all_uneven(
-            ctx.get("fc1"), back_splits, elem_bytes=eb,
             tag="ep_ffn:combine_a2a")
 
     def weighted(r: int, get: Callable[[str], Any]) -> Any:
@@ -467,17 +347,15 @@ def _ep_a2a_bindings(engine: Any,
                                        get("ln2").shape)
 
     return [
-        OpBinding("router", ("router",), ("ln2",),
-                  seq_router, rank_router),
+        OpBinding("router", ("router",), ("ln2",), seq_router),
         OpBinding("scatter", ("scatter",), ("ln2", "router"),
-                  seq_scatter, rank_scatter),
+                  seq_scatter),
         OpBinding("dispatch_a2a", ("dispatch_a2a",), ("scatter",),
-                  seq_dispatch, rank_dispatch),
+                  seq_dispatch),
         OpBinding("fc1", ("fc1", "fc3", "swiglu", "fc2"),
-                  ("dispatch_a2a", "scatter"),
-                  seq_experts, rank_experts),
+                  ("dispatch_a2a", "scatter"), seq_experts),
         OpBinding("combine_a2a", ("combine_a2a",), ("fc1", "scatter"),
-                  seq_combine, rank_combine),
+                  seq_combine),
         per_rank("weighted_sum",
                  ("combine_a2a", "scatter", "router", "ln2"), weighted),
     ]
@@ -499,11 +377,9 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
     eb = ffn.elem_bytes
     if flavor == "ep":
         ag_tag, rs_tag = "ep_ffn:dispatch_ag", "ep_ffn:combine_rs"
-        gossip_label = "ep_ffn:t_local"
         ag_key, rs_key = "ag+scatter+ggemm", "ggemm+gather+rs"
     else:
         ag_tag, rs_tag = "tp_ffn:ag", "tp_ffn:rs"
-        gossip_label = "tp_ffn:t_local"
         ag_key, rs_key = "tp_ffn_ag+gemm", "tp_ffn_gemm+rs"
     # Source/dest-rank tile swizzle (§4.2); the FP8-wire collectives
     # keep their fused quantize-transfer kernels whole.
@@ -527,21 +403,6 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
                 group, flats, axis=0, elem_bytes=eb, tag=ag_tag,
                 tiled=ag_tiled, tile_label="ffn_ag")
         return [(full, t_locals) for full in fulls]
-
-    def rank_ag(ctx: _RankCtx) -> Any:
-        shard = ctx.get("ln2")
-        flat = shard.reshape(-1, shard.shape[-1]) if shard.ndim == 3 \
-            else shard
-        t_locals = ctx.comm.gossip(gossip_label, flat.shape[0])
-        if ffn.fp8_comm:
-            from ..parallel.dist_ops_fp8 import dist_all_gather_fp8
-            full = ctx.comm.collective(dist_all_gather_fp8, flat,
-                                       tag=ag_tag)
-        else:
-            full = ctx.comm.all_gather(flat, axis=0, elem_bytes=eb,
-                                       tag=ag_tag, tiled=ag_tiled,
-                                       tile_label="ffn_ag")
-        return full, t_locals
 
     def route(r: int, get: Callable[[str], Any]) -> Any:
         return ffn.op_route_full(get("ffn_ag")[0])
@@ -581,28 +442,15 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
         return [flat.reshape(*shard.shape)
                 for flat, shard in zip(out_flats, ctx.env["ln2"])]
 
-    def rank_rs(ctx: _RankCtx) -> Any:
-        if ffn.fp8_comm:
-            from ..parallel.dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flat = ctx.comm.collective(dist_reduce_scatter_fp8,
-                                           ctx.get("gather"),
-                                           tag=rs_tag)
-        else:
-            out_flat = ctx.comm.reduce_scatter(
-                ctx.get("gather"), axis=0, elem_bytes=eb, tag=rs_tag,
-                tiled=rs_tiled, tile_label="ffn_rs")
-        return out_flat.reshape(*ctx.get("ln2").shape)
-
     return [
-        OpBinding("ffn_ag", ("ffn_ag",), ("ln2",), seq_ag, rank_ag),
+        OpBinding("ffn_ag", ("ffn_ag",), ("ln2",), seq_ag),
         per_rank("router", ("ffn_ag",), route),
         per_rank("scatter", ("ffn_ag", "router"), scatter),
         per_rank("fc1", ("scatter",), experts,
                  covers=("fc1", "fc3", "swiglu", "fc2")),
         per_rank("gather", ("fc1", "scatter", "router", "ffn_ag"),
                  gather),
-        OpBinding("ffn_rs", ("ffn_rs",), ("gather", "ln2"),
-                  seq_rs, rank_rs),
+        OpBinding("ffn_rs", ("ffn_rs",), ("gather", "ln2"), seq_rs),
     ]
 
 

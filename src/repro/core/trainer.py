@@ -38,8 +38,7 @@ from ..model.transformer import MoETransformer
 from ..parallel.block import ParallelBlockEngine
 from ..precision.optimizer import AdamW, clip_grad_norm
 from ..precision.policy import PrecisionPolicy
-from ..runtime import backward as runtime_backward
-from ..runtime import make_executor, resolve_backend, resolve_execution
+from ..runtime import resolve_backend, resolve_execution
 from ..tensor import Tensor, ops
 from .config import ParallelConfig, TrainConfig
 
@@ -97,12 +96,12 @@ class MegaScaleTrainer:
         self.parallel = parallel
         self.train_cfg = train
         #: Resolved execution mode (config > ``REPRO_EXECUTION`` env >
-        #: sequential): "sequential", "threaded", or "vectorized" —
-        #: all bitwise-identical (docs/INTERNALS.md §8, §12).
+        #: sequential): "sequential" or "vectorized" — bitwise-
+        #: identical (docs/INTERNALS.md §12).
         self.execution = resolve_execution(train.execution)
-        #: SPMD executor for ``execution="threaded"`` (None = classic
-        #: sequential rank loops; vectorized mode is single-threaded).
-        self.executor = make_executor(self.execution)
+        #: Always None; read only by the frozen
+        #: benchmarks/wallclock/train_workload.py::phases.
+        self.executor = None
         #: Numeric backend (config > ``REPRO_BACKEND`` env > "engine").
         #: "dag" compiles one LayerProgram — forward IR + overlap
         #: schedule — and runs every layer through the DagExecutor in
@@ -146,8 +145,8 @@ class MegaScaleTrainer:
         # FFN collectives (per-token forward, grouped-channel backward).
         fp8_comm = train.precision == "fp8"
         # Dropout randomness: one child stream per rank, spawned from a
-        # single seed, so threaded rank threads never share a generator
-        # and both execution modes draw identical per-rank masks.
+        # single seed, so both execution modes draw identical per-rank
+        # masks.
         self.rng_pool = None
         if train.dropout > 0.0:
             from ..runtime.rng import RankRngPool
@@ -218,7 +217,6 @@ class MegaScaleTrainer:
         vectorized = self.execution == "vectorized"
         for engine in self.engines:
             shards, aux = engine.forward(shards, seq,
-                                         executor=self.executor,
                                          dag_program=dag_program,
                                          remat_plan=self.remat_plan,
                                          vectorized=vectorized)
@@ -268,10 +266,7 @@ class MegaScaleTrainer:
                 else:
                     total, lm, aux = self.loss(token_ids)
             with self._span("backward", phase="backward"):
-                runtime_backward(
-                    total, executor=self.executor,
-                    fault_plan=self.world.fault_plan,
-                    tracer=self.world.tracer)
+                total.backward()
                 for engine in self.engines:
                     engine.sync_grads_to_reference()
                 if self.vocab_parallel:

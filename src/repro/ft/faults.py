@@ -188,8 +188,8 @@ class FaultPlan:
         self.fired: List[FaultEvent] = []
         self._corrupt_pending = False
         # before()/corrupt() mutate the call counter, the RNG stream,
-        # and the pending list; threaded SPMD rank loops may consult
-        # the plan from several threads, so the hooks serialize.
+        # and the pending list; callers may issue collectives on one
+        # world from several threads, so the hooks serialize.
         self._lock = threading.Lock()
 
     # -- hooks used by repro.comm -------------------------------------------

@@ -59,18 +59,11 @@ def to_chrome_trace(
     spans: Sequence[Span],
     events: Sequence[Event] = (),
     extra_metadata: Optional[Dict[str, Any]] = None,
-    rank_lanes: bool = False,
 ) -> Dict[str, Any]:
     """Build the Chrome-trace dict for a span/event collection.
 
     Open (unclosed) spans are skipped — a trace is exported after the
     run, so anything still open is a crashed frame, not a slice.
-
-    With ``rank_lanes=True`` rank-attributed spans land on per-rank
-    thread lanes (``"<stream>:r<rank>"``) instead of one shared stream
-    lane — the natural view for threaded SPMD runs, where rank spans
-    genuinely overlap in wall-clock time and would otherwise render as
-    bogus nesting on a single lane.
     """
     trace_events: List[Dict[str, Any]] = []
     for span in spans:
@@ -81,9 +74,6 @@ def to_chrome_trace(
             args["rank"] = span.rank
         if span.phase:
             args["phase"] = span.phase
-        tid = span.stream
-        if rank_lanes and span.rank is not None:
-            tid = f"{span.stream}:r{span.rank}"
         trace_events.append(
             {
                 "name": span.name,
@@ -92,7 +82,7 @@ def to_chrome_trace(
                 "ts": span.start * _SCALE,
                 "dur": span.duration * _SCALE,
                 "pid": span.pid,
-                "tid": tid,
+                "tid": span.stream,
                 "args": args,
             }
         )
@@ -100,9 +90,6 @@ def to_chrome_trace(
         args = _json_safe(event.attrs)
         if event.rank is not None:
             args["rank"] = event.rank
-        tid = event.stream
-        if rank_lanes and event.rank is not None:
-            tid = f"{event.stream}:r{event.rank}"
         trace_events.append(
             {
                 "name": event.name,
@@ -111,7 +98,7 @@ def to_chrome_trace(
                 "s": "p",
                 "ts": event.ts * _SCALE,
                 "pid": event.pid,
-                "tid": tid,
+                "tid": event.stream,
                 "args": args,
             }
         )
@@ -129,11 +116,9 @@ def write_chrome_trace(
     path: str,
     tracer: Tracer,
     extra_metadata: Optional[Dict[str, Any]] = None,
-    rank_lanes: bool = False,
 ) -> Dict[str, Any]:
     """Serialize a tracer's spans/events to ``path``; returns the dict."""
-    trace = to_chrome_trace(tracer.spans, tracer.events, extra_metadata,
-                            rank_lanes=rank_lanes)
+    trace = to_chrome_trace(tracer.spans, tracer.events, extra_metadata)
     with open(path, "w") as handle:
         json.dump(trace, handle, indent=1)
     return trace

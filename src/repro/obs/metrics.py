@@ -29,7 +29,7 @@ class Counter:
     """A monotonically increasing total, sharded per thread.
 
     ``inc`` writes only the calling thread's shard — a single dict-slot
-    update under the GIL, no lock — so concurrent SPMD rank threads
+    update under the GIL, no lock — so concurrent caller threads
     never contend.  ``value`` folds base + shards on read.
     """
 

@@ -27,14 +27,11 @@ exporter converts to microseconds.
 
 Thread model
 ------------
-One tracer serves all SPMD rank threads: each thread owns a private
-span *stack* (strict LIFO nesting is per thread, like call frames),
-while the ``spans``/``events`` lists and span-id allocation are shared
-under a lock.  A worker thread may adopt the spawning thread's
-innermost open span as its root parent via :meth:`Tracer.inherit_parent`
-so rank work nests under ``forward``/``backward`` in the export, and
-spans opened on an SPMD rank thread are auto-attributed to that rank
-(see :func:`repro.runtime.spmd.current_rank`).
+The library itself is single-threaded, but a tracer may be shared by
+caller-owned threads: each thread owns a private span *stack* (strict
+LIFO nesting is per thread, like call frames), while the
+``spans``/``events`` lists and span-id allocation are shared under a
+lock.
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
-
-from ..runtime.spmd import current_rank as _current_rank
 
 __all__ = ["Span", "Event", "Tracer"]
 
@@ -117,7 +112,6 @@ class Tracer:
         self.spans: List[Span] = []
         self.events: List[Event] = []
         self._stacks: Dict[int, List[Span]] = {}
-        self._inherited: Dict[int, Span] = {}
         self._next_id = 1
         self._lock = threading.Lock()
 
@@ -129,21 +123,6 @@ class Tracer:
         if stack is None:
             stack = self._stacks[tid] = []
         return stack
-
-    def inherit_parent(self, span: Optional[Span]) -> None:
-        """Adopt ``span`` as this thread's root parent (None to retire).
-
-        Called by SPMD worker threads with the spawning thread's
-        innermost open span, so thread-root spans parent under it.
-        Passing None also drops the thread's (now finished) stack, so
-        short-lived worker threads do not accumulate state.
-        """
-        tid = threading.get_ident()
-        if span is None:
-            self._inherited.pop(tid, None)
-            self._stacks.pop(tid, None)
-        else:
-            self._inherited[tid] = span
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -161,10 +140,7 @@ class Tracer:
         if not self.enabled:
             return None
         stack = self._stack
-        parent = (stack[-1] if stack
-                  else self._inherited.get(threading.get_ident()))
-        if rank is None:
-            rank = _current_rank()
+        parent = stack[-1] if stack else None
         span = Span(
             name=name,
             cat=cat,
@@ -266,8 +242,6 @@ class Tracer:
                 f"span {name!r} ends before it starts "
                 f"({end} < {start})"
             )
-        if rank is None:
-            rank = _current_rank()
         span = Span(
             name=name,
             cat=cat,
@@ -299,8 +273,6 @@ class Tracer:
         """Record an instantaneous event at the current clock time."""
         if not self.enabled:
             return None
-        if rank is None:
-            rank = _current_rank()
         event = Event(
             name=name,
             cat=cat,
@@ -362,10 +334,8 @@ class Tracer:
     def thread_stacks(self) -> Dict[int, int]:
         """Open-span count per registered thread stack.
 
-        Worker threads that finished cleanly should have retired their
-        stacks via :meth:`inherit_parent`\\ ``(None)``; the serve
-        scheduler's shutdown leak check asserts exactly that — any
-        surviving entry here for a dead thread is a span-stack leak.
+        The serve scheduler's shutdown leak check asserts every count
+        is zero — a non-empty stack is a span that was never closed.
         """
         with self._lock:
             return {tid: len(stack)
@@ -381,4 +351,3 @@ class Tracer:
             self.spans.clear()
             self.events.clear()
             self._stacks.clear()
-            self._inherited.clear()

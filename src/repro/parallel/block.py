@@ -87,30 +87,23 @@ class ParallelBlockEngine:
         self.last_remat_report: Optional[dict] = None
 
     def forward(self, hidden_shards: List[Tensor], seq_len: int,
-                executor: Optional[object] = None,
                 dag_program: Optional[object] = None,
                 remat_plan: Optional[object] = None,
                 vectorized: bool = False
                 ) -> Tuple[List[Tensor], Tensor]:
         """Map hidden shards through the block; returns (shards, aux).
 
-        ``executor`` (an :class:`~repro.runtime.spmd.SpmdExecutor`) is
-        forwarded to the SP attention and EP FFN engines, which run
-        their per-rank compute on concurrent threads; the TP engines
-        and the per-token norms/residuals stay on the calling thread.
-
         With a ``dag_program`` (a
         :class:`~repro.core.executor_bindings.LayerProgram`), the layer
         instead runs through the
         :class:`~repro.runtime.dag_executor.DagExecutor` in the
-        program's schedule order — bitwise-identical to this path; an
-        ``executor`` then threads *every* op per-rank, ``vectorized``
-        batches every op over the rank axis
+        program's schedule order — bitwise-identical to this path;
+        ``vectorized`` batches every op over the rank axis
         (:mod:`repro.runtime.vectorized`), and a ``remat_plan`` drops
         unretained activations afterwards.
         """
         if dag_program is not None:
-            return self._dag_forward(hidden_shards, seq_len, executor,
+            return self._dag_forward(hidden_shards, seq_len,
                                      dag_program, remat_plan,
                                      vectorized=vectorized)
         if vectorized:
@@ -119,27 +112,18 @@ class ParallelBlockEngine:
             )
         block = self.block
         ln1_out = [block.ln1(h) for h in hidden_shards]
-        if executor is not None and self.attention == "sp":
-            attn_out = self.attn_engine.forward(ln1_out, seq_len,
-                                                executor=executor)
-        else:
-            attn_out = self.attn_engine.forward(ln1_out, seq_len)
+        attn_out = self.attn_engine.forward(ln1_out, seq_len)
         ln2_in = [h + a for h, a in zip(hidden_shards, attn_out)]
         ln2_out = [block.ln2(x) for x in ln2_in]
         if self.ffn == "ep":
-            if executor is not None:
-                result = self.ffn_engine.forward(ln2_out,
-                                                 executor=executor)
-            else:
-                result = self.ffn_engine.forward(ln2_out)
+            result = self.ffn_engine.forward(ln2_out)
             ffn_out, aux = result.output_shards, result.aux_loss
         else:
             ffn_out, aux = self.ffn_engine.forward(ln2_out)
         return [x + f for x, f in zip(ln2_in, ffn_out)], aux
 
     def _dag_forward(self, hidden_shards: List[Tensor], seq_len: int,
-                     executor: Optional[object], program,
-                     remat_plan,
+                     program, remat_plan,
                      vectorized: bool = False
                      ) -> Tuple[List[Tensor], Tensor]:
         """Run the layer through the schedule-ordered DAG executor."""
@@ -159,8 +143,8 @@ class ParallelBlockEngine:
             self.ffn_engine._last_send_splits = None
         tracer = getattr(getattr(self.group, "world", None),
                          "tracer", None)
-        result = dag.run({"hidden": hidden_shards}, executor=executor,
-                         tracer=tracer, vectorized=vectorized)
+        result = dag.run({"hidden": hidden_shards}, tracer=tracer,
+                         vectorized=vectorized)
         self.last_executed_ops = list(result.executed)
         self.last_executed_tiles = (
             list(result.executed_tiles)

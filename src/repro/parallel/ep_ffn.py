@@ -206,22 +206,11 @@ class EPFFNEngine:
         scaled = fc2_out * w_rows.reshape(-1, 1)
         return ops.put_rows(scaled, plan.token_of_row, t_total)
 
-    def forward(self, hidden_shards: List[Tensor],
-                executor: Optional[object] = None) -> EPForwardResult:
-        """Map ``ln2_out`` shards to combined MoE-output shards.
-
-        With an ``executor`` (:class:`~repro.runtime.spmd.SpmdExecutor`),
-        each rank runs on its own thread: routing metadata crosses rank
-        boundaries via an explicit gossip rendezvous instead of shared
-        Python lists, and the global aux loss is built exactly once at a
-        rendezvous so the gate gradient matches the sequential graph
-        bitwise.
-        """
+    def forward(self, hidden_shards: List[Tensor]) -> EPForwardResult:
+        """Map ``ln2_out`` shards to combined MoE-output shards."""
         self.group.check_shards(hidden_shards)
         self._last_send_splits = None
-        if executor is not None:
-            result = self._forward_spmd(hidden_shards, executor)
-        elif self.mode == "a2a":
+        if self.mode == "a2a":
             result = self._forward_a2a(hidden_shards)
         else:
             result = self._forward_ag_rs(hidden_shards)
@@ -255,28 +244,6 @@ class EPFFNEngine:
                               for s in result.output_shards],
             "send_splits": self._last_send_splits,
         }
-
-    def _forward_spmd(self, hidden_shards: List[Tensor],
-                      executor) -> EPForwardResult:
-        rank_fn = (self._a2a_rank if self.mode == "a2a"
-                   else self._ag_rs_rank)
-        results = executor.run(
-            self.group,
-            lambda comm: rank_fn(comm, hidden_shards[comm.index]))
-        outputs = [r[0] for r in results]
-        aux = results[0][1]
-        if self.mode == "a2a":
-            routings = [r[2] for r in results]
-            tokens = np.array([r[3] for r in results])
-        else:
-            routings = [results[0][2]]
-            tokens = np.asarray(results[0][3])
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings,
-            tokens_per_rank=tokens,
-        )
 
     # -- A2A dispatch --------------------------------------------------------
 
@@ -410,110 +377,6 @@ class EPFFNEngine:
             routing=routings[:1],
             tokens_per_rank=np.asarray(t_locals),
         )
-
-    # -- SPMD per-rank paths -----------------------------------------------
-
-    def _a2a_rank(self, comm, shard: Tensor):
-        """One rank's slice of :meth:`_forward_a2a` under an executor.
-
-        Same arithmetic in the same order; peers' routing metadata
-        arrives via gossip (a rendezvous with no ledger bytes — the
-        sequential loop reads it from shared lists), and the global aux
-        loss is constructed once by the rendezvous leader so every rank
-        shares one graph, exactly like the sequential pass.
-        """
-        n = comm.size
-        rank = comm.index
-        flat = self._flatten([shard])[0]
-
-        # 1. Local routing; aux built once over every rank's (flat,
-        #    routing) at a rendezvous — one shared Tensor, one graph.
-        routing, weights = self.op_route(flat)
-        aux = comm.exchange(
-            ("ep_ffn", "aux"), (flat, routing),
-            lambda slots: self._global_aux_loss(
-                [s[0] for s in slots], [s[1] for s in slots]))
-
-        # 2. Sort kept (token, slot) pairs by destination rank.
-        send_rows, meta, splits = self.op_scatter_a2a(flat, routing)
-
-        # Peers' metadata (expert ids per split, split sizes) — the
-        # sequential loop reads these straight out of shared lists.
-        shared = comm.gossip("ep_ffn:meta", (meta, splits))
-        metas = [s[0] for s in shared]
-        all_splits = [s[1] for s in shared]
-
-        # 3. Dispatch all-to-all.
-        received = comm.all_to_all_uneven(
-            send_rows, splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:dispatch_a2a")
-
-        # 4. Sort received rows by (expert, source rank); GroupedGEMM.
-        returned = self.op_experts_a2a(received, metas, all_splits, rank)
-
-        # 5. Combine all-to-all: transposed split matrix.
-        back_splits = [all_splits[i][rank] for i in range(n)]
-        rows = comm.all_to_all_uneven(
-            returned, back_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:combine_a2a")
-
-        # 6. Weighted sum on the source rank.
-        output = self.op_combine_weighted(rows, meta, weights,
-                                          flat.shape[0], shard.shape)
-        return output, aux, routing, routing.kept.sum()
-
-    def _ag_rs_rank(self, comm, shard: Tensor):
-        """One rank's slice of :meth:`_forward_ag_rs` under an executor.
-
-        The all-gather delivers the same zero-copy full batch to every
-        rank, each rank routes it locally (identical decisions), and
-        only rank 0's aux-loss graph is kept — exactly the sequential
-        accounting.
-        """
-        j = comm.index
-        flat = self._flatten([shard])[0]
-        t_locals = comm.gossip("ep_ffn:t_local", flat.shape[0])
-        t_total = sum(t_locals)
-
-        # 1. All-gather the token shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_all_gather_fp8
-            full = comm.collective(dist_all_gather_fp8, flat,
-                                   tag="ep_ffn:dispatch_ag")
-        else:
-            full = comm.all_gather(flat, axis=0,
-                                   elem_bytes=self.elem_bytes,
-                                   tag="ep_ffn:dispatch_ag")
-
-        source_rank = np.concatenate([
-            np.full(t, i) for i, t in enumerate(t_locals)])
-
-        # 2. Route the full batch locally.
-        routing, weights, aux = self.op_route_full(full)
-
-        # 3. Local scatter to this rank's experts.
-        plan, ffn_in = self.op_scatter_ag(full, routing, j, source_rank)
-
-        # 4. Local experts' GroupedGEMM.
-        fc2_out = self.op_experts_ag(ffn_in, plan, j)
-
-        # 5. Full-size weighted contribution.
-        contribution = self.op_gather_ag(fc2_out, plan, weights, t_total)
-
-        # 6. Reduce-scatter back to sequence shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flat = comm.collective(dist_reduce_scatter_fp8,
-                                       contribution,
-                                       tag="ep_ffn:combine_rs")
-        else:
-            out_flat = comm.reduce_scatter(contribution, axis=0,
-                                           elem_bytes=self.elem_bytes,
-                                           tag="ep_ffn:combine_rs")
-        output = out_flat.reshape(*shard.shape)
-        return output, aux, routing, list(t_locals)
-
-    # -- aux loss --------------------------------------------------------
 
     def _global_aux_loss(self, flats: List[Tensor],
                          routings: List[RoutingResult]) -> Tensor:

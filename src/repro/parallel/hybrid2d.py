@@ -30,8 +30,6 @@ from ..comm.hierarchical import flat_sync, hierarchical_sync
 from ..core.config import ModelConfig, ParallelConfig, TrainConfig
 from ..model.transformer import MoETransformer
 from ..precision.optimizer import AdamW, clip_grad_norm
-from ..runtime import backward as runtime_backward
-from ..runtime import make_executor
 
 __all__ = ["Hybrid2DTrainer", "Hybrid2DStepResult"]
 
@@ -95,12 +93,6 @@ class Hybrid2DTrainer:
                 optimizer=AdamW(model.parameters(), lr=lr)))
         self.param_names = [name for name, _ in
                             self.replicas[0].named_parameters()]
-        #: SPMD executor for ``execution="threaded"``: the independent
-        #: replica forward/backward passes run concurrently via
-        #: :meth:`~repro.runtime.spmd.SpmdExecutor.map`; gradient sync
-        #: stays on the calling thread (it is one whole-world
-        #: collective sequence).  None = sequential replica loop.
-        self.executor = make_executor(train.execution)
 
     def train_step(self, replica_batches: Sequence[np.ndarray]
                    ) -> Hybrid2DStepResult:
@@ -112,30 +104,20 @@ class Hybrid2DTrainer:
             )
 
         # Local forward/backward per replica (no optimizer step yet).
-        # Replicas are fully independent graphs, so in threaded mode
-        # they run concurrently; results return in replica order.
-        def replica_step(pair):
-            trainer, batch = pair
+        losses: List[float] = []
+        grads: List[Dict[str, np.ndarray]] = []
+        for trainer, batch in zip(self.trainers, replica_batches):
             trainer.model.zero_grad()
             total, lm, aux = trainer.loss(batch)
-            runtime_backward(total, executor=trainer.executor,
-                             fault_plan=trainer.world.fault_plan,
-                             tracer=trainer.world.tracer)
+            total.backward()
             for engine in trainer.engines:
                 engine.sync_grads_to_reference()
-            return total.item(), {
+            losses.append(total.item())
+            grads.append({
                 name: (p.grad.copy() if p.grad is not None
                        else np.zeros(p.shape))
                 for name, p in trainer.model.named_parameters()
-            }
-
-        work = list(zip(self.trainers, replica_batches))
-        if self.executor is not None:
-            stepped = self.executor.map(replica_step, work)
-        else:
-            stepped = [replica_step(pair) for pair in work]
-        losses = [loss for loss, _ in stepped]
-        grads: List[Dict[str, np.ndarray]] = [g for _, g in stepped]
+            })
 
         intra_before = self._ledger_bytes(":intra_")
         inter_before = self._ledger_bytes(":inter_")

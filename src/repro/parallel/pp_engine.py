@@ -23,9 +23,6 @@ import numpy as np
 from ..comm.group import World
 from ..model.transformer import MoETransformer
 from ..precision.optimizer import AdamW, clip_grad_norm
-from ..runtime import backward as runtime_backward
-from ..runtime import make_executor
-from ..runtime.backward import _plan_is_passive
 from ..tensor import Tensor, ops
 from .pipeline import one_f_one_b_schedule, validate_schedule
 
@@ -79,8 +76,7 @@ class PipelineParallelTrainer:
                  aux_loss_coeff: float = 0.0, grad_clip: float = 1.0,
                  elem_bytes: float = 2.0,
                  mp_world: Optional[World] = None,
-                 mp_attention: str = "sp", mp_ffn: str = "ep",
-                 execution: Optional[str] = None):
+                 mp_attention: str = "sp", mp_ffn: str = "ep"):
         self.model = model
         self.world = world
         self.n_stages = world.size
@@ -94,11 +90,6 @@ class PipelineParallelTrainer:
         schedule = one_f_one_b_schedule(self.n_stages, n_micro)
         validate_schedule(schedule, n_micro)
         self.schedule = schedule
-        #: SPMD executor for ``execution="threaded"``: ready schedule
-        #: slots from different stages run concurrently per wave, and
-        #: the accumulated backward runs on the parallel tape walker.
-        #: None = the classic sequential schedule sweep.
-        self.executor = make_executor(execution)
 
         # Optional model-parallel dimension inside every stage (the 3D
         # composition of Fig. 4): each layer runs through a
@@ -154,8 +145,7 @@ class PipelineParallelTrainer:
         width = seq // n
         shards = [hidden[:, r * width:(r + 1) * width] for r in range(n)]
         for layer in self.stages[stage]:
-            shards, aux = self.block_engines[layer].forward(
-                shards, seq, executor=self.executor)
+            shards, aux = self.block_engines[layer].forward(shards, seq)
             aux_total = aux if aux_total is None else aux_total + aux
         hidden = ops.concat(shards, axis=1)
         return hidden, aux_total
@@ -194,18 +184,6 @@ class PipelineParallelTrainer:
         losses: Dict[int, Tensor] = {}
         cursors = [0] * self.n_stages
         remaining = sum(len(s) for s in self.schedule)
-        # Wave-parallel slots need stateless fault plans: active plans
-        # consume per-call state, so their firing order must stay the
-        # sequential one.
-        concurrent = (
-            self.executor is not None
-            and _plan_is_passive(self.world.fault_plan)
-            and (self.mp_world is None
-                 or _plan_is_passive(self.mp_world.fault_plan))
-        )
-        if concurrent:
-            remaining = self._run_schedule_waves(
-                micros, boundary, aux_carry, losses, cursors, remaining)
         while remaining:
             progressed = False
             for stage in range(self.n_stages):
@@ -226,9 +204,7 @@ class PipelineParallelTrainer:
             piece = losses[m]
             total = piece if total is None else total + piece
         total = total * (1.0 / self.n_micro)
-        runtime_backward(total, executor=self.executor,
-                         fault_plan=self.world.fault_plan,
-                         tracer=self.world.tracer)
+        total.backward()
         if self.block_engines is not None:
             for engine in self.block_engines:
                 engine.sync_grads_to_reference()
@@ -245,39 +221,6 @@ class PipelineParallelTrainer:
             grad_norm=norm,
             p2p_bytes=p2p,
         )
-
-    def _run_schedule_waves(self, micros, boundary, aux_carry, losses,
-                            cursors, remaining) -> int:
-        """Drain the schedule in waves of concurrently-ready slots.
-
-        Each wave takes at most one ready task per stage (so wave
-        members never depend on each other) and runs them via
-        :meth:`~repro.runtime.spmd.SpmdExecutor.map`.  Returns the
-        number of undrained slots (always 0; a stall raises).
-        """
-        while remaining:
-            wave = []
-            for stage in range(self.n_stages):
-                if cursors[stage] < len(self.schedule[stage]):
-                    task = self.schedule[stage][cursors[stage]]
-                    if self._ready(task, stage, boundary, losses):
-                        wave.append((task, stage))
-            if not wave:
-                raise RuntimeError("pipeline execution deadlocked")
-
-            def slot(item):
-                task, stage = item
-                self._run_task(task, stage, micros, boundary,
-                               aux_carry, losses)
-
-            if len(wave) > 1:
-                self.executor.map(slot, wave, tracer=self.world.tracer)
-            else:
-                slot(wave[0])
-            for _, stage in wave:
-                cursors[stage] += 1
-            remaining -= len(wave)
-        return remaining
 
     def _ready(self, task, stage, boundary, losses) -> bool:
         if task.phase == "F":

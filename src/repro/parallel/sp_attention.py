@@ -59,10 +59,9 @@ class SPAttentionEngine:
         self.elem_bytes = elem_bytes
         #: Attention-output dropout probability; draws come from
         #: ``rng_pool[rank]`` — one private stream per rank, so the
-        #: sequential loop and the thread-per-rank executor consume
+        #: sequential loop and the rank-stacked kernel consume
         #: identical randomness in identical per-rank order (a shared
-        #: generator would race across rank threads AND make the draw
-        #: order schedule-dependent).
+        #: generator would make the masks depend on the draw order).
         self.dropout = float(dropout)
         self.rng_pool = rng_pool
         #: Toggled off by the trainer around eval passes.
@@ -173,33 +172,18 @@ class SPAttentionEngine:
             out = vec_dropout(out, self.dropout, self.rng_pool)
         return out
 
-    def forward(self, hidden_shards: List[Tensor], seq_len: int,
-                executor: Optional[object] = None) -> List[Tensor]:
+    def forward(self, hidden_shards: List[Tensor],
+                seq_len: int) -> List[Tensor]:
         """Map ``ln1_out`` shards to ``attn_out`` shards.
 
         Args:
             hidden_shards: Per-rank ``[b, s/n, h]`` normalized activations.
             seq_len: Full sequence length ``s`` (for RoPE positions).
-            executor: Optional :class:`~repro.runtime.spmd.SpmdExecutor`;
-                when given, each rank's compute runs on its own thread
-                with rendezvous collectives (bitwise-identical results).
         """
         group, attn = self.group, self.attn
         group.check_shards(hidden_shards)
         n = group.size
         local_s = seq_len // n
-
-        if executor is not None:
-            for rank, shard in enumerate(hidden_shards):
-                if shard.shape[1] != local_s:
-                    raise ValueError(
-                        f"rank {rank} shard has seq {shard.shape[1]}, "
-                        f"expected {local_s}"
-                    )
-            return executor.run(
-                group,
-                lambda comm: self._forward_rank(
-                    comm, hidden_shards[comm.index], local_s))
 
         qs, ks, vs = [], [], []
         for rank, shard in enumerate(hidden_shards):
@@ -240,31 +224,3 @@ class SPAttentionEngine:
 
         return [self.op_out_proj(shard, rank)
                 for rank, shard in enumerate(attn_shards)]
-
-    def _forward_rank(self, comm, shard: Tensor, local_s: int) -> Tensor:
-        """One rank's slice of :meth:`forward` under an SPMD executor.
-
-        Runs the identical per-rank arithmetic; the two all-to-alls
-        rendezvous with the peer threads and execute the same
-        whole-world collective, so results match the sequential loop
-        bitwise.
-        """
-        rank = comm.index
-        q, k, v = self.op_rope(self.op_qkv(shard), rank, local_s)
-
-        q_full = comm.all_to_all(q, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        k_full = comm.all_to_all(k, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        v_full = comm.all_to_all(v, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-
-        out = self.op_attention((q_full, k_full, v_full))
-
-        attn_shard = comm.all_to_all(out, split_axis=1, concat_axis=2,
-                                     elem_bytes=self.elem_bytes,
-                                     tag="sp_attn:attn_a2a")
-        return self.op_out_proj(attn_shard, rank)

@@ -1,42 +1,32 @@
-"""SPMD runtime: thread-per-rank execution with rendezvous collectives.
+"""Numeric runtime: the schedule-ordered DAG executor, its rank-stacked
+(vectorized) kernels, and the per-rank RNG streams both drivers share.
 
-See ``docs/INTERNALS.md`` §8 for the execution model, the determinism
-contract, and the zero-copy rules the engines rely on.
+See ``docs/INTERNALS.md`` §2 (zero-copy collective rule), §10 (DAG
+executor) and §12 (vectorized backend, per-rank RNG contract).
 """
 
-from .backward import backward, parallel_backward
+from .backward import backward
 from .dag_executor import (
     BACKENDS,
+    EXECUTION_MODES,
     DagExecutor,
     DagRunResult,
     resolve_backend,
+    resolve_execution,
     schedule_conformance_problems,
 )
 from .rng import RankRngPool
 from .vectorized import VecCtx, VecEnv
-from .spmd import (
-    EXECUTION_MODES,
-    RankComm,
-    SpmdExecutor,
-    current_rank,
-    make_executor,
-    resolve_execution,
-)
 
 __all__ = [
     "BACKENDS",
     "EXECUTION_MODES",
     "DagExecutor",
     "DagRunResult",
-    "RankComm",
     "RankRngPool",
-    "SpmdExecutor",
     "VecCtx",
     "VecEnv",
     "backward",
-    "current_rank",
-    "make_executor",
-    "parallel_backward",
     "resolve_backend",
     "resolve_execution",
     "schedule_conformance_problems",

@@ -4,22 +4,18 @@
 (the IR, its overlap schedule, and the flattened op order) plus the
 :class:`~repro.core.executor_bindings.OpBinding` list that maps graph
 ops to engine handlers, and runs the layer **in schedule order** — the
-same order the simulator scores.  Two backends:
+same order the simulator scores.  Two drivers walk that order:
 
-* **sequential** — one thread walks the order; each binding's ``seq``
-  handler sees all ranks and issues the classic ``dist_*`` collectives;
-* **threaded** — one :class:`~repro.runtime.spmd.SpmdExecutor` thread
-  per rank walks the *same* order calling the ``rank`` handlers, whose
-  collectives rendezvous across threads;
-* **vectorized** — one thread walks the order with all ranks' shards
-  stacked on a leading rank axis; bindings with a ``vec`` handler run
-  one batched numpy kernel for every rank at once
-  (:mod:`repro.runtime.vectorized`), the rest fall back to their
-  ``seq`` handlers against on-demand per-rank views.
+* **sequential** — each binding's ``seq`` handler sees all ranks and
+  issues the classic ``dist_*`` collectives;
+* **vectorized** — all ranks' shards are stacked on a leading rank
+  axis; bindings with a ``vec`` handler run one batched numpy kernel
+  for every rank at once (:mod:`repro.runtime.vectorized`), the rest
+  fall back to their ``seq`` handlers against on-demand per-rank views.
 
 Because every handler performs the identical Tensor arithmetic as the
-legacy engine path (the vectorized kernels per rank-*slice*), all
-backends are bitwise-identical to it — the ``dag_bitwise`` invariant
+legacy engine path (the vectorized kernels per rank-*slice*), both
+drivers are bitwise-identical to it — the ``dag_bitwise`` invariant
 in :mod:`repro.verify` enforces this.
 
 Construction validates the whole contract up front: the bindings'
@@ -39,9 +35,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKENDS",
+    "EXECUTION_MODES",
     "DagExecutor",
     "DagRunResult",
     "resolve_backend",
+    "resolve_execution",
     "schedule_conformance_problems",
     "tile_conformance_problems",
     "tiled_execution_order",
@@ -61,6 +59,22 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
+
+
+#: How the ranks of one layer are driven: a loop over per-rank shards,
+#: or one rank-stacked kernel per op (DAG backend only).
+EXECUTION_MODES = ("sequential", "vectorized")
+
+
+def resolve_execution(execution: Optional[str] = None) -> str:
+    """Resolve an execution mode: explicit > ``REPRO_EXECUTION`` > default."""
+    mode = execution or os.environ.get("REPRO_EXECUTION") or "sequential"
+    if mode not in EXECUTION_MODES:
+        raise ValueError(
+            f"unknown execution mode {mode!r}; expected one of "
+            f"{EXECUTION_MODES}"
+        )
+    return mode
 
 
 @dataclass
@@ -227,7 +241,6 @@ class DagExecutor:
         )
 
     def run(self, inputs: Dict[str, List[Any]],
-            executor: Optional[object] = None,
             tracer: Optional[object] = None,
             vectorized: bool = False,
             retain: Optional[Sequence[str]] = None) -> DagRunResult:
@@ -236,18 +249,15 @@ class DagExecutor:
         Args:
             inputs: Per-rank value lists for the declared layer inputs
                 (``{"hidden": hidden_shards}``).
-            executor: Optional :class:`~repro.runtime.spmd.SpmdExecutor`
-                — when given, all bindings run per-rank on its threads.
             tracer: Optional :class:`~repro.obs.Tracer`; each binding
                 runs inside a ``dag.op:<anchor>`` span whose measured
                 duration can calibrate the perf model
                 (:func:`~repro.perf.estimator.calibrate_from_spans`).
             vectorized: Run bindings through their rank-stacked ``vec``
-                handlers (one batched kernel per op); incompatible with
-                ``executor``.  A world carrying a fault plan silently
-                runs sequentially instead — fault injection targets
-                per-rank transfers, which the permutation collectives
-                do not model.
+                handlers (one batched kernel per op).  A world
+                carrying a fault plan silently runs sequentially
+                instead — fault injection targets per-rank transfers,
+                which the permutation collectives do not model.
             retain: Forward-only (decode) mode: release each anchor's
                 activations as soon as its last reader has run, keeping
                 only these anchors (plus the layer inputs) in the
@@ -257,12 +267,7 @@ class DagExecutor:
         missing = [name for name in self.inputs if name not in inputs]
         if missing:
             raise ValueError(f"missing layer inputs: {missing}")
-        if vectorized and executor is not None:
-            raise ValueError(
-                "vectorized execution is single-threaded; it cannot "
-                "take an SpmdExecutor"
-            )
-        if retain is not None and (vectorized or executor is not None):
+        if retain is not None and vectorized:
             raise ValueError(
                 "retain (forward-only streaming activation release) "
                 "is only supported by the sequential backend"
@@ -273,8 +278,6 @@ class DagExecutor:
                 env = self._run_sequential(inputs, tracer)
             else:
                 env = self._run_vectorized(inputs, tracer)
-        elif executor is not None:
-            env = self._run_threaded(inputs, executor, tracer)
         else:
             env = self._run_sequential(inputs, tracer, retain)
         covers = {b.op: b.covers for b in self._bindings_in_order}
@@ -329,30 +332,6 @@ class DagExecutor:
                     env.set_stacked(b.op, b.vec(ctx))
                 else:
                     env[b.op] = b.seq(seq_ctx)
-        return env
-
-    def _run_threaded(self, inputs, executor,
-                      tracer) -> Dict[str, List[Any]]:
-        from ..core.executor_bindings import _RankCtx
-        bindings = self._bindings_in_order
-
-        def rank_fn(comm):
-            renv = {name: vals[comm.index]
-                    for name, vals in inputs.items()}
-            ctx = _RankCtx(comm, renv)
-            # Spans on rank 0 only: one measurement per op, and the
-            # tracer's span stack stays single-threaded per rank.
-            rank_tracer = tracer if comm.index == 0 else None
-            for b in bindings:
-                with self._span(rank_tracer, b):
-                    renv[b.op] = b.rank(ctx)
-            return renv
-
-        renvs = executor.run(self.group, rank_fn)
-        env: Dict[str, List[Any]] = {name: list(vals)
-                                     for name, vals in inputs.items()}
-        for b in bindings:
-            env[b.op] = [renv[b.op] for renv in renvs]
         return env
 
 

@@ -1,17 +1,13 @@
-"""Per-rank random streams for stochastic ops under SPMD execution.
+"""Per-rank random streams for stochastic ops.
 
-A single shared :class:`numpy.random.Generator` breaks the SPMD
-engine's bitwise-identity contract twice over: rank threads racing on
-one bit-generator state are not thread-safe, and even with a lock the
-draw *order* would depend on thread scheduling, so a threaded run could
-never reproduce the sequential rank loop.  The fix is the standard
-counter-based recipe: spawn one independent child stream per rank from
-a single :class:`numpy.random.SeedSequence`, so
-
-* each rank thread owns its generator exclusively (no races), and
-* a rank's stream advances only with that rank's own draws, making the
-  cross-rank interleaving irrelevant — sequential and threaded
-  execution consume identical per-rank randomness, bitwise.
+The sequential driver draws rank by rank and the vectorized driver
+draws for every rank inside one batched kernel; one shared
+:class:`numpy.random.Generator` would make the masks depend on that
+draw *order*.  The fix is the standard counter-based recipe: spawn one
+independent child stream per rank from a single
+:class:`numpy.random.SeedSequence`, so a rank's stream advances only
+with that rank's own draws and both drivers consume identical per-rank
+randomness, bitwise.
 """
 
 from __future__ import annotations

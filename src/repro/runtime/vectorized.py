@@ -1,13 +1,11 @@
 """All-ranks-at-once vectorized kernels for the DAG backend.
 
-The thread-per-rank engine (:mod:`repro.runtime.spmd`) buys overlap but
-pays GIL + barrier-rendezvous costs on every collective — exactly the
-per-rank coordination overhead that hurts MoE step time at small
-per-rank work sizes.  The third execution mode,
+The second execution mode,
 ``TrainConfig(execution="vectorized")`` / ``REPRO_EXECUTION=vectorized``,
-removes the per-rank loop altogether: every rank's shard is stacked on
-a leading *rank axis* and each :class:`~repro.core.operators.OpGraph`
-op runs as **one** batched numpy kernel for all ranks at once.
+removes the sequential driver's per-rank loop: every rank's shard is
+stacked on a leading *rank axis* and each
+:class:`~repro.core.operators.OpGraph` op runs as **one** batched numpy
+kernel for all ranks at once.
 
 Numerics contract (enforced by the ``dag_bitwise`` invariant and
 ``tests/test_vectorized_engine.py``):

@@ -6,10 +6,10 @@ One transformer layer of a serving iteration is expressed as a 12-op
 its forward-only mode (``retain=``), which streams activations out of
 the env as soon as their last reader ran (a decode step holds no tape).
 
-Bindings are built with
-:func:`~repro.core.executor_bindings.forward_binding` and close over a
-mutable :class:`DecodeState`: the scheduler mutates ``state.batch`` and
-``state.layer`` between runs while the program/bindings are built once.
+Each :class:`~repro.core.executor_bindings.OpBinding` has a ``seq``
+handler only and closes over a mutable :class:`DecodeState`: the
+scheduler mutates ``state.batch`` and ``state.layer`` between runs while
+the program/bindings are built once.
 Every anchor's env value is a per-attention-rank list of per-request
 payloads — requests never share a kernel, which is the bitwise-equality
 contract between continuous-batched and sequential-golden decode.
@@ -22,7 +22,7 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from ..core.executor_bindings import OpBinding, forward_binding
+from ..core.executor_bindings import OpBinding
 from ..core.operators import Op, OpGraph
 from ..model.routing import build_dispatch_plan
 from ..tensor import Tensor, ops
@@ -108,13 +108,6 @@ class DecodeState:
     batch: List[List[ActiveRequest]] = field(default_factory=list)
     #: Layer the next DAG run computes.
     layer: int = 0
-    #: Fan-out over attention ranks: sequential list-map by default;
-    #: the threaded scheduler swaps in a thread-pool map.
-    map_ranks: Callable[..., List[Any]] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.map_ranks is None:
-            self.map_ranks = lambda fn, xs: [fn(x) for x in xs]
 
     @property
     def block(self):
@@ -145,12 +138,9 @@ def build_decode_graph() -> OpGraph:
 def _per_item(state: DecodeState, fn) -> Callable:
     """Lift a per-request function over the rank/batch nesting."""
     def handler(ctx):
-        def one_rank(pair):
-            rank_index, values = pair
-            return [fn(item, val)
-                    for item, val in zip(state.batch[rank_index], values)]
-        return state.map_ranks(
-            one_rank, [(i, v) for i, v in enumerate(ctx)])
+        return [[fn(item, val)
+                 for item, val in zip(state.batch[rank_index], values)]
+                for rank_index, values in enumerate(ctx)]
     return handler
 
 
@@ -159,7 +149,7 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
     model = state.model
     attn_cfg = model.config
 
-    def lift(op: str, reads, fn, covers=None) -> OpBinding:
+    def lift(op: str, reads, fn) -> OpBinding:
         per = _per_item(state, fn)
 
         def seq(ctx):
@@ -171,7 +161,7 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
                       [[vl[i] for vl in value_lists]
                        for i in range(len(state.batch))]]
             return per(merged)
-        return forward_binding(op, reads, seq, covers=covers)
+        return OpBinding(op, (op,), tuple(reads), seq)
 
     def attn_ln(item, vals):
         (hidden,) = vals
@@ -250,9 +240,9 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
         lift("attn_residual", ("hidden", "attn_out"), attn_residual),
         lift("ffn_ln", ("attn_residual",), ffn_ln),
         lift("route", ("ffn_ln",), route),
-        forward_binding("moe_dispatch", ("route",), moe_bridge,
-                        covers=("moe_dispatch", "moe_experts",
-                                "moe_combine")),
+        OpBinding("moe_dispatch",
+                  ("moe_dispatch", "moe_experts", "moe_combine"),
+                  ("route",), moe_bridge),
         lift("ffn_residual", ("attn_residual", "moe_dispatch"),
              ffn_residual),
     ]

@@ -21,7 +21,6 @@ bitwise-identical to an unbatched sequential run of the same engine
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
@@ -104,12 +103,6 @@ class ServeEngine:
             self._program, build_decode_bindings(self.state),
             self.placement.bridge.world.group(self.placement.attn_ranks),
             inputs=("hidden",))
-        self._pool_exec: Optional[ThreadPoolExecutor] = None
-        if config.execution == "threaded":
-            self._pool_exec = ThreadPoolExecutor(
-                max_workers=len(self.placement.attn_ranks),
-                thread_name_prefix="serve-attn")
-            self.state.map_ranks = self._threaded_map
         self._admission_seq = 0
         #: Replays per request id (crash re-queues + evictions), carried
         #: across re-admissions.
@@ -118,19 +111,6 @@ class ServeEngine:
         self.n_crashes = 0
         self.n_evictions = 0
         self._shutdown = False
-
-    # -- worker fan-out -------------------------------------------------
-
-    def _threaded_map(self, fn, xs: Sequence[Any]) -> List[Any]:
-        """One task per attention rank; workers do pure per-request
-        numpy compute (tape-free, like the iteration that fans them
-        out) and never touch the tracer's span stacks."""
-        assert self._pool_exec is not None
-
-        def tape_free(x):
-            with no_grad():
-                return fn(x)
-        return list(self._pool_exec.map(tape_free, xs))
 
     # -- admission / eviction -------------------------------------------
 
@@ -328,8 +308,6 @@ class ServeEngine:
         for item in self.active:
             item.cache.release()
             self._remove(item)
-        if self._pool_exec is not None:
-            self._pool_exec.shutdown(wait=True)
         self.pool.allocator.assert_no_leaks()
         if self.tracer is not None:
             open_stacks = {tid: depth for tid, depth
@@ -349,8 +327,7 @@ def golden_decode(model, config: ServeConfig,
     ``max_batch_size=1`` and no faults — each request runs alone, so
     its output is the per-request ground truth the continuous batcher
     must match bitwise."""
-    golden_cfg = replace(config, max_batch_size=1,
-                         execution="sequential")
+    golden_cfg = replace(config, max_batch_size=1)
     engine = ServeEngine(model, golden_cfg, tracer=tracer)
     try:
         return engine.run(requests)

@@ -19,15 +19,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled",
-           "set_grad_enabled"]
+__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
 class _GradMode(threading.local):
-    """Per-thread recording switch.  Rank threads enter and leave
-    ``no_grad`` independently (every checkpointed segment does), so a
-    process-wide flag would be restored in the wrong order."""
+    """Per-thread recording switch: caller-owned threads enter and
+    leave ``no_grad`` independently, so a process-wide flag would be
+    restored in the wrong order."""
 
     enabled = True
 
@@ -52,12 +51,6 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """True when operations on this thread record tape nodes."""
     return _GRAD_MODE.enabled
-
-
-def set_grad_enabled(enabled: bool) -> None:
-    """Set this thread's recording switch — how a worker thread adopts
-    the mode of the thread that spawned it."""
-    _GRAD_MODE.enabled = bool(enabled)
 
 
 class Node:

@@ -5,11 +5,10 @@ dimensions, rank count, parallel strategies, EP dispatch mode, comm
 precision, execution engine, dropout, step count, and the data seed —
 as a frozen, hashable value.  The conformance engine
 (:mod:`repro.verify.engine`) turns a case into several runs (the case
-itself, its single-rank golden reference, a sequential twin for
-threaded cases, and a legacy-engine twin for DAG-backend — including
-vectorized — cases) and the fuzzer (:mod:`repro.verify.fuzz`) samples
-and shrinks cases, which is why immutability and cheap equality
-matter.
+itself, its single-rank golden reference, and a legacy-engine twin for
+DAG-backend — including vectorized — cases) and the fuzzer
+(:mod:`repro.verify.fuzz`) samples and shrinks cases, which is why
+immutability and cheap equality matter.
 """
 
 from __future__ import annotations
@@ -19,12 +18,13 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.config import ModelConfig, ParallelConfig, TrainConfig
+from ..runtime.dag_executor import EXECUTION_MODES
 
 __all__ = ["VerifyCase", "ServeCase", "smoke_matrix", "elastic_matrix",
            "serve_matrix", "plan_conformance_cases"]
 
 #: Execution modes × EP dispatch × comm precision of the CI smoke grid.
-SMOKE_EXECUTIONS = ("sequential", "threaded", "vectorized")
+SMOKE_EXECUTIONS = EXECUTION_MODES  # ("sequential", "vectorized")
 SMOKE_DISPATCHES = ("a2a", "ag_rs")
 SMOKE_PRECISIONS = ("fp32", "fp8")
 
@@ -110,9 +110,11 @@ class VerifyCase:
             raise ValueError(f"unknown ep_dispatch {self.ep_dispatch!r}")
         if self.precision not in ("fp32", "bf16", "fp8"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.execution not in ("sequential", "threaded",
-                                  "vectorized"):
-            raise ValueError(f"unknown execution {self.execution!r}")
+        if self.execution not in EXECUTION_MODES:
+            raise ValueError(
+                f"unknown execution {self.execution!r}; expected one "
+                f"of {EXECUTION_MODES}"
+            )
         if self.backend not in ("engine", "dag"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.execution == "vectorized" and self.backend != "dag":
@@ -184,8 +186,7 @@ class VerifyCase:
         """Compact stable identifier used in the conformance matrix."""
         parts = [
             self.attention, self.ffn, self.ep_dispatch, self.precision,
-            {"threaded": "thr",
-             "vectorized": "vec"}.get(self.execution, "seq"),
+            "vec" if self.execution == "vectorized" else "seq",
             f"r{self.ranks}", f"l{self.layers}", f"b{self.batch}",
             f"s{self.seq}", f"e{self.experts}", f"k{self.top_k}",
             f"st{self.steps}",
@@ -236,10 +237,6 @@ class VerifyCase:
     def replace(self, **changes) -> "VerifyCase":
         """A copy with fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **changes)
-
-    def twin_sequential(self) -> "VerifyCase":
-        """The sequential twin of a threaded case."""
-        return self.replace(execution="sequential")
 
     def twin_engine(self) -> "VerifyCase":
         """The legacy-backend twin of a DAG-backend case.
@@ -353,7 +350,6 @@ class ServeCase:
     kv_block_size: int = 4
     kv_blocks: int = 64
     max_batch_size: int = 3
-    execution: str = "sequential"
     #: Arrival process of the request trace.
     trace: str = "poisson"
     n_requests: int = 6
@@ -390,10 +386,6 @@ class ServeCase:
             raise ValueError(
                 f"top_k={self.top_k} > experts={self.experts}"
             )
-        if self.execution not in ("sequential", "threaded"):
-            raise ValueError(
-                f"unknown serve execution {self.execution!r}"
-            )
         if self.trace not in ("poisson", "bursty"):
             raise ValueError(f"unknown trace kind {self.trace!r}")
         if self.n_requests < 1:
@@ -414,7 +406,6 @@ class ServeCase:
     def case_id(self) -> str:
         parts = [
             "serve", self.trace,
-            {"threaded": "thr"}.get(self.execution, "seq"),
             f"a{self.attention_ranks}", f"x{self.expert_ranks}",
             f"b{self.max_batch_size}", f"n{self.n_requests}",
             f"g{self.gqa_ratio}",
@@ -444,7 +435,6 @@ class ServeCase:
             kv_block_size=self.kv_block_size,
             kv_blocks=self.kv_blocks,
             max_batch_size=self.max_batch_size,
-            execution=self.execution,
         )
 
     def requests(self):
@@ -463,24 +453,18 @@ class ServeCase:
 
 
 def serve_matrix(seed: int = 0) -> List[ServeCase]:
-    """The serving conformance grid: both execution modes over both
-    arrival processes, a wider-GQA leg, a tight-KV eviction leg, a
-    mid-stream rank-crash leg per execution mode, and a float32-model
-    leg (KV pool and cached post-RoPE keys in the model's dtype)."""
-
-    def cases() -> Iterator[ServeCase]:
-        for execution in ("sequential", "threaded"):
-            for trace in ("poisson", "bursty"):
-                yield ServeCase(execution=execution, trace=trace,
-                                seed=seed)
-            yield ServeCase(execution=execution, gqa_ratio=4,
-                            seed=seed)
-            yield ServeCase(execution=execution, crash_at_call=5,
-                            seed=seed)
-        yield ServeCase(kv_blocks=5, max_batch_size=4, seed=seed)
-        yield ServeCase(dtype="float32", seed=seed)
-
-    return list(cases())
+    """The serving conformance grid: both arrival processes, a
+    wider-GQA leg, a mid-stream rank-crash leg, a tight-KV eviction
+    leg, and a float32-model leg (KV pool and cached post-RoPE keys in
+    the model's dtype)."""
+    return [
+        ServeCase(trace="poisson", seed=seed),
+        ServeCase(trace="bursty", seed=seed),
+        ServeCase(gqa_ratio=4, seed=seed),
+        ServeCase(crash_at_call=5, seed=seed),
+        ServeCase(kv_blocks=5, max_batch_size=4, seed=seed),
+        ServeCase(dtype="float32", seed=seed),
+    ]
 
 
 def elastic_matrix(seed: int = 0) -> List[VerifyCase]:

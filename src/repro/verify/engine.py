@@ -10,8 +10,9 @@ three trainings from identical seeds —
    :meth:`~repro.model.transformer.MoETransformer.language_model_loss`
    model with the same optimizer schedule (skipped when dropout > 0 —
    a full-sequence model cannot reproduce per-rank dropout masks);
-3. the **sequential twin** (threaded cases only): the identical plan
-   under the sequential rank loop, for the bitwise-identity contract —
+3. the **engine twin** (DAG-backend cases only): the identical plan
+   on the legacy engine call chains under the sequential rank loop,
+   for the bitwise-identity contract —
 
 plus one untrained **dtype probe** forward whose autograd tape the
 ``dtype_stable`` invariant inspects and one two-rank **DP leg** whose
@@ -137,7 +138,6 @@ class RunArtifacts:
     #: :func:`_dp_leg_dtypes`) — checked by ``dtype_stable``.
     update_dtypes: Dict[str, str] = field(default_factory=dict)
     golden: Optional[GoldenArtifacts] = None
-    twin: Optional["RunArtifacts"] = None
     #: The legacy-backend twin of a DAG-backend case run.
     engine_twin: Optional["RunArtifacts"] = None
     #: The resize-injected elastic run of a ``case.resize`` case.
@@ -445,7 +445,7 @@ def run_case(case: VerifyCase,
 
     ``world_setup`` (e.g. attaching a
     :class:`~repro.ft.faults.FaultPlan`) applies to the case run only —
-    the golden run has no world and the sequential twin stays clean, so
+    the golden run has no world and the engine twin stays clean, so
     an injected perturbation must be *caught* by the invariants rather
     than silently reproduced on both sides of the diff.
     """
@@ -454,8 +454,6 @@ def run_case(case: VerifyCase,
     artifacts.update_dtypes.update(_dp_leg_dtypes(case))
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)
-    if case.execution == "threaded":
-        artifacts.twin = _run_parallel(case.twin_sequential())
     if case.backend == "dag":
         artifacts.engine_twin = _run_parallel(case.twin_engine())
     if case.resize:

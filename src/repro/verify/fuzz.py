@@ -49,11 +49,11 @@ def sample_case(rng: np.random.Generator) -> VerifyCase:
         ep_dispatch=str(rng.choice(["a2a", "ag_rs"])),
         precision=str(rng.choice(["fp32", "fp8"])),
         execution=(execution := str(rng.choice(
-            ["sequential", "threaded", "vectorized"]))),
+            ["sequential", "vectorized"]))),
         # Vectorized execution only exists in the DAG executor.
         backend=("dag" if execution == "vectorized"
                  else str(rng.choice(["engine", "engine", "dag"]))),
-        # Dropout cases exercise the per-rank RNG contract (threaded
+        # Dropout cases exercise the per-rank RNG contract (vectorized
         # bitwise identity); golden closeness is skipped for them.
         dropout=float(rng.choice([0.0, 0.0, 0.0, 0.1])),
         steps=int(rng.choice([1, 2])),
@@ -186,7 +186,7 @@ def corrupting_world_setup(seed: int = 0, at_call: int = 0):
 
     Attach via ``run_case(case, world_setup=...)``: the perturbation
     hits only the case run, so the conformance engine must *catch* it
-    against the golden model or the clean sequential twin.
+    against the golden model or the clean engine twin.
     """
     from ..ft.faults import FaultPlan, FaultSpec
 
@@ -203,12 +203,12 @@ def corrupting_world_setup(seed: int = 0, at_call: int = 0):
 def shrink_seeded_violation(seed: int = 0):
     """End-to-end demo: inject a bit-flip, catch it, shrink it.
 
-    Returns ``(original, minimal, result)`` — the starting threaded
+    Returns ``(original, minimal, result)`` — the starting vectorized
     case, the shrunk minimal reproducer, and the minimal case's
     :class:`~repro.verify.engine.CaseResult` (which still fails).
     """
-    original = VerifyCase(execution="threaded", ep_dispatch="a2a",
-                          seed=seed)
+    original = VerifyCase(execution="vectorized", backend="dag",
+                          ep_dispatch="a2a", seed=seed)
 
     def fails(case: VerifyCase) -> bool:
         return not run_case(

@@ -1,9 +1,9 @@
 """The invariant registry: what "numerically equivalent" means, checked.
 
 Every parallel plan in this repo claims some equivalence to the plain
-single-rank model — bitwise where the design promises it (threaded vs
-sequential execution, PR 3's contract), tolerance-banded where comm is
-compressed (§5 FP8), and always subject to conservation laws (tokens
+single-rank model — bitwise where the design promises it (the DAG
+backend and vectorized execution vs the engine path),
+tolerance-banded where comm is compressed (§5 FP8), and always subject to conservation laws (tokens
 through dispatch/combine, router probability mass, ledger bytes vs the
 Eq. 1–4 closed forms) and finiteness.  This module encodes each claim
 as a named :class:`Invariant` with an ``applies`` predicate and a
@@ -262,31 +262,6 @@ def _check_golden_params(art: "RunArtifacts") -> List[str]:
                 f"final param {name}: max |Δ| {err:.3g} > "
                 f"{band.atol:g} + {band.rtol:g} * max|golden| {scale:.3g}"
             )
-    return violations
-
-
-def _check_threaded_bitwise(art: "RunArtifacts") -> List[str]:
-    twin = art.twin
-    violations = []
-    if art.losses != twin.losses:
-        violations.append(
-            f"per-step losses differ: {art.losses} vs {twin.losses}"
-        )
-    for name, want in twin.params.items():
-        got = art.params.get(name)
-        if got is None or not np.array_equal(got, want):
-            violations.append(f"param {name} not bitwise-equal to the "
-                              "sequential twin")
-    if art.ledger_total_bytes != twin.ledger_total_bytes:
-        violations.append(
-            f"ledger bytes differ: {art.ledger_total_bytes} vs "
-            f"{twin.ledger_total_bytes}"
-        )
-    if art.ledger_counts != twin.ledger_counts:
-        violations.append(
-            f"collective counts differ: {art.ledger_counts} vs "
-            f"{twin.ledger_counts}"
-        )
     return violations
 
 
@@ -768,13 +743,6 @@ def default_registry() -> List[Invariant]:
                                   and case.precision != "fp8"
                                   and case.dtype == "float64"),
             check=_check_golden_params,
-        ),
-        Invariant(
-            name="threaded_bitwise",
-            description="threaded execution is bitwise-identical to "
-                        "the sequential twin (losses, params, ledger)",
-            applies=lambda case: case.execution == "threaded",
-            check=_check_threaded_bitwise,
         ),
         Invariant(
             name="dag_bitwise",

@@ -2,10 +2,10 @@
 
 The contract under test is the tentpole invariant: running a layer
 through :class:`~repro.runtime.dag_executor.DagExecutor` — in the
-overlap schedule's flattened order, sequential or thread-per-rank —
-must be *bitwise identical* to the legacy engine call chains, and the
-executed op sequence must be a valid topological order of both the op
-graph and the scheduled task list.
+overlap schedule's flattened order — must be *bitwise identical* to
+the legacy engine call chains, and the executed op sequence must be a
+valid topological order of both the op graph and the scheduled task
+list.
 """
 
 import dataclasses
@@ -34,7 +34,6 @@ from repro.perf.estimator import (
 )
 from repro.runtime import (
     DagExecutor,
-    SpmdExecutor,
     resolve_backend,
     schedule_conformance_problems,
 )
@@ -104,23 +103,6 @@ class TestDagMatchesEngine:
                                  SEQ, dag_program=program)
         for a, b in zip(outs, outs_ref):
             np.testing.assert_array_equal(a.data, b.data)
-
-    def test_threaded_dag_matches_sequential_dag(self, tiny_config,
-                                                 layer_input):
-        _, seq_engine = make_engine(tiny_config, "sp", "ep", "a2a")
-        program = make_program(tiny_config, "sp", "ep", "a2a")
-        outs_ref, aux_ref = seq_engine.forward(
-            shard_sequence(layer_input, RANKS), SEQ,
-            dag_program=program)
-
-        _, thr_engine = make_engine(tiny_config, "sp", "ep", "a2a")
-        executor = SpmdExecutor()
-        outs, aux = thr_engine.forward(
-            shard_sequence(layer_input, RANKS), SEQ, executor=executor,
-            dag_program=program)
-        for a, b in zip(outs, outs_ref):
-            np.testing.assert_array_equal(a.data, b.data)
-        assert aux.item() == aux_ref.item()
 
     def test_shuffled_valid_topo_order_is_bitwise_identical(
             self, tiny_config, layer_input):
@@ -358,13 +340,13 @@ class TestBackendResolution:
 
 
 class TestTrainerBackend:
-    def run_steps(self, tiny_config, backend, execution="sequential"):
+    def run_steps(self, tiny_config, backend):
         model = MoETransformer(tiny_config, seed=0, dtype=np.float64)
         world = World(RANKS, RANKS)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=tiny_config.seq_len,
                             learning_rate=1e-2, backend=backend,
-                            execution=execution)
+                            execution="sequential")
         trainer = MegaScaleTrainer(model, world,
                                    ParallelConfig.megascale(RANKS),
                                    train)
@@ -390,13 +372,3 @@ class TestTrainerBackend:
         assert trainer.backend == "dag"
         for engine in trainer.engines:
             assert engine.last_executed_ops is not None
-
-    def test_threaded_dag_backend_bitwise(self, tiny_config):
-        ref_losses, ref_params, _ = self.run_steps(tiny_config,
-                                                   "engine")
-        losses, params, _ = self.run_steps(tiny_config, "dag",
-                                           execution="threaded")
-        assert losses == ref_losses
-        for name in ref_params:
-            np.testing.assert_array_equal(params[name],
-                                          ref_params[name])

@@ -21,7 +21,6 @@ from repro.precision.optimizer import (
     clip_grad_norm,
 )
 from repro.precision.policy import bf16_policy
-from repro.runtime import parallel_backward
 from repro.serve import Request, ServeEngine, golden_decode
 from repro.tensor import Tensor, ops
 from repro.tensor import tensor as tensor_mod
@@ -412,17 +411,6 @@ class TestBackwardDrivers:
         np.testing.assert_array_equal(a.grad, np.full(5, 3.0))
         np.testing.assert_array_equal(b.grad, np.full(5, 3.0))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_parallel_backward_bitwise_equals_sequential(self, rng,
-                                                         workers):
-        loss, leaves = fan_in_graph(rng)
-        loss.backward()
-        want = [t.grad.copy() for t in leaves]
-        loss, leaves = fan_in_graph(np.random.default_rng(0))
-        parallel_backward(loss, workers=workers)
-        for t, w in zip(leaves, want):
-            np.testing.assert_array_equal(t.grad, w)
-
     def test_constant_operands_get_no_gradient_work(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = Tensor(rng.standard_normal((4, 4)))
@@ -577,15 +565,14 @@ class TestInPlaceOptimizer:
 # ---------------------------------------------------------------------------
 
 class TestServeRecordsNoTape:
-    @pytest.mark.parametrize("execution", ["sequential", "threaded"])
-    def test_no_node_is_created_and_tokens_match_golden(self, monkeypatch,
-                                                        execution):
+    def test_no_node_is_created_and_tokens_match_golden(self,
+                                                        monkeypatch):
         config = ModelConfig("serve-notape", 2, 32, 8, 2, 48, 8, 2,
                              vocab_size=64, seq_len=64)
         model = MoETransformer(config, seed=0, dtype=np.float64)
         serve = ServeConfig(attention_ranks=2, expert_ranks=2,
                             kv_block_size=4, kv_blocks=64,
-                            max_batch_size=3, execution=execution)
+                            max_batch_size=3)
         rng = np.random.default_rng(3)
         requests = [Request(i, tuple(rng.integers(0, 64, size=n).tolist()), 4,
                             arrival_time=0.1 * i)
@@ -612,14 +599,11 @@ class TestServeRecordsNoTape:
         assert (model.embedding * 1.0).node is not None
         assert created == ["mul"]
 
-    def test_grad_mode_is_per_thread_and_inherited_by_rank_threads(self):
+    def test_grad_mode_is_per_thread(self):
         """Interleaved ``no_grad`` exits on two threads must not leave
-        recording off (checkpointed segments under SPMD did), and an
-        executor's rank threads adopt the spawning thread's mode."""
+        recording off."""
         import threading
 
-        from repro.comm import World
-        from repro.runtime import SpmdExecutor
         from repro.tensor import is_grad_enabled, no_grad
 
         inside = threading.Barrier(2)
@@ -641,14 +625,6 @@ class TestServeRecordsNoTape:
         t.join()
         assert seen == {"other_inside": False, "other_after": True,
                         "main_after": True}
-
-        group = World(2, 2).group([0, 1])
-        with no_grad():
-            modes = SpmdExecutor().run(group,
-                                       lambda comm: is_grad_enabled())
-        assert modes == [False, False]
-        assert SpmdExecutor().run(
-            group, lambda comm: is_grad_enabled()) == [True, True]
 
     def test_chunked_prefill_attends_its_own_prefix(self, rng):
         """``1 < s_q < T``: rows of the bottom-right-aligned mask."""

@@ -4,7 +4,7 @@ Coverage in four layers: the paged-KV plumbing (allocator accounting,
 GQA-shaped pool, block-table reads/writes), the determinism contract
 (continuous-batched output bitwise vs the unbatched sequential golden,
 across GQA ratios, ragged lengths, staggered admission, eviction,
-threading, and mid-stream rank crashes), the leak/trace contracts at
+and mid-stream rank crashes), the leak/trace contracts at
 shutdown, and the serve verify registry — including proof that each
 ``serve_*`` invariant catches a hand-tampered artifact of its bug
 class, and that the verify-telemetry fix fails loudly when an EP
@@ -293,14 +293,6 @@ class TestGoldenBitwise:
         assert result.n_iterations > 5
         assert_bitwise(result, golden_decode(model, config, requests))
 
-    def test_threaded_matches_sequential(self):
-        model = tiny_model()
-        requests = poisson_trace(6, rate=0.5, vocab=64, seed=2)
-        seq, _, _ = run_engine(model, serve_config(), requests)
-        thr, _, _ = run_engine(
-            model, serve_config(execution="threaded"), requests)
-        assert_bitwise(thr, seq)
-
     def test_eviction_replays_bitwise(self):
         # A pool too small for the batch forces mid-stream evictions;
         # victims replay from scratch and still match the golden.
@@ -413,27 +405,34 @@ class TestBridgeLedger:
 class TestServeCase:
     def test_defaults_and_case_id(self):
         case = ServeCase()
-        assert case.case_id == "serve-poisson-seq-a2-x2-b3-n6-g2"
-        assert ServeCase(execution="threaded",
-                         crash_at_call=5).case_id.endswith("-cr5")
+        assert case.case_id == "serve-poisson-a2-x2-b3-n6-g2"
+        assert ServeCase(crash_at_call=5).case_id.endswith("-cr5")
 
     @pytest.mark.parametrize("changes", [
         dict(attention_ranks=0),
         dict(experts=6, expert_ranks=4),   # not divisible
         dict(heads=6, gqa_ratio=4),        # not divisible
         dict(trace="uniform"),
-        dict(execution="mpi"),
+        dict(n_requests=0),
         dict(max_batch_size=0),
     ])
     def test_validation_rejects(self, changes):
         with pytest.raises(ValueError):
             ServeCase(**changes)
 
+    def test_execution_knob_is_gone(self):
+        """One value was left, so the field went; an old call site gets
+        the dataclass's own TypeError."""
+        with pytest.raises(TypeError, match="execution"):
+            serve_config(execution="threaded")
+        with pytest.raises(TypeError, match="execution"):
+            ServeCase(execution="threaded")
+
     def test_matrix_covers_required_legs(self):
         cases = serve_matrix()
         ids = [c.case_id for c in cases]
         assert len(ids) == len(set(ids))
-        assert any("thr" in i for i in ids)
+        assert len(ids) == 6
         assert any("-cr" in i for i in ids)
         assert any("bursty" in i for i in ids)
         assert any(c.gqa_ratio > 2 for c in cases)

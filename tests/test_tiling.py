@@ -12,7 +12,7 @@ single bit of the numerics.  These tests pin the three contracts:
   unfused Eq. 1–4 bytes (bitwise, across ledger rotation), and the
   logical collective counts do not change;
 * **bitwise identity** — tiled execution matches untiled execution in
-  every mode (sequential, threaded, vectorized).
+  both modes (sequential, vectorized).
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ class TestTileConformance:
 
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("execution", ["sequential", "threaded",
-                                           "vectorized"])
+    @pytest.mark.parametrize("execution", ["sequential", "vectorized"])
     @pytest.mark.parametrize("dispatch", ["a2a", "ag_rs"])
     def test_tiled_matches_untiled(self, execution, dispatch):
         tiled, tiled_world = run_training(2, execution=execution,

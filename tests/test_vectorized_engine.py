@@ -190,7 +190,8 @@ class TestShuffledTopoVectorized:
 
 # ---------------------------------------------------------------------------
 # Whole-trainer identity: losses, every parameter bit, and the ledger
-# (bytes *and* record counts) agree across all three execution modes.
+# (bytes *and* record counts) agree across the three execution paths
+# (engine, DAG-sequential, DAG-vectorized).
 
 
 def _train(execution, backend, attention="sp", ffn="ep",
@@ -228,12 +229,12 @@ class TestThreeModeIdentity:
     def test_ledger_and_params_identical(self, kwargs):
         runs = {
             "sequential": _train("sequential", "engine", **kwargs),
-            "threaded": _train("threaded", "engine", **kwargs),
+            "dag": _train("sequential", "dag", **kwargs),
             "vectorized": _train("vectorized", None, **kwargs),
         }
         base_losses, base_params, base_bytes, base_counts = \
             runs["sequential"]
-        for mode in ("threaded", "vectorized"):
+        for mode in ("dag", "vectorized"):
             losses, params, led_bytes, counts = runs[mode]
             assert losses == base_losses, mode
             assert params.keys() == base_params.keys()

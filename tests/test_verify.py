@@ -70,16 +70,14 @@ class TestVerifyCase:
         with pytest.raises(ValueError):
             case.replace(ranks=3)
 
-    def test_twin_sequential(self):
-        case = VerifyCase(execution="threaded")
-        twin = case.twin_sequential()
-        assert twin.execution == "sequential"
-        assert twin.replace(execution="threaded") == case
+    def test_removed_mode_names_the_survivors(self):
+        with pytest.raises(ValueError, match="sequential.*vectorized"):
+            VerifyCase(execution="threaded")
 
     def test_case_id_distinguishes_fields(self):
         ids = {
             VerifyCase().case_id,
-            VerifyCase(execution="threaded").case_id,
+            VerifyCase(execution="vectorized", backend="dag").case_id,
             VerifyCase(precision="fp8").case_id,
             VerifyCase(ep_dispatch="ag_rs").case_id,
             VerifyCase(seed=9).case_id,
@@ -90,7 +88,7 @@ class TestVerifyCase:
 
     def test_smoke_matrix_covers_grid(self):
         matrix = smoke_matrix()
-        assert len({c.case_id for c in matrix}) == len(matrix) == 21
+        assert len({c.case_id for c in matrix}) == len(matrix) == 15
         # The production default dtype has conformance legs of its own:
         # both EP dispatches and one vectorized tiled case.
         f32 = [c for c in matrix if c.dtype == "float32"]
@@ -99,8 +97,8 @@ class TestVerifyCase:
                                   ("ag_rs", "sequential", False),
                                   ("a2a", "vectorized", True)}
         cases = [c for c in matrix if c.dtype == "float64"]
-        assert len(cases) == 18
-        assert {c.execution for c in cases} == {"sequential", "threaded",
+        assert len(cases) == 12
+        assert {c.execution for c in cases} == {"sequential",
                                                 "vectorized"}
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
@@ -109,10 +107,10 @@ class TestVerifyCase:
                    if c.execution == "vectorized")
         # One tiled (§4.2) DAG leg per execution × dispatch.
         tiled = [c for c in cases if c.tile_tokens is not None]
-        assert len(tiled) == 6
+        assert len(tiled) == 4
         assert all(c.backend == "dag" for c in tiled)
         assert {(c.execution, c.ep_dispatch) for c in tiled} == {
-            (e, d) for e in ("sequential", "threaded", "vectorized")
+            (e, d) for e in ("sequential", "vectorized")
             for d in ("a2a", "ag_rs")
         }
 
@@ -121,7 +119,7 @@ class TestRegistry:
     def test_builtin_invariants_present(self):
         names = [i.name for i in registered_invariants()]
         for expected in ("finiteness", "golden_loss", "golden_grads",
-                         "golden_params", "threaded_bitwise",
+                         "golden_params", "dag_bitwise",
                          "token_conservation", "router_mass",
                          "comm_audit", "dtype_stable"):
             assert expected in names
@@ -156,8 +154,8 @@ class TestRegistry:
             del inv._REGISTRY["always_green"]
 
     def test_applies_gates_to_skip(self):
-        result = run_case(small_case())  # sequential
-        assert result.outcome("threaded_bitwise").status == "skip"
+        result = run_case(small_case())  # engine backend
+        assert result.outcome("dag_bitwise").status == "skip"
         # fp8-only skip: golden params checked for uncompressed comm
         assert result.outcome("golden_params").status == "pass"
         fp8 = run_case(small_case(precision="fp8",
@@ -166,15 +164,17 @@ class TestRegistry:
 
 
 class TestConformance:
-    @pytest.mark.parametrize("execution", ["sequential", "threaded"])
+    @pytest.mark.parametrize("execution", ["sequential", "vectorized"])
     @pytest.mark.parametrize("dispatch", ["a2a", "ag_rs"])
     def test_known_good_plans_conform(self, execution, dispatch):
-        result = run_case(small_case(execution=execution,
-                                     ep_dispatch=dispatch))
+        vectorized = execution == "vectorized"
+        result = run_case(small_case(
+            execution=execution, ep_dispatch=dispatch,
+            backend="dag" if vectorized else "engine"))
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "pass"
-        if execution == "threaded":
-            assert result.outcome("threaded_bitwise").status == "pass"
+        if vectorized:
+            assert result.outcome("dag_bitwise").status == "pass"
 
     def test_single_rank_case_conforms(self):
         result = run_case(small_case(ranks=1, experts=1, seq=4))
@@ -183,11 +183,12 @@ class TestConformance:
         assert result.outcome("comm_audit").status == "skip"
 
     def test_dropout_case_skips_golden_but_stays_bitwise(self):
-        result = run_case(small_case(execution="threaded", dropout=0.2,
+        result = run_case(small_case(execution="vectorized",
+                                     backend="dag", dropout=0.2,
                                      steps=2))
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "skip"
-        assert result.outcome("threaded_bitwise").status == "pass"
+        assert result.outcome("dag_bitwise").status == "pass"
 
     def test_report_render(self):
         report = run_matrix([small_case(), small_case(seed=3)])
@@ -203,14 +204,14 @@ class TestConformance:
 class TestInjectedViolations:
     """Reverting a bugfix / injecting a perturbation must be *caught*."""
 
-    def test_bitflip_breaks_threaded_identity(self):
-        case = small_case(execution="threaded")
+    def test_bitflip_breaks_dag_identity(self):
+        case = small_case(execution="vectorized", backend="dag")
         clean = run_case(case)
         assert clean.ok
         hurt = run_case(case, world_setup=corrupting_world_setup(seed=0))
         assert not hurt.ok
         failing = {f.name for f in hurt.failures()}
-        assert "threaded_bitwise" in failing
+        assert "dag_bitwise" in failing
 
     def test_bitflip_caught_by_golden_on_sequential(self):
         hurt = run_case(small_case(),
@@ -221,8 +222,9 @@ class TestInjectedViolations:
                           "golden_params"}
 
     def test_shrink_finds_minimal_reproducer(self):
-        original = small_case(execution="threaded", layers=2, steps=2,
-                              batch=2, seq=8, experts=4, top_k=2)
+        original = small_case(execution="vectorized", backend="dag",
+                              layers=2, steps=2, batch=2, seq=8,
+                              experts=4, top_k=2)
 
         def fails(case):
             return not run_case(
@@ -250,7 +252,8 @@ class TestInjectedViolations:
             calls.append(case)
             return True  # everything "fails": shrink to the floor
 
-        shrink(small_case(execution="threaded", layers=2, steps=2),
+        shrink(small_case(execution="vectorized", backend="dag",
+                          layers=2, steps=2),
                fails, max_evals=3)
         assert len(calls) <= 3
 
@@ -390,7 +393,6 @@ class TestFuzzer:
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
         assert {c.execution for c in cases} == {"sequential",
-                                                "threaded",
                                                 "vectorized"}
         assert len({c.case_id for c in cases}) > 20
 
@@ -400,7 +402,7 @@ class TestFuzzer:
         assert a == b
 
     def test_shrink_candidates_are_strictly_smaller(self):
-        case = VerifyCase(execution="threaded")
+        case = VerifyCase(execution="vectorized", backend="dag")
         for candidate in _shrink_candidates(case):
             assert candidate != case
 
