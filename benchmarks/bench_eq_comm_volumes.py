@@ -17,45 +17,35 @@ from repro.core.analysis import (
     tp_attention_comm_volume,
     tp_ffn_comm_volume,
 )
-from repro.model.layers import SelfAttention
-from repro.model.moe import MoELayer
-from repro.parallel.ep_ffn import EPFFNEngine
-from repro.parallel.sp_attention import SPAttentionEngine
-from repro.parallel.tp_attention import TPAttentionEngine
-from repro.parallel.tp_ffn import TPFFNEngine
-from repro.tensor import Tensor
+from repro.core.config import ModelConfig
+from repro.model.transformer import TransformerBlock
+from repro.parallel import ParallelBlockEngine, shard_sequence
 
 B, S, H, FH, E, K, N, M = 2, 16, 32, 48, 8, 2, 4, 2
 
-
-def shard(x, n):
-    s = x.shape[1]
-    return [Tensor(x[:, r * s // n:(r + 1) * s // n].copy())
-            for r in range(n)]
+#: engine name -> (attention, ffn, EP dispatch) of the block that runs
+#: it, and the ledger-tag prefix that selects its half of the layer.
+ENGINES = {
+    "tp_attn": (("tp", "ep", "a2a"), "tp_attn"),
+    "sp_attn": (("sp", "ep", "a2a"), "sp_attn"),
+    "ep_a2a": (("sp", "ep", "a2a"), "ep_ffn"),
+    "ep_agrs": (("sp", "ep", "ag_rs"), "ep_ffn"),
+    "tp_ffn": (("sp", "tp", "a2a"), "tp_ffn"),
+}
 
 
 def measure(engine_name):
+    (attention, ffn, dispatch), tag = ENGINES[engine_name]
     rng = np.random.default_rng(0)
     world = World(N, N)
+    config = ModelConfig("eq-volumes", 1, H, 8, M, FH, E, K)
+    block = TransformerBlock(rng, config, dtype=np.float64)
+    engine = ParallelBlockEngine(world.full_group(), block, attention,
+                                 ffn, ep_mode=dispatch)
     x = rng.standard_normal((B, S, H))
-    if engine_name in ("sp_attn", "tp_attn"):
-        attn = SelfAttention(rng, H, 8, M, dtype=np.float64)
-        cls = SPAttentionEngine if engine_name == "sp_attn" \
-            else TPAttentionEngine
-        engine = cls(world.full_group(), attn)
-        world.ledger.clear()
-        engine.forward(shard(x, N), S)
-    else:
-        moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
-        if engine_name == "tp_ffn":
-            engine = TPFFNEngine(world.full_group(), moe)
-        else:
-            mode = "a2a" if engine_name == "ep_a2a" else "ag_rs"
-            engine = EPFFNEngine(world.full_group(), moe, mode=mode)
-        world.ledger.clear()
-        engine.forward(shard(x, N))
+    engine.forward(shard_sequence(x, N), S)
     return sum(r.total_bytes for r in world.ledger.records
-               if not r.tag.endswith(":bwd")) / 8.0  # fp64 elements
+               if r.tag.startswith(tag)) / 8.0  # fp64 elements
 
 
 def run_volumes():

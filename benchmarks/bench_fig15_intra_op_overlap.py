@@ -109,16 +109,16 @@ def _traced_tiled_program(tile_tokens):
     world = World(_MEASURED_RANKS, _MEASURED_RANKS)
     world.tracer = tracer = Tracer()
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=_MEASURED_SEQ, backend="dag",
-                        tile_tokens=tile_tokens)
+                        seq_len=_MEASURED_SEQ, tile_tokens=tile_tokens)
     trainer = MegaScaleTrainer(
         model, world,
         ParallelConfig.megascale(_MEASURED_RANKS, ep_dispatch="ag_rs"),
         train)
     rng = np.random.default_rng(0)
     trainer.train_step(rng.integers(0, 64, size=(2, _MEASURED_SEQ + 1)))
-    program = trainer.dag_program_for(_MEASURED_SEQ)
-    return program, tracer, trainer.engines[0].last_executed_tiles
+    engine = trainer.engines[0]
+    program = engine.executor_for(2, _MEASURED_SEQ).program
+    return program, tracer, engine.last_executed_tiles
 
 
 def _calibrated_tile_durations(program, tracer):

@@ -204,12 +204,9 @@ def cmd_train_demo(args) -> int:
     config = ModelConfig("cli-demo", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     model = MoETransformer(config, seed=0, dtype=np.float64)
-    backend = args.backend
-    if args.tile_tokens is not None and backend is None:
-        backend = "dag"  # tile-granular execution is a DAG feature
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                         seq_len=16, learning_rate=3e-3,
-                        aux_loss_coeff=0.01, backend=backend,
+                        aux_loss_coeff=0.01,
                         tile_tokens=args.tile_tokens)
     trainer = MegaScaleTrainer(
         model, World(4, 4), ParallelConfig.megascale(4), train,
@@ -603,11 +600,8 @@ def cmd_verify(args) -> int:
         else:
             cases = smoke_matrix(seed=args.seed)
             label = "smoke matrix"
-        if args.backend != "engine":
-            cases = [case.replace(backend=args.backend)
-                     for case in cases]
         print(f"running the {label} ({len(cases)} cases, "
-              f"seed {args.seed}, backend {args.backend})")
+              f"seed {args.seed})")
         report = run_matrix(cases, progress=progress)
     print()
     print(report.render())
@@ -670,16 +664,10 @@ def main(argv=None) -> int:
     demo = sub.add_parser("train-demo",
                           help="train a miniature MoE on one node")
     demo.add_argument("steps", nargs="?", type=int, default=10)
-    demo.add_argument("--backend", default=None,
-                      choices=["engine", "dag"],
-                      help="numeric backend: legacy engines or the "
-                           "schedule-ordered DAG executor (bitwise-"
-                           "identical losses)")
     demo.add_argument("--tile-tokens", type=int, default=None,
                       help="token-chunk width for tile-granular "
                            "fused-kernel execution (4.2); must divide "
-                           "the per-rank sequence shard; implies the "
-                           "dag backend (env: REPRO_TILE_TOKENS)")
+                           "the per-rank sequence shard")
 
     ft = sub.add_parser(
         "ft-demo",
@@ -745,13 +733,6 @@ def main(argv=None) -> int:
     verify.add_argument("--fuzz", type=int, default=0, metavar="N",
                         help="run N random fuzzed cases instead")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--backend", default="engine",
-                        choices=["engine", "dag"],
-                        help="numeric backend for the smoke matrix "
-                             "(dag adds bitwise + schedule-conformance "
-                             "checks against the engine path; "
-                             "vectorized-execution cases always run on "
-                             "the dag backend)")
     verify.add_argument("--shrink", action="store_true",
                         help="shrink failing cases to minimal "
                              "reproducers")

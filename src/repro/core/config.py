@@ -328,20 +328,15 @@ class TrainConfig:
     aux_loss_coeff: float = 0.01
     #: Token-drop capacity factor; 0 disables dropping (§3.2).
     capacity_factor: float = 0.0
-    #: Rank-execution engine: "sequential" (classic per-rank loops),
-    #: "vectorized" (all ranks stacked on a leading axis, one batched
-    #: kernel per op — bitwise-identical, requires the "dag" backend),
-    #: or None to defer to the ``REPRO_EXECUTION`` environment variable.
+    #: One-valued (None or "sequential" / "dag") and read by nothing:
+    #: every layer runs through the sequential DAG executor.  Kept only
+    #: because the frozen benchmarks/wallclock/train_workload.py spells
+    #: them; the next benchmark PR drops both.
     execution: Optional[str] = None
-    #: Numeric backend: "engine" (classic per-engine call chains),
-    #: "dag" (the schedule-ordered DAG executor — bitwise-identical
-    #: results), or None to defer to the ``REPRO_BACKEND`` environment
-    #: variable.
     backend: Optional[str] = None
     #: Attention-output dropout probability (0 disables).  Randomness
     #: comes from per-rank child streams spawned off ``dropout_seed``
-    #: (:class:`~repro.runtime.rng.RankRngPool`), so sequential and
-    #: vectorized execution stay bitwise-identical with dropout on.
+    #: (:class:`~repro.runtime.rng.RankRngPool`).
     dropout: float = 0.0
     #: Seed for the per-rank dropout streams.
     dropout_seed: int = 1234
@@ -349,8 +344,7 @@ class TrainConfig:
     #: (sequence positions per rank) for A2A-adjacent fused groups;
     #: AG/RS groups always tile per source rank.  Must divide the
     #: local sequence shard ``seq_len / n`` (validated when the layer
-    #: program is planned) and requires the "dag" backend.  None (or
-    #: an unset ``REPRO_TILE_TOKENS``) keeps fused groups whole.
+    #: program is planned).  None keeps fused groups whole.
     tile_tokens: Optional[int] = None
 
     def __post_init__(self):
@@ -358,20 +352,15 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.global_batch_size < 1 or self.micro_batch_size < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.execution not in (None, "sequential", "vectorized"):
+        if self.execution not in (None, "sequential"):
             raise ValueError(
-                f"unknown execution mode {self.execution!r}; expected "
-                "None, 'sequential', or 'vectorized'"
+                f"unknown execution mode {self.execution!r}; the only "
+                "one is 'sequential'"
             )
-        if self.backend not in (None, "engine", "dag"):
+        if self.backend not in (None, "dag"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected None, "
-                "'engine', or 'dag'"
-            )
-        if self.execution == "vectorized" and self.backend == "engine":
-            raise ValueError(
-                "execution='vectorized' runs through the DAG executor; "
-                "it is incompatible with backend='engine'"
+                f"unknown backend {self.backend!r}; the only one is "
+                "'dag'"
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(
@@ -380,11 +369,6 @@ class TrainConfig:
         if self.tile_tokens is not None and self.tile_tokens < 1:
             raise ValueError(
                 f"tile_tokens must be >= 1, got {self.tile_tokens}"
-            )
-        if self.tile_tokens is not None and self.backend == "engine":
-            raise ValueError(
-                "tile_tokens requires the 'dag' backend; the engine "
-                "path has no scheduled operator graph to tile"
             )
 
 

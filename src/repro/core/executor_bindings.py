@@ -6,26 +6,11 @@ simulation (:mod:`repro.sim`), and — through this module — the actual
 numeric forward pass.  Each :class:`OpBinding` attaches a numeric
 handler to one forward-graph op (or a small *covers* group of ops that
 one engine method computes together, e.g. the grouped-GEMM chain
-``fc1``/``fc3``/``swiglu``/``fc2``), in two flavors:
-
-* ``seq`` — the whole-world callable used by the sequential backend:
-  it sees every rank's activations and issues the classic ``dist_*``
-  collectives;
-* ``vec`` (optional) — the all-ranks-at-once callable used by the
-  vectorized backend (:mod:`repro.runtime.vectorized`): it sees every
-  rank's activations stacked on a leading rank axis and runs one
-  batched numpy kernel, with collectives reduced to axis permutations.
-  Bindings without a ``vec`` handler fall back to ``seq`` inside the
-  same vectorized run.
-
-The ``seq`` flavor calls the *same* per-op engine methods
-(``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …) as
-the legacy engine path, so the autograd tape it builds is structurally
-identical — which is why ``repro verify`` can demand bitwise equality
-between the two.  The ``vec`` flavor builds a *different* (batched)
-tape whose per-rank slices and gradient-accumulation order are
-nonetheless bitwise-identical to the per-rank tapes — the
-``dag_bitwise`` invariant pins this too.
+``fc1``/``fc3``/``swiglu``/``fc2``).  The handler sees every rank's
+activations, calls the per-op engine methods
+(``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …) and
+issues the ``dist_*`` collectives; this list is the one place a
+layer's op sequence is spelled.
 
 :func:`layer_program` closes the loop with the scheduler: it builds the
 forward graph, prices it with the :class:`~repro.perf.KernelModel`,
@@ -37,7 +22,7 @@ order) into the op-level execution order the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,12 +35,13 @@ from .schedule import HolisticScheduler, OverlapConfig
 __all__ = [
     "LayerProgram",
     "OpBinding",
+    "attention_bindings",
     "build_layer_bindings",
     "expand_task",
+    "ffn_bindings",
     "layer_program",
     "per_rank",
     "unit_map",
-    "with_vec",
 ]
 
 
@@ -77,7 +63,7 @@ def _group_tiles(tile_plan: Optional[TilePlan], fuse_group: str) -> int:
 # ---------------------------------------------------------------------------
 
 class _SeqCtx:
-    """Whole-world view for the sequential backend."""
+    """Whole-world view a handler runs against."""
 
     __slots__ = ("group", "env")
 
@@ -102,23 +88,12 @@ class OpBinding:
             consumes.  Must all be produced earlier in any valid
             topological execution order — the executor checks this.
         seq: Whole-world handler; returns the per-rank value list.
-        vec: Optional rank-stacked handler for the vectorized backend;
-            returns the stacked value (or a tuple of stacked values).
-            ``None`` means the vectorized executor falls back to
-            ``seq`` for this binding.
     """
 
     op: str
     covers: Tuple[str, ...]
     reads: Tuple[str, ...]
     seq: Callable[[_SeqCtx], List[Any]]
-    vec: Optional[Callable[[Any], Any]] = None
-
-
-def with_vec(binding: OpBinding,
-             fn: Callable[[Any], Any]) -> OpBinding:
-    """Attach a vectorized handler to an existing binding."""
-    return replace(binding, vec=fn)
 
 
 def per_rank(op: str, reads: Sequence[str],
@@ -147,13 +122,20 @@ def per_rank(op: str, reads: Sequence[str],
 # Strategy binding factories
 # ---------------------------------------------------------------------------
 
-def _sp_attention_bindings(engine: Any, seq_len: int,
+def _token_rows(shards: Sequence[Any]) -> List[Any]:
+    """``[b, s/n, h]`` shards flattened to ``[tokens, h]`` rows."""
+    return [s.reshape(-1, s.shape[-1]) if s.ndim == 3 else s
+            for s in shards]
+
+
+def _sp_attention_bindings(eng: Any, seq_len: int,
                            tile_plan: Optional[TilePlan] = None
                            ) -> List[OpBinding]:
     """SP (Ulysses) attention: qkv_proj → rope → A2A → attn → A2A →
-    out_proj, replicated weights (§3.1, Fig. 20)."""
-    eng = engine.attn_engine
-    group = engine.group
+    out_proj, replicated weights (§3.1, Fig. 20).  ``eng`` is the
+    :class:`~repro.parallel.sp_attention.SPAttentionEngine`; the chain
+    reads ``ln1`` and ends at ``out_proj``."""
+    group = eng.group
     local_s = seq_len // group.size
     eb = eng.elem_bytes
     # Token-chunked A2As (§4.2): every (source, dest) chunk's sequence
@@ -161,135 +143,86 @@ def _sp_attention_bindings(engine: Any, seq_len: int,
     t_qkv = _group_tiles(tile_plan, "a2a+attn")
     t_attn = _group_tiles(tile_plan, "a2a+gemm")
 
-    def seq_qkv_a2a(ctx: _SeqCtx) -> List[Any]:
+    def qkv_a2a(ctx: _SeqCtx) -> List[Any]:
+        # Split the head axis (2), gather the sequence axis (1): rank r
+        # then holds all positions for its n-th of the q and kv heads.
         d = _dist_ops()
         triples = ctx.env["rope"]
-        q_full = d.dist_all_to_all(group, [t[0] for t in triples],
-                                   split_axis=2, concat_axis=1,
-                                   elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                   tiles=t_qkv, tile_axis=1,
-                                   tile_label="qkv_a2a")
-        k_full = d.dist_all_to_all(group, [t[1] for t in triples],
-                                   split_axis=2, concat_axis=1,
-                                   elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                   tiles=t_qkv, tile_axis=1,
-                                   tile_label="qkv_a2a")
-        v_full = d.dist_all_to_all(group, [t[2] for t in triples],
-                                   split_axis=2, concat_axis=1,
-                                   elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                                   tiles=t_qkv, tile_axis=1,
-                                   tile_label="qkv_a2a")
+        q_full, k_full, v_full = (
+            d.dist_all_to_all(group, [t[i] for t in triples],
+                              split_axis=2, concat_axis=1,
+                              elem_bytes=eb, tag="sp_attn:qkv_a2a",
+                              tiles=t_qkv, tile_axis=1,
+                              tile_label="qkv_a2a")
+            for i in range(3))
         return list(zip(q_full, k_full, v_full))
 
-    def seq_attn_a2a(ctx: _SeqCtx) -> List[Any]:
+    def attn_a2a(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_all_to_all(
             group, ctx.env["attention"], split_axis=1, concat_axis=2,
             elem_bytes=eb, tag="sp_attn:attn_a2a",
             tiles=t_attn, tile_axis=1, tile_label="attn_a2a")
 
-    # Vectorized flavors: the whole SP chain runs rank-stacked, with
-    # the two all-to-alls reduced to axis permutations (same tags, same
-    # ledger bytes; q/k/v in the same call order as the seq path).
-    def vec_qkv_a2a(ctx: Any) -> Any:
-        from ..runtime.vectorized import vec_all_to_all
-        q, k, v = ctx.stacked("rope")
-        return tuple(
-            vec_all_to_all(t, split_axis=2, concat_axis=1, group=group,
-                           elem_bytes=eb, tag="sp_attn:qkv_a2a",
-                           tiles=t_qkv, tile_label="qkv_a2a")
-            for t in (q, k, v))
-
-    def vec_attn_a2a(ctx: Any) -> Any:
-        from ..runtime.vectorized import vec_all_to_all
-        return vec_all_to_all(
-            ctx.stacked("attention"), split_axis=1, concat_axis=2,
-            group=group, elem_bytes=eb, tag="sp_attn:attn_a2a",
-            tiles=t_attn, tile_label="attn_a2a")
-
     return [
-        with_vec(per_rank("qkv_proj", ("ln1",),
-                          lambda r, get: eng.op_qkv(get("ln1"))),
-                 lambda ctx: eng.vec_qkv(ctx.stacked("ln1"))),
-        with_vec(per_rank("rope", ("qkv_proj",),
-                          lambda r, get: eng.op_rope(get("qkv_proj"),
-                                                     r, local_s)),
-                 lambda ctx: eng.vec_rope(ctx.stacked("qkv_proj"),
-                                          local_s)),
-        OpBinding("qkv_a2a", ("qkv_a2a",), ("rope",),
-                  seq_qkv_a2a, vec_qkv_a2a),
-        with_vec(per_rank("attention", ("qkv_a2a",),
-                          lambda r, get: eng.op_attention(
-                              get("qkv_a2a"))),
-                 lambda ctx: eng.vec_attention(ctx.stacked("qkv_a2a"))),
-        OpBinding("attn_a2a", ("attn_a2a",), ("attention",),
-                  seq_attn_a2a, vec_attn_a2a),
-        with_vec(per_rank("out_proj", ("attn_a2a",),
-                          lambda r, get: eng.op_out_proj(
-                              get("attn_a2a"), r)),
-                 lambda ctx: eng.vec_out_proj(ctx.stacked("attn_a2a"))),
+        per_rank("qkv_proj", ("ln1",),
+                 lambda r, get: eng.op_qkv(get("ln1"))),
+        per_rank("rope", ("qkv_proj",),
+                 lambda r, get: eng.op_rope(get("qkv_proj"), r, local_s)),
+        OpBinding("qkv_a2a", ("qkv_a2a",), ("rope",), qkv_a2a),
+        per_rank("attention", ("qkv_a2a",),
+                 lambda r, get: eng.op_attention(get("qkv_a2a"))),
+        OpBinding("attn_a2a", ("attn_a2a",), ("attention",), attn_a2a),
+        per_rank("out_proj", ("attn_a2a",),
+                 lambda r, get: eng.op_out_proj(get("attn_a2a"), r)),
     ]
 
 
-def _tp_attention_bindings(engine: Any,
+def _tp_attention_bindings(eng: Any,
                            tile_plan: Optional[TilePlan] = None
                            ) -> List[OpBinding]:
-    """TP (Megatron) attention: AG in, head-sharded compute, RS out."""
-    eng = engine.attn_engine
-    group = engine.group
+    """TP (Megatron) attention: AG in, head-sharded compute, RS out.
+    ``eng`` is the :class:`~repro.parallel.tp_attention.
+    TPAttentionEngine`; the chain reads ``ln1`` and ends at
+    ``attn_rs``."""
+    group = eng.group
     eb = eng.elem_bytes
     ag_tiled = _group_tiles(tile_plan, "attn_ag+gemm") >= 2
     rs_tiled = _group_tiles(tile_plan, "attn_gemm+rs") >= 2
 
-    def seq_ag(ctx: _SeqCtx) -> List[Any]:
+    def ag(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_all_gather(
             group, ctx.env["ln1"], axis=1, elem_bytes=eb,
             tag="tp_attn:ag", tiled=ag_tiled, tile_label="attn_ag")
 
-    def seq_rs(ctx: _SeqCtx) -> List[Any]:
+    def rs(ctx: _SeqCtx) -> List[Any]:
+        # Partial products sum across ranks; scatter back to seq shards.
         return _dist_ops().dist_reduce_scatter(
             group, ctx.env["out_proj"], axis=1, elem_bytes=eb,
             tag="tp_attn:rs", tiled=rs_tiled, tile_label="attn_rs")
 
-    def vec_ag(ctx: Any) -> Any:
-        from ..runtime.vectorized import vec_all_gather
-        return vec_all_gather(ctx.stacked("ln1"), axis=1, group=group,
-                              elem_bytes=eb, tag="tp_attn:ag",
-                              tiled=ag_tiled, tile_label="attn_ag")
-
-    def vec_rs(ctx: Any) -> Any:
-        from ..runtime.vectorized import vec_reduce_scatter
-        return vec_reduce_scatter(ctx.stacked("out_proj"), axis=1,
-                                  group=group, elem_bytes=eb,
-                                  tag="tp_attn:rs", tiled=rs_tiled,
-                                  tile_label="attn_rs")
-
     return [
-        OpBinding("attn_ag", ("attn_ag",), ("ln1",), seq_ag, vec_ag),
-        with_vec(per_rank("qkv_proj", ("attn_ag",),
-                          lambda r, get: eng.op_qkv(get("attn_ag"), r)),
-                 lambda ctx: eng.vec_qkv(ctx.stacked("attn_ag"))),
-        with_vec(per_rank("rope", ("qkv_proj",),
-                          lambda r, get: eng.op_rope(get("qkv_proj"))),
-                 lambda ctx: eng.op_rope(ctx.stacked("qkv_proj"))),
-        with_vec(per_rank("attention", ("rope",),
-                          lambda r, get: eng.op_attention(get("rope"))),
-                 lambda ctx: eng.vec_attention(ctx.stacked("rope"))),
-        with_vec(per_rank("out_proj", ("attention",),
-                          lambda r, get: eng.op_out_proj(
-                              get("attention"), r)),
-                 lambda ctx: eng.vec_out_proj(ctx.stacked("attention"))),
-        OpBinding("attn_rs", ("attn_rs",), ("out_proj",), seq_rs,
-                  vec_rs),
+        OpBinding("attn_ag", ("attn_ag",), ("ln1",), ag),
+        per_rank("qkv_proj", ("attn_ag",),
+                 lambda r, get: eng.op_qkv(get("attn_ag"), r)),
+        per_rank("rope", ("qkv_proj",),
+                 lambda r, get: eng.op_rope(get("qkv_proj"))),
+        per_rank("attention", ("rope",),
+                 lambda r, get: eng.op_attention(get("rope"))),
+        per_rank("out_proj", ("attention",),
+                 lambda r, get: eng.op_out_proj(get("attention"), r)),
+        OpBinding("attn_rs", ("attn_rs",), ("out_proj",), rs),
     ]
 
 
-def _ep_a2a_bindings(engine: Any,
+def _ep_a2a_bindings(ffn: Any,
                      tile_plan: Optional[TilePlan] = None
                      ) -> List[OpBinding]:
     """EP FFN with A2A dispatch (§3.2 Eq. 3): route local tokens, send
-    kept rows to their experts' ranks, return and gate-combine."""
-    ffn = engine.ffn_engine
-    group = engine.group
+    kept rows to their experts' ranks, return and gate-combine.
+    ``ffn`` is an :class:`~repro.parallel.ep_ffn.EPFFNEngine` in
+    ``a2a`` mode; the chain reads ``ln2`` and ends at
+    ``weighted_sum``."""
+    group = ffn.group
     n = group.size
     eb = ffn.elem_bytes
     # Ragged dispatch tiles per source rank (§4.2 swizzled order); the
@@ -297,32 +230,28 @@ def _ep_a2a_bindings(engine: Any,
     # with and stays whole.
     dispatch_tiled = _group_tiles(tile_plan, "a2a+ggemm") >= 2
 
-    def seq_router(ctx: _SeqCtx) -> List[Any]:
-        flats = ffn._flatten(ctx.env["ln2"])
-        routings, weight_ts = [], []
-        for flat in flats:
-            routing, weights = ffn.op_route(flat)
-            routings.append(routing)
-            weight_ts.append(weights)
-        aux = ffn._global_aux_loss(flats, routings)
+    def router(ctx: _SeqCtx) -> List[Any]:
+        # Replicated gate => the same decisions the reference model
+        # makes for those tokens.
+        flats = _token_rows(ctx.env["ln2"])
+        routed = [ffn.op_route(flat) for flat in flats]
+        aux = ffn._global_aux_loss(flats, [r for r, _ in routed])
         return [(flat, routing, weights, aux)
-                for flat, routing, weights
-                in zip(flats, routings, weight_ts)]
+                for flat, (routing, weights) in zip(flats, routed)]
 
-    def seq_scatter(ctx: _SeqCtx) -> List[Any]:
-        return [ffn.op_scatter_a2a(flat, routing)
-                for flat, routing, _, _ in ctx.env["router"]]
+    def scatter(r: int, get: Callable[[str], Any]) -> Any:
+        flat, routing, _, _ = get("router")
+        return ffn.op_scatter_a2a(flat, routing)
 
-    def seq_dispatch(ctx: _SeqCtx) -> List[Any]:
+    def dispatch(ctx: _SeqCtx) -> List[Any]:
         send_rows = [v[0] for v in ctx.env["scatter"]]
         send_splits = [v[2] for v in ctx.env["scatter"]]
-        ffn._last_send_splits = [list(s) for s in send_splits]
         return _dist_ops().dist_all_to_all_uneven(
             group, send_rows, send_splits, elem_bytes=eb,
             tag="ep_ffn:dispatch_a2a", tiled=dispatch_tiled,
             tile_label="dispatch_a2a")
 
-    def seq_experts(ctx: _SeqCtx) -> List[Any]:
+    def experts(ctx: _SeqCtx) -> List[Any]:
         metas = [v[1] for v in ctx.env["scatter"]]
         all_splits = [v[2] for v in ctx.env["scatter"]]
         return [
@@ -331,7 +260,8 @@ def _ep_a2a_bindings(engine: Any,
             for j in range(n)
         ]
 
-    def seq_combine(ctx: _SeqCtx) -> List[Any]:
+    def combine(ctx: _SeqCtx) -> List[Any]:
+        # The return trip transposes the split matrix.
         all_splits = [v[2] for v in ctx.env["scatter"]]
         back_splits = [[all_splits[i][j] for i in range(n)]
                        for j in range(n)]
@@ -340,6 +270,7 @@ def _ep_a2a_bindings(engine: Any,
             tag="ep_ffn:combine_a2a")
 
     def weighted(r: int, get: Callable[[str], Any]) -> Any:
+        # Gate weight applied after FC2, on the source rank (§4.1).
         flat, _, weights, _ = get("router")
         meta = get("scatter")[1]
         return ffn.op_combine_weighted(get("combine_a2a"), meta,
@@ -347,33 +278,34 @@ def _ep_a2a_bindings(engine: Any,
                                        get("ln2").shape)
 
     return [
-        OpBinding("router", ("router",), ("ln2",), seq_router),
-        OpBinding("scatter", ("scatter",), ("ln2", "router"),
-                  seq_scatter),
+        OpBinding("router", ("router",), ("ln2",), router),
+        per_rank("scatter", ("ln2", "router"), scatter),
         OpBinding("dispatch_a2a", ("dispatch_a2a",), ("scatter",),
-                  seq_dispatch),
+                  dispatch),
         OpBinding("fc1", ("fc1", "fc3", "swiglu", "fc2"),
-                  ("dispatch_a2a", "scatter"), seq_experts),
+                  ("dispatch_a2a", "scatter"), experts),
         OpBinding("combine_a2a", ("combine_a2a",), ("fc1", "scatter"),
-                  seq_combine),
+                  combine),
         per_rank("weighted_sum",
                  ("combine_a2a", "scatter", "router", "ln2"), weighted),
     ]
 
 
-def _ag_ffn_bindings(engine: Any, flavor: str,
+def _ag_ffn_bindings(ffn: Any, flavor: str,
                      tile_plan: Optional[TilePlan] = None
                      ) -> List[OpBinding]:
     """The two AG-based FFN paths share one shape (§3.2 Eq. 4):
     all-gather tokens, route the full batch, local scatter + experts,
     weighted full-size contribution, reduce-scatter.
 
-    ``flavor`` is ``"ep"`` (AG/RS expert dispatch — whole experts per
-    rank) or ``"tp"`` (Megatron FFN — every expert's intermediate dim
-    sharded); they differ only in tags and the expert handler.
+    ``flavor`` is ``"ep"`` (AG/RS expert dispatch — ``ffn`` is an
+    :class:`~repro.parallel.ep_ffn.EPFFNEngine` holding whole experts
+    per rank) or ``"tp"`` (Megatron FFN — a
+    :class:`~repro.parallel.tp_ffn.TPFFNEngine` with every expert's
+    intermediate dim sharded); they differ only in tags and the expert
+    handler.  The chain reads ``ln2`` and ends at ``ffn_rs``.
     """
-    ffn = engine.ffn_engine
-    group = engine.group
+    group = ffn.group
     eb = ffn.elem_bytes
     if flavor == "ep":
         ag_tag, rs_tag = "ep_ffn:dispatch_ag", "ep_ffn:combine_rs"
@@ -388,12 +320,8 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
     rs_tiled = (not ffn.fp8_comm
                 and _group_tiles(tile_plan, rs_key) >= 2)
 
-    def seq_ag(ctx: _SeqCtx) -> List[Any]:
-        if flavor == "ep":
-            flats = ffn._flatten(ctx.env["ln2"])
-        else:
-            flats = [s.reshape(-1, s.shape[-1]) if s.ndim == 3 else s
-                     for s in ctx.env["ln2"]]
+    def ag(ctx: _SeqCtx) -> List[Any]:
+        flats = _token_rows(ctx.env["ln2"])
         t_locals = [f.shape[0] for f in flats]
         if ffn.fp8_comm:
             from ..parallel.dist_ops_fp8 import dist_all_gather_fp8
@@ -405,12 +333,16 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
         return [(full, t_locals) for full in fulls]
 
     def route(r: int, get: Callable[[str], Any]) -> Any:
+        # Identical on every rank; only rank r's expert rows are used
+        # downstream, so the shared gate accumulates exactly the
+        # reference gradient.
         return ffn.op_route_full(get("ffn_ag")[0])
 
     def scatter(r: int, get: Callable[[str], Any]) -> Any:
         full, t_locals = get("ffn_ag")
         routing = get("router")[0]
         if flavor == "ep":
+            # Token -> source-rank map for the §4.2 tile ordering.
             source_rank = np.concatenate([
                 np.full(t, i) for i, t in enumerate(t_locals)])
             return ffn.op_scatter_ag(full, routing, r, source_rank)
@@ -430,7 +362,7 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
             return ffn.op_gather_ag(get("fc1"), plan, weights, t_total)
         return ffn.op_gather(get("fc1"), plan, weights, t_total)
 
-    def seq_rs(ctx: _SeqCtx) -> List[Any]:
+    def rs(ctx: _SeqCtx) -> List[Any]:
         if ffn.fp8_comm:
             from ..parallel.dist_ops_fp8 import dist_reduce_scatter_fp8
             out_flats = dist_reduce_scatter_fp8(
@@ -443,15 +375,39 @@ def _ag_ffn_bindings(engine: Any, flavor: str,
                 for flat, shard in zip(out_flats, ctx.env["ln2"])]
 
     return [
-        OpBinding("ffn_ag", ("ffn_ag",), ("ln2",), seq_ag),
+        OpBinding("ffn_ag", ("ffn_ag",), ("ln2",), ag),
         per_rank("router", ("ffn_ag",), route),
         per_rank("scatter", ("ffn_ag", "router"), scatter),
         per_rank("fc1", ("scatter",), experts,
                  covers=("fc1", "fc3", "swiglu", "fc2")),
         per_rank("gather", ("fc1", "scatter", "router", "ffn_ag"),
                  gather),
-        OpBinding("ffn_rs", ("ffn_rs",), ("gather", "ln2"), seq_rs),
+        OpBinding("ffn_rs", ("ffn_rs",), ("gather", "ln2"), rs),
     ]
+
+
+def attention_bindings(eng: Any, seq_len: int,
+                       tile_plan: Optional[TilePlan] = None
+                       ) -> List[OpBinding]:
+    """The attention half of a layer for an SP or TP attention engine:
+    reads ``ln1``; the last binding's values are the output shards."""
+    from ..parallel.sp_attention import SPAttentionEngine
+    if isinstance(eng, SPAttentionEngine):
+        return _sp_attention_bindings(eng, seq_len, tile_plan)
+    return _tp_attention_bindings(eng, tile_plan)
+
+
+def ffn_bindings(ffn: Any, tile_plan: Optional[TilePlan] = None
+                 ) -> List[OpBinding]:
+    """The FFN half of a layer for an EP or TP FFN engine: reads
+    ``ln2``; the last binding's values are the output shards and the
+    ``router`` anchor's per-rank values end with the aux loss."""
+    from ..parallel.tp_ffn import TPFFNEngine
+    if isinstance(ffn, TPFFNEngine):
+        return _ag_ffn_bindings(ffn, "tp", tile_plan)
+    if ffn.mode == "a2a":
+        return _ep_a2a_bindings(ffn, tile_plan)
+    return _ag_ffn_bindings(ffn, "ep", tile_plan)
 
 
 def build_layer_bindings(engine: Any, seq_len: int,
@@ -471,51 +427,23 @@ def build_layer_bindings(engine: Any, seq_len: int,
     reduction, which keeps results bitwise-identical to untiled.
     """
     block = engine.block
-
-    def vec_norm(norm: Any, read: str) -> Callable[[Any], Any]:
-        def fn(ctx: Any) -> Any:
-            from ..runtime.vectorized import vec_rmsnorm
-            return vec_rmsnorm(ctx.stacked(read), norm.weight, norm.eps)
-        return fn
-
-    def vec_add(a: str, b: str) -> Callable[[Any], Any]:
-        return lambda ctx: ctx.stacked(a) + ctx.stacked(b)
-
-    bindings = [
-        with_vec(per_rank("ln1", ("hidden",),
-                          lambda r, get: block.ln1(get("hidden"))),
-                 vec_norm(block.ln1, "hidden")),
+    attention = attention_bindings(engine.attn_engine, seq_len, tile_plan)
+    ffn = ffn_bindings(engine.ffn_engine, tile_plan)
+    attn_out, ffn_out = attention[-1].op, ffn[-1].op
+    # RMSNorm and the residual adds act per token, so they run locally
+    # on each sequence shard (§2.2).
+    return [
+        per_rank("ln1", ("hidden",),
+                 lambda r, get: block.ln1(get("hidden"))),
+        *attention,
+        per_rank("residual1", ("hidden", attn_out),
+                 lambda r, get: get("hidden") + get(attn_out)),
+        per_rank("ln2", ("residual1",),
+                 lambda r, get: block.ln2(get("residual1"))),
+        *ffn,
+        per_rank("residual2", ("residual1", ffn_out),
+                 lambda r, get: get("residual1") + get(ffn_out)),
     ]
-    if engine.attention == "sp":
-        bindings += _sp_attention_bindings(engine, seq_len, tile_plan)
-        attn_out = "out_proj"
-    else:
-        bindings += _tp_attention_bindings(engine, tile_plan)
-        attn_out = "attn_rs"
-    bindings += [
-        with_vec(per_rank("residual1", ("hidden", attn_out),
-                          lambda r, get, _a=attn_out:
-                          get("hidden") + get(_a)),
-                 vec_add("hidden", attn_out)),
-        with_vec(per_rank("ln2", ("residual1",),
-                          lambda r, get: block.ln2(get("residual1"))),
-                 vec_norm(block.ln2, "residual1")),
-    ]
-    if engine.ffn == "ep" and engine.ffn_engine.mode == "a2a":
-        bindings += _ep_a2a_bindings(engine, tile_plan)
-        ffn_out = "weighted_sum"
-    elif engine.ffn == "ep":
-        bindings += _ag_ffn_bindings(engine, "ep", tile_plan)
-        ffn_out = "ffn_rs"
-    else:
-        bindings += _ag_ffn_bindings(engine, "tp", tile_plan)
-        ffn_out = "ffn_rs"
-    bindings.append(
-        with_vec(per_rank("residual2", ("residual1", ffn_out),
-                          lambda r, get, _f=ffn_out:
-                          get("residual1") + get(_f)),
-                 vec_add("residual1", ffn_out)))
-    return bindings
 
 
 # ---------------------------------------------------------------------------

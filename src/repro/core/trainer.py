@@ -26,7 +26,6 @@ The trainer composes with:
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ContextManager, Dict, Optional
@@ -38,7 +37,6 @@ from ..model.transformer import MoETransformer
 from ..parallel.block import ParallelBlockEngine
 from ..precision.optimizer import AdamW, clip_grad_norm
 from ..precision.policy import PrecisionPolicy
-from ..runtime import resolve_backend, resolve_execution
 from ..tensor import Tensor, ops
 from .config import ParallelConfig, TrainConfig
 
@@ -95,46 +93,13 @@ class MegaScaleTrainer:
         self.group: ProcessGroup = world.full_group()
         self.parallel = parallel
         self.train_cfg = train
-        #: Resolved execution mode (config > ``REPRO_EXECUTION`` env >
-        #: sequential): "sequential" or "vectorized" — bitwise-
-        #: identical (docs/INTERNALS.md §12).
-        self.execution = resolve_execution(train.execution)
         #: Always None; read only by the frozen
         #: benchmarks/wallclock/train_workload.py::phases.
         self.executor = None
-        #: Numeric backend (config > ``REPRO_BACKEND`` env > "engine").
-        #: "dag" compiles one LayerProgram — forward IR + overlap
-        #: schedule — and runs every layer through the DagExecutor in
-        #: schedule order, bitwise-identical to the engine path.
-        self.backend = resolve_backend(train.backend)
-        if self.execution == "vectorized":
-            if train.backend == "engine":
-                raise ValueError(
-                    "execution='vectorized' requires the DAG backend; "
-                    "backend='engine' cannot batch ranks"
-                )
-            # The rank-stacked kernels live behind the DAG executor's
-            # op bindings, so the mode implies the "dag" backend.
-            self.backend = "dag"
-        #: §4.2 tile-granular execution: token-chunk width for fused
-        #: groups (config > ``REPRO_TILE_TOKENS`` env > off).  Part of
-        #: the program cache key, so toggling it can never serve a
-        #: stale untiled (or differently-tiled) LayerProgram.
-        self.tile_tokens = train.tile_tokens
-        if self.tile_tokens is None:
-            env_tiles = os.environ.get("REPRO_TILE_TOKENS")
-            if env_tiles:
-                self.tile_tokens = int(env_tiles)
-        if self.tile_tokens is not None and self.backend != "dag":
-            raise ValueError(
-                "tile_tokens requires the DAG backend; tiled fused "
-                "groups only exist in the scheduled operator graph"
-            )
-        self._dag_programs: Dict[tuple, object] = {}
-        self.remat_plan = None
-        if self.backend == "dag" and train.selective_remat:
+        remat_plan = None
+        if train.selective_remat:
             from .remat import default_remat_plan
-            self.remat_plan = default_remat_plan()
+            remat_plan = default_remat_plan()
         self.policy = policy
         self.optimizer = optimizer or AdamW(
             model.parameters(), lr=train.learning_rate,
@@ -145,8 +110,7 @@ class MegaScaleTrainer:
         # FFN collectives (per-token forward, grouped-channel backward).
         fp8_comm = train.precision == "fp8"
         # Dropout randomness: one child stream per rank, spawned from a
-        # single seed, so both execution modes draw identical per-rank
-        # masks.
+        # single seed.
         self.rng_pool = None
         if train.dropout > 0.0:
             from ..runtime.rng import RankRngPool
@@ -156,7 +120,9 @@ class MegaScaleTrainer:
                                 parallel.ffn, parallel.ep_dispatch,
                                 fp8_comm=fp8_comm,
                                 dropout=train.dropout,
-                                rng_pool=self.rng_pool)
+                                rng_pool=self.rng_pool,
+                                tile_tokens=train.tile_tokens,
+                                remat_plan=remat_plan)
             for block in model.blocks
         ]
         #: Shard the LM head columns across the group and compute the
@@ -170,24 +136,6 @@ class MegaScaleTrainer:
         self.step_count = 0
 
     # -- forward/backward --------------------------------------------------
-
-    def dag_program_for(self, seq_len: int):
-        """The layer's compiled IR + overlap schedule for one seq_len.
-
-        One program serves every layer (identical shapes); cached so
-        the scheduler runs once per distinct (sequence length,
-        tile width) pair.
-        """
-        key = (seq_len, self.tile_tokens)
-        program = self._dag_programs.get(key)
-        if program is None:
-            from .executor_bindings import layer_program
-            program = layer_program(
-                self.model.config, self.parallel,
-                self.train_cfg.micro_batch_size, seq_len,
-                tile_tokens=self.tile_tokens)
-            self._dag_programs[key] = program
-        return program
 
     def loss(self, token_ids: np.ndarray) -> tuple:
         """Distributed forward; returns (total, lm, aux) loss Tensors.
@@ -211,15 +159,9 @@ class MegaScaleTrainer:
                           inputs[:, r * width:(r + 1) * width])
             for r in range(n)
         ]
-        dag_program = (self.dag_program_for(seq)
-                       if self.backend == "dag" else None)
         aux_total: Optional[Tensor] = None
-        vectorized = self.execution == "vectorized"
         for engine in self.engines:
-            shards, aux = engine.forward(shards, seq,
-                                         dag_program=dag_program,
-                                         remat_plan=self.remat_plan,
-                                         vectorized=vectorized)
+            shards, aux = engine.forward(shards, seq)
             aux_total = aux if aux_total is None else aux_total + aux
 
         if self.vocab_parallel:

@@ -9,7 +9,7 @@ from .dist_ops import (
     dist_reduce_scatter,
 )
 from .dp import DataParallelTrainer, DPStepResult, zero1_memory_model
-from .ep_ffn import EPFFNEngine, EPForwardResult, choose_dispatch_mode
+from .ep_ffn import EPFFNEngine, choose_dispatch_mode
 from .pipeline import (
     PipelineRunner,
     PipelineTask,
@@ -52,7 +52,6 @@ __all__ = [
     "DPStepResult",
     "zero1_memory_model",
     "EPFFNEngine",
-    "EPForwardResult",
     "choose_dispatch_mode",
     "PipelineRunner",
     "PipelineTask",

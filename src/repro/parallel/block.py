@@ -45,14 +45,25 @@ def unshard_sequence(shards: List[Tensor]) -> np.ndarray:
 
 
 class ParallelBlockEngine:
-    """Runs one :class:`TransformerBlock` sharded across a group."""
+    """Runs one :class:`TransformerBlock` sharded across a group.
+
+    The layer has one spelling: the operator graph
+    (:func:`~repro.core.operators.build_forward_graph`) scheduled into
+    a :class:`~repro.core.executor_bindings.LayerProgram`, executed in
+    schedule order by the :class:`~repro.runtime.dag_executor.
+    DagExecutor` over :func:`~repro.core.executor_bindings.
+    build_layer_bindings`.  The per-module engines contribute the
+    per-op numerics and the weight sharding.
+    """
 
     def __init__(self, group: ProcessGroup, block: TransformerBlock,
                  attention: str = "sp", ffn: str = "ep",
                  ep_mode: str = "adaptive",
                  elem_bytes: Optional[float] = None,
                  fp8_comm: bool = False,
-                 dropout: float = 0.0, rng_pool=None):
+                 dropout: float = 0.0, rng_pool=None,
+                 tile_tokens: Optional[int] = None,
+                 remat_plan: Optional[object] = None):
         self.group = group
         self.block = block
         if attention == "sp":
@@ -79,103 +90,91 @@ class ParallelBlockEngine:
             raise ValueError(f"unknown ffn strategy {ffn!r}")
         self.attention = attention
         self.ffn = ffn
-        #: DAG-backend state: compiled executors keyed by (seq_len,
-        #: program identity), plus introspection from the last DAG run.
-        self._dag_cache: dict = {}
+        #: §4.2 tile-granular execution: token-chunk width for fused
+        #: groups (None = whole).  Part of the executor cache key, so
+        #: changing it can never serve a stale untiled (or differently
+        #: tiled) program.
+        self.tile_tokens = tile_tokens
+        #: A :class:`~repro.core.remat.RematPlan`: activations it does
+        #: not retain are dropped from each run's env afterwards.
+        self.remat_plan = remat_plan
+        self._executors: dict = {}
+        #: Introspection from the last forward.
         self.last_executed_ops: Optional[List[str]] = None
         self.last_executed_tiles: Optional[List[str]] = None
         self.last_remat_report: Optional[dict] = None
 
-    def forward(self, hidden_shards: List[Tensor], seq_len: int,
-                dag_program: Optional[object] = None,
-                remat_plan: Optional[object] = None,
-                vectorized: bool = False
-                ) -> Tuple[List[Tensor], Tensor]:
-        """Map hidden shards through the block; returns (shards, aux).
-
-        With a ``dag_program`` (a
-        :class:`~repro.core.executor_bindings.LayerProgram`), the layer
-        instead runs through the
-        :class:`~repro.runtime.dag_executor.DagExecutor` in the
-        program's schedule order — bitwise-identical to this path;
-        ``vectorized`` batches every op over the rank axis
-        (:mod:`repro.runtime.vectorized`), and a ``remat_plan`` drops
-        unretained activations afterwards.
-        """
-        if dag_program is not None:
-            return self._dag_forward(hidden_shards, seq_len,
-                                     dag_program, remat_plan,
-                                     vectorized=vectorized)
-        if vectorized:
-            raise ValueError(
-                "vectorized execution requires a dag_program"
-            )
-        block = self.block
-        ln1_out = [block.ln1(h) for h in hidden_shards]
-        attn_out = self.attn_engine.forward(ln1_out, seq_len)
-        ln2_in = [h + a for h, a in zip(hidden_shards, attn_out)]
-        ln2_out = [block.ln2(x) for x in ln2_in]
-        if self.ffn == "ep":
-            result = self.ffn_engine.forward(ln2_out)
-            ffn_out, aux = result.output_shards, result.aux_loss
-        else:
-            ffn_out, aux = self.ffn_engine.forward(ln2_out)
-        return [x + f for x, f in zip(ln2_in, ffn_out)], aux
-
-    def _dag_forward(self, hidden_shards: List[Tensor], seq_len: int,
-                     program, remat_plan,
-                     vectorized: bool = False
-                     ) -> Tuple[List[Tensor], Tensor]:
-        """Run the layer through the schedule-ordered DAG executor."""
-        from ..core.executor_bindings import build_layer_bindings
-        from ..runtime.dag_executor import DagExecutor
-
-        key = (seq_len, id(program))
-        dag = self._dag_cache.get(key)
+    def executor_for(self, micro_batch: int, seq_len: int):
+        """The compiled :class:`~repro.runtime.dag_executor.DagExecutor`
+        (its ``.program`` is the layer's IR + overlap schedule) for one
+        activation shape at the current ``tile_tokens``; built once."""
+        key = (micro_batch, seq_len, self.tile_tokens)
+        dag = self._executors.get(key)
         if dag is None:
-            bindings = build_layer_bindings(
-                self, seq_len,
-                tile_plan=getattr(program, "tile_plan", None))
-            dag = DagExecutor(program, bindings, self.group)
-            self._dag_cache[key] = dag
+            from ..core.config import ModelConfig, ParallelConfig
+            from ..core.executor_bindings import (build_layer_bindings,
+                                                  layer_program)
+            from ..runtime.dag_executor import DagExecutor
+            attn, moe = self.block.attn, self.block.moe
+            ep_mode = getattr(self.ffn_engine, "mode", "adaptive")
+            program = layer_program(
+                ModelConfig("layer", 1, attn.hidden_size, attn.n_heads,
+                            attn.n_heads // attn.n_kv_heads,
+                            moe.experts[0].fc1.shape[1], moe.n_experts,
+                            moe.top_k),
+                ParallelConfig(self.group.size, attention=self.attention,
+                               ffn=self.ffn, ep_dispatch=ep_mode),
+                micro_batch, seq_len, tile_tokens=self.tile_tokens)
+            dag = DagExecutor(
+                program,
+                build_layer_bindings(self, seq_len, program.tile_plan),
+                self.group)
+            self._executors[key] = dag
+        return dag
 
-        if self.ffn == "ep":
-            self.ffn_engine._last_send_splits = None
-        tracer = getattr(getattr(self.group, "world", None),
-                         "tracer", None)
-        result = dag.run({"hidden": hidden_shards}, tracer=tracer,
-                         vectorized=vectorized)
+    def forward(self, hidden_shards: List[Tensor], seq_len: int
+                ) -> Tuple[List[Tensor], Tensor]:
+        """Map hidden shards through the block; returns (shards, aux)."""
+        self.group.check_shards(hidden_shards)
+        local_s = seq_len // self.group.size
+        for rank, shard in enumerate(hidden_shards):
+            if shard.shape[1] != local_s:
+                raise ValueError(
+                    f"rank {rank} shard has seq {shard.shape[1]}, "
+                    f"expected {local_s}"
+                )
+        dag = self.executor_for(hidden_shards[0].shape[0], seq_len)
+        result = dag.run({"hidden": hidden_shards},
+                         tracer=self.group.world.tracer)
         self.last_executed_ops = list(result.executed)
         self.last_executed_tiles = (
             list(result.executed_tiles)
             if result.executed_tiles is not None else None)
 
-        outputs = result.per_rank("residual2")
+        # The router anchor's per-rank value ends with the aux loss
+        # (identical on every rank; counted once).
         router_vals = result.per_rank("router")
+        aux = router_vals[0][-1]
         if self.ffn == "ep":
-            from .ep_ffn import EPForwardResult
             if self.ffn_engine.mode == "a2a":
-                aux = router_vals[0][3]
-                routings = [v[1] for v in router_vals]
-                tokens = np.array([int(v[1].kept.sum())
-                                   for v in router_vals])
-                ffn_out = result.per_rank("weighted_sum")
+                scattered = result.per_rank("scatter")
+                self.ffn_engine.record_telemetry(
+                    result.per_rank("ln2"),
+                    result.per_rank("weighted_sum"),
+                    routings=[v[1] for v in router_vals],
+                    tokens_per_rank=[int(v[1].kept.sum())
+                                     for v in router_vals],
+                    send_splits=[list(v[2]) for v in scattered])
             else:
-                aux = router_vals[0][2]
-                routings = [router_vals[0][0]]
-                tokens = np.asarray(result.per_rank("ffn_ag")[0][1])
-                ffn_out = result.per_rank("ffn_rs")
-            ep_result = EPForwardResult(
-                output_shards=ffn_out, aux_loss=aux, routing=routings,
-                tokens_per_rank=tokens)
-            self.ffn_engine.record_telemetry(result.per_rank("ln2"),
-                                             ep_result)
-        else:
-            aux = router_vals[0][2]
+                self.ffn_engine.record_telemetry(
+                    result.per_rank("ln2"), result.per_rank("ffn_rs"),
+                    routings=[router_vals[0][0]],
+                    tokens_per_rank=result.per_rank("ffn_ag")[0][1])
 
+        outputs = result.per_rank("residual2")
         self.last_remat_report = (
-            result.apply_remat(remat_plan)
-            if remat_plan is not None else None)
+            result.apply_remat(self.remat_plan)
+            if self.remat_plan is not None else None)
         return outputs, aux
 
     def sync_grads_to_reference(self) -> None:

@@ -23,7 +23,6 @@ depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,13 +32,8 @@ from ..model.moe import (MoELayer, grouped_expert_blocks,
                          grouped_expert_forward)
 from ..model.routing import RoutingResult, build_dispatch_plan
 from ..tensor import Tensor, ops
-from .dist_ops import (
-    dist_all_gather,
-    dist_all_to_all_uneven,
-    dist_reduce_scatter,
-)
 
-__all__ = ["EPFFNEngine", "EPForwardResult", "choose_dispatch_mode"]
+__all__ = ["EPFFNEngine", "choose_dispatch_mode"]
 
 
 def choose_dispatch_mode(top_k: int, ep_size: int) -> str:
@@ -52,16 +46,6 @@ def choose_dispatch_mode(top_k: int, ep_size: int) -> str:
     on an 8-GPU node).
     """
     return "a2a" if top_k < 0.75 * ep_size else "ag_rs"
-
-
-@dataclass
-class EPForwardResult:
-    """Per-rank outputs of an EP forward pass."""
-
-    output_shards: List[Tensor]
-    aux_loss: Tensor
-    routing: List[RoutingResult]
-    tokens_per_rank: np.ndarray
 
 
 class EPFFNEngine:
@@ -92,24 +76,11 @@ class EPFFNEngine:
         #: (consumed by ``repro.verify``'s token-conservation and
         #: router-mass invariants); None until the first forward.
         self.last_telemetry: Optional[dict] = None
-        self._last_send_splits: Optional[List[List[int]]] = None
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _flatten(self, shards: Sequence[Tensor]) -> List[Tensor]:
-        flats = []
-        for shard in shards:
-            if shard.ndim == 3:
-                flats.append(shard.reshape(-1, shard.shape[-1]))
-            else:
-                flats.append(shard)
-        return flats
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared verbatim by the legacy
-    # call chains below and the DAG executor's bindings, so both paths
-    # build the identical autograd tape.
+    # One method per forward-graph op; the bindings in
+    # repro.core.executor_bindings.ffn_bindings sequence them.
 
     def op_route(self, flat: Tensor):
         """``router`` (A2A mode): replicated gate over local tokens."""
@@ -206,177 +177,36 @@ class EPFFNEngine:
         scaled = fc2_out * w_rows.reshape(-1, 1)
         return ops.put_rows(scaled, plan.token_of_row, t_total)
 
-    def forward(self, hidden_shards: List[Tensor]) -> EPForwardResult:
-        """Map ``ln2_out`` shards to combined MoE-output shards."""
-        self.group.check_shards(hidden_shards)
-        self._last_send_splits = None
-        if self.mode == "a2a":
-            result = self._forward_a2a(hidden_shards)
-        else:
-            result = self._forward_ag_rs(hidden_shards)
-        self.record_telemetry(hidden_shards, result)
-        return result
-
-    def record_telemetry(self, hidden_shards: Sequence[Tensor],
-                         result: EPForwardResult) -> None:
+    def record_telemetry(self, inputs: Sequence[Tensor],
+                         outputs: Sequence[Tensor],
+                         routings: Sequence[RoutingResult],
+                         tokens_per_rank: Sequence[int],
+                         send_splits: Optional[List[List[int]]] = None
+                         ) -> None:
         """Snapshot what dispatch/combine moved, as plain numbers.
 
-        The verify invariants check conservation laws against this; the
-        DAG executor calls it too so both backends expose the same
-        telemetry surface.
+        The verify invariants check conservation laws against this.
+        ``inputs``/``outputs`` are the per-rank ``ln2`` shards and the
+        combined FFN output shards; ``routings`` is one result per rank
+        (A2A) or the single replicated one (AG/RS); ``send_splits`` is
+        the A2A dispatch's per-rank row counts per destination.
         """
         self.last_telemetry = {
             "mode": self.mode,
             "top_k": self.moe.top_k,
-            "tokens_in": [int(np.prod(s.shape[:-1]))
-                          for s in hidden_shards],
-            "tokens_per_rank": np.asarray(
-                result.tokens_per_rank).tolist(),
-            "kept_pairs": [int(r.kept.sum()) for r in result.routing],
+            "tokens_in": [int(np.prod(s.shape[:-1])) for s in inputs],
+            "tokens_per_rank": np.asarray(tokens_per_rank).tolist(),
+            "kept_pairs": [int(r.kept.sum()) for r in routings],
             "gate_mass": [
                 np.asarray((r.gate_weight * r.kept).sum(axis=1))
-                for r in result.routing
+                for r in routings
             ],
             "fully_kept": [np.asarray(r.kept.all(axis=1))
-                           for r in result.routing],
-            "input_shapes": [tuple(s.shape) for s in hidden_shards],
-            "output_shapes": [tuple(s.shape)
-                              for s in result.output_shards],
-            "send_splits": self._last_send_splits,
+                           for r in routings],
+            "input_shapes": [tuple(s.shape) for s in inputs],
+            "output_shapes": [tuple(s.shape) for s in outputs],
+            "send_splits": send_splits,
         }
-
-    # -- A2A dispatch --------------------------------------------------------
-
-    def _forward_a2a(self, hidden_shards: List[Tensor]) -> EPForwardResult:
-        group = self.group
-        n = group.size
-        flats = self._flatten(hidden_shards)
-
-        # 1. Local routing on each rank (replicated gate => the same
-        #    decisions the reference model makes for those tokens).
-        routings: List[RoutingResult] = []
-        weight_tensors: List[Tensor] = []
-        for flat in flats:
-            routing, weights = self.op_route(flat)
-            routings.append(routing)
-            weight_tensors.append(weights)
-        aux = self._global_aux_loss(flats, routings)
-
-        # 2. Sort each rank's kept (token, slot) pairs by destination
-        #    rank, then expert, then token order.
-        send_rows: List[Tensor] = []
-        send_meta = []
-        send_splits = []
-        for flat, routing in zip(flats, routings):
-            rows, meta, splits = self.op_scatter_a2a(flat, routing)
-            send_rows.append(rows)
-            send_meta.append(meta)
-            send_splits.append(splits)
-
-        # 3. Dispatch all-to-all.
-        self._last_send_splits = [list(s) for s in send_splits]
-        received = dist_all_to_all_uneven(
-            group, send_rows, send_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:dispatch_a2a",
-        )
-
-        # 4. On each expert rank: sort received rows by (expert, source
-        #    rank) and run the local experts' GroupedGEMM.
-        returned = [
-            self.op_experts_a2a(received[j], send_meta, send_splits, j)
-            for j in range(n)
-        ]
-
-        # 5. Combine all-to-all: transpose the split matrix.
-        back_splits = [[send_splits[i][j] for i in range(n)]
-                       for j in range(n)]
-        combined_rows = dist_all_to_all_uneven(
-            group, returned, back_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:combine_a2a",
-        )
-
-        # 6. Weighted sum on the source rank (gate weight applied after
-        #    FC2, §4.1).
-        outputs = [
-            self.op_combine_weighted(
-                rows, send_meta[rank], weight_tensors[rank],
-                flats[rank].shape[0], hidden_shards[rank].shape)
-            for rank, rows in enumerate(combined_rows)
-        ]
-
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings,
-            tokens_per_rank=np.array(
-                [r.kept.sum() for r in routings]),
-        )
-
-    # -- AG/RS dispatch ------------------------------------------------------
-
-    def _forward_ag_rs(self, hidden_shards: List[Tensor]) -> EPForwardResult:
-        group = self.group
-        n = group.size
-        flats = self._flatten(hidden_shards)
-        t_locals = [f.shape[0] for f in flats]
-        t_total = sum(t_locals)
-
-        # 1. All-gather the token shards: every rank sees all T tokens.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_all_gather_fp8
-            fulls = dist_all_gather_fp8(group, flats,
-                                        tag="ep_ffn:dispatch_ag")
-        else:
-            fulls = dist_all_gather(group, flats, axis=0,
-                                    elem_bytes=self.elem_bytes,
-                                    tag="ep_ffn:dispatch_ag")
-
-        # Token -> source-rank map for the §4.2 tile ordering.
-        source_rank = np.concatenate([
-            np.full(t, i) for i, t in enumerate(t_locals)])
-
-        contributions: List[Tensor] = []
-        routings: List[RoutingResult] = []
-        aux: Optional[Tensor] = None
-        for j in range(n):
-            # 2. Route the full batch locally (identical on every rank);
-            #    only rank j's expert rows are used downstream, so the
-            #    shared gate accumulates exactly the reference gradient.
-            routing, weights, aux_j = self.op_route_full(fulls[j])
-            routings.append(routing)
-            if j == 0:
-                aux = aux_j  # identical across ranks; count once
-
-            # 3. Local scatter: keep only rows routed to local experts,
-            #    sorted by (expert, source rank).
-            plan, ffn_in = self.op_scatter_ag(fulls[j], routing, j,
-                                              source_rank)
-
-            # 4. Local experts' GroupedGEMM.
-            fc2_out = self.op_experts_ag(ffn_in, plan, j)
-
-            # 5. Gather: weighted rows assembled into a full-size tensor.
-            contributions.append(
-                self.op_gather_ag(fc2_out, plan, weights, t_total))
-
-        # 6. Reduce-scatter the contributions back to sequence shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flats = dist_reduce_scatter_fp8(
-                group, contributions, tag="ep_ffn:combine_rs")
-        else:
-            out_flats = dist_reduce_scatter(
-                group, contributions, axis=0,
-                elem_bytes=self.elem_bytes, tag="ep_ffn:combine_rs",
-            )
-        outputs = [flat.reshape(*shard.shape)
-                   for flat, shard in zip(out_flats, hidden_shards)]
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings[:1],
-            tokens_per_rank=np.asarray(t_locals),
-        )
 
     def _global_aux_loss(self, flats: List[Tensor],
                          routings: List[RoutingResult]) -> Tensor:

@@ -21,14 +21,13 @@ parameter sync of Appendix A.1 would produce.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..comm.group import ProcessGroup
 from ..model.layers import SelfAttention
 from ..tensor import Tensor
-from .dist_ops import dist_all_to_all
 
 __all__ = ["SPAttentionEngine"]
 
@@ -58,9 +57,7 @@ class SPAttentionEngine:
         self.attn = attn
         self.elem_bytes = elem_bytes
         #: Attention-output dropout probability; draws come from
-        #: ``rng_pool[rank]`` — one private stream per rank, so the
-        #: sequential loop and the rank-stacked kernel consume
-        #: identical randomness in identical per-rank order (a shared
+        #: ``rng_pool[rank]`` — one private stream per rank (a shared
         #: generator would make the masks depend on the draw order).
         self.dropout = float(dropout)
         self.rng_pool = rng_pool
@@ -76,9 +73,8 @@ class SPAttentionEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared verbatim by the legacy
-    # call chains below and the DAG executor's bindings, so both paths
-    # build the identical autograd tape.
+    # One method per forward-graph op; the bindings in
+    # repro.core.executor_bindings.attention_bindings sequence them.
 
     def op_qkv(self, shard: Tensor):
         """``qkv_proj``: fused projection split into (q, k, v)."""
@@ -112,115 +108,3 @@ class SPAttentionEngine:
         b, s_local = attn_shard.shape[0], attn_shard.shape[1]
         flat = attn_shard.reshape(b, s_local, self.attn.hidden_size)
         return self._maybe_dropout(self.attn.out_proj(flat), rank)
-
-    # -- rank-stacked handlers (vectorized backend) ------------------------
-    #
-    # Same ops on a ``[n_ranks, ...]``-stacked tensor, one batched numpy
-    # kernel per op; per-rank slices are bitwise-identical to the
-    # per-op methods above (docs/INTERNALS.md §12).
-
-    def vec_qkv(self, stacked: Tensor):
-        """``qkv_proj`` for all ranks: batched projection + q/k/v split."""
-        from ..runtime.vectorized import vec_linear
-        attn = self.attn
-        n, b, s_local = stacked.shape[0], stacked.shape[1], \
-            stacked.shape[2]
-        qkv = vec_linear(stacked, attn.qkv_proj)
-        h = attn.hidden_size
-        kv = attn.n_kv_heads * attn.head_dim
-        q = qkv[:, :, :, :h].reshape(n, b, s_local, attn.n_heads,
-                                     attn.head_dim)
-        k = qkv[:, :, :, h:h + kv].reshape(n, b, s_local,
-                                           attn.n_kv_heads,
-                                           attn.head_dim)
-        v = qkv[:, :, :, h + kv:].reshape(n, b, s_local,
-                                          attn.n_kv_heads,
-                                          attn.head_dim)
-        return q, k, v
-
-    def vec_rope(self, qkv, local_s: int):
-        """``rope`` for all ranks: each rank's global positions."""
-        from ..tensor import ops
-        q, k, v = qkv
-        n = self.group.size
-        positions = np.arange(n * local_s).reshape(n, local_s)
-        return (ops.rope_rotate(q, self.attn.rope_base, positions),
-                ops.rope_rotate(k, self.attn.rope_base, positions),
-                v)
-
-    def vec_attention(self, qkv_full):
-        """``attention`` for all ranks: batched causal SDPA."""
-        from ..tensor import ops
-        q_full, k_full, v_full = qkv_full
-        out = ops.scaled_dot_product_attention(
-            q_full.transpose(0, 1, 3, 2, 4),
-            k_full.transpose(0, 1, 3, 2, 4),
-            v_full.transpose(0, 1, 3, 2, 4),
-            causal=True,
-        )
-        return out.transpose(0, 1, 3, 2, 4)
-
-    def vec_out_proj(self, attn_stacked: Tensor) -> Tensor:
-        """``out_proj`` for all ranks: batched projection + dropout."""
-        from ..runtime.vectorized import vec_dropout, vec_linear
-        n, b, s_local = attn_stacked.shape[0], attn_stacked.shape[1], \
-            attn_stacked.shape[2]
-        flat = attn_stacked.reshape(n, b, s_local,
-                                    self.attn.hidden_size)
-        out = vec_linear(flat, self.attn.out_proj)
-        if self.dropout > 0.0 and self.training:
-            out = vec_dropout(out, self.dropout, self.rng_pool)
-        return out
-
-    def forward(self, hidden_shards: List[Tensor],
-                seq_len: int) -> List[Tensor]:
-        """Map ``ln1_out`` shards to ``attn_out`` shards.
-
-        Args:
-            hidden_shards: Per-rank ``[b, s/n, h]`` normalized activations.
-            seq_len: Full sequence length ``s`` (for RoPE positions).
-        """
-        group, attn = self.group, self.attn
-        group.check_shards(hidden_shards)
-        n = group.size
-        local_s = seq_len // n
-
-        qs, ks, vs = [], [], []
-        for rank, shard in enumerate(hidden_shards):
-            s_local = shard.shape[1]
-            if s_local != local_s:
-                raise ValueError(
-                    f"rank {rank} shard has seq {s_local}, expected "
-                    f"{local_s}"
-                )
-            q, k, v = self.op_rope(self.op_qkv(shard), rank, local_s)
-            qs.append(q)
-            ks.append(k)
-            vs.append(v)
-
-        # All-to-all: split the head axis (2), gather the sequence axis
-        # (1).  After this, rank r holds ALL positions for its n-th of
-        # the query and KV heads.
-        q_full = dist_all_to_all(group, qs, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        k_full = dist_all_to_all(group, ks, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        v_full = dist_all_to_all(group, vs, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-
-        attn_heads = [
-            self.op_attention((q_full[rank], k_full[rank], v_full[rank]))
-            for rank in range(n)
-        ]
-
-        # All-to-all back: split sequence (1), gather heads (2).
-        attn_shards = dist_all_to_all(group, attn_heads, split_axis=1,
-                                      concat_axis=2,
-                                      elem_bytes=self.elem_bytes,
-                                      tag="sp_attn:attn_a2a")
-
-        return [self.op_out_proj(shard, rank)
-                for rank, shard in enumerate(attn_shards)]

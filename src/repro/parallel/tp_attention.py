@@ -21,7 +21,6 @@ import numpy as np
 from ..comm.group import ProcessGroup
 from ..model.layers import SelfAttention
 from ..tensor import Tensor, ops
-from .dist_ops import dist_all_gather, dist_reduce_scatter
 
 __all__ = ["TPAttentionEngine"]
 
@@ -78,8 +77,8 @@ class TPAttentionEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared by the legacy call chain
-    # below and the DAG executor's bindings.
+    # One method per forward-graph op; the bindings in
+    # repro.core.executor_bindings.attention_bindings sequence them.
 
     def op_qkv(self, x: Tensor, r: int):
         """``qkv_proj``: this rank's head-shard projection of the full
@@ -99,8 +98,7 @@ class TPAttentionEngine:
         return q, k, v
 
     def op_rope(self, qkv):
-        """``rope``: full-sequence rotation (positions implicit, so the
-        rank-stacked vectorized input takes this same call)."""
+        """``rope``: full-sequence rotation (positions implicit)."""
         q, k, v = qkv
         return (ops.rope_rotate(q, self.attn.rope_base),
                 ops.rope_rotate(k, self.attn.rope_base), v)
@@ -118,69 +116,6 @@ class TPAttentionEngine:
     def op_out_proj(self, out: Tensor, r: int) -> Tensor:
         """``out_proj``: row-sharded partial product."""
         return out @ self.out_weights[r]
-
-    # -- rank-stacked handlers (vectorized backend) ------------------------
-    #
-    # Batched mirrors of the per-rank ops above for
-    # ``execution="vectorized"``: one kernel per op over the leading
-    # rank axis, bitwise-identical slice-for-slice.  Every rank pairs
-    # with its own weight shard, so the projections go through
-    # :func:`~repro.runtime.vectorized.vec_shard_matmul`.
-
-    def vec_qkv(self, x: Tensor):
-        """Batched ``qkv_proj`` over ``[n, b, s, h]``."""
-        from ..runtime.vectorized import vec_shard_matmul
-        attn, n = self.attn, self.group.size
-        heads_local = attn.n_heads // n
-        kv_local = attn.n_kv_heads // n
-        hd = attn.head_dim
-        _, b, s, _ = x.shape
-        qkv = vec_shard_matmul(x, self.qkv_weights)
-        q_width = heads_local * hd
-        kv_width = kv_local * hd
-        q = qkv[:, :, :, :q_width].reshape(n, b, s, heads_local, hd)
-        k = qkv[:, :, :, q_width:q_width + kv_width].reshape(
-            n, b, s, kv_local, hd)
-        v = qkv[:, :, :, q_width + kv_width:].reshape(
-            n, b, s, kv_local, hd)
-        return q, k, v
-
-    def vec_attention(self, qkv) -> Tensor:
-        """Batched causal SDPA on the head shards."""
-        q, k, v = qkv
-        n, b, s = q.shape[0], q.shape[1], q.shape[2]
-        q_width = q.shape[3] * q.shape[4]
-        out = ops.scaled_dot_product_attention(
-            q.transpose(0, 1, 3, 2, 4), k.transpose(0, 1, 3, 2, 4),
-            v.transpose(0, 1, 3, 2, 4), causal=True)
-        return out.transpose(0, 1, 3, 2, 4).reshape(n, b, s, q_width)
-
-    def vec_out_proj(self, out: Tensor) -> Tensor:
-        """Batched ``out_proj`` partial products."""
-        from ..runtime.vectorized import vec_shard_matmul
-        return vec_shard_matmul(out, self.out_weights)
-
-    def forward(self, hidden_shards: List[Tensor],
-                seq_len: int) -> List[Tensor]:
-        """Map ``ln1_out`` sequence shards to ``attn_out`` shards."""
-        group = self.group
-        group.check_shards(hidden_shards)
-        n = group.size
-
-        # All-gather the sequence so each rank sees the full input.
-        full_inputs = dist_all_gather(group, hidden_shards, axis=1,
-                                      elem_bytes=self.elem_bytes,
-                                      tag="tp_attn:ag")
-
-        partials = []
-        for r in range(n):
-            qkv = self.op_rope(self.op_qkv(full_inputs[r], r))
-            partials.append(self.op_out_proj(self.op_attention(qkv), r))
-
-        # Partial products sum across ranks; scatter back to seq shards.
-        return dist_reduce_scatter(group, partials, axis=1,
-                                   elem_bytes=self.elem_bytes,
-                                   tag="tp_attn:rs")
 
     def sync_grads_to_reference(self) -> None:
         """Accumulate the shard gradients onto the reference weights.

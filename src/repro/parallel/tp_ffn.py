@@ -19,7 +19,6 @@ from ..comm.group import ProcessGroup
 from ..model.moe import MoELayer
 from ..model.routing import build_dispatch_plan
 from ..tensor import Tensor, ops
-from .dist_ops import dist_all_gather, dist_reduce_scatter
 
 __all__ = ["TPFFNEngine"]
 
@@ -64,8 +63,8 @@ class TPFFNEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared by the legacy forward below
-    # and the DAG executor's bindings.
+    # One method per forward-graph op; the bindings in
+    # repro.core.executor_bindings.ffn_bindings sequence them.
 
     def op_route_full(self, full: Tensor):
         """``router``: replicated gate over all gathered tokens."""
@@ -91,49 +90,6 @@ class TPFFNEngine:
         w_rows = weights[plan.token_of_row, plan.slot_of_row]
         scaled = fc2_partial * w_rows.reshape(-1, 1)
         return ops.put_rows(scaled, plan.token_of_row, t_total)
-
-    def forward(self, hidden_shards: List[Tensor]) -> tuple:
-        """Map ``ln2_out`` seq shards to combined output shards.
-
-        Returns ``(output_shards, aux_loss)``.
-        """
-        group = self.group
-        group.check_shards(hidden_shards)
-        n = group.size
-        flats = [s.reshape(-1, s.shape[-1]) if s.ndim == 3 else s
-                 for s in hidden_shards]
-        t_total = sum(f.shape[0] for f in flats)
-
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_all_gather_fp8
-            fulls = dist_all_gather_fp8(group, flats, tag="tp_ffn:ag")
-        else:
-            fulls = dist_all_gather(group, flats, axis=0,
-                                    elem_bytes=self.elem_bytes,
-                                    tag="tp_ffn:ag")
-
-        partials = []
-        aux = None
-        for r in range(n):
-            routing, weights, aux_r = self.op_route_full(fulls[r])
-            if r == 0:
-                aux = aux_r
-            plan, ffn_in = self.op_scatter(fulls[r], routing)
-            fc2_partial = self.op_experts(ffn_in, plan, r)
-            partials.append(self.op_gather(fc2_partial, plan, weights,
-                                           t_total))
-
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flats = dist_reduce_scatter_fp8(group, partials,
-                                                tag="tp_ffn:rs")
-        else:
-            out_flats = dist_reduce_scatter(group, partials, axis=0,
-                                            elem_bytes=self.elem_bytes,
-                                            tag="tp_ffn:rs")
-        outputs = [flat.reshape(*shard.shape)
-                   for flat, shard in zip(out_flats, hidden_shards)]
-        return outputs, aux
 
     def sync_grads_to_reference(self) -> None:
         """Accumulate shard gradients onto the reference experts."""

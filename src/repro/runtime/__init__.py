@@ -1,33 +1,22 @@
-"""Numeric runtime: the schedule-ordered DAG executor, its rank-stacked
-(vectorized) kernels, and the per-rank RNG streams both drivers share.
+"""Numeric runtime: the schedule-ordered DAG executor and the per-rank
+RNG streams.
 
-See ``docs/INTERNALS.md`` §2 (zero-copy collective rule), §10 (DAG
-executor) and §12 (vectorized backend, per-rank RNG contract).
+See ``docs/INTERNALS.md`` §2 (zero-copy collective rule) and §10 (how a
+layer runs).
 """
 
 from .backward import backward
 from .dag_executor import (
-    BACKENDS,
-    EXECUTION_MODES,
     DagExecutor,
     DagRunResult,
-    resolve_backend,
-    resolve_execution,
     schedule_conformance_problems,
 )
 from .rng import RankRngPool
-from .vectorized import VecCtx, VecEnv
 
 __all__ = [
-    "BACKENDS",
-    "EXECUTION_MODES",
     "DagExecutor",
     "DagRunResult",
     "RankRngPool",
-    "VecCtx",
-    "VecEnv",
     "backward",
-    "resolve_backend",
-    "resolve_execution",
     "schedule_conformance_problems",
 ]

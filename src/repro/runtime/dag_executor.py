@@ -4,19 +4,9 @@
 (the IR, its overlap schedule, and the flattened op order) plus the
 :class:`~repro.core.executor_bindings.OpBinding` list that maps graph
 ops to engine handlers, and runs the layer **in schedule order** — the
-same order the simulator scores.  Two drivers walk that order:
-
-* **sequential** — each binding's ``seq`` handler sees all ranks and
-  issues the classic ``dist_*`` collectives;
-* **vectorized** — all ranks' shards are stacked on a leading rank
-  axis; bindings with a ``vec`` handler run one batched numpy kernel
-  for every rank at once (:mod:`repro.runtime.vectorized`), the rest
-  fall back to their ``seq`` handlers against on-demand per-rank views.
-
-Because every handler performs the identical Tensor arithmetic as the
-legacy engine path (the vectorized kernels per rank-*slice*), both
-drivers are bitwise-identical to it — the ``dag_bitwise`` invariant
-in :mod:`repro.verify` enforces this.
+same order the simulator scores.  Each binding's handler sees all ranks
+and issues the ``dist_*`` collectives; this is how every training layer
+and every serving iteration runs.
 
 Construction validates the whole contract up front: the bindings'
 ``covers`` partition the graph, the flattened order is a permutation of
@@ -29,52 +19,16 @@ before it runs.  :func:`schedule_conformance_problems` re-checks an
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BACKENDS",
-    "EXECUTION_MODES",
     "DagExecutor",
     "DagRunResult",
-    "resolve_backend",
-    "resolve_execution",
     "schedule_conformance_problems",
     "tile_conformance_problems",
     "tiled_execution_order",
 ]
-
-#: Numeric backends the trainer can run a layer through: the legacy
-#: per-engine call chain, or the schedule-ordered DAG executor.
-BACKENDS = ("engine", "dag")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the numeric backend: explicit config > env > default."""
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "engine"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
-#: How the ranks of one layer are driven: a loop over per-rank shards,
-#: or one rank-stacked kernel per op (DAG backend only).
-EXECUTION_MODES = ("sequential", "vectorized")
-
-
-def resolve_execution(execution: Optional[str] = None) -> str:
-    """Resolve an execution mode: explicit > ``REPRO_EXECUTION`` > default."""
-    mode = execution or os.environ.get("REPRO_EXECUTION") or "sequential"
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            f"unknown execution mode {mode!r}; expected one of "
-            f"{EXECUTION_MODES}"
-        )
-    return mode
 
 
 @dataclass
@@ -242,7 +196,6 @@ class DagExecutor:
 
     def run(self, inputs: Dict[str, List[Any]],
             tracer: Optional[object] = None,
-            vectorized: bool = False,
             retain: Optional[Sequence[str]] = None) -> DagRunResult:
         """Execute the layer; returns every anchor's per-rank values.
 
@@ -253,44 +206,15 @@ class DagExecutor:
                 runs inside a ``dag.op:<anchor>`` span whose measured
                 duration can calibrate the perf model
                 (:func:`~repro.perf.estimator.calibrate_from_spans`).
-            vectorized: Run bindings through their rank-stacked ``vec``
-                handlers (one batched kernel per op).  A world
-                carrying a fault plan silently runs sequentially
-                instead — fault injection targets per-rank transfers,
-                which the permutation collectives do not model.
             retain: Forward-only (decode) mode: release each anchor's
                 activations as soon as its last reader has run, keeping
                 only these anchors (plus the layer inputs) in the
                 returned env.  ``None`` keeps everything — training
-                needs the full env for backward.  Sequential-only.
+                needs the full env for backward.
         """
         missing = [name for name in self.inputs if name not in inputs]
         if missing:
             raise ValueError(f"missing layer inputs: {missing}")
-        if retain is not None and vectorized:
-            raise ValueError(
-                "retain (forward-only streaming activation release) "
-                "is only supported by the sequential backend"
-            )
-        if vectorized:
-            world = getattr(self.group, "world", None)
-            if getattr(world, "fault_plan", None) is not None:
-                env = self._run_sequential(inputs, tracer)
-            else:
-                env = self._run_vectorized(inputs, tracer)
-        else:
-            env = self._run_sequential(inputs, tracer, retain)
-        covers = {b.op: b.covers for b in self._bindings_in_order}
-        tiles = (tiled_execution_order(self.program)
-                 if getattr(self.program, "tile_graph", None) is not None
-                 else None)
-        return DagRunResult(executed=list(self.program.order), env=env,
-                            covers=covers, graph=self.program.graph,
-                            executed_tiles=tiles)
-
-    def _run_sequential(self, inputs, tracer,
-                        retain: Optional[Sequence[str]] = None
-                        ) -> Dict[str, List[Any]]:
         from ..core.executor_bindings import _SeqCtx
         env: Dict[str, List[Any]] = {name: list(vals)
                                      for name, vals in inputs.items()}
@@ -299,40 +223,30 @@ class DagExecutor:
             for b in self._bindings_in_order:
                 with self._span(tracer, b):
                     env[b.op] = b.seq(ctx)
-            return env
-        # Forward-only streaming release: drop each anchor once its
-        # last reading binding has run (inference holds no tape worth
-        # keeping alive), unless the caller retains it.
-        keep = set(retain) | set(self.inputs)
-        last_reader: Dict[str, int] = {}
-        for i, b in enumerate(self._bindings_in_order):
-            for read in b.reads:
-                last_reader[read] = i
-        for i, b in enumerate(self._bindings_in_order):
-            with self._span(tracer, b):
-                env[b.op] = b.seq(ctx)
-            for name, last in last_reader.items():
-                if last == i and name not in keep and name in env:
-                    del env[name]
-            if b.op not in last_reader and b.op not in keep:
-                del env[b.op]
-        return env
-
-    def _run_vectorized(self, inputs, tracer) -> Dict[str, List[Any]]:
-        from ..core.executor_bindings import _SeqCtx
-        from .vectorized import VecCtx, VecEnv
-        env = VecEnv(self.group.size)
-        for name, vals in inputs.items():
-            env[name] = list(vals)
-        ctx = VecCtx(self.group, env)
-        seq_ctx = _SeqCtx(self.group, env)
-        for b in self._bindings_in_order:
-            with self._span(tracer, b):
-                if b.vec is not None:
-                    env.set_stacked(b.op, b.vec(ctx))
-                else:
-                    env[b.op] = b.seq(seq_ctx)
-        return env
+        else:
+            # Forward-only streaming release: drop each anchor once its
+            # last reading binding has run (inference holds no tape
+            # worth keeping alive), unless the caller retains it.
+            keep = set(retain) | set(self.inputs)
+            last_reader: Dict[str, int] = {}
+            for i, b in enumerate(self._bindings_in_order):
+                for read in b.reads:
+                    last_reader[read] = i
+            for i, b in enumerate(self._bindings_in_order):
+                with self._span(tracer, b):
+                    env[b.op] = b.seq(ctx)
+                for name, last in last_reader.items():
+                    if last == i and name not in keep and name in env:
+                        del env[name]
+                if b.op not in last_reader and b.op not in keep:
+                    del env[b.op]
+        covers = {b.op: b.covers for b in self._bindings_in_order}
+        tiles = (tiled_execution_order(self.program)
+                 if getattr(self.program, "tile_graph", None) is not None
+                 else None)
+        return DagRunResult(executed=list(self.program.order), env=env,
+                            covers=covers, graph=self.program.graph,
+                            executed_tiles=tiles)
 
 
 def schedule_conformance_problems(program,

@@ -1,13 +1,11 @@
 """Per-rank random streams for stochastic ops.
 
-The sequential driver draws rank by rank and the vectorized driver
-draws for every rank inside one batched kernel; one shared
-:class:`numpy.random.Generator` would make the masks depend on that
-draw *order*.  The fix is the standard counter-based recipe: spawn one
-independent child stream per rank from a single
+One shared :class:`numpy.random.Generator` would make each rank's
+mask depend on the *order* ranks draw in, which the overlap schedule is
+free to change.  The fix is the standard counter-based recipe: spawn
+one independent child stream per rank from a single
 :class:`numpy.random.SeedSequence`, so a rank's stream advances only
-with that rank's own draws and both drivers consume identical per-rank
-randomness, bitwise.
+with that rank's own draws.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ class RankRngPool:
 
     ``pool[rank]`` is rank's private :class:`numpy.random.Generator`.
     Two pools built from the same ``(seed, n_ranks)`` yield identical
-    streams, which is what makes dropout reproducible across restarts
-    and across execution modes.
+    streams, which is what makes dropout reproducible across restarts.
     """
 
     def __init__(self, seed: int, n_ranks: int):

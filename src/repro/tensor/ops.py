@@ -20,7 +20,6 @@ from .tensor import Tensor
 __all__ = [
     "concat",
     "split",
-    "stack",
     "softmax",
     "log_softmax",
     "rmsnorm",
@@ -77,16 +76,6 @@ def split(t: Tensor, sections: int, axis: int = 0) -> List[Tensor]:
 
         outs.append(Tensor.from_op(piece.copy(), [t], backward, "split"))
     return outs
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``."""
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return Tensor.from_op(out, list(tensors), backward, "stack")
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -323,9 +312,8 @@ def rope_tables(positions: np.ndarray, head_dim: int, base: float,
     The angles are derived in float64 and cast **once** to ``dtype``
     (the operand's), so rotating never widens the activation stream
     (docs/INTERNALS.md §17).  Every layer and step asks for the same
-    few position sets — ``0..s-1``, one SP shard's global positions,
-    all shards' stacked ``[n, s_local]`` — so each is computed once per
-    ``(positions, head_dim, base, dtype)``.  The cached arrays are
+    few position sets — ``0..s-1``, one SP shard's global positions —
+    so each is computed once per ``(positions, head_dim, base, dtype)``.  The cached arrays are
     read-only: callers broadcast against them but must never write.
     Thread-safe (``lru_cache`` takes its own lock).
     """
@@ -339,13 +327,9 @@ def rope_rotate(t: Tensor, base: float = 10000.0,
     """Rotary position embedding over the last axis, in ``t``'s dtype.
 
     ``t`` is ``[..., seq, heads, head_dim]``; pairs ``(x_i, x_{i+half})``
-    are rotated by position-dependent angles.  ``positions`` overrides
-    the default ``0..seq-1`` (needed when the sequence is SP-sharded);
-    its last axis is the sequence and any leading axes line up with
-    ``t``'s leading axes, so the vectorized backend passes one
-    ``[n_ranks, s_local]`` array for a rank-stacked
-    ``[n_ranks, batch, s_local, heads, head_dim]`` input and runs the
-    per-rank arithmetic slice for slice.
+    are rotated by position-dependent angles.  ``positions`` (``[seq]``)
+    overrides the default ``0..seq-1`` (needed when the sequence is
+    SP-sharded).
     """
     s, _, hd = t.shape[-3:]
     if hd % 2 != 0:
@@ -354,10 +338,7 @@ def rope_rotate(t: Tensor, base: float = 10000.0,
         positions = np.arange(s)
     half = hd // 2
     cos, sin = rope_tables(positions, hd, base, t.dtype)
-    # [lead..., s, half] -> [lead..., 1..., s, 1, half] against t.
-    lead = cos.shape[:-2]
-    shape = lead + (1,) * (t.ndim - 3 - len(lead)) + (s, 1, half)
-    cos, sin = cos.reshape(shape), sin.reshape(shape)
+    cos, sin = cos.reshape(s, 1, half), sin.reshape(s, 1, half)
     x1 = t.data[..., :half]
     x2 = t.data[..., half:]
     out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -396,8 +377,7 @@ def scaled_dot_product_attention(
     mask, max-shift, ``exp`` and normalisation all run in place on a
     single ``[..., s_q, s_k]`` buffer, which is also the only
     activation the backward keeps.  Axes are counted from the end, so
-    the per-rank 4-D layout and the vectorized backend's 5-D
-    rank-stacked layout run the same code, slice-for-slice identical.
+    any leading batch axes run slice-for-slice identical.
     ``q``, ``k`` and ``v`` share one dtype (docs/INTERNALS.md §17);
     the score buffer, the output and all three gradients are in it.
 

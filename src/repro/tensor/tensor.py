@@ -86,22 +86,6 @@ def _as_grad_of(g, inp: "Tensor") -> np.ndarray:
     return _unbroadcast(np.asarray(g, dtype=data.dtype), data.shape)
 
 
-def _fold_grads(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-associated sum of gradient contributions.
-
-    The first addition allocates a buffer the sweep owns; every later
-    contribution accumulates into it in place — the operand order (and
-    hence every bit) of ``((p0 + p1) + p2) + ...``.
-    """
-    total = parts[0]
-    if len(parts) > 1:
-        total = total + parts[1]
-        in_place = type(total) is np.ndarray
-        for g in parts[2:]:
-            total = np.add(total, g, out=total) if in_place else total + g
-    return total
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:

@@ -7,10 +7,10 @@ the single-rank reference.  This package makes that claim executable:
   the seeded CI :func:`smoke_matrix`;
 - :mod:`~repro.verify.invariants` — the registry of conformance
   invariants (golden closeness with per-format tolerance bands,
-  DAG/vectorized bitwise identity, token/router conservation,
+  tiled/untiled bitwise identity, token/router conservation,
   Eq. 1–4 comm audit, finiteness);
 - :mod:`~repro.verify.engine` — runs a case differentially (case run,
-  golden run, engine twin) and evaluates the registry;
+  golden run, untiled twin) and evaluates the registry;
 - :mod:`~repro.verify.fuzz` — random case sampling plus a greedy
   shrinker that reduces failing configs to minimal reproducers.
 

@@ -1,14 +1,13 @@
-"""Verification cases: one (model, plan, precision, execution) tuple.
+"""Verification cases: one (model, plan, precision, tiling) tuple.
 
 A :class:`VerifyCase` pins everything a differential run needs — model
 dimensions, rank count, parallel strategies, EP dispatch mode, comm
-precision, execution engine, dropout, step count, and the data seed —
-as a frozen, hashable value.  The conformance engine
+precision, tile width, dropout, step count, and the data seed — as a
+frozen, hashable value.  The conformance engine
 (:mod:`repro.verify.engine`) turns a case into several runs (the case
-itself, its single-rank golden reference, and a legacy-engine twin for
-DAG-backend — including vectorized — cases) and the fuzzer
-(:mod:`repro.verify.fuzz`) samples and shrinks cases, which is why
-immutability and cheap equality matter.
+itself, its single-rank golden reference, and an untiled twin for
+tiled cases) and the fuzzer (:mod:`repro.verify.fuzz`) samples and
+shrinks cases, which is why immutability and cheap equality matter.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.config import ModelConfig, ParallelConfig, TrainConfig
-from ..runtime.dag_executor import EXECUTION_MODES
 
 __all__ = ["VerifyCase", "ServeCase", "smoke_matrix", "elastic_matrix",
            "serve_matrix", "plan_conformance_cases"]
 
-#: Execution modes × EP dispatch × comm precision of the CI smoke grid.
-SMOKE_EXECUTIONS = EXECUTION_MODES  # ("sequential", "vectorized")
+#: EP dispatch × comm precision of the CI smoke grid.
 SMOKE_DISPATCHES = ("a2a", "ag_rs")
 SMOKE_PRECISIONS = ("fp32", "fp8")
 
@@ -48,13 +45,9 @@ class VerifyCase:
     ffn: str = "ep"
     ep_dispatch: str = "a2a"
     precision: str = "fp32"
-    execution: str = "sequential"
-    #: Numeric backend: "engine" (legacy per-engine call chains) or
-    #: "dag" (schedule-ordered DAG executor).
-    backend: str = "engine"
     #: §4.2 tile-granular execution: token-chunk width for fused-group
-    #: tile decomposition (None = untiled).  Requires the DAG backend
-    #: and must divide the per-rank sequence shard ``seq // ranks``.
+    #: tile decomposition (None = untiled).  Must divide the per-rank
+    #: sequence shard ``seq // ranks``.
     tile_tokens: Optional[int] = None
     dropout: float = 0.0
     steps: int = 2
@@ -110,24 +103,7 @@ class VerifyCase:
             raise ValueError(f"unknown ep_dispatch {self.ep_dispatch!r}")
         if self.precision not in ("fp32", "bf16", "fp8"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution {self.execution!r}; expected one "
-                f"of {EXECUTION_MODES}"
-            )
-        if self.backend not in ("engine", "dag"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.execution == "vectorized" and self.backend != "dag":
-            raise ValueError(
-                "execution='vectorized' runs through the DAG executor; "
-                "it requires backend='dag'"
-            )
         if self.tile_tokens is not None:
-            if self.backend != "dag":
-                raise ValueError(
-                    "tile_tokens requires backend='dag' (tile-granular "
-                    "execution only exists in the DAG executor)"
-                )
             local = self.seq // self.ranks
             if self.tile_tokens < 1 or local % self.tile_tokens != 0:
                 raise ValueError(
@@ -186,13 +162,10 @@ class VerifyCase:
         """Compact stable identifier used in the conformance matrix."""
         parts = [
             self.attention, self.ffn, self.ep_dispatch, self.precision,
-            "vec" if self.execution == "vectorized" else "seq",
             f"r{self.ranks}", f"l{self.layers}", f"b{self.batch}",
             f"s{self.seq}", f"e{self.experts}", f"k{self.top_k}",
             f"st{self.steps}",
         ]
-        if self.backend != "engine":
-            parts.append(self.backend)
         if self.tile_tokens is not None:
             parts.append(f"tt{self.tile_tokens}")
         if self.dtype != "float64":
@@ -228,7 +201,6 @@ class VerifyCase:
             global_batch_size=self.batch, micro_batch_size=self.batch,
             seq_len=self.seq, learning_rate=1e-2,
             aux_loss_coeff=0.01, precision=self.precision,
-            execution=self.execution, backend=self.backend,
             tile_tokens=self.tile_tokens,
             dropout=self.dropout,
             dropout_seed=self.seed + 1,
@@ -238,34 +210,9 @@ class VerifyCase:
         """A copy with fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **changes)
 
-    def twin_engine(self) -> "VerifyCase":
-        """The legacy-backend twin of a DAG-backend case.
-
-        Vectorized cases have no engine-backend sibling (the rank-stacked
-        kernels only exist in the DAG executor), so their twin is the
-        sequential legacy-engine run — the strictest possible reference:
-        the bitwise comparison then spans both the backend and the
-        execution mode at once.
-
-        The twin is always untiled: tile-granular execution is a DAG
-        feature, so a tiled case's bitwise comparison spans the tiling
-        as well.
-        """
-        if self.execution == "vectorized":
-            return self.replace(backend="engine",
-                                execution="sequential",
-                                tile_tokens=None)
-        return self.replace(backend="engine", tile_tokens=None)
-
-
-def _backend_for(execution: str) -> str:
-    """Default backend an execution mode pairs with in the grids.
-
-    Vectorized execution only exists in the DAG executor; the other
-    modes default to the legacy engine (the DAG backend is exercised
-    against them by ``twin_engine`` and the ``--backend dag`` override).
-    """
-    return "dag" if execution == "vectorized" else "engine"
+    def untiled_twin(self) -> "VerifyCase":
+        """The same case with fused groups whole (``tile_bitwise``)."""
+        return self.replace(tile_tokens=None)
 
 
 #: Token-chunk width of the tiled smoke cases (seq=16 / ranks=4 → the
@@ -282,45 +229,36 @@ def plan_conformance_cases(attention: str = "sp", ffn: str = "ep",
     The plan-space optimizer (:func:`repro.core.planner.plan_cluster`)
     emits a strategy tuple for a production-scale model; this projects
     that tuple onto the 4-rank default shapes so ``repro plan
-    --verify`` can prove the chosen configuration is numerically live
-    on both execution backends.  ``adaptive`` dispatch resolves to the
-    concrete modes it can pick between.
+    --verify`` can prove the chosen configuration is numerically live.
+    ``adaptive`` dispatch resolves to the concrete modes it can pick
+    between.
     """
     dispatches = (("a2a", "ag_rs") if ep_dispatch == "adaptive"
                   else (ep_dispatch,))
     return [
         VerifyCase(attention=attention, ffn=ffn, ep_dispatch=dispatch,
-                   precision=precision, backend=backend, seed=seed)
+                   precision=precision, seed=seed)
         for dispatch in dispatches
-        for backend in ("engine", "dag")
     ]
 
 
 def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
-    """The seeded CI grid: execution × EP dispatch × precision, plus a
-    tiled (§4.2 tile-granular) DAG leg per execution × dispatch, plus
-    float32-model legs (the production default dtype) over both EP
-    dispatches and one vectorized tiled case."""
+    """The seeded CI grid: EP dispatch × precision, a tiled (§4.2
+    tile-granular) leg per dispatch, float32-model legs (the
+    production default dtype) over both dispatches, and one float32
+    tiled case."""
 
     def cases() -> Iterator[VerifyCase]:
-        for execution in SMOKE_EXECUTIONS:
-            for dispatch in SMOKE_DISPATCHES:
-                for precision in SMOKE_PRECISIONS:
-                    yield VerifyCase(
-                        ep_dispatch=dispatch, precision=precision,
-                        execution=execution,
-                        backend=_backend_for(execution), seed=seed,
-                    )
-                yield VerifyCase(
-                    ep_dispatch=dispatch, execution=execution,
-                    backend="dag", tile_tokens=SMOKE_TILE_TOKENS,
-                    seed=seed,
-                )
+        for dispatch in SMOKE_DISPATCHES:
+            for precision in SMOKE_PRECISIONS:
+                yield VerifyCase(ep_dispatch=dispatch,
+                                 precision=precision, seed=seed)
+            yield VerifyCase(ep_dispatch=dispatch,
+                             tile_tokens=SMOKE_TILE_TOKENS, seed=seed)
         for dispatch in SMOKE_DISPATCHES:
             yield VerifyCase(ep_dispatch=dispatch, dtype="float32",
                              seed=seed)
-        yield VerifyCase(execution="vectorized", backend="dag",
-                         tile_tokens=SMOKE_TILE_TOKENS, dtype="float32",
+        yield VerifyCase(tile_tokens=SMOKE_TILE_TOKENS, dtype="float32",
                          seed=seed)
 
     return list(cases())
@@ -471,20 +409,12 @@ def elastic_matrix(seed: int = 0) -> List[VerifyCase]:
     """The resize conformance grid: shrink at 1, grow back at 2.
 
     Every case starts at 4 ranks, shrinks the SP×EP world to 2 at
-    step 1, and grows back to 4 at step 2 — the ISSUE's acceptance
-    scenario — across both execution modes, both EP dispatch modes,
-    and both smoke precisions.
+    step 1, and grows back to 4 at step 2, across both EP dispatch
+    modes and both smoke precisions.
     """
-
-    def cases() -> Iterator[VerifyCase]:
-        for execution in SMOKE_EXECUTIONS:
-            for dispatch in SMOKE_DISPATCHES:
-                for precision in SMOKE_PRECISIONS:
-                    yield VerifyCase(
-                        ep_dispatch=dispatch, precision=precision,
-                        execution=execution,
-                        backend=_backend_for(execution), seed=seed,
-                        steps=3, resize=((1, 2), (2, 4)),
-                    )
-
-    return list(cases())
+    return [
+        VerifyCase(ep_dispatch=dispatch, precision=precision, seed=seed,
+                   steps=3, resize=((1, 2), (2, 4)))
+        for dispatch in SMOKE_DISPATCHES
+        for precision in SMOKE_PRECISIONS
+    ]

@@ -3,16 +3,15 @@
 For one :class:`~repro.verify.cases.VerifyCase` the engine runs up to
 three trainings from identical seeds —
 
-1. the **case run**: the parallel plan under its configured execution
-   engine and comm precision (optionally with an injected fault plan,
+1. the **case run**: the parallel plan under its configured comm
+   precision and tile width (optionally with an injected fault plan,
    which is how tests prove the invariants catch real perturbations);
 2. the **golden run**: the plain single-rank
    :meth:`~repro.model.transformer.MoETransformer.language_model_loss`
    model with the same optimizer schedule (skipped when dropout > 0 —
    a full-sequence model cannot reproduce per-rank dropout masks);
-3. the **engine twin** (DAG-backend cases only): the identical plan
-   on the legacy engine call chains under the sequential rank loop,
-   for the bitwise-identity contract —
+3. the **untiled twin** (tiled cases only): the identical plan with
+   fused groups whole, for the tiling bitwise-identity contract —
 
 plus one untrained **dtype probe** forward whose autograd tape the
 ``dtype_stable`` invariant inspects and one two-rank **DP leg** whose
@@ -119,13 +118,12 @@ class RunArtifacts:
     #: telemetry-consuming invariants fail on these instead of passing
     #: vacuously on an all-``None`` telemetry list.
     telemetry_missing: List[str] = field(default_factory=list)
-    #: Per-layer op execution order from the DAG backend (empty for
-    #: engine-backend runs) — checked against the overlap schedule by
-    #: the ``dag_schedule_conformance`` invariant.
+    #: Per-layer op execution order — checked against the overlap
+    #: schedule by the ``dag_schedule_conformance`` invariant.
     executed_ops: List[List[str]] = field(default_factory=list)
     #: Per-layer tile-granular execution streams (``<op>#t<i>`` names,
-    #: §4.2) from tiled DAG runs — checked by ``tile_conformance``.
-    #: Empty for untiled/engine-backend runs.
+    #: §4.2) from tiled runs — checked by ``tile_conformance``.
+    #: Empty for untiled runs.
     executed_tiles: List[List[str]] = field(default_factory=list)
     #: ``(op_name, dtype)`` of every tape node of one forward of the
     #: case's plan, inputs before consumers (see :func:`_tape_dtypes`)
@@ -138,8 +136,8 @@ class RunArtifacts:
     #: :func:`_dp_leg_dtypes`) — checked by ``dtype_stable``.
     update_dtypes: Dict[str, str] = field(default_factory=dict)
     golden: Optional[GoldenArtifacts] = None
-    #: The legacy-backend twin of a DAG-backend case run.
-    engine_twin: Optional["RunArtifacts"] = None
+    #: The untiled twin of a tiled case run.
+    untiled_twin: Optional["RunArtifacts"] = None
     #: The resize-injected elastic run of a ``case.resize`` case.
     elastic: Optional[ElasticArtifacts] = None
 
@@ -240,10 +238,9 @@ def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
     """``(op_name, dtype)`` of every tape node of one forward of the
     case's plan, inputs before consumers.
 
-    Every op output — per-rank or rank-stacked, DAG-executed or
-    engine-chained, collective payloads included (the ``dist_*`` /
-    ``vec_*`` collectives are tape nodes) — is a tape node of the
-    loss, so walking the tape sees the whole activation stream.  The
+    Every op output — collective payloads included (the ``dist_*``
+    collectives are tape nodes) — is a tape node of the loss, so
+    walking the tape sees the whole activation stream.  The
     walk starts at the LM loss; of the router aux-loss chain only the
     tensors with a token axis (``ndim >= 2``) are added, because its
     per-expert statistics and scalars are accumulated in float64 by
@@ -334,16 +331,12 @@ def _run_parallel(case: VerifyCase,
                 f"({type(ffn_engine).__name__}) exposed no dispatch "
                 f"telemetry after {len(losses)} training steps"
             )
-    executed_ops = [
-        list(engine.last_executed_ops)
-        for engine in trainer.engines
-        if getattr(engine, "last_executed_ops", None)
-    ]
-    executed_tiles = [
-        list(engine.last_executed_tiles)
-        for engine in trainer.engines
-        if getattr(engine, "last_executed_tiles", None)
-    ]
+    executed_ops = [list(engine.last_executed_ops)
+                    for engine in trainer.engines
+                    if engine.last_executed_ops]
+    executed_tiles = [list(engine.last_executed_tiles)
+                      for engine in trainer.engines
+                      if engine.last_executed_tiles]
     return RunArtifacts(
         case=case,
         losses=losses,
@@ -445,7 +438,7 @@ def run_case(case: VerifyCase,
 
     ``world_setup`` (e.g. attaching a
     :class:`~repro.ft.faults.FaultPlan`) applies to the case run only —
-    the golden run has no world and the engine twin stays clean, so
+    the golden run has no world and the untiled twin stays clean, so
     an injected perturbation must be *caught* by the invariants rather
     than silently reproduced on both sides of the diff.
     """
@@ -454,8 +447,8 @@ def run_case(case: VerifyCase,
     artifacts.update_dtypes.update(_dp_leg_dtypes(case))
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)
-    if case.backend == "dag":
-        artifacts.engine_twin = _run_parallel(case.twin_engine())
+    if case.tile_tokens is not None:
+        artifacts.untiled_twin = _run_parallel(case.untiled_twin())
     if case.resize:
         artifacts.elastic = _run_elastic(case)
     outcomes: List[InvariantResult] = []

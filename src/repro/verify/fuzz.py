@@ -1,6 +1,6 @@
 """Config fuzzer + shrinker for the conformance engine.
 
-Random (model, plan, precision, execution) tuples catch interaction
+Random (model, plan, precision, tiling) tuples catch interaction
 bugs no hand-written matrix covers; when a case fails, the raw config
 is rarely the story you want to debug.  :func:`shrink` greedily
 minimizes a failing case — fewer ranks, layers, steps, tokens, experts
@@ -48,20 +48,15 @@ def sample_case(rng: np.random.Generator) -> VerifyCase:
         seq=ranks * int(rng.choice([2, 4])),
         ep_dispatch=str(rng.choice(["a2a", "ag_rs"])),
         precision=str(rng.choice(["fp32", "fp8"])),
-        execution=(execution := str(rng.choice(
-            ["sequential", "vectorized"]))),
-        # Vectorized execution only exists in the DAG executor.
-        backend=("dag" if execution == "vectorized"
-                 else str(rng.choice(["engine", "engine", "dag"]))),
-        # Dropout cases exercise the per-rank RNG contract (vectorized
-        # bitwise identity); golden closeness is skipped for them.
+        # Dropout cases exercise the per-rank RNG contract; golden
+        # closeness is skipped for them.
         dropout=float(rng.choice([0.0, 0.0, 0.0, 0.1])),
         steps=int(rng.choice([1, 2])),
         seed=int(rng.integers(0, 1_000_000)),
     )
-    # DAG-backend cases sometimes run tile-granular (§4.2): sample a
-    # token-chunk width from the divisors of the per-rank shard.
-    if case.backend == "dag" and float(rng.random()) < 0.5:
+    # Half the cases run tile-granular (§4.2): sample a token-chunk
+    # width from the divisors of the per-rank shard.
+    if float(rng.random()) < 0.5:
         local = case.seq // case.ranks
         divisors = [d for d in range(1, local + 1) if local % d == 0]
         case = case.replace(tile_tokens=int(rng.choice(divisors)))
@@ -108,9 +103,9 @@ def _shrink_candidates(case: VerifyCase) -> Iterator[VerifyCase]:
         yield from filter(None, [attempt(resize=())])
         if len(case.resize) > 1:
             yield from filter(None, [attempt(resize=case.resize[:1])])
-    # Untiling early: it halves the DAG surface under test (no tile
-    # graph, no chunked collectives) without touching the model, and
-    # it unlocks the seq/ranks shrinks a tile width would forbid.
+    # Untiling early: it halves the surface under test (no tile graph,
+    # no chunked collectives, no twin run) without touching the model,
+    # and it unlocks the seq/ranks shrinks a tile width would forbid.
     if case.tile_tokens is not None:
         yield from filter(None, [attempt(tile_tokens=None)])
     if case.ranks > 1:
@@ -140,19 +135,6 @@ def _shrink_candidates(case: VerifyCase) -> Iterator[VerifyCase]:
         yield from filter(None, [attempt(vocab=32)])
     if case.dropout > 0.0:
         yield from filter(None, [attempt(dropout=0.0)])
-    # Shrink toward the plainest execution stack: sequential first
-    # (a vectorized case keeps its DAG backend and stays valid), then
-    # the legacy engine backend (invalid for vectorized cases, which
-    # the attempt() validator filters out).
-    if case.execution != "sequential":
-        yield from filter(None, [attempt(execution="sequential")])
-    if case.backend != "engine":
-        yield from filter(None, [attempt(backend="engine",
-                                         tile_tokens=None)])
-        if case.execution != "sequential":
-            yield from filter(None, [attempt(execution="sequential",
-                                             backend="engine",
-                                             tile_tokens=None)])
 
 
 def shrink(case: VerifyCase,
@@ -186,7 +168,7 @@ def corrupting_world_setup(seed: int = 0, at_call: int = 0):
 
     Attach via ``run_case(case, world_setup=...)``: the perturbation
     hits only the case run, so the conformance engine must *catch* it
-    against the golden model or the clean engine twin.
+    against the golden model or the clean untiled twin.
     """
     from ..ft.faults import FaultPlan, FaultSpec
 
@@ -203,12 +185,11 @@ def corrupting_world_setup(seed: int = 0, at_call: int = 0):
 def shrink_seeded_violation(seed: int = 0):
     """End-to-end demo: inject a bit-flip, catch it, shrink it.
 
-    Returns ``(original, minimal, result)`` — the starting vectorized
+    Returns ``(original, minimal, result)`` — the starting tiled
     case, the shrunk minimal reproducer, and the minimal case's
     :class:`~repro.verify.engine.CaseResult` (which still fails).
     """
-    original = VerifyCase(execution="vectorized", backend="dag",
-                          ep_dispatch="a2a", seed=seed)
+    original = VerifyCase(tile_tokens=2, ep_dispatch="a2a", seed=seed)
 
     def fails(case: VerifyCase) -> bool:
         return not run_case(

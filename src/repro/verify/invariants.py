@@ -1,10 +1,10 @@
 """The invariant registry: what "numerically equivalent" means, checked.
 
 Every parallel plan in this repo claims some equivalence to the plain
-single-rank model — bitwise where the design promises it (the DAG
-backend and vectorized execution vs the engine path),
-tolerance-banded where comm is compressed (§5 FP8), and always subject to conservation laws (tokens
-through dispatch/combine, router probability mass, ledger bytes vs the
+single-rank model — bitwise where the design promises it (tiled vs
+untiled execution), tolerance-banded where comm is compressed (§5
+FP8), and always subject to conservation laws (tokens through
+dispatch/combine, router probability mass, ledger bytes vs the
 Eq. 1–4 closed forms) and finiteness.  This module encodes each claim
 as a named :class:`Invariant` with an ``applies`` predicate and a
 ``check`` that returns violations; the engine evaluates every
@@ -265,10 +265,11 @@ def _check_golden_params(art: "RunArtifacts") -> List[str]:
     return violations
 
 
-def _check_dag_bitwise(art: "RunArtifacts") -> List[str]:
-    """DAG-executed results must be bitwise-identical to the legacy
-    engine path (same execution mode, same seeds)."""
-    twin = art.engine_twin
+def _check_tile_bitwise(art: "RunArtifacts") -> List[str]:
+    """Tile-granular execution moves the same bytes in chunks and never
+    splits a reduction, so a tiled run must be bitwise-identical to its
+    untiled twin (same seeds)."""
+    twin = art.untiled_twin
     violations = []
     if art.losses != twin.losses:
         violations.append(
@@ -278,7 +279,7 @@ def _check_dag_bitwise(art: "RunArtifacts") -> List[str]:
         got = art.params.get(name)
         if got is None or not np.array_equal(got, want):
             violations.append(f"param {name} not bitwise-equal to the "
-                              "engine-backend twin")
+                              "untiled twin")
     if art.ledger_total_bytes != twin.ledger_total_bytes:
         violations.append(
             f"ledger bytes differ: {art.ledger_total_bytes} vs "
@@ -300,8 +301,7 @@ def _check_dag_conformance(art: "RunArtifacts") -> List[str]:
 
     case = art.case
     if not art.executed_ops:
-        return ["no executed op sequences recorded for a DAG-backend "
-                "run"]
+        return ["no executed op sequences recorded"]
     program = layer_program(case.model_config(), case.parallel_config(),
                             case.batch, case.seq,
                             tile_tokens=case.tile_tokens)
@@ -327,8 +327,7 @@ def _check_tile_conformance(art: "RunArtifacts") -> List[str]:
         return [f"tile_tokens={case.tile_tokens} produced no tiled "
                 "program (no fused group decomposed)"]
     if not art.executed_tiles:
-        return ["no executed tile streams recorded for a tiled "
-                "DAG-backend run"]
+        return ["no executed tile streams recorded for a tiled run"]
     violations = []
     for layer, stream in enumerate(art.executed_tiles):
         for problem in tile_conformance_problems(program, stream):
@@ -745,29 +744,28 @@ def default_registry() -> List[Invariant]:
             check=_check_golden_params,
         ),
         Invariant(
-            name="dag_bitwise",
-            description="DAG-executed results are bitwise-identical "
-                        "to the legacy engine path (losses, params, "
-                        "ledger)",
-            applies=lambda case: case.backend == "dag",
-            check=_check_dag_bitwise,
+            name="tile_bitwise",
+            description="a tiled run is bitwise-identical to its "
+                        "untiled twin (losses, params, ledger bytes "
+                        "and counts)",
+            applies=lambda case: case.tile_tokens is not None,
+            check=_check_tile_bitwise,
         ),
         Invariant(
             name="dag_schedule_conformance",
-            description="the DAG backend's executed op sequence is a "
+            description="every layer's executed op sequence is a "
                         "valid topological order of both the op graph "
                         "and the overlap schedule",
-            applies=lambda case: case.backend == "dag",
+            applies=lambda case: True,
             check=_check_dag_conformance,
         ),
         Invariant(
             name="tile_conformance",
-            description="the tiled DAG backend's executed tile stream "
-                        "is a valid interleaving of the §4.2 tile "
-                        "graph (intra-group tile deps and swizzled "
-                        "chunk order respected)",
-            applies=lambda case: (case.backend == "dag"
-                                  and case.tile_tokens is not None),
+            description="a tiled run's executed tile stream is a valid "
+                        "interleaving of the §4.2 tile graph "
+                        "(intra-group tile deps and swizzled chunk "
+                        "order respected)",
+            applies=lambda case: case.tile_tokens is not None,
             check=_check_tile_conformance,
         ),
         Invariant(

@@ -7,6 +7,11 @@ import pytest
 
 from repro.comm import World
 from repro.core.config import ModelConfig
+from repro.core.executor_bindings import (
+    _SeqCtx,
+    attention_bindings,
+    ffn_bindings,
+)
 from repro.tensor import Tensor
 
 
@@ -33,6 +38,40 @@ def world4():
 def world8():
     """An 8-rank world split over two 4-rank nodes."""
     return World(8, ranks_per_node=4)
+
+
+def run_bindings(group, bindings, **inputs):
+    """Drive one half of a layer on its own: the attention or FFN
+    bindings in list order (a valid order — each factory lists its ops
+    producer first) over a whole-world context.  Returns the output
+    shards (the last binding's values) and the env."""
+    env = dict(inputs)
+    ctx = _SeqCtx(group, env)
+    for binding in bindings:
+        env[binding.op] = binding.seq(ctx)
+    return env[bindings[-1].op], env
+
+
+def attention_half(engine, shards, seq_len):
+    """An SP/TP attention engine's half of a layer on ``ln1`` shards:
+    the attention output shards."""
+    return run_bindings(engine.group, attention_bindings(engine, seq_len),
+                        ln1=shards)[0]
+
+
+def ffn_half(engine, shards):
+    """An EP/TP FFN engine's half of a layer on ``ln2`` shards:
+    (output shards, aux loss)."""
+    outs, env = run_bindings(engine.group, ffn_bindings(engine),
+                             ln2=shards)
+    return outs, env["router"][0][-1]
+
+
+def forward_bytes(world, prefix=""):
+    """Ledger bytes of the forward collectives whose tag starts with
+    ``prefix`` (backward duals are tagged ``:bwd``)."""
+    return sum(r.total_bytes for r in world.ledger.records
+               if r.tag.startswith(prefix) and not r.tag.endswith(":bwd"))
 
 
 def gradcheck(fn, arrays, rng, eps=1e-5, tol=1e-4):

@@ -15,8 +15,8 @@ CONFIG = ModelConfig("t3d", n_layers=4, hidden_size=16, n_heads=4,
                      top_k=2, vocab_size=32, seq_len=8)
 
 
-def reference_step(batch, n_micro, lr=1e-2):
-    model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
+def reference_step(batch, n_micro, lr=1e-2, config=CONFIG):
+    model = MoETransformer(config, seed=0, dtype=np.float64)
     opt = AdamW(model.parameters(), lr=lr)
     model.zero_grad()
     total = None
@@ -50,6 +50,50 @@ class TestPPxMP:
                                      model.named_parameters()):
             np.testing.assert_allclose(b.data, a.data, atol=1e-10,
                                        err_msg=f"{name} ({attn}+{ffn})")
+
+    @pytest.mark.parametrize("top_k,dispatch", [(1, "a2a"),
+                                                (2, "ag_rs")])
+    def test_stage_layers_run_the_layer_program(self, rng, top_k,
+                                                dispatch):
+        """A stage's layers go through the same scheduled operator
+        graph as ``MegaScaleTrainer``'s: golden loss and gradients, a
+        recorded schedule-conformant op order, and the same MP bytes
+        under every ledger tag."""
+        from repro.core.config import ParallelConfig, TrainConfig
+        from repro.core.trainer import MegaScaleTrainer
+        from repro.runtime import schedule_conformance_problems
+
+        config = CONFIG.scaled(top_k=top_k)
+        batch = rng.integers(0, 32, (4, 9))
+        ref_model, ref_loss = reference_step(batch, 2, config=config)
+
+        model = MoETransformer(config, seed=0, dtype=np.float64)
+        mp_world = World(2, 2)
+        trainer = PipelineParallelTrainer(
+            model, World(2, 1), 2,
+            optimizer=AdamW(model.parameters(), lr=1e-2),
+            aux_loss_coeff=0.01, mp_world=mp_world)
+        result = trainer.train_step(batch)
+        assert result.loss == pytest.approx(ref_loss, rel=1e-9)
+        for (name, a), (_, b) in zip(ref_model.named_parameters(),
+                                     model.named_parameters()):
+            np.testing.assert_allclose(
+                b.grad, a.grad, rtol=1e-8,
+                atol=1e-8 * np.abs(a.grad).max(), err_msg=name)
+        for engine in trainer.block_engines:
+            assert engine.ffn_engine.mode == dispatch
+            program = engine.executor_for(2, config.seq_len).program
+            assert schedule_conformance_problems(
+                program, engine.last_executed_ops) == []
+
+        flat = MegaScaleTrainer(
+            MoETransformer(config, seed=0, dtype=np.float64),
+            World(2, 2), ParallelConfig(2),
+            TrainConfig(global_batch_size=4, micro_batch_size=4,
+                        seq_len=config.seq_len))
+        flat.train_step(batch)
+        want = flat.world.ledger.bytes_by_tag()
+        assert want and mp_world.ledger.bytes_by_tag() == want
 
     def test_multi_step_trajectory(self, rng):
         from repro.data import MarkovCorpus, batch_iterator

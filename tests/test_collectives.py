@@ -18,7 +18,6 @@ from repro.comm import (
     scatter,
 )
 from repro.parallel.dist_ops import dist_all_reduce, dist_reduce_scatter
-from repro.runtime.vectorized import vec_reduce_scatter
 from repro.tensor import Tensor
 
 
@@ -150,8 +149,6 @@ class TestRankOrderedSum:
             reduce_scatter(group(), tensors, tiled=tiled),
             [o.data for o in dist_reduce_scatter(
                 group(), [Tensor(t) for t in tensors], tiled=tiled)],
-            vec_reduce_scatter(Tensor(np.stack(tensors)), 0, group(),
-                               tiled=tiled).data,
         ]
         for out in outs:
             for j in range(n):

@@ -541,12 +541,11 @@ class TestVerifyCaseResize:
         from repro.verify.cases import elastic_matrix
 
         cases = elastic_matrix()
-        assert len(cases) == 8
+        assert len(cases) == 4
         assert all(c.resize == ((1, 2), (2, 4)) for c in cases)
-        assert {c.execution for c in cases} == {"sequential",
-                                                "vectorized"}
+        assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
-        assert len({c.case_id for c in cases}) == 8
+        assert len({c.case_id for c in cases}) == 4
 
     def test_fuzzer_samples_resize_cases(self):
         from repro.verify.fuzz import sample_case

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from conftest import ffn_half, forward_bytes
 from repro.comm import World
 from repro.core import MegaScaleTrainer, ModelConfig, ParallelConfig, \
     TrainConfig
@@ -130,9 +131,7 @@ class TestEngineIntegration:
             Engine, True, np.random.default_rng(1), **kwargs)
         shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                   for r in range(4)]
-        result = engine.forward(shards)
-        outs = (result.output_shards if hasattr(result, "output_shards")
-                else result[0])
+        outs, _ = ffn_half(engine, shards)
         full = np.concatenate([o.data for o in outs], axis=1)
         rel = np.abs(full - ref) / (np.abs(ref) + 1e-3)
         assert np.median(rel) < 0.15
@@ -148,10 +147,8 @@ class TestEngineIntegration:
                 engine.elem_bytes = 2.0
             shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                       for r in range(4)]
-            engine.forward(shards)
-            totals[fp8] = sum(
-                r.total_bytes for r in world.ledger.records
-                if not r.tag.endswith(":bwd"))
+            ffn_half(engine, shards)
+            totals[fp8] = forward_bytes(world)
         # FP8 payload is half of BF16 plus per-token FP32 scales.
         assert totals[True] < 0.75 * totals[False]
 

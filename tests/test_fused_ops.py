@@ -142,7 +142,7 @@ class TestFusedSDPA:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_stacked_slices_bitwise_equal(self, rng, dtype):
-        """The vectorized backend's 5-D ``[n, b, h, s, d]`` call is the
+        """A 5-D ``[n, b, h, s, d]`` call (one more batch axis) is the
         per-rank 4-D call, slice for slice (forward and backward)."""
         n = 3
         stacks = [np.stack(parts) for parts in zip(*(

@@ -131,11 +131,14 @@ class TestPipeline2DTrace:
         tracer = obs.tracer
         stage_ids = {s.span_id for s in
                      tracer.closed_spans(cat="pp.stage")}
+        op_parent = {s.span_id: s.parent_id
+                     for s in tracer.closed_spans(cat="dag")}
         fwd_comm = [s for s in tracer.closed_spans(cat="comm")
                     if not str(s.attrs.get("tag", "")).endswith(":bwd")]
         assert fwd_comm
         for span in fwd_comm:
-            assert span.parent_id in stage_ids
+            # stage > dag.op:<collective> > comm
+            assert op_parent[span.parent_id] in stage_ids
 
     def test_p2p_instant_events(self):
         obs, world, _, result = self._run()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import attention_half, ffn_half
 from repro.comm import World
 from repro.core.analysis import (
     sp_attention_comm_volume,
@@ -55,11 +56,11 @@ def run_engine(kind, tracer=None, mode="ag_rs"):
         attn = SelfAttention(rng, H, 8, M, dtype=np.float64)
         cls = SPAttentionEngine if kind == "sp_attn" else TPAttentionEngine
         engine = cls(world.full_group(), attn)
-        engine.forward(shard(x, N), S)
+        attention_half(engine, shard(x, N), S)
     else:
         moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
         engine = EPFFNEngine(world.full_group(), moe, mode=mode)
-        engine.forward(shard(x, N))
+        ffn_half(engine, shard(x, N))
     return world
 
 
@@ -184,7 +185,7 @@ class TestAudit:
             engine = SPAttentionEngine(world.full_group(), attn)
             x = np.random.default_rng(1).standard_normal((B, S, H))
             for _ in range(passes):
-                engine.forward(shard(x, N), S)
+                attention_half(engine, shard(x, N), S)
             return world
 
         bounded, unbounded = run(2), run(None)

@@ -271,6 +271,7 @@ class TestBoundedLedger:
 
     def test_bounded_ledger_under_training(self):
         # A real traced engine run stays exact under aggressive rotation.
+        from conftest import ffn_half
         from repro.model.moe import MoELayer
         from repro.parallel.ep_ffn import EPFFNEngine
         from repro.tensor import Tensor
@@ -283,7 +284,7 @@ class TestBoundedLedger:
             engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
             shards = [Tensor(x[:, r * 4:(r + 1) * 4].copy())
                       for r in range(4)]
-            engine.forward(shards)
+            ffn_half(engine, shards)
             return world.ledger
 
         rng_init = np.random.default_rng(1)

@@ -28,11 +28,6 @@ class TestConcatSplitStack:
         with pytest.raises(ValueError, match="not divisible"):
             ops.split(Tensor(np.zeros((5, 2))), 2)
 
-    def test_stack_grad(self, rng):
-        gradcheck(lambda a, b: ops.stack([a, b], axis=1),
-                  [rng.standard_normal((3, 2)),
-                   rng.standard_normal((3, 2))], rng)
-
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
@@ -235,24 +230,6 @@ class TestRoPE:
         cos64, sin64 = ops.rope_tables(positions, 8, 10000.0, np.float64)
         np.testing.assert_allclose(cos, cos64, rtol=0, atol=1e-6)
         np.testing.assert_allclose(sin, sin64, rtol=0, atol=1e-6)
-
-    def test_rank_stacked_matches_per_rank(self, rng):
-        """One ``[n, s_local]`` position array on a rank-stacked 5-D
-        input is slice-for-slice the per-rank call — the vectorized
-        backend's rope is this same kernel."""
-        n, s_local = 3, 4
-        x = rng.standard_normal((n, 2, s_local, 2, 8)).astype(np.float32)
-        g = rng.standard_normal(x.shape).astype(np.float32)
-        positions = np.arange(n * s_local).reshape(n, s_local)
-        stacked = Tensor(x, requires_grad=True)
-        out = ops.rope_rotate(stacked, positions=positions)
-        out.backward(g)
-        for r in range(n):
-            shard = Tensor(x[r], requires_grad=True)
-            want = ops.rope_rotate(shard, positions=positions[r])
-            want.backward(g[r])
-            np.testing.assert_array_equal(out.data[r], want.data)
-            np.testing.assert_array_equal(stacked.grad[r], shard.grad)
 
     def test_explicit_position_tables_memoised(self, rng):
         """SP-sharded positions hit the memo table: the second call

@@ -8,12 +8,15 @@ and gradients, while moving the Eq. 1 / Eq. 2 communication volumes.
 import numpy as np
 import pytest
 
+from conftest import attention_half, forward_bytes
 from repro.comm import World
 from repro.core.analysis import (
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
 from repro.model.layers import SelfAttention
+from repro.model.transformer import TransformerBlock
+from repro.parallel.block import ParallelBlockEngine, shard_sequence
 from repro.parallel.sp_attention import SPAttentionEngine
 from repro.parallel.tp_attention import TPAttentionEngine
 from repro.tensor import Tensor
@@ -36,9 +39,7 @@ def run_reference(rng, attn, x):
 
 
 def shard_seq(x, n):
-    s = x.shape[1]
-    return [Tensor(x[:, r * s // n:(r + 1) * s // n].copy(),
-                   requires_grad=True) for r in range(n)]
+    return shard_sequence(x, n, requires_grad=True)
 
 
 CONFIGS = [
@@ -61,7 +62,7 @@ class TestSPAttention:
         world = World(n, n)
         engine = SPAttentionEngine(world.full_group(), attn)
         shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
+        outs = attention_half(engine, shards, s)
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
@@ -89,11 +90,8 @@ class TestSPAttention:
         world = World(n, n)
         engine = SPAttentionEngine(world.full_group(), attn)
         world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n), s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("sp_attn") and not r.tag.endswith(":bwd")
-        ) / 8.0  # float64 elements
+        attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
+        measured = forward_bytes(world, "sp_attn") / 8.0  # float64 elements
         formula_total = sp_attention_comm_volume(b, s, h, n, m) * n
         assert measured == pytest.approx(formula_total / 2.0)
 
@@ -104,7 +102,7 @@ class TestSPAttention:
         engine = SPAttentionEngine(world.full_group(), attn)
         x = rng.standard_normal((b, s, h))
         shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
+        outs = attention_half(engine, shards, s)
         # Single backward sweep (as a real combined loss would produce);
         # per-shard sweeps would re-traverse shared ancestors and
         # multiply the ledger's :bwd entries.
@@ -112,13 +110,8 @@ class TestSPAttention:
         for out in outs[1:]:
             total = total + out.sum()
         total.backward()
-        led = world.ledger
-        fwd = sum(r.total_bytes for r in led.records
-                  if r.tag.startswith("sp_attn")
-                  and not r.tag.endswith(":bwd"))
-        bwd = sum(r.total_bytes for r in led.records
-                  if r.tag.startswith("sp_attn")
-                  and r.tag.endswith(":bwd"))
+        fwd = forward_bytes(world, "sp_attn")
+        bwd = world.ledger.total_bytes() - fwd
         assert fwd == pytest.approx(bwd)
 
     def test_sp_volume_below_tp(self, rng):
@@ -128,11 +121,10 @@ class TestSPAttention:
             tp = tp_attention_comm_volume(1, 64, 128, 8)
             assert sp < tp
 
-    def test_bad_shard_seq(self, rng):
-        attn = SelfAttention(rng, 16, 8, 2, dtype=np.float64)
-        world = World(4, 4)
-        engine = SPAttentionEngine(world.full_group(), attn)
-        shards = shard_seq(rng.standard_normal((1, 8, 16)), 4)
+    def test_bad_shard_seq(self, rng, tiny_config):
+        block = TransformerBlock(rng, tiny_config, dtype=np.float64)
+        engine = ParallelBlockEngine(World(4, 4).full_group(), block)
+        shards = shard_seq(rng.standard_normal((1, 8, 32)), 4)
         with pytest.raises(ValueError, match="expected"):
             engine.forward(shards, 16)  # wrong full seq length
 
@@ -148,7 +140,7 @@ class TestTPAttention:
         world = World(n, n)
         engine = TPAttentionEngine(world.full_group(), attn)
         shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
+        outs = attention_half(engine, shards, s)
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
@@ -167,11 +159,8 @@ class TestTPAttention:
         world = World(n, n)
         engine = TPAttentionEngine(world.full_group(), attn)
         world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n), s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("tp_attn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
+        measured = forward_bytes(world, "tp_attn") / 8.0
         assert measured == pytest.approx(
             tp_attention_comm_volume(b, s, h, n) * n)
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import ffn_half, forward_bytes
 from repro.comm import World
 from repro.core.analysis import ep_ffn_comm_volume, tp_ffn_comm_volume
 from repro.model.moe import MoELayer
+from repro.parallel.block import shard_sequence
 from repro.parallel.ep_ffn import (
     EPFFNEngine,
     choose_dispatch_mode,
@@ -39,9 +41,7 @@ def run_reference(rng, moe, x):
 
 
 def shard_seq(x, n):
-    s = x.shape[1]
-    return [Tensor(x[:, r * s // n:(r + 1) * s // n].copy(),
-                   requires_grad=True) for r in range(n)]
+    return shard_sequence(x, n, requires_grad=True)
 
 
 CONFIGS = [
@@ -58,11 +58,7 @@ def check_engine_matches(rng, moe, x, engine_factory, n):
     world = World(n, n)
     engine = engine_factory(world.full_group(), moe)
     shards = shard_seq(x, n)
-    result = engine.forward(shards)
-    if isinstance(result, tuple):  # TP engine
-        outs, aux = result
-    else:
-        outs, aux = result.output_shards, result.aux_loss
+    outs, aux = ffn_half(engine, shards)
     full = np.concatenate([o.data for o in outs], axis=1)
     np.testing.assert_allclose(full, ref["out"], atol=1e-9)
     assert aux.item() == pytest.approx(ref["aux"], abs=1e-10)
@@ -108,11 +104,8 @@ class TestEPA2A:
         world = World(n, n)
         engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
         world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("ep_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        measured = forward_bytes(world, "ep_ffn") / 8.0
         hard_bound = 2 * k * b * s * h  # all rows remote, both passes
         assert measured <= hard_bound + 1e-9
 
@@ -124,11 +117,8 @@ class TestEPA2A:
         world = World(n, n)
         engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
         world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("ep_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        measured = forward_bytes(world, "ep_ffn") / 8.0
         bound = ep_ffn_comm_volume(b, s, h, n, k) * n
         assert measured == pytest.approx(bound, rel=0.25)
 
@@ -154,12 +144,9 @@ class TestEPAgRs:
             world = World(n, n)
             engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
             world.ledger.clear()
-            engine.forward(shard_seq(
+            ffn_half(engine, shard_seq(
                 np.random.default_rng(k).standard_normal((b, s, h)), n))
-            volumes.append(sum(
-                r.total_bytes for r in world.ledger.records
-                if r.tag.startswith("ep_ffn")
-                and not r.tag.endswith(":bwd")) / 8.0)
+            volumes.append(forward_bytes(world, "ep_ffn") / 8.0)
         expected = tp_ffn_comm_volume(b, s, h, n) * n
         for v in volumes:
             assert v == pytest.approx(expected)
@@ -213,11 +200,8 @@ class TestTPFFN:
         world = World(n, n)
         engine = TPFFNEngine(world.full_group(), moe)
         world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("tp_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        measured = forward_bytes(world, "tp_ffn") / 8.0
         assert measured == pytest.approx(tp_ffn_comm_volume(b, s, h, n) * n)
 
     def test_ffn_divisibility_required(self, rng):

@@ -1,8 +1,7 @@
-"""Cross-driver contracts of the simulated SPMD world.
+"""Contracts of the simulated SPMD world.
 
-The execution knob resolves config > ``REPRO_EXECUTION`` > sequential;
-sequential and vectorized execution draw identical per-rank dropout
-masks; a (passive) slow-link fault plan, which disables the zero-copy
+Per-rank dropout masks are a pure function of ``(dropout_seed, rank)``;
+a (passive) slow-link fault plan, which disables the zero-copy
 collective fast paths, changes neither results nor ledger bytes; and
 the ledger, fault plan and metrics stay exact when a caller issues
 collectives on one world from several threads.
@@ -13,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import attention_half, forward_bytes
 from repro.comm import World, all_reduce
 from repro.core.analysis import sp_attention_comm_volume
 from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
@@ -22,7 +22,6 @@ from repro.model import MoETransformer
 from repro.model.layers import SelfAttention
 from repro.obs.metrics import Counter
 from repro.parallel.sp_attention import SPAttentionEngine
-from repro.runtime import resolve_execution
 from repro.tensor import Tensor
 
 CONFIG = ModelConfig("spmd", n_layers=2, hidden_size=32, n_heads=8,
@@ -30,10 +29,10 @@ CONFIG = ModelConfig("spmd", n_layers=2, hidden_size=32, n_heads=8,
                      top_k=2, vocab_size=64, seq_len=16)
 
 
-def make_train(execution, **kw):
+def make_train(**kw):
     return TrainConfig(global_batch_size=2, micro_batch_size=2,
                        seq_len=16, learning_rate=1e-2,
-                       aux_loss_coeff=0.01, execution=execution, **kw)
+                       aux_loss_coeff=0.01, **kw)
 
 
 def slow_link_plan():
@@ -41,37 +40,10 @@ def slow_link_plan():
     return FaultPlan(slow_ranks={1: 3.0})
 
 
-class TestExecutionKnob:
-    def test_resolve_priority(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-        assert resolve_execution() == "sequential"
-        monkeypatch.setenv("REPRO_EXECUTION", "vectorized")
-        assert resolve_execution() == "vectorized"
-        assert resolve_execution("sequential") == "sequential"
-
-    def test_resolve_rejects_unknown(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            resolve_execution("warp")
-
-    def test_removed_mode_in_env_is_a_value_error(self, monkeypatch):
-        """An old CI recipe's exported variable must fail loudly, not
-        fall back to sequential."""
-        monkeypatch.setenv("REPRO_EXECUTION", "threaded")
-        with pytest.raises(ValueError, match="sequential.*vectorized"):
-            resolve_execution()
-
-    def test_train_config_validates(self):
-        with pytest.raises(ValueError, match="execution"):
-            TrainConfig(execution="warp")
-        with pytest.raises(ValueError, match="sequential.*vectorized"):
-            TrainConfig(execution="threaded")
-
-
 # -- end-to-end bitwise identity ---------------------------------------------
 
 
-def run_trainer(execution, ep_mode, plan=None, steps=2, **train_kw):
+def run_trainer(ep_mode, plan=None, steps=2, **train_kw):
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     world = World(4, ranks_per_node=4)
     if plan is not None:
@@ -79,7 +51,7 @@ def run_trainer(execution, ep_mode, plan=None, steps=2, **train_kw):
     parallel = ParallelConfig(model_parallel_size=4, attention="sp",
                               ffn="ep", ep_dispatch=ep_mode)
     trainer = MegaScaleTrainer(model, world, parallel,
-                               make_train(execution, **train_kw))
+                               make_train(**train_kw))
     rng = np.random.default_rng(7)
     results = []
     for _ in range(steps):
@@ -94,52 +66,45 @@ def run_trainer(execution, ep_mode, plan=None, steps=2, **train_kw):
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("ep_mode", ["a2a", "ag_rs"])
     def test_sp_ep_trainer_with_slow_link_plan(self, ep_mode):
-        """The fault plan disables zero-copy (and sends a vectorized
-        run down the sequential driver); results must not move."""
-        fast, p_fast, led_fast = run_trainer("sequential", ep_mode,
-                                             steps=1)
-        for execution in ("sequential", "vectorized"):
-            slow, p_slow, led_slow = run_trainer(
-                execution, ep_mode, plan=slow_link_plan(), steps=1)
-            assert fast == slow
-            for name in p_fast:
-                np.testing.assert_array_equal(p_fast[name], p_slow[name],
-                                              err_msg=name)
-            assert led_fast.total_bytes() == led_slow.total_bytes()
+        """The fault plan disables zero-copy; results must not move."""
+        fast, p_fast, led_fast = run_trainer(ep_mode, steps=1)
+        slow, p_slow, led_slow = run_trainer(
+            ep_mode, plan=slow_link_plan(), steps=1)
+        assert fast == slow
+        for name in p_fast:
+            np.testing.assert_array_equal(p_fast[name], p_slow[name],
+                                          err_msg=name)
+        assert led_fast.total_bytes() == led_slow.total_bytes()
 
     @pytest.mark.parametrize("ep_mode", ["a2a", "ag_rs"])
     def test_sp_ep_trainer_with_dropout(self, ep_mode):
         """Per-rank RNG streams make each dropout mask a pure function
-        of (dropout_seed, rank): the rank-stacked kernel's draw order
-        cannot perturb another rank's stream, so identity holds with
-        dropout on."""
-        seq, p_seq, led_seq = run_trainer("sequential", ep_mode,
-                                          dropout=0.2, dropout_seed=11)
-        vec, p_vec, led_vec = run_trainer("vectorized", ep_mode,
-                                          dropout=0.2, dropout_seed=11)
-        assert seq == vec
-        for name in p_seq:
-            np.testing.assert_array_equal(p_seq[name], p_vec[name],
+        of (dropout_seed, rank), so a run repeats bit for bit."""
+        one, p_one, led_one = run_trainer(ep_mode, dropout=0.2,
+                                          dropout_seed=11)
+        two, p_two, led_two = run_trainer(ep_mode, dropout=0.2,
+                                          dropout_seed=11)
+        assert one == two
+        for name in p_one:
+            np.testing.assert_array_equal(p_one[name], p_two[name],
                                           err_msg=name)
-        assert led_seq.total_bytes() == led_vec.total_bytes()
-        assert led_seq.counts() == led_vec.counts()
+        assert led_one.total_bytes() == led_two.total_bytes()
+        assert led_one.counts() == led_two.counts()
         # ... and dropout genuinely participated in the math.
-        base, _, _ = run_trainer("sequential", ep_mode)
-        assert seq != base
+        base, _, _ = run_trainer(ep_mode)
+        assert one != base
 
     def test_dropout_seed_changes_masks(self):
-        a, _, _ = run_trainer("sequential", "a2a", steps=1,
+        a, _, _ = run_trainer("a2a", steps=1,
                               dropout=0.2, dropout_seed=11)
-        b, _, _ = run_trainer("sequential", "a2a", steps=1,
+        b, _, _ = run_trainer("a2a", steps=1,
                               dropout=0.2, dropout_seed=12)
         assert a != b
 
-    def test_plan_sees_identical_call_count(self):
-        plan_seq, plan_vec = slow_link_plan(), slow_link_plan()
-        run_trainer("sequential", "a2a", plan=plan_seq, steps=1)
-        run_trainer("vectorized", "a2a", plan=plan_vec, steps=1)
-        assert plan_seq.calls == plan_vec.calls > 0
-
+    def test_plan_sees_every_collective(self):
+        plan = slow_link_plan()
+        _, _, ledger = run_trainer("a2a", plan=plan, steps=1)
+        assert plan.calls == sum(ledger.counts().values()) > 0
 
 
 # -- zero-copy byte accounting -------------------------------------------------
@@ -161,11 +126,8 @@ class TestZeroCopyLedgerAudit:
         shards = [Tensor(rng.standard_normal((b, s // n, h)),
                          requires_grad=True) for _ in range(n)]
         world.ledger.clear()
-        engine.forward(shards, s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("sp_attn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        attention_half(engine, shards, s)
+        measured = forward_bytes(world, "sp_attn") / 8.0
         formula = sp_attention_comm_volume(b, s, h, n, m) * n
         return measured, formula
 
@@ -182,9 +144,9 @@ class TestZeroCopyLedgerAudit:
     def test_ep_bytes_plan_independent(self, ep_mode):
         """Eq. 3/4 FFN volumes: the zero-copy fast path (no plan) and
         the private-copy path (plan attached) record identical bytes."""
-        _, _, led_fast = run_trainer("sequential", ep_mode, steps=1)
-        _, _, led_slow = run_trainer("sequential", ep_mode,
-                                     plan=slow_link_plan(), steps=1)
+        _, _, led_fast = run_trainer(ep_mode, steps=1)
+        _, _, led_slow = run_trainer(ep_mode, plan=slow_link_plan(),
+                                     steps=1)
         for op in ("all_gather", "reduce_scatter", "all_to_all"):
             assert led_fast.total_bytes(op=op) == \
                 led_slow.total_bytes(op=op), op
@@ -232,15 +194,3 @@ class TestReentrancy:
         serial = run(concurrent=False)
         assert run(concurrent=True) == serial
         assert serial[2:] == (n_threads * rounds, n_threads * rounds)
-
-
-class TestEnvKnobEndToEnd:
-    def test_env_var_drives_trainer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTION", "vectorized")
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        world = World(4, ranks_per_node=4)
-        trainer = MegaScaleTrainer(
-            model, world, ParallelConfig(model_parallel_size=4),
-            make_train(None))
-        assert trainer.execution == "vectorized"
-        assert trainer.backend == "dag"

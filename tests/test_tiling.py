@@ -11,8 +11,7 @@ single bit of the numerics.  These tests pin the three contracts:
 * **exact accounting** — per-tile CommLedger records sum to the
   unfused Eq. 1–4 bytes (bitwise, across ledger rotation), and the
   logical collective counts do not change;
-* **bitwise identity** — tiled execution matches untiled execution in
-  both modes (sequential, vectorized).
+* **bitwise identity** — tiled execution matches untiled execution.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def tiled_program(attention="sp", ffn="ep", ep_dispatch="ag_rs",
                          tile_tokens=tile_tokens)
 
 
-def run_training(tile_tokens, execution="sequential", steps=2,
+def run_training(tile_tokens, steps=2,
                  ep_dispatch="ag_rs", max_ledger_records=None,
                  tracer=None, seed=0):
     """Train ``steps`` on the tiny model; returns (trainer, world)."""
@@ -62,8 +61,7 @@ def run_training(tile_tokens, execution="sequential", steps=2,
     world = World(RANKS, RANKS, max_ledger_records=max_ledger_records)
     world.tracer = tracer
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=SEQ, execution=execution,
-                        backend="dag", tile_tokens=tile_tokens)
+                        seq_len=SEQ, tile_tokens=tile_tokens)
     trainer = MegaScaleTrainer(
         model, world,
         ParallelConfig(RANKS, ep_dispatch=ep_dispatch), train)
@@ -178,13 +176,10 @@ class TestTileConformance:
 
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("execution", ["sequential", "vectorized"])
     @pytest.mark.parametrize("dispatch", ["a2a", "ag_rs"])
-    def test_tiled_matches_untiled(self, execution, dispatch):
-        tiled, tiled_world = run_training(2, execution=execution,
-                                          ep_dispatch=dispatch)
-        plain, plain_world = run_training(None, execution=execution,
-                                          ep_dispatch=dispatch)
+    def test_tiled_matches_untiled(self, dispatch):
+        tiled, tiled_world = run_training(2, ep_dispatch=dispatch)
+        plain, plain_world = run_training(None, ep_dispatch=dispatch)
         for (name, p), (_, q) in zip(tiled.model.named_parameters(),
                                      plain.model.named_parameters()):
             assert np.array_equal(p.data, q.data), name
@@ -197,7 +192,7 @@ class TestBitwiseIdentity:
         for engine in trainer.engines:
             stream = engine.last_executed_tiles
             assert stream is not None
-            program = trainer.dag_program_for(SEQ)
+            program = engine.executor_for(2, SEQ).program
             assert tile_conformance_problems(program, stream) == []
 
     def test_untiled_run_records_no_tile_stream(self):
@@ -235,52 +230,33 @@ class TestKnobValidation:
     def test_train_config_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             TrainConfig(global_batch_size=2, tile_tokens=0)
-        with pytest.raises(ValueError, match="dag"):
-            TrainConfig(global_batch_size=2, backend="engine",
-                        tile_tokens=2)
 
     def test_trainer_rejects_non_divisor_width_at_build(self):
         model = MoETransformer(tiny_model_config(), seed=0,
                                dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag", tile_tokens=3)
+                            seq_len=SEQ, tile_tokens=3)
         trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
                                    ParallelConfig(RANKS), train)
         with pytest.raises(ValueError, match="divisors"):
             trainer.train_step(np.zeros((2, SEQ + 1), dtype=np.int64))
 
-    def test_env_knob_resolves_and_config_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TILE_TOKENS", "2")
-        model = MoETransformer(tiny_model_config(), seed=0,
-                               dtype=np.float64)
-        train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag")
-        trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
-                                   ParallelConfig(RANKS), train)
-        assert trainer.tile_tokens == 2
-        train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag", tile_tokens=4)
-        trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
-                                   ParallelConfig(RANKS), train)
-        assert trainer.tile_tokens == 4
-
     def test_program_cache_keys_on_tile_width(self):
         trainer, _ = run_training(2, steps=1)
-        tiled = trainer.dag_program_for(SEQ)
+        engine = trainer.engines[0]
+        tiled = engine.executor_for(2, SEQ).program
         assert tiled.tiled
-        trainer.tile_tokens = None
-        assert not trainer.dag_program_for(SEQ).tiled
-        trainer.tile_tokens = 2
-        assert trainer.dag_program_for(SEQ) is tiled
+        engine.tile_tokens = None
+        assert not engine.executor_for(2, SEQ).program.tiled
+        engine.tile_tokens = 2
+        assert engine.executor_for(2, SEQ).program is tiled
 
     def test_verify_case_validation_and_id(self):
-        case = VerifyCase(backend="dag", tile_tokens=2)
+        case = VerifyCase(tile_tokens=2)
         assert "tt2" in case.case_id
-        assert case.twin_engine().tile_tokens is None
-        with pytest.raises(ValueError, match="dag"):
-            VerifyCase(tile_tokens=2)
+        assert case.untiled_twin().tile_tokens is None
         with pytest.raises(ValueError, match="divide"):
-            VerifyCase(backend="dag", tile_tokens=3)
+            VerifyCase(tile_tokens=3)
 
 
 class TestSimAndCalibration:
@@ -292,7 +268,7 @@ class TestSimAndCalibration:
 
         tracer = Tracer()
         trainer, _ = run_training(2, steps=1, tracer=tracer)
-        program = trainer.dag_program_for(SEQ)
+        program = trainer.engines[0].executor_for(2, SEQ).program
         timeline = simulate(program.tile_tasks)
         sim_order = timeline.task_order()
         assert tile_conformance_problems(program, sim_order) == []
@@ -320,7 +296,7 @@ class TestSimAndCalibration:
 
         tracer = Tracer()
         trainer, _ = run_training(2, steps=1, tracer=tracer)
-        program = trainer.dag_program_for(SEQ)
+        program = trainer.engines[0].executor_for(2, SEQ).program
         km = KernelModel(GPU_SPECS["h800"])
         # dag.op: spans cover bindings whose base op was decomposed —
         # the expansion must land on the tile sub-ops.

@@ -3,13 +3,19 @@
 Three layers of coverage: the case/registry plumbing, the conformance
 engine on known-good plans, and — most importantly — proof that the
 invariants *catch* injected bugs: a bit-flipped collective payload is
-flagged and shrunk to a minimal reproducer, and each invariant detects
-a hand-tampered artifact of its bug class.
+flagged and shrunk to a minimal reproducer, a mis-wired op binding
+fails the golden comparison, and each invariant detects a
+hand-tampered artifact of its bug class.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core import executor_bindings
+from repro.model import MoETransformer
+from repro.tensor import Tensor
 from repro.verify import (
     ConformanceReport,
     VerifyCase,
@@ -22,7 +28,9 @@ from repro.verify import (
 )
 from repro.verify import invariants as inv
 from repro.verify.engine import (
+    _batches,
     _dp_leg_dtypes,
+    _make_trainer,
     _run_golden,
     _run_parallel,
 )
@@ -46,7 +54,7 @@ class TestVerifyCase:
     def test_defaults_valid(self):
         case = VerifyCase()
         assert case.ranks == 4
-        assert case.case_id.startswith("sp-ep-a2a-fp32-seq")
+        assert case.case_id.startswith("sp-ep-a2a-fp32-r4")
 
     @pytest.mark.parametrize("changes", [
         dict(heads=6),            # not divisible by ranks=4
@@ -56,7 +64,7 @@ class TestVerifyCase:
         dict(top_k=9),            # > experts
         dict(ep_dispatch="ring"),
         dict(precision="fp4"),
-        dict(execution="mpi"),
+        dict(tile_tokens=3),      # does not divide seq/ranks=4
         dict(dropout=1.0),
         dict(steps=0),
         dict(dtype="float16"),
@@ -70,14 +78,10 @@ class TestVerifyCase:
         with pytest.raises(ValueError):
             case.replace(ranks=3)
 
-    def test_removed_mode_names_the_survivors(self):
-        with pytest.raises(ValueError, match="sequential.*vectorized"):
-            VerifyCase(execution="threaded")
-
     def test_case_id_distinguishes_fields(self):
         ids = {
             VerifyCase().case_id,
-            VerifyCase(execution="vectorized", backend="dag").case_id,
+            VerifyCase(tile_tokens=2).case_id,
             VerifyCase(precision="fp8").case_id,
             VerifyCase(ep_dispatch="ag_rs").case_id,
             VerifyCase(seed=9).case_id,
@@ -88,38 +92,29 @@ class TestVerifyCase:
 
     def test_smoke_matrix_covers_grid(self):
         matrix = smoke_matrix()
-        assert len({c.case_id for c in matrix}) == len(matrix) == 15
+        assert len({c.case_id for c in matrix}) == len(matrix) == 9
         # The production default dtype has conformance legs of its own:
-        # both EP dispatches and one vectorized tiled case.
+        # both EP dispatches and one tiled case.
         f32 = [c for c in matrix if c.dtype == "float32"]
-        assert {(c.ep_dispatch, c.execution, c.tile_tokens is not None)
-                for c in f32} == {("a2a", "sequential", False),
-                                  ("ag_rs", "sequential", False),
-                                  ("a2a", "vectorized", True)}
+        assert {(c.ep_dispatch, c.tile_tokens is not None)
+                for c in f32} == {("a2a", False), ("ag_rs", False),
+                                  ("a2a", True)}
         cases = [c for c in matrix if c.dtype == "float64"]
-        assert len(cases) == 12
-        assert {c.execution for c in cases} == {"sequential",
-                                                "vectorized"}
+        assert len(cases) == 6
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
-        # Vectorized execution only exists in the DAG executor.
-        assert all(c.backend == "dag" for c in cases
-                   if c.execution == "vectorized")
-        # One tiled (§4.2) DAG leg per execution × dispatch.
+        # One tiled (§4.2) leg per dispatch.
         tiled = [c for c in cases if c.tile_tokens is not None]
-        assert len(tiled) == 4
-        assert all(c.backend == "dag" for c in tiled)
-        assert {(c.execution, c.ep_dispatch) for c in tiled} == {
-            (e, d) for e in ("sequential", "vectorized")
-            for d in ("a2a", "ag_rs")
-        }
+        assert {c.ep_dispatch for c in tiled} == {"a2a", "ag_rs"}
+        assert len(tiled) == 2
 
 
 class TestRegistry:
     def test_builtin_invariants_present(self):
         names = [i.name for i in registered_invariants()]
         for expected in ("finiteness", "golden_loss", "golden_grads",
-                         "golden_params", "dag_bitwise",
+                         "golden_params", "tile_bitwise",
+                         "dag_schedule_conformance",
                          "token_conservation", "router_mass",
                          "comm_audit", "dtype_stable"):
             assert expected in names
@@ -154,8 +149,10 @@ class TestRegistry:
             del inv._REGISTRY["always_green"]
 
     def test_applies_gates_to_skip(self):
-        result = run_case(small_case())  # engine backend
-        assert result.outcome("dag_bitwise").status == "skip"
+        result = run_case(small_case())  # untiled
+        assert result.outcome("tile_bitwise").status == "skip"
+        assert result.outcome("dag_schedule_conformance").status \
+            == "pass"
         # fp8-only skip: golden params checked for uncompressed comm
         assert result.outcome("golden_params").status == "pass"
         fp8 = run_case(small_case(precision="fp8",
@@ -164,17 +161,17 @@ class TestRegistry:
 
 
 class TestConformance:
-    @pytest.mark.parametrize("execution", ["sequential", "vectorized"])
+    @pytest.mark.parametrize("tile_tokens", [None, 1])
     @pytest.mark.parametrize("dispatch", ["a2a", "ag_rs"])
-    def test_known_good_plans_conform(self, execution, dispatch):
-        vectorized = execution == "vectorized"
-        result = run_case(small_case(
-            execution=execution, ep_dispatch=dispatch,
-            backend="dag" if vectorized else "engine"))
+    def test_known_good_plans_conform(self, tile_tokens, dispatch):
+        result = run_case(small_case(tile_tokens=tile_tokens,
+                                     ep_dispatch=dispatch))
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "pass"
-        if vectorized:
-            assert result.outcome("dag_bitwise").status == "pass"
+        assert result.outcome("dag_schedule_conformance").status \
+            == "pass"
+        if tile_tokens is not None:
+            assert result.outcome("tile_bitwise").status == "pass"
 
     def test_single_rank_case_conforms(self):
         result = run_case(small_case(ranks=1, experts=1, seq=4))
@@ -182,13 +179,27 @@ class TestConformance:
         # Eq. 1-4 describe inter-rank traffic; skipped at world size 1.
         assert result.outcome("comm_audit").status == "skip"
 
-    def test_dropout_case_skips_golden_but_stays_bitwise(self):
-        result = run_case(small_case(execution="vectorized",
-                                     backend="dag", dropout=0.2,
-                                     steps=2))
+    def test_dropout_case_skips_golden_and_repeats(self):
+        """No single-rank model reproduces per-rank masks, so a dropout
+        case is held to: tiled == untiled bit for bit, a rerun repeats
+        bit for bit, and with the masks off (``eval_loss``) the plan
+        computes the golden model's loss."""
+        case = small_case(tile_tokens=1, dropout=0.2, steps=2)
+        result = run_case(case)
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "skip"
-        assert result.outcome("dag_bitwise").status == "pass"
+        assert result.outcome("tile_bitwise").status == "pass"
+        assert _run_parallel(case).losses == _run_parallel(case).losses
+
+        batch = _batches(case)[0]
+        golden = MoETransformer(case.model_config(), seed=case.seed,
+                                dtype=np.float64)
+        want = golden.language_model_loss(batch).item()
+        trainer = _make_trainer(case)
+        assert trainer.eval_loss(batch) == pytest.approx(want, rel=1e-9)
+        # ... and in training mode the masks do take part.
+        assert trainer.loss(batch)[1].item() != pytest.approx(
+            want, rel=1e-6)
 
     def test_report_render(self):
         report = run_matrix([small_case(), small_case(seed=3)])
@@ -204,14 +215,15 @@ class TestConformance:
 class TestInjectedViolations:
     """Reverting a bugfix / injecting a perturbation must be *caught*."""
 
-    def test_bitflip_breaks_dag_identity(self):
-        case = small_case(execution="vectorized", backend="dag")
+    def test_bitflip_breaks_tile_identity(self):
+        """Call 0 is the first chunk of the tiled qkv all-to-all."""
+        case = small_case(tile_tokens=1)
         clean = run_case(case)
         assert clean.ok
         hurt = run_case(case, world_setup=corrupting_world_setup(seed=0))
         assert not hurt.ok
         failing = {f.name for f in hurt.failures()}
-        assert "dag_bitwise" in failing
+        assert "tile_bitwise" in failing
 
     def test_bitflip_caught_by_golden_on_sequential(self):
         hurt = run_case(small_case(),
@@ -222,7 +234,7 @@ class TestInjectedViolations:
                           "golden_params"}
 
     def test_shrink_finds_minimal_reproducer(self):
-        original = small_case(execution="vectorized", backend="dag",
+        original = small_case(tile_tokens=1,
                               layers=2, steps=2, batch=2, seq=8,
                               experts=4, top_k=2)
 
@@ -252,10 +264,67 @@ class TestInjectedViolations:
             calls.append(case)
             return True  # everything "fails": shrink to the floor
 
-        shrink(small_case(execution="vectorized", backend="dag",
-                          layers=2, steps=2),
+        shrink(small_case(tile_tokens=1, layers=2, steps=2),
                fails, max_evals=3)
         assert len(calls) <= 3
+
+
+def _unit_gate_weights(router_values):
+    """Both dispatch modes' router tuples end ``(..., weights, aux)``."""
+    return [(*head, Tensor(np.ones_like(weights.data)), aux)
+            for *head, weights, aux in router_values]
+
+
+#: name -> (ops whose binding is mis-wired, anchor it reads wrongly,
+#: what it is given instead).  Each is a bug only the *sequencing* of
+#: ops can have — the class the deleted second spelling of the layer
+#: used to be compared against.
+WIRING_MUTANTS = {
+    # attention reads the un-normed layer input
+    "no_attn_norm": (("qkv_proj",), "ln1", lambda env: env["hidden"]),
+    # the combine ignores the gate weights
+    "no_gate_weights": (("weighted_sum", "gather"), "router",
+                        lambda env: _unit_gate_weights(env["router"])),
+    # the FFN residual is taken from the layer input
+    "wrong_residual": (("residual2",), "residual1",
+                       lambda env: env["hidden"]),
+}
+
+
+class TestWiringMutants:
+    """The golden model must catch a mis-wired binding on its own."""
+
+    @pytest.mark.parametrize("dispatch", ["a2a", "ag_rs"])
+    @pytest.mark.parametrize("mutant", sorted(WIRING_MUTANTS))
+    def test_golden_catches_miswired_binding(self, monkeypatch, mutant,
+                                             dispatch):
+        case = small_case(ep_dispatch=dispatch, experts=4, top_k=2)
+        assert run_case(case).ok
+        ops, anchor, instead = WIRING_MUTANTS[mutant]
+        build = executor_bindings.build_layer_bindings
+        hit = []
+
+        def miswire(binding):
+            def seq(ctx):
+                env = {**ctx.env, anchor: instead(ctx.env)}
+                return binding.seq(executor_bindings._SeqCtx(ctx.group,
+                                                             env))
+            hit.append(binding.op)
+            return dataclasses.replace(binding, seq=seq)
+
+        def mutated(engine, seq_len, tile_plan=None):
+            return [miswire(b) if b.op in ops else b
+                    for b in build(engine, seq_len, tile_plan)]
+
+        monkeypatch.setattr(executor_bindings, "build_layer_bindings",
+                            mutated)
+        result = run_case(case)
+        assert hit, "mutant touched no binding"
+        failing = {f.name for f in result.failures()}
+        assert failing & {"golden_loss", "golden_grads"}, failing
+        # Structurally the run is still a conformant schedule: only
+        # the numeric oracle can see the bug.
+        assert "dag_schedule_conformance" not in failing
 
 
 class TestDtypeContract:
@@ -264,7 +333,7 @@ class TestDtypeContract:
     @pytest.mark.parametrize("kw", [
         dict(ep_dispatch="a2a"),
         dict(ep_dispatch="ag_rs"),
-        dict(execution="vectorized", backend="dag", tile_tokens=1),
+        dict(tile_tokens=1),
         dict(attention="tp", ffn="tp"),
     ])
     def test_float32_plans_conform(self, kw):
@@ -277,7 +346,7 @@ class TestDtypeContract:
 
     @pytest.mark.parametrize("kw", [
         dict(),
-        dict(execution="vectorized", backend="dag"),
+        dict(tile_tokens=1),
     ])
     def test_float64_rope_tables_are_caught(self, monkeypatch, kw):
         """The parent commit's RoPE multiplied by float64 tables: the
@@ -392,8 +461,7 @@ class TestFuzzer:
         # Construction already validated; check the space is covered.
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
-        assert {c.execution for c in cases} == {"sequential",
-                                                "vectorized"}
+        assert {c.tile_tokens is None for c in cases} == {True, False}
         assert len({c.case_id for c in cases}) > 20
 
     def test_sampling_is_deterministic(self):
@@ -402,7 +470,7 @@ class TestFuzzer:
         assert a == b
 
     def test_shrink_candidates_are_strictly_smaller(self):
-        case = VerifyCase(execution="vectorized", backend="dag")
+        case = VerifyCase(tile_tokens=2)
         for candidate in _shrink_candidates(case):
             assert candidate != case
 
