@@ -10,7 +10,7 @@ hides under communication.
 import pytest
 
 from conftest import report
-from repro.core.analysis import param_memory_per_gpu
+from repro.core.analysis import memory_per_gpu
 from repro.core.config import GPU_SPECS, MODEL_ZOO, ParallelConfig, \
     TrainConfig
 from repro.core.remat import default_remat_plan, no_remat_plan
@@ -30,16 +30,8 @@ SETUPS = {
 
 
 def memory_breakdown(model_name, plan):
-    model = MODEL_ZOO[model_name]
-    pc = SETUPS[model_name]
-    # 1F1B keeps up to pipeline_size micro-batches of activations alive
-    # on the first stage.
-    layers_per_stage = model.n_layers / pc.pipeline_size
-    in_flight = pc.pipeline_size
-    act = plan.retained_elements(model, pc, 1) * ELEM_BYTES \
-        * layers_per_stage * in_flight
-    static = param_memory_per_gpu(model, pc)["total"]
-    return {"activations": act, "static": static, "total": act + static}
+    return memory_per_gpu(MODEL_ZOO[model_name], SETUPS[model_name], plan,
+                          1, ELEM_BYTES)
 
 
 def run_fig16():

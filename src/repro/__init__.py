@@ -34,7 +34,6 @@ Subpackages:
   optimizers, communication compression.
 * :mod:`repro.perf` / :mod:`repro.sim` — calibrated performance model
   and discrete-event simulator behind every table/figure bench.
-* :mod:`repro.baselines` — the Megatron-LM comparison system.
 * :mod:`repro.data` — learnable synthetic corpora for loss-curve
   experiments.
 """
@@ -52,7 +51,6 @@ from .core import (
     ParallelConfig,
     TrainConfig,
     plan_cluster,
-    plan_parallelism,
 )
 from .data import MarkovCorpus
 from .model import MoETransformer
@@ -73,7 +71,6 @@ __all__ = [
     "ClusterSpec",
     "NoFeasiblePlan",
     "plan_cluster",
-    "plan_parallelism",
     "MarkovCorpus",
     "MoETransformer",
     "MegaScalePerfModel",

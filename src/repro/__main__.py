@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``plan MODEL N_GPUS [GPU]`` — §3/§7 job planning: strategy selection,
-  scale-up ratio, predicted performance vs Megatron-LM.
+* ``plan MODEL N_GPUS [GPU]`` / ``plan MODEL --cluster SPEC.json`` —
+  §3/§7 job planning: plan-space search, scale-up ratio, predicted
+  performance vs Megatron-LM on the same cluster.
 * ``table3`` — regenerate the headline strong-scaling table.
 * ``train-demo [STEPS]`` — train a miniature MoE with SP+EP on a
   simulated node and print the loss curve.
@@ -61,61 +62,67 @@ def cmd_gpus(_args) -> int:
     return 0
 
 
-def _plan_cluster_spec(args):
-    """Build the ClusterSpec a ``repro plan`` invocation describes."""
-    from .core.cluster import ClusterSpec
-
-    if args.cluster:
-        return ClusterSpec.load(args.cluster)
-    models = ([m.strip() for m in args.gpu_models.split(",")]
-              if args.gpu_models else [args.gpu])
-    nodes = args.nodes or 1
-    if len(models) == 1:
-        models = models * nodes
-    if len(models) != nodes:
-        raise ValueError(
-            f"--gpu-models names {len(models)} nodes but --nodes is "
-            f"{nodes}")
-    return ClusterSpec(
-        name=f"{nodes}x{args.gpus_per_node}x" + ",".join(
-            sorted(set(models))),
-        gpus_per_node=args.gpus_per_node,
-        node_gpus=tuple(models),
-    )
-
-
-def _cmd_plan_search(args) -> int:
-    """Cluster mode: enumerate, price, and emit the winning plan."""
+def cmd_plan(args) -> int:
+    """Search the plan space and print the winner, the runners-up and
+    the modelled speedup over Megatron-LM on the same cluster."""
     from .core.autoschedule import optimize_plan
-    from .core.config import TrainConfig
+    from .core.cluster import ClusterSpec
+    from .core.config import ParallelConfig, TrainConfig
     from .core.planner import NoFeasiblePlan, plan_cluster
+    from .perf.systems import MegatronPerfModel
 
     model = MODEL_ZOO[args.model]
     try:
-        cluster = _plan_cluster_spec(args)
+        if args.cluster:
+            cluster = ClusterSpec.load(args.cluster)
+        elif not args.n_gpus or args.n_gpus % 8:
+            raise ValueError(f"N_GPUS must be a multiple of 8 (8-GPU "
+                             f"nodes), got {args.n_gpus}; describe other "
+                             f"clusters with --cluster SPEC.json")
+        else:
+            cluster = ClusterSpec.homogeneous(args.gpu,
+                                              n_nodes=args.n_gpus // 8)
     except (OSError, ValueError) as exc:
         print(f"bad cluster spec: {exc}", file=sys.stderr)
         return 2
     train = TrainConfig(global_batch_size=args.batch,
                         micro_batch_size=args.micro_batch)
     try:
-        result = plan_cluster(model, cluster, train, top=args.top)
+        if args.schedule_budget > 0:
+            composed = optimize_plan(model, cluster, train,
+                                     budget=args.schedule_budget,
+                                     seed=args.seed)
+            result = composed.plan
+        else:
+            result = plan_cluster(model, cluster, train)
     except NoFeasiblePlan as exc:
-        print(f"no feasible plan: {exc}", file=sys.stderr)
+        print(f"NoFeasiblePlan: {exc}", file=sys.stderr)
         return 1
     print(result.explain())
     best = result.best.candidate
 
-    if len(result.ranked) > 1:
+    runners_up = result.ranked[1:args.top]
+    if runners_up:
         print("\nrunners-up:")
-        for scored in result.ranked[1:]:
+        for scored in runners_up:
             print(f"  {scored.iteration_time * 1e3:9.1f} ms  "
                   f"{scored.candidate.describe()}")
 
+    gpu = cluster.bottleneck_gpu()
+    ms = result.best.iteration
+    par = best.parallel
+    mg = MegatronPerfModel(cluster=cluster).iteration(
+        model, ParallelConfig.megatron(par.model_parallel_size,
+                                       par.pipeline_size,
+                                       par.data_parallel_size),
+        train, gpu)
+    print(f"\npredicted: MegaScale {ms.iteration_time:.2f}s/iter "
+          f"({ms.tokens_per_second / 1e3:.0f}k tok/s, "
+          f"MFU {ms.mfu(model, gpu) * 100:.1f}%) — "
+          f"{mg.iteration_time / ms.iteration_time:.2f}x over "
+          f"Megatron-LM")
+
     if args.schedule_budget > 0:
-        composed = optimize_plan(model, cluster, train,
-                                 budget=args.schedule_budget,
-                                 seed=args.seed)
         print(f"\nschedule search (budget {args.schedule_budget}, "
               f"seed {args.seed}): layer gain "
               f"{composed.layer_gain * 100:.2f}% over the holistic "
@@ -126,8 +133,8 @@ def _cmd_plan_search(args) -> int:
         from .verify import plan_conformance_cases, run_matrix
         precision = ("fp8" if best.precision == "fp8" else "bf16")
         cases = plan_conformance_cases(
-            attention=best.parallel.attention, ffn=best.parallel.ffn,
-            ep_dispatch=best.parallel.ep_dispatch,
+            attention=par.attention, ffn=par.ffn,
+            ep_dispatch=par.ep_dispatch,
             precision=precision, seed=args.seed)
         print(f"\nverifying the winner on the conformance matrix "
               f"({len(cases)} cases)")
@@ -135,37 +142,6 @@ def _cmd_plan_search(args) -> int:
         print(report.render())
         if not report.ok:
             return 1
-    return 0
-
-
-def cmd_plan(args) -> int:
-    from .core.config import ParallelConfig, TrainConfig
-    from .core.planner import plan_parallelism
-    from .perf.systems import MegaScalePerfModel, MegatronPerfModel
-
-    if args.cluster or args.nodes:
-        return _cmd_plan_search(args)
-    if args.n_gpus is None:
-        print("plan needs N_GPUS, or a cluster description via "
-              "--cluster/--nodes", file=sys.stderr)
-        return 2
-
-    model = MODEL_ZOO[args.model]
-    gpu = GPU_SPECS[args.gpu]
-    plan = plan_parallelism(model, args.n_gpus, gpu)
-    print(plan.explain())
-
-    train = TrainConfig(global_batch_size=args.batch)
-    ms = MegaScalePerfModel().iteration(model, plan.parallel, train, gpu)
-    mg_pc = ParallelConfig.megatron(
-        plan.parallel.model_parallel_size, plan.parallel.pipeline_size,
-        plan.parallel.data_parallel_size)
-    mg = MegatronPerfModel().iteration(model, mg_pc, train, gpu)
-    print(f"\npredicted: MegaScale {ms.iteration_time:.2f}s/iter "
-          f"({ms.tokens_per_second / 1e3:.0f}k tok/s, "
-          f"MFU {ms.mfu(model, gpu) * 100:.1f}%) — "
-          f"{mg.iteration_time / ms.iteration_time:.2f}x over "
-          f"Megatron-LM")
     return 0
 
 
@@ -636,16 +612,8 @@ def main(argv=None) -> int:
     plan.add_argument("--batch", type=int, default=720)
     plan.add_argument("--cluster", default=None, metavar="SPEC.json",
                       help="cluster description file (nodes, GPU "
-                           "models, link tiers); switches to plan-"
-                           "space search")
-    plan.add_argument("--nodes", type=int, default=None,
-                      help="describe the cluster via flags: node count "
-                           "(switches to plan-space search)")
-    plan.add_argument("--gpus-per-node", type=int, default=8,
-                      help="ranks per NVLink domain (default 8)")
-    plan.add_argument("--gpu-models", default=None, metavar="a,b,...",
-                      help="per-node GPU models for mixed fleets "
-                           "(single name = uniform)")
+                           "models, link tiers) in place of N_GPUS/GPU; "
+                           "describes mixed fleets")
     plan.add_argument("--micro-batch", type=int, default=2,
                       help="micro-batch size the plan is priced at")
     plan.add_argument("--top", type=int, default=4,

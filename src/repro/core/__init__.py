@@ -9,6 +9,7 @@ from .analysis import (
     attention_comm_volume,
     ep_ffn_comm_volume,
     ffn_comm_volume,
+    memory_per_gpu,
     param_memory_per_gpu,
     scale_up_ratio,
     sp_attention_comm_volume,
@@ -33,14 +34,12 @@ from .operators import Op, OpGraph, build_backward_graph, \
 from .planner import (
     NoFeasiblePlan,
     PlanCandidate,
-    PlanDecision,
     PlanSearchResult,
     ScoredPlan,
     dispatch_crossover_top_k,
     dispatch_mode_times,
     enumerate_plans,
     plan_cluster,
-    plan_parallelism,
 )
 from .remat import (
     ActivationSpec,
@@ -60,6 +59,7 @@ __all__ = [
     "attention_comm_volume",
     "ep_ffn_comm_volume",
     "ffn_comm_volume",
+    "memory_per_gpu",
     "param_memory_per_gpu",
     "scale_up_ratio",
     "sp_attention_comm_volume",
@@ -80,14 +80,12 @@ __all__ = [
     "ClusterSpec",
     "NoFeasiblePlan",
     "PlanCandidate",
-    "PlanDecision",
     "PlanSearchResult",
     "ScoredPlan",
     "dispatch_crossover_top_k",
     "dispatch_mode_times",
     "enumerate_plans",
     "plan_cluster",
-    "plan_parallelism",
     "ActivationSpec",
     "RematPlan",
     "activation_table",

@@ -9,7 +9,8 @@ design rests on:
 * per-layer activation-memory totals with and without selective
   activation rematerialization (Appendix A.2, Fig. 20),
 * parameter/gradient/optimizer memory per GPU under SP vs TP attention
-  (§3.1 "data communication & memory overhead", Fig. 13 discussion).
+  (§3.1 "data communication & memory overhead", Fig. 13 discussion),
+  and the per-GPU total with held activations that the planner gates on.
 
 All volume functions return **elements**; multiply by the wire element
 size to get bytes.  ``b, s, h, n, m, k`` follow Table 1.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .config import ModelConfig, ParallelConfig
+from .remat import RematPlan
 
 __all__ = [
     "tp_attention_comm_volume",
@@ -35,6 +37,7 @@ __all__ = [
     "activation_elements_remat",
     "activation_budget",
     "param_memory_per_gpu",
+    "memory_per_gpu",
 ]
 
 
@@ -224,3 +227,21 @@ def param_memory_per_gpu(
         "optimizer": optimizer,
         "total": params * (bytes_per_param + 4.0) + optimizer,
     }
+
+
+def memory_per_gpu(model: ModelConfig, parallel: ParallelConfig,
+                   remat: RematPlan, micro_batch: int,
+                   elem_bytes: float) -> Dict[str, float]:
+    """Per-GPU bytes of a training job: static plus held activations.
+
+    ``static`` is :func:`param_memory_per_gpu`'s total.  ``activations``
+    is what ``remat`` retains per layer, at ``elem_bytes`` per element,
+    for every layer of the stage and for ``pipeline_size`` micro-batches
+    — the most 1F1B keeps in flight, on the first stage.
+    """
+    static = param_memory_per_gpu(model, parallel)["total"]
+    layers_per_stage = model.n_layers / parallel.pipeline_size
+    activations = remat.retained_elements(model, parallel, micro_batch) \
+        * elem_bytes * layers_per_stage * parallel.pipeline_size
+    return {"static": static, "activations": activations,
+            "total": static + activations}

@@ -1,18 +1,18 @@
-"""Parallelism planning (§3, Fig. 4).
+"""Parallelism planning (§3, Fig. 4, §7).
 
-Chooses the communication-efficient strategy combination for a model on
-a cluster the way MegaScale-MoE does:
-
-* pipeline parallelism across nodes (inter-node), never TP/EP;
-* SP (Ulysses) for attention inside the node, falling back to TP when
-  head counts don't divide;
-* EP for experts, with the adaptive dispatch mode of §3.2 — all-to-all
-  for small top-k, all-gather/reduce-scatter once top-k approaches the
-  EP size (the Fig. 7 crossover);
-* DP outermost.
+:func:`plan_cluster` is the one planner: it enumerates every
+shape-divisible (MP degree, SP/TP attention, EP/TP FFN, dispatch mode,
+PP, DP, precision, remat) combination for a described cluster, drops
+the ones that do not fit the bottleneck GPU's HBM, and prices the rest
+with the simulator.  On the paper's 8-GPU nodes this recovers the
+MegaScale-MoE choice — SP attention and EP experts inside the node,
+all-to-all dispatch left of the Fig. 7 crossover and
+all-gather/reduce-scatter right of it, PP across nodes, DP outermost —
+and raises :class:`NoFeasiblePlan` instead of emitting a plan that does
+not fit.
 
 Also provides the Fig. 7 timing comparison of the three dispatch
-collectives and the Eq. 5–9 scale-up check.
+collectives.
 """
 
 from __future__ import annotations
@@ -30,133 +30,30 @@ from .analysis import (
     attention_comm_volume,
     ep_ffn_comm_volume,
     ffn_comm_volume,
+    memory_per_gpu,
     param_memory_per_gpu,
     scale_up_ratio,
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
 from .cluster import ClusterSpec
-from .config import GPUSpec, ModelConfig, ParallelConfig, TrainConfig
+from .config import ModelConfig, ParallelConfig, TrainConfig
+from .remat import RematPlan, default_remat_plan, no_remat_plan
 
-__all__ = ["PlanDecision", "plan_parallelism", "dispatch_mode_times",
-           "dispatch_crossover_top_k", "NoFeasiblePlan", "PlanCandidate",
-           "ScoredPlan", "PlanSearchResult", "enumerate_plans",
-           "plan_cluster"]
+__all__ = ["dispatch_mode_times", "dispatch_crossover_top_k",
+           "NoFeasiblePlan", "PlanCandidate", "ScoredPlan",
+           "PlanSearchResult", "enumerate_plans", "plan_cluster"]
 
 #: Wire bytes per element for each training precision policy (§5).
 _PRECISION_BYTES = {"bf16": 2.0, "fp8": 1.0, "fp32": 4.0}
 
+#: Candidates, best analytic pre-score first, that the full event
+#: simulation prices; the rest keep their analytic score only.
+SIM_SHORTLIST = 32
 
-@dataclass
-class PlanDecision:
-    """A chosen configuration plus the reasoning behind each choice."""
-
-    parallel: ParallelConfig
-    rationale: Dict[str, str]
-    scale_up_ratio: float
-
-    def explain(self) -> str:
-        """Human-readable summary of the plan and its rationale."""
-        lines = [f"strategy = {self.parallel.strategy_name} "
-                 f"(PP={self.parallel.pipeline_size}, "
-                 f"DP={self.parallel.data_parallel_size})"]
-        lines += [f"  {key}: {why}" for key, why in self.rationale.items()]
-        lines.append(f"  scale-up ratio R = {self.scale_up_ratio:.2f} "
-                     f"({'>' if self.scale_up_ratio > 1 else '<='} 1)")
-        return "\n".join(lines)
-
-
-def plan_parallelism(
-    model: ModelConfig,
-    n_gpus: int,
-    gpu: GPUSpec,
-    ranks_per_node: int = 8,
-    pipeline_size: Optional[int] = None,
-) -> PlanDecision:
-    """Pick the MegaScale-MoE parallelism for a (model, cluster) pair."""
-    if n_gpus % ranks_per_node != 0:
-        raise ValueError(
-            f"n_gpus={n_gpus} not divisible by ranks_per_node="
-            f"{ranks_per_node}"
-        )
-    n = ranks_per_node
-    rationale: Dict[str, str] = {}
-
-    # Attention: SP unless the head counts don't divide the node.
-    if model.n_heads % n == 0 and model.n_kv_heads % n == 0:
-        attention = "sp"
-        rationale["attention"] = (
-            f"SP: A2A volume shrinks with n and GQA ratio m={model.gqa_ratio}"
-            f" (Eq. 2), ~{(2 + 2 / model.gqa_ratio) / n:.2f}× of TP's"
-        )
-    else:
-        attention = "tp"
-        rationale["attention"] = (
-            f"TP fallback: heads ({model.n_heads}/{model.n_kv_heads}) do "
-            f"not divide the node size {n}"
-        )
-
-    # FFN: EP unless experts don't divide the node.
-    if model.n_experts % n == 0:
-        ffn = "ep"
-        mode = ("a2a" if model.top_k < 0.75 * n else "ag_rs")
-        rationale["ffn"] = (
-            f"EP with {mode} dispatch: top-k={model.top_k} vs EP size {n} "
-            f"(Fig. 7 crossover near k≈6 on 8 GPUs)"
-        )
-    else:
-        ffn = "tp"
-        mode = "adaptive"
-        rationale["ffn"] = (
-            f"TP fallback: {model.n_experts} experts do not divide the "
-            f"node size {n}"
-        )
-
-    # Pipeline: the *shallowest* pipeline whose per-GPU memory fits —
-    # deeper pipelines only add bubbles (Table 3's MFU decline), so PP
-    # is sized by parameter pressure, not preference.
-    nodes = n_gpus // n
-    if pipeline_size is None:
-        candidates = [p for p in range(1, min(nodes, model.n_layers) + 1)
-                      if nodes % p == 0 and model.n_layers % p == 0]
-        pipeline_size = candidates[-1]
-        for p in candidates:
-            if _memory_fits(model, n, p, nodes // p, gpu):
-                pipeline_size = p
-                break
-    dp = nodes // pipeline_size
-    rationale["pipeline"] = (
-        f"PP={pipeline_size} across nodes: shallowest pipeline whose "
-        f"per-GPU memory fits (deeper pipelines only add bubbles, §3)"
-    )
-
-    ratio = scale_up_ratio(model.ffn_hidden_size, gpu.nvlink_bandwidth,
-                           gpu.peak_flops, n)
-    parallel = ParallelConfig(
-        model_parallel_size=n,
-        attention=attention,
-        ffn=ffn,
-        pipeline_size=pipeline_size,
-        data_parallel_size=dp,
-        ep_dispatch=mode if ffn == "ep" else "adaptive",
-    )
-    return PlanDecision(parallel=parallel, rationale=rationale,
-                        scale_up_ratio=ratio)
-
-
-def _memory_fits(model: ModelConfig, n: int, p: int, d: int,
-                 gpu: GPUSpec, headroom: float = 0.9) -> bool:
-    """Static + in-flight activation bytes under SAR vs HBM capacity."""
-    from .analysis import param_memory_per_gpu
-    from .remat import default_remat_plan
-
-    pc = ParallelConfig.megascale(n, pipeline_size=p,
-                                  data_parallel_size=max(d, 1))
-    static = param_memory_per_gpu(model, pc)["total"]
-    layers_per_stage = model.n_layers / p
-    activations = default_remat_plan().retained_elements(model, pc, 1) \
-        * 2.0 * layers_per_stage * p  # p micro-batches in flight (1F1B)
-    return static + activations < gpu.memory_bytes * headroom
+#: Fraction of the bottleneck GPU's HBM a plan may fill; the rest is
+#: left for collective scratch, workspaces and fragmentation.
+HBM_HEADROOM = 0.9
 
 
 def dispatch_mode_times(
@@ -165,8 +62,7 @@ def dispatch_mode_times(
     n: int,
     link: LinkSpec,
     micro_batch: int = 1,
-    elem_bytes: float = 2.0,
-    precision: Optional[str] = None,
+    precision: str = "bf16",
 ) -> Dict[str, float]:
     """Fig. 7 — dispatch time per collective choice for a given top-k.
 
@@ -185,12 +81,12 @@ def dispatch_mode_times(
     """
     tokens = micro_batch * model.seq_len
     h = model.hidden_size
-    a2a_elem = ring_elem = elem_bytes
     if precision == "fp8":
         # AG/RS legs are fp8-compressed (1 byte/elem + a 4-byte scale
-        # per token row); the uneven a2a keeps the training format.
+        # per token row); the uneven a2a keeps the bf16 training format.
+        a2a_elem = _PRECISION_BYTES["bf16"]
         ring_elem = _PRECISION_BYTES["fp8"] + 4.0 / h
-    elif precision is not None:
+    else:
         a2a_elem = ring_elem = _PRECISION_BYTES[precision]
     a2a_bytes = tokens * top_k / n * h * (n - 1) / n * a2a_elem
     full_bytes = tokens * h * ring_elem
@@ -203,7 +99,7 @@ def dispatch_mode_times(
 
 def dispatch_crossover_top_k(model: ModelConfig, n: int,
                              link: LinkSpec,
-                             precision: Optional[str] = None) -> int:
+                             precision: str = "bf16") -> int:
     """Smallest top-k at which AG/RS dispatch beats A2A (Fig. 7)."""
     for k in range(1, model.n_experts + 1):
         times = dispatch_mode_times(model, k, n, link,
@@ -255,6 +151,12 @@ class PlanCandidate:
         """Wire bytes per activation element under this precision."""
         return _PRECISION_BYTES[self.precision]
 
+    @property
+    def remat_plan(self) -> RematPlan:
+        """The activation-retention plan ``remat`` names."""
+        return (default_remat_plan() if self.remat == "selective"
+                else no_remat_plan())
+
     def describe(self) -> str:
         """One-line label, e.g. ``SP+EP n=8 pp=1 dp=4 a2a fp8 ...``."""
         p = self.parallel
@@ -278,7 +180,7 @@ class ScoredPlan:
     analytic_time: float
     cross_node_a2a_bytes: float = 0.0
     iteration: object = None  # IterationBreakdown once simulated
-    rationale: Dict[str, str] = field(default_factory=dict)
+    rationale: Dict[str, str] = field(default_factory=dict)  # winner only
 
     @property
     def iteration_time(self) -> float:
@@ -296,11 +198,15 @@ class PlanSearchResult:
     cluster: ClusterSpec
     train: TrainConfig
     best: ScoredPlan
+    #: Every simulated plan, fastest first (``ranked[0] is best``).
     ranked: List[ScoredPlan]
     n_enumerated: int
     n_feasible: int
-    n_simulated: int
     scale_up_ratio: float
+
+    @property
+    def n_simulated(self) -> int:
+        return len(self.ranked)
 
     def explain(self) -> str:
         """Human-readable winner summary with per-choice rationale."""
@@ -378,20 +284,11 @@ def _raw_candidates(model: ModelConfig, cluster: ClusterSpec,
 
 
 def _candidate_fits(model: ModelConfig, cluster: ClusterSpec,
-                    cand: PlanCandidate, micro: int,
-                    headroom: float = 0.9) -> bool:
+                    cand: PlanCandidate, micro: int) -> bool:
     """Static + in-flight activation bytes vs the bottleneck HBM."""
-    from .remat import default_remat_plan, no_remat_plan
-
-    gpu = cluster.bottleneck_gpu()
-    par = cand.parallel
-    static = param_memory_per_gpu(model, par)["total"]
-    plan = (default_remat_plan() if cand.remat == "selective"
-            else no_remat_plan())
-    layers_per_stage = model.n_layers / par.pipeline_size
-    activations = plan.retained_elements(model, par, micro) \
-        * cand.elem_bytes * layers_per_stage * par.pipeline_size
-    return static + activations < gpu.memory_bytes * headroom
+    need = memory_per_gpu(model, cand.parallel, cand.remat_plan, micro,
+                          cand.elem_bytes)["total"]
+    return need < cluster.bottleneck_gpu().memory_bytes * HBM_HEADROOM
 
 
 def enumerate_plans(model: ModelConfig, cluster: ClusterSpec,
@@ -533,18 +430,16 @@ def plan_cluster(
     model: ModelConfig,
     cluster: ClusterSpec,
     train: Optional[TrainConfig] = None,
-    top: int = 5,
-    sim_top: int = 32,
     calibration=None,
 ) -> PlanSearchResult:
     """Search the plan space for a model on a described cluster.
 
     Two-stage pricing: every feasible candidate gets the closed-form
-    analytic score; the best ``sim_top`` by that score are priced by
-    the full :class:`~repro.perf.systems.SystemPerfModel` event
-    simulation (calibrated when a :class:`CalibrationReport` from
-    ``calibrate_from_spans`` is supplied).  Returns the ``top`` ranked
-    plans with the winner's per-choice rationale.
+    analytic score; the best :data:`SIM_SHORTLIST` by that score are
+    priced by the full :class:`~repro.perf.systems.SystemPerfModel`
+    event simulation (calibrated when a :class:`CalibrationReport` from
+    ``calibrate_from_spans`` is supplied).  Returns every simulated
+    plan, fastest first, with the winner's per-choice rationale.
 
     Raises:
         NoFeasiblePlan: when no combination passes the divisibility
@@ -574,7 +469,8 @@ def plan_cluster(
     scored.sort(key=lambda s: (s.analytic_time, s.candidate.describe()))
 
     gpu = cluster.bottleneck_gpu()
-    for s in scored[:sim_top]:
+    simulated = scored[:SIM_SHORTLIST]
+    for s in simulated:
         perf = MegaScalePerfModel(
             cluster=cluster,
             calibration=calibration,
@@ -583,14 +479,12 @@ def plan_cluster(
         )
         s.iteration = perf.iteration(model, s.candidate.parallel,
                                      train, gpu)
-    simulated = scored[:sim_top]
     simulated.sort(key=lambda s: (s.iteration_time,
                                   s.cross_node_a2a_bytes,
                                   s.candidate.describe()))
-    for s in simulated[:top]:
-        s.rationale = _rationale(model, cluster, s.candidate, train)
 
     best = simulated[0]
+    best.rationale = _rationale(model, cluster, best.candidate, train)
     ratio = scale_up_ratio(
         model.ffn_hidden_size, gpu.nvlink_bandwidth, gpu.peak_flops,
         max(best.candidate.parallel.model_parallel_size, 2))
@@ -599,9 +493,8 @@ def plan_cluster(
         cluster=cluster,
         train=train,
         best=best,
-        ranked=simulated[:top],
+        ranked=simulated,
         n_enumerated=len(raw),
         n_feasible=len(feasible),
-        n_simulated=len(simulated),
         scale_up_ratio=ratio,
     )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import MegatronTrainer
 from repro.comm import World
 from repro.core import MegaScaleTrainer, ParallelConfig, \
     TrainConfig
@@ -101,9 +100,10 @@ class TestMegaScaleTrainer:
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=16, learning_rate=1e-2,
                          aux_loss_coeff=0.01)
-        trainer = MegatronTrainer(
-            model, world, tr, optimizer=AdamW(model.parameters(),
-                                              lr=1e-2))
+        trainer = MegaScaleTrainer(
+            model, world, ParallelConfig.megatron(world.size), tr,
+            optimizer=AdamW(model.parameters(), lr=1e-2))
+        assert trainer.parallel.strategy_name == "TP+TP"
         losses = [trainer.train_step(b).loss for b in batches]
         np.testing.assert_allclose(losses, ref_losses, atol=1e-9)
 

@@ -18,7 +18,7 @@ from repro.model import MoETransformer
 PACKAGES = [
     "repro", "repro.core", "repro.comm", "repro.tensor", "repro.model",
     "repro.parallel", "repro.precision", "repro.perf", "repro.sim",
-    "repro.baselines", "repro.data",
+    "repro.data",
 ]
 
 

@@ -303,6 +303,20 @@ class TestSystemModels:
         # means compute categories can exceed the wall clock slightly).
         assert 0.7 < parts / br.iteration_time < 1.3
 
+    def test_megatron_baseline_characterization(self):
+        """§6.1: no fine-grained overlap, FP32 DP gradients, full
+        recompute, torch.scatter_add memory ops."""
+        system = MegatronPerfModel()
+        assert system.name == "megatron-lm"
+        assert not system.overlap.inter_op
+        assert not system.overlap.intra_op
+        assert system.grad_elem_bytes == 4.0
+        assert system.full_recompute
+        assert system.mem_eff < 0.6
+
+    def test_megatron_overrides(self):
+        assert not MegatronPerfModel(full_recompute=False).full_recompute
+
     def test_full_recompute_slows_backward(self):
         base = MegatronPerfModel(full_recompute=False)
         recompute = MegatronPerfModel(full_recompute=True)

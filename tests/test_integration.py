@@ -155,7 +155,6 @@ class TestLedgerEndToEnd:
         """The whole point of §3: for a GQA model with small top-k, one
         training step under SP+EP moves fewer per-layer bytes than under
         TP+TP."""
-        from repro.baselines import MegatronTrainer
         corpus = MarkovCorpus(vocab_size=64, seed=9)
         batch = next(batch_iterator(corpus, 2, 16, seed=10))
         tr = TrainConfig(global_batch_size=2, micro_batch_size=2,
@@ -169,9 +168,9 @@ class TestLedgerEndToEnd:
         ms_bytes = world_ms.ledger.total_bytes()
 
         world_mg = World(4, 4)
-        mg = MegatronTrainer(
+        mg = MegaScaleTrainer(
             MoETransformer(CONFIG, seed=0, dtype=np.float64), world_mg,
-            tr)
+            ParallelConfig.megatron(4), tr)
         mg.train_step(batch)
         mg_bytes = world_mg.ledger.total_bytes()
         assert ms_bytes < mg_bytes

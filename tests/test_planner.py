@@ -1,69 +1,82 @@
-"""Tests for parallelism planning and the Fig. 7 dispatch analysis."""
+"""Tests for the one planner and the Fig. 7 dispatch analysis."""
 
 import pytest
 
 from repro.comm.cost import LinkSpec
-from repro.core.config import GPU_SPECS, MODEL_ZOO, ModelConfig
+from repro.core.analysis import memory_per_gpu
+from repro.core.cluster import ClusterSpec
+from repro.core.config import GPU_SPECS, MODEL_ZOO, TrainConfig
+from repro.core import planner
 from repro.core.planner import (
+    HBM_HEADROOM,
+    SIM_SHORTLIST,
+    NoFeasiblePlan,
     dispatch_crossover_top_k,
     dispatch_mode_times,
-    plan_parallelism,
+    plan_cluster,
 )
 
 H800 = GPU_SPECS["h800"]
 NVLINK = LinkSpec(bandwidth=200e9, latency=1e-5, a2a_efficiency=0.6)
 
 
-class TestPlanParallelism:
-    def test_megascale_choice_for_paper_models(self):
-        """The planner picks SP+EP for every Table 2 model on 8-GPU
-        nodes — the §3 configuration."""
-        for name in ("internal-352b", "mixtral-8x7b", "mixtral-8x22b",
-                     "phi-3.5-moe"):
-            plan = plan_parallelism(MODEL_ZOO[name], n_gpus=64, gpu=H800)
-            assert plan.parallel.attention == "sp", name
-            assert plan.parallel.ffn == "ep", name
+class TestOnePlanner:
+    """``plan_cluster`` is the only planner: every plan it returns fits
+    the shared per-GPU memory formula, and on 8-GPU H800 nodes it picks
+    the dispatch mode the Fig. 7 crossover predicts."""
 
-    def test_tp_fallback_for_odd_heads(self):
-        model = ModelConfig("odd", 2, 24, 6, 2, 32, 8, 2)
-        plan = plan_parallelism(model, n_gpus=8, gpu=H800)
-        assert plan.parallel.attention == "tp"
-        assert "do not divide" in plan.rationale["attention"]
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+    def test_winner_fits_or_no_feasible_plan(self, monkeypatch, name,
+                                             n_nodes):
+        # The memory gate runs before pricing, so the simulated
+        # shortlist cannot admit a plan the gate rejected; pricing one
+        # plan keeps these 35 searches cheap.
+        monkeypatch.setattr(planner, "SIM_SHORTLIST", 1)
+        model = MODEL_ZOO[name]
+        cluster = ClusterSpec.homogeneous("h800", n_nodes=n_nodes)
+        train = TrainConfig()
+        try:
+            result = plan_cluster(model, cluster, train)
+        except NoFeasiblePlan:
+            return
+        best = result.best.candidate
+        need = memory_per_gpu(model, best.parallel, best.remat_plan,
+                              train.micro_batch_size,
+                              best.elem_bytes)["total"]
+        assert need < H800.memory_bytes * HBM_HEADROOM
+        assert best.parallel.total_gpus == cluster.n_gpus
 
-    def test_tp_fallback_for_odd_experts(self):
-        model = ModelConfig("odd-e", 2, 32, 8, 2, 32, 6, 2)
-        plan = plan_parallelism(model, n_gpus=8, gpu=H800)
-        assert plan.parallel.ffn == "tp"
-
-    def test_pipeline_covers_gpus(self):
-        model = MODEL_ZOO["internal-352b"]  # 60 layers
-        plan = plan_parallelism(model, n_gpus=960, gpu=H800)
-        pc = plan.parallel
-        assert pc.total_gpus == 960
-        assert model.n_layers % pc.pipeline_size == 0
-
-    def test_explicit_pipeline_size(self):
-        model = MODEL_ZOO["internal-352b"]
-        plan = plan_parallelism(model, n_gpus=960, gpu=H800,
-                                pipeline_size=15)
-        assert plan.parallel.pipeline_size == 15
-        assert plan.parallel.data_parallel_size == 8
+    def test_352b_on_64_gpus_is_infeasible(self):
+        """Static memory alone exceeds HBM at every PP that divides the
+        layers; the search says so instead of emitting an OOM plan."""
+        cluster = ClusterSpec.homogeneous("h800", n_nodes=8)
+        with pytest.raises(NoFeasiblePlan):
+            plan_cluster(MODEL_ZOO["internal-352b"], cluster)
 
     def test_dispatch_mode_by_top_k(self):
-        small_k = plan_parallelism(MODEL_ZOO["mixtral-8x7b"], 8, H800)
-        big_k = plan_parallelism(MODEL_ZOO["deepseekmoe"], 8, H800)
-        assert small_k.parallel.ep_dispatch == "a2a"     # top-2
-        assert big_k.parallel.ep_dispatch == "ag_rs"     # top-6
+        """Top-2 sits left of the Fig. 7 crossover, top-6 right of it."""
+        cluster = ClusterSpec.homogeneous("h800", n_nodes=8)
+        for name, mode in (("mixtral-8x7b", "a2a"), ("deepseekmoe", "ag_rs")):
+            best = plan_cluster(MODEL_ZOO[name], cluster).best.candidate
+            assert best.parallel.ffn == "ep", name
+            assert best.parallel.ep_dispatch == mode, name
 
-    def test_gpu_count_validation(self):
-        with pytest.raises(ValueError, match="not divisible"):
-            plan_parallelism(MODEL_ZOO["mixtral-8x7b"], 9, H800)
-
-    def test_explain_mentions_ratio(self):
-        plan = plan_parallelism(MODEL_ZOO["mixtral-8x7b"], 8, H800)
-        text = plan.explain()
-        assert "scale-up ratio" in text
-        assert plan.scale_up_ratio > 1.0
+    def test_ranks_every_simulated_plan_and_explains_the_winner(self):
+        cluster = ClusterSpec.homogeneous("h800", n_nodes=1)
+        result = plan_cluster(MODEL_ZOO["mixtral-8x2b"], cluster,
+                              TrainConfig(global_batch_size=32,
+                                          micro_batch_size=2))
+        assert result.ranked[0] is result.best
+        assert result.n_simulated == min(SIM_SHORTLIST,
+                                         result.n_feasible) > 1
+        times = [s.iteration_time for s in result.ranked]
+        assert times == sorted(times)
+        assert result.best.rationale
+        assert not any(s.rationale for s in result.ranked[1:])
+        assert result.scale_up_ratio > 1.0
+        assert f"scale-up ratio R = {result.scale_up_ratio:.2f} (> 1)" \
+            in result.explain()
 
 
 class TestDispatchModeTimes:

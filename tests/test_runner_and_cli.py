@@ -185,10 +185,48 @@ class TestCLI:
         assert "1440" in out and "speedup" in out
 
     def test_plan(self, capsys):
+        """N_GPUS builds 8-GPU nodes and runs the plan-space search; at
+        batch 32 it picks TP attention over SP by 0.3 %."""
         assert cli_main(["plan", "mixtral-8x7b", "32", "h800",
-                         "--batch", "32"]) == 0
+                         "--batch", "32", "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "SP+EP" in out and "scale-up ratio" in out
+        assert "4x8xh800: 4 nodes x 8 GPUs" in out
+        assert "strategy = TP+EP (PP=1, DP=4)" in out
+        assert "scale-up ratio R = 9.94" in out
+        # --top limits what is printed, not what is simulated.
+        assert "32 simulated" in out
+        runners_up = out.split("runners-up:\n")[1].split("\n\n")[0]
+        assert runners_up.count(" ms  ") == 2
+        assert "SP+EP n=8 pp=1 dp=4 a2a fp8" in runners_up
+        assert "x over Megatron-LM" in out
+
+    def test_plan_out_of_memory_cluster_exits_1(self, capsys):
+        """The 352B model does not fit 64 H800s at any PP; the planner
+        must say so rather than print a plan (exit 0 before)."""
+        assert cli_main(["plan", "internal-352b", "64"]) == 1
+        captured = capsys.readouterr()
+        assert "NoFeasiblePlan" in captured.err
+        assert "strategy =" not in captured.out
+
+    def test_plan_bad_gpu_count_exits_2(self, capsys):
+        for n_gpus in ("12", "0"):
+            assert cli_main(["plan", "mixtral-8x7b", n_gpus]) == 2
+            assert "bad cluster spec" in capsys.readouterr().err
+
+    def test_plan_cluster_file(self, capsys, tmp_path):
+        spec = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "clusters", "h800x2.json")
+        assert cli_main(["plan", "mixtral-8x7b", "--cluster", spec,
+                         "--batch", "256"]) == 0
+        assert "strategy = SP+EP (PP=2, DP=1)" in capsys.readouterr().out
+        missing = str(tmp_path / "missing.json")
+        assert cli_main(["plan", "mixtral-8x7b", "--cluster",
+                         missing]) == 2
+        assert "bad cluster spec" in capsys.readouterr().err
+
+    def test_plan_needs_gpus_or_cluster(self, capsys):
+        assert cli_main(["plan", "mixtral-8x7b"]) == 2
+        assert "--cluster" in capsys.readouterr().err
 
     def test_train_demo(self, capsys):
         assert cli_main(["train-demo", "3"]) == 0
