@@ -16,7 +16,6 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("cap-mini", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -32,10 +31,9 @@ def run_sweep():
                                experts_per_group=2, dtype=np.float64)
         train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                             seq_len=16, learning_rate=3e-3,
-                            aux_loss_coeff=0.01, capacity_factor=factor)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         trainer = MegaScaleTrainer(
-            model, World(4, 4), ParallelConfig.megascale(4), train,
-            optimizer=AdamW(model.parameters(), lr=3e-3))
+            model, World(4, 4), ParallelConfig.megascale(4), train)
         corpus = MarkovCorpus(vocab_size=64, seed=1)
         losses = [trainer.train_step(b).lm_loss
                   for b in batch_iterator(corpus, 4, 16, seed=2,

@@ -32,7 +32,6 @@ from repro.elastic import (
     zero1_moved_elements,
 )
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("elastic-bench", n_layers=2, hidden_size=32,
                      n_heads=8, gqa_ratio=2, ffn_hidden_size=48,
@@ -49,15 +48,14 @@ def layout_at(n):
 
 def make_factory():
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=16, learning_rate=1e-2,
+                        seq_len=16, learning_rate=1e-2, weight_decay=0.0,
                         aux_loss_coeff=0.01)
 
     def factory(layout=layout_at(4)):
         n = layout.world_size
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         return MegaScaleTrainer(
-            model, World(n, n), ParallelConfig.megascale(n), train,
-            optimizer=AdamW(model.parameters(), lr=1e-2))
+            model, World(n, n), ParallelConfig.megascale(n), train)
 
     return factory
 

@@ -36,7 +36,6 @@ from repro.ft import (
     StragglerDetector,
 )
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 from repro.sim import SimTask, StreamFailure, simulate
 
 CONFIG = ModelConfig("ft-bench", n_layers=1, hidden_size=16, n_heads=4,
@@ -51,13 +50,12 @@ def make_factory(plan):
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=8, learning_rate=5e-3,
-                            aux_loss_coeff=0.01)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         world = World(2, 2)
         if plan is not None:
             world.attach_fault_plan(plan)
         return MegaScaleTrainer(
-            model, world, ParallelConfig.megascale(2), train,
-            optimizer=AdamW(model.parameters(), lr=5e-3))
+            model, world, ParallelConfig.megascale(2), train)
     return factory
 
 

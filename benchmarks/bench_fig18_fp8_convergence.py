@@ -20,7 +20,6 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 from repro.precision.policy import bf16_policy, fp8_naive_policy, \
     fp8_policy
 
@@ -34,10 +33,9 @@ def make_trainer(policy, seed=0):
     model = MoETransformer(CONFIG, seed=seed, dtype=np.float64)
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                         seq_len=CONFIG.seq_len, learning_rate=3e-3,
-                        aux_loss_coeff=0.01)
+                        weight_decay=0.0, aux_loss_coeff=0.01)
     return MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=3e-3), policy=policy)
+        model, World(4, 4), ParallelConfig.megascale(4), train, policy=policy)
 
 
 def train_curve(policy, steps=STEPS, trainer=None, data_seed=1):

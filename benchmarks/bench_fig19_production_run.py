@@ -20,7 +20,6 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("moe-200b-mini", n_layers=2, hidden_size=32,
                      n_heads=8, gqa_ratio=2, ffn_hidden_size=48,
@@ -33,10 +32,9 @@ def make_trainer(seed):
     model = MoETransformer(CONFIG, seed=seed, dtype=np.float64)
     train = TrainConfig(global_batch_size=8, micro_batch_size=8,
                         seq_len=CONFIG.seq_len, learning_rate=5e-3,
-                        aux_loss_coeff=0.01)
+                        weight_decay=0.0, aux_loss_coeff=0.01)
     return MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=5e-3))
+        model, World(4, 4), ParallelConfig.megascale(4), train)
 
 
 def run_fig19():

@@ -20,7 +20,6 @@ from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
 from repro.model.moe import MoELayer
 from repro.perf.estimator import KernelModel
-from repro.precision.optimizer import AdamW
 from repro.sim.engine import simulate
 from repro.tensor import Tensor
 
@@ -50,10 +49,10 @@ def test_perf_moe_layer_forward_backward(benchmark):
 def test_perf_trainer_step(benchmark):
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=32, aux_loss_coeff=0.01)
+                        seq_len=32, learning_rate=1e-3, weight_decay=0.0,
+                        aux_loss_coeff=0.01)
     trainer = MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=1e-3))
+        model, World(4, 4), ParallelConfig.megascale(4), train)
     corpus = MarkovCorpus(vocab_size=128, seed=0)
     batch = next(batch_iterator(corpus, 2, 32))
 

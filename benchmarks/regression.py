@@ -145,21 +145,20 @@ def traced_run_metrics(smoke, out_dir=None):
     from repro.model import MoETransformer
     from repro.obs import (Observability, audit_comm_volumes,
                            crosscheck_tracer_ledger, write_chrome_trace)
-    from repro.precision.optimizer import AdamW
 
     steps = 1 if smoke else 3
     n = 4
     config = ModelConfig("bench-regression", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
-                        seq_len=16, learning_rate=3e-3,
+                        seq_len=16, learning_rate=3e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     model = MoETransformer(config, seed=0, dtype=np.float64)
     obs = Observability.create()
     world = World(n, n)
     trainer = MegaScaleTrainer(
         model, world, ParallelConfig.megascale(n, ep_dispatch="ag_rs"),
-        train, optimizer=AdamW(model.parameters(), lr=3e-3), obs=obs)
+        train, obs=obs)
     for batch in batch_iterator(MarkovCorpus(vocab_size=64, seed=0),
                                 4, 16, seed=1, limit=steps):
         trainer.train_step(batch)
@@ -212,12 +211,11 @@ def elastic_metrics():
     from repro.core.trainer import MegaScaleTrainer
     from repro.elastic import ElasticRunner, ParallelLayout
     from repro.model import MoETransformer
-    from repro.precision.optimizer import AdamW
 
     config = ModelConfig("bench-elastic", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=16, learning_rate=1e-2,
+                        seq_len=16, learning_rate=1e-2, weight_decay=0.0,
                         aux_loss_coeff=0.01)
 
     def layout_at(n):
@@ -228,8 +226,7 @@ def elastic_metrics():
         n = layout.world_size
         model = MoETransformer(config, seed=0, dtype=np.float64)
         return MegaScaleTrainer(
-            model, World(n, n), ParallelConfig.megascale(n), train,
-            optimizer=AdamW(model.parameters(), lr=1e-2))
+            model, World(n, n), ParallelConfig.megascale(n), train)
 
     rng = np.random.default_rng(0)
     batches = [rng.integers(0, 64, size=(2, 17)) for _ in range(8)]

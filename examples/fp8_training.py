@@ -21,8 +21,6 @@ from repro import (
     World,
 )
 from repro.data import batch_iterator
-from repro.parallel.dp import DataParallelTrainer
-from repro.precision.optimizer import AdamW
 from repro.precision.policy import (
     bf16_policy,
     fp8_naive_policy,
@@ -41,31 +39,31 @@ def precision_curve(policy):
                         seq_len=16, learning_rate=3e-3,
                         aux_loss_coeff=0.01)
     trainer = MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=3e-3), policy=policy)
+        model, World(4, 4), ParallelConfig.megascale(4), train, policy=policy)
     corpus = MarkovCorpus(vocab_size=64, seed=0)
     return [trainer.train_step(b).lm_loss
             for b in batch_iterator(corpus, 4, 16, seed=1, limit=STEPS)]
 
 
 def dp_compression_curves():
+    """Two DP replicas of a float32 model (the FP32 gradient wire the
+    paper compresses), without and with §5's BF16 all-to-all sync."""
     curves, wire = {}, {}
-    for method in ("fp32_rs", "bf16_a2a"):
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        world = World(2, 2)
-        trainer = DataParallelTrainer(
-            model, world.full_group(), AdamW(model.parameters(),
-                                             lr=3e-3),
-            lambda m, b: m.language_model_loss(b, aux_coeff=0.01),
-            sync_method=method, grad_clip=1.0)
-        corpus = MarkovCorpus(vocab_size=64, seed=0)
-        batches = list(batch_iterator(corpus, 2, 16, seed=1,
-                                      limit=STEPS * 2))
-        curve = []
-        for i in range(0, len(batches), 2):
-            curve.append(trainer.train_step(batches[i:i + 2]).mean_loss)
-        curves[method] = curve
-        wire[method] = world.ledger.total_bytes()
+    corpus = MarkovCorpus(vocab_size=64, seed=0)
+    batches = list(batch_iterator(corpus, 4, 16, seed=1, limit=STEPS))
+    for compress in (False, True):
+        model = MoETransformer(CONFIG, seed=0)
+        train = TrainConfig(global_batch_size=4, micro_batch_size=2,
+                            seq_len=16, learning_rate=3e-3,
+                            weight_decay=0.0, aux_loss_coeff=0.01,
+                            dp_comm_compression=compress)
+        trainer = MegaScaleTrainer(
+            model, World(2, 1), ParallelConfig(1, data_parallel_size=2),
+            train)
+        curves[compress] = [trainer.train_step(b).loss for b in batches]
+        wire[compress] = sum(
+            b for tag, b in trainer.world.ledger.bytes_by_tag().items()
+            if tag.startswith("dp_grad"))
     return curves, wire
 
 
@@ -91,12 +89,11 @@ def main():
     dp_curves, wire = dp_compression_curves()
     print("step   fp32_rs   bf16_a2a")
     for step in range(STEPS):
-        print(f"{step:4d}  {dp_curves['fp32_rs'][step]:8.4f}  "
-              f"{dp_curves['bf16_a2a'][step]:9.4f}")
-    print(f"\ngradient sync bytes: fp32 {wire['fp32_rs'] / 1e6:.1f} MB "
-          f"-> bf16 {wire['bf16_a2a'] / 1e6:.1f} MB "
-          f"({wire['bf16_a2a'] / wire['fp32_rs'] * 100:.0f}%, "
-          f"paper: 50%)")
+        print(f"{step:4d}  {dp_curves[False][step]:8.4f}  "
+              f"{dp_curves[True][step]:9.4f}")
+    print(f"\ngradient sync bytes: fp32 {wire[False] / 1e6:.2f} MB "
+          f"-> bf16 {wire[True] / 1e6:.2f} MB "
+          f"({wire[True] / wire[False] * 100:.0f}%, paper: 50%)")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.core.runner import FaultInjector, ProductionRunner
 from repro.data import batch_iterator
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("prod-demo", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -39,11 +38,10 @@ CHECKPOINT_INTERVAL = 8
 def trainer_factory():
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=8, micro_batch_size=8,
-                        seq_len=16, learning_rate=5e-3,
+                        seq_len=16, learning_rate=5e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     return MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=5e-3))
+        model, World(4, 4), ParallelConfig.megascale(4), train)
 
 
 def main():

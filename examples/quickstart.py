@@ -48,13 +48,12 @@ def main():
     world = World(4, ranks_per_node=4)
     parallel = ParallelConfig.megascale(model_parallel_size=4)
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
-                        seq_len=16, learning_rate=3e-3,
+                        seq_len=16, learning_rate=3e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
 
     model = MoETransformer(config, seed=0, dtype=np.float64)
     trainer = MegaScaleTrainer(
-        model, world, parallel, train,
-        optimizer=AdamW(model.parameters(), lr=train.learning_rate))
+        model, world, parallel, train)
 
     corpus = MarkovCorpus(vocab_size=64, seed=0)
     print(f"corpus conditional entropy (loss floor): "

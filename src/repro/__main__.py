@@ -134,8 +134,9 @@ def cmd_plan(args) -> int:
         precision = ("fp8" if best.precision == "fp8" else "bf16")
         cases = plan_conformance_cases(
             attention=par.attention, ffn=par.ffn,
-            ep_dispatch=par.ep_dispatch,
-            precision=precision, seed=args.seed)
+            ep_dispatch=par.ep_dispatch, precision=precision,
+            pp=par.pipeline_size, dp=par.data_parallel_size,
+            seed=args.seed)
         print(f"\nverifying the winner on the conformance matrix "
               f"({len(cases)} cases)")
         report = run_matrix(cases)
@@ -175,18 +176,16 @@ def cmd_train_demo(args) -> int:
     from .core.trainer import MegaScaleTrainer
     from .data import MarkovCorpus, batch_iterator
     from .model import MoETransformer
-    from .precision.optimizer import AdamW
 
     config = ModelConfig("cli-demo", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     model = MoETransformer(config, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
-                        seq_len=16, learning_rate=3e-3,
+                        seq_len=16, learning_rate=3e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01,
                         tile_tokens=args.tile_tokens)
     trainer = MegaScaleTrainer(
-        model, World(4, 4), ParallelConfig.megascale(4), train,
-        optimizer=AdamW(model.parameters(), lr=3e-3))
+        model, World(4, 4), ParallelConfig.megascale(4), train)
     corpus = MarkovCorpus(vocab_size=64, seed=0)
     print("step  lm-loss")
     for step, batch in enumerate(
@@ -209,7 +208,6 @@ def cmd_ft_demo(args) -> int:
     from .ft import (BackoffPolicy, FaultPlan, FaultSpec, HealthMonitor,
                      LossSpikeGuard, NumericGuard, StragglerDetector)
     from .model import MoETransformer
-    from .precision.optimizer import AdamW
 
     steps = args.steps
     if steps < 1:
@@ -218,7 +216,7 @@ def cmd_ft_demo(args) -> int:
     config = ModelConfig("ft-demo", 1, 16, 4, 2, 24, 4, 2,
                          vocab_size=32, seq_len=8)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=8, learning_rate=5e-3,
+                        seq_len=8, learning_rate=5e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     # One plan shared across restarts: a mid-run timeout and a
     # corrupted transfer (both transient, cleared by retry), plus a
@@ -238,7 +236,6 @@ def cmd_ft_demo(args) -> int:
         world = World(2, 2).attach_fault_plan(plan)
         return MegaScaleTrainer(
             model, world, ParallelConfig.megascale(2), train,
-            optimizer=AdamW(model.parameters(), lr=5e-3),
             health=monitor)
 
     ckpt_dir = args.dir or tempfile.mkdtemp(prefix="repro-ft-demo-")
@@ -292,7 +289,6 @@ def cmd_trace(args) -> int:
                       crosscheck_tracer_ledger, text_summary,
                       write_chrome_trace)
     from .perf.estimator import KernelModel
-    from .precision.optimizer import AdamW
     from .sim import simulate
 
     steps = args.steps
@@ -307,14 +303,14 @@ def cmd_trace(args) -> int:
     config = ModelConfig("trace-demo", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
-                        seq_len=16, learning_rate=3e-3,
+                        seq_len=16, learning_rate=3e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     model = MoETransformer(config, seed=0, dtype=np.float64)
     obs = Observability.create()
     world = World(n, n)
     trainer = MegaScaleTrainer(
         model, world, ParallelConfig.megascale(n, ep_dispatch="ag_rs"),
-        train, optimizer=AdamW(model.parameters(), lr=3e-3), obs=obs)
+        train, obs=obs)
 
     corpus = MarkovCorpus(vocab_size=64, seed=0)
     for batch in batch_iterator(corpus, 4, 16, seed=1, limit=steps):
@@ -375,7 +371,6 @@ def cmd_elastic_demo(args) -> int:
     from .core.trainer import MegaScaleTrainer
     from .elastic import ElasticRunner, ParallelLayout
     from .model import MoETransformer
-    from .precision.optimizer import AdamW
     from .verify.invariants import tolerance_for_precision
 
     steps = args.steps
@@ -391,7 +386,7 @@ def cmd_elastic_demo(args) -> int:
     config = ModelConfig("elastic-demo", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=16)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=16, learning_rate=1e-2,
+                        seq_len=16, learning_rate=1e-2, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     rng = np.random.default_rng(0)
     batches = [rng.integers(0, 64, size=(2, 17)) for _ in range(steps)]
@@ -404,8 +399,7 @@ def cmd_elastic_demo(args) -> int:
         n = layout.world_size
         model = MoETransformer(config, seed=0, dtype=np.float64)
         return MegaScaleTrainer(
-            model, World(n, n), ParallelConfig.megascale(n), train,
-            optimizer=AdamW(model.parameters(), lr=1e-2))
+            model, World(n, n), ParallelConfig.megascale(n), train)
 
     # The fixed-size golden: the same batches at world size 4 all the
     # way through.

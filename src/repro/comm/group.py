@@ -104,10 +104,6 @@ class CommRecord:
     def total_bytes(self) -> float:
         return float(sum(self.send_bytes_per_rank))
 
-    @property
-    def max_rank_bytes(self) -> float:
-        return float(max(self.send_bytes_per_rank, default=0.0))
-
 
 @dataclass
 class CommLedger:

@@ -14,16 +14,20 @@ hierarchical collective
 whose *inter-node* volume — the bottleneck — equals TP attention's
 ``2 P/n (d-1)/d``.  This module implements the data movement for both
 schemes on simulated ranks and reports the volumes so tests and the
-Fig. 14 bench can verify the equivalence.
+Fig. 14 bench can verify the equivalence.  Gradients keep their dtype
+end to end: cross-rank sums go through
+:func:`~repro.comm.collectives.rank_ordered_sum` and the wire is priced
+at the gradients' itemsize unless told otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .collectives import all_gather, reduce_scatter
+from ..precision.compression import sync_gradients
+from .collectives import all_gather, rank_ordered_sum, reduce_scatter
 from .group import World
 
 __all__ = [
@@ -35,127 +39,115 @@ __all__ = [
 ]
 
 
+def _inter_node_sum(group, flats: List[np.ndarray],
+                    elem_bytes: Optional[float], tag: str,
+                    compress: bool) -> List[np.ndarray]:
+    """Sum equal-size 1-D arrays across one group of ``d > 1`` peers.
+
+    Exact: a reduce-scatter and an all-gather (the ledger separates
+    the two steps), or, when the size does not divide ``d``, the
+    rank-ordered sum priced as the equivalent ring all-reduce.  With
+    ``compress`` the leg is §5's one BF16 cast, all-to-all and
+    higher-precision local sum (:func:`~repro.precision.compression
+    .sync_gradients` ``bf16_a2a``).  Results keep the input dtype.
+    """
+    d = group.size
+    if compress:
+        return sync_gradients(group, flats, method="bf16_a2a",
+                              average=False, tag=tag + ":inter_")
+    size = flats[0].size
+    if size % d == 0:
+        pieces = reduce_scatter(group, flats, elem_bytes=elem_bytes,
+                                tag=tag + ":inter_rs")
+        return all_gather(group, pieces, elem_bytes=elem_bytes,
+                          tag=tag + ":inter_ag")
+    total = rank_ordered_sum(flats).astype(flats[0].dtype, copy=False)
+    eb = flats[0].itemsize if elem_bytes is None else elem_bytes
+    group.record("all_reduce", [2.0 * size / d * eb * (d - 1)] * d,
+                 tag + ":inter_fallback")
+    return [total] * d
+
+
 def hierarchical_sync(
     world: World,
     grads: Sequence[np.ndarray],
-    elem_bytes: float = 4.0,
+    elem_bytes: Optional[float] = None,
     tag: str = "param_sync_sp",
+    compress: bool = False,
 ) -> List[np.ndarray]:
     """All-reduce replicated gradients with the 4-step hierarchical scheme.
 
     Args:
         world: Simulated world; ``world.ranks_per_node`` is the replication
             degree ``n`` and the number of nodes is the DP degree ``d``.
-        grads: One gradient tensor per rank (all the same shape), flattened
-            internally.  ``grads[r]`` belongs to global rank ``r``.
-        elem_bytes: Wire bytes per element for the ledger.
+        grads: One gradient tensor per rank (all the same shape and
+            dtype), flattened internally.  ``grads[r]`` belongs to global
+            rank ``r``.
+        elem_bytes: Wire bytes per element for the ledger (default: the
+            gradients' itemsize).
+        compress: Run the inter-node leg as §5's BF16 all-to-all.
 
     Returns:
-        Per-rank fully-reduced gradients with the original shape.
+        Per-rank fully-reduced gradients with the original shape and
+        dtype.
     """
     n = world.ranks_per_node
     if world.size % n != 0:
         raise ValueError(
             f"world size {world.size} not divisible by ranks_per_node {n}"
         )
-    shape = np.asarray(grads[0]).shape
-    flats = [np.asarray(g, dtype=np.float64).reshape(-1) for g in grads]
+    first = np.asarray(grads[0])
+    shape, dtype = first.shape, first.dtype
+    flats = [np.asarray(g, dtype=dtype).reshape(-1) for g in grads]
     numel = flats[0].size
     if numel % n != 0:
-        pad = n - numel % n
-        flats = [np.concatenate([f, np.zeros(pad)]) for f in flats]
-    padded = flats[0].size
+        pad = np.zeros(n - numel % n, dtype=dtype)
+        flats = [np.concatenate([f, pad]) for f in flats]
 
     # Step 1: intra-node reduce-scatter (size P over n ranks).
-    intra_groups = world.intra_node_groups()
-    shards: Dict[int, np.ndarray] = {}
-    for g in intra_groups:
-        outs = reduce_scatter(
-            g, [flats[r] for r in g.ranks], elem_bytes=elem_bytes,
-            tag=tag + ":intra_rs",
-        )
-        for local, r in enumerate(g.ranks):
-            shards[r] = outs[local]
+    shards: List[np.ndarray] = [flats[0]] * world.size
+    for g in world.intra_node_groups():
+        outs = reduce_scatter(g, [flats[r] for r in g.ranks],
+                              elem_bytes=elem_bytes, tag=tag + ":intra_rs")
+        for r, out in zip(g.ranks, outs):
+            shards[r] = out
 
     # Steps 2+3: inter-node reduce-scatter + all-gather = all-reduce of the
-    # P/n shard across same-local-rank peers.  Implemented as the two
-    # explicit steps so the ledger separates them.
-    cross_groups = world.cross_node_groups()
-    for g in cross_groups:
-        d = g.size
-        shard = shards[g.ranks[0]].size
-        if d > 1 and shard % d == 0:
-            pieces = reduce_scatter(
-                g, [shards[r] for r in g.ranks], elem_bytes=elem_bytes,
-                tag=tag + ":inter_rs",
-            )
-            fulls = all_gather(
-                g, pieces, elem_bytes=elem_bytes, tag=tag + ":inter_ag",
-            )
-        else:
-            # Fallback for indivisible shard sizes: sum then copy.  Record
-            # the equivalent ring all-reduce volume.
-            total = np.sum([shards[r] for r in g.ranks], axis=0)
-            fulls = [total.copy() for _ in g.ranks]
-            if d > 1:
-                g.record(
-                    "all_reduce",
-                    [2.0 * shard / d * elem_bytes * (d - 1)] * d,
-                    tag + ":inter_fallback",
-                )
-        for local, r in enumerate(g.ranks):
-            shards[r] = fulls[local]
+    # P/n shard across same-local-rank peers: TP's flat sync.
+    shards = flat_sync(world, shards, elem_bytes, tag, compress)
 
     # Step 4: intra-node all-gather back to size P on every rank.
-    results: Dict[int, np.ndarray] = {}
-    for g in intra_groups:
-        fulls = all_gather(
-            g, [shards[r] for r in g.ranks], elem_bytes=elem_bytes,
-            tag=tag + ":intra_ag",
-        )
-        for local, r in enumerate(g.ranks):
-            results[r] = fulls[local]
-
-    return [results[r][:numel].reshape(shape)
-            for r in range(world.size)]
+    results = list(shards)
+    for g in world.intra_node_groups():
+        fulls = all_gather(g, [shards[r] for r in g.ranks],
+                           elem_bytes=elem_bytes, tag=tag + ":intra_ag")
+        for r, full in zip(g.ranks, fulls):
+            results[r] = full[:numel].reshape(shape)
+    return results
 
 
 def flat_sync(
     world: World,
     grads: Sequence[np.ndarray],
-    elem_bytes: float = 4.0,
+    elem_bytes: Optional[float] = None,
     tag: str = "param_sync_tp",
+    compress: bool = False,
 ) -> List[np.ndarray]:
     """TP-attention-style sync: inter-node RS + AG of the ``P/n`` shard.
 
     With TP each rank already holds a distinct ``P/n`` shard, replicated
     only across the ``d`` DP peers (one per node at the same local rank).
+    Arguments and results as for :func:`hierarchical_sync`.
     """
-    cross_groups = world.cross_node_groups()
     shape = np.asarray(grads[0]).shape
-    results: Dict[int, np.ndarray] = {}
-    for g in cross_groups:
-        d = g.size
-        flats = [np.asarray(grads[r], dtype=np.float64).reshape(-1)
-                 for r in g.ranks]
-        numel = flats[0].size
-        if d > 1 and numel % d == 0:
-            pieces = reduce_scatter(g, flats, elem_bytes=elem_bytes,
-                                    tag=tag + ":inter_rs")
-            fulls = all_gather(g, pieces, elem_bytes=elem_bytes,
-                               tag=tag + ":inter_ag")
-        else:
-            total = np.sum(flats, axis=0)
-            fulls = [total.copy() for _ in g.ranks]
-            if d > 1:
-                g.record(
-                    "all_reduce",
-                    [2.0 * numel / d * elem_bytes * (d - 1)] * d,
-                    tag + ":inter_fallback",
-                )
-        for local, r in enumerate(g.ranks):
-            results[r] = fulls[local].reshape(shape)
-    return [results[r] for r in range(world.size)]
+    results = list(grads)
+    for g in world.cross_node_groups():
+        flats = [np.asarray(grads[r]).reshape(-1) for r in g.ranks]
+        if g.size > 1:
+            flats = _inter_node_sum(g, flats, elem_bytes, tag, compress)
+        for r, flat in zip(g.ranks, flats):
+            results[r] = flat.reshape(shape)
+    return results
 
 
 def hierarchical_inter_node_volume(param_bytes: float, n: int,

@@ -326,8 +326,6 @@ class TrainConfig:
     selective_remat: bool = True
     #: Router auxiliary (load-balance) loss coefficient (§3.2).
     aux_loss_coeff: float = 0.01
-    #: Token-drop capacity factor; 0 disables dropping (§3.2).
-    capacity_factor: float = 0.0
     #: One-valued (None or "sequential" / "dag") and read by nothing:
     #: every layer runs through the sequential DAG executor.  Kept only
     #: because the frozen benchmarks/wallclock/train_workload.py spells

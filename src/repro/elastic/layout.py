@@ -24,11 +24,9 @@ class ParallelLayout:
     """The parallel degrees of one training run.
 
     ``world_size`` is the total rank count; the remaining fields are
-    the per-dimension degrees (1 = that dimension is not used).  In
-    this repo's simulated trainer the model-parallel group spans the
-    whole world (``dp == pp == 1``), with SP or TP attention and EP or
-    TP FFN sharing the same degree — but the type carries the full
-    5-tuple so checkpoints from richer layouts stay self-describing.
+    the per-dimension degrees (1 = that dimension is not used).  SP or
+    TP attention and EP or TP FFN share the node's degree, and the
+    trainer's ``pp`` stages and ``dp`` replicas multiply it.
     """
 
     world_size: int

@@ -221,13 +221,6 @@ class ReshardReport:
         return self.total_bytes / bandwidth
 
 
-def _optimizer_keys(state: Dict[str, np.ndarray]) -> List[str]:
-    return sorted(
-        (k for k in state if re.fullmatch(r"opt/[mv]/\d+", k)),
-        key=lambda k: (k.split("/")[1], int(k.split("/")[2])),
-    )
-
-
 def _expert_bytes_by_layer(state: Dict[str, np.ndarray],
                            ) -> Dict[int, Dict[int, float]]:
     """``{layer: {expert: bytes}}`` for every expert tensor in state."""
@@ -251,16 +244,14 @@ def reshard_state(state: Dict[str, np.ndarray],
                   ) -> Tuple[Dict[str, np.ndarray], ReshardReport]:
     """Map a trainer checkpoint from one parallel layout to another.
 
-    The optimizer moments are round-tripped through the ZeRO-1
-    shard grids of both layouts (shard at the old degree, unshard,
-    re-shard at the new) — an exact identity that *is* the re-flatten
-    the real system performs, and whose owner-change count prices the
-    movement.  Expert tensors pass through unchanged (they are
-    replicated in this simulation's reference model) while their
-    re-placement under the new EP degree is computed and priced.  The
-    ZeRO shard group is the full world: with ``dp == 1`` layouts the
-    simulated trainer shards optimizer state across the model-parallel
-    ranks, which is the dimension an elastic resize actually changes.
+    Every array passes through unchanged: the trainer re-partitions
+    optimizer state onto its own DP degree when it loads
+    (:meth:`~repro.core.trainer.MegaScaleTrainer.load_state_dict`), and
+    expert tensors are replicated in this simulation's reference model.
+    The report prices the movement the real system performs: the AdamW
+    moments change owners between the ZeRO-1 shard grids of the two
+    world sizes, and the experts move to their blocks under the new EP
+    degree.
 
     Returns ``(new_state, report)``; when ``obs`` is given the
     re-partition lands as an ``elastic.reshard`` span plus
@@ -268,25 +259,10 @@ def reshard_state(state: Dict[str, np.ndarray],
     """
     old_group = old_layout.world_size
     new_group = new_layout.world_size
-
-    new_state: Dict[str, np.ndarray] = {}
-    numel = 0
-    for key, value in state.items():
-        array = np.asarray(value)
-        if re.fullmatch(r"opt/[mv]/\d+", key):
-            numel += array.size
-            # The exact re-flatten: old shard grid -> flat -> new grid.
-            shards = zero1_shard_flat(array.reshape(-1), old_group)
-            flat = zero1_unshard_flat(shards, array.size)
-            regathered = zero1_unshard_flat(
-                zero1_shard_flat(flat, new_group), array.size)
-            new_state[key] = regathered.reshape(array.shape)
-        else:
-            new_state[key] = array.copy()
-    # m and v each contribute numel once; shard accounting covers the
-    # flattened space a single time.
-    numel //= 2 if numel else 1
-
+    new_state = {key: np.array(value) for key, value in state.items()}
+    # m and v each cover the flattened space once.
+    numel = sum(value.size for key, value in new_state.items()
+                if re.fullmatch(r"opt/m/\d+", key))
     moved = zero1_moved_elements(numel, old_group, new_group)
     # Master copy (8 B) + first and second Adam moments (8 B each).
     zero_bytes = 3.0 * 8.0 * moved

@@ -8,10 +8,10 @@ which layer produced it:
   opens a ``comm`` span, :meth:`~repro.comm.group.ProcessGroup.record`
   annotates it with the ledger bytes and closes it, and injected faults
   surface as instant events;
-* **pipeline stages** — :class:`~repro.parallel.pp_engine.PipelineParallelTrainer`
-  wraps each stage×micro-batch forward in a span and marks p2p transfers;
 * **training steps** — :class:`~repro.core.trainer.MegaScaleTrainer`
-  nests ``forward``/``backward``/``optimizer`` spans under each step, and
+  nests ``forward``/``backward``/``optimizer`` spans under each step,
+  wraps each pipeline stage×micro-batch forward in a ``pp.stage`` span
+  and records stage-boundary sends as ``p2p`` comm spans, and
   :class:`~repro.core.runner.ProductionRunner` marks checkpoints,
   restarts, and rollbacks;
 * **the event simulator** — :func:`~repro.sim.engine.simulate` task

@@ -8,15 +8,14 @@ from .dist_ops import (
     dist_all_to_all_uneven,
     dist_reduce_scatter,
 )
-from .dp import DataParallelTrainer, DPStepResult, zero1_memory_model
 from .ep_ffn import EPFFNEngine, choose_dispatch_mode
 from .pipeline import (
-    PipelineRunner,
     PipelineTask,
     bubble_fraction,
     gpipe_schedule,
     interleaved_1f1b_schedule,
     one_f_one_b_schedule,
+    stage_partition,
     validate_schedule,
 )
 from .cp_attention import (
@@ -26,9 +25,6 @@ from .cp_attention import (
     cp_layout_positions,
     cp_workload_shares,
 )
-from .hybrid2d import Hybrid2DStepResult, Hybrid2DTrainer
-from .pp_engine import PipelineParallelTrainer, PPStepResult, \
-    stage_partition
 from .sp_attention import SPAttentionEngine
 from .tp_attention import TPAttentionEngine
 from .tp_ffn import TPFFNEngine
@@ -48,12 +44,8 @@ __all__ = [
     "dist_all_to_all",
     "dist_all_to_all_uneven",
     "dist_reduce_scatter",
-    "DataParallelTrainer",
-    "DPStepResult",
-    "zero1_memory_model",
     "EPFFNEngine",
     "choose_dispatch_mode",
-    "PipelineRunner",
     "PipelineTask",
     "bubble_fraction",
     "gpipe_schedule",
@@ -68,10 +60,6 @@ __all__ = [
     "cp_imbalance",
     "cp_layout_positions",
     "cp_workload_shares",
-    "Hybrid2DStepResult",
-    "Hybrid2DTrainer",
-    "PipelineParallelTrainer",
-    "PPStepResult",
     "stage_partition",
     "Zero1AdamW",
     "zero_memory_model",

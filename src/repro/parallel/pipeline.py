@@ -11,16 +11,14 @@ more bubbles").
 A schedule is a list per stage of :class:`PipelineTask`; dependency
 validation checks that no task runs before its upstream producer, which
 tests use as a safety property across all generated schedules.
-
-:class:`PipelineRunner` executes a stage-partitioned model through a
-schedule on one process, proving the schedules are numerically inert
-(identical losses/grads to unpipelined execution).
+:func:`stage_partition` splits a model's layers into the stages
+:class:`~repro.core.trainer.MegaScaleTrainer` runs in 1F1B order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "PipelineTask",
@@ -29,7 +27,7 @@ __all__ = [
     "interleaved_1f1b_schedule",
     "validate_schedule",
     "bubble_fraction",
-    "PipelineRunner",
+    "stage_partition",
 ]
 
 
@@ -136,13 +134,15 @@ def _interleaved_order(n_stages: int, n_micro: int,
 
 
 def validate_schedule(schedule: List[List[PipelineTask]], n_micro: int,
-                      n_virtual: int = 1) -> None:
+                      n_virtual: int = 1
+                      ) -> List[Tuple[int, PipelineTask]]:
     """Check completeness and cross-stage dependency safety.
 
     Simulates the pipeline clock: a stage may run F(m, v) only after the
     previous global stage (stage-major through virtual chunks) finished
     it, and B(m, v) only after the next global stage did.  Raises
-    ``ValueError`` on violations.
+    ``ValueError`` on violations; returns the simulated execution order
+    as ``(stage, task)`` pairs.
     """
     n_stages = len(schedule)
     for stage, tasks in enumerate(schedule):
@@ -160,6 +160,7 @@ def validate_schedule(schedule: List[List[PipelineTask]], n_micro: int,
     # Event-driven check: repeatedly run every stage's next ready task.
     done: Dict[Tuple[str, int, int, int], bool] = {}
     cursors = [0] * n_stages
+    order: List[Tuple[int, PipelineTask]] = []
 
     def ready(stage: int, task: PipelineTask) -> bool:
         g = task.virtual_stage * n_stages + stage  # global stage index
@@ -188,6 +189,7 @@ def validate_schedule(schedule: List[List[PipelineTask]], n_micro: int,
                     break
                 done[(task.phase, stage, task.micro_batch,
                       task.virtual_stage)] = True
+                order.append((stage, task))
                 cursors[stage] += 1
                 progressed = True
     stuck = [s for s in range(n_stages) if cursors[s] < len(schedule[s])]
@@ -196,6 +198,7 @@ def validate_schedule(schedule: List[List[PipelineTask]], n_micro: int,
             f"schedule deadlocks: stages {stuck} blocked "
             f"(cursor {[cursors[s] for s in stuck]})"
         )
+    return order
 
 
 def bubble_fraction(n_stages: int, n_micro: int,
@@ -212,36 +215,22 @@ def bubble_fraction(n_stages: int, n_micro: int,
     return (n_stages - 1) / (n_virtual * n_micro + n_stages - 1)
 
 
-class PipelineRunner:
-    """Executes stage functions through a schedule on one process.
-
-    ``stage_fns[v][s]`` maps activations through virtual chunk ``v`` of
-    stage ``s``.  Running any valid schedule must produce outputs equal
-    to applying the stages sequentially — the numerical-inertness
-    property tests assert.
-    """
-
-    def __init__(self, stage_fns: Sequence[Sequence[Callable]],
-                 n_micro: int):
-        self.stage_fns = stage_fns
-        self.n_virtual = len(stage_fns)
-        self.n_stages = len(stage_fns[0])
-        self.n_micro = n_micro
-
-    def run(self, micro_inputs: Sequence) -> List:
-        """Run all forwards per a 1F1B-compatible order; returns final
-        outputs per micro-batch (backward is autograd-driven and needs no
-        schedule here)."""
-        if len(micro_inputs) != self.n_micro:
-            raise ValueError(
-                f"expected {self.n_micro} micro inputs, got "
-                f"{len(micro_inputs)}"
-            )
-        acts = list(micro_inputs)
-        for v in range(self.n_virtual):
-            for s in range(self.n_stages):
-                acts = [self.stage_fns[v][s](a) for a in acts]
-        return acts
+def stage_partition(n_layers: int, n_stages: int) -> List[range]:
+    """Contiguous, balanced layer ranges per stage (front-loaded)."""
+    if n_stages < 1:
+        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
+    if n_layers < n_stages:
+        raise ValueError(
+            f"cannot split {n_layers} layers into {n_stages} stages"
+        )
+    base, extra = divmod(n_layers, n_stages)
+    ranges = []
+    start = 0
+    for stage in range(n_stages):
+        size = base + (1 if stage < extra else 0)
+        ranges.append(range(start, start + size))
+        start += size
+    return ranges
 
 
 def _check(n_stages: int, n_micro: int) -> None:

@@ -16,7 +16,7 @@ parameters received a gradient: a parameter no rank has a gradient for
 result is bit-identical to a full (unsharded) AdamW step on the
 averaged gradients — asserted by the tests — while optimizer memory
 drops by ``1/dp`` and gradient communication becomes RS+AG instead of
-all-reduce (same ring volume).
+all-reduce (same ring volume), priced at the state dtype's itemsize.
 
 Stages 2 and 3 are provided as memory/communication models
 (:func:`zero_memory_model`), matching the paper's usage (stage 1 in
@@ -121,7 +121,7 @@ class Zero1AdamW:
 
         # Reduce-scatter: rank r receives the summed shard r.
         grad_shards = reduce_scatter(self.group, rank_flats,
-                                     elem_bytes=4.0, tag="zero1:rs")
+                                     tag="zero1:rs")
 
         self.step_count += 1
         for r in range(n):
@@ -142,8 +142,7 @@ class Zero1AdamW:
                         weight_decay=self.weight_decay)
 
         # All-gather the updated shards into the full parameter set.
-        fulls = all_gather(self.group, self.master_shards, elem_bytes=4.0,
-                           tag="zero1:ag")
+        fulls = all_gather(self.group, self.master_shards, tag="zero1:ag")
         self._write_params(fulls[0])
 
     def _write_params(self, flat: np.ndarray) -> None:
@@ -228,7 +227,9 @@ def zero_memory_model(param_count: float, dp_size: int,
     """
     if stage not in (0, 1, 2, 3):
         raise ValueError(f"unknown ZeRO stage {stage}")
-    d = max(dp_size, 1)
+    if dp_size < 1:
+        raise ValueError(f"dp_size must be >= 1, got {dp_size}")
+    d = dp_size
     params = param_count * param_bytes / (d if stage >= 3 else 1)
     grads = param_count * grad_bytes / (d if stage >= 2 else 1)
     states = param_count * state_bytes / (d if stage >= 1 else 1)

@@ -65,6 +65,7 @@ def sync_gradients(
     grads: Sequence[np.ndarray],
     method: str = "bf16_a2a",
     average: bool = True,
+    tag: str = "dp_sync:",
 ) -> List[np.ndarray]:
     """Synchronize per-rank accumulated gradients across a DP group.
 
@@ -77,6 +78,8 @@ def sync_gradients(
             ``"bf16_ring_rs"`` — the rejected design: ring reduce with
             BF16 accumulation at every hop.
         average: Divide by the group size (DP averages gradients).
+        tag: Ledger-tag prefix; each collective appends its step
+            (``fp32_rs``, ``bf16_a2a``, ``bf16_ag``, ...).
 
     Returns:
         Per-rank synchronized gradients with the input shape and dtype
@@ -96,23 +99,23 @@ def sync_gradients(
 
     if method == "fp32_rs":
         shards = reduce_scatter(group, flats, elem_bytes=4.0,
-                                tag="dp_sync:fp32_rs")
+                                tag=tag + "fp32_rs")
         fulls = all_gather(group, shards, elem_bytes=4.0,
-                           tag="dp_sync:fp32_ag")
+                           tag=tag + "fp32_ag")
     elif method == "bf16_a2a":
         # One-time BF16 cast of the accumulated gradient...
         casted = [round_bf16(f) for f in flats]
         chunk_lists = [np.split(c, n) for c in casted]
         # ...all-to-all exchange of the shards (2 bytes each)...
         received = all_to_all(group, chunk_lists, elem_bytes=2.0,
-                              tag="dp_sync:bf16_a2a")
+                              tag=tag + "bf16_a2a")
         # ...and FP32 local aggregation: no repeated BF16 accumulation.
         shards = [rank_ordered_sum(chunks) for chunks in received]
         # Parameter/gradient shard redistribution in BF16 as well.
         fulls = all_gather(
             group,
             [round_bf16(s).astype(dtype, copy=False) for s in shards],
-            elem_bytes=2.0, tag="dp_sync:bf16_ag")
+            elem_bytes=2.0, tag=tag + "bf16_ag")
     else:  # bf16_ring_rs — rounds the partial sum at every ring hop.
         shards = []
         for j in range(n):
@@ -126,11 +129,11 @@ def sync_gradients(
             shards.append(acc)
         group.record("reduce_scatter",
                      [flats[0].size / n * 2.0 * (n - 1)] * n,
-                     "dp_sync:bf16_ring_rs")
+                     tag + "bf16_ring_rs")
         fulls = all_gather(
             group,
             [round_bf16(s).astype(dtype, copy=False) for s in shards],
-            elem_bytes=2.0, tag="dp_sync:bf16_ag")
+            elem_bytes=2.0, tag=tag + "bf16_ag")
 
     scale = 1.0 / n if average else 1.0
     return [(f[:numel] * scale).reshape(shape) for f in fulls]

@@ -14,7 +14,7 @@ flows scheduler → per-request spans → the percentile summary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -149,21 +149,3 @@ def latency_summary(tracer, cat: str = "serve.request"
         "throughput_tokens": tokens / window,
         "span_seconds": float(window),
     }
-
-
-def summarize_latencies(latencies: Sequence[float]) -> Dict[str, float]:
-    """Percentile summary over raw latency values (golden-run helper)."""
-    if not latencies:
-        return {"count": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-                "mean": 0.0}
-    arr = np.array(list(latencies), dtype=np.float64)
-    return {
-        "count": float(arr.size),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "mean": float(arr.mean()),
-    }
-
-
-_ = Optional  # typing re-export guard for mypy-narrow configs

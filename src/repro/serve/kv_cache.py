@@ -102,13 +102,6 @@ class KVPool:
         self.k = np.zeros(shape, dtype=dtype)
         self.v = np.zeros(shape, dtype=dtype)
 
-    def bytes_in_use(self) -> int:
-        """Bytes of pool storage currently owned by live requests."""
-        per_block = (2 * self.n_layers * self.block_size
-                     * self.n_kv_heads * self.head_dim
-                     * self.k.itemsize)
-        return self.allocator.in_use * per_block
-
 
 class PagedKVCache:
     """One request's view of the pool: a block table plus a length.

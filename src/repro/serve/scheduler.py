@@ -67,10 +67,6 @@ class ServeResult:
     n_evictions: int
     latency: Dict[str, float] = field(default_factory=dict)
 
-    def tokens_of(self, request_id: int) -> List[int]:
-        """Generated token ids of one completed request."""
-        return self.results[request_id].generated
-
 
 class ServeEngine:
     """Admits, batches, decodes, and completes inference requests."""

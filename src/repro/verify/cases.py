@@ -1,13 +1,14 @@
 """Verification cases: one (model, plan, precision, tiling) tuple.
 
 A :class:`VerifyCase` pins everything a differential run needs — model
-dimensions, rank count, parallel strategies, EP dispatch mode, comm
-precision, tile width, dropout, step count, and the data seed — as a
-frozen, hashable value.  The conformance engine
-(:mod:`repro.verify.engine`) turns a case into several runs (the case
-itself, its single-rank golden reference, and an untiled twin for
-tiled cases) and the fuzzer (:mod:`repro.verify.fuzz`) samples and
-shrinks cases, which is why immutability and cheap equality matter.
+dimensions, rank count, pipeline and data-parallel degrees, parallel
+strategies, EP dispatch mode, comm precision, tile width, dropout,
+step count, and the data seed — as a frozen, hashable value.  The
+conformance engine (:mod:`repro.verify.engine`) turns a case into
+several runs (the case itself, its single-rank golden reference, and
+an untiled twin for tiled cases) and the fuzzer
+(:mod:`repro.verify.fuzz`) samples and shrinks cases, which is why
+immutability and cheap equality matter.
 """
 
 from __future__ import annotations
@@ -63,10 +64,25 @@ class VerifyCase:
     #: the case through an :class:`~repro.elastic.runner.ElasticRunner`
     #: and the ``elastic_resume`` invariant compares trajectories.
     resize: Tuple[Tuple[int, int], ...] = ()
+    #: Pipeline stages and data-parallel replicas: the world is
+    #: ``ranks · pp · dp`` ranks, ``ranks`` per node.  Each replica's
+    #: share of the batch runs as ``pp`` micro-batches.
+    pp: int = 1
+    dp: int = 1
 
     def __post_init__(self):
-        if self.ranks < 1:
-            raise ValueError(f"ranks must be >= 1, got {self.ranks}")
+        for name in ("ranks", "pp", "dp"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch % (self.pp * self.dp) != 0:
+            raise ValueError(
+                f"batch={self.batch} not divisible by pp·dp="
+                f"{self.pp * self.dp}"
+            )
+        if self.layers < self.pp:
+            raise ValueError(
+                f"layers={self.layers} < pp={self.pp} stages")
         if self.heads % self.ranks != 0:
             raise ValueError(
                 f"heads={self.heads} not divisible by ranks={self.ranks}"
@@ -118,6 +134,8 @@ class VerifyCase:
             raise ValueError(f"dropout must be in [0, 1), got "
                              f"{self.dropout}")
         if self.resize:
+            if self.pp * self.dp != 1:
+                raise ValueError("resize requires pp == dp == 1")
             if self.dropout != 0.0:
                 # Per-rank dropout masks are a function of the world
                 # size; trajectories across a resize would legitimately
@@ -166,6 +184,10 @@ class VerifyCase:
             f"s{self.seq}", f"e{self.experts}", f"k{self.top_k}",
             f"st{self.steps}",
         ]
+        if self.pp != 1:
+            parts.append(f"pp{self.pp}")
+        if self.dp != 1:
+            parts.append(f"dp{self.dp}")
         if self.tile_tokens is not None:
             parts.append(f"tt{self.tile_tokens}")
         if self.dtype != "float64":
@@ -192,14 +214,21 @@ class VerifyCase:
         """The case's parallel plan as a ParallelConfig."""
         return ParallelConfig(
             self.ranks, attention=self.attention, ffn=self.ffn,
-            ep_dispatch=self.ep_dispatch,
+            ep_dispatch=self.ep_dispatch, pipeline_size=self.pp,
+            data_parallel_size=self.dp,
         )
+
+    @property
+    def micro_batch(self) -> int:
+        """Rows per micro-batch: ``pp`` micro-batches per replica."""
+        return self.batch // (self.pp * self.dp)
 
     def train_config(self) -> TrainConfig:
         """The case's training schedule as a TrainConfig."""
         return TrainConfig(
-            global_batch_size=self.batch, micro_batch_size=self.batch,
-            seq_len=self.seq, learning_rate=1e-2,
+            global_batch_size=self.batch,
+            micro_batch_size=self.micro_batch,
+            seq_len=self.seq, learning_rate=1e-2, weight_decay=0.0,
             aux_loss_coeff=0.01, precision=self.precision,
             tile_tokens=self.tile_tokens,
             dropout=self.dropout,
@@ -222,22 +251,28 @@ SMOKE_TILE_TOKENS = 2
 
 def plan_conformance_cases(attention: str = "sp", ffn: str = "ep",
                            ep_dispatch: str = "a2a",
-                           precision: str = "bf16",
+                           precision: str = "bf16", pp: int = 1,
+                           dp: int = 1,
                            seed: int = 0) -> List[VerifyCase]:
     """Map a winning plan onto the small conformance shapes.
 
     The plan-space optimizer (:func:`repro.core.planner.plan_cluster`)
     emits a strategy tuple for a production-scale model; this projects
-    that tuple onto the 4-rank default shapes so ``repro plan
-    --verify`` can prove the chosen configuration is numerically live.
-    ``adaptive`` dispatch resolves to the concrete modes it can pick
-    between.
+    that tuple onto the default shapes so ``repro plan --verify`` can
+    prove the chosen configuration is numerically live.  A pipeline or
+    data-parallel degree above 1 stays above 1 (as 2), and the node
+    shrinks from 4 to 2 ranks when both do, so the world keeps at most
+    8 ranks.  ``adaptive`` dispatch resolves to
+    the concrete modes it can pick between.
     """
+    pp, dp = min(pp, 2), min(dp, 2)
+    ranks = min(4, 8 // (pp * dp))
     dispatches = (("a2a", "ag_rs") if ep_dispatch == "adaptive"
                   else (ep_dispatch,))
     return [
-        VerifyCase(attention=attention, ffn=ffn, ep_dispatch=dispatch,
-                   precision=precision, seed=seed)
+        VerifyCase(ranks=ranks, attention=attention, ffn=ffn,
+                   ep_dispatch=dispatch, precision=precision, pp=pp,
+                   dp=dp, batch=2 * pp * dp, seed=seed)
         for dispatch in dispatches
     ]
 
@@ -245,8 +280,9 @@ def plan_conformance_cases(attention: str = "sp", ffn: str = "ep",
 def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
     """The seeded CI grid: EP dispatch × precision, a tiled (§4.2
     tile-granular) leg per dispatch, float32-model legs (the
-    production default dtype) over both dispatches, and one float32
-    tiled case."""
+    production default dtype) over both dispatches, one float32
+    tiled case, and the production layout (Fig. 4) at n=2 pp=2 dp=2
+    in float32 and with FP8 comm."""
 
     def cases() -> Iterator[VerifyCase]:
         for dispatch in SMOKE_DISPATCHES:
@@ -260,6 +296,9 @@ def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
                              seed=seed)
         yield VerifyCase(tile_tokens=SMOKE_TILE_TOKENS, dtype="float32",
                          seed=seed)
+        for kw in (dict(dtype="float32"), dict(precision="fp8")):
+            yield VerifyCase(ranks=2, pp=2, dp=2, batch=4, seed=seed,
+                             **kw)
 
     return list(cases())
 

@@ -14,7 +14,7 @@ three trainings from identical seeds —
    fused groups whole, for the tiling bitwise-identity contract —
 
 plus one untrained **dtype probe** forward whose autograd tape the
-``dtype_stable`` invariant inspects and one two-rank **DP leg** whose
+``dtype_stable`` invariant inspects and one two-replica **DP leg** whose
 synchronized gradients and optimizer state it inspects — then
 evaluates every registered invariant and folds the outcomes into a
 :class:`CaseResult`.
@@ -24,7 +24,10 @@ conformance matrix `repro verify` prints.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +35,7 @@ import numpy as np
 from ..comm.group import World
 from ..core.trainer import MegaScaleTrainer
 from ..model.transformer import MoETransformer
+from ..parallel.zero import Zero1AdamW
 from ..precision.optimizer import AdamW, clip_grad_norm
 from .cases import VerifyCase
 from .invariants import InvariantResult, registered_invariants
@@ -223,15 +227,15 @@ def _snapshot_params(model) -> Dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
 
 
-def _make_trainer(case: VerifyCase) -> MegaScaleTrainer:
-    """The case's model (seeded, in the case's dtype) under its plan."""
+def _make_trainer(case: VerifyCase, **train) -> MegaScaleTrainer:
+    """The case's model (seeded, in the case's dtype) under its plan;
+    ``train`` overrides fields of the case's TrainConfig."""
     model = MoETransformer(case.model_config(), seed=case.seed,
                            dtype=np.dtype(case.dtype))
     return MegaScaleTrainer(
-        model, World(case.ranks, case.ranks), case.parallel_config(),
-        case.train_config(),
-        optimizer=AdamW(model.parameters(), lr=_LEARNING_RATE),
-    )
+        model, World(case.ranks * case.pp * case.dp, case.ranks),
+        case.parallel_config(),
+        dataclasses.replace(case.train_config(), **train))
 
 
 def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
@@ -259,35 +263,32 @@ def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
             for t in stream if t.node is not None]
 
 
-def _optimizer_dtypes(optimizer: AdamW, prefix: str) -> Dict[str, str]:
+def _optimizer_dtypes(optimizer, prefix: str) -> Dict[str, str]:
+    """dtype names of an AdamW's moments or a Zero1AdamW's shards."""
+    if isinstance(optimizer, Zero1AdamW):
+        pairs = (("m", optimizer.m_shards), ("v", optimizer.v_shards),
+                 ("master", optimizer.master_shards))
+    else:
+        pairs = (("m", optimizer.m), ("v", optimizer.v))
     return {f"{prefix}.{kind}/{i}": state.dtype.name
-            for kind, states in (("m", optimizer.m), ("v", optimizer.v))
+            for kind, states in pairs
             for i, state in enumerate(states)}
 
 
 def _dp_leg_dtypes(case: VerifyCase) -> Dict[str, str]:
-    """dtype names of what one data-parallel step leaves behind.
-
-    Two DP ranks train the case's single-rank model on one row each of
-    the first batch with the paper's BF16 all-to-all gradient sync
-    (§5): the gradients every rank *receives* and the moments AdamW
-    then holds must be in the model's dtype — only the cross-rank
-    accumulator widens (docs/INTERNALS.md §17).
-    """
-    from ..parallel.dp import DataParallelTrainer
-    model = MoETransformer(case.model_config(), seed=case.seed,
-                           dtype=np.dtype(case.dtype))
-    optimizer = AdamW(model.parameters(), lr=_LEARNING_RATE)
-    trainer = DataParallelTrainer(
-        model, World(2, 2).full_group(), optimizer,
-        lambda m, batch: m.language_model_loss(batch,
-                                               aux_coeff=_AUX_COEFF),
-        sync_method="bf16_a2a", grad_clip=_GRAD_CLIP)
+    """dtype names of what one data-parallel step leaves behind: two
+    single-rank replicas train one row each with §5's BF16 all-to-all
+    sync, and the gradients they receive and the ZeRO-1 shards must be
+    in the model's dtype (docs/INTERNALS.md §17)."""
+    leg = case.replace(ranks=1, pp=1, dp=2, batch=2, tile_tokens=None,
+                       resize=())
+    trainer = _make_trainer(leg, dp_comm_compression=True)
     batch = _batches(case)[0]
-    trainer.train_step([batch[:1], batch[-1:]])
+    trainer.train_step(np.concatenate([batch[:1], batch[-1:]]))
     dtypes = {f"dp.grad/{name}": p.grad.dtype.name
-              for name, p in model.named_parameters()}
-    dtypes.update(_optimizer_dtypes(optimizer, "dp.opt"))
+              for name, p in trainer.model.named_parameters()
+              if p.grad is not None}
+    dtypes.update(_optimizer_dtypes(trainer.optimizer, "dp.opt"))
     return dtypes
 
 
@@ -358,7 +359,8 @@ def _run_parallel(case: VerifyCase,
 
 
 def _run_golden(case: VerifyCase) -> GoldenArtifacts:
-    """The single-rank reference: same seeds, same optimizer schedule."""
+    """The single-rank reference: same seeds, same optimizer schedule,
+    the loss averaged over the case's micro-batches."""
     model = MoETransformer(case.model_config(), seed=case.seed,
                            dtype=np.dtype(case.dtype))
     optimizer = AdamW(model.parameters(), lr=_LEARNING_RATE)
@@ -366,7 +368,12 @@ def _run_golden(case: VerifyCase) -> GoldenArtifacts:
     first_grads: Dict[str, np.ndarray] = {}
     for step, batch in enumerate(_batches(case)):
         model.zero_grad()
-        loss = model.language_model_loss(batch, aux_coeff=_AUX_COEFF)
+        micros = np.split(batch, case.batch // case.micro_batch)
+        loss = reduce(add, [
+            model.language_model_loss(micro, aux_coeff=_AUX_COEFF)
+            for micro in micros])
+        if len(micros) > 1:
+            loss = loss * (1.0 / len(micros))
         loss.backward()
         clip_grad_norm(model.parameters(), _GRAD_CLIP)
         if step == 0:
@@ -451,8 +458,13 @@ def run_case(case: VerifyCase,
         artifacts.untiled_twin = _run_parallel(case.untiled_twin())
     if case.resize:
         artifacts.elastic = _run_elastic(case)
+    return _evaluate(case, artifacts, registered_invariants())
+
+
+def _evaluate(case, artifacts, invariants) -> CaseResult:
+    """Every invariant's outcome on one case's artifacts."""
     outcomes: List[InvariantResult] = []
-    for invariant in registered_invariants():
+    for invariant in invariants:
         if not invariant.applies(case):
             outcomes.append(InvariantResult(invariant.name, "skip"))
             continue
@@ -533,42 +545,25 @@ def run_serve_case(case) -> CaseResult:
         thread_stacks=dict(tracer.thread_stacks()),
         shutdown_error=shutdown_error,
     )
-    outcomes: List[InvariantResult] = []
-    for invariant in registered_serve_invariants():
-        if not invariant.applies(case):
-            outcomes.append(InvariantResult(invariant.name, "skip"))
-            continue
-        violations = invariant.check(artifacts)
-        if violations:
-            outcomes.append(InvariantResult(
-                invariant.name, "fail", "; ".join(violations)))
-        else:
-            outcomes.append(InvariantResult(invariant.name, "pass"))
-    return CaseResult(case=case, outcomes=outcomes)
+    return _evaluate(case, artifacts, registered_serve_invariants())
 
 
 def run_serve_matrix(cases: Sequence[object],
                      progress: Optional[Callable[[CaseResult], None]]
                      = None) -> ConformanceReport:
-    """Run every serve case; ``progress`` receives results as they
-    land.  Returns the same matrix report shape as :func:`run_matrix`
+    """Run every serve case; same report shape as :func:`run_matrix`
     so `repro verify --serve` renders identically."""
-    results = []
-    for case in cases:
-        result = run_serve_case(case)
-        if progress is not None:
-            progress(result)
-        results.append(result)
-    return ConformanceReport(results=results)
+    return run_matrix(cases, progress, run=run_serve_case)
 
 
 def run_matrix(cases: Sequence[VerifyCase],
                progress: Optional[Callable[[CaseResult], None]] = None,
+               run: Callable[..., CaseResult] = run_case,
                ) -> ConformanceReport:
     """Run every case; ``progress`` receives each result as it lands."""
     results = []
     for case in cases:
-        result = run_case(case)
+        result = run(case)
         if progress is not None:
             progress(result)
         results.append(result)

@@ -23,7 +23,6 @@ __all__ = [
     "fuzz",
     "shrink",
     "corrupting_world_setup",
-    "shrink_seeded_violation",
 ]
 
 
@@ -108,6 +107,9 @@ def _shrink_candidates(case: VerifyCase) -> Iterator[VerifyCase]:
     # and it unlocks the seq/ranks shrinks a tile width would forbid.
     if case.tile_tokens is not None:
         yield from filter(None, [attempt(tile_tokens=None)])
+    for degree in ("pp", "dp"):
+        if getattr(case, degree) > 1:
+            yield from filter(None, [attempt(**{degree: 1})])
     if case.ranks > 1:
         yield from filter(None, [attempt(ranks=case.ranks // 2)])
     if case.layers > 1:
@@ -181,22 +183,3 @@ def corrupting_world_setup(seed: int = 0, at_call: int = 0):
 
     return setup
 
-
-def shrink_seeded_violation(seed: int = 0):
-    """End-to-end demo: inject a bit-flip, catch it, shrink it.
-
-    Returns ``(original, minimal, result)`` — the starting tiled
-    case, the shrunk minimal reproducer, and the minimal case's
-    :class:`~repro.verify.engine.CaseResult` (which still fails).
-    """
-    original = VerifyCase(tile_tokens=2, ep_dispatch="a2a", seed=seed)
-
-    def fails(case: VerifyCase) -> bool:
-        return not run_case(
-            case, world_setup=corrupting_world_setup(seed)).ok
-
-    if not fails(original):  # pragma: no cover - seeded determinism
-        raise RuntimeError("seeded corruption was not caught")
-    minimal = shrink(original, fails)
-    result = run_case(minimal, world_setup=corrupting_world_setup(seed))
-    return original, minimal, result

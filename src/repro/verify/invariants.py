@@ -522,6 +522,36 @@ def _check_dtype_stable(art: "RunArtifacts") -> List[str]:
     return violations
 
 
+def _check_sync_split(art: "RunArtifacts") -> List[str]:
+    """The DP gradient sync of the replicated parameters moves App.
+    A.1's hierarchical volumes: ``2 P (n-1)/n`` per rank inside a node
+    (``:intra_`` tags) and ``2 P/n (d-1)/d`` per rank across nodes
+    (``:inter_`` tags), every step."""
+    from ..comm.hierarchical import (hierarchical_inter_node_volume,
+                                     hierarchical_intra_node_volume)
+    from ..core.trainer import is_replicated
+
+    case = art.case
+    n, d = case.ranks, case.dp
+    replicated = [v for name, v in art.params.items()
+                  if is_replicated(name)]
+    param_bytes = float(sum(v.nbytes for v in replicated))
+    by_tag = art.ledger.bytes_by_tag()
+    violations = []
+    for leg, volume in (
+            ("intra", hierarchical_intra_node_volume(param_bytes, n)),
+            ("inter", hierarchical_inter_node_volume(param_bytes, n, d))):
+        want = volume * n * d * case.steps
+        got = sum(b for tag, b in by_tag.items()
+                  if tag.startswith(f"dp_grad:{leg}_"))
+        if abs(got - want) > 1e-9 * max(want, 1.0):
+            violations.append(
+                f"{leg}-node sync moved {got:.0f} B, App. A.1 expects "
+                f"{want:.0f} B ({case.steps} steps x {n * d} ranks)"
+            )
+    return violations
+
+
 def _check_elastic_resume(art: "RunArtifacts") -> List[str]:
     """The resize-injected elastic run must execute every step and
     land on the fixed-size run's loss trajectory within the
@@ -802,6 +832,14 @@ def default_registry() -> List[Invariant]:
                         "gradient is in the model's dtype",
             applies=lambda case: True,
             check=_check_dtype_stable,
+        ),
+        Invariant(
+            name="sync_split",
+            description="the DP sync of replicated parameters moves "
+                        "App. A.1's hierarchical intra- and inter-node "
+                        "volumes",
+            applies=lambda case: case.dp > 1,
+            check=_check_sync_split,
         ),
         Invariant(
             name="elastic_resume",

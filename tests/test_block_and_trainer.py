@@ -77,10 +77,9 @@ class TestMegaScaleTrainer:
         world = World(n, n)
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=config.seq_len, learning_rate=1e-2,
-                         aux_loss_coeff=0.01)
+                         weight_decay=0.0, aux_loss_coeff=0.01)
         trainer = MegaScaleTrainer(
-            model, world, ParallelConfig.megascale(n), tr,
-            optimizer=AdamW(model.parameters(), lr=1e-2), **kwargs)
+            model, world, ParallelConfig.megascale(n), tr, **kwargs)
         return trainer
 
     def test_losses_match_reference_exactly(self, tiny_config):
@@ -99,10 +98,9 @@ class TestMegaScaleTrainer:
         world = World(4, 4)
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=16, learning_rate=1e-2,
-                         aux_loss_coeff=0.01)
+                         weight_decay=0.0, aux_loss_coeff=0.01)
         trainer = MegaScaleTrainer(
-            model, world, ParallelConfig.megatron(world.size), tr,
-            optimizer=AdamW(model.parameters(), lr=1e-2))
+            model, world, ParallelConfig.megatron(world.size), tr)
         assert trainer.parallel.strategy_name == "TP+TP"
         losses = [trainer.train_step(b).loss for b in batches]
         np.testing.assert_allclose(losses, ref_losses, atol=1e-9)

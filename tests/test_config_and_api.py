@@ -133,3 +133,36 @@ class TestTrainConfig:
             TrainConfig(precision="fp4")
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(global_batch_size=0)
+
+
+class TestConfigFieldsAreLive:
+    """Every knob is either read by the training loop or listed here as
+    read only by the plan/performance model (or a benchmark shim)."""
+
+    #: Fields the trainer does not read, and why.
+    MODEL_ONLY = {
+        # The job shape the planner and perf model price; the trainer
+        # takes its batch shape from the batch it is given.
+        "global_batch_size", "seq_len",
+        # Interleaved 1F1B is a schedule and bubble model only.
+        "virtual_pipeline_size",
+        # One-valued shims the frozen wall-clock harness spells.
+        "execution", "backend",
+    }
+
+    def test_every_field_read_or_model_only(self):
+        import dataclasses
+        import pathlib
+        import re
+
+        import repro.core.trainer as trainer_module
+
+        source = pathlib.Path(trainer_module.__file__).read_text()
+        fields = [f.name for config in (ParallelConfig, TrainConfig)
+                  for f in dataclasses.fields(config)]
+        assert self.MODEL_ONLY <= set(fields)
+        for name in fields:
+            read = re.search(rf"\.{name}\b", source) is not None
+            assert read != (name in self.MODEL_ONLY), (
+                f"{name}: read by the trainer={read}, "
+                f"listed model-only={name in self.MODEL_ONLY}")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.comm import World
+from repro.core.config import ParallelConfig, TrainConfig
+from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.parallel.dp import DataParallelTrainer, zero1_memory_model
+from repro.parallel.zero import zero_memory_model
 from repro.precision.compression import (
     GRAD_SYNC_METHODS,
     InPlaceCastBuffer,
@@ -15,7 +17,7 @@ from repro.precision.compression import (
     sync_gradients,
 )
 from repro.precision.formats import round_bf16
-from repro.precision.optimizer import AdamW
+from repro.precision.optimizer import AdamW, clip_grad_norm
 
 
 class TestSyncGradients:
@@ -181,28 +183,29 @@ class TestInPlaceBuffer:
 
 
 class TestDataParallelTrainer:
-    def make(self, config, world, method, aux=0.01):
-        model = MoETransformer(config, seed=0, dtype=np.float64)
-        opt = AdamW(model.parameters(), lr=1e-2)
-        return DataParallelTrainer(
-            model, world.full_group(), opt,
-            lambda m, b: m.language_model_loss(b, aux_coeff=aux),
-            sync_method=method, grad_clip=1.0)
+    """Plain DP through the one trainer: single-rank replicas (n=1)."""
+
+    def make(self, config, compress=False, aux=0.01, dtype=np.float64):
+        model = MoETransformer(config, seed=0, dtype=dtype)
+        train = TrainConfig(global_batch_size=2, micro_batch_size=1,
+                            learning_rate=1e-2, weight_decay=0.0,
+                            aux_loss_coeff=aux,
+                            dp_comm_compression=compress)
+        return MegaScaleTrainer(model, World(2, 1),
+                                ParallelConfig(1, data_parallel_size=2),
+                                train)
 
     def test_fp32_matches_large_batch(self, tiny_config):
         """DP with exact sync equals training on the concatenated batch
         (the gradients average identically)."""
         corpus = MarkovCorpus(vocab_size=64, seed=2)
-        world = World(2, 2)
         # aux=0: the balance loss is not linear in the batch split, so
         # only the LM loss admits the concatenated-batch identity.
-        trainer = self.make(tiny_config, world, "fp32_rs", aux=0.0)
-        batches = list(batch_iterator(corpus, 2, 16, limit=2))
+        trainer = self.make(tiny_config, aux=0.0)
+        big = np.concatenate(list(batch_iterator(corpus, 2, 16, limit=2)))
 
         ref_model = MoETransformer(tiny_config, seed=0, dtype=np.float64)
         ref_opt = AdamW(ref_model.parameters(), lr=1e-2)
-        from repro.precision.optimizer import clip_grad_norm
-        big = np.concatenate(batches, axis=0)
         ref_model.zero_grad()
         # Average of per-batch losses == loss over concatenated batch
         # when batch sizes are equal.
@@ -211,8 +214,8 @@ class TestDataParallelTrainer:
         clip_grad_norm(ref_model.parameters(), 1.0)
         ref_opt.step()
 
-        result = trainer.train_step(batches)
-        assert result.mean_loss == pytest.approx(loss.item(), abs=1e-9)
+        result = trainer.train_step(big)
+        assert result.loss == pytest.approx(loss.item(), abs=1e-9)
         for (_, p_ref), (_, p_dp) in zip(ref_model.named_parameters(),
                                          trainer.model.named_parameters()):
             np.testing.assert_allclose(p_dp.data, p_ref.data, atol=1e-9)
@@ -221,71 +224,68 @@ class TestDataParallelTrainer:
         corpus = MarkovCorpus(vocab_size=64, seed=2)
         batches = list(batch_iterator(corpus, 2, 16, limit=6))
         losses = {}
-        for method in ("fp32_rs", "bf16_a2a"):
-            world = World(2, 2)
-            trainer = self.make(tiny_config, world, method)
-            curve = []
-            for i in range(0, 6, 2):
-                curve.append(trainer.train_step(batches[i:i + 2]).mean_loss)
-            losses[method] = curve
+        for compress in (False, True):
+            trainer = self.make(tiny_config, compress=compress)
+            losses[compress] = [
+                trainer.train_step(np.concatenate(batches[i:i + 2])).loss
+                for i in range(0, 6, 2)]
         # Fig. 17: the two loss curves are nearly identical.
-        diff = np.abs(np.array(losses["fp32_rs"])
-                      - np.array(losses["bf16_a2a"]))
+        diff = np.abs(np.array(losses[False]) - np.array(losses[True]))
         assert diff.max() < 5e-3
 
-    @pytest.mark.parametrize("method", GRAD_SYNC_METHODS)
+    @pytest.mark.parametrize("compress", [False, True])
     def test_float32_model_stays_float32_through_the_update(
-            self, tiny_config, rng, method):
-        """``train_step`` used to cast every synced gradient to float64
-        and hand it to float64 moments."""
-        model = MoETransformer(tiny_config, seed=0)  # default: float32
-        opt = AdamW(model.parameters(), lr=1e-2)
-        trainer = DataParallelTrainer(
-            model, World(2, 2).full_group(), opt,
-            lambda m, b: m.language_model_loss(b, aux_coeff=0.01),
-            sync_method=method, grad_clip=1.0)
-        batches = [rng.integers(0, 64, (1, 17)) for _ in range(2)]
-        assert np.isfinite(trainer.train_step(batches).mean_loss)
-        for p, m, v in zip(trainer.params, opt.m, opt.v):
-            assert p.data.dtype == p.grad.dtype == np.float32
-            assert m.dtype == v.dtype == np.float32
+            self, tiny_config, rng, compress):
+        """The DP sync used to cast every gradient to float64."""
+        trainer = self.make(tiny_config, compress=compress,
+                            dtype=np.float32)
+        batch = rng.integers(0, 64, (2, 17))
+        assert np.isfinite(trainer.train_step(batch).loss)
+        opt = trainer.optimizer
+        for p in trainer.params:
+            assert p.data.dtype == np.float32
+            assert p.grad is None or p.grad.dtype == np.float32
+        for shard in opt.master_shards + opt.m_shards + opt.v_shards:
+            assert shard.dtype == np.float32
 
     def test_batch_count_validation(self, tiny_config):
-        world = World(2, 2)
-        trainer = self.make(tiny_config, world, "fp32_rs")
-        with pytest.raises(ValueError, match="rank batches"):
-            trainer.train_step([np.zeros((1, 17), dtype=int)])
-
-    def test_invalid_method(self, tiny_config):
-        world = World(2, 2)
-        model = MoETransformer(tiny_config, seed=0)
-        with pytest.raises(ValueError, match="unknown sync"):
-            DataParallelTrainer(model, world.full_group(),
-                                AdamW(model.parameters()),
-                                lambda m, b: None, sync_method="nope")
+        trainer = self.make(tiny_config)
+        with pytest.raises(ValueError, match="data_parallel_size"):
+            trainer.train_step(np.zeros((3, 17), dtype=int))
 
     def test_sync_bytes_reported(self, tiny_config, rng):
-        world = World(2, 2)
-        trainer = self.make(tiny_config, world, "fp32_rs")
-        batches = [rng.integers(0, 64, (1, 17)) for _ in range(2)]
-        result = trainer.train_step(batches)
-        assert result.sync_bytes > 0
+        trainer = self.make(tiny_config)
+        trainer.train_step(rng.integers(0, 64, (2, 17)))
+        assert trainer.world.ledger.total_bytes(tag="dp_grad:inter_rs") > 0
+
+    def test_compression_halves_inter_node_bytes(self, tiny_config, rng):
+        """§5: the BF16 all-to-all moves 2-byte elements where the
+        uncompressed float64 sync moves 8."""
+        batch = rng.integers(0, 64, (2, 17))
+        inter = {}
+        for compress in (False, True):
+            trainer = self.make(tiny_config, compress=compress)
+            trainer.train_step(batch)
+            inter[compress] = sum(
+                b for tag, b in trainer.world.ledger.bytes_by_tag().items()
+                if tag.startswith("dp_grad:inter_"))
+        assert inter[True] == pytest.approx(inter[False] / 4)
 
 
 class TestZeRO1Memory:
     def test_sharding_reduces_optimizer_only(self):
-        base = zero1_memory_model(1e9, dp_size=1)
-        sharded = zero1_memory_model(1e9, dp_size=8)
+        base = zero_memory_model(1e9, dp_size=1, stage=1)
+        sharded = zero_memory_model(1e9, dp_size=8, stage=1)
         assert sharded["params"] == base["params"]
         assert sharded["grads"] == base["grads"]
         assert sharded["optimizer"] == pytest.approx(
             base["optimizer"] / 8)
 
     def test_total_consistent(self):
-        m = zero1_memory_model(1e6, dp_size=4)
+        m = zero_memory_model(1e6, dp_size=4, stage=1)
         assert m["total"] == pytest.approx(
             m["params"] + m["grads"] + m["optimizer"])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            zero1_memory_model(1e6, dp_size=0)
+            zero_memory_model(1e6, dp_size=0, stage=1)

@@ -35,7 +35,6 @@ from repro.ft.recovery import (
 )
 from repro.model import MoETransformer
 from repro.parallel.zero import Zero1AdamW
-from repro.precision.optimizer import AdamW
 from repro.tensor import Tensor
 
 CONFIG = ModelConfig("elastic-test", n_layers=2, hidden_size=32,
@@ -54,10 +53,9 @@ def make_factory(lr=1e-2):
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=16, learning_rate=lr,
-                            aux_loss_coeff=0.01)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         return MegaScaleTrainer(
-            model, World(n, n), ParallelConfig.megascale(n), train,
-            optimizer=AdamW(model.parameters(), lr=lr))
+            model, World(n, n), ParallelConfig.megascale(n), train)
     return factory
 
 
@@ -328,6 +326,43 @@ class TestElasticRunner:
         for step, loss in zip(metrics.steps, metrics.losses):
             assert loss == pytest.approx(fixed_final[step],
                                          rel=1e-12), step
+
+    def test_data_parallel_resize_matches_fixed_size(self, tmp_path):
+        """dp 2 -> 1 -> 2 on n=2 nodes: the trainer checkpoints its
+        ZeRO-1 shards, the dp=1 trainer folds them into AdamW moments
+        and the dp=2 one re-shards them (``reshard_zero1_state``); the
+        micro-batches are the same at every size, so the trajectory is
+        the fixed dp=2 run's."""
+        def dp_layout(dp):
+            return ParallelLayout.from_parallel_config(
+                ParallelConfig.megascale(2, data_parallel_size=dp))
+
+        def factory(layout=None):
+            dp = 2 if layout is None else layout.dp
+            model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
+            train = TrainConfig(global_batch_size=2, micro_batch_size=1,
+                                seq_len=16, learning_rate=1e-2,
+                                weight_decay=0.0, aux_loss_coeff=0.01)
+            return MegaScaleTrainer(
+                model, World(2 * dp, 2),
+                ParallelConfig.megascale(2, data_parallel_size=dp), train)
+
+        assert isinstance(factory().optimizer, Zero1AdamW)
+        batches = make_batches(6)
+        fixed = ProductionRunner(factory, str(tmp_path / "fixed"),
+                                 checkpoint_interval=2).run(batches)
+        elastic = ElasticRunner(factory, dp_layout(2),
+                                str(tmp_path / "elastic"),
+                                checkpoint_interval=2)
+        metrics = elastic.run(
+            batches, FaultInjector(resize_steps={2: dp_layout(1),
+                                                 4: dp_layout(2)}))
+        assert metrics.resizes == [2, 4]
+        assert len(elastic.reshard_reports) == 2
+        assert set(metrics.steps) == set(range(6))
+        want = dict(zip(fixed.steps, fixed.losses))
+        for step, loss in zip(metrics.steps, metrics.losses):
+            assert loss == pytest.approx(want[step], rel=1e-12), step
 
     def test_coerce_layout_forms(self, tmp_path):
         runner = ElasticRunner(make_factory(), 4, str(tmp_path))

@@ -17,7 +17,6 @@ from repro.parallel.dist_ops_fp8 import (
 )
 from repro.parallel.ep_ffn import EPFFNEngine
 from repro.parallel.tp_ffn import TPFFNEngine
-from repro.precision.optimizer import AdamW
 from repro.tensor import Tensor
 
 
@@ -160,10 +159,10 @@ class TestFP8TrainerEndToEnd:
         model = MoETransformer(config, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                             seq_len=16, learning_rate=3e-3,
-                            aux_loss_coeff=0.01, precision="fp8")
+                            weight_decay=0.0, aux_loss_coeff=0.01,
+                            precision="fp8")
         trainer = MegaScaleTrainer(
-            model, World(4, 4), ParallelConfig.megascale(4), train,
-            optimizer=AdamW(model.parameters(), lr=3e-3))
+            model, World(4, 4), ParallelConfig.megascale(4), train)
         assert trainer.engines[0].ffn_engine.fp8_comm
         corpus = MarkovCorpus(vocab_size=64, seed=0)
         losses = [trainer.train_step(b).lm_loss
@@ -180,11 +179,10 @@ class TestFP8TrainerEndToEnd:
             model = MoETransformer(config, seed=0, dtype=np.float64)
             train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                                 seq_len=16, learning_rate=3e-3,
-                                aux_loss_coeff=0.01,
+                                weight_decay=0.0, aux_loss_coeff=0.01,
                                 precision=precision)
             trainer = MegaScaleTrainer(
-                model, World(4, 4), ParallelConfig.megascale(4), train,
-                optimizer=AdamW(model.parameters(), lr=3e-3))
+                model, World(4, 4), ParallelConfig.megascale(4), train)
             corpus = MarkovCorpus(vocab_size=64, seed=0)
             curves[precision] = np.array([
                 trainer.train_step(b).lm_loss

@@ -155,19 +155,17 @@ class TestHealthMonitorWiring:
         from repro.core.trainer import MegaScaleTrainer
         from repro.data import MarkovCorpus, batch_iterator
         from repro.model import MoETransformer
-        from repro.precision.optimizer import AdamW
 
         cfg = ModelConfig("health", 1, 16, 4, 2, 24, 4, 2,
                           vocab_size=32, seq_len=8)
         model = MoETransformer(cfg, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=8, learning_rate=5e-3,
-                            aux_loss_coeff=0.01)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         world = World(2, 2)
         monitor = HealthMonitor()
         trainer = MegaScaleTrainer(
             model, world, ParallelConfig.megascale(2), train,
-            optimizer=AdamW(model.parameters(), lr=5e-3),
             health=monitor)
         assert world.health is monitor
         corpus = MarkovCorpus(vocab_size=32, seed=0)

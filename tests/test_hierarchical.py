@@ -5,6 +5,7 @@ import pytest
 
 from repro.comm import (
     World,
+    rank_ordered_sum,
     flat_sync,
     hierarchical_inter_node_volume,
     hierarchical_intra_node_volume,
@@ -47,6 +48,61 @@ class TestHierarchicalSync:
         world = World(6, ranks_per_node=4)
         with pytest.raises(ValueError, match="not divisible"):
             hierarchical_sync(world, [rng.standard_normal(4)] * 6)
+
+
+class TestDtypeAndSummation:
+    """Gradients come back in their own dtype, every cross-rank sum is
+    the rank-ordered one, and an uncompressed wire is priced at the
+    gradients' itemsize.  The earlier sync cast every gradient to
+    float64, summed the indivisible fallback with ``np.sum`` and priced
+    every leg at 4 bytes, so a float32 check of it agreed with itself
+    on the wrong answer."""
+
+    @pytest.mark.parametrize("sync,numel", [
+        (hierarchical_sync, 24),   # shard 6 over d=2: RS + AG
+        (hierarchical_sync, 9),    # shard 3 over d=2: fallback
+        (flat_sync, 7),            # 7 over d=2: fallback
+    ])
+    def test_float32_in_float32_out(self, rng, sync, numel):
+        n, d = 3, 2
+        world = World(n * d, ranks_per_node=n)
+        grads = [rng.standard_normal(numel).astype(np.float32)
+                 for _ in range(n * d)]
+        outs = sync(world, grads)
+        assert {o.dtype for o in outs} == {np.dtype(np.float32)}
+        if sync is flat_sync:
+            for local in range(n):
+                want = rank_ordered_sum(
+                    [grads[local], grads[local + n]]).astype(np.float32)
+                np.testing.assert_array_equal(outs[local], want)
+                np.testing.assert_array_equal(outs[local + n], want)
+        else:
+            want = np.sum(np.asarray(grads, np.float64), axis=0)
+            np.testing.assert_allclose(outs[0], want, rtol=1e-5)
+            assert all(np.array_equal(o, outs[0]) for o in outs)
+        per_rank = world.ledger.total_bytes() / (n * d)
+        padded = -(-numel // n) * n
+        want_bytes = (
+            hierarchical_intra_node_volume(padded * 4.0, n)
+            + hierarchical_inter_node_volume(padded * 4.0, n, d)
+            if sync is hierarchical_sync
+            else hierarchical_inter_node_volume(numel * 4.0, 1, d))
+        assert per_rank == pytest.approx(want_bytes)
+
+    def test_compressed_inter_leg_is_bf16(self, rng):
+        n, d = 2, 2
+        world = World(n * d, ranks_per_node=n)
+        grads = [rng.standard_normal(16).astype(np.float32)
+                 for _ in range(n * d)]
+        outs = hierarchical_sync(world, grads, tag="g", compress=True)
+        assert outs[0].dtype == np.float32
+        by_tag = world.ledger.bytes_by_tag()
+        inter = sum(b for t, b in by_tag.items() if t.startswith("g:inter_"))
+        intra = sum(b for t, b in by_tag.items() if t.startswith("g:intra_"))
+        assert inter == pytest.approx(
+            n * d * hierarchical_inter_node_volume(16 * 2.0, n, d))
+        assert intra == pytest.approx(
+            n * d * hierarchical_intra_node_volume(16 * 4.0, n))
 
 
 class TestFlatSync:

@@ -1,141 +1,130 @@
-"""Tests for the hybrid 2D (model × data parallel) trainer (Fig. 4/5)."""
+"""Tests for the hybrid 2D layout (model × data parallel, Fig. 4/5) of
+the one trainer: ``n`` model-parallel ranks per node, ``dp`` replicas,
+replicated parameters synced hierarchically (App. A.1)."""
 
 import numpy as np
 import pytest
 
 from repro.comm import World
 from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
+from repro.core.trainer import MegaScaleTrainer, is_replicated
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.parallel.dp import DataParallelTrainer
-from repro.parallel.hybrid2d import Hybrid2DTrainer, _is_replicated
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("h2d", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
                      top_k=2, vocab_size=64, seq_len=16)
 TRAIN = TrainConfig(global_batch_size=4, micro_batch_size=2, seq_len=16,
-                    learning_rate=1e-2, aux_loss_coeff=0.01)
+                    learning_rate=1e-2, weight_decay=0.0,
+                    aux_loss_coeff=0.01)
 
 
-def make_batches(steps, per_step=2):
+def make_batches(steps):
+    """``steps`` batches of 4 rows: 2 per replica."""
     corpus = MarkovCorpus(vocab_size=64, seed=0)
-    return list(batch_iterator(corpus, 2, 16, seed=1,
-                               limit=steps * per_step))
+    rows = list(batch_iterator(corpus, 2, 16, seed=1, limit=2 * steps))
+    return [np.concatenate(rows[i:i + 2]) for i in range(0, 2 * steps, 2)]
+
+
+def make_trainer(n=4, dp=2, world=None):
+    model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
+    world = World(n * dp, ranks_per_node=n) if world is None else world
+    return MegaScaleTrainer(
+        model, world, ParallelConfig.megascale(n, data_parallel_size=dp),
+        TRAIN)
+
+
+def sync_bytes(world, leg):
+    """Ledger bytes of the replicated-parameter sync's ``leg``."""
+    return sum(b for tag, b in world.ledger.bytes_by_tag().items()
+               if tag.startswith(f"dp_grad:{leg}_"))
 
 
 class TestReplicationClassifier:
     def test_attention_and_norms_replicated(self):
         for name in ("blocks.0.attn.qkv_proj.weight", "blocks.1.ln1.weight",
                      "embedding", "lm_head.weight", "final_norm.weight"):
-            assert _is_replicated(name), name
+            assert is_replicated(name), name
 
     def test_experts_and_router_sharded(self):
         for name in ("blocks.0.moe.experts.3.fc1",
                      "blocks.1.moe.router.gate.weight"):
-            assert not _is_replicated(name), name
+            assert not is_replicated(name), name
 
 
 class TestHybrid2DTrainer:
     def test_matches_plain_dp_exactly(self):
+        """n=4 model parallelism inside each replica changes nothing
+        numerically against single-rank replicas."""
         batches = make_batches(3)
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        h_losses = [h2d.train_step(batches[i:i + 2]).loss
-                    for i in range(0, 6, 2)]
-
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        dp = DataParallelTrainer(
-            model, World(2, 2).full_group(),
-            AdamW(model.parameters(), lr=1e-2),
-            lambda m, b: m.language_model_loss(b, aux_coeff=0.01),
-            sync_method="fp32_rs", grad_clip=1.0)
-        d_losses = [dp.train_step(batches[i:i + 2]).mean_loss
-                    for i in range(0, 6, 2)]
+        hybrid = make_trainer()
+        plain = make_trainer(n=1)
+        h_losses = [hybrid.train_step(b).loss for b in batches]
+        d_losses = [plain.train_step(b).loss for b in batches]
         np.testing.assert_allclose(h_losses, d_losses, atol=1e-12)
 
     def test_replicas_stay_identical(self):
-        batches = make_batches(2)
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        for i in range(0, 4, 2):
-            h2d.train_step(batches[i:i + 2])
-        a = h2d.replicas[0].state_dict()
-        b = h2d.replicas[1].state_dict()
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+        """Every DP rank's ZeRO-1 master shard is its slice of the one
+        parameter copy that stands for all replicas."""
+        trainer = make_trainer()
+        for batch in make_batches(2):
+            trainer.train_step(batch)
+        opt = trainer.optimizer
+        flat = np.concatenate(opt.master_shards)[:opt.numel]
+        np.testing.assert_array_equal(
+            flat, np.concatenate([p.data.reshape(-1)
+                                  for p in trainer.params]))
 
     def test_traffic_split_recorded(self):
-        batches = make_batches(1)
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        result = h2d.train_step(batches[:2])
+        trainer = make_trainer()
+        trainer.train_step(make_batches(1)[0])
         # Hierarchical sync produces both intra- and inter-node traffic.
-        assert result.intra_node_sync_bytes > 0
-        assert result.inter_node_sync_bytes > 0
+        assert sync_bytes(trainer.world, "intra") > 0
+        assert sync_bytes(trainer.world, "inter") > 0
 
     def test_sync_bytes_exact_under_ledger_rotation(self):
-        """Traffic deltas come from cumulative tag counters: a bounded
-        ledger rotating records between the before/after snapshots must
-        not under-count the sync traffic."""
+        """Sync traffic reads the cumulative tag counters: a bounded
+        ledger rotating records mid-step must not under-count it."""
         batches = make_batches(2)
 
         def run(max_records):
             world = World(8, ranks_per_node=4,
                           max_ledger_records=max_records)
-            h2d = Hybrid2DTrainer(CONFIG, world,
-                                  ParallelConfig.megascale(4), TRAIN,
-                                  seed=0)
-            results = [h2d.train_step(batches[i:i + 2])
-                       for i in range(0, 4, 2)]
-            return world, results
+            trainer = make_trainer(world=world)
+            for batch in batches:
+                trainer.train_step(batch)
+            return world
 
-        bounded_world, bounded = run(4)
-        _, unbounded = run(None)
-        assert bounded_world.ledger.dropped > 0
-        for b_res, u_res in zip(bounded, unbounded):
-            assert b_res.intra_node_sync_bytes == \
-                u_res.intra_node_sync_bytes > 0
-            assert b_res.inter_node_sync_bytes == \
-                u_res.inter_node_sync_bytes > 0
+        bounded, unbounded = run(4), run(None)
+        assert bounded.ledger.dropped > 0
+        for leg in ("intra", "inter"):
+            assert sync_bytes(bounded, leg) == \
+                sync_bytes(unbounded, leg) > 0
 
     def test_intra_traffic_is_replicated_params_only(self):
         """Expert parameters never touch the intra-node sync path."""
-        batches = make_batches(1)
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        h2d.train_step(batches[:2])
-        expert_tags = {r.tag for r in world.ledger.records
-                       if "hybrid2d:expert" in r.tag}
+        trainer = make_trainer()
+        trainer.train_step(make_batches(1)[0])
+        tags = trainer.world.ledger.bytes_by_tag()
+        expert_tags = [t for t in tags if t.startswith("dp_grad:expert")]
+        assert expert_tags
         assert all(":intra_" not in t for t in expert_tags)
 
     def test_world_shape_validation(self):
         with pytest.raises(ValueError, match="ranks_per_node"):
-            Hybrid2DTrainer(CONFIG, World(8, ranks_per_node=2),
-                            ParallelConfig.megascale(4), TRAIN)
+            make_trainer(world=World(8, ranks_per_node=2))
 
     def test_batch_count_validation(self):
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        with pytest.raises(ValueError, match="replica batches"):
-            h2d.train_step(make_batches(1)[:1])
+        trainer = make_trainer()
+        with pytest.raises(ValueError, match="data_parallel_size"):
+            trainer.train_step(make_batches(1)[0][:3])
 
     def test_single_replica_degenerates_to_mp_only(self):
-        batches = make_batches(1)
-        world = World(4, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        result = h2d.train_step(batches[:1])
-        assert result.inter_node_sync_bytes == 0.0
+        trainer = make_trainer(dp=1)
+        trainer.train_step(make_batches(1)[0])
+        assert not any(t.startswith("dp_grad")
+                       for t in trainer.world.ledger.bytes_by_tag())
 
     def test_eval_loss_runs(self):
-        world = World(8, ranks_per_node=4)
-        h2d = Hybrid2DTrainer(CONFIG, world, ParallelConfig.megascale(4),
-                              TRAIN, seed=0)
-        loss = h2d.eval_loss(make_batches(1)[0])
+        loss = make_trainer().eval_loss(make_batches(1)[0])
         assert np.isfinite(loss)

@@ -13,8 +13,6 @@ from repro.core import (
 )
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.parallel.dp import DataParallelTrainer
-from repro.precision.optimizer import AdamW
 from repro.precision.policy import bf16_policy, fp8_policy
 
 
@@ -29,10 +27,9 @@ def loss_curve(policy, steps=8, seed=0, config=CONFIG, lr=3e-3):
     world = World(4, 4)
     tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                      seq_len=config.seq_len, learning_rate=lr,
-                     aux_loss_coeff=0.01)
+                     weight_decay=0.0, aux_loss_coeff=0.01)
     trainer = MegaScaleTrainer(
-        model, world, ParallelConfig.megascale(4), tr,
-        optimizer=AdamW(model.parameters(), lr=lr), policy=policy)
+        model, world, ParallelConfig.megascale(4), tr, policy=policy)
     corpus = MarkovCorpus(vocab_size=64, seed=seed)
     return [trainer.train_step(b).lm_loss
             for b in batch_iterator(corpus, 4, 16, seed=seed + 1,
@@ -67,10 +64,9 @@ class TestFig18FP8Convergence:
         world = World(4, 4)
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=16, learning_rate=3e-3,
-                         aux_loss_coeff=0.01)
+                         weight_decay=0.0, aux_loss_coeff=0.01)
         continued = MegaScaleTrainer(
             model, world, ParallelConfig.megascale(4), tr,
-            optimizer=AdamW(model.parameters(), lr=3e-3),
             policy=fp8_policy())
         continued.load_state_dict(state)
         corpus = MarkovCorpus(vocab_size=64, seed=0)
@@ -87,22 +83,21 @@ class TestFig17DPCompression:
         curves = {}
         corpus = MarkovCorpus(vocab_size=64, seed=4)
         batches = list(batch_iterator(corpus, 2, 16, seed=5, limit=16))
-        for method in ("fp32_rs", "bf16_a2a"):
+        for compress in (False, True):
             model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-            trainer = DataParallelTrainer(
-                model, World(2, 2).full_group(),
-                AdamW(model.parameters(), lr=3e-3),
-                lambda m, b: m.language_model_loss(b, aux_coeff=0.01),
-                sync_method=method, grad_clip=1.0)
-            curve = []
-            for i in range(0, len(batches), 2):
-                curve.append(trainer.train_step(batches[i:i + 2])
-                             .mean_loss)
-            curves[method] = np.array(curve)
-        rel = np.abs(curves["fp32_rs"] - curves["bf16_a2a"]) \
-            / curves["fp32_rs"]
+            tr = TrainConfig(global_batch_size=4, micro_batch_size=2,
+                             seq_len=16, learning_rate=3e-3,
+                             weight_decay=0.0, aux_loss_coeff=0.01,
+                             dp_comm_compression=compress)
+            trainer = MegaScaleTrainer(
+                model, World(2, 1), ParallelConfig(1, data_parallel_size=2),
+                tr)
+            curves[compress] = np.array([
+                trainer.train_step(np.concatenate(batches[i:i + 2])).loss
+                for i in range(0, len(batches), 2)])
+        rel = np.abs(curves[False] - curves[True]) / curves[False]
         assert rel.max() < 0.01
-        assert curves["bf16_a2a"][-1] < curves["bf16_a2a"][0]
+        assert curves[True][-1] < curves[True][0]
 
 
 class TestFig19ProductionRun:
@@ -118,18 +113,16 @@ class TestFig19ProductionRun:
         world = World(4, 4)
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=16, learning_rate=3e-3,
-                         aux_loss_coeff=0.01)
+                         weight_decay=0.0, aux_loss_coeff=0.01)
         straight = MegaScaleTrainer(
-            model, world, ParallelConfig.megascale(4), tr,
-            optimizer=AdamW(model.parameters(), lr=3e-3))
+            model, world, ParallelConfig.megascale(4), tr)
         straight_losses = [straight.train_step(b).lm_loss
                            for b in batches]
 
         # Run with two restarts at steps 4 and 8.
         model2 = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         trainer = MegaScaleTrainer(
-            model2, world, ParallelConfig.megascale(4), tr,
-            optimizer=AdamW(model2.parameters(), lr=3e-3))
+            model2, world, ParallelConfig.megascale(4), tr)
         restart_losses = []
         for i, batch in enumerate(batches):
             if i in (4, 8):
@@ -137,8 +130,7 @@ class TestFig19ProductionRun:
                 fresh_model = MoETransformer(CONFIG, seed=123,
                                              dtype=np.float64)
                 trainer = MegaScaleTrainer(
-                    fresh_model, world, ParallelConfig.megascale(4), tr,
-                    optimizer=AdamW(fresh_model.parameters(), lr=3e-3))
+                    fresh_model, world, ParallelConfig.megascale(4), tr)
                 trainer.load_state_dict(state)
             restart_losses.append(trainer.train_step(batch).lm_loss)
 

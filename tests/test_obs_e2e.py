@@ -19,8 +19,6 @@ from repro.obs import (
     audit_comm_volumes,
     crosscheck_tracer_ledger,
 )
-from repro.parallel.pp_engine import PipelineParallelTrainer
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("obs-e2e", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -103,22 +101,20 @@ class TestTracedTrainingStep:
 
 class TestPipeline2DTrace:
     def _run(self):
+        """Two pipeline stages of an SP+EP node each, traced."""
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         obs = Observability.create()
-        world = World(2, 2)       # two pipeline stages
-        mp_world = World(2, 2)    # SP+EP inside each stage
-        world.attach_tracer(obs.tracer)
-        mp_world.attach_tracer(obs.tracer)
-        trainer = PipelineParallelTrainer(
-            model, world, n_micro=2,
-            optimizer=AdamW(model.parameters(), lr=3e-3),
-            aux_loss_coeff=0.01, mp_world=mp_world,
-            mp_attention="sp", mp_ffn="ep")
+        train = TrainConfig(global_batch_size=2, micro_batch_size=1,
+                            seq_len=16, learning_rate=1e-2,
+                            weight_decay=0.0, aux_loss_coeff=0.01)
+        trainer = MegaScaleTrainer(
+            model, World(4, 2), ParallelConfig.megascale(2, 2), train,
+            obs=obs)
         result = trainer.train_step(make_batches(1)[0])
-        return obs, world, mp_world, result
+        return obs, trainer.world, result
 
     def test_stage_spans_and_streams(self):
-        obs, _, _, result = self._run()
+        obs, _, result = self._run()
         stages = obs.tracer.closed_spans(cat="pp.stage")
         # 2 stages x 2 micro-batches, forward only.
         assert len(stages) == 4
@@ -127,42 +123,50 @@ class TestPipeline2DTrace:
         assert result.loss > 0.0
 
     def test_comm_spans_nested_under_stages(self):
-        obs, _, _, _ = self._run()
+        obs, _, _ = self._run()
         tracer = obs.tracer
         stage_ids = {s.span_id for s in
                      tracer.closed_spans(cat="pp.stage")}
         op_parent = {s.span_id: s.parent_id
                      for s in tracer.closed_spans(cat="dag")}
         fwd_comm = [s for s in tracer.closed_spans(cat="comm")
-                    if not str(s.attrs.get("tag", "")).endswith(":bwd")]
+                    if s.attrs.get("op") != "p2p"
+                    and not str(s.attrs.get("tag", "")).endswith(":bwd")]
         assert fwd_comm
         for span in fwd_comm:
             # stage > dag.op:<collective> > comm
             assert op_parent[span.parent_id] in stage_ids
 
     def test_p2p_instant_events(self):
-        obs, world, _, result = self._run()
-        p2p = [e for e in obs.tracer.events if e.cat == "comm.p2p"]
-        fwd = [e for e in p2p if e.attrs["tag"].startswith("pp_fwd")]
-        # Each of the 2 micro-batches crosses the single stage boundary.
-        assert len(fwd) == 2
-        # p2p_bytes counts forward *and* backward boundary crossings.
-        assert sum(e.attrs["bytes"] for e in p2p) == result.p2p_bytes
-        assert all(e.attrs["src"] == 0 and e.attrs["dst"] == 1
-                   for e in fwd)
+        """Every stage-boundary send is a self-contained ``p2p`` comm
+        span on the inter-node lane, under the receiving stage's span
+        in the forward."""
+        obs, world, _ = self._run()
+        p2p = [s for s in obs.tracer.closed_spans(cat="comm")
+               if s.attrs.get("op") == "p2p"]
+        fwd = [s for s in p2p if s.attrs["tag"].startswith("pp_fwd")]
+        # Each of the 2 micro-batches crosses the single stage boundary,
+        # forward and backward.
+        assert len(fwd) == 2 and len(p2p) == 4
+        assert sum(s.attrs["bytes"] for s in p2p) == \
+            world.ledger.total_bytes(op="p2p") > 0
+        assert {s.stream for s in p2p} == {"comm/inter"}
+        stage1 = {s.span_id for s in obs.tracer.closed_spans(cat="pp.stage")
+                  if s.stream == "stage1"}
+        assert all(s.parent_id in stage1 for s in fwd)
 
     def test_traced_bytes_cover_both_worlds(self):
-        obs, world, mp_world, _ = self._run()
+        """Stage-boundary and in-stage traffic share the one world's
+        ledger, and the tracer sees all of it."""
+        obs, world, _ = self._run()
         traced = sum(
             float(s.attrs.get("bytes", 0.0))
             for s in obs.tracer.spans if s.cat.startswith("comm"))
         traced += sum(
             float(e.attrs.get("bytes", 0.0))
             for e in obs.tracer.events if e.cat.startswith("comm"))
-        combined = world.ledger.total_bytes() + \
-            mp_world.ledger.total_bytes()
-        assert traced == pytest.approx(combined)
-        assert combined > 0
+        assert traced == pytest.approx(world.ledger.total_bytes())
+        assert world.ledger.total_bytes(op="p2p") > 0
 
 
 class TestRunnerObservability:
@@ -173,14 +177,13 @@ class TestRunnerObservability:
                             seq_len=8)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=8, learning_rate=5e-3,
-                            aux_loss_coeff=0.01)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         obs = Observability.create()
 
         def factory():
             model = MoETransformer(small, seed=0, dtype=np.float64)
             return MegaScaleTrainer(
-                model, World(2, 2), ParallelConfig.megascale(2), train,
-                optimizer=AdamW(model.parameters(), lr=5e-3), obs=obs)
+                model, World(2, 2), ParallelConfig.megascale(2), train, obs=obs)
 
         runner = ProductionRunner(factory, str(tmp_path),
                                   checkpoint_interval=2, obs=obs)

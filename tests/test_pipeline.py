@@ -1,12 +1,10 @@
 """Tests for pipeline-parallel schedules and their safety properties."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.pipeline import (
-    PipelineRunner,
     PipelineTask,
     bubble_fraction,
     gpipe_schedule,
@@ -136,26 +134,3 @@ class TestBubbleFraction:
     def test_bounds(self, p, m, v):
         frac = bubble_fraction(p, m, v)
         assert 0.0 <= frac < 1.0
-
-
-class TestPipelineRunner:
-    def test_numerically_inert(self, rng):
-        """Running stages through the pipeline runner equals sequential
-        application — pipelining is pure scheduling."""
-        mats = [rng.standard_normal((4, 4)) for _ in range(6)]
-        stage_fns = [[(lambda a, m=m: a @ m) for m in mats[i::2]]
-                     for i in range(2)]  # 2 virtual chunks × 3 stages
-        runner = PipelineRunner(stage_fns, n_micro=3)
-        inputs = [rng.standard_normal((2, 4)) for _ in range(3)]
-        outs = runner.run(inputs)
-        for x, out in zip(inputs, outs):
-            expected = x
-            for v in range(2):
-                for m in mats[v::2]:
-                    expected = expected @ m
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_input_count_checked(self, rng):
-        runner = PipelineRunner([[lambda a: a]], n_micro=2)
-        with pytest.raises(ValueError, match="micro inputs"):
-            runner.run([np.zeros(2)])

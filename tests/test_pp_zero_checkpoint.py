@@ -1,4 +1,4 @@
-"""Tests for the PP numerical engine, ZeRO-1 sharding, checkpoints, and
+"""Tests for pipeline-parallel training, ZeRO-1 sharding, checkpoints, and
 the automatic scheduler."""
 
 import os
@@ -8,6 +8,8 @@ import pytest
 
 from repro.comm import World, rank_ordered_sum
 from repro.core import MODEL_ZOO, ModelConfig, ParallelConfig
+from repro.core.config import TrainConfig
+from repro.core.trainer import MegaScaleTrainer
 from repro.core.autoschedule import AutoScheduler
 from repro.core.checkpoint import (
     CheckpointError,
@@ -17,8 +19,7 @@ from repro.core.checkpoint import (
 from repro.core.config import GPU_SPECS
 from repro.core.operators import build_backward_graph
 from repro.model import MoETransformer
-from repro.parallel.pp_engine import PipelineParallelTrainer, \
-    stage_partition
+from repro.parallel.pipeline import stage_partition
 from repro.parallel.zero import Zero1AdamW, zero_memory_model
 from repro.perf import KernelModel
 from repro.precision.optimizer import AdamW, clip_grad_norm
@@ -49,6 +50,19 @@ class TestStagePartition:
 
 
 class TestPipelineParallelTrainer:
+    """Pipeline parallelism through the one trainer: one rank per
+    stage (n=1), micro-batches in 1F1B order."""
+
+    @staticmethod
+    def make(n_stages, micro):
+        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
+        train = TrainConfig(global_batch_size=4, micro_batch_size=micro,
+                            learning_rate=1e-2, weight_decay=0.0,
+                            aux_loss_coeff=0.01)
+        return MegaScaleTrainer(model, World(n_stages, 1),
+                                ParallelConfig(1, pipeline_size=n_stages),
+                                train)
+
     def reference_step(self, batch, n_micro, lr=1e-2):
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         opt = AdamW(model.parameters(), lr=lr)
@@ -68,44 +82,30 @@ class TestPipelineParallelTrainer:
         batch = rng.integers(0, 32, (n_micro * 2, 9))
         ref_model, ref_loss = self.reference_step(batch, n_micro)
 
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        trainer = PipelineParallelTrainer(
-            model, World(n_stages, 1), n_micro,
-            optimizer=AdamW(model.parameters(), lr=1e-2),
-            aux_loss_coeff=0.01)
+        trainer = self.make(n_stages, micro=2)
         result = trainer.train_step(batch)
         assert result.loss == pytest.approx(ref_loss, abs=1e-10)
         for (name, p_ref), (_, p_pp) in zip(
-                ref_model.named_parameters(), model.named_parameters()):
+                ref_model.named_parameters(),
+                trainer.model.named_parameters()):
             np.testing.assert_allclose(p_pp.data, p_ref.data,
                                        atol=1e-10, err_msg=name)
 
     def test_p2p_bytes_scale_with_boundaries(self, rng):
         batch = rng.integers(0, 32, (4, 9))
-        results = {}
+        p2p = {}
         for n_stages in (2, 4):
-            model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-            trainer = PipelineParallelTrainer(
-                model, World(n_stages, 1), 2,
-                optimizer=AdamW(model.parameters(), lr=1e-2))
-            results[n_stages] = trainer.train_step(batch).p2p_bytes
+            trainer = self.make(n_stages, micro=2)
+            trainer.train_step(batch)
+            p2p[n_stages] = trainer.world.ledger.total_bytes(op="p2p")
         # p stages => p-1 boundaries, fwd + bwd each.
-        assert results[4] == pytest.approx(3 * results[2])
+        assert p2p[2] > 0
+        assert p2p[4] == pytest.approx(3 * p2p[2])
 
     def test_batch_divisibility(self, rng):
-        model = MoETransformer(CONFIG, seed=0)
-        trainer = PipelineParallelTrainer(model, World(2, 1), 3)
+        trainer = self.make(2, micro=3)
         with pytest.raises(ValueError, match="divisible"):
             trainer.train_step(np.zeros((4, 9), dtype=int))
-
-    def test_micro_losses_reported(self, rng):
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        trainer = PipelineParallelTrainer(
-            model, World(2, 1), 2, aux_loss_coeff=0.01)
-        result = trainer.train_step(rng.integers(0, 32, (4, 9)))
-        assert len(result.micro_losses) == 2
-        assert result.loss == pytest.approx(
-            np.mean(result.micro_losses))
 
 
 class TestZero1AdamW:

@@ -8,7 +8,6 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 
 
 class TestDeterminism:
@@ -18,10 +17,9 @@ class TestDeterminism:
         model = MoETransformer(cfg, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                             seq_len=16, learning_rate=1e-2,
-                            aux_loss_coeff=0.01)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         return MegaScaleTrainer(
-            model, World(4, 4), ParallelConfig.megascale(4), train,
-            optimizer=AdamW(model.parameters(), lr=1e-2))
+            model, World(4, 4), ParallelConfig.megascale(4), train)
 
     def test_trainer_fully_deterministic(self):
         corpus = MarkovCorpus(vocab_size=64, seed=0)
@@ -73,10 +71,9 @@ class TestTrainingWithDropping:
                                experts_per_group=2, dtype=np.float64)
         train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                             seq_len=16, learning_rate=3e-3,
-                            aux_loss_coeff=0.01, capacity_factor=1.5)
+                            weight_decay=0.0, aux_loss_coeff=0.01)
         trainer = MegaScaleTrainer(
-            model, World(4, 4), ParallelConfig.megascale(4), train,
-            optimizer=AdamW(model.parameters(), lr=3e-3))
+            model, World(4, 4), ParallelConfig.megascale(4), train)
         corpus = MarkovCorpus(vocab_size=64, seed=1)
         losses = [trainer.train_step(b).lm_loss
                   for b in batch_iterator(corpus, 4, 16, seed=2,

@@ -16,7 +16,6 @@ from repro.core.runner import (
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.precision.optimizer import AdamW
 
 CONFIG = ModelConfig("runner", n_layers=1, hidden_size=16, n_heads=4,
                      gqa_ratio=2, ffn_hidden_size=24, n_experts=4,
@@ -26,11 +25,10 @@ CONFIG = ModelConfig("runner", n_layers=1, hidden_size=16, n_heads=4,
 def trainer_factory():
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=8, learning_rate=5e-3,
+                        seq_len=8, learning_rate=5e-3, weight_decay=0.0,
                         aux_loss_coeff=0.01)
     return MegaScaleTrainer(
-        model, World(2, 2), ParallelConfig.megascale(2), train,
-        optimizer=AdamW(model.parameters(), lr=5e-3))
+        model, World(2, 2), ParallelConfig.megascale(2), train)
 
 
 def make_batches(n):

@@ -92,7 +92,14 @@ class TestVerifyCase:
 
     def test_smoke_matrix_covers_grid(self):
         matrix = smoke_matrix()
-        assert len({c.case_id for c in matrix}) == len(matrix) == 9
+        assert len({c.case_id for c in matrix}) == len(matrix) == 11
+        # The production layout (Fig. 4) at n=2 pp=2 dp=2, in float32
+        # and with FP8 comm.
+        layered = [c for c in matrix if (c.pp, c.dp) != (1, 1)]
+        assert {(c.ranks, c.pp, c.dp) for c in layered} == {(2, 2, 2)}
+        assert {(c.dtype, c.precision) for c in layered} == {
+            ("float32", "fp32"), ("float64", "fp8")}
+        matrix = [c for c in matrix if c not in layered]
         # The production default dtype has conformance legs of its own:
         # both EP dispatches and one tiled case.
         f32 = [c for c in matrix if c.dtype == "float32"]
@@ -109,6 +116,73 @@ class TestVerifyCase:
         assert len(tiled) == 2
 
 
+class TestLayeredCases:
+    """Cases over ``ranks · pp · dp`` ranks (the production layout)."""
+
+    def test_case_id_suffix_only_off_one(self):
+        base = VerifyCase()
+        assert "pp" not in base.case_id and "dp" not in base.case_id
+        case = VerifyCase(ranks=2, pp=2, dp=2, batch=4)
+        assert case.case_id.endswith("-pp2-dp2")
+        assert case.micro_batch == 1
+        parallel = case.parallel_config()
+        assert (parallel.pipeline_size, parallel.data_parallel_size,
+                parallel.total_gpus) == (2, 2, 8)
+
+    @pytest.mark.parametrize("changes", [
+        dict(pp=2, dp=2),                     # batch 2 < pp·dp
+        dict(pp=3, batch=3),                  # 2 layers, 3 stages
+        dict(dp=0),
+        dict(dp=2, resize=((1, 2),), steps=2),
+    ])
+    def test_validation(self, changes):
+        with pytest.raises(ValueError):
+            VerifyCase(**changes)
+
+    def test_plan_cases_keep_pp_and_dp(self):
+        """The planner's n=8 pp=20 dp=9 winner becomes an n=2 pp=2 dp=2
+        case: every parallel axis it uses stays live, on 8 ranks."""
+        from repro.verify import plan_conformance_cases
+        (case,) = plan_conformance_cases(pp=20, dp=9)
+        assert (case.ranks, case.pp, case.dp) == (2, 2, 2)
+        (case,) = plan_conformance_cases(dp=9)
+        assert (case.ranks, case.pp, case.dp) == (4, 1, 2)
+        (case,) = plan_conformance_cases()
+        assert (case.ranks, case.pp, case.dp) == (4, 1, 1)
+        assert case.batch == 2
+
+    def test_sync_split_passes_on_the_3d_leg(self):
+        result = run_case(VerifyCase(ranks=2, pp=2, dp=2, batch=4,
+                                     dtype="float32"))
+        assert result.ok, result.failures()
+        assert result.outcome("sync_split").status == "pass"
+        assert run_case(small_case()).outcome("sync_split").status == \
+            "skip"
+
+    def test_sync_split_catches_a_skipped_leg(self, monkeypatch):
+        """A hierarchical sync whose intra-node all-gather moves the
+        data but never reaches the ledger must fail the A.1 check."""
+        from repro.comm import hierarchical
+        gather = hierarchical.all_gather
+
+        def unrecorded_intra_ag(group, shards, tag="", **kw):
+            ledger = group.world.ledger
+            skip = tag.endswith(":intra_ag")
+            ledger.enabled = not skip
+            try:
+                return gather(group, shards, tag=tag, **kw)
+            finally:
+                ledger.enabled = True
+
+        monkeypatch.setattr(hierarchical, "all_gather",
+                            unrecorded_intra_ag)
+        split = run_case(VerifyCase(ranks=2, pp=2, dp=2, batch=4,
+                                    dtype="float32")
+                         ).outcome("sync_split")
+        assert split.status == "fail"
+        assert split.detail.startswith("intra-node sync moved")
+
+
 class TestRegistry:
     def test_builtin_invariants_present(self):
         names = [i.name for i in registered_invariants()]
@@ -116,7 +190,7 @@ class TestRegistry:
                          "golden_params", "tile_bitwise",
                          "dag_schedule_conformance",
                          "token_conservation", "router_mass",
-                         "comm_audit", "dtype_stable"):
+                         "comm_audit", "dtype_stable", "sync_split"):
             assert expected in names
 
     def test_fp8_bands_looser_than_fp32(self):
@@ -370,13 +444,13 @@ class TestDtypeContract:
         assert run_case(small_case(**kw)).ok
 
     def test_float64_dp_gradients_are_caught(self, monkeypatch):
-        """The parent commit's DP sync handed back float64 gradients
-        whatever it was given (its float64 moments are the tampered
-        artifact below; the kernel itself now rejects them)."""
-        from repro.parallel import dp
-        sync = dp.sync_gradients
+        """The parent commit's hierarchical sync handed back float64
+        gradients whatever it was given; the DP leg (dp=2, BF16
+        all-to-all) must see that."""
+        from repro.comm import hierarchical
+        sync = hierarchical.sync_gradients
         monkeypatch.setattr(
-            dp, "sync_gradients",
+            hierarchical, "sync_gradients",
             lambda *a, **kw: [g.astype(np.float64)
                               for g in sync(*a, **kw)])
         kw = dict(ranks=2, experts=4, top_k=2, seq=8)

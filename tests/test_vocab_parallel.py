@@ -147,7 +147,6 @@ class TestTrainerIntegration:
         from repro.core.trainer import MegaScaleTrainer
         from repro.data import MarkovCorpus, batch_iterator
         from repro.model import MoETransformer
-        from repro.precision.optimizer import AdamW
 
         cfg = ModelConfig("vp", 2, 32, 8, 2, 48, 8, 2, vocab_size=64,
                           seq_len=16)
@@ -155,14 +154,13 @@ class TestTrainerIntegration:
         batches = list(batch_iterator(corpus, 4, 16, seed=1, limit=3))
         tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
                          seq_len=16, learning_rate=1e-2,
-                         aux_loss_coeff=0.01)
+                         weight_decay=0.0, aux_loss_coeff=0.01)
         losses = {}
         states = {}
         for vp in (False, True):
             model = MoETransformer(cfg, seed=0, dtype=np.float64)
             trainer = MegaScaleTrainer(
                 model, World(4, 4), ParallelConfig.megascale(4), tr,
-                optimizer=AdamW(model.parameters(), lr=1e-2),
                 vocab_parallel=vp)
             losses[vp] = [trainer.train_step(b).loss for b in batches]
             states[vp] = model.state_dict()
