@@ -166,7 +166,7 @@ def traced_run_metrics(smoke, out_dir=None):
     passes = config.n_layers * steps
     report = audit_comm_volumes(
         world.ledger, b=4, s=16, h=32, n=n, m=config.gqa_ratio,
-        k=config.top_k, elem_bytes=model.embedding.data.itemsize,
+        k=config.top_k, itemsize=model.embedding.data.itemsize,
         passes=passes)
     if not report.ok:
         raise RuntimeError(

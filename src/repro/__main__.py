@@ -328,7 +328,7 @@ def cmd_trace(args) -> int:
 
     report = audit_comm_volumes(
         world.ledger, b=4, s=16, h=32, n=n, m=config.gqa_ratio,
-        k=config.top_k, elem_bytes=model.embedding.data.itemsize,
+        k=config.top_k, itemsize=model.embedding.data.itemsize,
         passes=config.n_layers * steps)
     matched, traced, ledger_bytes = crosscheck_tracer_ledger(
         obs.tracer, world.ledger)

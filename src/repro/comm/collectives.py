@@ -15,9 +15,10 @@ Every collective records the bytes each rank *sends* into the world's
 * ring all-reduce: ``2 (n-1)`` shard-sizes (reduce-scatter + all-gather);
 * all-to-all: each rank sends its ``n-1`` off-diagonal chunks.
 
-Arrays are simulated in float32/float64 regardless of the precision being
-modelled, so each function accepts ``elem_bytes`` to override the wire
-element size (e.g. 2 for BF16, 1 for FP8) used in the ledger.
+A shard's size is the ``nbytes`` of the array that moves; no caller can
+override it.  A compressed payload is therefore a narrower array: BF16
+travels as ``uint16`` words and FP8 as ``uint8`` codes (see
+:func:`repro.precision.formats.encode`), and the receiver decodes them.
 
 Fault injection
 ---------------
@@ -46,7 +47,7 @@ identical on both paths** — bytes model the wire, not the allocator.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -63,13 +64,6 @@ __all__ = [
     "scatter",
     "rank_ordered_sum",
 ]
-
-
-def _elem_bytes(arrays: Sequence[np.ndarray],
-                elem_bytes: Optional[float]) -> float:
-    if elem_bytes is not None:
-        return float(elem_bytes)
-    return float(arrays[0].itemsize)
 
 
 def rank_ordered_sum(tensors: Iterable[np.ndarray]) -> np.ndarray:
@@ -96,7 +90,6 @@ def all_gather(
     group: ProcessGroup,
     shards: Sequence[np.ndarray],
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -114,9 +107,8 @@ def all_gather(
     group.check_shards(shards)
     group.pre_collective("all_gather", tag)
     n = group.size
-    eb = _elem_bytes(shards, elem_bytes)
-    per_rank = [s.size * eb * (n - 1) / 1.0 for s in shards]
     datas = [np.asarray(s) for s in shards]
+    per_rank = [float(d.nbytes * (n - 1)) for d in datas]
     if tiled and n >= 2:
         sizes = [d.shape[axis] for d in datas]
         offsets = np.cumsum([0] + sizes)
@@ -147,7 +139,6 @@ def reduce_scatter(
     group: ProcessGroup,
     tensors: Sequence[np.ndarray],
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -174,8 +165,7 @@ def reduce_scatter(
             f"axis {axis} of size {dim} not divisible by group size {n}"
         )
     group.pre_collective("reduce_scatter", tag)
-    eb = _elem_bytes(tensors, elem_bytes)
-    shard_elems = first.size // n
+    shard_bytes = float(first.nbytes // n * (n - 1))
     if tiled and n >= 2:
         width = dim // n
         pieces = []
@@ -186,12 +176,12 @@ def reduce_scatter(
                 pieces.append(rank_ordered_sum(
                     [np.asarray(t)[tuple(slicer)] for t in tensors]))
                 group.record("reduce_scatter",
-                             [shard_elems * eb * (n - 1) if k == j else 0.0
+                             [shard_bytes if k == j else 0.0
                               for k in range(n)],
                              tag, tile=(j, n))
     else:
         pieces = np.split(rank_ordered_sum(tensors), n, axis=axis)
-        group.record("reduce_scatter", [shard_elems * eb * (n - 1)] * n, tag)
+        group.record("reduce_scatter", [shard_bytes] * n, tag)
     if group.world.fault_plan is None:
         # Zero-copy: np.split pieces are views of the reduced tensor.
         out = [p.astype(first.dtype, copy=False) for p in pieces]
@@ -204,7 +194,6 @@ def reduce_scatter(
 def all_reduce(
     group: ProcessGroup,
     tensors: Sequence[np.ndarray],
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> List[np.ndarray]:
     """Element-wise sum of all ranks' tensors, delivered to every rank."""
@@ -213,9 +202,8 @@ def all_reduce(
     n = group.size
     first = np.asarray(tensors[0])
     total = rank_ordered_sum(tensors)
-    eb = _elem_bytes(tensors, elem_bytes)
     # Ring all-reduce = reduce-scatter + all-gather on 1/n shards.
-    group.record("all_reduce", [2.0 * first.size / n * eb * (n - 1)] * n, tag)
+    group.record("all_reduce", [2.0 * first.size / n * first.itemsize * (n - 1)] * n, tag)
     if group.world.fault_plan is None:
         shared = total.astype(first.dtype, copy=False)
         out = [shared] * n  # zero-copy: one shared read-only delivery
@@ -228,7 +216,6 @@ def all_reduce(
 def all_to_all(
     group: ProcessGroup,
     chunk_lists: Sequence[Sequence[np.ndarray]],
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -253,10 +240,9 @@ def all_to_all(
             )
     group.pre_collective("all_to_all", tag)
     copy = group.world.fault_plan is not None
-    eb = _elem_bytes([np.asarray(chunk_lists[0][0])], elem_bytes)
     per_rank = [
-        sum(np.asarray(chunk_lists[i][j]).size * eb
-            for j in range(n) if j != i)
+        float(sum(np.asarray(chunk_lists[i][j]).nbytes
+                  for j in range(n) if j != i))
         for i in range(n)
     ]
     received: List[List[np.ndarray]]
@@ -292,7 +278,6 @@ def all_to_all_uneven(
     group: ProcessGroup,
     tensors: Sequence[np.ndarray],
     send_splits: Sequence[Sequence[int]],
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> List[np.ndarray]:
     """All-to-all over row-split tensors (``torch.distributed.all_to_all_single``
@@ -325,14 +310,10 @@ def all_to_all_uneven(
         # buffer — no intermediate per-chunk copies, no np.concatenate
         # temporaries.  Wire bytes recorded exactly as the general path.
         group.pre_collective("all_to_all", tag)
-        eb = _elem_bytes([arrays[0]], elem_bytes)
-        row_elems = [
-            int(np.prod(a.shape[1:], dtype=np.int64)) for a in arrays
-        ]
         per_rank = [
             float(arrays[i].shape[0] - send_splits[i][i])
-            * row_elems[i] * eb
-            for i in range(n)
+            * int(np.prod(a.shape[1:], dtype=np.int64)) * a.itemsize
+            for i, a in enumerate(arrays)
         ]
         group.record("all_to_all", per_rank, tag)
         dtype = np.result_type(*[a.dtype for a in arrays])
@@ -356,7 +337,7 @@ def all_to_all_uneven(
          for j in range(n)]
         for i in range(n)
     ]
-    received = all_to_all(group, chunk_lists, elem_bytes=elem_bytes, tag=tag)
+    received = all_to_all(group, chunk_lists, tag=tag)
     return [
         np.concatenate(chunks, axis=0) if chunks else np.empty((0,))
         for chunks in received
@@ -367,7 +348,6 @@ def broadcast(
     group: ProcessGroup,
     tensor: np.ndarray,
     root: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> List[np.ndarray]:
     """Send ``tensor`` from local rank ``root`` to all ranks in the group."""
@@ -376,9 +356,8 @@ def broadcast(
         raise ValueError(f"root {root} out of range for group of size {n}")
     group.pre_collective("broadcast", tag)
     t = np.asarray(tensor)
-    eb = _elem_bytes([t], elem_bytes)
     per_rank = [0.0] * n
-    per_rank[root] = t.size * eb * (n - 1)
+    per_rank[root] = float(t.nbytes * (n - 1))
     group.record("broadcast", per_rank, tag)
     out = [t.copy() for _ in range(n)]
     group.post_collective("broadcast", out, tag)
@@ -390,14 +369,12 @@ def gather(
     shards: Sequence[np.ndarray],
     root: int = 0,
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> np.ndarray:
     """Collect all shards onto local rank ``root``, concatenated on ``axis``."""
     group.check_shards(shards)
     group.pre_collective("gather", tag)
-    eb = _elem_bytes(shards, elem_bytes)
-    per_rank = [np.asarray(s).size * eb if i != root else 0.0
+    per_rank = [float(np.asarray(s).nbytes) if i != root else 0.0
                 for i, s in enumerate(shards)]
     group.record("gather", per_rank, tag)
     out = np.concatenate([np.asarray(s) for s in shards], axis=axis)
@@ -410,7 +387,6 @@ def scatter(
     tensor: np.ndarray,
     root: int = 0,
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> List[np.ndarray]:
     """Split ``tensor`` held by local rank ``root`` equally across ranks."""
@@ -422,9 +398,8 @@ def scatter(
         )
     group.pre_collective("scatter", tag)
     pieces = np.split(t, n, axis=axis)
-    eb = _elem_bytes([t], elem_bytes)
     per_rank = [0.0] * n
-    per_rank[root] = (t.size - pieces[root].size) * eb
+    per_rank[root] = float(t.nbytes - pieces[root].nbytes)
     group.record("scatter", per_rank, tag)
     out = [p.copy() for p in pieces]
     group.post_collective("scatter", out, tag)

@@ -16,18 +16,19 @@ whose *inter-node* volume — the bottleneck — equals TP attention's
 schemes on simulated ranks and reports the volumes so tests and the
 Fig. 14 bench can verify the equivalence.  Gradients keep their dtype
 end to end: cross-rank sums go through
-:func:`~repro.comm.collectives.rank_ordered_sum` and the wire is priced
-at the gradients' itemsize unless told otherwise.
+:func:`~repro.comm.collectives.rank_ordered_sum`, and the inter-node leg
+can run §5's BF16 all-to-all, whose wire carries ``uint16`` words.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..precision.compression import sync_gradients
-from .collectives import all_gather, rank_ordered_sum, reduce_scatter
+from ..precision.formats import BF16, decode, encode, round_bf16
+from .collectives import (all_gather, all_to_all, rank_ordered_sum,
+                          reduce_scatter)
 from .group import World
 
 __all__ = [
@@ -39,31 +40,48 @@ __all__ = [
 ]
 
 
-def _inter_node_sum(group, flats: List[np.ndarray],
-                    elem_bytes: Optional[float], tag: str,
+def _bf16_a2a_sum(group, flats: List[np.ndarray],
+                  tag: str) -> List[np.ndarray]:
+    """§5's DP compression (Fig. 10) of one group's sum: each
+    accumulated gradient is cast to BF16 once and its shards go to
+    their owners by all-to-all as ``uint16`` words; each owner sums
+    the decoded shards in float64 and all-gathers the sum in BF16.
+    No BF16 accumulation ever happens.  Results keep the input dtype.
+    """
+    d = group.size
+    size, dtype = flats[0].size, flats[0].dtype
+    pad = np.zeros(-size % d, dtype=dtype)
+    words = [encode(round_bf16(np.concatenate([f, pad])), BF16)
+             for f in flats]
+    received = all_to_all(group, [np.split(w, d) for w in words],
+                          tag=tag + ":inter_bf16_a2a")
+    sums = [rank_ordered_sum(decode(w, BF16) for w in chunks)
+            for chunks in received]
+    fulls = all_gather(group, [encode(round_bf16(s), BF16) for s in sums],
+                       tag=tag + ":inter_bf16_ag")
+    return [decode(f[:size], BF16).astype(dtype) for f in fulls]
+
+
+def _inter_node_sum(group, flats: List[np.ndarray], tag: str,
                     compress: bool) -> List[np.ndarray]:
     """Sum equal-size 1-D arrays across one group of ``d > 1`` peers.
 
     Exact: a reduce-scatter and an all-gather (the ledger separates
     the two steps), or, when the size does not divide ``d``, the
     rank-ordered sum priced as the equivalent ring all-reduce.  With
-    ``compress`` the leg is §5's one BF16 cast, all-to-all and
-    higher-precision local sum (:func:`~repro.precision.compression
-    .sync_gradients` ``bf16_a2a``).  Results keep the input dtype.
+    ``compress`` the leg is :func:`_bf16_a2a_sum`.  Results keep the
+    input dtype.
     """
     d = group.size
     if compress:
-        return sync_gradients(group, flats, method="bf16_a2a",
-                              average=False, tag=tag + ":inter_")
+        return _bf16_a2a_sum(group, flats, tag)
     size = flats[0].size
     if size % d == 0:
-        pieces = reduce_scatter(group, flats, elem_bytes=elem_bytes,
-                                tag=tag + ":inter_rs")
-        return all_gather(group, pieces, elem_bytes=elem_bytes,
-                          tag=tag + ":inter_ag")
+        pieces = reduce_scatter(group, flats, tag=tag + ":inter_rs")
+        return all_gather(group, pieces, tag=tag + ":inter_ag")
     total = rank_ordered_sum(flats).astype(flats[0].dtype, copy=False)
-    eb = flats[0].itemsize if elem_bytes is None else elem_bytes
-    group.record("all_reduce", [2.0 * size / d * eb * (d - 1)] * d,
+    group.record("all_reduce",
+                 [2.0 * size / d * flats[0].itemsize * (d - 1)] * d,
                  tag + ":inter_fallback")
     return [total] * d
 
@@ -71,7 +89,6 @@ def _inter_node_sum(group, flats: List[np.ndarray],
 def hierarchical_sync(
     world: World,
     grads: Sequence[np.ndarray],
-    elem_bytes: Optional[float] = None,
     tag: str = "param_sync_sp",
     compress: bool = False,
 ) -> List[np.ndarray]:
@@ -83,8 +100,6 @@ def hierarchical_sync(
         grads: One gradient tensor per rank (all the same shape and
             dtype), flattened internally.  ``grads[r]`` belongs to global
             rank ``r``.
-        elem_bytes: Wire bytes per element for the ledger (default: the
-            gradients' itemsize).
         compress: Run the inter-node leg as §5's BF16 all-to-all.
 
     Returns:
@@ -108,19 +123,19 @@ def hierarchical_sync(
     shards: List[np.ndarray] = [flats[0]] * world.size
     for g in world.intra_node_groups():
         outs = reduce_scatter(g, [flats[r] for r in g.ranks],
-                              elem_bytes=elem_bytes, tag=tag + ":intra_rs")
+                              tag=tag + ":intra_rs")
         for r, out in zip(g.ranks, outs):
             shards[r] = out
 
     # Steps 2+3: inter-node reduce-scatter + all-gather = all-reduce of the
     # P/n shard across same-local-rank peers: TP's flat sync.
-    shards = flat_sync(world, shards, elem_bytes, tag, compress)
+    shards = flat_sync(world, shards, tag, compress)
 
     # Step 4: intra-node all-gather back to size P on every rank.
     results = list(shards)
     for g in world.intra_node_groups():
         fulls = all_gather(g, [shards[r] for r in g.ranks],
-                           elem_bytes=elem_bytes, tag=tag + ":intra_ag")
+                           tag=tag + ":intra_ag")
         for r, full in zip(g.ranks, fulls):
             results[r] = full[:numel].reshape(shape)
     return results
@@ -129,7 +144,6 @@ def hierarchical_sync(
 def flat_sync(
     world: World,
     grads: Sequence[np.ndarray],
-    elem_bytes: Optional[float] = None,
     tag: str = "param_sync_tp",
     compress: bool = False,
 ) -> List[np.ndarray]:
@@ -144,7 +158,7 @@ def flat_sync(
     for g in world.cross_node_groups():
         flats = [np.asarray(grads[r]).reshape(-1) for r in g.ranks]
         if g.size > 1:
-            flats = _inter_node_sum(g, flats, elem_bytes, tag, compress)
+            flats = _inter_node_sum(g, flats, tag, compress)
         for r, flat in zip(g.ranks, flats):
             results[r] = flat.reshape(shape)
     return results

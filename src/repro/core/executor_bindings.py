@@ -137,7 +137,6 @@ def _sp_attention_bindings(eng: Any, seq_len: int,
     reads ``ln1`` and ends at ``out_proj``."""
     group = eng.group
     local_s = seq_len // group.size
-    eb = eng.elem_bytes
     # Token-chunked A2As (§4.2): every (source, dest) chunk's sequence
     # extent is the local shard, tiled into `tile_tokens` slices.
     t_qkv = _group_tiles(tile_plan, "a2a+attn")
@@ -151,7 +150,7 @@ def _sp_attention_bindings(eng: Any, seq_len: int,
         q_full, k_full, v_full = (
             d.dist_all_to_all(group, [t[i] for t in triples],
                               split_axis=2, concat_axis=1,
-                              elem_bytes=eb, tag="sp_attn:qkv_a2a",
+                              tag="sp_attn:qkv_a2a",
                               tiles=t_qkv, tile_axis=1,
                               tile_label="qkv_a2a")
             for i in range(3))
@@ -160,7 +159,7 @@ def _sp_attention_bindings(eng: Any, seq_len: int,
     def attn_a2a(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_all_to_all(
             group, ctx.env["attention"], split_axis=1, concat_axis=2,
-            elem_bytes=eb, tag="sp_attn:attn_a2a",
+            tag="sp_attn:attn_a2a",
             tiles=t_attn, tile_axis=1, tile_label="attn_a2a")
 
     return [
@@ -185,19 +184,18 @@ def _tp_attention_bindings(eng: Any,
     TPAttentionEngine`; the chain reads ``ln1`` and ends at
     ``attn_rs``."""
     group = eng.group
-    eb = eng.elem_bytes
     ag_tiled = _group_tiles(tile_plan, "attn_ag+gemm") >= 2
     rs_tiled = _group_tiles(tile_plan, "attn_gemm+rs") >= 2
 
     def ag(ctx: _SeqCtx) -> List[Any]:
         return _dist_ops().dist_all_gather(
-            group, ctx.env["ln1"], axis=1, elem_bytes=eb,
+            group, ctx.env["ln1"], axis=1,
             tag="tp_attn:ag", tiled=ag_tiled, tile_label="attn_ag")
 
     def rs(ctx: _SeqCtx) -> List[Any]:
         # Partial products sum across ranks; scatter back to seq shards.
         return _dist_ops().dist_reduce_scatter(
-            group, ctx.env["out_proj"], axis=1, elem_bytes=eb,
+            group, ctx.env["out_proj"], axis=1,
             tag="tp_attn:rs", tiled=rs_tiled, tile_label="attn_rs")
 
     return [
@@ -224,7 +222,6 @@ def _ep_a2a_bindings(ffn: Any,
     ``weighted_sum``."""
     group = ffn.group
     n = group.size
-    eb = ffn.elem_bytes
     # Ragged dispatch tiles per source rank (§4.2 swizzled order); the
     # return A2A ("ggemm+a2a") has no downstream compute to overlap
     # with and stays whole.
@@ -247,7 +244,7 @@ def _ep_a2a_bindings(ffn: Any,
         send_rows = [v[0] for v in ctx.env["scatter"]]
         send_splits = [v[2] for v in ctx.env["scatter"]]
         return _dist_ops().dist_all_to_all_uneven(
-            group, send_rows, send_splits, elem_bytes=eb,
+            group, send_rows, send_splits,
             tag="ep_ffn:dispatch_a2a", tiled=dispatch_tiled,
             tile_label="dispatch_a2a")
 
@@ -266,8 +263,7 @@ def _ep_a2a_bindings(ffn: Any,
         back_splits = [[all_splits[i][j] for i in range(n)]
                        for j in range(n)]
         return _dist_ops().dist_all_to_all_uneven(
-            group, ctx.env["fc1"], back_splits, elem_bytes=eb,
-            tag="ep_ffn:combine_a2a")
+            group, ctx.env["fc1"], back_splits, tag="ep_ffn:combine_a2a")
 
     def weighted(r: int, get: Callable[[str], Any]) -> Any:
         # Gate weight applied after FC2, on the source rank (§4.1).
@@ -306,7 +302,6 @@ def _ag_ffn_bindings(ffn: Any, flavor: str,
     handler.  The chain reads ``ln2`` and ends at ``ffn_rs``.
     """
     group = ffn.group
-    eb = ffn.elem_bytes
     if flavor == "ep":
         ag_tag, rs_tag = "ep_ffn:dispatch_ag", "ep_ffn:combine_rs"
         ag_key, rs_key = "ag+scatter+ggemm", "ggemm+gather+rs"
@@ -328,7 +323,7 @@ def _ag_ffn_bindings(ffn: Any, flavor: str,
             fulls = dist_all_gather_fp8(group, flats, tag=ag_tag)
         else:
             fulls = _dist_ops().dist_all_gather(
-                group, flats, axis=0, elem_bytes=eb, tag=ag_tag,
+                group, flats, axis=0, tag=ag_tag,
                 tiled=ag_tiled, tile_label="ffn_ag")
         return [(full, t_locals) for full in fulls]
 
@@ -369,7 +364,7 @@ def _ag_ffn_bindings(ffn: Any, flavor: str,
                 group, ctx.env["gather"], tag=rs_tag)
         else:
             out_flats = _dist_ops().dist_reduce_scatter(
-                group, ctx.env["gather"], axis=0, elem_bytes=eb,
+                group, ctx.env["gather"], axis=0,
                 tag=rs_tag, tiled=rs_tiled, tile_label="ffn_rs")
         return [flat.reshape(*shard.shape)
                 for flat, shard in zip(out_flats, ctx.env["ln2"])]

@@ -242,7 +242,7 @@ def audit_comm_volumes(
     n: int,
     m: int = 1,
     k: int = 1,
-    elem_bytes: float,
+    itemsize: float,
     passes: int = 1,
     tolerance: float = 0.01,
     a2a_tolerance: float = 0.30,
@@ -256,7 +256,7 @@ def audit_comm_volumes(
             whose attrs carry ``tag`` and ``bytes``.
         b, s, h, n, m, k: Table 1 symbols — micro-batch, sequence,
             hidden size, model-parallel degree, GQA ratio, top-k.
-        elem_bytes: Wire bytes per element — the itemsize of the
+        itemsize: Wire bytes per element — the itemsize of the
             model's parameters (``model.embedding.data.itemsize``), not
             a width read back from the run being audited: a payload
             that some op widened on its way to a collective must show
@@ -291,13 +291,13 @@ def audit_comm_volumes(
             continue
         expected = (
             spec.expected_elements(b, s, h, n, m, k)
-            * elem_bytes
+            * itemsize
             * passes
             * direction_factor
         )
         hard_bound = None
         if not spec.exact:
-            hard_bound = 2.0 * k * b * s * h * elem_bytes * passes * direction_factor
+            hard_bound = 2.0 * k * b * s * h * itemsize * passes * direction_factor
         entries.append(
             AuditEntry(
                 mechanism=spec.name,

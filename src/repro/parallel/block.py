@@ -59,7 +59,6 @@ class ParallelBlockEngine:
     def __init__(self, group: ProcessGroup, block: TransformerBlock,
                  attention: str = "sp", ffn: str = "ep",
                  ep_mode: str = "adaptive",
-                 elem_bytes: Optional[float] = None,
                  fp8_comm: bool = False,
                  dropout: float = 0.0, rng_pool=None,
                  tile_tokens: Optional[int] = None,
@@ -68,7 +67,6 @@ class ParallelBlockEngine:
         self.block = block
         if attention == "sp":
             self.attn_engine = SPAttentionEngine(group, block.attn,
-                                                 elem_bytes,
                                                  dropout=dropout,
                                                  rng_pool=rng_pool)
         elif attention == "tp":
@@ -76,15 +74,14 @@ class ParallelBlockEngine:
                 raise ValueError(
                     "dropout is only wired into SP attention"
                 )
-            self.attn_engine = TPAttentionEngine(group, block.attn,
-                                                 elem_bytes)
+            self.attn_engine = TPAttentionEngine(group, block.attn)
         else:
             raise ValueError(f"unknown attention strategy {attention!r}")
         if ffn == "ep":
             self.ffn_engine = EPFFNEngine(group, block.moe, ep_mode,
-                                          elem_bytes, fp8_comm=fp8_comm)
+                                          fp8_comm=fp8_comm)
         elif ffn == "tp":
-            self.ffn_engine = TPFFNEngine(group, block.moe, elem_bytes,
+            self.ffn_engine = TPFFNEngine(group, block.moe,
                                           fp8_comm=fp8_comm)
         else:
             raise ValueError(f"unknown ffn strategy {ffn!r}")

@@ -110,14 +110,12 @@ class CPAttentionEngine:
     """Context-parallel causal attention over simulated ranks."""
 
     def __init__(self, group: ProcessGroup, attn: SelfAttention,
-                 layout: str = "contiguous",
-                 elem_bytes: float = None):
+                 layout: str = "contiguous"):
         if layout not in ("contiguous", "zigzag"):
             raise ValueError(f"unknown CP layout {layout!r}")
         self.group = group
         self.attn = attn
         self.layout = layout
-        self.elem_bytes = elem_bytes
 
     def forward(self, hidden_shards: List[Tensor],
                 seq_len: int) -> List[Tensor]:
@@ -148,12 +146,8 @@ class CPAttentionEngine:
 
         # Ring exchange emulated as an all-gather of K and V along the
         # sequence axis (same total volume as n-1 ring hops).
-        k_full = dist_all_gather(group, ks, axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="cp_attn:kv_ring")
-        v_full = dist_all_gather(group, vs, axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="cp_attn:kv_ring")
+        k_full = dist_all_gather(group, ks, axis=1, tag="cp_attn:kv_ring")
+        v_full = dist_all_gather(group, vs, axis=1, tag="cp_attn:kv_ring")
         all_positions = np.concatenate(positions)
 
         outs = []

@@ -18,7 +18,9 @@ all-reduce         all-reduce
 Bytes are recorded in the world's ledger for the forward collective at
 call time and for the backward collective as its gradients flow —
 tagged ``<tag>`` and ``<tag>:bwd`` respectively — so tests can check the
-paper's per-pass volume formulas (Eqs. 1–4) in both directions.
+paper's per-pass volume formulas (Eqs. 1–4) in both directions.  Like
+:mod:`repro.comm.collectives`, each record is the ``nbytes`` of the
+arrays that move: activations forward, gradients backward.
 
 Backward byte accounting assumes a *single* backward sweep (one
 ``backward()`` call from a combined scalar, as a real loss produces).
@@ -37,7 +39,7 @@ consult ``pre_collective`` under the ``:bwd`` tag.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -54,17 +56,10 @@ __all__ = [
 ]
 
 
-def _eb(tensors: Sequence[Tensor], elem_bytes: Optional[float]) -> float:
-    if elem_bytes is not None:
-        return float(elem_bytes)
-    return float(tensors[0].data.itemsize)
-
-
 def dist_all_gather(
     group: ProcessGroup,
     shards: Sequence[Tensor],
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -83,7 +78,6 @@ def dist_all_gather(
     """
     group.check_shards(shards)
     n = group.size
-    eb = _eb(shards, elem_bytes)
     datas = [s.data for s in shards]
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
@@ -99,12 +93,12 @@ def dist_all_gather(
                 full[tuple(slicer)] = datas[i]
                 group.record(
                     "all_gather",
-                    _one_hot(n, i, datas[i].size * eb * (n - 1)),
+                    _one_hot(n, i, float(datas[i].nbytes * (n - 1))),
                     tag, tile=(i, n))
     else:
         full = np.concatenate(datas, axis=axis)
         group.record("all_gather",
-                     [d.size * eb * (n - 1) for d in datas], tag)
+                     [float(d.nbytes * (n - 1)) for d in datas], tag)
 
     # Zero-copy: with no fault plan the delivered buffers are read-only,
     # so every rank can share the single gathered array.
@@ -121,7 +115,7 @@ def dist_all_gather(
                 piece = g[tuple(slicer)]
                 grads.append(piece)
                 if i != j:
-                    wire += piece.size * eb
+                    wire += piece.nbytes
             group.pre_collective("reduce_scatter", tag + ":bwd")
             group.record("reduce_scatter", _one_hot(n, j, wire),
                          tag + ":bwd")
@@ -138,7 +132,6 @@ def dist_reduce_scatter(
     group: ProcessGroup,
     tensors: Sequence[Tensor],
     axis: int = 0,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -156,7 +149,6 @@ def dist_reduce_scatter(
     """
     group.check_shards(tensors)
     n = group.size
-    eb = _eb(tensors, elem_bytes)
     first = tensors[0].data
     for t in tensors[1:]:
         if t.data.shape != first.shape:
@@ -165,7 +157,7 @@ def dist_reduce_scatter(
         raise ValueError(
             f"axis {axis} of size {first.shape[axis]} not divisible by {n}"
         )
-    shard_elems = first.size // n
+    shard_bytes = float(first.nbytes // n * (n - 1))
     width = first.shape[axis] // n
     group.pre_collective("reduce_scatter", tag)
     if tiled and n >= 2:
@@ -178,13 +170,13 @@ def dist_reduce_scatter(
                     [t.data[tuple(slicer)] for t in tensors]))
                 group.record(
                     "reduce_scatter",
-                    _one_hot(n, j, shard_elems * eb * (n - 1)),
+                    _one_hot(n, j, shard_bytes),
                     tag, tile=(j, n))
     else:
         pieces = np.split(rank_ordered_sum([t.data for t in tensors]),
                           n, axis=axis)
         group.record("reduce_scatter",
-                     [shard_elems * eb * (n - 1)] * n, tag)
+                     [shard_bytes] * n, tag)
     outs = []
     for j in range(n):
         def backward(g, j=j):
@@ -196,7 +188,7 @@ def dist_reduce_scatter(
             slicer[axis] = slice(j * width, (j + 1) * width)
             grad[tuple(slicer)] = g
             group.pre_collective("all_gather", tag + ":bwd")
-            group.record("all_gather", _one_hot(n, j, g.size * eb * (n - 1)),
+            group.record("all_gather", _one_hot(n, j, float(g.nbytes * (n - 1))),
                          tag + ":bwd")
             if group.world.fault_plan is None:
                 # Zero-copy dual: grads accumulate out-of-place, so all
@@ -217,7 +209,6 @@ def dist_all_to_all(
     tensors: Sequence[Tensor],
     split_axis: int,
     concat_axis: int,
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiles: int = 1,
     tile_axis: int = 0,
@@ -241,7 +232,6 @@ def dist_all_to_all(
     """
     group.check_shards(tensors)
     n = group.size
-    eb = _eb(tensors, elem_bytes)
     datas = [t.data for t in tensors]
     for d in datas:
         if d.shape[split_axis] % n != 0:
@@ -250,13 +240,13 @@ def dist_all_to_all(
                 f"not divisible by {n}"
             )
     chunks = [np.split(d, n, axis=split_axis) for d in datas]
-    per_rank = [sum(chunks[i][j].size * eb for j in range(n) if j != i)
+    per_rank = [float(sum(chunks[i][j].nbytes for j in range(n) if j != i))
                 for i in range(n)]
     group.pre_collective("all_to_all", tag)
     if tiles > 1:
         received_list = _a2a_tiled_delivery(
             group, chunks, per_rank, concat_axis, tile_axis, tiles,
-            eb, tag, tile_label)
+            tag, tile_label)
     else:
         group.record("all_to_all", per_rank, tag)
         received_list = None
@@ -289,9 +279,10 @@ def dist_all_to_all(
                 grad[tuple(gslicer)] = piece
                 grads.append(grad)
                 if i != j:
-                    wire += piece.size * eb
+                    wire += piece.nbytes
             group.pre_collective("all_to_all", tag + ":bwd")
-            group.record("all_to_all", _one_hot(n, j, wire), tag + ":bwd")
+            group.record("all_to_all", _one_hot(n, j, wire),
+                         tag + ":bwd")
             return tuple(grads)
 
         outs.append(Tensor.from_op(received, list(tensors), backward,
@@ -301,7 +292,7 @@ def dist_all_to_all(
 
 
 def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tile_axis,
-                        tiles, eb, tag, tile_label):
+                        tiles, tag, tile_label):
     """Token-chunked delivery for a balanced all-to-all.
 
     Preallocates each destination's buffer and copies one tile of every
@@ -352,7 +343,6 @@ def dist_all_to_all_uneven(
     group: ProcessGroup,
     tensors: Sequence[Tensor],
     send_splits: Sequence[Sequence[int]],
-    elem_bytes: Optional[float] = None,
     tag: str = "",
     tiled: bool = False,
     tile_label: str = "",
@@ -373,7 +363,6 @@ def dist_all_to_all_uneven(
     """
     group.check_shards(tensors)
     n = group.size
-    eb = _eb(tensors, elem_bytes)
     offsets = []
     for i, (t, splits) in enumerate(zip(tensors, send_splits)):
         if len(splits) != n:
@@ -389,7 +378,8 @@ def dist_all_to_all_uneven(
 
     per_rank = [
         sum(send_splits[i][j] for j in range(n) if j != i)
-        * int(np.prod(tensors[i].data.shape[1:])) * eb
+        * int(np.prod(tensors[i].data.shape[1:]))
+        * float(tensors[i].data.itemsize)
         for i in range(n)
     ]
     group.pre_collective("all_to_all", tag)
@@ -436,9 +426,10 @@ def dist_all_to_all_uneven(
                 grad[offsets[i][j]:offsets[i][j + 1]] = piece
                 grads.append(grad)
                 if i != j:
-                    wire += piece.size * eb
+                    wire += piece.nbytes
             group.pre_collective("all_to_all", tag + ":bwd")
-            group.record("all_to_all", _one_hot(n, j, wire), tag + ":bwd")
+            group.record("all_to_all", _one_hot(n, j, wire),
+                         tag + ":bwd")
             return tuple(grads)
 
         outs.append(Tensor.from_op(received, list(tensors), backward,
@@ -450,7 +441,6 @@ def dist_all_to_all_uneven(
 def dist_all_reduce(
     group: ProcessGroup,
     tensors: Sequence[Tensor],
-    elem_bytes: Optional[float] = None,
     tag: str = "",
 ) -> List[Tensor]:
     """Sum all ranks' tensors; every rank receives the total.
@@ -459,12 +449,12 @@ def dist_all_reduce(
     """
     group.check_shards(tensors)
     n = group.size
-    eb = _eb(tensors, elem_bytes)
     first = tensors[0].data
     total = rank_ordered_sum([t.data for t in tensors])
     group.pre_collective("all_reduce", tag)
     group.record("all_reduce",
-                 [2.0 * first.size / n * eb * (n - 1)] * n, tag)
+                 [2.0 * first.size / n * first.itemsize * (n - 1)] * n,
+                 tag)
 
     plan_free = group.world.fault_plan is None
     shared = total.astype(first.dtype, copy=False) if plan_free else None
@@ -474,7 +464,7 @@ def dist_all_reduce(
             group.pre_collective("all_reduce", tag + ":bwd")
             group.record(
                 "all_reduce",
-                _one_hot(n, j, 2.0 * g.size / n * eb * (n - 1)),
+                _one_hot(n, j, 2.0 * g.size / n * g.itemsize * (n - 1)),
                 tag + ":bwd",
             )
             if group.world.fault_plan is None:

@@ -53,7 +53,6 @@ class EPFFNEngine:
 
     def __init__(self, group: ProcessGroup, moe: MoELayer,
                  mode: str = "adaptive",
-                 elem_bytes: Optional[float] = None,
                  fp8_comm: bool = False):
         n = group.size
         if moe.n_experts % n != 0:
@@ -68,7 +67,6 @@ class EPFFNEngine:
         if mode == "adaptive":
             mode = choose_dispatch_mode(moe.top_k, n)
         self.mode = mode
-        self.elem_bytes = elem_bytes
         #: §5 FP8 communication compression (AG/RS dispatch mode only:
         #: the A2A path already carries selected rows).
         self.fp8_comm = fp8_comm

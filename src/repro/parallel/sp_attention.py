@@ -21,8 +21,6 @@ parameter sync of Appendix A.1 would produce.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..comm.group import ProcessGroup
@@ -36,7 +34,6 @@ class SPAttentionEngine:
     """Runs a replicated :class:`SelfAttention` over sequence shards."""
 
     def __init__(self, group: ProcessGroup, attn: SelfAttention,
-                 elem_bytes: Optional[float] = None,
                  dropout: float = 0.0, rng_pool=None):
         n = group.size
         if attn.n_heads % n != 0:
@@ -55,7 +52,6 @@ class SPAttentionEngine:
             )
         self.group = group
         self.attn = attn
-        self.elem_bytes = elem_bytes
         #: Attention-output dropout probability; draws come from
         #: ``rng_pool[rank]`` — one private stream per rank (a shared
         #: generator would make the masks depend on the draw order).

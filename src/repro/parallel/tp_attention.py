@@ -14,7 +14,7 @@ in ``n``, the scalability limitation §7 discusses.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -28,8 +28,7 @@ __all__ = ["TPAttentionEngine"]
 class TPAttentionEngine:
     """Runs head-sharded attention over sequence-sharded activations."""
 
-    def __init__(self, group: ProcessGroup, attn: SelfAttention,
-                 elem_bytes: Optional[float] = None):
+    def __init__(self, group: ProcessGroup, attn: SelfAttention):
         n = group.size
         if attn.n_heads % n != 0:
             raise ValueError(
@@ -41,7 +40,6 @@ class TPAttentionEngine:
             )
         self.group = group
         self.attn = attn
-        self.elem_bytes = elem_bytes
         self._shard_weights()
 
     def _shard_weights(self) -> None:

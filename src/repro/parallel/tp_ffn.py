@@ -11,7 +11,7 @@ top-k and of ``n``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class TPFFNEngine:
     """Runs a reference :class:`MoELayer` with intermediate-dim sharding."""
 
     def __init__(self, group: ProcessGroup, moe: MoELayer,
-                 elem_bytes: Optional[float] = None,
                  fp8_comm: bool = False):
         n = group.size
         ffn_hidden = moe.experts[0].fc1.shape[1]
@@ -37,7 +36,6 @@ class TPFFNEngine:
             )
         self.group = group
         self.moe = moe
-        self.elem_bytes = elem_bytes
         #: §5 FP8 communication compression: per-token FP8 payloads on
         #: the forward AG/RS path, grouped per-channel FP8 gradients.
         self.fp8_comm = fp8_comm

@@ -48,7 +48,6 @@ def vocab_parallel_cross_entropy(
     group: ProcessGroup,
     logit_shards: Sequence[Tensor],
     targets: np.ndarray,
-    elem_bytes: float = 2.0,
 ) -> Tensor:
     """Mean cross-entropy from per-rank ``[T, V/n]`` logit shards.
 
@@ -78,9 +77,7 @@ def vocab_parallel_cross_entropy(
         (shard - Tensor(shift)).exp().sum(axis=-1, keepdims=True)
         for shard in logit_shards
     ]
-    global_sums = dist_all_reduce(group, local_sums,
-                                  elem_bytes=elem_bytes,
-                                  tag="vocab_ce:sumexp")
+    global_sums = dist_all_reduce(group, local_sums, tag="vocab_ce:sumexp")
 
     # 4. The target logit, assembled by summing per-rank partials.
     rows = np.arange(t)
@@ -92,9 +89,7 @@ def vocab_parallel_cross_entropy(
         safe_ids = np.where(mine, local_ids, 0)
         gathered = shard[rows, safe_ids]
         partials.append(gathered * Tensor(mine.astype(shard.dtype)))
-    target_logits = dist_all_reduce(group, partials,
-                                    elem_bytes=elem_bytes,
-                                    tag="vocab_ce:target")
+    target_logits = dist_all_reduce(group, partials, tag="vocab_ce:target")
 
     # Every rank computes the identical loss; take rank 0's copy.
     lse = global_sums[0].log().reshape(t) + Tensor(global_max)
@@ -107,7 +102,6 @@ def vocab_parallel_loss(
     hidden_shards: Sequence[Tensor],
     head_shards: Sequence[Tensor],
     targets: np.ndarray,
-    elem_bytes: float = 2.0,
 ) -> Tensor:
     """Sequence-sharded hidden states × vocab-sharded head → mean CE.
 
@@ -123,9 +117,7 @@ def vocab_parallel_loss(
     from .dist_ops import dist_all_gather
     flats = [s.reshape(-1, s.shape[-1]) if s.ndim == 3 else s
              for s in hidden_shards]
-    fulls = dist_all_gather(group, flats, axis=0,
-                            elem_bytes=elem_bytes, tag="vocab_ce:ag")
+    fulls = dist_all_gather(group, flats, axis=0, tag="vocab_ce:ag")
     logit_shards = [fulls[r] @ head_shards[r]
                     for r in range(group.size)]
-    return vocab_parallel_cross_entropy(group, logit_shards, targets,
-                                        elem_bytes)
+    return vocab_parallel_cross_entropy(group, logit_shards, targets)

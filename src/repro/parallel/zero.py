@@ -5,9 +5,9 @@ optimizer states across DP groups".  This module implements stage 1
 *numerically*: the flattened parameter space is split into per-rank
 shards; each DP rank keeps Adam moments and the master copy for its
 shard only — in the parameters' dtype, FP32 for the default model, the
-12 B/param :func:`zero_memory_model` charges — updates it after a
-reduce-scatter of gradients, and the updated shards are all-gathered
-back into the full parameter set.
+12 B/param :func:`zero_memory_model` charges — updates it from its
+shard of the already-synchronized gradient, and the updated shards are
+all-gathered back into the full parameter set.
 
 The update is :func:`repro.precision.optimizer.adam_update_`, the
 kernel every optimizer calls, run over the slices of each shard whose
@@ -15,8 +15,9 @@ parameters received a gradient: a parameter no rank has a gradient for
 (an idle expert) sits the step out, exactly as under ``AdamW``.  The
 result is bit-identical to a full (unsharded) AdamW step on the
 averaged gradients — asserted by the tests — while optimizer memory
-drops by ``1/dp`` and gradient communication becomes RS+AG instead of
-all-reduce (same ring volume), priced at the state dtype's itemsize.
+drops by ``1/dp``.  The gradient reaches the optimizer through the DP
+sync (:mod:`repro.comm.hierarchical`), so the only collective here is
+the parameter all-gather.
 
 Stages 2 and 3 are provided as memory/communication models
 (:func:`zero_memory_model`), matching the paper's usage (stage 1 in
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..comm.collectives import all_gather, reduce_scatter
+from ..comm.collectives import all_gather
 from ..comm.group import ProcessGroup
 from ..precision.optimizer import adam_update_
 from ..tensor import Tensor
@@ -94,39 +95,21 @@ class Zero1AdamW:
         return [flat[lo:hi].reshape(p.shape) for p, lo, hi
                 in zip(self.params, self.offsets, self.offsets[1:])]
 
-    def step(self, per_rank_grads: Optional[Sequence[Sequence[np.ndarray]]]
-             = None) -> None:
-        """One sharded update.
+    def step(self) -> None:
+        """One sharded update from the parameters' synchronized
+        ``.grad``: rank ``r`` reads its shard of the flat gradient.
 
-        Args:
-            per_rank_grads: ``[rank][param]`` gradient arrays from each
-                DP rank's backward (pre-reduction); an entry may be
-                ``None`` where that rank's backward left no gradient.
-                When omitted, the parameters' ``.grad`` is treated as
-                every rank's gradient (already-synchronized case).
-
-        A parameter with no gradient on any rank is not updated and its
-        moments do not decay.
+        A parameter with no gradient is not updated and its moments do
+        not decay.
         """
-        n = self.group.size
-        if per_rank_grads is None:
-            per_rank_grads = [[p.grad for p in self.params]] * n
-        elif len(per_rank_grads) != n:
-            raise ValueError(
-                f"expected {n} gradient sets, got {len(per_rank_grads)}"
-            )
-        has_grad = [any(g[i] is not None for g in per_rank_grads)
-                    for i in range(len(self.params))]
-        rank_flats = [self._flatten(g) for g in per_rank_grads]
-
-        # Reduce-scatter: rank r receives the summed shard r.
-        grad_shards = reduce_scatter(self.group, rank_flats,
-                                     tag="zero1:rs")
+        grads = [p.grad for p in self.params]
+        has_grad = [g is not None for g in grads]
+        flat = self._flatten(grads)
 
         self.step_count += 1
-        for r in range(n):
-            g = grad_shards[r] * (1.0 / n)  # DP averages gradients
+        for r in range(self.group.size):
             base = r * self.shard_size
+            g = flat[base:base + self.shard_size]
             # The slice of every parameter with a gradient that falls
             # in this shard (the padded tail belongs to no parameter).
             for got, lo, hi in zip(has_grad, self.offsets,

@@ -7,6 +7,8 @@ from .formats import (
     FP16,
     FP32,
     FloatFormat,
+    decode,
+    encode,
     get_format,
     round_bf16,
     round_fp8,
@@ -28,6 +30,8 @@ __all__ = [
     "FP16",
     "FP32",
     "FloatFormat",
+    "decode",
+    "encode",
     "get_format",
     "round_bf16",
     "round_fp8",

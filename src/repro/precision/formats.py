@@ -13,11 +13,18 @@ numpy float32/float64 arrays:
 All rounding uses round-to-nearest-even, matching IEEE 754 and hardware
 cast instructions.  Values above the format's maximum magnitude saturate
 (the behaviour of NVIDIA's saturating casts used in training).
+
+What travels on a compressed wire is the format's own bits:
+:func:`encode` turns rounded values into ``uint16`` BF16 words (the top
+half of the float32 bits) or ``uint8`` FP8 codes, and :func:`decode`
+restores the exact float32 values, so a collective's ``nbytes`` is the
+compressed size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +35,8 @@ __all__ = [
     "FP8_E5M2",
     "FP16",
     "FP32",
+    "decode",
+    "encode",
     "round_bf16",
     "round_fp8",
     "round_to_format",
@@ -162,3 +171,64 @@ def round_to_format(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     out[np.isposinf(x64)] = fmt.max_value
     out[np.isneginf(x64)] = -fmt.max_value
     return out.astype(np.float32)
+
+
+# FP8 codes are sign (bit 7) | magnitude index (bits 0-6); index 127 is
+# NaN.  Both formats fit: E4M3 has 127 magnitudes (zero, 7 subnormals,
+# 119 normals up to 448), E5M2 has 124.
+_FP8_NAN_INDEX = 0x7F
+
+
+@lru_cache(maxsize=None)
+def _fp8_tables(fmt: FloatFormat) -> tuple:
+    """(ascending non-negative magnitudes, 256-entry decode table)."""
+    m = fmt.mantissa_bits
+    emin = fmt.min_normal_exponent
+    mags = [k * 2.0 ** (emin - m) for k in range(1 << m)]  # 0, subnormals
+    e = emin
+    while 2.0 ** e <= fmt.max_value:
+        mags += [(1 + k / 2.0 ** m) * 2.0 ** e for k in range(1 << m)
+                 if (1 + k / 2.0 ** m) * 2.0 ** e <= fmt.max_value]
+        e += 1
+    mags = np.array(mags, dtype=np.float32)
+    if mags.size > _FP8_NAN_INDEX:
+        raise ValueError(f"{fmt.name} has too many values for 8-bit codes")
+    table = np.full(256, np.nan, dtype=np.float32)
+    table[:mags.size] = mags
+    table[0x80:0x80 + mags.size] = -mags
+    table[0x80 + _FP8_NAN_INDEX] = -np.float32(np.nan)
+    return mags, table
+
+
+def _check_wire_format(fmt: FloatFormat) -> None:
+    if fmt.name != "bf16" and fmt.bytes_per_element != 1.0:
+        raise ValueError(f"no wire encoding for {fmt.name}")
+
+
+def encode(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """The wire words of ``values``, which must already be representable
+    in ``fmt`` (the output of :func:`round_to_format`).
+
+    BF16 becomes ``uint16`` (the top half of each float32's bits); an
+    FP8 format becomes ``uint8`` codes.  :func:`decode` restores the
+    values bit for bit, signed zeros and NaN included.
+    """
+    _check_wire_format(fmt)
+    x32 = np.asarray(values, dtype=np.float32)
+    if fmt.name == "bf16":
+        return (x32.view(np.uint32) >> np.uint32(16)).astype(np.uint16)
+    mags, _ = _fp8_tables(fmt)
+    index = np.searchsorted(mags, np.abs(x32))
+    index[np.isnan(x32)] = _FP8_NAN_INDEX
+    codes = index.astype(np.uint8)
+    codes |= np.signbit(x32).astype(np.uint8) << np.uint8(7)
+    return codes
+
+
+def decode(words: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """float32 values of wire words produced by :func:`encode`."""
+    _check_wire_format(fmt)
+    words = np.asarray(words)
+    if fmt.name == "bf16":
+        return (words.astype(np.uint32) << np.uint32(16)).view(np.float32)
+    return _fp8_tables(fmt)[1][words]

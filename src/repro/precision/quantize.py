@@ -13,10 +13,11 @@ uses three granularities:
   communication, optionally **grouped** along the token dimension with a
   small group size (e.g. 128) for a tighter dynamic range.
 
-Quantization returns a :class:`QuantizedTensor` carrying the low-precision
-payload and the scales; :func:`dequantize` restores float32.  The payload
-values are exactly representable in the target FP8 format, so transmitting
-them costs ``fmt.bytes_per_element`` bytes each, plus 4 bytes per scale.
+Quantization returns a :class:`QuantizedTensor` carrying the payload as
+the format's wire codes (``uint8`` for FP8, see
+:func:`~repro.precision.formats.encode`) and the FP32 scales;
+:func:`dequantize` restores float32.  What it costs on the wire is what
+it holds: ``payload.nbytes + scales.nbytes``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formats import FP8_E4M3, FloatFormat, round_to_format
+from .formats import FP8_E4M3, FloatFormat, decode, encode, round_to_format
 
 __all__ = [
     "QuantizedTensor",
@@ -52,10 +53,10 @@ class QuantizedTensor:
     """A quantized payload plus the metadata needed to dequantize it.
 
     Attributes:
-        payload: float32 array whose values are exactly representable in
-            ``fmt`` *after division by the broadcast scales*.
+        payload: The wire codes of ``x / scales`` rounded to ``fmt``
+            (``uint8`` for FP8 formats).
         scales: float32 array broadcastable against ``payload``; the
-            dequantized value is ``payload * scales``.
+            dequantized value is ``decode(payload) * scales``.
         fmt: Target low-precision format of the payload.
         scheme: Which granularity produced this tensor (``"per_tensor"``,
             ``"per_token"``, ``"per_channel"``, or ``"grouped"``).
@@ -75,10 +76,7 @@ class QuantizedTensor:
     @property
     def nbytes_on_wire(self) -> float:
         """Bytes needed to transmit payload + scales."""
-        return (
-            self.payload.size * self.fmt.bytes_per_element
-            + self.scales.size * 4.0
-        )
+        return float(self.payload.nbytes + self.scales.nbytes)
 
 
 def _scale_for(block_max: np.ndarray, fmt: FloatFormat) -> np.ndarray:
@@ -103,7 +101,8 @@ def _quantize_with_scales(
     x: np.ndarray, scales: np.ndarray, fmt: FloatFormat, scheme: str,
     group_size: Optional[int] = None,
 ) -> QuantizedTensor:
-    payload = round_to_format(np.asarray(x, dtype=np.float64) / scales, fmt)
+    payload = encode(
+        round_to_format(np.asarray(x, dtype=np.float64) / scales, fmt), fmt)
     return QuantizedTensor(payload, np.asarray(scales, np.float32), fmt,
                            scheme, group_size)
 
@@ -182,7 +181,7 @@ def quantize_grouped(
     blocks = padded.reshape(groups, group_size, channels)
     block_max = np.max(np.abs(blocks), axis=1, keepdims=True)
     scales = _scale_for(block_max, fmt)  # [groups, 1, channels]
-    payload = round_to_format(blocks / scales, fmt)
+    payload = encode(round_to_format(blocks / scales, fmt), fmt)
     payload = payload.reshape(groups * group_size, channels)[:tokens]
     q = QuantizedTensor(
         payload.reshape(x.shape), scales.squeeze(1), fmt, "grouped",
@@ -193,9 +192,10 @@ def quantize_grouped(
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Restore a float32 tensor from a :class:`QuantizedTensor`."""
+    values = decode(q.payload, q.fmt)
     if q.scheme in ("per_tensor",):
-        return (q.payload.astype(np.float64) * q.scales).astype(np.float32)
-    flat = q.payload.reshape(-1, q.payload.shape[-1]).astype(np.float64)
+        return (values.astype(np.float64) * q.scales).astype(np.float32)
+    flat = values.reshape(-1, values.shape[-1]).astype(np.float64)
     if q.scheme == "per_token":
         out = flat * q.scales
     elif q.scheme == "per_channel":

@@ -415,32 +415,41 @@ def _check_router_mass(art: "RunArtifacts") -> List[str]:
     return violations
 
 
+#: Mechanisms whose forward collectives carry FP8 under fp8 precision.
+_FP8_WIRE = ("ep_ffn_ag_rs", "tp_ffn")
+
+
 def _check_comm_audit(art: "RunArtifacts") -> List[str]:
     case = art.case
     # Eq. 1-4 count elements; the wire width is the model's own.  A
     # payload some op widened on the way to a collective then shows up
     # as twice the predicted bytes instead of passing because audit and
     # ledger agree on the wrong width.
-    elem_bytes = float(next(iter(art.params.values())).itemsize)
+    itemsize = float(next(iter(art.params.values())).itemsize)
+    passes = case.layers * case.steps
     report = audit_comm_volumes(
         art.ledger, b=case.batch, s=case.seq, h=case.hidden,
         n=case.ranks, m=case.gqa_ratio, k=case.top_k,
-        elem_bytes=elem_bytes, passes=case.layers * case.steps,
+        itemsize=itemsize, passes=passes,
     )
     violations = []
     for entry in report.entries:
-        if case.precision == "fp8" and entry.mechanism == "ep_ffn_ag_rs":
-            # FP8 comm ships 1-byte payloads + FP32 scales on the
-            # AG/RS FFN collectives (the A2A path stays uncompressed);
-            # the model-dtype closed forms only bound the uncompressed
-            # volume.  Still enforce the bound direction: compressed
-            # must never exceed the uncompressed prediction.
-            if entry.measured_bytes > entry.expected_bytes * (1 + 1e-9):
+        if case.precision == "fp8" and entry.mechanism in _FP8_WIRE:
+            # The FP8 AG/RS FFN collectives ship each token row as
+            # 1-byte E4M3 codes plus its FP32 per-token scale: Eq. 4's
+            # elements at 1 B, and one scale per shipped row —
+            # 2 (n-1) b s per pass over all ranks — at 4 B.
+            n = case.ranks
+            rows = 2.0 * (n - 1) * case.batch * case.seq * passes
+            expected = (entry.expected_bytes / itemsize
+                        * FP8_E4M3.bytes_per_element
+                        + rows * np.dtype(np.float32).itemsize)
+            if abs(entry.measured_bytes - expected) > 1e-9 * expected:
                 violations.append(
-                    f"{entry.mechanism}: compressed bytes "
-                    f"{entry.measured_bytes:.0f} exceed the "
-                    f"uncompressed {entry.equation} volume "
-                    f"{entry.expected_bytes:.0f}"
+                    f"{entry.mechanism}: FP8 wire moved "
+                    f"{entry.measured_bytes:.0f} B vs "
+                    f"{expected:.0f} B of codes + scales "
+                    f"({entry.equation} at 1 B/elem)"
                 )
             continue
         tolerance = entry.tolerance

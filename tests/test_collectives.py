@@ -18,6 +18,7 @@ from repro.comm import (
     scatter,
 )
 from repro.parallel.dist_ops import dist_all_reduce, dist_reduce_scatter
+from repro.precision.formats import BF16, encode, round_bf16
 from repro.tensor import Tensor
 
 
@@ -74,10 +75,14 @@ class TestAllGather:
         # Each rank sends its 6-element float64 shard (n-1) times.
         assert rec.send_bytes_per_rank == [6 * 8 * 3] * 4
 
-    def test_elem_bytes_override(self, rng, world4):
+    def test_bytes_are_the_payload_nbytes(self, rng, world4):
+        """A narrower wire is a narrower array: BF16 words move at
+        2 bytes each."""
         g = world4.full_group()
         world4.ledger.clear()
-        all_gather(g, make_shards(rng, 4, (2, 3)), elem_bytes=2.0)
+        words = [encode(round_bf16(s), BF16)
+                 for s in make_shards(rng, 4, (2, 3))]
+        all_gather(g, words)
         assert world4.ledger.records[-1].send_bytes_per_rank == [36] * 4
 
     def test_wrong_shard_count(self, rng, world4):

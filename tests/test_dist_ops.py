@@ -44,8 +44,7 @@ class TestDistAllGather:
     def test_backward_bytes_recorded(self, rng, world4):
         g = world4.full_group()
         shards = leaf_shards(rng, 4, (2, 3))
-        outs = dist_all_gather(g, shards, axis=0, elem_bytes=2.0,
-                               tag="x")
+        outs = dist_all_gather(g, shards, axis=0, tag="x")
         for out in outs:
             out.backward(np.ones((8, 3)))
         led = world4.ledger

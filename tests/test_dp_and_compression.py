@@ -4,182 +4,175 @@ import numpy as np
 import pytest
 
 from repro.comm import World
+from repro.comm.collectives import rank_ordered_sum
+from repro.comm.hierarchical import flat_sync
 from repro.core.config import ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.parallel.zero import zero_memory_model
-from repro.precision.compression import (
-    GRAD_SYNC_METHODS,
-    InPlaceCastBuffer,
-    fp8_compressed_all_gather,
-    fp8_compressed_reduce_scatter,
-    sync_gradients,
+from repro.parallel.dist_ops_fp8 import (
+    dist_all_gather_fp8,
+    dist_reduce_scatter_fp8,
 )
+from repro.parallel.zero import Zero1AdamW, zero_memory_model
 from repro.precision.formats import round_bf16
 from repro.precision.optimizer import AdamW, clip_grad_norm
+from repro.precision.quantize import (
+    dequantize,
+    quantize_grouped,
+    quantize_per_channel,
+)
+from repro.tensor import Tensor
+
+
+def dp_sync(grads, compress, world=None):
+    """Sum one gradient per rank across a DP group of ``len(grads)``
+    single-rank nodes; ``compress`` runs §5's BF16 all-to-all."""
+    world = world or World(len(grads), 1)
+    return flat_sync(world, grads, tag="dp", compress=compress)
+
+
+def ring_bf16_sum(grads):
+    """The rejected design: a ring reduce that rounds the partial sum
+    to BF16 at every hop."""
+    acc = round_bf16(grads[0]).astype(np.float64)
+    for g in grads[1:]:
+        acc = round_bf16(acc + round_bf16(g)).astype(np.float64)
+    return acc
 
 
 class TestSyncGradients:
-    def test_fp32_exact(self, rng, world4):
-        g = world4.full_group()
+    def test_fp32_exact(self, rng):
         grads = [rng.standard_normal((5, 3)) for _ in range(4)]
-        outs = sync_gradients(g, grads, method="fp32_rs")
-        expected = np.mean(grads, axis=0)
-        for out in outs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
+        for out in dp_sync(grads, compress=False):
+            np.testing.assert_array_equal(out, rank_ordered_sum(grads))
 
-    def test_bf16_a2a_single_rounding(self, rng, world4):
-        """The compressed result equals mean(round_bf16(g_r)) computed in
-        FP64 — exactly one rounding per rank, no repeated-accumulation
-        error (the Fig. 10 design)."""
-        g = world4.full_group()
+    def test_bf16_a2a_single_rounding(self, rng):
+        """The compressed result is the FP64 sum of round_bf16(g_r) —
+        exactly one rounding per rank, no repeated-accumulation error
+        (the Fig. 10 design) — rounded once more to BF16 for the final
+        all-gather."""
         grads = [rng.standard_normal((8,)) for _ in range(4)]
-        outs = sync_gradients(g, grads, method="bf16_a2a")
-        exact_sum = np.mean([round_bf16(x) for x in grads], axis=0)
-        # One more BF16 rounding happens on the reduced shard before the
-        # final all-gather.
-        expected = round_bf16(exact_sum * 4) / 4
-        for out in outs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
+        expected = round_bf16(rank_ordered_sum(round_bf16(x)
+                                               for x in grads))
+        for out in dp_sync(grads, compress=True):
+            np.testing.assert_array_equal(out, expected)
 
-    def test_bf16_a2a_close_to_fp32(self, rng, world4):
-        g = world4.full_group()
+    def test_bf16_a2a_close_to_fp32(self, rng):
         grads = [rng.standard_normal((64,)) for _ in range(4)]
-        exact = sync_gradients(g, grads, method="fp32_rs")[0]
-        compressed = sync_gradients(g, grads, method="bf16_a2a")[0]
+        exact = rank_ordered_sum(grads)
+        compressed = dp_sync(grads, compress=True)[0]
         rel = np.abs(compressed - exact) / (np.abs(exact) + 1e-12)
         assert np.median(rel) < 2 ** -7
 
-    def test_ring_bf16_worse_than_a2a(self, world4):
+    def test_ring_bf16_worse_than_a2a(self):
         """Repeated BF16 accumulation (ring) loses more precision than
         the single-rounding A2A design — the paper's §5 rationale."""
         rng = np.random.default_rng(0)
-        errors = {"bf16_a2a": [], "bf16_ring_rs": []}
+        errors = {"a2a": [], "ring": []}
         for trial in range(30):
             grads = [rng.standard_normal((64,)) for _ in range(4)]
-            exact = sync_gradients(world4.full_group(), grads,
-                                   method="fp32_rs")[0]
-            for method in errors:
-                approx = sync_gradients(world4.full_group(), grads,
-                                        method=method)[0]
-                errors[method].append(np.abs(approx - exact).mean())
-        assert np.mean(errors["bf16_a2a"]) <= \
-            np.mean(errors["bf16_ring_rs"])
+            exact = rank_ordered_sum(grads)
+            errors["a2a"].append(
+                np.abs(dp_sync(grads, compress=True)[0] - exact).mean())
+            errors["ring"].append(np.abs(ring_bf16_sum(grads)
+                                         - exact).mean())
+        assert np.mean(errors["a2a"]) <= np.mean(errors["ring"])
 
-    def test_wire_bytes_halved(self, rng, world4):
-        g = world4.full_group()
-        grads = [rng.standard_normal((64,)) for _ in range(4)]
-        world4.ledger.clear()
-        sync_gradients(g, grads, method="fp32_rs")
-        fp32_bytes = world4.ledger.total_bytes()
-        world4.ledger.clear()
-        sync_gradients(g, grads, method="bf16_a2a")
-        bf16_bytes = world4.ledger.total_bytes()
-        assert bf16_bytes == pytest.approx(fp32_bytes / 2.0)
+    def test_wire_bytes_halved(self, rng):
+        grads = [rng.standard_normal((64,)).astype(np.float32)
+                 for _ in range(4)]
+        totals = {}
+        for compress in (False, True):
+            world = World(4, 1)
+            dp_sync(grads, compress, world)
+            totals[compress] = world.ledger.total_bytes()
+        assert totals[True] == totals[False] / 2.0
 
-    def test_padding_for_odd_sizes(self, rng, world4):
-        g = world4.full_group()
+    def test_padding_for_odd_sizes(self, rng):
         grads = [rng.standard_normal((7, 3)) for _ in range(4)]
-        outs = sync_gradients(g, grads, method="fp32_rs")
-        assert outs[0].shape == (7, 3)
-        np.testing.assert_allclose(outs[0], np.mean(grads, axis=0))
+        for compress in (False, True):
+            outs = dp_sync(grads, compress)
+            assert outs[0].shape == (7, 3)
+            np.testing.assert_allclose(outs[0], rank_ordered_sum(grads),
+                                       rtol=2 ** -7, atol=1e-2)
 
-    def test_sum_mode(self, rng, world4):
-        g = world4.full_group()
+    def test_sum_mode(self, rng):
+        """The sync sums; averaging is the trainer's one multiply."""
         grads = [rng.standard_normal((4,)) for _ in range(4)]
-        outs = sync_gradients(g, grads, method="fp32_rs", average=False)
-        np.testing.assert_allclose(outs[0], np.sum(grads, axis=0))
+        np.testing.assert_allclose(dp_sync(grads, compress=False)[0],
+                                   np.sum(grads, axis=0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("method", GRAD_SYNC_METHODS)
-    def test_gradients_come_back_in_their_dtype(self, rng, world4,
-                                                 method, dtype):
+    @pytest.mark.parametrize("method", ["fp32_rs", "bf16_a2a"])
+    def test_gradients_come_back_in_their_dtype(self, rng, method, dtype):
         """Only the cross-rank accumulator widens: a float32 model
-        receives float32 gradients, at unchanged wire bytes."""
-        g = world4.full_group()
+        receives float32 gradients.  The BF16 wire is two bytes per
+        element whatever the gradient dtype."""
+        compress = method == "bf16_a2a"
         grads = [rng.standard_normal((7, 3)).astype(dtype)
                  for _ in range(4)]
-        world4.ledger.clear()
-        outs = sync_gradients(g, grads, method=method)
-        narrow = world4.ledger.total_bytes()
+        narrow_world, wide_world = World(4, 1), World(4, 1)
+        outs = dp_sync(grads, compress, narrow_world)
         assert all(o.dtype == dtype and o.shape == (7, 3) for o in outs)
-        world4.ledger.clear()
-        wide = sync_gradients(g, [x.astype(np.float64) for x in grads],
-                              method=method)
-        assert world4.ledger.total_bytes() == narrow
+        wide = dp_sync([x.astype(np.float64) for x in grads], compress,
+                       wide_world)
         # the same reduction, rounded once to the gradient dtype
         np.testing.assert_allclose(outs[0], wide[0], rtol=1e-6, atol=1e-7)
-        if method == "bf16_a2a":
+        if compress:
+            assert (narrow_world.ledger.total_bytes()
+                    == wide_world.ledger.total_bytes())
             np.testing.assert_array_equal(outs[0], wide[0].astype(dtype))
-
-    def test_unknown_method(self, rng, world4):
-        with pytest.raises(ValueError, match="unknown method"):
-            sync_gradients(world4.full_group(),
-                           [np.zeros(4)] * 4, method="zfp")
 
 
 class TestFP8Communication:
     def test_rs_close_to_exact(self, rng, world4):
-        g = world4.full_group()
-        tensors = [rng.standard_normal((8, 16)) for _ in range(4)]
-        outs = fp8_compressed_reduce_scatter(g, tensors)
-        exact = np.sum(tensors, axis=0)
+        tensors = [Tensor(rng.standard_normal((8, 16))) for _ in range(4)]
+        outs = dist_reduce_scatter_fp8(world4.full_group(), tensors)
+        exact = np.sum([t.data for t in tensors], axis=0)
         for j, out in enumerate(outs):
             ref = exact[j * 2:(j + 1) * 2]
-            rel = np.abs(out - ref) / (np.abs(ref) + 1e-6)
+            rel = np.abs(out.data - ref) / (np.abs(ref) + 1e-6)
             assert np.median(rel) < 0.1
 
     def test_rs_wire_bytes_are_fp8(self, rng, world4):
-        g = world4.full_group()
-        tensors = [rng.standard_normal((8, 16)) for _ in range(4)]
-        world4.ledger.clear()
-        fp8_compressed_reduce_scatter(g, tensors, tag="f8")
+        tensors = [Tensor(rng.standard_normal((8, 16))) for _ in range(4)]
+        dist_reduce_scatter_fp8(world4.full_group(), tensors, tag="f8")
         rec = world4.ledger.records[-1]
-        # Each rank sends 3 chunks of 2x16 elements at 1 byte each.
-        assert rec.send_bytes_per_rank == [3 * 2 * 16 * 1.0] * 4
+        # Each rank sends 3 chunks of 2x16 one-byte codes, plus the two
+        # rows' FP32 scales.
+        assert rec.send_bytes_per_rank == [3 * (2 * 16 + 2 * 4)] * 4
 
-    def test_rs_reduction_in_fp32(self, rng, world4):
-        """Summation happens after dequantization — adding n well-spread
+    def test_rs_reduction_in_fp32(self, world4):
+        """Summation happens after decoding — adding n well-spread
         values must not saturate at the FP8 max."""
-        g = world4.full_group()
-        tensors = [np.full((4, 4), 300.0) for _ in range(4)]
-        outs = fp8_compressed_reduce_scatter(g, tensors)
-        assert outs[0].max() == pytest.approx(1200.0, rel=0.1)
+        tensors = [Tensor(np.full((4, 4), 300.0)) for _ in range(4)]
+        outs = dist_reduce_scatter_fp8(world4.full_group(), tensors)
+        assert outs[0].data.max() == pytest.approx(1200.0, rel=0.1)
 
     def test_rs_shape_validation(self, rng, world4):
         with pytest.raises(ValueError, match="not divisible"):
-            fp8_compressed_reduce_scatter(
+            dist_reduce_scatter_fp8(
                 world4.full_group(),
-                [rng.standard_normal((6, 4))] * 4)
+                [Tensor(rng.standard_normal((6, 4)))] * 4)
 
     def test_ag_roundtrip(self, rng, world4):
-        g = world4.full_group()
-        shards = [rng.standard_normal((32, 8)) for _ in range(4)]
-        outs = fp8_compressed_all_gather(g, shards, group_size=16)
-        full = np.concatenate(shards, axis=0)
-        rel = np.abs(outs[0] - full) / (np.abs(full) + 1e-6)
+        shards = [Tensor(rng.standard_normal((32, 8))) for _ in range(4)]
+        outs = dist_all_gather_fp8(world4.full_group(), shards)
+        full = np.concatenate([s.data for s in shards], axis=0)
+        rel = np.abs(outs[0].data - full) / (np.abs(full) + 1e-6)
         assert np.median(rel) < 0.1
         for out in outs[1:]:
-            np.testing.assert_array_equal(out, outs[0])
+            np.testing.assert_array_equal(out.data, outs[0].data)
 
-    def test_ag_grouping_helps_drifting_gradients(self, rng, world4):
-        g = world4.full_group()
+    def test_ag_grouping_helps_drifting_gradients(self, rng):
+        """The backward quantization groups channels along tokens."""
         scale = (1.0 + np.arange(256) / 8.0)[:, None]
-        shards = [rng.standard_normal((256, 4)) * scale for _ in range(4)]
-        grouped = fp8_compressed_all_gather(g, shards, group_size=32)[0]
-        ungrouped = fp8_compressed_all_gather(g, shards, group_size=0)[0]
-        full = np.concatenate(shards, axis=0)
-        assert np.abs(grouped - full)[:32].mean() < \
-            np.abs(ungrouped - full)[:32].mean()
-
-
-class TestInPlaceBuffer:
-    def test_peak_halved(self):
-        buf = InPlaceCastBuffer(fp32_bytes=1e9)
-        assert buf.inplace_peak_bytes == 1e9
-        assert buf.naive_peak_bytes == 2e9
-        assert buf.savings_fraction == 0.5
+        grad = rng.standard_normal((256, 4)) * scale
+        grouped = dequantize(quantize_grouped(grad, 32))
+        ungrouped = dequantize(quantize_per_channel(grad))
+        assert np.abs(grouped - grad)[:32].mean() < \
+            np.abs(ungrouped - grad)[:32].mean()
 
 
 class TestDataParallelTrainer:
@@ -271,6 +264,20 @@ class TestDataParallelTrainer:
                 if tag.startswith("dp_grad:inter_"))
         assert inter[True] == pytest.approx(inter[False] / 4)
 
+
+    def test_zero1_reads_the_synced_gradient(self, tiny_config, rng):
+        """ZeRO-1 slices its shard of the gradient the DP sync already
+        averaged: no second reduce-scatter on the wire."""
+        model = MoETransformer(tiny_config, seed=0, dtype=np.float32)
+        trainer = MegaScaleTrainer(
+            model, World(2, 1),
+            ParallelConfig(1, data_parallel_size=2, zero_stage=1),
+            TrainConfig(global_batch_size=2, micro_batch_size=1))
+        assert isinstance(trainer.optimizer, Zero1AdamW)
+        trainer.train_step(rng.integers(0, 64, (2, 17)))
+        by_tag = trainer.world.ledger.bytes_by_tag()
+        assert "zero1:rs" not in by_tag
+        assert by_tag["zero1:ag"] > 0
 
 class TestZeRO1Memory:
     def test_sharding_reduces_optimizer_only(self):

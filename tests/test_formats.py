@@ -11,6 +11,8 @@ from repro.precision.formats import (
     FP8_E5M2,
     FP16,
     FP32,
+    decode,
+    encode,
     get_format,
     round_bf16,
     round_fp8,
@@ -171,3 +173,51 @@ class TestRoundToFormat:
     def test_zero_preserved(self):
         for fmt in (FP8_E4M3, FP8_E5M2, FP16, BF16):
             assert round_to_format(np.array([0.0]), fmt)[0] == 0.0
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float32).view(np.uint32)
+
+
+class TestWireCodec:
+    """What a compressed collective ships: every value the rounding
+    functions can produce encodes to the format's width and decodes
+    bit for bit."""
+
+    def test_every_bf16_value_round_trips(self):
+        # Every 16-bit pattern is a BF16 value (both zeros, subnormals,
+        # ±inf, NaNs); add random float32 to drive the rounding path.
+        every = (np.arange(1 << 16, dtype=np.uint32) << 16).view(np.float32)
+        rng = np.random.default_rng(0)
+        noise = (rng.standard_normal(4096)
+                 * 10.0 ** rng.integers(-40, 38, 4096)).astype(np.float32)
+        values = round_bf16(np.concatenate([every, noise]))
+        words = encode(values, BF16)
+        assert words.dtype == np.uint16
+        np.testing.assert_array_equal(bits(decode(words, BF16)),
+                                      bits(values))
+
+    @pytest.mark.parametrize("fmt", [FP8_E4M3, FP8_E5M2])
+    def test_every_fp8_value_round_trips(self, fmt):
+        # Every FP16 value (a superset of both FP8 grids, with room to
+        # saturate) plus signed zeros, ±inf and NaN.
+        halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        extra = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e6, -1e6,
+                          2.0 ** -30, -2.0 ** -30])
+        values = round_to_format(
+            np.concatenate([halves.astype(np.float64), extra]), fmt)
+        finite = np.unique(values[np.isfinite(values)])
+        assert finite.size <= 253  # fits 8 bits with NaN to spare
+        assert fmt.max_value in finite and -fmt.max_value in finite
+        assert 2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits) \
+            in finite  # the smallest subnormal
+        assert np.signbit(values[values == 0]).any()  # -0 survives
+        codes = encode(values, fmt)
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(bits(decode(codes, fmt)),
+                                      bits(values))
+
+    def test_no_wire_form_for_wide_formats(self):
+        for fmt in (FP16, FP32):
+            with pytest.raises(ValueError, match="no wire encoding"):
+                encode(np.zeros(2), fmt)

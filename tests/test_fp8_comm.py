@@ -9,6 +9,7 @@ from repro.comm import World
 from repro.core import MegaScaleTrainer, ModelConfig, ParallelConfig, \
     TrainConfig
 from repro.data import MarkovCorpus, batch_iterator
+from repro.ft import FaultPlan, FaultSpec, RankCrash
 from repro.model import MoETransformer
 from repro.model.moe import MoELayer
 from repro.parallel.dist_ops_fp8 import (
@@ -71,9 +72,6 @@ class TestDistReduceScatterFP8:
         g = world4.full_group()
         with pytest.raises(ValueError, match="not divisible"):
             dist_reduce_scatter_fp8(g, leaf_shards(rng, 4, (7, 4)))
-        with pytest.raises(ValueError, match="axis 0"):
-            dist_reduce_scatter_fp8(g, leaf_shards(rng, 4, (8, 4)),
-                                    axis=1)
 
 
 class TestDistAllGatherFP8:
@@ -142,14 +140,71 @@ class TestEngineIntegration:
         for fp8 in (False, True):
             moe, world, engine = self.setup_engine(
                 TPFFNEngine, fp8, np.random.default_rng(3))
-            if not fp8:
-                engine.elem_bytes = 2.0
             shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                       for r in range(4)]
             ffn_half(engine, shards)
             totals[fp8] = forward_bytes(world)
-        # FP8 payload is half of BF16 plus per-token FP32 scales.
-        assert totals[True] < 0.75 * totals[False]
+        # FP8 payload is half of BF16 plus per-token FP32 scales; the
+        # uncompressed wire moves the float64 activations.
+        bf16 = totals[False] * 2 / x.itemsize
+        assert totals[True] < 0.75 * bf16
+
+
+class _WirePlan(FaultPlan):
+    """A fault plan that also logs every collective's tag and the
+    dtypes of the buffers a corruption hits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tags = []
+        self.hit_dtypes = set()
+
+    def before(self, op, tag):
+        self.tags.append(tag)
+        super().before(op, tag)
+
+    def corrupt(self, op, tag, arrays):
+        hit = super().corrupt(op, tag, arrays)
+        if hit:
+            self.hit_dtypes.update(a.dtype for a in arrays)
+        return hit
+
+
+class TestFP8FaultInjection:
+    """FP8 collectives go through the fault hooks like every other."""
+
+    TAG = "ep_ffn:dispatch_ag"
+
+    def run(self, plan=None):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 8, 16))
+        moe, world, engine = TestEngineIntegration().setup_engine(
+            EPFFNEngine, True, np.random.default_rng(1), mode="ag_rs")
+        if plan is not None:
+            world.attach_fault_plan(plan)
+        shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
+                  for r in range(4)]
+        return ffn_half(engine, shards)[0]
+
+    def call_index(self):
+        probe = _WirePlan()
+        self.run(probe)
+        return probe.tags.index(self.TAG)
+
+    def test_crash_fires_at_the_fp8_dispatch(self):
+        plan = FaultPlan([FaultSpec("crash", self.call_index())])
+        with pytest.raises(RankCrash):
+            self.run(plan)
+        assert [e.tag for e in plan.fired] == [self.TAG]
+
+    def test_corruption_flips_a_bit_of_the_uint8_payload(self):
+        plan = _WirePlan([FaultSpec("corrupt", self.call_index())],
+                         verify_checksums=False)
+        corrupted = self.run(plan)
+        assert plan.hit_dtypes == {np.dtype(np.uint8)}
+        clean = self.run()
+        assert not all(np.array_equal(a.data, b.data)
+                       for a, b in zip(corrupted, clean))
 
 
 class TestFP8TrainerEndToEnd:

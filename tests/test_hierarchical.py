@@ -144,9 +144,10 @@ class TestVolumes:
         n, d = 4, 2
         world = World(n * d, ranks_per_node=n)
         numel = 16 * n * d
-        grads = [rng.standard_normal(numel) for _ in range(n * d)]
+        grads = [rng.standard_normal(numel).astype(np.float32)
+                 for _ in range(n * d)]
         world.ledger.clear()
-        hierarchical_sync(world, grads, elem_bytes=4.0)
+        hierarchical_sync(world, grads)
         inter = sum(
             r.total_bytes for r in world.ledger.records
             if ":inter_" in r.tag
@@ -158,9 +159,10 @@ class TestVolumes:
         n, d = 4, 2
         world = World(n * d, ranks_per_node=n)
         numel = 16 * n * d
-        grads = [rng.standard_normal(numel) for _ in range(n * d)]
+        grads = [rng.standard_normal(numel).astype(np.float32)
+                 for _ in range(n * d)]
         world.ledger.clear()
-        hierarchical_sync(world, grads, elem_bytes=4.0)
+        hierarchical_sync(world, grads)
         intra = sum(
             r.total_bytes for r in world.ledger.records
             if ":intra_" in r.tag
@@ -175,13 +177,15 @@ class TestVolumes:
         world_sp = World(n * d, ranks_per_node=n)
         world_tp = World(n * d, ranks_per_node=n)
         numel = 32 * n * d
-        grads = [rng.standard_normal(numel) for _ in range(n * d)]
-        hierarchical_sync(world_sp, grads, elem_bytes=4.0)
+        grads = [rng.standard_normal(numel).astype(np.float32)
+                 for _ in range(n * d)]
+        hierarchical_sync(world_sp, grads)
         sp_inter = sum(r.total_bytes for r in world_sp.ledger.records
                        if ":inter_" in r.tag)
         # TP holds 1/n shards, replicated across d nodes.
-        shards = [rng.standard_normal(numel // n) for _ in range(n * d)]
-        flat_sync(world_tp, shards, elem_bytes=4.0)
+        shards = [rng.standard_normal(numel // n).astype(np.float32)
+                  for _ in range(n * d)]
+        flat_sync(world_tp, shards)
         tp_inter = sum(r.total_bytes for r in world_tp.ledger.records
                        if ":inter_" in r.tag)
         assert sp_inter == pytest.approx(tp_inter)

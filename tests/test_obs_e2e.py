@@ -70,7 +70,7 @@ class TestTracedTrainingStep:
         obs, world = traced_step(ep_dispatch="ag_rs")
         report = audit_comm_volumes(
             world.ledger, b=2, s=16, h=32, n=4, m=2, k=2,
-            elem_bytes=8.0, passes=CONFIG.n_layers)
+            itemsize=8.0, passes=CONFIG.n_layers)
         assert report.ok, report.render()
         assert {e.mechanism for e in report.entries} == \
             {"sp_attention", "ep_ffn_ag_rs"}
@@ -81,7 +81,7 @@ class TestTracedTrainingStep:
         obs, world = traced_step(ep_dispatch="a2a")
         report = audit_comm_volumes(
             world.ledger, b=2, s=16, h=32, n=4, m=2, k=2,
-            elem_bytes=8.0, passes=CONFIG.n_layers)
+            itemsize=8.0, passes=CONFIG.n_layers)
         entry = report.entry("ep_ffn_a2a")
         assert not entry.exact
         assert entry.within_bound

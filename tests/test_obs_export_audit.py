@@ -128,7 +128,7 @@ class TestAudit:
     def test_sp_attention_exact(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         entry = report.entry("sp_attention")
         assert report.ok
         assert entry.rel_error < 1e-9
@@ -138,7 +138,7 @@ class TestAudit:
     def test_tp_attention_exact(self):
         world = run_engine("tp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         entry = report.entry("tp_attention")
         assert report.ok
         assert entry.rel_error < 1e-9
@@ -148,14 +148,14 @@ class TestAudit:
     def test_ep_ag_rs_exact(self):
         world = run_engine("ep_ffn", mode="ag_rs")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         assert report.ok
         assert report.entry("ep_ffn_ag_rs").rel_error < 1e-9
 
     def test_ep_a2a_within_expectation_and_bound(self):
         world = run_engine("ep_ffn", mode="a2a")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         entry = report.entry("ep_ffn_a2a")
         assert not entry.exact
         assert entry.within_bound
@@ -168,7 +168,7 @@ class TestAudit:
         for agg in world.ledger.cumulative.values():
             agg["total_bytes"] *= 1.5
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         assert not report.ok
         assert [e.mechanism for e in report.failed()] == ["sp_attention"]
 
@@ -190,7 +190,7 @@ class TestAudit:
 
         bounded, unbounded = run(2), run(None)
         assert bounded.ledger.dropped > 0  # rotation actually happened
-        kwargs = dict(b=B, s=S, h=H, n=N, m=M, k=K, elem_bytes=EB,
+        kwargs = dict(b=B, s=S, h=H, n=N, m=M, k=K, itemsize=EB,
                       passes=passes)
         rb = audit_comm_volumes(bounded.ledger, **kwargs)
         ru = audit_comm_volumes(unbounded.ledger, **kwargs)
@@ -204,10 +204,10 @@ class TestAudit:
         tracer = Tracer(clock=FakeClock())
         world = run_engine("sp_attn", tracer=tracer)
         from_ledger = audit_comm_volumes(world.ledger, b=B, s=S, h=H,
-                                         n=N, m=M, k=K, elem_bytes=EB)
+                                         n=N, m=M, k=K, itemsize=EB)
         from_spans = audit_comm_volumes(
             tracer.closed_spans(cat="comm"), b=B, s=S, h=H, n=N, m=M,
-            k=K, elem_bytes=EB)
+            k=K, itemsize=EB)
         assert from_spans.ok
         assert from_spans.entry("sp_attention").measured_bytes == \
             from_ledger.entry("sp_attention").measured_bytes
@@ -215,24 +215,24 @@ class TestAudit:
     def test_only_active_mechanisms_reported(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         assert {e.mechanism for e in report.entries} == {"sp_attention"}
 
     def test_empty_source_not_ok(self):
         report = audit_comm_volumes([], b=B, s=S, h=H, n=N, m=M, k=K,
-                                    elem_bytes=EB)
+                                    itemsize=EB)
         assert not report.ok
         assert report.entries == []
 
     def test_bad_passes(self):
         with pytest.raises(ValueError):
-            audit_comm_volumes([], b=B, s=S, h=H, n=N, elem_bytes=EB,
+            audit_comm_volumes([], b=B, s=S, h=H, n=N, itemsize=EB,
                                passes=0)
 
     def test_render(self):
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, elem_bytes=EB)
+                                    m=M, k=K, itemsize=EB)
         text = report.render()
         assert "sp_attention" in text and "Eq. 2" in text and "yes" in text
 

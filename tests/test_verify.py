@@ -448,9 +448,9 @@ class TestDtypeContract:
         gradients whatever it was given; the DP leg (dp=2, BF16
         all-to-all) must see that."""
         from repro.comm import hierarchical
-        sync = hierarchical.sync_gradients
+        sync = hierarchical._bf16_a2a_sum
         monkeypatch.setattr(
-            hierarchical, "sync_gradients",
+            hierarchical, "_bf16_a2a_sum",
             lambda *a, **kw: [g.astype(np.float64)
                               for g in sync(*a, **kw)])
         kw = dict(ranks=2, experts=4, top_k=2, seq=8)
@@ -526,6 +526,95 @@ class TestInvariantChecks:
         for agg in artifacts.ledger.cumulative.values():
             agg["total_bytes"] *= 1.5
         assert inv._check_comm_audit(artifacts)
+
+
+class TestFP8CommAudit:
+    """The fp8 AG/RS FFN wire is priced exactly: 1-byte codes plus one
+    FP32 scale per shipped token row, from the quantization shapes."""
+
+    def audit(self):
+        art = _run_parallel(small_case(ep_dispatch="ag_rs",
+                                       precision="fp8"))
+        return inv._check_comm_audit(art)
+
+    def test_real_wire_passes(self):
+        assert self.audit() == []
+
+    def test_float32_codes_fail(self, monkeypatch):
+        from repro.parallel import dist_ops_fp8 as fp8
+        pack, unpack = fp8._pack, fp8._unpack
+
+        def wide_pack(x, fmt, group_size=None):
+            buf = pack(x, fmt, group_size)
+            wide = buf[:x.size].astype(np.float32).view(np.uint8)
+            return np.concatenate([wide, buf[x.size:]])
+
+        def wide_unpack(buf, shape, fmt, group_size=None):
+            k = int(np.prod(shape))
+            codes = buf[:4 * k].view(np.float32).astype(np.uint8)
+            return unpack(np.concatenate([codes, buf[4 * k:]]), shape,
+                          fmt, group_size)
+
+        monkeypatch.setattr(fp8, "_pack", wide_pack)
+        monkeypatch.setattr(fp8, "_unpack", wide_unpack)
+        assert any("ep_ffn_ag_rs" in v for v in self.audit())
+
+    def test_dropped_scales_fail(self, monkeypatch):
+        from repro.parallel import dist_ops_fp8 as fp8
+        from repro.precision.formats import decode
+        pack = fp8._pack
+        monkeypatch.setattr(
+            fp8, "_pack",
+            lambda x, fmt, group_size=None: pack(x, fmt, group_size)[:x.size])
+        monkeypatch.setattr(
+            fp8, "_unpack",
+            lambda buf, shape, fmt, group_size=None:
+                decode(buf, fmt).reshape(shape))
+        assert any("ep_ffn_ag_rs" in v for v in self.audit())
+
+
+class TestCompressedWire:
+    """The smoke legs that compress move narrow arrays: the collective
+    itself sees ``uint8`` FP8 codes and ``uint16`` BF16 words."""
+
+    @pytest.fixture()
+    def wire(self, monkeypatch):
+        """tag -> dtype names of every delivered forward buffer."""
+        from repro.comm.group import ProcessGroup, _flatten_arrays
+        seen = {}
+        post = ProcessGroup.post_collective
+
+        def observe(self, op, outputs, tag=""):
+            seen.setdefault(tag, set()).update(
+                a.dtype.name for a in _flatten_arrays(outputs))
+            return post(self, op, outputs, tag)
+
+        monkeypatch.setattr(ProcessGroup, "post_collective", observe)
+        return seen
+
+    @staticmethod
+    def smoke(case_id_part):
+        return next(c for c in smoke_matrix() if case_id_part in c.case_id)
+
+    def test_fp8_leg_ships_uint8(self, wire):
+        _run_parallel(self.smoke("ag_rs-fp8"))
+        for tag in ("ep_ffn:dispatch_ag", "ep_ffn:combine_rs"):
+            assert wire[tag] == {"uint8"}
+
+    def test_3d_leg_ships_uint16_between_nodes(self, wire):
+        # The smoke leg syncs uncompressed; its plan with §5's DP
+        # compression runs the BF16 all-to-all on the inter-node leg.
+        case = self.smoke("pp2-dp2")
+        _make_trainer(case, dp_comm_compression=True).train_step(
+            _batches(case)[0])
+        bf16 = {tag for tag in wire if ":inter_bf16_" in tag}
+        assert bf16 and all(wire[tag] == {"uint16"} for tag in bf16)
+
+    def test_dp_dtype_leg_ships_uint16(self, wire):
+        _dp_leg_dtypes(self.smoke("pp2-dp2-f32"))
+        bf16 = {tag for tag in wire if ":inter_bf16_" in tag}
+        assert {"dp_grad:inter_bf16_a2a", "dp_grad:inter_bf16_ag"} <= bf16
+        assert all(wire[tag] == {"uint16"} for tag in bf16)
 
 
 class TestFuzzer:

@@ -170,3 +170,31 @@ class TestTrainerIntegration:
             np.testing.assert_allclose(states[True][name],
                                        states[False][name], atol=1e-12,
                                        err_msg=name)
+
+    def test_ledger_records_the_payloads_nbytes(self):
+        """The trainer's vocab-parallel loss moves float32 hidden rows,
+        row sums and target logits; the ledger prices each at its
+        itemsize (it used to assume 2 bytes per element)."""
+        from repro.comm import World
+        from repro.core.config import ModelConfig, ParallelConfig, \
+            TrainConfig
+        from repro.core.trainer import MegaScaleTrainer
+        from repro.model import MoETransformer
+
+        n, b, s, h = 4, 2, 16, 32
+        cfg = ModelConfig("vp", 1, h, 8, 2, 48, 8, 2, vocab_size=64,
+                          seq_len=s)
+        model = MoETransformer(cfg, seed=0, dtype=np.float32)
+        trainer = MegaScaleTrainer(
+            model, World(n, n), ParallelConfig.megascale(n),
+            TrainConfig(global_batch_size=b, micro_batch_size=b,
+                        seq_len=s), vocab_parallel=True)
+        rng = np.random.default_rng(0)
+        trainer.train_step(rng.integers(0, 64, (b, s + 1)))
+        by_tag = trainer.world.ledger.bytes_by_tag()
+        tokens, itemsize = b * s, 4
+        # Ring AG of [T/n, h] shards; ring all-reduces of [T] vectors;
+        # all ranks' bytes.
+        assert by_tag["vocab_ce:ag"] == tokens * h * itemsize * (n - 1)
+        for tag in ("vocab_ce:sumexp", "vocab_ce:target"):
+            assert by_tag[tag] == 2 * tokens * itemsize * (n - 1)
