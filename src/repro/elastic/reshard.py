@@ -21,7 +21,7 @@ Three mappings, each exact by construction:
 :func:`reshard_state` applies all three to a trainer checkpoint and
 returns the re-partitioned state plus a :class:`ReshardReport` (bytes
 moved, experts moved, modelled reshard seconds at a configurable link
-bandwidth) — the numbers the obs counters, the ``elastic-demo`` CLI,
+bandwidth) — the numbers the obs counters, ``repro train --resize``
 and ``bench_elastic_resize`` report.
 """
 

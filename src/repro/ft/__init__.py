@@ -13,7 +13,8 @@ supplies that system for the simulated cluster:
   faults and CRC-validated checkpoint chains for restart recovery.
 
 ``ProductionRunner`` (:mod:`repro.core.runner`) wires these together;
-``python -m repro ft-demo`` shows the whole pipeline end to end.
+``python -m repro train 16 --faults`` shows the whole pipeline end to
+end.
 """
 
 from .faults import (

@@ -8,7 +8,7 @@ One :class:`Observability` bundle per run wires the whole stack:
 >>> # write_chrome_trace("trace.json", obs.tracer)
 
 See ``docs/INTERNALS.md`` §7 for the span model and exporter format,
-and ``python -m repro trace`` for the end-to-end demo.
+and ``python -m repro train --trace OUT.json`` for the end-to-end run.
 """
 
 from __future__ import annotations

@@ -274,6 +274,17 @@ class TestPlanSearch:
         assert best.model_parallel_size == 8
         assert result.best.cross_node_a2a_bytes == 0.0
 
+    def test_two_node_search_pinned(self):
+        """The plan_model workload's first search, pinned exactly: the
+        plan-space shape and the winner's simulated iteration."""
+        c = ClusterSpec.homogeneous("h800", n_nodes=2)
+        train = TrainConfig(global_batch_size=64, micro_batch_size=2)
+        result = plan_cluster(SMALL, c, train)
+        assert (result.n_enumerated, result.n_feasible) == (216, 200)
+        assert result.best.iteration_time == pytest.approx(
+            2.0954872146864543, rel=1e-12)
+        assert result.best.cross_node_a2a_bytes == 0.0
+
     def test_monta_prefers_low_cross_node_traffic(self):
         """Two-tier cluster: winner keeps dispatch inside the node and
         provably beats the node-spanning EP alternative."""

@@ -275,6 +275,15 @@ class TestReshardState:
         assert report.dp_rings == tuple(
             (r,) for r in range(2))  # world=2, dp=1: singleton rings
 
+    @pytest.mark.parametrize("old,new", [(4, 2), (2, 4)])
+    def test_total_bytes_exact(self, old, new):
+        """Reshard bytes are interval arithmetic on the shard grids plus
+        the expert blocks: exact, and the same for shrink and grow."""
+        state = self.trained_state()
+        _, report = reshard_state(state, layout_at(old), layout_at(new))
+        assert report.total_bytes == 1965888.0
+        assert report.seconds() == pytest.approx(1965888.0 / 50e9)
+
     def test_same_layout_moves_nothing(self):
         state = self.trained_state()
         _, report = reshard_state(state, layout_at(4), layout_at(4))
@@ -621,7 +630,7 @@ class TestElasticCli:
     def test_elastic_demo_exit_zero(self, capsys, tmp_path):
         from repro.__main__ import main as cli_main
 
-        assert cli_main(["elastic-demo", "4",
+        assert cli_main(["train", "4", "--resize",
                          "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "trajectory" in out
@@ -629,8 +638,21 @@ class TestElasticCli:
 
     def test_elastic_demo_rejects_bad_schedule(self, capsys,
                                                tmp_path):
+        """Fewer than 3 steps leave no room for shrink < grow < end."""
         from repro.__main__ import main as cli_main
 
-        assert cli_main(["elastic-demo", "4", "--shrink-at", "3",
-                         "--grow-at", "2",
+        assert cli_main(["train", "2", "--resize",
                          "--dir", str(tmp_path)]) == 2
+
+    def test_rerun_on_finished_dir_has_nothing_to_do(self, capsys,
+                                                     tmp_path):
+        """A resized run rerun on its own checkpoint dir resumes at the
+        end: it exits 0 and says so (it used to index an empty loss
+        table and crash)."""
+        from repro.__main__ import main as cli_main
+
+        argv = ["train", "6", "--resize", "--dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert "resizes" in capsys.readouterr().out
+        assert cli_main(argv) == 0
+        assert "nothing to do" in capsys.readouterr().out

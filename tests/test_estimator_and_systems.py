@@ -188,6 +188,18 @@ class TestSystemModels:
             assert ms.iteration_time == pytest.approx(ms_paper, rel=0.25)
             assert mg.iteration_time == pytest.approx(mg_paper, rel=0.25)
 
+    def test_table3_720_point_pinned(self):
+        """The 720-GPU MegaScale point is a closed form: pinned exactly,
+        so a perf-model change is a deliberate diff."""
+        br = self.iteration(MegaScalePerfModel(), MODEL352,
+                            ParallelConfig.megascale(8, 15, 6))
+        for got, want in (
+                (br.iteration_time, 7.501352838860517),
+                (br.fraction("exposed_comm_time"), 0.020248982196405807),
+                (br.mfu(MODEL352, H800), 0.2419232680153715),
+                (br.tokens_per_second, 786290.1701469577)):
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_mfu_declines_with_scale(self):
         """Fixed global batch + more GPUs → fewer micro-batches → more
         bubble → lower MFU (Table 3's trend)."""

@@ -1,5 +1,7 @@
-"""Tests for the production runner (faults/recovery) and the CLI."""
+"""Tests for the production runner (faults/recovery) and the CLI,
+including the ``train`` feature compositions."""
 
+import ast
 import os
 
 import numpy as np
@@ -168,19 +170,28 @@ class TestProductionRunner:
 
 
 class TestCLI:
+    def test_help_lists_four_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        assert "{plan,train,serve,verify}" in capsys.readouterr().out
+
     def test_models(self, capsys):
-        assert cli_main(["models"]) == 0
+        """``plan`` opens with the chosen model's Table 2 row (printed
+        even when nothing fits)."""
+        assert cli_main(["plan", "mixtral-8x7b", "32", "--batch",
+                         "32"]) == 0
+        assert cli_main(["plan", "internal-352b", "64"]) == 1
         out = capsys.readouterr().out
         assert "internal-352b" in out and "mixtral-8x7b" in out
+        assert "h=4096, h_ffn=14336, E=32, k=3, m=4" in out
 
     def test_gpus(self, capsys):
-        assert cli_main(["gpus"]) == 0
-        assert "h800" in capsys.readouterr().out
-
-    def test_table3(self, capsys):
-        assert cli_main(["table3"]) == 0
+        """...and the bottleneck GPU's Table 4 row."""
+        assert cli_main(["plan", "mixtral-8x7b", "32", "h800",
+                         "--batch", "32"]) == 0
         out = capsys.readouterr().out
-        assert "1440" in out and "speedup" in out
+        assert "h800" in out
+        assert "gpu h800: 989 TFLOPS" in out
 
     def test_plan(self, capsys):
         """N_GPUS builds 8-GPU nodes and runs the plan-space search; at
@@ -226,13 +237,14 @@ class TestCLI:
         assert cli_main(["plan", "mixtral-8x7b"]) == 2
         assert "--cluster" in capsys.readouterr().err
 
-    def test_train_demo(self, capsys):
-        assert cli_main(["train-demo", "3"]) == 0
+    def test_train_demo(self, capsys, tmp_path):
+        assert cli_main(["train", "3", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 4
 
     def test_ft_demo(self, capsys, tmp_path):
-        assert cli_main(["ft-demo", "16", "--dir", str(tmp_path)]) == 0
+        assert cli_main(["train", "16", "--faults",
+                         "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "comm faults injected" in out
         assert "timeout" in out and "corrupt" in out
@@ -242,3 +254,40 @@ class TestCLI:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+
+class TestTrainComposition:
+    """Faults, resizes and tracing are features of one ``train`` run."""
+
+    def test_faults_and_resize_compose(self, capsys, tmp_path):
+        assert cli_main(["train", "9", "--faults", "--resize",
+                         "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        summary = {name.strip(): ast.literal_eval(value)
+                   for name, value in (line.split(": ", 1)
+                                       for line in out.splitlines()
+                                       if line.startswith(("restarts",
+                                                           "retries",
+                                                           "resizes")))}
+        assert len(summary["restarts"]) >= 1
+        assert summary["retries"] >= 1
+        assert summary["resizes"] == [3, 6]
+        step, loss = out.split("\n\n")[0].splitlines()[-1].split()
+        assert step == "8" and np.isfinite(float(loss))
+
+    def test_trace_excludes_faults(self, capsys, tmp_path):
+        out = str(tmp_path / "t.json")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["train", "2", "--trace", out, "--faults"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trace" in err and "--faults" in err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["train", "3", "--trace", out, "--resize"])
+        assert exc.value.code == 2
+        assert "--resize" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_zero_steps_exits_2(self, capsys):
+        assert cli_main(["train", "0"]) == 2
+        assert "steps must be >= 1" in capsys.readouterr().err

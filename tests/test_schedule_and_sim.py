@@ -171,6 +171,31 @@ class TestHolisticScheduler:
         t_without = self.makespan(without, OverlapConfig.full()).makespan
         assert t_with <= t_without * 1.05
 
+    @pytest.mark.parametrize("path,tile_tokens,makespan,exposed", [
+        ("holistic", None, 4.291637158007476e-3, 0.0),
+        ("layer_program", None, 2.877126389763235e-3, 0.0),
+        ("layer_program", 128, 9.87383940682031e-3, 2.982581155922693e-4),
+    ])
+    def test_352b_layer_forward_pinned(self, path, tile_tokens, makespan,
+                                       exposed):
+        """The simulated 352B SP+EP ag_rs layer forward at n=8 is a
+        closed form of the roofline model and the event simulator (no
+        wall clock): any drift is a deliberate model change."""
+        from repro.core.executor_bindings import layer_program
+
+        model = MODEL_ZOO["internal-352b"]
+        pc = ParallelConfig.megascale(8, ep_dispatch="ag_rs")
+        if path == "holistic":
+            tl = self.makespan(build_forward_graph(model, pc, 1),
+                               OverlapConfig.full())
+        else:
+            program = layer_program(model, pc, 1, 4096,
+                                    tile_tokens=tile_tokens)
+            tl = simulate(program.tile_tasks if tile_tokens
+                          else program.tasks)
+        assert tl.makespan == pytest.approx(makespan, rel=1e-12)
+        assert tl.exposed_comm == pytest.approx(exposed, rel=1e-12)
+
     def test_missing_duration_rejected(self):
         graph = build_forward_graph(MODEL, ParallelConfig.megascale(8), 1)
         sched = HolisticScheduler(OverlapConfig.full())

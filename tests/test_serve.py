@@ -401,6 +401,22 @@ class TestBridgeLedger:
         assert r1.latency["p99"] >= r1.latency["p95"] >= \
             r1.latency["p50"] > 0
 
+    def test_eight_request_run_pinned(self):
+        """A seeded trace on the virtual clock: latencies, throughput,
+        iterations and bridge bytes are exact numbers, pinned."""
+        requests = poisson_trace(8, rate=0.8, vocab=64, seed=0)
+        result, _, world = run_engine(
+            tiny_model(), serve_config(max_batch_size=4), requests)
+        tags = world.ledger.bytes_by_tag()
+        assert result.n_iterations == 11
+        assert tags["serve:dispatch_a2a"] == tags["serve:combine_a2a"] \
+            == 46080.0
+        for key, want in (("p50", 5.467741834474337),
+                          ("p99", 7.88044984698348),
+                          ("mean", 5.715464628610511),
+                          ("throughput_tokens", 1.9708029197080292)):
+            assert result.latency[key] == pytest.approx(want, rel=1e-12)
+
 
 class TestServeCase:
     def test_defaults_and_case_id(self):

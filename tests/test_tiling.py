@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.comm.group import World
-from repro.core.config import (GPU_SPECS, ModelConfig, ParallelConfig,
-                               TrainConfig)
+from repro.core.config import (GPU_SPECS, MODEL_ZOO, ModelConfig,
+                               ParallelConfig, TrainConfig)
 from repro.core.executor_bindings import layer_program
 from repro.core.operators import (base_op_name, plan_tiles, tile_name,
                                   tiled_members)
@@ -95,6 +95,22 @@ class TestTilePlan:
             "ag+scatter+ggemm/fwd": RANKS,
             "ggemm+gather+rs/fwd": RANKS,
         }
+
+    @pytest.mark.parametrize("model,n,seq,tile_tokens,dispatch,sub_ops", [
+        ("tiny", RANKS, SEQ, 2, "ag_rs", 36),
+        ("tiny", RANKS, SEQ, 2, "a2a", 16),
+        # The 352B layer at n=8, local shard 512 -> 4 token chunks.
+        ("internal-352b", 8, 4096, 128, "ag_rs", 72),
+    ])
+    def test_sub_op_count(self, model, n, seq, tile_tokens, dispatch,
+                          sub_ops):
+        config = (tiny_model_config() if model == "tiny"
+                  else MODEL_ZOO[model])
+        program = layer_program(
+            config, ParallelConfig.megascale(n, ep_dispatch=dispatch), 1,
+            seq, tile_tokens=tile_tokens)
+        members = tiled_members(program.tile_graph)
+        assert sum(len(tiles) for tiles in members.values()) == sub_ops
 
     def test_non_divisor_width_rejected(self):
         with pytest.raises(ValueError, match="divisors"):
