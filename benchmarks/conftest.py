@@ -1,29 +1,15 @@
-"""Shared helpers for the benchmark harness.
-
-Every bench regenerates one table or figure from the paper's evaluation
-(§6) and prints paper-vs-measured rows.  Run with::
-
-    pytest benchmarks/ --benchmark-only -s
-
-Each bench uses the ``benchmark`` fixture so timing is recorded, asserts
-the paper's *qualitative* claims (who wins, by roughly what factor,
-where crossovers fall), and emits its table through :func:`report`.
-Measured rows are also appended to ``benchmarks/results.json`` so
-EXPERIMENTS.md can be regenerated from a run.
-"""
+"""The table printer of the two CI-run benches
+(``pytest benchmarks/bench_serve_latency.py --benchmark-only -s``);
+the paper's tables and figures are rows of ``scorecard.py``."""
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Sequence
-
-RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.json")
+from typing import Sequence
 
 
 def report(title: str, headers: Sequence[str],
            rows: Sequence[Sequence], notes: str = "") -> None:
-    """Print one experiment table and persist it for EXPERIMENTS.md."""
+    """Print one experiment table."""
     widths = [
         max(len(str(h)), max((len(_fmt(r[i])) for r in rows), default=0))
         for i, h in enumerate(headers)
@@ -38,24 +24,6 @@ def report(title: str, headers: Sequence[str],
     if notes:
         lines.append(notes)
     print("\n".join(lines))
-
-    record = {
-        "title": title,
-        "headers": list(headers),
-        "rows": [[_fmt(v) for v in row] for row in rows],
-        "notes": notes,
-    }
-    existing: List[Dict] = []
-    if os.path.exists(RESULTS_PATH):
-        try:
-            with open(RESULTS_PATH) as handle:
-                existing = json.load(handle)
-        except (json.JSONDecodeError, OSError):
-            existing = []
-    existing = [r for r in existing if r["title"] != title]
-    existing.append(record)
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(existing, handle, indent=1)
 
 
 def _fmt(value) -> str:

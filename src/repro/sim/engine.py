@@ -13,8 +13,7 @@ Fault modelling: :func:`simulate` optionally takes per-stream
 ``slowdowns`` (a straggling rank stretches every kernel on its
 streams) and :class:`StreamFailure` downtime windows (a crashed or
 hung executor), so the makespan/exposed-comm impact of stragglers and
-failures is directly measurable — see
-``benchmarks/bench_fault_recovery.py``.
+failures is directly measurable — see ``tests/test_sim_faults.py``.
 """
 
 from __future__ import annotations

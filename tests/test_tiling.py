@@ -328,3 +328,37 @@ class TestSimAndCalibration:
             assert cal.ops == (anchor,)
             assert program.tile_graph[anchor].kind == "comm"
             assert cal.scale > 0.0
+
+
+def _traced_tiled_program(tile_tokens):
+    """One traced tiled training step; returns (program, tracer,
+    executed tile stream)."""
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
+    trainer, _ = run_training(tile_tokens, steps=1, tracer=tracer)
+    engine = trainer.engines[0]
+    program = engine.executor_for(2, SEQ).program
+    return program, tracer, engine.last_executed_tiles
+
+
+def test_sim_timeline_matches_traced_tile_order():
+    """The simulated tile schedule and the traced/executed stream agree
+    per op: same ascending §4.2 chunk order."""
+    from repro.core.operators import base_op_name, tile_name
+
+    program, tracer, executed = _traced_tiled_program(2)
+    sim_order = simulate(program.tile_tasks).task_order()
+    assert tile_conformance_problems(program, sim_order) == []
+    traced = [s.name[len(TILE_SPAN_PREFIX):] for s in tracer.spans
+              if s.name.startswith(TILE_SPAN_PREFIX)]
+    assert traced
+    for base in {base_op_name(t) for t in traced}:
+        tiles = [t for t in traced if base_op_name(t) == base]
+        count = len(set(tiles))
+        want = [tile_name(base, i) for i in range(count)]
+        assert tiles == want * (len(tiles) // count)
+        assert [t for t in sim_order
+                if base_op_name(t) == base] == want
+        assert [t for t in executed
+                if base_op_name(t) == base] == want
