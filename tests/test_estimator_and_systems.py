@@ -164,6 +164,30 @@ class TestSystemModels:
         return system.iteration(model, parallel,
                                 TrainConfig(global_batch_size=gbs), gpu)
 
+    def test_table3_speedup_band(self):
+        """Strong scaling: MegaScale beats Megatron by 1.6–2.0× (paper:
+        1.65–1.88×) at every scale."""
+        for n_gpus in (240, 480, 720, 960, 1440):
+            dp = n_gpus // 120
+            ms = self.iteration(MegaScalePerfModel(), MODEL352,
+                                ParallelConfig.megascale(8, 15, dp))
+            mg = self.iteration(MegatronPerfModel(), MODEL352,
+                                ParallelConfig.megatron(8, 15, dp))
+            speedup = mg.iteration_time / ms.iteration_time
+            assert 1.5 < speedup < 2.1, (n_gpus, speedup)
+
+    def test_table3_absolute_times_close_to_paper(self):
+        """Iteration times land within 25% of Table 3's numbers."""
+        paper = {240: (39.94, 21.61), 1440: (7.90, 4.19)}
+        for n_gpus, (mg_paper, ms_paper) in paper.items():
+            dp = n_gpus // 120
+            ms = self.iteration(MegaScalePerfModel(), MODEL352,
+                                ParallelConfig.megascale(8, 15, dp))
+            mg = self.iteration(MegatronPerfModel(), MODEL352,
+                                ParallelConfig.megatron(8, 15, dp))
+            assert ms.iteration_time == pytest.approx(ms_paper, rel=0.25)
+            assert mg.iteration_time == pytest.approx(mg_paper, rel=0.25)
+
     def test_table3_720_point_pinned(self):
         """The 720-GPU MegaScale point is a closed form: pinned exactly,
         so a perf-model change is a deliberate diff."""
@@ -187,6 +211,45 @@ class TestSystemModels:
             mfus.append(br.mfu(MODEL352, H800))
         assert mfus[0] > mfus[1] > mfus[2]
 
+    def test_weak_scaling_near_linear(self):
+        """Fig. 11: throughput grows ~linearly when batch scales with
+        GPUs."""
+        t480 = self.iteration(MegaScalePerfModel(), MODEL352,
+                              ParallelConfig.megascale(8, 15, 4),
+                              gbs=360).tokens_per_second
+        t1440 = self.iteration(MegaScalePerfModel(), MODEL352,
+                               ParallelConfig.megascale(8, 15, 12),
+                               gbs=1080).tokens_per_second
+        assert t1440 / t480 == pytest.approx(3.0, rel=0.05)
+
+    def test_fig12_mfu_order_across_gpus(self):
+        """Fig. 12: MFU decreases as GPU compute capability increases
+        (H20 > A100 > H800), and MegaScale always beats Megatron."""
+        mix = MODEL_ZOO["mixtral-8x7b"]
+        mfus = {}
+        for name in ("h800", "a100", "h20"):
+            gpu = GPU_SPECS[name]
+            ms = MegaScalePerfModel().iteration(
+                mix, ParallelConfig.megascale(8, 1, 4),
+                TrainConfig(global_batch_size=32), gpu)
+            mg = MegatronPerfModel(full_recompute=False).iteration(
+                mix, ParallelConfig.megatron(8, 1, 4),
+                TrainConfig(global_batch_size=32), gpu)
+            mfus[name] = (ms.mfu(mix, gpu), mg.mfu(mix, gpu))
+            assert mfus[name][0] > mfus[name][1], name
+        assert mfus["h20"][0] > mfus["a100"][0] > mfus["h800"][0]
+
+    def test_fig12_exposed_comm_shrinks(self):
+        mix = MODEL_ZOO["mixtral-8x7b"]
+        ms = MegaScalePerfModel().iteration(
+            mix, ParallelConfig.megascale(8, 1, 4),
+            TrainConfig(global_batch_size=32), H800)
+        mg = MegatronPerfModel(full_recompute=False).iteration(
+            mix, ParallelConfig.megatron(8, 1, 4),
+            TrainConfig(global_batch_size=32), H800)
+        assert ms.fraction("exposed_comm_time") < \
+            0.35 * mg.fraction("exposed_comm_time")
+
     def test_fig13_strategy_ordering(self):
         """SP+EP > SP+TP, TP+EP > TP+TP in MFU with overlap disabled
         (the parallelism-only ablation)."""
@@ -203,6 +266,38 @@ class TestSystemModels:
             results[(attn, ffn)] = br.mfu(model, H800)
         assert results[("sp", "ep")] == max(results.values())
         assert results[("tp", "tp")] == min(results.values())
+
+    def test_fig13_gain_band(self):
+        """SP+EP vs TP+TP MFU gain falls in a 10–45% band across the
+        zoo (paper: 14.9–32.9%)."""
+        for name in ("internal-352b", "mixtral-8x7b", "mixtral-8x22b",
+                     "hunyuan-large", "phi-3.5-moe", "deepseekmoe"):
+            model = MODEL_ZOO[name].scaled(n_layers=4)
+            gains = {}
+            for attn, ffn in (("sp", "ep"), ("tp", "tp")):
+                system = SystemPerfModel(
+                    name="x", overlap=OverlapConfig.none(), mem_eff=0.8,
+                    grad_elem_bytes=4.0)
+                br = system.iteration(
+                    model, ParallelConfig(8, attn, ffn),
+                    TrainConfig(global_batch_size=32), H800)
+                gains[(attn, ffn)] = br.mfu(model, H800)
+            gain = gains[("sp", "ep")] / gains[("tp", "tp")] - 1
+            assert 0.10 < gain < 0.45, (name, gain)
+
+    def test_intra_op_overlap_iteration_gain(self):
+        """Fig. 15's right panel: intra-operator overlap shaves ~5–15%
+        off iteration time (paper: 7.1–12.9%)."""
+        mix = MODEL_ZOO["mixtral-8x7b"]
+        full = MegaScalePerfModel().iteration(
+            mix, ParallelConfig.megascale(8, 1, 4),
+            TrainConfig(global_batch_size=32), H800)
+        inter_only = MegaScalePerfModel(
+            overlap=OverlapConfig(inter_op=True, intra_op=False)
+        ).iteration(mix, ParallelConfig.megascale(8, 1, 4),
+                    TrainConfig(global_batch_size=32), H800)
+        gain = 1 - full.iteration_time / inter_only.iteration_time
+        assert 0.02 < gain < 0.20
 
     def test_batch_divisibility_validated(self):
         with pytest.raises(ValueError, match="not divisible"):
