@@ -70,9 +70,9 @@ class AutoScheduler:
     def optimize(self, graph: OpGraph,
                  durations: Dict[str, float]) -> AutoScheduleResult:
         """Search for a faster schedule than the holistic baseline."""
-        baseline_tasks = HolisticScheduler(self.overlap).schedule(
-            graph, durations)
-        baseline = simulate(baseline_tasks).makespan
+        baseline_tasks, baseline_timeline = HolisticScheduler(
+            self.overlap).schedule_timeline(graph, durations)
+        baseline = baseline_timeline.makespan
 
         rng = np.random.default_rng(self.seed)
         names = [t.name for t in baseline_tasks]

@@ -55,6 +55,9 @@ SIM_SHORTLIST = 32
 #: left for collective scratch, workspaces and fragmentation.
 HBM_HEADROOM = 0.9
 
+#: The activation-retention plan each ``PlanCandidate.remat`` names.
+_REMAT_PLANS = {"selective": default_remat_plan(), "none": no_remat_plan()}
+
 
 def dispatch_mode_times(
     model: ModelConfig,
@@ -143,7 +146,7 @@ class PlanCandidate:
     def __post_init__(self):
         if self.precision not in _PRECISION_BYTES:
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.remat not in ("selective", "none"):
+        if self.remat not in _REMAT_PLANS:
             raise ValueError(f"unknown remat plan {self.remat!r}")
 
     @property
@@ -154,8 +157,7 @@ class PlanCandidate:
     @property
     def remat_plan(self) -> RematPlan:
         """The activation-retention plan ``remat`` names."""
-        return (default_remat_plan() if self.remat == "selective"
-                else no_remat_plan())
+        return _REMAT_PLANS[self.remat]
 
     def describe(self) -> str:
         """One-line label, e.g. ``SP+EP n=8 pp=1 dp=4 a2a fp8 ...``."""
@@ -470,15 +472,20 @@ def plan_cluster(
 
     gpu = cluster.bottleneck_gpu()
     simulated = scored[:SIM_SHORTLIST]
+    # One perf model per (remat, precision): each prices a layer shape
+    # once, and lives only as long as this search.
+    perf_models = {}
     for s in simulated:
-        perf = MegaScalePerfModel(
-            cluster=cluster,
-            calibration=calibration,
-            selective_remat=s.candidate.remat == "selective",
-            elem_bytes=s.candidate.elem_bytes,
-        )
-        s.iteration = perf.iteration(model, s.candidate.parallel,
-                                     train, gpu)
+        c = s.candidate
+        perf = perf_models.get((c.remat, c.precision))
+        if perf is None:
+            perf = perf_models[c.remat, c.precision] = MegaScalePerfModel(
+                cluster=cluster,
+                calibration=calibration,
+                selective_remat=c.remat == "selective",
+                elem_bytes=c.elem_bytes,
+            )
+        s.iteration = perf.iteration(model, c.parallel, train, gpu)
     simulated.sort(key=lambda s: (s.iteration_time,
                                   s.cross_node_a2a_bytes,
                                   s.candidate.describe()))

@@ -76,31 +76,37 @@ _SHARES = {
 }
 
 
+_ACTIVATION_TABLE = [ActivationSpec(*row) for row in [
+    ("hidden",      "layer input",                    "expensive"),
+    ("ln1_out",     "RMSNorm(hidden)",                "recompute"),
+    ("qkv",         "MatMul(ln1_out, qkv_weight)",    "expensive"),
+    ("q_rope",      "RopeEmbedding(q)",               "recompute"),
+    ("k_rope",      "RopeEmbedding(k)",               "recompute"),
+    ("qkv_a2a",     "All-to-All(q_rope, k_rope, v)",  "recommunicate"),
+    ("attn",        "SelfAttention(qkv_a2a)",         "expensive"),
+    ("attn_a2a",    "All-to-All(attn)",               "recommunicate"),
+    ("attn_out",    "MatMul(attn_a2a, out_weight)",   "expensive"),
+    ("ln2_in",      "Add(hidden, attn_out)",          "recompute"),
+    ("ln2_out",     "RMSNorm(ln2_in)",                "recompute"),
+    ("ln2_out_ag",  "All-Gather(ln2_out)",            "recommunicate"),
+    ("ffn_in",      "Scatter(ln2_out_ag)",            "recompute"),
+    ("fc1_out",     "GroupedGEMM(ffn_in, fc1_w)",     "expensive"),
+    ("fc3_out",     "GroupedGEMM(ffn_in, fc3_w)",     "expensive"),
+    ("fc2_in",      "SiLU(fc1_out, fc3_out)",         "recompute"),
+    ("fc2_out",     "GroupedGEMM(fc2_in, fc2_w)",     "expensive"),
+    ("fc2_out_rs",  "Gather(fc2_out)",                "recompute"),
+    ("ffn_out",     "Reduce-Scatter(fc2_out_rs)",     "recommunicate"),
+    ("hidden_next", "Add(ln2_in, ffn_out)",           "expensive"),
+]]
+
+
 def activation_table() -> List[ActivationSpec]:
-    """The full Fig. 20 activation list for one MoE layer."""
-    rows = [
-        ("hidden",      "layer input",                    "expensive"),
-        ("ln1_out",     "RMSNorm(hidden)",                "recompute"),
-        ("qkv",         "MatMul(ln1_out, qkv_weight)",    "expensive"),
-        ("q_rope",      "RopeEmbedding(q)",               "recompute"),
-        ("k_rope",      "RopeEmbedding(k)",               "recompute"),
-        ("qkv_a2a",     "All-to-All(q_rope, k_rope, v)",  "recommunicate"),
-        ("attn",        "SelfAttention(qkv_a2a)",         "expensive"),
-        ("attn_a2a",    "All-to-All(attn)",               "recommunicate"),
-        ("attn_out",    "MatMul(attn_a2a, out_weight)",   "expensive"),
-        ("ln2_in",      "Add(hidden, attn_out)",          "recompute"),
-        ("ln2_out",     "RMSNorm(ln2_in)",                "recompute"),
-        ("ln2_out_ag",  "All-Gather(ln2_out)",            "recommunicate"),
-        ("ffn_in",      "Scatter(ln2_out_ag)",            "recompute"),
-        ("fc1_out",     "GroupedGEMM(ffn_in, fc1_w)",     "expensive"),
-        ("fc3_out",     "GroupedGEMM(ffn_in, fc3_w)",     "expensive"),
-        ("fc2_in",      "SiLU(fc1_out, fc3_out)",         "recompute"),
-        ("fc2_out",     "GroupedGEMM(fc2_in, fc2_w)",     "expensive"),
-        ("fc2_out_rs",  "Gather(fc2_out)",                "recompute"),
-        ("ffn_out",     "Reduce-Scatter(fc2_out_rs)",     "recommunicate"),
-        ("hidden_next", "Add(ln2_in, ffn_out)",           "expensive"),
-    ]
-    return [ActivationSpec(*row) for row in rows]
+    """The full Fig. 20 activation list for one MoE layer.
+
+    One list, built at import and shared by every caller (its specs
+    are frozen); callers must not mutate it.
+    """
+    return _ACTIVATION_TABLE
 
 
 #: The paper's retained set: sums to ``(2kf + 4 + 2/m)·bsh/n``.

@@ -17,10 +17,11 @@ into a stream-assigned task list for the event simulator:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from ..sim.engine import SimTask
+from ..sim.engine import SimTask, Timeline, simulate
 from .operators import Op, OpGraph
 
 __all__ = ["OverlapConfig", "HolisticScheduler", "FusedKernel"]
@@ -81,16 +82,34 @@ class HolisticScheduler:
         tile fusion and keeps whichever is faster — fusing comm into a
         compute kernel pays a fill/drain cost that is only worthwhile
         when inter-operator overlap cannot already hide that comm.
+        Callers that go on to simulate the tasks use
+        :meth:`schedule_timeline`, which returns the timeline this
+        choice already simulated.
         """
+        return self._choose(graph, durations)[0]
+
+    def schedule_timeline(self, graph: OpGraph,
+                          durations: Dict[str, float]
+                          ) -> Tuple[List[SimTask], Timeline]:
+        """:meth:`schedule` plus the simulated timeline of its tasks."""
+        tasks, timeline = self._choose(graph, durations)
+        if timeline is None:
+            timeline = simulate(tasks)
+        return tasks, timeline
+
+    def _choose(self, graph: OpGraph, durations: Dict[str, float]
+                ) -> Tuple[List[SimTask], Optional[Timeline]]:
+        """The scheduled tasks, and their timeline when the choice
+        between fused and unfused orders had to simulate it."""
         if self.overlap.intra_op and self.overlap.inter_op:
-            from ..sim.engine import simulate
             fused = self._schedule(graph, durations, intra=True)
             unfused = self._schedule(graph, durations, intra=False)
-            if simulate(fused).makespan <= simulate(unfused).makespan:
-                return fused
-            return unfused
+            tl_fused, tl_unfused = simulate(fused), simulate(unfused)
+            if tl_fused.makespan <= tl_unfused.makespan:
+                return fused, tl_fused
+            return unfused, tl_unfused
         return self._schedule(graph, durations,
-                              intra=self.overlap.intra_op)
+                              intra=self.overlap.intra_op), None
 
     def _schedule(self, graph: OpGraph, durations: Dict[str, float],
                   intra: bool) -> List[SimTask]:
@@ -196,7 +215,18 @@ class HolisticScheduler:
 
         Orders units so that per-stream queues never block a ready task
         behind one still waiting on a long dependency — the essence of
-        the hand-tailored holistic schedule.
+        the hand-tailored holistic schedule.  Each step takes the unit
+        with the smallest ``(start, -crit, index)``: the earliest start
+        on its stream, then the longest path to a sink, then the
+        earliest position in ``units``.
+
+        Runs in O(U log U) for U units (times the handful of streams):
+        each stream keeps its released units — those whose dependencies
+        have all finished — in two heaps, ``later`` by ``(ready_at,
+        -crit, index)`` and ``startable`` by ``(-crit, index)``.  A unit
+        moves from ``later`` to ``startable`` once the stream frees at
+        or after its ``ready_at``; every ``startable`` unit then starts
+        when the stream frees, before any unit still in ``later``.
         """
         by_name = {u[0]: u for u in units}
         children: Dict[str, List[str]] = {u[0]: [] for u in units}
@@ -228,30 +258,49 @@ class HolisticScheduler:
                 f"cyclic dependencies among schedule units: {stuck[:5]}"
             )
 
-        finish: Dict[str, float] = {}
+        index = {u[0]: i for i, u in enumerate(units)}
+        streams = [f"comm_{scope}" if is_comm else "compute"
+                   for _, _, is_comm, scope, _ in units]
+        unfinished = [len(u[4]) for u in units]
+        later: Dict[str, list] = {s: [] for s in streams}
+        startable: Dict[str, list] = {s: [] for s in streams}
         stream_free: Dict[str, float] = {}
-        pending = list(units)
+        finish: Dict[str, float] = {}
+        for i, (name, _, _, _, deps) in enumerate(units):
+            if not deps:
+                heapq.heappush(later[streams[i]], (0.0, -crit[name], i))
+
         ordered = []
-        while pending:
+        while len(ordered) < len(units):
             best = None
-            best_key = None
-            for u in pending:
-                name, dur, is_comm, scope, deps = u
-                if any(d not in finish for d in deps):
+            for stream, waiting in later.items():
+                free = stream_free.get(stream, 0.0)
+                now = startable[stream]
+                while waiting and waiting[0][0] <= free:
+                    _, neg_crit, i = heapq.heappop(waiting)
+                    heapq.heappush(now, (neg_crit, i))
+                if now:
+                    key = (free,) + now[0]
+                elif waiting:
+                    key = waiting[0]
+                else:
                     continue
-                stream = (f"comm_{scope}" if is_comm else "compute")
-                start = max(stream_free.get(stream, 0.0),
-                            max((finish[d] for d in deps), default=0.0))
-                key = (start, -crit[name])
-                if best_key is None or key < best_key:
-                    best, best_key = u, key
+                if best is None or key < best[0]:
+                    best = (key, stream)
             if best is None:
                 raise ValueError("cyclic dependencies in schedule units")
-            name, dur, is_comm, scope, deps = best
-            stream = f"comm_{scope}" if is_comm else "compute"
-            start = best_key[0]
+            (start, _, i), stream = best
+            # The key came from ``startable`` whenever it is non-empty.
+            heapq.heappop(startable[stream] or later[stream])
+            name, dur = units[i][0], units[i][1]
             finish[name] = start + dur
             stream_free[stream] = start + dur
-            ordered.append(best)
-            pending.remove(best)
+            ordered.append(units[i])
+            for child in children[name]:
+                j = index[child]
+                unfinished[j] -= 1
+                if unfinished[j] == 0:
+                    ready_at = max(finish[d] for d in units[j][4])
+                    heapq.heappush(later[streams[j]],
+                                   (ready_at, -crit[child], j))
         return ordered

@@ -23,9 +23,7 @@ remat            stores all activations     selective remat (§4.1)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
-
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..core.cluster import ClusterSpec
 from ..core.config import (
@@ -36,7 +34,6 @@ from ..core.config import (
 )
 from ..core.operators import build_backward_graph, build_forward_graph
 from ..core.schedule import HolisticScheduler, OverlapConfig
-from ..sim.engine import simulate
 from .estimator import CalibrationReport, KernelModel, calibrated_durations
 
 __all__ = ["IterationBreakdown", "SystemPerfModel", "MegatronPerfModel",
@@ -77,9 +74,29 @@ class IterationBreakdown:
         return getattr(self, attr) / self.iteration_time
 
 
-@dataclass
+@dataclass(frozen=True)
+class _LayerCost:
+    """The per-layer scalars :meth:`SystemPerfModel.iteration` reads.
+
+    ``kinds_f``/``kinds_b`` are shared by every iteration priced from
+    this entry, so readers must not mutate them.
+    """
+
+    fwd_makespan: float
+    bwd_makespan: float
+    exposed_comm: float  # forward + backward
+    kinds_f: Dict[str, float]
+    kinds_b: Dict[str, float]
+
+
+@dataclass(frozen=True)
 class SystemPerfModel:
-    """Common machinery; subclasses pin the paper's system differences."""
+    """Common machinery; subclasses pin the paper's system differences.
+
+    Frozen because :meth:`iteration` prices each layer shape once per
+    instance: a setting changed after the first call would leave stale
+    costs behind.
+    """
 
     name: str = "generic"
     overlap: OverlapConfig = field(default_factory=OverlapConfig.full)
@@ -100,6 +117,10 @@ class SystemPerfModel:
     #: per-anchor measured/modeled scales applied to every duration the
     #: scheduler and simulator consume.
     calibration: Optional[CalibrationReport] = None
+    #: Layer costs this instance has priced, keyed by what the layer
+    #: graphs and the kernel model read: never ``pp`` or ``dp``.
+    _layer_costs: Dict[Tuple, _LayerCost] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- per-layer -----------------------------------------------------------
 
@@ -126,9 +147,28 @@ class SystemPerfModel:
         bwd = build_backward_graph(model, parallel, micro_batch,
                                    self.elem_bytes,
                                    selective_remat=self.selective_remat)
-        tl_fwd = simulate(scheduler.schedule(fwd, self._durations(km, fwd)))
-        tl_bwd = simulate(scheduler.schedule(bwd, self._durations(km, bwd)))
+        _, tl_fwd = scheduler.schedule_timeline(fwd, self._durations(km, fwd))
+        _, tl_bwd = scheduler.schedule_timeline(bwd, self._durations(km, bwd))
         return fwd, bwd, tl_fwd, tl_bwd
+
+    def _layer_cost(self, model: ModelConfig, parallel: ParallelConfig,
+                    micro_batch: int, gpu: GPUSpec,
+                    km: KernelModel) -> _LayerCost:
+        """One layer's scalars, simulated on the first call per shape."""
+        key = (model, parallel.model_parallel_size, parallel.attention,
+               parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
+        cost = self._layer_costs.get(key)
+        if cost is None:
+            fwd, bwd, tl_fwd, tl_bwd = self.layer_timelines(
+                model, parallel, micro_batch, gpu)
+            cost = self._layer_costs[key] = _LayerCost(
+                fwd_makespan=tl_fwd.makespan,
+                bwd_makespan=tl_bwd.makespan,
+                exposed_comm=tl_fwd.exposed_comm + tl_bwd.exposed_comm,
+                kinds_f=self._kind_times(fwd, km),
+                kinds_b=self._kind_times(bwd, km),
+            )
+        return cost
 
     def _kind_times(self, graph, km: KernelModel) -> Dict[str, float]:
         out = {"attn": 0.0, "gemm": 0.0, "memory": 0.0, "comm": 0.0}
@@ -157,13 +197,11 @@ class SystemPerfModel:
         layers_per_stage = model.n_layers / p
 
         km = self.kernel_model(gpu, parallel.model_parallel_size)
-        fwd, bwd, tl_fwd, tl_bwd = self.layer_timelines(
-            model, parallel, micro, gpu)
-        kinds_f = self._kind_times(fwd, km)
-        kinds_b = self._kind_times(bwd, km)
+        layer = self._layer_cost(model, parallel, micro, gpu, km)
+        kinds_f, kinds_b = layer.kinds_f, layer.kinds_b
         if self.full_recompute:
-            for kind, t in kinds_f.items():
-                kinds_b[kind] += t
+            kinds_b = {kind: t + kinds_f[kind]
+                       for kind, t in kinds_b.items()}
 
         # Embedding + LM head on the boundary stages (vocab-parallel).
         tokens_local = micro * model.seq_len / n
@@ -172,10 +210,10 @@ class SystemPerfModel:
         head_time = head_flops / (gpu.peak_flops * km.gemm_max_eff)
         extras = 3.0 * head_time  # fwd + 2× in backward
 
-        bwd_makespan = tl_bwd.makespan
+        bwd_makespan = layer.bwd_makespan
         if self.full_recompute:
-            bwd_makespan += tl_fwd.makespan
-        period = (tl_fwd.makespan + bwd_makespan) * layers_per_stage
+            bwd_makespan += layer.fwd_makespan
+        period = (layer.fwd_makespan + bwd_makespan) * layers_per_stage
         period_last = period + extras
         eff_period = max(period, period_last)
 
@@ -207,15 +245,14 @@ class SystemPerfModel:
             gemm_time=(kinds_f["gemm"] + kinds_b["gemm"]) * scale
             + extras * m,
             memory_op_time=(kinds_f["memory"] + kinds_b["memory"]) * scale,
-            exposed_comm_time=(tl_fwd.exposed_comm + tl_bwd.exposed_comm)
-            * scale,
+            exposed_comm_time=layer.exposed_comm * scale,
             bubble_time=bubble,
             dp_exposed_time=dp_exposed,
             optimizer_time=opt_time,
             global_batch_tokens=train.global_batch_size * model.seq_len,
             n_gpus=n_gpus,
-            layer_fwd_time=tl_fwd.makespan,
-            layer_bwd_time=tl_bwd.makespan,
+            layer_fwd_time=layer.fwd_makespan,
+            layer_bwd_time=layer.bwd_makespan,
         )
 
 

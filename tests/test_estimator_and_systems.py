@@ -1,5 +1,7 @@
 """Tests for the kernel-duration model and the system perf models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import (
@@ -163,6 +165,17 @@ class TestSystemModels:
     def iteration(self, system, model, parallel, gbs=720, gpu=H800):
         return system.iteration(model, parallel,
                                 TrainConfig(global_batch_size=gbs), gpu)
+
+    def test_repeated_iteration_on_one_instance_is_identical(self):
+        """A perf model prices a layer shape once and reuses it; under
+        Megatron's full recompute, iteration folds forward kind times
+        into backward ones, which must not leak into the next call."""
+        for system in (MegatronPerfModel(), MegaScalePerfModel()):
+            parallel = ParallelConfig.megatron(8, 15, 6)
+            first = self.iteration(system, MODEL352, parallel)
+            again = self.iteration(system, MODEL352, parallel)
+            fresh = self.iteration(replace(system), MODEL352, parallel)
+            assert again == first == fresh
 
     def test_table3_speedup_band(self):
         """Strong scaling: MegaScale beats Megatron by 1.6–2.0× (paper:

@@ -1,9 +1,17 @@
 """Tests for the event simulator and the holistic scheduler (§4)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.config import MODEL_ZOO, ParallelConfig
-from repro.core.operators import build_backward_graph, build_forward_graph
+from repro.core.operators import (
+    Op,
+    OpGraph,
+    build_backward_graph,
+    build_forward_graph,
+)
 from repro.core.schedule import (
     FUSION_FILL_DRAIN,
     FusedKernel,
@@ -221,3 +229,152 @@ class TestHolisticScheduler:
                                              selective_remat=remat)
                 tl = self.makespan(graph, OverlapConfig.full())
                 assert tl.makespan > 0
+
+
+def _reference_list_schedule(units):
+    """The quadratic scan the heap scheduler replaced: rescan every
+    pending unit per step, keep the strictly smallest (start, -crit)."""
+    by_name = {u[0]: u for u in units}
+    children = {u[0]: [] for u in units}
+    for name, _, _, _, deps in units:
+        for d in deps:
+            children[d].append(name)
+    out_degree = {u[0]: len(children[u[0]]) for u in units}
+    ready = [name for name, deg in out_degree.items() if deg == 0]
+    crit = {}
+    while ready:
+        name = ready.pop()
+        crit[name] = by_name[name][1] + max(
+            (crit[c] for c in children[name]), default=0.0)
+        for dep in by_name[name][4]:
+            out_degree[dep] -= 1
+            if out_degree[dep] == 0:
+                ready.append(dep)
+
+    finish, stream_free = {}, {}
+    pending = list(units)
+    ordered = []
+    while pending:
+        best, best_key = None, None
+        for u in pending:
+            name, dur, is_comm, scope, deps = u
+            if any(d not in finish for d in deps):
+                continue
+            stream = f"comm_{scope}" if is_comm else "compute"
+            start = max(stream_free.get(stream, 0.0),
+                        max((finish[d] for d in deps), default=0.0))
+            key = (start, -crit[name])
+            if best_key is None or key < best_key:
+                best, best_key = u, key
+        name, dur, is_comm, scope, deps = best
+        stream = f"comm_{scope}" if is_comm else "compute"
+        finish[name] = best_key[0] + dur
+        stream_free[stream] = best_key[0] + dur
+        ordered.append(best)
+        pending.remove(best)
+    return ordered
+
+
+def _zoo_graphs():
+    for model_name, model in MODEL_ZOO.items():
+        for parallel in (ParallelConfig(n, attention, ffn,
+                                        ep_dispatch=dispatch)
+                         for n in (1, 2, 4, 8)
+                         for attention in ("sp", "tp")
+                         for ffn, dispatch in (("ep", "a2a"),
+                                               ("ep", "ag_rs"),
+                                               ("tp", "adaptive"))):
+            label = (f"{model_name}-{parallel.strategy_name}"
+                     f"-n{parallel.model_parallel_size}"
+                     f"-{parallel.ep_dispatch}")
+            yield label + "-fwd", build_forward_graph(model, parallel, 1)
+            yield label + "-bwd", build_backward_graph(model, parallel, 1)
+
+
+def _random_graph(seed, n_ops=40):
+    """A seeded random DAG: compute and intra/inter comm ops, some
+    comm -> compute pairs sharing a fuse group."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for i in range(n_ops):
+        n_deps = int(rng.integers(0, min(i, 3) + 1))
+        deps = tuple(f"op{j}" for j in sorted(set(
+            rng.choice(i, size=n_deps, replace=False).tolist())))
+        prev = ops[-1] if ops else None
+        if (prev is not None and prev.kind == "comm"
+                and not prev.fuse_group and rng.random() < 0.5):
+            ops[-1] = replace(prev, fuse_group=f"g{i}")
+            ops.append(Op(f"op{i}", "gemm", deps=(prev.name,),
+                          fuse_group=f"g{i}"))
+        elif rng.random() < 0.4:
+            ops.append(Op(f"op{i}", "comm", comm_pattern="a2a",
+                          comm_scope=str(rng.choice(["intra", "inter"])),
+                          deps=deps))
+        else:
+            ops.append(Op(f"op{i}", str(rng.choice(["gemm", "memory"])),
+                          deps=deps))
+    return OpGraph(ops)
+
+
+def _tie_heavy_durations(graph, seed):
+    rng = np.random.default_rng(seed)
+    return {op.name: float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            for op in graph}
+
+
+class TestListScheduleEquivalence:
+    """The O(U log U) heap scheduler picks exactly the unit the
+    quadratic scan picked at every step: earliest start, then higher
+    criticality, then earlier position."""
+
+    @staticmethod
+    def both(graph, durations, intra, monkeypatch):
+        sched = HolisticScheduler(OverlapConfig.full())
+        heap = sched._schedule(graph, durations, intra=intra)
+        with monkeypatch.context() as m:
+            m.setattr(HolisticScheduler, "_list_schedule",
+                      staticmethod(_reference_list_schedule))
+            reference = sched._schedule(graph, durations, intra=intra)
+        return heap, reference
+
+    @pytest.mark.parametrize("intra", [True, False],
+                             ids=["fused", "unfused"])
+    def test_zoo_graphs_match_reference(self, intra, monkeypatch):
+        checked = 0
+        for label, graph in _zoo_graphs():
+            for durations in (KernelModel(GPU).durations(graph),
+                              _tie_heavy_durations(graph, checked)):
+                heap, reference = self.both(graph, durations, intra,
+                                            monkeypatch)
+                assert heap == reference, label
+                checked += 1
+        assert checked == 2 * 2 * 24 * len(MODEL_ZOO)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tie_heavy_dags_match_reference(self, seed,
+                                                   monkeypatch):
+        graph = _random_graph(seed)
+        durations = _tie_heavy_durations(graph, seed)
+        for intra in (True, False):
+            heap, reference = self.both(graph, durations, intra,
+                                        monkeypatch)
+            assert heap == reference
+
+    def test_schedule_timeline_is_the_simulated_schedule(self):
+        graph = build_forward_graph(
+            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1)
+        durations = KernelModel(GPU).durations(graph)
+        for overlap in (OverlapConfig.full(), OverlapConfig.none()):
+            sched = HolisticScheduler(overlap)
+            tasks, timeline = sched.schedule_timeline(graph, durations)
+            assert tasks == sched.schedule(graph, durations)
+            assert timeline.records == simulate(tasks).records
+
+    def test_unknown_and_cyclic_units_rejected(self):
+        with pytest.raises(ValueError, match="depends on unknown unit"):
+            HolisticScheduler._list_schedule(
+                [("a", 1.0, False, "intra", ("ghost",))])
+        with pytest.raises(ValueError, match="cyclic dependencies"):
+            HolisticScheduler._list_schedule(
+                [("a", 1.0, False, "intra", ("b",)),
+                 ("b", 1.0, True, "intra", ("a",))])
