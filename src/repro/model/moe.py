@@ -15,7 +15,7 @@ Reference (single-rank) implementation of the paper's MoE FFN:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +90,23 @@ class TopKRouter(Module):
 
     def _route(self, x_flat: Tensor) -> Tuple[RoutingResult, Tensor,
                                               Tensor]:
-        t = x_flat.shape[0]
-        logits = self.gate(x_flat)
+        return self.route_logits(self.gate(x_flat))
+
+    def route_logits(self, logits: Tensor,
+                     segments: Optional[Sequence[Tuple[int, int]]] = None
+                     ) -> Tuple[RoutingResult, Tensor, Tensor]:
+        """The post-gate half of routing: softmax, stable top-k,
+        renormalisation and the capacity mask over ``[T, E]`` gate
+        logits.  Returns ``(routing, gate_weights, probs)``.
+
+        Everything but the capacity mask is per-row arithmetic.  The
+        mask is first-come-first-served over a token batch, so
+        ``segments`` (``(start, end)`` row ranges, default the whole
+        batch) names the batches it runs over separately — a serving
+        rank's rows concatenate several requests, and each request's
+        capacity counts only its own ``end - start`` tokens.
+        """
+        t = logits.shape[0]
         probs = ops.softmax(logits, axis=-1)
 
         # Top-k selection happens on values only (indices carry no grad).
@@ -101,7 +116,9 @@ class TopKRouter(Module):
         denom = selected.sum(axis=-1, keepdims=True)
         weights = selected / (denom + 1e-20)
 
-        kept = self._capacity_mask(idx, t)
+        kept = np.ones_like(idx, dtype=bool)
+        for a, b in segments if segments is not None else ((0, t),):
+            kept[a:b] = self._capacity_mask(idx[a:b], b - a)
         routing = RoutingResult(
             expert_index=idx, gate_weight=weights.data.copy(), kept=kept)
         return routing, weights, probs

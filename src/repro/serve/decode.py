@@ -8,17 +8,24 @@ the env as soon as their last reader ran (a decode step holds no tape).
 
 Each :class:`~repro.core.executor_bindings.OpBinding` has a ``seq``
 handler only and closes over a mutable :class:`DecodeState`: the
-scheduler mutates ``state.batch`` and ``state.layer`` between runs while
+scheduler assigns ``state.batch`` and ``state.layer`` between runs while
 the program/bindings are built once.
-Every anchor's env value is a per-attention-rank list of per-request
-payloads — requests never share a kernel, which is the bitwise-equality
+
+Every anchor's env value is a per-attention-rank ``[rows, width]``
+array: the rank's requests' rows concatenated in batch order
+(:class:`RowLayout`).  Row-local work — norms, residual adds, RoPE, the
+router's softmax/top-k, the gate-scaled combine — runs once per rank
+over the whole array; every GEMM, KV access and attention call runs
+once per request segment (:func:`segment_linear`).  A one-row product
+is a gemv and differs bitwise from the same row inside a GEMM, so a
+request's rows never join another request's GEMM — the bitwise-equality
 contract between continuous-batched and sequential-golden decode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +35,9 @@ from ..model.routing import build_dispatch_plan
 from ..tensor import Tensor, ops
 from .kv_cache import PagedKVCache
 
-__all__ = ["ActiveRequest", "DecodeProgram", "DecodeState",
+__all__ = ["ActiveRequest", "DecodeProgram", "DecodeState", "RowLayout",
            "build_decode_graph", "build_decode_bindings",
-           "decode_program"]
+           "decode_program", "segment_linear"]
 
 
 class ActiveRequest:
@@ -98,20 +105,86 @@ class DecodeProgram:
     tile_graph: Optional[OpGraph] = None
 
 
-@dataclass
-class DecodeState:
-    """Mutable context the decode bindings close over."""
+@dataclass(frozen=True)
+class RowLayout:
+    """One attention rank's iteration rows: its requests' input tokens
+    concatenated in batch order."""
 
-    model: Any
-    placement: Any
-    #: Per-attention-rank lists of :class:`ActiveRequest`.
-    batch: List[List[ActiveRequest]] = field(default_factory=list)
-    #: Layer the next DAG run computes.
-    layer: int = 0
+    #: ``(start, end)`` rows of each request, in batch order.
+    bounds: Tuple[Tuple[int, int], ...]
+    #: ``[rows]`` batch index of the request each row belongs to.
+    row_request: np.ndarray
+    #: ``[rows]`` absolute (KV) position of each row.
+    row_pos: np.ndarray
+    #: ``[rows]`` input token id of each row.
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, items: Sequence[ActiveRequest]) -> "RowLayout":
+        lens = np.asarray([item.cur_len for item in items], dtype=np.int64)
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        row_request = np.repeat(np.arange(len(items)), lens)
+        first_pos = np.asarray([item.pos for item in items], dtype=np.int64)
+        row_pos = (np.arange(row_request.shape[0])
+                   + np.repeat(first_pos - starts, lens))
+        ids = np.concatenate([item.cur_ids for item in items]
+                             or [np.zeros(0, dtype=np.int64)])
+        return cls(tuple(zip(starts.tolist(), ends.tolist())),
+                   row_request, row_pos, ids)
+
+
+class DecodeState:
+    """Mutable context the decode bindings close over.
+
+    Assigning :attr:`batch` (per-attention-rank lists of
+    :class:`ActiveRequest`) lays the iteration's rows out once:
+    :attr:`layouts` holds each rank's :class:`RowLayout`.
+    """
+
+    def __init__(self, model: Any, placement: Any):
+        self.model = model
+        self.placement = placement
+        #: Layer the next DAG run computes.
+        self.layer = 0
+        self.batch = [[] for _ in placement.attn_ranks]
+
+    @property
+    def batch(self) -> List[List[ActiveRequest]]:
+        return self._batch
+
+    @batch.setter
+    def batch(self, batch: List[List[ActiveRequest]]) -> None:
+        self._batch = batch
+        self.layouts = [RowLayout.of(items) for items in batch]
 
     @property
     def block(self):
         return self.model.blocks[self.layer]
+
+
+def segment_linear(linear, x: np.ndarray,
+                   bounds: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """``linear`` applied to each row segment ``x[a:b]`` on its own.
+
+    Each segment's product is written into one shared output buffer and
+    carries exactly the bits ``linear(Tensor(x[a:b]))`` produces — a
+    one-row segment stays a gemv, a multi-row one a GEMM over only its
+    own rows.  Under a precision policy (whose casts live in
+    :meth:`~repro.model.layers.Linear.__call__`) or with a bias, each
+    segment runs through the layer itself.
+    """
+    from ..precision.policy import current_policy
+    weight = linear.weight.data
+    out = np.empty((x.shape[0], weight.shape[1]),
+                   dtype=np.result_type(x.dtype, weight.dtype))
+    direct = current_policy() is None and linear.bias is None
+    for a, b in bounds:
+        if direct:
+            np.matmul(x[a:b], weight, out=out[a:b])
+        else:
+            out[a:b] = linear(Tensor(x[a:b])).data
+    return out
 
 
 def build_decode_graph() -> OpGraph:
@@ -135,116 +208,89 @@ def build_decode_graph() -> OpGraph:
     ])
 
 
-def _per_item(state: DecodeState, fn) -> Callable:
-    """Lift a per-request function over the rank/batch nesting."""
-    def handler(ctx):
-        return [[fn(item, val)
-                 for item, val in zip(state.batch[rank_index], values)]
-                for rank_index, values in enumerate(ctx)]
-    return handler
-
-
 def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
     """Numeric handlers for the decode graph, closing over ``state``."""
-    model = state.model
-    attn_cfg = model.config
 
-    def lift(op: str, reads, fn) -> OpBinding:
-        per = _per_item(state, fn)
-
+    def rank_op(op: str, reads, fn) -> OpBinding:
+        """``fn(layout, rank_batch, *rank_values)`` once per rank."""
         def seq(ctx):
-            value_lists = [ctx.env[r] for r in reads]
-            # zip the reads per rank: fn receives a tuple of values
-            merged = [list(zip(*vals)) if len(reads) > 1 else
-                      [(v,) for v in vals[0]]
-                      for vals in
-                      [[vl[i] for vl in value_lists]
-                       for i in range(len(state.batch))]]
-            return per(merged)
+            return [fn(layout, items, *(ctx.env[r][rank] for r in reads))
+                    for rank, (layout, items) in
+                    enumerate(zip(state.layouts, state.batch))]
         return OpBinding(op, (op,), tuple(reads), seq)
 
-    def attn_ln(item, vals):
-        (hidden,) = vals
-        return state.block.ln1(hidden)
+    def attn_ln(layout, items, hidden):
+        return state.block.ln1(Tensor(hidden)).data
 
-    def qkv(item, vals):
-        (x,) = vals
-        return state.block.attn.qkv_proj(x)
+    def qkv(layout, items, x):
+        return segment_linear(state.block.attn.qkv_proj, x, layout.bounds)
 
-    def rope_append(item: ActiveRequest, vals):
-        (qkv_t,) = vals
+    def rope_append(layout, items, qkv_rows):
         attn = state.block.attn
-        s = item.cur_len
-        q, k, v = attn.split_qkv(qkv_t, 1, s)
-        positions = np.arange(item.pos, item.pos + s)
-        q_rot = ops.rope_rotate(q, attn.rope_base, positions)
-        k_rot = ops.rope_rotate(k, attn.rope_base, positions)
-        item.cache.put(state.layer, k_rot.data[0], v.data[0], item.pos)
-        k_cache, v_cache = item.cache.gather(state.layer, item.pos + s)
-        return (q_rot, Tensor(k_cache[None]), Tensor(v_cache[None]))
+        q, k, v = attn.split_qkv(Tensor(qkv_rows[None]), 1,
+                                 qkv_rows.shape[0])
+        q_rot = ops.rope_rotate(q, attn.rope_base, layout.row_pos).data
+        k_rot = ops.rope_rotate(k, attn.rope_base, layout.row_pos).data
+        kv = []
+        for item, (a, b) in zip(items, layout.bounds):
+            item.cache.put(state.layer, k_rot[0, a:b], v.data[0, a:b],
+                           item.pos)
+            kv.append(item.cache.gather(state.layer, item.pos + b - a))
+        return q_rot, kv
 
-    def attend(item, vals):
-        ((q_rot, k_cache, v_cache),) = vals
-        return state.block.attn.decode_attend(q_rot, k_cache, v_cache)
-
-    def attn_out(item: ActiveRequest, vals):
-        (ctx_heads,) = vals
+    def attend(layout, items, rope_out):
+        q_rot, kv = rope_out
         attn = state.block.attn
-        flat = ctx_heads.reshape(1, item.cur_len, attn.hidden_size)
-        return attn.out_proj(flat)
+        out = np.empty((q_rot.shape[1], attn.hidden_size), dtype=q_rot.dtype)
+        for (a, b), (k_cache, v_cache) in zip(layout.bounds, kv):
+            heads = attn.decode_attend(Tensor(q_rot[:, a:b]),
+                                       Tensor(k_cache[None]),
+                                       Tensor(v_cache[None]))
+            out[a:b] = heads.data.reshape(b - a, attn.hidden_size)
+        return out
 
-    def attn_residual(item, vals):
-        hidden, a_out = vals
-        return hidden + a_out
+    def attn_out(layout, items, ctx_rows):
+        return segment_linear(state.block.attn.out_proj, ctx_rows,
+                              layout.bounds)
 
-    def ffn_ln(item, vals):
-        (x,) = vals
-        return state.block.ln2(x)
+    def add(layout, items, x, y):
+        return x + y
 
-    def route(item: ActiveRequest, vals):
-        (x,) = vals
+    def ffn_ln(layout, items, x):
+        return state.block.ln2(Tensor(x)).data
+
+    def route(layout, items, x):
         moe = state.block.moe
-        x_flat = x.reshape(-1, attn_cfg.hidden_size)
-        routing, weights = moe.router.route(x_flat)
-        plan = build_dispatch_plan(routing, moe.n_experts)
-        ffn_in = ops.take_rows(x_flat, plan.token_of_row)
+        logits = segment_linear(moe.router.gate, x, layout.bounds)
+        routing, weights, _ = moe.router.route_logits(Tensor(logits),
+                                                      layout.bounds)
+        plan = build_dispatch_plan(routing, moe.n_experts,
+                                   source_rank_of_token=layout.row_request)
         return {
-            "t": x_flat.shape[0],
             "plan": plan,
             "weights": weights.data,
-            "ffn_in": ffn_in.data,
+            "ffn_in": x[plan.token_of_row],
+            "row_request": layout.row_request,
+            "n_requests": len(items),
         }
 
     def moe_bridge(ctx):
-        routed = ctx.env["route"]
-        combined = state.placement.moe_forward(state.block.moe, routed)
-        out = []
-        for rank_combined, rank_batch in zip(combined, state.batch):
-            out.append([
-                Tensor(rows.reshape(1, item.cur_len,
-                                    attn_cfg.hidden_size))
-                for rows, item in zip(rank_combined, rank_batch)
-            ])
-        return out
-
-    def ffn_residual(item, vals):
-        ln2_in, moe_out = vals
-        return ln2_in + moe_out
+        return state.placement.moe_forward(state.block.moe,
+                                           ctx.env["route"])
 
     return [
-        lift("attn_ln", ("hidden",), attn_ln),
-        lift("qkv", ("attn_ln",), qkv),
-        lift("rope_append", ("qkv",), rope_append),
-        lift("attend", ("rope_append",), attend),
-        lift("attn_out", ("attend",), attn_out),
-        lift("attn_residual", ("hidden", "attn_out"), attn_residual),
-        lift("ffn_ln", ("attn_residual",), ffn_ln),
-        lift("route", ("ffn_ln",), route),
+        rank_op("attn_ln", ("hidden",), attn_ln),
+        rank_op("qkv", ("attn_ln",), qkv),
+        rank_op("rope_append", ("qkv",), rope_append),
+        rank_op("attend", ("rope_append",), attend),
+        rank_op("attn_out", ("attend",), attn_out),
+        rank_op("attn_residual", ("hidden", "attn_out"), add),
+        rank_op("ffn_ln", ("attn_residual",), ffn_ln),
+        rank_op("route", ("ffn_ln",), route),
         OpBinding("moe_dispatch",
                   ("moe_dispatch", "moe_experts", "moe_combine"),
                   ("route",), moe_bridge),
-        lift("ffn_residual", ("attn_residual", "moe_dispatch"),
-             ffn_residual),
+        rank_op("ffn_residual", ("attn_residual", "moe_dispatch"), add),
     ]
 
 

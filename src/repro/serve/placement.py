@@ -12,12 +12,17 @@ through :func:`~repro.parallel.dist_ops.dist_all_to_all_uneven`, so the
 ``serve:``-prefixed tags — separate buckets from the training Eq. 1–4
 auditor, which stays balanced.
 
-Bitwise contract: every GEMM is per-(request, expert) on the same
-contiguous rows the reference :class:`~repro.model.moe.MoELayer` would
-use, and the combine applies the identical row scatter-add — so a
-request's MoE output is bitwise independent of which other requests
-share the iteration.  That independence is what lets the continuous
-batcher match the unbatched sequential golden bit-for-bit.
+Bitwise contract: each attention rank routes its whole row array with
+one dispatch plan sorted by (expert, request, token), so every
+(request, expert) block is contiguous and holds exactly the rows the
+unbatched reference :class:`~repro.model.moe.MoELayer` sends that
+expert.  Each expert rank runs one
+:func:`~repro.model.moe.grouped_expert_blocks` call whose GEMMs are per
+block, and the combine (gate-scale, then row scatter-add) is per-row
+arithmetic — so a request's MoE output is bitwise independent of which
+other requests share the iteration.  That independence is what lets
+the continuous batcher match the unbatched sequential golden
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from ..comm import World
 from ..core.config import ServeConfig
+from ..model.moe import grouped_expert_blocks
 from ..parallel.dist_ops import dist_all_to_all_uneven
 from ..tensor import Tensor, scatter_add_rows
 
@@ -67,160 +73,101 @@ class DisaggregatedPlacement:
         """Attention-rank index hosting a request (static round-robin)."""
         return request_id % len(self.attn_ranks)
 
-    def moe_forward(self, moe, routed: List[List[Dict[str, Any]]]
-                    ) -> List[List[np.ndarray]]:
+    def moe_forward(self, moe, routed: List[Dict[str, Any]]
+                    ) -> List[np.ndarray]:
         """One MoE layer across the bridge for the whole active batch.
 
-        ``routed[i]`` holds attention rank ``i``'s per-request route
-        results (dicts from the ``route`` binding: ``t``, ``plan``,
-        ``weights``, ``ffn_in``).  Returns the per-request combined
-        ``[t, hidden]`` arrays in the same nesting.
+        ``routed[i]`` is attention rank ``i``'s route result (a dict
+        from the ``route`` binding: ``plan`` — one dispatch plan over
+        the rank's rows, sorted by (expert, request, token) —
+        ``weights``, ``ffn_in`` in plan order, ``row_request`` and
+        ``n_requests``).  Returns each rank's combined ``[rows, hidden]``
+        array.
         """
         a = len(self.attn_ranks)
         e = len(self.expert_ranks)
         pe = self.experts_per_rank
         n = self.bridge.size
-        hidden = moe.hidden_size
         # Empty send/return buffers must not widen the rows they are
         # concatenated with across the bridge.
         dtype = moe.experts[0].fc1.dtype
+        empty = np.zeros((0, moe.hidden_size), dtype=dtype)
 
-        # --- dispatch: reorder each attention rank's routed rows by
-        # destination expert rank.  Plan rows are already sorted by
-        # expert, so a request's rows for expert rank j are one
-        # contiguous slice; the send tensor is (dest-major,
-        # request-minor) concatenation.
+        # --- dispatch: plan rows are sorted by expert, so expert rank
+        # j's rows are one contiguous chunk of ffn_in and the rank's
+        # send buffer is ffn_in itself.  blocks[i][x, r] counts rank i's
+        # rows for (expert x, request r) — the (expert, request) blocks
+        # tile each chunk in that order.
+        blocks: List[np.ndarray] = []
         send_tensors: List[Tensor] = []
         send_splits: List[List[int]] = []
-        # seg_meta[j][src] = [(item, counts per local expert), ...] in
-        # the request order rank ``src`` sent them — exactly the row
-        # order expert rank j receives within src's chunk.
-        seg_meta: List[List[List[Any]]] = [
-            [[] for _ in range(a)] for _ in range(e)
-        ]
-        for i in range(a):
-            pieces: List[List[np.ndarray]] = [[] for _ in range(e)]
-            for item in routed[i]:
-                plan = item["plan"]
-                bounds = np.concatenate(
-                    [[0], np.cumsum(plan.expert_counts)])
-                for j in range(e):
-                    lo = int(bounds[j * pe])
-                    hi = int(bounds[(j + 1) * pe])
-                    pieces[j].append(item["ffn_in"][lo:hi])
-                    counts = plan.expert_counts[j * pe:(j + 1) * pe]
-                    seg_meta[j][i].append((item, counts))
-            flat = [seg for j in range(e) for seg in pieces[j]]
-            if flat:
-                send = np.concatenate(flat, axis=0)
-            else:
-                send = np.zeros((0, hidden), dtype=dtype)
-            splits = [0] * n
-            for j in range(e):
-                splits[self.expert_ranks[j]] = int(
-                    sum(seg.shape[0] for seg in pieces[j]))
-            send_tensors.append(Tensor(np.ascontiguousarray(send)))
-            send_splits.append(splits)
+        for r in routed:
+            plan = r["plan"]
+            n_req = r["n_requests"]
+            expert_of_row = np.repeat(np.arange(moe.n_experts),
+                                      plan.expert_counts)
+            request_of_row = r["row_request"][plan.token_of_row]
+            counts = np.bincount(expert_of_row * n_req + request_of_row,
+                                 minlength=moe.n_experts * n_req)
+            blocks.append(counts.reshape(moe.n_experts, n_req))
+            send_tensors.append(Tensor(r["ffn_in"]))
+            send_splits.append([0] * a + plan.expert_counts.reshape(
+                e, pe).sum(axis=1).tolist())
         for _ in range(e):
-            send_tensors.append(Tensor(np.zeros((0, hidden), dtype=dtype)))
+            send_tensors.append(Tensor(empty))
             send_splits.append([0] * n)
 
         received = dist_all_to_all_uneven(
             self.bridge, send_tensors, send_splits, tag=DISPATCH_TAG)
 
-        # --- expert compute: walk each expert rank's receive buffer in
-        # arrival order (source-rank-major, request-minor, local-expert-
-        # minor) and run one GEMM per (request, expert) segment — the
-        # same contiguous operand the reference grouped_expert_forward
-        # uses, so outputs are bitwise-identical per request.
-        back_tensors: List[Tensor] = []
-        back_splits: List[List[int]] = []
-        for _ in range(a):
-            back_tensors.append(Tensor(np.zeros((0, hidden), dtype=dtype)))
-            back_splits.append([0] * n)
+        # --- expert compute: expert rank j's receive buffer is the
+        # source-rank-major concatenation of those chunks; one
+        # GroupedGEMM runs every (source, local expert, request) block,
+        # each block through its own GEMM — the rows the unbatched
+        # reference sends that expert, so outputs are bitwise-identical
+        # per request.
+        back_tensors: List[Tensor] = [Tensor(empty) for _ in range(a)]
+        back_splits: List[List[int]] = [[0] * n for _ in range(a)]
         for j in range(e):
-            buf = received[self.expert_ranks[j]].data
-            out_parts: List[np.ndarray] = []
-            rows_from_src = [0] * a
+            buf = received[self.expert_ranks[j]]
+            row_blocks = []
+            splits = [0] * n
             off = 0
-            for src in range(a):
-                for item, counts in seg_meta[j][src]:
-                    for le in range(pe):
-                        c = int(counts[le])
-                        if c == 0:
-                            continue
-                        seg = buf[off:off + c]
-                        expert = moe.experts[j * pe + le]
-                        out_parts.append(expert(Tensor(seg)).data)
+            for i in range(a):
+                start = off
+                for local, counts in enumerate(
+                        blocks[i][j * pe:(j + 1) * pe]):
+                    for c in counts.tolist():
+                        row_blocks.append((local, off, off + c))
                         off += c
-                        rows_from_src[src] += c
+                splits[i] = off - start
             if off != buf.shape[0]:
                 raise RuntimeError(
-                    f"expert rank {j}: consumed {off} of "
+                    f"expert rank {j}: blocks cover {off} of "
                     f"{buf.shape[0]} received rows"
                 )
-            if out_parts:
-                out = np.concatenate(out_parts, axis=0)
-            else:
-                out = np.zeros((0, hidden), dtype=dtype)
-            splits = [0] * n
-            for src in range(a):
-                splits[src] = rows_from_src[src]
-            back_tensors.append(Tensor(np.ascontiguousarray(out)))
+            back_tensors.append(grouped_expert_blocks(
+                moe.experts[j * pe:(j + 1) * pe], buf, row_blocks))
             back_splits.append(splits)
 
         combined = dist_all_to_all_uneven(
             self.bridge, back_tensors, back_splits, tag=COMBINE_TAG)
 
-        # --- reassemble per request: rank i's receive buffer is
-        # (expert-rank-major, request-minor); a request's plan-order
-        # rows are the j-ascending concatenation of its segments, which
-        # is exactly expert-ascending order.  Then the reference
-        # combine: gate-scale after FC2, scatter-add per token.
-        outputs: List[List[np.ndarray]] = []
-        for i in range(a):
-            buf = combined[i].data
-            # chunk offsets per expert rank within rank i's buffer
-            chunk_off = [0] * e
-            pos = 0
-            for j in range(e):
-                chunk_off[j] = pos
-                pos += sum(
-                    int(counts.sum())
-                    for item, counts in seg_meta[j][i]
-                )
-            if pos != buf.shape[0]:
+        # --- combine: rank i gets its rows back expert-rank-major, i.e.
+        # in plan order.  Then the reference combine: gate-scale after
+        # FC2, scatter-add per token.
+        outputs: List[np.ndarray] = []
+        for i, r in enumerate(routed):
+            plan = r["plan"]
+            fc2_out = combined[i].data
+            if fc2_out.shape[0] != plan.n_rows:
                 raise RuntimeError(
-                    f"attention rank {i}: expected {pos} combined rows, "
-                    f"received {buf.shape[0]}"
+                    f"attention rank {i}: expected {plan.n_rows} "
+                    f"combined rows, received {fc2_out.shape[0]}"
                 )
-            # per-(j, item) start offsets in request order
-            item_off: List[Dict[int, int]] = [dict() for _ in range(e)]
-            for j in range(e):
-                cursor = chunk_off[j]
-                for item, counts in seg_meta[j][i]:
-                    item_off[j][id(item)] = cursor
-                    cursor += int(counts.sum())
-            rank_out: List[np.ndarray] = []
-            for item in routed[i]:
-                plan = item["plan"]
-                parts: List[np.ndarray] = []
-                for j in range(e):
-                    c = int(plan.expert_counts[
-                        j * pe:(j + 1) * pe].sum())
-                    if c == 0:
-                        continue
-                    lo = item_off[j][id(item)]
-                    parts.append(buf[lo:lo + c])
-                if parts:
-                    fc2_out = np.concatenate(parts, axis=0)
-                else:
-                    fc2_out = np.zeros((0, hidden), dtype=dtype)
-                w_rows = item["weights"][plan.token_of_row,
-                                         plan.slot_of_row]
-                scaled = fc2_out * w_rows.reshape(-1, 1)
-                rank_out.append(scatter_add_rows(
-                    np.zeros((item["t"], hidden), dtype=dtype),
-                    plan.token_of_row, scaled))
-            outputs.append(rank_out)
+            w_rows = r["weights"][plan.token_of_row, plan.slot_of_row]
+            outputs.append(scatter_add_rows(
+                np.zeros((len(r["row_request"]), moe.hidden_size),
+                         dtype=dtype),
+                plan.token_of_row, fc2_out * w_rows.reshape(-1, 1)))
         return outputs

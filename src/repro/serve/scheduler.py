@@ -10,12 +10,13 @@ latencies land in the :class:`~repro.obs.Tracer` as closed spans on the
 injected clock, and a mid-stream :class:`~repro.ft.RankCrash` re-queues
 the in-flight requests instead of failing the run.
 
-Determinism contract: per-request compute never crosses request
-boundaries, greedy decode is a pure function of the token prefix, and
-crash/eviction recovery replays a request from scratch — so every
-admitted request's generated tokens *and* per-step logits are
-bitwise-identical to an unbatched sequential run of the same engine
-(the ``serve_golden`` invariant).
+Determinism contract: row-local ops run over each attention rank's
+whole batch, while GEMMs, KV and attention never cross a request
+(:mod:`repro.serve.decode`); greedy decode is a pure function of the
+token prefix, and crash/eviction recovery replays a request from
+scratch — so every admitted request's generated tokens *and* per-step
+logits are bitwise-identical to an unbatched sequential run of the same
+engine (the ``serve_golden`` invariant).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from ..comm import World
 from ..core.config import ServeConfig
 from ..ft import RankCrash
 from ..runtime.dag_executor import DagExecutor
-from ..tensor import no_grad, ops
+from ..tensor import Tensor, no_grad, ops
 from .arrivals import Request, VirtualClock, latency_summary
 from .decode import (ActiveRequest, DecodeState, build_decode_bindings,
-                     decode_program)
+                     decode_program, segment_linear)
 from .kv_cache import KVLeakError, KVPool, OutOfKVBlocks, PagedKVCache
 from .placement import DisaggregatedPlacement
 
@@ -93,7 +94,8 @@ class ServeEngine:
             dtype=attn.qkv_proj.weight.dtype,
         )
         self.state = DecodeState(model=model, placement=self.placement)
-        self.state.batch = [[] for _ in self.placement.attn_ranks]
+        #: All in-flight requests, in admission order.
+        self.active: List[ActiveRequest] = []
         self._program = decode_program()
         self._executor = DagExecutor(
             self._program, build_decode_bindings(self.state),
@@ -109,12 +111,6 @@ class ServeEngine:
         self._shutdown = False
 
     # -- admission / eviction -------------------------------------------
-
-    @property
-    def active(self) -> List[ActiveRequest]:
-        """All in-flight requests, in admission order."""
-        items = [it for rank in self.state.batch for it in rank]
-        return sorted(items, key=lambda it: it.admission_seq)
 
     def _admit(self, waiting: Deque[Request]) -> None:
         while waiting and len(self.active) < self.config.max_batch_size:
@@ -137,15 +133,7 @@ class ServeEngine:
             item = ActiveRequest(req, cache, self._admission_seq)
             item.restarts = self._restarts.get(req.request_id, 0)
             self._admission_seq += 1
-            rank = self.placement.rank_of_request(req.request_id)
-            self.state.batch[rank].append(item)
-
-    def _remove(self, item: ActiveRequest) -> None:
-        for rank in self.state.batch:
-            if item in rank:
-                rank.remove(item)
-                return
-        raise KeyError(f"request {item.request.request_id} not active")
+            self.active.append(item)
 
     def _evict(self, item: ActiveRequest,
                waiting: Deque[Request]) -> None:
@@ -156,7 +144,7 @@ class ServeEngine:
         outputs — only latency.
         """
         item.reset()
-        self._remove(item)
+        self.active.remove(item)
         self._restarts[item.request.request_id] = item.restarts
         waiting.appendleft(item.request)
         self.n_evictions += 1
@@ -164,7 +152,7 @@ class ServeEngine:
     def _grow_caches(self, waiting: Deque[Request]) -> None:
         """Reserve this iteration's KV before any compute; evict the
         newest-admitted victims when the pool is exhausted."""
-        for item in self.active:
+        for item in list(self.active):
             if item not in self.active:  # evicted by a prior pass
                 continue
             while True:
@@ -193,22 +181,29 @@ class ServeEngine:
         """One mixed prefill+decode iteration over the active batch —
         inference, so no op records a tape node."""
         model = self.model
+        batch: List[List[ActiveRequest]] = [
+            [] for _ in self.placement.attn_ranks]
+        for item in self.active:
+            batch[self.placement.rank_of_request(
+                item.request.request_id)].append(item)
+        self.state.batch = batch
         with no_grad():
-            hidden = [
-                [ops.embedding(model.embedding, item.cur_ids[None, :])
-                 for item in rank]
-                for rank in self.state.batch
-            ]
+            hidden = [ops.embedding(model.embedding, layout.ids).data
+                      for layout in self.state.layouts]
             for layer in range(model.config.n_layers):
                 self.state.layer = layer
                 result = self._executor.run({"hidden": hidden},
                                             tracer=self.tracer,
                                             retain=("ffn_residual",))
                 hidden = result.env["ffn_residual"]
-            for rank_hidden, rank_batch in zip(hidden, self.state.batch):
-                for h, item in zip(rank_hidden, rank_batch):
-                    logits = model.lm_head(model.final_norm(h))
-                    row = np.ascontiguousarray(logits.data[0, -1])
+            # lm_head keeps every row of a prefill: its last row is
+            # then bitwise the last row of a whole-prompt forward.
+            for h, layout, items in zip(hidden, self.state.layouts, batch):
+                logits = segment_linear(
+                    model.lm_head, model.final_norm(Tensor(h)).data,
+                    layout.bounds)
+                for item, (_, end) in zip(items, layout.bounds):
+                    row = logits[end - 1].copy()
                     item.commit(int(np.argmax(row)), row)
 
     def _requeue_all(self, waiting: Deque[Request]) -> None:
@@ -216,9 +211,9 @@ class ServeEngine:
         back at the head of the queue (admission order preserved)."""
         for item in reversed(self.active):
             item.reset()
-            self._remove(item)
             self._restarts[item.request.request_id] = item.restarts
             waiting.appendleft(item.request)
+        self.active.clear()
 
     def _record_request_span(self, item: ActiveRequest) -> None:
         if self.tracer is None:
@@ -274,7 +269,7 @@ class ServeEngine:
             for item in list(self.active):
                 if item.done:
                     item.cache.release()
-                    self._remove(item)
+                    self.active.remove(item)
                     self._record_request_span(item)
                     results[item.request.request_id] = RequestResult(
                         request_id=item.request.request_id,
@@ -303,7 +298,7 @@ class ServeEngine:
         self._shutdown = True
         for item in self.active:
             item.cache.release()
-            self._remove(item)
+        self.active.clear()
         self.pool.allocator.assert_no_leaks()
         if self.tracer is not None:
             open_stacks = {tid: depth for tid, depth

@@ -432,8 +432,9 @@ class ServeCase:
 def serve_matrix(seed: int = 0) -> List[ServeCase]:
     """The serving conformance grid: both arrival processes, a
     wider-GQA leg, a mid-stream rank-crash leg, a tight-KV eviction
-    leg, and a float32-model leg (KV pool and cached post-RoPE keys in
-    the model's dtype)."""
+    leg, a float32-model leg (KV pool and cached post-RoPE keys in
+    the model's dtype), and a leg at the serving benchmark's batch
+    width (8 requests in flight, with evictions)."""
     return [
         ServeCase(trace="poisson", seed=seed),
         ServeCase(trace="bursty", seed=seed),
@@ -441,6 +442,8 @@ def serve_matrix(seed: int = 0) -> List[ServeCase]:
         ServeCase(crash_at_call=5, seed=seed),
         ServeCase(kv_blocks=5, max_batch_size=4, seed=seed),
         ServeCase(dtype="float32", seed=seed),
+        ServeCase(max_batch_size=8, n_requests=16, kv_blocks=12,
+                  seed=seed),
     ]
 
 

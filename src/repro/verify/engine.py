@@ -494,6 +494,11 @@ class ServeArtifacts:
     #: Per-thread open-span depth at shutdown.
     thread_stacks: Dict[int, int]
     shutdown_error: str = ""
+    #: Per completed request id, the model's own logits computed
+    #: outside the engine: ``(last row of model(prompt), every row of
+    #: model(prompt + generated[:-1]))``.
+    reference: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict)
 
 
 def run_serve_case(case) -> CaseResult:
@@ -502,7 +507,8 @@ def run_serve_case(case) -> CaseResult:
     The case's trace runs through the continuous batcher (with the
     case's fault plan, if any), then through the unbatched sequential
     golden decoder; the ``serve_*`` registry checks per-request bitwise
-    equality, ledger balance, and the leak contract.
+    equality, ledger balance, the leak contract, and agreement with
+    whole-sequence forwards of the reference model.
     """
     from ..obs.tracer import Tracer
     from ..serve.arrivals import VirtualClock
@@ -544,8 +550,25 @@ def run_serve_case(case) -> CaseResult:
         },
         thread_stacks=dict(tracer.thread_stacks()),
         shutdown_error=shutdown_error,
+        reference=_serve_reference(model, result),
     )
     return _evaluate(case, artifacts, registered_serve_invariants())
+
+
+def _serve_reference(model, result) -> Dict[int, Tuple[np.ndarray,
+                                                      np.ndarray]]:
+    """Each completed request's logits from whole-sequence forwards of
+    the reference model — the engine-independent side of the
+    ``serve_reference`` invariant."""
+    from ..tensor import no_grad
+    reference = {}
+    with no_grad():
+        for rid, got in result.results.items():
+            prefill = model(np.asarray([got.prompt])).logits.data[0, -1]
+            tokens = list(got.prompt) + got.generated[:-1]
+            full = model(np.asarray([tokens])).logits.data[0]
+            reference[rid] = (prefill, full)
+    return reference
 
 
 def run_serve_matrix(cases: Sequence[object],

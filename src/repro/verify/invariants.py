@@ -657,6 +657,47 @@ def _check_serve_golden(art) -> List[str]:
     return violations
 
 
+#: ``serve_reference`` decode-step tolerance, in units of the dtype's
+#: eps relative to the row's largest |logit|: a decode step attends over
+#: cached keys through a one-row GEMM, so it rounds differently from the
+#: same position inside a whole-sequence forward (4-10 eps on the serve
+#: matrix at seeds 0-2).
+SERVE_REFERENCE_EPS = 64
+
+
+def _check_serve_reference(art) -> List[str]:
+    """Each request's logits must match the reference model run
+    outside the engine: the prefill row bitwise equal to the last row of
+    ``model(prompt)``, and decode step ``s`` within
+    :data:`SERVE_REFERENCE_EPS` eps of row ``len(prompt) - 1 + s`` of one
+    ``model(prompt + generated[:-1])`` forward.  ``serve_golden``
+    compares the engine with itself, so a bug both runs share passes it;
+    this check does not share the engine."""
+    violations = []
+    for rid, (prefill, full) in sorted(art.reference.items()):
+        got = art.result.results[rid]
+        if not np.array_equal(got.logits[0], prefill):
+            violations.append(
+                f"request {rid}: prefill logits not bitwise-equal to "
+                f"model(prompt) (max |Δ| "
+                f"{float(np.abs(got.logits[0] - prefill).max()):.3g})"
+            )
+            continue
+        bound = SERVE_REFERENCE_EPS * np.finfo(prefill.dtype).eps
+        for step in range(1, len(got.logits)):
+            want = full[len(got.prompt) - 1 + step]
+            err = float(np.abs(got.logits[step] - want).max()
+                        / np.abs(want).max())
+            if err > bound:
+                violations.append(
+                    f"request {rid} step {step}: logits differ from "
+                    f"the whole-sequence forward by {err:.3g} relative "
+                    f"(> {bound:.3g})"
+                )
+                break
+    return violations
+
+
 def _check_serve_comm_balance(art) -> List[str]:
     """Every dispatched byte comes back: the serve:dispatch_a2a and
     serve:combine_a2a ledger buckets must balance exactly, and no serve
@@ -724,6 +765,17 @@ def default_serve_registry() -> List[Invariant]:
                         "to the unbatched sequential golden",
             applies=lambda case: True,
             check=_check_serve_golden,
+        ),
+        Invariant(
+            name="serve_reference",
+            description="prefill logits are bitwise the last row of "
+                        "model(prompt); every decode step is within "
+                        f"{SERVE_REFERENCE_EPS} eps of one whole-sequence "
+                        "forward (ServeCase models route with no "
+                        "capacity limit, so the longer sequence routes "
+                        "each token the same way)",
+            applies=lambda case: True,
+            check=_check_serve_reference,
         ),
         Invariant(
             name="serve_comm_balance",

@@ -1,14 +1,17 @@
 """Serving subsystem (repro.serve) tests.
 
-Coverage in four layers: the paged-KV plumbing (allocator accounting,
+Coverage in five layers: the paged-KV plumbing (allocator accounting,
 GQA-shaped pool, block-table reads/writes), the determinism contract
 (continuous-batched output bitwise vs the unbatched sequential golden,
 across GQA ratios, ragged lengths, staggered admission, eviction,
 and mid-stream rank crashes), the leak/trace contracts at
-shutdown, and the serve verify registry — including proof that each
-``serve_*`` invariant catches a hand-tampered artifact of its bug
-class, and that the verify-telemetry fix fails loudly when an EP
-engine stops exposing dispatch telemetry.
+shutdown, the row-array layout (per-segment GEMMs, one grouped expert
+call per expert rank, per-request capacity masks), and the serve verify
+registry — including proof that each ``serve_*`` invariant catches a
+hand-tampered artifact of its bug class, that ``serve_reference``
+catches a bug the batched run and its golden share, and that the
+verify-telemetry fix fails loudly when an EP engine stops exposing
+dispatch telemetry.
 """
 
 import numpy as np
@@ -46,10 +49,12 @@ from repro.verify.invariants import (
 )
 
 
-def tiny_model(gqa_ratio=2, n_layers=2, seed=0, dtype=np.float64):
+def tiny_model(gqa_ratio=2, n_layers=2, seed=0, dtype=np.float64,
+               capacity_factor=0.0):
     config = ModelConfig("serve-test", n_layers, 32, 8, gqa_ratio, 48,
                          8, 2, vocab_size=64, seq_len=64)
-    return MoETransformer(config, seed=seed, dtype=dtype)
+    return MoETransformer(config, seed=seed, dtype=dtype,
+                          capacity_factor=capacity_factor)
 
 
 def serve_config(**kw):
@@ -240,6 +245,72 @@ class TestPrefillExactness:
         assert np.array_equal(
             result.results[0].logits[0],
             np.ascontiguousarray(ref.logits.data[0, -1]))
+
+
+class TestCapacityFactor:
+    def test_capacity_mask_counts_each_request_alone(self):
+        """A capacity-limited router drops tokens first-come-first-
+        served over a request's own tokens: batched output equals the
+        golden bitwise, and every prefill row equals model(prompt)'s
+        last row — which a mask over a rank's concatenated rows breaks."""
+        model = tiny_model(capacity_factor=0.5)
+        serve = serve_config()
+        requests = poisson_trace(6, rate=0.5, vocab=64, seed=1)
+        result, _, _ = run_engine(model, serve, requests)
+        assert_bitwise(result, golden_decode(model, serve, requests))
+        for request in requests:
+            ref = model(np.asarray([request.prompt]))
+            assert np.array_equal(
+                result.results[request.request_id].logits[0],
+                ref.logits.data[0, -1]), request.request_id
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_linear_matches_per_segment_products(self, dtype):
+        """Each request segment of a ragged row array is bitwise its
+        own product — a one-row segment (a gemv) between GEMM segments
+        included."""
+        from repro.model.layers import Linear
+        from repro.serve.decode import segment_linear
+        rng = np.random.default_rng(0)
+        linear = Linear(rng, 64, 48, dtype=dtype)
+        x = rng.standard_normal((12, 64)).astype(dtype)
+        bounds = ((0, 5), (5, 6), (6, 12))
+        out = segment_linear(linear, x, bounds)
+        assert out.dtype == dtype
+        for a, b in bounds:
+            assert np.array_equal(out[a:b], x[a:b] @ linear.weight.data)
+
+    def test_one_grouped_expert_call_per_expert_rank(self, monkeypatch):
+        """With no precision policy and no remat the bridge runs one
+        GroupedGEMM per (expert rank, layer, iteration) and never an
+        expert's own forward."""
+        from repro.model import moe
+        from repro.serve import placement
+        calls = {"grouped": 0, "expert": 0}
+        grouped = placement.grouped_expert_blocks
+        expert_call = moe.Expert.__call__
+
+        def count_grouped(*args):
+            calls["grouped"] += 1
+            return grouped(*args)
+
+        def count_expert(self, x):
+            calls["expert"] += 1
+            return expert_call(self, x)
+
+        monkeypatch.setattr(placement, "grouped_expert_blocks",
+                            count_grouped)
+        monkeypatch.setattr(moe.Expert, "__call__", count_expert)
+        model = tiny_model()
+        config = serve_config()
+        requests = poisson_trace(6, rate=0.5, vocab=64, seed=1)
+        result, _, _ = run_engine(model, config, requests)
+        assert calls["expert"] == 0
+        assert calls["grouped"] == (config.expert_ranks
+                                    * model.config.n_layers
+                                    * result.n_iterations)
 
 
 class TestGoldenBitwise:
@@ -448,7 +519,7 @@ class TestServeCase:
         cases = serve_matrix()
         ids = [c.case_id for c in cases]
         assert len(ids) == len(set(ids))
-        assert len(ids) == 6
+        assert len(ids) == 7
         assert any("-cr" in i for i in ids)
         assert any("bursty" in i for i in ids)
         assert any(c.gqa_ratio > 2 for c in cases)
@@ -540,6 +611,24 @@ class TestServeInvariantsCatchBugs:
         assert _check_serve_leaks(
             _artifacts(shutdown_error="KVLeakError: boom"))
 
+    def test_reference_catches_a_bug_golden_shares(self, monkeypatch):
+        """Caching every key rotated one position too far changes the
+        attention scores of the batched run and of the golden alike:
+        serve_golden passes, serve_reference — the model run outside
+        the engine — fails."""
+        from repro.tensor import Tensor, ops
+        put = PagedKVCache.put
+
+        def shifted_put(self, layer, k, v, pos):
+            k = ops.rope_rotate(Tensor(k), positions=np.ones(k.shape[0]))
+            return put(self, layer, k.data, v, pos)
+
+        monkeypatch.setattr(PagedKVCache, "put", shifted_put)
+        result = run_serve_case(ServeCase(n_requests=3, layers=1))
+        status = {o.name: o.status for o in result.outcomes}
+        assert status["serve_golden"] == "pass"
+        assert status["serve_reference"] == "fail"
+
 
 class TestTelemetrySoundness:
     """The satellite fix: verify's telemetry invariants must fail
@@ -599,8 +688,8 @@ class TestDagExecutorRetain:
             decode_program(), build_decode_bindings(state),
             placement.world.group(placement.attn_ranks),
             inputs=("hidden",))
-        hidden = [[ops.embedding(model.embedding,
-                                 item.cur_ids[None, :])], []]
+        hidden = [ops.embedding(model.embedding, layout.ids).data
+                  for layout in state.layouts]
         result = executor.run({"hidden": hidden},
                               retain=("ffn_residual",))
         assert "ffn_residual" in result.env
