@@ -164,24 +164,16 @@ class TopKRouter(Module):
 
 
 class Expert(Module):
-    """One SwiGLU feed-forward expert: ``fc2(silu(fc1 x) * fc3 x)``.
-
-    With ``remat=True`` the SwiGLU activation is gradient-checkpointed:
-    ``fc1_out``/``fc3_out`` stay resident (GroupedGEMM outputs, §4.1's
-    retained set) while ``fc2_in`` is recomputed during backward —
-    exactly the Fig. 8b rematerialization.
-    """
+    """One SwiGLU feed-forward expert: ``fc2(silu(fc1 x) * fc3 x)``."""
 
     def __init__(self, rng: np.random.Generator, hidden_size: int,
-                 ffn_hidden_size: int, dtype=np.float32,
-                 remat: bool = False):
+                 ffn_hidden_size: int, dtype=np.float32):
         self.fc1 = Tensor(init_linear(rng, hidden_size, ffn_hidden_size,
                                       dtype), requires_grad=True, name="fc1")
         self.fc3 = Tensor(init_linear(rng, hidden_size, ffn_hidden_size,
                                       dtype), requires_grad=True, name="fc3")
         self.fc2 = Tensor(init_linear(rng, ffn_hidden_size, hidden_size,
                                       dtype), requires_grad=True, name="fc2")
-        self.remat = remat
 
     def __call__(self, x: Tensor) -> Tensor:
         from ..precision.policy import current_policy
@@ -194,12 +186,7 @@ class Expert(Module):
             fc2 = policy.cast_weight(fc2)
         gate_in = x @ fc1
         lin_in = x @ fc3
-        if self.remat:
-            from ..tensor.checkpoint import checkpoint_segment
-            fc2_in = checkpoint_segment(
-                lambda a, b: a.silu() * b, gate_in, lin_in)
-        else:
-            fc2_in = gate_in.silu() * lin_in
+        fc2_in = gate_in.silu() * lin_in
         if policy is not None:
             # SwiGLU expands the dynamic range; the FC2 input is
             # re-quantized exactly where the paper applies per-token
@@ -215,13 +202,12 @@ def grouped_expert_blocks(experts: Sequence[Expert], rows: Tensor,
     tile ``rows`` in order.
 
     One fused :func:`~repro.tensor.ops.grouped_swiglu` node — unless a
-    :class:`~repro.precision.policy.PrecisionPolicy` is active or an
-    expert rematerializes its activation, whose casts / checkpoint
-    segment live in :meth:`Expert.__call__`; then each block runs
-    through its expert and the pieces are concatenated.
+    :class:`~repro.precision.policy.PrecisionPolicy` is active, whose
+    casts live in :meth:`Expert.__call__`; then each block runs through
+    its expert and the pieces are concatenated.
     """
     from ..precision.policy import current_policy
-    if current_policy() is None and not any(x.remat for x in experts):
+    if current_policy() is None:
         return ops.grouped_swiglu(
             rows, [(x.fc1, x.fc3, x.fc2) for x in experts], row_blocks)
     pieces = [experts[e](rows[a:b]) for e, a, b in row_blocks if b > a]
@@ -258,11 +244,10 @@ class MoELayer(Module):
     def __init__(self, rng: np.random.Generator, hidden_size: int,
                  ffn_hidden_size: int, n_experts: int, top_k: int,
                  experts_per_group: int = 1, capacity_factor: float = 0.0,
-                 dtype=np.float32, remat: bool = False):
+                 dtype=np.float32):
         self.router = TopKRouter(rng, hidden_size, n_experts, top_k,
                                  experts_per_group, capacity_factor, dtype)
-        self.experts = [Expert(rng, hidden_size, ffn_hidden_size, dtype,
-                               remat=remat)
+        self.experts = [Expert(rng, hidden_size, ffn_hidden_size, dtype)
                         for _ in range(n_experts)]
         self.hidden_size = hidden_size
         self.n_experts = n_experts

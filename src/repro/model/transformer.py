@@ -34,40 +34,23 @@ class ModelForward:
 
 
 class TransformerBlock(Module):
-    """One attention + MoE-FFN block with pre-norm residuals.
-
-    With ``remat=True`` the memory-bound operators are gradient-
-    checkpointed per §4.1: the RMSNorms recompute from their residual
-    inputs and each expert's SwiGLU recomputes from the retained
-    GroupedGEMM outputs, while attention and FFN GEMM activations stay
-    resident.
-    """
+    """One attention + MoE-FFN block with pre-norm residuals."""
 
     def __init__(self, rng: np.random.Generator, config: ModelConfig,
                  experts_per_group: int = 1, capacity_factor: float = 0.0,
-                 dtype=np.float32, remat: bool = False):
+                 dtype=np.float32):
         self.ln1 = RMSNorm(config.hidden_size, dtype=dtype)
         self.attn = SelfAttention(rng, config.hidden_size, config.n_heads,
                                   config.gqa_ratio, dtype=dtype)
         self.ln2 = RMSNorm(config.hidden_size, dtype=dtype)
         self.moe = MoELayer(rng, config.hidden_size, config.ffn_hidden_size,
                             config.n_experts, config.top_k,
-                            experts_per_group, capacity_factor, dtype,
-                            remat=remat)
-        self.remat = remat
+                            experts_per_group, capacity_factor, dtype)
 
     def __call__(self, hidden: Tensor) -> tuple:
-        if self.remat:
-            from ..tensor.checkpoint import checkpoint_segment
-            ln1_out = checkpoint_segment(self.ln1, hidden)
-            attn_out = self.attn(ln1_out)
-            ln2_in = hidden + attn_out
-            ln2_out = checkpoint_segment(self.ln2, ln2_in)
-            moe_out = self.moe(ln2_out)
-        else:
-            attn_out = self.attn(self.ln1(hidden))
-            ln2_in = hidden + attn_out
-            moe_out = self.moe(self.ln2(ln2_in))
+        attn_out = self.attn(self.ln1(hidden))
+        ln2_in = hidden + attn_out
+        moe_out = self.moe(self.ln2(ln2_in))
         return ln2_in + moe_out.hidden, moe_out
 
 
@@ -76,7 +59,7 @@ class MoETransformer(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0,
                  experts_per_group: int = 1, capacity_factor: float = 0.0,
-                 dtype=np.float32, remat: bool = False):
+                 dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.config = config
         self.embedding = Tensor(
@@ -86,7 +69,7 @@ class MoETransformer(Module):
         )
         self.blocks = [
             TransformerBlock(rng, config, experts_per_group,
-                             capacity_factor, dtype, remat=remat)
+                             capacity_factor, dtype)
             for _ in range(config.n_layers)
         ]
         self.final_norm = RMSNorm(config.hidden_size, dtype=dtype)

@@ -22,11 +22,12 @@ paper's per-pass volume formulas (Eqs. 1–4) in both directions.  Like
 :mod:`repro.comm.collectives`, each record is the ``nbytes`` of the
 arrays that move: activations forward, gradients backward.
 
-Backward byte accounting assumes a *single* backward sweep (one
-``backward()`` call from a combined scalar, as a real loss produces).
-Sweeping per-rank outputs separately re-traverses shared ancestors and
-multiplies the ``:bwd`` ledger entries; gradients themselves stay exact
-because contributions accumulate linearly.
+Backward runs as a *single* sweep (one ``backward()`` call from a
+combined scalar, as a real loss produces): per-rank outputs share their
+ancestors, and a sweep consumes the graph, so sweeping them one by one
+raises :class:`~repro.tensor.ConsumedGraphError` at the first shared
+node.  Each backward closure keeps only shapes, offsets and the group —
+never an input array.
 
 Fault injection: every forward collective consults the world's fault
 plan via :meth:`~repro.comm.group.ProcessGroup.pre_collective` before
@@ -159,6 +160,7 @@ def dist_reduce_scatter(
         )
     shard_bytes = float(first.nbytes // n * (n - 1))
     width = first.shape[axis] // n
+    full_shape = first.shape
     group.pre_collective("reduce_scatter", tag)
     if tiled and n >= 2:
         pieces = []
@@ -182,7 +184,6 @@ def dist_reduce_scatter(
         def backward(g, j=j):
             # d(out_j)/d(in_i) is 1 on slice j for every i: each input
             # rank receives g_j placed at slice j (the all-gather dual).
-            full_shape = list(first.shape)
             grad = np.zeros(full_shape, dtype=g.dtype)
             slicer = [slice(None)] * len(full_shape)
             slicer[axis] = slice(j * width, (j + 1) * width)
@@ -252,6 +253,7 @@ def dist_all_to_all(
         received_list = None
 
     chunk_split = datas[0].shape[split_axis] // n
+    in_shapes = [d.shape for d in datas]
     outs = []
     for j in range(n):
         if received_list is not None:
@@ -272,7 +274,7 @@ def dist_all_to_all(
                 slicer[concat_axis] = slice(recv_offsets[i],
                                             recv_offsets[i + 1])
                 piece = g[tuple(slicer)]
-                grad = np.zeros(datas[i].shape, dtype=g.dtype)
+                grad = np.zeros(in_shapes[i], dtype=g.dtype)
                 gslicer = [slice(None)] * grad.ndim
                 gslicer[split_axis] = slice(j * chunk_split,
                                             (j + 1) * chunk_split)
@@ -387,6 +389,7 @@ def dist_all_to_all_uneven(
     for j in range(n):
         recv_counts = [send_splits[i][j] for i in range(n)]
         recv_offsets_all.append(np.cumsum([0] + recv_counts))
+    in_shapes = [t.data.shape for t in tensors]
     if tiled and n >= 2:
         tail = tensors[0].data.shape[1:]
         dtype = np.result_type(*[t.data for t in tensors])
@@ -422,7 +425,7 @@ def dist_all_to_all_uneven(
             wire = 0.0
             for i in range(n):
                 piece = g[recv_offsets[i]:recv_offsets[i + 1]]
-                grad = np.zeros(tensors[i].data.shape, dtype=g.dtype)
+                grad = np.zeros(in_shapes[i], dtype=g.dtype)
                 grad[offsets[i][j]:offsets[i][j + 1]] = piece
                 grads.append(grad)
                 if i != j:

@@ -91,6 +91,7 @@ def dist_reduce_scatter_fp8(
 
     width = first.shape[0] // n
     chunk = (width,) + first.shape[1:]
+    full_shape = first.shape
     outs = []
     for j in range(n):
         total = rank_ordered_sum(_unpack(buf, chunk, fmt)
@@ -103,7 +104,7 @@ def dist_reduce_scatter_fp8(
             group.pre_collective("all_gather", tag + ":bwd")
             group.record("all_gather", _one_hot(n, j, buf.nbytes * (n - 1)),
                          tag + ":bwd")
-            grad = np.zeros(first.shape, dtype=np.float64)
+            grad = np.zeros(full_shape, dtype=np.float64)
             grad[j * width:(j + 1) * width] = _unpack(
                 buf, g.shape, fmt, grad_group_size)
             return (grad,) * n

@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import Node, Tensor, no_grad
 
 __all__ = ["checkpoint_segment", "tape_live_bytes", "tape_saved_arrays"]
 
@@ -29,21 +29,20 @@ def checkpoint_segment(fn: Callable[..., Tensor],
 
     Forward executes under ``no_grad`` — no intermediate tape nodes (or
     the arrays their closures capture) survive.  Backward re-executes
-    ``fn`` with gradients enabled on detached copies of the inputs,
-    back-propagates through the fresh subgraph, and returns the input
-    gradients; parameter gradients produced inside the segment
+    ``fn`` with gradients enabled on fresh leaves over the saved input
+    arrays, back-propagates through the new subgraph, and returns the
+    input gradients; parameter gradients produced inside the segment
     accumulate on the parameters as usual during the replay.
     """
     with no_grad():
         out_value = fn(*inputs)
     if not isinstance(out_value, Tensor):
         raise TypeError("checkpoint_segment expects fn to return a Tensor")
+    saved = [(t.data, t.requires_grad) for t in inputs]
 
     def backward(grad_out: np.ndarray) -> Tuple:
-        replay_inputs = [
-            Tensor(t.data, requires_grad=t.requires_grad)
-            for t in inputs
-        ]
+        replay_inputs = [Tensor(data, requires_grad=requires)
+                         for data, requires in saved]
         out = fn(*replay_inputs)
         out.backward(grad_out)
         return tuple(
@@ -54,45 +53,52 @@ def checkpoint_segment(fn: Callable[..., Tensor],
                           "checkpoint")
 
 
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array owning ``a``'s memory (``a`` itself unless a view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(value, out: dict) -> None:
+    """Add every ndarray ``value`` holds (through nested tuples, lists
+    and Tensors) to ``out``, keyed by owning buffer."""
+    if isinstance(value, np.ndarray):
+        buf = _buffer(value)
+        out[id(buf)] = buf
+    elif isinstance(value, Tensor):
+        _closure_arrays(value.data, out)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _closure_arrays(item, out)
+
+
 def tape_saved_arrays(root: Tensor,
                       exclude: Sequence[np.ndarray] = ()
                       ) -> List[np.ndarray]:
-    """Distinct ndarrays retained by the tape reachable from ``root``.
+    """Distinct buffers the tape reachable from ``root`` keeps alive.
 
-    Walks tensors and the arrays captured in their backward closures —
-    the live set that must stay in memory between forward and backward.
-    ``exclude`` removes arrays that would be resident anyway (model
-    parameters), so the result measures *activation* memory as Appendix
-    A.2 counts it.
+    Walks the nodes over their edges and collects the arrays captured
+    in each backward closure — the live set that must stay in memory
+    between forward and backward.  Views count as the buffer they
+    view, once.  ``exclude`` removes buffers that would be resident
+    anyway (model parameters), so the result measures *activation*
+    memory as Appendix A.2 counts it.  A consumed node (one a
+    ``backward()`` already swept) holds nothing.
     """
-    excluded_ids = {id(a) for a in exclude}
-    seen_tensors: Set[int] = set()
+    excluded = {id(_buffer(a)) for a in exclude}
     arrays: dict = {}
-    stack = [root]
+    seen: Set[int] = set()
+    stack = [] if root.node is None else [root.node]
     while stack:
-        t = stack.pop()
-        if id(t) in seen_tensors:
+        node = stack.pop()
+        if id(node) in seen or node.backward_fn is None:
             continue
-        seen_tensors.add(id(t))
-        arrays[id(t.data)] = t.data
-        if t.node is None:
-            continue
-        for cell in getattr(t.node.backward_fn, "__closure__", None) \
-                or ():
-            value = cell.cell_contents
-            if isinstance(value, np.ndarray):
-                arrays[id(value)] = value
-            elif isinstance(value, Tensor):
-                stack.append(value)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, np.ndarray):
-                        arrays[id(item)] = item
-                    elif isinstance(item, Tensor):
-                        stack.append(item)
-        for inp in t.node.inputs:
-            stack.append(inp)
-    return [a for key, a in arrays.items() if key not in excluded_ids]
+        seen.add(id(node))
+        for cell in node.backward_fn.__closure__ or ():
+            _closure_arrays(cell.cell_contents, arrays)
+        stack.extend(e for e in node.edges if type(e) is Node)
+    return [a for key, a in arrays.items() if key not in excluded]
 
 
 def tape_live_bytes(root: Tensor,

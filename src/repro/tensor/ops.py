@@ -116,12 +116,12 @@ def rmsnorm(t: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     w = weight.data
     ms = (x * x).mean(axis=-1, keepdims=True)
     inv_rms = 1.0 / np.sqrt(ms + eps)
-    normed = x * inv_rms
-    out = normed * w
+    out = (x * inv_rms) * w
 
     def backward(g):
+        # Saves x and 1/rms; the normalised activation is recomputed.
         h = x.shape[-1]
-        gw = (g * normed).reshape(-1, h).sum(axis=0)
+        gw = (g * (x * inv_rms)).reshape(-1, h).sum(axis=0)
         gx_normed = g * w
         # d/dx of x * (mean(x^2)+eps)^-1/2
         dot = (gx_normed * x).sum(axis=-1, keepdims=True)
@@ -183,9 +183,10 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``weight[ids]`` with sparse-gradient accumulation."""
     ids = np.asarray(ids)
     out = weight.data[ids]
+    shape, dtype = weight.shape, weight.dtype
 
     def backward(g):
-        return (scatter_add_rows(np.zeros_like(weight.data), ids, g),)
+        return (scatter_add_rows(np.zeros(shape, dtype), ids, g),)
 
     return Tensor.from_op(out, [weight], backward, "embedding")
 
@@ -212,12 +213,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = flat.shape[0]
     loss = -log_probs[np.arange(n), tgt].mean()
     probs = np.exp(log_probs)
+    shape = x.shape
 
     def backward(g):
         grad = probs.copy()
         grad[np.arange(n), tgt] -= 1.0
         grad *= np.asarray(g) / n
-        return (grad.reshape(x.shape),)
+        return (grad.reshape(shape),)
 
     return Tensor.from_op(np.asarray(loss, dtype=x.dtype), [logits],
                           backward, "cross_entropy")
@@ -232,9 +234,10 @@ def take_rows(t: Tensor, index: np.ndarray) -> Tensor:
     """
     index = np.asarray(index)
     out = t.data[index]
+    shape, dtype = t.shape, t.dtype
 
     def backward(g):
-        return (scatter_add_rows(np.zeros_like(t.data), index, g),)
+        return (scatter_add_rows(np.zeros(shape, dtype), index, g),)
 
     return Tensor.from_op(out, [t], backward, "take_rows")
 
@@ -375,8 +378,10 @@ def scaled_dot_product_attention(
 
     One fused tape node (the FlashAttention slot of Fig. 20): scale,
     mask, max-shift, ``exp`` and normalisation all run in place on a
-    single ``[..., s_q, s_k]`` buffer, which is also the only
-    activation the backward keeps.  Axes are counted from the end, so
+    single ``[..., s_q, s_k]`` buffer ``P``.  The backward keeps ``P``
+    and the operands as they came in — ``q``, and ``k``/``v`` with
+    their ``hk`` heads, repeated to ``hq`` again when it runs.  Axes
+    are counted from the end, so
     any leading batch axes run slice-for-slice identical.
     ``q``, ``k`` and ``v`` share one dtype (docs/INTERNALS.md §17);
     the score buffer, the output and all three gradients are in it.
@@ -403,12 +408,16 @@ def scaled_dot_product_attention(
     m = hq // hk
     if mask is None and causal and sq > 1:
         mask = _causal_mask(sq, sk)
-    qd = q.data
-    # GQA: materialise the shared heads once, so the GEMMs below see
-    # the same operand layout for every group size.
-    kd = np.repeat(k.data, m, axis=-3) if m > 1 else k.data
-    vd = np.repeat(v.data, m, axis=-3) if m > 1 else v.data
+    qd, k_saved, v_saved = q.data, k.data, v.data
+    need_q, need_k, need_v = (q.requires_grad, k.requires_grad,
+                              v.requires_grad)
 
+    def repeat_heads(a: np.ndarray) -> np.ndarray:
+        """GQA: materialise the shared heads, so the GEMMs see the same
+        operand layout for every group size."""
+        return np.repeat(a, m, axis=-3) if m > 1 else a
+
+    kd, vd = repeat_heads(k_saved), repeat_heads(v_saved)
     probs = qd @ kd.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(dq), dtype=probs.dtype)
     probs *= scale
@@ -427,23 +436,35 @@ def scaled_dot_product_attention(
         return g_rep.reshape(lead + (hk, m, s, d)).sum(axis=-3)
 
     def backward(g):
-        gv = (ungroup(probs.swapaxes(-1, -2) @ g)
-              if v.requires_grad else None)
-        if not (q.requires_grad or k.requires_grad):
+        gv = ungroup(probs.swapaxes(-1, -2) @ g) if need_v else None
+        if not (need_q or need_k):
             return None, None, gv
-        ds = g @ vd.swapaxes(-1, -2)
+        ds = g @ repeat_heads(v_saved).swapaxes(-1, -2)
         dot = (ds * probs).sum(axis=-1, keepdims=True)
         ds -= dot
         ds *= probs
         if mask is not None:
             np.copyto(ds, np.asarray(0.0, dtype=ds.dtype), where=mask)
         ds *= scale
-        gq = ds @ kd if q.requires_grad else None
+        gq = ds @ repeat_heads(k_saved) if need_q else None
         gk = (ungroup((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
-              if k.requires_grad else None)
+              if need_k else None)
         return gq, gk, gv
 
     return Tensor.from_op(out, [q, k, v], backward, "sdpa")
+
+
+def _swiglu_activation(gate: np.ndarray, lin: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sigmoid(gate), silu(gate), silu(gate) * lin)``, the SwiGLU
+    element-wise chain (the same ops forward and in the backward's
+    recompute, so both see the same bits)."""
+    sig = np.negative(gate)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    act = gate * sig
+    return sig, act, act * lin
 
 
 def grouped_swiglu(rows: Tensor,
@@ -464,6 +485,8 @@ def grouped_swiglu(rows: Tensor,
     ``dlin = dH ∘ act``, ``dgate = dH ∘ lin ∘ silu'(gate)``; per block
     ``dX = dgate fc1ᵀ + dlin fc3ᵀ``, ``dfc1 = Xᵀ dgate``,
     ``dfc3 = Xᵀ dlin`` — each weight gradient goes to its own leaf.
+    The backward saves ``X``, ``gate`` and ``lin`` and recomputes the
+    SwiGLU chain (``sig``, ``act`` and ``H``) from them.
     """
     x = rows.data
     n = x.shape[0]
@@ -480,17 +503,14 @@ def grouped_swiglu(rows: Tensor,
         fc1, fc3, _ = experts[e]
         np.matmul(x[a:b], fc1.data, out=gate[a:b])
         np.matmul(x[a:b], fc3.data, out=lin[a:b])
-    sig = np.negative(gate)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    act = gate * sig
-    hidden = act * lin
+    sig, act, hidden = _swiglu_activation(gate, lin)
     for e, a, b in blocks:
         np.matmul(hidden[a:b], experts[e][2].data, out=out[a:b])
     weights = [w for e, _, _ in blocks for w in experts[e]]
+    need_x = rows.requires_grad
 
     def backward(g):
+        sig, act, hidden = _swiglu_activation(gate, lin)
         d_hidden = np.zeros_like(hidden)
         for e, a, b in blocks:
             np.matmul(g[a:b], experts[e][2].data.T, out=d_hidden[a:b])
@@ -502,7 +522,7 @@ def grouped_swiglu(rows: Tensor,
         slope += 1
         slope *= sig
         d_gate *= slope
-        gx = np.zeros_like(x, dtype=dtype) if rows.requires_grad else None
+        gx = np.zeros_like(x, dtype=dtype) if need_x else None
         gw: List[Optional[np.ndarray]] = []
         for e, a, b in blocks:
             fc1, fc3, fc2 = experts[e]

@@ -19,7 +19,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "Node", "ConsumedGraphError", "graph_order",
+           "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
@@ -54,19 +55,69 @@ def is_grad_enabled() -> bool:
 
 
 class Node:
-    """A tape record: the inputs of an op and its backward function.
+    """A tape record: an op's backward function and its graph edges.
 
     ``backward_fn(grad_out) -> tuple[grad_in, ...]`` must return one
-    gradient array (or None) per entry of ``inputs``.
+    gradient array (or None) per entry of ``edges``.  ``edges[i]`` is
+    where input ``i``'s gradient goes: the :class:`Node` that produced
+    that input, the leaf :class:`Tensor` that accumulates it, or None
+    when the input needs no gradient.  The node never holds its input
+    Tensors, so an intermediate array lives only as long as some
+    ``backward_fn`` saved it (PyTorch's ``grad_fn.next_functions``).
+    ``shape`` and ``dtype`` describe the op's output ``out`` (the node
+    does not keep the array): the gradient handed back to this node is
+    cast and reduced to them.
+
+    :meth:`Tensor.backward` consumes the nodes it sweeps: it drops each
+    node's ``backward_fn`` and ``edges`` right after the vjp runs.
     """
 
-    __slots__ = ("inputs", "backward_fn", "op_name")
+    __slots__ = ("edges", "backward_fn", "op_name", "shape", "dtype")
 
-    def __init__(self, inputs: Sequence["Tensor"],
-                 backward_fn: Callable[[np.ndarray], Tuple], op_name: str):
-        self.inputs = tuple(inputs)
-        self.backward_fn = backward_fn
+    def __init__(self, edges: Sequence[Union["Node", "Tensor", None]],
+                 backward_fn: Callable[[np.ndarray], Tuple],
+                 out: np.ndarray, op_name: str):
+        self.edges: Optional[tuple] = tuple(edges)
+        self.backward_fn: Optional[Callable] = backward_fn
+        self.shape = out.shape
+        self.dtype = out.dtype
         self.op_name = op_name
+
+
+class ConsumedGraphError(RuntimeError):
+    """``backward()`` reached a node an earlier sweep already freed."""
+
+
+def graph_order(root: "Tensor") -> List[Union["Node", "Tensor"]]:
+    """The nodes and grad-requiring leaves reachable from ``root``,
+    inputs before consumers.
+
+    Raises :class:`ConsumedGraphError` if the walk meets a node whose
+    graph an earlier ``backward()`` consumed.
+    """
+    start = root if root.node is None else root.node
+    visited = set()
+    order: List[Union[Node, Tensor]] = []
+    stack: List[Tuple[Union[Node, Tensor], bool]] = [(start, False)]
+    while stack:
+        v, processed = stack.pop()
+        if processed:
+            order.append(v)
+            continue
+        if id(v) in visited:
+            continue
+        visited.add(id(v))
+        stack.append((v, True))
+        if not isinstance(v, Tensor):  # a node
+            if v.edges is None:
+                raise ConsumedGraphError(
+                    f"backward() reached op {v.op_name!r}, whose graph "
+                    "an earlier backward() already consumed; sum the "
+                    "roots and sweep once")
+            for edge in v.edges:
+                if edge is not None and id(edge) not in visited:
+                    stack.append((edge, False))
+    return order
 
 
 def _is_basic_index(index) -> bool:
@@ -76,14 +127,17 @@ def _is_basic_index(index) -> bool:
                or isinstance(i, (slice, int, np.integer)) for i in items)
 
 
-def _as_grad_of(g, inp: "Tensor") -> np.ndarray:
-    """``g`` as an ndarray with ``inp``'s dtype and shape; returned
-    untouched in the common case that it already is one."""
-    data = inp.data
-    if (type(g) is np.ndarray and g.dtype == data.dtype
-            and g.shape == data.shape):
+def _as_grad_of(g, edge: Union[Node, "Tensor"]) -> np.ndarray:
+    """``g`` as an ndarray with the dtype and shape of the value
+    ``edge`` stands for; returned untouched in the common case that it
+    already is one."""
+    if isinstance(edge, Tensor):  # a leaf
+        shape, dtype = edge.data.shape, edge.data.dtype
+    else:
+        shape, dtype = edge.shape, edge.dtype
+    if type(g) is np.ndarray and g.dtype == dtype and g.shape == shape:
         return g
-    return _unbroadcast(np.asarray(g, dtype=data.dtype), data.shape)
+    return _unbroadcast(np.asarray(g, dtype=dtype), shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -137,7 +191,11 @@ class Tensor:
         requires = is_grad_enabled() and any(t.requires_grad for t in inputs)
         out = Tensor(data, requires_grad=requires)
         if requires:
-            out.node = Node(inputs, backward_fn, op_name)
+            # Each input's gradient goes to its producer node, to the
+            # input itself when it is a leaf, or nowhere.
+            edges = [(t if t.node is None else t.node)
+                     if t.requires_grad else None for t in inputs]
+            out.node = Node(edges, backward_fn, out.data, op_name)
         return out
 
     # -- basic properties -------------------------------------------------
@@ -182,7 +240,14 @@ class Tensor:
     # -- autograd ----------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode sweep from this tensor through the tape."""
+        """Reverse-mode sweep from this tensor through the tape.
+
+        The sweep consumes the graph it runs: each node drops its
+        saved arrays and edges right after its vjp, so a second
+        ``backward()`` through any of those nodes raises
+        :class:`ConsumedGraphError`.  Several roots that share a graph
+        therefore back-propagate as one sum, in one sweep.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a non-grad tensor")
         if grad is None:
@@ -194,28 +259,34 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
 
-        order = self._topological_order()
-        grads = {id(self): grad}
-        # Tensors whose ``grads`` entry is a buffer this sweep allocated
+        order = graph_order(self)
+        grads = {id(order[-1]): grad}
+        # Vertices whose ``grads`` entry is a buffer this sweep allocated
         # (by a first ``a + b``): safe to accumulate into in place.
         owned = set()
-        for t in order:
-            g_out = grads.pop(id(t), None)
-            if g_out is None or t.node is None:
-                if g_out is not None and t.node is None and t.requires_grad:
-                    t.grad = g_out if t.grad is None else t.grad + g_out
+        while order:
+            v = order.pop()
+            g_out = grads.pop(id(v), None)
+            if isinstance(v, Tensor):  # a leaf
+                if g_out is not None:
+                    v.grad = g_out if v.grad is None else v.grad + g_out
                 continue
-            in_grads = t.node.backward_fn(g_out)
-            if len(in_grads) != len(t.node.inputs):
+            edges = v.edges
+            in_grads = None if g_out is None else v.backward_fn(g_out)
+            # Consume the node: its closure's saved arrays go now.
+            v.backward_fn = v.edges = None
+            if in_grads is None:
+                continue
+            if len(in_grads) != len(edges):
                 raise RuntimeError(
-                    f"op {t.node.op_name!r} returned {len(in_grads)} "
-                    f"gradients for {len(t.node.inputs)} inputs"
+                    f"op {v.op_name!r} returned {len(in_grads)} "
+                    f"gradients for {len(edges)} inputs"
                 )
-            for inp, g in zip(t.node.inputs, in_grads):
-                if g is None or not inp.requires_grad:
+            for edge, g in zip(edges, in_grads):
+                if g is None or edge is None:
                     continue
-                g = _as_grad_of(g, inp)
-                key = id(inp)
+                g = _as_grad_of(g, edge)
+                key = id(edge)
                 prev = grads.get(key)
                 if prev is None:
                     grads[key] = g
@@ -225,27 +296,6 @@ class Tensor:
                     grads[key] = total = prev + g
                     if type(total) is np.ndarray:
                         owned.add(key)
-
-    def _topological_order(self) -> List["Tensor"]:
-        """Tensors reachable from self, in reverse-topological order."""
-        visited = set()
-        order: List[Tensor] = []
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            t, processed = stack.pop()
-            if processed:
-                order.append(t)
-                continue
-            if id(t) in visited:
-                continue
-            visited.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for inp in t.node.inputs:
-                    if id(inp) not in visited:
-                        stack.append((inp, False))
-        order.reverse()
-        return order
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -282,11 +332,13 @@ class Tensor:
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
-        need_a, need_b = self.requires_grad, other.requires_grad
+        # Each factor is saved only for the other's gradient.
+        keep_a = a if other.requires_grad else None
+        keep_b = b if self.requires_grad else None
         return Tensor.from_op(
             a * b, [self, other],
-            lambda g: (g * b if need_a else None,
-                       g * a if need_b else None),
+            lambda g: (None if keep_b is None else g * keep_b,
+                       None if keep_a is None else g * keep_a),
             "mul",
         )
 
@@ -296,10 +348,11 @@ class Tensor:
         other = self._coerce(other)
         a, b = self.data, other.data
         need_a, need_b = self.requires_grad, other.requires_grad
+        keep_a = a if need_b else None
         return Tensor.from_op(
             a / b, [self, other],
             lambda g: (g / b if need_a else None,
-                       -g * a / (b * b) if need_b else None),
+                       -g * keep_a / (b * b) if need_b else None),
             "div",
         )
 
@@ -322,15 +375,21 @@ class Tensor:
         a, b = self.data, other.data
         need_a, need_b = self.requires_grad, other.requires_grad
         out = a @ b
+        a_ndim, b_ndim = a.ndim, b.ndim
+        # ``dA`` reads only ``b`` and ``dB`` only ``a``.
+        if not need_b:
+            a = None
+        if not need_a:
+            b = None
 
         def backward(g):
             ga = gb = None
-            if b.ndim == 1:
+            if b_ndim == 1:
                 if need_a:
-                    ga = np.outer(g, b) if a.ndim > 1 else g * b
+                    ga = np.outer(g, b) if a_ndim > 1 else g * b
                 if need_b:
-                    gb = a.T @ g if a.ndim > 1 else a * g
-            elif a.ndim == 1:
+                    gb = a.T @ g if a_ndim > 1 else a * g
+            elif a_ndim == 1:
                 if need_a:
                     ga = g @ b.swapaxes(-1, -2)
                 if need_b:

@@ -13,9 +13,10 @@ three trainings from identical seeds —
 3. the **untiled twin** (tiled cases only): the identical plan with
    fused groups whole, for the tiling bitwise-identity contract —
 
-plus one untrained **dtype probe** forward whose autograd tape the
-``dtype_stable`` invariant inspects and one two-replica **DP leg** whose
-synchronized gradients and optimizer state it inspects — then
+plus one untrained **tape probe** forward whose autograd tape the
+``dtype_stable`` invariant inspects and whose backward ``tape_released``
+watches, and one two-replica **DP leg** whose synchronized gradients
+and optimizer state ``dtype_stable`` inspects — then
 evaluates every registered invariant and folds the outcomes into a
 :class:`CaseResult`.
 :func:`run_matrix` maps this over a case list and renders the
@@ -25,6 +26,8 @@ conformance matrix `repro verify` prints.
 from __future__ import annotations
 
 import dataclasses
+import types
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -37,6 +40,7 @@ from ..core.trainer import MegaScaleTrainer
 from ..model.transformer import MoETransformer
 from ..parallel.zero import Zero1AdamW
 from ..precision.optimizer import AdamW, clip_grad_norm
+from ..tensor import Node, Tensor, graph_order
 from .cases import VerifyCase
 from .invariants import InvariantResult, registered_invariants
 
@@ -130,9 +134,15 @@ class RunArtifacts:
     #: Empty for untiled runs.
     executed_tiles: List[List[str]] = field(default_factory=list)
     #: ``(op_name, dtype)`` of every tape node of one forward of the
-    #: case's plan, inputs before consumers (see :func:`_tape_dtypes`)
+    #: case's plan, inputs before consumers (see :func:`_tape_probe`)
     #: — checked by ``dtype_stable``.
     tape_dtypes: List[Tuple[str, str]] = field(default_factory=list)
+    #: How many arrays the tape probe's backward closures saved that
+    #: the forward itself allocated (see :func:`_tape_probe`) ...
+    tape_saved: int = 0
+    #: ... and ``"<op> <shape> <dtype>"`` of each one still alive after
+    #: ``backward()`` returned — checked by ``tape_released``.
+    tape_survivors: List[str] = field(default_factory=list)
     #: dtype name of every update-phase array: the case run's optimizer
     #: state after the last step (``opt.m/<i>``, ``opt.v/<i>``) and the
     #: DP leg's synchronized gradients and optimizer state
@@ -238,29 +248,93 @@ def _make_trainer(case: VerifyCase, **train) -> MegaScaleTrainer:
         dataclasses.replace(case.train_config(), **train))
 
 
-def _tape_dtypes(case: VerifyCase) -> List[Tuple[str, str]]:
-    """``(op_name, dtype)`` of every tape node of one forward of the
-    case's plan, inputs before consumers.
+def _reachable_arrays(fn) -> List[np.ndarray]:
+    """Every ndarray a backward closure can reach through its cells,
+    defaults, nested closures, lists, tuples and captured Tensors.
 
-    Every op output — collective payloads included (the ``dist_*``
-    collectives are tape nodes) — is a tape node of the loss, so
-    walking the tape sees the whole activation stream.  The
-    walk starts at the LM loss; of the router aux-loss chain only the
-    tensors with a token axis (``ndim >= 2``) are added, because its
-    per-expert statistics and scalars are accumulated in float64 by
-    design (docs/INTERNALS.md §17).
+    Deliberately not :func:`~repro.tensor.checkpoint.tape_saved_arrays`
+    (which ``tape_released`` checks the contract of): this walk
+    follows anything a closure can hold, not the shapes the byte
+    walker expects."""
+    found: List[np.ndarray] = []
+    seen = set()
+    stack = [fn]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, Tensor):
+            stack.append(value.data)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, types.FunctionType):
+            stack.extend(cell.cell_contents
+                         for cell in value.__closure__ or ())
+            stack.extend(value.__defaults__ or ())
+    return found
+
+
+def _tape_saved(root: Tensor) -> List[Tuple[str, np.ndarray]]:
+    """``(op_name, array)`` for every array the tape under ``root``
+    saved for its backward."""
+    return [(node.op_name, a) for node in graph_order(root)
+            if type(node) is Node
+            for a in _reachable_arrays(node.backward_fn)]
+
+
+def _tape_probe(case: VerifyCase
+                ) -> Tuple[List[Tuple[str, str]], int, List[str]]:
+    """One forward of the case's plan, inspected, then swept.
+
+    Returns ``(dtypes, saved, survivors)``:
+
+    * ``dtypes`` — ``(op_name, dtype)`` of every tape node, inputs
+      before consumers.  Every op output — collective payloads included
+      (the ``dist_*`` collectives are tape nodes) — is a tape node of
+      the loss, so walking the tape sees the whole activation stream.
+      The walk starts at the LM loss; of the router aux-loss chain only
+      the nodes with a token axis (``ndim >= 2``) are added, because
+      its per-expert statistics and scalars are accumulated in float64
+      by design (docs/INTERNALS.md §17).
+    * ``saved`` — how many arrays the backward closures saved that the
+      forward allocated, each watched through a weakref.  A second
+      forward of the same batch runs first and is held unswept: an
+      array both tapes saved existed before either (a parameter, a
+      memoised RoPE or mask table) and is not an activation.
+    * ``survivors`` — the watched arrays still alive once
+      ``backward()`` has returned, while the loss is still held,
+      parameter gradients aside.  The sweep consumes the tape, so
+      this should be empty (docs/INTERNALS.md §16).
 
     Runs on a trainer of its own, so the case run's ledger and fault
-    plan never see the extra forward.
+    plan never see the extra forwards.
     """
     trainer = _make_trainer(case)
-    _, lm, aux = trainer.loss(_batches(case)[0])
-    stream = lm._topological_order()[::-1]
-    seen = {id(t) for t in stream}
-    stream += [t for t in aux._topological_order()[::-1]
-               if id(t) not in seen and t.ndim >= 2]
-    return [(t.node.op_name, t.dtype.name)
-            for t in stream if t.node is not None]
+    batch = _batches(case)[0]
+    held, _, _ = trainer.loss(batch)
+    total, lm, aux = trainer.loss(batch)
+    stream = [v for v in graph_order(lm) if type(v) is Node]
+    seen = {id(v) for v in stream}
+    stream += [v for v in graph_order(aux)
+               if type(v) is Node and id(v) not in seen
+               and len(v.shape) >= 2]
+    dtypes = [(node.op_name, node.dtype.name) for node in stream]
+
+    shared = {id(a) for _, a in _tape_saved(held)}
+    watched = {id(a): (op, weakref.ref(a)) for op, a in _tape_saved(total)
+               if id(a) not in shared}
+    total.backward()
+    grads = {id(p.grad) for p in trainer.model.parameters()
+             if p.grad is not None}
+    survivors = []
+    for op, ref in watched.values():
+        a = ref()
+        if a is not None and id(a) not in grads:
+            survivors.append(f"{op} {a.shape} {a.dtype.name}")
+    return dtypes, len(watched), survivors
 
 
 def _optimizer_dtypes(optimizer, prefix: str) -> Dict[str, str]:
@@ -450,7 +524,8 @@ def run_case(case: VerifyCase,
     than silently reproduced on both sides of the diff.
     """
     artifacts = _run_parallel(case, world_setup)
-    artifacts.tape_dtypes = _tape_dtypes(case)
+    (artifacts.tape_dtypes, artifacts.tape_saved,
+     artifacts.tape_survivors) = _tape_probe(case)
     artifacts.update_dtypes.update(_dp_leg_dtypes(case))
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)

@@ -531,6 +531,19 @@ def _check_dtype_stable(art: "RunArtifacts") -> List[str]:
     return violations
 
 
+def _check_tape_released(art: "RunArtifacts") -> List[str]:
+    """``backward()`` frees the tape as it sweeps (docs/INTERNALS.md
+    §16): of the arrays the probe forward's backward closures saved,
+    none outlives the sweep while the caller still holds the loss."""
+    if not art.tape_saved:
+        return ["the tape probe watched no saved arrays"]
+    if not art.tape_survivors:
+        return []
+    return [f"{len(art.tape_survivors)} of {art.tape_saved} arrays the "
+            f"tape saved outlive backward() (first: "
+            f"{art.tape_survivors[0]})"]
+
+
 def _check_sync_split(art: "RunArtifacts") -> List[str]:
     """The DP gradient sync of the replicated parameters moves App.
     A.1's hierarchical volumes: ``2 P (n-1)/n`` per rank inside a node
@@ -893,6 +906,14 @@ def default_registry() -> List[Invariant]:
                         "gradient is in the model's dtype",
             applies=lambda case: True,
             check=_check_dtype_stable,
+        ),
+        Invariant(
+            name="tape_released",
+            description="every activation a backward closure saved is "
+                        "freed by the time backward() returns, while "
+                        "the loss is still held",
+            applies=lambda case: True,
+            check=_check_tape_released,
         ),
         Invariant(
             name="sync_split",

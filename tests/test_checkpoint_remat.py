@@ -1,10 +1,8 @@
-"""Tests for gradient checkpointing and numerical selective remat."""
+"""Tests for gradient checkpointing and the tape's byte accounting."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import ModelConfig
-from repro.model import MoETransformer
 from repro.model.layers import SelfAttention
 from repro.tensor import Tensor
 from repro.tensor.checkpoint import (
@@ -12,10 +10,6 @@ from repro.tensor.checkpoint import (
     tape_live_bytes,
     tape_saved_arrays,
 )
-
-CONFIG = ModelConfig("ckpt", n_layers=2, hidden_size=32, n_heads=8,
-                     gqa_ratio=2, ffn_hidden_size=96, n_experts=8,
-                     top_k=2, vocab_size=32, seq_len=32)
 
 
 class TestCheckpointSegment:
@@ -115,63 +109,6 @@ class TestMemoryEfficientAttention:
         assert sizes[True] < 0.5 * sizes[False]
 
 
-class TestSelectiveRematModel:
-    def run_model(self, remat, rng_seed=0):
-        rng = np.random.default_rng(rng_seed)
-        ids = rng.integers(0, 32, (4, 33))
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64,
-                               remat=remat)
-        loss = model.language_model_loss(ids, aux_coeff=0.01)
-        params = [p.data for p in model.parameters()]
-        live = tape_live_bytes(loss, exclude=params)
-        loss.backward()
-        grads = {n: (p.grad.copy() if p.grad is not None else None)
-                 for n, p in model.named_parameters()}
-        return loss.item(), live, grads
-
-    def test_loss_identical(self):
-        loss_full, _, _ = self.run_model(False)
-        loss_remat, _, _ = self.run_model(True)
-        assert loss_full == loss_remat
-
-    def test_gradients_identical(self):
-        _, _, g_full = self.run_model(False)
-        _, _, g_remat = self.run_model(True)
-        for name, a in g_full.items():
-            b = g_remat[name]
-            if a is None:
-                assert b is None, name
-            else:
-                np.testing.assert_allclose(b, a, atol=1e-12,
-                                           err_msg=name)
-
-    def test_activation_memory_reduced(self):
-        _, live_full, _ = self.run_model(False)
-        _, live_remat, _ = self.run_model(True)
-        savings = 1 - live_remat / live_full
-        # Selective remat (norms + SwiGLU) measurably shrinks the tape;
-        # the analytic A.2 accounting covers the paper-scale numbers.
-        assert savings > 0.10
-
-    def test_training_step_unchanged(self):
-        """A full optimizer step under remat matches no-remat exactly."""
-        from repro.precision.optimizer import AdamW, clip_grad_norm
-        rng = np.random.default_rng(3)
-        ids = rng.integers(0, 32, (4, 33))
-        states = {}
-        for remat in (False, True):
-            model = MoETransformer(CONFIG, seed=0, dtype=np.float64,
-                                   remat=remat)
-            opt = AdamW(model.parameters(), lr=1e-2)
-            model.language_model_loss(ids, aux_coeff=0.01).backward()
-            clip_grad_norm(model.parameters(), 1.0)
-            opt.step()
-            states[remat] = model.state_dict()
-        for name in states[False]:
-            np.testing.assert_array_equal(states[True][name],
-                                          states[False][name])
-
-
 class TestTapeAccounting:
     def test_exclude_removes_parameters(self, rng):
         w = Tensor(rng.standard_normal((32, 32)), requires_grad=True)
@@ -183,7 +120,9 @@ class TestTapeAccounting:
 
     def test_saved_arrays_deduplicated(self, rng):
         x = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
-        out = x + x  # the same array referenced twice
+        # mul saves both factors: two distinct views of x's array
+        out = x.reshape(64) * x.reshape(64)
         arrays = tape_saved_arrays(out)
         ids = [id(a) for a in arrays]
         assert len(ids) == len(set(ids))
+        assert tape_live_bytes(out) == x.data.nbytes

@@ -164,7 +164,8 @@ class TestFusedSDPA:
                    for a in qkv_arrays(rng, np.float64, 2, 16, 16))
         out = ops.scaled_dot_product_attention(q, k, v)
         assert out.node.op_name == "sdpa"
-        assert [id(t) for t in out.node.inputs] == [id(q), id(k), id(v)]
+        assert [id(e) for e in out.node.edges] == [
+            id(q.node), id(k.node), id(v.node)]
         saved = [c.cell_contents for c in out.node.backward_fn.__closure__
                  if isinstance(c.cell_contents, np.ndarray)
                  and c.cell_contents.shape[-2:] == (16, 16)
@@ -190,9 +191,9 @@ class TestFusedSDPA:
 # grouped_swiglu
 # ---------------------------------------------------------------------------
 
-def make_experts(n=4, h=8, f=12, dtype=np.float64, remat=False):
+def make_experts(n=4, h=8, f=12, dtype=np.float64):
     rng = np.random.default_rng(1)
-    return [Expert(rng, h, f, dtype=dtype, remat=remat) for _ in range(n)]
+    return [Expert(rng, h, f, dtype=dtype) for _ in range(n)]
 
 
 def chain_experts(experts, rows, blocks):
@@ -246,7 +247,7 @@ class TestGroupedSwiGLU:
                                     blocks_from_counts([2, 0, 4, 0]))
         assert out.node.op_name == "grouped_swiglu"
         busy = [experts[0], experts[2]]
-        assert [id(t) for t in out.node.inputs] == [id(rows)] + [
+        assert [id(t) for t in out.node.edges] == [id(rows)] + [
             id(w) for ex in busy for w in (ex.fc1, ex.fc3, ex.fc2)]
 
     def test_empty_input(self):
@@ -273,20 +274,6 @@ class TestGroupedSwiGLU:
             want = chain_experts(experts, rows, blocks)
         assert out.node.op_name == "concat"
         np.testing.assert_array_equal(out.data, want.data)
-
-    def test_remat_keeps_the_per_expert_chain(self, rng):
-        x = rng.standard_normal((6, 8))
-        g_out = rng.standard_normal((6, 8))
-        blocks = blocks_from_counts([2, 1, 3, 0])
-        rows = Tensor(x, requires_grad=True)
-        out = grouped_expert_blocks(make_experts(remat=True), rows, blocks)
-        assert out.node.op_name == "concat"
-        got = run_experts(grouped_expert_blocks, make_experts(remat=True),
-                          x, blocks, g_out)
-        want = run_experts(grouped_expert_blocks, make_experts(), x,
-                           blocks, g_out)
-        np.testing.assert_array_equal(got[0], want[0])
-        assert rel_err(got[1], want[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +370,24 @@ class TestBackwardDrivers:
 
         rng = np.random.default_rng(0)
         loss, leaves = fan_in_graph(rng)
-        order = loss._topological_order()
-        grads = {id(loss): np.ones_like(loss.data)}
-        for t in order:
-            g_out = grads.pop(id(t), None)
-            if g_out is None or t.node is None:
+        order = tensor_mod.graph_order(loss)[::-1]
+        grads = {id(loss.node): np.ones_like(loss.data)}
+        for v in order:
+            g_out = grads.pop(id(v), None)
+            if g_out is None or type(v) is not tensor_mod.Node:
                 continue
-            for inp, g in zip(t.node.inputs, t.node.backward_fn(g_out)):
-                if g is None or not inp.requires_grad:
+            for edge, g in zip(v.edges, v.backward_fn(g_out)):
+                if g is None or edge is None:
                     continue
+                leaf = type(edge) is not tensor_mod.Node
+                shape, dtype = ((edge.shape, edge.dtype) if not leaf
+                                else (edge.data.shape, edge.data.dtype))
                 g = tensor_mod._unbroadcast(
-                    np.asarray(g, dtype=inp.dtype), inp.shape)
-                grads[id(inp)] = (grads[id(inp)] + g
-                                  if id(inp) in grads else g)
-                if inp.node is None:
-                    inp.grad = grads[id(inp)]
+                    np.asarray(g, dtype=dtype), shape)
+                grads[id(edge)] = (grads[id(edge)] + g
+                                   if id(edge) in grads else g)
+                if leaf:
+                    edge.grad = grads[id(edge)]
         for t, g in zip(leaves, got):
             np.testing.assert_array_equal(t.grad, g)
 

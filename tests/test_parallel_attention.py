@@ -42,6 +42,17 @@ def shard_seq(x, n):
     return shard_sequence(x, n, requires_grad=True)
 
 
+def backward_once(outs, g, w):
+    """Back-propagate ``g``'s width-``w`` sequence slice into each
+    rank's output in one sweep: the ranks share one graph, which a
+    ``backward()`` consumes."""
+    total = None
+    for r, out in enumerate(outs):
+        piece = (out * g[:, r * w:(r + 1) * w]).sum()
+        total = piece if total is None else total + piece
+    total.backward()
+
+
 CONFIGS = [
     # (batch, seq, hidden, heads, gqa_ratio, n_ranks)
     (2, 8, 16, 8, 2, 4),
@@ -66,9 +77,7 @@ class TestSPAttention:
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
-        w = s // n
-        for r, out in enumerate(outs):
-            out.backward(ref["g"][:, r * w:(r + 1) * w])
+        backward_once(outs, ref["g"], s // n)
         dx = np.concatenate([sh.grad for sh in shards], axis=1)
         np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
         np.testing.assert_allclose(attn.qkv_proj.weight.grad,
@@ -144,9 +153,7 @@ class TestTPAttention:
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
-        w = s // n
-        for r, out in enumerate(outs):
-            out.backward(ref["g"][:, r * w:(r + 1) * w])
+        backward_once(outs, ref["g"], s // n)
         dx = np.concatenate([sh.grad for sh in shards], axis=1)
         np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
         d_qkv, d_out = engine.reference_weight_grads()

@@ -33,6 +33,7 @@ from repro.verify.engine import (
     _make_trainer,
     _run_golden,
     _run_parallel,
+    _tape_probe,
 )
 from repro.verify.fuzz import (
     _shrink_candidates,
@@ -190,7 +191,8 @@ class TestRegistry:
                          "golden_params", "tile_bitwise",
                          "dag_schedule_conformance",
                          "token_conservation", "router_mass",
-                         "comm_audit", "dtype_stable", "sync_split"):
+                         "comm_audit", "dtype_stable", "tape_released",
+                         "sync_split"):
             assert expected in names
 
     def test_fp8_bands_looser_than_fp32(self):
@@ -478,6 +480,45 @@ class TestDtypeContract:
         assert len(problems) == 2 and all(name in p for p in problems)
         art.tape_dtypes = []
         assert "no tape" in inv._check_dtype_stable(art)[0]
+
+
+class TestTapeReleased:
+    """``backward()`` frees what the tape saved (INTERNALS §16)."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(ep_dispatch="a2a"),
+        dict(ep_dispatch="ag_rs", dtype="float32"),
+    ])
+    def test_probe_watches_arrays_and_none_survive(self, kw):
+        _, saved, survivors = _tape_probe(small_case(**kw))
+        assert saved > 0 and survivors == []
+
+    def test_a_tape_that_outlives_backward_is_caught(self, monkeypatch):
+        """A sweep that leaves every closure reachable — the parent
+        commit's tape, whose nodes held their input Tensors until the
+        loss died — must fail the invariant."""
+        from repro.tensor import Node, graph_order
+        sweep = Tensor.backward
+        kept = []
+
+        def backward_keeping_closures(self, grad=None):
+            kept.extend(v.backward_fn for v in graph_order(self)
+                        if type(v) is Node)
+            sweep(self, grad)
+
+        monkeypatch.setattr(Tensor, "backward", backward_keeping_closures)
+        released = run_case(small_case()).outcome("tape_released")
+        assert released.status == "fail"
+        assert "arrays the tape saved outlive backward()" in released.detail
+
+    def test_flags_survivors_and_an_empty_probe(self):
+        art = _run_parallel(small_case())
+        art.tape_saved, art.tape_survivors = 3, []
+        assert inv._check_tape_released(art) == []
+        art.tape_survivors = ["sdpa (1, 2, 4, 4) float64"]
+        assert "1 of 3 arrays" in inv._check_tape_released(art)[0]
+        art.tape_saved, art.tape_survivors = 0, []
+        assert "watched no saved arrays" in inv._check_tape_released(art)[0]
 
 
 class TestInvariantChecks:
