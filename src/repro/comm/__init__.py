@@ -6,11 +6,9 @@ from .collectives import (
     all_reduce,
     all_to_all,
     all_to_all_uneven,
-    broadcast,
-    gather,
     rank_ordered_sum,
     reduce_scatter,
-    scatter,
+    send_leg,
 )
 from .cost import (
     LinkSpec,
@@ -39,11 +37,9 @@ __all__ = [
     "all_reduce",
     "all_to_all",
     "all_to_all_uneven",
-    "broadcast",
-    "gather",
     "rank_ordered_sum",
     "reduce_scatter",
-    "scatter",
+    "send_leg",
     "LinkSpec",
     "all_to_all_time",
     "broadcast_time",

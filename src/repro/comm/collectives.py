@@ -6,6 +6,12 @@ per-rank results, exactly as NCCL would deliver them.  Because the "wire"
 is a numpy copy, semantics are bit-exact; tests build every parallelism
 engine on top of these primitives and compare against single-rank math.
 
+This is the only module that moves collective data, runs the fault
+hooks and writes the ledger.  The differentiable collectives of
+:mod:`repro.parallel.dist_ops` call these functions forward and
+:func:`send_leg` for each backward leg; the hierarchical sync and the
+FP8 ops call them with encoded payloads.
+
 Byte accounting
 ---------------
 Every collective records the bytes each rank *sends* into the world's
@@ -19,10 +25,13 @@ A shard's size is the ``nbytes`` of the array that moves; no caller can
 override it.  A compressed payload is therefore a narrower array: BF16
 travels as ``uint16`` words and FP8 as ``uint8`` codes (see
 :func:`repro.precision.formats.encode`), and the receiver decodes them.
+Chunked (``tiled=`` / ``tiles=``) collectives record one
+:class:`~repro.comm.group.CommRecord` per tile; a call's tile records
+sum exactly to its untiled record.
 
 Fault injection
 ---------------
-Every collective brackets its transfer with
+Every collective, and every backward leg, brackets its transfer with
 :meth:`~repro.comm.group.ProcessGroup.pre_collective` (which may raise
 an injected crash or timeout before any data moves) and
 :meth:`~repro.comm.group.ProcessGroup.post_collective` (which may
@@ -35,19 +44,21 @@ Zero-copy fast paths
 When **no fault plan** is attached, the delivery buffers are never
 mutated after the fact, so the per-rank "private copies" are pure
 overhead.  ``all_gather`` / ``all_reduce`` then return the *same*
-array object to every rank, ``reduce_scatter`` / ``all_to_all`` return
-slice views, and ``all_to_all_uneven`` assembles each destination into
-one preallocated buffer.  Consumers must treat delivered buffers as
+array object to every rank, and ``reduce_scatter`` / ``all_to_all``
+return slice views.  Consumers must treat delivered buffers as
 read-only (all engine code does — see ``docs/INTERNALS.md`` §2).  With
 a plan attached the private-copy path is kept, because
 ``FaultPlan.corrupt`` bit-flips one delivered buffer in place and each
-rank must observe its own payload.  **Ledger byte accounting is
-identical on both paths** — bytes model the wire, not the allocator.
+rank must observe its own payload.  ``all_to_all_uneven`` and
+``all_to_all(concat_axis=...)`` always assemble one fresh buffer per
+destination, so they need no plan-dependent path.  **Ledger byte
+accounting is identical on every path** — bytes model the wire, not
+the allocator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,11 +70,20 @@ __all__ = [
     "all_reduce",
     "all_to_all",
     "all_to_all_uneven",
-    "broadcast",
-    "gather",
-    "scatter",
     "rank_ordered_sum",
+    "send_leg",
 ]
+
+
+def _one_hot(n: int, rank: int, value: float) -> List[float]:
+    """A per-rank byte list with ``value`` at ``rank`` and 0 elsewhere."""
+    return [value if k == rank else 0.0 for k in range(n)]
+
+
+def _all_reduce_bytes(a: np.ndarray, n: int) -> float:
+    """Bytes one rank sends in a ring all-reduce of ``a``:
+    reduce-scatter + all-gather on ``1/n`` shards."""
+    return 2.0 * a.size / n * a.itemsize * (n - 1)
 
 
 def rank_ordered_sum(tensors: Iterable[np.ndarray]) -> np.ndarray:
@@ -120,9 +140,7 @@ def all_gather(
             with tile_span(group, tile_label, i, n):
                 slicer[axis] = slice(offsets[i], offsets[i + 1])
                 full[tuple(slicer)] = datas[i]
-                group.record("all_gather",
-                             [per_rank[i] if k == i else 0.0
-                              for k in range(n)],
+                group.record("all_gather", _one_hot(n, i, per_rank[i]),
                              tag, tile=(i, n))
     else:
         full = np.concatenate(datas, axis=axis)
@@ -176,9 +194,7 @@ def reduce_scatter(
                 pieces.append(rank_ordered_sum(
                     [np.asarray(t)[tuple(slicer)] for t in tensors]))
                 group.record("reduce_scatter",
-                             [shard_bytes if k == j else 0.0
-                              for k in range(n)],
-                             tag, tile=(j, n))
+                             _one_hot(n, j, shard_bytes), tag, tile=(j, n))
     else:
         pieces = np.split(rank_ordered_sum(tensors), n, axis=axis)
         group.record("reduce_scatter", [shard_bytes] * n, tag)
@@ -202,8 +218,7 @@ def all_reduce(
     n = group.size
     first = np.asarray(tensors[0])
     total = rank_ordered_sum(tensors)
-    # Ring all-reduce = reduce-scatter + all-gather on 1/n shards.
-    group.record("all_reduce", [2.0 * first.size / n * first.itemsize * (n - 1)] * n, tag)
+    group.record("all_reduce", [_all_reduce_bytes(first, n)] * n, tag)
     if group.world.fault_plan is None:
         shared = total.astype(first.dtype, copy=False)
         out = [shared] * n  # zero-copy: one shared read-only delivery
@@ -217,19 +232,27 @@ def all_to_all(
     group: ProcessGroup,
     chunk_lists: Sequence[Sequence[np.ndarray]],
     tag: str = "",
-    tiled: bool = False,
+    concat_axis: Optional[int] = None,
+    tiles: int = 1,
+    tile_axis: int = 0,
     tile_label: str = "",
-) -> List[List[np.ndarray]]:
+) -> List:
     """General all-to-all: ``chunk_lists[i][j]`` goes from rank i to rank j.
 
     Returns ``received`` with ``received[j][i] == chunk_lists[i][j]``.
     Chunks may have arbitrary (even differing) shapes; only the self-chunk
     ``[i][i]`` stays local and costs no communication.
 
-    With ``tiled=True`` delivery is chunked per *source* rank (chunk
-    shapes may be ragged): tile ``i`` delivers rank ``i``'s chunks to
-    every destination and ledger-records rank ``i``'s wire bytes
-    one-hot as tile ``(i, n)``.
+    With ``concat_axis`` set, rank ``j`` instead receives one fresh
+    array: its chunks concatenated on ``concat_axis`` in source-rank
+    order (the Ulysses exchange, §3.1).  With ``tiles > 1`` that
+    exchange is chunked along ``tile_axis`` (token chunks, §4.2): each
+    chunk's ``tile_axis`` extent is split into ``tiles`` equal
+    sub-chunks, and tile ``t`` copies sub-chunk ``t`` of every
+    (source, dest) pair and records ``1/tiles`` of each rank's bytes
+    as tile ``(t, tiles)`` — exact, since the extent must divide
+    evenly.  Delivered values are bitwise-identical to the untiled
+    exchange.
     """
     group.check_shards(chunk_lists)
     n = group.size
@@ -238,39 +261,88 @@ def all_to_all(
             raise ValueError(
                 f"rank {i} provided {len(row)} chunks, expected {n}"
             )
+    if tiles > 1:
+        if concat_axis is None:
+            raise ValueError("a tiled all_to_all needs a concat_axis")
+        for row in chunk_lists:
+            for chunk in row:
+                extent = np.shape(chunk)[tile_axis]
+                if extent % tiles != 0:
+                    raise ValueError(
+                        f"tile axis {tile_axis} extent {extent} not "
+                        f"divisible by {tiles} tiles")
     group.pre_collective("all_to_all", tag)
-    copy = group.world.fault_plan is not None
     per_rank = [
         float(sum(np.asarray(chunk_lists[i][j]).nbytes
                   for j in range(n) if j != i))
         for i in range(n)
     ]
-    received: List[List[np.ndarray]]
-    if tiled and n >= 2:
-        received = [[None] * n for _ in range(n)]
-        for i in range(n):
-            with tile_span(group, tile_label, i, n):
-                for j in range(n):
-                    chunk = np.asarray(chunk_lists[i][j])
-                    received[j][i] = chunk.copy() if copy else chunk
-                group.record("all_to_all",
-                             [per_rank[i] if k == i else 0.0
-                              for k in range(n)],
-                             tag, tile=(i, n))
-    elif copy:
-        received = [
-            [np.asarray(chunk_lists[i][j]).copy() for i in range(n)]
-            for j in range(n)
-        ]
-        group.record("all_to_all", per_rank, tag)
+    received: List
+    if tiles > 1:
+        received = _a2a_tiled_delivery(group, chunk_lists, per_rank,
+                                       concat_axis, tile_axis, tiles,
+                                       tag, tile_label)
     else:
-        # Zero-copy: deliver the sender's chunks (usually slice views).
-        received = [
-            [np.asarray(chunk_lists[i][j]) for i in range(n)]
-            for j in range(n)
-        ]
         group.record("all_to_all", per_rank, tag)
+        if concat_axis is not None:
+            received = [
+                np.concatenate([chunk_lists[i][j] for i in range(n)],
+                               axis=concat_axis)
+                for j in range(n)
+            ]
+        elif group.world.fault_plan is not None:
+            received = [
+                [np.asarray(chunk_lists[i][j]).copy() for i in range(n)]
+                for j in range(n)
+            ]
+        else:
+            # Zero-copy: deliver the sender's chunks (usually slice views).
+            received = [
+                [np.asarray(chunk_lists[i][j]) for i in range(n)]
+                for j in range(n)
+            ]
     group.post_collective("all_to_all", received, tag)
+    return received
+
+
+def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tile_axis,
+                        tiles, tag, tile_label):
+    """Token-chunked delivery for a balanced all-to-all.
+
+    Preallocates each destination's buffer and copies one tile of every
+    (source, dest) chunk per pass, recording that tile's exact bytes.
+    The filled buffers hold exactly the values ``np.concatenate`` over
+    whole chunks would produce.
+    """
+    n = len(chunks)
+    received = []
+    dtype = np.result_type(*[chunks[i][0] for i in range(n)])
+    for j in range(n):
+        shape = list(chunks[0][j].shape)
+        shape[concat_axis] = sum(chunks[i][j].shape[concat_axis]
+                                 for i in range(n))
+        received.append(np.empty(shape, dtype=dtype))
+    for t in range(tiles):
+        with tile_span(group, tile_label, t, tiles):
+            for j in range(n):
+                offset = 0
+                for i in range(n):
+                    chunk = chunks[i][j]
+                    width = chunk.shape[tile_axis] // tiles
+                    src = [slice(None)] * chunk.ndim
+                    src[tile_axis] = slice(t * width, (t + 1) * width)
+                    dst = [slice(None)] * chunk.ndim
+                    extent = chunk.shape[concat_axis]
+                    if tile_axis == concat_axis:
+                        dst[concat_axis] = slice(offset + t * width,
+                                                 offset + (t + 1) * width)
+                    else:
+                        dst[concat_axis] = slice(offset, offset + extent)
+                        dst[tile_axis] = src[tile_axis]
+                    received[j][tuple(dst)] = chunk[tuple(src)]
+                    offset += extent
+            group.record("all_to_all", [pr / tiles for pr in per_rank],
+                         tag, tile=(t, tiles))
     return received
 
 
@@ -279,128 +351,91 @@ def all_to_all_uneven(
     tensors: Sequence[np.ndarray],
     send_splits: Sequence[Sequence[int]],
     tag: str = "",
+    tiled: bool = False,
+    tile_label: str = "",
 ) -> List[np.ndarray]:
     """All-to-all over row-split tensors (``torch.distributed.all_to_all_single``
     with uneven splits).
 
     Rank ``i`` sends ``send_splits[i][j]`` rows of ``tensors[i]`` to rank
-    ``j``; rank ``j`` receives the chunks concatenated in rank order.  This
-    is the primitive behind MoE token dispatch.
+    ``j``; rank ``j`` receives the chunks concatenated in rank order, in
+    one fresh buffer.  This is the primitive behind MoE token dispatch.
+
+    With ``tiled=True`` delivery is chunked per *source* rank (tile
+    sizes are ragged — routing decides the row counts): tile ``i``
+    copies rank ``i``'s rows into every destination's buffer and
+    records rank ``i``'s wire bytes one-hot as tile ``(i, n)``.
     """
     group.check_shards(tensors)
     n = group.size
-    arrays: List[np.ndarray] = []
-    offset_table: List[np.ndarray] = []
-    for i, (t, splits) in enumerate(zip(tensors, send_splits)):
-        t = np.asarray(t)
+    arrays = [np.asarray(t) for t in tensors]
+    for i, (a, splits) in enumerate(zip(arrays, send_splits)):
         if len(splits) != n:
             raise ValueError(
                 f"rank {i}: {len(splits)} splits for group of size {n}"
             )
-        if sum(splits) != t.shape[0]:
+        if sum(splits) != a.shape[0]:
             raise ValueError(
                 f"rank {i}: splits {list(splits)} do not cover "
-                f"{t.shape[0]} rows"
+                f"{a.shape[0]} rows"
             )
-        arrays.append(t)
-        offset_table.append(np.cumsum([0] + list(splits)))
-
-    if group.world.fault_plan is None:
-        # Fast path: assemble each destination into one preallocated
-        # buffer — no intermediate per-chunk copies, no np.concatenate
-        # temporaries.  Wire bytes recorded exactly as the general path.
-        group.pre_collective("all_to_all", tag)
-        per_rank = [
-            float(arrays[i].shape[0] - send_splits[i][i])
-            * int(np.prod(a.shape[1:], dtype=np.int64)) * a.itemsize
-            for i, a in enumerate(arrays)
-        ]
+    group.pre_collective("all_to_all", tag)
+    per_rank = [
+        float(a.shape[0] - send_splits[i][i])
+        * int(np.prod(a.shape[1:], dtype=np.int64)) * a.itemsize
+        for i, a in enumerate(arrays)
+    ]
+    tiled = tiled and n >= 2
+    if not tiled:
         group.record("all_to_all", per_rank, tag)
-        dtype = np.result_type(*[a.dtype for a in arrays])
-        trailing = arrays[0].shape[1:]
-        out: List[np.ndarray] = []
-        for j in range(n):
-            rows = int(sum(send_splits[i][j] for i in range(n)))
-            buf = np.empty((rows,) + trailing, dtype=dtype)
-            cursor = 0
-            for i in range(n):
+    dtype = np.result_type(*[a.dtype for a in arrays])
+    trailing = arrays[0].shape[1:]
+    out = [np.empty((int(sum(send_splits[i][j] for i in range(n))),)
+                    + trailing, dtype=dtype)
+           for j in range(n)]
+    filled = [0] * n
+    for i, a in enumerate(arrays):
+        with tile_span(group, tile_label if tiled else "", i, n):
+            row = 0
+            for j in range(n):
                 cnt = int(send_splits[i][j])
-                off = offset_table[i]
-                buf[cursor:cursor + cnt] = arrays[i][off[j]:off[j + 1]]
-                cursor += cnt
-            out.append(buf)
-        group.post_collective("all_to_all", out, tag)
-        return out
-
-    chunk_lists: List[List[np.ndarray]] = [
-        [arrays[i][offset_table[i][j]:offset_table[i][j + 1]]
-         for j in range(n)]
-        for i in range(n)
-    ]
-    received = all_to_all(group, chunk_lists, tag=tag)
-    return [
-        np.concatenate(chunks, axis=0) if chunks else np.empty((0,))
-        for chunks in received
-    ]
+                out[j][filled[j]:filled[j] + cnt] = a[row:row + cnt]
+                filled[j] += cnt
+                row += cnt
+            if tiled:
+                group.record("all_to_all", _one_hot(n, i, per_rank[i]),
+                             tag, tile=(i, n))
+    group.post_collective("all_to_all", out, tag)
+    return out
 
 
-def broadcast(
+def send_leg(
     group: ProcessGroup,
-    tensor: np.ndarray,
-    root: int = 0,
+    op: str,
+    rank: int,
+    pieces: Sequence[np.ndarray],
     tag: str = "",
 ) -> List[np.ndarray]:
-    """Send ``tensor`` from local rank ``root`` to all ranks in the group."""
+    """Rank ``rank``'s share of one collective: ``pieces[i]`` goes to
+    rank ``i``.
+
+    The backward duals of :mod:`repro.parallel.dist_ops` run one leg
+    per output gradient.  The ledger records the leg one-hot at
+    ``rank``: the off-rank pieces' ``nbytes``, or for ``"all_reduce"``
+    the ring's ``2 (n-1)/n`` of its own piece — so the ``n`` legs of
+    one call sum exactly to the whole collective's record.  Returns
+    the delivered pieces (private copies under a fault plan, which may
+    corrupt one of them).
+    """
     n = group.size
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for group of size {n}")
-    group.pre_collective("broadcast", tag)
-    t = np.asarray(tensor)
-    per_rank = [0.0] * n
-    per_rank[root] = float(t.nbytes * (n - 1))
-    group.record("broadcast", per_rank, tag)
-    out = [t.copy() for _ in range(n)]
-    group.post_collective("broadcast", out, tag)
-    return out
-
-
-def gather(
-    group: ProcessGroup,
-    shards: Sequence[np.ndarray],
-    root: int = 0,
-    axis: int = 0,
-    tag: str = "",
-) -> np.ndarray:
-    """Collect all shards onto local rank ``root``, concatenated on ``axis``."""
-    group.check_shards(shards)
-    group.pre_collective("gather", tag)
-    per_rank = [float(np.asarray(s).nbytes) if i != root else 0.0
-                for i, s in enumerate(shards)]
-    group.record("gather", per_rank, tag)
-    out = np.concatenate([np.asarray(s) for s in shards], axis=axis)
-    group.post_collective("gather", out, tag)
-    return out
-
-
-def scatter(
-    group: ProcessGroup,
-    tensor: np.ndarray,
-    root: int = 0,
-    axis: int = 0,
-    tag: str = "",
-) -> List[np.ndarray]:
-    """Split ``tensor`` held by local rank ``root`` equally across ranks."""
-    n = group.size
-    t = np.asarray(tensor)
-    if t.shape[axis] % n != 0:
-        raise ValueError(
-            f"axis {axis} of size {t.shape[axis]} not divisible by {n}"
-        )
-    group.pre_collective("scatter", tag)
-    pieces = np.split(t, n, axis=axis)
-    per_rank = [0.0] * n
-    per_rank[root] = float(t.nbytes - pieces[root].nbytes)
-    group.record("scatter", per_rank, tag)
-    out = [p.copy() for p in pieces]
-    group.post_collective("scatter", out, tag)
-    return out
+    group.pre_collective(op, tag)
+    if op == "all_reduce":
+        wire = _all_reduce_bytes(pieces[rank], n)
+    else:
+        wire = float(sum(p.nbytes for i, p in enumerate(pieces)
+                         if i != rank))
+    group.record(op, _one_hot(n, rank, wire), tag)
+    if group.world.fault_plan is not None:
+        pieces = [p.copy() for p in pieces]
+    group.post_collective(op, pieces, tag)
+    return pieces

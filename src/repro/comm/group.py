@@ -361,10 +361,10 @@ class ProcessGroup:
         over the nominal bandwidth, stretched by that rank's slow-link
         factor from the fault plan.  When a tracer is attached, the
         byte total lands on the ``comm`` span :meth:`pre_collective`
-        opened (closing it); unbracketed records — backward-hook duals,
-        fallback paths, and the per-tile records of chunked collectives
-        (which pass ``tile=(i, T)``) — emit a self-contained span, so
-        traced bytes still sum to ledger bytes exactly.
+        opened (closing it); unbracketed records — the pipeline's p2p
+        sends and the per-tile records of chunked collectives (which
+        pass ``tile=(i, T)``) — emit a self-contained span, so traced
+        bytes still sum to ledger bytes exactly.
         """
         ledger = self.world.ledger
         if ledger.enabled:

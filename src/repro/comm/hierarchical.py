@@ -27,8 +27,8 @@ from typing import List, Sequence
 import numpy as np
 
 from ..precision.formats import BF16, decode, encode, round_bf16
-from .collectives import (all_gather, all_to_all, rank_ordered_sum,
-                          reduce_scatter)
+from .collectives import (all_gather, all_reduce, all_to_all,
+                          rank_ordered_sum, reduce_scatter)
 from .group import World
 
 __all__ = [
@@ -67,23 +67,16 @@ def _inter_node_sum(group, flats: List[np.ndarray], tag: str,
     """Sum equal-size 1-D arrays across one group of ``d > 1`` peers.
 
     Exact: a reduce-scatter and an all-gather (the ledger separates
-    the two steps), or, when the size does not divide ``d``, the
-    rank-ordered sum priced as the equivalent ring all-reduce.  With
-    ``compress`` the leg is :func:`_bf16_a2a_sum`.  Results keep the
-    input dtype.
+    the two steps), or, when the size does not divide ``d``, one ring
+    all-reduce.  With ``compress`` the leg is :func:`_bf16_a2a_sum`.
+    Results keep the input dtype.
     """
-    d = group.size
     if compress:
         return _bf16_a2a_sum(group, flats, tag)
-    size = flats[0].size
-    if size % d == 0:
+    if flats[0].size % group.size == 0:
         pieces = reduce_scatter(group, flats, tag=tag + ":inter_rs")
         return all_gather(group, pieces, tag=tag + ":inter_ag")
-    total = rank_ordered_sum(flats).astype(flats[0].dtype, copy=False)
-    group.record("all_reduce",
-                 [2.0 * size / d * flats[0].itemsize * (d - 1)] * d,
-                 tag + ":inter_fallback")
-    return [total] * d
+    return all_reduce(group, flats, tag=tag + ":inter_fallback")
 
 
 def hierarchical_sync(

@@ -15,37 +15,35 @@ all-to-all         all-to-all (reversed)
 all-reduce         all-reduce
 =================  =======================
 
-Bytes are recorded in the world's ledger for the forward collective at
-call time and for the backward collective as its gradients flow —
-tagged ``<tag>`` and ``<tag>:bwd`` respectively — so tests can check the
-paper's per-pass volume formulas (Eqs. 1–4) in both directions.  Like
-:mod:`repro.comm.collectives`, each record is the ``nbytes`` of the
-arrays that move: activations forward, gradients backward.
+This module only wires the tape.  Each forward calls the numpy
+collective of :mod:`repro.comm.collectives` on the inputs' ``.data``
+and wraps its outputs with :meth:`~repro.tensor.Tensor.from_op`; each
+backward slices its output's gradient into one piece per rank and
+hands the pieces to :func:`~repro.comm.collectives.send_leg` under the
+``<tag>:bwd`` tag.  So data movement, fault hooks (crash/timeout
+before, corruption after) and ledger records — activations forward,
+gradients backward, checked against Eqs. 1–4 in both directions — all
+live in that one module.  A corrupted backward leg lands in the
+gradient of the rank it was delivered to.
 
 Backward runs as a *single* sweep (one ``backward()`` call from a
 combined scalar, as a real loss produces): per-rank outputs share their
 ancestors, and a sweep consumes the graph, so sweeping them one by one
 raises :class:`~repro.tensor.ConsumedGraphError` at the first shared
-node.  Each backward closure keeps only shapes, offsets and the group —
-never an input array.
-
-Fault injection: every forward collective consults the world's fault
-plan via :meth:`~repro.comm.group.ProcessGroup.pre_collective` before
-moving data (crash/timeout) and
-:meth:`~repro.comm.group.ProcessGroup.post_collective` on its delivered
-outputs (payload corruption — a silent bit-flip into the training
-numerics unless the plan verifies checksums); backward collectives
-consult ``pre_collective`` under the ``:bwd`` tag.
+node.  Each backward closure keeps only shapes, Python-int sizes and
+the group — never an input array; offsets are computed when the
+backward runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.collectives import rank_ordered_sum
-from ..comm.group import ProcessGroup, tile_span
+from ..comm.collectives import (all_gather, all_reduce, all_to_all,
+                                all_to_all_uneven, reduce_scatter, send_leg)
+from ..comm.group import ProcessGroup
 from ..tensor import Tensor
 
 __all__ = [
@@ -55,6 +53,39 @@ __all__ = [
     "dist_all_to_all_uneven",
     "dist_all_reduce",
 ]
+
+
+def split_at(a: np.ndarray, axis: int,
+             sizes: Sequence[int]) -> List[np.ndarray]:
+    """Consecutive views of ``a`` along ``axis``, ``sizes[i]`` wide."""
+    index = [slice(None)] * a.ndim
+    pieces = []
+    start = 0
+    for size in sizes:
+        index[axis] = slice(start, start + size)
+        pieces.append(a[tuple(index)])
+        start += size
+    return pieces
+
+
+def placed(shape: Tuple[int, ...], axis: int, start: int,
+           piece: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` holding ``piece`` from ``start`` on ``axis``."""
+    out = np.zeros(shape, dtype=piece.dtype)
+    index = [slice(None)] * len(shape)
+    index[axis] = slice(start, start + piece.shape[axis])
+    out[tuple(index)] = piece
+    return out
+
+
+def per_delivery(delivered: Sequence[np.ndarray], fn) -> Tuple:
+    """``fn`` of each delivered piece, computed once per distinct buffer
+    (zero-copy legs deliver one shared array to every rank)."""
+    results = {}
+    for p in delivered:
+        if id(p) not in results:
+            results[id(p)] = fn(p)
+    return tuple(results[id(p)] for p in delivered)
 
 
 def dist_all_gather(
@@ -69,63 +100,21 @@ def dist_all_gather(
 
     Backward is a reduce-scatter: rank ``i``'s gradient is the sum over
     output ranks of the ``i``-th slice of each output gradient.
-
-    With ``tiled=True`` the gather is chunked per source rank (§4.2's
-    swizzled order): shard ``i`` is copied into the gathered buffer and
-    ledger-recorded as tile ``(i, n)`` — one tile's bytes at a time,
-    attributed one-hot to its source rank, summing exactly to the
-    untiled record.  The delivered values are bitwise-identical.
-    ``tile_label`` names the graph op for ``dag.tile:*`` spans.
+    ``tiled``/``tile_label`` chunk the gather per source rank (§4.2),
+    as in :func:`~repro.comm.collectives.all_gather`.
     """
-    group.check_shards(shards)
-    n = group.size
-    datas = [s.data for s in shards]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-    group.pre_collective("all_gather", tag)
-    if tiled and n >= 2:
-        shape = list(datas[0].shape)
-        shape[axis] = int(offsets[-1])
-        full = np.empty(shape, dtype=np.result_type(*datas))
-        slicer = [slice(None)] * full.ndim
-        for i in range(n):
-            with tile_span(group, tile_label, i, n):
-                slicer[axis] = slice(offsets[i], offsets[i + 1])
-                full[tuple(slicer)] = datas[i]
-                group.record(
-                    "all_gather",
-                    _one_hot(n, i, float(datas[i].nbytes * (n - 1))),
-                    tag, tile=(i, n))
-    else:
-        full = np.concatenate(datas, axis=axis)
-        group.record("all_gather",
-                     [float(d.nbytes * (n - 1)) for d in datas], tag)
-
-    # Zero-copy: with no fault plan the delivered buffers are read-only,
-    # so every rank can share the single gathered array.
-    plan_free = group.world.fault_plan is None
+    fulls = all_gather(group, [s.data for s in shards], axis, tag,
+                       tiled, tile_label)
+    sizes = [s.shape[axis] for s in shards]
     outs = []
-    for j in range(n):
+    for j, full in enumerate(fulls):
         def backward(g, j=j):
             # Output j's grad is scattered back: slice i goes to rank i.
-            slicer = [slice(None)] * g.ndim
-            grads = []
-            wire = 0.0
-            for i in range(n):
-                slicer[axis] = slice(offsets[i], offsets[i + 1])
-                piece = g[tuple(slicer)]
-                grads.append(piece)
-                if i != j:
-                    wire += piece.nbytes
-            group.pre_collective("reduce_scatter", tag + ":bwd")
-            group.record("reduce_scatter", _one_hot(n, j, wire),
-                         tag + ":bwd")
-            return tuple(grads)
+            return tuple(send_leg(group, "reduce_scatter", j,
+                                  split_at(g, axis, sizes), tag + ":bwd"))
 
-        outs.append(Tensor.from_op(full if plan_free else full.copy(),
-                                   list(shards), backward,
+        outs.append(Tensor.from_op(full, list(shards), backward,
                                    "dist_all_gather"))
-    group.post_collective("all_gather", [o.data for o in outs], tag)
     return outs
 
 
@@ -140,68 +129,26 @@ def dist_reduce_scatter(
     """Sum all ranks' tensors; rank ``j`` receives the ``j``-th slice.
 
     Backward is an all-gather: every input receives the concatenation of
-    the per-rank output gradients.
-
-    With ``tiled=True`` the reduction is chunked per destination rank:
-    tile ``j`` reduces only slice ``j`` (elementwise over ranks, so the
-    result is bitwise-identical to slicing the whole-tensor reduction)
-    and ledger-records its traffic one-hot at rank ``j`` as tile
-    ``(j, n)``; tile bytes sum exactly to the untiled record.
+    the per-rank output gradients.  ``tiled``/``tile_label`` chunk the
+    reduction per destination rank (§4.2), as in
+    :func:`~repro.comm.collectives.reduce_scatter`.
     """
-    group.check_shards(tensors)
+    pieces = reduce_scatter(group, [t.data for t in tensors], axis, tag,
+                            tiled, tile_label)
     n = group.size
-    first = tensors[0].data
-    for t in tensors[1:]:
-        if t.data.shape != first.shape:
-            raise ValueError("dist_reduce_scatter requires equal shapes")
-    if first.shape[axis] % n != 0:
-        raise ValueError(
-            f"axis {axis} of size {first.shape[axis]} not divisible by {n}"
-        )
-    shard_bytes = float(first.nbytes // n * (n - 1))
-    width = first.shape[axis] // n
-    full_shape = first.shape
-    group.pre_collective("reduce_scatter", tag)
-    if tiled and n >= 2:
-        pieces = []
-        slicer = [slice(None)] * first.ndim
-        for j in range(n):
-            with tile_span(group, tile_label, j, n):
-                slicer[axis] = slice(j * width, (j + 1) * width)
-                pieces.append(rank_ordered_sum(
-                    [t.data[tuple(slicer)] for t in tensors]))
-                group.record(
-                    "reduce_scatter",
-                    _one_hot(n, j, shard_bytes),
-                    tag, tile=(j, n))
-    else:
-        pieces = np.split(rank_ordered_sum([t.data for t in tensors]),
-                          n, axis=axis)
-        group.record("reduce_scatter",
-                     [shard_bytes] * n, tag)
+    full_shape = tensors[0].shape
     outs = []
-    for j in range(n):
+    for j, piece in enumerate(pieces):
         def backward(g, j=j):
             # d(out_j)/d(in_i) is 1 on slice j for every i: each input
             # rank receives g_j placed at slice j (the all-gather dual).
-            grad = np.zeros(full_shape, dtype=g.dtype)
-            slicer = [slice(None)] * len(full_shape)
-            slicer[axis] = slice(j * width, (j + 1) * width)
-            grad[tuple(slicer)] = g
-            group.pre_collective("all_gather", tag + ":bwd")
-            group.record("all_gather", _one_hot(n, j, float(g.nbytes * (n - 1))),
-                         tag + ":bwd")
-            if group.world.fault_plan is None:
-                # Zero-copy dual: grads accumulate out-of-place, so all
-                # input ranks may share the one gathered gradient.
-                return (grad,) * n
-            return tuple(grad.copy() for _ in range(n))
+            start = j * (full_shape[axis] // n)
+            return per_delivery(
+                send_leg(group, "all_gather", j, [g] * n, tag + ":bwd"),
+                lambda p: placed(full_shape, axis, start, p))
 
-        outs.append(Tensor.from_op(
-            pieces[j].astype(first.dtype,
-                             copy=group.world.fault_plan is not None),
-            list(tensors), backward, "dist_reduce_scatter"))
-    group.post_collective("reduce_scatter", [o.data for o in outs], tag)
+        outs.append(Tensor.from_op(piece, list(tensors), backward,
+                                   "dist_reduce_scatter"))
     return outs
 
 
@@ -221,124 +168,40 @@ def dist_all_to_all(
 
     This is the Ulysses primitive (§3.1): e.g. split heads / gather
     sequence on the way in, split sequence / gather heads on the way out.
-    Backward is the reverse all-to-all.
-
-    With ``tiles > 1`` the exchange is chunked along ``tile_axis``
-    (token chunks, §4.2): each of every (source, dest) chunk's
-    ``tile_axis`` extents is split into ``tiles`` equal sub-chunks, and
-    tile ``t`` copies sub-chunk ``t`` of every pair into the delivered
-    buffers and ledger-records ``1/tiles`` of each rank's bytes as tile
-    ``(t, tiles)`` — exact, since the extent must divide evenly.
-    Delivered values are bitwise-identical to the untiled exchange.
+    Backward is the reverse all-to-all.  ``tiles > 1`` chunks the
+    exchange along ``tile_axis`` (token chunks, §4.2), as in
+    :func:`~repro.comm.collectives.all_to_all`.
     """
     group.check_shards(tensors)
     n = group.size
-    datas = [t.data for t in tensors]
-    for d in datas:
-        if d.shape[split_axis] % n != 0:
+    for t in tensors:
+        if t.shape[split_axis] % n != 0:
             raise ValueError(
-                f"split axis {split_axis} of size {d.shape[split_axis]} "
+                f"split axis {split_axis} of size {t.shape[split_axis]} "
                 f"not divisible by {n}"
             )
-    chunks = [np.split(d, n, axis=split_axis) for d in datas]
-    per_rank = [float(sum(chunks[i][j].nbytes for j in range(n) if j != i))
-                for i in range(n)]
-    group.pre_collective("all_to_all", tag)
-    if tiles > 1:
-        received_list = _a2a_tiled_delivery(
-            group, chunks, per_rank, concat_axis, tile_axis, tiles,
-            tag, tile_label)
-    else:
-        group.record("all_to_all", per_rank, tag)
-        received_list = None
-
-    chunk_split = datas[0].shape[split_axis] // n
-    in_shapes = [d.shape for d in datas]
+    chunks = [np.split(t.data, n, axis=split_axis) for t in tensors]
+    received = all_to_all(group, chunks, tag, concat_axis=concat_axis,
+                          tiles=tiles, tile_axis=tile_axis,
+                          tile_label=tile_label)
+    widths = [c[0].shape[concat_axis] for c in chunks]
+    in_shapes = [t.shape for t in tensors]
     outs = []
-    for j in range(n):
-        if received_list is not None:
-            received = received_list[j]
-        else:
-            received = np.concatenate([chunks[i][j] for i in range(n)],
-                                      axis=concat_axis)
-        recv_width = [chunks[i][j].shape[concat_axis] for i in range(n)]
-        recv_offsets = np.cumsum([0] + recv_width)
-
-        def backward(g, j=j, recv_offsets=recv_offsets):
-            # Chunk received from rank i returns to rank i, back at
+    for j, recv in enumerate(received):
+        def backward(g, j=j):
+            # The chunk received from rank i returns to rank i, back at
             # split-position j.
-            grads = []
-            wire = 0.0
-            slicer = [slice(None)] * g.ndim
-            for i in range(n):
-                slicer[concat_axis] = slice(recv_offsets[i],
-                                            recv_offsets[i + 1])
-                piece = g[tuple(slicer)]
-                grad = np.zeros(in_shapes[i], dtype=g.dtype)
-                gslicer = [slice(None)] * grad.ndim
-                gslicer[split_axis] = slice(j * chunk_split,
-                                            (j + 1) * chunk_split)
-                grad[tuple(gslicer)] = piece
-                grads.append(grad)
-                if i != j:
-                    wire += piece.nbytes
-            group.pre_collective("all_to_all", tag + ":bwd")
-            group.record("all_to_all", _one_hot(n, j, wire),
-                         tag + ":bwd")
-            return tuple(grads)
+            delivered = send_leg(group, "all_to_all", j,
+                                 split_at(g, concat_axis, widths),
+                                 tag + ":bwd")
+            return tuple(
+                placed(shape, split_axis,
+                       j * (shape[split_axis] // n), piece)
+                for shape, piece in zip(in_shapes, delivered))
 
-        outs.append(Tensor.from_op(received, list(tensors), backward,
+        outs.append(Tensor.from_op(recv, list(tensors), backward,
                                    "dist_all_to_all"))
-    group.post_collective("all_to_all", [o.data for o in outs], tag)
     return outs
-
-
-def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tile_axis,
-                        tiles, tag, tile_label):
-    """Token-chunked delivery for a balanced all-to-all.
-
-    Preallocates each destination's buffer and copies one tile of every
-    (source, dest) chunk per pass, recording that tile's exact bytes.
-    The filled buffers hold exactly the values ``np.concatenate`` over
-    whole chunks would produce.
-    """
-    n = len(chunks)
-    for i in range(n):
-        for j in range(n):
-            extent = chunks[i][j].shape[tile_axis]
-            if extent % tiles != 0:
-                raise ValueError(
-                    f"tile axis {tile_axis} extent {extent} not "
-                    f"divisible by {tiles} tiles")
-    received = []
-    dtype = np.result_type(*[chunks[i][0] for i in range(n)])
-    for j in range(n):
-        shape = list(chunks[0][j].shape)
-        shape[concat_axis] = sum(chunks[i][j].shape[concat_axis]
-                                 for i in range(n))
-        received.append(np.empty(shape, dtype=dtype))
-    for t in range(tiles):
-        with tile_span(group, tile_label, t, tiles):
-            for j in range(n):
-                offset = 0
-                for i in range(n):
-                    chunk = chunks[i][j]
-                    width = chunk.shape[tile_axis] // tiles
-                    src = [slice(None)] * chunk.ndim
-                    src[tile_axis] = slice(t * width, (t + 1) * width)
-                    dst = [slice(None)] * chunk.ndim
-                    extent = chunk.shape[concat_axis]
-                    if tile_axis == concat_axis:
-                        dst[concat_axis] = slice(offset + t * width,
-                                                 offset + (t + 1) * width)
-                    else:
-                        dst[concat_axis] = slice(offset, offset + extent)
-                        dst[tile_axis] = src[tile_axis]
-                    received[j][tuple(dst)] = chunk[tuple(src)]
-                    offset += extent
-            group.record("all_to_all", [pr / tiles for pr in per_rank],
-                         tag, tile=(t, tiles))
-    return received
 
 
 def dist_all_to_all_uneven(
@@ -355,89 +218,27 @@ def dist_all_to_all_uneven(
     receives the chunks concatenated in source-rank order.  This is MoE
     token dispatch (§3.2): the splits come from the routing result.
     Backward routes gradient rows back to their source ranks.
-
-    With ``tiled=True`` delivery is chunked per *source* rank (tile
-    sizes are ragged — routing decides the row counts): tile ``i``
-    copies rank ``i``'s rows into every destination's buffer and
-    ledger-records rank ``i``'s wire bytes one-hot as tile ``(i, n)``.
-    Delivered rows land at the same source-rank-sorted offsets as the
-    untiled concatenation, so values are bitwise-identical.
+    ``tiled``/``tile_label`` chunk delivery per source rank (§4.2), as
+    in :func:`~repro.comm.collectives.all_to_all_uneven`.
     """
-    group.check_shards(tensors)
-    n = group.size
-    offsets = []
-    for i, (t, splits) in enumerate(zip(tensors, send_splits)):
-        if len(splits) != n:
-            raise ValueError(
-                f"rank {i}: {len(splits)} splits for group size {n}"
-            )
-        if sum(splits) != t.data.shape[0]:
-            raise ValueError(
-                f"rank {i}: splits {list(splits)} do not cover "
-                f"{t.data.shape[0]} rows"
-            )
-        offsets.append(np.cumsum([0] + list(splits)))
-
-    per_rank = [
-        sum(send_splits[i][j] for j in range(n) if j != i)
-        * int(np.prod(tensors[i].data.shape[1:]))
-        * float(tensors[i].data.itemsize)
-        for i in range(n)
-    ]
-    group.pre_collective("all_to_all", tag)
-    recv_offsets_all = []
-    for j in range(n):
-        recv_counts = [send_splits[i][j] for i in range(n)]
-        recv_offsets_all.append(np.cumsum([0] + recv_counts))
-    in_shapes = [t.data.shape for t in tensors]
-    if tiled and n >= 2:
-        tail = tensors[0].data.shape[1:]
-        dtype = np.result_type(*[t.data for t in tensors])
-        received_list = [
-            np.empty((int(recv_offsets_all[j][-1]),) + tail, dtype=dtype)
-            for j in range(n)
-        ]
-        for i in range(n):
-            with tile_span(group, tile_label, i, n):
-                for j in range(n):
-                    lo, hi = recv_offsets_all[j][i], recv_offsets_all[j][i + 1]
-                    received_list[j][lo:hi] = \
-                        tensors[i].data[offsets[i][j]:offsets[i][j + 1]]
-                group.record("all_to_all", _one_hot(n, i, per_rank[i]),
-                             tag, tile=(i, n))
-    else:
-        group.record("all_to_all", per_rank, tag)
-        received_list = None
-
+    received = all_to_all_uneven(group, [t.data for t in tensors],
+                                 send_splits, tag, tiled, tile_label)
+    in_shapes = [t.shape for t in tensors]
     outs = []
-    for j in range(n):
-        if received_list is not None:
-            received = received_list[j]
-        else:
-            pieces = [tensors[i].data[offsets[i][j]:offsets[i][j + 1]]
-                      for i in range(n)]
-            received = (np.concatenate(pieces, axis=0) if pieces else
-                        np.zeros((0,) + tensors[0].data.shape[1:]))
-        recv_offsets = recv_offsets_all[j]
+    for j, recv in enumerate(received):
+        def backward(g, j=j):
+            # Rows received from rank i return to rank i, at the offset
+            # rank i sent them from.
+            counts = [int(splits[j]) for splits in send_splits]
+            delivered = send_leg(group, "all_to_all", j,
+                                 split_at(g, 0, counts), tag + ":bwd")
+            return tuple(
+                placed(shape, 0, int(sum(splits[:j])), piece)
+                for shape, splits, piece in zip(in_shapes, send_splits,
+                                                delivered))
 
-        def backward(g, j=j, recv_offsets=recv_offsets):
-            grads = []
-            wire = 0.0
-            for i in range(n):
-                piece = g[recv_offsets[i]:recv_offsets[i + 1]]
-                grad = np.zeros(in_shapes[i], dtype=g.dtype)
-                grad[offsets[i][j]:offsets[i][j + 1]] = piece
-                grads.append(grad)
-                if i != j:
-                    wire += piece.nbytes
-            group.pre_collective("all_to_all", tag + ":bwd")
-            group.record("all_to_all", _one_hot(n, j, wire),
-                         tag + ":bwd")
-            return tuple(grads)
-
-        outs.append(Tensor.from_op(received, list(tensors), backward,
+        outs.append(Tensor.from_op(recv, list(tensors), backward,
                                    "dist_all_to_all_uneven"))
-    group.post_collective("all_to_all", [o.data for o in outs], tag)
     return outs
 
 
@@ -450,38 +251,14 @@ def dist_all_reduce(
 
     Backward is itself an all-reduce of the output gradients.
     """
-    group.check_shards(tensors)
+    totals = all_reduce(group, [t.data for t in tensors], tag)
     n = group.size
-    first = tensors[0].data
-    total = rank_ordered_sum([t.data for t in tensors])
-    group.pre_collective("all_reduce", tag)
-    group.record("all_reduce",
-                 [2.0 * first.size / n * first.itemsize * (n - 1)] * n,
-                 tag)
-
-    plan_free = group.world.fault_plan is None
-    shared = total.astype(first.dtype, copy=False) if plan_free else None
     outs = []
-    for j in range(n):
+    for j, total in enumerate(totals):
         def backward(g, j=j):
-            group.pre_collective("all_reduce", tag + ":bwd")
-            group.record(
-                "all_reduce",
-                _one_hot(n, j, 2.0 * g.size / n * g.itemsize * (n - 1)),
-                tag + ":bwd",
-            )
-            if group.world.fault_plan is None:
-                return (g,) * n  # zero-copy dual (see reduce_scatter)
-            return tuple(g.copy() for _ in range(n))
+            return tuple(send_leg(group, "all_reduce", j, [g] * n,
+                                  tag + ":bwd"))
 
-        outs.append(Tensor.from_op(
-            shared if plan_free else total.astype(first.dtype),
-            list(tensors), backward, "dist_all_reduce"))
-    group.post_collective("all_reduce", [o.data for o in outs], tag)
+        outs.append(Tensor.from_op(total, list(tensors), backward,
+                                   "dist_all_reduce"))
     return outs
-
-
-def _one_hot(n: int, j: int, value: float) -> List[float]:
-    out = [0.0] * n
-    out[j] = value
-    return out

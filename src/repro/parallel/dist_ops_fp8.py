@@ -6,15 +6,17 @@ In the corresponding backward propagation, we apply FP8 all-gather for
 gradients" with per-token quantization forward and per-channel (grouped
 along tokens) quantization backward.
 
-These ops mirror :mod:`repro.parallel.dist_ops` but ship FP8 on the
-wire: each payload is one ``uint8`` buffer holding the E4M3 codes and
-then the FP32 scales' bytes, and the receiver decodes it.  Forward
+These ops are the :mod:`repro.parallel.dist_ops` calls with encoded
+payloads: each payload is one ``uint8`` buffer holding the E4M3 codes
+and then the FP32 scales' bytes, and the receiver decodes it.  Forward
 payloads are quantized per token and move through
-:mod:`repro.comm.collectives` (fault plan and tracer included); the
-backward duals quantize gradients per channel with a small token
-group.  The ledger records each buffer's ``nbytes``, and the
-quantization error is real, so training curves measure genuine
-compression effects.
+:func:`~repro.comm.collectives.all_to_all` /
+:func:`~repro.comm.collectives.all_gather`; each backward leg
+quantizes its gradient per channel with a small token group and moves
+it through :func:`~repro.comm.collectives.send_leg`, and every
+receiving rank decodes the buffer it was delivered.  The ledger
+records each buffer's ``nbytes``, and the quantization error is real,
+so training curves measure genuine compression effects.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.collectives import all_gather, all_to_all, rank_ordered_sum
+from ..comm.collectives import (all_gather, all_to_all, rank_ordered_sum,
+                                send_leg)
 from ..comm.group import ProcessGroup
 from ..precision.formats import FP8_E4M3, FloatFormat
 from ..precision.quantize import (
@@ -33,7 +36,7 @@ from ..precision.quantize import (
     quantize_per_token,
 )
 from ..tensor import Tensor
-from .dist_ops import _one_hot
+from .dist_ops import per_delivery, placed, split_at
 
 __all__ = ["dist_reduce_scatter_fp8", "dist_all_gather_fp8"]
 
@@ -100,14 +103,14 @@ def dist_reduce_scatter_fp8(
         def backward(g, j=j):
             # Gradient of the sum w.r.t. every input's chunk j; the
             # gradient itself ships in grouped per-channel FP8.
-            buf = _pack(g, fmt, grad_group_size)
-            group.pre_collective("all_gather", tag + ":bwd")
-            group.record("all_gather", _one_hot(n, j, buf.nbytes * (n - 1)),
-                         tag + ":bwd")
-            grad = np.zeros(full_shape, dtype=np.float64)
-            grad[j * width:(j + 1) * width] = _unpack(
-                buf, g.shape, fmt, grad_group_size)
-            return (grad,) * n
+            return per_delivery(
+                send_leg(group, "all_gather", j,
+                         [_pack(g, fmt, grad_group_size)] * n,
+                         tag + ":bwd"),
+                lambda buf: placed(
+                    full_shape, 0, j * width,
+                    _unpack(buf, g.shape, fmt,
+                            grad_group_size).astype(np.float64)))
 
         outs.append(Tensor.from_op(total.astype(first.dtype),
                                    list(tensors), backward,
@@ -132,8 +135,8 @@ def dist_all_gather_fp8(
     bufs = [_pack(s.data, fmt) for s in shards]
     shapes = [s.data.shape for s in shards]
     bounds = np.cumsum([0] + [b.size for b in bufs])
-    offsets = np.cumsum([0] + [shape[0] for shape in shapes])
     delivered = all_gather(group, bufs, tag=tag)
+    sizes = [shape[0] for shape in shapes]
     outs = []
     for j in range(n):
         full = np.concatenate([
@@ -141,19 +144,14 @@ def dist_all_gather_fp8(
             for i in range(n)]).astype(shards[0].dtype)
 
         def backward(g, j=j):
-            grads = []
-            wire = 0
-            for i in range(n):
-                piece = g[offsets[i]:offsets[i + 1]]
-                buf = _pack(piece, fmt, grad_group_size)
-                grads.append(_unpack(buf, piece.shape, fmt,
-                                     grad_group_size).astype(np.float64))
-                if i != j:
-                    wire += buf.nbytes
-            group.pre_collective("reduce_scatter", tag + ":bwd")
-            group.record("reduce_scatter", _one_hot(n, j, wire),
-                         tag + ":bwd")
-            return tuple(grads)
+            pieces = split_at(g, 0, sizes)
+            wire = send_leg(group, "reduce_scatter", j,
+                            [_pack(p, fmt, grad_group_size)
+                             for p in pieces], tag + ":bwd")
+            return tuple(
+                _unpack(buf, p.shape, fmt,
+                        grad_group_size).astype(np.float64)
+                for buf, p in zip(wire, pieces))
 
         outs.append(Tensor.from_op(full, list(shards), backward,
                                    "dist_all_gather_fp8"))

@@ -79,12 +79,12 @@ def tape_saved_arrays(root: Tensor,
     """Distinct buffers the tape reachable from ``root`` keeps alive.
 
     Walks the nodes over their edges and collects the arrays captured
-    in each backward closure — the live set that must stay in memory
-    between forward and backward.  Views count as the buffer they
-    view, once.  ``exclude`` removes buffers that would be resident
-    anyway (model parameters), so the result measures *activation*
-    memory as Appendix A.2 counts it.  A consumed node (one a
-    ``backward()`` already swept) holds nothing.
+    in each backward closure or held as its default arguments — the
+    live set that must stay in memory between forward and backward.
+    Views count as the buffer they view, once.  ``exclude`` removes
+    buffers that would be resident anyway (model parameters), so the
+    result measures *activation* memory as Appendix A.2 counts it.  A
+    consumed node (one a ``backward()`` already swept) holds nothing.
     """
     excluded = {id(_buffer(a)) for a in exclude}
     arrays: dict = {}
@@ -95,8 +95,11 @@ def tape_saved_arrays(root: Tensor,
         if id(node) in seen or node.backward_fn is None:
             continue
         seen.add(id(node))
-        for cell in node.backward_fn.__closure__ or ():
+        fn = node.backward_fn
+        for cell in fn.__closure__ or ():
             _closure_arrays(cell.cell_contents, arrays)
+        _closure_arrays(fn.__defaults__ or (), arrays)
+        _closure_arrays(list((fn.__kwdefaults__ or {}).values()), arrays)
         stack.extend(e for e in node.edges if type(e) is Node)
     return [a for key, a in arrays.items() if key not in excluded]
 

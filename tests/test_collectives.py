@@ -11,11 +11,8 @@ from repro.comm import (
     all_reduce,
     all_to_all,
     all_to_all_uneven,
-    broadcast,
-    gather,
     rank_ordered_sum,
     reduce_scatter,
-    scatter,
 )
 from repro.parallel.dist_ops import dist_all_reduce, dist_reduce_scatter
 from repro.precision.formats import BF16, encode, round_bf16
@@ -276,35 +273,6 @@ class TestAllToAll:
         outs = all_to_all_uneven(g, tensors, splits)
         assert sum(o.shape[0] for o in outs) == \
             sum(t.shape[0] for t in tensors)
-
-
-class TestBroadcastGatherScatter:
-    def test_broadcast(self, rng, world4):
-        g = world4.full_group()
-        t = rng.standard_normal((3, 2))
-        outs = broadcast(g, t, root=2)
-        for out in outs:
-            np.testing.assert_array_equal(out, t)
-
-    def test_broadcast_bad_root(self, rng, world4):
-        with pytest.raises(ValueError, match="root"):
-            broadcast(world4.full_group(), np.zeros(2), root=9)
-
-    def test_gather(self, rng, world4):
-        g = world4.full_group()
-        shards = make_shards(rng, 4, (2, 2))
-        out = gather(g, shards, root=1)
-        np.testing.assert_array_equal(out, np.concatenate(shards))
-
-    def test_scatter_roundtrip(self, rng, world4):
-        g = world4.full_group()
-        t = rng.standard_normal((8, 2))
-        pieces = scatter(g, t, root=0)
-        np.testing.assert_array_equal(np.concatenate(pieces), t)
-
-    def test_scatter_indivisible(self, rng, world4):
-        with pytest.raises(ValueError, match="not divisible"):
-            scatter(world4.full_group(), np.zeros((7, 2)))
 
 
 class TestWorldAndGroups:

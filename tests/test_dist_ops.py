@@ -10,6 +10,10 @@ from repro.parallel.dist_ops import (
     dist_all_to_all_uneven,
     dist_reduce_scatter,
 )
+from repro.parallel.dist_ops_fp8 import (
+    dist_all_gather_fp8,
+    dist_reduce_scatter_fp8,
+)
 from repro.tensor import Tensor
 
 
@@ -184,3 +188,84 @@ class TestDistAllReduce:
         total = np.sum(grads, axis=0)
         for t in tensors:
             np.testing.assert_allclose(t.grad, total, rtol=1e-12)
+
+
+def _fp8_grouped_bytes(shape, group=128):
+    """Wire bytes of a gradient packed in grouped per-channel FP8: one
+    code per element, one float32 scale per (token group, channel)."""
+    rows, cols = int(np.prod(shape[:-1])), shape[-1]
+    return rows * cols + 4 * -(-rows // group) * cols
+
+
+N = 4
+SPLITS = [[1, 2, 1, 0], [2, 0, 1, 1], [0, 1, 1, 2], [1, 1, 0, 1]]
+
+
+def _uneven_rows(j):
+    """Rows rank ``j`` received from other ranks (3 float64 columns)."""
+    return sum(SPLITS[i][j] for i in range(N) if i != j) * 3 * 8
+
+
+# (name, forward over n leaf tensors and a tiled flag, input shape,
+# expected per-rank bytes of the whole dual collective given the
+# output gradients, whether the forward has a tiled mode).
+DUALS = [
+    ("all_gather", lambda g, x, t: dist_all_gather(g, x, tiled=t, tag="op"),
+     (2, 3), lambda gs: [gr.nbytes * (N - 1) // N for gr in gs], True),
+    ("reduce_scatter",
+     lambda g, x, t: dist_reduce_scatter(g, x, tiled=t, tag="op"),
+     (8, 2), lambda gs: [gr.nbytes * (N - 1) for gr in gs], True),
+    ("all_to_all",
+     lambda g, x, t: dist_all_to_all(g, x, split_axis=2, concat_axis=1,
+                                     tiles=2 if t else 1, tile_axis=1,
+                                     tag="op"),
+     (1, 2, 8, 3), lambda gs: [gr.nbytes * (N - 1) // N for gr in gs],
+     True),
+    ("all_to_all_uneven",
+     lambda g, x, t: dist_all_to_all_uneven(g, x, SPLITS, tiled=t,
+                                            tag="op"),
+     None, lambda gs: [_uneven_rows(j) for j in range(N)], True),
+    ("all_reduce", lambda g, x, t: dist_all_reduce(g, x, tag="op"),
+     (3, 2), lambda gs: [2 * gr.nbytes * (N - 1) // N for gr in gs],
+     False),
+    ("reduce_scatter_fp8",
+     lambda g, x, t: dist_reduce_scatter_fp8(g, x, tag="op"),
+     (8, 2), lambda gs: [_fp8_grouped_bytes(gr.shape) * (N - 1)
+                         for gr in gs], False),
+    ("all_gather_fp8",
+     lambda g, x, t: dist_all_gather_fp8(g, x, tag="op"),
+     (2, 3), lambda gs: [_fp8_grouped_bytes((2, 3)) * (N - 1)
+                         for _ in gs], False),
+]
+DUAL_CASES = [pytest.param(*dual[1:4], tiled, id=f"{dual[0]}-{tiled}")
+              for dual in DUALS
+              for tiled in ((False, True) if dual[4] else (False,))]
+
+
+class TestDualBytes:
+    """Every dual's ``n`` backward legs sum exactly to the whole dual
+    collective's formula, one leg per output rank."""
+
+    @pytest.mark.parametrize("forward,shape,expected,tiled", DUAL_CASES)
+    def test_bwd_legs_sum_to_the_dual(self, rng, world4, forward, shape,
+                                      expected, tiled):
+        g = world4.full_group()
+        if shape is None:
+            xs = [Tensor(rng.standard_normal((sum(s), 3)),
+                         requires_grad=True) for s in SPLITS]
+        else:
+            xs = leaf_shards(rng, N, shape)
+        outs = forward(g, xs, tiled)
+        grads = [rng.standard_normal(o.shape) for o in outs]
+        total = (outs[0] * Tensor(grads[0])).sum()
+        for out, gr in zip(outs[1:], grads[1:]):
+            total = total + (out * Tensor(gr)).sum()
+        total.backward()
+        legs = [r for r in world4.ledger.records if r.tag == "op:bwd"]
+        assert len(legs) == N
+        for rec in legs:  # each leg is one rank's share, one-hot
+            assert sum(b != 0.0 for b in rec.send_bytes_per_rank) <= 1
+        per_rank = np.sum([rec.send_bytes_per_rank for rec in legs],
+                          axis=0)
+        assert [float(b) for b in per_rank] == \
+            [float(b) for b in expected(grads)]

@@ -149,6 +149,39 @@ class TestDistOpsIntegration:
         with pytest.raises(CommTimeout):
             total.backward()
 
+    def test_backward_corruption_fires_on_its_own_leg(self):
+        """A corruption scheduled on the first ``:bwd`` reduce-scatter
+        (call 1) is caught in backward; the next forward is clean."""
+        world = World(2, 2)
+        plan = FaultPlan([FaultSpec("corrupt", at_call=1)])
+        world.attach_fault_plan(plan)
+        group = world.full_group()
+        shards = [Tensor(np.ones((2, 2)), requires_grad=True)
+                  for _ in range(2)]
+        outs = dist_all_gather(group, shards)
+        with pytest.raises(PayloadCorruption, match="reduce_scatter"):
+            (outs[0].sum() + outs[1].sum()).backward()
+        outs = dist_all_gather(group, shards)
+        np.testing.assert_array_equal(outs[0].data, np.ones((4, 2)))
+        assert [(e.kind, e.op, e.call_index) for e in plan.fired] == \
+            [("corrupt", "reduce_scatter", 1)]
+
+    def test_silent_backward_corruption_lands_in_a_gradient(self):
+        world = World(2, 2)
+        world.attach_fault_plan(FaultPlan(
+            [FaultSpec("corrupt", at_call=1)], verify_checksums=False))
+        group = world.full_group()
+        shards = [Tensor(np.ones((2, 2)), requires_grad=True)
+                  for _ in range(2)]
+        outs = dist_all_gather(group, shards)
+        (outs[0].sum() + outs[1].sum()).backward()
+        # Clean, every gradient element is 2 (two outputs, each 1).
+        flipped = sum(int(np.sum(s.grad != 2.0)) for s in shards)
+        assert flipped == 1
+        outs = dist_all_gather(group, shards)
+        for out in outs:
+            np.testing.assert_array_equal(out.data, np.ones((4, 2)))
+
     def test_trainer_step_survives_without_plan(self):
         # No plan attached: hooks must be pure no-ops.
         world = World(2, 2)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.comm import World, hierarchical_sync
+from repro.comm import World, flat_sync, hierarchical_sync
 from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
+from repro.ft import FaultPlan, FaultSpec, RankCrash
 from repro.model import MoETransformer
 
 
@@ -58,6 +59,16 @@ class TestHierarchicalFallbacks:
                                        rtol=1e-12)
         assert any("inter_fallback" in r.tag
                    for r in world.ledger.records)
+
+    def test_fallback_consults_the_fault_plan(self, rng):
+        """The indivisible fallback is an all-reduce like any other: a
+        crash scheduled on it fires."""
+        world = World(4, ranks_per_node=2)  # d=2; size 5 is indivisible
+        plan = FaultPlan([FaultSpec("crash", at_call=0, op="all_reduce")])
+        world.attach_fault_plan(plan)
+        with pytest.raises(RankCrash):
+            flat_sync(world, [rng.standard_normal(5) for _ in range(4)])
+        assert plan.calls == 1
 
 
 class TestTrainingWithDropping:

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.model import MoETransformer
 from repro.model.moe import Expert
 from repro.tensor import ConsumedGraphError, Node, Tensor, graph_order, ops
-from repro.tensor.checkpoint import tape_live_bytes
+from repro.tensor.checkpoint import tape_live_bytes, tape_saved_arrays
 
 CONFIG = ModelConfig("mini", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -175,11 +175,12 @@ class TestForwardEndBytes:
     """What one SP+EP forward leaves on the tape, parameters excluded.
 
     Pinned exactly: a closure that starts saving one more array moves
-    these numbers.
+    these numbers.  The collective duals hold no offset arrays (they
+    compute Python-int offsets when backward runs).
     """
 
     @pytest.mark.parametrize("dispatch,nbytes", [
-        ("a2a", 207_116.0), ("ag_rs", 223_576.0)])
+        ("a2a", 206_476.0), ("ag_rs", 223_496.0)])
     def test_pinned(self, dispatch, nbytes):
         trainer = sp_ep_trainer(dispatch)
         total, _, _ = trainer.loss(batch())
@@ -187,3 +188,22 @@ class TestForwardEndBytes:
         assert tape_live_bytes(total, exclude=params) == nbytes
         total.backward()
         assert tape_live_bytes(total, exclude=params) == 0.0
+
+
+class TestSavedArrayWalk:
+    @pytest.mark.parametrize("keyword_only", [False, True])
+    def test_an_array_held_as_a_default_argument_is_counted(
+            self, keyword_only):
+        """A backward can keep an array alive through its defaults as
+        well as its closure; the walker sees both."""
+        x = Tensor(np.ones(4), requires_grad=True)
+        held = np.zeros(16)
+        if keyword_only:
+            def backward(g, *, held=held):
+                return (g,)
+        else:
+            def backward(g, held=held):
+                return (g,)
+        out = Tensor.from_op(x.data * 2.0, [x], backward, "probe")
+        assert [id(a) for a in tape_saved_arrays(out)] == [id(held)]
+        assert tape_live_bytes(out) == held.nbytes
