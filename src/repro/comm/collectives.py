@@ -58,6 +58,7 @@ the allocator.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -382,7 +383,7 @@ def all_to_all_uneven(
     group.pre_collective("all_to_all", tag)
     per_rank = [
         float(a.shape[0] - send_splits[i][i])
-        * int(np.prod(a.shape[1:], dtype=np.int64)) * a.itemsize
+        * math.prod(a.shape[1:]) * a.itemsize
         for i, a in enumerate(arrays)
     ]
     tiled = tiled and n >= 2
@@ -390,18 +391,18 @@ def all_to_all_uneven(
         group.record("all_to_all", per_rank, tag)
     dtype = np.result_type(*[a.dtype for a in arrays])
     trailing = arrays[0].shape[1:]
-    out = [np.empty((int(sum(send_splits[i][j] for i in range(n))),)
-                    + trailing, dtype=dtype)
-           for j in range(n)]
+    out = [np.empty((int(sum(column)),) + trailing, dtype=dtype)
+           for column in zip(*send_splits)]
     filled = [0] * n
     for i, a in enumerate(arrays):
         with tile_span(group, tile_label if tiled else "", i, n):
             row = 0
             for j in range(n):
                 cnt = int(send_splits[i][j])
-                out[j][filled[j]:filled[j] + cnt] = a[row:row + cnt]
-                filled[j] += cnt
-                row += cnt
+                if cnt:
+                    out[j][filled[j]:filled[j] + cnt] = a[row:row + cnt]
+                    filled[j] += cnt
+                    row += cnt
             if tiled:
                 group.record("all_to_all", _one_hot(n, i, per_rank[i]),
                              tag, tile=(i, n))

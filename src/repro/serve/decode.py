@@ -14,12 +14,13 @@ the program/bindings are built once.
 Every anchor's env value is a per-attention-rank ``[rows, width]``
 array: the rank's requests' rows concatenated in batch order
 (:class:`RowLayout`).  Row-local work — norms, residual adds, RoPE, the
-router's softmax/top-k, the gate-scaled combine — runs once per rank
-over the whole array; every GEMM, KV access and attention call runs
-once per request segment (:func:`segment_linear`).  A one-row product
-is a gemv and differs bitwise from the same row inside a GEMM, so a
-request's rows never join another request's GEMM — the bitwise-equality
-contract between continuous-batched and sequential-golden decode.
+router's softmax/top-k — runs once per rank over the whole array (the
+bridge's gate-scaled combine once per layer); every GEMM, KV access and
+attention call runs once per request segment (:func:`segment_linear`).
+A one-row product is a gemv and differs bitwise from the same row inside
+a GEMM, so a request's rows never join another request's GEMM — the
+bitwise-equality contract between continuous-batched and
+sequential-golden decode.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
         return {
             "plan": plan,
             "weights": weights.data,
-            "ffn_in": x[plan.token_of_row],
+            "rows": x,
             "row_request": layout.row_request,
             "n_requests": len(items),
         }

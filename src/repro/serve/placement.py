@@ -5,28 +5,41 @@ DisagMoE-style placement: the world is split into an *attention* group
 hosts a slice of the request batch) and an *expert* group (ranks
 ``[A, A+E)`` — each holds ``n_experts / E`` contiguous experts).  Every
 MoE layer crosses the bridge twice through the repo's own uneven
-all-to-all: ``serve:dispatch_a2a`` carries routed token rows attention →
-experts, ``serve:combine_a2a`` carries FC2 outputs back.  Both legs go
-through :func:`~repro.parallel.dist_ops.dist_all_to_all_uneven`, so the
-:class:`~repro.comm.CommLedger` records exact per-rank wire bytes under
-``serve:``-prefixed tags — separate buckets from the training Eq. 1–4
-auditor, which stays balanced.
+all-to-all (:func:`~repro.comm.collectives.all_to_all_uneven`; serving
+keeps no tape), so the :class:`~repro.comm.CommLedger` records exact
+per-rank wire bytes under ``serve:``-prefixed tags — separate buckets
+from the training Eq. 1–4 auditor, which stays balanced.
+
+Bytes: a token crosses to each expert rank that hosts any of its
+experts once.  ``serve:dispatch_a2a`` carries one ``hidden``-wide row
+per (token, expert rank) plus one gate weight per (token, expert) —
+every float the expert side reads; integer routing metadata stays off
+the wire.  Each expert rank gate-scales its FC2 outputs and sums a
+token's terms into one partial row, so ``serve:combine_a2a`` carries
+one row per (token, expert rank) back (for top_k <= 2; see below).
 
 Bitwise contract: each attention rank routes its whole row array with
-one dispatch plan sorted by (expert, request, token), so every
-(request, expert) block is contiguous and holds exactly the rows the
-unbatched reference :class:`~repro.model.moe.MoELayer` sends that
-expert.  Each expert rank runs one
-:func:`~repro.model.moe.grouped_expert_blocks` call whose GEMMs are per
-block, and the combine (gate-scale, then row scatter-add) is per-row
-arithmetic — so a request's MoE output is bitwise independent of which
-other requests share the iteration.  That independence is what lets
-the continuous batcher match the unbatched sequential golden
-bit-for-bit.
+one dispatch plan sorted by (expert, request, token).  The expert rank
+expands the token rows it received back into the (source, local
+expert, request) blocks the unbatched reference
+:class:`~repro.model.moe.MoELayer` sends each expert, and one
+:func:`~repro.model.moe.grouped_expert_blocks` call runs every block
+through its own GEMM.  The reference combine adds a token's
+gate-scaled terms into zeros in expert order, ``(0 + s_a) + s_b``.
+The expert side computes exactly that for the terms of the token's
+first expert rank, and the attention side adds each partial into zeros
+in expert-rank order — expert order.  A term on a later expert rank
+comes back as its own row, because ``a + (b + c)`` is not
+``(a + b) + c``; with top_k <= 2 a later rank holds one term, so every
+(token, expert rank) is one row each way.  A request's MoE output is
+therefore bitwise independent of which other requests share the
+iteration, which is what lets the continuous batcher match the
+unbatched sequential golden bit-for-bit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -34,7 +47,7 @@ import numpy as np
 from ..comm import World
 from ..core.config import ServeConfig
 from ..model.moe import grouped_expert_blocks
-from ..parallel.dist_ops import dist_all_to_all_uneven
+from ..comm.collectives import all_to_all_uneven
 from ..tensor import Tensor, scatter_add_rows
 
 __all__ = ["DisaggregatedPlacement", "DISPATCH_TAG", "COMBINE_TAG"]
@@ -80,94 +93,148 @@ class DisaggregatedPlacement:
         ``routed[i]`` is attention rank ``i``'s route result (a dict
         from the ``route`` binding: ``plan`` — one dispatch plan over
         the rank's rows, sorted by (expert, request, token) —
-        ``weights``, ``ffn_in`` in plan order, ``row_request`` and
+        ``weights``, the ``rows`` themselves, ``row_request`` and
         ``n_requests``).  Returns each rank's combined ``[rows, hidden]``
         array.
         """
         a = len(self.attn_ranks)
         e = len(self.expert_ranks)
         pe = self.experts_per_rank
-        n = self.bridge.size
-        # Empty send/return buffers must not widen the rows they are
-        # concatenated with across the bridge.
+        h = moe.hidden_size
+        n_experts = moe.n_experts
         dtype = moe.experts[0].fc1.dtype
-        empty = np.zeros((0, moe.hidden_size), dtype=dtype)
+        plans = [r["plan"] for r in routed]
+        row_bounds = list(accumulate([0] + [r["rows"].shape[0]
+                                             for r in routed]))
+        t = max(row_bounds[-1], 1)
 
-        # --- dispatch: plan rows are sorted by expert, so expert rank
-        # j's rows are one contiguous chunk of ffn_in and the rank's
-        # send buffer is ffn_in itself.  blocks[i][x, r] counts rank i's
-        # rows for (expert x, request r) — the (expert, request) blocks
-        # tile each chunk in that order.
-        blocks: List[np.ndarray] = []
-        send_tensors: List[Tensor] = []
-        send_splits: List[List[int]] = []
-        for r in routed:
-            plan = r["plan"]
-            n_req = r["n_requests"]
-            expert_of_row = np.repeat(np.arange(moe.n_experts),
-                                      plan.expert_counts)
-            request_of_row = r["row_request"][plan.token_of_row]
-            counts = np.bincount(expert_of_row * n_req + request_of_row,
-                                 minlength=moe.n_experts * n_req)
-            blocks.append(counts.reshape(moe.n_experts, n_req))
-            send_tensors.append(Tensor(r["ffn_in"]))
-            send_splits.append([0] * a + plan.expert_counts.reshape(
-                e, pe).sum(axis=1).tolist())
-        for _ in range(e):
-            send_tensors.append(Tensor(empty))
-            send_splits.append([0] * n)
+        # --- routing metadata.  Every plan row is one (token, expert)
+        # pair.  Pairs are listed attention-rank-major, each rank's in
+        # plan order, and tokens are numbered across the attention
+        # ranks.  A token crosses to each of its expert ranks once, as
+        # the row of its *cell* (expert rank j, attention rank i,
+        # token).  The pairs of the token's first expert rank share one
+        # partial row back; a pair on a later rank comes back alone, so
+        # the combine adds every token's terms in expert order for any
+        # top_k (for top_k <= 2 every cell comes back as one row).
+        src_expert = np.repeat(
+            np.arange(a * n_experts),
+            np.concatenate([p.expert_counts for p in plans]))
+        src = src_expert // n_experts
+        expert = src_expert % n_experts
+        dest = expert // pe
+        token = (np.concatenate([p.token_of_row for p in plans])
+                 + np.asarray(row_bounds[:-1])[src])
+        n_pairs = token.shape[0]
+        cell = (dest * a + src) * t + token
+        first = np.full(t, e)
+        np.minimum.at(first, token, dest)
+        # One stable sort groups the pairs by cell, in plan (expert)
+        # order inside each; ``cell // t`` is the (j, i) link.
+        by_cell = np.argsort(cell, kind="stable")
+        sorted_cell = cell[by_cell]
+        new_row = np.empty(n_pairs, dtype=bool)
+        new_row[:1] = True
+        np.not_equal(sorted_cell[1:], sorted_cell[:-1], out=new_row[1:])
+        new_back = new_row | (dest > first[token])[by_cell]
+        keys = sorted_cell[new_row]
+        back_keys = sorted_cell[new_back]
+        row_of_pair = np.empty(n_pairs, dtype=np.int64)
+        row_of_pair[by_cell] = np.cumsum(new_row) - 1
+        back_of_pair = np.empty(n_pairs, dtype=np.int64)
+        back_of_pair[by_cell] = np.cumsum(new_back) - 1
+        # [e, a] token rows, gate weights and partial rows per link.
+        sent = np.bincount(keys // t, minlength=e * a).reshape(e, a)
+        pairs = np.bincount(dest * a + src, minlength=e * a).reshape(e, a)
+        back = np.bincount(back_keys // t, minlength=e * a).reshape(e, a)
 
-        received = dist_all_to_all_uneven(
-            self.bridge, send_tensors, send_splits, tag=DISPATCH_TAG)
+        # --- dispatch: attention rank i's chunk for expert rank j is
+        # its token rows for j in token order, then the gate weights of
+        # its pairs for j in plan order.
+        by_src = np.argsort(keys // t % a, kind="stable")
+        rows = np.concatenate([r["rows"] for r in routed])
+        gate = np.concatenate([r["weights"] for r in routed])[
+            token, np.concatenate([p.slot_of_row for p in plans])]
+        weight_at, is_row = _wire_layout(h, sent.T.reshape(-1),
+                                         pairs.T.reshape(-1))
+        wire = np.empty(is_row.shape[0], dtype=rows.dtype)
+        wire[weight_at] = gate
+        wire[is_row] = rows[keys[by_src] % t].reshape(-1)
+        chunks = (sent * h + pairs).T.tolist()
+        wire_bounds = list(accumulate([0] + [sum(c) for c in chunks]))
+        received = all_to_all_uneven(
+            self.bridge,
+            [wire[lo:hi] for lo, hi in zip(wire_bounds, wire_bounds[1:])]
+            + [np.zeros(0, dtype=dtype)] * e,
+            [[0] * a + c for c in chunks] + [[0] * (a + e)] * e,
+            tag=DISPATCH_TAG)
 
-        # --- expert compute: expert rank j's receive buffer is the
-        # source-rank-major concatenation of those chunks; one
-        # GroupedGEMM runs every (source, local expert, request) block,
-        # each block through its own GEMM — the rows the unbatched
-        # reference sends that expert, so outputs are bitwise-identical
-        # per request.
-        back_tensors: List[Tensor] = [Tensor(empty) for _ in range(a)]
-        back_splits: List[List[int]] = [[0] * n for _ in range(a)]
+        # --- expert compute: expert rank j received its (attention
+        # rank, token rows then weights) chunks.  One gather expands the
+        # token rows into every pair j computes, in (attention rank,
+        # plan) order — the (source, local expert, request) blocks of
+        # rows the unbatched reference sends each expert — and one
+        # GroupedGEMM per expert rank runs each block through its own
+        # GEMM.  The gate-scaled outputs then sum into the partial rows
+        # in plan (expert) order.
+        buf = np.concatenate([received[j] for j in self.expert_ranks])
+        weight_at, is_row = _wire_layout(h, sent.reshape(-1),
+                                         pairs.reshape(-1))
+        token_rows = buf[is_row].reshape(-1, h)
+        order = np.argsort(dest, kind="stable")
+        expanded = Tensor(token_rows[row_of_pair[order]])
+        req_bounds = list(accumulate([0] + [r["n_requests"]
+                                             for r in routed]))
+        n_req = req_bounds[-1]
+        request = (np.concatenate([r["row_request"] for r in routed])[token]
+                   + np.asarray(req_bounds[:-1])[src])
+        blocks = np.bincount(expert * n_req + request,
+                             minlength=n_experts * n_req
+                             ).reshape(n_experts, n_req)
+        fc2_out = []
+        off = 0
         for j in range(e):
-            buf = received[self.expert_ranks[j]]
+            start = off
             row_blocks = []
-            splits = [0] * n
-            off = 0
-            for i in range(a):
-                start = off
+            for lo, hi in zip(req_bounds, req_bounds[1:]):
                 for local, counts in enumerate(
-                        blocks[i][j * pe:(j + 1) * pe]):
-                    for c in counts.tolist():
-                        row_blocks.append((local, off, off + c))
+                        blocks[j * pe:(j + 1) * pe, lo:hi].tolist()):
+                    for c in counts:
+                        row_blocks.append((local, off - start,
+                                           off - start + c))
                         off += c
-                splits[i] = off - start
-            if off != buf.shape[0]:
-                raise RuntimeError(
-                    f"expert rank {j}: blocks cover {off} of "
-                    f"{buf.shape[0]} received rows"
-                )
-            back_tensors.append(grouped_expert_blocks(
-                moe.experts[j * pe:(j + 1) * pe], buf, row_blocks))
-            back_splits.append(splits)
+            fc2_out.append(grouped_expert_blocks(
+                moe.experts[j * pe:(j + 1) * pe], expanded[start:off],
+                row_blocks).data)
+        partial = scatter_add_rows(
+            np.zeros((back_keys.shape[0], h), dtype=dtype),
+            back_of_pair[order],
+            np.concatenate(fc2_out) * buf[weight_at].reshape(-1, 1))
+        back_bounds = list(accumulate([0] + back.sum(axis=1).tolist()))
+        combined = all_to_all_uneven(
+            self.bridge,
+            [np.zeros((0, h), dtype=dtype)] * a
+            + [partial[lo:hi] for lo, hi in
+               zip(back_bounds, back_bounds[1:])],
+            [[0] * (a + e)] * a + [b + [0] * e for b in back.tolist()],
+            tag=COMBINE_TAG)
 
-        combined = dist_all_to_all_uneven(
-            self.bridge, back_tensors, back_splits, tag=COMBINE_TAG)
+        # --- combine: attention rank i's partial rows arrive expert-
+        # rank-major, then by (token, pair); adding them into zeros
+        # sums every token's terms in the reference's plan order.
+        by_src = np.argsort(back_keys // t % a, kind="stable")
+        out = scatter_add_rows(
+            np.zeros((row_bounds[-1], h), dtype=dtype),
+            back_keys[by_src] % t,
+            np.concatenate(combined[:a]))
+        return [out[lo:hi] for lo, hi in zip(row_bounds, row_bounds[1:])]
 
-        # --- combine: rank i gets its rows back expert-rank-major, i.e.
-        # in plan order.  Then the reference combine: gate-scale after
-        # FC2, scatter-add per token.
-        outputs: List[np.ndarray] = []
-        for i, r in enumerate(routed):
-            plan = r["plan"]
-            fc2_out = combined[i].data
-            if fc2_out.shape[0] != plan.n_rows:
-                raise RuntimeError(
-                    f"attention rank {i}: expected {plan.n_rows} "
-                    f"combined rows, received {fc2_out.shape[0]}"
-                )
-            w_rows = r["weights"][plan.token_of_row, plan.slot_of_row]
-            outputs.append(scatter_add_rows(
-                np.zeros((len(r["row_request"]), moe.hidden_size),
-                         dtype=dtype),
-                plan.token_of_row, fc2_out * w_rows.reshape(-1, 1)))
-        return outputs
+
+def _wire_layout(h: int, rows: np.ndarray, weights: np.ndarray):
+    """A flat wire whose chunk ``c`` holds ``rows[c]`` ``h``-wide rows,
+    then ``weights[c]`` weights: ``(weight positions, row mask)``."""
+    weight_at = (np.repeat(np.cumsum(rows) * h, weights)
+                 + np.arange(int(weights.sum())))
+    is_row = np.ones(int(rows.sum()) * h + weight_at.shape[0], dtype=bool)
+    is_row[weight_at] = False
+    return weight_at, is_row

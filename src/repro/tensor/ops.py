@@ -164,7 +164,7 @@ def scatter_add_rows(out: np.ndarray, index: np.ndarray,
     first[0] = True
     np.not_equal(sorted_index[1:], sorted_index[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=n)
+    counts = np.append(starts[1:], n) - starts  # np.diff: 5x the cost
     levels = int(counts.max())
     if levels > _SCATTER_MAX_LEVELS or sorted_index[0] < 0:
         np.add.at(out, index, rows)

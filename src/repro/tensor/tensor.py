@@ -24,6 +24,11 @@ __all__ = ["Tensor", "Node", "ConsumedGraphError", "graph_order",
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
+#: The dtypes a Tensor keeps as given; anything else becomes float32.
+#: dtype instances, not scalar types: ``in`` then matches by identity.
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class _GradMode(threading.local):
     """Per-thread recording switch: caller-owned threads enter and
     leave ``no_grad`` independently, so a process-wide flag would be
@@ -164,7 +169,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
@@ -448,7 +453,8 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
+        # The inverse permutation, as np.argsort(axes) would give it.
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
         return Tensor.from_op(
             self.data.transpose(axes), [self],
             lambda g: (g.transpose(inverse),),

@@ -574,6 +574,10 @@ class ServeArtifacts:
     #: model(prompt + generated[:-1]))``.
     reference: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
+    #: Per bridge crossing (one MoE layer of one iteration), each
+    #: attention rank's dispatch plan, captured as the engine handed it
+    #: to the bridge — what ``serve_comm_balance`` prices the ledger by.
+    plans: List[List[object]] = field(default_factory=list)
 
 
 def run_serve_case(case) -> CaseResult:
@@ -582,8 +586,9 @@ def run_serve_case(case) -> CaseResult:
     The case's trace runs through the continuous batcher (with the
     case's fault plan, if any), then through the unbatched sequential
     golden decoder; the ``serve_*`` registry checks per-request bitwise
-    equality, ledger balance, the leak contract, and agreement with
-    whole-sequence forwards of the reference model.
+    equality, the bridge's bytes against the captured routing plans,
+    the leak contract, and agreement with whole-sequence forwards of
+    the reference model.
     """
     from ..obs.tracer import Tracer
     from ..serve.arrivals import VirtualClock
@@ -603,6 +608,14 @@ def run_serve_case(case) -> CaseResult:
     tracer = Tracer(clock=clock)
     engine = ServeEngine(model, serve_config, world=world,
                          tracer=tracer, clock=clock)
+    plans: List[List[object]] = []
+    bridge = engine.placement.moe_forward
+
+    def capture(moe, routed):
+        plans.append([r["plan"] for r in routed])
+        return bridge(moe, routed)
+
+    engine.placement.moe_forward = capture  # type: ignore[method-assign]
     requests = case.requests()
     result = engine.run(requests)
     shutdown_error = ""
@@ -626,6 +639,7 @@ def run_serve_case(case) -> CaseResult:
         thread_stacks=dict(tracer.thread_stacks()),
         shutdown_error=shutdown_error,
         reference=_serve_reference(model, result),
+        plans=plans,
     )
     return _evaluate(case, artifacts, registered_serve_invariants())
 

@@ -712,17 +712,50 @@ def _check_serve_reference(art) -> List[str]:
 
 
 def _check_serve_comm_balance(art) -> List[str]:
-    """Every dispatched byte comes back: the serve:dispatch_a2a and
-    serve:combine_a2a ledger buckets must balance exactly, and no serve
+    """The bridge moves exactly the bytes the routing plans demand.
+
+    Per bridge crossing and attention rank, each token of the captured
+    plan crosses to each of its expert ranks as one ``hidden``-wide row,
+    with one gate weight per (token, expert) plan row.  It comes back as
+    one row from its first expert rank plus one per pair on a later
+    rank — for top_k <= 2, one row per (token, expert rank) again.  The
+    count is made here, from the plans, not taken from the bridge: a
+    bridge that sent a row twice on both legs would still balance.
+    Each crossing is one dispatch and one combine call, and no serve
     traffic may leak into the training (Eq. 1-4 audited) buckets."""
     violations = []
+    case = art.case
+    per_rank = case.experts // case.expert_ranks
+    itemsize = np.dtype(case.dtype).itemsize
+    rows = back = pairs = 0
+    for crossing in art.plans:
+        for plan in crossing:
+            ranks_of: Dict[int, List[int]] = {}
+            expert = np.repeat(np.arange(len(plan.expert_counts)),
+                               plan.expert_counts)
+            for token, x in zip(plan.token_of_row.tolist(),
+                                expert.tolist()):
+                ranks_of.setdefault(token, []).append(x // per_rank)
+            for ranks in ranks_of.values():
+                rows += len(set(ranks))
+                back += 1 + sum(r != min(ranks) for r in ranks)
+            pairs += plan.n_rows
+    row_bytes = case.hidden * itemsize
+    want_combine = float(back * row_bytes)
+    want_dispatch = float(rows * row_bytes + pairs * itemsize)
     by_tag = art.ledger_by_tag
     dispatch = by_tag.get("serve:dispatch_a2a", 0.0)
     combine = by_tag.get("serve:combine_a2a", 0.0)
-    if dispatch != combine:
+    if dispatch != want_dispatch:
         violations.append(
-            f"dispatch bytes {dispatch:.0f} != combine bytes "
-            f"{combine:.0f}"
+            f"dispatch bytes {dispatch:.0f} != {rows} (token, expert "
+            f"rank) rows x {row_bytes} B + {pairs} gate weights x "
+            f"{itemsize} B = {want_dispatch:.0f}"
+        )
+    if combine != want_combine:
+        violations.append(
+            f"combine bytes {combine:.0f} != {back} partial rows x "
+            f"{row_bytes} B = {want_combine:.0f}"
         )
     if dispatch == 0.0 and art.result.n_iterations > 0:
         violations.append(
@@ -735,11 +768,11 @@ def _check_serve_comm_balance(art) -> List[str]:
             f"serving run recorded traffic under non-serve tags: "
             f"{sorted(stray)!r}"
         )
-    n_dispatch = art.ledger_counts.get("all_to_all", 0)
-    if n_dispatch % 2 != 0:
+    n_calls = art.ledger_counts.get("all_to_all", 0)
+    if n_calls != 2 * len(art.plans):
         violations.append(
-            f"odd all_to_all count {n_dispatch}: a dispatch is "
-            "missing its combine"
+            f"{n_calls} all_to_all calls for {len(art.plans)} bridge "
+            "crossings (one dispatch and one combine each)"
         )
     return violations
 
@@ -792,9 +825,11 @@ def default_serve_registry() -> List[Invariant]:
         ),
         Invariant(
             name="serve_comm_balance",
-            description="serve:dispatch_a2a and serve:combine_a2a "
-                        "ledger bytes balance exactly and stay out of "
-                        "the training audit buckets",
+            description="serve:combine_a2a bytes are one row per "
+                        "unique (token, expert rank) of the captured "
+                        "routing plans, serve:dispatch_a2a that plus one "
+                        "gate weight per (token, expert); both stay out "
+                        "of the training audit buckets",
             # A crash aborts an iteration between dispatch and combine,
             # legitimately leaving one unpaired dispatch record.
             applies=lambda case: case.crash_at_call is None,

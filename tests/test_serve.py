@@ -20,7 +20,7 @@ import pytest
 from repro.comm import World
 from repro.core.config import ModelConfig, ServeConfig
 from repro.ft import FaultPlan, FaultSpec
-from repro.model import MoETransformer
+from repro.model import DispatchPlan, MoETransformer
 from repro.obs import Tracer
 from repro.serve import (
     BlockAllocator,
@@ -50,9 +50,9 @@ from repro.verify.invariants import (
 
 
 def tiny_model(gqa_ratio=2, n_layers=2, seed=0, dtype=np.float64,
-               capacity_factor=0.0):
+               capacity_factor=0.0, top_k=2):
     config = ModelConfig("serve-test", n_layers, 32, 8, gqa_ratio, 48,
-                         8, 2, vocab_size=64, seq_len=64)
+                         8, top_k, vocab_size=64, seq_len=64)
     return MoETransformer(config, seed=seed, dtype=dtype,
                           capacity_factor=capacity_factor)
 
@@ -78,6 +78,27 @@ def run_engine(model, config, requests, fault_plan=None,
     finally:
         engine.shutdown()
     return result, engine, world
+
+
+def capture_bridge(engine):
+    """Record each bridge crossing's route results and combined rows."""
+    crossings = []
+    bridge = engine.placement.moe_forward
+
+    def capture(moe, routed):
+        combined = bridge(moe, routed)
+        crossings.append((routed, combined))
+        return combined
+
+    engine.placement.moe_forward = capture
+    return crossings
+
+
+def expert_ranks_of(plan, token, experts_per_rank):
+    """The expert rank of each of ``token``'s plan rows, in plan order."""
+    expert = np.repeat(np.arange(plan.expert_counts.shape[0]),
+                       plan.expert_counts)
+    return (expert[plan.token_of_row == token] // experts_per_rank).tolist()
 
 
 def assert_bitwise(result, golden):
@@ -454,13 +475,23 @@ class TestLeakContract:
 
 class TestBridgeLedger:
     def test_dispatch_combine_balanced_and_tagged(self):
+        """With top_k = 2 every token row that crosses to an expert rank
+        comes back as one row: the legs differ by exactly one gate
+        weight per (token, expert) plan row."""
         model = tiny_model()
         requests = poisson_trace(4, rate=1.0, vocab=64, seed=0)
-        _, _, world = run_engine(model, serve_config(), requests)
-        tags = world.ledger.bytes_by_tag()
+        engine = ServeEngine(model, serve_config())
+        crossings = capture_bridge(engine)
+        engine.run(requests)
+        engine.shutdown()
+        tags = engine.placement.world.ledger.bytes_by_tag()
         assert set(tags) == {"serve:dispatch_a2a", "serve:combine_a2a"}
-        assert tags["serve:dispatch_a2a"] == tags["serve:combine_a2a"]
-        assert tags["serve:dispatch_a2a"] > 0
+        pairs = sum(r["plan"].n_rows for routed, _ in crossings
+                    for r in routed)
+        assert tags["serve:dispatch_a2a"] == (tags["serve:combine_a2a"]
+                                              + pairs * 8)
+        assert tags["serve:combine_a2a"] > 0
+        assert tags["serve:combine_a2a"] % (32 * 8) == 0
 
     def test_latency_percentiles_from_virtual_clock(self):
         model = tiny_model(n_layers=1)
@@ -480,13 +511,85 @@ class TestBridgeLedger:
             tiny_model(), serve_config(max_batch_size=4), requests)
         tags = world.ledger.bytes_by_tag()
         assert result.n_iterations == 11
-        assert tags["serve:dispatch_a2a"] == tags["serve:combine_a2a"] \
-            == 46080.0
+        # 180 (token, expert) pairs in 147 (token, expert rank) cells:
+        # 147 rows x 256 B back, the same rows + 180 x 8 B gate weights
+        # out.
+        assert tags["serve:dispatch_a2a"] == 147 * 256 + 180 * 8 == 39072.0
+        assert tags["serve:combine_a2a"] == 147 * 256 == 37632.0
         for key, want in (("p50", 5.467741834474337),
                           ("p99", 7.88044984698348),
                           ("mean", 5.715464628610511),
                           ("throughput_tokens", 1.9708029197080292)):
             assert result.latency[key] == pytest.approx(want, rel=1e-12)
+
+
+class TestBridgeCrossesOnce:
+    """A token crosses to each of its expert ranks once, and comes back
+    as one partial row from its first expert rank plus one row per
+    expert on a later rank — with bits equal to the reference combine."""
+
+    def _probe(self, model, config, want):
+        """A one-token prompt whose layer-0 expert ranks, in plan
+        order, satisfy ``want``; with its lone run's first dispatch and
+        combine records and its layer-0 combined row."""
+        pe = model.config.n_experts // config.expert_ranks
+        for token in range(model.config.vocab_size):
+            engine = ServeEngine(model, config)
+            crossings = capture_bridge(engine)
+            engine.run([Request(0, prompt=(token,), max_new_tokens=1)])
+            engine.shutdown()
+            routed, combined = crossings[0]
+            if want(expert_ranks_of(routed[0]["plan"], 0, pe)):
+                dispatch, combine = engine.placement.world.ledger.records[:2]
+                assert dispatch.tag == "serve:dispatch_a2a"
+                assert combine.tag == "serve:combine_a2a"
+                return token, dispatch, combine, combined[0][0]
+        pytest.fail("no token routes that way")
+
+    def _check_batched(self, model, config, token, alone_row):
+        """In a batch of three the probe's combined row is its lone
+        run's, bit for bit; its prefill row is model(prompt)'s last."""
+        requests = [Request(0, prompt=(token,), max_new_tokens=2),
+                    Request(1, prompt=(3, 9, 27), max_new_tokens=2),
+                    Request(2, prompt=(5, 11), max_new_tokens=2)]
+        engine = ServeEngine(model, config)
+        crossings = capture_bridge(engine)
+        result = engine.run(requests)
+        engine.shutdown()
+        assert np.array_equal(crossings[0][1][0][0], alone_row)
+        assert np.array_equal(result.results[0].logits[0],
+                              model(np.asarray([[token]])).logits.data[0, -1])
+        assert_bitwise(result, golden_decode(model, config, requests))
+
+    def test_shared_expert_rank_crosses_once(self):
+        model, config = tiny_model(), serve_config()
+        token, dispatch, combine, row = self._probe(
+            model, config, lambda ranks: ranks[0] == ranks[1])
+        assert dispatch.total_bytes == (32 + 2) * 8   # 1 row, 2 weights
+        assert combine.total_bytes == 32 * 8          # 1 partial row
+        self._check_batched(model, config, token, row)
+
+    def test_split_expert_ranks_combine_in_expert_order(self):
+        model, config = tiny_model(), serve_config()
+        token, dispatch, combine, row = self._probe(
+            model, config, lambda ranks: ranks[0] != ranks[1])
+        assert dispatch.total_bytes == (2 * 32 + 2) * 8
+        assert combine.total_bytes == 2 * 32 * 8
+        self._check_batched(model, config, token, row)
+
+    @pytest.mark.parametrize("pattern", [(0, 0, 1), (0, 1, 1)])
+    def test_later_expert_rank_returns_each_pair(self, pattern):
+        """top_k = 3: only the first expert rank may pre-sum a token's
+        terms — a later rank's two terms summed there would add
+        ``a + (b + c)``, not the reference's ``(a + b) + c``."""
+        model, config = tiny_model(top_k=3), serve_config()
+        token, dispatch, combine, row = self._probe(
+            model, config,
+            lambda ranks: [r - ranks[0] for r in ranks] == list(pattern))
+        assert dispatch.total_bytes == (2 * 32 + 3) * 8
+        back = 2 if pattern == (0, 0, 1) else 3
+        assert combine.total_bytes == back * 32 * 8
+        self._check_batched(model, config, token, row)
 
 
 class TestServeCase:
@@ -546,16 +649,38 @@ def _artifacts(**overrides):
         requests=[Request(0, prompt=(1,), max_new_tokens=2)],
         result=res([3, 4], [[0.0, 1.0], [1.0, 0.0]]),
         golden=res([3, 4], [[0.0, 1.0], [1.0, 0.0]]),
-        ledger_by_tag={"serve:dispatch_a2a": 64.0,
-                       "serve:combine_a2a": 64.0},
-        ledger_counts={"all_to_all": 4},
+        # One crossing: token 0 to experts 1 and 2, both on expert rank
+        # 0 — one 32 x 8 B row each way, plus two 8 B gate weights out.
+        ledger_by_tag={"serve:dispatch_a2a": 272.0,
+                       "serve:combine_a2a": 256.0},
+        ledger_counts={"all_to_all": 2},
         allocator={"in_use": 0, "allocated_total": 3,
                    "freed_total": 3},
         thread_stacks={},
         shutdown_error="",
+        plans=[[DispatchPlan(token_of_row=np.array([0, 0]),
+                             slot_of_row=np.array([0, 1]),
+                             expert_counts=np.array([0, 1, 1, 0, 0, 0, 0,
+                                                     0]),
+                             row_of_pair=np.array([[0, 1]]))]],
     )
     base.update(overrides)
     return ServeArtifacts(**base)
+
+
+def _served_artifacts(monkeypatch, case):
+    """The ServeArtifacts of a real ``run_serve_case(case)``."""
+    from repro.verify import engine
+    captured = []
+    evaluate = engine._evaluate
+
+    def capture(case, artifacts, invariants):
+        captured.append(artifacts)
+        return evaluate(case, artifacts, invariants)
+
+    monkeypatch.setattr(engine, "_evaluate", capture)
+    assert run_serve_case(case).ok
+    return captured[0]
 
 
 class TestServeInvariantsCatchBugs:
@@ -594,9 +719,43 @@ class TestServeInvariantsCatchBugs:
         assert _check_serve_comm_balance(art)
 
     def test_comm_balance_catches_untagged_traffic(self):
-        art = _artifacts(ledger_by_tag={"serve:dispatch_a2a": 64.0,
-                                        "serve:combine_a2a": 64.0,
+        art = _artifacts(ledger_by_tag={"serve:dispatch_a2a": 272.0,
+                                        "serve:combine_a2a": 256.0,
                                         "": 8.0})
+        violations = _check_serve_comm_balance(art)
+        assert violations and "non-serve tags" in violations[0]
+
+    def test_comm_balance_catches_a_duplicate_row(self):
+        """A bridge that re-sends one row on both legs still balances
+        dispatch against combine; the plans say one row was enough."""
+        art = _artifacts(ledger_by_tag={"serve:dispatch_a2a": 528.0,
+                                        "serve:combine_a2a": 512.0})
+        violations = _check_serve_comm_balance(art)
+        assert len(violations) == 2
+        assert "1 (token, expert rank) rows" in violations[0]
+        assert "1 partial rows" in violations[1]
+
+    def test_comm_balance_catches_a_missing_combine(self):
+        art = _artifacts(ledger_counts={"all_to_all": 1})
+        violations = _check_serve_comm_balance(art)
+        assert violations and "1 bridge crossings" in violations[0]
+
+    def test_comm_balance_fails_a_bridge_that_sends_every_pair(
+            self, monkeypatch):
+        """On a real run's plans: the exact bytes pass; one row per
+        (token, expert) pair on both legs — the bridge that ships a
+        token twice when its experts share an expert rank — fails, and
+        so does one duplicated row."""
+        art = _served_artifacts(monkeypatch, ServeCase(n_requests=3))
+        assert not _check_serve_comm_balance(art)
+        by_tag = art.ledger_by_tag
+        pairs = sum(p.n_rows for crossing in art.plans for p in crossing)
+        per_pair = float(pairs * 32 * 8)
+        assert by_tag["serve:combine_a2a"] < per_pair
+        art.ledger_by_tag = {"serve:dispatch_a2a": per_pair,
+                             "serve:combine_a2a": per_pair}
+        assert _check_serve_comm_balance(art)
+        art.ledger_by_tag = {tag: b + 32 * 8 for tag, b in by_tag.items()}
         assert _check_serve_comm_balance(art)
 
     def test_leaks_catches_held_blocks(self):

@@ -180,7 +180,7 @@ class TestForwardEndBytes:
     """
 
     @pytest.mark.parametrize("dispatch,nbytes", [
-        ("a2a", 206_476.0), ("ag_rs", 223_496.0)])
+        ("a2a", 205_452.0), ("ag_rs", 222_472.0)])
     def test_pinned(self, dispatch, nbytes):
         trainer = sp_ep_trainer(dispatch)
         total, _, _ = trainer.loss(batch())
