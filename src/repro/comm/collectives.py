@@ -422,19 +422,14 @@ def send_leg(
 
     The backward duals of :mod:`repro.parallel.dist_ops` run one leg
     per output gradient.  The ledger records the leg one-hot at
-    ``rank``: the off-rank pieces' ``nbytes``, or for ``"all_reduce"``
-    the ring's ``2 (n-1)/n`` of its own piece — so the ``n`` legs of
+    ``rank``: the off-rank pieces' ``nbytes`` — so the ``n`` legs of
     one call sum exactly to the whole collective's record.  Returns
     the delivered pieces (private copies under a fault plan, which may
     corrupt one of them).
     """
     n = group.size
     group.pre_collective(op, tag)
-    if op == "all_reduce":
-        wire = _all_reduce_bytes(pieces[rank], n)
-    else:
-        wire = float(sum(p.nbytes for i, p in enumerate(pieces)
-                         if i != rank))
+    wire = float(sum(p.nbytes for i, p in enumerate(pieces) if i != rank))
     group.record(op, _one_hot(n, rank, wire), tag)
     if group.world.fault_plan is not None:
         pieces = [p.copy() for p in pieces]

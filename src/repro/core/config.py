@@ -332,12 +332,6 @@ class TrainConfig:
     #: them; the next benchmark PR drops both.
     execution: Optional[str] = None
     backend: Optional[str] = None
-    #: Attention-output dropout probability (0 disables).  Randomness
-    #: comes from per-rank child streams spawned off ``dropout_seed``
-    #: (:class:`~repro.runtime.rng.RankRngPool`).
-    dropout: float = 0.0
-    #: Seed for the per-rank dropout streams.
-    dropout_seed: int = 1234
     #: §4.2 tile-granular fused-kernel execution: token-chunk width
     #: (sequence positions per rank) for A2A-adjacent fused groups;
     #: AG/RS groups always tile per source rank.  Must divide the
@@ -359,10 +353,6 @@ class TrainConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; the only one is "
                 "'dag'"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(
-                f"dropout must be in [0, 1), got {self.dropout}"
             )
         if self.tile_tokens is not None and self.tile_tokens < 1:
             raise ValueError(

@@ -172,7 +172,7 @@ def _sp_attention_bindings(eng: Any, seq_len: int,
                  lambda r, get: eng.op_attention(get("qkv_a2a"))),
         OpBinding("attn_a2a", ("attn_a2a",), ("attention",), attn_a2a),
         per_rank("out_proj", ("attn_a2a",),
-                 lambda r, get: eng.op_out_proj(get("attn_a2a"), r)),
+                 lambda r, get: eng.op_out_proj(get("attn_a2a"))),
     ]
 
 

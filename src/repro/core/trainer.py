@@ -91,7 +91,6 @@ class MegaScaleTrainer:
         parallel: ParallelConfig,
         train: TrainConfig,
         policy: Optional[PrecisionPolicy] = None,
-        vocab_parallel: bool = False,
         health: Optional[object] = None,
         obs: Optional[object] = None,
     ):
@@ -156,31 +155,14 @@ class MegaScaleTrainer:
         # FP8 training turns on §5's communication compression on the
         # FFN collectives (per-token forward, grouped-channel backward).
         fp8_comm = train.precision == "fp8"
-        # Dropout randomness: one child stream per rank, spawned from a
-        # single seed.
-        self.rng_pool = None
-        if train.dropout > 0.0:
-            from ..runtime.rng import RankRngPool
-            self.rng_pool = RankRngPool(train.dropout_seed, n)
         self.engines = [
             ParallelBlockEngine(self.stage_groups[s], model.blocks[layer],
                                 parallel.attention, parallel.ffn,
                                 parallel.ep_dispatch, fp8_comm=fp8_comm,
-                                dropout=train.dropout,
-                                rng_pool=self.rng_pool,
                                 tile_tokens=train.tile_tokens,
                                 remat_plan=remat_plan)
             for s, layers in enumerate(self.stages) for layer in layers
         ]
-        #: Shard the LM head columns across the last stage's group and
-        #: compute the loss without materializing full logits
-        #: (Megatron-style).
-        self.vocab_parallel = vocab_parallel
-        self.head_shards = None
-        if vocab_parallel:
-            from ..parallel.vocab_parallel import shard_lm_head
-            self.head_shards = shard_lm_head(
-                model.lm_head.weight.data, n)
         self.step_count = 0
 
     # -- forward -------------------------------------------------------------
@@ -224,25 +206,14 @@ class MegaScaleTrainer:
         """Final norm, LM head and loss over the last stage's shards."""
         n = self.n
         width = labels.shape[1] // n
-        if self.vocab_parallel:
-            from ..parallel.vocab_parallel import vocab_parallel_loss
-            normed = [self.model.final_norm(s) for s in shards]
-            # Labels in the gathered (rank-major) token order.
-            reordered = np.concatenate([
-                labels[:, r * width:(r + 1) * width].reshape(-1)
-                for r in range(n)
-            ])
-            lm_loss = vocab_parallel_loss(self.stage_groups[-1], normed,
-                                          self.head_shards, reordered)
-        else:
-            lm_loss = None
-            for r, shard in enumerate(shards):
-                normed = self.model.final_norm(shard)
-                logits = self.model.lm_head(normed)
-                piece = ops.cross_entropy(
-                    logits, labels[:, r * width:(r + 1) * width])
-                lm_loss = piece if lm_loss is None else lm_loss + piece
-            lm_loss = lm_loss * (1.0 / n)
+        lm_loss = None
+        for r, shard in enumerate(shards):
+            normed = self.model.final_norm(shard)
+            logits = self.model.lm_head(normed)
+            piece = ops.cross_entropy(
+                logits, labels[:, r * width:(r + 1) * width])
+            lm_loss = piece if lm_loss is None else lm_loss + piece
+        lm_loss = lm_loss * (1.0 / n)
 
         total = lm_loss
         if self.train_cfg.aux_loss_coeff > 0:
@@ -352,8 +323,6 @@ class MegaScaleTrainer:
                     total.backward()
                     for engine in self.engines:
                         engine.sync_grads_to_reference()
-                    if self.vocab_parallel:
-                        self._sync_head_grads()
                 losses.append((total.item(), lm.item(), aux.item()))
                 if dp > 1:
                     replica_grads.append([p.grad for p in self.params])
@@ -421,44 +390,19 @@ class MegaScaleTrainer:
         sub.ledger, sub.tracer = self.world.ledger, self.world.tracer
         return sub
 
-    def _sync_head_grads(self) -> None:
-        """Assemble vocab-shard gradients onto the reference LM head."""
-        weight = self.model.lm_head.weight
-        grad = np.zeros_like(weight.data)
-        width = weight.data.shape[1] // self.n
-        for r, shard in enumerate(self.head_shards):
-            if shard.grad is not None:
-                grad[:, r * width:(r + 1) * width] = shard.grad
-        weight.grad = grad if weight.grad is None else weight.grad + grad
-
     def _refresh_shards(self) -> None:
         """Re-derive weight shards from the reference parameters and
         clear their gradients."""
         for engine in self.engines:
             engine.refresh_shards()
-        if self.vocab_parallel:
-            weight = self.model.lm_head.weight.data
-            width = weight.shape[1] // self.n
-            for r, shard in enumerate(self.head_shards):
-                shard.data = weight[:, r * width:(r + 1) * width].copy()
-                shard.grad = None
 
     def eval_loss(self, token_ids: np.ndarray) -> float:
-        """LM loss without gradient tracking, updates, or dropout."""
+        """LM loss without gradient tracking or updates."""
         from ..tensor import no_grad
-        attn_engines = [e.attn_engine for e in self.engines
-                        if hasattr(e.attn_engine, "training")]
-        previous = [a.training for a in attn_engines]
-        for a in attn_engines:
-            a.training = False
-        try:
-            with no_grad():
-                with (self.policy if self.policy is not None
-                      else nullcontext()):
-                    _, lm, _ = self.loss(token_ids)
-        finally:
-            for a, prev in zip(attn_engines, previous):
-                a.training = prev
+        with no_grad():
+            with (self.policy if self.policy is not None
+                  else nullcontext()):
+                _, lm, _ = self.loss(token_ids)
         return lm.item()
 
     # -- checkpointing -----------------------------------------------------

@@ -3,7 +3,6 @@
 from .block import ParallelBlockEngine, shard_sequence, unshard_sequence
 from .dist_ops import (
     dist_all_gather,
-    dist_all_reduce,
     dist_all_to_all,
     dist_all_to_all_uneven,
     dist_reduce_scatter,
@@ -19,7 +18,6 @@ from .pipeline import (
     validate_schedule,
 )
 from .cp_attention import (
-    CPAttentionEngine,
     cp_attention_comm_volume,
     cp_imbalance,
     cp_layout_positions,
@@ -28,11 +26,6 @@ from .cp_attention import (
 from .sp_attention import SPAttentionEngine
 from .tp_attention import TPAttentionEngine
 from .tp_ffn import TPFFNEngine
-from .vocab_parallel import (
-    shard_lm_head,
-    vocab_parallel_cross_entropy,
-    vocab_parallel_loss,
-)
 from .zero import Zero1AdamW, zero_memory_model
 
 __all__ = [
@@ -40,7 +33,6 @@ __all__ = [
     "shard_sequence",
     "unshard_sequence",
     "dist_all_gather",
-    "dist_all_reduce",
     "dist_all_to_all",
     "dist_all_to_all_uneven",
     "dist_reduce_scatter",
@@ -55,7 +47,6 @@ __all__ = [
     "SPAttentionEngine",
     "TPAttentionEngine",
     "TPFFNEngine",
-    "CPAttentionEngine",
     "cp_attention_comm_volume",
     "cp_imbalance",
     "cp_layout_positions",
@@ -63,7 +54,4 @@ __all__ = [
     "stage_partition",
     "Zero1AdamW",
     "zero_memory_model",
-    "shard_lm_head",
-    "vocab_parallel_cross_entropy",
-    "vocab_parallel_loss",
 ]

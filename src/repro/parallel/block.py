@@ -60,20 +60,13 @@ class ParallelBlockEngine:
                  attention: str = "sp", ffn: str = "ep",
                  ep_mode: str = "adaptive",
                  fp8_comm: bool = False,
-                 dropout: float = 0.0, rng_pool=None,
                  tile_tokens: Optional[int] = None,
                  remat_plan: Optional[object] = None):
         self.group = group
         self.block = block
         if attention == "sp":
-            self.attn_engine = SPAttentionEngine(group, block.attn,
-                                                 dropout=dropout,
-                                                 rng_pool=rng_pool)
+            self.attn_engine = SPAttentionEngine(group, block.attn)
         elif attention == "tp":
-            if dropout > 0.0:
-                raise ValueError(
-                    "dropout is only wired into SP attention"
-                )
             self.attn_engine = TPAttentionEngine(group, block.attn)
         else:
             raise ValueError(f"unknown attention strategy {attention!r}")

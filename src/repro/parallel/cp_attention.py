@@ -12,10 +12,8 @@ chunk ``r`` with chunk ``2n-1-r`` on the same rank, balancing the
 quadratic term, though block-granularity effects keep perfect balance
 out of reach.
 
-This module provides:
+This module is analysis only — no plan runs CP — and provides:
 
-* :class:`CPAttentionEngine` — numerically exact CP attention over
-  simulated ranks (both layouts), validated against the reference;
 * :func:`cp_workload_shares` / :func:`cp_imbalance` — the per-rank
   causal-FLOPs analysis behind the paper's rejection;
 * :func:`cp_attention_comm_volume` — K/V ring-exchange volume,
@@ -28,13 +26,7 @@ from typing import List
 
 import numpy as np
 
-from ..comm.group import ProcessGroup
-from ..model.layers import SelfAttention
-from ..tensor import Tensor, ops
-from .dist_ops import dist_all_gather
-
 __all__ = [
-    "CPAttentionEngine",
     "cp_layout_positions",
     "cp_workload_shares",
     "cp_imbalance",
@@ -104,75 +96,3 @@ def cp_attention_comm_volume(b: int, s: int, h: int, n: int,
     if n <= 1:
         return 0.0
     return 2.0 * b * s * h / m * (n - 1) / n
-
-
-class CPAttentionEngine:
-    """Context-parallel causal attention over simulated ranks."""
-
-    def __init__(self, group: ProcessGroup, attn: SelfAttention,
-                 layout: str = "contiguous"):
-        if layout not in ("contiguous", "zigzag"):
-            raise ValueError(f"unknown CP layout {layout!r}")
-        self.group = group
-        self.attn = attn
-        self.layout = layout
-
-    def forward(self, hidden_shards: List[Tensor],
-                seq_len: int) -> List[Tensor]:
-        """Map per-rank ``ln1_out`` shards (in layout order) to
-        ``attn_out`` shards.
-
-        ``hidden_shards[r]`` holds the positions given by
-        :func:`cp_layout_positions` for rank ``r``, concatenated.
-        """
-        group, attn = self.group, self.attn
-        group.check_shards(hidden_shards)
-        n = group.size
-        positions = cp_layout_positions(seq_len, n, self.layout)
-
-        qs, ks, vs = [], [], []
-        for rank, shard in enumerate(hidden_shards):
-            b, s_local, _ = shard.shape
-            if s_local != positions[rank].shape[0]:
-                raise ValueError(
-                    f"rank {rank} shard covers {s_local} positions, "
-                    f"layout expects {positions[rank].shape[0]}"
-                )
-            qkv = attn.qkv_proj(shard)
-            q, k, v = attn.split_qkv(qkv, b, s_local)
-            qs.append(ops.rope_rotate(q, attn.rope_base, positions[rank]))
-            ks.append(ops.rope_rotate(k, attn.rope_base, positions[rank]))
-            vs.append(v)
-
-        # Ring exchange emulated as an all-gather of K and V along the
-        # sequence axis (same total volume as n-1 ring hops).
-        k_full = dist_all_gather(group, ks, axis=1, tag="cp_attn:kv_ring")
-        v_full = dist_all_gather(group, vs, axis=1, tag="cp_attn:kv_ring")
-        all_positions = np.concatenate(positions)
-
-        outs = []
-        for rank in range(n):
-            out_heads = _attention_with_positions(
-                qs[rank], k_full[rank], v_full[rank],
-                positions[rank], all_positions, attn)
-            b, s_local = out_heads.shape[0], out_heads.shape[1]
-            flat = out_heads.reshape(b, s_local, attn.hidden_size)
-            outs.append(attn.out_proj(flat))
-        return outs
-
-
-def _attention_with_positions(q: Tensor, k: Tensor, v: Tensor,
-                              q_pos: np.ndarray, k_pos: np.ndarray,
-                              attn: SelfAttention) -> Tensor:
-    """Causal attention with explicit absolute positions.
-
-    ``q`` is ``[b, sq, q_heads, d]``; ``k``/``v`` are
-    ``[b, sk, kv_heads, d]``.  Query at position p attends keys with
-    position <= p.
-    """
-    qh = q.transpose(0, 2, 1, 3)
-    kh = k.transpose(0, 2, 1, 3)
-    vh = v.transpose(0, 2, 1, 3)
-    mask = k_pos[None, :] > q_pos[:, None]
-    return ops.scaled_dot_product_attention(
-        qh, kh, vh, mask=mask).transpose(0, 2, 1, 3)

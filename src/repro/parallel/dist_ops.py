@@ -12,7 +12,6 @@ forward            backward
 all-gather         reduce-scatter
 reduce-scatter     all-gather
 all-to-all         all-to-all (reversed)
-all-reduce         all-reduce
 =================  =======================
 
 This module only wires the tape.  Each forward calls the numpy
@@ -41,8 +40,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.collectives import (all_gather, all_reduce, all_to_all,
-                                all_to_all_uneven, reduce_scatter, send_leg)
+from ..comm.collectives import (all_gather, all_to_all, all_to_all_uneven,
+                                reduce_scatter, send_leg)
 from ..comm.group import ProcessGroup
 from ..tensor import Tensor
 
@@ -51,7 +50,6 @@ __all__ = [
     "dist_reduce_scatter",
     "dist_all_to_all",
     "dist_all_to_all_uneven",
-    "dist_all_reduce",
 ]
 
 
@@ -241,24 +239,3 @@ def dist_all_to_all_uneven(
                                    "dist_all_to_all_uneven"))
     return outs
 
-
-def dist_all_reduce(
-    group: ProcessGroup,
-    tensors: Sequence[Tensor],
-    tag: str = "",
-) -> List[Tensor]:
-    """Sum all ranks' tensors; every rank receives the total.
-
-    Backward is itself an all-reduce of the output gradients.
-    """
-    totals = all_reduce(group, [t.data for t in tensors], tag)
-    n = group.size
-    outs = []
-    for j, total in enumerate(totals):
-        def backward(g, j=j):
-            return tuple(send_leg(group, "all_reduce", j, [g] * n,
-                                  tag + ":bwd"))
-
-        outs.append(Tensor.from_op(total, list(tensors), backward,
-                                   "dist_all_reduce"))
-    return outs

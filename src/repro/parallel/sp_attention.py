@@ -33,8 +33,7 @@ __all__ = ["SPAttentionEngine"]
 class SPAttentionEngine:
     """Runs a replicated :class:`SelfAttention` over sequence shards."""
 
-    def __init__(self, group: ProcessGroup, attn: SelfAttention,
-                 dropout: float = 0.0, rng_pool=None):
+    def __init__(self, group: ProcessGroup, attn: SelfAttention):
         n = group.size
         if attn.n_heads % n != 0:
             raise ValueError(
@@ -44,28 +43,8 @@ class SPAttentionEngine:
             raise ValueError(
                 f"n_kv_heads={attn.n_kv_heads} not divisible by SP size {n}"
             )
-        if dropout > 0.0 and rng_pool is None:
-            raise ValueError("dropout > 0 requires a rng_pool")
-        if rng_pool is not None and len(rng_pool) != n:
-            raise ValueError(
-                f"rng_pool has {len(rng_pool)} streams for {n} ranks"
-            )
         self.group = group
         self.attn = attn
-        #: Attention-output dropout probability; draws come from
-        #: ``rng_pool[rank]`` — one private stream per rank (a shared
-        #: generator would make the masks depend on the draw order).
-        self.dropout = float(dropout)
-        self.rng_pool = rng_pool
-        #: Toggled off by the trainer around eval passes.
-        self.training = True
-
-    def _maybe_dropout(self, out: Tensor, rank: int) -> Tensor:
-        if self.dropout <= 0.0 or not self.training:
-            return out
-        from ..tensor import ops
-        return ops.dropout(out, self.dropout, self.rng_pool[rank],
-                           training=True)
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
@@ -99,8 +78,8 @@ class SPAttentionEngine:
         )
         return out.transpose(0, 2, 1, 3)
 
-    def op_out_proj(self, attn_shard: Tensor, rank: int) -> Tensor:
-        """``out_proj``: flatten heads, project, maybe dropout."""
+    def op_out_proj(self, attn_shard: Tensor) -> Tensor:
+        """``out_proj``: flatten heads, project."""
         b, s_local = attn_shard.shape[0], attn_shard.shape[1]
         flat = attn_shard.reshape(b, s_local, self.attn.hidden_size)
-        return self._maybe_dropout(self.attn.out_proj(flat), rank)
+        return self.attn.out_proj(flat)

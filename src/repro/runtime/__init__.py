@@ -1,5 +1,5 @@
-"""Numeric runtime: the schedule-ordered DAG executor and the per-rank
-RNG streams.
+"""Numeric runtime: the schedule-ordered DAG executor and the tape's
+backward sweep.
 
 See ``docs/INTERNALS.md`` §2 (zero-copy collective rule) and §10 (how a
 layer runs).
@@ -11,12 +11,10 @@ from .dag_executor import (
     DagRunResult,
     schedule_conformance_problems,
 )
-from .rng import RankRngPool
 
 __all__ = [
     "DagExecutor",
     "DagRunResult",
-    "RankRngPool",
     "backward",
     "schedule_conformance_problems",
 ]

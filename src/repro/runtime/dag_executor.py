@@ -114,6 +114,9 @@ class DagExecutor:
                 [op.name for op in program.tile_graph])
         self._bindings_in_order = self._validate_bindings(
             program, bindings, graph_names)
+        #: Per-binding release lists of ``run(retain=...)``, one per
+        #: kept-anchor set.
+        self._releases: Dict[frozenset, List[Tuple[str, ...]]] = {}
 
     # -- construction-time validation ----------------------------------
 
@@ -182,6 +185,26 @@ class DagExecutor:
             in_order.append(b)
         return in_order
 
+    def _release_lists(self, keep: frozenset) -> List[Tuple[str, ...]]:
+        """For each binding, the anchors to drop once it has run: those
+        it is the last reader of, then its own output if nothing reads
+        it — never one in ``keep``."""
+        releases = self._releases.get(keep)
+        if releases is None:
+            last_reader: Dict[str, int] = {}
+            for i, b in enumerate(self._bindings_in_order):
+                for read in b.reads:
+                    last_reader[read] = i
+            lists: List[List[str]] = [[] for _ in self._bindings_in_order]
+            for name, last in last_reader.items():
+                if name not in keep:
+                    lists[last].append(name)
+            for i, b in enumerate(self._bindings_in_order):
+                if b.op not in last_reader and b.op not in keep:
+                    lists[i].append(b.op)
+            releases = self._releases[keep] = [tuple(x) for x in lists]
+        return releases
+
     # -- execution -----------------------------------------------------
 
     def _span(self, tracer, binding):
@@ -227,19 +250,13 @@ class DagExecutor:
             # Forward-only streaming release: drop each anchor once its
             # last reading binding has run (inference holds no tape
             # worth keeping alive), unless the caller retains it.
-            keep = set(retain) | set(self.inputs)
-            last_reader: Dict[str, int] = {}
-            for i, b in enumerate(self._bindings_in_order):
-                for read in b.reads:
-                    last_reader[read] = i
-            for i, b in enumerate(self._bindings_in_order):
+            releases = self._release_lists(
+                frozenset(retain) | frozenset(self.inputs))
+            for b, release in zip(self._bindings_in_order, releases):
                 with self._span(tracer, b):
                     env[b.op] = b.seq(ctx)
-                for name, last in last_reader.items():
-                    if last == i and name not in keep and name in env:
-                        del env[name]
-                if b.op not in last_reader and b.op not in keep:
-                    del env[b.op]
+                for name in release:
+                    del env[name]
         covers = {b.op: b.covers for b in self._bindings_in_order}
         tiles = (tiled_execution_order(self.program)
                  if getattr(self.program, "tile_graph", None) is not None

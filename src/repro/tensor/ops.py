@@ -34,7 +34,6 @@ __all__ = [
     "grouped_swiglu",
     "scatter_add_rows",
     "precision_cast",
-    "dropout",
 ]
 
 
@@ -280,20 +279,6 @@ def masked_fill(t: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return Tensor.from_op(out, [t], backward, "masked_fill")
 
 
-def dropout(t: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout with keep-probability scaling."""
-    if not training or p <= 0.0:
-        return t
-    keep = 1.0 - p
-    mask = (rng.random(t.shape) < keep) / keep
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor.from_op(t.data * mask, [t], backward, "dropout")
-
-
 @functools.lru_cache(maxsize=256)
 def _rope_tables(pos_bytes: bytes, pos_shape: Tuple[int, ...],
                  head_dim: int, base: float, dtype: np.dtype
@@ -372,7 +357,6 @@ def _causal_mask(s_q: int, s_k: int) -> np.ndarray:
 
 def scaled_dot_product_attention(
     q: Tensor, k: Tensor, v: Tensor, causal: bool = True,
-    mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head attention core on ``[..., heads, seq, head_dim]``.
 
@@ -391,10 +375,6 @@ def scaled_dot_product_attention(
     groups of ``m`` query heads — the GQA pattern the paper's
     SP-communication formula (Eq. 2) exploits.
 
-    ``mask`` (boolean ``[s_q, s_k]``, True = hidden) overrides the
-    ``causal`` default for callers whose positions are not ``0..s-1``
-    (context parallelism's zigzag layout).
-
     Backward, with ``P`` the saved probabilities and ``G`` the output
     gradient: ``dV = Pᵀ G``, ``dP = G Vᵀ``,
     ``dS = scale · P ∘ (dP - rowsum(dP ∘ P))`` (zero under the mask),
@@ -406,8 +386,7 @@ def scaled_dot_product_attention(
     if hq % hk != 0:
         raise ValueError(f"query heads {hq} not a multiple of kv heads {hk}")
     m = hq // hk
-    if mask is None and causal and sq > 1:
-        mask = _causal_mask(sq, sk)
+    mask = _causal_mask(sq, sk) if causal and sq > 1 else None
     qd, k_saved, v_saved = q.data, k.data, v.data
     need_q, need_k, need_v = (q.requires_grad, k.requires_grad,
                               v.requires_grad)

@@ -2,8 +2,8 @@
 
 A :class:`VerifyCase` pins everything a differential run needs — model
 dimensions, rank count, pipeline and data-parallel degrees, parallel
-strategies, EP dispatch mode, comm precision, tile width, dropout,
-step count, and the data seed — as a frozen, hashable value.  The
+strategies, EP dispatch mode, comm precision, tile width, step
+count, and the data seed — as a frozen, hashable value.  The
 conformance engine (:mod:`repro.verify.engine`) turns a case into
 several runs (the case itself, its single-rank golden reference, and
 an untiled twin for tiled cases) and the fuzzer
@@ -50,7 +50,6 @@ class VerifyCase:
     #: tile decomposition (None = untiled).  Must divide the per-rank
     #: sequence shard ``seq // ranks``.
     tile_tokens: Optional[int] = None
-    dropout: float = 0.0
     steps: int = 2
     seed: int = 0
     #: Model (parameter and activation-stream) dtype: "float64" keeps
@@ -130,17 +129,9 @@ class VerifyCase:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got "
-                             f"{self.dropout}")
         if self.resize:
             if self.pp * self.dp != 1:
                 raise ValueError("resize requires pp == dp == 1")
-            if self.dropout != 0.0:
-                # Per-rank dropout masks are a function of the world
-                # size; trajectories across a resize would legitimately
-                # diverge and the invariant would be vacuous.
-                raise ValueError("resize requires dropout == 0")
             normalized = []
             last_step = 0
             for entry in self.resize:
@@ -194,8 +185,6 @@ class VerifyCase:
             parts.append(self.dtype.replace("float", "f"))
         for step, new_ranks in self.resize:
             parts.append(f"rz{step}x{new_ranks}")
-        if self.dropout > 0.0:
-            parts.append(f"do{self.dropout:g}")
         if self.seed != 0:
             parts.append(f"sd{self.seed}")
         return "-".join(parts)
@@ -231,8 +220,6 @@ class VerifyCase:
             seq_len=self.seq, learning_rate=1e-2, weight_decay=0.0,
             aux_loss_coeff=0.01, precision=self.precision,
             tile_tokens=self.tile_tokens,
-            dropout=self.dropout,
-            dropout_seed=self.seed + 1,
         )
 
     def replace(self, **changes) -> "VerifyCase":
@@ -387,6 +374,8 @@ class ServeCase:
             f"b{self.max_batch_size}", f"n{self.n_requests}",
             f"g{self.gqa_ratio}",
         ]
+        if self.top_k != 2:
+            parts.append(f"k{self.top_k}")
         if self.crash_at_call is not None:
             parts.append(f"cr{self.crash_at_call}")
         if self.dtype != "float64":
@@ -433,8 +422,9 @@ def serve_matrix(seed: int = 0) -> List[ServeCase]:
     """The serving conformance grid: both arrival processes, a
     wider-GQA leg, a mid-stream rank-crash leg, a tight-KV eviction
     leg, a float32-model leg (KV pool and cached post-RoPE keys in
-    the model's dtype), and a leg at the serving benchmark's batch
-    width (8 requests in flight, with evictions)."""
+    the model's dtype), a leg at the serving benchmark's batch width
+    (8 requests in flight, with evictions), and a top_k = 3 leg, where
+    a token can have two experts on a later expert rank."""
     return [
         ServeCase(trace="poisson", seed=seed),
         ServeCase(trace="bursty", seed=seed),
@@ -444,6 +434,7 @@ def serve_matrix(seed: int = 0) -> List[ServeCase]:
         ServeCase(dtype="float32", seed=seed),
         ServeCase(max_batch_size=8, n_requests=16, kv_blocks=12,
                   seed=seed),
+        ServeCase(top_k=3, seed=seed),
     ]
 
 

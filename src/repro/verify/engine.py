@@ -8,8 +8,7 @@ three trainings from identical seeds —
    which is how tests prove the invariants catch real perturbations);
 2. the **golden run**: the plain single-rank
    :meth:`~repro.model.transformer.MoETransformer.language_model_loss`
-   model with the same optimizer schedule (skipped when dropout > 0 —
-   a full-sequence model cannot reproduce per-rank dropout masks);
+   model with the same optimizer schedule;
 3. the **untiled twin** (tiled cases only): the identical plan with
    fused groups whole, for the tiling bitwise-identity contract —
 
@@ -527,8 +526,7 @@ def run_case(case: VerifyCase,
     (artifacts.tape_dtypes, artifacts.tape_saved,
      artifacts.tape_survivors) = _tape_probe(case)
     artifacts.update_dtypes.update(_dp_leg_dtypes(case))
-    if case.dropout == 0.0:
-        artifacts.golden = _run_golden(case)
+    artifacts.golden = _run_golden(case)
     if case.tile_tokens is not None:
         artifacts.untiled_twin = _run_parallel(case.untiled_twin())
     if case.resize:

@@ -47,9 +47,6 @@ def sample_case(rng: np.random.Generator) -> VerifyCase:
         seq=ranks * int(rng.choice([2, 4])),
         ep_dispatch=str(rng.choice(["a2a", "ag_rs"])),
         precision=str(rng.choice(["fp32", "fp8"])),
-        # Dropout cases exercise the per-rank RNG contract; golden
-        # closeness is skipped for them.
-        dropout=float(rng.choice([0.0, 0.0, 0.0, 0.1])),
         steps=int(rng.choice([1, 2])),
         seed=int(rng.integers(0, 1_000_000)),
     )
@@ -63,8 +60,7 @@ def sample_case(rng: np.random.Generator) -> VerifyCase:
     # the old→new layout pair (any target world the model dimensions
     # admit).  Drawn after the base fields so the non-resize portion
     # of the case space is sampled exactly as before.
-    if case.dropout == 0.0 and case.steps >= 2 \
-            and float(rng.random()) < 0.3:
+    if case.steps >= 2 and float(rng.random()) < 0.3:
         step = int(rng.integers(1, case.steps))
         for target in rng.permutation(
                 [r for r in (1, 2, 4, 8) if r != case.ranks]):
@@ -135,8 +131,6 @@ def _shrink_candidates(case: VerifyCase) -> Iterator[VerifyCase]:
         yield from filter(None, [attempt(top_k=1)])
     if case.vocab > 32:
         yield from filter(None, [attempt(vocab=32)])
-    if case.dropout > 0.0:
-        yield from filter(None, [attempt(dropout=0.0)])
 
 
 def shrink(case: VerifyCase,

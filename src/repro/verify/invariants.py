@@ -862,14 +862,14 @@ def default_registry() -> List[Invariant]:
             name="golden_loss",
             description="per-step loss matches the single-rank golden "
                         "model within the precision band",
-            applies=lambda case: case.dropout == 0.0,
+            applies=lambda case: True,
             check=_check_golden_loss,
         ),
         Invariant(
             name="golden_grads",
             description="first-step gradients match golden within the "
                         "precision band",
-            applies=lambda case: case.dropout == 0.0,
+            applies=lambda case: True,
             check=_check_golden_grads,
         ),
         Invariant(
@@ -877,8 +877,7 @@ def default_registry() -> List[Invariant]:
             description="final parameters match golden (float64 "
                         "models with uncompressed comm only: FP8 and "
                         "float32 trajectories legitimately diverge)",
-            applies=lambda case: (case.dropout == 0.0
-                                  and case.precision != "fp8"
+            applies=lambda case: (case.precision != "fp8"
                                   and case.dtype == "float64"),
             check=_check_golden_params,
         ),

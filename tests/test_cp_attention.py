@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import World
-from repro.model.layers import SelfAttention
 from repro.parallel.cp_attention import (
-    CPAttentionEngine,
     cp_attention_comm_volume,
     cp_imbalance,
     cp_layout_positions,
     cp_workload_shares,
 )
-from repro.tensor import Tensor
 
 
 class TestLayouts:
@@ -81,77 +77,3 @@ class TestWorkloadAnalysis:
 
     def test_comm_volume_single_rank(self):
         assert cp_attention_comm_volume(1, 64, 128, 1, 4) == 0.0
-
-
-class TestCPEngine:
-    @pytest.mark.parametrize("layout", ["contiguous", "zigzag"])
-    @pytest.mark.parametrize("b,s,h,nh,m,n", [
-        (2, 16, 16, 4, 2, 4),
-        (1, 16, 32, 8, 4, 2),
-        (1, 32, 16, 8, 1, 8),
-    ])
-    def test_matches_reference(self, layout, b, s, h, nh, m, n):
-        rng = np.random.default_rng(b * 10 + s + n)
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        x = rng.standard_normal((b, s, h))
-        xt = Tensor(x, requires_grad=True)
-        ref = attn(xt)
-        g = rng.standard_normal(ref.shape)
-        ref.backward(g)
-        ref_out = ref.data.copy()
-        ref_dx = xt.grad.copy()
-        ref_qkv = attn.qkv_proj.weight.grad.copy()
-        attn.zero_grad()
-
-        world = World(n, n)
-        engine = CPAttentionEngine(world.full_group(), attn, layout)
-        positions = cp_layout_positions(s, n, layout)
-        shards = [Tensor(x[:, p].copy(), requires_grad=True)
-                  for p in positions]
-        outs = engine.forward(shards, s)
-        for out, pos in zip(outs, positions):
-            np.testing.assert_allclose(out.data, ref_out[:, pos],
-                                       atol=1e-10)
-
-        scalar = None
-        for out, pos in zip(outs, positions):
-            piece = (out * Tensor(g[:, pos])).sum()
-            scalar = piece if scalar is None else scalar + piece
-        scalar.backward()
-        dx = np.zeros_like(x)
-        for shard, pos in zip(shards, positions):
-            dx[:, pos] = shard.grad
-        np.testing.assert_allclose(dx, ref_dx, atol=1e-10)
-        np.testing.assert_allclose(attn.qkv_proj.weight.grad, ref_qkv,
-                                   atol=1e-10)
-        attn.zero_grad()
-
-    def test_comm_volume_matches_formula(self, rng):
-        b, s, h, nh, m, n = 2, 16, 16, 4, 2, 4
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        world = World(n, n)
-        engine = CPAttentionEngine(world.full_group(), attn)
-        positions = cp_layout_positions(s, n)
-        x = rng.standard_normal((b, s, h))
-        world.ledger.clear()
-        engine.forward([Tensor(x[:, p].copy()) for p in positions], s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag == "cp_attn:kv_ring") / 8.0
-        assert measured == pytest.approx(
-            cp_attention_comm_volume(b, s, h, n, m) * n)
-
-    def test_wrong_shard_width(self, rng):
-        attn = SelfAttention(rng, 16, 4, 2, dtype=np.float64)
-        world = World(4, 4)
-        engine = CPAttentionEngine(world.full_group(), attn)
-        shards = [Tensor(rng.standard_normal((1, 3, 16)))
-                  for _ in range(4)]
-        with pytest.raises(ValueError, match="layout expects"):
-            engine.forward(shards, 16)
-
-    def test_invalid_layout_rejected(self, rng):
-        attn = SelfAttention(rng, 16, 4, 2)
-        world = World(4, 4)
-        with pytest.raises(ValueError, match="unknown CP layout"):
-            CPAttentionEngine(world.full_group(), attn, "diagonal")

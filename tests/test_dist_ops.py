@@ -5,7 +5,6 @@ import pytest
 
 from repro.parallel.dist_ops import (
     dist_all_gather,
-    dist_all_reduce,
     dist_all_to_all,
     dist_all_to_all_uneven,
     dist_reduce_scatter,
@@ -169,27 +168,6 @@ class TestDistAllToAllUneven:
                 rtol=1e-12)
 
 
-class TestDistAllReduce:
-    def test_forward(self, rng, world4):
-        g = world4.full_group()
-        tensors = leaf_shards(rng, 4, (3, 2))
-        outs = dist_all_reduce(g, tensors)
-        total = np.sum([t.data for t in tensors], axis=0)
-        for out in outs:
-            np.testing.assert_allclose(out.data, total, rtol=1e-12)
-
-    def test_backward_all_reduces_grads(self, rng, world4):
-        g = world4.full_group()
-        tensors = leaf_shards(rng, 4, (3, 2))
-        outs = dist_all_reduce(g, tensors)
-        grads = [rng.standard_normal((3, 2)) for _ in range(4)]
-        for out, go in zip(outs, grads):
-            out.backward(go)
-        total = np.sum(grads, axis=0)
-        for t in tensors:
-            np.testing.assert_allclose(t.grad, total, rtol=1e-12)
-
-
 def _fp8_grouped_bytes(shape, group=128):
     """Wire bytes of a gradient packed in grouped per-channel FP8: one
     code per element, one float32 scale per (token group, channel)."""
@@ -225,9 +203,6 @@ DUALS = [
      lambda g, x, t: dist_all_to_all_uneven(g, x, SPLITS, tiled=t,
                                             tag="op"),
      None, lambda gs: [_uneven_rows(j) for j in range(N)], True),
-    ("all_reduce", lambda g, x, t: dist_all_reduce(g, x, tag="op"),
-     (3, 2), lambda gs: [2 * gr.nbytes * (N - 1) // N for gr in gs],
-     False),
     ("reduce_scatter_fp8",
      lambda g, x, t: dist_reduce_scatter_fp8(g, x, tag="op"),
      (8, 2), lambda gs: [_fp8_grouped_bytes(gr.shape) * (N - 1)

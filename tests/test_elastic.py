@@ -575,8 +575,6 @@ class TestVerifyCaseResize:
             VerifyCase(steps=2, resize=((2, 2),))
         with pytest.raises(ValueError, match="strictly increasing"):
             VerifyCase(steps=4, resize=((2, 2), (2, 4)))
-        with pytest.raises(ValueError, match="dropout"):
-            VerifyCase(steps=3, dropout=0.1, resize=((1, 2),))
         with pytest.raises(ValueError, match="invalid"):
             # 8 heads not divisible by 3 ranks.
             VerifyCase(steps=3, resize=((1, 3),))

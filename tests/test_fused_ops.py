@@ -127,19 +127,6 @@ class TestFusedSDPA:
              rng.standard_normal((1, 2 // m, s_k, 4)),
              rng.standard_normal((1, 2 // m, s_k, 4))], rng)
 
-    def test_explicit_mask_overrides_causal(self, rng):
-        arrays = qkv_arrays(rng, np.float64, 2, 6, 9)
-        mask = rng.random((6, 9)) < 0.3
-        mask[:, 0] = False  # every query sees at least one key
-        g_out = rng.standard_normal((2, 4, 6, 8))
-        want = run_sdpa(lambda q, k, v: chain_sdpa(q, k, v, mask),
-                        arrays, g_out)
-        got = run_sdpa(
-            lambda q, k, v: ops.scaled_dot_product_attention(
-                q, k, v, mask=mask), arrays, g_out)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_stacked_slices_bitwise_equal(self, rng, dtype):
         """A 5-D ``[n, b, h, s, d]`` call (one more batch axis) is the

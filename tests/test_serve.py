@@ -622,10 +622,11 @@ class TestServeCase:
         cases = serve_matrix()
         ids = [c.case_id for c in cases]
         assert len(ids) == len(set(ids))
-        assert len(ids) == 7
+        assert len(ids) == 8
         assert any("-cr" in i for i in ids)
         assert any("bursty" in i for i in ids)
         assert any(c.gqa_ratio > 2 for c in cases)
+        assert any(c.top_k > 2 and "-k3" in c.case_id for c in cases)
 
     def test_run_serve_case_conformant(self):
         case = ServeCase(n_requests=3, layers=1)

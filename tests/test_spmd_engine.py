@@ -1,7 +1,6 @@
 """Contracts of the simulated SPMD world.
 
-Per-rank dropout masks are a pure function of ``(dropout_seed, rank)``;
-a (passive) slow-link fault plan, which disables the zero-copy
+A (passive) slow-link fault plan, which disables the zero-copy
 collective fast paths, changes neither results nor ledger bytes; and
 the ledger, fault plan and metrics stay exact when a caller issues
 collectives on one world from several threads.
@@ -75,31 +74,6 @@ class TestBitwiseIdentity:
             np.testing.assert_array_equal(p_fast[name], p_slow[name],
                                           err_msg=name)
         assert led_fast.total_bytes() == led_slow.total_bytes()
-
-    @pytest.mark.parametrize("ep_mode", ["a2a", "ag_rs"])
-    def test_sp_ep_trainer_with_dropout(self, ep_mode):
-        """Per-rank RNG streams make each dropout mask a pure function
-        of (dropout_seed, rank), so a run repeats bit for bit."""
-        one, p_one, led_one = run_trainer(ep_mode, dropout=0.2,
-                                          dropout_seed=11)
-        two, p_two, led_two = run_trainer(ep_mode, dropout=0.2,
-                                          dropout_seed=11)
-        assert one == two
-        for name in p_one:
-            np.testing.assert_array_equal(p_one[name], p_two[name],
-                                          err_msg=name)
-        assert led_one.total_bytes() == led_two.total_bytes()
-        assert led_one.counts() == led_two.counts()
-        # ... and dropout genuinely participated in the math.
-        base, _, _ = run_trainer(ep_mode)
-        assert one != base
-
-    def test_dropout_seed_changes_masks(self):
-        a, _, _ = run_trainer("a2a", steps=1,
-                              dropout=0.2, dropout_seed=11)
-        b, _, _ = run_trainer("a2a", steps=1,
-                              dropout=0.2, dropout_seed=12)
-        assert a != b
 
     def test_plan_sees_every_collective(self):
         plan = slow_link_plan()
