@@ -42,11 +42,12 @@ from typing import Callable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..core.checkpoint import atomic_write
+from ..core.checkpoint import atomic_write, config_fingerprint
 from ..ft.faults import Fault, LossSpike, ResizeEvent
 from ..ft.health import LossSpikeGuard, NumericGuard
 from ..ft.recovery import (
     BackoffPolicy,
+    ConfigMismatch,
     LayoutMismatch,
     RetryStats,
     read_checkpoint_meta,
@@ -57,6 +58,11 @@ from ..ft.recovery import (
 
 __all__ = ["SimulatedFault", "FaultInjector", "MetricsLog",
            "ProductionRunner"]
+
+
+def _describe(config: dict) -> str:
+    """``key=value`` pairs of a config fingerprint."""
+    return " ".join(f"{key}={value}" for key, value in config.items())
 
 
 class SimulatedFault(Fault):
@@ -277,12 +283,20 @@ class ProductionRunner:
 
         return ParallelLayout.from_trainer(trainer)
 
+    @staticmethod
+    def _trainer_config(trainer) -> Optional[dict]:
+        """The fingerprint of the trainer's model config, or None for
+        toy trainers without one (which opt out of the config check)."""
+        config = getattr(getattr(trainer, "model", None), "config", None)
+        return None if config is None else config_fingerprint(config)
+
     def _save(self, trainer, step: int) -> None:
         state = trainer.state_dict()
         atomic_write(self._path(step),
                      lambda handle: np.savez(handle, **state))
         write_checkpoint_meta(self._path(step), step,
-                              layout=self._trainer_layout(trainer))
+                              layout=self._trainer_layout(trainer),
+                              config=self._trainer_config(trainer))
         self._invalid.discard(step)
         self._sweep_tmp_files()
 
@@ -296,9 +310,19 @@ class ProductionRunner:
                     pass
 
     def _load(self, trainer, step: int) -> None:
+        meta = read_checkpoint_meta(self._path(step)) or {}
+        saved_config = meta.get("config")
+        config = self._trainer_config(trainer)
+        if isinstance(saved_config, dict) and config is not None \
+                and saved_config != config:
+            raise ConfigMismatch(
+                f"checkpoint step {step} was written for the model "
+                f"[{_describe(saved_config)}] but the trainer's model "
+                f"is [{_describe(config)}]",
+                saved=saved_config, current=config)
         with np.load(self._path(step)) as data:
             state = {k: data[k] for k in data.files}
-        saved, current = self._saved_layout(step), \
+        saved, current = self._saved_layout(meta), \
             self._trainer_layout(trainer)
         if saved is not None and current is not None \
                 and saved != current:
@@ -306,11 +330,11 @@ class ProductionRunner:
                 state, saved, current, step)
         trainer.load_state_dict(state)
 
-    def _saved_layout(self, step: int):
+    @staticmethod
+    def _saved_layout(meta: dict):
         """The layout recorded in a checkpoint's sidecar, or None."""
         from ..elastic.layout import ParallelLayout
 
-        meta = read_checkpoint_meta(self._path(step)) or {}
         layout = meta.get("layout")
         if not isinstance(layout, dict):
             return None
@@ -344,10 +368,11 @@ class ProductionRunner:
                 return 0
             try:
                 self._load(trainer, resume)
-            except LayoutMismatch:
+            except (LayoutMismatch, ConfigMismatch):
                 # Not corruption: the checkpoint is fine, the world
-                # changed shape.  Walking further back would only find
-                # more same-layout checkpoints — surface it.
+                # changed shape or the model is another one.  Walking
+                # further back would only find more such checkpoints —
+                # surface it.
                 raise
             except Exception:
                 # Validation passed but the load failed (e.g. raced

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..comm.group import ProcessGroup, World
 from ..comm.hierarchical import flat_sync, hierarchical_sync
-from ..elastic.reshard import reshard_zero1_state
 from ..model.transformer import MoETransformer
 from ..parallel.block import ParallelBlockEngine
 from ..parallel.pipeline import (one_f_one_b_schedule, stage_partition,
@@ -412,21 +411,13 @@ class MegaScaleTrainer:
 
         A production restart must restore Adam state or the first
         post-restart steps diverge; keys are namespaced so the model
-        part stays a valid model state dict.  Under ZeRO-1 the
-        optimizer part is :meth:`Zero1AdamW.shard_state_dict`
-        (``zero1/...`` keys), else AdamW's ``opt/...`` keys.
+        part stays a valid model state dict.  The optimizer part is
+        ``AdamW``'s per-parameter ``opt/...`` keys under ZeRO-1 too, so
+        it does not depend on the DP degree.
         """
         state = {f"model/{k}": v
                  for k, v in self.model.state_dict().items()}
-        if isinstance(self.optimizer, Zero1AdamW):
-            shards = self.optimizer.shard_state_dict()
-            for key in ("numel", "dp", "step_count"):
-                state[f"zero1/{key}"] = np.asarray(shards[key])
-            for kind in ("master", "m", "v"):
-                for r, shard in enumerate(shards[kind]):
-                    state[f"zero1/{kind}/{r}"] = shard
-        else:
-            state.update(self.optimizer.state_dict())
+        state.update(self.optimizer.state_dict())
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
@@ -434,49 +425,16 @@ class MegaScaleTrainer:
 
         Accepts both the namespaced format from :meth:`state_dict` and a
         bare model state dict (checkpoint of weights only).  Optimizer
-        state saved at another DP degree (ZeRO-1 shards or AdamW
-        moments) is re-partitioned onto this trainer's through
-        :func:`~repro.elastic.reshard.reshard_zero1_state`.
+        state saved at another DP degree, or by the other optimizer,
+        loads as is: :meth:`Zero1AdamW.load_state_dict` slices it onto
+        its own shards.
         """
         if any(k.startswith("model/") for k in state):
             model_state = {k[len("model/"):]: v for k, v in state.items()
                            if k.startswith("model/")}
             self.model.load_state_dict(model_state)
-            self._load_optimizer(state)
+            if "opt/step_count" in state:
+                self.optimizer.load_state_dict(state)
         else:
             self.model.load_state_dict(state)
         self._refresh_shards()
-
-    def _load_optimizer(self, state: Dict[str, np.ndarray]) -> None:
-        if "zero1/dp" in state:
-            shards = {key: int(state[f"zero1/{key}"])
-                      for key in ("numel", "dp", "step_count")}
-            for kind in ("master", "m", "v"):
-                shards[kind] = [state[f"zero1/{kind}/{r}"]
-                                for r in range(shards["dp"])]
-        elif "opt/step_count" not in state:
-            return
-        elif isinstance(self.optimizer, AdamW):
-            self.optimizer.load_state_dict(state)
-            return
-        else:  # AdamW moments, as the one shard of a dp=1 ZeRO-1 state
-            shards = {"numel": self.optimizer.numel, "dp": 1,
-                      "step_count": int(state["opt/step_count"]),
-                      "master": [np.concatenate(
-                          [p.data.reshape(-1) for p in self.params])]}
-            for kind in ("m", "v"):
-                shards[kind] = [np.concatenate([
-                    np.reshape(state[f"opt/{kind}/{i}"], -1)
-                    for i in range(len(self.params))])]
-        if isinstance(self.optimizer, Zero1AdamW):
-            self.optimizer.load_shard_state_dict(
-                reshard_zero1_state(shards, self.optimizer.group.size))
-            return
-        flat = reshard_zero1_state(shards, 1)
-        offsets = np.cumsum([0] + [p.size for p in self.params])
-        adam = {"opt/step_count": np.asarray(flat["step_count"])}
-        for kind in ("m", "v"):
-            for i, p in enumerate(self.params):
-                adam[f"opt/{kind}/{i}"] = flat[kind][0][
-                    offsets[i]:offsets[i + 1]].reshape(p.shape)
-        self.optimizer.load_state_dict(adam)

@@ -10,8 +10,8 @@ world-size changes mid-run:
 * :class:`~repro.elastic.layout.ParallelLayout` — the (world, DP, EP,
   TP, SP, PP) degrees of a run, recorded in every checkpoint's meta
   sidecar and compared on load.
-* :mod:`~repro.elastic.reshard` — exact re-flattening of ZeRO-1
-  optimizer shards across a changed DP degree, expert re-placement
+* :mod:`~repro.elastic.reshard` — the ZeRO-1 shard elements that
+  change owners across a changed DP degree, expert re-placement
   under a changed EP degree, DP ring re-formation, and
   :func:`~repro.elastic.reshard.reshard_state` tying them together
   into a :class:`~repro.elastic.reshard.ReshardReport` (bytes moved,
@@ -36,10 +36,7 @@ from .reshard import (
     expert_placement,
     form_dp_rings,
     reshard_state,
-    reshard_zero1_state,
     zero1_moved_elements,
-    zero1_shard_flat,
-    zero1_unshard_flat,
 )
 from .runner import ElasticRunner
 
@@ -50,10 +47,7 @@ __all__ = [
     "expert_placement",
     "expert_moves",
     "form_dp_rings",
-    "zero1_shard_flat",
-    "zero1_unshard_flat",
     "zero1_moved_elements",
-    "reshard_zero1_state",
     "reshard_state",
     "ElasticRunner",
 ]

@@ -2,12 +2,13 @@
 
 Three mappings, each exact by construction:
 
-* **ZeRO-1 optimizer shards across a changed shard degree.**  The
-  flatten/unflatten layout in :mod:`repro.parallel.zero` is a plain
-  concatenation padded to a multiple of the rank count, so resharding
-  is concatenate → strip pad → re-pad → re-split: bit-exact, and the
-  bytes that change owners fall out of interval arithmetic on the two
-  shard grids (:func:`zero1_moved_elements`).
+* **ZeRO-1 optimizer shards across a changed shard degree.**  A
+  checkpoint holds the Adam moments per parameter, whatever the
+  optimizer (:meth:`repro.parallel.zero.Zero1AdamW.state_dict`), and
+  :class:`~repro.parallel.zero.Zero1AdamW` slices them onto its own
+  shard grid when it loads; the state passes through here unchanged.
+  The bytes that change owners between the two grids fall out of
+  interval arithmetic on them (:func:`zero1_moved_elements`).
 * **Expert re-placement under a changed EP degree.**  Experts live in
   contiguous blocks of ``E/n`` per rank
   (:class:`~repro.parallel.ep_ffn.EPFFNEngine`); the placement at any
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,10 +39,7 @@ from .layout import ParallelLayout
 __all__ = [
     "DEFAULT_RESHARD_BANDWIDTH",
     "ReshardReport",
-    "zero1_shard_flat",
-    "zero1_unshard_flat",
     "zero1_moved_elements",
-    "reshard_zero1_state",
     "expert_placement",
     "expert_moves",
     "form_dp_rings",
@@ -56,39 +54,11 @@ _EXPERT_KEY = re.compile(
     r"(?:^|/)blocks\.(\d+)\.moe\.experts\.(\d+)\.")
 
 
-# -- ZeRO-1 shard re-flattening ----------------------------------------------
+# -- ZeRO-1 shard grids -------------------------------------------------------
 
 
 def _padded(numel: int, dp: int) -> int:
     return -(-numel // dp) * dp
-
-
-def zero1_shard_flat(flat: np.ndarray, dp: int) -> List[np.ndarray]:
-    """Split a flattened parameter space into ``dp`` padded shards.
-
-    Matches :class:`~repro.parallel.zero.Zero1AdamW`'s layout exactly:
-    pad to a multiple of ``dp``, then equal contiguous slices.
-    """
-    if dp < 1:
-        raise ValueError(f"dp must be >= 1, got {dp}")
-    flat = np.asarray(flat).reshape(-1)
-    pad = _padded(flat.size, dp) - flat.size
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=flat.dtype)])
-    shard_size = flat.size // dp
-    return [flat[r * shard_size:(r + 1) * shard_size].copy()
-            for r in range(dp)]
-
-
-def zero1_unshard_flat(shards: Sequence[np.ndarray],
-                       numel: int) -> np.ndarray:
-    """Concatenate per-rank shards and strip the padding back off."""
-    flat = np.concatenate([np.asarray(s).reshape(-1) for s in shards])
-    if flat.size < numel:
-        raise ValueError(
-            f"shards hold {flat.size} elements < numel {numel}"
-        )
-    return flat[:numel].copy()
 
 
 def zero1_moved_elements(numel: int, old_dp: int, new_dp: int) -> int:
@@ -112,26 +82,6 @@ def zero1_moved_elements(numel: int, old_dp: int, new_dp: int) -> int:
         if lo // old_size != lo // new_size:
             moved += hi - lo
     return moved
-
-
-def reshard_zero1_state(state: Dict, new_dp: int) -> Dict:
-    """Re-partition a :meth:`Zero1AdamW.shard_state_dict` across DP.
-
-    Exact: the master copy and both Adam moments are re-flattened
-    through the concat/pad/split layout, so loading the result into a
-    fresh :class:`~repro.parallel.zero.Zero1AdamW` of degree
-    ``new_dp`` continues the trajectory as if it had always run there.
-    """
-    numel = int(state["numel"])
-    out = {
-        "numel": numel,
-        "dp": int(new_dp),
-        "step_count": int(state["step_count"]),
-    }
-    for kind in ("master", "m", "v"):
-        flat = zero1_unshard_flat(state[kind], numel)
-        out[kind] = zero1_shard_flat(flat, new_dp)
-    return out
 
 
 # -- expert re-placement ------------------------------------------------------
@@ -244,9 +194,9 @@ def reshard_state(state: Dict[str, np.ndarray],
                   ) -> Tuple[Dict[str, np.ndarray], ReshardReport]:
     """Map a trainer checkpoint from one parallel layout to another.
 
-    Every array passes through unchanged: the trainer re-partitions
-    optimizer state onto its own DP degree when it loads
-    (:meth:`~repro.core.trainer.MegaScaleTrainer.load_state_dict`), and
+    Every array passes through unchanged: the optimizer state is saved
+    per parameter and ZeRO-1 slices it onto its own DP degree when it
+    loads (:meth:`~repro.parallel.zero.Zero1AdamW.load_state_dict`), and
     expert tensors are replicated in this simulation's reference model.
     The report prices the movement the real system performs: the AdamW
     moments change owners between the ZeRO-1 shard grids of the two
@@ -261,11 +211,14 @@ def reshard_state(state: Dict[str, np.ndarray],
     new_group = new_layout.world_size
     new_state = {key: np.array(value) for key, value in state.items()}
     # m and v each cover the flattened space once.
-    numel = sum(value.size for key, value in new_state.items()
-                if re.fullmatch(r"opt/m/\d+", key))
+    moments = [value for key, value in new_state.items()
+               if re.fullmatch(r"opt/m/\d+", key)]
+    numel = sum(value.size for value in moments)
     moved = zero1_moved_elements(numel, old_group, new_group)
-    # Master copy (8 B) + first and second Adam moments (8 B each).
-    zero_bytes = 3.0 * 8.0 * moved
+    # Master copy + first and second Adam moments, each an element of
+    # the saved moments' dtype.
+    itemsize = np.result_type(*moments).itemsize if moments else 0
+    zero_bytes = 3.0 * itemsize * moved
 
     expert_bytes = 0.0
     moved_by_layer: List[Tuple[int, ...]] = []

@@ -39,6 +39,7 @@ from .health import (
 )
 from .recovery import (
     BackoffPolicy,
+    ConfigMismatch,
     LayoutMismatch,
     RetryStats,
     file_crc32,
@@ -59,6 +60,7 @@ __all__ = [
     "RetryExhausted",
     "ResizeEvent",
     "LayoutMismatch",
+    "ConfigMismatch",
     "FaultSpec",
     "FaultEvent",
     "FaultPlan",

@@ -34,6 +34,7 @@ __all__ = [
     "RetryStats",
     "retry_with_backoff",
     "LayoutMismatch",
+    "ConfigMismatch",
     "file_crc32",
     "meta_path",
     "write_checkpoint_meta",
@@ -42,7 +43,8 @@ __all__ = [
 ]
 
 #: v1 sidecars carried step/size/crc32; v2 adds the parallel layout of
-#: the writer.  Readers accept both (``layout`` is simply absent in v1).
+#: the writer and its model-config fingerprint.  Readers accept both
+#: (``layout`` and ``config`` are simply absent in v1).
 META_FORMAT_VERSION = 2
 
 
@@ -55,6 +57,23 @@ class LayoutMismatch(RuntimeError):
     fixed-size runner raises this instead of silently loading
     wrong-shaped arrays; the elastic runner catches the mismatch
     earlier and reshards.
+    """
+
+    def __init__(self, message: str, *, saved: object = None,
+                 current: object = None):
+        super().__init__(message)
+        self.saved = saved
+        self.current = current
+
+
+class ConfigMismatch(RuntimeError):
+    """A checkpoint was written for a different model config than the
+    trainer it is being loaded into.
+
+    Like :class:`LayoutMismatch`, not a fault and not corruption: every
+    checkpoint of the chain has the same config, so walking back past
+    it would only discard good checkpoints of the other model.
+    ``saved`` and ``current`` are the two config fingerprints.
     """
 
     def __init__(self, message: str, *, saved: object = None,
@@ -191,7 +210,8 @@ def meta_path(checkpoint_path: str) -> str:
 
 
 def write_checkpoint_meta(checkpoint_path: str, step: int,
-                          layout: Optional[object] = None) -> dict:
+                          layout: Optional[object] = None,
+                          config: Optional[dict] = None) -> dict:
     """Write the CRC/size sidecar for an already-written checkpoint.
 
     ``layout`` (anything with ``to_dict()``, e.g. a
@@ -199,6 +219,9 @@ def write_checkpoint_meta(checkpoint_path: str, step: int,
     records the parallel degrees the state was written under, so a
     later load can detect — and a resharder can resolve — a layout
     change instead of silently restoring wrong-shaped arrays.
+    ``config`` (:func:`~repro.core.checkpoint.config_fingerprint`)
+    records the model the state belongs to, so a load into another
+    model fails as :class:`ConfigMismatch`, not as corruption.
     """
     from ..core.checkpoint import atomic_write
 
@@ -212,6 +235,8 @@ def write_checkpoint_meta(checkpoint_path: str, step: int,
         to_dict = getattr(layout, "to_dict", None)
         meta["layout"] = dict(to_dict() if callable(to_dict)
                               else layout)
+    if config is not None:
+        meta["config"] = dict(config)
     atomic_write(meta_path(checkpoint_path),
                  lambda handle: json.dump(meta, handle), text=True)
     return meta

@@ -26,7 +26,7 @@ from .cp_attention import (
 from .sp_attention import SPAttentionEngine
 from .tp_attention import TPAttentionEngine
 from .tp_ffn import TPFFNEngine
-from .zero import Zero1AdamW, zero_memory_model
+from .zero import Zero1AdamW
 
 __all__ = [
     "ParallelBlockEngine",
@@ -53,5 +53,4 @@ __all__ = [
     "cp_workload_shares",
     "stage_partition",
     "Zero1AdamW",
-    "zero_memory_model",
 ]

@@ -5,9 +5,10 @@ optimizer states across DP groups".  This module implements stage 1
 *numerically*: the flattened parameter space is split into per-rank
 shards; each DP rank keeps Adam moments and the master copy for its
 shard only — in the parameters' dtype, FP32 for the default model, the
-12 B/param :func:`zero_memory_model` charges — updates it from its
-shard of the already-synchronized gradient, and the updated shards are
-all-gathered back into the full parameter set.
+12 B/param the planner's :func:`~repro.core.analysis
+.param_memory_per_gpu` charges — updates it from its shard of the
+already-synchronized gradient, and the updated shards are all-gathered
+back into the full parameter set.
 
 The update is :func:`repro.precision.optimizer.adam_update_`, the
 kernel every optimizer calls, run over the slices of each shard whose
@@ -19,14 +20,15 @@ drops by ``1/dp``.  The gradient reaches the optimizer through the DP
 sync (:mod:`repro.comm.hierarchical`), so the only collective here is
 the parameter all-gather.
 
-Stages 2 and 3 are provided as memory/communication models
-(:func:`zero_memory_model`), matching the paper's usage (stage 1 in
-production, deeper stages analyzed).
+A checkpoint holds ``AdamW``'s per-parameter state
+(:meth:`Zero1AdamW.state_dict`), not the shards: the shard grid is
+re-derived from this optimizer's group size at load, so a DP resize is
+a slice (docs/INTERNALS.md §11).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from ..comm.group import ProcessGroup
 from ..precision.optimizer import adam_update_
 from ..tensor import Tensor
 
-__all__ = ["Zero1AdamW", "zero_memory_model"]
+__all__ = ["Zero1AdamW"]
 
 
 class Zero1AdamW:
@@ -70,15 +72,10 @@ class Zero1AdamW:
         self.shard_size = self.padded // n
         # Per-rank optimizer shard: master copy + moments for 1/n of
         # the flattened parameter space.
-        flat = self._flatten([p.data for p in self.params])
-        self.master_shards = [
-            flat[r * self.shard_size:(r + 1) * self.shard_size].copy()
-            for r in range(n)
-        ]
-        self.m_shards = [np.zeros(self.shard_size, dtype=self.dtype)
-                         for _ in range(n)]
-        self.v_shards = [np.zeros(self.shard_size, dtype=self.dtype)
-                         for _ in range(n)]
+        self.master_shards = self._shards(
+            self._flatten([p.data for p in self.params]))
+        self.m_shards = self._shards(np.zeros(self.padded, self.dtype))
+        self.v_shards = self._shards(np.zeros(self.padded, self.dtype))
         self._scratch: Dict[np.dtype, np.ndarray] = {}
 
     def _flatten(self, arrays: Sequence[Optional[np.ndarray]]
@@ -90,6 +87,12 @@ class Zero1AdamW:
             if a is not None:
                 flat[lo:hi] = np.asarray(a).reshape(-1)
         return flat
+
+    def _shards(self, flat: np.ndarray) -> List[np.ndarray]:
+        """The ``group.size`` equal per-rank slices of a padded flat
+        vector."""
+        return [flat[r * self.shard_size:(r + 1) * self.shard_size]
+                for r in range(self.group.size)]
 
     def _unflatten(self, flat: np.ndarray) -> List[np.ndarray]:
         return [flat[lo:hi].reshape(p.shape) for p, lo, hi
@@ -138,87 +141,45 @@ class Zero1AdamW:
         for p in self.params:
             p.zero_grad()
 
-    # -- shard-level state (elastic resharding) ------------------------------
+    # -- checkpoint state -----------------------------------------------------
 
-    def shard_state_dict(self) -> Dict:
-        """Per-rank optimizer shards in re-partitionable form.
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """``AdamW``'s per-parameter state: ``opt/step_count``,
+        ``opt/m/<i>`` and ``opt/v/<i>`` in each parameter's shape.
 
-        The returned dict is exactly what
-        :func:`repro.elastic.reshard.reshard_zero1_state` maps across
-        DP degrees: the padded per-rank slices of the master copy and
-        both Adam moments, plus the flatten geometry needed to undo
-        the padding.
+        The moment shards are unflattened, so the checkpoint does not
+        depend on the DP degree: a resize, or a switch between ZeRO-1
+        and ``AdamW``, is a plain :meth:`load_state_dict`.
         """
-        return {
-            "numel": self.numel,
-            "dp": self.group.size,
-            "step_count": self.step_count,
-            "master": [s.copy() for s in self.master_shards],
-            "m": [s.copy() for s in self.m_shards],
-            "v": [s.copy() for s in self.v_shards],
-        }
+        m, v = (self._unflatten(np.concatenate(shards))
+                for shards in (self.m_shards, self.v_shards))
+        state = {"opt/step_count": np.asarray(self.step_count)}
+        for i in range(len(self.params)):
+            state[f"opt/m/{i}"] = m[i]
+            state[f"opt/v/{i}"] = v[i]
+        return state
 
-    def load_shard_state_dict(self, state: Dict) -> None:
-        """Restore shards saved by :meth:`shard_state_dict`.
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore what :meth:`state_dict` (or ``AdamW.state_dict``)
+        saved, at this optimizer's group size.
 
-        The state's DP degree must match this optimizer's group —
-        reshard first (:func:`~repro.elastic.reshard
-        .reshard_zero1_state`) when resuming at a different size.
+        Each moment is re-flattened — cast once to the state dtype, so
+        a float64-era state loads into a float32 model as float32 —
+        and sliced into this group's shards.  The master shards are
+        rebuilt from the parameters, which :meth:`_write_params` keeps
+        bit-equal to the master copy: load the model first.
         """
-        if int(state["numel"]) != self.numel:
-            raise ValueError(
-                f"state covers {state['numel']} elements, optimizer "
-                f"has {self.numel}"
-            )
-        if int(state["dp"]) != self.group.size:
-            raise ValueError(
-                f"state sharded for dp={state['dp']}, group size is "
-                f"{self.group.size}; reshard before loading"
-            )
-        self.step_count = int(state["step_count"])
-        for name, shards in (("master_shards", state["master"]),
-                             ("m_shards", state["m"]),
-                             ("v_shards", state["v"])):
-            # One cast to the state dtype (a float64-era state loads
-            # into a float32 model as float32).
-            loaded = [np.array(s, dtype=self.dtype) for s in shards]
-            if any(s.shape != (self.shard_size,) for s in loaded):
-                raise ValueError(
-                    f"{name} shard shapes do not match shard_size "
-                    f"{self.shard_size}"
-                )
-            setattr(self, name, loaded)
-        # Propagate the restored master copy into the live parameters.
-        self._write_params(np.concatenate(self.master_shards))
+        self.step_count = int(state["opt/step_count"])
+        indices = range(len(self.params))
+        self.m_shards, self.v_shards = (
+            self._shards(self._flatten(
+                [state[f"opt/{kind}/{i}"] for i in indices]))
+            for kind in ("m", "v"))
+        self.master_shards = self._shards(
+            self._flatten([p.data for p in self.params]))
 
     def state_nbytes_per_rank(self) -> int:
         """Master + moments bytes held by one rank (the ZeRO saving)."""
         return (self.master_shards[0].nbytes + self.m_shards[0].nbytes
                 + self.v_shards[0].nbytes)
 
-
-def zero_memory_model(param_count: float, dp_size: int,
-                      stage: int = 1,
-                      param_bytes: float = 2.0,
-                      grad_bytes: float = 4.0,
-                      state_bytes: float = 12.0) -> Dict[str, float]:
-    """Per-GPU bytes under ZeRO stages 0–3 (§2.2's three stages).
-
-    Stage 0 replicates everything; stage 1 shards optimizer states;
-    stage 2 also shards gradients; stage 3 also shards parameters
-    (at the cost of per-layer parameter all-gathers).
-    """
-    if stage not in (0, 1, 2, 3):
-        raise ValueError(f"unknown ZeRO stage {stage}")
-    if dp_size < 1:
-        raise ValueError(f"dp_size must be >= 1, got {dp_size}")
-    d = dp_size
-    params = param_count * param_bytes / (d if stage >= 3 else 1)
-    grads = param_count * grad_bytes / (d if stage >= 2 else 1)
-    states = param_count * state_bytes / (d if stage >= 1 else 1)
-    return {
-        "params": params,
-        "grads": grads,
-        "optimizer": states,
-        "total": params + grads + states,
-    }

@@ -5,8 +5,11 @@ Every optimizer in the repo (``AdamW``, ``MultiPrecisionAdamW`` here,
 in-place kernel, :func:`adam_update_`, and keeps its state — both
 moments, and the main copy where there is one — **in the parameter's
 dtype**: FP32 for the default float32 model, as in §7 ("main parameters
-in FP32") and the 12 B/param of :func:`~repro.parallel.zero
-.zero_memory_model`; float64 for the float64 conformance models.
+in FP32") and the 12 B/param of :func:`~repro.core.analysis
+.param_memory_per_gpu`; float64 for the float64 conformance models.
+``AdamW.state_dict``'s per-parameter ``opt/...`` keys are the one
+optimizer-state checkpoint format: ``Zero1AdamW`` saves and loads them
+too.
 Nothing in the update phase widens (docs/INTERNALS.md §17).
 
 ``MultiPrecisionAdamW`` implements the paper's FP8-training optimizer
@@ -240,7 +243,7 @@ class MultiPrecisionAdamW(AdamW):
 
     def state_nbytes(self) -> int:
         """Bytes of the main copy plus both moments (12 B/param in
-        FP32, :func:`~repro.parallel.zero.zero_memory_model`)."""
+        FP32, :func:`~repro.core.analysis.param_memory_per_gpu`)."""
         return super().state_nbytes() + sum(
             main.nbytes for main in self.main_params)
 

@@ -6,6 +6,8 @@ import pytest
 from repro.comm import World
 from repro.comm.collectives import rank_ordered_sum
 from repro.comm.hierarchical import flat_sync
+from repro.core import MODEL_ZOO
+from repro.core.analysis import param_memory_per_gpu
 from repro.core.config import ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
@@ -14,7 +16,7 @@ from repro.parallel.dist_ops_fp8 import (
     dist_all_gather_fp8,
     dist_reduce_scatter_fp8,
 )
-from repro.parallel.zero import Zero1AdamW, zero_memory_model
+from repro.parallel.zero import Zero1AdamW
 from repro.precision.formats import round_bf16
 from repro.precision.optimizer import AdamW, clip_grad_norm
 from repro.precision.quantize import (
@@ -279,20 +281,28 @@ class TestDataParallelTrainer:
         assert "zero1:rs" not in by_tag
         assert by_tag["zero1:ag"] > 0
 
+
 class TestZeRO1Memory:
+    """ZeRO-1 in the planner's memory model (§2.2)."""
+
+    @staticmethod
+    def memory(dp):
+        return param_memory_per_gpu(
+            MODEL_ZOO["mixtral-8x7b"],
+            ParallelConfig.megascale(8, data_parallel_size=dp))
+
     def test_sharding_reduces_optimizer_only(self):
-        base = zero_memory_model(1e9, dp_size=1, stage=1)
-        sharded = zero_memory_model(1e9, dp_size=8, stage=1)
+        base, sharded = self.memory(1), self.memory(8)
         assert sharded["params"] == base["params"]
         assert sharded["grads"] == base["grads"]
         assert sharded["optimizer"] == pytest.approx(
             base["optimizer"] / 8)
 
     def test_total_consistent(self):
-        m = zero_memory_model(1e6, dp_size=4, stage=1)
+        m = self.memory(4)
         assert m["total"] == pytest.approx(
             m["params"] + m["grads"] + m["optimizer"])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            zero_memory_model(1e6, dp_size=0, stage=1)
+        with pytest.raises(ValueError, match="data_parallel_size"):
+            self.memory(0)

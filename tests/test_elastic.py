@@ -3,6 +3,7 @@ robustness satellites that ride along with it: layout-stamped
 checkpoint meta, LayoutMismatch refusal, seeded backoff jitter, tmp
 sweeping on construction, and corrupted-sidecar handling."""
 
+import dataclasses
 import json
 import os
 
@@ -20,12 +21,10 @@ from repro.elastic import (
     expert_placement,
     form_dp_rings,
     reshard_state,
-    reshard_zero1_state,
     zero1_moved_elements,
-    zero1_shard_flat,
-    zero1_unshard_flat,
 )
-from repro.ft import BackoffPolicy, LayoutMismatch, ResizeEvent
+from repro.ft import BackoffPolicy, ConfigMismatch, LayoutMismatch, \
+    ResizeEvent
 from repro.ft.recovery import (
     META_FORMAT_VERSION,
     meta_path,
@@ -57,6 +56,23 @@ def make_factory(lr=1e-2):
         return MegaScaleTrainer(
             model, World(n, n), ParallelConfig.megascale(n), train)
     return factory
+
+
+def dp_layout(dp):
+    """n=2 nodes, ``dp`` replicas (ZeRO-1 at dp > 1)."""
+    return ParallelLayout.from_parallel_config(
+        ParallelConfig.megascale(2, data_parallel_size=dp))
+
+
+def dp_factory(layout=None):
+    dp = 2 if layout is None else layout.dp
+    model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
+    train = TrainConfig(global_batch_size=2, micro_batch_size=1,
+                        seq_len=16, learning_rate=1e-2,
+                        weight_decay=0.0, aux_loss_coeff=0.01)
+    return MegaScaleTrainer(
+        model, World(2 * dp, 2),
+        ParallelConfig.megascale(2, data_parallel_size=dp), train)
 
 
 def make_batches(n):
@@ -101,13 +117,26 @@ class TestParallelLayout:
 
 class TestZero1Reshard:
     def test_shard_unshard_round_trip_with_padding(self):
-        flat = np.arange(13, dtype=np.float64)
+        """The per-parameter state of a padded dp=4 optimizer loads at
+        every degree and saves back bit for bit."""
+        rng = np.random.default_rng(3)
+        shapes = [(5,), (2, 4)]  # 13 elements: padded at dp 2..5
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        opt = Zero1AdamW(params, World(4, 4).full_group(), lr=1e-2)
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+        state = opt.state_dict()
         for dp in (1, 2, 3, 4, 5):
-            shards = zero1_shard_flat(flat, dp)
-            assert len(shards) == dp
-            assert len({s.size for s in shards}) == 1
-            back = zero1_unshard_flat(shards, flat.size)
-            np.testing.assert_array_equal(back, flat)
+            other = Zero1AdamW([Tensor(p.data.copy()) for p in params],
+                               World(dp, dp).full_group())
+            other.load_state_dict(state)
+            assert len(other.m_shards) == dp
+            assert len({s.size for s in other.m_shards}) == 1
+            back = other.state_dict()
+            assert sorted(back) == sorted(state)
+            for key in state:
+                assert back[key].tobytes() == state[key].tobytes(), key
 
     def test_moved_elements_known_values(self):
         # numel=8: dp2 shards are [0..4), [4..8); dp4 shards are
@@ -124,44 +153,25 @@ class TestZero1Reshard:
                     zero1_moved_elements(numel, b, a)
 
     def test_moved_elements_matches_brute_force(self):
-        def brute(numel, old_dp, new_dp):
-            old = zero1_shard_flat(np.arange(numel, dtype=float),
-                                   old_dp)
-            new = zero1_shard_flat(np.arange(numel, dtype=float),
-                                   new_dp)
-            def owner(shards, i):
-                return next(r for r in range(len(shards))
-                            if i in shards[r])
-
-            return sum(1 for i in range(numel)
-                       if owner(old, i) != owner(new, i))
+        def owners(numel, dp):
+            """Each element's rank in Zero1AdamW's shard grid."""
+            params = [Tensor(np.zeros(numel))]
+            opt = Zero1AdamW(params, World(dp, dp).full_group())
+            flat = np.arange(numel, dtype=float)
+            opt.load_state_dict({"opt/step_count": np.asarray(0),
+                                 "opt/m/0": flat, "opt/v/0": flat})
+            return {int(x): r for r, shard in enumerate(opt.m_shards)
+                    for x in shard[:max(0, numel - r * opt.shard_size)]}
 
         for numel in (5, 8, 13):
             for a, b in ((1, 2), (2, 4), (2, 3), (4, 2)):
+                old, new = owners(numel, a), owners(numel, b)
                 assert zero1_moved_elements(numel, a, b) == \
-                    brute(numel, a, b)
-
-    def test_reshard_zero1_state_exact(self):
-        rng = np.random.default_rng(3)
-        params = [Tensor(rng.normal(size=(5, 3))),
-                  Tensor(rng.normal(size=(7,)))]
-        opt = Zero1AdamW(params, World(4, 4).full_group(), lr=1e-2)
-        for p in params:
-            p.grad = rng.normal(size=p.shape)
-        opt.step()
-
-        state = opt.shard_state_dict()
-        resharded = reshard_zero1_state(state, 2)
-        assert resharded["dp"] == 2
-        assert resharded["step_count"] == state["step_count"]
-        for kind in ("master", "m", "v"):
-            np.testing.assert_array_equal(
-                zero1_unshard_flat(resharded[kind], state["numel"]),
-                zero1_unshard_flat(state[kind], state["numel"]))
+                    sum(old[i] != new[i] for i in range(numel))
 
     def test_resharded_state_continues_trajectory(self):
-        """An optimizer resharded 4 -> 2 steps bit-identically to one
-        that ran at 2 the whole time."""
+        """An optimizer saved at dp=4 and loaded at dp=2 steps
+        bit-identically to one that ran at 2 the whole time."""
         rng = np.random.default_rng(7)
         shapes = [(6, 4), (10,)]
         grads = [[rng.normal(size=s) for s in shapes]
@@ -184,30 +194,17 @@ class TestZero1Reshard:
             for p, gr in zip(params, g):
                 p.grad = gr
             opt.step()
+        # A trainer restores the model before the optimizer.
         moved_params, moved_opt = fresh(2)
-        moved_opt.load_shard_state_dict(
-            reshard_zero1_state(opt.shard_state_dict(), 2))
+        for p, saved in zip(moved_params, params):
+            p.data = saved.data.copy()
+        moved_opt.load_state_dict(opt.state_dict())
         for p, gr in zip(moved_params, grads[2]):
             p.grad = gr
         moved_opt.step()
 
         for a, b in zip(ref_params, moved_params):
             assert a.data.tobytes() == b.data.tobytes()
-
-    def test_load_shard_state_rejects_wrong_dp(self):
-        params = [Tensor(np.zeros(8))]
-        opt = Zero1AdamW(params, World(4, 4).full_group())
-        state = opt.shard_state_dict()
-        other = Zero1AdamW([Tensor(np.zeros(8))], World(2, 2).full_group())
-        with pytest.raises(ValueError, match="reshard before loading"):
-            other.load_shard_state_dict(state)
-
-    def test_load_shard_state_rejects_wrong_numel(self):
-        opt = Zero1AdamW([Tensor(np.zeros(8))], World(2, 2).full_group())
-        state = opt.shard_state_dict()
-        other = Zero1AdamW([Tensor(np.zeros(12))], World(2, 2).full_group())
-        with pytest.raises(ValueError, match="elements"):
-            other.load_shard_state_dict(state)
 
 
 class TestExpertPlacement:
@@ -275,6 +272,21 @@ class TestReshardState:
         assert report.dp_rings == tuple(
             (r,) for r in range(2))  # world=2, dp=1: singleton rings
 
+        # A dp=2 ZeRO-1 trainer saves the keys and shapes a dp=1 AdamW
+        # trainer does, so its dp 2 -> 1 resize prices the same moments.
+        zero, adam = dp_factory(dp_layout(2)), dp_factory(dp_layout(1))
+        assert isinstance(zero.optimizer, Zero1AdamW)
+        for trainer in (zero, adam):
+            trainer.train_step(make_batches(1)[0])
+        zero_state = zero.state_dict()
+        assert {k: v.shape for k, v in zero_state.items()} == \
+            {k: v.shape for k, v in adam.state_dict().items()}
+        _, report = reshard_state(zero_state, dp_layout(2), dp_layout(1))
+        assert report.numel == numel == 84640
+        assert report.zero_elements_moved == \
+            zero1_moved_elements(numel, 4, 2) > 0
+        assert report.zero_bytes == 3.0 * 8.0 * report.zero_elements_moved
+
     @pytest.mark.parametrize("old,new", [(4, 2), (2, 4)])
     def test_total_bytes_exact(self, old, new):
         """Reshard bytes are interval arithmetic on the shard grids plus
@@ -338,24 +350,11 @@ class TestElasticRunner:
 
     def test_data_parallel_resize_matches_fixed_size(self, tmp_path):
         """dp 2 -> 1 -> 2 on n=2 nodes: the trainer checkpoints its
-        ZeRO-1 shards, the dp=1 trainer folds them into AdamW moments
-        and the dp=2 one re-shards them (``reshard_zero1_state``); the
-        micro-batches are the same at every size, so the trajectory is
-        the fixed dp=2 run's."""
-        def dp_layout(dp):
-            return ParallelLayout.from_parallel_config(
-                ParallelConfig.megascale(2, data_parallel_size=dp))
-
-        def factory(layout=None):
-            dp = 2 if layout is None else layout.dp
-            model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-            train = TrainConfig(global_batch_size=2, micro_batch_size=1,
-                                seq_len=16, learning_rate=1e-2,
-                                weight_decay=0.0, aux_loss_coeff=0.01)
-            return MegaScaleTrainer(
-                model, World(2 * dp, 2),
-                ParallelConfig.megascale(2, data_parallel_size=dp), train)
-
+        ZeRO-1 moments per parameter, the dp=1 trainer loads them as
+        AdamW moments and the dp=2 one slices them back into shards;
+        the micro-batches are the same at every size, so the
+        trajectory is the fixed dp=2 run's."""
+        factory = dp_factory
         assert isinstance(factory().optimizer, Zero1AdamW)
         batches = make_batches(6)
         fixed = ProductionRunner(factory, str(tmp_path / "fixed"),
@@ -416,10 +415,11 @@ class TestLayoutMismatchRefusal:
         writer = ProductionRunner(lambda: factory(layout_at(4)),
                                   str(tmp_path), checkpoint_interval=2)
         writer.run(make_batches(4))
-        # Strip the layout from the newest sidecar (simulate v1).
+        # Strip the layout and config from the newest sidecar
+        # (simulate v1).
         path = writer._path(4)
         meta = read_checkpoint_meta(path)
-        del meta["layout"]
+        del meta["layout"], meta["config"]
         with open(meta_path(path), "w") as handle:
             json.dump(meta, handle)
 
@@ -427,6 +427,31 @@ class TestLayoutMismatchRefusal:
                                   str(tmp_path), checkpoint_interval=2)
         metrics = reader.run(make_batches(6))
         assert metrics.steps[0] == 4  # resumed, no refusal
+
+
+    def test_elastic_runner_refuses_another_model(self, tmp_path):
+        """A layout change reshards, a model change does not: the
+        config check runs first, before any array is read."""
+        writer = ProductionRunner(lambda: make_factory()(layout_at(4)),
+                                  str(tmp_path), checkpoint_interval=2)
+        writer.run(make_batches(4))
+
+        def factory(layout):
+            config = dataclasses.replace(CONFIG, n_experts=16)
+            return MegaScaleTrainer(
+                MoETransformer(config, seed=0, dtype=np.float64),
+                World(layout.world_size, layout.world_size),
+                ParallelConfig.megascale(layout.world_size),
+                TrainConfig(global_batch_size=2, micro_batch_size=2,
+                            seq_len=16))
+
+        reader = ElasticRunner(factory, layout_at(2), str(tmp_path),
+                               checkpoint_interval=2)
+        with pytest.raises(ConfigMismatch, match="n_experts=16"):
+            reader.run(make_batches(6))
+        assert reader.reshard_reports == []
+        assert reader.discarded == []
+        assert reader.checkpoint_steps() == [2, 4]
 
 
 class TestCheckpointMetaLayout:

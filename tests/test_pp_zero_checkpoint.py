@@ -10,17 +10,15 @@ from repro.comm import World, rank_ordered_sum
 from repro.core import MODEL_ZOO, ModelConfig, ParallelConfig
 from repro.core.config import TrainConfig
 from repro.core.trainer import MegaScaleTrainer
+from repro.core.analysis import param_memory_per_gpu
 from repro.core.autoschedule import AutoScheduler
-from repro.core.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.core.config import GPU_SPECS
 from repro.core.operators import build_backward_graph
+from repro.core.runner import ProductionRunner
+from repro.ft import ConfigMismatch
 from repro.model import MoETransformer
 from repro.parallel.pipeline import stage_partition
-from repro.parallel.zero import Zero1AdamW, zero_memory_model
+from repro.parallel.zero import Zero1AdamW
 from repro.perf import KernelModel
 from repro.precision.optimizer import AdamW, clip_grad_norm
 from repro.tensor import Tensor
@@ -205,6 +203,13 @@ class TestZero1AdamW:
                     flat[:zero.numel],
                     np.concatenate([x.reshape(-1) for x in states]))
                 assert not flat[zero.numel:].any()
+            # One checkpoint format: the sharded state saves as AdamW's.
+            zero_state, full_state = zero.state_dict(), full.state_dict()
+            assert list(zero_state) == list(full_state)
+            for key, want in full_state.items():
+                got = zero_state[key]
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), key
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_state_bytes_sharded(self, rng, dtype):
@@ -220,27 +225,34 @@ class TestZero1AdamW:
                    + zero.m_shards + zero.v_shards)
         if dtype == np.float32:
             # ... which for the default model is the 12 B/param
-            # (FP32 master + two FP32 moments) the memory model charges.
-            model = zero_memory_model(zero.padded, 4, stage=1)
-            assert zero.state_nbytes_per_rank() == model["optimizer"]
+            # (FP32 master + two FP32 moments) the planner charges.
+            memory = param_memory_per_gpu(CONFIG, ParallelConfig(1),
+                                          bytes_per_param=1.0)
+            rate = memory["optimizer"] / memory["params"]
+            assert rate == 12.0
+            assert zero.state_nbytes_per_rank() == rate * zero.padded / 4
             assert AdamW(params).state_nbytes() == 8 * 62
 
     def test_float64_era_shard_state_is_cast_once(self, rng):
+        """A float64-era state saved at dp=4 loads into a float32
+        optimizer at dp=2 as float32, cast once."""
         params = [Tensor(rng.standard_normal(10).astype(np.float32),
                          requires_grad=True)]
-        zero = Zero1AdamW(params, World(2, 2).full_group())
+        zero = Zero1AdamW(params, World(4, 4).full_group())
         params[0].grad = rng.standard_normal(10).astype(np.float32)
         zero.step()
-        state = zero.shard_state_dict()
-        wide = dict(state, **{k: [s.astype(np.float64) for s in state[k]]
-                              for k in ("master", "m", "v")})
-        zero.load_shard_state_dict(wide)
-        for name in ("master", "m", "v"):
-            for got, want in zip(getattr(zero, f"{name}_shards"),
-                                 state[name]):
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(got, want)
-        zero.step()  # the kernel would reject float64 moments
+        state = zero.state_dict()
+        wide = {k: v.astype(np.float64) for k, v in state.items()}
+        moved = Zero1AdamW(params, World(2, 2).full_group())
+        moved.load_state_dict(wide)
+        for shards in (moved.master_shards, moved.m_shards,
+                       moved.v_shards):
+            assert all(s.dtype == np.float32 for s in shards)
+        back = moved.state_dict()
+        for key in state:
+            assert back[key].dtype == state[key].dtype
+            np.testing.assert_array_equal(back[key], state[key])
+        moved.step()  # the kernel would reject float64 moments
         assert params[0].data.dtype == np.float32
 
     def test_comm_pattern_recorded(self, rng):
@@ -253,77 +265,64 @@ class TestZero1AdamW:
         assert world.ledger.counts() == {"all_gather": 1}
 
 
-class TestZeroMemoryModel:
-    def test_stage_progression(self):
-        totals = [zero_memory_model(1e9, 8, stage)["total"]
-                  for stage in (0, 1, 2, 3)]
-        assert all(a > b for a, b in zip(totals, totals[1:]))
+def make_trainer(config=CONFIG):
+    model = MoETransformer(config, seed=0, dtype=np.float64)
+    train = TrainConfig(global_batch_size=2, micro_batch_size=2,
+                        learning_rate=1e-2, weight_decay=0.0)
+    return MegaScaleTrainer(model, World(2, 2),
+                            ParallelConfig.megascale(2), train)
 
-    def test_stage3_shards_everything(self):
-        m = zero_memory_model(1e9, 8, 3)
-        assert m["params"] == pytest.approx(1e9 * 2.0 / 8)
-        assert m["grads"] == pytest.approx(1e9 * 4.0 / 8)
-        assert m["optimizer"] == pytest.approx(1e9 * 12.0 / 8)
 
-    def test_invalid_stage(self):
-        with pytest.raises(ValueError, match="stage"):
-            zero_memory_model(1e9, 8, 4)
+def saved_runner(tmp_path):
+    """A runner that checkpointed one trained step, and the trainer
+    that took it."""
+    trainer = make_trainer()
+    trainer.train_step(np.random.default_rng(0).integers(0, 32, (2, 9)))
+    runner = ProductionRunner(make_trainer, str(tmp_path))
+    runner._save(trainer, 1)
+    return runner, trainer
 
 
 class TestCheckpoint:
-    def roundtrip(self, tmp_path, with_opt=True):
-        rng = np.random.default_rng(0)
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        opt = AdamW(model.parameters(), lr=1e-2)
-        ids = rng.integers(0, 32, (2, 9))
-        model.language_model_loss(ids).backward()
-        opt.step()
-        path = os.path.join(tmp_path, "ckpt.npz")
-        save_checkpoint(path, model, CONFIG,
-                        opt if with_opt else None, step=11)
-        return path, model, opt, ids
+    """The one checkpoint format: a trainer's ``state_dict()`` written
+    by the runner, with a sidecar naming its layout and model."""
 
-    def test_model_state_restored(self, tmp_path, rng):
-        path, model, _, ids = self.roundtrip(tmp_path)
-        fresh = MoETransformer(CONFIG, seed=99, dtype=np.float64)
-        step = load_checkpoint(path, fresh, CONFIG)
-        assert step == 11
-        a = model.language_model_loss(ids).item()
-        b = fresh.language_model_loss(ids).item()
-        assert a == pytest.approx(b, abs=1e-12)
+    def test_model_state_restored(self, tmp_path):
+        runner, trainer = saved_runner(tmp_path)
+        fresh = make_trainer()
+        assert runner._restore(fresh) == 1
+        ids = np.random.default_rng(1).integers(0, 32, (2, 9))
+        assert fresh.eval_loss(ids) == trainer.eval_loss(ids)
 
     def test_optimizer_state_restored(self, tmp_path):
-        path, _, opt, _ = self.roundtrip(tmp_path)
-        fresh = MoETransformer(CONFIG, seed=99, dtype=np.float64)
-        fresh_opt = AdamW(fresh.parameters(), lr=1e-2)
-        load_checkpoint(path, fresh, CONFIG, fresh_opt)
-        assert fresh_opt.step_count == opt.step_count
-        for a, b in zip(opt.m, fresh_opt.m):
+        runner, trainer = saved_runner(tmp_path)
+        fresh = make_trainer()
+        runner._restore(fresh)
+        assert fresh.optimizer.step_count == trainer.optimizer.step_count
+        for a, b in zip(trainer.optimizer.m, fresh.optimizer.m):
             np.testing.assert_array_equal(a, b)
 
     def test_config_mismatch_rejected(self, tmp_path):
-        path, *_ = self.roundtrip(tmp_path)
+        """Another model's checkpoints are refused before any array is
+        read, not walked past as corrupt and overwritten."""
+        saved_runner(tmp_path)
         other = ModelConfig("other", 4, 16, 4, 2, 24, 8, 2,
                             vocab_size=32, seq_len=8)
-        fresh = MoETransformer(other, seed=0)
-        with pytest.raises(CheckpointError, match="different model"):
-            load_checkpoint(path, fresh, other)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(os.path.join(tmp_path, "nope.npz"),
-                            MoETransformer(CONFIG, seed=0), CONFIG)
-
-    def test_missing_optimizer_state(self, tmp_path):
-        path, *_ = self.roundtrip(tmp_path, with_opt=False)
-        fresh = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        with pytest.raises(CheckpointError, match="no optimizer"):
-            load_checkpoint(path, fresh, CONFIG,
-                            AdamW(fresh.parameters()))
+        reader = ProductionRunner(lambda: make_trainer(other),
+                                  str(tmp_path))
+        with pytest.raises(ConfigMismatch) as exc:
+            reader.run([np.zeros((2, 9), dtype=int)] * 2)
+        assert "n_experts=4" in str(exc.value)
+        assert "n_experts=8" in str(exc.value)
+        assert exc.value.saved["n_experts"] == 4
+        assert exc.value.current["n_experts"] == 8
+        assert reader.discarded == []
+        assert reader.checkpoint_steps() == [1]
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
-        path, *_ = self.roundtrip(tmp_path)
-        assert not os.path.exists(path + ".tmp")
+        saved_runner(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == [
+            "step_00000001.npz", "step_00000001.npz.meta.json"]
 
 
 class TestAtomicWrite:
@@ -363,10 +362,7 @@ class TestAtomicWrite:
     def test_save_checkpoint_is_atomic(self, tmp_path, monkeypatch):
         """A save that dies mid-serialization leaves the previous
         checkpoint loadable, not a truncated npz."""
-        model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        path = os.path.join(tmp_path, "ckpt.npz")
-        save_checkpoint(path, model, CONFIG, None, step=1)
-
+        runner, trainer = saved_runner(tmp_path)
         real_savez = np.savez
 
         def dying_savez(handle, **payload):
@@ -375,11 +371,10 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(np, "savez", dying_savez)
         with pytest.raises(OSError, match="killed mid-write"):
-            save_checkpoint(path, model, CONFIG, None, step=2)
+            runner._save(trainer, 2)
         monkeypatch.undo()
 
-        fresh = MoETransformer(CONFIG, seed=99, dtype=np.float64)
-        assert load_checkpoint(path, fresh, CONFIG) == 1
+        assert runner._restore(make_trainer()) == 1
 
 
 class TestAutoScheduler:
@@ -437,25 +432,3 @@ class TestAutoScheduler:
             cand = _reorder_by_priority(tasks, pri)
             best = min(best, simulate(cand).makespan)
         assert best < base
-
-
-class TestCheckpointCorruption:
-    def test_corrupt_file_rejected(self, tmp_path):
-        import numpy as np
-        path = os.path.join(str(tmp_path), "bad.npz")
-        np.savez(path, junk=np.zeros(3))  # no __meta__
-        fresh = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        with pytest.raises(CheckpointError, match="corrupt"):
-            load_checkpoint(path, fresh, CONFIG)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
-        import numpy as np
-        path = os.path.join(str(tmp_path), "old.npz")
-        meta = json.dumps({"version": 999, "fingerprint": "x",
-                           "step": 0, "has_optimizer": False})
-        np.savez(path, __meta__=np.frombuffer(meta.encode(),
-                                              dtype=np.uint8))
-        fresh = MoETransformer(CONFIG, seed=0, dtype=np.float64)
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path, fresh, CONFIG)
