@@ -159,14 +159,15 @@ def test_reshard_cost_by_layout_pair(benchmark):
     scale_rows = [
         [f"dp{a} -> dp{b}",
          zero1_moved_elements(int(big), a, b),
-         zero1_moved_elements(int(big), a, b) * 3 * 8.0 / 1024 ** 3]
+         zero1_moved_elements(int(big), a, b) * 12.0 / 1024 ** 3]
         for a, b in ((6, 4), (4, 6), (12, 6))
     ]
     report(
         "Analytic ZeRO-1 movement, internal-352b optimizer space",
         ["dp change", "elements moved", "GiB moved (master+m+v)"],
         scale_rows,
-        notes="Table-3 DP degrees; 8-byte master copy and moments",
+        notes="Table-3 DP degrees; FP32 master copy and two moments, "
+              "12 B per element",
     )
     for _, moved, _ in scale_rows:
         assert moved > 0

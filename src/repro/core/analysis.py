@@ -87,9 +87,7 @@ def attention_comm_volume(model: ModelConfig, parallel: ParallelConfig,
     n = parallel.model_parallel_size
     if parallel.attention == "tp":
         return tp_attention_comm_volume(b, s, h, n)
-    if parallel.attention == "sp":
-        return sp_attention_comm_volume(b, s, h, n, model.gqa_ratio)
-    return 0.0  # DP attention has no per-layer communication.
+    return sp_attention_comm_volume(b, s, h, n, model.gqa_ratio)
 
 
 def ffn_comm_volume(model: ModelConfig, parallel: ParallelConfig,

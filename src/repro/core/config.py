@@ -223,7 +223,6 @@ class AttentionParallelism:
 
     TP = "tp"   # Megatron tensor parallelism: shard heads/hidden
     SP = "sp"   # Ulysses sequence parallelism: shard sequence, A2A on heads
-    DP = "dp"   # plain data parallelism (rejected: n× activation memory)
 
 
 class FFNParallelism:
@@ -254,7 +253,7 @@ class ParallelConfig:
     zero_stage: int = 1
 
     def __post_init__(self):
-        if self.attention not in ("tp", "sp", "dp"):
+        if self.attention not in ("tp", "sp"):
             raise ValueError(f"unknown attention strategy {self.attention!r}")
         if self.ffn not in ("tp", "ep"):
             raise ValueError(f"unknown ffn strategy {self.ffn!r}")

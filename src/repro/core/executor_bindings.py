@@ -10,7 +10,10 @@ one engine method computes together, e.g. the grouped-GEMM chain
 activations, calls the per-op engine methods
 (``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …) and
 issues the ``dist_*`` collectives; this list is the one place a
-layer's op sequence is spelled.
+layer's op sequence is spelled.  Every FFN path's ``scatter`` anchor
+holds a :class:`~repro.model.routing.DispatchPlan` first, and its
+gate-weighted combine is that plan's
+:meth:`~repro.model.routing.DispatchPlan.combine`.
 
 :func:`layer_program` closes the loop with the scheduler: it builds the
 forward graph, prices it with the :class:`~repro.perf.KernelModel`,
@@ -241,7 +244,7 @@ def _ep_a2a_bindings(ffn: Any,
         return ffn.op_scatter_a2a(flat, routing)
 
     def dispatch(ctx: _SeqCtx) -> List[Any]:
-        send_rows = [v[0] for v in ctx.env["scatter"]]
+        send_rows = [v[1] for v in ctx.env["scatter"]]
         send_splits = [v[2] for v in ctx.env["scatter"]]
         return _dist_ops().dist_all_to_all_uneven(
             group, send_rows, send_splits,
@@ -249,13 +252,9 @@ def _ep_a2a_bindings(ffn: Any,
             tile_label="dispatch_a2a")
 
     def experts(ctx: _SeqCtx) -> List[Any]:
-        metas = [v[1] for v in ctx.env["scatter"]]
-        all_splits = [v[2] for v in ctx.env["scatter"]]
-        return [
-            ffn.op_experts_a2a(ctx.env["dispatch_a2a"][j], metas,
-                               all_splits, j)
-            for j in range(n)
-        ]
+        counts = [v[0].expert_counts for v in ctx.env["scatter"]]
+        return [ffn.op_experts_a2a(ctx.env["dispatch_a2a"][j], counts, j)
+                for j in range(n)]
 
     def combine(ctx: _SeqCtx) -> List[Any]:
         # The return trip transposes the split matrix.
@@ -268,10 +267,9 @@ def _ep_a2a_bindings(ffn: Any,
     def weighted(r: int, get: Callable[[str], Any]) -> Any:
         # Gate weight applied after FC2, on the source rank (§4.1).
         flat, _, weights, _ = get("router")
-        meta = get("scatter")[1]
-        return ffn.op_combine_weighted(get("combine_a2a"), meta,
-                                       weights, flat.shape[0],
-                                       get("ln2").shape)
+        plan = get("scatter")[0]
+        return plan.combine(get("combine_a2a"), weights,
+                            flat.shape[0]).reshape(*get("ln2").shape)
 
     return [
         OpBinding("router", ("router",), ("ln2",), router),
@@ -351,11 +349,8 @@ def _ag_ffn_bindings(ffn: Any, flavor: str,
 
     def gather(r: int, get: Callable[[str], Any]) -> Any:
         plan = get("scatter")[0]
-        weights = get("router")[1]
-        t_total = sum(get("ffn_ag")[1])
-        if flavor == "ep":
-            return ffn.op_gather_ag(get("fc1"), plan, weights, t_total)
-        return ffn.op_gather(get("fc1"), plan, weights, t_total)
+        return plan.combine(get("fc1"), get("router")[1],
+                            sum(get("ffn_ag")[1]))
 
     def rs(ctx: _SeqCtx) -> List[Any]:
         if ffn.fp8_comm:

@@ -265,15 +265,9 @@ class MoELayer(Module):
         routing, weights, aux = self.router(x_flat)
         plan = build_dispatch_plan(routing, self.n_experts)
 
-        # Scatter: replicate each token's row into its routed positions.
-        ffn_in = ops.take_rows(x_flat, plan.token_of_row)
-        fc2_out = grouped_expert_forward(self.experts, ffn_in, plan)
-
-        # Weighted combine *after* FC2 (§4.1 reordering): scale each row
-        # by its gate weight, then accumulate back per token.
-        w_rows = weights[plan.token_of_row, plan.slot_of_row]
-        scaled = fc2_out * w_rows.reshape(-1, 1)
-        combined = ops.put_rows(scaled, plan.token_of_row, t)
+        fc2_out = grouped_expert_forward(self.experts, plan.dispatch(x_flat),
+                                         plan)
+        combined = plan.combine(fc2_out, weights, t)
 
         if len(orig_shape) == 3:
             combined = combined.reshape(*orig_shape)

@@ -14,7 +14,15 @@ and, for the overlapped AG+scatter+GroupedGEMM kernel, secondarily by
 * ``token_of_row``  — for output row ``r``, which input token it reads;
 * ``slot_of_row``   — which of the token's k slots it corresponds to;
 * ``expert_counts`` — contiguous row counts per expert (GroupedGEMM sizes);
-* ``row_of_pair``   — inverse map used by the combine/gather step.
+* ``row_of_pair``   — inverse map: the row each (token, slot) pair went to.
+
+The plan is the only place the routing → row-order decision is made.
+Every MoE path moves its rows through it: :meth:`DispatchPlan.dispatch`
+is the scatter, :meth:`DispatchPlan.combine` the gate-weighted gather.
+Because each EP rank holds a contiguous block of experts, the
+expert-major row order is also destination-rank-major, so the A2A
+sender's send buffer is the plan's rows; the receiver builds a plan over
+its arrivals (keyed by source rank) and un-sorts with ``row_of_pair``.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+from ..tensor import Tensor, ops
 
 __all__ = ["RoutingResult", "DispatchPlan", "build_dispatch_plan"]
 
@@ -88,6 +98,19 @@ class DispatchPlan:
             for e in range(len(self.expert_counts))
             if self.expert_counts[e] > 0
         )
+
+    def dispatch(self, x: Tensor) -> Tensor:
+        """Scatter: row ``r`` is a copy of token ``token_of_row[r]``."""
+        return ops.take_rows(x, self.token_of_row)
+
+    def combine(self, rows: Tensor, weights: Tensor,
+                n_tokens: int) -> Tensor:
+        """Gather: scale each row by its ``[T, k]`` gate weight, then sum
+        the rows back per token into ``[n_tokens, h]`` (§4.1: the
+        weighted sum runs after FC2)."""
+        w_rows = weights[self.token_of_row, self.slot_of_row]
+        return ops.put_rows(rows * w_rows.reshape(-1, 1),
+                            self.token_of_row, n_tokens)
 
 
 def build_dispatch_plan(

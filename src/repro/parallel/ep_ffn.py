@@ -28,8 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..comm.group import ProcessGroup
-from ..model.moe import (MoELayer, grouped_expert_blocks,
-                         grouped_expert_forward)
+from ..model.moe import MoELayer, grouped_expert_forward
 from ..model.routing import RoutingResult, build_dispatch_plan
 from ..tensor import Tensor, ops
 
@@ -85,59 +84,38 @@ class EPFFNEngine:
         return self.moe.router.route(flat)
 
     def op_scatter_a2a(self, flat: Tensor, routing: RoutingResult):
-        """``scatter`` (A2A mode): sort kept (token, slot) pairs by
-        destination rank, then expert, then token order."""
-        n = self.group.size
-        pair_token = np.repeat(np.arange(routing.n_tokens),
-                               routing.top_k)
-        pair_slot = np.tile(np.arange(routing.top_k), routing.n_tokens)
-        pair_expert = routing.expert_index.reshape(-1)
-        kept = routing.kept.reshape(-1)
-        pos = np.nonzero(kept)[0]
-        dest = pair_expert[pos] // self.local_experts
-        order = np.lexsort((pos, pair_expert[pos], dest))
-        sel = pos[order]
-        send_rows = ops.take_rows(flat, pair_token[sel])
-        meta = {
-            "token": pair_token[sel],
-            "slot": pair_slot[sel],
-            "expert": pair_expert[sel],
-        }
-        splits = np.bincount(dest[order], minlength=n).tolist()
-        return send_rows, meta, splits
+        """``scatter`` (A2A mode): the plan's (expert, token) rows are
+        already destination-rank-major — each rank holds a contiguous
+        block of experts — so they are the send buffer, split by the
+        expert counts summed per rank."""
+        plan = build_dispatch_plan(routing, self.moe.n_experts)
+        splits = plan.expert_counts.reshape(self.group.size, -1) \
+            .sum(axis=1).tolist()
+        return plan, plan.dispatch(flat), splits
 
-    def op_experts_a2a(self, received: Tensor, metas, all_splits,
+    def op_experts_a2a(self, received: Tensor,
+                       expert_counts: Sequence[np.ndarray],
                        j: int) -> Tensor:
-        """``fc1``–``fc2`` (A2A mode): sort received rows by (expert,
-        source rank), GroupedGEMM, un-sort back to arrival order."""
-        n = self.group.size
-        expert_ids = np.concatenate([
-            metas[i]["expert"][_split_slice(all_splits[i], j)]
-            for i in range(n)
-        ]) if received.shape[0] else np.zeros(0, dtype=np.int64)
-        source_rank = np.concatenate([
-            np.full(all_splits[i][j], i) for i in range(n)
-        ]) if received.shape[0] else np.zeros(0, dtype=np.int64)
-        order = np.lexsort((np.arange(expert_ids.shape[0]),
-                            source_rank, expert_ids))
-        sorted_rows = ops.take_rows(received, order)
-        counts = np.bincount(expert_ids - j * self.local_experts,
-                             minlength=self.local_experts)
-        fc2_out = _grouped_forward_by_counts(
-            self.moe.experts[j * self.local_experts:
-                             (j + 1) * self.local_experts],
-            sorted_rows, counts)
-        inverse = np.argsort(order)
-        return ops.take_rows(fc2_out, inverse)
-
-    def op_combine_weighted(self, rows: Tensor, meta, weights: Tensor,
-                            t_local: int, out_shape) -> Tensor:
-        """``weighted_sum`` (A2A mode): gate-weight returned rows and
-        scatter-add them back into token order (§4.1)."""
-        w_rows = weights[meta["token"], meta["slot"]]
-        scaled = rows * w_rows.reshape(-1, 1)
-        combined = ops.put_rows(scaled, meta["token"], t_local)
-        return combined.reshape(*out_shape)
+        """``fc1``–``fc2`` (A2A mode): rank ``j``'s arrivals come
+        source-rank-major, each source's rows in its plan's expert
+        order (``expert_counts[i]`` is source ``i``'s plan counts).  A
+        plan over the arrivals sorts them by (expert, source rank) for
+        the GroupedGEMM; its ``row_of_pair`` un-sorts the outputs back
+        to arrival order."""
+        n, local = self.group.size, self.local_experts
+        counts = np.stack([c[j * local:(j + 1) * local]
+                           for c in expert_counts]).reshape(-1)
+        expert = np.repeat(np.tile(np.arange(local), n), counts)[:, None]
+        source = np.repeat(np.repeat(np.arange(n), local), counts)
+        arrivals = RoutingResult(expert_index=expert,
+                                 gate_weight=np.ones(expert.shape),
+                                 kept=np.ones(expert.shape, dtype=bool))
+        plan = build_dispatch_plan(arrivals, local,
+                                   source_rank_of_token=source)
+        fc2_out = grouped_expert_forward(
+            self.moe.experts[j * local:(j + 1) * local],
+            plan.dispatch(received), plan)
+        return ops.take_rows(fc2_out, plan.row_of_pair.reshape(-1))
 
     def op_route_full(self, full: Tensor):
         """``router`` (AG/RS mode): replicated gate over all tokens."""
@@ -158,8 +136,7 @@ class EPFFNEngine:
         )
         plan = build_dispatch_plan(masked, self.moe.n_experts,
                                    source_rank_of_token=source_rank)
-        ffn_in = ops.take_rows(full, plan.token_of_row)
-        return plan, ffn_in
+        return plan, plan.dispatch(full)
 
     def op_experts_ag(self, ffn_in: Tensor, plan, j: int) -> Tensor:
         """``fc1``–``fc2`` (AG/RS mode): local GroupedGEMM."""
@@ -167,13 +144,6 @@ class EPFFNEngine:
         return grouped_expert_forward(
             self.moe.experts[local_lo:local_lo + self.local_experts],
             ffn_in, plan, expert_offset=local_lo)
-
-    def op_gather_ag(self, fc2_out: Tensor, plan, weights: Tensor,
-                     t_total: int) -> Tensor:
-        """``gather`` (AG/RS mode): weighted full-size contribution."""
-        w_rows = weights[plan.token_of_row, plan.slot_of_row]
-        scaled = fc2_out * w_rows.reshape(-1, 1)
-        return ops.put_rows(scaled, plan.token_of_row, t_total)
 
     def record_telemetry(self, inputs: Sequence[Tensor],
                          outputs: Sequence[Tensor],
@@ -240,18 +210,3 @@ class EPFFNEngine:
             total = piece if total is None else total + piece
             weight_total += t
         return total * (1.0 / weight_total)
-
-
-def _split_slice(splits: Sequence[int], j: int) -> slice:
-    start = int(np.sum(splits[:j]))
-    return slice(start, start + splits[j])
-
-
-def _grouped_forward_by_counts(experts, rows: Tensor,
-                               counts: np.ndarray) -> Tensor:
-    """GroupedGEMM over contiguous per-expert row blocks given counts."""
-    ends = np.cumsum(counts).tolist()
-    return grouped_expert_blocks(
-        experts, rows,
-        [(e, end - int(count), end)
-         for e, (count, end) in enumerate(zip(counts, ends))])

@@ -72,8 +72,7 @@ class TPFFNEngine:
         """``scatter``: expert-sort all kept rows (every rank keeps
         everything — TP shards weights, not tokens)."""
         plan = build_dispatch_plan(routing, self.moe.n_experts)
-        ffn_in = ops.take_rows(full, plan.token_of_row)
-        return plan, ffn_in
+        return plan, plan.dispatch(full)
 
     def op_experts(self, ffn_in: Tensor, plan, r: int) -> Tensor:
         """``fc1``–``fc2``: thin GEMM shards over every routed token."""
@@ -81,13 +80,6 @@ class TPFFNEngine:
             ffn_in,
             [(s["fc1"], s["fc3"], s["fc2"]) for s in self.shards[r]],
             plan.expert_slices())
-
-    def op_gather(self, fc2_partial: Tensor, plan, weights: Tensor,
-                  t_total: int) -> Tensor:
-        """``gather``: weighted full-size partial contribution."""
-        w_rows = weights[plan.token_of_row, plan.slot_of_row]
-        scaled = fc2_partial * w_rows.reshape(-1, 1)
-        return ops.put_rows(scaled, plan.token_of_row, t_total)
 
     def sync_grads_to_reference(self) -> None:
         """Accumulate shard gradients onto the reference experts."""

@@ -26,13 +26,14 @@ sequential-golden decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.executor_bindings import OpBinding
 from ..core.operators import Op, OpGraph
-from ..model.routing import build_dispatch_plan
+from ..model.routing import RoutingResult, build_dispatch_plan
 from ..tensor import Tensor, ops
 from .kv_cache import PagedKVCache
 
@@ -140,7 +141,9 @@ class DecodeState:
 
     Assigning :attr:`batch` (per-attention-rank lists of
     :class:`ActiveRequest`) lays the iteration's rows out once:
-    :attr:`layouts` holds each rank's :class:`RowLayout`.
+    :attr:`layouts` holds each rank's :class:`RowLayout`, and the MoE
+    bridge's rank-major numbering of every rank's rows
+    (:attr:`row_bounds`) and requests (:attr:`request_of_row`).
     """
 
     def __init__(self, model: Any, placement: Any):
@@ -158,6 +161,14 @@ class DecodeState:
     def batch(self, batch: List[List[ActiveRequest]]) -> None:
         self._batch = batch
         self.layouts = [RowLayout.of(items) for items in batch]
+        #: ``[A + 1]`` bounds of each attention rank's rows.
+        self.row_bounds = list(accumulate(
+            [0] + [layout.ids.shape[0] for layout in self.layouts]))
+        first_request = accumulate([0] + [len(items) for items in batch])
+        #: ``[rows]`` request of each row, requests numbered rank-major.
+        self.request_of_row = np.concatenate([
+            layout.row_request + first for layout, first in
+            zip(self.layouts, first_request)])
 
     @property
     def block(self):
@@ -265,19 +276,23 @@ def build_decode_bindings(state: DecodeState) -> List[OpBinding]:
         logits = segment_linear(moe.router.gate, x, layout.bounds)
         routing, weights, _ = moe.router.route_logits(Tensor(logits),
                                                       layout.bounds)
-        plan = build_dispatch_plan(routing, moe.n_experts,
-                                   source_rank_of_token=layout.row_request)
-        return {
-            "plan": plan,
-            "weights": weights.data,
-            "rows": x,
-            "row_request": layout.row_request,
-            "n_requests": len(items),
-        }
+        return routing, weights.data, x
 
     def moe_bridge(ctx):
-        return state.placement.moe_forward(state.block.moe,
-                                           ctx.env["route"])
+        # One dispatch plan per layer over every attention rank's rows,
+        # sorted by (expert, request, token).
+        moe = state.block.moe
+        routings, weights, rows = zip(*ctx.env["route"])
+        routing = RoutingResult(
+            np.concatenate([r.expert_index for r in routings]),
+            np.concatenate([r.gate_weight for r in routings]),
+            np.concatenate([r.kept for r in routings]))
+        plan = build_dispatch_plan(
+            routing, moe.n_experts,
+            source_rank_of_token=state.request_of_row)
+        return state.placement.moe_forward(
+            moe, plan, np.concatenate(weights), np.concatenate(rows),
+            state.row_bounds, state.request_of_row)
 
     return [
         rank_op("attn_ln", ("hidden",), attn_ln),

@@ -18,10 +18,11 @@ the wire.  Each expert rank gate-scales its FC2 outputs and sums a
 token's terms into one partial row, so ``serve:combine_a2a`` carries
 one row per (token, expert rank) back (for top_k <= 2; see below).
 
-Bitwise contract: each attention rank routes its whole row array with
-one dispatch plan sorted by (expert, request, token).  The expert rank
-expands the token rows it received back into the (source, local
-expert, request) blocks the unbatched reference
+Bitwise contract: each attention rank routes its own rows, and one
+dispatch plan per layer orders every rank's rows by (expert, request,
+token), with requests numbered rank-major.  The expert rank expands the
+token rows it received back into its slice of that plan, whose runs of
+(expert, request) are the blocks the unbatched reference
 :class:`~repro.model.moe.MoELayer` sends each expert, and one
 :func:`~repro.model.moe.grouped_expert_blocks` call runs every block
 through its own GEMM.  The reference combine adds a token's
@@ -40,7 +41,7 @@ unbatched sequential golden bit-for-bit.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Dict, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -86,46 +87,38 @@ class DisaggregatedPlacement:
         """Attention-rank index hosting a request (static round-robin)."""
         return request_id % len(self.attn_ranks)
 
-    def moe_forward(self, moe, routed: List[Dict[str, Any]]
-                    ) -> List[np.ndarray]:
+    def moe_forward(self, moe, plan, weights: np.ndarray, rows: np.ndarray,
+                    row_bounds: Sequence[int],
+                    request_of_row: np.ndarray) -> List[np.ndarray]:
         """One MoE layer across the bridge for the whole active batch.
 
-        ``routed[i]`` is attention rank ``i``'s route result (a dict
-        from the ``route`` binding: ``plan`` — one dispatch plan over
-        the rank's rows, sorted by (expert, request, token) —
-        ``weights``, the ``rows`` themselves, ``row_request`` and
-        ``n_requests``).  Returns each rank's combined ``[rows, hidden]``
-        array.
+        ``rows`` are every attention rank's ``[rows, hidden]`` inputs,
+        numbered rank-major (rank ``i`` holds rows ``row_bounds[i]`` to
+        ``row_bounds[i + 1]``), and ``weights`` their ``[rows, k]`` gate
+        weights.  ``plan`` is the layer's one dispatch plan over them,
+        sorted by (expert, request, token), where ``request_of_row``
+        numbers the requests rank-major.  Returns each attention rank's
+        combined ``[rows, hidden]`` array.
         """
         a = len(self.attn_ranks)
         e = len(self.expert_ranks)
         pe = self.experts_per_rank
         h = moe.hidden_size
-        n_experts = moe.n_experts
         dtype = moe.experts[0].fc1.dtype
-        plans = [r["plan"] for r in routed]
-        row_bounds = list(accumulate([0] + [r["rows"].shape[0]
-                                             for r in routed]))
         t = max(row_bounds[-1], 1)
 
         # --- routing metadata.  Every plan row is one (token, expert)
-        # pair.  Pairs are listed attention-rank-major, each rank's in
-        # plan order, and tokens are numbered across the attention
-        # ranks.  A token crosses to each of its expert ranks once, as
+        # pair.  A token crosses to each of its expert ranks once, as
         # the row of its *cell* (expert rank j, attention rank i,
         # token).  The pairs of the token's first expert rank share one
         # partial row back; a pair on a later rank comes back alone, so
         # the combine adds every token's terms in expert order for any
         # top_k (for top_k <= 2 every cell comes back as one row).
-        src_expert = np.repeat(
-            np.arange(a * n_experts),
-            np.concatenate([p.expert_counts for p in plans]))
-        src = src_expert // n_experts
-        expert = src_expert % n_experts
+        expert = np.repeat(np.arange(moe.n_experts), plan.expert_counts)
         dest = expert // pe
-        token = (np.concatenate([p.token_of_row for p in plans])
-                 + np.asarray(row_bounds[:-1])[src])
-        n_pairs = token.shape[0]
+        token = plan.token_of_row
+        src = np.repeat(np.arange(a), np.diff(row_bounds))[token]
+        n_pairs = plan.n_rows
         cell = (dest * a + src) * t + token
         first = np.full(t, e)
         np.minimum.at(first, token, dest)
@@ -139,26 +132,25 @@ class DisaggregatedPlacement:
         new_back = new_row | (dest > first[token])[by_cell]
         keys = sorted_cell[new_row]
         back_keys = sorted_cell[new_back]
-        row_of_pair = np.empty(n_pairs, dtype=np.int64)
-        row_of_pair[by_cell] = np.cumsum(new_row) - 1
+        sent_of_pair = np.empty(n_pairs, dtype=np.int64)
+        sent_of_pair[by_cell] = np.cumsum(new_row) - 1
         back_of_pair = np.empty(n_pairs, dtype=np.int64)
         back_of_pair[by_cell] = np.cumsum(new_back) - 1
         # [e, a] token rows, gate weights and partial rows per link.
+        link = dest * a + src
         sent = np.bincount(keys // t, minlength=e * a).reshape(e, a)
-        pairs = np.bincount(dest * a + src, minlength=e * a).reshape(e, a)
+        pairs = np.bincount(link, minlength=e * a).reshape(e, a)
         back = np.bincount(back_keys // t, minlength=e * a).reshape(e, a)
 
         # --- dispatch: attention rank i's chunk for expert rank j is
         # its token rows for j in token order, then the gate weights of
         # its pairs for j in plan order.
         by_src = np.argsort(keys // t % a, kind="stable")
-        rows = np.concatenate([r["rows"] for r in routed])
-        gate = np.concatenate([r["weights"] for r in routed])[
-            token, np.concatenate([p.slot_of_row for p in plans])]
+        gate = weights[token, plan.slot_of_row]
         weight_at, is_row = _wire_layout(h, sent.T.reshape(-1),
                                          pairs.T.reshape(-1))
         wire = np.empty(is_row.shape[0], dtype=rows.dtype)
-        wire[weight_at] = gate
+        wire[weight_at] = gate[np.argsort(src * e + dest, kind="stable")]
         wire[is_row] = rows[keys[by_src] % t].reshape(-1)
         chunks = (sent * h + pairs).T.tolist()
         wire_bounds = list(accumulate([0] + [sum(c) for c in chunks]))
@@ -171,45 +163,36 @@ class DisaggregatedPlacement:
 
         # --- expert compute: expert rank j received its (attention
         # rank, token rows then weights) chunks.  One gather expands the
-        # token rows into every pair j computes, in (attention rank,
-        # plan) order — the (source, local expert, request) blocks of
-        # rows the unbatched reference sends each expert — and one
-        # GroupedGEMM per expert rank runs each block through its own
-        # GEMM.  The gate-scaled outputs then sum into the partial rows
+        # token rows into every pair in plan order, so expert rank j's
+        # pairs are one contiguous slice of runs of (expert, request) —
+        # the blocks of rows the unbatched reference MoELayer sends each
+        # expert — and one GroupedGEMM per expert rank runs each run
+        # through its own GEMM.  The gate-scaled outputs then sum into the partial rows
         # in plan (expert) order.
         buf = np.concatenate([received[j] for j in self.expert_ranks])
         weight_at, is_row = _wire_layout(h, sent.reshape(-1),
                                          pairs.reshape(-1))
-        token_rows = buf[is_row].reshape(-1, h)
-        order = np.argsort(dest, kind="stable")
-        expanded = Tensor(token_rows[row_of_pair[order]])
-        req_bounds = list(accumulate([0] + [r["n_requests"]
-                                             for r in routed]))
-        n_req = req_bounds[-1]
-        request = (np.concatenate([r["row_request"] for r in routed])[token]
-                   + np.asarray(req_bounds[:-1])[src])
-        blocks = np.bincount(expert * n_req + request,
-                             minlength=n_experts * n_req
-                             ).reshape(n_experts, n_req)
-        fc2_out = []
-        off = 0
-        for j in range(e):
-            start = off
-            row_blocks = []
-            for lo, hi in zip(req_bounds, req_bounds[1:]):
-                for local, counts in enumerate(
-                        blocks[j * pe:(j + 1) * pe, lo:hi].tolist()):
-                    for c in counts:
-                        row_blocks.append((local, off - start,
-                                           off - start + c))
-                        off += c
-            fc2_out.append(grouped_expert_blocks(
-                moe.experts[j * pe:(j + 1) * pe], expanded[start:off],
-                row_blocks).data)
+        expanded = Tensor(buf[is_row].reshape(-1, h)[sent_of_pair])
+        gate = np.empty(n_pairs, dtype=buf.dtype)
+        gate[np.argsort(link, kind="stable")] = buf[weight_at]
+        request = request_of_row[token]
+        run_start = np.flatnonzero(np.concatenate([
+            [n_pairs > 0],
+            (expert[1:] != expert[:-1]) | (request[1:] != request[:-1])]))
+        runs = list(zip(expert[run_start].tolist(), run_start.tolist(),
+                        run_start[1:].tolist() + [n_pairs]))
+        rank_bounds = list(accumulate(
+            [0] + plan.expert_counts.reshape(e, pe).sum(axis=1).tolist()))
+        fc2_out = [
+            grouped_expert_blocks(
+                moe.experts[j * pe:(j + 1) * pe], expanded[lo:hi],
+                [(x - j * pe, start - lo, end - lo)
+                 for x, start, end in runs if lo <= start < hi]).data
+            for j, (lo, hi) in enumerate(zip(rank_bounds, rank_bounds[1:]))]
         partial = scatter_add_rows(
             np.zeros((back_keys.shape[0], h), dtype=dtype),
-            back_of_pair[order],
-            np.concatenate(fc2_out) * buf[weight_at].reshape(-1, 1))
+            back_of_pair,
+            np.concatenate(fc2_out) * gate.reshape(-1, 1))
         back_bounds = list(accumulate([0] + back.sum(axis=1).tolist()))
         combined = all_to_all_uneven(
             self.bridge,

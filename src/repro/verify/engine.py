@@ -572,10 +572,11 @@ class ServeArtifacts:
     #: model(prompt + generated[:-1]))``.
     reference: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
-    #: Per bridge crossing (one MoE layer of one iteration), each
-    #: attention rank's dispatch plan, captured as the engine handed it
-    #: to the bridge — what ``serve_comm_balance`` prices the ledger by.
-    plans: List[List[object]] = field(default_factory=list)
+    #: Per bridge crossing (one MoE layer of one iteration), its one
+    #: dispatch plan over every attention rank's rows, captured as the
+    #: engine handed it to the bridge — what ``serve_comm_balance``
+    #: prices the ledger by.
+    plans: List[object] = field(default_factory=list)
 
 
 def run_serve_case(case) -> CaseResult:
@@ -606,12 +607,12 @@ def run_serve_case(case) -> CaseResult:
     tracer = Tracer(clock=clock)
     engine = ServeEngine(model, serve_config, world=world,
                          tracer=tracer, clock=clock)
-    plans: List[List[object]] = []
+    plans: List[object] = []
     bridge = engine.placement.moe_forward
 
-    def capture(moe, routed):
-        plans.append([r["plan"] for r in routed])
-        return bridge(moe, routed)
+    def capture(moe, plan, *rest):
+        plans.append(plan)
+        return bridge(moe, plan, *rest)
 
     engine.placement.moe_forward = capture  # type: ignore[method-assign]
     requests = case.requests()

@@ -714,13 +714,14 @@ def _check_serve_reference(art) -> List[str]:
 def _check_serve_comm_balance(art) -> List[str]:
     """The bridge moves exactly the bytes the routing plans demand.
 
-    Per bridge crossing and attention rank, each token of the captured
-    plan crosses to each of its expert ranks as one ``hidden``-wide row,
-    with one gate weight per (token, expert) plan row.  It comes back as
-    one row from its first expert rank plus one per pair on a later
-    rank — for top_k <= 2, one row per (token, expert rank) again.  The
-    count is made here, from the plans, not taken from the bridge: a
-    bridge that sent a row twice on both legs would still balance.
+    Per bridge crossing, each token of the crossing's one captured plan
+    (over every attention rank's rows) crosses to each of its expert
+    ranks as one ``hidden``-wide row, with one gate weight per (token,
+    expert) plan row.  It comes back as one row from its first expert
+    rank plus one per pair on a later rank — for top_k <= 2, one row
+    per (token, expert rank) again.  The count is made here, from the
+    plans, not taken from the bridge: a bridge that sent a row twice on
+    both legs would still balance.
     Each crossing is one dispatch and one combine call, and no serve
     traffic may leak into the training (Eq. 1-4 audited) buckets."""
     violations = []
@@ -728,18 +729,16 @@ def _check_serve_comm_balance(art) -> List[str]:
     per_rank = case.experts // case.expert_ranks
     itemsize = np.dtype(case.dtype).itemsize
     rows = back = pairs = 0
-    for crossing in art.plans:
-        for plan in crossing:
-            ranks_of: Dict[int, List[int]] = {}
-            expert = np.repeat(np.arange(len(plan.expert_counts)),
-                               plan.expert_counts)
-            for token, x in zip(plan.token_of_row.tolist(),
-                                expert.tolist()):
-                ranks_of.setdefault(token, []).append(x // per_rank)
-            for ranks in ranks_of.values():
-                rows += len(set(ranks))
-                back += 1 + sum(r != min(ranks) for r in ranks)
-            pairs += plan.n_rows
+    for plan in art.plans:
+        ranks_of: Dict[int, List[int]] = {}
+        expert = np.repeat(np.arange(len(plan.expert_counts)),
+                           plan.expert_counts)
+        for token, x in zip(plan.token_of_row.tolist(), expert.tolist()):
+            ranks_of.setdefault(token, []).append(x // per_rank)
+        for ranks in ranks_of.values():
+            rows += len(set(ranks))
+            back += 1 + sum(r != min(ranks) for r in ranks)
+        pairs += plan.n_rows
     row_bytes = case.hidden * itemsize
     want_combine = float(back * row_bytes)
     want_dispatch = float(rows * row_bytes + pairs * itemsize)

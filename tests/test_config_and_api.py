@@ -120,6 +120,12 @@ class TestParallelConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             ParallelConfig(0)
 
+    def test_dp_attention_is_not_a_strategy(self):
+        """Attention runs under TP or SP; plain DP attention (n x the
+        activation memory, §3.1) is not an option."""
+        with pytest.raises(ValueError, match="attention"):
+            ParallelConfig(8, attention="dp")
+
 
 class TestTrainConfig:
     def test_defaults_match_paper(self):

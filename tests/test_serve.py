@@ -81,13 +81,13 @@ def run_engine(model, config, requests, fault_plan=None,
 
 
 def capture_bridge(engine):
-    """Record each bridge crossing's route results and combined rows."""
+    """Record each bridge crossing's dispatch plan and combined rows."""
     crossings = []
     bridge = engine.placement.moe_forward
 
-    def capture(moe, routed):
-        combined = bridge(moe, routed)
-        crossings.append((routed, combined))
+    def capture(moe, plan, *rest):
+        combined = bridge(moe, plan, *rest)
+        crossings.append((plan, combined))
         return combined
 
     engine.placement.moe_forward = capture
@@ -486,12 +486,31 @@ class TestBridgeLedger:
         engine.shutdown()
         tags = engine.placement.world.ledger.bytes_by_tag()
         assert set(tags) == {"serve:dispatch_a2a", "serve:combine_a2a"}
-        pairs = sum(r["plan"].n_rows for routed, _ in crossings
-                    for r in routed)
+        pairs = sum(plan.n_rows for plan, _ in crossings)
         assert tags["serve:dispatch_a2a"] == (tags["serve:combine_a2a"]
                                               + pairs * 8)
         assert tags["serve:combine_a2a"] > 0
         assert tags["serve:combine_a2a"] % (32 * 8) == 0
+
+    def test_one_dispatch_plan_per_layer_crossing(self, monkeypatch):
+        """Every attention rank's rows of one MoE layer share one
+        dispatch plan: the bridge builds one per crossing, not one per
+        attention rank."""
+        from repro.serve import decode
+        build = decode.build_dispatch_plan
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(decode, "build_dispatch_plan", counting)
+        engine = ServeEngine(tiny_model(), serve_config(attention_ranks=3))
+        crossings = capture_bridge(engine)
+        engine.run(poisson_trace(6, rate=1.0, vocab=64, seed=0))
+        engine.shutdown()
+        assert len(crossings) > 0
+        assert len(calls) == len(crossings)
 
     def test_latency_percentiles_from_virtual_clock(self):
         model = tiny_model(n_layers=1)
@@ -538,8 +557,8 @@ class TestBridgeCrossesOnce:
             crossings = capture_bridge(engine)
             engine.run([Request(0, prompt=(token,), max_new_tokens=1)])
             engine.shutdown()
-            routed, combined = crossings[0]
-            if want(expert_ranks_of(routed[0]["plan"], 0, pe)):
+            plan, combined = crossings[0]
+            if want(expert_ranks_of(plan, 0, pe)):
                 dispatch, combine = engine.placement.world.ledger.records[:2]
                 assert dispatch.tag == "serve:dispatch_a2a"
                 assert combine.tag == "serve:combine_a2a"
@@ -659,11 +678,10 @@ def _artifacts(**overrides):
                    "freed_total": 3},
         thread_stacks={},
         shutdown_error="",
-        plans=[[DispatchPlan(token_of_row=np.array([0, 0]),
-                             slot_of_row=np.array([0, 1]),
-                             expert_counts=np.array([0, 1, 1, 0, 0, 0, 0,
-                                                     0]),
-                             row_of_pair=np.array([[0, 1]]))]],
+        plans=[DispatchPlan(token_of_row=np.array([0, 0]),
+                            slot_of_row=np.array([0, 1]),
+                            expert_counts=np.array([0, 1, 1, 0, 0, 0, 0, 0]),
+                            row_of_pair=np.array([[0, 1]]))],
     )
     base.update(overrides)
     return ServeArtifacts(**base)
@@ -750,7 +768,7 @@ class TestServeInvariantsCatchBugs:
         art = _served_artifacts(monkeypatch, ServeCase(n_requests=3))
         assert not _check_serve_comm_balance(art)
         by_tag = art.ledger_by_tag
-        pairs = sum(p.n_rows for crossing in art.plans for p in crossing)
+        pairs = sum(plan.n_rows for plan in art.plans)
         per_pair = float(pairs * 32 * 8)
         assert by_tag["serve:combine_a2a"] < per_pair
         art.ledger_by_tag = {"serve:dispatch_a2a": per_pair,
