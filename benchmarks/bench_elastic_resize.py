@@ -11,9 +11,10 @@ checkpoint–reshard–resume.  This bench quantifies the trade two ways:
    zero replay).  Reported per scenario: replayed step executions,
    state bytes moved, and the modelled reshard time.
 2. Reshard cost by layout pair: exact bytes whose rank ownership
-   changes (ZeRO-1 shard re-flattening + expert re-placement) for
-   shrink/grow/deep-shrink pairs on the demo model, plus the analytic
-   ZeRO movement for the 352B production model at Table-3 DP degrees.
+   changes (ZeRO-1 shards across the old and new DP degree + expert
+   re-placement) for SP×EP and DP shrink/grow/deep-shrink pairs on the
+   demo model, plus the analytic ZeRO movement for the 352B production
+   model at Table-3 DP degrees.
 """
 
 import numpy as np
@@ -41,9 +42,9 @@ CHECKPOINT_INTERVAL = 4
 EVENT_STEP = 6  # between checkpoints: a cold restart must replay
 
 
-def layout_at(n):
+def layout_at(n, dp=1):
     return ParallelLayout.from_parallel_config(
-        ParallelConfig.megascale(n))
+        ParallelConfig.megascale(n, data_parallel_size=dp))
 
 
 def make_factory():
@@ -122,7 +123,10 @@ def test_resize_vs_cold_restart(benchmark, tmp_path):
 @pytest.mark.benchmark(group="elastic-resize")
 def test_reshard_cost_by_layout_pair(benchmark):
     factory = make_factory()
-    pairs = [(4, 2), (2, 4), (4, 1), (1, 4)]
+    # (ranks per node, dp) pairs.  The saved state does not depend on
+    # the DP degree, so one dp=1 checkpoint prices every pair.
+    pairs = [((4, 1), (2, 1)), ((2, 1), (4, 1)), ((4, 2), (4, 1)),
+             ((4, 1), (4, 2)), ((4, 4), (4, 1))]
 
     def measure():
         trainer = factory(layout_at(4))
@@ -130,9 +134,10 @@ def test_reshard_cost_by_layout_pair(benchmark):
         state = trainer.state_dict()
         rows = []
         for old, new in pairs:
-            _, rep = reshard_state(state, layout_at(old),
-                                   layout_at(new))
-            rows.append([f"{old} -> {new}", rep.zero_elements_moved,
+            _, rep = reshard_state(state, layout_at(*old),
+                                   layout_at(*new))
+            rows.append([f"n{old[0]} dp{old[1]} -> n{new[0]} dp{new[1]}",
+                         rep.zero_elements_moved,
                          rep.n_experts_moved,
                          rep.total_bytes / 1024,
                          rep.seconds() * 1e6])
@@ -141,17 +146,19 @@ def test_reshard_cost_by_layout_pair(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     report(
         "Reshard cost by layout pair (demo model, exact accounting)",
-        ["old -> new ranks", "zero1 elems moved", "experts moved",
+        ["old -> new layout", "zero1 elems moved", "experts moved",
          "bytes moved (KiB)", "modelled (us)"],
         rows,
-        notes="ZeRO-1 shard re-flattening is interval arithmetic on "
-              "the two shard grids; expert movement follows the "
+        notes="ZeRO-1 movement is interval arithmetic on the old and "
+              "new DP degree's shard grids; expert movement follows the "
               "contiguous-block EP placement",
     )
-    # Shrink and grow between the same pair move the same elements.
-    assert rows[0][1] == rows[1][1]
+    # An SP x EP resize keeps dp: no optimizer state changes owner.
+    assert rows[0][1] == rows[1][1] == 0
+    # Shrink and grow between the same DP pair move the same elements.
+    assert rows[2][1] == rows[3][1] > 0
     # A deeper shrink moves at least as much as the shallow one.
-    assert rows[2][1] >= rows[0][1]
+    assert rows[4][1] >= rows[2][1]
 
     # Analytic scale-up: the 352B model's optimizer space across the
     # Table-3 DP degrees (elements whose ZeRO-1 owner changes).

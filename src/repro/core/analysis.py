@@ -184,7 +184,7 @@ def param_memory_per_gpu(
 
     SP attention *replicates* attention weights across the ``n`` model-
     parallel ranks while TP shards them (§3.1); experts are sharded by
-    both EP and TP.  ZeRO stage ≥ 1 shards optimizer states across every
+    both EP and TP.  ZeRO-1 shards optimizer states across every
     rank that holds an identical copy: the DP group for sharded
     parameters, and the full ``n × d`` replica set for SP's replicated
     attention weights (the hierarchical sync of Appendix A.1 gives each
@@ -207,17 +207,12 @@ def param_memory_per_gpu(
     params = (layers_per_stage * (attn_per_gpu + ffn_per_gpu)
               + embed_per_gpu)
 
-    dp_shard = d if parallel.zero_stage >= 1 else 1
-    if parallel.zero_stage >= 1:
-        # Replicated attention optimizer states shard across n×d; the
-        # sharded components across d only.
-        attn_replicas = n if parallel.attention == "sp" else 1
-        optimizer = layers_per_stage * (
-            attn_per_gpu / (attn_replicas * dp_shard)
-            + ffn_per_gpu / dp_shard
-        ) * opt_bytes + embed_per_gpu / dp_shard * opt_bytes
-    else:
-        optimizer = params * opt_bytes
+    # ZeRO-1: replicated attention optimizer states shard across n×d;
+    # the sharded components across d only.
+    attn_replicas = n if parallel.attention == "sp" else 1
+    optimizer = layers_per_stage * (
+        attn_per_gpu / (attn_replicas * d) + ffn_per_gpu / d
+    ) * opt_bytes + embed_per_gpu / d * opt_bytes
 
     return {
         "params": params * bytes_per_param,

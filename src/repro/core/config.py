@@ -250,7 +250,6 @@ class ParallelConfig:
     virtual_pipeline_size: int = 1
     #: EP dispatch mode: "a2a", "ag_rs", or "adaptive" (§3.2, Fig. 7).
     ep_dispatch: str = "adaptive"
-    zero_stage: int = 1
 
     def __post_init__(self):
         if self.attention not in ("tp", "sp"):

@@ -17,13 +17,13 @@ syncs the replica gradients per App. A.1 (hierarchically for
 parameters replicated across a node, flat across DP peers for expert
 and router parameters, BF16 on the inter-node leg when
 ``train.dp_comm_compression`` is set), and updates in
-:class:`~repro.parallel.zero.Zero1AdamW` when ``dp > 1`` and
-``zero_stage >= 1``, else in :class:`~repro.precision.optimizer.AdamW`
-(docs/INTERNALS.md §18).  With ``pp = dp = 1`` and one micro-batch
-the step is a forward, backward and update of the whole batch: no
-split, no gradient copy, no sync.  The collectives are numerically
-exact, so a step matches the single-rank reference run on the same
-micro-batches, which the test suite and ``repro verify`` assert.
+:class:`~repro.precision.optimizer.AdamW`, ZeRO-1-sharded over one rank
+per replica when ``dp > 1`` (docs/INTERNALS.md §18).  With
+``pp = dp = 1`` and one micro-batch the step is a forward, backward and
+update of the whole batch: no split, no gradient copy, no sync.  The
+collectives are numerically exact, so a step matches the single-rank
+reference run on the same micro-batches, which the test suite and
+``repro verify`` assert.
 
 The trainer composes with
 :class:`~repro.precision.policy.PrecisionPolicy` (BF16/FP8 emulation,
@@ -51,7 +51,6 @@ from ..model.transformer import MoETransformer
 from ..parallel.block import ParallelBlockEngine
 from ..parallel.pipeline import (one_f_one_b_schedule, stage_partition,
                                  validate_schedule)
-from ..parallel.zero import Zero1AdamW
 from ..precision.optimizer import AdamW, clip_grad_norm
 from ..precision.policy import PrecisionPolicy
 from ..tensor import Tensor, ops
@@ -136,16 +135,14 @@ class MegaScaleTrainer:
         self.stage_groups: List[ProcessGroup] = [
             world.group(range(s * n, (s + 1) * n)) for s in range(pp)]
 
-        hyper = dict(lr=train.learning_rate,
-                     betas=(train.adam_beta1, train.adam_beta2),
-                     eps=train.adam_eps, weight_decay=train.weight_decay)
-        if dp > 1 and parallel.zero_stage >= 1:
-            # One rank per replica: the first rank of each.
-            self.optimizer = Zero1AdamW(
-                self.params, world.group(range(0, world.size, n * pp)),
-                **hyper)
-        else:
-            self.optimizer = AdamW(self.params, **hyper)
+        # ZeRO-1 over one rank per replica (the first of each) when
+        # dp > 1.
+        self.optimizer = AdamW(
+            self.params, lr=train.learning_rate,
+            betas=(train.adam_beta1, train.adam_beta2),
+            eps=train.adam_eps, weight_decay=train.weight_decay,
+            group=world.group(range(0, world.size, n * pp))
+            if dp > 1 else None)
 
         remat_plan = None
         if train.selective_remat:
@@ -412,8 +409,8 @@ class MegaScaleTrainer:
         A production restart must restore Adam state or the first
         post-restart steps diverge; keys are namespaced so the model
         part stays a valid model state dict.  The optimizer part is
-        ``AdamW``'s per-parameter ``opt/...`` keys under ZeRO-1 too, so
-        it does not depend on the DP degree.
+        ``AdamW``'s per-parameter ``opt/...`` keys, which do not depend
+        on the DP degree.
         """
         state = {f"model/{k}": v
                  for k, v in self.model.state_dict().items()}
@@ -425,9 +422,8 @@ class MegaScaleTrainer:
 
         Accepts both the namespaced format from :meth:`state_dict` and a
         bare model state dict (checkpoint of weights only).  Optimizer
-        state saved at another DP degree, or by the other optimizer,
-        loads as is: :meth:`Zero1AdamW.load_state_dict` slices it onto
-        its own shards.
+        state saved at another DP degree loads as is: ZeRO-1 slices the
+        per-parameter moments onto its shard grid at each step.
         """
         if any(k.startswith("model/") for k in state):
             model_state = {k[len("model/"):]: v for k, v in state.items()

@@ -2,12 +2,13 @@
 
 Three mappings, each exact by construction:
 
-* **ZeRO-1 optimizer shards across a changed shard degree.**  A
-  checkpoint holds the Adam moments per parameter, whatever the
-  optimizer (:meth:`repro.parallel.zero.Zero1AdamW.state_dict`), and
-  :class:`~repro.parallel.zero.Zero1AdamW` slices them onto its own
-  shard grid when it loads; the state passes through here unchanged.
-  The bytes that change owners between the two grids fall out of
+* **ZeRO-1 optimizer shards across a changed DP degree.**  A
+  checkpoint holds the Adam moments per parameter at every DP degree
+  (:meth:`repro.precision.optimizer.AdamW.state_dict`), and the
+  optimizer slices them onto its own shard grid
+  (:func:`~repro.precision.optimizer.zero1_shard_size`) as it steps;
+  the state passes through here unchanged.  The bytes that change
+  owners between the old and new DP degree's grids fall out of
   interval arithmetic on them (:func:`zero1_moved_elements`).
 * **Expert re-placement under a changed EP degree.**  Experts live in
   contiguous blocks of ``E/n`` per rank
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..precision.optimizer import zero1_shard_size
 from .layout import ParallelLayout
 
 __all__ = [
@@ -57,10 +59,6 @@ _EXPERT_KEY = re.compile(
 # -- ZeRO-1 shard grids -------------------------------------------------------
 
 
-def _padded(numel: int, dp: int) -> int:
-    return -(-numel // dp) * dp
-
-
 def zero1_moved_elements(numel: int, old_dp: int, new_dp: int) -> int:
     """Elements whose owning rank changes between two shard grids.
 
@@ -70,8 +68,8 @@ def zero1_moved_elements(numel: int, old_dp: int, new_dp: int) -> int:
     """
     if numel <= 0 or old_dp == new_dp:
         return 0
-    old_size = _padded(numel, old_dp) // old_dp
-    new_size = _padded(numel, new_dp) // new_dp
+    old_size = zero1_shard_size(numel, old_dp)
+    new_size = zero1_shard_size(numel, new_dp)
     cuts = sorted(
         {0, numel}
         | {min(r * old_size, numel) for r in range(1, old_dp)}
@@ -146,7 +144,7 @@ class ReshardReport:
     numel: int
     #: Elements whose ZeRO-1 shard owner changed.
     zero_elements_moved: int
-    #: Bytes of master + both Adam moments that change ranks.
+    #: Bytes of the main copy + both Adam moments that change ranks.
     zero_bytes: float
     #: Expert indices (per layer) that change ranks under the new EP.
     experts_moved: Tuple[Tuple[int, ...], ...]
@@ -194,27 +192,24 @@ def reshard_state(state: Dict[str, np.ndarray],
                   ) -> Tuple[Dict[str, np.ndarray], ReshardReport]:
     """Map a trainer checkpoint from one parallel layout to another.
 
-    Every array passes through unchanged: the optimizer state is saved
-    per parameter and ZeRO-1 slices it onto its own DP degree when it
-    loads (:meth:`~repro.parallel.zero.Zero1AdamW.load_state_dict`), and
-    expert tensors are replicated in this simulation's reference model.
-    The report prices the movement the real system performs: the AdamW
-    moments change owners between the ZeRO-1 shard grids of the two
-    world sizes, and the experts move to their blocks under the new EP
-    degree.
+    Every array passes through unchanged, and ``new_state`` is
+    ``state`` itself: the optimizer state is saved per parameter and
+    ZeRO-1 slices it onto its own DP degree, and expert tensors are
+    replicated in this simulation's reference model.  The report
+    prices the movement the real system performs: the AdamW state
+    changes owners between the ZeRO-1 shard grids of the old and new
+    DP degree (a resize that keeps ``dp`` moves none of it), and the
+    experts move to their blocks under the new EP degree.
 
     Returns ``(new_state, report)``; when ``obs`` is given the
     re-partition lands as an ``elastic.reshard`` span plus
     ``elastic.reshards`` / ``elastic.bytes_moved`` counters.
     """
-    old_group = old_layout.world_size
-    new_group = new_layout.world_size
-    new_state = {key: np.array(value) for key, value in state.items()}
     # m and v each cover the flattened space once.
-    moments = [value for key, value in new_state.items()
+    moments = [np.asarray(value) for key, value in state.items()
                if re.fullmatch(r"opt/m/\d+", key)]
     numel = sum(value.size for value in moments)
-    moved = zero1_moved_elements(numel, old_group, new_group)
+    moved = zero1_moved_elements(numel, old_layout.dp, new_layout.dp)
     # Master copy + first and second Adam moments, each an element of
     # the saved moments' dtype.
     itemsize = np.result_type(*moments).itemsize if moments else 0
@@ -254,4 +249,4 @@ def reshard_state(state: Dict[str, np.ndarray],
         obs.metrics.inc("elastic.bytes_moved", report.total_bytes)
         obs.metrics.set("elastic.last_reshard_seconds",
                         report.seconds())
-    return new_state, report
+    return state, report

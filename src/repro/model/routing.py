@@ -13,8 +13,7 @@ and, for the overlapped AG+scatter+GroupedGEMM kernel, secondarily by
 
 * ``token_of_row``  — for output row ``r``, which input token it reads;
 * ``slot_of_row``   — which of the token's k slots it corresponds to;
-* ``expert_counts`` — contiguous row counts per expert (GroupedGEMM sizes);
-* ``row_of_pair``   — inverse map: the row each (token, slot) pair went to.
+* ``expert_counts`` — contiguous row counts per expert (GroupedGEMM sizes).
 
 The plan is the only place the routing → row-order decision is made.
 Every MoE path moves its rows through it: :meth:`DispatchPlan.dispatch`
@@ -22,7 +21,8 @@ is the scatter, :meth:`DispatchPlan.combine` the gate-weighted gather.
 Because each EP rank holds a contiguous block of experts, the
 expert-major row order is also destination-rank-major, so the A2A
 sender's send buffer is the plan's rows; the receiver builds a plan over
-its arrivals (keyed by source rank) and un-sorts with ``row_of_pair``.
+its arrivals (keyed by source rank) and un-sorts by inverting its
+``token_of_row``.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ class DispatchPlan:
     slot_of_row: np.ndarray
     #: Rows assigned to each expert, contiguous in row order. ``[E]``
     expert_counts: np.ndarray
-    #: Inverse map: row id for each kept (token, slot) pair, -1 if dropped.
-    row_of_pair: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -156,12 +154,8 @@ def build_dispatch_plan(
     slot_of_row = pair_slot[sorted_pos]
     expert_counts = np.bincount(experts, minlength=n_experts)
 
-    row_of_pair = np.full(t * k, -1, dtype=np.int64)
-    row_of_pair[sorted_pos] = np.arange(sorted_pos.shape[0])
-
     return DispatchPlan(
         token_of_row=token_of_row,
         slot_of_row=slot_of_row,
         expert_counts=expert_counts,
-        row_of_pair=row_of_pair.reshape(t, k),
     )

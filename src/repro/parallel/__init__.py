@@ -26,7 +26,6 @@ from .cp_attention import (
 from .sp_attention import SPAttentionEngine
 from .tp_attention import TPAttentionEngine
 from .tp_ffn import TPFFNEngine
-from .zero import Zero1AdamW
 
 __all__ = [
     "ParallelBlockEngine",
@@ -52,5 +51,4 @@ __all__ = [
     "cp_layout_positions",
     "cp_workload_shares",
     "stage_partition",
-    "Zero1AdamW",
 ]

@@ -100,8 +100,8 @@ class EPFFNEngine:
         source-rank-major, each source's rows in its plan's expert
         order (``expert_counts[i]`` is source ``i``'s plan counts).  A
         plan over the arrivals sorts them by (expert, source rank) for
-        the GroupedGEMM; its ``row_of_pair`` un-sorts the outputs back
-        to arrival order."""
+        the GroupedGEMM, and the inverse of its ``token_of_row`` (one
+        slot per arrival) un-sorts the outputs back to arrival order."""
         n, local = self.group.size, self.local_experts
         counts = np.stack([c[j * local:(j + 1) * local]
                            for c in expert_counts]).reshape(-1)
@@ -115,7 +115,9 @@ class EPFFNEngine:
         fc2_out = grouped_expert_forward(
             self.moe.experts[j * local:(j + 1) * local],
             plan.dispatch(received), plan)
-        return ops.take_rows(fc2_out, plan.row_of_pair.reshape(-1))
+        row_of_arrival = np.empty(plan.n_rows, dtype=np.int64)
+        row_of_arrival[plan.token_of_row] = np.arange(plan.n_rows)
+        return ops.take_rows(fc2_out, row_of_arrival)
 
     def op_route_full(self, full: Tensor):
         """``router`` (AG/RS mode): replicated gate over all tokens."""

@@ -1,4 +1,4 @@
-"""Performance model: kernel timing, system models, MFU accounting."""
+"""Performance model: kernel timing, SM allocation, system models."""
 
 from .estimator import (
     AnchorCalibration,
@@ -7,7 +7,6 @@ from .estimator import (
     calibrate_from_spans,
     calibrated_durations,
 )
-from .mfu import days_for_tokens, mfu, tokens_per_second
 from .sm_allocation import (
     SMAllocation,
     fused_kernel_time,
@@ -29,9 +28,6 @@ __all__ = [
     "SMAllocation",
     "fused_kernel_time",
     "optimal_sm_fraction",
-    "days_for_tokens",
-    "mfu",
-    "tokens_per_second",
     "IterationBreakdown",
     "MegaScalePerfModel",
     "MegatronPerfModel",

@@ -1,45 +1,40 @@
-"""Optimizers: AdamW and the multi-precision variant of §7.
+"""The optimizer: AdamW, ZeRO-1-sharded over the DP group when dp > 1.
 
-Every optimizer in the repo (``AdamW``, ``MultiPrecisionAdamW`` here,
-``Zero1AdamW`` in :mod:`repro.parallel.zero`) is a caller of one
-in-place kernel, :func:`adam_update_`, and keeps its state — both
-moments, and the main copy where there is one — **in the parameter's
-dtype**: FP32 for the default float32 model, as in §7 ("main parameters
-in FP32") and the 12 B/param of :func:`~repro.core.analysis
-.param_memory_per_gpu`; float64 for the float64 conformance models.
-``AdamW.state_dict``'s per-parameter ``opt/...`` keys are the one
-optimizer-state checkpoint format: ``Zero1AdamW`` saves and loads them
-too.
-Nothing in the update phase widens (docs/INTERNALS.md §17).
+:class:`AdamW` is the one optimizer class.  It is a caller of one
+in-place kernel, :func:`adam_update_`, and keeps both moments **in the
+parameter's dtype**: FP32 for the default float32 model, as in §7
+("main parameters in FP32"); float64 for the float64 conformance models.
+``p.data`` is the full-precision main copy.  Under FP8 training the
+GEMMs read FP8-rounded weights through
+:func:`~repro.precision.policy.fp8_policy`, so no low-precision copy of
+the parameters is kept here.  Nothing in the update phase widens
+(docs/INTERNALS.md §17).
 
-``MultiPrecisionAdamW`` implements the paper's FP8-training optimizer
-("we use a multi-precision optimizer to store model parameters directly
-in FP8, while keeping main parameters in FP32 with separate buffers for
-different data types"): the *main* parameters and Adam moments stay in
-FP32, while the *model* parameters handed to forward passes are stored
-rounded to a low-precision format.  This halves parameter all-gather
-communication in data parallelism and removes the per-step cast/transpose
-overhead of BF16-stored implementations.
+With a data-parallel ``group`` of ``d > 1`` ranks, the update is ZeRO
+stage 1, which the paper uses "to eliminate redundant optimizer states
+across DP groups" (§2.2).  The flat parameter space is cut into the
+equal, padded shards of :func:`zero1_shard_size`.  Rank ``r`` runs the
+kernel on its shard of the main copy and on its slices of the
+per-parameter moments, reading the gradient the DP sync already
+averaged, and the updated shards are all-gathered (tag ``zero1:ag``)
+into the parameters.  The result is bit-identical to the unsharded
+update.  The moments keep their per-parameter shapes either way, so
+``state_dict``'s ``opt/...`` keys are the one optimizer-state
+checkpoint format at every DP degree, and a DP resize is a plain
+``load_state_dict`` (docs/INTERNALS.md §11).
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..comm.collectives import all_gather
+from ..comm.group import ProcessGroup
 from ..tensor import Tensor
-from .formats import FloatFormat, round_to_format
 
-__all__ = ["AdamW", "MultiPrecisionAdamW", "adam_update_", "clip_grad_norm"]
+__all__ = ["AdamW", "adam_update_", "clip_grad_norm", "zero1_shard_size"]
 
 #: Elements per kernel pass: the slices of param / grad / m / v plus the
 #: two scratch blocks (6 x 256 KB in float32) stay cache-resident
@@ -136,24 +131,43 @@ def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
     return norm
 
 
+def zero1_shard_size(numel: int, d: int) -> int:
+    """Elements per rank of ZeRO-1's shard grid over ``numel`` flat
+    elements and ``d`` ranks.
+
+    Rank ``r`` owns ``[r * size, (r + 1) * size)``; the grid is padded
+    to ``d * size`` elements, so the last shard's tail belongs to no
+    parameter.
+    """
+    return -(-numel // d)
+
+
 class AdamW:
     """Decoupled-weight-decay Adam over a parameter list.
 
-    ``m[i]`` / ``v[i]`` have the shape and dtype of parameter ``i``,
-    and ``step`` updates ``p.data`` in place.
+    ``m[i]`` / ``v[i]`` have the shape and dtype of parameter ``i``.
+    Without a ``group`` (dp = 1), ``step`` updates each ``p.data`` in
+    place.  With a data-parallel ``group``, it is ZeRO-1: each rank
+    updates its shard of the flat parameter space and the shards are
+    all-gathered into the parameters (module docstring).
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
                  betas: tuple = (0.9, 0.95), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 weight_decay: float = 0.0,
+                 group: Optional[ProcessGroup] = None):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
+        self.group = group
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        #: ``offsets[i]:offsets[i + 1]`` is parameter ``i`` in the flat
+        #: space the ZeRO-1 shard grid cuts.
+        self.offsets = np.cumsum([0] + [p.size for p in self.params])
         self._scratch: Dict[np.dtype, np.ndarray] = {}
 
     def _begin_step(self, grads: Optional[Sequence[np.ndarray]]
@@ -166,21 +180,51 @@ class AdamW:
             if g is not None:
                 yield i, p, g
 
-    def _adam(self, i: int, target: np.ndarray, grad: np.ndarray) -> None:
-        """Run the kernel on parameter ``i``'s state and ``target``."""
+    def _adam(self, param: np.ndarray, grad: np.ndarray, m: np.ndarray,
+              v: np.ndarray) -> None:
+        """Run the kernel on flat segments of one parameter's state."""
         adam_update_(
-            target.reshape(-1), np.asarray(grad).reshape(-1),
-            self.m[i].reshape(-1), self.v[i].reshape(-1), self._scratch,
-            step=self.step_count, lr=self.lr, beta1=self.beta1,
-            beta2=self.beta2, eps=self.eps,
+            param, grad, m, v, self._scratch, step=self.step_count,
+            lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
             weight_decay=self.weight_decay)
 
     def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
         """Apply one update from ``p.grad`` (or explicit ``grads``)."""
+        if self.group is not None:
+            self._sharded_step(grads)
+            return
         for i, p, g in self._begin_step(grads):
             if not (p.data.flags.c_contiguous and p.data.flags.writeable):
                 p.data = np.array(p.data, order="C")
-            self._adam(i, p.data, g)
+            self._adam(p.data.reshape(-1), np.asarray(g).reshape(-1),
+                       self.m[i].reshape(-1), self.v[i].reshape(-1))
+
+    def _sharded_step(self, grads: Optional[Sequence[np.ndarray]]) -> None:
+        """ZeRO-1: rank ``r`` updates the part of every parameter with a
+        gradient that falls in its shard, and the all-gathered shards
+        become the parameters (a fault on ``zero1:ag`` reaches them)."""
+        d = self.group.size
+        offsets = self.offsets
+        size = zero1_shard_size(int(offsets[-1]), d)
+        main = np.zeros(d * size,
+                        np.result_type(*(p.data.dtype for p in self.params)))
+        for p, lo, hi in zip(self.params, offsets, offsets[1:]):
+            main[lo:hi] = p.data.reshape(-1)
+        updates = [(offsets[i], offsets[i + 1], np.asarray(g).reshape(-1),
+                    self.m[i].reshape(-1), self.v[i].reshape(-1))
+                   for i, _, g in self._begin_step(grads)]
+        for r in range(d):
+            base = r * size
+            for lo, hi, g, m, v in updates:
+                a, b = max(lo, base), min(hi, base + size)
+                if a < b:
+                    self._adam(main[a:b], g[a - lo:b - lo], m[a - lo:b - lo],
+                               v[a - lo:b - lo])
+        full = all_gather(self.group,
+                          [main[r * size:(r + 1) * size] for r in range(d)],
+                          tag="zero1:ag")[0]
+        for p, lo, hi in zip(self.params, offsets, offsets[1:]):
+            p.data = full[lo:hi].reshape(p.shape).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
@@ -190,7 +234,8 @@ class AdamW:
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copies of the step count and both moments, keyed
         ``opt/step_count``, ``opt/m/<i>``, ``opt/v/<i>`` so they merge
-        into a trainer state or a checkpoint payload."""
+        into a trainer state or a checkpoint payload.  The keys and
+        shapes do not depend on the DP degree."""
         state = {"opt/step_count": np.asarray(self.step_count)}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
             state[f"opt/m/{i}"] = m.copy()
@@ -198,56 +243,19 @@ class AdamW:
         return state
 
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
-        """Restore what :meth:`state_dict` saved (other keys are
-        ignored).  Each moment is copied and cast once to its
-        parameter's dtype, so a checkpoint written when the moments
-        were float64 loads into a float32 model as float32."""
+        """Restore what :meth:`state_dict` saved, at any DP degree
+        (other keys are ignored).  Each moment is copied and cast once
+        to its parameter's dtype, so a checkpoint written when the
+        moments were float64 loads into a float32 model as float32."""
         self.step_count = int(state["opt/step_count"])
         for i, p in enumerate(self.params):
             self.m[i] = np.array(state[f"opt/m/{i}"], dtype=p.data.dtype)
             self.v[i] = np.array(state[f"opt/v/{i}"], dtype=p.data.dtype)
 
     def state_nbytes(self) -> int:
-        """Bytes held by the optimizer states (both moments)."""
-        return sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
-
-
-class MultiPrecisionAdamW(AdamW):
-    """AdamW with FP32 main params and low-precision model params.
-
-    After every step the updated main copy (FP32 for a float32 model:
-    it has the parameter's dtype, like the moments) is rounded into the
-    ``model_format`` and written back into the Tensors the model computes
-    with.  ``p.data`` therefore always holds format-representable values,
-    emulating parameters *stored* in FP8/BF16.
-    """
-
-    def __init__(self, params: Sequence[Tensor],
-                 model_format: FloatFormat, **kwargs):
-        super().__init__(params, **kwargs)
-        self.model_format = model_format
-        # Main copy, seeded from the (already-rounded) model params.
-        self.main_params: List[np.ndarray] = [
-            np.array(p.data, order="C") for p in self.params
-        ]
-        for p, main in zip(self.params, self.main_params):
-            p.data = round_to_format(main, model_format).astype(p.data.dtype)
-
-    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
-        """Update the main copy, then round into model params."""
-        for i, p, g in self._begin_step(grads):
-            main = self.main_params[i]
-            self._adam(i, main, g)
-            p.data = round_to_format(
-                main, self.model_format).astype(p.data.dtype)
-
-    def state_nbytes(self) -> int:
-        """Bytes of the main copy plus both moments (12 B/param in
-        FP32, :func:`~repro.core.analysis.param_memory_per_gpu`)."""
-        return super().state_nbytes() + sum(
-            main.nbytes for main in self.main_params)
-
-    def model_param_nbytes(self) -> float:
-        """Wire/storage bytes of the low-precision model copy."""
-        return sum(p.size * self.model_format.bytes_per_element
-                   for p in self.params)
+        """Bytes of both moments one rank holds: all of them without a
+        group, one shard's under ZeRO-1."""
+        if self.group is None:
+            return sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
+        size = zero1_shard_size(int(self.offsets[-1]), self.group.size)
+        return 2 * size * np.result_type(*self.m).itemsize

@@ -56,13 +56,15 @@ class VerifyCase:
     #: the near-machine-precision golden bands; "float32" is the
     #: production default of :class:`~repro.model.MoETransformer`.
     dtype: str = "float64"
-    #: Cluster resize schedule: ``((step, new_ranks), ...)`` — at each
-    #: listed step the injected :class:`~repro.ft.faults.ResizeEvent`
-    #: re-forms the world at ``new_ranks`` before the step trains.
-    #: Empty = fixed-size run.  When set, the engine additionally runs
-    #: the case through an :class:`~repro.elastic.runner.ElasticRunner`
-    #: and the ``elastic_resume`` invariant compares trajectories.
-    resize: Tuple[Tuple[int, int], ...] = ()
+    #: Cluster resize schedule: ``((step, new_ranks[, new_dp]), ...)``
+    #: — at each listed step the injected
+    #: :class:`~repro.ft.faults.ResizeEvent` re-forms the world at
+    #: ``new_ranks`` per node and ``new_dp`` replicas (default: the
+    #: case's ``dp``) before the step trains.  Empty = fixed-size run.
+    #: When set, the engine additionally runs the case through an
+    #: :class:`~repro.elastic.runner.ElasticRunner` and the
+    #: ``elastic_resume`` invariant compares trajectories.
+    resize: Tuple[Tuple[int, ...], ...] = ()
     #: Pipeline stages and data-parallel replicas: the world is
     #: ``ranks · pp · dp`` ranks, ``ranks`` per node.  Each replica's
     #: share of the batch runs as ``pp`` micro-batches.
@@ -130,19 +132,20 @@ class VerifyCase:
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
         if self.resize:
-            if self.pp * self.dp != 1:
-                raise ValueError("resize requires pp == dp == 1")
+            if self.pp != 1:
+                raise ValueError("resize requires pp == 1")
             normalized = []
             last_step = 0
             for entry in self.resize:
                 try:
-                    step, new_ranks = entry
+                    step, new_ranks, *new_dp = (int(x) for x in entry)
+                    if len(new_dp) > 1:
+                        raise ValueError
                 except (TypeError, ValueError):
                     raise ValueError(
-                        f"resize entries must be (step, new_ranks) "
-                        f"pairs, got {entry!r}"
+                        f"resize entries must be (step, new_ranks"
+                        f"[, new_dp]), got {entry!r}"
                     ) from None
-                step, new_ranks = int(step), int(new_ranks)
                 if not 1 <= step < self.steps:
                     raise ValueError(
                         f"resize step {step} outside [1, "
@@ -155,15 +158,16 @@ class VerifyCase:
                 last_step = step
                 # The target world must satisfy every divisibility
                 # constraint this case imposes at its own rank count.
+                dp = new_dp[0] if new_dp else self.dp
                 try:
-                    dataclasses.replace(self, ranks=new_ranks,
+                    dataclasses.replace(self, ranks=new_ranks, dp=dp,
                                         resize=())
                 except ValueError as exc:
                     raise ValueError(
-                        f"resize target ranks={new_ranks} invalid: "
-                        f"{exc}"
+                        f"resize target ranks={new_ranks} dp={dp} "
+                        f"invalid: {exc}"
                     ) from None
-                normalized.append((step, new_ranks))
+                normalized.append((step, new_ranks, *new_dp))
             object.__setattr__(self, "resize", tuple(normalized))
 
     @property
@@ -183,8 +187,8 @@ class VerifyCase:
             parts.append(f"tt{self.tile_tokens}")
         if self.dtype != "float64":
             parts.append(self.dtype.replace("float", "f"))
-        for step, new_ranks in self.resize:
-            parts.append(f"rz{step}x{new_ranks}")
+        for step, *world in self.resize:
+            parts.append(f"rz{step}x" + "d".join(map(str, world)))
         if self.seed != 0:
             parts.append(f"sd{self.seed}")
         return "-".join(parts)
@@ -206,6 +210,11 @@ class VerifyCase:
             ep_dispatch=self.ep_dispatch, pipeline_size=self.pp,
             data_parallel_size=self.dp,
         )
+
+    def resize_schedule(self) -> List[Tuple[int, int, int]]:
+        """``(step, new_ranks, new_dp)`` for each resize."""
+        return [(step, ranks, dp[0] if dp else self.dp)
+                for step, ranks, *dp in self.resize]
 
     @property
     def micro_batch(self) -> int:
@@ -441,13 +450,16 @@ def serve_matrix(seed: int = 0) -> List[ServeCase]:
 def elastic_matrix(seed: int = 0) -> List[VerifyCase]:
     """The resize conformance grid: shrink at 1, grow back at 2.
 
-    Every case starts at 4 ranks, shrinks the SP×EP world to 2 at
-    step 1, and grows back to 4 at step 2, across both EP dispatch
-    modes and both smoke precisions.
+    Four cases start at 4 ranks, shrink the SP×EP world to 2 at step
+    1, and grow back to 4 at step 2, across both EP dispatch modes and
+    both smoke precisions.  One more keeps 2 ranks per node and goes
+    from 2 DP replicas to 1 and back: the optimizer state crosses the
+    ZeRO-1 shard grids and the unsharded update.
     """
     return [
         VerifyCase(ep_dispatch=dispatch, precision=precision, seed=seed,
                    steps=3, resize=((1, 2), (2, 4)))
         for dispatch in SMOKE_DISPATCHES
         for precision in SMOKE_PRECISIONS
-    ]
+    ] + [VerifyCase(ranks=2, dp=2, seed=seed, steps=3,
+                    resize=((1, 2, 1), (2, 2, 2)))]

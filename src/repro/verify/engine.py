@@ -37,7 +37,6 @@ import numpy as np
 from ..comm.group import World
 from ..core.trainer import MegaScaleTrainer
 from ..model.transformer import MoETransformer
-from ..parallel.zero import Zero1AdamW
 from ..precision.optimizer import AdamW, clip_grad_norm
 from ..tensor import Node, Tensor, graph_order
 from .cases import VerifyCase
@@ -336,23 +335,19 @@ def _tape_probe(case: VerifyCase
     return dtypes, len(watched), survivors
 
 
-def _optimizer_dtypes(optimizer, prefix: str) -> Dict[str, str]:
-    """dtype names of an AdamW's moments or a Zero1AdamW's shards."""
-    if isinstance(optimizer, Zero1AdamW):
-        pairs = (("m", optimizer.m_shards), ("v", optimizer.v_shards),
-                 ("master", optimizer.master_shards))
-    else:
-        pairs = (("m", optimizer.m), ("v", optimizer.v))
+def _optimizer_dtypes(optimizer: AdamW, prefix: str) -> Dict[str, str]:
+    """dtype names of an AdamW's moments."""
     return {f"{prefix}.{kind}/{i}": state.dtype.name
-            for kind, states in pairs
+            for kind, states in (("m", optimizer.m), ("v", optimizer.v))
             for i, state in enumerate(states)}
 
 
 def _dp_leg_dtypes(case: VerifyCase) -> Dict[str, str]:
     """dtype names of what one data-parallel step leaves behind: two
     single-rank replicas train one row each with §5's BF16 all-to-all
-    sync, and the gradients they receive and the ZeRO-1 shards must be
-    in the model's dtype (docs/INTERNALS.md §17)."""
+    sync, and the gradients they receive, the parameters the ZeRO-1
+    all-gather writes and the moments must be in the model's dtype
+    (docs/INTERNALS.md §17)."""
     leg = case.replace(ranks=1, pp=1, dp=2, batch=2, tile_tokens=None,
                        resize=())
     trainer = _make_trainer(leg, dp_comm_compression=True)
@@ -361,6 +356,8 @@ def _dp_leg_dtypes(case: VerifyCase) -> Dict[str, str]:
     dtypes = {f"dp.grad/{name}": p.grad.dtype.name
               for name, p in trainer.model.named_parameters()
               if p.grad is not None}
+    dtypes.update((f"dp.param/{name}", p.data.dtype.name)
+                  for name, p in trainer.model.named_parameters())
     dtypes.update(_optimizer_dtypes(trainer.optimizer, "dp.opt"))
     return dtypes
 
@@ -475,28 +472,28 @@ def _run_elastic(case: VerifyCase) -> ElasticArtifacts:
     import shutil
     import tempfile
 
-    from ..core.config import ParallelConfig
     from ..core.runner import FaultInjector
     from ..elastic.layout import ParallelLayout
     from ..elastic.runner import ElasticRunner
 
-    def layout_at(ranks: int) -> ParallelLayout:
-        return ParallelLayout.from_parallel_config(ParallelConfig(
-            ranks, attention=case.attention, ffn=case.ffn,
-            ep_dispatch=case.ep_dispatch,
-        ))
+    def layout_at(ranks: int, dp: int) -> ParallelLayout:
+        return ParallelLayout.from_parallel_config(
+            case.replace(ranks=ranks, dp=dp, resize=()).parallel_config())
 
     def factory(layout: ParallelLayout):
-        return _make_trainer(
-            case.replace(ranks=layout.world_size, resize=()))
+        # The case's micro-batches at every size: a DP resize moves
+        # them between replicas without changing what each one sees.
+        return _make_trainer(case.replace(
+            ranks=layout.world_size // layout.dp, dp=layout.dp,
+            resize=()), micro_batch_size=case.micro_batch)
 
     tmpdir = tempfile.mkdtemp(prefix="repro-elastic-")
     try:
-        runner = ElasticRunner(factory, layout_at(case.ranks), tmpdir,
-                               checkpoint_interval=1)
+        runner = ElasticRunner(factory, layout_at(case.ranks, case.dp),
+                               tmpdir, checkpoint_interval=1)
         injector = FaultInjector(resize_steps={
-            step: layout_at(new_ranks)
-            for step, new_ranks in case.resize
+            step: layout_at(ranks, dp)
+            for step, ranks, dp in case.resize_schedule()
         })
         metrics = runner.run(_batches(case), injector)
         return ElasticArtifacts(

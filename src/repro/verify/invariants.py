@@ -584,7 +584,8 @@ def _check_elastic_resume(art: "RunArtifacts") -> List[str]:
     if elastic is None:
         return ["no elastic artifacts recorded for a resize case"]
     violations = []
-    scheduled = [step for step, _ in case.resize]
+    schedule = case.resize_schedule()
+    scheduled = [step for step, _, _ in schedule]
     if elastic.resizes != scheduled:
         violations.append(
             f"resizes fired at {elastic.resizes}, scheduled "
@@ -596,7 +597,7 @@ def _check_elastic_resume(art: "RunArtifacts") -> List[str]:
         violations.append(f"steps never executed: {missing}")
     # Each resize whose target world differs from the world it leaves
     # must have gone through exactly one re-partition.
-    worlds = [case.ranks] + [r for _, r in case.resize]
+    worlds = [(case.ranks, case.dp)] + [(r, d) for _, r, d in schedule]
     expected_reshards = sum(
         1 for prev, new in zip(worlds, worlds[1:]) if prev != new)
     if len(elastic.reshard_reports) != expected_reshards:

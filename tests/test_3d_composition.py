@@ -17,12 +17,11 @@ CONFIG = ModelConfig("t3d", n_layers=4, hidden_size=16, n_heads=4,
 
 
 def make_trainer(n, pp=1, dp=1, attn="sp", ffn="ep", micro=2,
-                 config=CONFIG, zero_stage=1, **train):
+                 config=CONFIG, **train):
     """The trainer over an ``n · pp · dp`` world, float64 model."""
     model = MoETransformer(config, seed=0, dtype=np.float64)
     parallel = ParallelConfig(n, attention=attn, ffn=ffn,
-                              pipeline_size=pp, data_parallel_size=dp,
-                              zero_stage=zero_stage)
+                              pipeline_size=pp, data_parallel_size=dp)
     train = TrainConfig(global_batch_size=4, micro_batch_size=micro,
                         seq_len=config.seq_len, learning_rate=1e-2,
                         weight_decay=0.0, aux_loss_coeff=0.01, **train)
@@ -50,6 +49,29 @@ def assert_params_close(ref_model, model, atol=1e-10, label=""):
         np.testing.assert_allclose(b.data, a.data, atol=atol,
                                    err_msg=f"{name} {label}")
 
+
+
+def assert_sharded_update_is_unsharded(factory, batches):
+    """Train twice: once with the trainer's ZeRO-1 optimizer, once with
+    an unsharded AdamW of the same hyper-parameters; the parameters and
+    the optimizer state end bit-identical."""
+    ends = []
+    for sharded in (True, False):
+        trainer = factory()
+        opt = trainer.optimizer
+        assert opt.group is not None
+        if not sharded:
+            trainer.optimizer = AdamW(
+                trainer.params, lr=opt.lr, betas=(opt.beta1, opt.beta2),
+                eps=opt.eps, weight_decay=opt.weight_decay)
+        for batch in batches:
+            trainer.train_step(batch)
+        ends.append(trainer.state_dict())
+    sharded, unsharded = ends
+    assert list(sharded) == list(unsharded)
+    for key, value in unsharded.items():
+        assert sharded[key].dtype == value.dtype, key
+        assert sharded[key].tobytes() == value.tobytes(), key
 
 class TestPPxMP:
     @pytest.mark.parametrize("attn,ffn", [
@@ -158,16 +180,17 @@ class TestPPxMPxDP:
         """ZeRO-1 shards the update across the DP ranks; the parameters
         it gathers back are the unsharded AdamW's, bit for bit."""
         batches = [rng.integers(0, 32, (4, 9)) for _ in range(3)]
-        params = {}
-        for stage in (0, 1):
-            trainer = make_trainer(2, pp=pp, dp=2, micro=1,
-                                   zero_stage=stage)
-            for batch in batches:
-                trainer.train_step(batch)
-            params[stage] = trainer.model.state_dict()
-        for name, value in params[0].items():
-            np.testing.assert_array_equal(params[1][name], value,
-                                          err_msg=name)
+        assert_sharded_update_is_unsharded(
+            lambda: make_trainer(2, pp=pp, dp=2, micro=1), batches)
+
+    def test_padded_dp3_bit_identical(self, rng):
+        """dp = 3 leaves a padded tail in the shard grid."""
+        trainer = make_trainer(1, dp=3, micro=1)
+        numel = sum(p.size for p in trainer.params)
+        assert numel % 3 != 0
+        batches = [rng.integers(0, 32, (6, 9)) for _ in range(3)]
+        assert_sharded_update_is_unsharded(
+            lambda: make_trainer(1, dp=3, micro=1), batches)
 
     def test_sync_split_follows_appendix_a1(self, rng):
         """Intra- and inter-node sync bytes are the A.1 volumes of the

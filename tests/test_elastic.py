@@ -33,7 +33,7 @@ from repro.ft.recovery import (
     write_checkpoint_meta,
 )
 from repro.model import MoETransformer
-from repro.parallel.zero import Zero1AdamW
+from repro.precision.optimizer import AdamW, zero1_shard_size
 from repro.tensor import Tensor
 
 CONFIG = ModelConfig("elastic-test", n_layers=2, hidden_size=32,
@@ -122,17 +122,15 @@ class TestZero1Reshard:
         rng = np.random.default_rng(3)
         shapes = [(5,), (2, 4)]  # 13 elements: padded at dp 2..5
         params = [Tensor(rng.normal(size=s)) for s in shapes]
-        opt = Zero1AdamW(params, World(4, 4).full_group(), lr=1e-2)
+        opt = AdamW(params, lr=1e-2, group=World(4, 4).full_group())
         for p in params:
             p.grad = rng.normal(size=p.shape)
         opt.step()
         state = opt.state_dict()
         for dp in (1, 2, 3, 4, 5):
-            other = Zero1AdamW([Tensor(p.data.copy()) for p in params],
-                               World(dp, dp).full_group())
+            other = AdamW([Tensor(p.data.copy()) for p in params],
+                          group=World(dp, dp).full_group())
             other.load_state_dict(state)
-            assert len(other.m_shards) == dp
-            assert len({s.size for s in other.m_shards}) == 1
             back = other.state_dict()
             assert sorted(back) == sorted(state)
             for key in state:
@@ -154,14 +152,16 @@ class TestZero1Reshard:
 
     def test_moved_elements_matches_brute_force(self):
         def owners(numel, dp):
-            """Each element's rank in Zero1AdamW's shard grid."""
+            """Each element's rank in the optimizer's shard grid: the
+            rank whose all-gather shard carries it."""
+            world = World(dp, dp)
             params = [Tensor(np.zeros(numel))]
-            opt = Zero1AdamW(params, World(dp, dp).full_group())
-            flat = np.arange(numel, dtype=float)
-            opt.load_state_dict({"opt/step_count": np.asarray(0),
-                                 "opt/m/0": flat, "opt/v/0": flat})
-            return {int(x): r for r, shard in enumerate(opt.m_shards)
-                    for x in shard[:max(0, numel - r * opt.shard_size)]}
+            params[0].grad = np.zeros(numel)
+            AdamW(params, group=world.full_group()).step()
+            (record,) = world.ledger.records
+            size = zero1_shard_size(numel, dp)
+            assert record.send_bytes_per_rank == [8.0 * size * (dp - 1)] * dp
+            return {i: i // size for i in range(numel)}
 
         for numel in (5, 8, 13):
             for a, b in ((1, 2), (2, 4), (2, 3), (4, 2)):
@@ -180,8 +180,8 @@ class TestZero1Reshard:
         def fresh(dp):
             r = np.random.default_rng(1)
             params = [Tensor(r.normal(size=s)) for s in shapes]
-            return params, Zero1AdamW(params, World(dp, dp).full_group(),
-                                      lr=1e-2)
+            return params, AdamW(params, lr=1e-2,
+                                 group=World(dp, dp).full_group())
 
         ref_params, ref_opt = fresh(2)
         for g in grads:
@@ -257,9 +257,9 @@ class TestReshardState:
         numel = sum(np.asarray(v).size for k, v in state.items()
                     if k.startswith("opt/m/"))
         assert report.numel == numel
-        assert report.zero_elements_moved == \
-            zero1_moved_elements(numel, 4, 2)
-        assert report.zero_bytes == 3.0 * 8.0 * report.zero_elements_moved
+        # An SP x EP resize at dp = 1 moves no optimizer state.
+        assert report.zero_elements_moved == 0
+        assert report.zero_bytes == 0.0
         # One tuple of moved experts per MoE layer.
         assert len(report.experts_moved) == CONFIG.n_layers
         for layer in report.experts_moved:
@@ -272,29 +272,37 @@ class TestReshardState:
         assert report.dp_rings == tuple(
             (r,) for r in range(2))  # world=2, dp=1: singleton rings
 
-        # A dp=2 ZeRO-1 trainer saves the keys and shapes a dp=1 AdamW
-        # trainer does, so its dp 2 -> 1 resize prices the same moments.
+    def test_zero_priced_over_dp_degree(self):
+        """The optimizer shards over the DP ranks, so a resize prices
+        the moves between the old and new DP degree's grids; a dp=2
+        trainer saves the keys and shapes a dp=1 trainer does."""
         zero, adam = dp_factory(dp_layout(2)), dp_factory(dp_layout(1))
-        assert isinstance(zero.optimizer, Zero1AdamW)
+        assert zero.optimizer.group.size == 2
+        assert adam.optimizer.group is None
         for trainer in (zero, adam):
             trainer.train_step(make_batches(1)[0])
         zero_state = zero.state_dict()
         assert {k: v.shape for k, v in zero_state.items()} == \
             {k: v.shape for k, v in adam.state_dict().items()}
         _, report = reshard_state(zero_state, dp_layout(2), dp_layout(1))
-        assert report.numel == numel == 84640
+        assert report.numel == 84640
         assert report.zero_elements_moved == \
-            zero1_moved_elements(numel, 4, 2) > 0
-        assert report.zero_bytes == 3.0 * 8.0 * report.zero_elements_moved
+            zero1_moved_elements(84640, 2, 1) == 84640 // 2
+        # Main copy + both moments, in the saved float64.
+        assert report.zero_bytes == 3.0 * 8.0 * 84640 // 2
+        _, grow = reshard_state(zero_state, dp_layout(1), dp_layout(2))
+        assert grow.zero_bytes == report.zero_bytes
 
     @pytest.mark.parametrize("old,new", [(4, 2), (2, 4)])
     def test_total_bytes_exact(self, old, new):
         """Reshard bytes are interval arithmetic on the shard grids plus
-        the expert blocks: exact, and the same for shrink and grow."""
+        the expert blocks: exact, and the same for shrink and grow.  At
+        dp = 1 only the experts move: 2 layers x 6 experts x 4,608
+        float64 weights."""
         state = self.trained_state()
         _, report = reshard_state(state, layout_at(old), layout_at(new))
-        assert report.total_bytes == 1965888.0
-        assert report.seconds() == pytest.approx(1965888.0 / 50e9)
+        assert report.total_bytes == 442368.0 == 2 * 6 * 4608 * 8
+        assert report.seconds() == pytest.approx(442368.0 / 50e9)
 
     def test_same_layout_moves_nothing(self):
         state = self.trained_state()
@@ -350,12 +358,12 @@ class TestElasticRunner:
 
     def test_data_parallel_resize_matches_fixed_size(self, tmp_path):
         """dp 2 -> 1 -> 2 on n=2 nodes: the trainer checkpoints its
-        ZeRO-1 moments per parameter, the dp=1 trainer loads them as
-        AdamW moments and the dp=2 one slices them back into shards;
+        ZeRO-1 moments per parameter, the unsharded dp=1 trainer loads
+        them as they are and the dp=2 one shards them again;
         the micro-batches are the same at every size, so the
         trajectory is the fixed dp=2 run's."""
         factory = dp_factory
-        assert isinstance(factory().optimizer, Zero1AdamW)
+        assert factory().optimizer.group.size == 2
         batches = make_batches(6)
         fixed = ProductionRunner(factory, str(tmp_path / "fixed"),
                                  checkpoint_interval=2).run(batches)
@@ -607,12 +615,16 @@ class TestVerifyCaseResize:
     def test_elastic_matrix_covers_grid(self):
         from repro.verify.cases import elastic_matrix
 
-        cases = elastic_matrix()
-        assert len(cases) == 4
-        assert all(c.resize == ((1, 2), (2, 4)) for c in cases)
-        assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
-        assert {c.precision for c in cases} == {"fp32", "fp8"}
-        assert len({c.case_id for c in cases}) == 4
+        *sp_ep, dp_case = elastic_matrix()
+        assert len(sp_ep) == 4
+        assert all(c.resize == ((1, 2), (2, 4)) for c in sp_ep)
+        assert {c.ep_dispatch for c in sp_ep} == {"a2a", "ag_rs"}
+        assert {c.precision for c in sp_ep} == {"fp32", "fp8"}
+        assert len({c.case_id for c in sp_ep}) == 4
+        # The DP leg: 2 ranks per node, dp 2 -> 1 -> 2.
+        assert (dp_case.ranks, dp_case.dp) == (2, 2)
+        assert dp_case.resize_schedule() == [(1, 2, 1), (2, 2, 2)]
+        assert dp_case.case_id.endswith("-dp2-rz1x2d1-rz2x2d2")
 
     def test_fuzzer_samples_resize_cases(self):
         from repro.verify.fuzz import sample_case
@@ -641,6 +653,27 @@ class TestVerifyCaseResize:
         result = run_case(case)
         outcome = result.outcome("elastic_resume")
         assert outcome.status == "pass", outcome.detail
+
+    def test_dp_resize_resumes_the_zero1_state(self):
+        """dp 2 -> 1 -> 2: the ZeRO-1 moments leave through the
+        checkpoint and come back; a resize that drops them is caught."""
+        from repro.verify import VerifyCase, run_case
+
+        case = VerifyCase(ranks=2, dp=2, layers=1, steps=3,
+                          resize=((1, 2, 1), (2, 2, 2)))
+        assert run_case(case).outcome("elastic_resume").status == "pass"
+
+        load = AdamW.load_state_dict
+
+        def drop_moments(self, state):
+            load(self, state)
+            self.m = [np.zeros_like(m) for m in self.m]
+            self.v = [np.zeros_like(v) for v in self.v]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AdamW, "load_state_dict", drop_moments)
+            outcome = run_case(case).outcome("elastic_resume")
+        assert outcome.status == "fail"
 
     def test_elastic_resume_skipped_without_resize(self):
         from repro.verify import VerifyCase, run_case

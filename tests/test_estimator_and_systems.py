@@ -19,8 +19,8 @@ from repro.perf.estimator import (
     calibrate_from_spans,
     calibrated_durations,
 )
-from repro.perf.mfu import days_for_tokens, mfu, tokens_per_second
 from repro.perf.systems import (
+    IterationBreakdown,
     MegaScalePerfModel,
     MegatronPerfModel,
     SystemPerfModel,
@@ -146,19 +146,25 @@ class TestSpanCalibration:
 
 
 class TestMFUHelpers:
-    def test_tokens_per_second(self):
-        assert tokens_per_second(1e6, 2.0) == 5e5
+    """Table 3's throughput and MFU columns, read off one iteration."""
 
-    def test_rejects_bad_time(self):
-        with pytest.raises(ValueError):
-            tokens_per_second(1e6, 0.0)
+    @staticmethod
+    def iteration(seconds, tokens, n_gpus):
+        return IterationBreakdown("x", seconds, *[0.0] * 7,
+                                  global_batch_tokens=tokens,
+                                  n_gpus=n_gpus)
+
+    def test_tokens_per_second(self):
+        assert self.iteration(2.0, 1e6, 8).tokens_per_second == 5e5
 
     def test_mfu_range(self):
-        value = mfu(MODEL352, H800, 1440, 1.4e6)
+        tokens = 720 * 8192
+        it = self.iteration(tokens / 1.4e6, tokens, 1440)
+        value = it.mfu(MODEL352, H800)
         assert 0.0 < value < 1.0
-
-    def test_days_for_tokens(self):
-        assert days_for_tokens(1e12 / 86400.0) == pytest.approx(1.0)
+        assert value == pytest.approx(
+            MODEL352.train_flops_per_token() * 1.4e6
+            / (1440 * H800.peak_flops))
 
 
 class TestSystemModels:

@@ -1,49 +1,57 @@
-"""Smoke tests: every example script runs to completion and prints the
-artifacts it promises."""
+"""Smoke tests: each README walkthrough command runs to completion and
+prints the artifacts the README promises."""
 
 import os
+import re
 import subprocess
 import sys
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
-EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
-
-def run_example(name, *args, timeout=240):
+def run(*args, timeout=240):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES, name), *args],
-        capture_output=True, text=True, timeout=timeout,
-    )
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=timeout, env=env, cwd=ROOT)
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout
 
 
+def readme_quickstart():
+    """The README's Quickstart python block."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        readme = f.read()
+    return re.search(r"## Quickstart\s+```python\n(.*?)```", readme,
+                     re.S).group(1)
+
+
 class TestExamples:
     def test_quickstart(self):
-        out = run_example("quickstart.py")
-        assert "communication ledger" in out
-        assert "single-rank reference final loss" in out
+        losses = [float(x) for x in
+                  run("-c", readme_quickstart()).split()]
+        assert len(losses) == 10
+        assert losses[-1] < losses[0]
 
     def test_plan_cluster_job(self):
-        out = run_example("plan_cluster_job.py", "mixtral-8x7b", "64",
-                          "h800")
+        out = run("-m", "repro", "plan", "mixtral-8x7b", "64", "h800")
         assert "SP+EP" in out
-        assert "scale-up check" in out
-        assert "memory/GPU" in out
+        assert "scale-up ratio R" in out
+        assert "over Megatron-LM" in out
 
     def test_fp8_training(self):
-        out = run_example("fp8_training.py")
-        assert "Fig. 18 miniature" in out
-        assert "Fig. 17 miniature" in out
-        assert "paper: 50%" in out
+        out = run("-m", "repro", "verify", "--smoke")
+        assert re.search(r"-fp8-\S+ +ok", out)
+        assert ", 0 failing" in out
 
-    def test_overlap_explorer(self):
-        out = run_example("overlap_explorer.py", "mixtral-8x7b")
-        assert "no overlap (Megatron-style)" in out
-        assert "inter + intra-operator overlap" in out
-        assert "rematerialization work" in out
+    def test_overlap_explorer(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        out = run("-m", "repro", "train", "2", "--trace", str(trace))
+        assert "comm-volume audit" in out
+        assert '"sim' in trace.read_text()
 
-    def test_production_run(self):
-        out = run_example("production_run.py")
-        assert "restarts: 3" in out
-        assert "metrics.csv" in out
+    def test_production_run(self, tmp_path):
+        out = run("-m", "repro", "train", "16", "--faults", "--dir",
+                  str(tmp_path))
+        assert "restarts             : [9]" in out
+        assert "rollbacks            : [13]" in out

@@ -14,12 +14,7 @@ from repro.core.config import ModelConfig, ServeConfig
 from repro.model import MoETransformer
 from repro.model.moe import Expert, grouped_expert_blocks
 from repro.precision import optimizer as optimizer_mod
-from repro.precision.formats import BF16
-from repro.precision.optimizer import (
-    AdamW,
-    MultiPrecisionAdamW,
-    clip_grad_norm,
-)
+from repro.precision.optimizer import AdamW, clip_grad_norm
 from repro.precision.policy import bf16_policy
 from repro.serve import Request, ServeEngine, golden_decode
 from repro.tensor import Tensor, ops
@@ -492,26 +487,6 @@ class TestInPlaceOptimizer:
         opt.m[0] = opt.m[0].astype(np.float64)   # not via load_state_dict
         with pytest.raises(TypeError, match="load_state_dict"):
             opt.step([np.ones(4, dtype=np.float32)])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_multi_precision_main_params_bitwise(self, rng, dtype):
-        p = Tensor(rng.standard_normal((4, 4)).astype(dtype),
-                   requires_grad=True)
-        opt = MultiPrecisionAdamW([p], BF16, lr=1e-2, weight_decay=0.05)
-        main = opt.main_params[0].copy()
-        m, v = np.zeros((4, 4), dtype), np.zeros((4, 4), dtype)
-        for t in range(1, 6):
-            p.grad = rng.standard_normal((4, 4)).astype(dtype)
-            opt.step()
-            main, m, v = textbook_adamw_step(
-                main, p.grad, m, v, t, 1e-2, 0.9, 0.95, 1e-8, 0.05)
-            assert opt.main_params[0].dtype == opt.m[0].dtype == dtype
-            assert p.data.dtype == dtype
-            np.testing.assert_array_equal(opt.main_params[0], main)
-            np.testing.assert_array_equal(opt.m[0], m)
-            np.testing.assert_array_equal(opt.v[0], v)
-        # FP32 main copy + both moments: the 12 B/param ZeRO charges
-        assert opt.state_nbytes() == 3 * p.size * np.dtype(dtype).itemsize
 
     def test_clip_grad_norm_bitwise_and_alias_safe(self, rng):
         grads = [rng.standard_normal(s).astype(np.float32) * 10

@@ -63,17 +63,29 @@ class TestHybrid2DTrainer:
         d_losses = [plain.train_step(b).loss for b in batches]
         np.testing.assert_allclose(h_losses, d_losses, atol=1e-12)
 
-    def test_replicas_stay_identical(self):
-        """Every DP rank's ZeRO-1 master shard is its slice of the one
-        parameter copy that stands for all replicas."""
+    def test_replicas_stay_identical(self, monkeypatch):
+        """Every DP rank receives the same ZeRO-1 all-gather, and it is
+        the one parameter copy that stands for all replicas."""
+        from repro.comm import all_gather
+        from repro.precision import optimizer
+
+        gathered = []
+
+        def capture(group, shards, tag):
+            gathered.append(all_gather(group, shards, tag=tag))
+            return gathered[-1]
+
+        monkeypatch.setattr(optimizer, "all_gather", capture)
         trainer = make_trainer()
         for batch in make_batches(2):
             trainer.train_step(batch)
-        opt = trainer.optimizer
-        flat = np.concatenate(opt.master_shards)[:opt.numel]
-        np.testing.assert_array_equal(
-            flat, np.concatenate([p.data.reshape(-1)
-                                  for p in trainer.params]))
+        assert [len(out) for out in gathered] == [2, 2]
+        delivered = gathered[-1]
+        numel = sum(p.size for p in trainer.params)
+        for flat in delivered:
+            np.testing.assert_array_equal(
+                flat[:numel], np.concatenate(
+                    [p.data.reshape(-1) for p in trainer.params]))
 
     def test_traffic_split_recorded(self):
         trainer = make_trainer()

@@ -5,12 +5,8 @@ import pytest
 
 from repro.model import MoETransformer
 from repro.model.layers import Linear
-from repro.precision.formats import BF16, FP8_E4M3, round_bf16
-from repro.precision.optimizer import (
-    AdamW,
-    MultiPrecisionAdamW,
-    clip_grad_norm,
-)
+from repro.precision.formats import round_bf16
+from repro.precision.optimizer import AdamW, clip_grad_norm
 from repro.precision.policy import (
     bf16_policy,
     current_policy,
@@ -103,42 +99,6 @@ class TestAdamW:
         opt = AdamW([p])
         opt.zero_grad()
         assert p.grad is None
-
-
-class TestMultiPrecisionAdamW:
-    def test_model_params_stay_in_format(self, rng):
-        p = Tensor(rng.standard_normal(32).astype(np.float32),
-                   requires_grad=True)
-        opt = MultiPrecisionAdamW([p], model_format=FP8_E4M3, lr=0.01)
-        from repro.precision.formats import round_fp8
-        np.testing.assert_array_equal(p.data, round_fp8(p.data))
-        for _ in range(3):
-            p.grad = rng.standard_normal(32)
-            opt.step()
-            np.testing.assert_array_equal(p.data, round_fp8(p.data))
-
-    def test_main_params_keep_full_precision(self, rng):
-        """Small updates accumulate in the FP32 master copy even when
-        each is below the FP8 resolution — the §7 rationale."""
-        p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = MultiPrecisionAdamW([p], model_format=FP8_E4M3, lr=1e-4,
-                                  betas=(0.0, 0.0))
-        for _ in range(100):
-            p.grad = np.array([1.0])
-            opt.step()
-        # 100 × 1e-4 accumulated in the master copy.
-        assert opt.main_params[0][0] == pytest.approx(1.0 - 1e-2,
-                                                      rel=1e-3)
-
-    def test_wire_bytes_halved_vs_bf16(self, rng):
-        p = Tensor(rng.standard_normal(100).astype(np.float32),
-                   requires_grad=True)
-        fp8_opt = MultiPrecisionAdamW([p], model_format=FP8_E4M3)
-        bf16_opt = MultiPrecisionAdamW(
-            [Tensor(rng.standard_normal(100).astype(np.float32),
-                    requires_grad=True)], model_format=BF16)
-        assert fp8_opt.model_param_nbytes() == \
-            bf16_opt.model_param_nbytes() / 2
 
 
 class TestPrecisionPolicy:

@@ -18,9 +18,8 @@ from repro.core.runner import ProductionRunner
 from repro.ft import ConfigMismatch
 from repro.model import MoETransformer
 from repro.parallel.pipeline import stage_partition
-from repro.parallel.zero import Zero1AdamW
 from repro.perf import KernelModel
-from repro.precision.optimizer import AdamW, clip_grad_norm
+from repro.precision.optimizer import AdamW, clip_grad_norm, zero1_shard_size
 from repro.tensor import Tensor
 
 CONFIG = ModelConfig("pp-tiny", n_layers=4, hidden_size=16, n_heads=4,
@@ -115,8 +114,8 @@ class TestZero1AdamW:
                        for p in full_params]
         full = AdamW(full_params, lr=1e-2, weight_decay=0.1)
         world = World(4, 4)
-        zero = Zero1AdamW(zero_params, world.full_group(), lr=1e-2,
-                          weight_decay=0.1)
+        zero = AdamW(zero_params, lr=1e-2, weight_decay=0.1,
+                     group=world.full_group())
         for _ in range(4):
             per_rank = [[rng.standard_normal(s) for s in shapes]
                         for _ in range(4)]
@@ -137,7 +136,7 @@ class TestZero1AdamW:
         full = AdamW([p_full], lr=1e-2)
         full.step(grads=[grad])
         world = World(2, 2)
-        zero = Zero1AdamW([p_zero], world.full_group(), lr=1e-2)
+        zero = AdamW([p_zero], lr=1e-2, group=world.full_group())
         p_zero.grad = grad
         zero.step()
         np.testing.assert_allclose(p_zero.data, p_full.data, atol=1e-12)
@@ -158,9 +157,10 @@ class TestZero1AdamW:
         zero_params = [Tensor(p.data.copy(), requires_grad=True)
                        for p in full_params]
         full = AdamW(full_params, lr=1e-2, weight_decay=0.1)
-        zero = Zero1AdamW(zero_params, World(n, n).full_group(), lr=1e-2,
-                          weight_decay=0.1)
-        assert zero.padded > zero.numel  # the tail is padding
+        zero = AdamW(zero_params, lr=1e-2, weight_decay=0.1,
+                     group=World(n, n).full_group())
+        numel = sum(p.size for p in zero_params)
+        assert zero1_shard_size(numel, n) * n > numel  # a padded tail
         # step -> parameters no rank has a gradient for
         idle = {1: {1, 3}, 2: {0}, 3: set(), 4: {2, 3, 4}}
         for step in range(1, 5):
@@ -195,14 +195,9 @@ class TestZero1AdamW:
             for a, b in zip(full_params, zero_params):
                 assert b.data.dtype == dtype
                 np.testing.assert_array_equal(b.data, a.data)
-            for shards, states in ((zero.m_shards, full.m),
-                                   (zero.v_shards, full.v)):
-                flat = np.concatenate(shards)
-                assert flat.dtype == dtype
-                np.testing.assert_array_equal(
-                    flat[:zero.numel],
-                    np.concatenate([x.reshape(-1) for x in states]))
-                assert not flat[zero.numel:].any()
+            for got, want in zip(zero.m + zero.v, full.m + full.v):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
             # One checkpoint format: the sharded state saves as AdamW's.
             zero_state, full_state = zero.state_dict(), full.state_dict()
             assert list(zero_state) == list(full_state)
@@ -215,39 +210,36 @@ class TestZero1AdamW:
     def test_state_bytes_sharded(self, rng, dtype):
         params = [Tensor(rng.standard_normal(62).astype(dtype),
                          requires_grad=True)]
-        world = World(4, 4)
-        zero = Zero1AdamW(params, world.full_group())
-        # Each rank holds master+m+v for 1/4 of the (padded) params,
-        # in the parameters' dtype: real bytes, not a priced constant.
+        zero = AdamW(params, group=World(4, 4).full_group())
+        # Each rank holds m and v for 1/4 of the (padded) params, in
+        # the parameters' dtype: real bytes, not a priced constant.
         itemsize = np.dtype(dtype).itemsize
-        assert zero.state_nbytes_per_rank() == 3 * 16 * itemsize
-        assert all(s.dtype == dtype for s in zero.master_shards
-                   + zero.m_shards + zero.v_shards)
+        assert zero1_shard_size(62, 4) == 16
+        assert zero.state_nbytes() == 2 * 16 * itemsize
+        assert AdamW(params).state_nbytes() == 2 * 62 * itemsize
         if dtype == np.float32:
-            # ... which for the default model is the 12 B/param
-            # (FP32 master + two FP32 moments) the planner charges.
+            # ... which with the rank's shard of the main copy is the
+            # 12 B/param (FP32 main + two FP32 moments) the planner
+            # charges.
             memory = param_memory_per_gpu(CONFIG, ParallelConfig(1),
                                           bytes_per_param=1.0)
             rate = memory["optimizer"] / memory["params"]
             assert rate == 12.0
-            assert zero.state_nbytes_per_rank() == rate * zero.padded / 4
-            assert AdamW(params).state_nbytes() == 8 * 62
+            assert zero.state_nbytes() + 16 * itemsize == rate * 16
 
     def test_float64_era_shard_state_is_cast_once(self, rng):
         """A float64-era state saved at dp=4 loads into a float32
         optimizer at dp=2 as float32, cast once."""
         params = [Tensor(rng.standard_normal(10).astype(np.float32),
                          requires_grad=True)]
-        zero = Zero1AdamW(params, World(4, 4).full_group())
+        zero = AdamW(params, group=World(4, 4).full_group())
         params[0].grad = rng.standard_normal(10).astype(np.float32)
         zero.step()
         state = zero.state_dict()
         wide = {k: v.astype(np.float64) for k, v in state.items()}
-        moved = Zero1AdamW(params, World(2, 2).full_group())
+        moved = AdamW(params, group=World(2, 2).full_group())
         moved.load_state_dict(wide)
-        for shards in (moved.master_shards, moved.m_shards,
-                       moved.v_shards):
-            assert all(s.dtype == np.float32 for s in shards)
+        assert all(s.dtype == np.float32 for s in moved.m + moved.v)
         back = moved.state_dict()
         for key in state:
             assert back[key].dtype == state[key].dtype
@@ -258,11 +250,41 @@ class TestZero1AdamW:
     def test_comm_pattern_recorded(self, rng):
         params = [Tensor(rng.standard_normal(16), requires_grad=True)]
         world = World(4, 4)
-        zero = Zero1AdamW(params, world.full_group())
+        zero = AdamW(params, group=world.full_group())
         params[0].grad = rng.standard_normal(16)
         zero.step()
-        # The gradient arrives synced: only the parameter all-gather.
+        # The gradient arrives synced: only the parameter all-gather,
+        # one 4-element float64 shard sent to 3 peers by each rank.
         assert world.ledger.counts() == {"all_gather": 1}
+        assert world.ledger.bytes_by_tag() == {"zero1:ag": 4 * 3 * 4 * 8.0}
+
+    def test_corrupt_gather_reaches_the_parameters(self):
+        """The all-gathered shards are what the parameters become: a
+        bit flipped in the buffer rank 0 receives on ``zero1:ag`` (the
+        one parameter copy stands for every replica) changes them."""
+        from repro.ft import FaultPlan, FaultSpec
+
+        class FlipRankZero(FaultPlan):
+            def corrupt(self, op, tag, arrays):
+                return super().corrupt(op, tag, arrays[:1])
+
+        def run(plan):
+            world = World(4, 4)
+            if plan is not None:
+                world.attach_fault_plan(plan)
+            # 12 elements: no padding, so any flipped bit is a
+            # parameter's.
+            params = [Tensor(np.linspace(-1, 1, 12), requires_grad=True)]
+            params[0].grad = np.linspace(1, 2, 12)
+            AdamW(params, lr=1e-2, group=world.full_group()).step()
+            return params[0].data
+
+        plan = FlipRankZero([FaultSpec("corrupt", 0, "all_gather")],
+                            verify_checksums=False)
+        clean, flipped = run(None), run(plan)
+        assert [(e.kind, e.tag) for e in plan.fired] == \
+            [("corrupt", "zero1:ag")]
+        assert clean.tobytes() != flipped.tobytes()
 
 
 def make_trainer(config=CONFIG):

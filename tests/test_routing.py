@@ -52,11 +52,16 @@ class TestDispatchPlan:
                                       r.tokens_per_expert(8))
 
     def test_row_of_pair_inverse(self, rng):
+        """Every (token, slot) pair has exactly one row, so the rows
+        invert: the map the A2A receiver builds to un-sort."""
         r = random_routing(rng, 15, 2, 4)
         plan = build_dispatch_plan(r, 4)
+        row_of_pair = np.full((15, 2), -1)
+        row_of_pair[plan.token_of_row, plan.slot_of_row] = \
+            np.arange(plan.n_rows)
         for t in range(15):
             for s in range(2):
-                row = plan.row_of_pair[t, s]
+                row = row_of_pair[t, s]
                 assert plan.token_of_row[row] == t
                 assert plan.slot_of_row[row] == s
 
@@ -64,8 +69,7 @@ class TestDispatchPlan:
         r = random_routing(rng, 25, 2, 4, drop_rate=0.4)
         plan = build_dispatch_plan(r, 4)
         assert plan.n_rows == int(r.kept.sum())
-        dropped = plan.row_of_pair[~r.kept]
-        assert (dropped == -1).all()
+        assert r.kept[plan.token_of_row, plan.slot_of_row].all()
 
     def test_expert_slices_cover_rows(self, rng):
         r = random_routing(rng, 40, 2, 8)

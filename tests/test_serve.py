@@ -680,8 +680,7 @@ def _artifacts(**overrides):
         shutdown_error="",
         plans=[DispatchPlan(token_of_row=np.array([0, 0]),
                             slot_of_row=np.array([0, 1]),
-                            expert_counts=np.array([0, 1, 1, 0, 0, 0, 0, 0]),
-                            row_of_pair=np.array([[0, 1]]))],
+                            expert_counts=np.array([0, 1, 1, 0, 0, 0, 0, 0]))],
     )
     base.update(overrides)
     return ServeArtifacts(**base)

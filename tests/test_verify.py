@@ -132,7 +132,7 @@ class TestLayeredCases:
         dict(pp=2, dp=2),                     # batch 2 < pp·dp
         dict(pp=3, batch=3),                  # 2 layers, 3 stages
         dict(dp=0),
-        dict(dp=2, resize=((1, 2),), steps=2),
+        dict(dp=2, resize=((1, 2, 3),), steps=2),  # batch 2, dp 3
     ])
     def test_validation(self, changes):
         with pytest.raises(ValueError):
