@@ -317,19 +317,15 @@ class MegaScaleTrainer:
                         total, lm, aux = self._replica_loss(batch, replica)
                 with self._span("backward", phase="backward"):
                     total.backward()
-                    for engine in self.engines:
-                        engine.sync_grads_to_reference()
                 losses.append((total.item(), lm.item(), aux.item()))
                 if dp > 1:
                     replica_grads.append([p.grad for p in self.params])
-                    self._refresh_shards()
             if dp > 1:
                 with self._span("grad_sync", phase="sync"):
                     self._sync_replica_grads(replica_grads)
             with self._span("optimizer", phase="optimizer"):
                 norm = clip_grad_norm(self.params, self.train_cfg.grad_clip)
                 self.optimizer.step()
-                self._refresh_shards()
             self.step_count += 1
             loss, lm_loss, aux_loss = (sum(col) / dp
                                        for col in zip(*losses))
@@ -386,12 +382,6 @@ class MegaScaleTrainer:
         sub.ledger, sub.tracer = self.world.ledger, self.world.tracer
         return sub
 
-    def _refresh_shards(self) -> None:
-        """Re-derive weight shards from the reference parameters and
-        clear their gradients."""
-        for engine in self.engines:
-            engine.refresh_shards()
-
     def eval_loss(self, token_ids: np.ndarray) -> float:
         """LM loss without gradient tracking or updates."""
         from ..tensor import no_grad
@@ -433,4 +423,3 @@ class MegaScaleTrainer:
                 self.optimizer.load_state_dict(state)
         else:
             self.model.load_state_dict(state)
-        self._refresh_shards()

@@ -90,13 +90,18 @@ class Linear(Module):
                             requires_grad=True, name="bias")
                      if bias else None)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def operands(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+        """``(x, weight)`` as the GEMM reads them: cast by the installed
+        :class:`~repro.precision.policy.PrecisionPolicy`, if any (a TP
+        rank slices its shard out of this whole cast weight)."""
         from ..precision.policy import current_policy
         policy = current_policy()
-        weight = self.weight
-        if policy is not None:
-            x = policy.cast_activation(x)
-            weight = policy.cast_weight(weight)
+        if policy is None:
+            return x, self.weight
+        return policy.cast_activation(x), policy.cast_weight(self.weight)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        x, weight = self.operands(x)
         out = x @ weight
         if self.bias is not None:
             out = out + self.bias

@@ -15,13 +15,16 @@ Reference (single-rank) implementation of the paper's MoE FFN:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..tensor import Tensor, ops
 from .layers import Linear, Module, init_linear
 from .routing import DispatchPlan, RoutingResult, build_dispatch_plan
+
+if TYPE_CHECKING:
+    from ..precision.policy import PrecisionPolicy
 
 __all__ = ["TopKRouter", "Expert", "MoELayer", "MoEOutput",
            "grouped_expert_blocks", "grouped_expert_forward"]
@@ -175,31 +178,55 @@ class Expert(Module):
         self.fc2 = Tensor(init_linear(rng, ffn_hidden_size, hidden_size,
                                       dtype), requires_grad=True, name="fc2")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        from ..precision.policy import current_policy
-        policy = current_policy()
+    def weights(self, policy: Optional[PrecisionPolicy] = None,
+                shard: Optional[Tuple[int, int]] = None
+                ) -> Tuple[Tensor, Tensor, Tensor]:
+        """``(fc1, fc3, fc2)`` as the GEMMs read them.
+
+        ``policy`` casts each whole parameter, so a per-tensor scale is
+        the unsharded one.  ``shard = (r, n)`` then takes tensor-parallel
+        rank ``r``'s contiguous slice of the intermediate dim — fc1/fc3
+        columns, fc2 rows — on the tape, so backward lands the shard's
+        gradient on the parameter itself.
+        """
         fc1, fc3, fc2 = self.fc1, self.fc3, self.fc2
         if policy is not None:
+            fc1, fc3, fc2 = (policy.cast_weight(w) for w in (fc1, fc3, fc2))
+        if shard is not None:
+            r, n = shard
+            fc1 = ops.split(fc1, n, axis=1)[r]
+            fc3 = ops.split(fc3, n, axis=1)[r]
+            fc2 = ops.split(fc2, n, axis=0)[r]
+        return fc1, fc3, fc2
+
+    def __call__(self, x: Tensor,
+                 shard: Optional[Tuple[int, int]] = None) -> Tensor:
+        """The expert on rows ``x``; with ``shard`` (see :meth:`weights`)
+        the output is that rank's partial sum."""
+        from ..precision.policy import current_policy
+        policy = current_policy()
+        if policy is not None:
             x = policy.cast_activation(x)
-            fc1 = policy.cast_weight(fc1)
-            fc3 = policy.cast_weight(fc3)
-            fc2 = policy.cast_weight(fc2)
+        fc1, fc3, fc2 = self.weights(policy, shard)
         gate_in = x @ fc1
         lin_in = x @ fc3
         fc2_in = gate_in.silu() * lin_in
         if policy is not None:
             # SwiGLU expands the dynamic range; the FC2 input is
             # re-quantized exactly where the paper applies per-token
-            # quantization (§7, "FP8 training").
+            # quantization (§7, "FP8 training").  On a TP shard the
+            # per-token scale covers only the shard's columns.
             fc2_in = policy.cast_activation(fc2_in)
         return fc2_in @ fc2
 
 
 def grouped_expert_blocks(experts: Sequence[Expert], rows: Tensor,
-                          row_blocks: Sequence[Tuple[int, int, int]]
+                          row_blocks: Sequence[Tuple[int, int, int]],
+                          shard: Optional[Tuple[int, int]] = None
                           ) -> Tensor:
     """GroupedGEMM over ``(local expert, start, end)`` row blocks that
-    tile ``rows`` in order.
+    tile ``rows`` in order; ``shard`` runs a TP rank's slice of every
+    expert (:meth:`Expert.weights`).
 
     One fused :func:`~repro.tensor.ops.grouped_swiglu` node — unless a
     :class:`~repro.precision.policy.PrecisionPolicy` is active, whose
@@ -209,8 +236,9 @@ def grouped_expert_blocks(experts: Sequence[Expert], rows: Tensor,
     from ..precision.policy import current_policy
     if current_policy() is None:
         return ops.grouped_swiglu(
-            rows, [(x.fc1, x.fc3, x.fc2) for x in experts], row_blocks)
-    pieces = [experts[e](rows[a:b]) for e, a, b in row_blocks if b > a]
+            rows, [x.weights(shard=shard) for x in experts], row_blocks)
+    pieces = [experts[e](rows[a:b], shard)
+              for e, a, b in row_blocks if b > a]
     if not pieces:
         return Tensor(np.zeros((0, experts[0].fc2.shape[1]),
                                dtype=rows.dtype))

@@ -24,6 +24,7 @@ same ``(pid, tid)`` lane, which is exactly how nested spans behave.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from .tracer import Event, Span, Tracer
@@ -117,8 +118,10 @@ def write_chrome_trace(
     tracer: Tracer,
     extra_metadata: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Serialize a tracer's spans/events to ``path``; returns the dict."""
+    """Serialize a tracer's spans/events to ``path`` (creating its
+    directory); returns the dict."""
     trace = to_chrome_trace(tracer.spans, tracer.events, extra_metadata)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         json.dump(trace, handle, indent=1)
     return trace

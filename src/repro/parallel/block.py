@@ -53,7 +53,8 @@ class ParallelBlockEngine:
     schedule order by the :class:`~repro.runtime.dag_executor.
     DagExecutor` over :func:`~repro.core.executor_bindings.
     build_layer_bindings`.  The per-module engines contribute the
-    per-op numerics and the weight sharding.
+    per-op numerics; every one of them computes from the block's own
+    parameters.
     """
 
     def __init__(self, group: ProcessGroup, block: TransformerBlock,
@@ -167,17 +168,15 @@ class ParallelBlockEngine:
             if self.remat_plan is not None else None)
         return outputs, aux
 
+    # Every engine computes from the block's own parameters (TP takes
+    # tape slices of them), so a step has nothing to copy back or
+    # re-slice.  These two no-ops stay only because the frozen
+    # wall-clock harness (benchmarks/wallclock/train_workload.py)
+    # still calls them between phases.
+
     def sync_grads_to_reference(self) -> None:
-        """Fold any TP weight-shard gradients back onto the reference
-        module (no-op for SP/EP, whose weights are shared objects)."""
-        for engine in (self.attn_engine, self.ffn_engine):
-            sync = getattr(engine, "sync_grads_to_reference", None)
-            if sync is not None:
-                sync()
+        """No-op: backward already lands every gradient on the
+        parameter it belongs to."""
 
     def refresh_shards(self) -> None:
-        """Re-derive TP weight shards after an optimizer step."""
-        for engine in (self.attn_engine, self.ffn_engine):
-            refresh = getattr(engine, "refresh_shards", None)
-            if refresh is not None:
-                refresh()
+        """No-op: nothing holds a copy of a weight to re-slice."""

@@ -1,9 +1,10 @@
 """Megatron-style tensor-parallel attention (the baseline of §3.1).
 
-Each rank holds a *head shard* of the attention weights: its slice of the
-fused QKV projection columns and the matching rows of the output
-projection.  Activations enter and leave sequence-sharded (Megatron's
-TP+SP hybrid), so the critical path carries:
+Each rank computes with a *head shard* of the attention weights: its
+slice of the fused QKV projection columns and the matching rows of the
+output projection, taken from the module's own parameters on the tape.
+Activations enter and leave sequence-sharded (Megatron's TP+SP
+hybrid), so the critical path carries:
 
     all-gather  [b, s/n, h] -> [b, s, h]      (before QKV projection)
     reduce-scatter of the partial output      (after output projection)
@@ -13,10 +14,6 @@ in ``n``, the scalability limitation §7 discusses.
 """
 
 from __future__ import annotations
-
-from typing import List
-
-import numpy as np
 
 from ..comm.group import ProcessGroup
 from ..model.layers import SelfAttention
@@ -40,59 +37,36 @@ class TPAttentionEngine:
             )
         self.group = group
         self.attn = attn
-        self._shard_weights()
-
-    def _shard_weights(self) -> None:
-        """Slice the reference weights into per-rank leaf Tensors.
-
-        The fused QKV weight ``[h, h + 2·kv·hd]`` is laid out as
-        ``[Q | K | V]``; each part is column-sharded by head.  The output
-        projection ``[h, h]`` is row-sharded by head so per-rank partial
-        products sum to the full result.
-        """
-        attn, n = self.attn, self.group.size
-        h = attn.hidden_size
-        hd = attn.head_dim
-        kv = attn.n_kv_heads * hd
-        w = attn.qkv_proj.weight.data
-        q_w, k_w, v_w = w[:, :h], w[:, h:h + kv], w[:, h + kv:]
-
-        self.qkv_weights: List[Tensor] = []
-        self.out_weights: List[Tensor] = []
-        q_cols = h // n
-        kv_cols = kv // n
-        out_w = attn.out_proj.weight.data
-        for r in range(n):
-            q_r = q_w[:, r * q_cols:(r + 1) * q_cols]
-            k_r = k_w[:, r * kv_cols:(r + 1) * kv_cols]
-            v_r = v_w[:, r * kv_cols:(r + 1) * kv_cols]
-            self.qkv_weights.append(Tensor(
-                np.concatenate([q_r, k_r, v_r], axis=1).copy(),
-                requires_grad=True, name=f"qkv_shard_{r}"))
-            self.out_weights.append(Tensor(
-                out_w[r * q_cols:(r + 1) * q_cols, :].copy(),
-                requires_grad=True, name=f"out_shard_{r}"))
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
     # One method per forward-graph op; the bindings in
     # repro.core.executor_bindings.attention_bindings sequence them.
+    # Each GEMM reads rank r's contiguous slice of the module's own
+    # (cast) weight, taken on the tape, so backward lands the shard's
+    # gradient on the parameter itself.
 
     def op_qkv(self, x: Tensor, r: int):
         """``qkv_proj``: this rank's head-shard projection of the full
-        sequence, split into 4-D (q, k, v)."""
+        sequence, split into 4-D (q, k, v).  The fused ``[Q | K | V]``
+        weight is column-sharded by head within each part."""
         attn, n = self.attn, self.group.size
-        heads_local = attn.n_heads // n
-        kv_local = attn.n_kv_heads // n
+        x, w = attn.qkv_proj.operands(x)
+        h = attn.hidden_size
         hd = attn.head_dim
+        kv = attn.n_kv_heads * hd
+        w_r = ops.concat([ops.split(part, n, axis=1)[r] for part in
+                          (w[:, :h], w[:, h:h + kv], w[:, h + kv:])],
+                         axis=1)
         b, s, _ = x.shape
-        qkv = x @ self.qkv_weights[r]
-        q_width = heads_local * hd
-        kv_width = kv_local * hd
-        q = qkv[:, :, :q_width].reshape(b, s, heads_local, hd)
+        qkv = x @ w_r
+        q_width = h // n
+        kv_width = kv // n
+        q = qkv[:, :, :q_width].reshape(b, s, q_width // hd, hd)
         k = qkv[:, :, q_width:q_width + kv_width].reshape(
-            b, s, kv_local, hd)
-        v = qkv[:, :, q_width + kv_width:].reshape(b, s, kv_local, hd)
+            b, s, kv_width // hd, hd)
+        v = qkv[:, :, q_width + kv_width:].reshape(
+            b, s, kv_width // hd, hd)
         return q, k, v
 
     def op_rope(self, qkv):
@@ -113,68 +87,6 @@ class TPAttentionEngine:
 
     def op_out_proj(self, out: Tensor, r: int) -> Tensor:
         """``out_proj``: row-sharded partial product."""
-        return out @ self.out_weights[r]
+        out, w = self.attn.out_proj.operands(out)
+        return out @ ops.split(w, self.group.size, axis=0)[r]
 
-    def sync_grads_to_reference(self) -> None:
-        """Accumulate the shard gradients onto the reference weights.
-
-        A real TP deployment keeps the shards as the optimizer state;
-        here the reference module owns the parameters, so the assembled
-        gradients are added to it before the optimizer step.
-        """
-        d_qkv, d_out = self.reference_weight_grads()
-        qkv_w = self.attn.qkv_proj.weight
-        out_w = self.attn.out_proj.weight
-        qkv_w.grad = d_qkv if qkv_w.grad is None else qkv_w.grad + d_qkv
-        out_w.grad = d_out if out_w.grad is None else out_w.grad + d_out
-
-    def refresh_shards(self) -> None:
-        """Re-slice the (updated) reference weights into the shards."""
-        attn, n = self.attn, self.group.size
-        h = attn.hidden_size
-        hd = attn.head_dim
-        kv = attn.n_kv_heads * hd
-        w = attn.qkv_proj.weight.data
-        q_w, k_w, v_w = w[:, :h], w[:, h:h + kv], w[:, h + kv:]
-        q_cols = h // n
-        kv_cols = kv // n
-        out_w = attn.out_proj.weight.data
-        for r in range(n):
-            q_r = q_w[:, r * q_cols:(r + 1) * q_cols]
-            k_r = k_w[:, r * kv_cols:(r + 1) * kv_cols]
-            v_r = v_w[:, r * kv_cols:(r + 1) * kv_cols]
-            self.qkv_weights[r].data = np.concatenate(
-                [q_r, k_r, v_r], axis=1).copy()
-            self.qkv_weights[r].grad = None
-            self.out_weights[r].data = \
-                out_w[r * q_cols:(r + 1) * q_cols, :].copy()
-            self.out_weights[r].grad = None
-
-    def reference_weight_grads(self) -> tuple:
-        """Assemble full-weight gradients from the per-rank shard grads.
-
-        Returns ``(qkv_grad, out_grad)`` shaped like the reference
-        weights, for equivalence tests against the single-rank model.
-        """
-        attn, n = self.attn, self.group.size
-        h = attn.hidden_size
-        hd = attn.head_dim
-        kv = attn.n_kv_heads * hd
-        q_cols = h // n
-        kv_cols = kv // n
-
-        qkv_grad = np.zeros_like(attn.qkv_proj.weight.data)
-        out_grad = np.zeros_like(attn.out_proj.weight.data)
-        for r in range(n):
-            g = self.qkv_weights[r].grad
-            if g is None:
-                continue
-            qkv_grad[:, r * q_cols:(r + 1) * q_cols] = g[:, :q_cols]
-            qkv_grad[:, h + r * kv_cols:h + (r + 1) * kv_cols] = \
-                g[:, q_cols:q_cols + kv_cols]
-            qkv_grad[:, h + kv + r * kv_cols:h + kv + (r + 1) * kv_cols] = \
-                g[:, q_cols + kv_cols:]
-            og = self.out_weights[r].grad
-            if og is not None:
-                out_grad[r * q_cols:(r + 1) * q_cols, :] = og
-        return qkv_grad, out_grad

@@ -21,7 +21,6 @@ __all__ = [
     "concat",
     "split",
     "softmax",
-    "log_softmax",
     "rmsnorm",
     "embedding",
     "cross_entropy",
@@ -56,7 +55,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def split(t: Tensor, sections: int, axis: int = 0) -> List[Tensor]:
-    """Split ``t`` into ``sections`` equal parts along ``axis``."""
+    """Split ``t`` into ``sections`` equal parts along ``axis``.
+
+    Each part is a contiguous copy whose backward writes its gradient
+    into that part of ``t``: how a tensor-parallel rank takes its
+    shard of a weight, so the shard GEMM reads a dense operand and its
+    gradient lands on the parameter.
+    """
     if t.shape[axis] % sections != 0:
         raise ValueError(
             f"axis {axis} of size {t.shape[axis]} not divisible by "
@@ -89,20 +94,6 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return Tensor.from_op(out, [t], backward, "softmax")
-
-
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(t)) computed stably."""
-    x = t.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
-
-    def backward(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor.from_op(out, [t], backward, "log_softmax")
 
 
 def rmsnorm(t: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:

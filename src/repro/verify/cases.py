@@ -277,8 +277,9 @@ def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
     """The seeded CI grid: EP dispatch × precision, a tiled (§4.2
     tile-granular) leg per dispatch, float32-model legs (the
     production default dtype) over both dispatches, one float32
-    tiled case, and the production layout (Fig. 4) at n=2 pp=2 dp=2
-    in float32 and with FP8 comm."""
+    tiled case, the production layout (Fig. 4) at n=2 pp=2 dp=2 in
+    float32 and with FP8 comm, and the Megatron TP+TP baseline — the
+    one leg that trains the TP engines."""
 
     def cases() -> Iterator[VerifyCase]:
         for dispatch in SMOKE_DISPATCHES:
@@ -295,6 +296,7 @@ def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
         for kw in (dict(dtype="float32"), dict(precision="fp8")):
             yield VerifyCase(ranks=2, pp=2, dp=2, batch=4, seed=seed,
                              **kw)
+        yield VerifyCase(attention="tp", ffn="tp", seed=seed)
 
     return list(cases())
 

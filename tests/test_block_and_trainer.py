@@ -12,6 +12,7 @@ from repro.model.transformer import TransformerBlock
 from repro.parallel import ParallelBlockEngine, shard_sequence, \
     unshard_sequence
 from repro.precision.optimizer import AdamW, clip_grad_norm
+from repro.precision.policy import bf16_policy
 from repro.tensor import Tensor
 
 
@@ -229,3 +230,58 @@ class TestMegaScaleTrainer:
         for batch in batches:
             trainer.train_step(batch)
         assert trainer.eval_loss(batches[0]) < first
+
+
+COMBOS = [("sp", "ep"), ("sp", "tp"), ("tp", "ep"), ("tp", "tp")]
+
+
+class TestEnginesTrainTheModelsOwnWeights:
+    """Every engine computes from the model's parameters — TP through
+    tape slices of them — so the casts, the gradients and the idle
+    experts are the single-rank model's."""
+
+    def make(self, config, attn, ffn, **kwargs):
+        model = MoETransformer(config, seed=0, dtype=np.float64)
+        tr = TrainConfig(global_batch_size=4, micro_batch_size=4,
+                         seq_len=config.seq_len, learning_rate=1e-2,
+                         weight_decay=0.0, aux_loss_coeff=0.01)
+        return MegaScaleTrainer(
+            model, World(4, 4),
+            ParallelConfig(model_parallel_size=4, attention=attn, ffn=ffn),
+            tr, **kwargs)
+
+    @pytest.mark.parametrize("attn,ffn", COMBOS)
+    def test_first_step_loss_follows_bf16_policy(self, tiny_config, attn,
+                                                 ffn):
+        batch = next(batch_iterator(MarkovCorpus(vocab_size=64, seed=0),
+                                    4, 16, limit=1))
+        golden = MoETransformer(tiny_config, seed=0, dtype=np.float64)
+        with bf16_policy():
+            want = golden.language_model_loss(batch, aux_coeff=0.01).item()
+        trainer = self.make(tiny_config, attn, ffn, policy=bf16_policy())
+        got = trainer.train_step(batch).loss
+        assert abs(got - want) / want < 1e-6
+
+    @pytest.mark.parametrize("attn,ffn", [("sp", "tp"), ("tp", "tp")])
+    def test_idle_tp_expert_keeps_no_grad_and_its_weights(self, tiny_config,
+                                                          attn, ffn):
+        batches = list(batch_iterator(MarkovCorpus(vocab_size=64, seed=0),
+                                      4, 16, limit=2))
+        trainer = self.make(tiny_config, attn, ffn)
+        trainer.train_step(batches[0])  # every expert busy: Adam moments
+        idle = 3
+        for block in trainer.model.blocks:
+            # A constant gate bias keeps expert 3 out of every top-k.
+            bias = np.zeros(tiny_config.n_experts)
+            bias[idle] = -1e4
+            block.moe.router.gate.bias = Tensor(bias)
+        before = {name: p.data.copy()
+                  for name, p in trainer.model.named_parameters()}
+        trainer.train_step(batches[1])
+        for name, p in trainer.model.named_parameters():
+            if f".experts.{idle}." in name:
+                assert p.grad is None, name
+                np.testing.assert_array_equal(p.data, before[name],
+                                              err_msg=name)
+            elif ".experts." in name:
+                assert p.grad is not None, name

@@ -88,7 +88,6 @@ class TestParallelEquivalenceFuzz:
             total = piece if total is None else total + piece
         total = total + aux
         total.backward()
-        engine.sync_grads_to_reference()
 
         dx = np.concatenate([s.grad for s in shards], axis=1)
         np.testing.assert_allclose(dx, ref_dx, atol=1e-8)
@@ -98,5 +97,7 @@ class TestParallelEquivalenceFuzz:
             np.testing.assert_allclose(actual, expected, atol=1e-8,
                                        err_msg=f"{name} under "
                                                f"{attn}+{ffn}/{ep_mode}")
+        # An expert the reference left idle has no gradient here either.
+        assert {name for name, p in block.named_parameters()
+                if p.grad is not None} == set(ref_grads)
         block.zero_grad()
-        engine.refresh_shards()

@@ -113,6 +113,16 @@ class TestChromeExport:
         assert loaded["otherData"]["tool"] == "repro.obs"
         assert len(loaded["traceEvents"]) == 1
 
+    def test_write_creates_the_directory(self, tmp_path):
+        """``train --trace bench_artifacts/t.json`` on a fresh checkout:
+        the directory does not exist yet."""
+        t = Tracer(clock=FakeClock())
+        with t.span("step"):
+            pass
+        path = tmp_path / "new" / "t.json"
+        write_chrome_trace(str(path), t)
+        assert len(json.loads(path.read_text())["traceEvents"]) == 1
+
     def test_text_summary(self):
         tracer = Tracer(clock=FakeClock())
         run_engine("sp_attn", tracer=tracer)

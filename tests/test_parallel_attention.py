@@ -156,9 +156,12 @@ class TestTPAttention:
         backward_once(outs, ref["g"], s // n)
         dx = np.concatenate([sh.grad for sh in shards], axis=1)
         np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
-        d_qkv, d_out = engine.reference_weight_grads()
-        np.testing.assert_allclose(d_qkv, ref["d_qkv"], atol=1e-10)
-        np.testing.assert_allclose(d_out, ref["d_out"], atol=1e-10)
+        # The shard GEMMs read tape slices of the module's weights, so
+        # the full gradients land on the parameters themselves.
+        np.testing.assert_allclose(attn.qkv_proj.weight.grad,
+                                   ref["d_qkv"], atol=1e-10)
+        np.testing.assert_allclose(attn.out_proj.weight.grad,
+                                   ref["d_out"], atol=1e-10)
 
     def test_forward_volume_matches_eq1(self, rng):
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
@@ -170,13 +173,6 @@ class TestTPAttention:
         measured = forward_bytes(world, "tp_attn") / 8.0
         assert measured == pytest.approx(
             tp_attention_comm_volume(b, s, h, n) * n)
-
-    def test_weight_shards_are_leaves(self, rng):
-        attn = SelfAttention(rng, 16, 8, 2, dtype=np.float64)
-        world = World(4, 4)
-        engine = TPAttentionEngine(world.full_group(), attn)
-        assert all(w.requires_grad and w.node is None
-                   for w in engine.qkv_weights)
 
     def test_tp_volume_constant_in_n(self, rng):
         """Eq. 1's (n-1)/n barely changes with n — TP's scalability

@@ -28,10 +28,7 @@ def run_reference(rng, moe, x):
         "dx": xt.grad.copy(),
         "d_gate": moe.router.gate.weight.grad.copy(),
         "d_experts": [
-            {key: getattr(e, key).grad.copy()
-             if getattr(e, key).grad is not None
-             else np.zeros(getattr(e, key).shape)
-             for key in ("fc1", "fc3", "fc2")}
+            {key: getattr(e, key).grad for key in ("fc1", "fc3", "fc2")}
             for e in moe.experts
         ],
         "g": g,
@@ -78,6 +75,18 @@ def check_engine_matches(rng, moe, x, engine_factory, n):
     return world, engine, ref
 
 
+def assert_expert_grads(moe, ref):
+    """Every expert's gradients match the reference's, and an expert
+    the reference left idle has none."""
+    for e, expert in enumerate(moe.experts):
+        for key in ("fc1", "fc3", "fc2"):
+            grad, want = getattr(expert, key).grad, ref["d_experts"][e][key]
+            assert (grad is None) == (want is None), f"{e}:{key}"
+            if want is not None:
+                np.testing.assert_allclose(grad, want, atol=1e-9,
+                                           err_msg=f"{e}:{key}")
+
+
 class TestEPA2A:
     @pytest.mark.parametrize("b,s,h,fh,E,k,n", CONFIGS)
     def test_matches_reference(self, b, s, h, fh, E, k, n):
@@ -87,13 +96,7 @@ class TestEPA2A:
         world, engine, ref = check_engine_matches(
             rng, moe, x,
             lambda g, m: EPFFNEngine(g, m, mode="a2a"), n)
-        for e, expert in enumerate(moe.experts):
-            for key in ("fc1", "fc3", "fc2"):
-                grad = getattr(expert, key).grad
-                if grad is None:
-                    grad = np.zeros(ref["d_experts"][e][key].shape)
-                np.testing.assert_allclose(grad, ref["d_experts"][e][key],
-                                           atol=1e-9, err_msg=f"{e}:{key}")
+        assert_expert_grads(moe, ref)
 
     def test_forward_volume_within_hard_bound(self, rng):
         """A2A dispatch volume never exceeds the all-remote hard bound
@@ -187,12 +190,7 @@ class TestTPFFN:
         x = rng.standard_normal((b, s, h))
         world, engine, ref = check_engine_matches(
             rng, moe, x, TPFFNEngine, n)
-        grads = engine.reference_weight_grads()
-        for e in range(E):
-            for key in ("fc1", "fc3", "fc2"):
-                np.testing.assert_allclose(grads[e][key],
-                                           ref["d_experts"][e][key],
-                                           atol=1e-9, err_msg=f"{e}:{key}")
+        assert_expert_grads(moe, ref)
 
     def test_volume_matches_eq4(self, rng):
         b, s, h, fh, E, k, n = 2, 8, 16, 24, 8, 2, 4
