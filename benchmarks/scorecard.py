@@ -380,10 +380,24 @@ def _moved_elements(attention, ffn, dispatch, tag, seed=0) -> float:
                if r.tag.startswith(tag)) / 8.0
 
 
+def cell_factor(n, e, k) -> float:
+    """Expected ranks holding any of a token's k distinct uniformly
+    routed experts, n (1 - C(e - e/n, k) / C(e, k)), over k."""
+    return n * (1 - math.comb(e - e // n, k) / math.comb(e, k)) / k
+
+
+def eq3_cells(b, s, h, n, e, k) -> float:
+    """Eq. 3 for the cell wire (all ranks, one pass): one row per
+    (token, expert rank) each way, and one gate weight per remote
+    (token, expert) on the dispatch leg."""
+    return (ep_ffn_comm_volume(b, s, h, n, k) * n * cell_factor(n, e, k)
+            + b * s * k * (n - 1) / n)
+
+
 def eq1_4() -> Dict[str, float]:
     """Measured over analytic volume per engine (all ranks, one pass)."""
     b, s, h, n = EQ_B, EQ_S, EQ_H, EQ_N
-    eq3 = ep_ffn_comm_volume(b, s, h, n, EQ_K) * n
+    eq3 = eq3_cells(b, s, h, n, EQ_E, EQ_K)
     return {
         "tp_attn": _moved_elements("tp", "ep", "a2a", "tp_attn")
         / (tp_attention_comm_volume(b, s, h, n) * n),
@@ -732,11 +746,12 @@ def rows() -> List[Row]:
             "ledgered SP attention elements over Eq. 2 / 2: Eq. 2 as "
             "printed counts both directions of each all-to-all"),
         Row("eq3.ep_a2a", "Eq. 3", 1.0, vol["ep_a2a"], EQ3_TOL,
-            "ledgered A2A dispatch+combine elements over Eq. 3, pooled over"
-            f" {EQ3_SEEDS} seeds of {EQ_B * EQ_S} tokens at n={EQ_N}, k="
-            f"{EQ_K}; Eq. 3 is the uniform-routing expectation; tol: four "
-            "standard errors of the remote fraction; the hard bound, every "
-            f"routed row remote, is n/(n-1) = {EQ_N / (EQ_N - 1):.3f}x"),
+            "ledgered A2A dispatch+combine elements over Eq. 3 x n(1 - "
+            "C(E-E/n, k)/C(E, k))/k plus one gate weight per remote (token,"
+            " expert): the wire sends a token to each expert rank once, "
+            f"a factor {cell_factor(EQ_N, EQ_E, EQ_K):.4f} at E={EQ_E}, n={EQ_N}, k={EQ_K} (1 when a rank holds one "
+            f"expert); pooled over {EQ3_SEEDS} seeds of {EQ_B * EQ_S} tokens;"
+            " tol: four standard errors of the remote fraction"),
         Row("eq4.ep_agrs", "Eq. 4", 1.0, vol["ep_agrs"], 1e-9,
             "ledgered EP AG/RS elements over Eq. 4: exact"),
         Row("eq4.tp_ffn", "Eq. 4", 1.0, vol["tp_ffn"], 1e-9,

@@ -4,7 +4,7 @@
   §3/§7: the model's Table 2 row, the GPU's Table 4 row, then the
   plan-space search and its modelled speedup over Megatron-LM.
 * ``train [STEPS]`` — one production run of a miniature MoE (SP+EP,
-  ``ag_rs``, n=4) under the elastic runner; ``--faults``, ``--resize``
+  ``a2a``, n=4) under the elastic runner; ``--faults``, ``--resize``
   and ``--trace`` switch fault recovery, a 4 → 2 → 4 world resize and
   the audited Chrome trace on for that same run.
 * ``serve [N_REQUESTS]`` — continuous-batching MoE inference, checked
@@ -113,6 +113,7 @@ def cmd_plan(args) -> int:
 def cmd_train(args) -> int:
     """Train through :class:`ElasticRunner`: faults and resizes are
     entries of one injector, and a rerun on ``--dir`` resumes."""
+    import contextlib
     import tempfile
     from dataclasses import fields
 
@@ -133,9 +134,9 @@ def cmd_train(args) -> int:
     if steps < least:
         print(f"steps must be >= {least}, got {steps}", file=sys.stderr)
         return 2
-    # AG/RS dispatch keeps every audited mechanism on an exact ring
-    # identity (Eqs. 2 and 4); A2A dispatch volumes fluctuate with the
-    # router and only audit against the Eq. 3 expectation.
+    # The paper's main path: SP attention (Eq. 2, an exact ring
+    # identity) and EP A2A dispatch, whose bytes the audit recounts
+    # from every layer pass's captured routing.
     n, b, s, dtype = 4, 4, 16, np.float64
     config = ModelConfig("cli-train", 2, 32, 8, 2, 48, 8, 2,
                          vocab_size=64, seq_len=s)
@@ -146,7 +147,7 @@ def cmd_train(args) -> int:
                                   b, s, seed=1, limit=steps))
 
     def plan_at(size: int) -> ParallelConfig:
-        return ParallelConfig.megascale(size, ep_dispatch="ag_rs")
+        return ParallelConfig.megascale(size, ep_dispatch="a2a")
 
     def layout_at(size: int) -> ParallelLayout:
         return ParallelLayout.from_parallel_config(plan_at(size))
@@ -175,26 +176,35 @@ def cmd_train(args) -> int:
         schedule["resize_steps"] = {steps // 3: layout_at(n // 2),
                                     2 * steps // 3: layout_at(n)}
     worlds = []
+    a2a_passes: list = []
 
     def factory(layout: ParallelLayout) -> MegaScaleTrainer:
         worlds.append(World(layout.world_size, layout.world_size))
         if fault_plan is not None:
             worlds[-1].attach_fault_plan(fault_plan)
         model = MoETransformer(config, seed=0, dtype=dtype)
-        return MegaScaleTrainer(model, worlds[-1],
-                                plan_at(layout.world_size), train,
-                                health=monitor, obs=obs)
+        trainer = MegaScaleTrainer(model, worlds[-1],
+                                   plan_at(layout.world_size), train,
+                                   health=monitor, obs=obs)
+        if obs is not None:  # the audit recounts this world's A2A
+            a2a_passes.clear()
+            for engine in trainer.engines:
+                engine.ffn_engine.telemetry_log = a2a_passes
+        return trainer
 
-    ckpt_dir = args.dir or tempfile.mkdtemp(prefix="repro-train-")
-    runner = ElasticRunner(factory, layout_at(n), ckpt_dir,
-                           checkpoint_interval=4, obs=obs, **guards)
-    metrics = runner.run(batches, FaultInjector(**schedule))
-    if not metrics.steps:
-        print(f"nothing to do: {ckpt_dir} already holds step "
-              f"{runner.latest_checkpoint()} of {steps}")
-        return 0
+    with contextlib.ExitStack() as stack:
+        # Without --dir the checkpoints live only as long as the run.
+        ckpt_dir = args.dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-train-"))
+        runner = ElasticRunner(factory, layout_at(n), ckpt_dir,
+                               checkpoint_interval=4, obs=obs, **guards)
+        metrics = runner.run(batches, FaultInjector(**schedule))
+        if not metrics.steps:
+            print(f"nothing to do: {ckpt_dir} already holds step "
+                  f"{runner.latest_checkpoint()} of {steps}")
+            return 0
 
-    print(f"loss trajectory ({steps} batches, SP+EP ag_rs at n={n})\n"
+    print(f"loss trajectory ({steps} batches, SP+EP a2a at n={n})\n"
           "step  loss")
     for step, loss in zip(metrics.steps, metrics.losses):
         print(f"{step:4d}  {loss:.6f}")
@@ -203,7 +213,7 @@ def cmd_train(args) -> int:
     if fault_plan is not None:
         summary["comm faults injected"] = [e.kind for e in fault_plan.fired]
         summary["stragglers flagged"] = monitor.flagged_stragglers()
-    summary["checkpoint dir"] = ckpt_dir
+    summary["checkpoint dir"] = args.dir
     print()
     for name, value in summary.items():
         if value:
@@ -225,12 +235,13 @@ def cmd_train(args) -> int:
     report = audit_comm_volumes(
         worlds[-1].ledger, b=b, s=s, h=config.hidden_size, n=n,
         m=config.gqa_ratio, k=config.top_k,
-        itemsize=np.dtype(dtype).itemsize, passes=config.n_layers * done)
+        itemsize=np.dtype(dtype).itemsize, passes=config.n_layers * done,
+        a2a_telemetry=a2a_passes)
     matched, traced, ledger_bytes = crosscheck_tracer_ledger(
         obs.tracer, worlds[-1].ledger)
     trace = write_chrome_trace(args.trace, obs.tracer, extra_metadata={
         "model": config.name, "steps": done,
-        "strategy": "SP+EP (ag_rs)", "model_parallel_size": n})
+        "strategy": "SP+EP (a2a)", "model_parallel_size": n})
     for block in (text_summary(obs.tracer, title=f"trace of {done} steps"),
                   obs.metrics.render("metrics"), report.render()):
         print(f"\n{block}")

@@ -219,10 +219,11 @@ def _ep_a2a_bindings(ffn: Any,
                      tile_plan: Optional[TilePlan] = None
                      ) -> List[OpBinding]:
     """EP FFN with A2A dispatch (§3.2 Eq. 3): route local tokens, send
-    kept rows to their experts' ranks, return and gate-combine.
-    ``ffn`` is an :class:`~repro.parallel.ep_ffn.EPFFNEngine` in
-    ``a2a`` mode; the chain reads ``ln2`` and ends at
-    ``weighted_sum``."""
+    each token to each expert rank it needs once, with its gate
+    weights, and return one gate-scaled partial row per cell (the wire
+    of :func:`~repro.model.routing.a2a_wire`).  ``ffn`` is an
+    :class:`~repro.parallel.ep_ffn.EPFFNEngine` in ``a2a`` mode; the
+    chain reads ``ln2`` and ends at ``weighted_sum``."""
     group = ffn.group
     n = group.size
     # Ragged dispatch tiles per source rank (§4.2 swizzled order); the
@@ -239,49 +240,44 @@ def _ep_a2a_bindings(ffn: Any,
         return [(flat, routing, weights, aux)
                 for flat, (routing, weights) in zip(flats, routed)]
 
-    def scatter(r: int, get: Callable[[str], Any]) -> Any:
-        flat, routing, _, _ = get("router")
-        return ffn.op_scatter_a2a(flat, routing)
+    def scatter(ctx: _SeqCtx) -> List[Any]:
+        flats, routings, weights, _ = zip(*ctx.env["router"])
+        return ffn.op_scatter_a2a(flats, routings, weights)
 
     def dispatch(ctx: _SeqCtx) -> List[Any]:
-        send_rows = [v[1] for v in ctx.env["scatter"]]
-        send_splits = [v[2] for v in ctx.env["scatter"]]
+        x = ctx.env["scatter"][0][0]
         return _dist_ops().dist_all_to_all_uneven(
-            group, send_rows, send_splits,
+            group, [v[1] for v in ctx.env["scatter"]], x.send_splits,
             tag="ep_ffn:dispatch_a2a", tiled=dispatch_tiled,
             tile_label="dispatch_a2a")
 
     def experts(ctx: _SeqCtx) -> List[Any]:
-        counts = [v[0].expert_counts for v in ctx.env["scatter"]]
-        return [ffn.op_experts_a2a(ctx.env["dispatch_a2a"][j], counts, j)
+        x = ctx.env["scatter"][0][0]
+        return [ffn.op_experts_a2a(ctx.env["dispatch_a2a"][j], x, j)
                 for j in range(n)]
 
     def combine(ctx: _SeqCtx) -> List[Any]:
-        # The return trip transposes the split matrix.
-        all_splits = [v[2] for v in ctx.env["scatter"]]
-        back_splits = [[all_splits[i][j] for i in range(n)]
-                       for j in range(n)]
+        x = ctx.env["scatter"][0][0]
         return _dist_ops().dist_all_to_all_uneven(
-            group, ctx.env["fc1"], back_splits, tag="ep_ffn:combine_a2a")
+            group, ctx.env["fc1"], x.back_splits, tag="ep_ffn:combine_a2a")
 
     def weighted(r: int, get: Callable[[str], Any]) -> Any:
-        # Gate weight applied after FC2, on the source rank (§4.1).
-        flat, _, weights, _ = get("router")
-        plan = get("scatter")[0]
-        return plan.combine(get("combine_a2a"), weights,
-                            flat.shape[0]).reshape(*get("ln2").shape)
+        # The expert ranks applied the gate weights after FC2 (§4.1);
+        # the source adds its partial rows back per token.
+        return get("scatter")[0].combine(r, get("combine_a2a")) \
+            .reshape(*get("ln2").shape)
 
     return [
         OpBinding("router", ("router",), ("ln2",), router),
-        per_rank("scatter", ("ln2", "router"), scatter),
+        OpBinding("scatter", ("scatter",), ("router",), scatter),
         OpBinding("dispatch_a2a", ("dispatch_a2a",), ("scatter",),
                   dispatch),
         OpBinding("fc1", ("fc1", "fc3", "swiglu", "fc2"),
                   ("dispatch_a2a", "scatter"), experts),
         OpBinding("combine_a2a", ("combine_a2a",), ("fc1", "scatter"),
                   combine),
-        per_rank("weighted_sum",
-                 ("combine_a2a", "scatter", "router", "ln2"), weighted),
+        per_rank("weighted_sum", ("combine_a2a", "scatter", "ln2"),
+                 weighted),
     ]
 
 

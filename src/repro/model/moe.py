@@ -194,9 +194,9 @@ class Expert(Module):
             fc1, fc3, fc2 = (policy.cast_weight(w) for w in (fc1, fc3, fc2))
         if shard is not None:
             r, n = shard
-            fc1 = ops.split(fc1, n, axis=1)[r]
-            fc3 = ops.split(fc3, n, axis=1)[r]
-            fc2 = ops.split(fc2, n, axis=0)[r]
+            fc1 = ops.shard(fc1, n, r, axis=1)
+            fc3 = ops.shard(fc3, n, r, axis=1)
+            fc2 = ops.shard(fc2, n, r, axis=0)
         return fc1, fc3, fc2
 
     def __call__(self, x: Tensor,

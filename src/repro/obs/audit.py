@@ -9,17 +9,21 @@ size for bytes, ``×`` the rank count for all-ranks totals):
   the equation counts both all-to-all directions, so the realized
   per-pass volume is exactly half;
 * Eq. 3 — EP all-to-all dispatch: ``2 k/n · b s h (n-1)/n`` per rank —
-  the *uniform-routing expectation*; the realized volume fluctuates with
-  the router but never exceeds the all-remote bound ``2 k b s h / n``;
+  the uniform-routing expectation of a wire that ships one row per
+  (token, expert).  The wire ships one row per (token, expert rank)
+  cell plus one gate weight per pair
+  (:func:`~repro.model.routing.a2a_wire`), and what it moves depends
+  on the router, so the audit *recounts* it exactly from each pass's
+  captured routing (:func:`a2a_wire_elements`) instead;
 * Eq. 4 — TP FFN (and EP's AG/RS dispatch mode): Eq. 1's volume.
 
 The auditor takes what a run actually moved — either the byte ledger or
 the traced comm spans — groups it by mechanism via the collective tags,
-and compares against the formulas, flagging divergence beyond a
-tolerance (1% for the exact ring identities; configurable, looser, for
-the stochastic A2A expectation).  This is the accounting check behind
-the paper's "communication-efficient" claims, run on every traced job
-instead of only inside the benchmark suite.
+and compares against the formulas (1% tolerance for the ring
+identities; the A2A recount must match to ``RECOUNT_TOLERANCE``).  This
+is the accounting check behind the paper's "communication-efficient"
+claims, run on every traced job instead of only inside the benchmark
+suite.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..core.analysis import (
-    ep_ffn_comm_volume,
     sp_attention_comm_volume,
     tp_attention_comm_volume,
     tp_ffn_comm_volume,
@@ -39,6 +44,9 @@ __all__ = [
     "AuditEntry",
     "AuditReport",
     "MECHANISMS",
+    "RECOUNT_TOLERANCE",
+    "a2a_rows",
+    "a2a_wire_elements",
     "audit_comm_volumes",
     "crosscheck_tracer_ledger",
 ]
@@ -52,11 +60,9 @@ class MechanismSpec:
     equation: str
     #: Ledger-tag prefixes whose forward records belong to this mechanism.
     tag_prefixes: Tuple[str, ...]
-    #: All-ranks expected elements per pass, from (b, s, h, n, m, k).
-    expected_elements: Callable[[int, int, int, int, int, int], float]
-    #: Whether the identity is exact (ring collectives) or an
-    #: expectation (randomly routed all-to-all).
-    exact: bool = True
+    #: All-ranks expected elements per pass, from (b, s, h, n, m, k);
+    #: None where the volume is recounted from captured routing.
+    expected_elements: Optional[Callable[[int, int, int, int, int, int], float]]
 
 
 MECHANISMS: Dict[str, MechanismSpec] = {
@@ -78,12 +84,9 @@ MECHANISMS: Dict[str, MechanismSpec] = {
     ),
     "ep_ffn_a2a": MechanismSpec(
         name="ep_ffn_a2a",
-        equation="Eq. 3 (expectation)",
+        equation="Eq. 3 cells",
         tag_prefixes=("ep_ffn:dispatch_a2a", "ep_ffn:combine_a2a"),
-        expected_elements=lambda b, s, h, n, m, k: (
-            ep_ffn_comm_volume(b, s, h, n, k) * n
-        ),
-        exact=False,
+        expected_elements=None,
     ),
     "ep_ffn_ag_rs": MechanismSpec(
         name="ep_ffn_ag_rs",
@@ -113,9 +116,6 @@ class AuditEntry:
     expected_bytes: float
     measured_bytes: float
     tolerance: float
-    exact: bool
-    #: For the A2A expectation: the all-remote hard upper bound.
-    hard_bound_bytes: Optional[float] = None
 
     @property
     def rel_error(self) -> float:
@@ -124,14 +124,8 @@ class AuditEntry:
         return abs(self.measured_bytes - self.expected_bytes) / self.expected_bytes
 
     @property
-    def within_bound(self) -> bool:
-        if self.hard_bound_bytes is None:
-            return True
-        return self.measured_bytes <= self.hard_bound_bytes * (1.0 + 1e-9)
-
-    @property
     def ok(self) -> bool:
-        return self.rel_error <= self.tolerance and self.within_bound
+        return self.rel_error <= self.tolerance
 
 
 @dataclass
@@ -233,6 +227,51 @@ def _measured_from_spans(
     return total
 
 
+#: The A2A recount counts the same rows the wire moves: it must match
+#: to rounding.
+RECOUNT_TOLERANCE = 1e-9
+
+
+def a2a_rows(dest: np.ndarray, local: int = -1) -> Tuple[int, int, int]:
+    """``(token rows, partial rows, gate weights)`` that one source's
+    tokens put on the a2a wire, recounted from their destination ranks
+    ``dest`` (``[tokens, k]``, -1 where dropped); pairs bound for
+    ``local`` stay home.
+
+    A token sends one row to each other rank holding any of its
+    experts and one gate weight per (token, expert) there; it gets one
+    row back from each such rank, except that a rank after its first
+    returns one row per pair (:func:`~repro.model.routing.a2a_wire`'s
+    pre-sum rule).  The count reads only the routing — neither Eq. 3
+    nor the sender's splits.
+    """
+    dest = np.sort(dest, axis=1)
+    routed = dest >= 0
+    new_rank = routed.copy()
+    new_rank[:, 1:] &= dest[:, 1:] != dest[:, :-1]
+    remote = routed & (dest != local)
+    first = np.where(routed, dest, np.iinfo(dest.dtype).max).min(axis=1)
+    later = remote & (dest > first[:, None])
+    rows = int((new_rank & remote).sum())
+    back = rows - int((new_rank & later).sum()) + int(later.sum())
+    return rows, back, int(remote.sum())
+
+
+def a2a_wire_elements(telemetry: Dict[str, Any], h: int) -> float:
+    """Off-rank elements one EP A2A layer pass moved (forward, all
+    ranks), recounted by :func:`a2a_rows` from the routing its
+    ``last_telemetry`` captured (``experts``: each source rank's
+    ``[tokens, k]`` experts, -1 where dropped)."""
+    per_rank = telemetry["experts_per_rank"]
+    total = 0
+    for rank, experts in enumerate(telemetry["experts"]):
+        rows, back, gates = a2a_rows(
+            np.where(experts >= 0, experts // per_rank, -1), rank
+        )
+        total += (rows + back) * h + gates
+    return float(total)
+
+
 def audit_comm_volumes(
     source: Union[Any, Iterable[Span]],
     *,
@@ -245,7 +284,7 @@ def audit_comm_volumes(
     itemsize: float,
     passes: int = 1,
     tolerance: float = 0.01,
-    a2a_tolerance: float = 0.30,
+    a2a_telemetry: Iterable[Dict[str, Any]] = (),
     include_backward: bool = False,
 ) -> AuditReport:
     """Audit moved bytes against the Eq. 1–4 predictions.
@@ -262,9 +301,11 @@ def audit_comm_volumes(
             that some op widened on its way to a collective must show
             up as a byte excess here.
         passes: Forward passes audited (layers × steps).
-        tolerance: Relative tolerance for the exact ring identities.
-        a2a_tolerance: Looser tolerance for the Eq. 3 routing
-            expectation.
+        tolerance: Relative tolerance for the ring identities.
+        a2a_telemetry: The EP engines' ``last_telemetry`` of every A2A
+            layer pass in the audited window; the A2A entry's expected
+            bytes are :func:`a2a_wire_elements` summed over them (with
+            none, any A2A traffic fails the audit).
         include_backward: Also count ``:bwd``-tagged records (the dual
             collectives retrace forward volumes; off by default so the
             audit matches the per-pass formulas directly).
@@ -289,24 +330,19 @@ def audit_comm_volumes(
             )
         if measured == 0.0:
             continue
-        expected = (
-            spec.expected_elements(b, s, h, n, m, k)
-            * itemsize
-            * passes
-            * direction_factor
-        )
-        hard_bound = None
-        if not spec.exact:
-            hard_bound = 2.0 * k * b * s * h * itemsize * passes * direction_factor
+        if spec.expected_elements is None:
+            elements = sum(a2a_wire_elements(t, h) for t in a2a_telemetry)
+            entry_tolerance = RECOUNT_TOLERANCE
+        else:
+            elements = spec.expected_elements(b, s, h, n, m, k) * passes
+            entry_tolerance = tolerance
         entries.append(
             AuditEntry(
                 mechanism=spec.name,
                 equation=spec.equation,
-                expected_bytes=expected,
+                expected_bytes=elements * itemsize * direction_factor,
                 measured_bytes=measured,
-                tolerance=tolerance if spec.exact else a2a_tolerance,
-                exact=spec.exact,
-                hard_bound_bytes=hard_bound,
+                tolerance=entry_tolerance,
             )
         )
     return AuditReport(entries=entries, passes=passes)

@@ -148,14 +148,14 @@ class ParallelBlockEngine:
         aux = router_vals[0][-1]
         if self.ffn == "ep":
             if self.ffn_engine.mode == "a2a":
-                scattered = result.per_rank("scatter")
+                exchange = result.per_rank("scatter")[0][0]
                 self.ffn_engine.record_telemetry(
                     result.per_rank("ln2"),
                     result.per_rank("weighted_sum"),
                     routings=[v[1] for v in router_vals],
-                    tokens_per_rank=[int(v[1].kept.sum())
-                                     for v in router_vals],
-                    send_splits=[list(v[2]) for v in scattered])
+                    tokens_per_rank=[sum(row)
+                                     for row in exchange.pair_splits],
+                    send_splits=exchange.pair_splits)
             else:
                 self.ffn_engine.record_telemetry(
                     result.per_rank("ln2"), result.per_rank("ffn_rs"),

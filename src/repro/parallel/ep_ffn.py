@@ -7,16 +7,21 @@ Activations enter and leave sequence-sharded (``[b, s/n, h]``).
 Two communication patterns are implemented:
 
 * **A2A** (classic expert parallelism): token rows travel to their
-  experts' ranks via an uneven all-to-all, and return the same way.
-  Per-pass volume is Eq. 3, ``2 k/n · b s h (n-1)/n`` — shrinks with
-  ``n`` but grows with top-``k``.
+  experts' ranks via an uneven all-to-all, and return the same way, on
+  the wire of :func:`~repro.model.routing.a2a_wire`: a token crosses
+  to each rank holding any of its experts once, with one gate weight
+  per (token, expert); that rank expands the row to its experts,
+  gate-scales their outputs and returns one partial row per cell (for
+  top_k <= 2).  Eq. 3, ``2 k/n · b s h (n-1)/n``, counts one row per
+  (token, expert) — an upper bound once a rank holds several experts;
+  it shrinks with ``n`` but grows with top-``k``.
 * **AG/RS** (MegaScale's alternative for large top-k): all-gather the
   token shards, *locally scatter* (discard rows not routed to this
   rank's experts), compute, assemble a full-size contribution, and
   reduce-scatter.  Volume equals TP's Eq. 4 regardless of ``k``, and the
   ring pattern is faster than all-to-all in practice (Fig. 7).
 
-Received rows are sorted by ``(expert, source rank)`` — the §4.2
+Each expert's rows are ordered by ``(source rank, token)`` — the §4.2
 ordering that minimizes the number of source ranks each GroupedGEMM tile
 depends on.
 """
@@ -28,11 +33,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..comm.group import ProcessGroup
-from ..model.moe import MoELayer, grouped_expert_forward
-from ..model.routing import RoutingResult, build_dispatch_plan
+from ..model.moe import (MoELayer, grouped_expert_blocks,
+                         grouped_expert_forward)
+from ..model.routing import (RoutingResult, a2a_wire, build_dispatch_plan,
+                             pack_wire, unpack_wire)
 from ..tensor import Tensor, ops
 
-__all__ = ["EPFFNEngine", "choose_dispatch_mode"]
+__all__ = ["A2AExchange", "EPFFNEngine", "choose_dispatch_mode"]
 
 
 def choose_dispatch_mode(top_k: int, ep_size: int) -> str:
@@ -73,6 +80,9 @@ class EPFFNEngine:
         #: (consumed by ``repro.verify``'s token-conservation and
         #: router-mass invariants); None until the first forward.
         self.last_telemetry: Optional[dict] = None
+        #: When a list, every forward's telemetry is appended to it
+        #: (the comm audit recounts a window's A2A bytes from them).
+        self.telemetry_log: Optional[list] = None
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
@@ -83,41 +93,32 @@ class EPFFNEngine:
         """``router`` (A2A mode): replicated gate over local tokens."""
         return self.moe.router.route(flat)
 
-    def op_scatter_a2a(self, flat: Tensor, routing: RoutingResult):
-        """``scatter`` (A2A mode): the plan's (expert, token) rows are
-        already destination-rank-major — each rank holds a contiguous
-        block of experts — so they are the send buffer, split by the
-        expert counts summed per rank."""
-        plan = build_dispatch_plan(routing, self.moe.n_experts)
-        splits = plan.expert_counts.reshape(self.group.size, -1) \
-            .sum(axis=1).tolist()
-        return plan, plan.dispatch(flat), splits
+    def op_scatter_a2a(self, flats: Sequence[Tensor],
+                       routings: Sequence[RoutingResult],
+                       weights: Sequence[Tensor]):
+        """``scatter`` (A2A mode): one exchange over every rank's
+        routing, and each rank's send wire — its cell rows and gate
+        weights, packed per destination."""
+        x = A2AExchange(routings, self.moe.n_experts, self.local_experts,
+                        flats[0].shape[1])
+        return [(x, pack_wire(flat, w, *x.send[i]))
+                for i, (flat, w) in enumerate(zip(flats, weights))]
 
-    def op_experts_a2a(self, received: Tensor,
-                       expert_counts: Sequence[np.ndarray],
+    def op_experts_a2a(self, received: Tensor, x: "A2AExchange",
                        j: int) -> Tensor:
-        """``fc1``–``fc2`` (A2A mode): rank ``j``'s arrivals come
-        source-rank-major, each source's rows in its plan's expert
-        order (``expert_counts[i]`` is source ``i``'s plan counts).  A
-        plan over the arrivals sorts them by (expert, source rank) for
-        the GroupedGEMM, and the inverse of its ``token_of_row`` (one
-        slot per arrival) un-sorts the outputs back to arrival order."""
-        n, local = self.group.size, self.local_experts
-        counts = np.stack([c[j * local:(j + 1) * local]
-                           for c in expert_counts]).reshape(-1)
-        expert = np.repeat(np.tile(np.arange(local), n), counts)[:, None]
-        source = np.repeat(np.repeat(np.arange(n), local), counts)
-        arrivals = RoutingResult(expert_index=expert,
-                                 gate_weight=np.ones(expert.shape),
-                                 kept=np.ones(expert.shape, dtype=bool))
-        plan = build_dispatch_plan(arrivals, local,
-                                   source_rank_of_token=source)
-        fc2_out = grouped_expert_forward(
-            self.moe.experts[j * local:(j + 1) * local],
-            plan.dispatch(received), plan)
-        row_of_arrival = np.empty(plan.n_rows, dtype=np.int64)
-        row_of_arrival[plan.token_of_row] = np.arange(plan.n_rows)
-        return ops.take_rows(fc2_out, row_of_arrival)
+        """``fc1``–``fc2`` (A2A mode): rank ``j`` expands the cells it
+        received into its (expert, source rank, token) rows, runs one
+        GroupedGEMM, gate-scales the outputs and sums each cell's terms
+        into its partial rows (the wire's pre-sum rule)."""
+        is_row, gate_at, cell_of_pair, blocks, back_of_pair, n_back = \
+            x.recv[j]
+        rows = ops.take_rows(unpack_wire(received, is_row, (-1, x.hidden)),
+                             cell_of_pair)
+        local = self.local_experts
+        fc2_out = grouped_expert_blocks(
+            self.moe.experts[j * local:(j + 1) * local], rows, blocks)
+        gates = unpack_wire(received, gate_at, (-1, 1))
+        return ops.put_rows(fc2_out * gates, back_of_pair, n_back)
 
     def op_route_full(self, full: Tensor):
         """``router`` (AG/RS mode): replicated gate over all tokens."""
@@ -158,8 +159,10 @@ class EPFFNEngine:
         The verify invariants check conservation laws against this.
         ``inputs``/``outputs`` are the per-rank ``ln2`` shards and the
         combined FFN output shards; ``routings`` is one result per rank
-        (A2A) or the single replicated one (AG/RS); ``send_splits`` is
-        the A2A dispatch's per-rank row counts per destination.
+        (A2A) or the single replicated one (AG/RS), captured as
+        ``experts`` (-1 where dropped) for the comm audit's recount;
+        ``send_splits`` is the A2A dispatch's per-rank (token, expert)
+        pairs per destination.
         """
         self.last_telemetry = {
             "mode": self.mode,
@@ -176,7 +179,12 @@ class EPFFNEngine:
             "input_shapes": [tuple(s.shape) for s in inputs],
             "output_shapes": [tuple(s.shape) for s in outputs],
             "send_splits": send_splits,
+            "experts": [np.where(r.kept, r.expert_index, -1)
+                        for r in routings],
+            "experts_per_rank": self.local_experts,
         }
+        if self.telemetry_log is not None:
+            self.telemetry_log.append(self.last_telemetry)
 
     def _global_aux_loss(self, flats: List[Tensor],
                          routings: List[RoutingResult]) -> Tensor:
@@ -212,3 +220,83 @@ class EPFFNEngine:
             total = piece if total is None else total + piece
             weight_total += t
         return total * (1.0 / weight_total)
+
+
+class A2AExchange:
+    """Per-rank index maps of one EP all-to-all crossing.
+
+    One dispatch plan over every rank's tokens (numbered rank-major)
+    orders the pairs by (expert, source rank, token), and
+    :func:`~repro.model.routing.a2a_wire` turns it into cells.
+    ``send[i]`` holds source ``i``'s :func:`~repro.model.routing.pack_wire`
+    maps; ``recv[j]`` destination ``j``'s row mask, its pairs' gate
+    positions (plan order), cells, expert blocks and partial rows, and
+    its partial-row count; ``back_token[i]`` the token of each partial
+    row source ``i`` receives.  ``send_splits`` / ``back_splits`` count
+    wire elements per (source, dest) and partial rows per (dest,
+    source); ``pair_splits`` (token, expert) pairs per (source, dest).
+    """
+
+    def __init__(self, routings: Sequence[RoutingResult], n_experts: int,
+                 local: int, hidden: int):
+        n, k = len(routings), routings[0].top_k
+        self.tokens = [r.n_tokens for r in routings]
+        first = np.cumsum([0] + self.tokens)
+        plan = build_dispatch_plan(RoutingResult(*(
+            np.concatenate([getattr(r, f) for r in routings])
+            for f in ("expert_index", "gate_weight", "kept"))), n_experts)
+        token = plan.token_of_row
+        dest = np.repeat(np.arange(n_experts), plan.expert_counts) // local
+        wire = a2a_wire(dest, np.repeat(np.arange(n), self.tokens)[token],
+                        token, n, n, max(int(first[-1]), 1))
+        h = self.hidden = hidden
+        chunk = wire.sent * h + wire.pairs
+        self.send_splits = chunk.T.tolist()
+        self.back_splits = wire.back.tolist()
+        self.pair_splits = wire.pairs.T.tolist()
+        # Each token's index on its own rank.
+        on_rank = np.arange(first[-1]) - np.repeat(first[:-1], self.tokens)
+
+        def per_rank(values, counts):
+            """``values`` cut into ``n`` runs of ``counts``."""
+            ends = np.cumsum(counts).tolist()
+            return [values[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+        # Source i's wire: its cells per destination in token order,
+        # then its pairs' gate weights in plan order.
+        gates = wire.send_gates()
+        self.send = list(zip(
+            per_rank(on_rank[wire.send_tokens()], wire.sent.sum(axis=0)),
+            per_rank(on_rank[token[gates]] * k + plan.slot_of_row[gates],
+                     wire.pairs.sum(axis=0)),
+            per_rank(wire.send_layout(h)[1], chunk.sum(axis=0))))
+        self.back_token = per_rank(on_rank[wire.back_tokens()],
+                                   wire.back.sum(axis=0))
+
+        # Destination j's pairs are one run of plan rows; its wire holds
+        # each source's chunk in rank order.  Positions are made
+        # relative to j's wire, cells and partial rows.
+        weight_at, is_row = wire.receive_layout(h)
+        at_dest = plan.expert_counts.reshape(n, local).sum(axis=1)
+        rb, cb, bb = (np.cumsum(c) - c for c in (
+            chunk.sum(axis=1), wire.sent.sum(axis=1), wire.back.sum(axis=1)))
+        gate_at = np.empty(plan.n_rows, dtype=np.int64)
+        gate_at[wire.receive_gates()] = weight_at - np.repeat(
+            rb, wire.pairs.sum(axis=1))
+        blocks = [[] for _ in range(n)]
+        starts = np.cumsum(at_dest) - at_dest
+        for e, lo, hi in plan.expert_slices():
+            j = e // local
+            blocks[j].append((e % local, lo - starts[j], hi - starts[j]))
+        self.recv = list(zip(
+            per_rank(is_row, chunk.sum(axis=1)),
+            per_rank(gate_at, at_dest),
+            per_rank(wire.sent_of_pair - cb[dest], at_dest),
+            blocks,
+            per_rank(wire.back_of_pair - bb[dest], at_dest),
+            wire.back.sum(axis=1).tolist()))
+
+    def combine(self, i: int, partial: Tensor) -> Tensor:
+        """Source ``i``'s ``[tokens, h]`` output: its partial rows added
+        into zeros in arrival (rank, hence expert) order."""
+        return ops.put_rows(partial, self.back_token[i], self.tokens[i])

@@ -55,7 +55,7 @@ class TPAttentionEngine:
         h = attn.hidden_size
         hd = attn.head_dim
         kv = attn.n_kv_heads * hd
-        w_r = ops.concat([ops.split(part, n, axis=1)[r] for part in
+        w_r = ops.concat([ops.shard(part, n, r, axis=1) for part in
                           (w[:, :h], w[:, h:h + kv], w[:, h + kv:])],
                          axis=1)
         b, s, _ = x.shape
@@ -88,5 +88,5 @@ class TPAttentionEngine:
     def op_out_proj(self, out: Tensor, r: int) -> Tensor:
         """``out_proj``: row-sharded partial product."""
         out, w = self.attn.out_proj.operands(out)
-        return out @ ops.split(w, self.group.size, axis=0)[r]
+        return out @ ops.shard(w, self.group.size, r, axis=0)
 

@@ -10,7 +10,9 @@ keeps no tape), so the :class:`~repro.comm.CommLedger` records exact
 per-rank wire bytes under ``serve:``-prefixed tags — separate buckets
 from the training Eq. 1–4 auditor, which stays balanced.
 
-Bytes: a token crosses to each expert rank that hosts any of its
+Bytes: the bridge uses the wire training's EP dispatch uses
+(:func:`~repro.model.routing.a2a_wire`, the one owner of its cells and
+layout): a token crosses to each expert rank that hosts any of its
 experts once.  ``serve:dispatch_a2a`` carries one ``hidden``-wide row
 per (token, expert rank) plus one gate weight per (token, expert) —
 every float the expert side reads; integer routing metadata stays off
@@ -48,6 +50,7 @@ import numpy as np
 from ..comm import World
 from ..core.config import ServeConfig
 from ..model.moe import grouped_expert_blocks
+from ..model.routing import a2a_wire
 from ..comm.collectives import all_to_all_uneven
 from ..tensor import Tensor, scatter_add_rows
 
@@ -108,55 +111,29 @@ class DisaggregatedPlacement:
         t = max(row_bounds[-1], 1)
 
         # --- routing metadata.  Every plan row is one (token, expert)
-        # pair.  A token crosses to each of its expert ranks once, as
-        # the row of its *cell* (expert rank j, attention rank i,
-        # token).  The pairs of the token's first expert rank share one
-        # partial row back; a pair on a later rank comes back alone, so
-        # the combine adds every token's terms in expert order for any
-        # top_k (for top_k <= 2 every cell comes back as one row).
+        # pair; the wire's cells (model/routing.py) send a token to
+        # each of its expert ranks once.
         expert = np.repeat(np.arange(moe.n_experts), plan.expert_counts)
         dest = expert // pe
         token = plan.token_of_row
         src = np.repeat(np.arange(a), np.diff(row_bounds))[token]
         n_pairs = plan.n_rows
-        cell = (dest * a + src) * t + token
-        first = np.full(t, e)
-        np.minimum.at(first, token, dest)
-        # One stable sort groups the pairs by cell, in plan (expert)
-        # order inside each; ``cell // t`` is the (j, i) link.
-        by_cell = np.argsort(cell, kind="stable")
-        sorted_cell = cell[by_cell]
-        new_row = np.empty(n_pairs, dtype=bool)
-        new_row[:1] = True
-        np.not_equal(sorted_cell[1:], sorted_cell[:-1], out=new_row[1:])
-        new_back = new_row | (dest > first[token])[by_cell]
-        keys = sorted_cell[new_row]
-        back_keys = sorted_cell[new_back]
-        sent_of_pair = np.empty(n_pairs, dtype=np.int64)
-        sent_of_pair[by_cell] = np.cumsum(new_row) - 1
-        back_of_pair = np.empty(n_pairs, dtype=np.int64)
-        back_of_pair[by_cell] = np.cumsum(new_back) - 1
-        # [e, a] token rows, gate weights and partial rows per link.
-        link = dest * a + src
-        sent = np.bincount(keys // t, minlength=e * a).reshape(e, a)
-        pairs = np.bincount(link, minlength=e * a).reshape(e, a)
-        back = np.bincount(back_keys // t, minlength=e * a).reshape(e, a)
+        wire = a2a_wire(dest, src, token, a, e, t)
+        sent, pairs, back = wire.sent, wire.pairs, wire.back
 
         # --- dispatch: attention rank i's chunk for expert rank j is
         # its token rows for j in token order, then the gate weights of
         # its pairs for j in plan order.
-        by_src = np.argsort(keys // t % a, kind="stable")
         gate = weights[token, plan.slot_of_row]
-        weight_at, is_row = _wire_layout(h, sent.T.reshape(-1),
-                                         pairs.T.reshape(-1))
-        wire = np.empty(is_row.shape[0], dtype=rows.dtype)
-        wire[weight_at] = gate[np.argsort(src * e + dest, kind="stable")]
-        wire[is_row] = rows[keys[by_src] % t].reshape(-1)
+        weight_at, is_row = wire.send_layout(h)
+        send = np.empty(is_row.shape[0], dtype=rows.dtype)
+        send[weight_at] = gate[wire.send_gates()]
+        send[is_row] = rows[wire.send_tokens()].reshape(-1)
         chunks = (sent * h + pairs).T.tolist()
         wire_bounds = list(accumulate([0] + [sum(c) for c in chunks]))
         received = all_to_all_uneven(
             self.bridge,
-            [wire[lo:hi] for lo, hi in zip(wire_bounds, wire_bounds[1:])]
+            [send[lo:hi] for lo, hi in zip(wire_bounds, wire_bounds[1:])]
             + [np.zeros(0, dtype=dtype)] * e,
             [[0] * a + c for c in chunks] + [[0] * (a + e)] * e,
             tag=DISPATCH_TAG)
@@ -170,11 +147,10 @@ class DisaggregatedPlacement:
         # through its own GEMM.  The gate-scaled outputs then sum into the partial rows
         # in plan (expert) order.
         buf = np.concatenate([received[j] for j in self.expert_ranks])
-        weight_at, is_row = _wire_layout(h, sent.reshape(-1),
-                                         pairs.reshape(-1))
-        expanded = Tensor(buf[is_row].reshape(-1, h)[sent_of_pair])
+        weight_at, is_row = wire.receive_layout(h)
+        expanded = Tensor(buf[is_row].reshape(-1, h)[wire.sent_of_pair])
         gate = np.empty(n_pairs, dtype=buf.dtype)
-        gate[np.argsort(link, kind="stable")] = buf[weight_at]
+        gate[wire.receive_gates()] = buf[weight_at]
         request = request_of_row[token]
         run_start = np.flatnonzero(np.concatenate([
             [n_pairs > 0],
@@ -190,8 +166,8 @@ class DisaggregatedPlacement:
                  for x, start, end in runs if lo <= start < hi]).data
             for j, (lo, hi) in enumerate(zip(rank_bounds, rank_bounds[1:]))]
         partial = scatter_add_rows(
-            np.zeros((back_keys.shape[0], h), dtype=dtype),
-            back_of_pair,
+            np.zeros((wire.back_keys.shape[0], h), dtype=dtype),
+            wire.back_of_pair,
             np.concatenate(fc2_out) * gate.reshape(-1, 1))
         back_bounds = list(accumulate([0] + back.sum(axis=1).tolist()))
         combined = all_to_all_uneven(
@@ -205,19 +181,8 @@ class DisaggregatedPlacement:
         # --- combine: attention rank i's partial rows arrive expert-
         # rank-major, then by (token, pair); adding them into zeros
         # sums every token's terms in the reference's plan order.
-        by_src = np.argsort(back_keys // t % a, kind="stable")
         out = scatter_add_rows(
             np.zeros((row_bounds[-1], h), dtype=dtype),
-            back_keys[by_src] % t,
+            wire.back_tokens(),
             np.concatenate(combined[:a]))
         return [out[lo:hi] for lo, hi in zip(row_bounds, row_bounds[1:])]
-
-
-def _wire_layout(h: int, rows: np.ndarray, weights: np.ndarray):
-    """A flat wire whose chunk ``c`` holds ``rows[c]`` ``h``-wide rows,
-    then ``weights[c]`` weights: ``(weight positions, row mask)``."""
-    weight_at = (np.repeat(np.cumsum(rows) * h, weights)
-                 + np.arange(int(weights.sum())))
-    is_row = np.ones(int(rows.sum()) * h + weight_at.shape[0], dtype=bool)
-    is_row[weight_at] = False
-    return weight_at, is_row

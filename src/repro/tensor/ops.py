@@ -19,7 +19,7 @@ from .tensor import Tensor
 
 __all__ = [
     "concat",
-    "split",
+    "shard",
     "softmax",
     "rmsnorm",
     "embedding",
@@ -54,32 +54,30 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor.from_op(out, list(tensors), backward, "concat")
 
 
-def split(t: Tensor, sections: int, axis: int = 0) -> List[Tensor]:
-    """Split ``t`` into ``sections`` equal parts along ``axis``.
+def shard(t: Tensor, n: int, r: int, axis: int = 0) -> Tensor:
+    """Piece ``r`` of ``t`` split into ``n`` equal parts along ``axis``.
 
-    Each part is a contiguous copy whose backward writes its gradient
-    into that part of ``t``: how a tensor-parallel rank takes its
-    shard of a weight, so the shard GEMM reads a dense operand and its
-    gradient lands on the parameter.
+    A contiguous copy of that one piece whose backward writes its
+    gradient into that part of ``t``: how a tensor-parallel rank takes
+    its shard of a weight, so the shard GEMM reads a dense operand and
+    its gradient lands on the parameter.
     """
-    if t.shape[axis] % sections != 0:
+    if t.shape[axis] % n != 0:
         raise ValueError(
-            f"axis {axis} of size {t.shape[axis]} not divisible by "
-            f"{sections}"
+            f"axis {axis} of size {t.shape[axis]} not divisible by {n}"
         )
-    pieces = np.split(t.data, sections, axis=axis)
-    outs = []
-    for i, piece in enumerate(pieces):
-        def backward(g, i=i, shape=t.shape, piece_shape=piece.shape):
-            full = np.zeros(shape, dtype=g.dtype)
-            slicer = [slice(None)] * len(shape)
-            width = piece_shape[axis]
-            slicer[axis] = slice(i * width, (i + 1) * width)
-            full[tuple(slicer)] = g
-            return (full,)
+    width = t.shape[axis] // n
+    slicer = [slice(None)] * t.ndim
+    slicer[axis] = slice(r * width, (r + 1) * width)
+    index = tuple(slicer)
+    shape = t.shape
 
-        outs.append(Tensor.from_op(piece.copy(), [t], backward, "split"))
-    return outs
+    def backward(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[index] = g
+        return (full,)
+
+    return Tensor.from_op(t.data[index].copy(), [t], backward, "shard")
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -119,6 +119,9 @@ class RunArtifacts:
     ledger_counts: Dict[str, int]
     #: Per-layer EP dispatch telemetry (None for non-EP layers).
     telemetry: List[Optional[dict]] = field(default_factory=list)
+    #: Every A2A layer pass's telemetry, in run order — what
+    #: ``comm_audit`` recounts the A2A wire from.
+    a2a_telemetry: List[dict] = field(default_factory=list)
     #: Loud diagnostics for layers that *should* have produced
     #: telemetry but didn't (EP cases after a forward ran).  The
     #: telemetry-consuming invariants fail on these instead of passing
@@ -370,6 +373,11 @@ def _run_parallel(case: VerifyCase,
     model, world = trainer.model, trainer.world
     if world_setup is not None:
         world_setup(world)
+    a2a_telemetry: List[dict] = []
+    for engine in trainer.engines:
+        ffn_engine = getattr(engine, "ffn_engine", None)
+        if getattr(ffn_engine, "mode", None) == "a2a":
+            ffn_engine.telemetry_log = a2a_telemetry
     losses: List[float] = []
     lm_losses: List[float] = []
     aux_losses: List[float] = []
@@ -421,6 +429,7 @@ def _run_parallel(case: VerifyCase,
         ledger_total_bytes=world.ledger.total_bytes(),
         ledger_counts=world.ledger.counts(),
         telemetry=telemetry,
+        a2a_telemetry=a2a_telemetry,
         telemetry_missing=telemetry_missing,
         executed_ops=executed_ops,
         executed_tiles=executed_tiles,

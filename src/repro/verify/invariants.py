@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List
 
 import numpy as np
 
-from ..obs.audit import audit_comm_volumes
+from ..obs.audit import a2a_rows, audit_comm_volumes
 from ..precision.formats import FP8_E4M3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -431,6 +431,7 @@ def _check_comm_audit(art: "RunArtifacts") -> List[str]:
         art.ledger, b=case.batch, s=case.seq, h=case.hidden,
         n=case.ranks, m=case.gqa_ratio, k=case.top_k,
         itemsize=itemsize, passes=passes,
+        a2a_telemetry=art.a2a_telemetry,
     )
     violations = []
     for entry in report.entries:
@@ -453,26 +454,6 @@ def _check_comm_audit(art: "RunArtifacts") -> List[str]:
                 )
             continue
         tolerance = entry.tolerance
-        if entry.hard_bound_bytes is not None:
-            # The A2A volume is a binomial sum over routed (token,
-            # slot) pairs, each remote with p = (n-1)/n; widen the
-            # expectation band to 4 standard errors so small fuzzed
-            # cases don't trip on routing noise.  The all-remote hard
-            # bound stays exact at any size (``entry.within_bound``).
-            pairs = (case.batch * case.seq * case.top_k
-                     * case.layers * case.steps)
-            p_remote = (case.ranks - 1) / case.ranks
-            rel_std = math.sqrt(
-                (1.0 - p_remote) / (p_remote * max(pairs, 1)))
-            tolerance = max(tolerance, 4.0 * rel_std)
-            if not entry.within_bound:
-                violations.append(
-                    f"{entry.mechanism}: measured "
-                    f"{entry.measured_bytes:.0f} B exceed the "
-                    f"all-remote hard bound "
-                    f"{entry.hard_bound_bytes:.0f} B"
-                )
-                continue
         if entry.rel_error > tolerance:
             violations.append(
                 f"{entry.mechanism} ({entry.equation}): measured "
@@ -720,26 +701,24 @@ def _check_serve_comm_balance(art) -> List[str]:
     ranks as one ``hidden``-wide row, with one gate weight per (token,
     expert) plan row.  It comes back as one row from its first expert
     rank plus one per pair on a later rank — for top_k <= 2, one row
-    per (token, expert rank) again.  The count is made here, from the
-    plans, not taken from the bridge: a bridge that sent a row twice on
-    both legs would still balance.
+    per (token, expert rank) again.  The count is made from the plans
+    (by the training audit's :func:`~repro.obs.audit.a2a_rows`), not
+    taken from the bridge: a bridge that sent a row twice on both legs
+    would still balance.
     Each crossing is one dispatch and one combine call, and no serve
     traffic may leak into the training (Eq. 1-4 audited) buckets."""
     violations = []
     case = art.case
     per_rank = case.experts // case.expert_ranks
     itemsize = np.dtype(case.dtype).itemsize
-    rows = back = pairs = 0
+    counts = np.zeros(3, dtype=np.int64)
     for plan in art.plans:
-        ranks_of: Dict[int, List[int]] = {}
-        expert = np.repeat(np.arange(len(plan.expert_counts)),
-                           plan.expert_counts)
-        for token, x in zip(plan.token_of_row.tolist(), expert.tolist()):
-            ranks_of.setdefault(token, []).append(x // per_rank)
-        for ranks in ranks_of.values():
-            rows += len(set(ranks))
-            back += 1 + sum(r != min(ranks) for r in ranks)
-        pairs += plan.n_rows
+        dest = np.full((plan.token_of_row.max(initial=-1) + 1,
+                        case.top_k), -1)
+        dest[plan.token_of_row, plan.slot_of_row] = np.repeat(
+            np.arange(case.experts) // per_rank, plan.expert_counts)
+        counts += a2a_rows(dest)
+    rows, back, pairs = counts.tolist()
     row_bytes = case.hidden * itemsize
     want_combine = float(back * row_bytes)
     want_dispatch = float(rows * row_bytes + pairs * itemsize)
@@ -923,7 +902,8 @@ def default_registry() -> List[Invariant]:
         Invariant(
             name="comm_audit",
             description="CommLedger bytes match the Eq. 1-4 closed "
-                        "forms",
+                        "forms, and the EP A2A bytes their recount "
+                        "from the captured routing",
             # Eq. 1-4 describe inter-rank traffic: at world size 1
             # every closed form is zero and the ledger is empty.
             applies=lambda case: (case.attention == "sp"

@@ -30,8 +30,9 @@ def make_batches(n, batch=2, seq=16):
     return list(batch_iterator(corpus, batch, seq, seed=1, limit=n))
 
 
-def traced_step(ep_dispatch="ag_rs"):
-    """One observed 4-way SP+EP training step; returns (obs, world)."""
+def traced_step(ep_dispatch="ag_rs", telemetry_log=None):
+    """One observed 4-way SP+EP training step; returns (obs, world).
+    ``telemetry_log`` collects every EP layer pass's telemetry."""
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     obs = Observability.create()
     world = World(4, 4)
@@ -39,6 +40,8 @@ def traced_step(ep_dispatch="ag_rs"):
         model, world,
         ParallelConfig.megascale(4, ep_dispatch=ep_dispatch), TRAIN,
         obs=obs)
+    for engine in trainer.engines:
+        engine.ffn_engine.telemetry_log = telemetry_log
     trainer.train_step(make_batches(1)[0])
     return obs, world
 
@@ -76,14 +79,19 @@ class TestTracedTrainingStep:
             assert entry.rel_error <= 0.01
 
     def test_audit_a2a_dispatch(self):
-        obs, world = traced_step(ep_dispatch="a2a")
-        report = audit_comm_volumes(
-            world.ledger, b=2, s=16, h=32, n=4, m=2, k=2,
-            itemsize=8.0, passes=CONFIG.n_layers)
+        """The A2A entry recounts every layer pass's captured routing
+        exactly; with no routing to recount, A2A bytes fail it."""
+        passes = []
+        obs, world = traced_step(ep_dispatch="a2a", telemetry_log=passes)
+        assert len(passes) == CONFIG.n_layers
+        kwargs = dict(b=2, s=16, h=32, n=4, m=2, k=2, itemsize=8.0,
+                      passes=CONFIG.n_layers)
+        report = audit_comm_volumes(world.ledger, a2a_telemetry=passes,
+                                    **kwargs)
         entry = report.entry("ep_ffn_a2a")
-        assert not entry.exact
-        assert entry.within_bound
-        assert entry.ok, report.render()
+        assert report.ok, report.render()
+        assert entry.tolerance <= 1e-9 and entry.rel_error <= 1e-9
+        assert not audit_comm_volumes(world.ledger, **kwargs).ok
 
     def test_crosscheck_and_metrics(self):
         obs, world = traced_step()

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import attention_half, ffn_half
+from conftest import attention_half, ffn_half, run_bindings
 from repro.comm import World
 from repro.core.analysis import (
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
+from repro.core.executor_bindings import ffn_bindings
 from repro.model.layers import SelfAttention
 from repro.model.moe import MoELayer
 from repro.obs import (
@@ -162,14 +163,30 @@ class TestAudit:
         assert report.ok
         assert report.entry("ep_ffn_ag_rs").rel_error < 1e-9
 
-    def test_ep_a2a_within_expectation_and_bound(self):
-        world = run_engine("ep_ffn", mode="a2a")
-        report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
-                                    m=M, k=K, itemsize=EB)
+    def test_ep_a2a_exact_recount(self):
+        """The A2A entry recounts the wire from the captured routing,
+        exactly; A2A bytes with no routing to recount fail."""
+        rng = np.random.default_rng(0)
+        world = World(N, N)
+        moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
+        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
+        _, env = run_bindings(engine.group, ffn_bindings(engine),
+                              ln2=shard(rng.standard_normal((B, S, H)), N))
+        routed = {"experts": [np.where(r.kept, r.expert_index, -1)
+                              for _, r, _, _ in env["router"]],
+                  "experts_per_rank": E // N}
+        kwargs = dict(b=B, s=S, h=H, n=N, m=M, k=K, itemsize=EB)
+        report = audit_comm_volumes(world.ledger, a2a_telemetry=[routed],
+                                    **kwargs)
         entry = report.entry("ep_ffn_a2a")
-        assert not entry.exact
-        assert entry.within_bound
-        assert entry.ok  # routed volume within the 30% expectation band
+        assert entry.ok and entry.rel_error <= entry.tolerance <= 1e-9
+        # Fewer bytes than one row each way per remote (token,
+        # expert) pair: two of a token's experts often share a rank.
+        per = E // N
+        remote = sum(int(((x >= 0) & (x // per != rank)).sum())
+                     for rank, x in enumerate(routed["experts"]))
+        assert entry.measured_bytes < (2 * H + 1) * remote * EB
+        assert not audit_comm_volumes(world.ledger, **kwargs).ok
 
     def test_tampered_ledger_detected(self):
         world = run_engine("sp_attn")

@@ -15,24 +15,30 @@ class TestConcatSplitStack:
                    rng.standard_normal((2, 2))], rng)
 
     def test_split_roundtrip(self, rng):
+        """The n shards of a tensor concatenate back to it."""
         x = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-        parts = ops.split(x, 3)
+        parts = [ops.shard(x, 3, r) for r in range(3)]
         recon = ops.concat(parts)
         np.testing.assert_array_equal(recon.data, x.data)
 
     def test_split_grad(self, rng):
-        gradcheck(lambda a: ops.split(a, 2, axis=0)[1],
+        gradcheck(lambda a: ops.shard(a, 2, 1, axis=0),
                   [rng.standard_normal((4, 3))], rng)
+        gradcheck(lambda a: ops.shard(a, 3, 2, axis=1),
+                  [rng.standard_normal((2, 6))], rng)
 
     def test_split_pieces_are_contiguous(self, rng):
-        """A TP rank's weight shard is a dense GEMM operand."""
+        """A TP rank's weight shard is a dense GEMM operand, copied
+        once: the parameter's own array is never aliased."""
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        assert all(p.data.flags.c_contiguous
-                   for p in ops.split(x, 3, axis=1))
+        for axis in (0, 1):
+            piece = ops.shard(x, 2, 1, axis=axis)
+            assert piece.data.flags.c_contiguous
+            assert not np.shares_memory(piece.data, x.data)
 
     def test_split_indivisible(self):
         with pytest.raises(ValueError, match="not divisible"):
-            ops.split(Tensor(np.zeros((5, 2))), 2)
+            ops.shard(Tensor(np.zeros((5, 2))), 2, 0)
 
 
 class TestSoftmax:

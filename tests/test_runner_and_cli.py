@@ -2,7 +2,9 @@
 including the ``train`` feature compositions."""
 
 import ast
+import glob
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -287,6 +289,18 @@ class TestTrainComposition:
         assert exc.value.code == 2
         assert "--resize" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_train_without_dir_leaves_no_checkpoints(self, capsys):
+        """Without --dir the checkpoints live in a directory that is
+        removed when the run ends."""
+        def count():
+            return len(glob.glob(os.path.join(tempfile.gettempdir(),
+                                              "repro-train-*")))
+
+        before = count()
+        assert cli_main(["train", "2"]) == 0
+        assert count() == before
+        assert "checkpoint dir" not in capsys.readouterr().out
 
     def test_zero_steps_exits_2(self, capsys):
         assert cli_main(["train", "0"]) == 2

@@ -339,8 +339,9 @@ def _unit_gate_weights(router_values):
 WIRING_MUTANTS = {
     # attention reads the un-normed layer input
     "no_attn_norm": (("qkv_proj",), "ln1", lambda env: env["hidden"]),
-    # the combine ignores the gate weights
-    "no_gate_weights": (("weighted_sum", "gather"), "router",
+    # the combine ignores the gate weights (A2A packs them onto the
+    # dispatch wire at its scatter)
+    "no_gate_weights": (("weighted_sum", "gather", "scatter"), "router",
                         lambda env: _unit_gate_weights(env["router"])),
     # the FFN residual is taken from the layer input
     "wrong_residual": (("residual2",), "residual1",
