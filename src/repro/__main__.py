@@ -295,9 +295,8 @@ def cmd_serve(args) -> int:
         engine.shutdown()
     golden = golden_decode(model, serve, requests).results
 
-    print(f"served {len(result.results)} requests in "
-          f"{result.n_iterations} iterations "
-          f"(batch <= {serve.max_batch_size}, "
+    print(f"served {len(result.results)} requests in {result.n_iterations}"
+          f" iterations (batch <= {serve.max_batch_size}, "
           f"{len(engine.placement.attn_ranks)} attn + "
           f"{len(engine.placement.expert_ranks)} expert ranks)")
     print(f"{'req':>4s} {'arrive':>7s} {'finish':>7s} {'lat':>6s} "
@@ -318,7 +317,8 @@ def cmd_serve(args) -> int:
               f"({lat['throughput_tokens']:.2f} tok/s)")
     tags = world.ledger.bytes_by_tag()
     print(f"crashes / evictions  : {result.n_crashes} / "
-          f"{result.n_evictions}\nbridge a2a bytes     : dispatch "
+          f"{result.n_evictions} (swapped KV {result.swapped_kv_bytes} B)"
+          f"\nbridge a2a bytes     : dispatch "
           f"{tags.get('serve:dispatch_a2a', 0.0):.0f}, combine "
           f"{tags.get('serve:combine_a2a', 0.0):.0f}")
     if diverged:

@@ -235,10 +235,11 @@ def _ep_a2a_bindings(ffn: Any,
         # Replicated gate => the same decisions the reference model
         # makes for those tokens.
         flats = _token_rows(ctx.env["ln2"])
-        routed = [ffn.op_route(flat) for flat in flats]
-        aux = ffn._global_aux_loss(flats, [r for r, _ in routed])
-        return [(flat, routing, weights, aux)
-                for flat, (routing, weights) in zip(flats, routed)]
+        routings, weights, probs = zip(*(ffn.op_route(flat)
+                                         for flat in flats))
+        aux = ffn._global_aux_loss(probs, routings)
+        return [(flat, routing, w, aux)
+                for flat, routing, w in zip(flats, routings, weights)]
 
     def scatter(ctx: _SeqCtx) -> List[Any]:
         flats, routings, weights, _ = zip(*ctx.env["router"])

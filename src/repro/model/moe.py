@@ -85,14 +85,11 @@ class TopKRouter(Module):
         aux = self._aux_loss(probs, routing.expert_index, routing.kept)
         return routing, weights, aux
 
-    def route(self, x_flat: Tensor) -> Tuple[RoutingResult, Tensor]:
-        """:meth:`__call__` without the balance loss — for callers that
-        have no use for it (inference; EP's A2A mode, whose aux loss is
-        built once over the global batch)."""
-        return self._route(x_flat)[:2]
-
     def _route(self, x_flat: Tensor) -> Tuple[RoutingResult, Tensor,
                                               Tensor]:
+        """:meth:`__call__` without the balance loss: ``(routing,
+        gate_weights, probs)`` — for EP's A2A mode, whose aux loss is
+        built once over the global batch from every rank's ``probs``."""
         return self.route_logits(self.gate(x_flat))
 
     def route_logits(self, logits: Tensor,

@@ -90,8 +90,10 @@ class EPFFNEngine:
     # repro.core.executor_bindings.ffn_bindings sequence them.
 
     def op_route(self, flat: Tensor):
-        """``router`` (A2A mode): replicated gate over local tokens."""
-        return self.moe.router.route(flat)
+        """``router`` (A2A mode): replicated gate over local tokens.
+        Returns ``(routing, gate_weights, probs)``; the balance loss is
+        built from ``probs`` (:meth:`_global_aux_loss`)."""
+        return self.moe.router._route(flat)
 
     def op_scatter_a2a(self, flats: Sequence[Tensor],
                        routings: Sequence[RoutingResult],
@@ -186,15 +188,16 @@ class EPFFNEngine:
         if self.telemetry_log is not None:
             self.telemetry_log.append(self.last_telemetry)
 
-    def _global_aux_loss(self, flats: List[Tensor],
-                         routings: List[RoutingResult]) -> Tensor:
+    def _global_aux_loss(self, probs: Sequence[Tensor],
+                         routings: Sequence[RoutingResult]) -> Tensor:
         """Balance loss over the global batch from per-rank routings.
 
         ``f`` (dispatch fractions) uses globally-summed counts; ``P``
         (mean routed probability) averages the per-rank means, which
-        equals the global mean for equal shards.  The per-rank P graphs
-        re-run the gate forward, so gradients flow to the replica from
-        every rank — matching the reference single-rank computation.
+        equals the global mean for equal shards.  ``probs`` are each
+        rank's router softmax outputs, so gradients flow to the replica
+        from every rank through the one gate GEMM that routed it —
+        matching the reference single-rank computation.
         """
         moe = self.moe
         router = moe.router
@@ -211,11 +214,10 @@ class EPFFNEngine:
 
         total: Optional[Tensor] = None
         weight_total = 0
-        for flat in flats:
-            t = flat.shape[0]
-            probs = ops.softmax(router.gate(flat), axis=-1)
-            p_local = probs.reshape(t, n_groups, g_size).sum(axis=-1) \
-                .sum(axis=0)
+        for rank_probs in probs:
+            t = rank_probs.shape[0]
+            p_local = rank_probs.reshape(t, n_groups, g_size) \
+                .sum(axis=-1).sum(axis=0)
             piece = (p_local * Tensor(f)).sum() * float(n_groups)
             total = piece if total is None else total + piece
             weight_total += t

@@ -45,10 +45,9 @@ __all__ = ["ActiveRequest", "DecodeProgram", "DecodeState", "RowLayout",
 class ActiveRequest:
     """One admitted request's mutable in-flight state."""
 
-    def __init__(self, request, cache: PagedKVCache, admission_seq: int):
+    def __init__(self, request, cache: PagedKVCache):
         self.request = request
         self.cache = cache
-        self.admission_seq = admission_seq
         #: Tokens committed so far (prompt + generated).
         self.tokens: List[int] = list(request.prompt)
         #: KV positions already committed.
@@ -86,9 +85,9 @@ class ActiveRequest:
         self.cur_ids = np.asarray([next_token], dtype=np.int64)
 
     def reset(self) -> None:
-        """Restart from scratch (crash re-queue / eviction): greedy
-        decode is deterministic, so the replay is bitwise-identical to
-        an uninterrupted run."""
+        """Restart from scratch after a rank crash (an eviction swaps
+        the KV out instead): greedy decode is deterministic, so the
+        replay is bitwise-identical to an uninterrupted run."""
         self.cache.release()
         self.tokens = list(self.request.prompt)
         self.pos = 0

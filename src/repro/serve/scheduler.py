@@ -10,20 +10,25 @@ latencies land in the :class:`~repro.obs.Tracer` as closed spans on the
 injected clock, and a mid-stream :class:`~repro.ft.RankCrash` re-queues
 the in-flight requests instead of failing the run.
 
+When the pool runs out, eviction swaps the victim's committed K/V out
+to host arrays and re-queues it; re-admission puts the copy back and
+the request continues from the token where it stopped, so none of its
+rows is computed — or crosses the bridge — twice.
+
 Determinism contract: row-local ops run over each attention rank's
 whole batch, while GEMMs, KV and attention never cross a request
 (:mod:`repro.serve.decode`); greedy decode is a pure function of the
-token prefix, and crash/eviction recovery replays a request from
-scratch — so every admitted request's generated tokens *and* per-step
-logits are bitwise-identical to an unbatched sequential run of the same
-engine (the ``serve_golden`` invariant).
+token prefix, a swapped-in KV copy is exact, and crash recovery replays
+a request from scratch — so every admitted request's generated tokens
+*and* per-step logits are bitwise-identical to an unbatched sequential
+run of the same engine (the ``serve_golden`` invariant).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +44,13 @@ from .kv_cache import KVLeakError, KVPool, OutOfKVBlocks, PagedKVCache
 from .placement import DisaggregatedPlacement
 
 __all__ = ["RequestResult", "ServeResult", "ServeEngine", "golden_decode"]
+
+#: A swapped-out request's committed ``(k, v)`` of every layer, on host.
+HostKV = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def _nbytes(kv: HostKV) -> int:
+    return sum(k.nbytes + v.nbytes for k, v in kv)
 
 
 @dataclass
@@ -67,6 +79,10 @@ class ServeResult:
     n_crashes: int
     n_evictions: int
     latency: Dict[str, float] = field(default_factory=dict)
+    #: K/V bytes evictions copied out of the pool plus those copied back
+    #: in: the attention rank's host link, not the bridge, so not in the
+    #: collective ledger.
+    swapped_kv_bytes: int = 0
 
 
 class ServeEngine:
@@ -101,13 +117,18 @@ class ServeEngine:
             self._program, build_decode_bindings(self.state),
             self.placement.bridge.world.group(self.placement.attn_ranks),
             inputs=("hidden",))
-        self._admission_seq = 0
-        #: Replays per request id (crash re-queues + evictions), carried
-        #: across re-admissions.
-        self._restarts: Dict[int, int] = {}
+        #: Requests re-queued mid-stream, by id: the request's state and
+        #: its swapped-out per-layer ``(k, v)`` host copies (none after
+        #: a crash, which replays it from scratch).
+        self._parked: Dict[int, Tuple[ActiveRequest, HostKV]] = {}
         self.n_iterations = 0
         self.n_crashes = 0
         self.n_evictions = 0
+        #: Swap accounting: every byte swapped out is swapped back in or
+        #: dropped by a crash (the leak contract).
+        self.swapped_out_bytes = 0
+        self.swapped_in_bytes = 0
+        self.swap_dropped_bytes = 0
         self._shutdown = False
 
     # -- admission / eviction -------------------------------------------
@@ -124,29 +145,42 @@ class ServeEngine:
                     f"request {req.request_id} needs more KV blocks "
                     f"than the pool holds ({self.pool.allocator.n_blocks})"
                 )
-            cache = PagedKVCache(self.pool)
+            item, kv = self._parked.get(req.request_id) or (
+                ActiveRequest(req, PagedKVCache(self.pool)), [])
             try:
-                cache.ensure_capacity(req.prompt_len)
+                item.cache.ensure_capacity(item.pos + item.cur_len)
             except OutOfKVBlocks:
                 break  # defer until completions free blocks
             waiting.popleft()
-            item = ActiveRequest(req, cache, self._admission_seq)
-            item.restarts = self._restarts.get(req.request_id, 0)
-            self._admission_seq += 1
+            self._parked.pop(req.request_id, None)
+            for layer, (k, v) in enumerate(kv):
+                item.cache.put(layer, k, v, 0)
+            item.cache.advance(item.pos)
+            self.swapped_in_bytes += _nbytes(kv)
             self.active.append(item)
+
+    def _park(self, item: ActiveRequest, waiting: Deque[Request],
+              kv: HostKV) -> None:
+        """Re-queue ``item`` at the head of the queue with ``kv``."""
+        self._parked[item.request.request_id] = (item, kv)
+        waiting.appendleft(item.request)
 
     def _evict(self, item: ActiveRequest,
                waiting: Deque[Request]) -> None:
-        """Return a request to the waiting queue, freeing its blocks.
+        """Swap a request out to host, freeing its blocks.
 
-        The victim restarts from scratch on re-admission; determinism
-        makes the replay bitwise-identical, so eviction never perturbs
+        Its committed K/V of every layer is copied out of the pool and
+        its state (tokens, position, logits) is kept; on re-admission
+        the copy goes back at positions ``0..pos`` and decoding resumes
+        where it stopped.  The copy is exact, so eviction never perturbs
         outputs — only latency.
         """
-        item.reset()
+        kv = [item.cache.gather(layer, item.pos)
+              for layer in range(self.pool.n_layers)]
+        self.swapped_out_bytes += _nbytes(kv)
+        item.cache.release()
         self.active.remove(item)
-        self._restarts[item.request.request_id] = item.restarts
-        waiting.appendleft(item.request)
+        self._park(item, waiting, kv)
         self.n_evictions += 1
 
     def _grow_caches(self, waiting: Deque[Request]) -> None:
@@ -207,12 +241,17 @@ class ServeEngine:
                     item.commit(int(np.argmax(row)), row)
 
     def _requeue_all(self, waiting: Deque[Request]) -> None:
-        """Crash recovery: reset every in-flight request and put it
-        back at the head of the queue (admission order preserved)."""
+        """Crash recovery: every in-flight and swapped-out request
+        replays from scratch — the in-flight ones go back at the head of
+        the queue (admission order preserved) — and the swapped-out K/V
+        is dropped."""
+        for item, kv in list(self._parked.values()):
+            self.swap_dropped_bytes += _nbytes(kv)
+            item.reset()
+            self._parked[item.request.request_id] = (item, [])
         for item in reversed(self.active):
             item.reset()
-            self._restarts[item.request.request_id] = item.restarts
-            waiting.appendleft(item.request)
+            self._park(item, waiting, [])
         self.active.clear()
 
     def _record_request_span(self, item: ActiveRequest) -> None:
@@ -286,13 +325,16 @@ class ServeEngine:
                            n_iterations=self.n_iterations,
                            n_crashes=self.n_crashes,
                            n_evictions=self.n_evictions,
-                           latency=latency)
+                           latency=latency,
+                           swapped_kv_bytes=(self.swapped_out_bytes
+                                             + self.swapped_in_bytes))
 
     # -- teardown ---------------------------------------------------------
 
     def shutdown(self) -> None:
         """Release resources and enforce the leak contract: every KV
-        block freed, every tracer span stack empty."""
+        block freed, no swapped-out K/V left on host, every tracer span
+        stack empty."""
         if self._shutdown:
             return
         self._shutdown = True
@@ -300,6 +342,12 @@ class ServeEngine:
             item.cache.release()
         self.active.clear()
         self.pool.allocator.assert_no_leaks()
+        held = [rid for rid, (_, kv) in self._parked.items() if kv]
+        if held:
+            raise KVLeakError(
+                f"swapped-out K/V of requests {sorted(held)} still on "
+                f"host at shutdown"
+            )
         if self.tracer is not None:
             open_stacks = {tid: depth for tid, depth
                            in self.tracer.thread_stacks().items()

@@ -583,6 +583,9 @@ class ServeArtifacts:
     #: engine handed it to the bridge — what ``serve_comm_balance``
     #: prices the ledger by.
     plans: List[object] = field(default_factory=list)
+    #: Evicted K/V bytes swapped out to host, swapped back in, and
+    #: dropped by a crash.
+    swap: Dict[str, int] = field(default_factory=dict)
 
 
 def run_serve_case(case) -> CaseResult:
@@ -591,9 +594,9 @@ def run_serve_case(case) -> CaseResult:
     The case's trace runs through the continuous batcher (with the
     case's fault plan, if any), then through the unbatched sequential
     golden decoder; the ``serve_*`` registry checks per-request bitwise
-    equality, the bridge's bytes against the captured routing plans,
-    the leak contract, and agreement with whole-sequence forwards of
-    the reference model.
+    equality, the bridge's bytes and rows against the captured routing
+    plans, the leak contract, and agreement with whole-sequence
+    forwards of the reference model.
     """
     from ..obs.tracer import Tracer
     from ..serve.arrivals import VirtualClock
@@ -645,6 +648,9 @@ def run_serve_case(case) -> CaseResult:
         shutdown_error=shutdown_error,
         reference=_serve_reference(model, result),
         plans=plans,
+        swap={"out": engine.swapped_out_bytes,
+              "in": engine.swapped_in_bytes,
+              "dropped": engine.swap_dropped_bytes},
     )
     return _evaluate(case, artifacts, registered_serve_invariants())
 

@@ -756,10 +756,34 @@ def _check_serve_comm_balance(art) -> List[str]:
     return violations
 
 
+def _check_serve_rows_once(art) -> List[str]:
+    """Each row an attention rank computes crosses the bridge once per
+    layer: the captured plans hold ``layers x sum(prompt_len +
+    max_new_tokens - 1)`` tokens — every prompt row, then one row per
+    decode step (the last generated token is never fed back).  An
+    evicted request that re-prefilled or re-decoded would cross again.
+    ServeCase models route with no capacity limit, so every row has a
+    kept pair in its crossing's plan."""
+    want = art.case.layers * sum(r.prompt_len + r.max_new_tokens - 1
+                                 for r in art.requests)
+    got = sum(np.unique(plan.token_of_row).size for plan in art.plans)
+    if got != want:
+        return [f"{got} rows crossed the bridge; {art.case.layers} layers "
+                f"x (prompt + generated - 1) rows need {want}"]
+    return []
+
+
 def _check_serve_leaks(art) -> List[str]:
     """Scheduler shutdown frees every paged KV block and leaves every
-    tracer span stack empty."""
+    tracer span stack empty, and every K/V byte an eviction swapped out
+    was swapped back in or dropped by a crash."""
     violations = []
+    swap = {k: art.swap.get(k, 0) for k in ("out", "in", "dropped")}
+    if swap["out"] != swap["in"] + swap["dropped"]:
+        violations.append(
+            f"swapped out {swap['out']} KV bytes, but swapped in "
+            f"{swap['in']} + dropped by a crash {swap['dropped']}"
+        )
     alloc = art.allocator
     if alloc["in_use"]:
         violations.append(
@@ -815,9 +839,22 @@ def default_serve_registry() -> List[Invariant]:
             check=_check_serve_comm_balance,
         ),
         Invariant(
+            name="serve_rows_once",
+            description="each row crosses the bridge once per layer: "
+                        "the captured plans hold layers x (prompt + "
+                        "generated - 1) rows per request, so an evicted "
+                        "request resumes from its swapped-in KV instead "
+                        "of replaying",
+            # A crash legitimately replays its in-flight requests.
+            applies=lambda case: case.crash_at_call is None,
+            check=_check_serve_rows_once,
+        ),
+        Invariant(
             name="serve_leaks",
-            description="every paged KV block allocated is freed and "
-                        "every tracer span stack is empty at shutdown",
+            description="every paged KV block allocated is freed, every "
+                        "swapped-out K/V byte is swapped back in or "
+                        "dropped by a crash, and every tracer span stack "
+                        "is empty at shutdown",
             applies=lambda case: True,
             check=_check_serve_leaks,
         ),

@@ -5,8 +5,10 @@ holding any of its experts once, plus one gate weight per (token,
 expert).  These tests pin what that buys and what it must not change:
 the cell counts and the pre-sum rule, bit-identity with a sender that
 ships every (token, expert) pair, the exact Eq. 1-4 audit recount (and
-that it catches that sender), top_k = 3 through the golden invariants,
-and the serving bridge's bytes and outputs.
+that it catches that sender), one router gate GEMM per layer per rank,
+top_k = 3 through the golden invariants, and the serving bridge's bytes
+and outputs — including that each serve row crosses it once, and that
+the check catches an eviction that replays its victim.
 """
 
 import dataclasses
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 
 from repro.comm import World
+from repro.core import MegaScaleTrainer
 from repro.model import MoETransformer
+from repro.model.layers import Linear
 from repro.model.routing import a2a_wire
 from repro.parallel import ep_ffn
 from repro.serve import ServeEngine
-from repro.verify import ServeCase, VerifyCase, run_case
+from repro.verify import ServeCase, VerifyCase, run_case, run_serve_case
 from repro.verify.engine import _run_parallel
 
 GOLDEN = ("golden_loss", "golden_grads", "golden_params")
@@ -37,6 +41,16 @@ def per_pair_wire(dest, src, token, a, e, t):
         wire, keys=cell[by_cell], back_keys=cell[by_cell],
         sent_of_pair=row_of_pair, back_of_pair=row_of_pair,
         sent=wire.pairs, back=wire.pairs)
+
+
+def replay_evict(self, item, waiting):
+    """An eviction that drops the victim's KV, so it replays from
+    scratch on re-admission — every row it had computed crosses the
+    bridge again."""
+    item.reset()
+    self.active.remove(item)
+    self._park(item, waiting, [])
+    self.n_evictions += 1
 
 
 class TestCells:
@@ -106,6 +120,28 @@ class TestTrainingWire:
         assert result.outcome("comm_audit").status == "fail"
         assert result.outcome("golden_loss").status == "pass"
 
+    def test_one_gate_gemm_per_layer_per_rank(self, monkeypatch):
+        """The balance loss reads the probabilities routing computed:
+        one forward runs each layer's router gate once per EP rank."""
+        case = self.CASE
+        model = MoETransformer(case.model_config(), seed=case.seed)
+        gates = {id(block.moe.router.gate) for block in model.blocks}
+        calls = []
+        call = Linear.__call__
+
+        def counting(linear, x):
+            if id(linear) in gates:
+                calls.append(id(linear))
+            return call(linear, x)
+
+        monkeypatch.setattr(Linear, "__call__", counting)
+        trainer = MegaScaleTrainer(model, World(case.ranks, case.ranks),
+                                   case.parallel_config(),
+                                   case.train_config())
+        trainer.loss(np.random.default_rng(0).integers(
+            0, case.vocab, (case.batch, case.seq + 1)))
+        assert sorted(calls) == sorted(list(gates) * case.ranks)
+
     @pytest.mark.parametrize("tile_tokens", [None, 2])
     def test_top3_passes_golden_invariants(self, tile_tokens):
         """At top_k = 3 a later rank may hold two of a token's terms;
@@ -146,3 +182,15 @@ class TestServeBridge:
         assert tags["serve:combine_a2a"] == combine
         assert {rid: list(r.generated) for rid, r
                 in result.results.items()} == generated
+
+    def test_rows_once_catches_an_eviction_that_replays(self, monkeypatch):
+        """On the tight-KV leg evictions swap KV out and back and every
+        row crosses once; an eviction that drops the KV and replays the
+        victim still matches the golden, and serve_rows_once fails it."""
+        case = ServeCase(kv_blocks=5, max_batch_size=4)
+        result = run_serve_case(case)
+        assert result.ok, result.failures()
+        monkeypatch.setattr(ServeEngine, "_evict", replay_evict)
+        result = run_serve_case(case)
+        assert result.outcome("serve_rows_once").status == "fail"
+        assert result.outcome("serve_golden").status == "pass"

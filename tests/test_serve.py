@@ -3,10 +3,11 @@
 Coverage in five layers: the paged-KV plumbing (allocator accounting,
 GQA-shaped pool, block-table reads/writes), the determinism contract
 (continuous-batched output bitwise vs the unbatched sequential golden,
-across GQA ratios, ragged lengths, staggered admission, eviction,
-and mid-stream rank crashes), the leak/trace contracts at
-shutdown, the row-array layout (per-segment GEMMs, one grouped expert
-call per expert rank, per-request capacity masks), and the serve verify
+across GQA ratios, ragged lengths, staggered admission, KV-swap
+eviction, and mid-stream rank crashes, also of a swapped-out request),
+the leak/trace/swap contracts at shutdown, the row-array layout
+(per-segment GEMMs, one grouped expert call per expert rank,
+per-request capacity masks), and the serve verify
 registry — including proof that each ``serve_*`` invariant catches a
 hand-tampered artifact of its bug class, that ``serve_reference``
 catches a bug the batched run and its golden share, and that the
@@ -46,6 +47,7 @@ from repro.verify.invariants import (
     _check_serve_comm_balance,
     _check_serve_golden,
     _check_serve_leaks,
+    _check_serve_rows_once,
 )
 
 
@@ -385,15 +387,35 @@ class TestGoldenBitwise:
         assert result.n_iterations > 5
         assert_bitwise(result, golden_decode(model, config, requests))
 
-    def test_eviction_replays_bitwise(self):
+    def test_eviction_swaps_bitwise(self):
         # A pool too small for the batch forces mid-stream evictions;
-        # victims replay from scratch and still match the golden.
+        # victims swap their KV out to host and back, resume where they
+        # stopped (no restart), and still match the golden.
         model = tiny_model()
         config = serve_config(kv_blocks=5, max_batch_size=4)
         requests = poisson_trace(6, rate=1.0, vocab=64, seed=0)
-        result, _, _ = run_engine(model, config, requests)
+        result, engine, _ = run_engine(model, config, requests)
         assert result.n_evictions > 0
+        assert all(r.restarts == 0 for r in result.results.values())
+        assert result.swapped_kv_bytes > 0
+        assert engine.swapped_out_bytes == engine.swapped_in_bytes
+        assert result.swapped_kv_bytes == 2 * engine.swapped_out_bytes
         assert_bitwise(result, golden_decode(model, config, requests))
+
+    def test_tight_pool_ships_the_bytes_of_a_roomy_one(self):
+        """An evicted request's rows cross the bridge once: a pool tight
+        enough to evict ships exactly the bridge bytes of one that never
+        does, on the same trace."""
+        model = tiny_model()
+        requests = bursty_trace(12, burst_size=3, burst_gap=2.0, vocab=64,
+                                seed=0)
+        tags = {}
+        for kv_blocks in (8, 64):
+            config = serve_config(kv_blocks=kv_blocks, max_batch_size=8)
+            result, _, world = run_engine(model, config, requests)
+            tags[kv_blocks] = world.ledger.bytes_by_tag()
+            assert (result.n_evictions > 0) == (kv_blocks == 8)
+        assert tags[8] == tags[64]
 
     def test_oversized_request_rejected_upfront(self):
         model = tiny_model()
@@ -429,6 +451,39 @@ class TestCrashRecovery:
         assert len(result.results) == len(requests)
         assert_bitwise(result, golden_decode(model, config, requests))
 
+    def test_crash_while_swapped_out_replays_from_scratch(self):
+        """A crash drops the host KV of a request that is swapped out:
+        it replays from scratch, counts a restart, and still matches the
+        golden; every swapped-out byte is swapped in or dropped."""
+        model = tiny_model()
+        config = serve_config(kv_blocks=5, max_batch_size=4)
+        requests = poisson_trace(6, rate=1.0, vocab=64, seed=0)
+        world = World(config.world_size)
+        engine = ServeEngine(model, config, world=world)
+        evict = engine._evict
+        swapped = []
+
+        def evict_then_crash(item, waiting):
+            evict(item, waiting)
+            if not swapped and item.pos:
+                swapped.append(item.request.request_id)
+                # A fresh plan counts calls from 0: this iteration's
+                # first bridge crossing raises RankCrash.
+                world.attach_fault_plan(FaultPlan([FaultSpec(
+                    kind="crash", at_call=0)]))
+
+        engine._evict = evict_then_crash
+        try:
+            result = engine.run(requests)
+        finally:
+            engine.shutdown()
+        assert result.n_crashes == 1 and swapped
+        assert result.results[swapped[0]].restarts == 1
+        assert engine.swap_dropped_bytes > 0
+        assert engine.swapped_out_bytes == (engine.swapped_in_bytes
+                                            + engine.swap_dropped_bytes)
+        assert_bitwise(result, golden_decode(model, config, requests))
+
     def test_restart_counts_survive_readmission(self):
         model = tiny_model()
         config = serve_config()
@@ -455,6 +510,25 @@ class TestLeakContract:
                              clock=clock)
         tracer.begin("dangling", cat="test")
         with pytest.raises(KVLeakError, match="span stacks"):
+            engine.shutdown()
+
+    def test_shutdown_flags_swapped_kv_left_on_host(self):
+        model = tiny_model(n_layers=1)
+        requests = poisson_trace(6, rate=1.0, vocab=64, seed=0)
+        engine = ServeEngine(model, serve_config(kv_blocks=5,
+                                                 max_batch_size=4))
+        evict = engine._evict
+
+        def evict_and_stop(item, waiting):
+            evict(item, waiting)
+            raise RuntimeError("stop with a request swapped out")
+
+        engine._evict = evict_and_stop
+        with pytest.raises(RuntimeError, match="swapped out"):
+            engine.run(requests)
+        for item in engine.active:
+            item.cache.release()
+        with pytest.raises(KVLeakError, match="still on host"):
             engine.shutdown()
 
     def test_clean_run_leaks_nothing(self):
@@ -776,6 +850,28 @@ class TestServeInvariantsCatchBugs:
         art.ledger_by_tag = {tag: b + 32 * 8 for tag, b in by_tag.items()}
         assert _check_serve_comm_balance(art)
 
+    def test_leaks_catches_lost_swapped_kv(self):
+        art = _artifacts(swap={"out": 4096, "in": 2048, "dropped": 1024})
+        violations = _check_serve_leaks(art)
+        assert violations and "swapped out 4096" in violations[0]
+        art.swap["dropped"] = 2048
+        assert not _check_serve_leaks(art)
+
+    def test_rows_once_catches_a_replayed_row(self, monkeypatch):
+        """On a real run's plans the rows add up; a crossing that also
+        carried one replayed row does not."""
+        art = _served_artifacts(monkeypatch, ServeCase(n_requests=3))
+        assert not _check_serve_rows_once(art)
+        plan = art.plans[0]
+        extra = plan.token_of_row.max() + 1
+        art.plans[0] = DispatchPlan(
+            token_of_row=np.append(plan.token_of_row, extra),
+            slot_of_row=np.append(plan.slot_of_row, 0),
+            expert_counts=plan.expert_counts + np.eye(
+                plan.expert_counts.shape[0], dtype=np.int64)[-1])
+        violations = _check_serve_rows_once(art)
+        assert violations and "rows crossed the bridge" in violations[0]
+
     def test_leaks_catches_held_blocks(self):
         art = _artifacts(allocator={"in_use": 1, "allocated_total": 3,
                                     "freed_total": 2})
@@ -858,7 +954,7 @@ class TestDagExecutorRetain:
         pool = KVPool(1, 4, 4, n_blocks=16, block_size=4)
         from repro.serve.decode import ActiveRequest
         req = Request(0, prompt=(1, 2, 3), max_new_tokens=1)
-        item = ActiveRequest(req, PagedKVCache(pool), 0)
+        item = ActiveRequest(req, PagedKVCache(pool))
         item.cache.ensure_capacity(3)
         state.batch = [[item], []]
         executor = DagExecutor(

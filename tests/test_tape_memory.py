@@ -180,7 +180,7 @@ class TestForwardEndBytes:
     """
 
     @pytest.mark.parametrize("dispatch,nbytes", [
-        ("a2a", 214_364.0), ("ag_rs", 222_472.0)])
+        ("a2a", 212_316.0), ("ag_rs", 222_472.0)])
     def test_pinned(self, dispatch, nbytes):
         trainer = sp_ep_trainer(dispatch)
         total, _, _ = trainer.loss(batch())
