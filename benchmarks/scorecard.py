@@ -599,9 +599,10 @@ def rows() -> List[Row]:
             "MFU 1.28x lower; " + spread),
         Row("plan.iter_s_1440", "Table 3", 4.19, plan.best.iteration_time,
             SPREAD, "plan_cluster(internal-352b, 180x8 h800, batch 720): "
-            f"winner {plan.best.candidate.describe()} at v=1, priced with "
-            "every collective at the candidate's wire width (1 B/elem for "
-            "fp8; ROADMAP item 5 re-prices it); " + spread),
+            f"the simulator's fastest plan, {plan.best.candidate.describe()}"
+            " at v=1, priced with every collective at 1 B/elem for fp8, "
+            "though the executor ships the SP attention a2a at 2 B; " + spread,
+            owner="item 5", pin=3.896989437102384),
         Row("fig7.crossover_top_k", "Fig. 7", (7.0, 8.0),
             float(dispatch_crossover_top_k(MODEL_ZOO["mixtral-8x7b"], 8,
                                            KernelModel(H800).intra_link())),

@@ -57,21 +57,22 @@ def cmd_plan(args) -> int:
           f"{gpu.nic_bandwidth / 1e9:.0f} GB/s\n")
     train = TrainConfig(global_batch_size=args.batch,
                         micro_batch_size=args.micro_batch)
+    top = max(args.top, 1)
     try:
         if args.schedule_budget > 0:
             composed = optimize_plan(model, cluster, train,
                                      budget=args.schedule_budget,
-                                     seed=args.seed)
+                                     seed=args.seed, top=top)
             result = composed.plan
         else:
-            result = plan_cluster(model, cluster, train)
+            result = plan_cluster(model, cluster, train, top=top)
     except NoFeasiblePlan as exc:
         print(f"NoFeasiblePlan: {exc}", file=sys.stderr)
         return 1
     print(result.explain())
     best = result.best.candidate
 
-    runners_up = result.ranked[1:args.top]
+    runners_up = result.ranked[1:top]
     if runners_up:
         print("\nrunners-up:")
         for scored in runners_up:
@@ -385,7 +386,7 @@ def main(argv=None) -> int:
     plan.add_argument("--micro-batch", type=int, default=2,
                       help="micro-batch size the plan is priced at")
     plan.add_argument("--top", type=int, default=4,
-                      help="ranked plans to print")
+                      help="plans to rank exactly and print")
     plan.add_argument("--schedule-budget", type=int, default=0,
                       metavar="N", help="also search op priorities for "
                                         "the winner with N evaluations")

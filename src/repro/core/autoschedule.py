@@ -23,7 +23,7 @@ import numpy as np
 from ..sim.engine import SimTask, simulate
 from .cluster import ClusterSpec
 from .config import ModelConfig, TrainConfig
-from .operators import OpGraph, build_backward_graph, build_forward_graph
+from .operators import OpGraph, build_forward_graph
 from .schedule import HolisticScheduler, OverlapConfig
 
 __all__ = ["AutoScheduler", "AutoScheduleResult", "PlanScheduleResult",
@@ -169,23 +169,23 @@ def optimize_plan(
     seed: int = 0,
     spans=None,
     calibration=None,
+    top: int = 1,
 ) -> PlanScheduleResult:
     """Search the plan space, then the schedule space of the winner.
 
-    Composes :func:`~repro.core.planner.plan_cluster` (which plan?)
-    with :class:`AutoScheduler` (which op order within it?).  When
-    ``spans`` from a traced DAG run are supplied, a
-    :class:`~repro.perf.estimator.CalibrationReport` is fitted first
-    and both searches use calibrated durations — closing the §7
-    execute → trace → calibrate → plan loop.
+    Composes :func:`~repro.core.planner.plan_cluster` (which plan?
+    ranked exactly ``top`` deep) with :class:`AutoScheduler` (which op
+    order within it?).  When ``spans`` from a traced DAG run are
+    supplied, a :class:`~repro.perf.estimator.CalibrationReport` is
+    fitted first and both searches use calibrated durations — closing
+    the §7 execute → trace → calibrate → plan loop.
     """
-    from ..perf.estimator import calibrate_from_spans, \
-        calibrated_durations
+    from ..perf.estimator import calibrate_from_spans
     from ..perf.systems import MegaScalePerfModel
     from .planner import plan_cluster
 
     train = train or TrainConfig()
-    probe_cand = None
+    gpu = cluster.bottleneck_gpu()
     if spans is not None and calibration is None:
         # Fit the correction against the hand plan's graph: the span
         # anchors (attention, dispatch, experts, ...) are shared by
@@ -194,40 +194,30 @@ def optimize_plan(
         feasible = enumerate_plans(model, cluster, train)
         if feasible:
             probe_cand = feasible[0]
-            perf = MegaScalePerfModel(cluster=cluster)
-            km = perf.kernel_model(
-                cluster.bottleneck_gpu(),
-                probe_cand.parallel.model_parallel_size)
+            km = MegaScalePerfModel(cluster=cluster).kernel_model(
+                gpu, probe_cand.parallel.model_parallel_size)
             graph = build_forward_graph(model, probe_cand.parallel,
                                         train.micro_batch_size,
                                         probe_cand.elem_bytes)
             calibration = calibrate_from_spans(km, graph, spans)
 
-    plan = plan_cluster(model, cluster, train, calibration=calibration)
+    plan = plan_cluster(model, cluster, train, calibration=calibration,
+                        top=top)
     best = plan.best.candidate
 
     perf = MegaScalePerfModel(
         cluster=cluster,
-        selective_remat=best.remat == "selective",
+        calibration=calibration,
         elem_bytes=best.elem_bytes,
     )
-    km = perf.kernel_model(cluster.bottleneck_gpu(),
-                           best.parallel.model_parallel_size)
-    fwd = build_forward_graph(model, best.parallel,
-                              train.micro_batch_size, best.elem_bytes)
-    bwd = build_backward_graph(model, best.parallel,
-                               train.micro_batch_size, best.elem_bytes,
-                               selective_remat=best.remat == "selective")
-
-    def _durations(graph: OpGraph) -> Dict[str, float]:
-        if calibration is not None:
-            return calibrated_durations(km, graph, calibration)
-        return km.durations(graph)
-
+    km = perf.kernel_model(gpu, best.parallel.model_parallel_size)
+    (fwd, d_fwd), (bwd, d_bwd) = perf.layer_graphs(
+        model, best.parallel, train.micro_batch_size, km,
+        best.remat == "selective")
     scheduler = AutoScheduler(budget=budget, seed=seed)
     return PlanScheduleResult(
         plan=plan,
-        fwd=scheduler.optimize(fwd, _durations(fwd)),
-        bwd=scheduler.optimize(bwd, _durations(bwd)),
+        fwd=scheduler.optimize(fwd, d_fwd),
+        bwd=scheduler.optimize(bwd, d_bwd),
         calibrated=calibration is not None,
     )

@@ -198,9 +198,7 @@ def build_forward_graph(
     ops: List[Op] = []
     ops += _attention_forward(dims)
     ops += _ffn_forward(dims)
-    graph = OpGraph(ops)
-    graph.validate()
-    return graph
+    return OpGraph(ops)
 
 
 class _Dims:
@@ -481,17 +479,14 @@ def _ffn_forward(d: _Dims) -> List[Op]:
 # ---------------------------------------------------------------------------
 
 def build_backward_graph(
-    model: ModelConfig,
-    parallel: ParallelConfig,
-    micro_batch: int,
-    elem_bytes: float = 2.0,
-    seq_len: Optional[int] = None,
+    fwd: OpGraph,
     selective_remat: bool = True,
     remat_plan: Optional[object] = None,
 ) -> OpGraph:
     """Operator DAG for one MoE layer's backward pass on one rank.
 
-    Built by mirroring the forward graph: every GEMM becomes a dgrad and
+    Built by mirroring the forward graph ``fwd`` (from
+    :func:`build_forward_graph`): every GEMM becomes a dgrad and
     a wgrad GEMM (same FLOPs each), every collective becomes its dual,
     memory ops double their traffic.  With ``selective_remat`` the
     recompute/re-communicate ops of Fig. 8b are inserted (phase
@@ -499,8 +494,6 @@ def build_backward_graph(
     ``remat_plan`` (a :class:`~repro.core.remat.RematPlan`) selects
     which activations are recreated, defaulting to the paper's plan.
     """
-    fwd = build_forward_graph(model, parallel, micro_batch, elem_bytes,
-                              seq_len)
     dual = {"ag": "rs", "rs": "ag", "a2a": "a2a", "ar": "ar"}
 
     ops: List[Op] = []
@@ -549,9 +542,7 @@ def build_backward_graph(
         # (lazy import: remat imports Op from this module).
         from .remat import insert_remat_ops
         ops = insert_remat_ops(fwd, ops, remat_plan)
-    graph = OpGraph(ops)
-    graph.validate()
-    return graph
+    return OpGraph(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +698,7 @@ def tile_forward_graph(graph: OpGraph, plan: TilePlan) -> OpGraph:
                 tile=(i, count),
                 tile_of=op.name,
             ))
-    tiled = OpGraph(tiled_ops)
-    tiled.validate()
-    return tiled
+    return OpGraph(tiled_ops)
 
 
 def tiled_members(graph: OpGraph) -> Dict[str, List[str]]:

@@ -3,8 +3,9 @@
 :func:`plan_cluster` is the one planner: it enumerates every
 shape-divisible (MP degree, SP/TP attention, EP/TP FFN, dispatch mode,
 PP, DP, precision, remat) combination for a described cluster, drops
-the ones that do not fit the bottleneck GPU's HBM, and prices the rest
-with the simulator.  On the paper's 8-GPU nodes this recovers the
+the ones that do not fit the bottleneck GPU's HBM, and returns the one
+the simulator prices fastest, skipping plans whose lower bound shows
+they cannot win.  On the paper's 8-GPU nodes this recovers the
 MegaScale-MoE choice — SP attention and EP experts inside the node,
 all-to-all dispatch left of the Fig. 7 crossover and
 all-gather/reduce-scatter right of it, PP across nodes, DP outermost —
@@ -27,11 +28,8 @@ from ..comm.cost import (
     ring_reduce_scatter_time,
 )
 from .analysis import (
-    attention_comm_volume,
     ep_ffn_comm_volume,
-    ffn_comm_volume,
     memory_per_gpu,
-    param_memory_per_gpu,
     scale_up_ratio,
     sp_attention_comm_volume,
     tp_attention_comm_volume,
@@ -46,10 +44,6 @@ __all__ = ["dispatch_mode_times", "dispatch_crossover_top_k",
 
 #: Wire bytes per element for each training precision policy (§5).
 _PRECISION_BYTES = {"bf16": 2.0, "fp8": 1.0, "fp32": 4.0}
-
-#: Candidates, best analytic pre-score first, that the full event
-#: simulation prices; the rest keep their analytic score only.
-SIM_SHORTLIST = 32
 
 #: Fraction of the bottleneck GPU's HBM a plan may fill; the rest is
 #: left for collective scratch, workspaces and fragmentation.
@@ -169,27 +163,21 @@ class PlanCandidate:
 
 @dataclass
 class ScoredPlan:
-    """A candidate plus its price tags.
+    """A simulated candidate plus its price tags.
 
-    ``analytic_time`` is the cheap closed-form pre-score every
-    candidate gets; ``iteration`` is the full
-    :class:`~repro.perf.systems.SystemPerfModel` simulation the
-    shortlist gets.  ``cross_node_a2a_bytes`` is the MoNTA accounting:
-    per-iteration dispatch bytes that cross node boundaries.
+    ``iteration`` is the :class:`~repro.perf.systems.SystemPerfModel`
+    simulation that prices it.  ``cross_node_a2a_bytes`` is the MoNTA
+    accounting: per-iteration dispatch bytes that cross node boundaries.
     """
 
     candidate: PlanCandidate
-    analytic_time: float
+    iteration: object  # IterationBreakdown
     cross_node_a2a_bytes: float = 0.0
-    iteration: object = None  # IterationBreakdown once simulated
     rationale: Dict[str, str] = field(default_factory=dict)  # winner only
 
     @property
     def iteration_time(self) -> float:
-        """Best available price: simulated when priced, else analytic."""
-        if self.iteration is not None:
-            return self.iteration.iteration_time
-        return self.analytic_time
+        return self.iteration.iteration_time
 
 
 @dataclass
@@ -308,19 +296,6 @@ def enumerate_plans(model: ModelConfig, cluster: ClusterSpec,
                                train.micro_batch_size)]
 
 
-def _a2a_effective_bw(cluster: ClusterSpec, n: int) -> float:
-    """Per-rank effective all-to-all bandwidth over the tier mix."""
-    intra, inter = cluster.intra_link, cluster.inter_link
-    cross = cluster.cross_node_fraction(n)
-    if cross <= 0.0:
-        return intra.bandwidth * intra.a2a_efficiency
-    tiers = [inter.bandwidth * inter.a2a_efficiency / cross]
-    if cross < 1.0:
-        tiers.append(intra.bandwidth * intra.a2a_efficiency
-                     / (1.0 - cross))
-    return min(tiers)  # concurrent tiers: the busier one paces
-
-
 def _cross_node_a2a_bytes(model: ModelConfig, cluster: ClusterSpec,
                           cand: PlanCandidate,
                           train: TrainConfig) -> float:
@@ -340,49 +315,6 @@ def _cross_node_a2a_bytes(model: ModelConfig, cluster: ClusterSpec,
     m = train.global_batch_size // (par.data_parallel_size * b)
     # fwd + bwd passes, every layer, every micro-batch.
     return vol * cand.elem_bytes * cross * 2.0 * model.n_layers * m
-
-
-def _analytic_time(model: ModelConfig, cluster: ClusterSpec,
-                   cand: PlanCandidate, train: TrainConfig) -> float:
-    """Closed-form pre-score: overlapped layer time × pipeline shape.
-
-    Deliberately coarse — its only job is to rank candidates well
-    enough that the full simulator shortlist contains the winner.
-    """
-    gpu = cluster.bottleneck_gpu()
-    par = cand.parallel
-    n, p, d = (par.model_parallel_size, par.pipeline_size,
-               par.data_parallel_size)
-    micro = train.micro_batch_size
-    m = train.global_batch_size // (d * micro)
-    tokens = micro * model.seq_len
-
-    # Per-layer fwd+bwd compute, sharded n ways at ~50% of peak.
-    flops = model.train_flops_per_token() * tokens / model.n_layers
-    compute = flops / (n * gpu.peak_flops * 0.5)
-
-    # Per-layer communication priced against the tier it crosses.
-    attn_bytes = attention_comm_volume(model, par, micro) \
-        * cand.elem_bytes
-    ffn_bytes = ffn_comm_volume(model, par, micro) * cand.elem_bytes
-    ring_bw = cluster.link_for_group(n).bandwidth
-    a2a_bw = _a2a_effective_bw(cluster, n)
-    attn_t = attn_bytes / (a2a_bw if par.attention == "sp" else ring_bw)
-    uses_a2a = par.ffn == "ep" and par.ep_dispatch != "ag_rs"
-    ffn_t = ffn_bytes / (a2a_bw if uses_a2a else ring_bw)
-    comm = 2.0 * (attn_t + ffn_t)  # fwd + bwd passes
-
-    # Holistic overlap hides the smaller of the two streams.
-    layer = max(compute, comm) + 0.15 * min(compute, comm)
-    layers_per_stage = model.n_layers / p
-    period = layer * layers_per_stage
-    pipeline = period * (m + p - 1)
-
-    # Exposed DP gradient sync (half-overlapped, inter-node ring).
-    params = param_memory_per_gpu(model, par)["params"] / 2.0
-    dp = (2.0 * params * 2.0 * (d - 1) / d
-          / cluster.inter_link.bandwidth * 0.5) if d > 1 else 0.0
-    return pipeline + dp
 
 
 def _rationale(model: ModelConfig, cluster: ClusterSpec,
@@ -433,15 +365,20 @@ def plan_cluster(
     cluster: ClusterSpec,
     train: Optional[TrainConfig] = None,
     calibration=None,
+    top: int = 1,
 ) -> PlanSearchResult:
     """Search the plan space for a model on a described cluster.
 
-    Two-stage pricing: every feasible candidate gets the closed-form
-    analytic score; the best :data:`SIM_SHORTLIST` by that score are
-    priced by the full :class:`~repro.perf.systems.SystemPerfModel`
-    event simulation (calibrated when a :class:`CalibrationReport` from
-    ``calibrate_from_spans`` is supplied).  Returns every simulated
-    plan, fastest first, with the winner's per-choice rationale.
+    One price: the :class:`~repro.perf.systems.SystemPerfModel` event
+    simulation (calibrated when a :class:`CalibrationReport` from
+    ``calibrate_from_spans`` is supplied), searched branch-and-bound.
+    Every feasible candidate gets the perf model's
+    :meth:`~repro.perf.systems.SystemPerfModel.lower_bound`; candidates
+    are simulated in ``(bound, describe())`` order until the next bound
+    exceeds the ``top``-th best simulated time, so ``ranked[:top]`` is
+    exactly the simulator's ranking over every feasible plan.  Returns
+    every simulated plan, fastest first, with the winner's per-choice
+    rationale.
 
     Raises:
         NoFeasiblePlan: when no combination passes the divisibility
@@ -449,6 +386,8 @@ def plan_cluster(
     """
     from ..perf.systems import MegaScalePerfModel
 
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     train = train or TrainConfig()
     raw = _raw_candidates(model, cluster, train)
     feasible = [c for c in raw
@@ -462,35 +401,40 @@ def plan_cluster(
             n_enumerated=len(raw),
         )
 
-    scored = [ScoredPlan(
-        candidate=c,
-        analytic_time=_analytic_time(model, cluster, c, train),
-        cross_node_a2a_bytes=_cross_node_a2a_bytes(
-            model, cluster, c, train),
-    ) for c in feasible]
-    scored.sort(key=lambda s: (s.analytic_time, s.candidate.describe()))
-
     gpu = cluster.bottleneck_gpu()
-    simulated = scored[:SIM_SHORTLIST]
     # One perf model per (remat, precision): each prices a layer shape
-    # once, and lives only as long as this search.
-    perf_models = {}
-    for s in simulated:
-        c = s.candidate
-        perf = perf_models.get((c.remat, c.precision))
-        if perf is None:
-            perf = perf_models[c.remat, c.precision] = MegaScalePerfModel(
+    # (and its bound) once, and lives only as long as this search.
+    perf = {(remat, precision): MegaScalePerfModel(
                 cluster=cluster,
                 calibration=calibration,
-                selective_remat=c.remat == "selective",
-                elem_bytes=c.elem_bytes,
+                selective_remat=remat == "selective",
+                elem_bytes=elem_bytes,
             )
-        s.iteration = perf.iteration(model, c.parallel, train, gpu)
-    simulated.sort(key=lambda s: (s.iteration_time,
-                                  s.cross_node_a2a_bytes,
-                                  s.candidate.describe()))
+            for remat in _REMAT_PLANS
+            for precision, elem_bytes in _PRECISION_BYTES.items()}
 
-    best = simulated[0]
+    # The remat-free model bounds both remat settings (remat only adds
+    # ops), so each (layer shape, precision) is bounded once.
+    queue = sorted(
+        (perf["none", c.precision].lower_bound(model, c.parallel, train,
+                                               gpu), c.describe(), c)
+        for c in feasible)
+    ranked: List[ScoredPlan] = []
+    for bound, _, c in queue:
+        if len(ranked) >= top and bound > ranked[top - 1].iteration_time:
+            break
+        ranked.append(ScoredPlan(
+            candidate=c,
+            iteration=perf[c.remat, c.precision].iteration(
+                model, c.parallel, train, gpu),
+            cross_node_a2a_bytes=_cross_node_a2a_bytes(
+                model, cluster, c, train),
+        ))
+        ranked.sort(key=lambda s: (s.iteration_time,
+                                   s.cross_node_a2a_bytes,
+                                   s.candidate.describe()))
+
+    best = ranked[0]
     best.rationale = _rationale(model, cluster, best.candidate, train)
     ratio = scale_up_ratio(
         model.ffn_hidden_size, gpu.nvlink_bandwidth, gpu.peak_flops,
@@ -500,7 +444,7 @@ def plan_cluster(
         cluster=cluster,
         train=train,
         best=best,
-        ranked=simulated,
+        ranked=ranked,
         n_enumerated=len(raw),
         n_feasible=len(feasible),
         scale_up_ratio=ratio,

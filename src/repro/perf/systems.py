@@ -137,51 +137,72 @@ class SystemPerfModel:
             return calibrated_durations(km, graph, self.calibration)
         return km.durations(graph)
 
-    def layer_timelines(self, model: ModelConfig, parallel: ParallelConfig,
-                        micro_batch: int, gpu: GPUSpec):
-        """(fwd timeline, bwd timeline) for one MoE layer on one rank."""
-        km = self.kernel_model(gpu, parallel.model_parallel_size)
-        scheduler = HolisticScheduler(self.overlap)
+    def layer_graphs(self, model: ModelConfig, parallel: ParallelConfig,
+                     micro_batch: int, km: KernelModel,
+                     selective_remat: bool):
+        """``[(graph, durations)]`` of one MoE layer's forward and
+        backward pass on one rank: the graphs and duration maps both the
+        schedules and the per-kind times read."""
         fwd = build_forward_graph(model, parallel, micro_batch,
                                   self.elem_bytes)
-        bwd = build_backward_graph(model, parallel, micro_batch,
-                                   self.elem_bytes,
-                                   selective_remat=self.selective_remat)
-        _, tl_fwd = scheduler.schedule_timeline(fwd, self._durations(km, fwd))
-        _, tl_bwd = scheduler.schedule_timeline(bwd, self._durations(km, bwd))
-        return fwd, bwd, tl_fwd, tl_bwd
+        bwd = build_backward_graph(fwd, selective_remat=selective_remat)
+        return [(g, self._durations(km, g)) for g in (fwd, bwd)]
 
     def _layer_cost(self, model: ModelConfig, parallel: ParallelConfig,
-                    micro_batch: int, gpu: GPUSpec,
-                    km: KernelModel) -> _LayerCost:
-        """One layer's scalars, simulated on the first call per shape."""
-        key = (model, parallel.model_parallel_size, parallel.attention,
-               parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
+                    micro_batch: int, gpu: GPUSpec, km: KernelModel,
+                    bound: bool) -> _LayerCost:
+        """One layer's scalars, priced on the first call per shape.
+
+        With ``bound`` the makespans are each graph's compute-stream
+        busy time (the sum of its non-comm durations), built without
+        remat: the scheduler puts every compute op and every fused
+        comm+compute unit on one stream, a fused unit lasts at least
+        its compute part, and remat only adds ops — so this floors the
+        simulated makespan under any overlap and either remat setting.
+        """
+        key = (bound, model, parallel.model_parallel_size,
+               parallel.attention, parallel.ffn, parallel.ep_dispatch,
+               micro_batch, gpu)
         cost = self._layer_costs.get(key)
         if cost is None:
-            fwd, bwd, tl_fwd, tl_bwd = self.layer_timelines(
-                model, parallel, micro_batch, gpu)
-            cost = self._layer_costs[key] = _LayerCost(
-                fwd_makespan=tl_fwd.makespan,
-                bwd_makespan=tl_bwd.makespan,
-                exposed_comm=tl_fwd.exposed_comm + tl_bwd.exposed_comm,
-                kinds_f=self._kind_times(fwd, km),
-                kinds_b=self._kind_times(bwd, km),
-            )
+            (fwd, d_fwd), (bwd, d_bwd) = self.layer_graphs(
+                model, parallel, micro_batch, km,
+                self.selective_remat and not bound)
+            kinds_f = _kind_times(fwd, d_fwd)
+            kinds_b = _kind_times(bwd, d_bwd)
+            if bound:
+                cost = _LayerCost(_busy(kinds_f), _busy(kinds_b), 0.0,
+                                  kinds_f, kinds_b)
+            else:
+                scheduler = HolisticScheduler(self.overlap)
+                _, tl_fwd = scheduler.schedule_timeline(fwd, d_fwd)
+                _, tl_bwd = scheduler.schedule_timeline(bwd, d_bwd)
+                cost = _LayerCost(
+                    tl_fwd.makespan, tl_bwd.makespan,
+                    tl_fwd.exposed_comm + tl_bwd.exposed_comm,
+                    kinds_f, kinds_b)
+            self._layer_costs[key] = cost
         return cost
-
-    def _kind_times(self, graph, km: KernelModel) -> Dict[str, float]:
-        out = {"attn": 0.0, "gemm": 0.0, "memory": 0.0, "comm": 0.0}
-        for op in graph:
-            out[op.kind if op.kind in out else "memory"] += \
-                km.op_duration(op)
-        return out
 
     # -- iteration ------------------------------------------------------------
 
     def iteration(self, model: ModelConfig, parallel: ParallelConfig,
                   train: TrainConfig, gpu: GPUSpec) -> IterationBreakdown:
         """Full iteration-time model for one (system, job) pair."""
+        return self._priced(model, parallel, train, gpu, bound=False)
+
+    def lower_bound(self, model: ModelConfig, parallel: ParallelConfig,
+                    train: TrainConfig, gpu: GPUSpec) -> float:
+        """A floor under ``iteration(...).iteration_time`` for this job
+        under either remat setting: :meth:`iteration`'s own formula over
+        the compute-stream busy time of each layer graph, unscheduled.
+        """
+        return self._priced(model, parallel, train, gpu,
+                            bound=True).iteration_time
+
+    def _priced(self, model: ModelConfig, parallel: ParallelConfig,
+                train: TrainConfig, gpu: GPUSpec,
+                bound: bool) -> IterationBreakdown:
         p = parallel.pipeline_size
         v = parallel.virtual_pipeline_size
         d = parallel.data_parallel_size
@@ -197,7 +218,7 @@ class SystemPerfModel:
         layers_per_stage = model.n_layers / p
 
         km = self.kernel_model(gpu, parallel.model_parallel_size)
-        layer = self._layer_cost(model, parallel, micro, gpu, km)
+        layer = self._layer_cost(model, parallel, micro, gpu, km, bound)
         kinds_f, kinds_b = layer.kinds_f, layer.kinds_b
         if self.full_recompute:
             kinds_b = {kind: t + kinds_f[kind]
@@ -254,6 +275,19 @@ class SystemPerfModel:
             layer_fwd_time=layer.fwd_makespan,
             layer_bwd_time=layer.bwd_makespan,
         )
+
+
+def _kind_times(graph, durations: Dict[str, float]) -> Dict[str, float]:
+    """Seconds per op kind (non-attn/gemm compute counts as memory)."""
+    out = {"attn": 0.0, "gemm": 0.0, "memory": 0.0, "comm": 0.0}
+    for op in graph:
+        out[op.kind if op.kind in out else "memory"] += durations[op.name]
+    return out
+
+
+def _busy(kinds: Dict[str, float]) -> float:
+    """Busy time of the compute stream: every non-comm op's duration."""
+    return kinds["attn"] + kinds["gemm"] + kinds["memory"]
 
 
 def MegatronPerfModel(**overrides) -> SystemPerfModel:

@@ -335,58 +335,66 @@ class TestPlanSearch:
         assert [s.candidate for s in a.ranked] == \
             [s.candidate for s in b.ranked]
 
-    #: (model, nodes, train) -> (layer shapes simulated, best s, sum of
-    #: the 32 ranked s, sha256 of the ranked list).  The first two are
-    #: the plan_model workload's searches; the third is 352B at 1,440.
+    #: (model, nodes, train) -> (layer shapes bounded, layer shapes
+    #: simulated, plans simulated, best s, sha256 of the ranked list).
+    #: The first two are the plan_model workload's searches; the third
+    #: is 352B at 1,440.
     RANKED_PINS = [
         ("mixtral-8x2b", 2, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         20, 2.0954872146864543, 73.90758369829327,
-         "704ed67ff030bd42a2d0f65d1493f83f9c2dbcc05a5105901d81348f7b79bae9"),
+         34, 10, 10, 2.0954872146864543,
+         "b7d7a237fb49bccff99a33da92148ce70e6cc3d6c9fd9d99fb37fe9490255e10"),
         ("mixtral-8x7b", 4, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         14, 3.5888225412411363, 121.51600294771288,
-         "1628e589226128f58384819b2b3e9911d296f53e6c2f2788f7b4c95804b6ded2"),
+         41, 9, 11, 3.5888225412411363,
+         "df6a762c95578c6b1756ca6905d4aebf5303b51d834e40347b48a22f34dc1a16"),
         ("internal-352b", 180, TrainConfig(),
-         16, 4.110613550489152, 149.9089479594185,
-         "8086c03091284e31946d8472a841502669b910791642732943526e97c925b37e"),
+         48, 26, 128, 3.9961101236184704,
+         "11cb682f54ee4c8580019ba4cc6f33eb4164ad5e7f6dc7cccba7f525b294f769"),
     ]
 
-    @pytest.mark.parametrize("model,nodes,train,shapes,best,total,digest",
-                             RANKED_PINS, ids=[p[0] for p in RANKED_PINS])
-    def test_shortlist_priced_once_per_layer_shape(
-            self, model, nodes, train, shapes, best, total, digest,
-            monkeypatch):
-        """The shortlist simulates each distinct layer shape once per
-        search (pp and dp never change the layer graph), and the ranked
-        list is exactly what pricing every candidate from scratch gave:
-        every price, in the same order, at rel 0."""
-        calls = []
-        layer_timelines = SystemPerfModel.layer_timelines
+    @pytest.mark.parametrize(
+        "model,nodes,train,bounded,shapes,n_simulated,best,digest",
+        RANKED_PINS, ids=[p[0] for p in RANKED_PINS])
+    def test_each_layer_shape_priced_once_per_search(
+            self, model, nodes, train, bounded, shapes, n_simulated, best,
+            digest, monkeypatch):
+        """The search bounds and simulates each distinct layer shape at
+        most once (pp and dp never change the layer graph), and the
+        ranked list is exactly what pricing every candidate from
+        scratch gave: every price, in the same order, at rel 0."""
+        calls = {True: [], False: []}
+        layer_cost = SystemPerfModel._layer_cost
 
-        def counting(self, model, parallel, micro_batch, gpu):
-            calls.append((self.selective_remat, self.elem_bytes,
-                          parallel.model_parallel_size, parallel.attention,
-                          parallel.ffn, parallel.ep_dispatch))
-            return layer_timelines(self, model, parallel, micro_batch, gpu)
+        def counting(self, model, parallel, micro_batch, gpu, km, bound):
+            n_before = len(self._layer_costs)
+            cost = layer_cost(self, model, parallel, micro_batch, gpu, km,
+                              bound)
+            if len(self._layer_costs) > n_before:
+                calls[bound].append((
+                    self.selective_remat, self.elem_bytes,
+                    parallel.model_parallel_size, parallel.attention,
+                    parallel.ffn, parallel.ep_dispatch))
+            return cost
 
-        monkeypatch.setattr(SystemPerfModel, "layer_timelines", counting)
+        monkeypatch.setattr(SystemPerfModel, "_layer_cost", counting)
         c = ClusterSpec.homogeneous("h800", n_nodes=nodes)
         result = plan_cluster(MODEL_ZOO[model], c, train)
-        assert len(calls) == len(set(calls)) == shapes
+        assert len(set(calls[True])) == len(calls[True]) == bounded
+        assert len(set(calls[False])) == len(calls[False]) == shapes
+        assert result.n_simulated == n_simulated
 
         assert result.best.iteration_time == best
-        assert sum(s.iteration_time for s in result.ranked) == total
         text = "\n".join(
-            f"{s.candidate.describe()} {s.analytic_time!r} "
-            f"{s.cross_node_a2a_bytes!r} {s.iteration!r}"
-            for s in result.ranked)
+            f"{s.candidate.describe()} {s.cross_node_a2a_bytes!r} "
+            f"{s.iteration!r}" for s in result.ranked)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-        # The memo lasts one search: the next call simulates again.
-        calls.clear()
+        # The memo lasts one search: the next call prices again.
+        calls[True].clear()
+        calls[False].clear()
         plan_cluster(MODEL_ZOO[model], c, train)
-        assert len(calls) == shapes
+        assert (len(calls[True]), len(calls[False])) == (bounded, shapes)
 
     def test_calibration_scales_prices(self):
         c = ClusterSpec.homogeneous("h800", n_nodes=2)

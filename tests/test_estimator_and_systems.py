@@ -14,6 +14,7 @@ from repro.core.operators import Op, OpGraph, build_forward_graph
 from repro.core.schedule import OverlapConfig
 from repro.obs.tracer import Span
 from repro.perf.estimator import (
+    AnchorCalibration,
     CalibrationReport,
     KernelModel,
     calibrate_from_spans,
@@ -182,6 +183,26 @@ class TestSystemModels:
             again = self.iteration(system, MODEL352, parallel)
             fresh = self.iteration(replace(system), MODEL352, parallel)
             assert again == first == fresh
+
+    def test_breakdown_reads_the_calibrated_durations(self):
+        """A report that triples the attention anchor (the median scale
+        stays 1) triples the breakdown's attention time and leaves its
+        GEMM and memory-op times alone: the per-kind times come from the
+        same calibrated map the scheduler receives."""
+        scales = {"attention": 3.0, "fc1": 1.0, "fc2": 1.0}
+        report = CalibrationReport(
+            anchors={name: AnchorCalibration(name, (name,), 1, scale, 1.0)
+                     for name, scale in scales.items()},
+            op_anchor={"attention": "attention",
+                       "attention.bwd": "attention"})
+        parallel = ParallelConfig.megascale(8, 15, 6)
+        base = self.iteration(MegaScalePerfModel(), MODEL352, parallel)
+        calibrated = self.iteration(MegaScalePerfModel(calibration=report),
+                                    MODEL352, parallel)
+        assert calibrated.attn_time == pytest.approx(3 * base.attn_time)
+        assert calibrated.gemm_time == base.gemm_time
+        assert calibrated.memory_op_time == base.memory_op_time
+        assert calibrated.iteration_time > base.iteration_time
 
     def test_table3_speedup_band(self):
         """Strong scaling: MegaScale beats Megatron by 1.6–2.0× (paper:

@@ -167,14 +167,14 @@ class TestBackwardGraphs:
                              f"{p.ep_dispatch}")
     def test_builds_with_and_without_remat(self, parallel):
         for remat in (True, False):
-            graph = build_backward_graph(MODEL, parallel, 1,
-                                         selective_remat=remat)
+            graph = build_backward_graph(
+                build_forward_graph(MODEL, parallel, 1),
+                selective_remat=remat)
             assert len(graph) > 10
 
     def test_gemms_double_into_dgrad_wgrad(self):
         fwd = build_forward_graph(MODEL, ParallelConfig.megascale(8), 1)
-        bwd = build_backward_graph(MODEL, ParallelConfig.megascale(8), 1,
-                                   selective_remat=False)
+        bwd = build_backward_graph(fwd, selective_remat=False)
         fwd_gemms = [op for op in fwd if op.kind == "gemm"]
         bwd_gemms = [op for op in bwd if op.kind == "gemm"]
         assert len(bwd_gemms) == 2 * len(fwd_gemms)
@@ -182,20 +182,23 @@ class TestBackwardGraphs:
             2 * fwd.total("flops", kind="gemm"))
 
     def test_comm_duals(self):
-        bwd = build_backward_graph(MODEL, ParallelConfig.megatron(8), 1,
-                                   selective_remat=False)
+        bwd = build_backward_graph(
+            build_forward_graph(MODEL, ParallelConfig.megatron(8), 1),
+            selective_remat=False)
         # Forward AG becomes backward RS and vice versa.
         assert bwd["attn_ag.bwd"].comm_pattern == "rs"
         assert bwd["attn_rs.bwd"].comm_pattern == "ag"
 
     def test_a2a_self_dual(self):
-        bwd = build_backward_graph(MODEL, ParallelConfig.megascale(8), 1,
-                                   selective_remat=False)
+        bwd = build_backward_graph(
+            build_forward_graph(MODEL, ParallelConfig.megascale(8), 1),
+            selective_remat=False)
         assert bwd["qkv_a2a.bwd"].comm_pattern == "a2a"
 
     def test_remat_ops_inserted(self):
-        bwd = build_backward_graph(MODEL, ParallelConfig.megascale(
-            8, ep_dispatch="ag_rs"), 1, selective_remat=True)
+        bwd = build_backward_graph(build_forward_graph(
+            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
+            selective_remat=True)
         names = [op.name for op in bwd]
         assert "remat.swiglu" in names
         assert "remat.ln2" in names
@@ -204,39 +207,40 @@ class TestBackwardGraphs:
         assert "remat.swiglu" in bwd["fc2.dgrad"].deps
 
     def test_remat_recommunication_is_comm(self):
-        bwd = build_backward_graph(MODEL, ParallelConfig.megascale(
-            8, ep_dispatch="ag_rs"), 1, selective_remat=True)
+        bwd = build_backward_graph(build_forward_graph(
+            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
+            selective_remat=True)
         assert bwd["remat.ffn_ag"].kind == "comm"
         assert bwd["remat.ffn_ag"].phase == "remat"
 
     def test_no_remat_ops_when_disabled(self):
-        bwd = build_backward_graph(MODEL, ParallelConfig.megascale(8), 1,
-                                   selective_remat=False)
+        bwd = build_backward_graph(
+            build_forward_graph(MODEL, ParallelConfig.megascale(8), 1),
+            selective_remat=False)
         assert not [op for op in bwd if op.phase == "remat"]
 
     def test_remat_adds_only_cheap_work(self):
         """Rematerialization adds memory-bound and comm ops, never new
         GEMM FLOPs (§4.1: keep what is computationally expensive)."""
-        with_remat = build_backward_graph(
-            MODEL, ParallelConfig.megascale(8), 1, selective_remat=True)
-        without = build_backward_graph(
-            MODEL, ParallelConfig.megascale(8), 1, selective_remat=False)
+        fwd = build_forward_graph(MODEL, ParallelConfig.megascale(8), 1)
+        with_remat = build_backward_graph(fwd, selective_remat=True)
+        without = build_backward_graph(fwd, selective_remat=False)
         assert with_remat.total("flops", kind="gemm") == pytest.approx(
             without.total("flops", kind="gemm"))
 
     def test_retain_everything_plan_inserts_nothing(self):
         """The remat transform is plan-parametric: keeping every
         activation must be equivalent to disabling remat."""
-        bwd = build_backward_graph(
-            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1,
+        bwd = build_backward_graph(build_forward_graph(
+            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
             selective_remat=True, remat_plan=no_remat_plan())
         assert not [op for op in bwd if op.phase == "remat"]
 
     def test_plan_controls_which_ops_appear(self):
         """Retaining one extra activation removes exactly its remat op."""
         plan = RematPlan(PAPER_RETAINED | {"fc2_in"})
-        bwd = build_backward_graph(
-            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1,
+        bwd = build_backward_graph(build_forward_graph(
+            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
             selective_remat=True, remat_plan=plan)
         names = [op.name for op in bwd]
         assert "remat.swiglu" not in names  # fc2_in now stored

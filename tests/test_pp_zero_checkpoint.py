@@ -13,7 +13,7 @@ from repro.core.trainer import MegaScaleTrainer
 from repro.core.analysis import param_memory_per_gpu
 from repro.core.autoschedule import AutoScheduler
 from repro.core.config import GPU_SPECS
-from repro.core.operators import build_backward_graph
+from repro.core.operators import build_backward_graph, build_forward_graph
 from repro.core.runner import ProductionRunner
 from repro.ft import ConfigMismatch
 from repro.model import MoETransformer
@@ -401,8 +401,8 @@ class TestAtomicWrite:
 
 class TestAutoScheduler:
     def graph_and_durations(self):
-        graph = build_backward_graph(MODEL_ZOO["mixtral-8x7b"],
-                                     ParallelConfig.megascale(8), 1)
+        graph = build_backward_graph(build_forward_graph(
+            MODEL_ZOO["mixtral-8x7b"], ParallelConfig.megascale(8), 1))
         km = KernelModel(GPU_SPECS["h800"])
         return graph, km.durations(graph)
 

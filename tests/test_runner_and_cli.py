@@ -204,11 +204,13 @@ class TestCLI:
         assert "4x8xh800: 4 nodes x 8 GPUs" in out
         assert "strategy = TP+EP (PP=1, DP=4)" in out
         assert "scale-up ratio R = 9.94" in out
-        # --top limits what is printed, not what is simulated.
-        assert "32 simulated" in out
+        # --top 3 ranks the three fastest plans exactly; their bounds
+        # leave the other 156 feasible plans unsimulated.
+        assert "166 feasible, 10 simulated" in out
         runners_up = out.split("runners-up:\n")[1].split("\n\n")[0]
-        assert runners_up.count(" ms  ") == 2
-        assert "SP+EP n=8 pp=1 dp=4 a2a fp8" in runners_up
+        assert runners_up.splitlines() == [
+            "     1913.1 ms  TP+EP n=8 pp=1 dp=4 a2a fp8 remat=selective",
+            "     1918.2 ms  SP+EP n=8 pp=1 dp=4 a2a fp8 remat=none"]
         assert "x over Megatron-LM" in out
 
     def test_plan_out_of_memory_cluster_exits_1(self, capsys):

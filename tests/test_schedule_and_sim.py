@@ -132,9 +132,8 @@ class TestHolisticScheduler:
     def test_overlap_strictly_ordered(self, parallel):
         """makespan(full) <= makespan(inter-only) <= makespan(none) for
         both passes — the §4 hierarchy of optimizations."""
-        for build in (build_forward_graph,
-                      lambda *a, **kw: build_backward_graph(*a, **kw)):
-            graph = build(MODEL, parallel, 1)
+        fwd = build_forward_graph(MODEL, parallel, 1)
+        for graph in (fwd, build_backward_graph(fwd)):
             none = self.makespan(graph, OverlapConfig.none()).makespan
             inter = self.makespan(
                 graph, OverlapConfig(inter_op=True,
@@ -171,10 +170,9 @@ class TestHolisticScheduler:
         """Backward with selective remat costs at most a few percent
         more than without, despite re-running ops (§4.1, Fig. 16)."""
         pc = ParallelConfig.megascale(8, ep_dispatch="ag_rs")
-        with_remat = build_backward_graph(MODEL, pc, 1,
-                                          selective_remat=True)
-        without = build_backward_graph(MODEL, pc, 1,
-                                       selective_remat=False)
+        fwd = build_forward_graph(MODEL, pc, 1)
+        with_remat = build_backward_graph(fwd, selective_remat=True)
+        without = build_backward_graph(fwd, selective_remat=False)
         t_with = self.makespan(with_remat, OverlapConfig.full()).makespan
         t_without = self.makespan(without, OverlapConfig.full()).makespan
         assert t_with <= t_without * 1.05
@@ -225,8 +223,9 @@ class TestHolisticScheduler:
                          ParallelConfig(8, "sp", "tp"),
                          ParallelConfig(8, "tp", "ep")):
             for remat in (True, False):
-                graph = build_backward_graph(MODEL, parallel, 1,
-                                             selective_remat=remat)
+                graph = build_backward_graph(
+                    build_forward_graph(MODEL, parallel, 1),
+                    selective_remat=remat)
                 tl = self.makespan(graph, OverlapConfig.full())
                 assert tl.makespan > 0
 
@@ -287,8 +286,9 @@ def _zoo_graphs():
             label = (f"{model_name}-{parallel.strategy_name}"
                      f"-n{parallel.model_parallel_size}"
                      f"-{parallel.ep_dispatch}")
-            yield label + "-fwd", build_forward_graph(model, parallel, 1)
-            yield label + "-bwd", build_backward_graph(model, parallel, 1)
+            fwd = build_forward_graph(model, parallel, 1)
+            yield label + "-fwd", fwd
+            yield label + "-bwd", build_backward_graph(fwd)
 
 
 def _random_graph(seed, n_ops=40):
