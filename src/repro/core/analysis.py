@@ -37,6 +37,7 @@ __all__ = [
     "activation_elements_remat",
     "activation_budget",
     "param_memory_per_gpu",
+    "held_activation_bytes",
     "memory_per_gpu",
 ]
 
@@ -233,8 +234,20 @@ def memory_per_gpu(model: ModelConfig, parallel: ParallelConfig,
     — the most 1F1B keeps in flight, on the first stage.
     """
     static = param_memory_per_gpu(model, parallel)["total"]
-    layers_per_stage = model.n_layers / parallel.pipeline_size
-    activations = remat.retained_elements(model, parallel, micro_batch) \
-        * elem_bytes * layers_per_stage * parallel.pipeline_size
+    activations = held_activation_bytes(
+        model, parallel, remat.retained_elements(model, parallel,
+                                                 micro_batch),
+        elem_bytes)
     return {"static": static, "activations": activations,
             "total": static + activations}
+
+
+def held_activation_bytes(model: ModelConfig, parallel: ParallelConfig,
+                          retained_elements: float,
+                          elem_bytes: float) -> float:
+    """:func:`memory_per_gpu`'s ``activations``: ``retained_elements``
+    per layer at ``elem_bytes`` each, for every layer of the stage and
+    ``pipeline_size`` micro-batches in flight."""
+    layers_per_stage = model.n_layers / parallel.pipeline_size
+    return (retained_elements * elem_bytes * layers_per_stage
+            * parallel.pipeline_size)

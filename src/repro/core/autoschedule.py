@@ -15,6 +15,7 @@ worse than the hand-tailored holistic one it starts from.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -119,19 +120,20 @@ def _reorder_by_priority(tasks: List[SimTask],
             indegree[t.name] += 1
             children[dep].append(t.name)
 
-    ready = [name for name, deg in indegree.items() if deg == 0]
+    # Pop equal priorities by name: dict insertion order is an accident
+    # of graph construction and made search results unstable across
+    # runs.  Names are unique, so the heap's order is a total order.
+    ready = [(priority.get(name, 0.0), name)
+             for name, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
     out: List[SimTask] = []
     while ready:
-        # Tie-break equal priorities by name: dict insertion order is
-        # an accident of graph construction and made search results
-        # unstable across runs.
-        ready.sort(key=lambda n: (priority.get(n, 0.0), n))
-        name = ready.pop(0)
+        _, name = heapq.heappop(ready)
         out.append(by_name[name])
         for child in children[name]:
             indegree[child] -= 1
             if indegree[child] == 0:
-                ready.append(child)
+                heapq.heappush(ready, (priority.get(child, 0.0), child))
     if len(out) != len(tasks):
         return None
     return out

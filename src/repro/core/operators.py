@@ -102,7 +102,9 @@ class OpGraph:
         on unknown ops, dependency cycles, and list orderings that
         place an op before one of its dependencies — in that check
         order, so the most specific diagnosis wins (a cycle is reported
-        as a cycle, not as a misordering).
+        as a cycle, not as a misordering).  A list in topological order
+        is acyclic, so the O(V+E) order check runs first and the cycle
+        search only when it fails.
         """
         self._by_name = {}
         for op in self.ops:
@@ -115,8 +117,11 @@ class OpGraph:
                     raise ValueError(
                         f"op {op.name!r} depends on unknown op {dep!r}"
                     )
-        self._check_acyclic()
-        self._check_topological()
+        try:
+            self._check_topological()
+        except ValueError:
+            self._check_acyclic()
+            raise
 
     def _check_acyclic(self) -> None:
         """Kahn's algorithm; any op never reaching in-degree 0 is cyclic."""

@@ -29,7 +29,8 @@ from ..comm.cost import (
 )
 from .analysis import (
     ep_ffn_comm_volume,
-    memory_per_gpu,
+    held_activation_bytes,
+    param_memory_per_gpu,
     scale_up_ratio,
     sp_attention_comm_volume,
     tp_attention_comm_volume,
@@ -273,12 +274,35 @@ def _raw_candidates(model: ModelConfig, cluster: ClusterSpec,
     return out
 
 
-def _candidate_fits(model: ModelConfig, cluster: ClusterSpec,
-                    cand: PlanCandidate, micro: int) -> bool:
-    """Static + in-flight activation bytes vs the bottleneck HBM."""
-    need = memory_per_gpu(model, cand.parallel, cand.remat_plan, micro,
-                          cand.elem_bytes)["total"]
-    return need < cluster.bottleneck_gpu().memory_bytes * HBM_HEADROOM
+def _within_memory(model: ModelConfig, cluster: ClusterSpec,
+                   candidates: List[PlanCandidate],
+                   micro: int) -> List[PlanCandidate]:
+    """The candidates whose static plus in-flight activation bytes
+    (:func:`~repro.core.analysis.memory_per_gpu`'s total) stay under
+    the bottleneck HBM's headroom.
+
+    The precision x remat copies of a parallel shape share its static
+    bytes, and retained elements depend only on the remat plan and
+    ``n``, so each is computed once per search and combined with
+    ``memory_per_gpu``'s own arithmetic.
+    """
+    cap = cluster.bottleneck_gpu().memory_bytes * HBM_HEADROOM
+    static: Dict[ParallelConfig, float] = {}
+    retained: Dict[Tuple[str, int], float] = {}
+    out = []
+    for c in candidates:
+        par = c.parallel
+        if par not in static:
+            static[par] = param_memory_per_gpu(model, par)["total"]
+        key = (c.remat, par.model_parallel_size)
+        if key not in retained:
+            retained[key] = c.remat_plan.retained_elements(model, par,
+                                                           micro)
+        need = static[par] + held_activation_bytes(
+            model, par, retained[key], c.elem_bytes)
+        if need < cap:
+            out.append(c)
+    return out
 
 
 def enumerate_plans(model: ModelConfig, cluster: ClusterSpec,
@@ -291,9 +315,9 @@ def enumerate_plans(model: ModelConfig, cluster: ClusterSpec,
     divisibility, and the bottleneck GPU's memory capacity.
     """
     train = train or TrainConfig()
-    return [c for c in _raw_candidates(model, cluster, train)
-            if _candidate_fits(model, cluster, c,
-                               train.micro_batch_size)]
+    return _within_memory(model, cluster,
+                          _raw_candidates(model, cluster, train),
+                          train.micro_batch_size)
 
 
 def _cross_node_a2a_bytes(model: ModelConfig, cluster: ClusterSpec,
@@ -390,9 +414,7 @@ def plan_cluster(
         raise ValueError(f"top must be >= 1, got {top}")
     train = train or TrainConfig()
     raw = _raw_candidates(model, cluster, train)
-    feasible = [c for c in raw
-                if _candidate_fits(model, cluster, c,
-                                   train.micro_batch_size)]
+    feasible = _within_memory(model, cluster, raw, train.micro_batch_size)
     if not feasible:
         raise NoFeasiblePlan(
             f"no feasible plan for {model.name} on "

@@ -1,7 +1,10 @@
 """Holistic operator scheduling (§4.1) and intra-operator fusion (§4.2).
 
 Turns an :class:`~repro.core.operators.OpGraph` plus per-op durations
-into a stream-assigned task list for the event simulator:
+into a stream-assigned task list for the event simulator, and that
+list's timeline.  Scheduling places every unit where the simulator
+would run it — at ``max(stream free, dependencies' finish)`` — so one
+pass yields both; nothing here re-runs the simulator.
 
 * **No overlap** — everything on one stream in graph order (the
   fine-grained-overlap-free baseline of Fig. 15).
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..sim.engine import SimTask, Timeline, simulate
+from ..sim.engine import SimTask, TaskRecord, Timeline
 from .operators import Op, OpGraph
 
 __all__ = ["OverlapConfig", "HolisticScheduler", "FusedKernel"]
@@ -78,41 +81,33 @@ class HolisticScheduler:
         """Assign streams and order; returns tasks ready to simulate.
 
         With both overlap levels enabled, the scheduler behaves
-        holistically (§4.1): it evaluates the timeline with and without
-        tile fusion and keeps whichever is faster — fusing comm into a
-        compute kernel pays a fill/drain cost that is only worthwhile
-        when inter-operator overlap cannot already hide that comm.
-        Callers that go on to simulate the tasks use
-        :meth:`schedule_timeline`, which returns the timeline this
-        choice already simulated.
+        holistically (§4.1): it places the fused and the unfused order
+        and keeps whichever finishes first — fusing comm into a compute
+        kernel pays a fill/drain cost that is only worthwhile when
+        inter-operator overlap cannot already hide that comm.  Placing
+        a unit is the simulator's own rule (start at ``max(stream free,
+        dependencies' finish)``), so each order's makespan comes out of
+        the scheduling pass itself; callers that want the timeline use
+        :meth:`schedule_timeline`.
         """
-        return self._choose(graph, durations)[0]
+        return self.schedule_timeline(graph, durations)[0]
 
     def schedule_timeline(self, graph: OpGraph,
                           durations: Dict[str, float]
                           ) -> Tuple[List[SimTask], Timeline]:
-        """:meth:`schedule` plus the simulated timeline of its tasks."""
-        tasks, timeline = self._choose(graph, durations)
-        if timeline is None:
-            timeline = simulate(tasks)
-        return tasks, timeline
-
-    def _choose(self, graph: OpGraph, durations: Dict[str, float]
-                ) -> Tuple[List[SimTask], Optional[Timeline]]:
-        """The scheduled tasks, and their timeline when the choice
-        between fused and unfused orders had to simulate it."""
+        """:meth:`schedule` plus the timeline of its tasks: record for
+        record what :func:`~repro.sim.engine.simulate` gives them."""
         if self.overlap.intra_op and self.overlap.inter_op:
             fused = self._schedule(graph, durations, intra=True)
             unfused = self._schedule(graph, durations, intra=False)
-            tl_fused, tl_unfused = simulate(fused), simulate(unfused)
-            if tl_fused.makespan <= tl_unfused.makespan:
-                return fused, tl_fused
-            return unfused, tl_unfused
+            if fused[1].makespan <= unfused[1].makespan:
+                return fused
+            return unfused
         return self._schedule(graph, durations,
-                              intra=self.overlap.intra_op), None
+                              intra=self.overlap.intra_op)
 
     def _schedule(self, graph: OpGraph, durations: Dict[str, float],
-                  intra: bool) -> List[SimTask]:
+                  intra: bool) -> Tuple[List[SimTask], Timeline]:
         for op in graph:
             if op.name not in durations:
                 raise KeyError(f"no duration for op {op.name!r}")
@@ -132,17 +127,8 @@ class HolisticScheduler:
             resolved.append((name, dur, is_comm, scope, mapped))
 
         if not self.overlap.inter_op:
-            return [
-                SimTask(name, dur, "main", deps, is_comm)
-                for name, dur, is_comm, scope, deps in resolved
-            ]
-
-        ordered = self._list_schedule(resolved)
-        tasks = []
-        for name, dur, is_comm, scope, deps in ordered:
-            stream = f"comm_{scope}" if is_comm else "compute"
-            tasks.append(SimTask(name, dur, stream, deps, is_comm))
-        return tasks
+            return self._in_order(resolved)
+        return self._list_schedule(resolved)
 
     # -- intra-op fusion --------------------------------------------------
 
@@ -207,10 +193,60 @@ class HolisticScheduler:
                    for op in graph}
         return units, dep_map
 
-    # -- list scheduling ----------------------------------------------------
+    # -- placement ----------------------------------------------------------
 
     @staticmethod
-    def _list_schedule(units):
+    def _children(units) -> Dict[str, List[str]]:
+        """Each unit's dependents, after the simulator's input checks:
+        unit names are unique and every dependency names a unit."""
+        children: Dict[str, List[str]] = {}
+        for u in units:
+            if u[0] in children:
+                raise ValueError(f"duplicate unit name {u[0]!r}")
+            children[u[0]] = []
+        for name, _, _, _, deps in units:
+            for d in deps:
+                if d not in children:
+                    raise ValueError(
+                        f"unit {name!r} depends on unknown unit {d!r}"
+                    )
+                children[d].append(name)
+        return children
+
+    @staticmethod
+    def _timeline(records: List[TaskRecord]) -> Timeline:
+        """The placed records as the simulator reports them: sorted by
+        ``(start, stream)``, with the latest finish as the makespan."""
+        makespan = max((r.end for r in records), default=0.0)
+        records.sort(key=lambda r: (r.start, r.task.stream))
+        return Timeline(records=records, makespan=makespan)
+
+    @classmethod
+    def _in_order(cls, units) -> Tuple[List[SimTask], Timeline]:
+        """Every unit on one ``main`` stream in list order — the
+        no-overlap baseline — each starting once the stream is free and
+        its dependencies have finished."""
+        cls._children(units)
+        tasks: List[SimTask] = []
+        records: List[TaskRecord] = []
+        finish: Dict[str, float] = {}
+        free = 0.0
+        for name, dur, is_comm, _, deps in units:
+            for d in deps:
+                if d not in finish:
+                    raise ValueError(
+                        f"schedule deadlocked: unit {name!r} is queued "
+                        f"before its dependency {d!r}"
+                    )
+            start = max(free, max((finish[d] for d in deps), default=0.0))
+            free = finish[name] = start + dur
+            task = SimTask(name, dur, "main", deps, is_comm)
+            tasks.append(task)
+            records.append(TaskRecord(task, start, free))
+        return tasks, cls._timeline(records)
+
+    @classmethod
+    def _list_schedule(cls, units) -> Tuple[List[SimTask], Timeline]:
         """Greedy earliest-start ordering with critical-path tie-break.
 
         Orders units so that per-stream queues never block a ready task
@@ -218,7 +254,10 @@ class HolisticScheduler:
         the hand-tailored holistic schedule.  Each step takes the unit
         with the smallest ``(start, -crit, index)``: the earliest start
         on its stream, then the longest path to a sink, then the
-        earliest position in ``units``.
+        earliest position in ``units``.  A unit starts at ``max(stream
+        free, dependencies' finish)`` — the simulator's rule for a
+        stream queue in this order — so the placement is the timeline:
+        returns the tasks in order and their records.
 
         Runs in O(U log U) for U units (times the handful of streams):
         each stream keeps its released units — those whose dependencies
@@ -228,15 +267,8 @@ class HolisticScheduler:
         or after its ``ready_at``; every ``startable`` unit then starts
         when the stream frees, before any unit still in ``later``.
         """
+        children = cls._children(units)
         by_name = {u[0]: u for u in units}
-        children: Dict[str, List[str]] = {u[0]: [] for u in units}
-        for name, _, _, _, deps in units:
-            for d in deps:
-                if d not in children:
-                    raise ValueError(
-                        f"unit {name!r} depends on unknown unit {d!r}"
-                    )
-                children[d].append(name)
 
         # Longest path to sink (criticality) over a topological order
         # computed here — fusion can emit units out of graph order.
@@ -270,8 +302,9 @@ class HolisticScheduler:
             if not deps:
                 heapq.heappush(later[streams[i]], (0.0, -crit[name], i))
 
-        ordered = []
-        while len(ordered) < len(units):
+        tasks: List[SimTask] = []
+        records: List[TaskRecord] = []
+        while len(tasks) < len(units):
             best = None
             for stream, waiting in later.items():
                 free = stream_free.get(stream, 0.0)
@@ -292,10 +325,12 @@ class HolisticScheduler:
             (start, _, i), stream = best
             # The key came from ``startable`` whenever it is non-empty.
             heapq.heappop(startable[stream] or later[stream])
-            name, dur = units[i][0], units[i][1]
-            finish[name] = start + dur
-            stream_free[stream] = start + dur
-            ordered.append(units[i])
+            name, dur, is_comm, _, deps = units[i]
+            end = start + dur
+            finish[name] = stream_free[stream] = end
+            task = SimTask(name, dur, stream, deps, is_comm)
+            tasks.append(task)
+            records.append(TaskRecord(task, start, end))
             for child in children[name]:
                 j = index[child]
                 unfinished[j] -= 1
@@ -303,4 +338,4 @@ class HolisticScheduler:
                     ready_at = max(finish[d] for d in units[j][4])
                     heapq.heappush(later[streams[j]],
                                    (ready_at, -crit[child], j))
-        return ordered
+        return tasks, cls._timeline(records)

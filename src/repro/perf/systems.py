@@ -121,6 +121,10 @@ class SystemPerfModel:
     #: graphs and the kernel model read: never ``pp`` or ``dp``.
     _layer_costs: Dict[Tuple, _LayerCost] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: Remat-free layer graphs a bound built, held for the price of the
+    #: same shape and dropped when it reads them.
+    _shared_graphs: Dict[Tuple, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- per-layer -----------------------------------------------------------
 
@@ -159,15 +163,24 @@ class SystemPerfModel:
         comm+compute unit on one stream, a fused unit lasts at least
         its compute part, and remat only adds ops — so this floors the
         simulated makespan under any overlap and either remat setting.
+        Without selective remat the bound and the price read the same
+        graphs, so the bound's graphs are held until the price reads
+        them.
         """
-        key = (bound, model, parallel.model_parallel_size,
-               parallel.attention, parallel.ffn, parallel.ep_dispatch,
-               micro_batch, gpu)
+        shape = (model, parallel.model_parallel_size, parallel.attention,
+                 parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
+        key = (bound,) + shape
         cost = self._layer_costs.get(key)
         if cost is None:
-            (fwd, d_fwd), (bwd, d_bwd) = self.layer_graphs(
-                model, parallel, micro_batch, km,
-                self.selective_remat and not bound)
+            graphs = self._shared_graphs.pop(shape, None)
+            if graphs is None:
+                graphs = self.layer_graphs(
+                    model, parallel, micro_batch, km,
+                    self.selective_remat and not bound)
+                if (bound and not self.selective_remat
+                        and (False,) + shape not in self._layer_costs):
+                    self._shared_graphs[shape] = graphs
+            (fwd, d_fwd), (bwd, d_bwd) = graphs
             kinds_f = _kind_times(fwd, d_fwd)
             kinds_b = _kind_times(bwd, d_bwd)
             if bound:

@@ -5,6 +5,7 @@ search."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -504,3 +505,71 @@ class TestScheduleSearch:
         assert a.fwd.makespan == b.fwd.makespan
         assert [t.name for t in a.fwd.tasks] == \
             [t.name for t in b.fwd.tasks]
+
+    #: The plan_model sweep's two schedule searches (seed 0, budget 60):
+    #: per pass, (makespan, evaluations, sha256 of the task order).
+    OPTIMIZE_PINS = [
+        ("mixtral-8x2b", 2,
+         (0.0024841736006005876, 61,
+          "76a5a435c2f0ae1bad8f1c2f995e3046352bd9f7c91a5165bc2b6d4e72a0fad5"),
+         (0.005072309216019414, 61,
+          "70aab3659c133d4fd7f4de68050bc7b9bfd781ce93498a372216a0483d628599")),
+        ("mixtral-8x7b", 4,
+         (0.004312026745084987, 61,
+          "ce6f5dcc6b848ef6fd708cd3c85397dba0dc70201f12c188755792da269123a9"),
+         (0.008550407073242181, 61,
+          "81cd15acc1617b5cb5a859bdf4cf1b2d7a03f5cc2d9f393fadca0807ce01f6cf")),
+    ]
+
+    @pytest.mark.parametrize("model,nodes,fwd,bwd", OPTIMIZE_PINS,
+                             ids=[p[0] for p in OPTIMIZE_PINS])
+    def test_seeded_optimize_is_pinned(self, model, nodes, fwd, bwd):
+        c = ClusterSpec.homogeneous("h800", n_nodes=nodes)
+        train = TrainConfig(global_batch_size=64, micro_batch_size=2)
+        result = optimize_plan(MODEL_ZOO[model], c, train, budget=60,
+                               seed=0)
+        for got, (makespan, evaluations, digest) in ((result.fwd, fwd),
+                                                     (result.bwd, bwd)):
+            assert got.makespan == makespan
+            assert got.evaluations == evaluations
+            order = "\n".join(t.name for t in got.tasks)
+            assert hashlib.sha256(order.encode()).hexdigest() == digest
+
+    def test_ready_heap_pops_what_a_sorted_scan_pops(self):
+        """Popping ``(priority, name)`` from a heap gives the order that
+        re-sorting the ready list before every pop gave."""
+        def sorted_scan(tasks, priority):
+            indegree = {t.name: len(t.deps) for t in tasks}
+            children = {t.name: [] for t in tasks}
+            for t in tasks:
+                for dep in t.deps:
+                    children[dep].append(t.name)
+            by_name = {t.name: t for t in tasks}
+            ready = [n for n, deg in indegree.items() if deg == 0]
+            out = []
+            while ready:
+                ready.sort(key=lambda n: (priority.get(n, 0.0), n))
+                name = ready.pop(0)
+                out.append(by_name[name])
+                for child in children[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        ready.append(child)
+            return out
+
+        from repro.core.operators import (build_backward_graph,
+                                          build_forward_graph)
+        from repro.core.schedule import HolisticScheduler
+        rng = random.Random(0)
+        for parallel in (ParallelConfig.megascale(8),
+                         ParallelConfig.megascale(8, ep_dispatch="ag_rs")):
+            fwd = build_forward_graph(SMALL, parallel, 1)
+            for graph in (fwd, build_backward_graph(fwd)):
+                tasks = HolisticScheduler().schedule(
+                    graph, KernelModel(H800).durations(graph))
+                for _ in range(10):
+                    # Few distinct values: most pops break a tie by name.
+                    priority = {t.name: float(rng.randrange(4))
+                                for t in tasks if rng.random() < 0.8}
+                    assert (_reorder_by_priority(tasks, priority)
+                            == sorted_scan(tasks, priority))

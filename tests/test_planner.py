@@ -10,6 +10,8 @@ from repro.core.planner import (
     HBM_HEADROOM,
     NoFeasiblePlan,
     _cross_node_a2a_bytes,
+    _within_memory,
+    _raw_candidates,
     dispatch_crossover_top_k,
     dispatch_mode_times,
     enumerate_plans,
@@ -46,6 +48,30 @@ class TestOnePlanner:
                               best.elem_bytes)["total"]
         assert need < H800.memory_bytes * HBM_HEADROOM
         assert best.parallel.total_gpus == cluster.n_gpus
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 16, 180])
+    def test_memory_gate_is_memory_per_gpu(self, n_nodes):
+        """The per-shape gate keeps exactly the raw candidates whose
+        ``memory_per_gpu`` total is under the cap, for every zoo model:
+        sharing the static and retained terms changes no bit."""
+        cluster = ClusterSpec.homogeneous("h800", n_nodes=n_nodes)
+        cap = H800.memory_bytes * HBM_HEADROOM
+        kept = rejected = 0
+        for name in sorted(MODEL_ZOO):
+            model = MODEL_ZOO[name]
+            for train in (TrainConfig(),
+                          TrainConfig(global_batch_size=64,
+                                      micro_batch_size=2)):
+                micro = train.micro_batch_size
+                raw = _raw_candidates(model, cluster, train)
+                expected = [
+                    c for c in raw
+                    if memory_per_gpu(model, c.parallel, c.remat_plan,
+                                      micro, c.elem_bytes)["total"] < cap]
+                assert _within_memory(model, cluster, raw, micro) == expected
+                kept += len(expected)
+                rejected += len(raw) - len(expected)
+        assert kept and rejected
 
     def test_352b_on_64_gpus_is_infeasible(self):
         """Static memory alone exceeds HBM at every PP that divides the

@@ -1,5 +1,6 @@
 """Tests for the event simulator and the holistic scheduler (§4)."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from repro.core.operators import (
     OpGraph,
     build_backward_graph,
     build_forward_graph,
+    plan_tiles,
+    tile_forward_graph,
 )
 from repro.core.schedule import (
     FUSION_FILL_DRAIN,
@@ -274,6 +277,15 @@ def _reference_list_schedule(units):
     return ordered
 
 
+def _reference_schedule(units):
+    """The reference order as tasks, timed by the simulator."""
+    tasks = [SimTask(name, dur, f"comm_{scope}" if is_comm else "compute",
+                     deps, is_comm)
+             for name, dur, is_comm, scope, deps
+             in _reference_list_schedule(units)]
+    return tasks, simulate(tasks)
+
+
 def _zoo_graphs():
     for model_name, model in MODEL_ZOO.items():
         for parallel in (ParallelConfig(n, attention, ffn,
@@ -325,7 +337,8 @@ def _tie_heavy_durations(graph, seed):
 class TestListScheduleEquivalence:
     """The O(U log U) heap scheduler picks exactly the unit the
     quadratic scan picked at every step: earliest start, then higher
-    criticality, then earlier position."""
+    criticality, then earlier position — and its placement is the
+    simulator's timeline of that order."""
 
     @staticmethod
     def both(graph, durations, intra, monkeypatch):
@@ -333,7 +346,7 @@ class TestListScheduleEquivalence:
         heap = sched._schedule(graph, durations, intra=intra)
         with monkeypatch.context() as m:
             m.setattr(HolisticScheduler, "_list_schedule",
-                      staticmethod(_reference_list_schedule))
+                      staticmethod(_reference_schedule))
             reference = sched._schedule(graph, durations, intra=intra)
         return heap, reference
 
@@ -378,3 +391,86 @@ class TestListScheduleEquivalence:
             HolisticScheduler._list_schedule(
                 [("a", 1.0, False, "intra", ("b",)),
                  ("b", 1.0, True, "intra", ("a",))])
+
+
+def _strategy_graphs():
+    """Forward and both remat backward graphs over the zoo, every
+    strategy and dispatch mode at n = 2 and 8, and the tiled forward
+    graphs of the shapes whose fuse groups tile."""
+    for model_name, model in MODEL_ZOO.items():
+        for n, attention, (ffn, dispatch) in itertools.product(
+                (2, 8), ("sp", "tp"),
+                (("ep", "a2a"), ("ep", "ag_rs"), ("tp", "adaptive"))):
+            parallel = ParallelConfig(n, attention, ffn,
+                                      ep_dispatch=dispatch)
+            label = (f"{model_name}-{parallel.strategy_name}"
+                     f"-n{n}-{dispatch}")
+            fwd = build_forward_graph(model, parallel, 1)
+            yield label + "-fwd", fwd
+            for remat in (True, False):
+                yield (f"{label}-bwd-remat={remat}",
+                       build_backward_graph(fwd, selective_remat=remat))
+            plan = plan_tiles(fwd, n, model.seq_len,
+                              model.seq_len // n // 4)
+            if plan.group_tiles:
+                yield label + "-tiled", tile_forward_graph(fwd, plan)
+
+
+class TestScheduleIsTheTimeline:
+    """The scheduler's placement is the simulator's timeline: record for
+    record, makespan and exposed comm, so no schedule is simulated
+    twice."""
+
+    OVERLAPS = {
+        "full": OverlapConfig.full(),
+        "inter-only": OverlapConfig(inter_op=True, intra_op=False),
+        "none": OverlapConfig.none(),
+    }
+
+    @pytest.mark.parametrize("overlap", list(OVERLAPS))
+    def test_timeline_equals_simulate(self, overlap):
+        sched = HolisticScheduler(self.OVERLAPS[overlap])
+        tiled = 0
+        for label, graph in _strategy_graphs():
+            tiled += label.endswith("-tiled")
+            durations = KernelModel(GPU).durations(graph)
+            tasks, timeline = sched.schedule_timeline(graph, durations)
+            oracle = simulate(tasks)
+            assert timeline.records == oracle.records, label
+            assert timeline.makespan == oracle.makespan, label
+            assert timeline.exposed_comm == oracle.exposed_comm, label
+            assert tasks == sched.schedule(graph, durations), label
+        assert tiled >= len(MODEL_ZOO)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tie_heavy_dags(self, seed):
+        graph = _random_graph(seed)
+        durations = _tie_heavy_durations(graph, seed)
+        for overlap in self.OVERLAPS.values():
+            tasks, timeline = HolisticScheduler(
+                overlap).schedule_timeline(graph, durations)
+            assert timeline == simulate(tasks)
+            assert timeline.exposed_comm == simulate(tasks).exposed_comm
+
+    @pytest.mark.parametrize("place", ["_list_schedule", "_in_order"])
+    def test_simulator_input_checks_hold(self, place):
+        place = getattr(HolisticScheduler, place)
+        with pytest.raises(ValueError, match="duplicate unit name"):
+            place([("a", 1.0, False, "intra", ()),
+                   ("a", 1.0, True, "intra", ())])
+        with pytest.raises(ValueError, match="depends on unknown unit"):
+            place([("a", 1.0, False, "intra", ("ghost",))])
+
+    def test_single_stream_misorder_deadlocks(self):
+        with pytest.raises(ValueError, match="deadlocked"):
+            HolisticScheduler._in_order(
+                [("a", 1.0, False, "intra", ("b",)),
+                 ("b", 1.0, True, "intra", ())])
+
+    def test_fused_unit_names_are_unique(self):
+        for label, graph in _strategy_graphs():
+            durations = KernelModel(GPU).durations(graph)
+            units, _ = HolisticScheduler()._fuse(graph, durations)
+            names = [u[0] for u in units]
+            assert len(names) == len(set(names)), label
+
