@@ -649,7 +649,7 @@ def rows() -> List[Row]:
         Row("fig13.gain_max", "Fig. 13", (0.149, 0.329), max(g13_gain),
             printed(0.329, 0.001), "largest gain (Phi-3.5-MoE, DeepSeekMoE): "
             "KernelModel's thin-GEMM penalty at h_ffn/8 < 1k overshoots",
-            owner="unowned", pin=0.38550797998667563),
+            owner="item 4", pin=0.38550797998667563),
         Row("fig13.spep_over_next_best", "Fig. 13", (1.0, INF),
             min(r["sp+ep"] / max(v for k, v in r.items() if k != "sp+ep")
                 for r in g13.values()), 0.0,
@@ -661,7 +661,7 @@ def rows() -> List[Row]:
         Row("fig14.gap_max", "Fig. 14", (0.003, 0.031), max(g14),
             printed(0.031, 0.001), "largest gap (1,536 MB, DP=4): the "
             "modelled App. A.1 intra-node stages are not fully hidden",
-            owner="unowned", pin=0.03510143315634396),
+            owner="item 3", pin=0.03510143315634396),
         Row("fig15.pair_reduction_min", "Fig. 15", (1.2, 4.7),
             min(pair_ratios), printed(1.2, 0.1), "smallest sequential/fused "
             "time over the four §4.2 pairs and six models"),

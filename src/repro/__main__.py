@@ -4,7 +4,7 @@
   §3/§7: the model's Table 2 row, the GPU's Table 4 row, then the
   plan-space search and its modelled speedup over Megatron-LM.
 * ``train [STEPS]`` — one production run of a miniature MoE (SP+EP,
-  ``a2a``, n=4) under the elastic runner; ``--faults``, ``--resize``
+  ``a2a``, n=4) under the production runner; ``--faults``, ``--resize``
   and ``--trace`` switch fault recovery, a 4 → 2 → 4 world resize and
   the audited Chrome trace on for that same run.
 * ``serve [N_REQUESTS]`` — continuous-batching MoE inference, checked
@@ -112,7 +112,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Train through :class:`ElasticRunner`: faults and resizes are
+    """Train through :class:`ProductionRunner`: faults and resizes are
     entries of one injector, and a rerun on ``--dir`` resumes."""
     import contextlib
     import tempfile
@@ -122,10 +122,10 @@ def cmd_train(args) -> int:
 
     from .comm import World
     from .core.config import ModelConfig, ParallelConfig, TrainConfig
-    from .core.runner import FaultInjector
+    from .core.runner import FaultInjector, ProductionRunner
     from .core.trainer import MegaScaleTrainer
     from .data import MarkovCorpus, batch_iterator
-    from .elastic import ElasticRunner, ParallelLayout
+    from .elastic import ParallelLayout
     from .ft import (BackoffPolicy, FaultPlan, FaultSpec, HealthMonitor,
                      LossSpikeGuard, NumericGuard, StragglerDetector)
     from .model import MoETransformer
@@ -197,8 +197,8 @@ def cmd_train(args) -> int:
         # Without --dir the checkpoints live only as long as the run.
         ckpt_dir = args.dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-train-"))
-        runner = ElasticRunner(factory, layout_at(n), ckpt_dir,
-                               checkpoint_interval=4, obs=obs, **guards)
+        runner = ProductionRunner(factory, layout_at(n), ckpt_dir,
+                                  checkpoint_interval=4, obs=obs, **guards)
         metrics = runner.run(batches, FaultInjector(**schedule))
         if not metrics.steps:
             print(f"nothing to do: {ckpt_dir} already holds step "

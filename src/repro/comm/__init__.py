@@ -3,7 +3,6 @@
 from .group import CommLedger, CommRecord, ProcessGroup, World
 from .collectives import (
     all_gather,
-    all_reduce,
     all_to_all,
     all_to_all_uneven,
     rank_ordered_sum,
@@ -13,11 +12,9 @@ from .collectives import (
 from .cost import (
     LinkSpec,
     all_to_all_time,
-    broadcast_time,
     flat_sync_time,
     hierarchical_sync_time,
     ring_all_gather_time,
-    ring_all_reduce_time,
     ring_reduce_scatter_time,
 )
 from .hierarchical import (
@@ -25,7 +22,6 @@ from .hierarchical import (
     hierarchical_inter_node_volume,
     hierarchical_intra_node_volume,
     hierarchical_sync,
-    tp_inter_node_volume,
 )
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "ProcessGroup",
     "World",
     "all_gather",
-    "all_reduce",
     "all_to_all",
     "all_to_all_uneven",
     "rank_ordered_sum",
@@ -42,15 +37,12 @@ __all__ = [
     "send_leg",
     "LinkSpec",
     "all_to_all_time",
-    "broadcast_time",
     "flat_sync_time",
     "hierarchical_sync_time",
     "ring_all_gather_time",
-    "ring_all_reduce_time",
     "ring_reduce_scatter_time",
     "flat_sync",
     "hierarchical_inter_node_volume",
     "hierarchical_intra_node_volume",
     "hierarchical_sync",
-    "tp_inter_node_volume",
 ]

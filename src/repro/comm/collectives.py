@@ -43,7 +43,7 @@ Zero-copy fast paths
 --------------------
 When **no fault plan** is attached, the delivery buffers are never
 mutated after the fact, so the per-rank "private copies" are pure
-overhead.  ``all_gather`` / ``all_reduce`` then return the *same*
+overhead.  ``all_gather`` then returns the *same*
 array object to every rank, and ``reduce_scatter`` / ``all_to_all``
 return slice views.  Consumers must treat delivered buffers as
 read-only (all engine code does — see ``docs/INTERNALS.md`` §2).  With
@@ -68,7 +68,6 @@ from .group import ProcessGroup, tile_span
 __all__ = [
     "all_gather",
     "reduce_scatter",
-    "all_reduce",
     "all_to_all",
     "all_to_all_uneven",
     "rank_ordered_sum",
@@ -79,12 +78,6 @@ __all__ = [
 def _one_hot(n: int, rank: int, value: float) -> List[float]:
     """A per-rank byte list with ``value`` at ``rank`` and 0 elsewhere."""
     return [value if k == rank else 0.0 for k in range(n)]
-
-
-def _all_reduce_bytes(a: np.ndarray, n: int) -> float:
-    """Bytes one rank sends in a ring all-reduce of ``a``:
-    reduce-scatter + all-gather on ``1/n`` shards."""
-    return 2.0 * a.size / n * a.itemsize * (n - 1)
 
 
 def rank_ordered_sum(tensors: Iterable[np.ndarray]) -> np.ndarray:
@@ -205,27 +198,6 @@ def reduce_scatter(
     else:
         out = [p.astype(first.dtype).copy() for p in pieces]
     group.post_collective("reduce_scatter", out, tag)
-    return out
-
-
-def all_reduce(
-    group: ProcessGroup,
-    tensors: Sequence[np.ndarray],
-    tag: str = "",
-) -> List[np.ndarray]:
-    """Element-wise sum of all ranks' tensors, delivered to every rank."""
-    group.check_shards(tensors)
-    group.pre_collective("all_reduce", tag)
-    n = group.size
-    first = np.asarray(tensors[0])
-    total = rank_ordered_sum(tensors)
-    group.record("all_reduce", [_all_reduce_bytes(first, n)] * n, tag)
-    if group.world.fault_plan is None:
-        shared = total.astype(first.dtype, copy=False)
-        out = [shared] * n  # zero-copy: one shared read-only delivery
-    else:
-        out = [total.astype(first.dtype).copy() for _ in range(n)]
-    group.post_collective("all_reduce", out, tag)
     return out
 
 

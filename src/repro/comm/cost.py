@@ -26,9 +26,7 @@ __all__ = [
     "LinkSpec",
     "ring_all_gather_time",
     "ring_reduce_scatter_time",
-    "ring_all_reduce_time",
     "all_to_all_time",
-    "broadcast_time",
     "hierarchical_sync_time",
     "flat_sync_time",
     "cross_node_fraction",
@@ -78,13 +76,6 @@ def ring_reduce_scatter_time(total_bytes: float, n: int,
     return ring_all_gather_time(total_bytes, n, link)
 
 
-def ring_all_reduce_time(total_bytes: float, n: int, link: LinkSpec) -> float:
-    """Ring all-reduce = reduce-scatter followed by all-gather."""
-    if n <= 1:
-        return 0.0
-    return 2.0 * ring_all_gather_time(total_bytes, n, link)
-
-
 def all_to_all_time(per_rank_send_bytes: float, n: int,
                     link: LinkSpec) -> float:
     """Time for an all-to-all where each rank sends ``per_rank_send_bytes``.
@@ -96,13 +87,6 @@ def all_to_all_time(per_rank_send_bytes: float, n: int,
         return 0.0
     effective_bw = link.bandwidth * link.a2a_efficiency
     return (n - 1) * link.latency + per_rank_send_bytes / effective_bw
-
-
-def broadcast_time(total_bytes: float, n: int, link: LinkSpec) -> float:
-    """Tree/pipeline broadcast of ``total_bytes`` to ``n-1`` peers."""
-    if n <= 1:
-        return 0.0
-    return link.latency + total_bytes / link.bandwidth
 
 
 def hierarchical_sync_time(

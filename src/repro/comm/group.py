@@ -28,11 +28,6 @@ the :class:`~repro.obs.tracer.Tracer` span API.  Collectives call
 guarding a ``comm`` span), and :meth:`ProcessGroup.record` feeds bytes
 to the ledger, per-rank timings to the monitor, and byte annotations to
 the open span.
-
-Long production runs can bound ledger memory with
-``CommLedger(max_records=...)``: the newest records stay inspectable
-while rotated-out ones collapse into exact per-``(op, tag)`` aggregates,
-so byte totals and call counts never lose precision.
 """
 
 from __future__ import annotations
@@ -109,41 +104,20 @@ class CommRecord:
 class CommLedger:
     """Accumulates :class:`CommRecord` entries for later inspection.
 
-    With ``max_records`` set the ledger rotates: only the newest
-    ``max_records`` entries are kept as full :class:`CommRecord` objects
-    (for per-call inspection), while older entries are folded into exact
-    per-``(op, tag)`` aggregates in :attr:`rolled`.  Byte totals, call
-    counts, and filtered queries stay exact across rotation, so
-    multi-thousand-step runs keep O(max_records) memory instead of
-    growing without bound.
+    Every record stays in :attr:`records` (for per-call inspection) and
+    bumps exact per-``(op, tag)`` totals in :attr:`cumulative`, which
+    the byte and count queries read in O(distinct tags).
     """
 
     records: List[CommRecord] = field(default_factory=list)
     enabled: bool = True
-    #: Keep at most this many full records (None = unbounded).
-    max_records: Optional[int] = None
-    #: Records rotated out of :attr:`records`, by count.
-    dropped: int = 0
-    #: Exact aggregates of rotated records, keyed ``(op, tag)``.
-    rolled: Dict[Tuple[str, str], Dict[str, float]] = field(
-        default_factory=dict, repr=False)
-    #: Never-rotated cumulative totals keyed ``(op, tag)``.  Every
-    #: record bumps these at accept time, so byte/count queries are
-    #: O(distinct tags) and immune to rotation — consumers that need
-    #: lifetime totals (the Eq. 1-4 auditor, hybrid-2D sync deltas)
-    #: must read these, never the bounded :attr:`records` list.
+    #: Cumulative totals keyed ``(op, tag)``, bumped at accept time.
     cumulative: Dict[Tuple[str, str], Dict[str, float]] = field(
         default_factory=dict, repr=False)
-    #: Guards record/rotation when caller threads record concurrently
-    #: (reads snapshot ``records`` under the GIL and stay lock-free).
+    #: Guards record when caller threads record concurrently (reads
+    #: snapshot ``records`` under the GIL and stay lock-free).
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.max_records is not None and self.max_records < 1:
-            raise ValueError(
-                f"max_records must be >= 1, got {self.max_records}"
-            )
 
     def record(self, record: CommRecord) -> None:
         """Append one collective record (no-op while disabled)."""
@@ -151,44 +125,14 @@ class CommLedger:
             return
         with self._lock:
             agg = self.cumulative.setdefault(
-                (record.op, record.tag),
-                {"total_bytes": 0.0, "per_rank_bytes": 0.0, "count": 0.0},
-            )
+                (record.op, record.tag), {"total_bytes": 0.0, "count": 0.0})
             agg["total_bytes"] += record.total_bytes
-            agg["per_rank_bytes"] += record.total_bytes / record.group_size
             # A chunked collective emits one record per tile but is
             # still one logical call: only its first tile bumps the
             # count, so counts() matches the untiled path exactly.
             if record.tile is None or record.tile[0] == 0:
                 agg["count"] += 1.0
             self.records.append(record)
-            if (self.max_records is not None
-                    and len(self.records) > self.max_records):
-                excess = len(self.records) - self.max_records
-                for old in self.records[:excess]:
-                    agg = self.rolled.setdefault(
-                        (old.op, old.tag),
-                        {"total_bytes": 0.0, "per_rank_bytes": 0.0,
-                         "count": 0.0},
-                    )
-                    agg["total_bytes"] += old.total_bytes
-                    agg["per_rank_bytes"] += (old.total_bytes
-                                              / old.group_size)
-                    agg["count"] += 1.0
-                del self.records[:excess]
-                self.dropped += excess
-
-    def clear(self) -> None:
-        """Drop all accumulated records, aggregates, and counters."""
-        self.records.clear()
-        self.rolled.clear()
-        self.cumulative.clear()
-        self.dropped = 0
-
-    @property
-    def record_count(self) -> int:
-        """Total records ever accepted (live + rotated)."""
-        return len(self.records) + self.dropped
 
     def _cumulative_matching(self, op: Optional[str],
                              tag: Optional[str]
@@ -200,35 +144,20 @@ class CommLedger:
 
     def total_bytes(self, op: Optional[str] = None,
                     tag: Optional[str] = None) -> float:
-        """Total bytes sent by all ranks, optionally filtered.
-
-        Reads the cumulative counters, so the answer covers every
-        record ever accepted regardless of ``max_records`` rotation.
-        """
+        """Total bytes sent by all ranks, optionally filtered."""
         return float(sum(agg["total_bytes"]
                          for agg in self._cumulative_matching(op, tag)))
 
-    def per_rank_bytes(self, op: Optional[str] = None,
-                       tag: Optional[str] = None) -> float:
-        """Average per-rank bytes sent, optionally filtered."""
-        return float(sum(agg["per_rank_bytes"]
-                         for agg in self._cumulative_matching(op, tag)))
-
     def counts(self) -> Dict[str, int]:
-        """Number of calls per collective op (lifetime, rotation-proof)."""
+        """Number of calls per collective op."""
         out: Dict[str, int] = {}
         for (r_op, _), agg in self.cumulative.items():
             out[r_op] = out.get(r_op, 0) + int(agg["count"])
         return out
 
     def bytes_by_tag(self) -> Dict[str, float]:
-        """Lifetime total bytes per tag, summed across ops.
-
-        The rotation-proof query surface for consumers that bucket
-        traffic by tag (the Eq. 1-4 comm auditor, hybrid-2D sync
-        accounting): derived from :attr:`cumulative`, never from the
-        bounded :attr:`records` list.
-        """
+        """Total bytes per tag, summed across ops (the Eq. 1-4 comm
+        auditor buckets traffic by tag)."""
         out: Dict[str, float] = {}
         with self._lock:
             for (_, r_tag), agg in self.cumulative.items():
@@ -245,8 +174,7 @@ class World:
     ledger tags and the performance model do.
     """
 
-    def __init__(self, size: int, ranks_per_node: int = 8,
-                 max_ledger_records: Optional[int] = None):
+    def __init__(self, size: int, ranks_per_node: int = 8):
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
         if ranks_per_node < 1:
@@ -255,7 +183,7 @@ class World:
             )
         self.size = size
         self.ranks_per_node = ranks_per_node
-        self.ledger = CommLedger(max_records=max_ledger_records)
+        self.ledger = CommLedger()
         #: Optional fault plan (see :class:`repro.ft.FaultPlan`).
         self.fault_plan: Optional[Any] = None
         #: Optional health monitor (see :class:`repro.ft.HealthMonitor`).

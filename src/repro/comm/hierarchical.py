@@ -27,8 +27,8 @@ from typing import List, Sequence
 import numpy as np
 
 from ..precision.formats import BF16, decode, encode, round_bf16
-from .collectives import (all_gather, all_reduce, all_to_all,
-                          rank_ordered_sum, reduce_scatter)
+from .collectives import (all_gather, all_to_all, rank_ordered_sum,
+                          reduce_scatter)
 from .group import World
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "flat_sync",
     "hierarchical_inter_node_volume",
     "hierarchical_intra_node_volume",
-    "tp_inter_node_volume",
 ]
 
 
@@ -67,16 +66,19 @@ def _inter_node_sum(group, flats: List[np.ndarray], tag: str,
     """Sum equal-size 1-D arrays across one group of ``d > 1`` peers.
 
     Exact: a reduce-scatter and an all-gather (the ledger separates
-    the two steps), or, when the size does not divide ``d``, one ring
-    all-reduce.  With ``compress`` the leg is :func:`_bf16_a2a_sum`.
-    Results keep the input dtype.
+    the two steps), zero-padded to a multiple of ``d`` when the size
+    does not divide it.  With ``compress`` the leg is
+    :func:`_bf16_a2a_sum`.  Results keep the input dtype.
     """
     if compress:
         return _bf16_a2a_sum(group, flats, tag)
-    if flats[0].size % group.size == 0:
-        pieces = reduce_scatter(group, flats, tag=tag + ":inter_rs")
-        return all_gather(group, pieces, tag=tag + ":inter_ag")
-    return all_reduce(group, flats, tag=tag + ":inter_fallback")
+    size = flats[0].size
+    pad = np.zeros(-size % group.size, dtype=flats[0].dtype)
+    if pad.size:
+        flats = [np.concatenate([f, pad]) for f in flats]
+    pieces = reduce_scatter(group, flats, tag=tag + ":inter_rs")
+    sums = all_gather(group, pieces, tag=tag + ":inter_ag")
+    return [f[:size] for f in sums] if pad.size else sums
 
 
 def hierarchical_sync(
@@ -171,9 +173,3 @@ def hierarchical_intra_node_volume(param_bytes: float, n: int) -> float:
         return 0.0
     return 2.0 * param_bytes * (n - 1) / n
 
-
-def tp_inter_node_volume(param_bytes: float, n: int, d: int) -> float:
-    """Per-rank inter-node bytes for TP-attention sync (Appendix A.1)."""
-    if d <= 1:
-        return 0.0
-    return 2.0 * (param_bytes / n) * (d - 1) / d

@@ -2,10 +2,6 @@
 scheduling, rematerialization, and the end-to-end trainer."""
 
 from .analysis import (
-    ActivationBudget,
-    activation_budget,
-    activation_elements_full,
-    activation_elements_remat,
     attention_comm_volume,
     ep_ffn_comm_volume,
     ffn_comm_volume,
@@ -37,7 +33,6 @@ from .planner import (
     ScoredPlan,
     dispatch_crossover_top_k,
     dispatch_mode_times,
-    enumerate_plans,
     plan_cluster,
 )
 from .remat import (
@@ -51,10 +46,6 @@ from .schedule import FusedKernel, HolisticScheduler, OverlapConfig
 from .trainer import MegaScaleTrainer, TrainStepResult
 
 __all__ = [
-    "ActivationBudget",
-    "activation_budget",
-    "activation_elements_full",
-    "activation_elements_remat",
     "attention_comm_volume",
     "ep_ffn_comm_volume",
     "ffn_comm_volume",
@@ -83,7 +74,6 @@ __all__ = [
     "ScoredPlan",
     "dispatch_crossover_top_k",
     "dispatch_mode_times",
-    "enumerate_plans",
     "plan_cluster",
     "ActivationSpec",
     "RematPlan",

@@ -18,7 +18,6 @@ size to get bytes.  ``b, s, h, n, m, k`` follow Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from .config import ModelConfig, ParallelConfig
@@ -32,10 +31,6 @@ __all__ = [
     "attention_comm_volume",
     "ffn_comm_volume",
     "scale_up_ratio",
-    "ActivationBudget",
-    "activation_elements_full",
-    "activation_elements_remat",
-    "activation_budget",
     "param_memory_per_gpu",
     "held_activation_bytes",
     "memory_per_gpu",
@@ -125,54 +120,6 @@ def scale_up_ratio(h_ffn: int, bandwidth: float, peak: float,
     if n <= 1:
         return float("inf")
     return 1.5 * h_ffn * (bandwidth / peak) * n / (n - 1)
-
-
-@dataclass(frozen=True)
-class ActivationBudget:
-    """Activation-memory accounting for one MoE layer (Appendix A.2)."""
-
-    full_elements: float
-    remat_elements: float
-
-    @property
-    def savings_fraction(self) -> float:
-        if self.full_elements == 0:
-            return 0.0
-        return 1.0 - self.remat_elements / self.full_elements
-
-
-def activation_elements_full(b: int, s: int, h: int, n: int, m: int,
-                             k: int, f: float) -> float:
-    """Appendix A.2 — elements stored per layer without rematerialization.
-
-    ``(2n + 2k + 3kf + 12 + 5/m) · b s h / n`` where ``f = h_ffn / h``.
-    The term-by-term derivation follows Fig. 20's activation list.
-    """
-    return (2 * n + 2 * k + 3 * k * f + 12 + 5.0 / m) * b * s * h / n
-
-
-def activation_elements_remat(b: int, s: int, h: int, n: int, m: int,
-                              k: int, f: float) -> float:
-    """Appendix A.2 — elements retained with selective rematerialization.
-
-    ``(2kf + 4 + 2/m) · b s h / n``: MegaScale-MoE keeps only ``hidden``,
-    ``qkv_a2a``, ``attn_a2a``, ``ln2_in`` (4 + 2/m shares) and the two
-    GroupedGEMM outputs ``fc1_out``/``fc3_out`` (2kf shares); everything
-    else is recomputed or re-communicated during backward.
-    """
-    return (2 * k * f + 4 + 2.0 / m) * b * s * h / n
-
-
-def activation_budget(model: ModelConfig, parallel: ParallelConfig,
-                      micro_batch: int) -> ActivationBudget:
-    """Per-layer activation budget for a model/parallelism pair."""
-    f = model.ffn_hidden_size / model.hidden_size
-    args = (micro_batch, model.seq_len, model.hidden_size,
-            parallel.model_parallel_size, model.gqa_ratio, model.top_k, f)
-    return ActivationBudget(
-        full_elements=activation_elements_full(*args),
-        remat_elements=activation_elements_remat(*args),
-    )
 
 
 def param_memory_per_gpu(

@@ -192,8 +192,10 @@ def optimize_plan(
         # Fit the correction against the hand plan's graph: the span
         # anchors (attention, dispatch, experts, ...) are shared by
         # every candidate's graphs.
-        from .planner import enumerate_plans
-        feasible = enumerate_plans(model, cluster, train)
+        from .planner import _raw_candidates, _within_memory
+        feasible = _within_memory(model, cluster,
+                                  _raw_candidates(model, cluster, train),
+                                  train.micro_batch_size)
         if feasible:
             probe_cand = feasible[0]
             km = MegaScalePerfModel(cluster=cluster).kernel_model(

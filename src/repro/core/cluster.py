@@ -20,7 +20,7 @@ placements that keep all-to-all traffic inside the node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..comm.cost import LinkSpec
@@ -105,10 +105,6 @@ class ClusterSpec:
     def is_heterogeneous(self) -> bool:
         return len(set(self.node_gpus)) > 1
 
-    def gpu(self, node: int) -> GPUSpec:
-        """The GPU model installed in one node."""
-        return GPU_SPECS[self.node_gpus[node]]
-
     def bottleneck_gpu(self) -> GPUSpec:
         """The spec synchronous training actually runs at.
 
@@ -131,15 +127,6 @@ class ClusterSpec:
         )
 
     # -- tier selection (MoNTA) ----------------------------------------------
-
-    def spans_nodes(self, group_size: int) -> bool:
-        """Does a communication group of this size cross node boundaries?"""
-        return group_size > self.gpus_per_node
-
-    def link_for_group(self, group_size: int) -> LinkSpec:
-        """The link tier a group's collectives actually cross."""
-        return (self.inter_link if self.spans_nodes(group_size)
-                else self.intra_link)
 
     def cross_node_fraction(self, group_size: int) -> float:
         """Fraction of a group's all-to-all peer traffic crossing nodes.
@@ -167,25 +154,11 @@ class ClusterSpec:
             node_gpus=(gpu,) * n_nodes,
         )
 
-    def replace(self, **changes) -> "ClusterSpec":
-        """A copy with fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """JSON-ready payload; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "gpus_per_node": self.gpus_per_node,
-            "node_gpus": list(self.node_gpus),
-            "intra_link": _link_to_dict(self.intra_link),
-            "inter_link": _link_to_dict(self.inter_link),
-        }
 
     @staticmethod
     def from_dict(payload: Dict) -> "ClusterSpec":
-        """Build a spec from a :meth:`to_dict`-shaped payload."""
+        """Build a spec from a ``--cluster`` file's payload."""
         try:
             node_gpus = tuple(payload["node_gpus"])
             gpus_per_node = int(payload["gpus_per_node"])
@@ -202,15 +175,6 @@ class ClusterSpec:
             inter_link=_link_from_dict(payload.get("inter_link")),
         )
 
-    def to_json(self) -> str:
-        """The spec as pretty-printed JSON (``--cluster`` file format)."""
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ClusterSpec":
-        """Parse a spec from :meth:`to_json` output."""
-        return ClusterSpec.from_dict(json.loads(text))
-
     @staticmethod
     def load(path: str) -> "ClusterSpec":
         with open(path) as handle:
@@ -224,11 +188,6 @@ class ClusterSpec:
         kind = "mixed" if self.is_heterogeneous else "uniform"
         return (f"{self.name}: {self.n_nodes} nodes x "
                 f"{self.gpus_per_node} GPUs ({kind}: {models}; {tier})")
-
-
-def _link_to_dict(link: LinkSpec) -> Dict:
-    return {"bandwidth": link.bandwidth, "latency": link.latency,
-            "a2a_efficiency": link.a2a_efficiency}
 
 
 def _link_from_dict(payload) -> LinkSpec:

@@ -195,12 +195,6 @@ class GPUSpec:
     nic_bandwidth: float
     sm_count: int = 132
 
-    @property
-    def flops_per_byte_nvlink(self) -> float:
-        """Compute-to-NVLink ratio; grows across GPU generations (Fig. 1)."""
-        return self.peak_flops / self.nvlink_bandwidth
-
-
 GB = 1024.0 ** 3
 TFLOPS = 1e12
 

@@ -34,7 +34,6 @@ __all__ = [
     "TilePlan",
     "TILE_SEP",
     "tile_name",
-    "base_op_name",
     "fusable_groups",
     "plan_tiles",
     "tile_forward_graph",
@@ -168,23 +167,9 @@ class OpGraph:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def total(self, attr: str, kind: Optional[str] = None,
-              phase: Optional[str] = None) -> float:
-        """Sum an op attribute over the graph, optionally filtered."""
-        return sum(
-            getattr(op, attr) for op in self.ops
-            if (kind is None or op.kind == kind)
-            and (phase is None or op.phase == phase)
-        )
-
     def comm_ops(self) -> List[Op]:
         """All communication ops, in graph order."""
         return [op for op in self.ops if op.kind == "comm"]
-
-    def compute_ops(self) -> List[Op]:
-        """All non-communication ops, in graph order."""
-        return [op for op in self.ops if op.kind != "comm"]
-
 
 # ---------------------------------------------------------------------------
 # Forward graph
@@ -561,14 +546,6 @@ TILE_SEP = "#t"
 def tile_name(base: str, index: int) -> str:
     """The sub-op name of one tile of a decomposed fused-group op."""
     return f"{base}{TILE_SEP}{index}"
-
-
-def base_op_name(name: str) -> str:
-    """The whole-op name a (possibly tiled) op name refers to."""
-    head, sep, tail = name.rpartition(TILE_SEP)
-    if sep and tail.isdigit():
-        return head
-    return name
 
 
 @dataclass(frozen=True)

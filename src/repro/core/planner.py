@@ -41,7 +41,7 @@ from .remat import RematPlan, default_remat_plan, no_remat_plan
 
 __all__ = ["dispatch_mode_times", "dispatch_crossover_top_k",
            "NoFeasiblePlan", "PlanCandidate", "ScoredPlan",
-           "PlanSearchResult", "enumerate_plans", "plan_cluster"]
+           "PlanSearchResult", "plan_cluster"]
 
 #: Wire bytes per element for each training precision policy (§5).
 _PRECISION_BYTES = {"bf16": 2.0, "fp8": 1.0, "fp32": 4.0}
@@ -303,21 +303,6 @@ def _within_memory(model: ModelConfig, cluster: ClusterSpec,
         if need < cap:
             out.append(c)
     return out
-
-
-def enumerate_plans(model: ModelConfig, cluster: ClusterSpec,
-                    train: Optional[TrainConfig] = None
-                    ) -> List[PlanCandidate]:
-    """Feasibility-filtered plan enumeration for a described cluster.
-
-    Walks (MP degree, TP/SP attention, EP/TP FFN, dispatch mode, PP,
-    DP, precision, remat) subject to shape divisibility, batch
-    divisibility, and the bottleneck GPU's memory capacity.
-    """
-    train = train or TrainConfig()
-    return _within_memory(model, cluster,
-                          _raw_candidates(model, cluster, train),
-                          train.micro_batch_size)
 
 
 def _cross_node_a2a_bytes(model: ModelConfig, cluster: ClusterSpec,

@@ -140,31 +140,6 @@ class RematPlan:
             if spec.name in self.retained
         )
 
-    def recreated(self) -> List[ActivationSpec]:
-        """Activations that backward must rebuild."""
-        return [spec for spec in activation_table()
-                if spec.name not in self.retained]
-
-    def recompute_names(self) -> List[str]:
-        """Recreated activations rebuilt by re-running compute."""
-        return [s.name for s in self.recreated()
-                if s.recreate == "recompute"]
-
-    def recommunicate_names(self) -> List[str]:
-        """Recreated activations rebuilt by repeating a collective."""
-        return [s.name for s in self.recreated()
-                if s.recreate == "recommunicate"]
-
-    def savings_vs_full(self, model: ModelConfig,
-                        parallel: ParallelConfig,
-                        micro_batch: int) -> float:
-        """Fraction of per-layer activation memory this plan saves."""
-        full = no_remat_plan().retained_elements(model, parallel,
-                                                 micro_batch)
-        mine = self.retained_elements(model, parallel, micro_batch)
-        return 1.0 - mine / full if full else 0.0
-
-
 def default_remat_plan() -> RematPlan:
     """The paper's plan: keep GEMM/attention-adjacent activations only.
 

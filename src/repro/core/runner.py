@@ -9,7 +9,9 @@ that loop for any trainer exposing ``train_step`` /
 
 * :class:`ProductionRunner` — drives steps, checkpoints every
   ``checkpoint_interval`` steps, and recovers from faults with a
-  layered policy (see :mod:`repro.ft`):
+  layered policy (see :mod:`repro.ft`).  Its trainer factory takes the
+  current :class:`~repro.elastic.layout.ParallelLayout`, so the same
+  loop survives world-size changes:
 
   1. *transient comm faults* (timeouts, checksum mismatches) are
      retried in place with exponential backoff when a
@@ -20,8 +22,14 @@ that loop for any trainer exposing ``train_step`` /
      CRC/readability validation — corrupt or truncated ``.npz`` files
      are skipped, walking back the checkpoint chain;
   3. *loss spikes* (via a :class:`~repro.ft.health.LossSpikeGuard`)
-     roll back to the last checkpoint and replay, or skip the
-     offending batch (``on_spike="skip"``).
+     roll back to the last checkpoint and replay;
+  4. *resizes* (a :class:`~repro.ft.faults.ResizeEvent`: the fleet
+     shrank or grew) checkpoint at the exact step, rebuild the trainer
+     at the new layout and restore.  A load whose recorded layout
+     differs from the trainer's reshards the state through
+     :func:`~repro.elastic.reshard.reshard_state`, so a resize replays
+     no steps, where a cold restart replays everything since the last
+     periodic checkpoint (``benchmarks/bench_elastic_resize.py``).
 
   Checkpoints are written atomically (tmp file + fsync + rename) with a CRC32
   sidecar; leftover ``.tmp`` files from crashed writes are ignored and
@@ -29,13 +37,11 @@ that loop for any trainer exposing ``train_step`` /
 * :class:`FaultInjector` — deterministic step-level fault/loss-spike
   schedule for tests and benches (comm-level faults are injected by
   :class:`~repro.ft.faults.FaultPlan` instead).
-* :class:`MetricsLog` — step/loss/restart/recovery history with CSV
-  export.
+* :class:`MetricsLog` — step/loss/restart/recovery history.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set
@@ -43,12 +49,13 @@ from typing import Callable, List, Optional, Sequence, Set
 import numpy as np
 
 from ..core.checkpoint import atomic_write, config_fingerprint
+from ..elastic.layout import ParallelLayout
+from ..elastic.reshard import ReshardReport, reshard_state
 from ..ft.faults import Fault, LossSpike, ResizeEvent
 from ..ft.health import LossSpikeGuard, NumericGuard
 from ..ft.recovery import (
     BackoffPolicy,
     ConfigMismatch,
-    LayoutMismatch,
     RetryStats,
     read_checkpoint_meta,
     retry_with_backoff,
@@ -58,11 +65,6 @@ from ..ft.recovery import (
 
 __all__ = ["SimulatedFault", "FaultInjector", "MetricsLog",
            "ProductionRunner"]
-
-
-def _describe(config: dict) -> str:
-    """``key=value`` pairs of a config fingerprint."""
-    return " ".join(f"{key}={value}" for key, value in config.items())
 
 
 class SimulatedFault(Fault):
@@ -79,8 +81,7 @@ class FaultInjector:
     blow-up for the spike-rollback path without touching the weights.
     ``resize_steps`` maps ``{step: target_layout}`` and raises a
     :class:`~repro.ft.faults.ResizeEvent` once per scheduled step —
-    the fleet shrinking or growing mid-run, which only an elastic
-    runner can absorb.
+    the fleet shrinking or growing mid-run.
     """
 
     def __init__(self, fault_steps: Sequence[int] = (),
@@ -124,17 +125,15 @@ class MetricsLog:
     losses: List[float] = field(default_factory=list)
     restarts: List[int] = field(default_factory=list)
     checkpoints: List[int] = field(default_factory=list)
-    #: Steps at which a loss spike forced a rollback (or a skip).
+    #: Steps at which a loss spike forced a rollback.
     rollbacks: List[int] = field(default_factory=list)
-    #: Batches dropped by the ``on_spike="skip"`` policy.
-    skipped: List[int] = field(default_factory=list)
     #: Checkpoint steps discarded as corrupt during recovery.
     invalid_checkpoints: List[int] = field(default_factory=list)
     #: In-place step retries after transient comm faults.
     retries: int = 0
     #: Total simulated backoff delay across those retries.
     backoff_seconds: float = 0.0
-    #: Steps at which an elastic runner absorbed a cluster resize.
+    #: Steps at which the runner absorbed a cluster resize.
     resizes: List[int] = field(default_factory=list)
     #: State bytes that changed ranks across those resizes.
     reshard_bytes: float = 0.0
@@ -146,32 +145,19 @@ class MetricsLog:
         self.steps.append(step)
         self.losses.append(loss)
 
-    def to_csv(self, path: str) -> None:
-        """Write the step/loss history as CSV."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "loss"])
-            for step, loss in zip(self.steps, self.losses):
-                writer.writerow([step, loss])
-
-    @property
-    def restart_count(self) -> int:
-        return len(self.restarts)
-
-    @property
-    def replayed_steps(self) -> int:
-        """Steps executed more than once (recovery overhead)."""
-        return len(self.steps) - len(set(self.steps))
-
 
 class ProductionRunner:
     """Runs a trainer with durable checkpoints and crash recovery.
 
     Args:
-        trainer_factory: Builds a *fresh* trainer (used at start and
-            after every restart); must expose ``train_step(batch)``
-            returning an object with a ``loss`` attribute (or a float),
-            plus ``state_dict()`` / ``load_state_dict()``.
+        trainer_factory: Builds a *fresh* trainer for a given
+            :class:`ParallelLayout` (called at start, after every
+            restart and after every resize); the trainer must expose
+            ``train_step(batch)`` returning an object with a ``loss``
+            attribute (or a float), plus ``state_dict()`` /
+            ``load_state_dict()``.  Toy trainers without a ``parallel``
+            config ignore the layout and opt out of layout checks.
+        layout: The :class:`ParallelLayout` the run starts at.
         checkpoint_dir: Where step-stamped ``.npz`` state lands.
         checkpoint_interval: Steps between checkpoints.
         max_restarts: Give up (re-raise) after this many recoveries.
@@ -180,28 +166,22 @@ class ProductionRunner:
             escalates immediately).
         loss_guard: Raise-and-rollback on loss spikes.
         numeric_guard: Raise-and-restart on NaN/inf losses.
-        validate_checkpoints: Verify CRC/readability before resuming
-            from a checkpoint, walking back past corrupt ones.
-        on_spike: ``"rollback"`` reloads the last checkpoint and
-            replays; ``"skip"`` drops the offending batch and moves on.
         max_rollbacks: Give up after this many loss-spike recoveries.
         sleep: Receives each backoff delay (None = simulated time,
             no real sleeping).
         obs: Optional :class:`~repro.obs.Observability` bundle; the
-            runner marks checkpoints, restarts, and rollbacks as
+            runner marks checkpoints, restarts, rollbacks and resizes as
             instant trace events and counts them in the metrics
             registry (the trainer-level spans come from passing the
             same bundle to the trainer factory's trainer).
     """
 
-    def __init__(self, trainer_factory: Callable[[], object],
-                 checkpoint_dir: str, checkpoint_interval: int = 10,
-                 max_restarts: int = 10, *,
+    def __init__(self, trainer_factory: Callable[[ParallelLayout], object],
+                 layout: ParallelLayout, checkpoint_dir: str,
+                 checkpoint_interval: int = 10, max_restarts: int = 10, *,
                  retry_policy: Optional[BackoffPolicy] = None,
                  loss_guard: Optional[LossSpikeGuard] = None,
                  numeric_guard: Optional[NumericGuard] = None,
-                 validate_checkpoints: bool = True,
-                 on_spike: str = "rollback",
                  max_rollbacks: int = 10,
                  sleep: Optional[Callable[[float], None]] = None,
                  obs: Optional[object] = None):
@@ -210,24 +190,21 @@ class ProductionRunner:
                 f"checkpoint_interval must be >= 1, got "
                 f"{checkpoint_interval}"
             )
-        if on_spike not in ("rollback", "skip"):
-            raise ValueError(
-                f"on_spike must be 'rollback' or 'skip', got "
-                f"{on_spike!r}"
-            )
         self.trainer_factory = trainer_factory
+        #: The layout the next trainer is built at.
+        self.layout = layout
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = checkpoint_interval
         self.max_restarts = max_restarts
         self.retry_policy = retry_policy
         self.loss_guard = loss_guard
         self.numeric_guard = numeric_guard
-        self.validate_checkpoints = validate_checkpoints
-        self.on_spike = on_spike
         self.max_rollbacks = max_rollbacks
         self.sleep = sleep
         self.obs = obs
         self.retry_stats = RetryStats()
+        #: Every re-partition performed, in order.
+        self.reshard_reports: List[ReshardReport] = []
         #: Checkpoint steps found corrupt/unreadable and walked past.
         self.discarded: List[int] = []
         self._invalid: Set[int] = set()
@@ -263,8 +240,6 @@ class ProductionRunner:
         for step in reversed(self.checkpoint_steps()):
             if step in self._invalid:
                 continue
-            if not self.validate_checkpoints:
-                return step
             if validate_checkpoint(self._path(step)):
                 return step
             self._mark_invalid(step)
@@ -275,12 +250,13 @@ class ProductionRunner:
             self._invalid.add(step)
             self.discarded.append(step)
 
+    def _new_trainer(self):
+        return self.trainer_factory(self.layout)
+
     @staticmethod
-    def _trainer_layout(trainer):
+    def _trainer_layout(trainer) -> Optional[ParallelLayout]:
         """The trainer's :class:`ParallelLayout`, or None for
         layout-less toy trainers (which opt out of layout checks)."""
-        from ..elastic.layout import ParallelLayout
-
         return ParallelLayout.from_trainer(trainer)
 
     @staticmethod
@@ -315,26 +291,29 @@ class ProductionRunner:
         config = self._trainer_config(trainer)
         if isinstance(saved_config, dict) and config is not None \
                 and saved_config != config:
+            saved_text, current_text = (
+                " ".join(f"{key}={value}" for key, value in c.items())
+                for c in (saved_config, config))
             raise ConfigMismatch(
                 f"checkpoint step {step} was written for the model "
-                f"[{_describe(saved_config)}] but the trainer's model "
-                f"is [{_describe(config)}]",
-                saved=saved_config, current=config)
+                f"[{saved_text}] but the trainer's model is "
+                f"[{current_text}]", saved=saved_config, current=config)
         with np.load(self._path(step)) as data:
             state = {k: data[k] for k in data.files}
         saved, current = self._saved_layout(meta), \
             self._trainer_layout(trainer)
         if saved is not None and current is not None \
                 and saved != current:
-            state = self._resolve_layout_mismatch(
-                state, saved, current, step)
+            # Map the checkpoint's state from its recorded layout onto
+            # the live trainer's.
+            state, report = reshard_state(state, saved, current,
+                                          obs=self.obs)
+            self.reshard_reports.append(report)
         trainer.load_state_dict(state)
 
     @staticmethod
-    def _saved_layout(meta: dict):
+    def _saved_layout(meta: dict) -> Optional[ParallelLayout]:
         """The layout recorded in a checkpoint's sidecar, or None."""
-        from ..elastic.layout import ParallelLayout
-
         layout = meta.get("layout")
         if not isinstance(layout, dict):
             return None
@@ -342,18 +321,6 @@ class ProductionRunner:
             return ParallelLayout.from_dict(layout)
         except (KeyError, TypeError, ValueError):
             return None
-
-    def _resolve_layout_mismatch(self, state, saved, current,
-                                 step: int):
-        """Hook for layout-changing loads.  The fixed-size runner
-        refuses — restoring wrong-shaped shards silently corrupts the
-        run; :class:`~repro.elastic.runner.ElasticRunner` overrides
-        this to reshard ``state`` from ``saved`` to ``current``."""
-        raise LayoutMismatch(
-            f"checkpoint step {step} was written under "
-            f"[{saved.describe()}] but the trainer runs "
-            f"[{current.describe()}]; use an elastic runner to "
-            f"reshard", saved=saved, current=current)
 
     def _restore(self, trainer, metrics: Optional[MetricsLog] = None,
                  ) -> int:
@@ -368,11 +335,10 @@ class ProductionRunner:
                 return 0
             try:
                 self._load(trainer, resume)
-            except (LayoutMismatch, ConfigMismatch):
-                # Not corruption: the checkpoint is fine, the world
-                # changed shape or the model is another one.  Walking
-                # further back would only find more such checkpoints —
-                # surface it.
+            except ConfigMismatch:
+                # Not corruption: the checkpoint is fine, the model is
+                # another one.  Walking further back would only find
+                # more such checkpoints — surface it.
                 raise
             except Exception:
                 # Validation passed but the load failed (e.g. raced
@@ -400,17 +366,32 @@ class ProductionRunner:
 
     # -- the loop ------------------------------------------------------------
 
-    def _handle_resize(self, event: ResizeEvent, trainer, step: int,
-                       metrics: MetricsLog):
-        """React to a cluster resize; returns ``(trainer, step)``.
+    def _resize(self, event: ResizeEvent, trainer, step: int,
+                metrics: MetricsLog):
+        """Checkpoint – reshard – rebuild – resume at the event's
+        layout; returns ``(trainer, step)``."""
+        old_layout = self.layout
+        # Checkpoint at the exact step the resize fired, so nothing
+        # is replayed after the world comes back up.
+        self._save(trainer, step)
+        if step not in metrics.checkpoints:
+            metrics.checkpoints.append(step)
+        self._mark("checkpoint", step=step)
 
-        A fixed-size runner cannot absorb a world-size change — its
-        trainer factory only builds one layout — so the event
-        propagates to the operator.
-        :class:`~repro.elastic.runner.ElasticRunner` overrides this
-        with checkpoint–reshard–resume.
-        """
-        raise event
+        reports_before = len(self.reshard_reports)
+        self.layout = event.layout
+        trainer = self._new_trainer()
+        resume = self._restore(trainer, metrics)
+
+        metrics.resizes.append(event.step)
+        for report in self.reshard_reports[reports_before:]:
+            metrics.reshard_bytes += report.total_bytes
+            metrics.reshard_seconds += report.seconds()
+        self._mark("resize", step=event.step,
+                   old=old_layout.describe(),
+                   new=self.layout.describe(),
+                   resumed_at=resume)
+        return trainer, resume
 
     def _attempt_step(self, trainer, batch):
         if self.retry_policy is None:
@@ -429,7 +410,7 @@ class ProductionRunner:
         metrics = metrics or MetricsLog()
         retries_before = self.retry_stats.retries
         backoff_before = self.retry_stats.total_backoff
-        trainer = self.trainer_factory()
+        trainer = self._new_trainer()
 
         step = self._restore(trainer, metrics)
         last_saved = step if step > 0 else None
@@ -460,17 +441,11 @@ class ProductionRunner:
                 if rollbacks > self.max_rollbacks:
                     raise
                 metrics.rollbacks.append(step)
-                if self.on_spike == "skip":
-                    metrics.skipped.append(step)
-                    self._mark("skip", step=step)
-                    step += 1
-                    continue
                 self._mark("rollback", step=step)
-                trainer = self.trainer_factory()
+                trainer = self._new_trainer()
                 step = self._restore(trainer, metrics)
             except ResizeEvent as event:
-                trainer, step = self._handle_resize(
-                    event, trainer, step, metrics)
+                trainer, step = self._resize(event, trainer, step, metrics)
             except Fault as fault:
                 restarts += 1
                 if restarts > self.max_restarts:
@@ -478,7 +453,7 @@ class ProductionRunner:
                 metrics.restarts.append(step)
                 self._mark("restart", step=step,
                            fault=type(fault).__name__)
-                trainer = self.trainer_factory()
+                trainer = self._new_trainer()
                 step = self._restore(trainer, metrics)
         if last_saved != step:
             self._save(trainer, step)

@@ -382,15 +382,6 @@ class MegaScaleTrainer:
         sub.ledger, sub.tracer = self.world.ledger, self.world.tracer
         return sub
 
-    def eval_loss(self, token_ids: np.ndarray) -> float:
-        """LM loss without gradient tracking or updates."""
-        from ..tensor import no_grad
-        with no_grad():
-            with (self.policy if self.policy is not None
-                  else nullcontext()):
-                _, lm, _ = self.loss(token_ids)
-        return lm.item()
-
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -66,22 +66,6 @@ class MarkovCorpus:
             out[:, t] = (u[:, None] < rows).argmax(axis=1)
         return out
 
-    def conditional_entropy(self) -> float:
-        """Entropy of the next token given the current one (nats) —
-        the loss floor a perfect model converges to."""
-        p = self.transition
-        stationary = self._stationary()
-        h = -(p * np.log(p + 1e-30)).sum(axis=1)
-        return float((stationary * h).sum())
-
-    def _stationary(self) -> np.ndarray:
-        vals, vecs = np.linalg.eig(self.transition.T)
-        idx = np.argmin(np.abs(vals - 1.0))
-        pi = np.real(vecs[:, idx])
-        pi = np.abs(pi)
-        return pi / pi.sum()
-
-
 def batch_iterator(corpus: MarkovCorpus, batch: int, seq_len: int,
                    seed: int = 1,
                    limit: Optional[int] = None) -> Iterator[np.ndarray]:

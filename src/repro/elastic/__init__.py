@@ -1,11 +1,11 @@
-"""Elastic production runs: checkpoint–reshard–resume across resizes.
+"""Elastic resharding: map a saved training state across layouts.
 
 The paper's production story (§6.4, Fig. 19) is month-long 352B jobs on
-fleets that shrink and grow as machines fail and return.  The ft
-subsystem recovers a *fixed-size* world; this package adds the missing
-half — a deterministic re-partitioner that maps a saved training state
-from one parallel layout to another, and a runner that survives
-world-size changes mid-run:
+fleets that shrink and grow as machines fail and return.  This package
+is the deterministic re-partitioner that maps a saved training state
+from one parallel layout to another; the production runner
+(:class:`~repro.core.runner.ProductionRunner`) calls it whenever a
+checkpoint's layout differs from its trainer's:
 
 * :class:`~repro.elastic.layout.ParallelLayout` — the (world, DP, EP,
   TP, SP, PP) degrees of a run, recorded in every checkpoint's meta
@@ -16,12 +16,6 @@ world-size changes mid-run:
   :func:`~repro.elastic.reshard.reshard_state` tying them together
   into a :class:`~repro.elastic.reshard.ReshardReport` (bytes moved,
   experts moved, modelled reshard seconds).
-* :class:`~repro.elastic.runner.ElasticRunner` — a
-  :class:`~repro.core.runner.ProductionRunner` whose trainer factory
-  is layout-parameterized; a :class:`~repro.ft.faults.ResizeEvent`
-  (injected through the :class:`~repro.core.runner.FaultInjector`
-  fault machinery) makes it checkpoint, reshard, rebuild the trainer
-  at the new world size, and resume.
 
 The ``elastic_resume`` verify invariant asserts a resize-injected
 run's loss trajectory matches the fixed-size run within the existing
@@ -38,7 +32,6 @@ from .reshard import (
     reshard_state,
     zero1_moved_elements,
 )
-from .runner import ElasticRunner
 
 __all__ = [
     "ParallelLayout",
@@ -49,5 +42,4 @@ __all__ = [
     "form_dp_rings",
     "zero1_moved_elements",
     "reshard_state",
-    "ElasticRunner",
 ]

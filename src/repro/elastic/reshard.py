@@ -157,10 +157,6 @@ class ReshardReport:
     def total_bytes(self) -> float:
         return self.zero_bytes + self.expert_bytes
 
-    @property
-    def n_experts_moved(self) -> int:
-        return sum(len(layer) for layer in self.experts_moved)
-
     def seconds(self,
                 bandwidth: float = DEFAULT_RESHARD_BANDWIDTH) -> float:
         """Modelled reshard time: bytes over one re-partition link."""
@@ -243,7 +239,8 @@ def reshard_state(state: Dict[str, np.ndarray],
                              old=old_layout.describe(),
                              new=new_layout.describe(),
                              bytes=report.total_bytes,
-                             experts_moved=report.n_experts_moved):
+                             experts_moved=sum(map(len,
+                                                   report.experts_moved))):
             pass
         obs.metrics.inc("elastic.reshards")
         obs.metrics.inc("elastic.bytes_moved", report.total_bytes)

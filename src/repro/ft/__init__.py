@@ -40,7 +40,6 @@ from .health import (
 from .recovery import (
     BackoffPolicy,
     ConfigMismatch,
-    LayoutMismatch,
     RetryStats,
     file_crc32,
     read_checkpoint_meta,
@@ -59,7 +58,6 @@ __all__ = [
     "LossSpike",
     "RetryExhausted",
     "ResizeEvent",
-    "LayoutMismatch",
     "ConfigMismatch",
     "FaultSpec",
     "FaultEvent",

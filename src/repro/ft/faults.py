@@ -15,9 +15,8 @@ on the simulated cluster:
   :class:`~repro.comm.group.ProcessGroup` consults before and after
   every collective.  Scheduled faults fire exactly once (the
   post-recovery replay proceeds, as on a real cluster after the bad
-  node is cordoned); probabilistic faults fire at a per-call ``rate``
-  from a seeded RNG, so a given seed always produces the same fault
-  sequence.
+  node is cordoned), and a seeded RNG picks the corrupted bit, so a
+  given seed always produces the same fault sequence.
 
 The comm layer talks to the plan through three duck-typed hooks
 (``before`` / ``corrupt`` / ``slow_factor``), so :mod:`repro.comm`
@@ -85,12 +84,10 @@ class ResizeEvent(Fault):
 
     Raised by the step-level injector when the fleet shrinks (machines
     fail) or grows (machines return).  ``layout`` is the *target*
-    parallel layout — a :class:`~repro.elastic.layout.ParallelLayout`,
-    or anything the runner's layout factory accepts (duck-typed so this
-    module stays import-free of :mod:`repro.elastic`).  A fixed-size
-    :class:`~repro.core.runner.ProductionRunner` re-raises it; an
-    :class:`~repro.elastic.runner.ElasticRunner` answers with
-    checkpoint–reshard–resume.
+    parallel layout, a :class:`~repro.elastic.layout.ParallelLayout`
+    (duck-typed so this module stays import-free of
+    :mod:`repro.elastic`).  :class:`~repro.core.runner.ProductionRunner`
+    answers with checkpoint–reshard–resume.
     """
 
     def __init__(self, step: int, layout: object):
@@ -145,12 +142,10 @@ class FaultPlan:
     Args:
         specs: Scheduled :class:`FaultSpec` entries; each fires at most
             once and is then retired.
-        rate: Per-collective-call probability of a random fault.
-        kinds: Fault kinds the probabilistic mode draws from.
         slow_ranks: ``{global_rank: slowdown_factor}`` for persistently
             slow links; consulted by the health timing ledger.
-        seed: Seeds both the probabilistic draws and the corruption
-            bit positions, making the full fault sequence reproducible.
+        seed: Seeds the corruption bit positions, making the full
+            fault sequence reproducible.
         verify_checksums: When True, an injected corruption is caught
             at the receiver (checksum mismatch) and raised as
             :class:`PayloadCorruption`; when False it propagates
@@ -159,17 +154,10 @@ class FaultPlan:
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), *,
-                 rate: float = 0.0,
-                 kinds: Sequence[str] = ("timeout", "corrupt"),
                  slow_ranks: Optional[Dict[int, float]] = None,
                  seed: int = 0,
                  verify_checksums: bool = True,
                  timeout_s: float = 30.0):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
-        for kind in kinds:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
         for rank, factor in (slow_ranks or {}).items():
             if factor < 1.0:
                 raise ValueError(
@@ -178,8 +166,6 @@ class FaultPlan:
                 )
         self.pending: List[FaultSpec] = sorted(specs,
                                                key=lambda s: s.at_call)
-        self.rate = float(rate)
-        self.kinds = tuple(kinds)
         self.slow_ranks = dict(slow_ranks or {})
         self.verify_checksums = bool(verify_checksums)
         self.timeout_s = float(timeout_s)
@@ -200,10 +186,6 @@ class FaultPlan:
             index = self.calls
             self.calls += 1
             kind = self._scheduled_kind(index, op)
-            if kind is None and self.rate > 0.0:
-                if float(self.rng.random()) < self.rate:
-                    kind = self.kinds[
-                        int(self.rng.integers(len(self.kinds)))]
             if kind is None:
                 return
             self.fired.append(FaultEvent(kind, op, tag, index))

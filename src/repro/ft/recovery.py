@@ -33,7 +33,6 @@ __all__ = [
     "BackoffPolicy",
     "RetryStats",
     "retry_with_backoff",
-    "LayoutMismatch",
     "ConfigMismatch",
     "file_crc32",
     "meta_path",
@@ -48,29 +47,11 @@ __all__ = [
 META_FORMAT_VERSION = 2
 
 
-class LayoutMismatch(RuntimeError):
-    """A checkpoint's recorded parallel layout differs from the
-    trainer it is being loaded into.
-
-    Deliberately *not* a :class:`~repro.ft.faults.Fault`: the restart
-    path would retry forever against the same mismatched files.  The
-    fixed-size runner raises this instead of silently loading
-    wrong-shaped arrays; the elastic runner catches the mismatch
-    earlier and reshards.
-    """
-
-    def __init__(self, message: str, *, saved: object = None,
-                 current: object = None):
-        super().__init__(message)
-        self.saved = saved
-        self.current = current
-
-
 class ConfigMismatch(RuntimeError):
     """A checkpoint was written for a different model config than the
     trainer it is being loaded into.
 
-    Like :class:`LayoutMismatch`, not a fault and not corruption: every
+    Not a fault and not corruption: every
     checkpoint of the chain has the same config, so walking back past
     it would only discard good checkpoints of the other model.
     ``saved`` and ``current`` are the two config fingerprints.

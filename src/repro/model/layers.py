@@ -52,10 +52,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def n_params(self) -> int:
-        """Total trainable element count."""
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter keyed by dotted name."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -132,7 +128,7 @@ class SelfAttention(Module):
 
     def __init__(self, rng: np.random.Generator, hidden_size: int,
                  n_heads: int, gqa_ratio: int, rope_base: float = 10000.0,
-                 dtype=np.float32, memory_efficient: bool = True):
+                 dtype=np.float32):
         if n_heads % gqa_ratio != 0:
             raise ValueError(
                 f"n_heads={n_heads} not divisible by gqa_ratio={gqa_ratio}"
@@ -147,10 +143,6 @@ class SelfAttention(Module):
         self.n_kv_heads = n_heads // gqa_ratio
         self.head_dim = hidden_size // n_heads
         self.rope_base = rope_base
-        #: FlashAttention-style memory behaviour: the s×s attention
-        #: probabilities are never materialized on the tape; backward
-        #: recomputes them from Q/K/V (identical gradients).
-        self.memory_efficient = memory_efficient
         qkv_out = hidden_size + 2 * self.n_kv_heads * self.head_dim
         self.qkv_proj = Linear(rng, hidden_size, qkv_out, dtype=dtype)
         self.out_proj = Linear(rng, hidden_size, hidden_size, dtype=dtype)
@@ -179,15 +171,14 @@ class SelfAttention(Module):
         qh = q.transpose(0, 2, 1, 3)
         kh = k.transpose(0, 2, 1, 3)
         vh = v.transpose(0, 2, 1, 3)
-        if self.memory_efficient:
-            from ..tensor.checkpoint import checkpoint_segment
-            out = checkpoint_segment(
-                lambda a, b, c: ops.scaled_dot_product_attention(
-                    a, b, c, causal=True),
-                qh, kh, vh)
-        else:
-            out = ops.scaled_dot_product_attention(qh, kh, vh,
-                                                   causal=True)
+        # FlashAttention-style memory behaviour: the s×s attention
+        # probabilities are never materialized on the tape; backward
+        # recomputes them from Q/K/V (identical gradients).
+        from ..tensor.checkpoint import checkpoint_segment
+        out = checkpoint_segment(
+            lambda a, b, c: ops.scaled_dot_product_attention(
+                a, b, c, causal=True),
+            qh, kh, vh)
         return out.transpose(0, 2, 1, 3)
 
     def decode_attend(self, q_rot: Tensor, k_cache: Tensor,

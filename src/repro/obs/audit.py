@@ -17,8 +17,8 @@ size for bytes, ``×`` the rank count for all-ranks totals):
   captured routing (:func:`a2a_wire_elements`) instead;
 * Eq. 4 — TP FFN (and EP's AG/RS dispatch mode): Eq. 1's volume.
 
-The auditor takes what a run actually moved — either the byte ledger or
-the traced comm spans — groups it by mechanism via the collective tags,
+The auditor takes what a run actually moved — the byte ledger — groups
+it by mechanism via the collective tags,
 and compares against the formulas (1% tolerance for the ring
 identities; the A2A recount must match to ``RECOUNT_TOLERANCE``).  This
 is the accounting check behind the paper's "communication-efficient"
@@ -29,7 +29,7 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from ..core.analysis import (
     tp_attention_comm_volume,
     tp_ffn_comm_volume,
 )
-from .tracer import Span
 
 __all__ = [
     "AuditEntry",
@@ -143,13 +142,6 @@ class AuditReport:
         """The entries that violated their tolerance or bound."""
         return [e for e in self.entries if not e.ok]
 
-    def entry(self, mechanism: str) -> AuditEntry:
-        """The entry for one mechanism name (KeyError if absent)."""
-        for e in self.entries:
-            if e.mechanism == mechanism:
-                return e
-        raise KeyError(f"no audited mechanism {mechanism!r}")
-
     def render(self) -> str:
         """Aligned expected-vs-measured table for terminals/logs."""
         lines = [
@@ -180,50 +172,13 @@ def _tag_matches(tag: str, prefixes: Tuple[str, ...]) -> bool:
 def _measured_from_ledger(
     ledger: Any, prefixes: Tuple[str, ...], include_backward: bool
 ) -> float:
-    # Prefer the never-rotated cumulative tag counters: a bounded
-    # CommLedger(max_records=...) drops old records, and live records +
-    # rolled aggregates would drift out from under a long audit window.
-    bytes_by_tag = getattr(ledger, "bytes_by_tag", None)
-    if callable(bytes_by_tag):
-        total = 0.0
-        for tag, tag_bytes in bytes_by_tag().items():
-            if not _tag_matches(tag, prefixes):
-                continue
-            if not include_backward and tag.endswith(":bwd"):
-                continue
-            total += tag_bytes
-        return total
-    # Duck-typed sources without counters: live records plus the
-    # per-(op, tag) aggregates of anything rotated out.
     total = 0.0
-    for record in ledger.records:
-        if not _tag_matches(record.tag, prefixes):
-            continue
-        if not include_backward and record.tag.endswith(":bwd"):
-            continue
-        total += record.total_bytes
-    for (_op, tag), rolled in getattr(ledger, "rolled", {}).items():
+    for tag, tag_bytes in ledger.bytes_by_tag().items():
         if not _tag_matches(tag, prefixes):
             continue
         if not include_backward and tag.endswith(":bwd"):
             continue
-        total += rolled["total_bytes"]
-    return total
-
-
-def _measured_from_spans(
-    spans: Iterable[Span], prefixes: Tuple[str, ...], include_backward: bool
-) -> float:
-    total = 0.0
-    for span in spans:
-        if not span.cat.startswith("comm"):
-            continue
-        tag = str(span.attrs.get("tag", ""))
-        if not _tag_matches(tag, prefixes):
-            continue
-        if not include_backward and tag.endswith(":bwd"):
-            continue
-        total += float(span.attrs.get("bytes", 0.0))
+        total += tag_bytes
     return total
 
 
@@ -273,7 +228,7 @@ def a2a_wire_elements(telemetry: Dict[str, Any], h: int) -> float:
 
 
 def audit_comm_volumes(
-    source: Union[Any, Iterable[Span]],
+    ledger: Any,
     *,
     b: int,
     s: int,
@@ -290,9 +245,7 @@ def audit_comm_volumes(
     """Audit moved bytes against the Eq. 1–4 predictions.
 
     Args:
-        source: A :class:`~repro.comm.group.CommLedger` (anything with
-            ``.records``) or an iterable of comm :class:`Span` objects
-            whose attrs carry ``tag`` and ``bytes``.
+        ledger: The run's :class:`~repro.comm.group.CommLedger`.
         b, s, h, n, m, k: Table 1 symbols — micro-batch, sequence,
             hidden size, model-parallel degree, GQA ratio, top-k.
         itemsize: Wire bytes per element — the itemsize of the
@@ -315,19 +268,10 @@ def audit_comm_volumes(
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    from_ledger = hasattr(source, "records")
-    span_list: List[Span] = [] if from_ledger else list(source)
     entries: List[AuditEntry] = []
     direction_factor = 2.0 if include_backward else 1.0
     for spec in MECHANISMS.values():
-        if from_ledger:
-            measured = _measured_from_ledger(
-                source, spec.tag_prefixes, include_backward
-            )
-        else:
-            measured = _measured_from_spans(
-                span_list, spec.tag_prefixes, include_backward
-            )
+        measured = _measured_from_ledger(ledger, spec.tag_prefixes, include_backward)
         if measured == 0.0:
             continue
         if spec.expected_elements is None:

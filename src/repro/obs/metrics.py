@@ -54,14 +54,6 @@ class Counter:
         # concurrent inc cannot resize the dict mid-sum.
         return self._base + sum(list(self._shards.values()))
 
-    @value.setter
-    def value(self, new: float) -> None:
-        self._base = float(new)
-        self._shards = {}
-
-    def __repr__(self) -> str:
-        return f"Counter(value={self.value})"
-
 
 @dataclass
 class Gauge:

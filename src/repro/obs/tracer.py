@@ -91,24 +91,18 @@ class Tracer:
     """Collects spans and events from every instrumented layer.
 
     Spans open and close in LIFO order (strict nesting, like call
-    frames); :meth:`annotate` attaches attributes to the innermost open
-    span, which is how the byte ledger decorates communication spans
-    without the collectives knowing about tracing.
+    frames); :meth:`end` merges attributes into the span it closes,
+    which is how the byte ledger decorates communication spans without
+    the collectives knowing about tracing.  Untraced runs attach no
+    tracer at all.
 
     Args:
         clock: Returns the current time in seconds; defaults to
             ``time.perf_counter``.  Tests inject a deterministic fake.
-        enabled: When False every method is a cheap no-op, so
-            instrumented code paths cost nothing in untraced runs.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
-    ):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock: Callable[[], float] = clock or time.perf_counter
-        self.enabled = enabled
         self.spans: List[Span] = []
         self.events: List[Event] = []
         self._stacks: Dict[int, List[Span]] = {}
@@ -135,10 +129,8 @@ class Tracer:
         rank: Optional[int] = None,
         phase: str = "",
         **attrs: Any,
-    ) -> Optional[Span]:
-        """Open a nested span; returns it (or None while disabled)."""
-        if not self.enabled:
-            return None
+    ) -> Span:
+        """Open a nested span; returns it."""
         stack = self._stack
         parent = stack[-1] if stack else None
         span = Span(
@@ -166,7 +158,7 @@ class Tracer:
         Spans close strictly LIFO; closing an outer span while inner
         ones remain open closes the inner ones too (crash unwinding).
         """
-        if not self.enabled or not self._stack:
+        if not self._stack:
             return None
         if span is None:
             span = self._stack[-1]
@@ -191,7 +183,7 @@ class Tracer:
         rank: Optional[int] = None,
         phase: str = "",
         **attrs: Any,
-    ) -> Iterator[Optional[Span]]:
+    ) -> Iterator[Span]:
         """Context-managed :meth:`begin`/:meth:`end` pair."""
         handle = self.begin(
             name, cat=cat, stream=stream, pid=pid, rank=rank, phase=phase, **attrs
@@ -202,18 +194,9 @@ class Tracer:
             if handle is not None:
                 self.end(handle)
 
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes to the innermost open span (no-op if none)."""
-        if self.enabled and self._stack:
-            self._stack[-1].attrs.update(attrs)
-
     def current(self) -> Optional[Span]:
         """The innermost open span, or None."""
         return self._stack[-1] if self._stack else None
-
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
 
     def record_span(
         self,
@@ -226,7 +209,7 @@ class Tracer:
         rank: Optional[int] = None,
         phase: str = "",
         **attrs: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Append an already-closed span with explicit timestamps.
 
         Continuous-batching request lifetimes overlap arbitrarily, so
@@ -235,8 +218,6 @@ class Tracer:
         time, on whatever clock it was injected with.  Like
         :meth:`ingest_timeline`, the span never touches the stack.
         """
-        if not self.enabled:
-            return None
         if end < start:
             raise ValueError(
                 f"span {name!r} ends before it starts "
@@ -269,10 +250,8 @@ class Tracer:
         pid: str = "train",
         rank: Optional[int] = None,
         **attrs: Any,
-    ) -> Optional[Event]:
+    ) -> Event:
         """Record an instantaneous event at the current clock time."""
-        if not self.enabled:
-            return None
         event = Event(
             name=name,
             cat=cat,
@@ -295,8 +274,6 @@ class Tracer:
         process lane (``pid``), keeping the simulated clock separate
         from wall-clock spans.  Returns the new spans.
         """
-        if not self.enabled:
-            return []
         out: List[Span] = []
         with self._lock:
             for record in timeline.records:
@@ -340,10 +317,6 @@ class Tracer:
         with self._lock:
             return {tid: len(stack)
                     for tid, stack in self._stacks.items()}
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` (by parent link)."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def clear(self) -> None:
         """Drop all spans, events, and any open stack frames."""

@@ -1,6 +1,6 @@
 """Parallel execution engines over simulated ranks."""
 
-from .block import ParallelBlockEngine, shard_sequence, unshard_sequence
+from .block import ParallelBlockEngine, shard_sequence
 from .dist_ops import (
     dist_all_gather,
     dist_all_to_all,
@@ -30,7 +30,6 @@ from .tp_ffn import TPFFNEngine
 __all__ = [
     "ParallelBlockEngine",
     "shard_sequence",
-    "unshard_sequence",
     "dist_all_gather",
     "dist_all_to_all",
     "dist_all_to_all_uneven",

@@ -25,7 +25,7 @@ from .sp_attention import SPAttentionEngine
 from .tp_attention import TPAttentionEngine
 from .tp_ffn import TPFFNEngine
 
-__all__ = ["ParallelBlockEngine", "shard_sequence", "unshard_sequence"]
+__all__ = ["ParallelBlockEngine", "shard_sequence"]
 
 
 def shard_sequence(x: np.ndarray, n: int,
@@ -37,11 +37,6 @@ def shard_sequence(x: np.ndarray, n: int,
     width = s // n
     return [Tensor(x[:, r * width:(r + 1) * width].copy(),
                    requires_grad=requires_grad) for r in range(n)]
-
-
-def unshard_sequence(shards: List[Tensor]) -> np.ndarray:
-    """Concatenate per-rank shard values back to ``[b, s, h]``."""
-    return np.concatenate([s.data for s in shards], axis=1)
 
 
 class ParallelBlockEngine:

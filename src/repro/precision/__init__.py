@@ -9,9 +9,7 @@ from .formats import (
     FloatFormat,
     decode,
     encode,
-    get_format,
     round_bf16,
-    round_fp8,
     round_to_format,
 )
 from .quantize import (
@@ -32,9 +30,7 @@ __all__ = [
     "FloatFormat",
     "decode",
     "encode",
-    "get_format",
     "round_bf16",
-    "round_fp8",
     "round_to_format",
     "QuantizedTensor",
     "dequantize",

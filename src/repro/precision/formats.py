@@ -7,8 +7,9 @@ formats, not hardware tensor cores, so this module emulates them on top of
 numpy float32/float64 arrays:
 
 * ``round_bf16``  — bfloat16: 8-bit exponent, 7-bit mantissa.
-* ``round_fp8``   — FP8 in either the E4M3 or E5M2 layout used by NVIDIA
-  Hopper (the paper adopts E4M3 for all tensors in Section 5).
+* ``round_to_format(x, FP8_E4M3)`` — FP8 in either the E4M3 or E5M2
+  layout used by NVIDIA Hopper (the paper adopts E4M3 for all tensors in
+  Section 5).
 
 All rounding uses round-to-nearest-even, matching IEEE 754 and hardware
 cast instructions.  Values above the format's maximum magnitude saturate
@@ -38,7 +39,6 @@ __all__ = [
     "decode",
     "encode",
     "round_bf16",
-    "round_fp8",
     "round_to_format",
 ]
 
@@ -87,16 +87,6 @@ FP32 = FloatFormat("fp32", 8, 23, float(np.finfo(np.float32).max), 4.0)
 _FORMATS = {f.name: f for f in (FP8_E4M3, FP8_E5M2, BF16, FP16, FP32)}
 
 
-def get_format(name: str) -> FloatFormat:
-    """Look up a :class:`FloatFormat` by its canonical name."""
-    try:
-        return _FORMATS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown float format {name!r}; known: {sorted(_FORMATS)}"
-        ) from None
-
-
 def round_bf16(x: np.ndarray) -> np.ndarray:
     """Round an array to bfloat16 precision (round-to-nearest-even).
 
@@ -116,23 +106,6 @@ def round_bf16(x: np.ndarray) -> np.ndarray:
     if nan_mask.any():
         out[nan_mask] = np.nan
     return out
-
-
-def round_fp8(x: np.ndarray, fmt: FloatFormat = FP8_E4M3) -> np.ndarray:
-    """Round an array to FP8 precision with saturation.
-
-    Args:
-        x: Input array (any float dtype).
-        fmt: ``FP8_E4M3`` (default, used by the paper) or ``FP8_E5M2``.
-
-    Returns:
-        float32 array whose values are exactly representable in ``fmt``.
-        Out-of-range values saturate to ``±fmt.max_value``; NaN passes
-        through.
-    """
-    if fmt.exponent_bits >= 8:
-        raise ValueError(f"round_fp8 expects an FP8 format, got {fmt.name}")
-    return round_to_format(x, fmt)
 
 
 def round_to_format(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:

@@ -226,11 +226,6 @@ class AdamW:
         for p, lo, hi in zip(self.params, offsets, offsets[1:]):
             p.data = full[lo:hi].reshape(p.shape).astype(p.data.dtype)
 
-    def zero_grad(self) -> None:
-        """Clear every parameter's gradient."""
-        for p in self.params:
-            p.zero_grad()
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copies of the step count and both moments, keyed
         ``opt/step_count``, ``opt/m/<i>``, ``opt/v/<i>`` so they merge
@@ -251,11 +246,3 @@ class AdamW:
         for i, p in enumerate(self.params):
             self.m[i] = np.array(state[f"opt/m/{i}"], dtype=p.data.dtype)
             self.v[i] = np.array(state[f"opt/v/{i}"], dtype=p.data.dtype)
-
-    def state_nbytes(self) -> int:
-        """Bytes of both moments one rank holds: all of them without a
-        group, one shard's under ZeRO-1."""
-        if self.group is None:
-            return sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
-        size = zero1_shard_size(int(self.offsets[-1]), self.group.size)
-        return 2 * size * np.result_type(*self.m).itemsize

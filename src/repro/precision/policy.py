@@ -14,8 +14,6 @@ Policies:
 * :func:`bf16_policy` — round activations and weights to BF16.
 * :func:`fp8_policy` — per-token FP8-E4M3 activations (the paper's fix
   for SwiGLU's wide dynamic range), per-tensor FP8 weights.
-* :func:`fp8_naive_policy` — per-tensor activation quantization, the
-  rejected baseline whose loss misaligns with BF16 (§5).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "current_policy",
     "bf16_policy",
     "fp8_policy",
-    "fp8_naive_policy",
 ]
 
 _ACTIVE: List["PrecisionPolicy"] = []
@@ -99,9 +96,3 @@ def fp8_policy() -> PrecisionPolicy:
     return PrecisionPolicy("fp8", _fake_quant_per_token,
                            _fake_quant_per_tensor)
 
-
-def fp8_naive_policy() -> PrecisionPolicy:
-    """FP8 with per-tensor activation quantization — the configuration
-    the paper found to cause loss misalignment."""
-    return PrecisionPolicy("fp8-naive", _fake_quant_per_tensor,
-                           _fake_quant_per_tensor)

@@ -69,16 +69,6 @@ class QuantizedTensor:
     scheme: str
     group_size: Optional[int] = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.payload.shape
-
-    @property
-    def nbytes_on_wire(self) -> float:
-        """Bytes needed to transmit payload + scales."""
-        return float(self.payload.nbytes + self.scales.nbytes)
-
-
 def _scale_for(block_max: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Scale mapping ``block_max`` onto the format's max magnitude.
 

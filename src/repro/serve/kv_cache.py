@@ -43,10 +43,6 @@ class BlockAllocator:
         self.freed_total = 0
 
     @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    @property
     def in_use(self) -> int:
         return self.n_blocks - len(self._free)
 

@@ -1,6 +1,5 @@
 """Discrete-event stream/kernel simulator."""
 
-from .engine import SimTask, StreamFailure, TaskRecord, Timeline, simulate
+from .engine import SimTask, TaskRecord, Timeline, simulate
 
-__all__ = ["SimTask", "StreamFailure", "TaskRecord", "Timeline",
-           "simulate"]
+__all__ = ["SimTask", "TaskRecord", "Timeline", "simulate"]

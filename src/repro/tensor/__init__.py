@@ -7,8 +7,6 @@ from .ops import (
     cross_entropy,
     embedding,
     grouped_swiglu,
-    index_add_rows,
-    masked_fill,
     precision_cast,
     put_rows,
     rmsnorm,
@@ -31,8 +29,6 @@ __all__ = [
     "cross_entropy",
     "embedding",
     "grouped_swiglu",
-    "index_add_rows",
-    "masked_fill",
     "precision_cast",
     "put_rows",
     "rmsnorm",

@@ -53,26 +53,6 @@ def checkpoint_segment(fn: Callable[..., Tensor],
                           "checkpoint")
 
 
-def _buffer(a: np.ndarray) -> np.ndarray:
-    """The array owning ``a``'s memory (``a`` itself unless a view)."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
-
-
-def _closure_arrays(value, out: dict) -> None:
-    """Add every ndarray ``value`` holds (through nested tuples, lists
-    and Tensors) to ``out``, keyed by owning buffer."""
-    if isinstance(value, np.ndarray):
-        buf = _buffer(value)
-        out[id(buf)] = buf
-    elif isinstance(value, Tensor):
-        _closure_arrays(value.data, out)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _closure_arrays(item, out)
-
-
 def tape_saved_arrays(root: Tensor,
                       exclude: Sequence[np.ndarray] = ()
                       ) -> List[np.ndarray]:
@@ -86,7 +66,25 @@ def tape_saved_arrays(root: Tensor,
     result measures *activation* memory as Appendix A.2 counts it.  A
     consumed node (one a ``backward()`` already swept) holds nothing.
     """
-    excluded = {id(_buffer(a)) for a in exclude}
+    def owner(a: np.ndarray) -> np.ndarray:
+        """The array owning ``a``'s memory (``a`` itself unless a view)."""
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    def collect(value, out: dict) -> None:
+        """Add every ndarray ``value`` holds (through nested tuples,
+        lists and Tensors) to ``out``, keyed by owning buffer."""
+        if isinstance(value, np.ndarray):
+            buf = owner(value)
+            out[id(buf)] = buf
+        elif isinstance(value, Tensor):
+            collect(value.data, out)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                collect(item, out)
+
+    excluded = {id(owner(a)) for a in exclude}
     arrays: dict = {}
     seen: Set[int] = set()
     stack = [] if root.node is None else [root.node]
@@ -97,9 +95,9 @@ def tape_saved_arrays(root: Tensor,
         seen.add(id(node))
         fn = node.backward_fn
         for cell in fn.__closure__ or ():
-            _closure_arrays(cell.cell_contents, arrays)
-        _closure_arrays(fn.__defaults__ or (), arrays)
-        _closure_arrays(list((fn.__kwdefaults__ or {}).values()), arrays)
+            collect(cell.cell_contents, arrays)
+        collect(fn.__defaults__ or (), arrays)
+        collect(list((fn.__kwdefaults__ or {}).values()), arrays)
         stack.extend(e for e in node.edges if type(e) is Node)
     return [a for key, a in arrays.items() if key not in excluded]
 

@@ -26,8 +26,6 @@ __all__ = [
     "cross_entropy",
     "take_rows",
     "put_rows",
-    "index_add_rows",
-    "masked_fill",
     "rope_rotate",
     "scaled_dot_product_attention",
     "grouped_swiglu",
@@ -244,28 +242,6 @@ def put_rows(t: Tensor, index: np.ndarray, out_rows: int) -> Tensor:
         return (g[index],)
 
     return Tensor.from_op(out, [t], backward, "put_rows")
-
-
-def index_add_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
-    """``base`` with ``rows`` accumulated at ``index`` along axis 0."""
-    index = np.asarray(index)
-    out = scatter_add_rows(base.data.copy(), index, rows.data)
-
-    def backward(g):
-        return g, g[index]
-
-    return Tensor.from_op(out, [base, rows], backward, "index_add_rows")
-
-
-def masked_fill(t: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace elements where ``mask`` is True with ``value``."""
-    mask = np.asarray(mask, dtype=bool)
-    out = np.where(mask, np.asarray(value, dtype=t.dtype), t.data)
-
-    def backward(g):
-        return (np.where(mask, 0.0, g),)
-
-    return Tensor.from_op(out, [t], backward, "masked_fill")
 
 
 @functools.lru_cache(maxsize=256)

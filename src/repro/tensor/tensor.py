@@ -177,17 +177,7 @@ class Tensor:
         self.node: Optional[Node] = None
         self.name = name
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def zeros(*shape: int, dtype=np.float32,
-              requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, dtype=np.float32,
-             requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad)
+    # -- construction helper ---------------------------------------------
 
     @staticmethod
     def from_op(data: np.ndarray, inputs: Sequence["Tensor"],
@@ -221,26 +211,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """The underlying ndarray (no copy)."""
-        return self.data
-
     def item(self) -> float:
         """The scalar value of a 1-element tensor."""
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A tape-free view of the same values."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        """A leaf copy with the same data and grad flag."""
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad" if self.requires_grad else ""
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.shape}{grad_flag})"
 
     # -- autograd ----------------------------------------------------------
 
@@ -323,17 +296,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        return Tensor.from_op(
-            self.data - other.data, [self, other],
-            lambda g: (g, -g),
-            "sub",
-        )
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) - self
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
@@ -359,20 +321,6 @@ class Tensor:
             lambda g: (g / b if need_a else None,
                        -g * keep_a / (b * b) if need_b else None),
             "div",
-        )
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) / self
-
-    def __neg__(self) -> "Tensor":
-        return Tensor.from_op(-self.data, [self], lambda g: (-g,), "neg")
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        a = self.data
-        return Tensor.from_op(
-            a ** exponent, [self],
-            lambda g: (g * exponent * a ** (exponent - 1),),
-            "pow",
         )
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
@@ -461,14 +409,6 @@ class Tensor:
             "transpose",
         )
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        """Exchange two axes."""
-        return Tensor.from_op(
-            self.data.swapaxes(a, b), [self],
-            lambda g: (g.swapaxes(a, b),),
-            "swapaxes",
-        )
-
     def __getitem__(self, index) -> "Tensor":
         out = self.data[index]
         shape = self.shape
@@ -485,40 +425,7 @@ class Tensor:
 
         return Tensor.from_op(out, [self], backward, "getitem")
 
-    # -- elementwise nonlinearities (the rest live in ops.py) -------------
-
-    def exp(self) -> "Tensor":
-        """Element-wise exponential."""
-        out = np.exp(self.data)
-        return Tensor.from_op(out, [self], lambda g: (g * out,), "exp")
-
-    def log(self) -> "Tensor":
-        """Element-wise natural logarithm."""
-        a = self.data
-        return Tensor.from_op(np.log(a), [self], lambda g: (g / a,), "log")
-
-    def sqrt(self) -> "Tensor":
-        """Element-wise square root."""
-        out = np.sqrt(self.data)
-        return Tensor.from_op(out, [self], lambda g: (g / (2 * out),), "sqrt")
-
-    def tanh(self) -> "Tensor":
-        """Element-wise hyperbolic tangent."""
-        out = np.tanh(self.data)
-        return Tensor.from_op(
-            out, [self], lambda g: (g * (1 - out * out),), "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        """Element-wise logistic sigmoid."""
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor.from_op(
-            out, [self], lambda g: (g * out * (1 - out),), "sigmoid")
-
-    def relu(self) -> "Tensor":
-        """Element-wise max(x, 0)."""
-        mask = self.data > 0
-        return Tensor.from_op(
-            self.data * mask, [self], lambda g: (g * mask,), "relu")
+    # -- elementwise nonlinearity (the rest live in ops.py) --------------
 
     def silu(self) -> "Tensor":
         """SiLU / swish: ``x * sigmoid(x)`` (the SwiGLU building block)."""

@@ -61,8 +61,8 @@ class VerifyCase:
     #: :class:`~repro.ft.faults.ResizeEvent` re-forms the world at
     #: ``new_ranks`` per node and ``new_dp`` replicas (default: the
     #: case's ``dp``) before the step trains.  Empty = fixed-size run.
-    #: When set, the engine additionally runs the case through an
-    #: :class:`~repro.elastic.runner.ElasticRunner` and the
+    #: When set, the engine additionally runs the case through the
+    #: :class:`~repro.core.runner.ProductionRunner` and the
     #: ``elastic_resume`` invariant compares trajectories.
     resize: Tuple[Tuple[int, ...], ...] = ()
     #: Pipeline stages and data-parallel replicas: the world is
@@ -423,11 +423,6 @@ class ServeCase:
                                 seed=self.seed)
         return poisson_trace(self.n_requests, rate=2.0,
                              vocab=self.vocab, seed=self.seed)
-
-    def replace(self, **changes) -> "ServeCase":
-        """A copy of the case with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
 
 def serve_matrix(seed: int = 0) -> List[ServeCase]:
     """The serving conformance grid: both arrival processes, a

@@ -471,7 +471,7 @@ def _run_golden(case: VerifyCase) -> GoldenArtifacts:
 
 
 def _run_elastic(case: VerifyCase) -> ElasticArtifacts:
-    """Run the case's resize schedule through an ElasticRunner.
+    """Run the case's resize schedule through the production runner.
 
     Same model seed, same batches, same optimizer schedule as the
     fixed-size case run — only the world shrinks and grows per
@@ -481,9 +481,8 @@ def _run_elastic(case: VerifyCase) -> ElasticArtifacts:
     import shutil
     import tempfile
 
-    from ..core.runner import FaultInjector
+    from ..core.runner import FaultInjector, ProductionRunner
     from ..elastic.layout import ParallelLayout
-    from ..elastic.runner import ElasticRunner
 
     def layout_at(ranks: int, dp: int) -> ParallelLayout:
         return ParallelLayout.from_parallel_config(
@@ -498,8 +497,8 @@ def _run_elastic(case: VerifyCase) -> ElasticArtifacts:
 
     tmpdir = tempfile.mkdtemp(prefix="repro-elastic-")
     try:
-        runner = ElasticRunner(factory, layout_at(case.ranks, case.dp),
-                               tmpdir, checkpoint_interval=1)
+        runner = ProductionRunner(factory, layout_at(case.ranks, case.dp),
+                                  tmpdir, checkpoint_interval=1)
         injector = FaultInjector(resize_steps={
             step: layout_at(ranks, dp)
             for step, ranks, dp in case.resize_schedule()

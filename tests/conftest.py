@@ -107,3 +107,79 @@ def assert_allclose(a, b, tol=1e-10, msg=""):
     b = np.asarray(b, dtype=np.float64)
     err = np.abs(a - b).max() if a.size else 0.0
     assert err <= tol, f"{msg} max err {err} > {tol}"
+
+
+def clear_ledger(ledger):
+    """Drop every record and total a ledger holds."""
+    ledger.records.clear()
+    ledger.cumulative.clear()
+
+
+def unshard_sequence(shards):
+    """Concatenate per-rank shard values back to ``[b, s, h]``."""
+    return np.concatenate([s.data for s in shards], axis=1)
+
+
+def eval_loss(trainer, token_ids):
+    """A trainer's LM loss without gradient tracking or updates."""
+    from contextlib import nullcontext
+
+    from repro.tensor import no_grad
+
+    with no_grad(), (trainer.policy if trainer.policy is not None
+                     else nullcontext()):
+        _, lm, _ = trainer.loss(token_ids)
+    return lm.item()
+
+
+def base_op_name(name):
+    """The whole-op name a (possibly tiled) op name refers to."""
+    from repro.core.operators import TILE_SEP
+
+    head, sep, tail = name.rpartition(TILE_SEP)
+    return head if sep and tail.isdigit() else name
+
+
+def task_order(timeline, comm=None):
+    """A simulated timeline's task names in start order, optionally only
+    the comm (``comm=True``) or compute (``comm=False``) tasks."""
+    records = sorted(timeline.records, key=lambda r: (r.start, r.task.stream))
+    return [r.task.name for r in records
+            if comm is None or r.task.is_comm == comm]
+
+
+def record_of(timeline, name):
+    """The execution record of one simulated task by name."""
+    return next(r for r in timeline.records if r.task.name == name)
+
+
+def enumerate_plans(model, cluster, train=None):
+    """Every plan candidate that fits the cluster's memory."""
+    from repro.core.config import TrainConfig
+    from repro.core.planner import _raw_candidates, _within_memory
+
+    train = train or TrainConfig()
+    return _within_memory(model, cluster,
+                          _raw_candidates(model, cluster, train),
+                          train.micro_batch_size)
+
+
+def optimizer_state_nbytes(opt):
+    """Bytes of both AdamW moments one rank holds: all of them without
+    a DP group, one ZeRO-1 shard's with one."""
+    from repro.precision.optimizer import zero1_shard_size
+
+    if opt.group is None:
+        return sum(m.nbytes + v.nbytes for m, v in zip(opt.m, opt.v))
+    size = zero1_shard_size(int(opt.offsets[-1]), opt.group.size)
+    return 2 * size * np.result_type(*opt.m).itemsize
+
+
+def audit_entry(report, mechanism):
+    """The audit report's entry for one mechanism name."""
+    return next(e for e in report.entries if e.mechanism == mechanism)
+
+
+def children_of(tracer, span):
+    """Direct children of ``span`` (by parent link)."""
+    return [s for s in tracer.spans if s.parent_id == span.span_id]

@@ -5,9 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import (
-    activation_budget,
-    activation_elements_full,
-    activation_elements_remat,
     attention_comm_volume,
     ep_ffn_comm_volume,
     ffn_comm_volume,
@@ -135,46 +132,6 @@ class TestScaleUpRatio:
 
     def test_single_rank_infinite(self):
         assert scale_up_ratio(1024, 1e9, 1e12, 1) == float("inf")
-
-
-class TestActivationMemory:
-    @given(st.integers(2, 16), st.sampled_from([1, 2, 4, 8]),
-           st.integers(1, 8), st.floats(0.5, 5.0))
-    @settings(max_examples=50, deadline=None)
-    def test_remat_always_smaller(self, n, m, k, f):
-        full = activation_elements_full(1, 64, 32, n, m, k, f)
-        remat = activation_elements_remat(1, 64, 32, n, m, k, f)
-        assert remat < full
-
-    def test_full_formula_literal(self):
-        b, s, h, n, m, k, f = 1, 8192, 4096, 8, 4, 3, 3.5
-        expected = (2 * n + 2 * k + 3 * k * f + 12 + 5 / m) * b * s * h / n
-        assert activation_elements_full(b, s, h, n, m, k, f) == \
-            pytest.approx(expected)
-
-    def test_remat_formula_literal(self):
-        b, s, h, n, m, k, f = 1, 8192, 4096, 8, 4, 3, 3.5
-        expected = (2 * k * f + 4 + 2 / m) * b * s * h / n
-        assert activation_elements_remat(b, s, h, n, m, k, f) == \
-            pytest.approx(expected)
-
-    def test_paper_headline_50_percent(self):
-        """§4.1: ~50% activation memory reduction on the paper's
-        models."""
-        for name in ("mixtral-8x7b", "mixtral-8x2b", "internal-352b"):
-            model = MODEL_ZOO[name]
-            budget = activation_budget(model, ParallelConfig.megascale(8),
-                                       micro_batch=1)
-            assert 0.35 < budget.savings_fraction < 0.75, name
-
-    def test_budget_matches_formulas(self):
-        model = MODEL_ZOO["mixtral-8x7b"]
-        pc = ParallelConfig.megascale(8)
-        budget = activation_budget(model, pc, 2)
-        f = model.ffn_hidden_size / model.hidden_size
-        assert budget.full_elements == pytest.approx(
-            activation_elements_full(2, model.seq_len, model.hidden_size,
-                                     8, model.gqa_ratio, model.top_k, f))
 
 
 class TestParamMemory:

@@ -9,11 +9,11 @@ from repro.core import MegaScaleTrainer, ParallelConfig, \
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
 from repro.model.transformer import TransformerBlock
-from repro.parallel import ParallelBlockEngine, shard_sequence, \
-    unshard_sequence
+from repro.parallel import ParallelBlockEngine, shard_sequence
 from repro.precision.optimizer import AdamW, clip_grad_norm
 from repro.precision.policy import bf16_policy
 from repro.tensor import Tensor
+from conftest import eval_loss, unshard_sequence
 
 
 @pytest.fixture
@@ -122,7 +122,7 @@ class TestMegaScaleTrainer:
         trainer = self.make(tiny_config, 4)
         ids = rng.integers(0, 64, (2, 17))
         before = {k: v.copy() for k, v in trainer.state_dict().items()}
-        trainer.eval_loss(ids)
+        eval_loss(trainer, ids)
         after = trainer.state_dict()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
@@ -134,8 +134,8 @@ class TestMegaScaleTrainer:
         state = trainer.state_dict()
         fresh = self.make(tiny_config, 4)
         fresh.load_state_dict(state)
-        assert fresh.eval_loss(ids) == pytest.approx(
-            trainer.eval_loss(ids))
+        assert eval_loss(fresh, ids) == pytest.approx(
+            eval_loss(trainer, ids))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_state_dict_replays_a_window_bit_for_bit(self, tiny_config,
@@ -226,10 +226,10 @@ class TestMegaScaleTrainer:
         corpus = MarkovCorpus(vocab_size=64, seed=1)
         trainer = self.make(tiny_config, 4)
         batches = list(batch_iterator(corpus, 4, 16, limit=10))
-        first = trainer.eval_loss(batches[0])
+        first = eval_loss(trainer, batches[0])
         for batch in batches:
             trainer.train_step(batch)
-        assert trainer.eval_loss(batches[0]) < first
+        assert eval_loss(trainer, batches[0]) < first
 
 
 COMBOS = [("sp", "ep"), ("sp", "tp"), ("tp", "ep"), ("tp", "tp")]

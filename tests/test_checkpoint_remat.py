@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model.layers import SelfAttention
-from repro.tensor import Tensor
+from repro.tensor import Tensor, ops
 from repro.tensor.checkpoint import (
     checkpoint_segment,
     tape_live_bytes,
@@ -73,15 +73,29 @@ class TestCheckpointSegment:
         np.testing.assert_allclose(x.grad, expected, rtol=1e-10)
 
 
+def naive_attention(attn, x):
+    """``attn``'s forward with the s×s probabilities on the tape: the
+    fused SDPA node called directly, not inside a checkpoint."""
+    b, s, _ = x.shape
+    q, k, v = attn.split_qkv(attn.qkv_proj(x), b, s)
+    q = ops.rope_rotate(q, attn.rope_base)
+    k = ops.rope_rotate(k, attn.rope_base)
+    out = ops.scaled_dot_product_attention(
+        q.transpose(0, 2, 1, 3), k.transpose(0, 2, 1, 3),
+        v.transpose(0, 2, 1, 3), causal=True)
+    return attn.out_proj(out.transpose(0, 2, 1, 3).reshape(
+        b, s, attn.hidden_size))
+
+
 class TestMemoryEfficientAttention:
     def test_gradients_match_naive(self, rng):
         x = rng.standard_normal((2, 8, 16))
         grads = {}
         for eff in (False, True):
             attn = SelfAttention(np.random.default_rng(0), 16, 4, 2,
-                                 dtype=np.float64, memory_efficient=eff)
+                                 dtype=np.float64)
             xt = Tensor(x, requires_grad=True)
-            attn(xt).sum().backward()
+            (attn(xt) if eff else naive_attention(attn, xt)).sum().backward()
             grads[eff] = (xt.grad.copy(),
                           attn.qkv_proj.weight.grad.copy())
         np.testing.assert_allclose(grads[True][0], grads[False][0],
@@ -101,9 +115,9 @@ class TestMemoryEfficientAttention:
         sizes = {}
         for eff in (False, True):
             attn = SelfAttention(np.random.default_rng(0), 16, 4, 2,
-                                 dtype=np.float64, memory_efficient=eff)
+                                 dtype=np.float64)
             xt = Tensor(x, requires_grad=True)
-            out = attn(xt)
+            out = attn(xt) if eff else naive_attention(attn, xt)
             params = [p.data for p in attn.parameters()]
             sizes[eff] = tape_live_bytes(out, exclude=params)
         assert sizes[True] < 0.5 * sizes[False]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.comm import (
     World,
     all_gather,
-    all_reduce,
     all_to_all,
     all_to_all_uneven,
     rank_ordered_sum,
@@ -17,6 +16,7 @@ from repro.comm import (
 from repro.parallel.dist_ops import dist_reduce_scatter
 from repro.precision.formats import BF16, encode, round_bf16
 from repro.tensor import Tensor
+from conftest import clear_ledger
 
 
 def make_shards(rng, n, shape):
@@ -66,7 +66,7 @@ class TestAllGather:
 
     def test_ledger_ring_bytes(self, rng, world4):
         g = world4.full_group()
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         all_gather(g, make_shards(rng, 4, (2, 3)), tag="t")
         rec = world4.ledger.records[-1]
         # Each rank sends its 6-element float64 shard (n-1) times.
@@ -76,7 +76,7 @@ class TestAllGather:
         """A narrower wire is a narrower array: BF16 words move at
         2 bytes each."""
         g = world4.full_group()
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         words = [encode(round_bf16(s), BF16)
                  for s in make_shards(rng, 4, (2, 3))]
         all_gather(g, words)
@@ -108,7 +108,7 @@ class TestReduceScatter:
 
     def test_ledger(self, rng, world4):
         g = world4.full_group()
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         reduce_scatter(g, make_shards(rng, 4, (8, 3)))
         rec = world4.ledger.records[-1]
         assert rec.send_bytes_per_rank == [6 * 8 * 3] * 4
@@ -156,9 +156,6 @@ class TestRankOrderedSum:
             for j in range(n):
                 assert out[j].dtype == dtype
                 np.testing.assert_array_equal(out[j], pieces[j])
-        out = all_reduce(group(), tensors)[0]
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out, want.astype(dtype))
 
     def test_result_is_a_fresh_array_and_inputs_are_untouched(self, rng):
         tensors = make_shards(rng, 3, (4, 2))
@@ -180,36 +177,6 @@ class TestRankOrderedSum:
             want += value
         got = rank_ordered_sum([np.array([x]) for x in values])
         assert got[0] == want
-
-
-class TestAllReduce:
-    def test_semantics(self, rng, world4):
-        g = world4.full_group()
-        tensors = make_shards(rng, 4, (3, 3))
-        outs = all_reduce(g, tensors)
-        total = np.sum(tensors, axis=0)
-        for out in outs:
-            np.testing.assert_allclose(out, total, rtol=1e-12)
-
-    def test_rs_then_ag_equals_ar(self, rng, world4):
-        """Ring all-reduce identity: AG(RS(x)) == AR(x)."""
-        g = world4.full_group()
-        tensors = make_shards(rng, 4, (8, 2))
-        via_two = all_gather(g, reduce_scatter(g, tensors))
-        direct = all_reduce(g, tensors)
-        for a, b in zip(via_two, direct):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
-
-    def test_bytes_equal_two_phase(self, rng, world4):
-        g = world4.full_group()
-        world4.ledger.clear()
-        tensors = make_shards(rng, 4, (8, 2))
-        all_reduce(g, tensors, tag="ar")
-        ar_bytes = world4.ledger.total_bytes(tag="ar")
-        world4.ledger.clear()
-        all_gather(g, reduce_scatter(g, tensors, tag="rs"), tag="ag")
-        two_phase = world4.ledger.total_bytes()
-        assert ar_bytes == pytest.approx(two_phase)
 
 
 class TestAllToAll:
@@ -235,7 +202,7 @@ class TestAllToAll:
 
     def test_self_chunk_free(self, rng, world4):
         g = world4.full_group()
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         chunks = [[rng.standard_normal((5,)) for _ in range(4)]
                   for _ in range(4)]
         all_to_all(g, chunks)

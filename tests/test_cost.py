@@ -5,11 +5,9 @@ import pytest
 from repro.comm.cost import (
     LinkSpec,
     all_to_all_time,
-    broadcast_time,
     flat_sync_time,
     hierarchical_sync_time,
     ring_all_gather_time,
-    ring_all_reduce_time,
     ring_reduce_scatter_time,
 )
 
@@ -30,7 +28,6 @@ class TestLinkSpec:
 class TestRingCollectives:
     def test_single_rank_free(self):
         assert ring_all_gather_time(1e9, 1, LINK) == 0.0
-        assert ring_all_reduce_time(1e9, 1, LINK) == 0.0
 
     def test_ag_formula(self):
         # (n-1) steps of one shard each.
@@ -40,10 +37,6 @@ class TestRingCollectives:
     def test_rs_equals_ag(self):
         assert ring_reduce_scatter_time(5e9, 4, LINK) == \
             ring_all_gather_time(5e9, 4, LINK)
-
-    def test_ar_is_double(self):
-        assert ring_all_reduce_time(5e9, 4, LINK) == \
-            pytest.approx(2 * ring_all_gather_time(5e9, 4, LINK))
 
     def test_volume_shrinks_with_n(self):
         """Ring time approaches total/bw as n grows — the reason SP/EP
@@ -75,15 +68,6 @@ class TestAllToAll:
         perfect = LinkSpec(bandwidth=100e9, latency=1e-6,
                            a2a_efficiency=1.0)
         assert t_eff > all_to_all_time(1e9, 4, perfect)
-
-
-class TestBroadcast:
-    def test_free_alone(self):
-        assert broadcast_time(1e9, 1, LINK) == 0.0
-
-    def test_pipeline_cost(self):
-        assert broadcast_time(1e9, 4, LINK) == \
-            pytest.approx(1e-6 + 1e9 / 100e9)
 
 
 class TestHierarchicalSync:

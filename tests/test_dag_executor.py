@@ -30,7 +30,6 @@ from repro.obs import Observability
 from repro.parallel import (
     ParallelBlockEngine,
     shard_sequence,
-    unshard_sequence,
 )
 from repro.precision.formats import FP8_E4M3
 from repro.perf.estimator import (
@@ -40,6 +39,7 @@ from repro.perf.estimator import (
 )
 from repro.runtime import DagExecutor, schedule_conformance_problems
 from repro.tensor import Tensor
+from conftest import unshard_sequence
 
 RANKS = 4
 SEQ = 8

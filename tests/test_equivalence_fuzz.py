@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from repro.comm import World
 from repro.core.config import ModelConfig
 from repro.model.transformer import TransformerBlock
-from repro.parallel import ParallelBlockEngine, shard_sequence, \
-    unshard_sequence
+from repro.parallel import ParallelBlockEngine, shard_sequence
 from repro.tensor import Tensor
+from conftest import unshard_sequence
 
 
 def valid_configs():

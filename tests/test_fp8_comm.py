@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from conftest import ffn_half, forward_bytes
+from conftest import clear_ledger, ffn_half, forward_bytes
 from repro.comm import World
 from repro.core import MegaScaleTrainer, ModelConfig, ParallelConfig, \
     TrainConfig
@@ -48,7 +48,7 @@ class TestDistReduceScatterFP8:
     def test_wire_bytes_fp8(self, rng, world4):
         g = world4.full_group()
         tensors = leaf_shards(rng, 4, (8, 16))
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         dist_reduce_scatter_fp8(g, tensors, tag="x")
         fwd = world4.ledger.total_bytes(tag="x")
         # 3 off-diagonal chunks of 2x16 at 1B + 2 rows x 4B scales each.
@@ -99,7 +99,7 @@ class TestDistAllGatherFP8:
     def test_ledger_counts_scales(self, rng, world4):
         g = world4.full_group()
         shards = leaf_shards(rng, 4, (4, 8))
-        world4.ledger.clear()
+        clear_ledger(world4.ledger)
         dist_all_gather_fp8(g, shards, tag="y")
         per_rank = (4 * 8 * 1.0 + 4 * 4.0) * 3  # payload + scales, n-1
         assert world4.ledger.total_bytes(tag="y") == \

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.comm import World, all_reduce
+from repro.comm import World, reduce_scatter
 from repro.ft import (
     FaultPlan,
     HealthMonitor,
@@ -145,7 +145,7 @@ class TestHealthMonitorWiring:
         group = world.full_group()
         tensors = [np.ones(16) for _ in range(4)]
         for _ in range(8):
-            all_reduce(group, tensors)
+            reduce_scatter(group, tensors)
         assert monitor.collectives_seen == 8
         assert monitor.flagged_stragglers() == [1]
 

@@ -23,15 +23,17 @@ from repro.ft import (
     validate_checkpoint,
     write_checkpoint_meta,
 )
+from repro.elastic import ParallelLayout
 from repro.model import MoETransformer
 
 CONFIG = ModelConfig("ftrec", n_layers=1, hidden_size=16, n_heads=4,
                      gqa_ratio=2, ffn_hidden_size=24, n_experts=4,
                      top_k=2, vocab_size=32, seq_len=8)
+LAYOUT = ParallelLayout.from_parallel_config(ParallelConfig.megascale(2))
 
 
 def make_factory(plan=None):
-    def factory():
+    def factory(layout=None):
         model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=8, learning_rate=5e-3,
@@ -160,33 +162,33 @@ class TestCheckpointIntegrity:
 
 class TestCheckpointChain:
     def test_corrupt_latest_falls_back(self, tmp_path):
-        runner = ProductionRunner(make_factory(), str(tmp_path),
+        runner = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         runner.run(make_batches(8))
         assert runner.latest_checkpoint() == 8
         flip_byte(runner._path(8))
-        fresh = ProductionRunner(make_factory(), str(tmp_path),
+        fresh = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         assert fresh.latest_checkpoint() == 4
         assert fresh.discarded == [8]
 
     def test_truncated_latest_falls_back(self, tmp_path):
-        runner = ProductionRunner(make_factory(), str(tmp_path),
+        runner = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         runner.run(make_batches(8))
         with open(runner._path(8), "r+b") as handle:
             handle.truncate(10)
-        fresh = ProductionRunner(make_factory(), str(tmp_path),
+        fresh = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         assert fresh.latest_checkpoint() == 4
 
     def test_all_corrupt_restarts_from_scratch(self, tmp_path):
-        runner = ProductionRunner(make_factory(), str(tmp_path),
+        runner = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         runner.run(make_batches(8))
         flip_byte(runner._path(4))
         flip_byte(runner._path(8))
-        fresh = ProductionRunner(make_factory(), str(tmp_path),
+        fresh = ProductionRunner(make_factory(), LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         assert fresh.latest_checkpoint() is None
         # A full run from scratch still completes.
@@ -197,18 +199,18 @@ class TestCheckpointChain:
         """Walking back the chain replays more steps but lands on the
         identical final state."""
         batches = make_batches(10)
-        clean = ProductionRunner(make_factory(),
+        clean = ProductionRunner(make_factory(), LAYOUT,
                                  str(tmp_path / "clean"),
                                  checkpoint_interval=3)
         clean.run(batches)
 
-        faulty = ProductionRunner(make_factory(),
+        faulty = ProductionRunner(make_factory(), LAYOUT,
                                   str(tmp_path / "faulty"),
                                   checkpoint_interval=3)
         faulty.run(batches[:8])  # checkpoints at 3, 6 and final 8
         flip_byte(faulty._path(6))
         flip_byte(faulty._path(8))
-        resumed = ProductionRunner(make_factory(),
+        resumed = ProductionRunner(make_factory(), LAYOUT,
                                    str(tmp_path / "faulty"),
                                    checkpoint_interval=3)
         metrics = resumed.run(batches)
@@ -226,10 +228,10 @@ class TestRunnerRetryIntegration:
         cps = calls_per_step()
         plan = FaultPlan([FaultSpec("timeout", at_call=2 * cps + 1)])
         runner = ProductionRunner(
-            make_factory(plan), str(tmp_path), checkpoint_interval=4,
+            make_factory(plan), LAYOUT, str(tmp_path), checkpoint_interval=4,
             retry_policy=BackoffPolicy(max_retries=2))
         metrics = runner.run(make_batches(6))
-        assert metrics.restart_count == 0  # absorbed by retry
+        assert len(metrics.restarts) == 0  # absorbed by retry
         assert metrics.retries == 1
         assert metrics.backoff_seconds > 0
         assert metrics.steps == list(range(6))
@@ -241,34 +243,36 @@ class TestRunnerRetryIntegration:
         plan = FaultPlan([FaultSpec("timeout", at_call=2 * cps),
                           FaultSpec("timeout", at_call=2 * cps + 1)])
         runner = ProductionRunner(
-            make_factory(plan), str(tmp_path), checkpoint_interval=4,
+            make_factory(plan), LAYOUT, str(tmp_path), checkpoint_interval=4,
             retry_policy=BackoffPolicy(max_retries=1))
         metrics = runner.run(make_batches(6))
-        assert metrics.restart_count == 1
+        assert len(metrics.restarts) == 1
         assert set(metrics.steps) == set(range(6))
 
     def test_comm_fault_without_retry_policy_restarts(self, tmp_path):
         cps = calls_per_step()
         plan = FaultPlan([FaultSpec("timeout", at_call=2 * cps + 1)])
-        runner = ProductionRunner(make_factory(plan), str(tmp_path),
+        runner = ProductionRunner(make_factory(plan), LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         metrics = runner.run(make_batches(6))
-        assert metrics.restart_count == 1
+        assert len(metrics.restarts) == 1
 
     def test_faulted_run_reproduces_clean_loss_trajectory(self,
                                                           tmp_path):
-        """Determinism: random transient faults + retries + restarts
+        """Determinism: transient faults spread over the run + retries
         leave the per-step final losses exactly equal to a clean run."""
         batches = make_batches(10)
-        clean = ProductionRunner(make_factory(),
+        clean = ProductionRunner(make_factory(), LAYOUT,
                                  str(tmp_path / "clean"),
                                  checkpoint_interval=3)
         clean_metrics = clean.run(batches)
 
-        plan = FaultPlan(rate=0.05, seed=11,
-                         kinds=("timeout", "corrupt"))
+        per_step = calls_per_step()
+        plan = FaultPlan([FaultSpec(kind, at_call=i * per_step + 3)
+                          for i, kind in enumerate(("timeout", "corrupt")
+                                                   * 3)], seed=11)
         faulty = ProductionRunner(
-            make_factory(plan), str(tmp_path / "faulty"),
+            make_factory(plan), LAYOUT, str(tmp_path / "faulty"),
             checkpoint_interval=3,
             retry_policy=BackoffPolicy(max_retries=4))
         faulty_metrics = faulty.run(batches)
@@ -286,13 +290,13 @@ class TestRunnerRetryIntegration:
 class TestLossSpikeRecovery:
     def test_rollback_then_identical_replay(self, tmp_path):
         batches = make_batches(8)
-        clean = ProductionRunner(make_factory(),
+        clean = ProductionRunner(make_factory(), LAYOUT,
                                  str(tmp_path / "clean"),
                                  checkpoint_interval=4)
         clean.run(batches)
 
         runner = ProductionRunner(
-            make_factory(), str(tmp_path / "spiky"),
+            make_factory(), LAYOUT, str(tmp_path / "spiky"),
             checkpoint_interval=4,
             loss_guard=LossSpikeGuard(window=8, factor=2.0,
                                       min_history=3))
@@ -305,20 +309,9 @@ class TestLossSpikeRecovery:
             for key in a.files:
                 assert a[key].tobytes() == b[key].tobytes(), key
 
-    def test_skip_policy_drops_offending_batch(self, tmp_path):
-        runner = ProductionRunner(
-            make_factory(), str(tmp_path), checkpoint_interval=4,
-            loss_guard=LossSpikeGuard(window=8, factor=2.0,
-                                      min_history=3),
-            on_spike="skip")
-        injector = FaultInjector(spike_steps=[5], spike_factor=100.0)
-        metrics = runner.run(make_batches(8), injector)
-        assert metrics.skipped == [5]
-        assert set(metrics.steps) == set(range(8)) - {5}
-
     def test_rollback_budget_enforced(self, tmp_path):
         runner = ProductionRunner(
-            make_factory(), str(tmp_path), checkpoint_interval=4,
+            make_factory(), LAYOUT, str(tmp_path), checkpoint_interval=4,
             loss_guard=LossSpikeGuard(window=8, factor=2.0,
                                       min_history=2),
             max_rollbacks=1)
@@ -329,11 +322,6 @@ class TestLossSpikeRecovery:
         with pytest.raises(LossSpike):
             runner.run(make_batches(8), injector)
 
-    def test_spike_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="on_spike"):
-            ProductionRunner(make_factory(), str(tmp_path),
-                             on_spike="panic")
-
 
 class TestEndToEndFaultStorm:
     def test_storm_run_matches_clean_run_bytewise(self, tmp_path):
@@ -342,7 +330,7 @@ class TestEndToEndFaultStorm:
         spike finishes with final weights byte-identical to a
         fault-free run over the same batches."""
         batches = make_batches(12)
-        clean = ProductionRunner(make_factory(),
+        clean = ProductionRunner(make_factory(), LAYOUT,
                                  str(tmp_path / "clean"),
                                  checkpoint_interval=4)
         clean_metrics = clean.run(batches)
@@ -352,7 +340,7 @@ class TestEndToEndFaultStorm:
         plan = FaultPlan([FaultSpec("timeout", at_call=5 * cps + 3)])
         storm_dir = str(tmp_path / "storm")
         runner = ProductionRunner(
-            make_factory(plan), storm_dir, checkpoint_interval=4,
+            make_factory(plan), LAYOUT, storm_dir, checkpoint_interval=4,
             retry_policy=BackoffPolicy(max_retries=2),
             loss_guard=LossSpikeGuard(window=8, factor=2.0,
                                       min_history=3))
@@ -372,7 +360,7 @@ class TestEndToEndFaultStorm:
 
         # Every recovery mechanism actually exercised.
         assert metrics.retries == 1            # comm timeout retried
-        assert metrics.restart_count == 1      # crash at step 9
+        assert len(metrics.restarts) == 1      # crash at step 9
         assert runner.discarded == [8]         # corrupt ckpt walked past
         assert metrics.steps.count(4) == 2     # resumed from 4, not 8
         assert metrics.rollbacks == [10]       # loss spike rolled back

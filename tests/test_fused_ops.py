@@ -34,6 +34,13 @@ def _repeat_heads(t: Tensor, m: int) -> Tensor:
         lambda g: (g.reshape(b, h, m, s, d).sum(axis=2),), "repeat_heads")
 
 
+def masked_fill(t: Tensor, mask: np.ndarray, value: float) -> Tensor:
+    """Replace elements where ``mask`` is True with ``value``."""
+    out = np.where(mask, np.asarray(value, dtype=t.dtype), t.data)
+    return Tensor.from_op(out, [t], lambda g: (np.where(mask, 0.0, g),),
+                          "masked_fill")
+
+
 def chain_sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """``matmul · mul · masked_fill · softmax · matmul`` on 4-D inputs;
     ``mask`` is boolean ``[s_q, s_k]``, True = hidden."""
@@ -41,9 +48,9 @@ def chain_sdpa(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     if m > 1:
         k = _repeat_heads(k, m)
         v = _repeat_heads(v, m)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = ops.masked_fill(scores, mask[None, None], -1e30)
+        scores = masked_fill(scores, mask[None, None], -1e30)
     return ops.softmax(scores, axis=-1) @ v
 
 
@@ -297,8 +304,7 @@ class TestScatterAddRows:
         self.check(rng, np.array([0, -1, 9, -10, 3]), 10)
 
     def test_row_ops_route_through_it(self, rng):
-        """take_rows backward, put_rows, index_add_rows and embedding
-        backward equal their ``np.add.at`` definitions bit for bit."""
+        """take_rows backward, put_rows and embedding backward equal their ``np.add.at`` definitions bit for bit."""
         index = rng.permutation(np.repeat(np.arange(12), 2))
         x = rng.standard_normal((12, 4)).astype(np.float32)
         g = rng.standard_normal((24, 4)).astype(np.float32)
@@ -311,12 +317,6 @@ class TestScatterAddRows:
 
         np.testing.assert_array_equal(
             ops.put_rows(Tensor(g), index, 12).data, want)
-
-        want_base = x.copy()
-        np.add.at(want_base, index, g)
-        np.testing.assert_array_equal(
-            ops.index_add_rows(Tensor(x), index, Tensor(g)).data,
-            want_base)
 
         w = Tensor(x, requires_grad=True)
         ids = index.reshape(4, 6)
@@ -336,8 +336,8 @@ def fan_in_graph(rng, dtype=np.float32):
     x = Tensor(rng.standard_normal((4, 6)).astype(dtype),
                requires_grad=True)
     h = x @ w
-    h = h + (h @ w).tanh() + (h * h) @ w
-    h = h + h.sigmoid() @ w + h[:, :3].sum() + (h @ w)[1:3].mean()
+    h = h + (h @ w).silu() + (h * h) @ w
+    h = h + (h * 0.5).silu() @ w + h[:, :3].sum() + (h @ w)[1:3].mean()
     return (h * h).mean(), (w, x)
 
 

@@ -10,8 +10,8 @@ from repro.comm import (
     hierarchical_inter_node_volume,
     hierarchical_intra_node_volume,
     hierarchical_sync,
-    tp_inter_node_volume,
 )
+from conftest import clear_ledger
 
 
 class TestHierarchicalSync:
@@ -60,8 +60,8 @@ class TestDtypeAndSummation:
 
     @pytest.mark.parametrize("sync,numel", [
         (hierarchical_sync, 24),   # shard 6 over d=2: RS + AG
-        (hierarchical_sync, 9),    # shard 3 over d=2: fallback
-        (flat_sync, 7),            # 7 over d=2: fallback
+        (hierarchical_sync, 9),    # shard 3 over d=2: padded to 4
+        (flat_sync, 7),            # 7 over d=2: padded to 8
     ])
     def test_float32_in_float32_out(self, rng, sync, numel):
         n, d = 3, 2
@@ -82,11 +82,14 @@ class TestDtypeAndSummation:
             assert all(np.array_equal(o, outs[0]) for o in outs)
         per_rank = world.ledger.total_bytes() / (n * d)
         padded = -(-numel // n) * n
+        # The inter-node leg zero-pads each shard to a multiple of d.
+        inter = -(-(padded // n) // d) * d * n
         want_bytes = (
             hierarchical_intra_node_volume(padded * 4.0, n)
-            + hierarchical_inter_node_volume(padded * 4.0, n, d)
+            + hierarchical_inter_node_volume(inter * 4.0, n, d)
             if sync is hierarchical_sync
-            else hierarchical_inter_node_volume(numel * 4.0, 1, d))
+            else hierarchical_inter_node_volume(-(-numel // d) * d * 4.0,
+                                                1, d))
         assert per_rank == pytest.approx(want_bytes)
 
     def test_compressed_inter_leg_is_bf16(self, rng):
@@ -123,8 +126,9 @@ class TestVolumes:
         """Appendix A.1's central claim: SP and TP attention have the
         same inter-node communication volume."""
         p, n, d = 1024.0, 8, 4
+        tp_shard_all_reduce = 2.0 * (p / n) * (d - 1) / d
         assert hierarchical_inter_node_volume(p, n, d) == \
-            pytest.approx(tp_inter_node_volume(p, n, d))
+            pytest.approx(tp_shard_all_reduce)
 
     def test_inter_volume_formula(self):
         assert hierarchical_inter_node_volume(800.0, 8, 4) == \
@@ -146,7 +150,7 @@ class TestVolumes:
         numel = 16 * n * d
         grads = [rng.standard_normal(numel).astype(np.float32)
                  for _ in range(n * d)]
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         hierarchical_sync(world, grads)
         inter = sum(
             r.total_bytes for r in world.ledger.records
@@ -161,7 +165,7 @@ class TestVolumes:
         numel = 16 * n * d
         grads = [rng.standard_normal(numel).astype(np.float32)
                  for _ in range(n * d)]
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         hierarchical_sync(world, grads)
         intra = sum(
             r.total_bytes for r in world.ledger.records

@@ -25,7 +25,7 @@ class TestModule:
 
     def test_n_params(self, rng):
         lin = Linear(rng, 4, 6, bias=True)
-        assert lin.n_params() == 4 * 6 + 6
+        assert sum(p.size for p in lin.parameters()) == 4 * 6 + 6
 
     def test_zero_grad(self, rng):
         lin = Linear(rng, 3, 3)

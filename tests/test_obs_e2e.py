@@ -11,12 +11,14 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.runner import FaultInjector, ProductionRunner
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
+from repro.elastic import ParallelLayout
 from repro.model import MoETransformer
 from repro.obs import (
     Observability,
     audit_comm_volumes,
     crosscheck_tracer_ledger,
 )
+from conftest import audit_entry, children_of
 
 CONFIG = ModelConfig("obs-e2e", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -52,7 +54,7 @@ class TestTracedTrainingStep:
         tracer = obs.tracer
         (step,) = [s for s in tracer.closed_spans(cat="train")
                    if s.name == "train.step"]
-        phases = [s.name for s in tracer.children_of(step)]
+        phases = [s.name for s in children_of(tracer, step)]
         assert phases == ["forward", "backward", "optimizer"]
         # Comm spans hang off the phases, never off the root.
         for span in tracer.closed_spans(cat="comm"):
@@ -88,7 +90,7 @@ class TestTracedTrainingStep:
                       passes=CONFIG.n_layers)
         report = audit_comm_volumes(world.ledger, a2a_telemetry=passes,
                                     **kwargs)
-        entry = report.entry("ep_ffn_a2a")
+        entry = audit_entry(report, "ep_ffn_a2a")
         assert report.ok, report.render()
         assert entry.tolerance <= 1e-9 and entry.rel_error <= 1e-9
         assert not audit_comm_volumes(world.ledger, **kwargs).ok
@@ -190,12 +192,14 @@ class TestRunnerObservability:
                             weight_decay=0.0, aux_loss_coeff=0.01)
         obs = Observability.create()
 
-        def factory():
+        def factory(layout):
             model = MoETransformer(small, seed=0, dtype=np.float64)
             return MegaScaleTrainer(
                 model, World(2, 2), ParallelConfig.megascale(2), train, obs=obs)
 
-        runner = ProductionRunner(factory, str(tmp_path),
+        layout = ParallelLayout.from_parallel_config(
+            ParallelConfig.megascale(2))
+        runner = ProductionRunner(factory, layout, str(tmp_path),
                                   checkpoint_interval=2, obs=obs)
         corpus = MarkovCorpus(vocab_size=32, seed=0)
         batches = list(batch_iterator(corpus, 2, 8, seed=1, limit=4))

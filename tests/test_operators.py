@@ -34,6 +34,10 @@ STRATEGIES = [
 ]
 
 
+def gemm_flops(graph):
+    return sum(op.flops for op in graph.ops if op.kind == "gemm")
+
+
 class TestOpValidation:
     def test_comm_needs_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
@@ -73,7 +77,7 @@ class TestForwardGraphs:
     def test_builds_and_validates(self, parallel):
         graph = build_forward_graph(MODEL, parallel, micro_batch=1)
         assert len(graph) > 10
-        assert graph.comm_ops() and graph.compute_ops()
+        assert graph.comm_ops() and any(op.kind != "comm" for op in graph.ops)
 
     def test_sp_has_two_a2a(self):
         graph = build_forward_graph(MODEL, ParallelConfig.megascale(8), 1)
@@ -178,8 +182,7 @@ class TestBackwardGraphs:
         fwd_gemms = [op for op in fwd if op.kind == "gemm"]
         bwd_gemms = [op for op in bwd if op.kind == "gemm"]
         assert len(bwd_gemms) == 2 * len(fwd_gemms)
-        assert bwd.total("flops", kind="gemm") == pytest.approx(
-            2 * fwd.total("flops", kind="gemm"))
+        assert gemm_flops(bwd) == pytest.approx(2 * gemm_flops(fwd))
 
     def test_comm_duals(self):
         bwd = build_backward_graph(
@@ -225,8 +228,7 @@ class TestBackwardGraphs:
         fwd = build_forward_graph(MODEL, ParallelConfig.megascale(8), 1)
         with_remat = build_backward_graph(fwd, selective_remat=True)
         without = build_backward_graph(fwd, selective_remat=False)
-        assert with_remat.total("flops", kind="gemm") == pytest.approx(
-            without.total("flops", kind="gemm"))
+        assert gemm_flops(with_remat) == pytest.approx(gemm_flops(without))
 
     def test_retain_everything_plan_inserts_nothing(self):
         """The remat transform is plan-parametric: keeping every

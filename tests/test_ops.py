@@ -146,33 +146,6 @@ class TestRowOps:
         out = ops.take_rows(ops.put_rows(x, perm, 6), perm)
         np.testing.assert_allclose(out.data, x.data)
 
-    def test_index_add_rows(self, rng):
-        base = Tensor(np.zeros((4, 2)))
-        rows = Tensor(np.ones((2, 2)))
-        out = ops.index_add_rows(base, np.array([3, 3]), rows)
-        assert out.data[3].tolist() == [2.0, 2.0]
-
-    def test_index_add_rows_grad(self, rng):
-        gradcheck(
-            lambda a, b: ops.index_add_rows(a, np.array([0, 2]), b),
-            [rng.standard_normal((3, 2)), rng.standard_normal((2, 2))],
-            rng)
-
-
-class TestMaskingDropout:
-    def test_masked_fill(self, rng):
-        x = Tensor(rng.standard_normal((2, 3)))
-        mask = np.array([[True, False, True], [False, False, True]])
-        out = ops.masked_fill(x, mask, -1.0)
-        assert (out.data[mask] == -1.0).all()
-        np.testing.assert_array_equal(out.data[~mask], x.data[~mask])
-
-    def test_masked_fill_grad_blocked(self, rng):
-        x = Tensor(rng.standard_normal((4,)), requires_grad=True)
-        mask = np.array([True, False, False, True])
-        ops.masked_fill(x, mask, 0.0).sum().backward()
-        np.testing.assert_array_equal(x.grad, [0, 1, 1, 0])
-
 
 class TestRoPE:
     def test_norm_preserved(self, rng):

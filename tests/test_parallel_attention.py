@@ -8,7 +8,7 @@ and gradients, while moving the Eq. 1 / Eq. 2 communication volumes.
 import numpy as np
 import pytest
 
-from conftest import attention_half, forward_bytes
+from conftest import attention_half, clear_ledger, forward_bytes
 from repro.comm import World
 from repro.core.analysis import (
     sp_attention_comm_volume,
@@ -98,7 +98,7 @@ class TestSPAttention:
         attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
         world = World(n, n)
         engine = SPAttentionEngine(world.full_group(), attn)
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
         measured = forward_bytes(world, "sp_attn") / 8.0  # float64 elements
         formula_total = sp_attention_comm_volume(b, s, h, n, m) * n
@@ -168,7 +168,7 @@ class TestTPAttention:
         attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
         world = World(n, n)
         engine = TPAttentionEngine(world.full_group(), attn)
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
         measured = forward_bytes(world, "tp_attn") / 8.0
         assert measured == pytest.approx(

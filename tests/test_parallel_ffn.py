@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import ffn_half, forward_bytes
+from conftest import clear_ledger, ffn_half, forward_bytes
 from repro.comm import World
 from repro.core.analysis import ep_ffn_comm_volume, tp_ffn_comm_volume
 from repro.model.moe import MoELayer
@@ -106,7 +106,7 @@ class TestEPA2A:
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
         engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "ep_ffn") / 8.0
         hard_bound = 2 * k * b * s * h  # all rows remote, both passes
@@ -119,7 +119,7 @@ class TestEPA2A:
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
         engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "ep_ffn") / 8.0
         bound = ep_ffn_comm_volume(b, s, h, n, k) * n
@@ -146,7 +146,7 @@ class TestEPAgRs:
                            dtype=np.float64)
             world = World(n, n)
             engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
-            world.ledger.clear()
+            clear_ledger(world.ledger)
             ffn_half(engine, shard_seq(
                 np.random.default_rng(k).standard_normal((b, s, h)), n))
             volumes.append(forward_bytes(world, "ep_ffn") / 8.0)
@@ -197,7 +197,7 @@ class TestTPFFN:
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
         engine = TPFFNEngine(world.full_group(), moe)
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "tp_ffn") / 8.0
         assert measured == pytest.approx(tp_ffn_comm_volume(b, s, h, n) * n)

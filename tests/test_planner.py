@@ -14,12 +14,12 @@ from repro.core.planner import (
     _raw_candidates,
     dispatch_crossover_top_k,
     dispatch_mode_times,
-    enumerate_plans,
     plan_cluster,
 )
 from repro.core.schedule import OverlapConfig
 from repro.perf.estimator import AnchorCalibration, CalibrationReport
 from repro.perf.systems import MegaScalePerfModel
+from conftest import enumerate_plans
 
 H800 = GPU_SPECS["h800"]
 NVLINK = LinkSpec(bandwidth=200e9, latency=1e-5, a2a_efficiency=0.6)

@@ -15,12 +15,14 @@ from repro.core.autoschedule import AutoScheduler
 from repro.core.config import GPU_SPECS
 from repro.core.operators import build_backward_graph, build_forward_graph
 from repro.core.runner import ProductionRunner
+from repro.elastic import ParallelLayout
 from repro.ft import ConfigMismatch
 from repro.model import MoETransformer
 from repro.parallel.pipeline import stage_partition
 from repro.perf import KernelModel
 from repro.precision.optimizer import AdamW, clip_grad_norm, zero1_shard_size
 from repro.tensor import Tensor
+from conftest import eval_loss, optimizer_state_nbytes
 
 CONFIG = ModelConfig("pp-tiny", n_layers=4, hidden_size=16, n_heads=4,
                      gqa_ratio=2, ffn_hidden_size=24, n_experts=4,
@@ -215,8 +217,8 @@ class TestZero1AdamW:
         # the parameters' dtype: real bytes, not a priced constant.
         itemsize = np.dtype(dtype).itemsize
         assert zero1_shard_size(62, 4) == 16
-        assert zero.state_nbytes() == 2 * 16 * itemsize
-        assert AdamW(params).state_nbytes() == 2 * 62 * itemsize
+        assert optimizer_state_nbytes(zero) == 2 * 16 * itemsize
+        assert optimizer_state_nbytes(AdamW(params)) == 2 * 62 * itemsize
         if dtype == np.float32:
             # ... which with the rank's shard of the main copy is the
             # 12 B/param (FP32 main + two FP32 moments) the planner
@@ -225,7 +227,7 @@ class TestZero1AdamW:
                                           bytes_per_param=1.0)
             rate = memory["optimizer"] / memory["params"]
             assert rate == 12.0
-            assert zero.state_nbytes() + 16 * itemsize == rate * 16
+            assert optimizer_state_nbytes(zero) + 16 * itemsize == rate * 16
 
     def test_float64_era_shard_state_is_cast_once(self, rng):
         """A float64-era state saved at dp=4 loads into a float32
@@ -287,6 +289,9 @@ class TestZero1AdamW:
         assert clean.tobytes() != flipped.tobytes()
 
 
+LAYOUT = ParallelLayout.from_parallel_config(ParallelConfig.megascale(2))
+
+
 def make_trainer(config=CONFIG):
     model = MoETransformer(config, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
@@ -300,7 +305,8 @@ def saved_runner(tmp_path):
     that took it."""
     trainer = make_trainer()
     trainer.train_step(np.random.default_rng(0).integers(0, 32, (2, 9)))
-    runner = ProductionRunner(make_trainer, str(tmp_path))
+    runner = ProductionRunner(lambda layout: make_trainer(), LAYOUT,
+                              str(tmp_path))
     runner._save(trainer, 1)
     return runner, trainer
 
@@ -314,7 +320,7 @@ class TestCheckpoint:
         fresh = make_trainer()
         assert runner._restore(fresh) == 1
         ids = np.random.default_rng(1).integers(0, 32, (2, 9))
-        assert fresh.eval_loss(ids) == trainer.eval_loss(ids)
+        assert eval_loss(fresh, ids) == eval_loss(trainer, ids)
 
     def test_optimizer_state_restored(self, tmp_path):
         runner, trainer = saved_runner(tmp_path)
@@ -330,8 +336,8 @@ class TestCheckpoint:
         saved_runner(tmp_path)
         other = ModelConfig("other", 4, 16, 4, 2, 24, 8, 2,
                             vocab_size=32, seq_len=8)
-        reader = ProductionRunner(lambda: make_trainer(other),
-                                  str(tmp_path))
+        reader = ProductionRunner(lambda layout: make_trainer(other),
+                                  LAYOUT, str(tmp_path))
         with pytest.raises(ConfigMismatch) as exc:
             reader.run([np.zeros((2, 9), dtype=int)] * 2)
         assert "n_experts=4" in str(exc.value)

@@ -43,7 +43,7 @@ class TestPerTensor:
     def test_wire_bytes(self, rng):
         x = rng.standard_normal((10, 20))
         q = quantize_per_tensor(x)
-        assert q.nbytes_on_wire == 200 * 1.0 + 4.0
+        assert q.payload.nbytes + q.scales.nbytes == 200 * 1.0 + 4.0
 
 
 class TestPerToken:
@@ -136,7 +136,8 @@ class TestGrouped:
     def test_wire_bytes_include_scales(self, rng):
         x = rng.standard_normal((256, 8))
         q = quantize_grouped(x, 128)
-        assert q.nbytes_on_wire == 256 * 8 * 1.0 + 2 * 8 * 4.0
+        assert q.payload.nbytes + q.scales.nbytes == \
+            256 * 8 * 1.0 + 2 * 8 * 4.0
 
 
 class TestFormats:

@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.core.analysis import (
-    activation_elements_full,
-    activation_elements_remat,
-)
 from repro.core.config import MODEL_ZOO, ParallelConfig
 from repro.core.remat import (
     PAPER_RETAINED,
@@ -14,6 +10,23 @@ from repro.core.remat import (
     default_remat_plan,
     no_remat_plan,
 )
+
+
+def full_elements(b, s, h, n, m, k, f):
+    """Appendix A.2: ``(2n + 2k + 3kf + 12 + 5/m) · bsh/n``."""
+    return (2 * n + 2 * k + 3 * k * f + 12 + 5.0 / m) * b * s * h / n
+
+
+def remat_elements(b, s, h, n, m, k, f):
+    """Appendix A.2: ``(2kf + 4 + 2/m) · bsh/n``."""
+    return (2 * k * f + 4 + 2.0 / m) * b * s * h / n
+
+
+def recreated(plan, kind=None):
+    """Names of the table rows ``plan`` does not retain (of one kind)."""
+    return [s.name for s in activation_table()
+            if s.name not in plan.retained
+            and (kind is None or s.recreate == kind)]
 
 
 class TestActivationTable:
@@ -64,7 +77,7 @@ class TestRematPlan:
         pc = ParallelConfig.megascale(8)
         plan = default_remat_plan()
         f = model.ffn_hidden_size / model.hidden_size
-        expected = activation_elements_remat(
+        expected = remat_elements(
             2, model.seq_len, model.hidden_size, 8, model.gqa_ratio,
             model.top_k, f)
         assert plan.retained_elements(model, pc, 2) == \
@@ -74,7 +87,7 @@ class TestRematPlan:
         model = MODEL_ZOO["mixtral-8x7b"]
         pc = ParallelConfig.megascale(8)
         f = model.ffn_hidden_size / model.hidden_size
-        expected = activation_elements_full(
+        expected = full_elements(
             1, model.seq_len, model.hidden_size, 8, model.gqa_ratio,
             model.top_k, f)
         assert no_remat_plan().retained_elements(model, pc, 1) == \
@@ -85,16 +98,17 @@ class TestRematPlan:
         for name in ("mixtral-8x7b", "mixtral-8x2b"):
             model = MODEL_ZOO[name]
             plan = default_remat_plan()
-            savings = plan.savings_vs_full(
-                model, ParallelConfig.megascale(8), 1)
+            pc = ParallelConfig.megascale(8)
+            savings = 1.0 - (plan.retained_elements(model, pc, 1)
+                             / no_remat_plan().retained_elements(model, pc,
+                                                                 1))
             assert 0.35 < savings < 0.75, (name, savings)
 
     def test_only_cheap_activations_recreated(self):
         """The default plan never recomputes an 'expensive' activation
         other than those reconstructable as layer inputs."""
         plan = default_remat_plan()
-        expensive = [s.name for s in plan.recreated()
-                     if s.recreate == "expensive"]
+        expensive = recreated(plan, "expensive")
         # qkv, attn, attn_out, fc2_out, hidden_next are recreated only as
         # by-products of the backward pass itself, never re-run forward.
         assert set(expensive) <= {"qkv", "attn", "attn_out", "fc2_out",
@@ -102,9 +116,9 @@ class TestRematPlan:
 
     def test_recompute_and_recommunicate_lists(self):
         plan = default_remat_plan()
-        assert "ln2_out" in plan.recompute_names()
-        assert "fc2_in" in plan.recompute_names()
-        assert "ln2_out_ag" in plan.recommunicate_names()
+        assert "ln2_out" in recreated(plan, "recompute")
+        assert "fc2_in" in recreated(plan, "recompute")
+        assert "ln2_out_ag" in recreated(plan, "recommunicate")
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="unknown activations"):

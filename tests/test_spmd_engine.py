@@ -11,8 +11,8 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import attention_half, forward_bytes
-from repro.comm import World, all_reduce
+from conftest import attention_half, clear_ledger, forward_bytes
+from repro.comm import World, reduce_scatter
 from repro.core.analysis import sp_attention_comm_volume
 from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
@@ -99,7 +99,7 @@ class TestZeroCopyLedgerAudit:
         engine = SPAttentionEngine(world.full_group(), attn)
         shards = [Tensor(rng.standard_normal((b, s // n, h)),
                          requires_grad=True) for _ in range(n)]
-        world.ledger.clear()
+        clear_ledger(world.ledger)
         attention_half(engine, shards, s)
         measured = forward_bytes(world, "sp_attn") / 8.0
         formula = sp_attention_comm_volume(b, s, h, n, m) * n
@@ -149,7 +149,7 @@ class TestReentrancy:
                     start.wait()
                 group = world.group([2 * i, 2 * i + 1])
                 for _ in range(rounds):
-                    all_reduce(group, [np.ones(8), np.ones(8)], tag="t")
+                    reduce_scatter(group, [np.ones(8), np.ones(8)], tag="t")
                     counter.inc(1.0)
 
             if concurrent:
