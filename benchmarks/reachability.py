@@ -82,10 +82,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro/perf/estimator.py::AnchorCalibration.scale": "item 4",
     "repro/perf/estimator.py::CalibrationReport.default_scale": "item 4",
     "repro/perf/estimator.py::CalibrationReport.scale_for": "item 4",
-    "repro/parallel/pipeline.py::interleaved_1f1b_schedule": "item 7",
-    "repro/parallel/pipeline.py::_interleaved_order": "item 7",
-    "repro/parallel/pipeline.py::gpipe_schedule": "item 7",
-    "repro/parallel/pipeline.py::bubble_fraction": "item 7",
     "repro/tensor/checkpoint.py::tape_saved_arrays": "items 1/2",
     "repro/tensor/checkpoint.py::tape_live_bytes": "items 1/2",
     "repro/core/autoschedule.py::AutoScheduleResult.gain": "item 3",

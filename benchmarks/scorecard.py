@@ -520,15 +520,6 @@ def overlap_levels() -> Tuple[float, float]:
             runs[2].fraction("exposed_comm_time"))
 
 
-def virtual_stages() -> float:
-    """Pipeline bubble at v=1 over v=4: 352B, pp=15, dp=12, m=60."""
-    bubbles = [_iteration(MegaScalePerfModel(), M352,
-                          ParallelConfig.megascale(
-                              8, 15, 12, virtual_pipeline_size=v),
-                          720).bubble_time for v in (1, 4)]
-    return bubbles[0] / bubbles[1]
-
-
 # -- the rows ---------------------------------------------------------------
 
 
@@ -798,10 +789,6 @@ def rows() -> List[Row]:
         Row("overlap.exposed_share", "§4", (0.0, 0.05), overlap_exposed, 0.0,
             "exposed-comm share of the iteration with both levels on; the "
             "'near zero' of Fig. 12 read as under 5%"),
-        Row("vpp.bubble_v1_over_v4", "§2.2", 4.0, virtual_stages(), 1e-9,
-            "pipeline bubble at v=1 over v=4, 352B on 1,440 GPUs (pp=15, "
-            "dp=12, 60 micro-batches): interleaving divides it by v; the "
-            "only row at v > 1, every other row assumes v=1 (ROADMAP item 7)"),
     ]
 
 

@@ -110,7 +110,6 @@ class CommLedger:
     """
 
     records: List[CommRecord] = field(default_factory=list)
-    enabled: bool = True
     #: Cumulative totals keyed ``(op, tag)``, bumped at accept time.
     cumulative: Dict[Tuple[str, str], Dict[str, float]] = field(
         default_factory=dict, repr=False)
@@ -120,9 +119,7 @@ class CommLedger:
                                   repr=False, compare=False)
 
     def record(self, record: CommRecord) -> None:
-        """Append one collective record (no-op while disabled)."""
-        if not self.enabled:
-            return
+        """Append one collective record."""
         with self._lock:
             agg = self.cumulative.setdefault(
                 (record.op, record.tag), {"total_bytes": 0.0, "count": 0.0})
@@ -294,17 +291,13 @@ class ProcessGroup:
         pass ``tile=(i, T)``) — emit a self-contained span, so traced
         bytes still sum to ledger bytes exactly.
         """
-        ledger = self.world.ledger
-        if ledger.enabled:
-            # Only materialize the CommRecord (and its list copy) when
-            # the ledger will actually keep it.
-            ledger.record(CommRecord(
-                op=op,
-                group_size=self.size,
-                send_bytes_per_rank=list(send_bytes_per_rank),
-                tag=tag,
-                tile=tile,
-            ))
+        self.world.ledger.record(CommRecord(
+            op=op,
+            group_size=self.size,
+            send_bytes_per_rank=list(send_bytes_per_rank),
+            tag=tag,
+            tile=tile,
+        ))
         tracer = self.world.tracer
         if tracer is not None:
             total = float(sum(send_bytes_per_rank))

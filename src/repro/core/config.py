@@ -241,7 +241,6 @@ class ParallelConfig:
     ffn: str = FFNParallelism.EP
     pipeline_size: int = 1
     data_parallel_size: int = 1
-    virtual_pipeline_size: int = 1
     #: EP dispatch mode: "a2a", "ag_rs", or "adaptive" (§3.2, Fig. 7).
     ep_dispatch: str = "adaptive"
 
@@ -253,7 +252,7 @@ class ParallelConfig:
         if self.ep_dispatch not in ("a2a", "ag_rs", "adaptive"):
             raise ValueError(f"unknown ep_dispatch {self.ep_dispatch!r}")
         for field_name in ("model_parallel_size", "pipeline_size",
-                           "data_parallel_size", "virtual_pipeline_size"):
+                           "data_parallel_size"):
             v = getattr(self, field_name)
             if v < 1:
                 raise ValueError(f"{field_name} must be >= 1, got {v}")
@@ -314,8 +313,6 @@ class TrainConfig:
     precision: str = "bf16"
     #: Apply DP gradient-communication compression (§5, Fig. 10/17).
     dp_comm_compression: bool = False
-    #: Selective activation rematerialization (§4.1, Fig. 8/16).
-    selective_remat: bool = True
     #: Router auxiliary (load-balance) loss coefficient (§3.2).
     aux_loss_coeff: float = 0.01
     #: One-valued (None or "sequential" / "dag") and read by nothing:

@@ -33,7 +33,7 @@ import numpy as np
 from .config import GPU_SPECS, ModelConfig, ParallelConfig
 from .operators import (OpGraph, TilePlan, build_forward_graph,
                         plan_tiles, tile_forward_graph)
-from .schedule import HolisticScheduler, OverlapConfig
+from .schedule import HolisticScheduler
 
 __all__ = [
     "LayerProgram",
@@ -499,11 +499,10 @@ class LayerProgram:
 
 def layer_program(model: ModelConfig, parallel: ParallelConfig,
                   micro_batch: int, seq_len: int,
-                  gpu: str = "h800",
-                  overlap: Optional[OverlapConfig] = None,
                   tile_tokens: Optional[int] = None
                   ) -> LayerProgram:
-    """Build the graph → price it → schedule it → flatten the order.
+    """Build the graph → price it on an H800 → schedule it with both
+    overlap levels → flatten the order.
 
     ``tile_tokens`` additionally plans the §4.2 tile decomposition and
     attaches the tiled graph/schedule/order to the program (validating
@@ -512,9 +511,9 @@ def layer_program(model: ModelConfig, parallel: ParallelConfig,
     from ..perf.estimator import KernelModel
     graph = build_forward_graph(model, parallel, micro_batch,
                                 seq_len=seq_len)
-    kernel_model = KernelModel(GPU_SPECS[gpu])
+    kernel_model = KernelModel(GPU_SPECS["h800"])
     durations = kernel_model.durations(graph)
-    scheduler = HolisticScheduler(overlap or OverlapConfig.full())
+    scheduler = HolisticScheduler()
     tasks = scheduler.schedule(graph, durations)
     order = [name for task in tasks
              for name in expand_task(graph, task.name)]

@@ -471,7 +471,6 @@ def _ffn_forward(d: _Dims) -> List[Op]:
 def build_backward_graph(
     fwd: OpGraph,
     selective_remat: bool = True,
-    remat_plan: Optional[object] = None,
 ) -> OpGraph:
     """Operator DAG for one MoE layer's backward pass on one rank.
 
@@ -479,10 +478,9 @@ def build_backward_graph(
     :func:`build_forward_graph`): every GEMM becomes a dgrad and
     a wgrad GEMM (same FLOPs each), every collective becomes its dual,
     memory ops double their traffic.  With ``selective_remat`` the
-    recompute/re-communicate ops of Fig. 8b are inserted (phase
-    ``"remat"``) with dependencies that let the scheduler overlap them;
-    ``remat_plan`` (a :class:`~repro.core.remat.RematPlan`) selects
-    which activations are recreated, defaulting to the paper's plan.
+    recompute/re-communicate ops of Fig. 8b — the activations the
+    paper's plan does not retain — are inserted (phase ``"remat"``)
+    with dependencies that let the scheduler overlap them.
     """
     dual = {"ag": "rs", "rs": "ag", "a2a": "a2a", "ar": "ar"}
 
@@ -527,11 +525,10 @@ def build_backward_graph(
             prev_name = bwd.name
 
     if selective_remat:
-        # The remat transform lives in core.remat so the sim schedule
-        # and the numeric DAG executor share one RematPlan semantics
-        # (lazy import: remat imports Op from this module).
+        # The remat transform lives next to the plan it follows (lazy
+        # import: core.remat imports Op from this module).
         from .remat import insert_remat_ops
-        ops = insert_remat_ops(fwd, ops, remat_plan)
+        ops = insert_remat_ops(fwd, ops)
     return OpGraph(ops)
 
 

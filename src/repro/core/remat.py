@@ -14,7 +14,7 @@ hiding the re-work under independent communication.  This module holds:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, FrozenSet, List
 
 from .config import ModelConfig, ParallelConfig
 
@@ -160,70 +160,46 @@ def no_remat_plan() -> RematPlan:
 # Graph transform
 # ---------------------------------------------------------------------------
 
-def insert_remat_ops(fwd: "OpGraph", bwd_ops: List["Op"],
-                     plan: Optional[RematPlan] = None) -> List["Op"]:
+def insert_remat_ops(fwd: "OpGraph", bwd_ops: List["Op"]) -> List["Op"]:
     """Insert Fig. 8b rematerialization ops before their consumers.
 
-    The one remat transform shared by the sim schedule
-    (:func:`~repro.core.operators.build_backward_graph`) and the numeric
-    DAG executor (:meth:`~repro.runtime.dag_executor.DagRunResult.apply_remat`):
-    every activation the ``plan`` does *not* retain and that backward
-    consumes shows up as a ``remat.*`` op — re-run RMSNorm1/RMSNorm2,
-    re-all-gather the FFN input, re-apply SwiGLU to recover ``fc2_in``.
-    Each carries no ordering dependency on the backward chain, so the
-    scheduler is free to hide it under communication.  With the default
-    (paper) plan this reproduces the Fig. 8b op set exactly; a plan that
-    retains everything inserts nothing.
+    Every activation the paper's plan (:func:`default_remat_plan`)
+    does *not* retain and that backward consumes shows up as a
+    ``remat.*`` op — re-run RMSNorm1/RMSNorm2, re-all-gather the FFN
+    input, re-scatter it, re-apply SwiGLU to recover ``fc2_in``.  Each
+    carries no ordering dependency on the backward chain, so the
+    scheduler is free to hide it under communication.
     """
     from .operators import Op
-
-    if plan is None:
-        plan = default_remat_plan()
-
-    def recreates(name: str) -> bool:
-        """Whether activation ``name`` must be rebuilt under ``plan``."""
-        return name in _SHARES and name not in plan.retained
 
     out: List[Op] = []
     inserted = set()
 
     def remat_for(consumer: str) -> List[Op]:
         extra: List[Op] = []
-        if consumer == "fc2.dgrad" and "swiglu" in fwd \
-                and recreates("fc2_in"):
-            src = fwd["swiglu"]
+        if consumer == "fc2.dgrad" and "swiglu" in fwd:
             extra.append(Op("remat.swiglu", "memory",
-                            mem_bytes=src.mem_bytes,
+                            mem_bytes=fwd["swiglu"].mem_bytes,
                             produces=("fc2_in",), phase="remat"))
         if consumer in ("fc1.dgrad", "fc1.wgrad") and "ln2" in fwd:
-            if recreates("ln2_out"):
-                src = fwd["ln2"]
-                extra.append(Op("remat.ln2", "memory",
-                                mem_bytes=src.mem_bytes,
-                                produces=("ln2_out",), phase="remat"))
-            if "ffn_ag" in fwd and recreates("ln2_out_ag"):
+            extra.append(Op("remat.ln2", "memory",
+                            mem_bytes=fwd["ln2"].mem_bytes,
+                            produces=("ln2_out",), phase="remat"))
+            if "ffn_ag" in fwd:
                 ag = fwd["ffn_ag"]
                 extra.append(Op("remat.ffn_ag", "comm",
                                 comm_bytes=ag.comm_bytes,
                                 comm_pattern="ag",
                                 comm_scope=ag.comm_scope,
-                                deps=("remat.ln2",)
-                                if recreates("ln2_out") else (),
+                                deps=("remat.ln2",),
                                 produces=("ln2_out_ag",), phase="remat"))
-            if "scatter" in fwd and recreates("ffn_in"):
-                sc = fwd["scatter"]
-                if "ffn_ag" in fwd and recreates("ln2_out_ag"):
-                    deps = ("remat.ffn_ag",)
-                elif recreates("ln2_out"):
-                    deps = ("remat.ln2",)
-                else:
-                    deps = ()
+            if "scatter" in fwd:
                 extra.append(Op("remat.scatter", "memory",
-                                mem_bytes=sc.mem_bytes,
-                                deps=deps,
+                                mem_bytes=fwd["scatter"].mem_bytes,
+                                deps=("remat.ffn_ag",) if "ffn_ag" in fwd
+                                else ("remat.ln2",),
                                 produces=("ffn_in",), phase="remat"))
-        if consumer == "qkv_proj.wgrad" and "ln1" in fwd \
-                and recreates("ln1_out"):
+        if consumer == "qkv_proj.wgrad" and "ln1" in fwd:
             extra.append(Op("remat.ln1", "memory",
                             mem_bytes=fwd["ln1"].mem_bytes,
                             produces=("ln1_out",), phase="remat"))
@@ -237,12 +213,13 @@ def insert_remat_ops(fwd: "OpGraph", bwd_ops: List["Op"],
                 "remat.swiglu" in inserted:
             op = replace(op, deps=op.deps + ("remat.swiglu",))
         if op.name in ("fc1.dgrad", "fc1.wgrad", "fc3.dgrad",
-                       "fc3.wgrad") and "remat.scatter" in inserted:
-            op = replace(op, deps=op.deps + ("remat.scatter",))
-        elif op.name in ("fc1.dgrad", "fc1.wgrad", "fc3.dgrad",
-                         "fc3.wgrad") and "remat.ln2" in inserted \
-                and "remat.scatter" not in inserted:
-            op = replace(op, deps=op.deps + ("remat.ln2",))
+                       "fc3.wgrad"):
+            # The expert GEMMs read the recreated FFN input: the
+            # scatter's, or the RMSNorm's where nothing scatters.
+            for name in ("remat.scatter", "remat.ln2"):
+                if name in inserted:
+                    op = replace(op, deps=op.deps + (name,))
+                    break
         # remat.ln1 recreates qkv_proj's GEMM input; wgrad is its one
         # consumer, so it needs the edge or the op dangles unconsumed.
         if op.name == "qkv_proj.wgrad" and "remat.ln1" in inserted:

@@ -306,8 +306,7 @@ class ProductionRunner:
                 and saved != current:
             # Map the checkpoint's state from its recorded layout onto
             # the live trainer's.
-            state, report = reshard_state(state, saved, current,
-                                          obs=self.obs)
+            state, report = reshard_state(state, saved, current)
             self.reshard_reports.append(report)
         trainer.load_state_dict(state)
 

@@ -127,7 +127,11 @@ class HolisticScheduler:
             resolved.append((name, dur, is_comm, scope, mapped))
 
         if not self.overlap.inter_op:
-            return self._in_order(resolved)
+            # One stream runs units in list order.  A fused unit takes
+            # its first member's place but waits for every member's
+            # dependencies, so the units go in the topological order
+            # nearest the list (graph order comes back unchanged).
+            return self._in_order(self._topological(resolved))
         return self._list_schedule(resolved)
 
     # -- intra-op fusion --------------------------------------------------
@@ -160,14 +164,13 @@ class HolisticScheduler:
                 member_to_unit[m.name] = unit_name
 
         units = []
-        emitted = set()
         for op in graph:
             if op.name in member_to_unit:
+                # A fused unit takes its first member's place.
                 unit = member_to_unit[op.name]
-                if unit in emitted:
+                members = fusable[unit[len("fused:"):]]
+                if op is not members[0]:
                     continue
-                key = unit[len("fused:"):]
-                members = fusable[key]
                 comm_t = sum(durations[m.name] for m in members
                              if m.kind == "comm")
                 comp_t = sum(durations[m.name] for m in members
@@ -183,7 +186,6 @@ class HolisticScheduler:
                 # compute for exposure accounting.
                 units.append((unit, kernel.duration, False, scope,
                               ext_deps))
-                emitted.add(unit)
             else:
                 units.append((op.name, durations[op.name],
                               op.kind == "comm", op.comm_scope,
@@ -212,6 +214,29 @@ class HolisticScheduler:
                     )
                 children[d].append(name)
         return children
+
+    @classmethod
+    def _topological(cls, units) -> list:
+        """``units`` in a topological order that keeps list order
+        wherever the dependencies allow (so an already valid list comes
+        back unchanged): each step takes the earliest-listed unit whose
+        dependencies are all placed."""
+        children = cls._children(units)
+        index = {u[0]: i for i, u in enumerate(units)}
+        waiting = [len(u[4]) for u in units]
+        ready = [i for i, n in enumerate(waiting) if n == 0]
+        ordered = []
+        while ready:
+            i = heapq.heappop(ready)
+            ordered.append(units[i])
+            for child in children[units[i][0]]:
+                j = index[child]
+                waiting[j] -= 1
+                if waiting[j] == 0:
+                    heapq.heappush(ready, j)
+        if len(ordered) != len(units):
+            raise ValueError("cyclic dependencies in schedule units")
+        return ordered
 
     @staticmethod
     def _timeline(records: List[TaskRecord]) -> Timeline:

@@ -144,10 +144,6 @@ class MegaScaleTrainer:
             group=world.group(range(0, world.size, n * pp))
             if dp > 1 else None)
 
-        remat_plan = None
-        if train.selective_remat:
-            from .remat import default_remat_plan
-            remat_plan = default_remat_plan()
         # FP8 training turns on §5's communication compression on the
         # FFN collectives (per-token forward, grouped-channel backward).
         fp8_comm = train.precision == "fp8"
@@ -155,8 +151,7 @@ class MegaScaleTrainer:
             ParallelBlockEngine(self.stage_groups[s], model.blocks[layer],
                                 parallel.attention, parallel.ffn,
                                 parallel.ep_dispatch, fp8_comm=fp8_comm,
-                                tile_tokens=train.tile_tokens,
-                                remat_plan=remat_plan)
+                                tile_tokens=train.tile_tokens)
             for s, layers in enumerate(self.stages) for layer in layers
         ]
         self.step_count = 0

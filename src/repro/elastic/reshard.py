@@ -23,15 +23,15 @@ Three mappings, each exact by construction:
 :func:`reshard_state` applies all three to a trainer checkpoint and
 returns the re-partitioned state plus a :class:`ReshardReport` (bytes
 moved, experts moved, modelled reshard seconds at a configurable link
-bandwidth) — the numbers the obs counters, ``repro train --resize``
-and ``bench_elastic_resize`` report.
+bandwidth) — the numbers ``repro train --resize`` and
+``bench_elastic_resize`` report.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -183,8 +183,6 @@ def _expert_bytes_by_layer(state: Dict[str, np.ndarray],
 def reshard_state(state: Dict[str, np.ndarray],
                   old_layout: ParallelLayout,
                   new_layout: ParallelLayout,
-                  *,
-                  obs: Optional[object] = None,
                   ) -> Tuple[Dict[str, np.ndarray], ReshardReport]:
     """Map a trainer checkpoint from one parallel layout to another.
 
@@ -197,9 +195,7 @@ def reshard_state(state: Dict[str, np.ndarray],
     DP degree (a resize that keeps ``dp`` moves none of it), and the
     experts move to their blocks under the new EP degree.
 
-    Returns ``(new_state, report)``; when ``obs`` is given the
-    re-partition lands as an ``elastic.reshard`` span plus
-    ``elastic.reshards`` / ``elastic.bytes_moved`` counters.
+    Returns ``(new_state, report)``.
     """
     # m and v each cover the flattened space once.
     moments = [np.asarray(value) for key, value in state.items()
@@ -232,18 +228,4 @@ def reshard_state(state: Dict[str, np.ndarray],
         dp_rings=tuple(tuple(ring) for ring in form_dp_rings(
             new_layout.world_size, new_layout.dp)),
     )
-
-    if obs is not None:
-        with obs.tracer.span("elastic.reshard", cat="elastic",
-                             stream="runner",
-                             old=old_layout.describe(),
-                             new=new_layout.describe(),
-                             bytes=report.total_bytes,
-                             experts_moved=sum(map(len,
-                                                   report.experts_moved))):
-            pass
-        obs.metrics.inc("elastic.reshards")
-        obs.metrics.inc("elastic.bytes_moved", report.total_bytes)
-        obs.metrics.set("elastic.last_reshard_seconds",
-                        report.seconds())
     return state, report

@@ -76,15 +76,13 @@ class Module:
 
 
 class Linear(Module):
-    """``y = x @ W (+ b)`` with weight shape ``[in, out]``."""
+    """``y = x @ W`` with weight shape ``[in, out]`` (no layer of the
+    model has a bias)."""
 
     def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int,
-                 bias: bool = False, dtype=np.float32):
+                 dtype=np.float32):
         self.weight = Tensor(init_linear(rng, fan_in, fan_out, dtype),
                              requires_grad=True, name="weight")
-        self.bias = (Tensor(np.zeros(fan_out, dtype=dtype),
-                            requires_grad=True, name="bias")
-                     if bias else None)
 
     def operands(self, x: Tensor) -> Tuple[Tensor, Tensor]:
         """``(x, weight)`` as the GEMM reads them: cast by the installed
@@ -98,10 +96,7 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x, weight = self.operands(x)
-        out = x @ weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ weight
 
 
 class RMSNorm(Module):

@@ -10,9 +10,6 @@ from .dist_ops import (
 from .ep_ffn import EPFFNEngine, choose_dispatch_mode
 from .pipeline import (
     PipelineTask,
-    bubble_fraction,
-    gpipe_schedule,
-    interleaved_1f1b_schedule,
     one_f_one_b_schedule,
     stage_partition,
     validate_schedule,
@@ -37,9 +34,6 @@ __all__ = [
     "EPFFNEngine",
     "choose_dispatch_mode",
     "PipelineTask",
-    "bubble_fraction",
-    "gpipe_schedule",
-    "interleaved_1f1b_schedule",
     "one_f_one_b_schedule",
     "validate_schedule",
     "SPAttentionEngine",

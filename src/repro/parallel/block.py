@@ -56,8 +56,7 @@ class ParallelBlockEngine:
                  attention: str = "sp", ffn: str = "ep",
                  ep_mode: str = "adaptive",
                  fp8_comm: bool = False,
-                 tile_tokens: Optional[int] = None,
-                 remat_plan: Optional[object] = None):
+                 tile_tokens: Optional[int] = None):
         self.group = group
         self.block = block
         if attention == "sp":
@@ -81,14 +80,10 @@ class ParallelBlockEngine:
         #: changing it can never serve a stale untiled (or differently
         #: tiled) program.
         self.tile_tokens = tile_tokens
-        #: A :class:`~repro.core.remat.RematPlan`: activations it does
-        #: not retain are dropped from each run's env afterwards.
-        self.remat_plan = remat_plan
         self._executors: dict = {}
         #: Introspection from the last forward.
         self.last_executed_ops: Optional[List[str]] = None
         self.last_executed_tiles: Optional[List[str]] = None
-        self.last_remat_report: Optional[dict] = None
 
     def executor_for(self, micro_batch: int, seq_len: int):
         """The compiled :class:`~repro.runtime.dag_executor.DagExecutor`
@@ -157,11 +152,7 @@ class ParallelBlockEngine:
                     routings=[router_vals[0][0]],
                     tokens_per_rank=result.per_rank("ffn_ag")[0][1])
 
-        outputs = result.per_rank("residual2")
-        self.last_remat_report = (
-            result.apply_remat(self.remat_plan)
-            if self.remat_plan is not None else None)
-        return outputs, aux
+        return result.per_rank("residual2"), aux
 
     # Every engine computes from the block's own parameters (TP takes
     # tape slices of them), so a step has nothing to copy back or

@@ -7,10 +7,10 @@ position.  Under causal masking the workload is inherently imbalanced:
 with a contiguous layout, the rank holding the tail of the sequence
 attends against almost the whole context while the head rank attends
 against almost nothing — "the entire training process is often
-constrained by the most imbalanced data batch".  The zigzag layout pairs
-chunk ``r`` with chunk ``2n-1-r`` on the same rank, balancing the
-quadratic term, though block-granularity effects keep perfect balance
-out of reach.
+constrained by the most imbalanced data batch".  Balancing layouts
+that pair a head chunk with a tail chunk are out of scope: no plan
+runs CP, and the scorecard's ``s3_1.cp_over_sp`` row prices the
+contiguous layout the section argues from.
 
 This module is analysis only — no plan runs CP — and provides:
 
@@ -34,53 +34,31 @@ __all__ = [
 ]
 
 
-def cp_layout_positions(seq_len: int, n: int,
-                        layout: str = "contiguous") -> List[np.ndarray]:
-    """Absolute token positions held by each rank under a CP layout.
-
-    ``contiguous``: rank r holds chunk r.  ``zigzag``: the sequence is
-    cut into 2n chunks and rank r holds chunks r and 2n-1-r, pairing a
-    cheap head chunk with an expensive tail chunk.
-    """
-    if layout == "contiguous":
-        if seq_len % n != 0:
-            raise ValueError(
-                f"seq_len {seq_len} not divisible by {n} ranks"
-            )
-        width = seq_len // n
-        return [np.arange(r * width, (r + 1) * width) for r in range(n)]
-    if layout == "zigzag":
-        if seq_len % (2 * n) != 0:
-            raise ValueError(
-                f"zigzag needs seq_len divisible by 2n = {2 * n}"
-            )
-        width = seq_len // (2 * n)
-        out = []
-        for r in range(n):
-            head = np.arange(r * width, (r + 1) * width)
-            tail_chunk = 2 * n - 1 - r
-            tail = np.arange(tail_chunk * width, (tail_chunk + 1) * width)
-            out.append(np.concatenate([head, tail]))
-        return out
-    raise ValueError(f"unknown CP layout {layout!r}")
+def cp_layout_positions(seq_len: int, n: int) -> List[np.ndarray]:
+    """Absolute token positions held by each rank: the contiguous CP
+    layout, rank r holding chunk r."""
+    if seq_len % n != 0:
+        raise ValueError(
+            f"seq_len {seq_len} not divisible by {n} ranks"
+        )
+    width = seq_len // n
+    return [np.arange(r * width, (r + 1) * width) for r in range(n)]
 
 
-def cp_workload_shares(seq_len: int, n: int,
-                       layout: str = "contiguous") -> np.ndarray:
+def cp_workload_shares(seq_len: int, n: int) -> np.ndarray:
     """Fraction of total causal-attention FLOPs each rank performs.
 
     Position ``p`` attends to ``p+1`` keys, so a rank's work is
     ``sum(p+1)`` over its positions.
     """
-    positions = cp_layout_positions(seq_len, n, layout)
+    positions = cp_layout_positions(seq_len, n)
     work = np.array([float((pos + 1).sum()) for pos in positions])
     return work / work.sum()
 
 
-def cp_imbalance(seq_len: int, n: int,
-                 layout: str = "contiguous") -> float:
+def cp_imbalance(seq_len: int, n: int) -> float:
     """Max-over-mean workload ratio — the pipeline-stalling factor."""
-    shares = cp_workload_shares(seq_len, n, layout)
+    shares = cp_workload_shares(seq_len, n)
     return float(shares.max() * n)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from ..comm.collectives import (all_gather, all_to_all, rank_ordered_sum,
                                 send_leg)
 from ..comm.group import ProcessGroup
-from ..precision.formats import FP8_E4M3, FloatFormat
+from ..precision.formats import FP8_E4M3
 from ..precision.quantize import (
     QuantizedTensor,
     dequantize,
@@ -40,19 +40,22 @@ from .dist_ops import per_delivery, placed, split_at
 
 __all__ = ["dist_reduce_scatter_fp8", "dist_all_gather_fp8"]
 
+#: Token rows per per-channel scale of a backward (gradient) payload.
+GRAD_GROUP_SIZE = 128
 
-def _pack(x: np.ndarray, fmt: FloatFormat,
-          group_size: Optional[int] = None) -> np.ndarray:
-    """``x`` quantized per token (or per channel in token groups of
-    ``group_size``) as one ``uint8`` buffer: codes, then scale bytes."""
+
+def _pack(x: np.ndarray, group_size: Optional[int] = None) -> np.ndarray:
+    """``x`` quantized to E4M3 per token (or per channel in token
+    groups of ``group_size``) as one ``uint8`` buffer: codes, then
+    scale bytes."""
     flat = x.reshape(-1, x.shape[-1])
-    q = (quantize_per_token(flat, fmt) if group_size is None
-         else quantize_grouped(flat, group_size, fmt))
+    q = (quantize_per_token(flat, FP8_E4M3) if group_size is None
+         else quantize_grouped(flat, group_size, FP8_E4M3))
     return np.concatenate([q.payload.reshape(-1),
                            q.scales.reshape(-1).view(np.uint8)])
 
 
-def _unpack(buf: np.ndarray, shape: Tuple[int, ...], fmt: FloatFormat,
+def _unpack(buf: np.ndarray, shape: Tuple[int, ...],
             group_size: Optional[int] = None) -> np.ndarray:
     """The float32 values a :func:`_pack` buffer of ``shape`` carries."""
     cols = shape[-1]
@@ -60,10 +63,10 @@ def _unpack(buf: np.ndarray, shape: Tuple[int, ...], fmt: FloatFormat,
     codes = buf[:rows * cols].reshape(rows, cols)
     scales = buf[rows * cols:].view(np.float32)
     if group_size is None:
-        q = QuantizedTensor(codes, scales.reshape(rows, 1), fmt,
+        q = QuantizedTensor(codes, scales.reshape(rows, 1), FP8_E4M3,
                             "per_token")
     else:
-        q = QuantizedTensor(codes, scales.reshape(-1, cols), fmt,
+        q = QuantizedTensor(codes, scales.reshape(-1, cols), FP8_E4M3,
                             "grouped", group_size)
     return dequantize(q).reshape(shape)
 
@@ -71,8 +74,6 @@ def _unpack(buf: np.ndarray, shape: Tuple[int, ...], fmt: FloatFormat,
 def dist_reduce_scatter_fp8(
     group: ProcessGroup,
     tensors: Sequence[Tensor],
-    fmt: FloatFormat = FP8_E4M3,
-    grad_group_size: int = 128,
     tag: str = "fp8_rs",
 ) -> List[Tensor]:
     """FP8-compressed reduce-scatter of ``[T, ...]`` tensors on axis 0.
@@ -89,7 +90,7 @@ def dist_reduce_scatter_fp8(
         raise ValueError(
             f"axis 0 of size {first.shape[0]} not divisible by {n}")
     received = all_to_all(
-        group, [[_pack(c, fmt) for c in np.split(t.data, n)]
+        group, [[_pack(c) for c in np.split(t.data, n)]
                 for t in tensors], tag=tag)
 
     width = first.shape[0] // n
@@ -97,7 +98,7 @@ def dist_reduce_scatter_fp8(
     full_shape = first.shape
     outs = []
     for j in range(n):
-        total = rank_ordered_sum(_unpack(buf, chunk, fmt)
+        total = rank_ordered_sum(_unpack(buf, chunk)
                                  for buf in received[j])
 
         def backward(g, j=j):
@@ -105,12 +106,12 @@ def dist_reduce_scatter_fp8(
             # gradient itself ships in grouped per-channel FP8.
             return per_delivery(
                 send_leg(group, "all_gather", j,
-                         [_pack(g, fmt, grad_group_size)] * n,
+                         [_pack(g, GRAD_GROUP_SIZE)] * n,
                          tag + ":bwd"),
                 lambda buf: placed(
                     full_shape, 0, j * width,
-                    _unpack(buf, g.shape, fmt,
-                            grad_group_size).astype(np.float64)))
+                    _unpack(buf, g.shape,
+                            GRAD_GROUP_SIZE).astype(np.float64)))
 
         outs.append(Tensor.from_op(total.astype(first.dtype),
                                    list(tensors), backward,
@@ -121,8 +122,6 @@ def dist_reduce_scatter_fp8(
 def dist_all_gather_fp8(
     group: ProcessGroup,
     shards: Sequence[Tensor],
-    fmt: FloatFormat = FP8_E4M3,
-    grad_group_size: int = 128,
     tag: str = "fp8_ag",
 ) -> List[Tensor]:
     """FP8-compressed all-gather of token shards (axis 0).
@@ -132,7 +131,7 @@ def dist_all_gather_fp8(
     """
     group.check_shards(shards)
     n = group.size
-    bufs = [_pack(s.data, fmt) for s in shards]
+    bufs = [_pack(s.data) for s in shards]
     shapes = [s.data.shape for s in shards]
     bounds = np.cumsum([0] + [b.size for b in bufs])
     delivered = all_gather(group, bufs, tag=tag)
@@ -140,17 +139,16 @@ def dist_all_gather_fp8(
     outs = []
     for j in range(n):
         full = np.concatenate([
-            _unpack(delivered[j][bounds[i]:bounds[i + 1]], shapes[i], fmt)
+            _unpack(delivered[j][bounds[i]:bounds[i + 1]], shapes[i])
             for i in range(n)]).astype(shards[0].dtype)
 
         def backward(g, j=j):
             pieces = split_at(g, 0, sizes)
             wire = send_leg(group, "reduce_scatter", j,
-                            [_pack(p, fmt, grad_group_size)
+                            [_pack(p, GRAD_GROUP_SIZE)
                              for p in pieces], tag + ":bwd")
             return tuple(
-                _unpack(buf, p.shape, fmt,
-                        grad_group_size).astype(np.float64)
+                _unpack(buf, p.shape, GRAD_GROUP_SIZE).astype(np.float64)
                 for buf, p in zip(wire, pieces))
 
         outs.append(Tensor.from_op(full, list(shards), backward,

@@ -217,7 +217,6 @@ class SystemPerfModel:
                 train: TrainConfig, gpu: GPUSpec,
                 bound: bool) -> IterationBreakdown:
         p = parallel.pipeline_size
-        v = parallel.virtual_pipeline_size
         d = parallel.data_parallel_size
         n = parallel.model_parallel_size
         n_gpus = parallel.total_gpus
@@ -252,7 +251,7 @@ class SystemPerfModel:
         eff_period = max(period, period_last)
 
         pp_time = eff_period * m
-        bubble = eff_period * (p - 1) / max(v, 1)
+        bubble = eff_period * (p - 1)
         compute_total = pp_time + bubble
 
         # Data-parallel gradient sync across nodes (Appendix A.1 keeps

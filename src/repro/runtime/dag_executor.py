@@ -35,7 +35,7 @@ __all__ = [
 class DagRunResult:
     """What one DAG-executed layer produced.
 
-    ``env`` maps each binding anchor (plus the layer inputs) to its
+    ``env`` maps each binding anchor (plus the layer input) to its
     per-rank value list; ``executed`` is the op-level order actually
     followed — by construction the program's flattened schedule order,
     recorded so ``repro.verify`` can check conformance independently.
@@ -43,9 +43,6 @@ class DagRunResult:
 
     executed: List[str]
     env: Dict[str, List[Any]]
-    covers: Dict[str, Tuple[str, ...]]
-    graph: Any = None
-    remat_report: Optional[dict] = field(default=None)
     #: Tile-level execution stream (§4.2) when the program carries a
     #: tile decomposition: the op order with each tiled op expanded to
     #: its sub-tiles in the ascending (source-rank-sorted / token-chunk)
@@ -56,56 +53,16 @@ class DagRunResult:
         """All ranks' values for one anchor (or input) name."""
         return self.env[name]
 
-    def apply_remat(self, plan=None,
-                    keep: Sequence[str] = ("residual2",)) -> dict:
-        """Drop activations a :class:`~repro.core.remat.RematPlan`
-        does not retain — the numeric half of the shared remat
-        transform (the schedule half is
-        :func:`~repro.core.remat.insert_remat_ops`).
-
-        An anchor is dropped when its covered ops' ``produces``
-        activations all fall in the plan's Fig. 20 decision set and
-        none is in ``plan.retained``; activations outside that set,
-        layer inputs, and ``keep`` anchors (the layer output) are
-        conservatively kept.  Returns a report with the kept/dropped
-        anchor lists.
-        """
-        from ..core.remat import activation_table, default_remat_plan
-        if plan is None:
-            plan = default_remat_plan()
-        universe = {spec.name for spec in activation_table()}
-        kept: List[str] = []
-        dropped: List[str] = []
-        for anchor in list(self.env):
-            if anchor not in self.covers or anchor in keep:
-                kept.append(anchor)
-                continue
-            produced = set()
-            for op_name in self.covers[anchor]:
-                produced.update(self.graph[op_name].produces)
-            decided = produced & universe
-            if decided == produced and produced \
-                    and not (produced & plan.retained):
-                del self.env[anchor]
-                dropped.append(anchor)
-            else:
-                kept.append(anchor)
-        self.remat_report = {
-            "retained_activations": sorted(plan.retained),
-            "kept": kept,
-            "dropped": dropped,
-        }
-        return self.remat_report
-
 
 class DagExecutor:
     """Runs one layer's bindings in the program's schedule order."""
 
-    def __init__(self, program, bindings, group,
-                 inputs: Sequence[str] = ("hidden",)):
+    #: The layer's one input: every program reads the hidden shards.
+    INPUTS = ("hidden",)
+
+    def __init__(self, program, bindings, group):
         self.program = program
         self.group = group
-        self.inputs = tuple(inputs)
         graph_names = [op.name for op in program.graph]
         self._validate_order(program.graph, program.order, graph_names)
         if getattr(program, "tile_graph", None) is not None:
@@ -167,7 +124,7 @@ class DagExecutor:
 
         # A binding triggers at the first covered member the order
         # reaches; its reads must already be available there.
-        available = set(self.inputs)
+        available = set(self.INPUTS)
         triggered = set()
         in_order = []
         for name in self.program.order:
@@ -235,7 +192,7 @@ class DagExecutor:
                 returned env.  ``None`` keeps everything — training
                 needs the full env for backward.
         """
-        missing = [name for name in self.inputs if name not in inputs]
+        missing = [name for name in self.INPUTS if name not in inputs]
         if missing:
             raise ValueError(f"missing layer inputs: {missing}")
         from ..core.executor_bindings import _SeqCtx
@@ -251,18 +208,16 @@ class DagExecutor:
             # last reading binding has run (inference holds no tape
             # worth keeping alive), unless the caller retains it.
             releases = self._release_lists(
-                frozenset(retain) | frozenset(self.inputs))
+                frozenset(retain) | frozenset(self.INPUTS))
             for b, release in zip(self._bindings_in_order, releases):
                 with self._span(tracer, b):
                     env[b.op] = b.seq(ctx)
                 for name in release:
                     del env[name]
-        covers = {b.op: b.covers for b in self._bindings_in_order}
         tiles = (tiled_execution_order(self.program)
                  if getattr(self.program, "tile_graph", None) is not None
                  else None)
         return DagRunResult(executed=list(self.program.order), env=env,
-                            covers=covers, graph=self.program.graph,
                             executed_tiles=tiles)
 
 

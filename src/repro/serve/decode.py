@@ -182,14 +182,14 @@ def segment_linear(linear, x: np.ndarray,
     carries exactly the bits ``linear(Tensor(x[a:b]))`` produces — a
     one-row segment stays a gemv, a multi-row one a GEMM over only its
     own rows.  Under a precision policy (whose casts live in
-    :meth:`~repro.model.layers.Linear.__call__`) or with a bias, each
-    segment runs through the layer itself.
+    :meth:`~repro.model.layers.Linear.operands`), each segment runs
+    through the layer itself.
     """
     from ..precision.policy import current_policy
     weight = linear.weight.data
     out = np.empty((x.shape[0], weight.shape[1]),
                    dtype=np.result_type(x.dtype, weight.dtype))
-    direct = current_policy() is None and linear.bias is None
+    direct = current_policy() is None
     for a, b in bounds:
         if direct:
             np.matmul(x[a:b], weight, out=out[a:b])

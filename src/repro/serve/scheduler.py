@@ -115,8 +115,7 @@ class ServeEngine:
         self._program = decode_program()
         self._executor = DagExecutor(
             self._program, build_decode_bindings(self.state),
-            self.placement.bridge.world.group(self.placement.attn_ranks),
-            inputs=("hidden",))
+            self.placement.bridge.world.group(self.placement.attn_ranks))
         #: Requests re-queued mid-stream, by id: the request's state and
         #: its swapped-out per-layer ``(k, v)`` host copies (none after
         #: a crash, which replays it from scratch).

@@ -484,21 +484,12 @@ def grouped_swiglu(rows: Tensor,
                           "grouped_swiglu")
 
 
-def precision_cast(t: Tensor, round_fn, grad_round_fn=None) -> Tensor:
-    """Emulate a precision cast: round forward values, optionally round
-    the backward gradient too.
+def precision_cast(t: Tensor, round_fn) -> Tensor:
+    """Emulate a storage cast: round forward values, pass the gradient
+    through unrounded.
 
     ``round_fn`` maps an ndarray to its low-precision-rounded values (see
-    :mod:`repro.precision.formats`).  With ``grad_round_fn=None`` the
-    gradient passes through unrounded (a pure storage cast); passing a
-    rounding function emulates gradients that are themselves produced in
-    low precision.
+    :mod:`repro.precision.formats`).
     """
-    out = round_fn(t.data)
-
-    def backward(g):
-        if grad_round_fn is not None:
-            g = grad_round_fn(g)
-        return (g,)
-
-    return Tensor.from_op(out, [t], backward, "precision_cast")
+    return Tensor.from_op(round_fn(t.data), [t], lambda g: (g,),
+                          "precision_cast")

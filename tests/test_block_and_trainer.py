@@ -264,17 +264,22 @@ class TestEnginesTrainTheModelsOwnWeights:
 
     @pytest.mark.parametrize("attn,ffn", [("sp", "tp"), ("tp", "tp")])
     def test_idle_tp_expert_keeps_no_grad_and_its_weights(self, tiny_config,
-                                                          attn, ffn):
+                                                          attn, ffn,
+                                                          monkeypatch):
         batches = list(batch_iterator(MarkovCorpus(vocab_size=64, seed=0),
                                       4, 16, limit=2))
         trainer = self.make(tiny_config, attn, ffn)
         trainer.train_step(batches[0])  # every expert busy: Adam moments
         idle = 3
         for block in trainer.model.blocks:
-            # A constant gate bias keeps expert 3 out of every top-k.
+            # A constant logit offset keeps expert 3 out of every top-k.
             bias = np.zeros(tiny_config.n_experts)
             bias[idle] = -1e4
-            block.moe.router.gate.bias = Tensor(bias)
+            router = block.moe.router
+            monkeypatch.setattr(
+                router, "route_logits",
+                lambda logits, route=router.route_logits:
+                    route(logits + Tensor(bias)))
         before = {name: p.data.copy()
                   for name, p in trainer.model.named_parameters()}
         trainer.train_step(batches[1])

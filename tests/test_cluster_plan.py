@@ -17,11 +17,7 @@ from repro.comm.cost import (
     tiered_all_to_all_time,
     tiered_ring_time,
 )
-from repro.core.autoschedule import (
-    AutoScheduler,
-    _reorder_by_priority,
-    optimize_plan,
-)
+from repro.core.autoschedule import _reorder_by_priority, optimize_plan
 from repro.core.cluster import ClusterSpec
 from repro.core.config import (
     GPU_SPECS,

@@ -152,8 +152,6 @@ class TestConfigFieldsAreLive:
         # The job shape the planner and perf model price; the trainer
         # takes its batch shape from the batch it is given.
         "global_batch_size", "seq_len",
-        # Interleaved 1F1B is a schedule and bubble model only.
-        "virtual_pipeline_size",
         # One-valued shims the frozen wall-clock harness spells.
         "execution", "backend",
     }

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.parallel.cp_attention import (
     cp_attention_comm_volume,
@@ -19,26 +17,14 @@ class TestLayouts:
         assert [p.tolist() for p in pos] == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
 
-    def test_zigzag_pairs_head_and_tail(self):
-        pos = cp_layout_positions(16, 4, "zigzag")
-        assert pos[0].tolist() == [0, 1, 14, 15]
-        assert pos[3].tolist() == [6, 7, 8, 9]
-
     def test_layouts_cover_sequence(self):
-        for layout in ("contiguous", "zigzag"):
-            pos = cp_layout_positions(32, 4, layout)
-            combined = np.sort(np.concatenate(pos))
-            np.testing.assert_array_equal(combined, np.arange(32))
+        pos = cp_layout_positions(32, 4)
+        combined = np.sort(np.concatenate(pos))
+        np.testing.assert_array_equal(combined, np.arange(32))
 
     def test_divisibility_validation(self):
         with pytest.raises(ValueError, match="divisible"):
             cp_layout_positions(10, 4)
-        with pytest.raises(ValueError, match="2n"):
-            cp_layout_positions(12, 4, "zigzag")
-
-    def test_unknown_layout(self):
-        with pytest.raises(ValueError, match="unknown CP layout"):
-            cp_layout_positions(16, 4, "spiral")
 
 
 class TestWorkloadAnalysis:
@@ -54,21 +40,6 @@ class TestWorkloadAnalysis:
         # 1.875 at n=8, approaching 2.
         assert cp_imbalance(1024, 2) == pytest.approx(1.5, rel=0.01)
         assert cp_imbalance(8192, 8) == pytest.approx(1.875, rel=0.01)
-
-    def test_zigzag_balances(self):
-        """Zigzag equalizes the quadratic term exactly in this model
-        (the paper: 'perfect balance remains challenging' — real kernels
-        add block-granularity effects)."""
-        shares = cp_workload_shares(64, 4, "zigzag")
-        np.testing.assert_allclose(shares, 0.25, rtol=1e-12)
-        assert cp_imbalance(8192, 8, "zigzag") == pytest.approx(1.0)
-
-    @given(st.integers(2, 8))
-    @settings(max_examples=10, deadline=None)
-    def test_zigzag_never_worse(self, n):
-        s = 16 * n
-        assert cp_imbalance(s, n, "zigzag") <= \
-            cp_imbalance(s, n, "contiguous") + 1e-9
 
     def test_comm_volume_gqa_reduction(self):
         """CP circulates only K/V, so GQA divides the volume by m."""

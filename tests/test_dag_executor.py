@@ -23,7 +23,6 @@ from repro.core.executor_bindings import (
     expand_task,
     layer_program,
 )
-from repro.core.remat import default_remat_plan, no_remat_plan
 from repro.model import MoETransformer
 from repro.model.transformer import TransformerBlock
 from repro.obs import Observability
@@ -259,33 +258,6 @@ class TestExecutorValidation:
         assert expanded == program.order
         assert sorted(expanded) == sorted(
             op.name for op in program.graph)
-
-
-class TestRematTransform:
-    def test_default_plan_drops_recomputed_anchors(self, tiny_config,
-                                                   layer_input):
-        _, engine = make_engine(tiny_config, "sp", "ep", "a2a",
-                                remat_plan=default_remat_plan())
-        engine.forward(shard_sequence(layer_input, RANKS), SEQ)
-        report = engine.last_remat_report
-        assert report is not None
-        # ln1 produces only ln1_out, which the paper's plan recomputes.
-        assert "ln1" in report["dropped"]
-        # The layer output and the residual feeding ln2_in survive.
-        assert "residual2" in report["kept"]
-        assert "residual1" in report["kept"]
-
-    def test_retain_everything_drops_nothing(self, tiny_config,
-                                             layer_input):
-        _, engine = make_engine(tiny_config, "sp", "ep", "a2a",
-                                remat_plan=no_remat_plan())
-        engine.forward(shard_sequence(layer_input, RANKS), SEQ)
-        assert engine.last_remat_report["dropped"] == []
-
-    def test_no_plan_no_report(self, tiny_config, layer_input):
-        _, engine = make_engine(tiny_config, "sp", "ep", "a2a")
-        engine.forward(shard_sequence(layer_input, RANKS), SEQ)
-        assert engine.last_remat_report is None
 
 
 class TestSpanCalibration:

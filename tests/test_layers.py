@@ -24,8 +24,8 @@ class TestModule:
         assert "blocks.0.weight" in names and "blocks.1.weight" in names
 
     def test_n_params(self, rng):
-        lin = Linear(rng, 4, 6, bias=True)
-        assert sum(p.size for p in lin.parameters()) == 4 * 6 + 6
+        lin = Linear(rng, 4, 6)
+        assert sum(p.size for p in lin.parameters()) == 4 * 6
 
     def test_zero_grad(self, rng):
         lin = Linear(rng, 3, 3)
@@ -35,11 +35,10 @@ class TestModule:
         assert lin.weight.grad is None
 
     def test_state_dict_roundtrip(self, rng):
-        a = Linear(rng, 4, 5, bias=True)
-        b = Linear(np.random.default_rng(99), 4, 5, bias=True)
+        a = Linear(rng, 4, 5)
+        b = Linear(np.random.default_rng(99), 4, 5)
         b.load_state_dict(a.state_dict())
         np.testing.assert_array_equal(a.weight.data, b.weight.data)
-        np.testing.assert_array_equal(a.bias.data, b.bias.data)
 
     def test_state_dict_missing_key(self, rng):
         a = Linear(rng, 4, 5)
@@ -61,12 +60,6 @@ class TestLinear:
         x = rng.standard_normal((2, 4))
         np.testing.assert_allclose(lin(Tensor(x)).data,
                                    x @ lin.weight.data)
-
-    def test_bias(self, rng):
-        lin = Linear(rng, 4, 3, bias=True, dtype=np.float64)
-        lin.bias.data[:] = 5.0
-        out = lin(Tensor(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.data, 5.0)
 
     def test_init_scale(self, rng):
         lin = Linear(rng, 10000, 4)

@@ -1,6 +1,5 @@
 """Tests for the operator-graph decomposition of an MoE layer (Fig. 20)."""
 
-import numpy as np
 import pytest
 
 from repro.core.analysis import (
@@ -16,12 +15,7 @@ from repro.core.operators import (
     build_backward_graph,
     build_forward_graph,
 )
-from repro.core.remat import (
-    PAPER_RETAINED,
-    RematPlan,
-    default_remat_plan,
-    no_remat_plan,
-)
+from repro.core.remat import default_remat_plan
 
 MODEL = MODEL_ZOO["mixtral-8x7b"]
 STRATEGIES = [
@@ -229,24 +223,6 @@ class TestBackwardGraphs:
         with_remat = build_backward_graph(fwd, selective_remat=True)
         without = build_backward_graph(fwd, selective_remat=False)
         assert gemm_flops(with_remat) == pytest.approx(gemm_flops(without))
-
-    def test_retain_everything_plan_inserts_nothing(self):
-        """The remat transform is plan-parametric: keeping every
-        activation must be equivalent to disabling remat."""
-        bwd = build_backward_graph(build_forward_graph(
-            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
-            selective_remat=True, remat_plan=no_remat_plan())
-        assert not [op for op in bwd if op.phase == "remat"]
-
-    def test_plan_controls_which_ops_appear(self):
-        """Retaining one extra activation removes exactly its remat op."""
-        plan = RematPlan(PAPER_RETAINED | {"fc2_in"})
-        bwd = build_backward_graph(build_forward_graph(
-            MODEL, ParallelConfig.megascale(8, ep_dispatch="ag_rs"), 1),
-            selective_remat=True, remat_plan=plan)
-        names = [op.name for op in bwd]
-        assert "remat.swiglu" not in names  # fc2_in now stored
-        assert "remat.ln2" in names  # ln2_out still recomputed
 
     @pytest.mark.parametrize("parallel", STRATEGIES,
                              ids=lambda p: f"{p.strategy_name}-"

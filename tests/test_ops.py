@@ -278,11 +278,3 @@ class TestPrecisionCast:
         ops.precision_cast(x, round_bf16).sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones(8))
 
-    def test_grad_rounding_applied(self, rng):
-        from repro.precision.formats import round_bf16
-        x = Tensor(rng.standard_normal((8,)).astype(np.float64),
-                   requires_grad=True)
-        out = ops.precision_cast(x, lambda v: v, grad_round_fn=round_bf16)
-        g = rng.standard_normal(8)
-        out.backward(g)
-        np.testing.assert_array_equal(x.grad, round_bf16(g))

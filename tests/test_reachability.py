@@ -88,7 +88,7 @@ class TestChecker:
 
 class TestAllowlistReasons:
     def test_real_allowlist_names_live_tests_and_open_items(self):
-        assert len(reachability.ALLOWLIST) <= 30
+        assert len(reachability.ALLOWLIST) <= 26
         assert reachability.reason_problems(reachability.ALLOWLIST,
                                             REPO) == []
 

@@ -415,6 +415,7 @@ class TestScheduleIsTheTimeline:
     OVERLAPS = {
         "full": OverlapConfig.full(),
         "inter-only": OverlapConfig(inter_op=True, intra_op=False),
+        "intra-only": OverlapConfig(inter_op=False, intra_op=True),
         "none": OverlapConfig.none(),
     }
 

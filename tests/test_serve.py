@@ -959,8 +959,7 @@ class TestDagExecutorRetain:
         state.batch = [[item], []]
         executor = DagExecutor(
             decode_program(), build_decode_bindings(state),
-            placement.world.group(placement.attn_ranks),
-            inputs=("hidden",))
+            placement.world.group(placement.attn_ranks))
         hidden = [ops.embedding(model.embedding, layout.ids).data
                   for layout in state.layouts]
         result = executor.run({"hidden": hidden},

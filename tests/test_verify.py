@@ -170,13 +170,12 @@ class TestLayeredCases:
         gather = hierarchical.all_gather
 
         def unrecorded_intra_ag(group, shards, tag="", **kw):
-            ledger = group.world.ledger
-            skip = tag.endswith(":intra_ag")
-            ledger.enabled = not skip
-            try:
+            if not tag.endswith(":intra_ag"):
                 return gather(group, shards, tag=tag, **kw)
-            finally:
-                ledger.enabled = True
+            with monkeypatch.context() as patch:
+                patch.setattr(group.world.ledger, "record",
+                              lambda record: None)
+                return gather(group, shards, tag=tag, **kw)
 
         monkeypatch.setattr(hierarchical, "all_gather",
                             unrecorded_intra_ag)
@@ -567,16 +566,16 @@ class TestFP8CommAudit:
         from repro.parallel import dist_ops_fp8 as fp8
         pack, unpack = fp8._pack, fp8._unpack
 
-        def wide_pack(x, fmt, group_size=None):
-            buf = pack(x, fmt, group_size)
+        def wide_pack(x, group_size=None):
+            buf = pack(x, group_size)
             wide = buf[:x.size].astype(np.float32).view(np.uint8)
             return np.concatenate([wide, buf[x.size:]])
 
-        def wide_unpack(buf, shape, fmt, group_size=None):
+        def wide_unpack(buf, shape, group_size=None):
             k = int(np.prod(shape))
             codes = buf[:4 * k].view(np.float32).astype(np.uint8)
             return unpack(np.concatenate([codes, buf[4 * k:]]), shape,
-                          fmt, group_size)
+                          group_size)
 
         monkeypatch.setattr(fp8, "_pack", wide_pack)
         monkeypatch.setattr(fp8, "_unpack", wide_unpack)
@@ -584,15 +583,15 @@ class TestFP8CommAudit:
 
     def test_dropped_scales_fail(self, monkeypatch):
         from repro.parallel import dist_ops_fp8 as fp8
-        from repro.precision.formats import decode
+        from repro.precision.formats import FP8_E4M3, decode
         pack = fp8._pack
         monkeypatch.setattr(
             fp8, "_pack",
-            lambda x, fmt, group_size=None: pack(x, fmt, group_size)[:x.size])
+            lambda x, group_size=None: pack(x, group_size)[:x.size])
         monkeypatch.setattr(
             fp8, "_unpack",
-            lambda buf, shape, fmt, group_size=None:
-                decode(buf, fmt).reshape(shape))
+            lambda buf, shape, group_size=None:
+                decode(buf, FP8_E4M3).reshape(shape))
         assert any("ep_ffn_ag_rs" in v for v in self.audit())
 
 
