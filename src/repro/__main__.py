@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
         if obs is not None:  # the audit recounts this world's A2A
             a2a_passes.clear()
             for engine in trainer.engines:
-                engine.ffn_engine.telemetry_log = a2a_passes
+                engine.telemetry_log = a2a_passes
         return trainer
 
     with contextlib.ExitStack() as stack:

@@ -201,31 +201,38 @@ def reduce_scatter(
     return out
 
 
+#: The axis a token-chunked all-to-all tiles: the sequence axis of the
+#: ``[b, s, heads, head_dim]`` Ulysses chunks (§3.1, §4.2).
+TILE_AXIS = 1
+
+
 def all_to_all(
     group: ProcessGroup,
     chunk_lists: Sequence[Sequence[np.ndarray]],
     tag: str = "",
     concat_axis: Optional[int] = None,
     tiles: int = 1,
-    tile_axis: int = 0,
     tile_label: str = "",
 ) -> List:
     """General all-to-all: ``chunk_lists[i][j]`` goes from rank i to rank j.
 
     Returns ``received`` with ``received[j][i] == chunk_lists[i][j]``.
     Chunks may have arbitrary (even differing) shapes; only the self-chunk
-    ``[i][i]`` stays local and costs no communication.
+    ``[i][i]`` stays local and costs no communication.  With ``tiles ==
+    n`` the exchange is chunked per *destination* rank (§4.2): tile
+    ``j`` delivers every source's chunk ``j`` and records each source's
+    bytes to ``j`` as tile ``(j, n)``.
 
     With ``concat_axis`` set, rank ``j`` instead receives one fresh
     array: its chunks concatenated on ``concat_axis`` in source-rank
     order (the Ulysses exchange, §3.1).  With ``tiles > 1`` that
-    exchange is chunked along ``tile_axis`` (token chunks, §4.2): each
-    chunk's ``tile_axis`` extent is split into ``tiles`` equal
+    exchange is chunked along :data:`TILE_AXIS` (token chunks, §4.2):
+    each chunk's sequence extent is split into ``tiles`` equal
     sub-chunks, and tile ``t`` copies sub-chunk ``t`` of every
     (source, dest) pair and records ``1/tiles`` of each rank's bytes
     as tile ``(t, tiles)`` — exact, since the extent must divide
     evenly.  Delivered values are bitwise-identical to the untiled
-    exchange.
+    exchange either way.
     """
     group.check_shards(chunk_lists)
     n = group.size
@@ -234,15 +241,17 @@ def all_to_all(
             raise ValueError(
                 f"rank {i} provided {len(row)} chunks, expected {n}"
             )
-    if tiles > 1:
-        if concat_axis is None:
-            raise ValueError("a tiled all_to_all needs a concat_axis")
+    if tiles > 1 and concat_axis is None and tiles != n:
+        raise ValueError(
+            f"an all_to_all without a concat_axis tiles per destination "
+            f"rank: {tiles} tiles for a group of {n}")
+    if tiles > 1 and concat_axis is not None:
         for row in chunk_lists:
             for chunk in row:
-                extent = np.shape(chunk)[tile_axis]
+                extent = np.shape(chunk)[TILE_AXIS]
                 if extent % tiles != 0:
                     raise ValueError(
-                        f"tile axis {tile_axis} extent {extent} not "
+                        f"tile axis {TILE_AXIS} extent {extent} not "
                         f"divisible by {tiles} tiles")
     group.pre_collective("all_to_all", tag)
     per_rank = [
@@ -251,35 +260,40 @@ def all_to_all(
         for i in range(n)
     ]
     received: List
-    if tiles > 1:
+    if tiles > 1 and concat_axis is not None:
         received = _a2a_tiled_delivery(group, chunk_lists, per_rank,
-                                       concat_axis, tile_axis, tiles,
-                                       tag, tile_label)
-    else:
+                                       concat_axis, tiles, tag,
+                                       tile_label)
+    elif concat_axis is not None:
         group.record("all_to_all", per_rank, tag)
-        if concat_axis is not None:
-            received = [
-                np.concatenate([chunk_lists[i][j] for i in range(n)],
-                               axis=concat_axis)
-                for j in range(n)
-            ]
-        elif group.world.fault_plan is not None:
-            received = [
-                [np.asarray(chunk_lists[i][j]).copy() for i in range(n)]
-                for j in range(n)
-            ]
-        else:
-            # Zero-copy: deliver the sender's chunks (usually slice views).
-            received = [
-                [np.asarray(chunk_lists[i][j]) for i in range(n)]
-                for j in range(n)
-            ]
+        received = [
+            np.concatenate([chunk_lists[i][j] for i in range(n)],
+                           axis=concat_axis)
+            for j in range(n)
+        ]
+    else:
+        copy = group.world.fault_plan is not None
+        if tiles == 1:
+            group.record("all_to_all", per_rank, tag)
+        # Zero-copy without a fault plan: deliver the sender's chunks
+        # (usually slice views).
+        received = []
+        for j in range(n):
+            with tile_span(group, tile_label if tiles > 1 else "", j, n):
+                received.append([
+                    np.asarray(chunk_lists[i][j]).copy() if copy
+                    else np.asarray(chunk_lists[i][j]) for i in range(n)])
+                if tiles > 1:
+                    group.record("all_to_all", [
+                        float(np.asarray(chunk_lists[i][j]).nbytes)
+                        if i != j else 0.0 for i in range(n)],
+                        tag, tile=(j, n))
     group.post_collective("all_to_all", received, tag)
     return received
 
 
-def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tile_axis,
-                        tiles, tag, tile_label):
+def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tiles,
+                        tag, tile_label):
     """Token-chunked delivery for a balanced all-to-all.
 
     Preallocates each destination's buffer and copies one tile of every
@@ -301,17 +315,17 @@ def _a2a_tiled_delivery(group, chunks, per_rank, concat_axis, tile_axis,
                 offset = 0
                 for i in range(n):
                     chunk = chunks[i][j]
-                    width = chunk.shape[tile_axis] // tiles
+                    width = chunk.shape[TILE_AXIS] // tiles
                     src = [slice(None)] * chunk.ndim
-                    src[tile_axis] = slice(t * width, (t + 1) * width)
+                    src[TILE_AXIS] = slice(t * width, (t + 1) * width)
                     dst = [slice(None)] * chunk.ndim
                     extent = chunk.shape[concat_axis]
-                    if tile_axis == concat_axis:
+                    if TILE_AXIS == concat_axis:
                         dst[concat_axis] = slice(offset + t * width,
                                                  offset + (t + 1) * width)
                     else:
                         dst[concat_axis] = slice(offset, offset + extent)
-                        dst[tile_axis] = src[tile_axis]
+                        dst[TILE_AXIS] = src[TILE_AXIS]
                     received[j][tuple(dst)] = chunk[tuple(src)]
                     offset += extent
             group.record("all_to_all", [pr / tiles for pr in per_rank],

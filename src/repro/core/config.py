@@ -24,6 +24,7 @@ __all__ = [
     "ParallelConfig",
     "ServeConfig",
     "TrainConfig",
+    "choose_dispatch_mode",
     "GPU_SPECS",
     "MODEL_ZOO",
 ]
@@ -226,6 +227,18 @@ class FFNParallelism:
     EP = "ep"   # whole experts per rank, token dispatch
 
 
+def choose_dispatch_mode(top_k: int, ep_size: int) -> str:
+    """The EP dispatch mode ``ep_dispatch="adaptive"`` resolves to (§3.2).
+
+    A2A moves ``2k/n``·X elements versus AG/RS's ``2``·X, so on volume
+    alone A2A wins while ``k < n``; but A2A's all-pairs pattern is less
+    efficient than the ring collectives, so MegaScale switches to AG/RS
+    once ``k`` approaches ``n`` (Fig. 7 puts the crossover near top-k≈6
+    on an 8-GPU node).
+    """
+    return "a2a" if top_k < 0.75 * ep_size else "ag_rs"
+
+
 @dataclass(frozen=True)
 class ParallelConfig:
     """A full parallelism assignment for one training job.
@@ -241,7 +254,8 @@ class ParallelConfig:
     ffn: str = FFNParallelism.EP
     pipeline_size: int = 1
     data_parallel_size: int = 1
-    #: EP dispatch mode: "a2a", "ag_rs", or "adaptive" (§3.2, Fig. 7).
+    #: EP dispatch mode: "a2a", "ag_rs", or "adaptive"
+    #: (:func:`choose_dispatch_mode`; §3.2, Fig. 7).
     ep_dispatch: str = "adaptive"
 
     def __post_init__(self):

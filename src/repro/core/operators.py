@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .config import ModelConfig, ParallelConfig
+from .config import ModelConfig, ParallelConfig, choose_dispatch_mode
 
 __all__ = [
     "Op",
@@ -33,6 +33,7 @@ __all__ = [
     "build_backward_graph",
     "TilePlan",
     "TILE_SEP",
+    "forward_tiles",
     "tile_name",
     "fusable_groups",
     "plan_tiles",
@@ -215,7 +216,6 @@ class _Dims:
     def ep_mode(self) -> str:
         mode = self.parallel.ep_dispatch
         if mode == "adaptive":
-            from ..parallel.ep_ffn import choose_dispatch_mode
             mode = choose_dispatch_mode(self.k, self.n)
         return mode
 
@@ -565,6 +565,14 @@ class TilePlan:
         if not op.fuse_group or op.phase != "fwd":
             return 1
         return self.group_tiles.get(f"{op.fuse_group}/{op.phase}", 1)
+
+
+def forward_tiles(plan: Optional[TilePlan], fuse_group: str) -> int:
+    """Planned tile count of one forward fuse group (1 = whole, and
+    every group of an untiled layer, ``plan=None``)."""
+    if plan is None:
+        return 1
+    return plan.group_tiles.get(fuse_group + "/fwd", 1)
 
 
 def fusable_groups(graph: OpGraph) -> Dict[str, List[str]]:

@@ -11,10 +11,10 @@ Three mappings, each exact by construction:
   owners between the old and new DP degree's grids fall out of
   interval arithmetic on them (:func:`zero1_moved_elements`).
 * **Expert re-placement under a changed EP degree.**  Experts live in
-  contiguous blocks of ``E/n`` per rank
-  (:class:`~repro.parallel.ep_ffn.EPFFNEngine`); the placement at any
-  degree is a pure function of ``(E, n)``, and the experts that move
-  are exactly those whose block index changes.
+  contiguous blocks of ``E/n`` per rank (the EP binding factories,
+  :mod:`repro.parallel.ep_ffn` and :mod:`repro.parallel.ag_ffn`); the
+  placement at any degree is a pure function of ``(E, n)``, and the
+  experts that move are exactly those whose block index changes.
 * **DP ring re-formation.**  The data-parallel rings at the new world
   size are recomputed from scratch (:func:`form_dp_rings`) — ring
   membership is never patched incrementally, which is what makes the
@@ -89,7 +89,8 @@ def expert_placement(n_experts: int, ep: int) -> List[int]:
     """Owning rank per expert index at EP degree ``ep``.
 
     Contiguous blocks of ``E/n`` experts per rank — the exact layout
-    :class:`~repro.parallel.ep_ffn.EPFFNEngine` slices out of the
+    the EP bindings (:func:`~repro.parallel.ep_ffn.ep_a2a_bindings`,
+    :func:`~repro.parallel.ag_ffn.ag_ffn_bindings`) slice out of the
     reference :class:`~repro.model.moe.MoELayer`.
     """
     if ep < 1:

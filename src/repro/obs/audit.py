@@ -255,7 +255,7 @@ def audit_comm_volumes(
             up as a byte excess here.
         passes: Forward passes audited (layers × steps).
         tolerance: Relative tolerance for the ring identities.
-        a2a_telemetry: The EP engines' ``last_telemetry`` of every A2A
+        a2a_telemetry: The EP layers' ``last_telemetry`` of every A2A
             layer pass in the audited window; the A2A entry's expected
             bytes are :func:`a2a_wire_elements` summed over them (with
             none, any A2A traffic fails the audit).

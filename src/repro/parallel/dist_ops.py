@@ -1,6 +1,6 @@
 """Differentiable collectives over per-rank Tensors.
 
-The parallel engines (:mod:`repro.parallel`) express sharded forward
+The strategy bindings (:mod:`repro.parallel`) express sharded forward
 passes as ordinary autograd code; the collectives here are the seams
 between ranks.  Each takes one :class:`~repro.tensor.Tensor` per rank and
 returns per-rank output Tensors wired into the tape so that backward
@@ -157,7 +157,6 @@ def dist_all_to_all(
     concat_axis: int,
     tag: str = "",
     tiles: int = 1,
-    tile_axis: int = 0,
     tile_label: str = "",
 ) -> List[Tensor]:
     """Balanced all-to-all: split each rank's tensor into ``n`` chunks on
@@ -167,7 +166,7 @@ def dist_all_to_all(
     This is the Ulysses primitive (§3.1): e.g. split heads / gather
     sequence on the way in, split sequence / gather heads on the way out.
     Backward is the reverse all-to-all.  ``tiles > 1`` chunks the
-    exchange along ``tile_axis`` (token chunks, §4.2), as in
+    exchange along the sequence axis (token chunks, §4.2), as in
     :func:`~repro.comm.collectives.all_to_all`.
     """
     group.check_shards(tensors)
@@ -180,8 +179,7 @@ def dist_all_to_all(
             )
     chunks = [np.split(t.data, n, axis=split_axis) for t in tensors]
     received = all_to_all(group, chunks, tag, concat_axis=concat_axis,
-                          tiles=tiles, tile_axis=tile_axis,
-                          tile_label=tile_label)
+                          tiles=tiles, tile_label=tile_label)
     widths = [c[0].shape[concat_axis] for c in chunks]
     in_shapes = [t.shape for t in tensors]
     outs = []

@@ -75,6 +75,8 @@ def dist_reduce_scatter_fp8(
     group: ProcessGroup,
     tensors: Sequence[Tensor],
     tag: str = "fp8_rs",
+    tiled: bool = False,
+    tile_label: str = "",
 ) -> List[Tensor]:
     """FP8-compressed reduce-scatter of ``[T, ...]`` tensors on axis 0.
 
@@ -82,6 +84,10 @@ def dist_reduce_scatter_fp8(
     as FP8 buffers (all-to-all pattern), decoded, and summed in
     FP32/FP64 — overflow-free reduction (§5).  Backward: the gradient
     all-gather is quantized **per channel, grouped** along tokens.
+    ``tiled``/``tile_label`` chunk the exchange per destination rank
+    (§4.2), as :func:`~repro.parallel.dist_ops.dist_reduce_scatter`
+    does: tile ``j`` moves every source's packed chunk ``j``.  Scales
+    are per token, so a chunk's buffer is the same either way.
     """
     group.check_shards(tensors)
     n = group.size
@@ -91,7 +97,8 @@ def dist_reduce_scatter_fp8(
             f"axis 0 of size {first.shape[0]} not divisible by {n}")
     received = all_to_all(
         group, [[_pack(c) for c in np.split(t.data, n)]
-                for t in tensors], tag=tag)
+                for t in tensors], tag=tag,
+        tiles=n if tiled else 1, tile_label=tile_label)
 
     width = first.shape[0] // n
     chunk = (width,) + first.shape[1:]
@@ -123,18 +130,24 @@ def dist_all_gather_fp8(
     group: ProcessGroup,
     shards: Sequence[Tensor],
     tag: str = "fp8_ag",
+    tiled: bool = False,
+    tile_label: str = "",
 ) -> List[Tensor]:
     """FP8-compressed all-gather of token shards (axis 0).
 
     Forward payloads are per-token FP8; the backward reduce-scatter of
     gradients ships grouped per-channel FP8 (then reduces in FP32).
+    ``tiled``/``tile_label`` chunk the gather of the packed buffers per
+    source rank (§4.2), as :func:`~repro.parallel.dist_ops.
+    dist_all_gather` does.
     """
     group.check_shards(shards)
     n = group.size
     bufs = [_pack(s.data) for s in shards]
     shapes = [s.data.shape for s in shards]
     bounds = np.cumsum([0] + [b.size for b in bufs])
-    delivered = all_gather(group, bufs, tag=tag)
+    delivered = all_gather(group, bufs, tag=tag, tiled=tiled,
+                           tile_label=tile_label)
     sizes = [shape[0] for shape in shapes]
     outs = []
     for j in range(n):

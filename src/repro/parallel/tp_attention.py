@@ -15,43 +15,51 @@ in ``n``, the scalability limitation §7 discusses.
 
 from __future__ import annotations
 
+from typing import Any, Callable, List, Optional
+
 from ..comm.group import ProcessGroup
+from ..core.operators import TilePlan, forward_tiles
 from ..model.layers import SelfAttention
-from ..tensor import Tensor, ops
+from ..runtime.dag_executor import OpBinding, _SeqCtx, per_rank
+from ..tensor import ops
+from .dist_ops import dist_all_gather, dist_reduce_scatter
 
-__all__ = ["TPAttentionEngine"]
+__all__ = ["tp_attention_bindings"]
 
 
-class TPAttentionEngine:
-    """Runs head-sharded attention over sequence-sharded activations."""
+def tp_attention_bindings(group: ProcessGroup, attn: SelfAttention,
+                          tile_plan: Optional[TilePlan]
+                          ) -> List[OpBinding]:
+    """TP attention: AG in, head-sharded compute, RS out.  The chain
+    reads ``ln1`` and ends at ``attn_rs``; ``tile_plan`` chunks the AG
+    per source rank and the RS per destination rank (§4.2).
 
-    def __init__(self, group: ProcessGroup, attn: SelfAttention):
-        n = group.size
-        if attn.n_heads % n != 0:
-            raise ValueError(
-                f"n_heads={attn.n_heads} not divisible by TP size {n}"
-            )
-        if attn.n_kv_heads % n != 0:
-            raise ValueError(
-                f"n_kv_heads={attn.n_kv_heads} not divisible by TP size {n}"
-            )
-        self.group = group
-        self.attn = attn
+    Each GEMM reads rank r's contiguous slice of the module's own
+    (cast) weight, taken on the tape, so backward lands the shard's
+    gradient on the parameter itself.
+    """
+    n = group.size
+    if attn.n_heads % n != 0:
+        raise ValueError(
+            f"n_heads={attn.n_heads} not divisible by TP size {n}"
+        )
+    if attn.n_kv_heads % n != 0:
+        raise ValueError(
+            f"n_kv_heads={attn.n_kv_heads} not divisible by TP size {n}"
+        )
+    ag_tiled = forward_tiles(tile_plan, "attn_ag+gemm") >= 2
+    rs_tiled = forward_tiles(tile_plan, "attn_gemm+rs") >= 2
 
-    # -- per-op handlers (graph-node granularity) --------------------------
-    #
-    # One method per forward-graph op; the bindings in
-    # repro.core.executor_bindings.attention_bindings sequence them.
-    # Each GEMM reads rank r's contiguous slice of the module's own
-    # (cast) weight, taken on the tape, so backward lands the shard's
-    # gradient on the parameter itself.
+    def ag(ctx: _SeqCtx) -> List[Any]:
+        return dist_all_gather(
+            group, ctx.env["ln1"], axis=1,
+            tag="tp_attn:ag", tiled=ag_tiled, tile_label="attn_ag")
 
-    def op_qkv(self, x: Tensor, r: int):
-        """``qkv_proj``: this rank's head-shard projection of the full
-        sequence, split into 4-D (q, k, v).  The fused ``[Q | K | V]``
-        weight is column-sharded by head within each part."""
-        attn, n = self.attn, self.group.size
-        x, w = attn.qkv_proj.operands(x)
+    def qkv_proj(r: int, get: Callable[[str], Any]) -> Any:
+        # This rank's head-shard projection of the full sequence, split
+        # into 4-D (q, k, v).  The fused ``[Q | K | V]`` weight is
+        # column-sharded by head within each part.
+        x, w = attn.qkv_proj.operands(get("attn_ag"))
         h = attn.hidden_size
         hd = attn.head_dim
         kv = attn.n_kv_heads * hd
@@ -69,15 +77,15 @@ class TPAttentionEngine:
             b, s, kv_width // hd, hd)
         return q, k, v
 
-    def op_rope(self, qkv):
-        """``rope``: full-sequence rotation (positions implicit)."""
-        q, k, v = qkv
-        return (ops.rope_rotate(q, self.attn.rope_base),
-                ops.rope_rotate(k, self.attn.rope_base), v)
+    def rope(r: int, get: Callable[[str], Any]) -> Any:
+        # Full-sequence rotation (positions implicit).
+        q, k, v = get("qkv_proj")
+        return (ops.rope_rotate(q, attn.rope_base),
+                ops.rope_rotate(k, attn.rope_base), v)
 
-    def op_attention(self, qkv):
-        """``attention``: causal SDPA, heads re-flattened."""
-        q, k, v = qkv
+    def attention(r: int, get: Callable[[str], Any]) -> Any:
+        # Causal SDPA, heads re-flattened.
+        q, k, v = get("rope")
         b, s = q.shape[0], q.shape[1]
         q_width = q.shape[2] * q.shape[3]
         out = ops.scaled_dot_product_attention(
@@ -85,8 +93,22 @@ class TPAttentionEngine:
             v.transpose(0, 2, 1, 3), causal=True)
         return out.transpose(0, 2, 1, 3).reshape(b, s, q_width)
 
-    def op_out_proj(self, out: Tensor, r: int) -> Tensor:
-        """``out_proj``: row-sharded partial product."""
-        out, w = self.attn.out_proj.operands(out)
-        return out @ ops.shard(w, self.group.size, r, axis=0)
+    def out_proj(r: int, get: Callable[[str], Any]) -> Any:
+        # Row-sharded partial product.
+        out, w = attn.out_proj.operands(get("attention"))
+        return out @ ops.shard(w, n, r, axis=0)
 
+    def rs(ctx: _SeqCtx) -> List[Any]:
+        # Partial products sum across ranks; scatter back to seq shards.
+        return dist_reduce_scatter(
+            group, ctx.env["out_proj"], axis=1,
+            tag="tp_attn:rs", tiled=rs_tiled, tile_label="attn_rs")
+
+    return [
+        OpBinding("attn_ag", ("attn_ag",), ("ln1",), ag),
+        per_rank("qkv_proj", ("attn_ag",), qkv_proj),
+        per_rank("rope", ("qkv_proj",), rope),
+        per_rank("attention", ("rope",), attention),
+        per_rank("out_proj", ("attention",), out_proj),
+        OpBinding("attn_rs", ("attn_rs",), ("out_proj",), rs),
+    ]

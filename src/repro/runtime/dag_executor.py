@@ -2,11 +2,12 @@
 
 :class:`DagExecutor` takes one layer's :class:`~repro.core.executor_bindings.LayerProgram`
 (the IR, its overlap schedule, and the flattened op order) plus the
-:class:`~repro.core.executor_bindings.OpBinding` list that maps graph
-ops to engine handlers, and runs the layer **in schedule order** — the
-same order the simulator scores.  Each binding's handler sees all ranks
-and issues the ``dist_*`` collectives; this is how every training layer
-and every serving iteration runs.
+:class:`OpBinding` list that maps graph ops to numeric handlers, and
+runs the layer **in schedule order** — the same order the simulator
+scores.  Each binding's handler sees all ranks and issues the
+``dist_*`` collectives; this is how every training layer (one binding
+factory per parallel strategy, :mod:`repro.parallel`) and every serving
+iteration (:mod:`repro.serve.decode`) runs.
 
 Construction validates the whole contract up front: the bindings'
 ``covers`` partition the graph, the flattened order is a permutation of
@@ -20,15 +21,77 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DagExecutor",
     "DagRunResult",
+    "OpBinding",
+    "per_rank",
     "schedule_conformance_problems",
     "tile_conformance_problems",
     "tiled_execution_order",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Binding model
+# ---------------------------------------------------------------------------
+
+class _SeqCtx:
+    """Whole-world view a handler runs against."""
+
+    __slots__ = ("group", "env")
+
+    def __init__(self, group: Any, env: Dict[str, List[Any]]):
+        self.group = group
+        #: anchor name -> per-rank value list.
+        self.env = env
+
+
+@dataclass(frozen=True)
+class OpBinding:
+    """Numeric handler for one forward-graph op (or covers group).
+
+    Attributes:
+        op: Anchor op name — the binding executes when the DAG
+            executor's order reaches the first op in ``covers``.
+        covers: Graph ops this handler computes in one call.  Covers
+            groups exist where one handler spans several IR ops (the
+            grouped-GEMM experts chain); every graph op must be
+            covered by exactly one binding.
+        reads: Anchor names (or layer inputs) whose values the handler
+            consumes.  Must all be produced earlier in any valid
+            topological execution order — the executor checks this.
+        seq: Whole-world handler; returns the per-rank value list.
+    """
+
+    op: str
+    covers: Tuple[str, ...]
+    reads: Tuple[str, ...]
+    seq: Callable[[_SeqCtx], List[Any]]
+
+
+def per_rank(op: str, reads: Sequence[str],
+             fn: Callable[[int, Callable[[str], Any]], Any],
+             covers: Optional[Sequence[str]] = None) -> OpBinding:
+    """Lift one per-rank function into a ``seq`` handler.
+
+    ``fn(r, get)`` computes rank ``r``'s value from ``get(name)`` — the
+    rank's slice of an earlier anchor's value; the handler loops ranks
+    in order.  Only valid for ops with no communication.
+    """
+    covers_t = tuple(covers) if covers is not None else (op,)
+
+    def seq(ctx: _SeqCtx) -> List[Any]:
+        out = []
+        for r in range(ctx.group.size):
+            def get(name: str, _r: int = r) -> Any:
+                return ctx.env[name][_r]
+            out.append(fn(r, get))
+        return out
+
+    return OpBinding(op, covers_t, tuple(reads), seq)
 
 
 @dataclass
@@ -195,7 +258,6 @@ class DagExecutor:
         missing = [name for name in self.INPUTS if name not in inputs]
         if missing:
             raise ValueError(f"missing layer inputs: {missing}")
-        from ..core.executor_bindings import _SeqCtx
         env: Dict[str, List[Any]] = {name: list(vals)
                                      for name, vals in inputs.items()}
         ctx = _SeqCtx(self.group, env)

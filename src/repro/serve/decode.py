@@ -6,7 +6,7 @@ One transformer layer of a serving iteration is expressed as a 12-op
 its forward-only mode (``retain=``), which streams activations out of
 the env as soon as their last reader ran (a decode step holds no tape).
 
-Each :class:`~repro.core.executor_bindings.OpBinding` has a ``seq``
+Each :class:`~repro.runtime.dag_executor.OpBinding` has a ``seq``
 handler only and closes over a mutable :class:`DecodeState`: the
 scheduler assigns ``state.batch`` and ``state.layer`` between runs while
 the program/bindings are built once.
@@ -31,9 +31,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.executor_bindings import OpBinding
 from ..core.operators import Op, OpGraph
 from ..model.routing import RoutingResult, build_dispatch_plan
+from ..runtime.dag_executor import OpBinding
 from ..tensor import Tensor, ops
 from .kv_cache import PagedKVCache
 

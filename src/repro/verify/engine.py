@@ -375,9 +375,8 @@ def _run_parallel(case: VerifyCase,
         world_setup(world)
     a2a_telemetry: List[dict] = []
     for engine in trainer.engines:
-        ffn_engine = getattr(engine, "ffn_engine", None)
-        if getattr(ffn_engine, "mode", None) == "a2a":
-            ffn_engine.telemetry_log = a2a_telemetry
+        if engine.ffn == "ep" and engine.ep_mode == "a2a":
+            engine.telemetry_log = a2a_telemetry
     losses: List[float] = []
     lm_losses: List[float] = []
     aux_losses: List[float] = []
@@ -397,18 +396,15 @@ def _run_parallel(case: VerifyCase,
     telemetry: List[Optional[dict]] = []
     telemetry_missing: List[str] = []
     for layer, engine in enumerate(trainer.engines):
-        ffn_engine = getattr(engine, "ffn_engine", None)
-        tele = getattr(ffn_engine, "last_telemetry", None)
+        tele = engine.last_telemetry
         telemetry.append(tele)
         # EP layers must surface dispatch telemetry once a forward has
         # run; a silent ``None`` here used to make the token/router
         # conservation invariants pass vacuously.
         if case.ffn == "ep" and losses and tele is None:
             telemetry_missing.append(
-                f"layer {layer}: "
-                f"{type(engine).__name__}.ffn_engine "
-                f"({type(ffn_engine).__name__}) exposed no dispatch "
-                f"telemetry after {len(losses)} training steps"
+                f"layer {layer}: {type(engine).__name__} exposed no "
+                f"dispatch telemetry after {len(losses)} training steps"
             )
     executed_ops = [list(engine.last_executed_ops)
                     for engine in trainer.engines

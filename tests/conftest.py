@@ -7,11 +7,7 @@ import pytest
 
 from repro.comm import World
 from repro.core.config import ModelConfig
-from repro.core.executor_bindings import (
-    _SeqCtx,
-    attention_bindings,
-    ffn_bindings,
-)
+from repro.runtime.dag_executor import _SeqCtx
 from repro.tensor import Tensor
 
 
@@ -52,18 +48,16 @@ def run_bindings(group, bindings, **inputs):
     return env[bindings[-1].op], env
 
 
-def attention_half(engine, shards, seq_len):
-    """An SP/TP attention engine's half of a layer on ``ln1`` shards:
-    the attention output shards."""
-    return run_bindings(engine.group, attention_bindings(engine, seq_len),
-                        ln1=shards)[0]
+def attention_half(group, bindings, shards):
+    """An SP/TP attention factory's bindings run as half of a layer on
+    ``ln1`` shards: the attention output shards."""
+    return run_bindings(group, bindings, ln1=shards)[0]
 
 
-def ffn_half(engine, shards):
-    """An EP/TP FFN engine's half of a layer on ``ln2`` shards:
-    (output shards, aux loss)."""
-    outs, env = run_bindings(engine.group, ffn_bindings(engine),
-                             ln2=shards)
+def ffn_half(group, bindings, shards):
+    """An EP/TP FFN factory's bindings run as half of a layer on
+    ``ln2`` shards: (output shards, aux loss)."""
+    outs, env = run_bindings(group, bindings, ln2=shards)
     return outs, env["router"][0][-1]
 
 

@@ -110,7 +110,7 @@ class TestPPxMP:
                 b.grad, a.grad, rtol=1e-8,
                 atol=1e-8 * np.abs(a.grad).max(), err_msg=name)
         for engine in trainer.engines:
-            assert engine.ffn_engine.mode == dispatch
+            assert engine.ep_mode == dispatch
             program = engine.executor_for(2, config.seq_len).program
             assert schedule_conformance_problems(
                 program, engine.last_executed_ops) == []

@@ -209,6 +209,31 @@ class TestAllToAll:
         rec = world4.ledger.records[-1]
         assert rec.send_bytes_per_rank == [5 * 8 * 3] * 4
 
+    def test_tiled_per_destination(self, rng, world4):
+        """``tiles == n`` without a concat axis: tile j delivers every
+        source's chunk j, one record per tile; values and per-rank
+        bytes match the whole exchange."""
+        g = world4.full_group()
+        chunks = [[rng.standard_normal((i + j + 1,)) for j in range(4)]
+                  for i in range(4)]
+        clear_ledger(world4.ledger)
+        whole = all_to_all(g, chunks, tag="w")
+        tiled = all_to_all(g, chunks, tag="t", tiles=4)
+        for j in range(4):
+            for i in range(4):
+                np.testing.assert_array_equal(tiled[j][i], whole[j][i])
+        (rec,) = [r for r in world4.ledger.records if r.tag == "w"]
+        tiles = [r for r in world4.ledger.records if r.tag == "t"]
+        assert [r.tile for r in tiles] == [(j, 4) for j in range(4)]
+        for j, r in enumerate(tiles):
+            assert r.send_bytes_per_rank == [
+                0.0 if i == j else float(chunks[i][j].nbytes)
+                for i in range(4)]
+        assert list(np.sum([r.send_bytes_per_rank for r in tiles],
+                           axis=0)) == rec.send_bytes_per_rank
+        with pytest.raises(ValueError, match="per destination"):
+            all_to_all(g, chunks, tiles=2)
+
     def test_uneven_rows(self, rng, world4):
         g = world4.full_group()
         splits = [[1, 2, 0, 1], [0, 1, 1, 2], [2, 0, 1, 0], [1, 1, 1, 1]]

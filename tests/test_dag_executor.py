@@ -19,7 +19,6 @@ from repro.core import MegaScaleTrainer, ParallelConfig, TrainConfig
 from repro.core.config import GPU_SPECS
 from repro.core.executor_bindings import (
     LayerProgram,
-    build_layer_bindings,
     expand_task,
     layer_program,
 )
@@ -28,6 +27,7 @@ from repro.model.transformer import TransformerBlock
 from repro.obs import Observability
 from repro.parallel import (
     ParallelBlockEngine,
+    build_layer_bindings,
     shard_sequence,
 )
 from repro.precision.formats import FP8_E4M3
@@ -126,7 +126,7 @@ class TestDagMatchesEngine:
                                 tasks=program.tasks, order=order,
                                 durations=program.durations)
         world, engine2 = make_engine(tiny_config, "sp", "ep", "a2a")
-        dag = DagExecutor(shuffled, build_layer_bindings(engine2, SEQ),
+        dag = DagExecutor(shuffled, build_layer_bindings(engine2),
                           world.full_group())
         result = dag.run({"hidden": shard_sequence(layer_input, RANKS)})
         for a, b in zip(result.per_rank("residual2"), outs_ref):
@@ -208,7 +208,7 @@ class TestExecutorValidation:
     def pieces(self, tiny_config):
         program = make_program(tiny_config, "sp", "ep", "a2a")
         world, engine = make_engine(tiny_config, "sp", "ep", "a2a")
-        bindings = build_layer_bindings(engine, SEQ)
+        bindings = build_layer_bindings(engine)
         return program, bindings, world.full_group()
 
     def test_valid_construction(self, pieces):

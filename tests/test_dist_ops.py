@@ -195,8 +195,7 @@ DUALS = [
      (8, 2), lambda gs: [gr.nbytes * (N - 1) for gr in gs], True),
     ("all_to_all",
      lambda g, x, t: dist_all_to_all(g, x, split_axis=2, concat_axis=1,
-                                     tiles=2 if t else 1, tile_axis=1,
-                                     tag="op"),
+                                     tiles=2 if t else 1, tag="op"),
      (1, 2, 8, 3), lambda gs: [gr.nbytes * (N - 1) // N for gr in gs],
      True),
     ("all_to_all_uneven",
@@ -204,13 +203,13 @@ DUALS = [
                                             tag="op"),
      None, lambda gs: [_uneven_rows(j) for j in range(N)], True),
     ("reduce_scatter_fp8",
-     lambda g, x, t: dist_reduce_scatter_fp8(g, x, tag="op"),
+     lambda g, x, t: dist_reduce_scatter_fp8(g, x, tag="op", tiled=t),
      (8, 2), lambda gs: [_fp8_grouped_bytes(gr.shape) * (N - 1)
-                         for gr in gs], False),
+                         for gr in gs], True),
     ("all_gather_fp8",
-     lambda g, x, t: dist_all_gather_fp8(g, x, tag="op"),
+     lambda g, x, t: dist_all_gather_fp8(g, x, tag="op", tiled=t),
      (2, 3), lambda gs: [_fp8_grouped_bytes((2, 3)) * (N - 1)
-                         for _ in gs], False),
+                         for _ in gs], True),
 ]
 DUAL_CASES = [pytest.param(*dual[1:4], tiled, id=f"{dual[0]}-{tiled}")
               for dual in DUALS

@@ -211,7 +211,7 @@ class TestExpertPlacement:
         assert expert_placement(8, 1) == [0] * 8
 
     def test_matches_ep_engine_slicing(self):
-        """Placement agrees with EPFFNEngine's contiguous slices of
+        """Placement agrees with the EP bindings' contiguous slices of
         E/n experts per rank."""
         for n_experts, ep in ((8, 2), (8, 4), (4, 4)):
             local = n_experts // ep

@@ -1,4 +1,4 @@
-"""Tests for FP8-compressed collectives and their engine integration
+"""Tests for FP8-compressed collectives and their FFN integration
 (§5, 'Communication compression for FP8 training')."""
 
 import numpy as np
@@ -16,8 +16,7 @@ from repro.parallel.dist_ops_fp8 import (
     dist_all_gather_fp8,
     dist_reduce_scatter_fp8,
 )
-from repro.parallel.ep_ffn import EPFFNEngine
-from repro.parallel.tp_ffn import TPFFNEngine
+from repro.parallel.ag_ffn import ag_ffn_bindings
 from repro.tensor import Tensor
 
 
@@ -107,28 +106,30 @@ class TestDistAllGatherFP8:
 
 
 class TestEngineIntegration:
-    def setup_engine(self, Engine, fp8, rng, **kwargs):
+    def run_ffn(self, strategy, fp8, rng, shards, plan=None):
+        """The AG-based FFN's half of a layer on a fresh 4-rank world
+        (``plan`` is attached before it runs); returns (world, outs)."""
         moe = MoELayer(rng, 16, 24, 8, 2, dtype=np.float64)
         world = World(4, 4)
-        engine = Engine(world.full_group(), moe, fp8_comm=fp8, **kwargs)
-        return moe, world, engine
+        if plan is not None:
+            world.attach_fault_plan(plan)
+        group = world.full_group()
+        outs, _ = ffn_half(
+            group, ag_ffn_bindings(group, moe, strategy, fp8, None), shards)
+        return world, outs
 
-    @pytest.mark.parametrize("Engine,kwargs", [
-        (EPFFNEngine, {"mode": "ag_rs"}),
-        (TPFFNEngine, {}),
-    ])
-    def test_compressed_output_close(self, Engine, kwargs):
+    @pytest.mark.parametrize("strategy", ["ep", "tp"])
+    def test_compressed_output_close(self, strategy):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 8, 16))
         moe_ref = MoELayer(np.random.default_rng(1), 16, 24, 8, 2,
                            dtype=np.float64)
         ref = moe_ref(Tensor(x)).hidden.data
 
-        moe, world, engine = self.setup_engine(
-            Engine, True, np.random.default_rng(1), **kwargs)
         shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                   for r in range(4)]
-        outs, _ = ffn_half(engine, shards)
+        _, outs = self.run_ffn(strategy, True, np.random.default_rng(1),
+                               shards)
         full = np.concatenate([o.data for o in outs], axis=1)
         rel = np.abs(full - ref) / (np.abs(ref) + 1e-3)
         assert np.median(rel) < 0.15
@@ -138,11 +139,10 @@ class TestEngineIntegration:
         x = rng.standard_normal((2, 8, 16))
         totals = {}
         for fp8 in (False, True):
-            moe, world, engine = self.setup_engine(
-                TPFFNEngine, fp8, np.random.default_rng(3))
             shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                       for r in range(4)]
-            ffn_half(engine, shards)
+            world, _ = self.run_ffn("tp", fp8, np.random.default_rng(3),
+                                    shards)
             totals[fp8] = forward_bytes(world)
         # FP8 payload is half of BF16 plus per-token FP32 scales; the
         # uncompressed wire moves the float64 activations.
@@ -178,13 +178,10 @@ class TestFP8FaultInjection:
     def run(self, plan=None):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 8, 16))
-        moe, world, engine = TestEngineIntegration().setup_engine(
-            EPFFNEngine, True, np.random.default_rng(1), mode="ag_rs")
-        if plan is not None:
-            world.attach_fault_plan(plan)
         shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
                   for r in range(4)]
-        return ffn_half(engine, shards)[0]
+        return TestEngineIntegration().run_ffn(
+            "ep", True, np.random.default_rng(1), shards, plan)[1]
 
     def call_index(self):
         probe = _WirePlan()
@@ -218,7 +215,7 @@ class TestFP8TrainerEndToEnd:
                             precision="fp8")
         trainer = MegaScaleTrainer(
             model, World(4, 4), ParallelConfig.megascale(4), train)
-        assert trainer.engines[0].ffn_engine.fp8_comm
+        assert trainer.engines[0].fp8_comm
         corpus = MarkovCorpus(vocab_size=64, seed=0)
         losses = [trainer.train_step(b).lm_loss
                   for b in batch_iterator(corpus, 4, 16, seed=1,

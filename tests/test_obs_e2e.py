@@ -43,7 +43,7 @@ def traced_step(ep_dispatch="ag_rs", telemetry_log=None):
         ParallelConfig.megascale(4, ep_dispatch=ep_dispatch), TRAIN,
         obs=obs)
     for engine in trainer.engines:
-        engine.ffn_engine.telemetry_log = telemetry_log
+        engine.telemetry_log = telemetry_log
     trainer.train_step(make_batches(1)[0])
     return obs, world
 

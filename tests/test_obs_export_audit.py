@@ -11,7 +11,6 @@ from repro.core.analysis import (
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
-from repro.core.executor_bindings import ffn_bindings
 from repro.model.layers import SelfAttention
 from repro.model.moe import MoELayer
 from repro.obs import (
@@ -22,13 +21,14 @@ from repro.obs import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.parallel.ep_ffn import EPFFNEngine
-from repro.parallel.sp_attention import SPAttentionEngine
-from repro.parallel.tp_attention import TPAttentionEngine
+from repro.parallel.ag_ffn import ag_ffn_bindings
+from repro.parallel.ep_ffn import ep_a2a_bindings
+from repro.parallel.sp_attention import sp_attention_bindings
+from repro.parallel.tp_attention import tp_attention_bindings
 from repro.tensor import Tensor
 
 B, S, H, FH, E, K, N, M = 2, 16, 32, 48, 8, 2, 4, 2
-EB = 8.0  # every engine below is built with dtype=np.float64
+EB = 8.0  # every layer below is built with dtype=np.float64
 
 
 class FakeClock:
@@ -47,21 +47,23 @@ def shard(x, n):
 
 
 def run_engine(kind, tracer=None, mode="ag_rs"):
-    """One forward pass of a parallel engine on a fresh world."""
+    """One forward pass of a strategy's bindings on a fresh world."""
     rng = np.random.default_rng(0)
     world = World(N, N)
     if tracer is not None:
         world.attach_tracer(tracer)
+    group = world.full_group()
     x = rng.standard_normal((B, S, H))
     if kind in ("sp_attn", "tp_attn"):
         attn = SelfAttention(rng, H, 8, M, dtype=np.float64)
-        cls = SPAttentionEngine if kind == "sp_attn" else TPAttentionEngine
-        engine = cls(world.full_group(), attn)
-        attention_half(engine, shard(x, N), S)
+        factory = (sp_attention_bindings if kind == "sp_attn"
+                   else tp_attention_bindings)
+        attention_half(group, factory(group, attn, None), shard(x, N))
     else:
         moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
-        engine = EPFFNEngine(world.full_group(), moe, mode=mode)
-        ffn_half(engine, shard(x, N))
+        bindings = (ep_a2a_bindings(group, moe, None) if mode == "a2a"
+                    else ag_ffn_bindings(group, moe, "ep", False, None))
+        ffn_half(group, bindings, shard(x, N))
     return world
 
 
@@ -169,8 +171,8 @@ class TestAudit:
         rng = np.random.default_rng(0)
         world = World(N, N)
         moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
-        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
-        _, env = run_bindings(engine.group, ffn_bindings(engine),
+        group = world.full_group()
+        _, env = run_bindings(group, ep_a2a_bindings(group, moe, None),
                               ln2=shard(rng.standard_normal((B, S, H)), N))
         routed = {"experts": [np.where(r.kept, r.expert_index, -1)
                               for _, r, _, _ in env["router"]],

@@ -1,4 +1,4 @@
-"""Equivalence tests: SP and TP attention engines vs. the reference.
+"""Equivalence tests: SP and TP attention bindings vs. the reference.
 
 The central correctness property of §3.1: both parallel attention
 implementations must produce *exactly* the reference module's outputs
@@ -17,8 +17,8 @@ from repro.core.analysis import (
 from repro.model.layers import SelfAttention
 from repro.model.transformer import TransformerBlock
 from repro.parallel.block import ParallelBlockEngine, shard_sequence
-from repro.parallel.sp_attention import SPAttentionEngine
-from repro.parallel.tp_attention import TPAttentionEngine
+from repro.parallel.sp_attention import sp_attention_bindings
+from repro.parallel.tp_attention import tp_attention_bindings
 from repro.tensor import Tensor
 
 
@@ -71,9 +71,10 @@ class TestSPAttention:
         ref = run_reference(rng, attn, x)
 
         world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         shards = shard_seq(x, n)
-        outs = attention_half(engine, shards, s)
+        outs = attention_half(
+            group, sp_attention_bindings(group, attn, None), shards)
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
@@ -89,7 +90,7 @@ class TestSPAttention:
         attn = SelfAttention(rng, 16, 8, 2)  # 4 kv heads
         world = World(8, 8)
         with pytest.raises(ValueError, match="kv_heads"):
-            SPAttentionEngine(world.full_group(), attn)
+            sp_attention_bindings(world.full_group(), attn, None)
 
     def test_forward_volume_is_half_eq2(self, rng):
         """The measured per-pass A2A volume equals Eq. 2 / 2: the
@@ -97,9 +98,10 @@ class TestSPAttention:
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
         attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
         world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         clear_ledger(world.ledger)
-        attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
+        attention_half(group, sp_attention_bindings(group, attn, None),
+                       shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "sp_attn") / 8.0  # float64 elements
         formula_total = sp_attention_comm_volume(b, s, h, n, m) * n
         assert measured == pytest.approx(formula_total / 2.0)
@@ -108,10 +110,11 @@ class TestSPAttention:
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
         attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
         world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         x = rng.standard_normal((b, s, h))
         shards = shard_seq(x, n)
-        outs = attention_half(engine, shards, s)
+        outs = attention_half(
+            group, sp_attention_bindings(group, attn, None), shards)
         # Single backward sweep (as a real combined loss would produce);
         # per-shard sweeps would re-traverse shared ancestors and
         # multiply the ledger's :bwd entries.
@@ -147,9 +150,10 @@ class TestTPAttention:
         ref = run_reference(rng, attn, x)
 
         world = World(n, n)
-        engine = TPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         shards = shard_seq(x, n)
-        outs = attention_half(engine, shards, s)
+        outs = attention_half(
+            group, tp_attention_bindings(group, attn, None), shards)
         full = np.concatenate([o.data for o in outs], axis=1)
         np.testing.assert_allclose(full, ref["out"], atol=1e-10)
 
@@ -167,9 +171,10 @@ class TestTPAttention:
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
         attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
         world = World(n, n)
-        engine = TPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         clear_ledger(world.ledger)
-        attention_half(engine, shard_seq(rng.standard_normal((b, s, h)), n), s)
+        attention_half(group, tp_attention_bindings(group, attn, None),
+                       shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "tp_attn") / 8.0
         assert measured == pytest.approx(
             tp_attention_comm_volume(b, s, h, n) * n)

@@ -1,4 +1,4 @@
-"""Equivalence tests: EP (both dispatch modes) and TP FFN engines."""
+"""Equivalence tests: EP (both dispatch modes) and TP FFN bindings."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,12 @@ import pytest
 from conftest import clear_ledger, ffn_half, forward_bytes
 from repro.comm import World
 from repro.core.analysis import ep_ffn_comm_volume, tp_ffn_comm_volume
+from repro.core.config import ModelConfig, choose_dispatch_mode
 from repro.model.moe import MoELayer
-from repro.parallel.block import shard_sequence
-from repro.parallel.ep_ffn import (
-    EPFFNEngine,
-    choose_dispatch_mode,
-)
-from repro.parallel.tp_ffn import TPFFNEngine
+from repro.model.transformer import TransformerBlock
+from repro.parallel.ag_ffn import ag_ffn_bindings
+from repro.parallel.block import ParallelBlockEngine, shard_sequence
+from repro.parallel.ep_ffn import ep_a2a_bindings
 from repro.tensor import Tensor
 
 
@@ -50,12 +49,24 @@ CONFIGS = [
 ]
 
 
-def check_engine_matches(rng, moe, x, engine_factory, n):
+def ep_a2a(group, moe):
+    return ep_a2a_bindings(group, moe, None)
+
+
+def ep_ag_rs(group, moe):
+    return ag_ffn_bindings(group, moe, "ep", False, None)
+
+
+def tp_ffn(group, moe):
+    return ag_ffn_bindings(group, moe, "tp", False, None)
+
+
+def check_bindings_match(rng, moe, x, factory, n):
     ref = run_reference(rng, moe, x)
     world = World(n, n)
-    engine = engine_factory(world.full_group(), moe)
+    group = world.full_group()
     shards = shard_seq(x, n)
-    outs, aux = ffn_half(engine, shards)
+    outs, aux = ffn_half(group, factory(group, moe), shards)
     full = np.concatenate([o.data for o in outs], axis=1)
     np.testing.assert_allclose(full, ref["out"], atol=1e-9)
     assert aux.item() == pytest.approx(ref["aux"], abs=1e-10)
@@ -72,7 +83,7 @@ def check_engine_matches(rng, moe, x, engine_factory, n):
     np.testing.assert_allclose(dx, ref["dx"], atol=1e-9)
     np.testing.assert_allclose(moe.router.gate.weight.grad,
                                ref["d_gate"], atol=1e-9)
-    return world, engine, ref
+    return world, ref
 
 
 def assert_expert_grads(moe, ref):
@@ -93,9 +104,7 @@ class TestEPA2A:
         rng = np.random.default_rng(b * 10 + s + k)
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         x = rng.standard_normal((b, s, h))
-        world, engine, ref = check_engine_matches(
-            rng, moe, x,
-            lambda g, m: EPFFNEngine(g, m, mode="a2a"), n)
+        world, ref = check_bindings_match(rng, moe, x, ep_a2a, n)
         assert_expert_grads(moe, ref)
 
     def test_forward_volume_within_hard_bound(self, rng):
@@ -105,9 +114,10 @@ class TestEPA2A:
         b, s, h, fh, E, k, n = 2, 16, 16, 24, 8, 2, 4
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
-        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
+        group = world.full_group()
         clear_ledger(world.ledger)
-        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        ffn_half(group, ep_a2a(group, moe),
+                 shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "ep_ffn") / 8.0
         hard_bound = 2 * k * b * s * h  # all rows remote, both passes
         assert measured <= hard_bound + 1e-9
@@ -118,9 +128,10 @@ class TestEPA2A:
         b, s, h, fh, E, k, n = 4, 32, 16, 24, 8, 2, 4
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
-        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
+        group = world.full_group()
         clear_ledger(world.ledger)
-        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        ffn_half(group, ep_a2a(group, moe),
+                 shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "ep_ffn") / 8.0
         bound = ep_ffn_comm_volume(b, s, h, n, k) * n
         assert measured == pytest.approx(bound, rel=0.25)
@@ -132,9 +143,7 @@ class TestEPAgRs:
         rng = np.random.default_rng(b * 10 + s + k + 1)
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         x = rng.standard_normal((b, s, h))
-        check_engine_matches(
-            rng, moe, x,
-            lambda g, m: EPFFNEngine(g, m, mode="ag_rs"), n)
+        check_bindings_match(rng, moe, x, ep_ag_rs, n)
 
     def test_volume_equals_eq4_regardless_of_k(self, rng):
         """AG/RS dispatch volume equals TP's Eq. 4 and is independent of
@@ -145,9 +154,9 @@ class TestEPAgRs:
             moe = MoELayer(np.random.default_rng(k), h, 24, 8, k,
                            dtype=np.float64)
             world = World(n, n)
-            engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
+            group = world.full_group()
             clear_ledger(world.ledger)
-            ffn_half(engine, shard_seq(
+            ffn_half(group, ep_ag_rs(group, moe), shard_seq(
                 np.random.default_rng(k).standard_normal((b, s, h)), n))
             volumes.append(forward_bytes(world, "ep_ffn") / 8.0)
         expected = tp_ffn_comm_volume(b, s, h, n) * n
@@ -157,8 +166,9 @@ class TestEPAgRs:
     def test_expert_divisibility_required(self, rng):
         moe = MoELayer(rng, 8, 12, 6, 2)
         world = World(4, 4)
-        with pytest.raises(ValueError, match="not divisible"):
-            EPFFNEngine(world.full_group(), moe)
+        for factory in (ep_a2a, ep_ag_rs):
+            with pytest.raises(ValueError, match="not divisible"):
+                factory(world.full_group(), moe)
 
 
 class TestAdaptiveMode:
@@ -169,17 +179,22 @@ class TestAdaptiveMode:
         assert choose_dispatch_mode(top_k=6, ep_size=8) == "ag_rs"
         assert choose_dispatch_mode(top_k=8, ep_size=8) == "ag_rs"
 
+    @staticmethod
+    def block(rng, top_k):
+        return TransformerBlock(
+            rng, ModelConfig("adaptive", 1, 16, 8, 1, 12, 8, top_k))
+
     def test_engine_adopts_adaptive_choice(self, rng):
-        moe = MoELayer(rng, 8, 12, 8, 6)
         world = World(8, 8)
-        engine = EPFFNEngine(world.full_group(), moe, mode="adaptive")
-        assert engine.mode == "ag_rs"
+        engine = ParallelBlockEngine(world.full_group(), self.block(rng, 6),
+                                     ep_mode="adaptive")
+        assert engine.ep_mode == "ag_rs"
 
     def test_invalid_mode(self, rng):
-        moe = MoELayer(rng, 8, 12, 8, 2)
         world = World(4, 4)
         with pytest.raises(ValueError, match="dispatch mode"):
-            EPFFNEngine(world.full_group(), moe, mode="ring")
+            ParallelBlockEngine(world.full_group(), self.block(rng, 2),
+                                ep_mode="ring")
 
 
 class TestTPFFN:
@@ -188,17 +203,17 @@ class TestTPFFN:
         rng = np.random.default_rng(b * 10 + s + k + 2)
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         x = rng.standard_normal((b, s, h))
-        world, engine, ref = check_engine_matches(
-            rng, moe, x, TPFFNEngine, n)
+        world, ref = check_bindings_match(rng, moe, x, tp_ffn, n)
         assert_expert_grads(moe, ref)
 
     def test_volume_matches_eq4(self, rng):
         b, s, h, fh, E, k, n = 2, 8, 16, 24, 8, 2, 4
         moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
         world = World(n, n)
-        engine = TPFFNEngine(world.full_group(), moe)
+        group = world.full_group()
         clear_ledger(world.ledger)
-        ffn_half(engine, shard_seq(rng.standard_normal((b, s, h)), n))
+        ffn_half(group, tp_ffn(group, moe),
+                 shard_seq(rng.standard_normal((b, s, h)), n))
         measured = forward_bytes(world, "tp_ffn") / 8.0
         assert measured == pytest.approx(tp_ffn_comm_volume(b, s, h, n) * n)
 
@@ -206,4 +221,4 @@ class TestTPFFN:
         moe = MoELayer(rng, 8, 10, 4, 2)
         world = World(4, 4)
         with pytest.raises(ValueError, match="not divisible"):
-            TPFFNEngine(world.full_group(), moe)
+            tp_ffn(world.full_group(), moe)

@@ -905,7 +905,7 @@ class TestServeInvariantsCatchBugs:
 
 class TestTelemetrySoundness:
     """The satellite fix: verify's telemetry invariants must fail
-    loudly — naming the engine — when an EP FFN engine stops exposing
+    loudly — naming the engine — when an EP layer stops exposing
     dispatch telemetry, instead of passing vacuously."""
 
     def _case(self):
@@ -922,17 +922,17 @@ class TestTelemetrySoundness:
         assert by_name["router_mass"] == "pass"
 
     def test_missing_telemetry_fails_loudly(self, monkeypatch):
-        from repro.parallel import ep_ffn
+        from repro.parallel import ParallelBlockEngine
         from repro.verify import run_case
 
-        monkeypatch.setattr(ep_ffn.EPFFNEngine, "record_telemetry",
+        monkeypatch.setattr(ParallelBlockEngine, "record_telemetry",
                             lambda self, *args, **kwargs: None)
         result = run_case(self._case())
         by_name = {o.name: o for o in result.outcomes}
         for name in ("token_conservation", "router_mass"):
             assert by_name[name].status == "fail"
             assert "telemetry missing" in by_name[name].detail
-            assert "EPFFNEngine" in by_name[name].detail
+            assert "ParallelBlockEngine" in by_name[name].detail
 
 
 class TestDagExecutorRetain:

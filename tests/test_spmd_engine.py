@@ -20,7 +20,7 @@ from repro.ft import FaultPlan
 from repro.model import MoETransformer
 from repro.model.layers import SelfAttention
 from repro.obs.metrics import Counter
-from repro.parallel.sp_attention import SPAttentionEngine
+from repro.parallel.sp_attention import sp_attention_bindings
 from repro.tensor import Tensor
 
 CONFIG = ModelConfig("spmd", n_layers=2, hidden_size=32, n_heads=8,
@@ -96,11 +96,12 @@ class TestZeroCopyLedgerAudit:
         world = World(n, n)
         if plan is not None:
             world.attach_fault_plan(plan)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        group = world.full_group()
         shards = [Tensor(rng.standard_normal((b, s // n, h)),
                          requires_grad=True) for _ in range(n)]
         clear_ledger(world.ledger)
-        attention_half(engine, shards, s)
+        attention_half(group, sp_attention_bindings(group, attn, None),
+                       shards)
         measured = forward_bytes(world, "sp_attn") / 8.0
         formula = sp_attention_comm_volume(b, s, h, n, m) * n
         return measured, formula

@@ -70,6 +70,53 @@ def run_training(tile_tokens, steps=2,
     return trainer, world
 
 
+#: FFN collective tags of the AG-based FFNs, by tiled op.
+FFN_TAGS = {"ep": {"ffn_ag": "ep_ffn:dispatch_ag",
+                   "ffn_rs": "ep_ffn:combine_rs"},
+            "tp": {"ffn_ag": "tp_ffn:ag", "ffn_rs": "tp_ffn:rs"}}
+
+
+class TestFP8TilesMove:
+    """Under FP8 communication the AG-based FFN moves exactly the tiles
+    its program lists: the tile plan alone decides tiling."""
+
+    @staticmethod
+    def train(ffn, tile_tokens):
+        model = MoETransformer(tiny_model_config(), seed=0,
+                               dtype=np.float64)
+        world = World(RANKS, RANKS)
+        train = TrainConfig(global_batch_size=2, micro_batch_size=2,
+                            seq_len=SEQ, tile_tokens=tile_tokens,
+                            precision="fp8")
+        trainer = MegaScaleTrainer(
+            model, world,
+            ParallelConfig(RANKS, ffn=ffn, ep_dispatch="ag_rs"), train)
+        rng = np.random.default_rng(0)
+        losses = [trainer.train_step(
+            rng.integers(0, 64, size=(2, SEQ + 1))).loss]
+        return trainer, world, losses
+
+    @pytest.mark.parametrize("ffn", ["ep", "tp"])
+    def test_every_listed_ffn_tile_is_one_ledger_record(self, ffn):
+        trainer, world, losses = self.train(ffn, 2)
+        layers = len(trainer.engines)
+        for op, tag in FFN_TAGS[ffn].items():
+            listed = [name for name in trainer.engines[0].last_executed_tiles
+                      if base_op_name(name) == op]
+            assert len(listed) == RANKS
+            records = [r for r in world.ledger.records if r.tag == tag]
+            assert all(r.tile is not None for r in records), tag
+            assert sorted(r.tile for r in records) == sorted(
+                (i, RANKS) for i in range(RANKS) for _ in range(layers))
+        plain, plain_world, plain_losses = self.train(ffn, None)
+        assert losses == plain_losses
+        for (name, p), (_, q) in zip(trainer.model.named_parameters(),
+                                     plain.model.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+        assert (world.ledger.total_bytes()
+                == plain_world.ledger.total_bytes())
+
+
 class TestTilePlan:
     def test_group_counts_follow_comm_pattern(self):
         """AG/RS and ragged-dispatch groups tile per rank (the §4.2

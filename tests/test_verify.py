@@ -13,7 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import executor_bindings
+from repro.parallel import block
+from repro.runtime import dag_executor
 from repro.tensor import Tensor
 from repro.verify import (
     ConformanceReport,
@@ -358,23 +359,21 @@ class TestWiringMutants:
         case = small_case(ep_dispatch=dispatch, experts=4, top_k=2)
         assert run_case(case).ok
         ops, anchor, instead = WIRING_MUTANTS[mutant]
-        build = executor_bindings.build_layer_bindings
+        build = block.build_layer_bindings
         hit = []
 
         def miswire(binding):
             def seq(ctx):
                 env = {**ctx.env, anchor: instead(ctx.env)}
-                return binding.seq(executor_bindings._SeqCtx(ctx.group,
-                                                             env))
+                return binding.seq(dag_executor._SeqCtx(ctx.group, env))
             hit.append(binding.op)
             return dataclasses.replace(binding, seq=seq)
 
-        def mutated(engine, seq_len, tile_plan=None):
+        def mutated(engine, tile_plan=None):
             return [miswire(b) if b.op in ops else b
-                    for b in build(engine, seq_len, tile_plan)]
+                    for b in build(engine, tile_plan)]
 
-        monkeypatch.setattr(executor_bindings, "build_layer_bindings",
-                            mutated)
+        monkeypatch.setattr(block, "build_layer_bindings", mutated)
         result = run_case(case)
         assert hit, "mutant touched no binding"
         failing = {f.name for f in result.failures()}
