@@ -80,11 +80,10 @@ def cmd_plan(args) -> int:
                   f"{scored.candidate.describe()}")
 
     ms, par = result.best.iteration, best.parallel
-    mg = MegatronPerfModel(cluster=cluster).iteration(
-        model, ParallelConfig.megatron(par.model_parallel_size,
-                                       par.pipeline_size,
-                                       par.data_parallel_size),
-        train, gpu)
+    megatron = ParallelConfig.megatron(
+        par.model_parallel_size, par.pipeline_size, par.data_parallel_size)
+    mg = MegatronPerfModel(cluster=cluster).iteration(model, megatron,
+                                                      train, gpu)
     print(f"\npredicted: MegaScale {ms.iteration_time:.2f}s/iter "
           f"({ms.tokens_per_second / 1e3:.0f}k tok/s, "
           f"MFU {ms.mfu(model, gpu) * 100:.1f}%) — "
@@ -164,8 +163,7 @@ def cmd_train(args) -> int:
         fault_plan = FaultPlan([FaultSpec("timeout", at_call=40),
                                 FaultSpec("corrupt", at_call=90)],
                                slow_ranks={1: 2.0}, seed=0)
-        monitor = HealthMonitor(StragglerDetector(window=8,
-                                                  z_threshold=0.9))
+        monitor = HealthMonitor(StragglerDetector(window=8, z_threshold=0.9))
         guards = dict(retry_policy=BackoffPolicy(max_retries=3,
                                                  base_delay=0.5),
                       loss_guard=LossSpikeGuard(window=8, factor=3.0),
@@ -300,8 +298,7 @@ def cmd_serve(args) -> int:
           f" iterations (batch <= {serve.max_batch_size}, "
           f"{len(engine.placement.attn_ranks)} attn + "
           f"{len(engine.placement.expert_ranks)} expert ranks)")
-    print(f"{'req':>4s} {'arrive':>7s} {'finish':>7s} {'lat':>6s} "
-          f"{'rst':>4s}  prompt -> generated")
+    print(" req  arrive  finish    lat  rst  prompt -> generated")
     diverged = [rid for rid, r in result.results.items()
                 if r.generated != golden[rid].generated or not all(
                     np.array_equal(a, b)
@@ -332,10 +329,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import (run_case, run_matrix, run_serve_matrix,
-                         serve_matrix, smoke_matrix)
+    from .verify import (fuzz, run_case, run_matrix, run_serve_matrix,
+                         serve_matrix, shrink, smoke_matrix)
     from .verify.cases import elastic_matrix
-    from .verify.fuzz import fuzz, shrink
 
     def progress(result) -> None:
         mark = "ok" if result.ok else "FAIL"
@@ -345,12 +341,10 @@ def cmd_verify(args) -> int:
         print(f"fuzzing {args.fuzz} random cases (seed {args.seed})")
         report = fuzz(args.fuzz, seed=args.seed, progress=progress)
     else:
-        if args.serve:
-            label, matrix, run = "serve", serve_matrix, run_serve_matrix
-        elif args.elastic:
-            label, matrix, run = "elastic", elastic_matrix, run_matrix
-        else:
-            label, matrix, run = "smoke", smoke_matrix, run_matrix
+        label, matrix, run = (
+            ("serve", serve_matrix, run_serve_matrix) if args.serve else
+            ("elastic", elastic_matrix, run_matrix) if args.elastic else
+            ("smoke", smoke_matrix, run_matrix))
         cases = matrix(seed=args.seed)
         print(f"running the {label} matrix ({len(cases)} cases, "
               f"seed {args.seed})")
@@ -369,12 +363,10 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="MegaScale-MoE reproduction toolkit")
+        prog="repro", description="MegaScale-MoE reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     plan = sub.add_parser("plan", help="plan a training job (§3/§7)")
-    plan.set_defaults(handler=cmd_plan)
     plan.add_argument("model", choices=sorted(MODEL_ZOO))
     plan.add_argument("n_gpus", nargs="?", type=int, default=None)
     plan.add_argument("gpu", nargs="?", default="h800",
@@ -397,7 +389,6 @@ def main(argv=None) -> int:
 
     train = sub.add_parser("train", help="train a miniature MoE under "
                                          "the elastic production runner")
-    train.set_defaults(handler=cmd_train)
     train.add_argument("steps", nargs="?", type=int, default=10)
     train.add_argument("--tile-tokens", type=int, default=None,
                        help="token-chunk width for tile-granular "
@@ -416,7 +407,6 @@ def main(argv=None) -> int:
 
     serve = sub.add_parser("serve", help="continuous-batching MoE "
                                          "inference (paged KV, EP ranks)")
-    serve.set_defaults(handler=cmd_serve)
     serve.add_argument("n_requests", nargs="?", type=int, default=6)
     serve.add_argument("--arrivals", default="poisson",
                        choices=["poisson", "bursty"],
@@ -432,7 +422,6 @@ def main(argv=None) -> int:
 
     verify = sub.add_parser("verify", help="differential conformance "
                                            "matrix vs the golden model")
-    verify.set_defaults(handler=cmd_verify)
     verify.add_argument("--smoke", action="store_true",
                         help="run the seeded CI smoke matrix (default)")
     verify.add_argument("--elastic", action="store_true",
@@ -448,12 +437,12 @@ def main(argv=None) -> int:
                         help="shrink failing cases to minimal repros")
 
     args = parser.parse_args(argv)
-    if args.command == "train" and args.trace and (args.faults
-                                                   or args.resize):
+    if args.command == "train" and args.trace and (args.faults or args.resize):
         # The Eq. 1-4 audit assumes a fault-free run at one world size.
         train.error("argument --trace: not allowed with argument "
                     + ("--faults" if args.faults else "--resize"))
-    return args.handler(args)
+    return {"plan": cmd_plan, "train": cmd_train, "serve": cmd_serve,
+            "verify": cmd_verify}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -8,20 +8,21 @@ space ... We leave automatic optimization for future work."
 
 This module implements that future work for the simulated substrate: a
 randomized local-search scheduler that perturbs operator priorities and
-keeps improvements, using the event simulator as its objective.  It is
-seeded and budgeted, and — by construction — never returns a schedule
-worse than the hand-tailored holistic one it starts from.
+keeps improvements, scoring each candidate order by the makespan the
+event simulator would give it — placed in the same pass that orders it.
+It is seeded and budgeted, and — by construction — never returns a
+schedule worse than the hand-tailored holistic one it starts from.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.engine import SimTask, simulate
+from ..sim.engine import SimTask
 from .cluster import ClusterSpec
 from .config import ModelConfig, TrainConfig
 from .operators import OpGraph, build_forward_graph
@@ -53,8 +54,9 @@ class AutoScheduler:
 
     The schedule space is parameterized by a per-op priority vector: a
     deterministic list scheduler orders each stream's queue by priority
-    (respecting dependencies), and the event simulator scores the
-    result.  Search = iterated random perturbation with greedy
+    (respecting dependencies) and places each op where the event
+    simulator would start it, so the order's makespan comes out of the
+    ordering pass.  Search = iterated random perturbation with greedy
     acceptance, seeded for reproducibility.
     """
 
@@ -76,23 +78,17 @@ class AutoScheduler:
         baseline = baseline_timeline.makespan
 
         rng = np.random.default_rng(self.seed)
-        names = [t.name for t in baseline_tasks]
-        base_priority = {name: float(i) for i, name in enumerate(names)}
+        place = _placer(baseline_tasks)
+        sigma = self.perturbation * len(baseline_tasks)
 
         best_tasks = baseline_tasks
         best = baseline
-        evaluations = 1
-        priority = dict(base_priority)
+        priority = np.arange(len(baseline_tasks), dtype=float)
         for _ in range(self.budget):
-            candidate = {
-                name: p + rng.normal(0.0, self.perturbation * len(names))
-                for name, p in priority.items()
-            }
-            tasks = _reorder_by_priority(baseline_tasks, candidate)
-            if tasks is None:
-                continue
-            makespan = simulate(tasks).makespan
-            evaluations += 1
+            candidate = priority + rng.normal(0.0, sigma,
+                                              size=len(priority))
+            tasks, _, finish = place(candidate.tolist())
+            makespan = max(finish, default=0.0)
             if makespan < best:
                 best = makespan
                 best_tasks = tasks
@@ -101,42 +97,55 @@ class AutoScheduler:
             tasks=best_tasks,
             makespan=best,
             baseline_makespan=baseline,
-            evaluations=evaluations,
+            evaluations=1 + self.budget,
             improved=best < baseline - 1e-12,
         )
 
 
-def _reorder_by_priority(tasks: List[SimTask],
-                         priority: Dict[str, float]
-                         ) -> Optional[List[SimTask]]:
-    """Topological order honoring priorities; None if infeasible."""
-    by_name = {t.name: t for t in tasks}
-    indegree = {t.name: 0 for t in tasks}
-    children: Dict[str, List[str]] = {t.name: [] for t in tasks}
-    for t in tasks:
-        for dep in t.deps:
-            if dep not in by_name:
-                return None
-            indegree[t.name] += 1
-            children[dep].append(t.name)
+def _placer(tasks: List[SimTask]):
+    """``place(priority)`` over ``tasks``, their dependency maps built
+    once per search.
 
-    # Pop equal priorities by name: dict insertion order is an accident
-    # of graph construction and made search results unstable across
-    # runs.  Names are unique, so the heap's order is a total order.
-    ready = [(priority.get(name, 0.0), name)
-             for name, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    out: List[SimTask] = []
-    while ready:
-        _, name = heapq.heappop(ready)
-        out.append(by_name[name])
-        for child in children[name]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, (priority.get(child, 0.0), child))
-    if len(out) != len(tasks):
-        return None
-    return out
+    ``place`` orders the tasks topologically, each step taking the
+    ready task with the smallest ``(priority, name)`` (names are
+    unique, so a tie never falls back to list order, an accident of
+    graph construction), and starts each as it is ordered at
+    ``max(stream free, dependencies' finish)`` — the simulator's rule
+    for stream queues in that order.  Returns the ordered tasks and
+    each task's start and finish, indexed as ``tasks``.
+    """
+    index = {t.name: i for i, t in enumerate(tasks)}
+    deps = [[index[d] for d in t.deps] for t in tasks]
+    children: List[List[int]] = [[] for _ in tasks]
+    for i, before in enumerate(deps):
+        for d in before:
+            children[d].append(i)
+    streams: Dict[str, int] = {}
+    stream = [streams.setdefault(t.stream, len(streams)) for t in tasks]
+
+    def place(priority: List[float]
+              ) -> Tuple[List[SimTask], List[float], List[float]]:
+        waiting = [len(d) for d in deps]
+        ready = [(priority[i], t.name, i) for i, t in enumerate(tasks)
+                 if not deps[i]]
+        heapq.heapify(ready)
+        free = [0.0] * len(streams)
+        start, finish = [0.0] * len(tasks), [0.0] * len(tasks)
+        order: List[SimTask] = []
+        while ready:
+            _, _, i = heapq.heappop(ready)
+            order.append(tasks[i])
+            start[i] = max(free[stream[i]],
+                           max((finish[d] for d in deps[i]), default=0.0))
+            finish[i] = free[stream[i]] = start[i] + tasks[i].duration
+            for child in children[i]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    heapq.heappush(ready, (priority[child],
+                                           tasks[child].name, child))
+        return order, start, finish
+
+    return place
 
 
 @dataclass
@@ -209,19 +218,17 @@ def optimize_plan(
                         top=top)
     best = plan.best.candidate
 
-    perf = MegaScalePerfModel(
-        cluster=cluster,
-        calibration=calibration,
-        elem_bytes=best.elem_bytes,
-    )
+    perf = MegaScalePerfModel(cluster=cluster, calibration=calibration,
+                              elem_bytes=best.elem_bytes)
     km = perf.kernel_model(gpu, best.parallel.model_parallel_size)
-    (fwd, d_fwd), (bwd, d_bwd) = perf.layer_graphs(
-        model, best.parallel, train.micro_batch_size, km,
-        best.remat == "selective")
+    fwd, bwd = perf.layer_halves(model, best.parallel,
+                                 train.micro_batch_size, gpu, km,
+                                 remat=best.remat == "selective",
+                                 scheduled=False)
     scheduler = AutoScheduler(budget=budget, seed=seed)
     return PlanScheduleResult(
         plan=plan,
-        fwd=scheduler.optimize(fwd, d_fwd),
-        bwd=scheduler.optimize(bwd, d_bwd),
+        fwd=scheduler.optimize(fwd.graph, fwd.durations),
+        bwd=scheduler.optimize(bwd.graph, bwd.durations),
         calibrated=calibration is not None,
     )

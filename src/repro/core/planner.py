@@ -409,23 +409,24 @@ def plan_cluster(
         )
 
     gpu = cluster.bottleneck_gpu()
-    # One perf model per (remat, precision): each prices a layer shape
-    # (and its bound) once, and lives only as long as this search.
-    perf = {(remat, precision): MegaScalePerfModel(
-                cluster=cluster,
-                calibration=calibration,
-                selective_remat=remat == "selective",
-                elem_bytes=elem_bytes,
-            )
-            for remat in _REMAT_PLANS
-            for precision, elem_bytes in _PRECISION_BYTES.items()}
+    # One perf model per (remat, precision), living only as long as
+    # this search: each measures a layer shape once, and the two remat
+    # twins of a precision share its forward half.
+    perf = {}
+    for precision, elem_bytes in _PRECISION_BYTES.items():
+        perf["none", precision] = MegaScalePerfModel(
+            cluster=cluster, calibration=calibration,
+            selective_remat=False, elem_bytes=elem_bytes)
+        perf["selective", precision] = perf["none", precision].remat_twin()
 
     # The remat-free model bounds both remat settings (remat only adds
-    # ops), so each (layer shape, precision) is bounded once.
-    queue = sorted(
-        (perf["none", c.precision].lower_bound(model, c.parallel, train,
-                                               gpu), c.describe(), c)
-        for c in feasible)
+    # ops), so each (parallel, precision) is bounded once.
+    bounds = {(par, precision): perf["none", precision].lower_bound(
+                  model, par, train, gpu)
+              for par, precision in dict.fromkeys(
+                  (c.parallel, c.precision) for c in feasible)}
+    queue = sorted((bounds[c.parallel, c.precision], c.describe(), c)
+                   for c in feasible)
     ranked: List[ScoredPlan] = []
     for bound, _, c in queue:
         if len(ranked) >= top and bound > ranked[top - 1].iteration_time:

@@ -22,7 +22,7 @@ remat            stores all activations     selective remat (§4.1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from ..core.cluster import ClusterSpec
@@ -32,7 +32,8 @@ from ..core.config import (
     ParallelConfig,
     TrainConfig,
 )
-from ..core.operators import build_backward_graph, build_forward_graph
+from ..core.operators import (OpGraph, build_backward_graph,
+                              build_forward_graph)
 from ..core.schedule import HolisticScheduler, OverlapConfig
 from .estimator import CalibrationReport, KernelModel, calibrated_durations
 
@@ -74,28 +75,28 @@ class IterationBreakdown:
         return getattr(self, attr) / self.iteration_time
 
 
-@dataclass(frozen=True)
-class _LayerCost:
-    """The per-layer scalars :meth:`SystemPerfModel.iteration` reads.
+@dataclass
+class _Half:
+    """One pass of one layer shape on one rank: the forward, or the
+    backward under one remat setting.  ``kinds`` (seconds per op kind)
+    are shared by every price read from it, so readers must not mutate
+    them; ``makespan`` and ``exposed_comm`` are its holistic schedule's,
+    set when a price (not a bound) first reads it."""
 
-    ``kinds_f``/``kinds_b`` are shared by every iteration priced from
-    this entry, so readers must not mutate them.
-    """
-
-    fwd_makespan: float
-    bwd_makespan: float
-    exposed_comm: float  # forward + backward
-    kinds_f: Dict[str, float]
-    kinds_b: Dict[str, float]
+    graph: Optional[OpGraph]
+    durations: Optional[Dict[str, float]]
+    kinds: Dict[str, float]
+    makespan: Optional[float] = None
+    exposed_comm: float = 0.0
 
 
 @dataclass(frozen=True)
 class SystemPerfModel:
     """Common machinery; subclasses pin the paper's system differences.
 
-    Frozen because :meth:`iteration` prices each layer shape once per
-    instance: a setting changed after the first call would leave stale
-    costs behind.
+    Frozen because each layer half is measured and scheduled once per
+    instance (and its :meth:`remat_twin`): a setting changed after the
+    first call would leave stale costs behind.
     """
 
     name: str = "generic"
@@ -117,14 +118,19 @@ class SystemPerfModel:
     #: per-anchor measured/modeled scales applied to every duration the
     #: scheduler and simulator consume.
     calibration: Optional[CalibrationReport] = None
-    #: Layer costs this instance has priced, keyed by what the layer
-    #: graphs and the kernel model read: never ``pp`` or ``dp``.
-    _layer_costs: Dict[Tuple, _LayerCost] = field(
+    #: Layer halves this instance and its :meth:`remat_twin` have
+    #: measured, keyed by what the layer graphs and the kernel model
+    #: read (never ``pp`` or ``dp``); a backward's key adds its remat.
+    _halves: Dict[Tuple, _Half] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    #: Remat-free layer graphs a bound built, held for the price of the
-    #: same shape and dropped when it reads them.
-    _shared_graphs: Dict[Tuple, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+    def remat_twin(self) -> "SystemPerfModel":
+        """This model under the other remat setting, sharing its layer
+        halves: remat changes only the backward graph, so the twins
+        measure and schedule each layer shape's forward once."""
+        twin = replace(self, selective_remat=not self.selective_remat)
+        object.__setattr__(twin, "_halves", self._halves)
+        return twin
 
     # -- per-layer -----------------------------------------------------------
 
@@ -135,67 +141,51 @@ class SystemPerfModel:
                            cluster=self.cluster,
                            mp_group_size=mp_group_size)
 
-    def _durations(self, km: KernelModel, graph) -> Dict[str, float]:
-        """Modeled durations, calibrated when a report is installed."""
-        if self.calibration is not None:
-            return calibrated_durations(km, graph, self.calibration)
-        return km.durations(graph)
+    def layer_halves(self, model: ModelConfig, parallel: ParallelConfig,
+                     micro_batch: int, gpu: GPUSpec, km: KernelModel,
+                     remat: bool, scheduled: bool) -> Tuple[_Half, _Half]:
+        """One MoE layer's forward half on one rank and its backward
+        half under ``remat``, each measured on first use and, when
+        ``scheduled``, list-scheduled on first use.
 
-    def layer_graphs(self, model: ModelConfig, parallel: ParallelConfig,
-                     micro_batch: int, km: KernelModel,
-                     selective_remat: bool):
-        """``[(graph, durations)]`` of one MoE layer's forward and
-        backward pass on one rank: the graphs and duration maps both the
-        schedules and the per-kind times read."""
-        fwd = build_forward_graph(model, parallel, micro_batch,
-                                  self.elem_bytes)
-        bwd = build_backward_graph(fwd, selective_remat=selective_remat)
-        return [(g, self._durations(km, g)) for g in (fwd, bwd)]
-
-    def _layer_cost(self, model: ModelConfig, parallel: ParallelConfig,
-                    micro_batch: int, gpu: GPUSpec, km: KernelModel,
-                    bound: bool) -> _LayerCost:
-        """One layer's scalars, priced on the first call per shape.
-
-        With ``bound`` the makespans are each graph's compute-stream
-        busy time (the sum of its non-comm durations), built without
-        remat: the scheduler puts every compute op and every fused
-        comm+compute unit on one stream, a fused unit lasts at least
-        its compute part, and remat only adds ops — so this floors the
-        simulated makespan under any overlap and either remat setting.
-        Without selective remat the bound and the price read the same
-        graphs, so the bound's graphs are held until the price reads
-        them.
+        A scheduled half drops its duration map, and a backward its
+        graph; a forward keeps its graph until both remat backwards
+        have been built from it.
         """
         shape = (model, parallel.model_parallel_size, parallel.attention,
                  parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
-        key = (bound,) + shape
-        cost = self._layer_costs.get(key)
-        if cost is None:
-            graphs = self._shared_graphs.pop(shape, None)
-            if graphs is None:
-                graphs = self.layer_graphs(
-                    model, parallel, micro_batch, km,
-                    self.selective_remat and not bound)
-                if (bound and not self.selective_remat
-                        and (False,) + shape not in self._layer_costs):
-                    self._shared_graphs[shape] = graphs
-            (fwd, d_fwd), (bwd, d_bwd) = graphs
-            kinds_f = _kind_times(fwd, d_fwd)
-            kinds_b = _kind_times(bwd, d_bwd)
-            if bound:
-                cost = _LayerCost(_busy(kinds_f), _busy(kinds_b), 0.0,
-                                  kinds_f, kinds_b)
-            else:
-                scheduler = HolisticScheduler(self.overlap)
-                _, tl_fwd = scheduler.schedule_timeline(fwd, d_fwd)
-                _, tl_bwd = scheduler.schedule_timeline(bwd, d_bwd)
-                cost = _LayerCost(
-                    tl_fwd.makespan, tl_bwd.makespan,
-                    tl_fwd.exposed_comm + tl_bwd.exposed_comm,
-                    kinds_f, kinds_b)
-            self._layer_costs[key] = cost
-        return cost
+        halves = self._halves
+        if shape not in halves:
+            halves[shape] = self._measured(km, build_forward_graph(
+                model, parallel, micro_batch, self.elem_bytes))
+        fwd = halves[shape]
+        if shape + (remat,) not in halves:
+            halves[shape + (remat,)] = self._measured(km, build_backward_graph(
+                fwd.graph, selective_remat=remat))
+        bwd = halves[shape + (remat,)]
+        if scheduled:
+            for half in (fwd, bwd):
+                if half.makespan is None:
+                    _, timeline = HolisticScheduler(
+                        self.overlap).schedule_timeline(half.graph,
+                                                        half.durations)
+                    half.makespan = timeline.makespan
+                    half.exposed_comm = timeline.exposed_comm
+                    half.durations = None
+            bwd.graph = None
+        if (fwd.makespan is not None and shape + (False,) in halves
+                and shape + (True,) in halves):
+            fwd.graph = None
+        return fwd, bwd
+
+    def _measured(self, km: KernelModel, graph: OpGraph) -> _Half:
+        """An unscheduled half: ``graph``, its (calibrated when a
+        report is installed) durations and its per-kind times."""
+        if self.calibration is not None:
+            durations = calibrated_durations(km, graph, self.calibration)
+        else:
+            durations = km.durations(graph)
+        return _Half(graph, durations, _kind_times(graph, durations))
 
     # -- iteration ------------------------------------------------------------
 
@@ -208,7 +198,10 @@ class SystemPerfModel:
                     train: TrainConfig, gpu: GPUSpec) -> float:
         """A floor under ``iteration(...).iteration_time`` for this job
         under either remat setting: :meth:`iteration`'s own formula over
-        the compute-stream busy time of each layer graph, unscheduled.
+        the compute-stream busy time of each remat-free layer graph,
+        unscheduled.  The scheduler runs every compute op and fused
+        comm+compute unit on one stream, a fused unit lasts at least its
+        compute part, and remat only adds ops.
         """
         return self._priced(model, parallel, train, gpu,
                             bound=True).iteration_time
@@ -230,8 +223,16 @@ class SystemPerfModel:
         layers_per_stage = model.n_layers / p
 
         km = self.kernel_model(gpu, parallel.model_parallel_size)
-        layer = self._layer_cost(model, parallel, micro, gpu, km, bound)
-        kinds_f, kinds_b = layer.kinds_f, layer.kinds_b
+        fwd, bwd = self.layer_halves(
+            model, parallel, micro, gpu, km,
+            remat=self.selective_remat and not bound, scheduled=not bound)
+        kinds_f, kinds_b = fwd.kinds, bwd.kinds
+        if bound:
+            fwd_makespan, layer_bwd = _busy(kinds_f), _busy(kinds_b)
+            exposed_comm = 0.0
+        else:
+            fwd_makespan, layer_bwd = fwd.makespan, bwd.makespan
+            exposed_comm = fwd.exposed_comm + bwd.exposed_comm
         if self.full_recompute:
             kinds_b = {kind: t + kinds_f[kind]
                        for kind, t in kinds_b.items()}
@@ -243,10 +244,10 @@ class SystemPerfModel:
         head_time = head_flops / (gpu.peak_flops * km.gemm_max_eff)
         extras = 3.0 * head_time  # fwd + 2× in backward
 
-        bwd_makespan = layer.bwd_makespan
+        bwd_makespan = layer_bwd
         if self.full_recompute:
-            bwd_makespan += layer.fwd_makespan
-        period = (layer.fwd_makespan + bwd_makespan) * layers_per_stage
+            bwd_makespan += fwd_makespan
+        period = (fwd_makespan + bwd_makespan) * layers_per_stage
         period_last = period + extras
         eff_period = max(period, period_last)
 
@@ -278,14 +279,14 @@ class SystemPerfModel:
             gemm_time=(kinds_f["gemm"] + kinds_b["gemm"]) * scale
             + extras * m,
             memory_op_time=(kinds_f["memory"] + kinds_b["memory"]) * scale,
-            exposed_comm_time=layer.exposed_comm * scale,
+            exposed_comm_time=exposed_comm * scale,
             bubble_time=bubble,
             dp_exposed_time=dp_exposed,
             optimizer_time=opt_time,
             global_batch_tokens=train.global_batch_size * model.seq_len,
             n_gpus=n_gpus,
-            layer_fwd_time=layer.fwd_makespan,
-            layer_bwd_time=layer.bwd_makespan,
+            layer_fwd_time=fwd_makespan,
+            layer_bwd_time=layer_bwd,
         )
 
 

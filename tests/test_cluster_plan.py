@@ -17,7 +17,7 @@ from repro.comm.cost import (
     tiered_all_to_all_time,
     tiered_ring_time,
 )
-from repro.core.autoschedule import _reorder_by_priority, optimize_plan
+from repro.core.autoschedule import _placer, optimize_plan
 from repro.core.cluster import ClusterSpec
 from repro.core.config import (
     GPU_SPECS,
@@ -34,7 +34,9 @@ from repro.core.planner import (
     dispatch_mode_times,
     plan_cluster,
 )
+from repro.core.schedule import HolisticScheduler
 from repro.perf.estimator import CalibrationReport, KernelModel
+from repro.perf import systems
 from repro.perf.systems import MegaScalePerfModel, SystemPerfModel
 from repro.sim.engine import SimTask
 from conftest import enumerate_plans
@@ -324,53 +326,68 @@ class TestPlanSearch:
         assert [s.candidate for s in a.ranked] == \
             [s.candidate for s in b.ranked]
 
-    #: (model, nodes, train) -> (layer shapes bounded, layer shapes
-    #: simulated, plans simulated, best s, sha256 of the ranked list).
+    #: (model, nodes, train) -> ((parallel, precision) pairs bounded,
+    #: forward graphs built, forwards scheduled, backwards scheduled),
+    #: then plans simulated, best s and the sha256 of the ranked list.
     #: The first two are the plan_model workload's searches; the third
     #: is 352B at 1,440.
     RANKED_PINS = [
         ("mixtral-8x2b", 2, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         34, 10, 10, 2.0954872146864543,
+         (105, 34, 5, 10), 10, 2.0954872146864543,
          "b7d7a237fb49bccff99a33da92148ce70e6cc3d6c9fd9d99fb37fe9490255e10"),
         ("mixtral-8x7b", 4, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         41, 9, 11, 3.5888225412411363,
+         (109, 41, 5, 9), 11, 3.5888225412411363,
          "df6a762c95578c6b1756ca6905d4aebf5303b51d834e40347b48a22f34dc1a16"),
         ("internal-352b", 180, TrainConfig(),
-         48, 26, 128, 3.9961101236184704,
+         (252, 48, 13, 26), 128, 3.9961101236184704,
          "11cb682f54ee4c8580019ba4cc6f33eb4164ad5e7f6dc7cccba7f525b294f769"),
     ]
 
     @pytest.mark.parametrize(
-        "model,nodes,train,bounded,shapes,n_simulated,best,digest",
+        "model,nodes,train,counts,n_simulated,best,digest",
         RANKED_PINS, ids=[p[0] for p in RANKED_PINS])
     def test_each_layer_shape_priced_once_per_search(
-            self, model, nodes, train, bounded, shapes, n_simulated, best,
-            digest, monkeypatch):
-        """The search bounds and simulates each distinct layer shape at
-        most once (pp and dp never change the layer graph), and the
+            self, model, nodes, train, counts, n_simulated, best, digest,
+            monkeypatch):
+        """The search bounds each (parallel, precision) once, builds and
+        schedules each (layer shape, precision) forward once and each
+        (layer shape, precision, remat) backward once (pp and dp never
+        change the layer graph, and remat only the backward), and the
         ranked list is exactly what pricing every candidate from
         scratch gave: every price, in the same order, at rel 0."""
-        calls = {True: [], False: []}
-        layer_cost = SystemPerfModel._layer_cost
+        bounded, built, scheduled = [], [], {True: [], False: []}
+        lower_bound = SystemPerfModel.lower_bound
+        build_forward_graph = systems.build_forward_graph
+        schedule_timeline = HolisticScheduler.schedule_timeline
 
-        def counting(self, model, parallel, micro_batch, gpu, km, bound):
-            n_before = len(self._layer_costs)
-            cost = layer_cost(self, model, parallel, micro_batch, gpu, km,
-                              bound)
-            if len(self._layer_costs) > n_before:
-                calls[bound].append((
-                    self.selective_remat, self.elem_bytes,
-                    parallel.model_parallel_size, parallel.attention,
-                    parallel.ffn, parallel.ep_dispatch))
-            return cost
+        def bounding(self, model, parallel, train, gpu):
+            bounded.append((parallel, self.elem_bytes))
+            return lower_bound(self, model, parallel, train, gpu)
 
-        monkeypatch.setattr(SystemPerfModel, "_layer_cost", counting)
+        def building(model, parallel, micro_batch, elem_bytes):
+            built.append((parallel.model_parallel_size, parallel.attention,
+                          parallel.ffn, parallel.ep_dispatch, elem_bytes))
+            return build_forward_graph(model, parallel, micro_batch,
+                                       elem_bytes)
+
+        def scheduling(self, graph, durations):
+            scheduled[graph.ops[0].phase == "fwd"].append(
+                tuple((op.name, durations[op.name]) for op in graph))
+            return schedule_timeline(self, graph, durations)
+
+        monkeypatch.setattr(SystemPerfModel, "lower_bound", bounding)
+        monkeypatch.setattr(systems, "build_forward_graph", building)
+        monkeypatch.setattr(HolisticScheduler, "schedule_timeline",
+                            scheduling)
         c = ClusterSpec.homogeneous("h800", n_nodes=nodes)
+        calls = (bounded, built, scheduled[True], scheduled[False])
+
         result = plan_cluster(MODEL_ZOO[model], c, train)
-        assert len(set(calls[True])) == len(calls[True]) == bounded
-        assert len(set(calls[False])) == len(calls[False]) == shapes
+        # (calls, distinct calls) per kind of work: each is done once.
+        assert [(len(done), len(set(done))) for done in calls] == \
+            [(n, n) for n in counts]
         assert result.n_simulated == n_simulated
 
         assert result.best.iteration_time == best
@@ -380,10 +397,10 @@ class TestPlanSearch:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
         # The memo lasts one search: the next call prices again.
-        calls[True].clear()
-        calls[False].clear()
+        for done in calls:
+            done.clear()
         plan_cluster(MODEL_ZOO[model], c, train)
-        assert (len(calls[True]), len(calls[False])) == (bounded, shapes)
+        assert tuple(len(done) for done in calls) == counts
 
     def test_calibration_scales_prices(self):
         c = ClusterSpec.homogeneous("h800", n_nodes=2)
@@ -445,13 +462,13 @@ class TestScheduleSearch:
         ]
 
     def test_equal_priorities_tie_break_by_name(self):
-        out = _reorder_by_priority(self.tasks(), {})
+        out, _, _ = _placer(self.tasks())([0.0] * 3)
         assert [t.name for t in out] == ["a", "b", "c"]
 
     def test_tie_break_is_insertion_order_independent(self):
         rev = list(reversed(self.tasks()[:2])) + self.tasks()[2:]
-        a = _reorder_by_priority(self.tasks(), {"a": 0.0, "b": 0.0})
-        b = _reorder_by_priority(rev, {"a": 0.0, "b": 0.0})
+        a, _, _ = _placer(self.tasks())([0.0] * 3)
+        b, _, _ = _placer(rev)([0.0] * 3)
         assert [t.name for t in a] == [t.name for t in b]
 
     def test_optimize_plan_composes(self):
@@ -559,5 +576,6 @@ class TestScheduleSearch:
                     # Few distinct values: most pops break a tie by name.
                     priority = {t.name: float(rng.randrange(4))
                                 for t in tasks if rng.random() < 0.8}
-                    assert (_reorder_by_priority(tasks, priority)
-                            == sorted_scan(tasks, priority))
+                    order, _, _ = _placer(tasks)(
+                        [priority.get(t.name, 0.0) for t in tasks])
+                    assert order == sorted_scan(tasks, priority)

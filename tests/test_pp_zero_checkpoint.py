@@ -451,12 +451,12 @@ class TestAutoScheduler:
         ]
         base = simulate(tasks).makespan
         # The search operates on our scheduler output normally; here we
-        # directly exercise the reorder helper through a tiny search.
-        from repro.core.autoschedule import _reorder_by_priority
+        # directly exercise the ordering helper through a tiny search.
+        from repro.core.autoschedule import _placer
         best = base
         rng = np.random.default_rng(0)
+        place = _placer(tasks)
         for _ in range(50):
-            pri = {t.name: rng.random() for t in tasks}
-            cand = _reorder_by_priority(tasks, pri)
+            cand, _, _ = place([rng.random() for _ in tasks])
             best = min(best, simulate(cand).makespan)
         assert best < base
