@@ -31,6 +31,7 @@ __all__ = [
     "OpGraph",
     "build_forward_graph",
     "build_backward_graph",
+    "BACKWARD_MIRROR",
     "TilePlan",
     "TILE_SEP",
     "forward_tiles",
@@ -468,6 +469,21 @@ def _ffn_forward(d: _Dims) -> List[Op]:
 # Backward graph
 # ---------------------------------------------------------------------------
 
+#: How each forward compute op mirrors into the backward pass: per
+#: backward op, its name suffix, the factors on the forward op's FLOPs
+#: and HBM bytes, the suffix of the gradient it produces
+#: (``d_<name><grad>``) and whether it stays in the forward op's fuse
+#: group.  :func:`build_backward_graph` builds its ops from this table,
+#: and the plan search's bound prices the same numbers without them.
+BACKWARD_MIRROR: Dict[str, Tuple[Tuple[str, float, float, str, bool],
+                                 ...]] = {
+    "gemm": ((".dgrad", 1.0, 1.0, "_in", True),
+             (".wgrad", 1.0, 1.0, "_w", False)),
+    "attn": ((".bwd", 2.5, 2.0, "", True),),
+    "memory": ((".bwd", 1.0, 2.0, "", True),),
+}
+
+
 def build_backward_graph(
     fwd: OpGraph,
     selective_remat: bool = True,
@@ -475,9 +491,11 @@ def build_backward_graph(
     """Operator DAG for one MoE layer's backward pass on one rank.
 
     Built by mirroring the forward graph ``fwd`` (from
-    :func:`build_forward_graph`): every GEMM becomes a dgrad and
-    a wgrad GEMM (same FLOPs each), every collective becomes its dual,
-    memory ops double their traffic.  With ``selective_remat`` the
+    :func:`build_forward_graph`) in reverse: every collective becomes
+    its dual, and every compute op becomes the ops
+    :data:`BACKWARD_MIRROR` names — a GEMM a dgrad and a wgrad GEMM
+    (same FLOPs each), attention 2.5× its FLOPs and 2× its bytes, a
+    memory op 2× its traffic.  With ``selective_remat`` the
     recompute/re-communicate ops of Fig. 8b — the activations the
     paper's plan does not retain — are inserted (phase ``"remat"``)
     with dependencies that let the scheduler overlap them.
@@ -497,32 +515,17 @@ def build_backward_graph(
                      fuse_group=op.fuse_group, phase="bwd")
             ops.append(bwd)
             prev_name = bwd.name
-        elif op.kind == "gemm":
-            dgrad = Op(f"{op.name}.dgrad", "gemm",
-                       flops=op.flops, mem_bytes=op.mem_bytes,
-                       deps=deps, produces=(f"d_{op.name}_in",),
-                       fuse_group=op.fuse_group, phase="bwd",
-                       gemm_shape=op.gemm_shape)
-            wgrad = Op(f"{op.name}.wgrad", "gemm",
-                       flops=op.flops, mem_bytes=op.mem_bytes,
-                       deps=deps, produces=(f"d_{op.name}_w",),
-                       phase="bwd", gemm_shape=op.gemm_shape)
-            ops += [dgrad, wgrad]
-            prev_name = dgrad.name
-        elif op.kind == "attn":
-            bwd = Op(f"{op.name}.bwd", "attn",
-                     flops=2.5 * op.flops, mem_bytes=2 * op.mem_bytes,
-                     deps=deps, produces=(f"d_{op.name}",),
-                     fuse_group=op.fuse_group, phase="bwd")
-            ops.append(bwd)
-            prev_name = bwd.name
-        else:
-            bwd = Op(f"{op.name}.bwd", "memory",
-                     mem_bytes=2 * op.mem_bytes,
-                     deps=deps, produces=(f"d_{op.name}",),
-                     fuse_group=op.fuse_group, phase="bwd")
-            ops.append(bwd)
-            prev_name = bwd.name
+            continue
+        mirrored = [
+            Op(op.name + suffix, op.kind,
+               flops=op.flops * flops, mem_bytes=op.mem_bytes * mem_bytes,
+               deps=deps, produces=(f"d_{op.name}{grad}",),
+               fuse_group=op.fuse_group if fused else "", phase="bwd",
+               gemm_shape=op.gemm_shape)
+            for suffix, flops, mem_bytes, grad, fused
+            in BACKWARD_MIRROR[op.kind]]
+        ops += mirrored
+        prev_name = mirrored[0].name
 
     if selective_remat:
         # The remat transform lives next to the plan it follows (lazy

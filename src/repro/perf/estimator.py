@@ -111,17 +111,24 @@ class KernelModel:
         """Seconds for one op on one rank."""
         if op.kind == "comm":
             return self._comm_duration(op)
-        if op.kind == "gemm":
-            eff = self.gemm_max_eff * self._shape_factor(op.gemm_shape)
-            compute = op.flops / (self.gpu.peak_flops * eff)
-            memory = op.mem_bytes / self.gpu.memory_bandwidth
+        return self.compute_duration(op.kind, op.flops, op.mem_bytes,
+                                     op.gemm_shape)
+
+    def compute_duration(self, kind: str, flops: float, mem_bytes: float,
+                         gemm_shape: Tuple[float, float, float]) -> float:
+        """Seconds for one compute op of ``kind`` on one rank, priced
+        from its work alone (no :class:`Op` record needed)."""
+        if kind == "gemm":
+            eff = self.gemm_max_eff * self._shape_factor(gemm_shape)
+            compute = flops / (self.gpu.peak_flops * eff)
+            memory = mem_bytes / self.gpu.memory_bandwidth
             return max(compute, memory) + self.kernel_latency
-        if op.kind == "attn":
-            compute = op.flops / (self.gpu.peak_flops * self.attn_eff)
-            memory = op.mem_bytes / self.gpu.memory_bandwidth
+        if kind == "attn":
+            compute = flops / (self.gpu.peak_flops * self.attn_eff)
+            memory = mem_bytes / self.gpu.memory_bandwidth
             return max(compute, memory) + self.kernel_latency
         # memory-bound
-        return (op.mem_bytes / (self.gpu.memory_bandwidth * self.mem_eff)
+        return (mem_bytes / (self.gpu.memory_bandwidth * self.mem_eff)
                 + self.kernel_latency)
 
     def _comm_duration(self, op: Op) -> float:

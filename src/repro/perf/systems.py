@@ -32,8 +32,8 @@ from ..core.config import (
     ParallelConfig,
     TrainConfig,
 )
-from ..core.operators import (OpGraph, build_backward_graph,
-                              build_forward_graph)
+from ..core.operators import (BACKWARD_MIRROR, OpGraph,
+                              build_backward_graph, build_forward_graph)
 from ..core.schedule import HolisticScheduler, OverlapConfig
 from .estimator import CalibrationReport, KernelModel, calibrated_durations
 
@@ -78,10 +78,12 @@ class IterationBreakdown:
 @dataclass
 class _Half:
     """One pass of one layer shape on one rank: the forward, or the
-    backward under one remat setting.  ``kinds`` (seconds per op kind)
-    are shared by every price read from it, so readers must not mutate
-    them; ``makespan`` and ``exposed_comm`` are its holistic schedule's,
-    set when a price (not a bound) first reads it."""
+    backward under one remat setting, or (``graph`` None from the
+    start) only the remat-free backward's compute times a bound reads.
+    ``kinds`` (seconds per op kind) are shared by every price and bound
+    read from it, so readers must not mutate them; ``makespan`` and
+    ``exposed_comm`` are its holistic schedule's, set when a price (not
+    a bound) first reads it."""
 
     graph: Optional[OpGraph]
     durations: Optional[Dict[str, float]]
@@ -120,7 +122,8 @@ class SystemPerfModel:
     calibration: Optional[CalibrationReport] = None
     #: Layer halves this instance and its :meth:`remat_twin` have
     #: measured, keyed by what the layer graphs and the kernel model
-    #: read (never ``pp`` or ``dp``); a backward's key adds its remat.
+    #: read (never ``pp`` or ``dp``); a backward's key adds its remat,
+    #: and a bound's backward compute times add ``"bound"``.
     _halves: Dict[Tuple, _Half] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -146,19 +149,16 @@ class SystemPerfModel:
                      remat: bool, scheduled: bool) -> Tuple[_Half, _Half]:
         """One MoE layer's forward half on one rank and its backward
         half under ``remat``, each measured on first use and, when
-        ``scheduled``, list-scheduled on first use.
+        ``scheduled``, list-scheduled on first use.  Only these halves
+        build a backward graph: a bound reads :meth:`_bound_kinds`.
 
         A scheduled half drops its duration map, and a backward its
         graph; a forward keeps its graph until both remat backwards
         have been built from it.
         """
-        shape = (model, parallel.model_parallel_size, parallel.attention,
-                 parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
+        shape = _shape(model, parallel, micro_batch, gpu)
+        fwd = self._forward_half(shape, model, parallel, micro_batch, km)
         halves = self._halves
-        if shape not in halves:
-            halves[shape] = self._measured(km, build_forward_graph(
-                model, parallel, micro_batch, self.elem_bytes))
-        fwd = halves[shape]
         if shape + (remat,) not in halves:
             halves[shape + (remat,)] = self._measured(km, build_backward_graph(
                 fwd.graph, selective_remat=remat))
@@ -177,6 +177,51 @@ class SystemPerfModel:
                 and shape + (True,) in halves):
             fwd.graph = None
         return fwd, bwd
+
+    def _forward_half(self, shape: Tuple, model: ModelConfig,
+                      parallel: ParallelConfig, micro_batch: int,
+                      km: KernelModel) -> _Half:
+        """The forward half of ``shape``, measured on first use."""
+        if shape not in self._halves:
+            self._halves[shape] = self._measured(km, build_forward_graph(
+                model, parallel, micro_batch, self.elem_bytes))
+        return self._halves[shape]
+
+    def _bound_kinds(self, model: ModelConfig, parallel: ParallelConfig,
+                     micro_batch: int, gpu: GPUSpec, km: KernelModel
+                     ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Per-kind times of one layer shape's forward half and of its
+        remat-free backward's compute ops, with no backward graph built:
+        the remat-free backward half's own when a price has built it,
+        else :meth:`_mirrored_kinds` of the forward's ops."""
+        shape = _shape(model, parallel, micro_batch, gpu)
+        fwd = self._forward_half(shape, model, parallel, micro_batch, km)
+        halves = self._halves
+        if shape + ("bound",) not in halves:
+            built = halves.get(shape + (False,))
+            halves[shape + ("bound",)] = built if built is not None \
+                else _Half(None, None, self._mirrored_kinds(km, fwd.graph))
+        return fwd.kinds, halves[shape + ("bound",)].kinds
+
+    def _mirrored_kinds(self, km: KernelModel,
+                        fwd: OpGraph) -> Dict[str, float]:
+        """Seconds per compute kind of ``build_backward_graph(fwd,
+        selective_remat=False)``, read off the forward ops by
+        :data:`BACKWARD_MIRROR` and calibrated per backward op name as
+        :func:`calibrated_durations` does.  Summed in that graph's op
+        order, so each value equals its ``_kind_times`` bit for bit."""
+        out = {"attn": 0.0, "gemm": 0.0, "memory": 0.0}
+        price, report = km.compute_duration, self.calibration
+        for op in reversed(fwd.ops):
+            if op.kind == "comm":
+                continue
+            for suffix, flops, mem_bytes, _, _ in BACKWARD_MIRROR[op.kind]:
+                t = price(op.kind, op.flops * flops,
+                          op.mem_bytes * mem_bytes, op.gemm_shape)
+                if report is not None:
+                    t *= report.scale_for(op.name + suffix)
+                out[op.kind] += t
+        return out
 
     def _measured(self, km: KernelModel, graph: OpGraph) -> _Half:
         """An unscheduled half: ``graph``, its (calibrated when a
@@ -198,10 +243,12 @@ class SystemPerfModel:
                     train: TrainConfig, gpu: GPUSpec) -> float:
         """A floor under ``iteration(...).iteration_time`` for this job
         under either remat setting: :meth:`iteration`'s own formula over
-        the compute-stream busy time of each remat-free layer graph,
-        unscheduled.  The scheduler runs every compute op and fused
-        comm+compute unit on one stream, a fused unit lasts at least its
-        compute part, and remat only adds ops.
+        the compute-stream busy time of the layer's forward and
+        remat-free backward, unscheduled.  The scheduler runs every
+        compute op and fused comm+compute unit on one stream, a fused
+        unit lasts at least its compute part, and remat only adds ops.
+        The backward's busy time is read off the forward's ops, so a
+        shape that is bounded but never priced builds no backward graph.
         """
         return self._priced(model, parallel, train, gpu,
                             bound=True).iteration_time
@@ -223,14 +270,16 @@ class SystemPerfModel:
         layers_per_stage = model.n_layers / p
 
         km = self.kernel_model(gpu, parallel.model_parallel_size)
-        fwd, bwd = self.layer_halves(
-            model, parallel, micro, gpu, km,
-            remat=self.selective_remat and not bound, scheduled=not bound)
-        kinds_f, kinds_b = fwd.kinds, bwd.kinds
         if bound:
+            kinds_f, kinds_b = self._bound_kinds(model, parallel, micro,
+                                                 gpu, km)
             fwd_makespan, layer_bwd = _busy(kinds_f), _busy(kinds_b)
             exposed_comm = 0.0
         else:
+            fwd, bwd = self.layer_halves(model, parallel, micro, gpu, km,
+                                         remat=self.selective_remat,
+                                         scheduled=True)
+            kinds_f, kinds_b = fwd.kinds, bwd.kinds
             fwd_makespan, layer_bwd = fwd.makespan, bwd.makespan
             exposed_comm = fwd.exposed_comm + bwd.exposed_comm
         if self.full_recompute:
@@ -288,6 +337,13 @@ class SystemPerfModel:
             layer_fwd_time=fwd_makespan,
             layer_bwd_time=layer_bwd,
         )
+
+
+def _shape(model: ModelConfig, parallel: ParallelConfig, micro_batch: int,
+           gpu: GPUSpec) -> Tuple:
+    """Everything one layer's graphs and kernel durations depend on."""
+    return (model, parallel.model_parallel_size, parallel.attention,
+            parallel.ffn, parallel.ep_dispatch, micro_batch, gpu)
 
 
 def _kind_times(graph, durations: Dict[str, float]) -> Dict[str, float]:

@@ -327,21 +327,23 @@ class TestPlanSearch:
             [s.candidate for s in b.ranked]
 
     #: (model, nodes, train) -> ((parallel, precision) pairs bounded,
-    #: forward graphs built, forwards scheduled, backwards scheduled),
-    #: then plans simulated, best s and the sha256 of the ranked list.
-    #: The first two are the plan_model workload's searches; the third
-    #: is 352B at 1,440.
+    #: forward graphs built, backward graphs built, forwards scheduled,
+    #: backwards scheduled), then plans simulated, best s and the
+    #: sha256 of the ranked list.  Only a price builds a backward graph,
+    #: so the backwards built are the backwards scheduled.  The first
+    #: two are the plan_model workload's searches; the third is 352B at
+    #: 1,440.
     RANKED_PINS = [
         ("mixtral-8x2b", 2, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         (105, 34, 5, 10), 10, 2.0954872146864543,
+         (105, 34, 10, 5, 10), 10, 2.0954872146864543,
          "b7d7a237fb49bccff99a33da92148ce70e6cc3d6c9fd9d99fb37fe9490255e10"),
         ("mixtral-8x7b", 4, TrainConfig(global_batch_size=64,
                                         micro_batch_size=2),
-         (109, 41, 5, 9), 11, 3.5888225412411363,
+         (109, 41, 9, 5, 9), 11, 3.5888225412411363,
          "df6a762c95578c6b1756ca6905d4aebf5303b51d834e40347b48a22f34dc1a16"),
         ("internal-352b", 180, TrainConfig(),
-         (252, 48, 13, 26), 128, 3.9961101236184704,
+         (252, 48, 26, 13, 26), 128, 3.9961101236184704,
          "11cb682f54ee4c8580019ba4cc6f33eb4164ad5e7f6dc7cccba7f525b294f769"),
     ]
 
@@ -352,14 +354,17 @@ class TestPlanSearch:
             self, model, nodes, train, counts, n_simulated, best, digest,
             monkeypatch):
         """The search bounds each (parallel, precision) once, builds and
-        schedules each (layer shape, precision) forward once and each
-        (layer shape, precision, remat) backward once (pp and dp never
-        change the layer graph, and remat only the backward), and the
+        schedules each (layer shape, precision) forward once, builds and
+        schedules each priced (layer shape, precision, remat) backward
+        once and no other (pp and dp never change the layer graph, remat
+        only the backward, and the bound reads the forward), and the
         ranked list is exactly what pricing every candidate from
         scratch gave: every price, in the same order, at rel 0."""
-        bounded, built, scheduled = [], [], {True: [], False: []}
+        bounded, built, built_bwd = [], [], []
+        scheduled = {True: [], False: []}
         lower_bound = SystemPerfModel.lower_bound
         build_forward_graph = systems.build_forward_graph
+        build_backward_graph = systems.build_backward_graph
         schedule_timeline = HolisticScheduler.schedule_timeline
 
         def bounding(self, model, parallel, train, gpu):
@@ -372,6 +377,10 @@ class TestPlanSearch:
             return build_forward_graph(model, parallel, micro_batch,
                                        elem_bytes)
 
+        def building_bwd(fwd, selective_remat=True):
+            built_bwd.append((tuple(fwd), selective_remat))
+            return build_backward_graph(fwd, selective_remat=selective_remat)
+
         def scheduling(self, graph, durations):
             scheduled[graph.ops[0].phase == "fwd"].append(
                 tuple((op.name, durations[op.name]) for op in graph))
@@ -379,10 +388,12 @@ class TestPlanSearch:
 
         monkeypatch.setattr(SystemPerfModel, "lower_bound", bounding)
         monkeypatch.setattr(systems, "build_forward_graph", building)
+        monkeypatch.setattr(systems, "build_backward_graph", building_bwd)
         monkeypatch.setattr(HolisticScheduler, "schedule_timeline",
                             scheduling)
         c = ClusterSpec.homogeneous("h800", n_nodes=nodes)
-        calls = (bounded, built, scheduled[True], scheduled[False])
+        calls = (bounded, built, built_bwd, scheduled[True],
+                 scheduled[False])
 
         result = plan_cluster(MODEL_ZOO[model], c, train)
         # (calls, distinct calls) per kind of work: each is done once.

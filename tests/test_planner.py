@@ -1,5 +1,7 @@
 """Tests for the one planner and the Fig. 7 dispatch analysis."""
 
+import hashlib
+
 import pytest
 
 from repro.comm.cost import LinkSpec
@@ -148,6 +150,34 @@ def _perf_models(cluster, **settings):
     return perf
 
 
+def _calibration(op_scales):
+    """A report giving each op name in ``op_scales`` (name -> anchor
+    name, scale) that anchor's scale; untraced ops get the median."""
+    anchors = dict(op_scales.values())
+    return CalibrationReport(
+        anchors={name: AnchorCalibration(name, (name,), 1, scale, 1.0)
+                 for name, scale in anchors.items()},
+        op_anchor={op: name for op, (name, _) in op_scales.items()})
+
+
+def _bound_grid(calibration):
+    """``(perf models, model, candidate, gpu, train)`` for every
+    feasible plan of the zoo on 1 and 16 nodes, under full and no
+    overlap and under full overlap with ``calibration``."""
+    train = TrainConfig(global_batch_size=64, micro_batch_size=2)
+    for overlap, report in ((OverlapConfig.full(), None),
+                            (OverlapConfig.none(), None),
+                            (OverlapConfig.full(), calibration)):
+        for nodes in (1, 16):
+            cluster = ClusterSpec.homogeneous("h800", n_nodes=nodes)
+            perf = _perf_models(cluster, overlap=overlap,
+                                calibration=report)
+            for name in sorted(MODEL_ZOO):
+                model = MODEL_ZOO[name]
+                for c in enumerate_plans(model, cluster, train):
+                    yield perf, model, c, cluster.bottleneck_gpu(), train
+
+
 class TestOnePrice:
     """``plan_cluster`` ranks by the simulator alone, and the lower
     bound that prunes its search never exceeds a simulated price."""
@@ -190,33 +220,46 @@ class TestOnePrice:
         and no overlap and under a calibration that scales anchors up
         and down: the remat-free bound floors both remat settings."""
         scales = {"attention": 3.0, "fc1": 0.5, "dispatch_a2a": 2.0}
-        report = CalibrationReport(
-            anchors={name: AnchorCalibration(name, (name,), 1, scale, 1.0)
-                     for name, scale in scales.items()},
-            op_anchor={op: name for name in scales
-                       for op in (name, f"{name}.bwd", f"{name}.dgrad",
-                                  f"{name}.wgrad")})
-        train = TrainConfig(global_batch_size=64, micro_batch_size=2)
+        report = _calibration({
+            op: (name, scale) for name, scale in scales.items()
+            for op in (name, f"{name}.bwd", f"{name}.dgrad",
+                       f"{name}.wgrad")})
         checked = 0
-        for overlap, calibration in ((OverlapConfig.full(), None),
-                                     (OverlapConfig.none(), None),
-                                     (OverlapConfig.full(), report)):
-            for nodes in (1, 16):
-                cluster = ClusterSpec.homogeneous("h800", n_nodes=nodes)
-                gpu = cluster.bottleneck_gpu()
-                perf = _perf_models(cluster, overlap=overlap,
-                                    calibration=calibration)
-                for name in sorted(MODEL_ZOO):
-                    model = MODEL_ZOO[name]
-                    for c in enumerate_plans(model, cluster, train):
-                        bound = perf("none", c.precision).lower_bound(
-                            model, c.parallel, train, gpu)
-                        price = perf(c.remat, c.precision).iteration(
-                            model, c.parallel, train, gpu).iteration_time
-                        assert bound <= price, (name, nodes, overlap,
-                                                c.describe())
-                        checked += 1
+        for perf, model, c, gpu, train in _bound_grid(report):
+            bound = perf("none", c.precision).lower_bound(
+                model, c.parallel, train, gpu)
+            price = perf(c.remat, c.precision).iteration(
+                model, c.parallel, train, gpu).iteration_time
+            assert bound <= price, (model.name, c.describe(),
+                                    perf("none", c.precision).overlap)
+            checked += 1
         assert checked > 1000
+
+    #: sha256 of every bound's repr over the grid, one per line, as
+    #: pricing the built remat-free backward graph gives them.
+    BOUND_DIGEST = ("d8df457c87bde4a6990b69d6ae39757107808898e6ee67ed93c1"
+                    "b2d9114b8852")
+
+    def test_bound_values_are_pinned(self):
+        """The bound reads the backward off the forward's ops, with no
+        backward graph: every value is what pricing the built graph
+        gave, bit for bit.  Each anchor's forward op, ``.dgrad``,
+        ``.wgrad`` and ``.bwd`` carry four different scales, so a
+        backward op calibrated under another op's name moves the
+        digest."""
+        factors = {"": 1.0, ".dgrad": 0.6, ".wgrad": 1.7, ".bwd": 2.3}
+        report = _calibration({
+            name + suffix: (name + suffix, scale * factor)
+            for name, scale in (("attention", 3.0), ("fc1", 0.5),
+                                ("dispatch_a2a", 2.0), ("ln1", 1.5),
+                                ("qkv_proj", 0.8))
+            for suffix, factor in factors.items()})
+        bounds = [repr(perf("none", c.precision).lower_bound(
+                      model, c.parallel, train, gpu))
+                  for perf, model, c, gpu, train in _bound_grid(report)]
+        assert len(bounds) > 5000
+        assert hashlib.sha256("\n".join(bounds).encode()).hexdigest() \
+            == self.BOUND_DIGEST
 
 
 class TestDispatchModeTimes:
